@@ -8,7 +8,7 @@ check fails; `eggbox` writes a DOT diagram of the D-class grid;
 
 Caps resolve in order: command-line flag, then environment
 (GLSEMI_ENUM_CAP / GLSEMI_RANK_CAP), then the instance file, then the
-package defaults.
+package defaults.  A cap below 1 from any source is an error.
 """
 
 from __future__ import annotations
@@ -45,17 +45,20 @@ from .gl_restriction import (
     N_W,
     CONJUGATION_CASES,
     Instance,
+    Structure,
     decompose_fix_u,
     decompose_unit,
     enumerate_semigroup,
     factor_through,
     generating_set,
     green_char_partitions,
+    j_class,
     j_class_count_report,
     make_instance,
     minimal_idempotents,
     nonnormality_example,
     predicted_order,
+    q_ideal,
     raise_factor,
     rank_value,
     regular_witness,
@@ -64,9 +67,8 @@ from .gl_restriction import (
     special_subgroup,
     subgroup_iso_check,
     unit_group_subtable,
-    _profiles,
 )
-from .isomorphism import decide_isomorphic
+from .isomorphism import decide_isomorphic, element_bijection
 from .semigroup_core import (
     SemigroupTable,
     closure_indices,
@@ -215,9 +217,17 @@ def _env_int(name: str) -> int | None:
 
 
 def resolve_caps(cfg: InstanceConfig, flag_cap: int | None, flag_rank_cap: int | None) -> tuple[int, int]:
-    """Flag beats environment beats instance file beats default."""
-    enum_cap = flag_cap or _env_int(ENV_ENUM_CAP) or cfg.enum_cap or DEFAULT_ENUM_CAP
-    rank_cap = flag_rank_cap or _env_int(ENV_RANK_CAP) or cfg.rank_cap or DEFAULT_RANK_CAP
+    """Flag beats environment beats instance file beats default.
+
+    Flags are validated here, the environment by _env_int and the
+    instance file by parse_config: a value below 1 is an error, never a
+    reason to fall through to the next source.
+    """
+    for flag, value in (("--cap", flag_cap), ("--rank-cap", flag_rank_cap)):
+        if value is not None and value < 1:
+            raise ConfigurationError(f"{flag} must be positive")
+    enum_cap = next(v for v in (flag_cap, _env_int(ENV_ENUM_CAP), cfg.enum_cap, DEFAULT_ENUM_CAP) if v is not None)
+    rank_cap = next(v for v in (flag_rank_cap, _env_int(ENV_RANK_CAP), cfg.rank_cap, DEFAULT_RANK_CAP) if v is not None)
     return enum_cap, rank_cap
 
 
@@ -229,54 +239,27 @@ def _strided(seq, limit):
     return [seq[int(i * step)] for i in range(limit)]
 
 
-class _Ctx:
-    """Shared lazily-computed state for one verify run."""
-
-    def __init__(self, inst: Instance, enum_cap: int, rank_cap: int):
-        self.inst = inst
-        self.enum_cap = enum_cap
-        self.rank_cap = rank_cap
-        self._cache: dict[str, object] = {}
-
-    def table(self) -> SemigroupTable:
-        if "table" not in self._cache:
-            self._cache["table"] = enumerate_semigroup(self.inst, cap=self.enum_cap)
-        return self._cache["table"]
-
-    def profiles(self):
-        self.table()
-        return _profiles(self.inst)
-
-    def codims(self) -> list[int]:
-        return [prof[2] for prof in self.profiles()]
-
-    def unit_indices(self) -> list[int]:
-        top = self.inst.n - self.inst.r
-        return [i for i, cd in enumerate(self.codims()) if cd == top]
-
-    def q_indices(self, k: int) -> frozenset[int]:
-        return frozenset(i for i, cd in enumerate(self.codims()) if cd < k)
-
-    def complements(self):
-        if "complements" not in self._cache:
-            inst = self.inst
-            count = inst.p ** (inst.r * (inst.n - inst.r))
-            if count > 100_000:
-                raise CapacityError(f"{count} complements exceed the enumeration budget")
-            self._cache["complements"] = enumerate_complements(inst.u)
-        return self._cache["complements"]
+def _complements(inst: Instance):
+    count = inst.p ** (inst.r * (inst.n - inst.r))
+    if count > 100_000:
+        raise CapacityError(f"{count} complements exceed the enumeration budget")
+    return enumerate_complements(inst.u)
 
 
-def _check_order_law(ctx: _Ctx):
-    table = ctx.table()
-    expected = predicted_order(ctx.inst)
-    counts = {"order": len(table), "expected": expected}
-    return ("pass" if len(table) == expected else "fail", counts, None)
+# Checks take the instance's Structure and the (enum_cap, rank_cap) pair,
+# except those in _INSTANCE_CHECKS, which take the Instance and run
+# without a table.  cmd_verify builds the Structure for the first check
+# that needs it, so that check's time includes the enumeration.
 
 
-def _check_complement_count(ctx: _Ctx):
-    inst = ctx.inst
-    comps = ctx.complements()
+def _check_order_law(s: Structure, caps):
+    expected = predicted_order(s.inst)
+    counts = {"order": len(s.table), "expected": expected}
+    return ("pass" if len(s.table) == expected else "fail", counts, None)
+
+
+def _check_complement_count(inst: Instance):
+    comps = _complements(inst)
     expected = inst.p ** (inst.r * (inst.n - inst.r))
     ok = len(comps) == expected
     if len(comps) <= 4096:
@@ -285,10 +268,10 @@ def _check_complement_count(ctx: _Ctx):
     return ("pass" if ok else "fail", counts, None)
 
 
-def _check_green_agreement(ctx: _Ctx):
-    table = ctx.table()
+def _check_green_agreement(s: Structure, caps):
+    table = s.table
     oracle = table.green()
-    char = green_char_partitions(ctx.inst)
+    char = green_char_partitions(s)
     same = all(
         getattr(oracle, rel) == getattr(char, rel) for rel in ("l", "r", "h", "d", "j")
     )
@@ -305,16 +288,14 @@ def _check_green_agreement(ctx: _Ctx):
     return ("pass" if same and d_equals_j else "fail", counts, None)
 
 
-def _check_ideal_structure(ctx: _Ctx):
-    inst = ctx.inst
-    table = ctx.table()
-    profs = ctx.profiles()
+def _check_ideal_structure(s: Structure, caps):
+    inst, table, profs = s.inst, s.table, s.profiles
     top = inst.n - inst.r
     failures = []
     for k in range(1, top + 1):
-        if not verify_ideal(table, ctx.q_indices(k)):
+        if not verify_ideal(table, q_ideal(s, k)):
             failures.append(f"Q({k}) is not an ideal")
-    if top >= 1 and verify_ideal(table, ctx.unit_indices()):
+    if top >= 1 and verify_ideal(table, j_class(s, top)):
         failures.append("unit grade wrongly closed as an ideal")
     # Principal two-sided ideals are constant on L-classes, so reps suffice.
     if len(table) <= _LIST_SAMPLE:
@@ -326,10 +307,10 @@ def _check_ideal_structure(ctx: _Ctx):
         reps = sorted(by_image.values())
     for i in reps:
         cd = profs[i][2]
-        expected = frozenset(range(len(table))) if cd == top else ctx.q_indices(cd + 1)
+        expected = frozenset(range(len(table))) if cd == top else q_ideal(s, cd + 1)
         if principal_ideal(table, i) != expected:
             failures.append(f"principal ideal mismatch at element {i}")
-    minimal = ctx.q_indices(1)
+    minimal = q_ideal(s, 1)
     for i in minimal:
         img, ker, _ = profs[i]
         if img != inst.u or not is_complement(ker, inst.u):
@@ -338,30 +319,25 @@ def _check_ideal_structure(ctx: _Ctx):
     return ("pass" if not failures else "fail", counts, "; ".join(failures) or None)
 
 
-def _check_minimal_idempotents(ctx: _Ctx):
-    inst = ctx.inst
-    table = ctx.table()
-    char = minimal_idempotents(inst)
-    oracle = frozenset(table.elements[i] for i in minimal_idempotents_oracle(table))
+def _check_minimal_idempotents(s: Structure, caps):
+    inst = s.inst
+    char = minimal_idempotents(s)
+    oracle = minimal_idempotents_oracle(s.table)
     expected = inst.p ** (inst.r * (inst.n - inst.r))
     ok = char == oracle and len(char) == expected
     counts = {"characterized": len(char), "oracle": len(oracle), "expected": expected}
     return ("pass" if ok else "fail", counts, None)
 
 
-def _check_regularity(ctx: _Ctx):
-    inst = ctx.inst
-    table = ctx.table()
-    for m in table.elements:
-        regular_witness(inst, m)  # verifies m * b * m == m internally
-    counts = {"members": len(table), "verified": len(table)}
+def _check_regularity(s: Structure, caps):
+    for m in s.table.elements:
+        regular_witness(s.inst, m)  # verifies m * b * m == m internally
+    counts = {"members": len(s.table), "verified": len(s.table)}
     return ("pass", counts, None)
 
 
-def _check_factorizations(ctx: _Ctx):
-    inst = ctx.inst
-    table = ctx.table()
-    profs = ctx.profiles()
+def _check_factorizations(s: Structure, caps):
+    inst, table, profs = s.inst, s.table, s.profiles
     top = inst.n - inst.r
     sampled = len(table) > _LIST_SAMPLE
     idxs = _strided(range(len(table)), _PAIR_SAMPLE) if sampled else list(range(len(table)))
@@ -383,12 +359,11 @@ def _check_factorizations(ctx: _Ctx):
                 dclass_witness(inst, a, b)
                 witnesses += 1
     raised = 0
-    low = [i for i in range(len(table)) if profs[i][2] <= top - 2]
-    for i in _strided(low, _LIST_SAMPLE):
+    for i in _strided(sorted(s.below[top - 1]), _LIST_SAMPLE):
         raise_factor(inst, table.elements[i])
         raised += 1
     sandwiched = 0
-    mid = [i for i in range(len(table)) if profs[i][2] == top - 1]
+    mid = sorted(j_class(s, top - 1))
     for i in _strided(mid, 40):
         for j in _strided(mid, 40):
             sandwich_factor(inst, table.elements[j], table.elements[i])
@@ -404,48 +379,44 @@ def _check_factorizations(ctx: _Ctx):
     return ("pass", counts, None)
 
 
-def _check_generation(ctx: _Ctx):
-    inst = ctx.inst
-    table = ctx.table()
-    top = inst.n - inst.r
-    gens = [table.index_of(m) for m in generating_set(inst)]
+def _check_generation(s: Structure, caps):
+    table = s.table
+    top = s.inst.n - s.inst.r
+    gens = generating_set(s)
     full = closure_indices(table, gens)
     failures = []
     if len(full) != len(table):
         failures.append("units plus one lower element failed to generate")
-    profs = ctx.profiles()
     for k in range(1, top):
-        grade = [i for i, prof in enumerate(profs) if prof[2] == k]
-        if closure_indices(table, grade) != ctx.q_indices(k + 1):
+        if closure_indices(table, j_class(s, k)) != q_ideal(s, k + 1):
             failures.append(f"grade {k} did not generate the ideal below {k + 1}")
     counts = {"generators": len(gens), "closure": len(full), "grades_checked": max(0, top - 1)}
     return ("pass" if not failures else "fail", counts, "; ".join(failures) or None)
 
 
-def _check_rank_identity(ctx: _Ctx):
-    inst = ctx.inst
-    table = ctx.table()
-    via_units = rank_value(inst, rank_cap=ctx.rank_cap, budget=RANK_BUDGET)
+def _check_rank_identity(s: Structure, caps):
+    _, rank_cap = caps
+    table = s.table
+    via_units = rank_value(s, rank_cap=rank_cap, budget=RANK_BUDGET)
     if via_units is None:
         return ("skip", {}, "unit-group rank search exceeded its cap or budget")
     if len(table) > 20:
         counts = {"rank_via_units": via_units}
         return ("skip", counts, "full-semigroup subset sweep infeasible at this order")
-    found = rank_search(table, range(len(table)), ctx.rank_cap, budget=RANK_BUDGET)
+    found = rank_search(table, range(len(table)), rank_cap, budget=RANK_BUDGET)
     if found is None:
         return ("skip", {"rank_via_units": via_units}, "no generating set within the rank cap")
     counts = {"rank_via_units": via_units, "rank_exhaustive": found[0]}
     return ("pass" if found[0] == via_units else "fail", counts, None)
 
 
-def _check_unit_decomposition(ctx: _Ctx):
-    inst = ctx.inst
+def _check_unit_decomposition(s: Structure, caps):
+    inst = s.inst
     if inst.r < 1:
         return ("skip", {}, "subgroup structure needs r >= 1")
-    table = ctx.table()
     p = inst.p
-    units = [table.elements[i] for i in ctx.unit_indices()]
-    fix_u = sorted(special_subgroup(inst, FIX_U))
+    units = [s.table.elements[i] for i in sorted(j_class(s, inst.n - inst.r))]
+    fix_u = sorted(special_subgroup(s, FIX_U))
     failures = []
     ident = identity_mat(inst.n)
     # Conjugation closure of the U-fixing normal factor under all units.
@@ -459,10 +430,10 @@ def _check_unit_decomposition(ctx: _Ctx):
                 break
         if failures:
             break
-    comps = _strided(ctx.complements(), _COMPLEMENT_SAMPLE)
+    comps = _strided(_complements(inst), _COMPLEMENT_SAMPLE)
     decomposed = 0
     for w in comps:
-        fix_w = special_subgroup(inst, FIX_W, w)
+        fix_w = special_subgroup(s, FIX_W, w)
         if len(units) != len(fix_w) * len(fix_u):
             failures.append("order of the unit group does not split")
         if frozenset(fix_w) & frozenset(fix_u) != {ident}:
@@ -482,48 +453,49 @@ def _check_unit_decomposition(ctx: _Ctx):
     return ("pass" if not failures else "fail", counts, "; ".join(failures) or None)
 
 
-def _check_subgroup_isomorphisms(ctx: _Ctx):
-    inst = ctx.inst
-    if inst.r < 1:
+def _check_subgroup_isomorphisms(s: Structure, caps):
+    if s.inst.r < 1:
         return ("skip", {}, "subgroup structure needs r >= 1")
-    ctx.table()
-    comps = _strided(ctx.complements(), _COMPLEMENT_SAMPLE)
+    comps = _strided(_complements(s.inst), _COMPLEMENT_SAMPLE)
     checked = 0
     for w in comps:
         for kind in (FIX_W, G_W, N_W):
-            if not subgroup_iso_check(inst, kind, w):
+            if not subgroup_iso_check(s, kind, w):
                 return ("fail", {"complement": [list(r) for r in w.basis]}, f"{kind} comparison failed")
             checked += 1
     return ("pass", {"isomorphisms_checked": checked}, None)
 
 
-def _check_nonnormality(ctx: _Ctx):
-    reports = [nonnormality_example(ctx.inst.p, case) for case in CONJUGATION_CASES]
+def _check_nonnormality(inst: Instance):
+    reports = [nonnormality_example(inst.p, case) for case in CONJUGATION_CASES]
     ok = all(rep.escaped for rep in reports)
     counts = {"cases": len(reports)}
     return ("pass" if ok else "fail", counts, None)
 
 
-def _check_isomorphism_theorem(ctx: _Ctx):
-    inst = ctx.inst
+def _check_isomorphism_theorem(s: Structure, caps):
+    enum_cap, _ = caps
+    inst = s.inst
     failures = []
     if inst.r >= 1:
         anchor = extend_basis(inst.u.basis, full_space(inst.p, inst.n))[0]
         rows = list(inst.u.basis)
         rows[0] = vec_add(inst.p, rows[0], anchor)
-        partner = make_instance(inst.p, inst.n, inst.r, rows)
+        partner = enumerate_semigroup(make_instance(inst.p, inst.n, inst.r, rows), enum_cap)
     else:
-        partner = inst
-    witness = decide_isomorphic(inst, partner, cap=ctx.enum_cap)
+        partner = s
+    witness = decide_isomorphic(inst, partner.inst)
+    verified_pairs = 0
     if witness is None:
         failures.append("matched parameters did not produce a witness")
-    verified_pairs = len(witness.psi) ** 2 if witness and witness.psi else 0
+    else:
+        verified_pairs = len(element_bijection(witness, s, partner)) ** 2
     negative = None
     for r2 in (inst.r + 1, inst.r - 1):
         if 0 <= r2 < inst.n and r2 != inst.r:
             negative = make_instance(inst.p, inst.n, r2)
             break
-    if negative is not None and decide_isomorphic(inst, negative, cap=ctx.enum_cap) is not None:
+    if negative is not None and decide_isomorphic(inst, negative) is not None:
         failures.append("differing subspace dimensions wrongly reported isomorphic")
     counts = {
         "psi_pairs_verified": verified_pairs,
@@ -532,9 +504,8 @@ def _check_isomorphism_theorem(ctx: _Ctx):
     return ("pass" if not failures else "fail", counts, "; ".join(failures) or None)
 
 
-def _check_j_class_count(ctx: _Ctx):
-    ctx.table()
-    report = j_class_count_report(ctx.inst)
+def _check_j_class_count(s: Structure, caps):
+    report = j_class_count_report(s)
     consistent = report["flagged"] == (report["observed"] != report["quotient_dim"])
     return ("pass" if consistent else "fail", dict(report), None)
 
@@ -555,11 +526,11 @@ _CHECKS = (
     ("isomorphism_theorem", "same (n, r) over one field gives a verified witness; different r does not", _check_isomorphism_theorem),
     ("j_class_count", "observed J-class count is reported and any gap to n-r is flagged", _check_j_class_count),
 )
+_INSTANCE_CHECKS = frozenset({_check_complement_count, _check_nonnormality})
 
 
 def cmd_verify(cfg: InstanceConfig, enum_cap: int, rank_cap: int) -> VerifyReport:
     inst = build_instance(cfg)
-    ctx = _Ctx(inst, enum_cap, rank_cap)
     report = VerifyReport(
         instance={
             "p": inst.p,
@@ -570,10 +541,16 @@ def cmd_verify(cfg: InstanceConfig, enum_cap: int, rank_cap: int) -> VerifyRepor
             "rank_cap": rank_cap,
         }
     )
+    s = None
     for name, claim, fn in _CHECKS:
         start = time.perf_counter()
         try:
-            status, counts, reason = fn(ctx)
+            if fn in _INSTANCE_CHECKS:
+                status, counts, reason = fn(inst)
+            else:
+                if s is None:
+                    s = enumerate_semigroup(inst, enum_cap)
+                status, counts, reason = fn(s, (enum_cap, rank_cap))
         except CapacityError as exc:
             status, counts, reason = "skip", {}, str(exc)
         except GlsemiError as exc:
@@ -631,11 +608,9 @@ def eggbox_dot(table: SemigroupTable, codims, minimal_idxs=frozenset()) -> str:
 
 
 def cmd_eggbox(cfg: InstanceConfig, enum_cap: int) -> str:
-    inst = build_instance(cfg)
-    table = enumerate_semigroup(inst, cap=enum_cap)
-    codims = [prof[2] for prof in _profiles(inst)]
-    minimal = frozenset(minimal_idempotents_oracle(table))
-    return eggbox_dot(table, codims, minimal)
+    s = enumerate_semigroup(build_instance(cfg), enum_cap)
+    codims = [prof[2] for prof in s.profiles]
+    return eggbox_dot(s.table, codims, minimal_idempotents_oracle(s.table))
 
 
 def cmd_report(cfg: InstanceConfig, enum_cap: int, rank_cap: int) -> dict:
@@ -660,39 +635,34 @@ def cmd_report(cfg: InstanceConfig, enum_cap: int, rank_cap: int) -> dict:
     if order > enum_cap:
         payload["skipped"].append(f"enumeration (predicted order {order} > cap {enum_cap})")
         return payload
-    table = enumerate_semigroup(inst, cap=enum_cap)
-    profs = _profiles(inst)
+    s = enumerate_semigroup(inst, enum_cap)
     top = inst.n - inst.r
-    payload["order"] = len(table)
-    payload["j_classes"] = [
-        {"codim": k, "size": sum(1 for prof in profs if prof[2] == k)} for k in range(top + 1)
-    ]
-    payload["ideals"] = [
-        {"k": k, "size": sum(1 for prof in profs if prof[2] < k)} for k in range(1, top + 1)
-    ]
+    payload["order"] = len(s.table)
+    payload["j_classes"] = [{"codim": k, "size": len(j_class(s, k))} for k in range(top + 1)]
+    payload["ideals"] = [{"k": k, "size": len(q_ideal(s, k))} for k in range(1, top + 1)]
     payload["minimal_idempotents"] = {
-        "count": len(minimal_idempotents(inst)),
+        "count": len(minimal_idempotents(s)),
         "expected": inst.p ** (inst.r * (inst.n - inst.r)),
     }
     if inst.r >= 1:
         comps = enumerate_complements(inst.u)
         w = comps[0]
         payload["unit_group"] = {
-            "order": len(unit_group_subtable(inst)),
+            "order": len(unit_group_subtable(s)),
             "complement": [list(row) for row in w.basis],
-            "fix_w": len(special_subgroup(inst, FIX_W, w)),
-            "fix_u": len(special_subgroup(inst, FIX_U)),
-            "g_w": len(special_subgroup(inst, G_W, w)),
-            "n_w": len(special_subgroup(inst, N_W, w)),
+            "fix_w": len(special_subgroup(s, FIX_W, w)),
+            "fix_u": len(special_subgroup(s, FIX_U)),
+            "g_w": len(special_subgroup(s, G_W, w)),
+            "n_w": len(special_subgroup(s, N_W, w)),
         }
     else:
-        payload["unit_group"] = {"order": len(unit_group_subtable(inst))}
+        payload["unit_group"] = {"order": len(unit_group_subtable(s))}
         payload["skipped"].append("subgroup structure (r = 0)")
-    value = rank_value(inst, rank_cap=rank_cap, budget=RANK_BUDGET)
+    value = rank_value(s, rank_cap=rank_cap, budget=RANK_BUDGET)
     if value is None:
         payload["skipped"].append("rank (search cap or budget exceeded)")
     payload["rank"] = value
-    payload["j_class_count"] = j_class_count_report(inst)
+    payload["j_class_count"] = j_class_count_report(s)
     return payload
 
 

@@ -16,7 +16,6 @@ every construction in the package reproducible byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product as iter_product
 
 from .errors import (
@@ -321,7 +320,6 @@ def preimage_vector(p: int, m: Mat, target: Vec) -> Vec:
     return min(vec_add(p, base_v, k) for k in kernel(p, m).vectors())
 
 
-@lru_cache(maxsize=None)
 def general_linear(p: int, k: int) -> tuple[Mat, ...]:
     """All invertible k x k matrices over GF(p), sorted lexicographically."""
     check_modulus(p)

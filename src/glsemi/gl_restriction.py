@@ -17,8 +17,8 @@ machine-checked certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import product as iter_product
+from functools import cached_property
+from itertools import accumulate, product as iter_product
 
 import numpy as np
 
@@ -115,7 +115,6 @@ def is_member(inst: Instance, m: Mat) -> bool:
     return rref_canonical(inst.p, inst.n, rows) == inst.u
 
 
-@lru_cache(maxsize=None)
 def _members(inst: Instance) -> tuple[Mat, ...]:
     # Adapted-basis enumeration: pick the images of a U-basis from GL(U)
     # and the images of a fixed complement basis freely from V.
@@ -139,7 +138,10 @@ def _cayley(p: int, mats) -> list[tuple[int, ...]]:
     arr = np.array(mats, dtype=np.int64)
     weights = p ** np.arange(n * n - 1, -1, -1, dtype=np.int64)
     keys = arr.reshape(count, -1) @ weights
-    canon = list(range(count))
+    # Entries are taken from one shared int object per index: tolist()
+    # makes a fresh object per entry above 256, which more than doubles
+    # the table's memory at order 4096.
+    shared = list(range(count))
     rows: list[tuple[int, ...]] = []
     chunk = max(1, 4_000_000 // max(1, count * n * n))
     for lo in range(0, count, chunk):
@@ -149,40 +151,61 @@ def _cayley(p: int, mats) -> list[tuple[int, ...]]:
         ok = (pos < count) & (keys[np.minimum(pos, count - 1)] == packed)
         if not ok.all():
             raise InternalInconsistencyError("a product escaped the member list")
-        for row in pos.tolist():
-            rows.append(tuple(canon[v] for v in row))
+        rows.extend(tuple(map(shared.__getitem__, row)) for row in pos.tolist())
     return rows
 
 
-@lru_cache(maxsize=None)
-def _table(inst: Instance) -> SemigroupTable:
-    mats = _members(inst)
-    if len(mats) != predicted_order(inst):
-        raise InternalInconsistencyError(
-            f"enumerated {len(mats)} members, closed form predicts {predicted_order(inst)}"
-        )
-    rows = _cayley(inst.p, mats)
-    identity_idx = mats.index(identity_mat(inst.n))
-    return SemigroupTable(mats, rows, identity_idx=identity_idx)
+class Structure:
+    """One enumerated instance: the instance, its checked Cayley table,
+    and per-element data worked out from the table at most once, on
+    first use.  Build it with enumerate_semigroup(inst, cap).
+
+    Element indices are table indices; the elements are sorted, so
+    index order is matrix order.
+    """
+
+    def __init__(self, inst: Instance, table: SemigroupTable):
+        self.inst = inst
+        self.table = table
+
+    @cached_property
+    def profiles(self) -> tuple[tuple[Subspace, Subspace, int], ...]:
+        """(image, kernel, codim) of each element."""
+        out = []
+        for m in self.table.elements:
+            img = image(self.inst.p, m)
+            out.append((img, kernel(self.inst.p, m), img.dim - self.inst.r))
+        return tuple(out)
+
+    @cached_property
+    def grades(self) -> tuple[frozenset[int], ...]:
+        """grades[k]: indices of codimension exactly k, for k = 0..n-r."""
+        codims = [prof[2] for prof in self.profiles]
+        top = self.inst.n - self.inst.r
+        return tuple(frozenset(i for i, cd in enumerate(codims) if cd == k) for k in range(top + 1))
+
+    @cached_property
+    def below(self) -> tuple[frozenset[int], ...]:
+        """below[k]: indices of codimension strictly below k, for k = 0..n-r+1."""
+        return tuple(accumulate(self.grades, frozenset.union, initial=frozenset()))
 
 
-def enumerate_semigroup(inst: Instance, cap: int | None = None) -> SemigroupTable:
-    """Full element list and Cayley table; refuses orders above the cap."""
-    limit = DEFAULT_ENUM_CAP if cap is None else cap
+def enumerate_semigroup(inst: Instance, cap: int = DEFAULT_ENUM_CAP) -> Structure:
+    """Full element list and checked Cayley table; refuses orders above the cap.
+
+    This is the only way to build an instance's table: every helper
+    that needs one takes the Structure returned here.
+    """
     order = predicted_order(inst)
-    if order > limit:
-        raise CapacityError(f"predicted order {order} exceeds enumeration cap {limit}")
-    return _table(inst)
-
-
-@lru_cache(maxsize=None)
-def _profiles(inst: Instance) -> tuple[tuple[Subspace, Subspace, int], ...]:
-    """(image, kernel, codim) for each element of the enumerated table."""
-    out = []
-    for m in _table(inst).elements:
-        img = image(inst.p, m)
-        out.append((img, kernel(inst.p, m), img.dim - inst.r))
-    return tuple(out)
+    if order > cap:
+        raise CapacityError(f"predicted order {order} exceeds enumeration cap {cap}")
+    mats = _members(inst)
+    if len(mats) != order:
+        raise InternalInconsistencyError(
+            f"enumerated {len(mats)} members, closed form predicts {order}"
+        )
+    identity_idx = mats.index(identity_mat(inst.n))
+    return Structure(inst, SemigroupTable(mats, _cayley(inst.p, mats), identity_idx=identity_idx))
 
 
 def codim(inst: Instance, m: Mat) -> int:
@@ -192,22 +215,21 @@ def codim(inst: Instance, m: Mat) -> int:
     return image(inst.p, m).dim - inst.r
 
 
-def j_class(inst: Instance, k: int) -> frozenset[Mat]:
-    """Members of codimension exactly k."""
-    if not 0 <= k <= inst.n - inst.r:
-        raise PreconditionError(f"codimension {k} outside [0, {inst.n - inst.r}]")
-    table = _table(inst)
-    profs = _profiles(inst)
-    return frozenset(table.elements[i] for i in range(len(table)) if profs[i][2] == k)
+def j_class(s: Structure, k: int) -> frozenset[int]:
+    """Indices of the members of codimension exactly k."""
+    top = s.inst.n - s.inst.r
+    if not 0 <= k <= top:
+        raise PreconditionError(f"codimension {k} outside [0, {top}]")
+    return s.grades[k]
 
 
-def q_ideal(inst: Instance, k: int) -> frozenset[Mat]:
-    """Members of codimension strictly below k; the k-th ideal of the chain."""
-    if not 1 <= k <= inst.n - inst.r:
-        raise PreconditionError(f"ideal index {k} outside [1, {inst.n - inst.r}]")
-    table = _table(inst)
-    profs = _profiles(inst)
-    return frozenset(table.elements[i] for i in range(len(table)) if profs[i][2] < k)
+def q_ideal(s: Structure, k: int) -> frozenset[int]:
+    """Indices of the members of codimension strictly below k; the k-th
+    ideal of the chain."""
+    top = s.inst.n - s.inst.r
+    if not 1 <= k <= top:
+        raise PreconditionError(f"ideal index {k} outside [1, {top}]")
+    return s.below[k]
 
 
 def green_char(inst: Instance, a: Mat, b: Mat, relation: str) -> bool:
@@ -228,9 +250,9 @@ def green_char(inst: Instance, a: Mat, b: Mat, relation: str) -> bool:
     return image(p, a).dim == image(p, b).dim
 
 
-def green_char_partitions(inst: Instance) -> GreenPartitions:
+def green_char_partitions(s: Structure) -> GreenPartitions:
     """All five partitions from the characterizations (no table products used)."""
-    profs = _profiles(inst)
+    profs = s.profiles
 
     def group(key):
         buckets: dict[object, list[int]] = {}
@@ -404,32 +426,28 @@ def sandwich_factor(inst: Instance, target: Mat, a: Mat) -> tuple[Mat, Mat]:
     return lam, mu
 
 
-def generating_set(inst: Instance) -> frozenset[Mat]:
-    """The unit group plus one fixed element a single grade below it.
+def generating_set(s: Structure) -> frozenset[int]:
+    """Indices of the unit group plus one fixed element a single grade below it.
 
-    The extra element is the lexicographically least matrix of
-    codimension n-r-1, so the set is deterministic.
+    The extra element is the least index of codimension n-r-1, which is
+    the lexicographically least such matrix, so the set is deterministic.
     """
-    units = j_class(inst, inst.n - inst.r)
-    below = j_class(inst, inst.n - inst.r - 1)
-    return frozenset(units | {min(below)})
+    top = s.inst.n - s.inst.r
+    return s.grades[top] | {min(s.grades[top - 1])}
 
 
-def unit_group_subtable(inst: Instance) -> SemigroupTable:
+def unit_group_subtable(s: Structure) -> SemigroupTable:
     """The unit group J(n-r) as a standalone table."""
-    profs = _profiles(inst)
-    top = inst.n - inst.r
-    idxs = [i for i in range(len(profs)) if profs[i][2] == top]
-    return subtable(_table(inst), idxs)
+    return subtable(s.table, s.grades[s.inst.n - s.inst.r])
 
 
-def rank_value(inst: Instance, rank_cap: int = 4, budget: int | None = 200_000) -> int | None:
+def rank_value(s: Structure, rank_cap: int = 4, budget: int | None = 200_000) -> int | None:
     """Minimal generating-set size, computed as (rank of the unit group) + 1.
 
     Returns None when the exhaustive subset sweep over the unit group
     would exceed the budget or finds nothing within rank_cap.
     """
-    units = unit_group_subtable(inst)
+    units = unit_group_subtable(s)
     try:
         found = rank_search(units, range(len(units)), rank_cap, budget=budget)
     except CapacityError:
@@ -446,20 +464,15 @@ def is_idempotent_by_image(inst: Instance, m: Mat) -> bool:
     return all(vec_mat(inst.p, row, m) == row for row in image(inst.p, m).basis)
 
 
-def minimal_idempotents(inst: Instance) -> frozenset[Mat]:
-    """Idempotent members whose image is exactly U.
+def minimal_idempotents(s: Structure) -> frozenset[int]:
+    """Indices of the idempotent members whose image is exactly U.
 
     These are the minimal idempotents under the natural partial order;
     there are p^(r(n-r)) of them, one per complement of U serving as
     the kernel.
     """
-    table = _table(inst)
-    profs = _profiles(inst)
-    out = []
-    for i, m in enumerate(table.elements):
-        if profs[i][2] == 0 and table.mul[i][i] == i:
-            out.append(m)
-    return frozenset(out)
+    mul = s.table.mul
+    return frozenset(i for i in s.grades[0] if mul[i][i] == i)
 
 
 def _require_subgroup_setting(inst: Instance, kind: str, w: Subspace | None) -> None:
@@ -478,7 +491,7 @@ def _fixes_pointwise(inst: Instance, m: Mat, rows) -> bool:
     return all(vec_mat(inst.p, row, m) == tuple(row) for row in rows)
 
 
-def special_subgroup(inst: Instance, kind: str, w: Subspace | None = None) -> frozenset[Mat]:
+def special_subgroup(s: Structure, kind: str, w: Subspace | None = None) -> frozenset[Mat]:
     """One of the structural subgroups of the unit group.
 
     fix_u: units restricting to the identity on U.
@@ -486,9 +499,10 @@ def special_subgroup(inst: Instance, kind: str, w: Subspace | None = None) -> fr
     g_w:   fix_u elements mapping W onto itself.
     n_w:   fix_u elements translating each W-vector by an element of U.
     """
+    inst = s.inst
     _require_subgroup_setting(inst, kind, w)
     p = inst.p
-    units = sorted(j_class(inst, inst.n - inst.r))
+    units = [s.table.elements[i] for i in sorted(s.grades[inst.n - inst.r])]
     picked = []
     for m in units:
         if kind == FIX_U:
@@ -574,7 +588,7 @@ def decompose_fix_u(inst: Instance, a: Mat, w: Subspace) -> tuple[Mat, Mat]:
     return stabilizer, translation
 
 
-def subgroup_iso_check(inst: Instance, kind: str, w: Subspace | None = None) -> bool:
+def subgroup_iso_check(s: Structure, kind: str, w: Subspace | None = None) -> bool:
     """Verify the structural isomorphism for the requested subgroup.
 
     fix_w maps onto GL(U) by restriction to U, g_w onto GL(W) by
@@ -582,11 +596,12 @@ def subgroup_iso_check(inst: Instance, kind: str, w: Subspace | None = None) -> 
     extracting the translation tuple.  The map is checked to be a
     bijection and a homomorphism over the whole subgroup.
     """
+    inst = s.inst
     _require_subgroup_setting(inst, kind, w)
     if kind == FIX_U:
         raise PreconditionError("no canonical comparison group for fix_u; decompose it instead")
     p = inst.p
-    members = sorted(special_subgroup(inst, kind, w))
+    members = sorted(special_subgroup(s, kind, w))
 
     if kind in (FIX_W, G_W):
         space = inst.u if kind == FIX_W else w
@@ -688,15 +703,15 @@ def nonnormality_example(p: int, case: str) -> ConjugationEscapeReport:
     )
 
 
-def j_class_count_report(inst: Instance) -> dict:
+def j_class_count_report(s: Structure) -> dict:
     """Observed J-class count versus the quotient dimension n - r.
 
     The grading runs over codimensions 0..n-r, so the observed count is
     n-r+1; the report flags any disagreement with the bare quotient
     dimension instead of asserting either value.
     """
-    observed = len(_table(inst).green().j)
-    quotient_dim = inst.n - inst.r
+    observed = len(s.table.green().j)
+    quotient_dim = s.inst.n - s.inst.r
     return {
         "observed": observed,
         "quotient_dim": quotient_dim,

@@ -21,28 +21,25 @@ from .gf_linalg import (
     rref_canonical,
     vec_mat,
 )
-from .gl_restriction import DEFAULT_ENUM_CAP, Instance, enumerate_semigroup, is_member, predicted_order
+from .gl_restriction import Instance, Structure, is_member
 
 
 @dataclass(frozen=True)
 class IsoWitness:
-    """Conjugating map phi with U1*phi = U2, plus the induced element
-    bijection psi between the two tables (None when not enumerated)."""
+    """Conjugating map phi with U1*phi = U2, and its inverse."""
 
     source: Instance
     target: Instance
     phi: Mat
     phi_inv: Mat
-    psi: tuple[int, ...] | None
 
 
-def decide_isomorphic(i1: Instance, i2: Instance, cap: int | None = None) -> IsoWitness | None:
+def decide_isomorphic(i1: Instance, i2: Instance) -> IsoWitness | None:
     """Return a verified witness, or None when no isomorphism exists.
 
     Instances over different primes are refused outright rather than
-    answered.  When both semigroups fit under the enumeration cap the
-    element bijection is built and checked multiplicative on every
-    pair of the full tables; otherwise only phi is returned.
+    answered.  The decision reads (n, r) and needs no enumeration; the
+    element bijection on enumerated tables is element_bijection's job.
     """
     if i1.p != i2.p:
         raise UnsupportedComparisonError("instances live over different prime fields")
@@ -56,27 +53,36 @@ def decide_isomorphic(i1: Instance, i2: Instance, cap: int | None = None) -> Iso
     carried = rref_canonical(p, n, [vec_mat(p, row, phi) for row in i1.u.basis])
     if carried != i2.u:
         raise InternalInconsistencyError("ambient map failed to carry U onto its target")
+    return IsoWitness(source=i1, target=i2, phi=phi, phi_inv=phi_inv)
 
-    limit = DEFAULT_ENUM_CAP if cap is None else cap
-    psi = None
-    if predicted_order(i1) <= limit and predicted_order(i2) <= limit:
-        t1 = enumerate_semigroup(i1, cap=limit)
-        t2 = enumerate_semigroup(i2, cap=limit)
-        if len(t1) != len(t2):
-            raise InternalInconsistencyError("matched parameters but different orders")
-        mapping = []
-        for m in t1.elements:
-            mapping.append(t2.index_of(mat_mul(p, mat_mul(p, phi_inv, m), phi)))
-        if len(set(mapping)) != len(mapping):
-            raise InternalInconsistencyError("conjugation is not injective on elements")
-        for i in range(len(t1)):
-            row1 = t1.mul[i]
-            row2 = t2.mul[mapping[i]]
-            for j in range(len(t1)):
-                if mapping[row1[j]] != row2[mapping[j]]:
-                    raise InternalInconsistencyError("conjugation failed to respect a product")
-        psi = tuple(mapping)
-    return IsoWitness(source=i1, target=i2, phi=phi, phi_inv=phi_inv, psi=psi)
+
+def element_bijection(witness: IsoWitness, s1: Structure, s2: Structure) -> tuple[int, ...]:
+    """The index map psi that conjugation by the witness induces from s1 to s2.
+
+    psi is checked injective and multiplicative on every pair of the
+    two full tables; any failure raises InternalInconsistencyError.
+    """
+    if s1.inst != witness.source or s2.inst != witness.target:
+        raise PreconditionError("structures do not belong to the witness's instances")
+    p = witness.source.p
+    t1, t2 = s1.table, s2.table
+    if len(t1) != len(t2):
+        raise InternalInconsistencyError("matched parameters but different orders")
+    mapping = []
+    for m in t1.elements:
+        try:
+            mapping.append(t2.index_of(mat_mul(p, mat_mul(p, witness.phi_inv, m), witness.phi)))
+        except KeyError:
+            raise InternalInconsistencyError("conjugation carried an element out of the target") from None
+    if len(set(mapping)) != len(mapping):
+        raise InternalInconsistencyError("conjugation is not injective on elements")
+    for i in range(len(t1)):
+        row1 = t1.mul[i]
+        row2 = t2.mul[mapping[i]]
+        for j in range(len(t1)):
+            if mapping[row1[j]] != row2[mapping[j]]:
+                raise InternalInconsistencyError("conjugation failed to respect a product")
+    return tuple(mapping)
 
 
 def transport(witness: IsoWitness, m: Mat) -> Mat:

@@ -312,10 +312,12 @@ def natural_leq(e: int, f: int, table: SemigroupTable) -> bool:
 
 def minimal_idempotents_oracle(table: SemigroupTable) -> frozenset[int]:
     """Idempotents with no strictly smaller idempotent below them."""
+    mul = table.mul
     idem = sorted(idempotents(table))
     out = []
     for e in idem:
-        if not any(f != e and natural_leq(f, e, table) for f in idem):
+        # f <= e in the natural order iff f = fe = ef (see natural_leq).
+        if not any(f != e and mul[f][e] == f and mul[e][f] == f for f in idem):
             out.append(e)
     return frozenset(out)
 

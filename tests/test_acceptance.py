@@ -24,7 +24,6 @@ from glsemi.gl_restriction import (
     FIX_W,
     G_W,
     N_W,
-    _profiles,
     codim,
     dclass_witness,
     decompose_fix_u,
@@ -48,7 +47,7 @@ from glsemi.gl_restriction import (
     subgroup_iso_check,
     unit_group_subtable,
 )
-from glsemi.isomorphism import decide_isomorphic
+from glsemi.isomorphism import decide_isomorphic, element_bijection
 from glsemi.semigroup_core import (
     closure_indices,
     minimal_idempotents_oracle,
@@ -62,6 +61,7 @@ from helpers import brute_members, naive_span
 GRID = ((2, 2, 1), (2, 3, 1), (2, 3, 2), (3, 2, 1), (2, 4, 2))
 EXPECTED_ORDERS = {(2, 2, 1): 4, (2, 3, 1): 64, (2, 3, 2): 48, (3, 2, 1): 18, (2, 4, 2): 1536}
 INSTANCES = {args: make_instance(*args) for args in GRID}
+STRUCTURES = {args: enumerate_semigroup(inst) for args, inst in INSTANCES.items()}
 
 
 def _ok(label, detail=""):
@@ -69,15 +69,10 @@ def _ok(label, detail=""):
     print(f"ACCEPTANCE {label}: PASS{suffix}")
 
 
-def _q_index_set(inst, table, k):
-    profs = _profiles(inst)
-    return frozenset(i for i in range(len(table)) if profs[i][2] < k)
-
-
 def test_c01_order_law():
     for args, inst in INSTANCES.items():
         p, n, r = args
-        table = enumerate_semigroup(inst)
+        table = STRUCTURES[args].table
         formula = gl_order(p, r) * p ** (n * (n - r))
         assert len(table) == EXPECTED_ORDERS[args] == formula == predicted_order(inst)
         filtered = brute_members(p, n, naive_span(p, n, inst.u.basis))
@@ -99,9 +94,9 @@ def test_c02_complement_count():
 
 def test_c03_green_agreement():
     for args, inst in INSTANCES.items():
-        table = enumerate_semigroup(inst)
-        oracle = table.green()
-        char = green_char_partitions(inst)
+        s = STRUCTURES[args]
+        oracle = s.table.green()
+        char = green_char_partitions(s)
         for relation in ("l", "r", "h", "d", "j"):
             assert getattr(oracle, relation) == getattr(char, relation), (args, relation)
         assert oracle.d == oracle.j
@@ -109,12 +104,11 @@ def test_c03_green_agreement():
 
 
 def test_c04_ideal_structure():
-    for args, inst in INSTANCES.items():
-        table = enumerate_semigroup(inst)
-        profs = _profiles(inst)
+    for args, s in STRUCTURES.items():
+        inst, table, profs = s.inst, s.table, s.profiles
         top = inst.n - inst.r
         for k in range(1, top + 1):
-            assert verify_ideal(table, _q_index_set(inst, table, k)), (args, k)
+            assert verify_ideal(table, q_ideal(s, k)), (args, k)
         if len(table) <= 100:
             reps = range(len(table))
         else:
@@ -127,10 +121,9 @@ def test_c04_ideal_structure():
             if cd == top:
                 assert principal_ideal(table, i) == frozenset(range(len(table)))
             else:
-                assert principal_ideal(table, i) == _q_index_set(inst, table, cd + 1), (args, i)
-        minimal = _q_index_set(inst, table, 1)
-        assert minimal == {table.index_of(m) for m in j_class(inst, 0)}
-        assert j_class(inst, 0) == q_ideal(inst, 1)
+                assert principal_ideal(table, i) == q_ideal(s, cd + 1), (args, i)
+        minimal = q_ideal(s, 1)
+        assert minimal == j_class(s, 0) == {i for i in range(len(table)) if profs[i][2] == 0}
         for i in minimal:
             img, ker, _ = profs[i]
             assert img == inst.u
@@ -141,9 +134,9 @@ def test_c04_ideal_structure():
 def test_c05_minimal_idempotents():
     for args, inst in INSTANCES.items():
         p, n, r = args
-        table = enumerate_semigroup(inst)
-        char = minimal_idempotents(inst)
-        oracle = frozenset(table.elements[i] for i in minimal_idempotents_oracle(table))
+        s = STRUCTURES[args]
+        char = minimal_idempotents(s)
+        oracle = minimal_idempotents_oracle(s.table)
         assert char == oracle, args
         assert len(char) == p ** (r * (n - r)), args
     _ok("5 minimal idempotents", "characterization = oracle, count = p^(r(n-r))")
@@ -153,7 +146,7 @@ def test_c06_regularity():
     total = 0
     for args, inst in INSTANCES.items():
         p = inst.p
-        for m in enumerate_semigroup(inst).elements:
+        for m in STRUCTURES[args].table.elements:
             witness = regular_witness(inst, m)
             assert mat_mul(p, mat_mul(p, m, witness), m) == m
             total += 1
@@ -166,8 +159,7 @@ def test_c07_constructive_factorizations():
     for args in ((2, 3, 1), (2, 3, 2)):
         inst = INSTANCES[args]
         p = inst.p
-        table = enumerate_semigroup(inst)
-        elems = table.elements
+        elems = STRUCTURES[args].table.elements
         cd = {m: codim(inst, m) for m in elems}
         top = inst.n - inst.r
         for a in elems:
@@ -204,29 +196,26 @@ def test_c07_constructive_factorizations():
 
 def test_c08_generation():
     for args in ((2, 3, 1), (2, 3, 2), (3, 2, 1)):
-        inst = INSTANCES[args]
-        table = enumerate_semigroup(inst)
-        top = inst.n - inst.r
-        gens = [table.index_of(m) for m in generating_set(inst)]
-        assert closure_indices(table, gens) == frozenset(range(len(table))), args
+        s = STRUCTURES[args]
+        table = s.table
+        top = s.inst.n - s.inst.r
+        assert closure_indices(table, generating_set(s)) == frozenset(range(len(table))), args
         for k in range(1, top):
-            grade = [table.index_of(m) for m in j_class(inst, k)]
-            expected = {table.index_of(m) for m in q_ideal(inst, k + 1)}
-            assert closure_indices(table, grade) == expected, (args, k)
+            assert closure_indices(table, j_class(s, k)) == q_ideal(s, k + 1), (args, k)
     _ok("8 generation", "units + one lower element generate; each grade covers its ideal")
 
 
 def test_c09_rank_identity():
     for args, expected in (((2, 2, 1), 2), ((3, 2, 1), None)):
-        inst = INSTANCES[args]
-        table = enumerate_semigroup(inst)
-        units = unit_group_subtable(inst)
+        s = STRUCTURES[args]
+        table = s.table
+        units = unit_group_subtable(s)
         group_rank = rank_search(units, range(len(units)), 4)
         assert group_rank is not None
         via_units = group_rank[0] + 1
         exhaustive = rank_search(table, range(len(table)), 4)
         assert exhaustive is not None
-        assert exhaustive[0] == via_units == rank_value(inst), args
+        assert exhaustive[0] == via_units == rank_value(s), args
         if expected is not None:
             assert via_units == expected
     _ok("9 rank identity", "exhaustive sweep equals unit-group rank + 1; (2,2,1) -> 2")
@@ -234,17 +223,18 @@ def test_c09_rank_identity():
 
 def test_c10_unit_group_decomposition():
     for args in ((2, 3, 1), (2, 3, 2)):
-        inst = INSTANCES[args]
+        s = STRUCTURES[args]
+        inst = s.inst
         p = inst.p
         ident = identity_mat(inst.n)
-        units = sorted(j_class(inst, inst.n - inst.r))
-        fix_u = sorted(special_subgroup(inst, FIX_U))
+        units = [s.table.elements[i] for i in sorted(j_class(s, inst.n - inst.r))]
+        fix_u = sorted(special_subgroup(s, FIX_U))
         for g in units:
             g_inv = mat_inverse(p, g)
             for h in fix_u:
                 assert mat_mul(p, mat_mul(p, g, h), g_inv) in set(fix_u), args
         for w in enumerate_complements(inst.u):
-            fix_w = sorted(special_subgroup(inst, FIX_W, w))
+            fix_w = sorted(special_subgroup(s, FIX_W, w))
             assert len(units) == len(fix_w) * len(fix_u), args
             assert set(fix_w) & set(fix_u) == {ident}
             for a in units:
@@ -255,8 +245,8 @@ def test_c10_unit_group_decomposition():
                     1 for x in fix_w for y in fix_u if mat_mul(p, x, y) == a
                 )
                 assert matches == 1, "decomposition must be unique"
-            n_w = set(special_subgroup(inst, N_W, w))
-            g_w = set(special_subgroup(inst, G_W, w))
+            n_w = set(special_subgroup(s, N_W, w))
+            g_w = set(special_subgroup(s, G_W, w))
             assert g_w & n_w == {ident}
             for a in fix_u:
                 stab, trans = decompose_fix_u(inst, a, w)
@@ -270,10 +260,10 @@ def test_c10_unit_group_decomposition():
 def test_c11_subgroup_isomorphisms():
     checked = 0
     for args in ((2, 3, 1), (2, 3, 2), (3, 2, 1)):
-        inst = INSTANCES[args]
-        for w in enumerate_complements(inst.u):
+        s = STRUCTURES[args]
+        for w in enumerate_complements(s.inst.u):
             for kind in (FIX_W, G_W, N_W):
-                assert subgroup_iso_check(inst, kind, w), (args, kind)
+                assert subgroup_iso_check(s, kind, w), (args, kind)
                 checked += 1
     _ok("11 subgroup isomorphisms", f"{checked} full multiplication-table checks")
 
@@ -297,12 +287,13 @@ def test_c12_nonnormality_reproduction():
 
 
 def test_c13_isomorphism_theorem():
-    i1 = INSTANCES[(2, 3, 1)]
-    i2 = make_instance(2, 3, 1, [(1, 1, 0)])
-    witness = decide_isomorphic(i1, i2)
-    assert witness is not None and witness.psi is not None
-    t1, t2 = enumerate_semigroup(i1), enumerate_semigroup(i2)
-    psi = witness.psi
+    s1 = STRUCTURES[(2, 3, 1)]
+    s2 = enumerate_semigroup(make_instance(2, 3, 1, [(1, 1, 0)]))
+    i1 = s1.inst
+    witness = decide_isomorphic(i1, s2.inst)
+    assert witness is not None
+    t1, t2 = s1.table, s2.table
+    psi = element_bijection(witness, s1, s2)
     pairs = 0
     for a in range(len(t1)):
         for b in range(len(t1)):
@@ -315,9 +306,10 @@ def test_c13_isomorphism_theorem():
 
 def test_c14_j_class_count_flag():
     for args in ((2, 2, 1), (2, 3, 1)):
-        inst = INSTANCES[args]
-        report = j_class_count_report(inst)
-        observed = len(enumerate_semigroup(inst).green().j)
+        s = STRUCTURES[args]
+        inst = s.inst
+        report = j_class_count_report(s)
+        observed = len(s.table.green().j)
         assert report["observed"] == observed == inst.n - inst.r + 1
         assert report["flagged"] == (report["observed"] != report["quotient_dim"])
         assert report["flagged"]

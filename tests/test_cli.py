@@ -11,6 +11,7 @@ from glsemi.cli import (
     ENV_RANK_CAP,
     InstanceConfig,
     build_instance,
+    cmd_eggbox,
     cmd_report,
     cmd_verify,
     eggbox_dot,
@@ -18,8 +19,9 @@ from glsemi.cli import (
     parse_config,
     resolve_caps,
 )
+from glsemi import gl_restriction
 from glsemi.errors import ConfigurationError
-from glsemi.gl_restriction import DEFAULT_ENUM_CAP, make_instance, unit_group_subtable
+from glsemi.gl_restriction import DEFAULT_ENUM_CAP, enumerate_semigroup, make_instance, unit_group_subtable
 
 CHECK_NAMES = [
     "order_law",
@@ -113,6 +115,7 @@ def test_verify_skips_above_cap():
     assert statuses["order_law"] == "skip"
     assert statuses["complement_count"] == "pass"
     assert statuses["nonnormality"] == "pass"
+    assert statuses["isomorphism_theorem"] == "skip"
     assert not report.failed
 
 
@@ -136,6 +139,32 @@ def test_main_verify_respects_env_and_flag(tmp_path, capsys, monkeypatch):
     assert "SKIP order_law" in capsys.readouterr().out
     assert main(["verify", "--instance", cfg, "--cap", "2000"]) == 0
     assert "PASS order_law" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags", [["--cap", "0"], ["--cap", "-5"], ["--rank-cap", "0"]])
+def test_main_rejects_non_positive_cap_flags(tmp_path, capsys, flags):
+    cfg = write_cfg(tmp_path, "p = 2\nn = 2\nr = 1\n")
+    assert main(["verify", "--instance", cfg, *flags]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert "PASS" not in captured.out
+
+
+def test_each_command_builds_each_table_once(monkeypatch):
+    built = []
+    real = gl_restriction._cayley
+
+    def counting(p, mats):
+        built.append(len(mats))
+        return real(p, mats)
+
+    monkeypatch.setattr(gl_restriction, "_cayley", counting)
+    report = cmd_verify(InstanceConfig(p=2, n=3, r=1), DEFAULT_ENUM_CAP, DEFAULT_RANK_CAP)
+    assert not report.failed
+    assert built == [64, 64]  # the instance and its isomorphism partner
+    built.clear()
+    cmd_eggbox(InstanceConfig(p=2, n=3, r=1), DEFAULT_ENUM_CAP)
+    assert built == [64]
 
 
 def test_main_rejects_bad_config(tmp_path, capsys):
@@ -167,7 +196,7 @@ def test_eggbox_cluster_count_and_sizes(tmp_path):
 
 
 def test_eggbox_of_a_group_is_single_cluster():
-    units = unit_group_subtable(make_instance(2, 3, 1))
+    units = unit_group_subtable(enumerate_semigroup(make_instance(2, 3, 1)))
     text = eggbox_dot(units, [0] * len(units))
     assert text.count("subgraph cluster_") == 1
     assert '[label="24*"]' in text

@@ -64,6 +64,12 @@ INST221 = make_instance(2, 2, 1)
 INST231 = make_instance(2, 3, 1)
 INST232 = make_instance(2, 3, 2)
 INST321 = make_instance(3, 2, 1)
+S221, S231, S232, S321 = (enumerate_semigroup(i) for i in (INST221, INST231, INST232, INST321))
+STRUCTURES = {s.inst: s for s in (S221, S231, S232, S321)}
+
+
+def mats(s, idxs):
+    return {s.table.elements[i] for i in idxs}
 
 
 def test_make_instance_validation():
@@ -92,14 +98,14 @@ def test_is_member():
 def test_enumeration_matches_definition_filter(inst):
     u_vectors = naive_span(inst.p, inst.n, inst.u.basis)
     expected = brute_members(inst.p, inst.n, u_vectors)
-    got = enumerate_semigroup(inst).elements
+    got = STRUCTURES[inst].table.elements
     assert sorted(got) == sorted(expected)
 
 
 def test_r_zero_means_every_map():
     inst = make_instance(2, 2, 0)
     assert predicted_order(inst) == 16
-    assert len(enumerate_semigroup(inst)) == 16
+    assert len(enumerate_semigroup(inst).table) == 16
 
 
 def test_enumeration_cap():
@@ -107,6 +113,9 @@ def test_enumeration_cap():
     with pytest.raises(CapacityError) as err:
         enumerate_semigroup(inst)
     assert "1048576" in str(err.value)
+    with pytest.raises(CapacityError):
+        enumerate_semigroup(INST231, 63)
+    assert len(enumerate_semigroup(INST231, 64).table) == 64
 
 
 def test_codim():
@@ -118,14 +127,17 @@ def test_codim():
 
 
 def test_j_class_and_q_ideal():
-    assert j_class(INST221, 0) == {A0, A2}
-    assert j_class(INST221, 1) == {IDENT2, A3}
-    assert len(j_class(INST231, 2)) == 24
-    assert q_ideal(INST221, 1) == j_class(INST221, 0)
+    assert mats(S221, j_class(S221, 0)) == {A0, A2}
+    assert mats(S221, j_class(S221, 1)) == {IDENT2, A3}
+    assert len(j_class(S231, 2)) == 24
+    assert q_ideal(S221, 1) == j_class(S221, 0)
+    assert q_ideal(S231, 2) == j_class(S231, 0) | j_class(S231, 1)
+    for i, (_, _, cd) in enumerate(S231.profiles):
+        assert cd == codim(INST231, S231.table.elements[i])
     with pytest.raises(PreconditionError):
-        j_class(INST221, 2)
+        j_class(S221, 2)
     with pytest.raises(PreconditionError):
-        q_ideal(INST221, 0)
+        q_ideal(S221, 0)
 
 
 def test_green_char_hand_checked():
@@ -141,7 +153,7 @@ def test_green_char_hand_checked():
 
 @pytest.mark.parametrize("inst", [INST221, INST321])
 def test_green_char_agrees_with_oracle_pairwise(inst):
-    table = enumerate_semigroup(inst)
+    table = STRUCTURES[inst].table
     green = table.green()
     for a in range(len(table)):
         for b in range(len(table)):
@@ -156,8 +168,7 @@ def test_dclass_witness():
     assert gamma == A2  # unique member with image U and kernel <(1,1)>
     with pytest.raises(PreconditionError):
         dclass_witness(INST221, A0, IDENT2)
-    table = enumerate_semigroup(INST232)
-    elems = table.elements
+    elems = S232.table.elements
     for a in elems:
         for b in elems:
             if codim(INST232, a) == codim(INST232, b):
@@ -174,8 +185,7 @@ def test_factor_through_examples():
 
 
 def test_factor_through_matches_exhaustive_existence():
-    table = enumerate_semigroup(INST221)
-    elems = table.elements
+    elems = S221.table.elements
     for a in elems:
         for b in elems:
             feasible = codim(INST221, a) <= codim(INST221, b)
@@ -194,14 +204,14 @@ def test_regular_witness():
     assert regular_witness(INST221, A3) == mat_inverse(2, A3)
     b = regular_witness(INST221, A2)
     assert mat_mul(2, mat_mul(2, A2, b), A2) == A2
-    for m in enumerate_semigroup(INST321).elements:
+    for m in S321.table.elements:
         w = regular_witness(INST321, m)
         assert mat_mul(3, mat_mul(3, m, w), m) == m
         assert mat_mul(3, mat_mul(3, w, m), w) == w
 
 
 def test_raise_factor():
-    low = sorted(j_class(INST231, 0))
+    low = sorted(mats(S231, j_class(S231, 0)))
     for a in low:
         lam, mu = raise_factor(INST231, a)
         assert mat_mul(2, lam, mu) == a
@@ -213,11 +223,8 @@ def test_raise_factor():
 
 def test_raise_factor_closure_property():
     # products of the next grade up cover each lower grade
-    table = enumerate_semigroup(INST231)
     for k in (1,):
-        grade = [table.index_of(m) for m in j_class(INST231, k)]
-        expected = {table.index_of(m) for m in q_ideal(INST231, k + 1)}
-        assert closure_indices(table, grade) == expected
+        assert closure_indices(S231.table, j_class(S231, k)) == q_ideal(S231, k + 1)
 
 
 def test_sandwich_factor():
@@ -231,25 +238,22 @@ def test_sandwich_factor():
 
 
 def test_generating_set():
-    for inst, total in ((INST221, 4), (INST321, 18), (INST231, 64)):
-        table = enumerate_semigroup(inst)
-        gens = [table.index_of(m) for m in generating_set(inst)]
-        assert len(closure_indices(table, gens)) == total
+    for s, total in ((S221, 4), (S321, 18), (S231, 64)):
+        assert len(closure_indices(s.table, generating_set(s))) == total
 
 
 def test_rank_value():
-    assert rank_value(INST221) == 2
-    table = enumerate_semigroup(INST221)
-    exhaustive = rank_search(table, range(len(table)), 3)
+    assert rank_value(S221) == 2
+    exhaustive = rank_search(S221.table, range(len(S221.table)), 3)
     assert exhaustive[0] == 2
-    assert rank_value(INST221, budget=1) is None
+    assert rank_value(S221, budget=1) is None
 
 
 def test_minimal_idempotents():
-    assert minimal_idempotents(INST221) == {A0, A2}
-    assert len(minimal_idempotents(INST231)) == 4
-    assert len(minimal_idempotents(INST232)) == 4
-    for m in minimal_idempotents(INST231):
+    assert mats(S221, minimal_idempotents(S221)) == {A0, A2}
+    assert len(minimal_idempotents(S231)) == 4
+    assert len(minimal_idempotents(S232)) == 4
+    for m in mats(S231, minimal_idempotents(S231)):
         assert image(2, m) == INST231.u
         assert is_complement(kernel(2, m), INST231.u)
 
@@ -258,48 +262,49 @@ def test_idempotent_by_image():
     assert is_idempotent_by_image(INST221, IDENT2)
     assert is_idempotent_by_image(INST221, A2)
     assert not is_idempotent_by_image(INST221, A3)
-    for m in enumerate_semigroup(INST232).elements:
+    for m in S232.table.elements:
         assert is_idempotent_by_image(INST232, m) == (mat_mul(2, m, m) == m)
 
 
 def test_special_subgroups_smallest_instance():
     w = rref_canonical(2, 2, [(0, 1)])
-    assert special_subgroup(INST221, FIX_W, w) == {IDENT2}
-    assert special_subgroup(INST221, N_W, w) == {IDENT2, A3}
-    assert special_subgroup(INST221, FIX_U) == {IDENT2, A3}
+    assert special_subgroup(S221, FIX_W, w) == {IDENT2}
+    assert special_subgroup(S221, N_W, w) == {IDENT2, A3}
+    assert special_subgroup(S221, FIX_U) == {IDENT2, A3}
     with pytest.raises(PreconditionError):
-        special_subgroup(INST221, FIX_W, INST221.u)  # U is not its own complement
+        special_subgroup(S221, FIX_W, INST221.u)  # U is not its own complement
     with pytest.raises(PreconditionError):
-        special_subgroup(INST221, "weird", w)
+        special_subgroup(S221, "weird", w)
     with pytest.raises(PreconditionError):
-        special_subgroup(make_instance(2, 2, 0), FIX_U)
+        special_subgroup(enumerate_semigroup(make_instance(2, 2, 0)), FIX_U)
 
 
 def test_special_subgroup_sizes_match_formulas():
     from glsemi.gf_linalg import gl_order
 
-    for inst in (INST231, INST232, INST321):
+    for s in (S231, S232, S321):
+        inst = s.inst
         p, n, r = inst.p, inst.n, inst.r
         for w in enumerate_complements(inst.u):
-            assert len(special_subgroup(inst, FIX_W, w)) == gl_order(p, r)
-            assert len(special_subgroup(inst, G_W, w)) == gl_order(p, n - r)
-            assert len(special_subgroup(inst, N_W, w)) == p ** (r * (n - r))
-        assert len(special_subgroup(inst, FIX_U)) == gl_order(p, n - r) * p ** (r * (n - r))
-        units = j_class(inst, n - r)
+            assert len(special_subgroup(s, FIX_W, w)) == gl_order(p, r)
+            assert len(special_subgroup(s, G_W, w)) == gl_order(p, n - r)
+            assert len(special_subgroup(s, N_W, w)) == p ** (r * (n - r))
+        assert len(special_subgroup(s, FIX_U)) == gl_order(p, n - r) * p ** (r * (n - r))
+        units = j_class(s, n - r)
         assert len(units) == gl_order(p, r) * gl_order(p, n - r) * p ** (r * (n - r))
         w0 = enumerate_complements(inst.u)[0]
         assert len(units) == (
-            len(special_subgroup(inst, FIX_W, w0))
-            * len(special_subgroup(inst, G_W, w0))
-            * len(special_subgroup(inst, N_W, w0))
+            len(special_subgroup(s, FIX_W, w0))
+            * len(special_subgroup(s, G_W, w0))
+            * len(special_subgroup(s, N_W, w0))
         )
 
 
 def test_fix_u_is_conjugation_closed():
-    for inst in (INST232, INST321):
-        p = inst.p
-        units = sorted(j_class(inst, inst.n - inst.r))
-        fix_u = special_subgroup(inst, FIX_U)
+    for s in (S232, S321):
+        p = s.inst.p
+        units = sorted(mats(s, j_class(s, s.inst.n - s.inst.r)))
+        fix_u = special_subgroup(s, FIX_U)
         for g in units:
             g_inv = mat_inverse(p, g)
             for h in fix_u:
@@ -314,7 +319,7 @@ def test_decompose_unit():
     first, second = decompose_unit(INST232, swap_translate, w)
     assert first == ((0, 1, 0), (1, 0, 0), (0, 0, 1))
     assert second == ((1, 0, 0), (0, 1, 0), (1, 0, 1))
-    for a in special_subgroup(INST232, FIX_U):
+    for a in special_subgroup(S232, FIX_U):
         assert decompose_unit(INST232, a, w) == (ident, a)
     with pytest.raises(PreconditionError):
         decompose_unit(INST232, ((1, 0, 0), (0, 1, 0), (0, 0, 0)), w)
@@ -325,22 +330,22 @@ def test_decompose_fix_u():
     assert decompose_fix_u(INST221, IDENT2, w) == (IDENT2, IDENT2)
     assert decompose_fix_u(INST221, A3, w) == (IDENT2, A3)
     w3 = rref_canonical(2, 3, [(0, 1, 0), (0, 0, 1)])
-    for a in special_subgroup(INST231, N_W, w3):
+    for a in special_subgroup(S231, N_W, w3):
         assert decompose_fix_u(INST231, a, w3) == (identity_mat(3), a)
-    for a in special_subgroup(INST231, FIX_U):
+    for a in special_subgroup(S231, FIX_U):
         stab, trans = decompose_fix_u(INST231, a, w3)
         assert mat_mul(2, stab, trans) == a
-        assert stab in special_subgroup(INST231, G_W, w3)
-        assert trans in special_subgroup(INST231, N_W, w3)
+        assert stab in special_subgroup(S231, G_W, w3)
+        assert trans in special_subgroup(S231, N_W, w3)
     with pytest.raises(PreconditionError):
         decompose_fix_u(INST221, A0, w)
 
 
 def test_decomposition_uniqueness():
     w = rref_canonical(2, 3, [(0, 0, 1)])
-    fix_w = sorted(special_subgroup(INST232, FIX_W, w))
-    fix_u = sorted(special_subgroup(INST232, FIX_U))
-    units = sorted(j_class(INST232, 1))
+    fix_w = sorted(special_subgroup(S232, FIX_W, w))
+    fix_u = sorted(special_subgroup(S232, FIX_U))
+    units = sorted(mats(S232, j_class(S232, 1)))
     assert len(units) == len(fix_w) * len(fix_u)
     for a in units:
         count = sum(1 for x in fix_w for y in fix_u if mat_mul(2, x, y) == a)
@@ -349,13 +354,13 @@ def test_decomposition_uniqueness():
 
 def test_subgroup_iso_checks():
     w = rref_canonical(2, 3, [(0, 0, 1)])
-    assert subgroup_iso_check(INST232, FIX_W, w)
-    assert subgroup_iso_check(INST232, G_W, w)
-    assert subgroup_iso_check(INST232, N_W, w)
+    assert subgroup_iso_check(S232, FIX_W, w)
+    assert subgroup_iso_check(S232, G_W, w)
+    assert subgroup_iso_check(S232, N_W, w)
     w2 = rref_canonical(2, 3, [(0, 1, 0), (0, 0, 1)])
-    assert subgroup_iso_check(INST231, N_W, w2)
+    assert subgroup_iso_check(S231, N_W, w2)
     with pytest.raises(PreconditionError):
-        subgroup_iso_check(INST232, FIX_U, w)
+        subgroup_iso_check(S232, FIX_U, w)
 
 
 def test_nonnormality_gf3_matches_hand_computation():
@@ -381,13 +386,13 @@ def test_nonnormality_gf2():
 
 
 def test_j_class_count_report():
-    report = j_class_count_report(INST221)
+    report = j_class_count_report(S221)
     assert report == {"observed": 2, "quotient_dim": 1, "flagged": True}
 
 
 def test_membership_closure_and_codim_monotonicity():
     rng = random.Random(2)
-    elems = enumerate_semigroup(INST232).elements
+    elems = S232.table.elements
     for _ in range(300):
         a, b = rng.choice(elems), rng.choice(elems)
         ab = mat_mul(2, a, b)
@@ -396,7 +401,7 @@ def test_membership_closure_and_codim_monotonicity():
 
 
 def test_unit_group_subtable_is_group():
-    sub = unit_group_subtable(INST321)
+    sub = unit_group_subtable(S321)
     assert len(sub) == 12
     green = sub.green()
     assert green.h == (frozenset(range(12)),)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from glsemi.errors import PreconditionError, UnsupportedComparisonError
+from glsemi.errors import InternalInconsistencyError, PreconditionError, UnsupportedComparisonError
 from glsemi.gf_linalg import identity_mat, mat_mul, vec_mat
 from glsemi.gl_restriction import (
     codim,
@@ -10,44 +10,46 @@ from glsemi.gl_restriction import (
     make_instance,
     minimal_idempotents,
 )
-from glsemi.isomorphism import decide_isomorphic, transport
+from glsemi.isomorphism import IsoWitness, decide_isomorphic, element_bijection, transport
+
+S221 = enumerate_semigroup(make_instance(2, 2, 1))
+S221_SHIFTED = enumerate_semigroup(make_instance(2, 2, 1, [(0, 1)]))
+S231 = enumerate_semigroup(make_instance(2, 3, 1))
+S231_SHIFTED = enumerate_semigroup(make_instance(2, 3, 1, [(1, 1, 0)]))
 
 
 def test_same_instance_gives_identity_witness():
-    inst = make_instance(2, 3, 1)
+    inst = S231.inst
     witness = decide_isomorphic(inst, inst)
     assert witness is not None
     assert witness.phi == identity_mat(3)
-    assert witness.psi == tuple(range(64))
+    assert element_bijection(witness, S231, S231) == tuple(range(64))
 
 
 def test_shifted_subspace_is_isomorphic_with_verified_psi():
-    i1 = make_instance(2, 3, 1)
-    i2 = make_instance(2, 3, 1, [(1, 1, 0)])
+    i1, i2 = S231.inst, S231_SHIFTED.inst
     witness = decide_isomorphic(i1, i2)
     assert witness is not None
     assert vec_mat(2, (1, 0, 0), witness.phi) in {v for v in i2.u.vectors() if any(v)}
-    t1, t2 = enumerate_semigroup(i1), enumerate_semigroup(i2)
-    psi = witness.psi
-    assert psi is not None and len(set(psi)) == 64
+    t1, t2 = S231.table, S231_SHIFTED.table
+    psi = element_bijection(witness, S231, S231_SHIFTED)
+    assert len(set(psi)) == 64
     for a in range(64):
         for b in range(64):
             assert psi[t1.mul[a][b]] == t2.mul[psi[a]][psi[b]]
 
 
 def test_isomorphic_instances_share_invariants():
-    i1 = make_instance(2, 3, 1)
-    i2 = make_instance(2, 3, 1, [(1, 1, 0)])
-    assert decide_isomorphic(i1, i2) is not None
-    t1, t2 = enumerate_semigroup(i1), enumerate_semigroup(i2)
+    assert decide_isomorphic(S231.inst, S231_SHIFTED.inst) is not None
+    t1, t2 = S231.table, S231_SHIFTED.table
     assert len(t1) == len(t2)
     g1, g2 = t1.green(), t2.green()
     assert sorted(len(c) for c in g1.j) == sorted(len(c) for c in g2.j)
-    assert len(minimal_idempotents(i1)) == len(minimal_idempotents(i2))
+    assert len(minimal_idempotents(S231)) == len(minimal_idempotents(S231_SHIFTED))
 
 
 def test_different_parameters_are_not_isomorphic():
-    i1 = make_instance(2, 3, 1)
+    i1 = S231.inst
     assert decide_isomorphic(i1, make_instance(2, 3, 2)) is None
     assert decide_isomorphic(i1, make_instance(2, 4, 1)) is None
 
@@ -58,21 +60,22 @@ def test_cross_field_comparison_is_refused():
 
 
 def test_transport_preserves_structure():
-    i1 = make_instance(2, 2, 1)
-    i2 = make_instance(2, 2, 1, [(0, 1)])
+    i1, i2 = S221.inst, S221_SHIFTED.inst
     witness = decide_isomorphic(i1, i2)
     assert transport(witness, identity_mat(2)) == identity_mat(2)
-    for m in enumerate_semigroup(i1).elements:
+    for m in S221.table.elements:
         moved = transport(witness, m)
         assert codim(i2, moved) == codim(i1, m)
-    assert {transport(witness, m) for m in minimal_idempotents(i1)} == minimal_idempotents(i2)
+    minimal1 = {S221.table.elements[i] for i in minimal_idempotents(S221)}
+    minimal2 = {S221_SHIFTED.table.elements[i] for i in minimal_idempotents(S221_SHIFTED)}
+    assert {transport(witness, m) for m in minimal1} == minimal2
 
 
 def test_transport_is_multiplicative():
     i1 = make_instance(2, 2, 1)
     i2 = make_instance(2, 2, 1, [(1, 1)])
     witness = decide_isomorphic(i1, i2)
-    elems = enumerate_semigroup(i1).elements
+    elems = S221.table.elements
     for a in elems:
         for b in elems:
             assert transport(witness, mat_mul(2, a, b)) == mat_mul(
@@ -87,9 +90,20 @@ def test_transport_rejects_non_members():
         transport(witness, ((0, 1), (1, 0)))
 
 
-def test_witness_without_tables_when_capped():
-    i1 = make_instance(2, 3, 1)
-    i2 = make_instance(2, 3, 1, [(1, 1, 0)])
-    witness = decide_isomorphic(i1, i2, cap=10)
+def test_decision_needs_no_enumeration():
+    # Order 2^20 is far above the default enumeration cap.
+    i1 = make_instance(2, 5, 1)
+    i2 = make_instance(2, 5, 1, [(0, 1, 0, 0, 0)])
+    witness = decide_isomorphic(i1, i2)
     assert witness is not None
-    assert witness.psi is None
+    assert vec_mat(2, (1, 0, 0, 0, 0), witness.phi) == (0, 1, 0, 0, 0)
+
+
+def test_element_bijection_checks_its_inputs():
+    witness = decide_isomorphic(S231.inst, S231_SHIFTED.inst)
+    with pytest.raises(PreconditionError):
+        element_bijection(witness, S231_SHIFTED, S231)
+    swap = ((0, 1, 0), (1, 0, 0), (0, 0, 1))  # carries U onto a third line
+    wrong = IsoWitness(S231.inst, S231_SHIFTED.inst, swap, swap)
+    with pytest.raises(InternalInconsistencyError):
+        element_bijection(wrong, S231, S231_SHIFTED)

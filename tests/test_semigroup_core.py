@@ -32,8 +32,8 @@ A2 = ((1, 0), (1, 0))
 A3 = ((1, 0), (1, 1))
 
 
-def table_221():
-    return enumerate_semigroup(make_instance(2, 2, 1))
+TABLE_221 = enumerate_semigroup(make_instance(2, 2, 1)).table
+TABLE_231 = enumerate_semigroup(make_instance(2, 3, 1)).table
 
 
 def cyclic_table(order):
@@ -85,7 +85,7 @@ def test_table_construction_rejects_bad_input():
 
 
 def test_identity_detection():
-    table = table_221()
+    table = TABLE_221
     assert table.elements[table.identity_idx] == IDENT
     zero = SemigroupTable((0,), [[0]])
     assert zero.identity_idx == 0
@@ -104,7 +104,7 @@ def test_green_oracle_trivial_and_group():
 
 
 def test_green_oracle_on_smallest_instance():
-    table = table_221()
+    table = TABLE_221
     green = table.green()
     sizes = sorted(len(c) for c in green.j)
     assert sizes == [2, 2]
@@ -117,7 +117,7 @@ def test_green_oracle_on_smallest_instance():
 
 def test_green_oracle_matches_literal_definitions():
     for inst_args in ((2, 2, 1), (3, 2, 1)):
-        table = enumerate_semigroup(make_instance(*inst_args))
+        table = enumerate_semigroup(make_instance(*inst_args)).table
         green = table.green()
         n = len(table)
         for relation in ("L", "R", "H", "D", "J"):
@@ -128,7 +128,7 @@ def test_green_oracle_matches_literal_definitions():
 
 def test_green_refinement_lattice():
     for inst_args in ((2, 2, 1), (2, 3, 1), (2, 3, 2)):
-        table = enumerate_semigroup(make_instance(*inst_args))
+        table = enumerate_semigroup(make_instance(*inst_args)).table
         green = table.green()
         check_refinement_lattice(green, len(table))
         assert refines(green.h, green.l) and refines(green.h, green.r)
@@ -137,14 +137,14 @@ def test_green_refinement_lattice():
 
 
 def test_idempotents():
-    table = table_221()
+    table = TABLE_221
     assert {table.elements[i] for i in idempotents(table)} == {A0, IDENT, A2}
     assert idempotents(cyclic_table(5)) == {0}
     assert idempotents(SemigroupTable((0,), [[0]])) == {0}
 
 
 def test_natural_leq():
-    table = table_221()
+    table = TABLE_221
     i = table.index_of
     assert natural_leq(i(A0), i(A0), table)
     assert natural_leq(i(A0), i(IDENT), table)
@@ -156,14 +156,17 @@ def test_natural_leq():
 
 def test_minimal_idempotents_oracle():
     assert minimal_idempotents_oracle(cyclic_table(4)) == {0}
-    table = table_221()
+    table = TABLE_221
     assert {table.elements[i] for i in minimal_idempotents_oracle(table)} == {A0, A2}
-    bigger = enumerate_semigroup(make_instance(2, 3, 1))
+    bigger = TABLE_231
     assert len(minimal_idempotents_oracle(bigger)) == 4
+    idem = idempotents(bigger)
+    by_definition = {e for e in idem if not any(f != e and natural_leq(f, e, bigger) for f in idem)}
+    assert minimal_idempotents_oracle(bigger) == by_definition
 
 
 def test_principal_ideal():
-    table = table_221()
+    table = TABLE_221
     i = table.index_of
     assert principal_ideal(table, i(IDENT)) == frozenset(range(4))
     assert principal_ideal(table, i(A0)) == {i(A0), i(A2)}
@@ -172,7 +175,7 @@ def test_principal_ideal():
 
 
 def test_verify_ideal():
-    table = table_221()
+    table = TABLE_221
     i = table.index_of
     assert verify_ideal(table, range(4))
     assert verify_ideal(table, {i(A0), i(A2)})
@@ -185,7 +188,7 @@ def test_rank_search_basics():
     assert rank_search(SemigroupTable((0,), [[0]]), [0], 1) == (1, (0,))
     pair_group = cyclic_table(2)
     assert rank_search(pair_group, [0, 1], 2) == (1, (1,))
-    table = table_221()
+    table = TABLE_221
     size, witness = rank_search(table, range(4), 3)
     assert size == 2
     for single in range(4):
@@ -194,14 +197,14 @@ def test_rank_search_basics():
 
 
 def test_rank_search_not_found_and_budget():
-    table = table_221()
+    table = TABLE_221
     assert rank_search(table, range(4), 1) is None
     with pytest.raises(CapacityError):
         rank_search(table, range(4), 3, budget=2)
 
 
 def test_rank_search_witness_is_lex_least():
-    table = table_221()
+    table = TABLE_221
     _, witness = rank_search(table, range(4), 2)
     pairs = [
         (a, b)
@@ -213,7 +216,7 @@ def test_rank_search_witness_is_lex_least():
 
 
 def test_subtable_units_form_group():
-    table = enumerate_semigroup(make_instance(2, 3, 1))
+    table = TABLE_231
     ident_idx = table.index_of(identity_mat(3))
     units = [i for i in range(len(table)) if ident_idx in table.mul[i]]
     sub = subtable(table, units)
@@ -223,7 +226,7 @@ def test_subtable_units_form_group():
 
 
 def test_subtable_rejects_unclosed_subset():
-    table = table_221()
+    table = TABLE_221
     i = table.index_of
     # {identity, A3*?}: the pair {A3, A0} generates everything, so it is not closed
     with pytest.raises(PreconditionError):
