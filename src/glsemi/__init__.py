@@ -1,82 +1,26 @@
 """Exact computational lab for semigroups of linear self-maps of GF(p)^n
-whose restriction to a fixed subspace U is invertible."""
+whose restriction to a fixed subspace U is invertible.
 
-from .errors import (
-    CapacityError,
-    ConfigurationError,
-    GlsemiError,
-    InfeasibleError,
-    InternalInconsistencyError,
-    NoPreimageError,
-    PreconditionError,
-    UnsupportedComparisonError,
-)
-from .gf_linalg import (
-    Mat,
-    Subspace,
-    Vec,
-    enumerate_complements,
-    extend_basis,
-    full_space,
-    general_linear,
-    gl_order,
-    identity_mat,
-    image,
-    kernel,
-    linear_map,
-    mat_inverse,
-    mat_mul,
-    preimage_vector,
-    rref_canonical,
-    zero_space,
-)
+The package namespace holds the entry points listed in the README's
+Library section; everything else is imported from its module.
+"""
+
+from .errors import GlsemiError
 from .gl_restriction import (
     FIX_U,
     FIX_W,
     G_W,
     N_W,
-    Instance,
     Structure,
-    codim,
-    dclass_witness,
-    decompose_fix_u,
-    decompose_unit,
     enumerate_semigroup,
-    factor_through,
     generating_set,
-    green_char,
-    green_char_partitions,
-    is_idempotent_by_image,
-    is_member,
     j_class,
-    j_class_count_report,
     make_instance,
     minimal_idempotents,
-    nonnormality_example,
-    predicted_order,
     q_ideal,
-    raise_factor,
-    rank_value,
-    regular_witness,
-    sandwich_factor,
     special_subgroup,
     subgroup_iso_check,
-    unit_group_subtable,
 )
-from .isomorphism import IsoWitness, decide_isomorphic, element_bijection, transport
-from .semigroup_core import (
-    GreenPartitions,
-    SemigroupTable,
-    close_under_product,
-    closure_indices,
-    green_oracle,
-    idempotents,
-    minimal_idempotents_oracle,
-    natural_leq,
-    principal_ideal,
-    rank_search,
-    subtable,
-    verify_ideal,
-)
+from .isomorphism import decide_isomorphic, element_bijection
 
 __version__ = "0.1.0"

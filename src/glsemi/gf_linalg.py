@@ -32,10 +32,10 @@ Mat = tuple[Vec, ...]
 MAX_PRIME = 13
 
 
-def check_modulus(p: int, cap: int = MAX_PRIME) -> None:
-    """Reject moduli that are not primes in [2, cap]."""
-    if not isinstance(p, int) or p < 2 or p > cap:
-        raise ConfigurationError(f"modulus {p} outside the supported range [2, {cap}]")
+def check_modulus(p: int) -> None:
+    """Reject moduli that are not primes in [2, MAX_PRIME]."""
+    if not isinstance(p, int) or p < 2 or p > MAX_PRIME:
+        raise ConfigurationError(f"modulus {p} outside the supported range [2, {MAX_PRIME}]")
     for d in range(2, int(p ** 0.5) + 1):
         if p % d == 0:
             raise ConfigurationError(f"modulus {p} is not prime")
@@ -47,10 +47,6 @@ def vec_add(p: int, a: Vec, b: Vec) -> Vec:
 
 def vec_sub(p: int, a: Vec, b: Vec) -> Vec:
     return tuple((x - y) % p for x, y in zip(a, b))
-
-
-def vec_scale(p: int, c: int, v: Vec) -> Vec:
-    return tuple((c * x) % p for x in v)
 
 
 def vec_mat(p: int, v: Vec, m: Mat) -> Vec:

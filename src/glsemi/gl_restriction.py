@@ -64,8 +64,6 @@ G_W = "g_w"
 N_W = "n_w"
 SUBGROUP_KINDS = (FIX_U, FIX_W, G_W, N_W)
 
-GREEN_RELATIONS = ("L", "R", "H", "D", "J")
-
 
 @dataclass(frozen=True)
 class Instance:
@@ -196,6 +194,8 @@ def enumerate_semigroup(inst: Instance, cap: int = DEFAULT_ENUM_CAP) -> Structur
     This is the only way to build an instance's table: every helper
     that needs one takes the Structure returned here.
     """
+    if cap < 1:
+        raise ConfigurationError(f"enumeration cap must be positive, got {cap}")
     order = predicted_order(inst)
     if order > cap:
         raise CapacityError(f"predicted order {order} exceeds enumeration cap {cap}")
@@ -232,26 +232,9 @@ def q_ideal(s: Structure, k: int) -> frozenset[int]:
     return s.below[k]
 
 
-def green_char(inst: Instance, a: Mat, b: Mat, relation: str) -> bool:
-    """Characterized Green test: L by image, R by kernel, H by both,
-    D and J by codimension."""
-    rel = relation.upper()
-    if rel not in GREEN_RELATIONS:
-        raise PreconditionError(f"unknown Green relation {relation!r}")
-    if not (is_member(inst, a) and is_member(inst, b)):
-        raise PreconditionError("both arguments must be members")
-    p = inst.p
-    if rel == "L":
-        return image(p, a) == image(p, b)
-    if rel == "R":
-        return kernel(p, a) == kernel(p, b)
-    if rel == "H":
-        return image(p, a) == image(p, b) and kernel(p, a) == kernel(p, b)
-    return image(p, a).dim == image(p, b).dim
-
-
 def green_char_partitions(s: Structure) -> GreenPartitions:
-    """All five partitions from the characterizations (no table products used)."""
+    """All five partitions from the characterizations, no table products
+    used: L by image, R by kernel, H by both, D and J by codimension."""
     profs = s.profiles
 
     def group(key):
@@ -491,20 +474,23 @@ def _fixes_pointwise(inst: Instance, m: Mat, rows) -> bool:
     return all(vec_mat(inst.p, row, m) == tuple(row) for row in rows)
 
 
-def special_subgroup(s: Structure, kind: str, w: Subspace | None = None) -> frozenset[Mat]:
-    """One of the structural subgroups of the unit group.
+def special_subgroup(s: Structure, kind: str, w: Subspace | None = None) -> frozenset[int]:
+    """Indices of one of the structural subgroups of the unit group.
 
     fix_u: units restricting to the identity on U.
     fix_w: units restricting to the identity on the complement W.
     g_w:   fix_u elements mapping W onto itself.
     n_w:   fix_u elements translating each W-vector by an element of U.
+
+    Membership is decided on each unit's matrix; the identity and the
+    closure under products are then checked on the Cayley table.
     """
     inst = s.inst
     _require_subgroup_setting(inst, kind, w)
     p = inst.p
-    units = [s.table.elements[i] for i in sorted(s.grades[inst.n - inst.r])]
     picked = []
-    for m in units:
+    for i in sorted(s.grades[inst.n - inst.r]):
+        m = s.table.elements[i]
         if kind == FIX_U:
             keep = _fixes_pointwise(inst, m, inst.u.basis)
         elif kind == FIX_W:
@@ -518,15 +504,14 @@ def special_subgroup(s: Structure, kind: str, w: Subspace | None = None) -> froz
                 inst.u.contains(vec_sub(p, vec_mat(p, row, m), row)) for row in w.basis
             )
         if keep:
-            picked.append(m)
+            picked.append(i)
     group = frozenset(picked)
-    ident = identity_mat(inst.n)
-    if ident not in group:
+    if s.table.identity_idx not in group:
         raise InternalInconsistencyError("subgroup is missing the identity")
+    mul = s.table.mul
     for a in picked:
-        for b in picked:
-            if mat_mul(p, a, b) not in group:
-                raise InternalInconsistencyError("subgroup is not closed under products")
+        if not group.issuperset(map(mul[a].__getitem__, picked)):
+            raise InternalInconsistencyError("subgroup is not closed under products")
     return group
 
 
@@ -594,7 +579,9 @@ def subgroup_iso_check(s: Structure, kind: str, w: Subspace | None = None) -> bo
     fix_w maps onto GL(U) by restriction to U, g_w onto GL(W) by
     restriction to W, and n_w onto the additive group U^(n-r) by
     extracting the translation tuple.  The map is checked to be a
-    bijection and a homomorphism over the whole subgroup.
+    bijection and a homomorphism over the whole subgroup; the
+    subgroup's products are read from the Cayley table, and only the
+    comparison group's products are computed.
     """
     inst = s.inst
     _require_subgroup_setting(inst, kind, w)
@@ -602,34 +589,31 @@ def subgroup_iso_check(s: Structure, kind: str, w: Subspace | None = None) -> bo
         raise PreconditionError("no canonical comparison group for fix_u; decompose it instead")
     p = inst.p
     members = sorted(special_subgroup(s, kind, w))
+    elements, mul = s.table.elements, s.table.mul
 
     if kind in (FIX_W, G_W):
         space = inst.u if kind == FIX_W else w
-        degree = space.dim
 
-        def to_small(m):
+        def to_target(m):
             return tuple(space.coordinates(vec_mat(p, row, m)) for row in space.basis)
 
-        mapped = [to_small(m) for m in members]
-        if set(mapped) != set(general_linear(p, degree)) or len(set(mapped)) != len(members):
-            return False
-        for a, fa in zip(members, mapped):
-            for b, fb in zip(members, mapped):
-                if to_small(mat_mul(p, a, b)) != mat_mul(p, fa, fb):
-                    return False
-        return True
+        target = set(general_linear(p, space.dim))
+        combine = lambda fa, fb: mat_mul(p, fa, fb)
+    else:
 
-    def to_tuple(m):
-        return tuple(vec_sub(p, vec_mat(p, row, m), row) for row in w.basis)
+        def to_target(m):
+            return tuple(vec_sub(p, vec_mat(p, row, m), row) for row in w.basis)
 
-    mapped = [to_tuple(m) for m in members]
-    target = set(iter_product(inst.u.vectors(), repeat=w.dim))
-    if set(mapped) != target or len(set(mapped)) != len(members):
+        target = set(iter_product(inst.u.vectors(), repeat=w.dim))
+        combine = lambda fa, fb: tuple(vec_add(p, x, y) for x, y in zip(fa, fb))
+
+    mapped = {i: to_target(elements[i]) for i in members}
+    if set(mapped.values()) != target or len(target) != len(members):
         return False
-    for a, fa in zip(members, mapped):
-        for b, fb in zip(members, mapped):
-            summed = tuple(vec_add(p, x, y) for x, y in zip(fa, fb))
-            if to_tuple(mat_mul(p, a, b)) != summed:
+    for a in members:
+        row, fa = mul[a], mapped[a]
+        for b in members:
+            if mapped[row[b]] != combine(fa, mapped[b]):
                 return False
     return True
 

@@ -21,7 +21,7 @@ from .gf_linalg import (
     rref_canonical,
     vec_mat,
 )
-from .gl_restriction import Instance, Structure, is_member
+from .gl_restriction import Instance, Structure
 
 
 @dataclass(frozen=True)
@@ -83,14 +83,3 @@ def element_bijection(witness: IsoWitness, s1: Structure, s2: Structure) -> tupl
             if mapping[row1[j]] != row2[mapping[j]]:
                 raise InternalInconsistencyError("conjugation failed to respect a product")
     return tuple(mapping)
-
-
-def transport(witness: IsoWitness, m: Mat) -> Mat:
-    """Image of a source element under the witness: phi^-1 * m * phi."""
-    if not is_member(witness.source, m):
-        raise PreconditionError("matrix is not a member of the source semigroup")
-    p = witness.source.p
-    moved = mat_mul(p, mat_mul(p, witness.phi_inv, m), witness.phi)
-    if not is_member(witness.target, moved):
-        raise InternalInconsistencyError("transported element left the target semigroup")
-    return moved

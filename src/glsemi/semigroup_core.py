@@ -16,8 +16,6 @@ from itertools import combinations
 
 from .errors import CapacityError, InternalInconsistencyError, PreconditionError
 
-DEFAULT_CLOSURE_CAP = 10 ** 6
-
 # Exhaustive associativity check up to this order; random triples above.
 _ASSOC_EXHAUSTIVE_LIMIT = 200
 _ASSOC_SAMPLE_COUNT = 20_000
@@ -45,31 +43,11 @@ class SemigroupTable:
         if check:
             self._check_table()
 
-    @classmethod
-    def from_elements(cls, elements, mul_fn, check=True):
-        """Build the table by multiplying out all pairs with mul_fn."""
-        elems = tuple(elements)
-        index = {x: i for i, x in enumerate(elems)}
-        rows = []
-        for a in elems:
-            row = []
-            for b in elems:
-                c = mul_fn(a, b)
-                pos = index.get(c)
-                if pos is None:
-                    raise PreconditionError("element list is not closed under the product")
-                row.append(pos)
-            rows.append(tuple(row))
-        return cls(elems, rows, check=check)
-
     def __len__(self):
         return len(self.elements)
 
     def index_of(self, x):
         return self._index[x]
-
-    def product(self, i, j):
-        return self.mul[i][j]
 
     def green(self):
         """Cached definition-level Green partitions for this table."""
@@ -260,24 +238,6 @@ def check_refinement_lattice(green: GreenPartitions, n: int) -> None:
     ):
         if not refines(finer, coarser):
             raise InternalInconsistencyError("Green refinement lattice violated")
-
-
-def close_under_product(generators, mul_fn, cap: int = DEFAULT_CLOSURE_CAP):
-    """Least product-closed superset of the generators, in BFS order."""
-    gens = list(dict.fromkeys(generators))
-    if not gens:
-        raise PreconditionError("generator set is empty")
-    seen = dict.fromkeys(gens)
-    queue = list(seen)
-    for x in queue:
-        for g in gens:
-            y = mul_fn(x, g)
-            if y not in seen:
-                seen[y] = None
-                queue.append(y)
-                if len(seen) > cap:
-                    raise CapacityError(f"closure exceeded cap of {cap} elements")
-    return tuple(seen)
 
 
 def closure_indices(table: SemigroupTable, gen_idxs) -> frozenset[int]:

@@ -1,11 +1,31 @@
-"""Brute-force oracles for the tests.
+"""Brute-force oracles and fault injection for the tests.
 
-Everything here works straight from definitions (exhaustive sums,
-filters, and triple loops) and deliberately avoids the library's own
-elimination and grouping code paths, so agreement is meaningful.
+The oracles work straight from definitions (exhaustive sums, filters,
+and triple loops) and deliberately avoid the library's own elimination
+and grouping code paths, so agreement is meaningful.
 """
 
 from itertools import product
+
+from glsemi.gl_restriction import Structure
+from glsemi.semigroup_core import SemigroupTable
+
+
+def mats(s, idxs):
+    """The matrices of Structure s at the given table indices."""
+    return {s.table.elements[i] for i in idxs}
+
+
+def with_product(s, i, j, k):
+    """A copy of Structure s whose table says element i times element j is k.
+
+    The table check is skipped so that the one wrong product survives;
+    a check that reads the table must then notice it.
+    """
+    mul = [list(row) for row in s.table.mul]
+    mul[i][j] = k
+    table = SemigroupTable(s.table.elements, mul, identity_idx=s.table.identity_idx, check=False)
+    return Structure(s.inst, table)
 
 
 def naive_vec_mat(p, v, m):

@@ -56,7 +56,7 @@ from glsemi.semigroup_core import (
     verify_ideal,
 )
 
-from helpers import brute_members, naive_span
+from helpers import brute_members, mats, naive_span
 
 GRID = ((2, 2, 1), (2, 3, 1), (2, 3, 2), (3, 2, 1), (2, 4, 2))
 EXPECTED_ORDERS = {(2, 2, 1): 4, (2, 3, 1): 64, (2, 3, 2): 48, (3, 2, 1): 18, (2, 4, 2): 1536}
@@ -228,13 +228,13 @@ def test_c10_unit_group_decomposition():
         p = inst.p
         ident = identity_mat(inst.n)
         units = [s.table.elements[i] for i in sorted(j_class(s, inst.n - inst.r))]
-        fix_u = sorted(special_subgroup(s, FIX_U))
+        fix_u = sorted(mats(s, special_subgroup(s, FIX_U)))
         for g in units:
             g_inv = mat_inverse(p, g)
             for h in fix_u:
                 assert mat_mul(p, mat_mul(p, g, h), g_inv) in set(fix_u), args
         for w in enumerate_complements(inst.u):
-            fix_w = sorted(special_subgroup(s, FIX_W, w))
+            fix_w = sorted(mats(s, special_subgroup(s, FIX_W, w)))
             assert len(units) == len(fix_w) * len(fix_u), args
             assert set(fix_w) & set(fix_u) == {ident}
             for a in units:
@@ -245,8 +245,8 @@ def test_c10_unit_group_decomposition():
                     1 for x in fix_w for y in fix_u if mat_mul(p, x, y) == a
                 )
                 assert matches == 1, "decomposition must be unique"
-            n_w = set(special_subgroup(s, N_W, w))
-            g_w = set(special_subgroup(s, G_W, w))
+            n_w = mats(s, special_subgroup(s, N_W, w))
+            g_w = mats(s, special_subgroup(s, G_W, w))
             assert g_w & n_w == {ident}
             for a in fix_u:
                 stab, trans = decompose_fix_u(inst, a, w)

@@ -1,5 +1,6 @@
 """Config parsing, the verify suite surface, DOT emission, and reports."""
 
+import dataclasses
 import json
 import re
 
@@ -10,6 +11,8 @@ from glsemi.cli import (
     ENV_ENUM_CAP,
     ENV_RANK_CAP,
     InstanceConfig,
+    _check_j_class_count,
+    _check_unit_decomposition,
     build_instance,
     cmd_eggbox,
     cmd_report,
@@ -21,7 +24,21 @@ from glsemi.cli import (
 )
 from glsemi import gl_restriction
 from glsemi.errors import ConfigurationError
-from glsemi.gl_restriction import DEFAULT_ENUM_CAP, enumerate_semigroup, make_instance, unit_group_subtable
+from glsemi.gl_restriction import (
+    DEFAULT_ENUM_CAP,
+    FIX_U,
+    Structure,
+    enumerate_semigroup,
+    j_class,
+    make_instance,
+    special_subgroup,
+    unit_group_subtable,
+)
+from glsemi.semigroup_core import SemigroupTable
+
+from helpers import with_product
+
+CAPS = (DEFAULT_ENUM_CAP, DEFAULT_RANK_CAP)
 
 CHECK_NAMES = [
     "order_law",
@@ -117,6 +134,49 @@ def test_verify_skips_above_cap():
     assert statuses["nonnormality"] == "pass"
     assert statuses["isomorphism_theorem"] == "skip"
     assert not report.failed
+
+
+@pytest.mark.parametrize("command", [cmd_verify, cmd_report])
+@pytest.mark.parametrize("caps", [(0, DEFAULT_RANK_CAP), (DEFAULT_ENUM_CAP, 0), (-1, -1)])
+def test_library_commands_reject_non_positive_caps(command, caps):
+    with pytest.raises(ConfigurationError):
+        command(InstanceConfig(p=2, n=2, r=1), *caps)
+
+
+def test_unit_decomposition_fails_on_a_broken_conjugate():
+    s = enumerate_semigroup(make_instance(2, 3, 2))
+    mul, ident = s.table.mul, s.table.identity_idx
+    fix_u = special_subgroup(s, FIX_U)
+    g = next(i for i in sorted(j_class(s, 1)) if i not in fix_u and mul[i][i] != ident)
+    h = next(i for i in sorted(fix_u) if i != ident)
+    # g*h now reads g*g, so the conjugate g*h*g^-1 reads g, which is outside Fix(U).
+    bad = with_product(s, g, h, mul[g][g])
+    assert _check_unit_decomposition(s, CAPS)[0] == "pass"
+    status, _, reason = _check_unit_decomposition(bad, CAPS)
+    assert status == "fail"
+    assert "conjugate left the U-fixing subgroup" in reason
+
+
+class _ExtraJClassTable(SemigroupTable):
+    """A table whose Green oracle splits its first J-class in two."""
+
+    __slots__ = ()
+
+    def green(self):
+        green = super().green()
+        first = green.j[0]
+        split = (frozenset({min(first)}), first - {min(first)})
+        return dataclasses.replace(green, j=split + green.j[1:])
+
+
+def test_j_class_count_fails_on_an_extra_j_class():
+    s = enumerate_semigroup(make_instance(2, 3, 1))
+    t = s.table
+    bad = Structure(s.inst, _ExtraJClassTable(t.elements, t.mul, identity_idx=t.identity_idx, check=False))
+    assert _check_j_class_count(s, CAPS) == ("pass", {"observed": 3, "quotient_dim": 2, "flagged": True}, None)
+    status, counts, _ = _check_j_class_count(bad, CAPS)
+    assert status == "fail"
+    assert counts["observed"] == 4
 
 
 def test_main_verify_smallest(tmp_path, capsys):

@@ -8,6 +8,7 @@ from glsemi.errors import (
     CapacityError,
     ConfigurationError,
     InfeasibleError,
+    InternalInconsistencyError,
     PreconditionError,
 )
 from glsemi.gf_linalg import (
@@ -33,7 +34,6 @@ from glsemi.gl_restriction import (
     enumerate_semigroup,
     factor_through,
     generating_set,
-    green_char,
     is_idempotent_by_image,
     is_member,
     j_class,
@@ -53,7 +53,7 @@ from glsemi.gl_restriction import (
 )
 from glsemi.semigroup_core import closure_indices, rank_search
 
-from helpers import brute_members, naive_span
+from helpers import brute_members, mats, naive_span, with_product
 
 A0 = ((1, 0), (0, 0))
 IDENT2 = ((1, 0), (0, 1))
@@ -66,10 +66,6 @@ INST232 = make_instance(2, 3, 2)
 INST321 = make_instance(3, 2, 1)
 S221, S231, S232, S321 = (enumerate_semigroup(i) for i in (INST221, INST231, INST232, INST321))
 STRUCTURES = {s.inst: s for s in (S221, S231, S232, S321)}
-
-
-def mats(s, idxs):
-    return {s.table.elements[i] for i in idxs}
 
 
 def test_make_instance_validation():
@@ -118,6 +114,12 @@ def test_enumeration_cap():
     assert len(enumerate_semigroup(INST231, 64).table) == 64
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_enumeration_rejects_non_positive_cap(cap):
+    with pytest.raises(ConfigurationError):
+        enumerate_semigroup(INST221, cap)
+
+
 def test_codim():
     assert codim(INST221, IDENT2) == 1
     assert codim(INST221, A0) == 0
@@ -140,29 +142,6 @@ def test_j_class_and_q_ideal():
         q_ideal(S221, 0)
 
 
-def test_green_char_hand_checked():
-    for relation in ("L", "R", "H", "D", "J"):
-        assert green_char(INST221, A0, A0, relation)
-    assert green_char(INST221, A0, A2, "L")
-    assert not green_char(INST221, A0, A2, "R")
-    assert kernel(2, A0).basis == ((0, 1),)
-    assert kernel(2, A2).basis == ((1, 1),)
-    with pytest.raises(PreconditionError):
-        green_char(INST221, A0, A2, "X")
-
-
-@pytest.mark.parametrize("inst", [INST221, INST321])
-def test_green_char_agrees_with_oracle_pairwise(inst):
-    table = STRUCTURES[inst].table
-    green = table.green()
-    for a in range(len(table)):
-        for b in range(len(table)):
-            for relation in ("L", "R", "H", "D", "J"):
-                expected = green.same(relation, a, b)
-                got = green_char(inst, table.elements[a], table.elements[b], relation)
-                assert got == expected
-
-
 def test_dclass_witness():
     gamma = dclass_witness(INST221, A0, A2)
     assert gamma == A2  # unique member with image U and kernel <(1,1)>
@@ -173,8 +152,8 @@ def test_dclass_witness():
         for b in elems:
             if codim(INST232, a) == codim(INST232, b):
                 gamma = dclass_witness(INST232, a, b)
-                assert green_char(INST232, gamma, a, "L")
-                assert green_char(INST232, gamma, b, "R")
+                assert image(2, gamma) == image(2, a)  # L-related to a
+                assert kernel(2, gamma) == kernel(2, b)  # R-related to b
 
 
 def test_factor_through_examples():
@@ -268,9 +247,10 @@ def test_idempotent_by_image():
 
 def test_special_subgroups_smallest_instance():
     w = rref_canonical(2, 2, [(0, 1)])
-    assert special_subgroup(S221, FIX_W, w) == {IDENT2}
-    assert special_subgroup(S221, N_W, w) == {IDENT2, A3}
-    assert special_subgroup(S221, FIX_U) == {IDENT2, A3}
+    idx = S221.table.index_of
+    assert special_subgroup(S221, FIX_W, w) == {idx(IDENT2)}
+    assert special_subgroup(S221, N_W, w) == {idx(IDENT2), idx(A3)}
+    assert special_subgroup(S221, FIX_U) == {idx(IDENT2), idx(A3)}
     with pytest.raises(PreconditionError):
         special_subgroup(S221, FIX_W, INST221.u)  # U is not its own complement
     with pytest.raises(PreconditionError):
@@ -304,7 +284,7 @@ def test_fix_u_is_conjugation_closed():
     for s in (S232, S321):
         p = s.inst.p
         units = sorted(mats(s, j_class(s, s.inst.n - s.inst.r)))
-        fix_u = special_subgroup(s, FIX_U)
+        fix_u = mats(s, special_subgroup(s, FIX_U))
         for g in units:
             g_inv = mat_inverse(p, g)
             for h in fix_u:
@@ -319,7 +299,7 @@ def test_decompose_unit():
     first, second = decompose_unit(INST232, swap_translate, w)
     assert first == ((0, 1, 0), (1, 0, 0), (0, 0, 1))
     assert second == ((1, 0, 0), (0, 1, 0), (1, 0, 1))
-    for a in special_subgroup(S232, FIX_U):
+    for a in mats(S232, special_subgroup(S232, FIX_U)):
         assert decompose_unit(INST232, a, w) == (ident, a)
     with pytest.raises(PreconditionError):
         decompose_unit(INST232, ((1, 0, 0), (0, 1, 0), (0, 0, 0)), w)
@@ -330,21 +310,22 @@ def test_decompose_fix_u():
     assert decompose_fix_u(INST221, IDENT2, w) == (IDENT2, IDENT2)
     assert decompose_fix_u(INST221, A3, w) == (IDENT2, A3)
     w3 = rref_canonical(2, 3, [(0, 1, 0), (0, 0, 1)])
-    for a in special_subgroup(S231, N_W, w3):
+    for a in mats(S231, special_subgroup(S231, N_W, w3)):
         assert decompose_fix_u(INST231, a, w3) == (identity_mat(3), a)
-    for a in special_subgroup(S231, FIX_U):
+    idx = S231.table.index_of
+    for a in mats(S231, special_subgroup(S231, FIX_U)):
         stab, trans = decompose_fix_u(INST231, a, w3)
         assert mat_mul(2, stab, trans) == a
-        assert stab in special_subgroup(S231, G_W, w3)
-        assert trans in special_subgroup(S231, N_W, w3)
+        assert idx(stab) in special_subgroup(S231, G_W, w3)
+        assert idx(trans) in special_subgroup(S231, N_W, w3)
     with pytest.raises(PreconditionError):
         decompose_fix_u(INST221, A0, w)
 
 
 def test_decomposition_uniqueness():
     w = rref_canonical(2, 3, [(0, 0, 1)])
-    fix_w = sorted(special_subgroup(S232, FIX_W, w))
-    fix_u = sorted(special_subgroup(S232, FIX_U))
+    fix_w = mats(S232, special_subgroup(S232, FIX_W, w))
+    fix_u = mats(S232, special_subgroup(S232, FIX_U))
     units = sorted(mats(S232, j_class(S232, 1)))
     assert len(units) == len(fix_w) * len(fix_u)
     for a in units:
@@ -361,6 +342,25 @@ def test_subgroup_iso_checks():
     assert subgroup_iso_check(S231, N_W, w2)
     with pytest.raises(PreconditionError):
         subgroup_iso_check(S232, FIX_U, w)
+
+
+def test_special_subgroup_rejects_a_product_leaving_it():
+    fix_u = sorted(special_subgroup(S232, FIX_U))
+    a, b = fix_u[-1], fix_u[-2]
+    outside = min(set(range(len(S232.table))) - set(fix_u))
+    with pytest.raises(InternalInconsistencyError):
+        special_subgroup(with_product(S232, a, b, outside), FIX_U)
+
+
+def test_subgroup_iso_check_rejects_a_wrong_product_inside_fix_w():
+    w = rref_canonical(2, 3, [(0, 0, 1)])
+    fix_w = sorted(special_subgroup(S232, FIX_W, w))
+    ident = S232.table.identity_idx
+    a, b = [i for i in fix_w if i != ident][:2]
+    wrong = next(c for c in fix_w if c != S232.table.mul[a][b])
+    bad = with_product(S232, a, b, wrong)
+    assert special_subgroup(bad, FIX_W, w) == set(fix_w)  # still closed
+    assert not subgroup_iso_check(bad, FIX_W, w)
 
 
 def test_nonnormality_gf3_matches_hand_computation():

@@ -1,0 +1,76 @@
+"""Golden outputs: SHA-256 digests of what the CLI writes for the shipped
+configs.  Outputs are deterministic by contract, so any change to these
+bytes is a change in behaviour, not in implementation.
+
+The verify digests cover stdout with the per-check `[x.xxs]` times
+removed.  To recompute a digest, run the command by hand and hash its
+output the same way `_digest_*` below does.
+"""
+
+import hashlib
+import pathlib
+import re
+
+import pytest
+
+from glsemi.cli import ENV_ENUM_CAP, ENV_RANK_CAP, main
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+_TIME = re.compile(r" \[\d+\.\d\ds\]$", re.M)
+
+REPORT = {
+    "p2n2r1": "15c16d4c3b6b5234a41dfd9fa93d9c53ec0d2f38dca276195ffce5f77b63726c",
+    "p2n3r1": "6eb03c8130f9a03712621029fd9e378c1f88b78d3fcb5aa309e89c02bcacb53b",
+    "p2n3r1_shifted": "9b5bec103beb145dbf619284c0b4b684b70c1444d367458fec36e0a9e78fadee",
+    "p2n3r2": "125e6a0e106d947ec521ab7c02df83a145e7b9eb4e7701ed7ab3f00fdd57d9bd",
+    "p2n4r2": "78da8dc55ea907261b642c7cc824530bdb2cd56f58b0da0a95decdeb4e2ee276",
+    "p3n2r1": "5ad33d55772851c2174a1dd918878b5e200cc320d98c8aff34fd0ec89081c0a2",
+}
+EGGBOX = {
+    "p2n2r1": "b98b38b893f837b7b651a384acba9ba2162d4377c7f771142e9c86a6a3c6322c",
+    "p2n3r1": "b1fafc5d3add659df98bc3b5d1c59fb715ca52e4fc8b58521ae8f025715a465f",
+    "p2n3r1_shifted": "b1fafc5d3add659df98bc3b5d1c59fb715ca52e4fc8b58521ae8f025715a465f",
+    "p2n3r2": "6259e7469fba479eeedfe63fee45231c92306037d55e817008864d7acec8e6cd",
+    "p2n4r2": "c69b511af2f51521f84448af0f313f37b548e0a8bef7379c067724c927057f35",
+    "p3n2r1": "02749a039e400dc5d78fb99096554455cf8fc2b462d491dbedf56ee8eb7bc587",
+}
+VERIFY = {
+    "p2n2r1": "6719a2db743184edbd2fa0643cc0a025161a88282af51c567624f06653b08338",
+    "p3n2r1": "3a4653228682ce77312bf1d32a3c3a3bdd71360412adb9cbe45d43cb028ab2c4",
+    "p2n3r2": "9af5656b0c845ad4a2450c83efb2d6f028f3a672e04bae771b5fa82909213fc7",
+}
+
+
+@pytest.fixture(autouse=True)
+def _no_cap_env(monkeypatch):
+    monkeypatch.delenv(ENV_ENUM_CAP, raising=False)
+    monkeypatch.delenv(ENV_RANK_CAP, raising=False)
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _digest_file(command: str, name: str, out: pathlib.Path) -> str:
+    assert main([command, "--instance", str(CONFIGS / f"{name}.cfg"), "--out", str(out)]) == 0
+    return _sha(out.read_bytes())
+
+
+def _digest_verify(name: str, capsys) -> str:
+    assert main(["verify", "--instance", str(CONFIGS / f"{name}.cfg")]) == 0
+    return _sha(_TIME.sub("", capsys.readouterr().out).encode("utf-8"))
+
+
+@pytest.mark.parametrize("name", sorted(REPORT))
+def test_report_json_is_golden(name, tmp_path):
+    assert _digest_file("report", name, tmp_path / "report.json") == REPORT[name]
+
+
+@pytest.mark.parametrize("name", sorted(EGGBOX))
+def test_eggbox_dot_is_golden(name, tmp_path):
+    assert _digest_file("eggbox", name, tmp_path / "eggbox.dot") == EGGBOX[name]
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY))
+def test_verify_stdout_is_golden(name, capsys):
+    assert _digest_verify(name, capsys) == VERIFY[name]

@@ -1,16 +1,11 @@
-"""Instance comparison and element transport."""
+"""Instance comparison and the element bijection it induces."""
 
 import pytest
 
 from glsemi.errors import InternalInconsistencyError, PreconditionError, UnsupportedComparisonError
-from glsemi.gf_linalg import identity_mat, mat_mul, vec_mat
-from glsemi.gl_restriction import (
-    codim,
-    enumerate_semigroup,
-    make_instance,
-    minimal_idempotents,
-)
-from glsemi.isomorphism import IsoWitness, decide_isomorphic, element_bijection, transport
+from glsemi.gf_linalg import identity_mat, vec_mat
+from glsemi.gl_restriction import enumerate_semigroup, make_instance, minimal_idempotents
+from glsemi.isomorphism import IsoWitness, decide_isomorphic, element_bijection
 
 S221 = enumerate_semigroup(make_instance(2, 2, 1))
 S221_SHIFTED = enumerate_semigroup(make_instance(2, 2, 1, [(0, 1)]))
@@ -60,34 +55,13 @@ def test_cross_field_comparison_is_refused():
 
 
 def test_transport_preserves_structure():
-    i1, i2 = S221.inst, S221_SHIFTED.inst
-    witness = decide_isomorphic(i1, i2)
-    assert transport(witness, identity_mat(2)) == identity_mat(2)
-    for m in S221.table.elements:
-        moved = transport(witness, m)
-        assert codim(i2, moved) == codim(i1, m)
-    minimal1 = {S221.table.elements[i] for i in minimal_idempotents(S221)}
-    minimal2 = {S221_SHIFTED.table.elements[i] for i in minimal_idempotents(S221_SHIFTED)}
-    assert {transport(witness, m) for m in minimal1} == minimal2
-
-
-def test_transport_is_multiplicative():
-    i1 = make_instance(2, 2, 1)
-    i2 = make_instance(2, 2, 1, [(1, 1)])
-    witness = decide_isomorphic(i1, i2)
-    elems = S221.table.elements
-    for a in elems:
-        for b in elems:
-            assert transport(witness, mat_mul(2, a, b)) == mat_mul(
-                2, transport(witness, a), transport(witness, b)
-            )
-
-
-def test_transport_rejects_non_members():
-    i1 = make_instance(2, 2, 1)
-    witness = decide_isomorphic(i1, i1)
-    with pytest.raises(PreconditionError):
-        transport(witness, ((0, 1), (1, 0)))
+    witness = decide_isomorphic(S221.inst, S221_SHIFTED.inst)
+    t1, t2 = S221.table, S221_SHIFTED.table
+    psi = element_bijection(witness, S221, S221_SHIFTED)
+    assert psi[t1.identity_idx] == t2.identity_idx
+    for i, (_, _, cd) in enumerate(S221.profiles):
+        assert S221_SHIFTED.profiles[psi[i]][2] == cd
+    assert {psi[i] for i in minimal_idempotents(S221)} == minimal_idempotents(S221_SHIFTED)
 
 
 def test_decision_needs_no_enumeration():

@@ -1,17 +1,13 @@
 """Generic table machinery: closure, Green oracle, idempotent order, rank."""
 
-import random
-from functools import partial
-
 import pytest
 
 from glsemi.errors import CapacityError, PreconditionError
-from glsemi.gf_linalg import identity_mat, mat_mul
+from glsemi.gf_linalg import identity_mat
 from glsemi.gl_restriction import enumerate_semigroup, make_instance
 from glsemi.semigroup_core import (
     SemigroupTable,
     check_refinement_lattice,
-    close_under_product,
     closure_indices,
     green_oracle,
     idempotents,
@@ -43,34 +39,17 @@ def cyclic_table(order):
     )
 
 
-def test_close_under_product_trivial_and_group():
-    mul = partial(mat_mul, 2)
-    assert close_under_product([IDENT], mul) == (IDENT,)
-    closed = close_under_product([A3], mul)
-    assert set(closed) == {A3, IDENT}
-
-
-def test_close_under_product_reaches_whole_semigroup():
-    closed = close_under_product([IDENT, A3, A0], partial(mat_mul, 2))
-    assert set(closed) == {A0, IDENT, A2, A3}
-
-
-def test_close_under_product_cap_and_empty():
-    with pytest.raises(CapacityError):
-        close_under_product([A3, A0], partial(mat_mul, 2), cap=2)
+def test_closure_indices_on_the_smallest_table():
+    table, i = TABLE_221, TABLE_221.index_of
+    assert closure_indices(table, [i(IDENT)]) == {i(IDENT)}
+    assert closure_indices(table, [i(A3)]) == {i(A3), i(IDENT)}
+    assert closure_indices(table, [i(A3), i(A0)]) == set(range(4))
+    for gens in ([i(A0)], [i(A2), i(A3)], [i(A0), i(IDENT)]):
+        closed = closure_indices(table, gens)
+        assert set(gens) <= closed
+        assert closure_indices(table, closed) == closed
     with pytest.raises(PreconditionError):
-        close_under_product([], partial(mat_mul, 2))
-
-
-def test_close_under_product_is_fixed_point():
-    rng = random.Random(1)
-    elems = [A0, IDENT, A2, A3]
-    mul = partial(mat_mul, 2)
-    for _ in range(10):
-        gens = rng.sample(elems, rng.randrange(1, 4))
-        closed = close_under_product(gens, mul)
-        assert set(gens) <= set(closed)
-        assert set(close_under_product(closed, mul)) == set(closed)
+        closure_indices(table, [])
 
 
 def test_table_construction_rejects_bad_input():
@@ -80,8 +59,6 @@ def test_table_construction_rejects_bad_input():
         SemigroupTable((0, 1), [[0, 2], [0, 0]])
     with pytest.raises(PreconditionError):
         SemigroupTable((0, 1), [[0, 1], [0, 0]])  # (1*1)*1 != 1*(1*1)
-    with pytest.raises(PreconditionError):
-        SemigroupTable.from_elements([A3, A0], partial(mat_mul, 2))  # A3*A0 = A2 missing
 
 
 def test_identity_detection():
