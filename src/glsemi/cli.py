@@ -20,6 +20,8 @@ import sys
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import (
     CapacityError,
     ConfigurationError,
@@ -119,6 +121,9 @@ class CheckResult:
 class VerifyReport:
     instance: dict
     checks: list[CheckResult] = field(default_factory=list)
+    # Work done outside the checks: enumerate_s is the time of the one
+    # enumerate_semigroup call (member list, Cayley table, table check).
+    stages: dict = field(default_factory=dict)
 
     @property
     def failed(self) -> bool:
@@ -126,7 +131,12 @@ class VerifyReport:
 
     def to_dict(self) -> dict:
         tally = {s: sum(1 for c in self.checks if c.status == s) for s in ("pass", "fail", "skip")}
-        return {"instance": self.instance, "summary": tally, "checks": [c.to_dict() for c in self.checks]}
+        return {
+            "instance": self.instance,
+            "summary": tally,
+            "checks": [c.to_dict() for c in self.checks],
+            "stages": self.stages,
+        }
 
 
 def _parse_row(token: str, n: int, p: int) -> tuple:
@@ -244,8 +254,8 @@ def _complements(inst: Instance):
 
 # Checks take the instance's Structure and the (enum_cap, rank_cap) pair,
 # except those in _INSTANCE_CHECKS, which take the Instance and run
-# without a table.  cmd_verify builds the Structure for the first check
-# that needs it, so that check's time includes the enumeration.
+# without a table.  cmd_verify builds the Structure once, before the
+# first check that needs it, and times the build as its own stage.
 
 
 def _check_order_law(s: Structure, caps):
@@ -414,13 +424,18 @@ def _check_unit_decomposition(s: Structure, caps):
     units = sorted(j_class(s, inst.n - inst.r))
     fix_u = special_subgroup(s, FIX_U)
     failures = []
-    # Conjugation closure of the U-fixing normal factor under every unit.
-    for g in units:
-        row = mul[g]
-        g_inv = row.index(ident)
-        if any(mul[row[h]][g_inv] not in fix_u for h in fix_u):
+    # Conjugation closure of the U-fixing normal factor under every unit:
+    # g*h*g^-1, with g^-1 read off as the column where g's row holds the identity.
+    g, h = np.array(units), np.array(sorted(fix_u))
+    is_ident = mul[g] == ident
+    in_fix_u = np.zeros(len(table), dtype=bool)
+    in_fix_u[h] = True
+    if not is_ident.any(axis=1).all():
+        failures.append("a unit has no inverse in the table")
+    else:
+        g_inv = is_ident.argmax(axis=1)
+        if not in_fix_u[mul[mul[np.ix_(g, h)], g_inv[:, None]]].all():
             failures.append("conjugate left the U-fixing subgroup")
-            break
     comps = _strided(_complements(inst), _COMPLEMENT_SAMPLE)
     decomposed = 0
     for w in comps:
@@ -539,15 +554,22 @@ def cmd_verify(cfg: InstanceConfig, enum_cap: int, rank_cap: int) -> VerifyRepor
             "rank_cap": rank_cap,
         }
     )
-    s = None
+    s = build_error = None
     for name, claim, fn in _CHECKS:
+        if fn not in _INSTANCE_CHECKS and s is None and build_error is None:
+            start = time.perf_counter()
+            try:
+                s = enumerate_semigroup(inst, enum_cap)
+            except GlsemiError as exc:
+                build_error = exc  # each table check reports it
+            report.stages["enumerate_s"] = round(time.perf_counter() - start, 4)
         start = time.perf_counter()
         try:
             if fn in _INSTANCE_CHECKS:
                 status, counts, reason = fn(inst)
+            elif build_error is not None:
+                raise build_error
             else:
-                if s is None:
-                    s = enumerate_semigroup(inst, enum_cap)
                 status, counts, reason = fn(s, (enum_cap, rank_cap))
         except CapacityError as exc:
             status, counts, reason = "skip", {}, str(exc)

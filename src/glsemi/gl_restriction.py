@@ -129,28 +129,34 @@ def _members(inst: Instance) -> tuple[Mat, ...]:
     return tuple(out)
 
 
-def _cayley(p: int, mats) -> list[tuple[int, ...]]:
-    # Batched products; mats must be sorted so packed keys are ascending.
-    count = len(mats)
-    n = len(mats[0])
+def _cayley(p: int, mats) -> np.ndarray:
+    # Gather instead of multiplying: a row vector is coded as an integer
+    # in [0, p^n), act[b, v] codes v*b, and row i of a*b is act[b, row_i(a)].
+    # A member's key packs its row codes base p^n, so keys follow the
+    # sorted member order, and a dense inverse over all p^(n^2) keys
+    # (never more entries than the table) maps each product to its index.
+    count, n = len(mats), len(mats[0])
+    q = p**n
+    key_type = np.int32 if q**n < 2**31 else np.int64
     arr = np.array(mats, dtype=np.int64)
-    weights = p ** np.arange(n * n - 1, -1, -1, dtype=np.int64)
-    keys = arr.reshape(count, -1) @ weights
-    # Entries are taken from one shared int object per index: tolist()
-    # makes a fresh object per entry above 256, which more than doubles
-    # the table's memory at order 4096.
-    shared = list(range(count))
-    rows: list[tuple[int, ...]] = []
-    chunk = max(1, 4_000_000 // max(1, count * n * n))
-    for lo in range(0, count, chunk):
-        prod = np.matmul(arr[lo : lo + chunk, None, :, :], arr[None, :, :, :]) % p
-        packed = prod.reshape(prod.shape[0], count, n * n) @ weights
-        pos = np.searchsorted(keys, packed)
-        ok = (pos < count) & (keys[np.minimum(pos, count - 1)] == packed)
-        if not ok.all():
+    digits = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    vecs = np.array(list(iter_product(range(p), repeat=n)), dtype=np.int64)
+    rows = arr @ digits  # rows[a, i]: code of row i of a
+    act_t = (((vecs @ arr) % p) @ digits).T.astype(key_type)  # act_t[v, b]: code of v*b
+    index = np.full(q**n, -1, dtype=key_type)
+    index[rows @ (q ** np.arange(n - 1, -1, -1, dtype=np.int64))] = np.arange(count)
+    out = np.empty((count, count), dtype=np.uint16 if count < 65536 else np.int32)
+    block = max(1, 2**20 // count)
+    for lo in range(0, count, block):
+        keys = act_t[rows[lo : lo + block, 0]]
+        for i in range(1, n):
+            keys *= q
+            keys += act_t[rows[lo : lo + block, i]]
+        found = index[keys]
+        if (found < 0).any():
             raise InternalInconsistencyError("a product escaped the member list")
-        rows.extend(tuple(map(shared.__getitem__, row)) for row in pos.tolist())
-    return rows
+        out[lo : lo + block] = found
+    return out
 
 
 class Structure:
@@ -454,8 +460,8 @@ def minimal_idempotents(s: Structure) -> frozenset[int]:
     there are p^(r(n-r)) of them, one per complement of U serving as
     the kernel.
     """
-    mul = s.table.mul
-    return frozenset(i for i in s.grades[0] if mul[i][i] == i)
+    low = np.array(sorted(s.grades[0]))
+    return frozenset(low[s.table.mul[low, low] == low].tolist())
 
 
 def _require_subgroup_setting(inst: Instance, kind: str, w: Subspace | None) -> None:
@@ -508,10 +514,10 @@ def special_subgroup(s: Structure, kind: str, w: Subspace | None = None) -> froz
     group = frozenset(picked)
     if s.table.identity_idx not in group:
         raise InternalInconsistencyError("subgroup is missing the identity")
-    mul = s.table.mul
-    for a in picked:
-        if not group.issuperset(map(mul[a].__getitem__, picked)):
-            raise InternalInconsistencyError("subgroup is not closed under products")
+    inside = np.zeros(len(s.table), dtype=bool)
+    inside[picked] = True
+    if not inside[s.table.mul[np.ix_(picked, picked)]].all():
+        raise InternalInconsistencyError("subgroup is not closed under products")
     return group
 
 
@@ -610,10 +616,11 @@ def subgroup_iso_check(s: Structure, kind: str, w: Subspace | None = None) -> bo
     mapped = {i: to_target(elements[i]) for i in members}
     if set(mapped.values()) != target or len(target) != len(members):
         return False
-    for a in members:
-        row, fa = mul[a], mapped[a]
-        for b in members:
-            if mapped[row[b]] != combine(fa, mapped[b]):
+    products = mul[np.ix_(members, members)].tolist()
+    for a, row in zip(members, products):
+        fa = mapped[a]
+        for b, ab in zip(members, row):
+            if mapped[ab] != combine(fa, mapped[b]):
                 return False
     return True
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InternalInconsistencyError, PreconditionError, UnsupportedComparisonError
 from .gf_linalg import (
     Mat,
@@ -76,10 +78,8 @@ def element_bijection(witness: IsoWitness, s1: Structure, s2: Structure) -> tupl
             raise InternalInconsistencyError("conjugation carried an element out of the target") from None
     if len(set(mapping)) != len(mapping):
         raise InternalInconsistencyError("conjugation is not injective on elements")
-    for i in range(len(t1)):
-        row1 = t1.mul[i]
-        row2 = t2.mul[mapping[i]]
-        for j in range(len(t1)):
-            if mapping[row1[j]] != row2[mapping[j]]:
-                raise InternalInconsistencyError("conjugation failed to respect a product")
+    psi = np.array(mapping)
+    # psi(a*b) against psi(a)*psi(b), for every pair (a, b).
+    if (psi[t1.mul] != t2.mul[np.ix_(psi, psi)]).any():
+        raise InternalInconsistencyError("conjugation failed to respect a product")
     return tuple(mapping)

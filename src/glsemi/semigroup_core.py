@@ -9,34 +9,59 @@ relations of the main layer are checked.
 
 from __future__ import annotations
 
-import random
-from array import array
 from dataclasses import dataclass
 from itertools import combinations
+
+import numpy as np
 
 from .errors import CapacityError, InternalInconsistencyError, PreconditionError
 
 # Exhaustive associativity check up to this order; random triples above.
 _ASSOC_EXHAUSTIVE_LIMIT = 200
-_ASSOC_SAMPLE_COUNT = 20_000
+_ASSOC_SAMPLE_COUNT = 1_000_000
+# Rows per block when a whole-table scatter would need an index array
+# as large as the table itself.
+_ROW_BLOCK = 256
+
+
+def _table_array(mul, n: int) -> np.ndarray:
+    """The table as a read-only n x n array of the smallest index dtype."""
+    try:
+        arr = np.asarray(mul)
+    except ValueError:  # ragged rows
+        raise PreconditionError("multiplication table is not square") from None
+    if arr.shape != (n, n):
+        raise PreconditionError("multiplication table is not square")
+    if arr.dtype.kind not in "iu":
+        raise PreconditionError("multiplication table entries are not integers")
+    if arr.min() < 0 or arr.max() >= n:
+        raise PreconditionError("multiplication table is not closed")
+    # A view, so that the caller's array keeps its own write flag.
+    out = arr.astype(np.uint16 if n < 65536 else np.int32, copy=False).view()
+    out.flags.writeable = False
+    return out
 
 
 class SemigroupTable:
     """Indexed element list plus a full multiplication table.
 
-    `mul[i][j]` is the index of the product of element i by element j.
-    Instances are treated as immutable after construction.
+    `mul` is a read-only n x n numpy array (uint16 below order 65536,
+    int32 above); `int(mul[i, j])` is the index of the product of
+    element i by element j.  Instances are immutable after construction.
     """
 
     __slots__ = ("elements", "mul", "identity_idx", "_index", "_green")
 
     def __init__(self, elements, mul, identity_idx=None, check=True):
         self.elements = tuple(elements)
-        self.mul = tuple(tuple(row) for row in mul)
+        n = len(self.elements)
+        if not n:
+            raise PreconditionError("a semigroup table needs at least one element")
         self._index = {x: i for i, x in enumerate(self.elements)}
         self._green = None
-        if len(self._index) != len(self.elements):
+        if len(self._index) != n:
             raise PreconditionError("element list contains duplicates")
+        self.mul = _table_array(mul, n)
         if identity_idx is None:
             identity_idx = self._find_identity()
         self.identity_idx = identity_idx
@@ -56,36 +81,35 @@ class SemigroupTable:
         return self._green
 
     def _find_identity(self):
-        rng = range(len(self.elements))
-        for e in rng:
-            row = self.mul[e]
-            if all(row[x] == x for x in rng) and all(self.mul[x][e] == x for x in rng):
-                return e
-        return None
+        mul = self.mul
+        idx = np.arange(len(mul))
+        neutral = (mul == idx).all(axis=1) & (mul == idx[:, None]).all(axis=0)
+        found = np.flatnonzero(neutral)
+        return int(found[0]) if found.size else None
 
     def _check_table(self):
-        n = len(self.elements)
-        if len(self.mul) != n or any(len(row) != n for row in self.mul):
-            raise PreconditionError("multiplication table is not square")
-        if n and any(min(row) < 0 or max(row) >= n for row in self.mul):
-            raise PreconditionError("multiplication table is not closed")
+        mul = self.mul
+        n = len(mul)
         if self.identity_idx is not None:
             e = self.identity_idx
-            rng = range(n)
-            if not (all(self.mul[e][x] == x for x in rng) and all(self.mul[x][e] == x for x in rng)):
+            idx = np.arange(n)
+            if not (0 <= e < n and (mul[e] == idx).all() and (mul[:, e] == idx).all()):
                 raise PreconditionError("claimed identity is not two-sided neutral")
-        mul = self.mul
         if n <= _ASSOC_EXHAUSTIVE_LIMIT:
-            triples = ((i, j, k) for i in range(n) for j in range(n) for k in range(n))
+            for i in range(n):
+                # [j, k]: (i*j)*k against i*(j*k), for every j and k.
+                bad = np.argwhere(mul[mul[i]] != mul[i][mul])
+                if bad.size:
+                    j, k = bad[0].tolist()
+                    raise PreconditionError(f"table is not associative at ({i}, {j}, {k})")
         else:
-            rng = random.Random(0)
-            triples = (
-                (rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                for _ in range(_ASSOC_SAMPLE_COUNT)
-            )
-        for i, j, k in triples:
-            if mul[mul[i][j]][k] != mul[i][mul[j][k]]:
-                raise PreconditionError(f"table is not associative at ({i}, {j}, {k})")
+            i, j, k = np.random.default_rng(0).integers(0, n, size=(3, _ASSOC_SAMPLE_COUNT))
+            bad = np.flatnonzero(mul[mul[i, j], k] != mul[i, mul[j, k]])
+            if bad.size:
+                t = bad[0]
+                raise PreconditionError(
+                    f"table is not associative at ({i[t]}, {j[t]}, {k[t]})"
+                )
 
 
 @dataclass(frozen=True)
@@ -97,12 +121,6 @@ class GreenPartitions:
     h: tuple[frozenset[int], ...]
     d: tuple[frozenset[int], ...]
     j: tuple[frozenset[int], ...]
-
-    def partition(self, relation: str) -> tuple[frozenset[int], ...]:
-        return getattr(self, relation.lower())
-
-    def same(self, relation: str, i: int, j: int) -> bool:
-        return any(i in cls and j in cls for cls in self.partition(relation))
 
 
 def partition_lookup(partition) -> dict[int, int]:
@@ -129,15 +147,30 @@ def refines(finer, coarser) -> bool:
     return all(len({lookup[i] for i in cls}) == 1 for cls in finer)
 
 
-def _sorted_classes(groups) -> tuple[frozenset[int], ...]:
-    return tuple(sorted((frozenset(g) for g in groups), key=min))
+def _labels(rows: np.ndarray) -> np.ndarray:
+    """Class label of each row: equal rows, equal labels, numbered in
+    order of first appearance."""
+    seen: dict[bytes, int] = {}
+    return np.array([seen.setdefault(row.tobytes(), len(seen)) for row in rows])
 
 
-def _group_by(n: int, key) -> tuple[frozenset[int], ...]:
-    buckets: dict[object, list[int]] = {}
-    for i in range(n):
-        buckets.setdefault(key(i), []).append(i)
-    return _sorted_classes(buckets.values())
+def _classes(labels: np.ndarray) -> tuple[frozenset[int], ...]:
+    """Indices grouped by label, classes ordered by their least index."""
+    order = np.argsort(labels, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+    groups.sort(key=lambda g: g[0])  # stable sort: g[0] is the least index
+    return tuple(frozenset(g.tolist()) for g in groups)
+
+
+def _row_sets(rows: np.ndarray) -> np.ndarray:
+    """Boolean matrix whose row a marks the values in rows[a] and a itself."""
+    count, n = rows.shape
+    out = np.zeros((count, n), dtype=bool)
+    for lo in range(0, count, _ROW_BLOCK):
+        block = out[lo : lo + _ROW_BLOCK]
+        block[np.arange(len(block))[:, None], rows[lo : lo + _ROW_BLOCK]] = True
+    out[np.arange(count), np.arange(count)] = True
+    return out
 
 
 def green_oracle(table: SemigroupTable) -> GreenPartitions:
@@ -146,33 +179,34 @@ def green_oracle(table: SemigroupTable) -> GreenPartitions:
     L compares left ideals S^1 a, R compares right ideals a S^1, H is
     the meet of L and R, J compares two-sided ideals S^1 a S^1, and D
     is the composite of L and R, which is checked to be a symmetric
-    (hence equivalence) relation before being returned.
+    (hence equivalence) relation before being returned.  Each ideal is
+    a row-presence bitset: row a of a boolean n x n matrix.
     """
     mul = table.mul
     n = len(mul)
-    if n == 0:
-        raise PreconditionError("empty semigroup")
-    cols = tuple(zip(*mul))
+    right = _row_sets(mul)  # right[a, t]: t in a S^1
+    left = _row_sets(mul.T)  # left[a, t]: t in S^1 a
+    lid = _labels(left)
+    rid = _labels(right)
+    # Row x: the left ideal of L-class x, and the right ideal of R-class x.
+    left = left[np.unique(lid, return_index=True)[1]]
+    right = right[np.unique(rid, return_index=True)[1]]
+    l_part = _classes(lid)
+    r_part = _classes(rid)
+    h_part = _classes(lid * (rid.max() + 1) + rid)
 
-    def setkey(values, extra):
-        return array("i", sorted(set(values) | {extra})).tobytes()
+    # profiles[l, r]: some element has L-class l and R-class r.
+    profiles = np.zeros((lid.max() + 1, rid.max() + 1), dtype=bool)
+    profiles[lid, rid] = True
+    pl, pr = np.nonzero(profiles)
+    # (l1, r2) present iff (l2, r1) present, over all present (l1, r1), (l2, r2).
+    cross = profiles[pl[:, None], pr[None, :]]
+    if (cross != cross.T).any():
+        raise InternalInconsistencyError("composite of L and R is not symmetric")
 
-    right_key = [setkey(mul[i], i) for i in range(n)]
-    left_key = [setkey(cols[i], i) for i in range(n)]
-    l_part = _group_by(n, lambda i: left_key[i])
-    r_part = _group_by(n, lambda i: right_key[i])
-    h_part = _group_by(n, lambda i: (left_key[i], right_key[i]))
-
-    lid = partition_lookup(l_part)
-    rid = partition_lookup(r_part)
-    profiles = {(lid[i], rid[i]) for i in range(n)}
-    for l1, r1 in profiles:
-        for l2, r2 in profiles:
-            if ((l1, r2) in profiles) != ((l2, r1) in profiles):
-                raise InternalInconsistencyError("composite of L and R is not symmetric")
-
-    # D: join of L and R via union-find over elements.
-    parent = list(range(n))
+    # D: join of L and R, by union-find over the class labels (R shifted by nl).
+    nl = len(profiles)
+    parent = list(range(nl + profiles.shape[1]))
 
     def find(x):
         while parent[x] != x:
@@ -180,44 +214,26 @@ def green_oracle(table: SemigroupTable) -> GreenPartitions:
             x = parent[x]
         return x
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
+    for l, r in zip(pl.tolist(), pr.tolist()):
+        ra, rb = find(l), find(nl + r)
         if ra != rb:
             parent[rb] = ra
-
-    for part in (l_part, r_part):
-        for cls in part:
-            rep = min(cls)
-            for i in cls:
-                union(rep, i)
-    d_groups: dict[int, list[int]] = {}
-    for i in range(n):
-        d_groups.setdefault(find(i), []).append(i)
-    d_part = _sorted_classes(d_groups.values())
+    roots = np.array([find(x) for x in range(len(parent))])
+    d_of_l, d_of_r = roots[:nl], roots[nl:]
+    d_part = _classes(d_of_l[lid])
 
     # One composition step of L then R must already connect each D-class.
-    for cls in d_part:
-        cls_profiles = {(lid[i], rid[i]) for i in cls}
-        for l1, _ in cls_profiles:
-            for _, r2 in cls_profiles:
-                if (l1, r2) not in profiles:
-                    raise InternalInconsistencyError("D-class not covered by one L-then-R step")
+    if (profiles != (d_of_l[:, None] == d_of_r[None, :])).any():
+        raise InternalInconsistencyError("D-class not covered by one L-then-R step")
 
-    # J: group by the principal two-sided ideal, computed once per L-class.
-    j_key: dict[int, bytes] = {}
-    for cls in l_part:
-        rep = min(cls)
-        ideal: set[int] = set()
-        for t in set(cols[rep]) | {rep}:
-            if t not in ideal:
-                ideal.add(t)
-                ideal.update(mul[t])
-            if len(ideal) == n:
-                break
-        key = array("i", sorted(ideal)).tobytes()
-        for i in cls:
-            j_key[i] = key
-    j_part = _group_by(n, lambda i: j_key[i])
+    # J: S^1 a S^1 is the union of t S^1 over t in S^1 a.  Both are constant
+    # on classes (S^1 a on a's L-class, t S^1 on t's R-class), so one boolean
+    # product: R-classes met by each L-class's left ideal, times right ideals.
+    in_l, members = np.nonzero(left)
+    meets = np.zeros(profiles.shape, dtype=bool)
+    meets[in_l, rid[members]] = True
+    j_of_l = _labels(np.matmul(meets, right))
+    j_part = _classes(j_of_l[lid])
 
     green = GreenPartitions(l=l_part, r=r_part, h=h_part, d=d_part, j=j_part)
     check_refinement_lattice(green, n)
@@ -243,23 +259,23 @@ def check_refinement_lattice(green: GreenPartitions, n: int) -> None:
 def closure_indices(table: SemigroupTable, gen_idxs) -> frozenset[int]:
     """Indices of the subsemigroup generated by the given indices."""
     mul = table.mul
-    gens = list(dict.fromkeys(gen_idxs))
-    if not gens:
+    gens = np.array(list(dict.fromkeys(gen_idxs)), dtype=np.intp)
+    if not gens.size:
         raise PreconditionError("generator set is empty")
-    seen = set(gens)
-    queue = list(gens)
-    for x in queue:
-        row = mul[x]
-        for g in gens:
-            y = row[g]
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return frozenset(seen)
+    seen = np.zeros(len(mul), dtype=bool)
+    seen[gens] = True
+    frontier = gens
+    while frontier.size:
+        grown = seen.copy()
+        grown[mul[frontier[:, None], gens]] = True
+        frontier = np.flatnonzero(grown > seen)
+        seen = grown
+    return frozenset(np.flatnonzero(seen).tolist())
 
 
 def idempotents(table: SemigroupTable) -> frozenset[int]:
-    return frozenset(i for i in range(len(table)) if table.mul[i][i] == i)
+    mul = table.mul
+    return frozenset(np.flatnonzero(mul.diagonal() == np.arange(len(mul))).tolist())
 
 
 def natural_leq(e: int, f: int, table: SemigroupTable) -> bool:
@@ -267,34 +283,27 @@ def natural_leq(e: int, f: int, table: SemigroupTable) -> bool:
     idem = idempotents(table)
     if e not in idem or f not in idem:
         raise PreconditionError("natural order is defined on idempotents only")
-    return table.mul[e][f] == e and table.mul[f][e] == e
+    return int(table.mul[e, f]) == e and int(table.mul[f, e]) == e
 
 
 def minimal_idempotents_oracle(table: SemigroupTable) -> frozenset[int]:
     """Idempotents with no strictly smaller idempotent below them."""
-    mul = table.mul
-    idem = sorted(idempotents(table))
-    out = []
-    for e in idem:
-        # f <= e in the natural order iff f = fe = ef (see natural_leq).
-        if not any(f != e and mul[f][e] == f and mul[e][f] == f for f in idem):
-            out.append(e)
-    return frozenset(out)
+    idem = np.array(sorted(idempotents(table)))
+    prod = table.mul[np.ix_(idem, idem)]
+    # below[x, y]: f = idem[x] sits under e = idem[y], i.e. f = fe = ef (see natural_leq).
+    below = (prod == idem[:, None]) & (prod.T == idem[:, None])
+    np.fill_diagonal(below, False)
+    return frozenset(idem[~below.any(axis=0)].tolist())
 
 
 def principal_ideal(table: SemigroupTable, a: int) -> frozenset[int]:
     """The two-sided ideal S^1 a S^1 as a set of indices."""
     mul = table.mul
-    n = len(mul)
-    left = {mul[x][a] for x in range(n)} | {a}
-    ideal: set[int] = set()
-    for t in left:
-        if t not in ideal:
-            ideal.add(t)
-            ideal.update(mul[t])
-        if len(ideal) == n:
-            break
-    return frozenset(ideal)
+    ideal = np.zeros(len(mul), dtype=bool)
+    ideal[mul[:, a]] = True
+    ideal[a] = True
+    ideal[mul[np.flatnonzero(ideal)]] = True
+    return frozenset(np.flatnonzero(ideal).tolist())
 
 
 def verify_ideal(table: SemigroupTable, subset) -> bool:
@@ -303,14 +312,10 @@ def verify_ideal(table: SemigroupTable, subset) -> bool:
     if not s:
         raise PreconditionError("ideal candidate is empty")
     mul = table.mul
-    n = len(mul)
-    for i in s:
-        row = mul[i]
-        if any(row[j] not in s for j in range(n)):
-            return False
-        if any(mul[j][i] not in s for j in range(n)):
-            return False
-    return True
+    idx = np.fromiter(s, dtype=np.intp, count=len(s))
+    inside = np.zeros(len(mul), dtype=bool)
+    inside[idx] = True
+    return bool(inside[mul[idx]].all() and inside[mul[:, idx]].all())
 
 
 def rank_search(table: SemigroupTable, candidates, cap: int, budget: int | None = None):
@@ -341,15 +346,10 @@ def rank_search(table: SemigroupTable, candidates, cap: int, budget: int | None 
 
 def subtable(table: SemigroupTable, indices) -> SemigroupTable:
     """Restriction of the table to a product-closed subset of indices."""
-    idxs = sorted(set(indices))
-    pos = {g: i for i, g in enumerate(idxs)}
-    rows = []
-    for a in idxs:
-        row = []
-        for b in idxs:
-            c = table.mul[a][b]
-            if c not in pos:
-                raise PreconditionError("subset is not closed under products")
-            row.append(pos[c])
-        rows.append(tuple(row))
-    return SemigroupTable([table.elements[i] for i in idxs], rows, check=False)
+    idxs = np.array(sorted(set(indices)), dtype=np.intp)
+    pos = np.full(len(table), -1, dtype=np.intp)
+    pos[idxs] = np.arange(len(idxs))
+    rows = pos[table.mul[np.ix_(idxs, idxs)]]
+    if (rows < 0).any():
+        raise PreconditionError("subset is not closed under products")
+    return SemigroupTable([table.elements[i] for i in idxs.tolist()], rows, check=False)

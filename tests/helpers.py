@@ -22,10 +22,15 @@ def with_product(s, i, j, k):
     The table check is skipped so that the one wrong product survives;
     a check that reads the table must then notice it.
     """
-    mul = [list(row) for row in s.table.mul]
-    mul[i][j] = k
+    mul = s.table.mul.copy()
+    mul[i, j] = k
     table = SemigroupTable(s.table.elements, mul, identity_idx=s.table.identity_idx, check=False)
     return Structure(s.inst, table)
+
+
+def same_class(green, relation, i, j):
+    """True iff i and j share a class of the named Green partition."""
+    return any(i in cls and j in cls for cls in getattr(green, relation.lower()))
 
 
 def naive_vec_mat(p, v, m):

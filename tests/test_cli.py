@@ -11,6 +11,7 @@ from glsemi.cli import (
     ENV_ENUM_CAP,
     ENV_RANK_CAP,
     InstanceConfig,
+    _check_green_agreement,
     _check_j_class_count,
     _check_unit_decomposition,
     build_instance,
@@ -22,7 +23,7 @@ from glsemi.cli import (
     parse_config,
     resolve_caps,
 )
-from glsemi import gl_restriction
+from glsemi import cli, gl_restriction
 from glsemi.errors import ConfigurationError
 from glsemi.gl_restriction import (
     DEFAULT_ENUM_CAP,
@@ -126,8 +127,19 @@ def test_verify_report_lists_every_check_once():
     assert all(c.status == "pass" for c in report.checks)
 
 
-def test_verify_skips_above_cap():
+def test_verify_skips_above_cap(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return enumerate_semigroup(*args)
+
+    monkeypatch.setattr(cli, "enumerate_semigroup", counting)
     report = cmd_verify(InstanceConfig(p=2, n=5, r=1), DEFAULT_ENUM_CAP, DEFAULT_RANK_CAP)
+    assert len(calls) == 1  # refused once, and every table check reports that
+    skipped = [c for c in report.checks if c.status == "skip"]
+    assert len(skipped) == 12
+    assert {c.reason for c in skipped} == {"predicted order 1048576 exceeds enumeration cap 2000"}
     statuses = {c.name: c.status for c in report.checks}
     assert statuses["order_law"] == "skip"
     assert statuses["complement_count"] == "pass"
@@ -155,6 +167,32 @@ def test_unit_decomposition_fails_on_a_broken_conjugate():
     status, _, reason = _check_unit_decomposition(bad, CAPS)
     assert status == "fail"
     assert "conjugate left the U-fixing subgroup" in reason
+
+
+def test_green_agreement_fails_when_one_product_splits_an_l_class():
+    s = enumerate_semigroup(make_instance(2, 3, 1))
+    first = min(s.table.green().l, key=min)  # element 0 and three others
+    assert len(first) == 4
+    # 0*0 now reads the identity, so the left ideal S^1 0 (column 0 plus 0)
+    # gains the identity and 0 leaves the other three.
+    bad = with_product(s, 0, 0, s.table.identity_idx)
+    assert _check_green_agreement(s, CAPS)[0] == "pass"
+    status, counts, _ = _check_green_agreement(bad, CAPS)
+    assert status == "fail"
+    assert counts["agrees"] is False
+    assert counts["l_classes"] == len(s.table.green().l) + 1
+
+
+def test_unit_decomposition_fails_on_a_unit_without_inverse():
+    s = enumerate_semigroup(make_instance(2, 3, 2))
+    mul, ident = s.table.mul, s.table.identity_idx
+    g = next(i for i in sorted(j_class(s, 1)) if i != ident)
+    g_inv = int((mul[g] == ident).argmax())
+    # g*g^-1 now reads g, so the identity no longer appears in g's row.
+    bad = with_product(s, g, g_inv, g)
+    status, _, reason = _check_unit_decomposition(bad, CAPS)
+    assert status == "fail"
+    assert "a unit has no inverse in the table" in reason
 
 
 class _ExtraJClassTable(SemigroupTable):
@@ -190,6 +228,8 @@ def test_main_verify_smallest(tmp_path, capsys):
     assert payload["summary"] == {"pass": 14, "fail": 0, "skip": 0}
     assert [c["name"] for c in payload["checks"]] == CHECK_NAMES
     assert all(set(c) == {"name", "claim", "status", "counts", "reason", "seconds"} for c in payload["checks"])
+    assert list(payload) == ["instance", "summary", "checks", "stages"]
+    assert list(payload["stages"]) == ["enumerate_s"] and payload["stages"]["enumerate_s"] >= 0
 
 
 def test_main_verify_respects_env_and_flag(tmp_path, capsys, monkeypatch):

@@ -1,7 +1,9 @@
 """Instance-level structure: membership, grading, factorizations, subgroups."""
 
+import pathlib
 import random
 
+import numpy as np
 import pytest
 
 from glsemi.errors import (
@@ -22,6 +24,7 @@ from glsemi.gf_linalg import (
     rref_canonical,
     vec_mat,
 )
+from glsemi.cli import build_instance, load_config
 from glsemi.gl_restriction import (
     FIX_U,
     FIX_W,
@@ -118,6 +121,33 @@ def test_enumeration_cap():
 def test_enumeration_rejects_non_positive_cap(cap):
     with pytest.raises(ConfigurationError):
         enumerate_semigroup(INST221, cap)
+
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+SMALL_CONFIGS = ("p2n2r1", "p2n3r1", "p2n3r1_shifted", "p2n3r2", "p3n2r1")
+
+
+def _multiplied_out(s, pairs):
+    """(a, b, index of a*b) for each pair, from mat_mul and index_of alone."""
+    elements, p = s.table.elements, s.inst.p
+    return [(a, b, s.table.index_of(mat_mul(p, elements[a], elements[b]))) for a, b in pairs]
+
+
+@pytest.mark.parametrize("name", SMALL_CONFIGS)
+def test_cayley_table_matches_products_on_every_pair(name):
+    s = enumerate_semigroup(build_instance(load_config(str(CONFIGS / f"{name}.cfg"))))
+    n = len(s.table)
+    assert n < 200
+    for a, b, ab in _multiplied_out(s, [(a, b) for a in range(n) for b in range(n)]):
+        assert int(s.table.mul[a, b]) == ab
+
+
+@pytest.mark.parametrize("pnr", [(2, 4, 2), (2, 4, 1)])
+def test_cayley_table_matches_products_on_sampled_pairs(pnr):
+    s = enumerate_semigroup(make_instance(*pnr), 4096)
+    pairs = np.random.default_rng(0).integers(0, len(s.table), size=(10_000, 2)).tolist()
+    for a, b, ab in _multiplied_out(s, pairs):
+        assert int(s.table.mul[a, b]) == ab
 
 
 def test_codim():

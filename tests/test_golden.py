@@ -34,6 +34,11 @@ EGGBOX = {
     "p2n4r2": "c69b511af2f51521f84448af0f313f37b548e0a8bef7379c067724c927057f35",
     "p3n2r1": "02749a039e400dc5d78fb99096554455cf8fc2b462d491dbedf56ee8eb7bc587",
 }
+# eggbox --cap 4096 on the two stretch instances, standard U.
+STRETCH = {
+    (2, 4, 3): "bc08d1cddfc8c8145c0f5783c257c863c5db12a421574def01537477f3b3d4f3",
+    (2, 4, 1): "0ffc7d578af378d0972eddbb290f5d1a18ee7fbf4db8c446b7e3b12aa3bda2f3",
+}
 VERIFY = {
     "p2n2r1": "6719a2db743184edbd2fa0643cc0a025161a88282af51c567624f06653b08338",
     "p3n2r1": "3a4653228682ce77312bf1d32a3c3a3bdd71360412adb9cbe45d43cb028ab2c4",
@@ -69,6 +74,16 @@ def test_report_json_is_golden(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(EGGBOX))
 def test_eggbox_dot_is_golden(name, tmp_path):
     assert _digest_file("eggbox", name, tmp_path / "eggbox.dot") == EGGBOX[name]
+
+
+@pytest.mark.parametrize("pnr", sorted(STRETCH))
+def test_stretch_eggbox_dot_is_golden(pnr, tmp_path):
+    p, n, r = pnr
+    cfg = tmp_path / "stretch.cfg"
+    cfg.write_text(f"p = {p}\nn = {n}\nr = {r}\n", encoding="utf-8")
+    out = tmp_path / "eggbox.dot"
+    assert main(["eggbox", "--instance", str(cfg), "--out", str(out), "--cap", "4096"]) == 0
+    assert _sha(out.read_bytes()) == STRETCH[pnr]
 
 
 @pytest.mark.parametrize("name", sorted(VERIFY))

@@ -1,5 +1,8 @@
 """Generic table machinery: closure, Green oracle, idempotent order, rank."""
 
+import re
+
+import numpy as np
 import pytest
 
 from glsemi.errors import CapacityError, PreconditionError
@@ -20,7 +23,7 @@ from glsemi.semigroup_core import (
     verify_ideal,
 )
 
-from helpers import naive_green_same
+from helpers import naive_green_same, same_class, with_product
 
 A0 = ((1, 0), (0, 0))
 IDENT = ((1, 0), (0, 1))
@@ -53,12 +56,62 @@ def test_closure_indices_on_the_smallest_table():
 
 
 def test_table_construction_rejects_bad_input():
+    for elements, mul in (
+        ((0, 0), [[0, 0], [0, 0]]),  # duplicate elements
+        ((0, 1), [[0, 2], [0, 0]]),  # out of range
+        ((0, 1), [[0, -1], [0, 0]]),  # negative
+        ((0, 1), [[0, 1], [0]]),  # ragged
+        ((0, 1), [[0, 1, 0], [0, 0, 0]]),  # not square
+        ((0, 1), [[0, 1]]),  # too few rows
+        ((0, 1), [[0.0, 1.0], [1.0, 0.0]]),  # not integers
+        ((), []),  # empty
+    ):
+        with pytest.raises(PreconditionError):
+            SemigroupTable(elements, mul)
+
+
+def test_table_check_names_the_first_non_associative_triple():
+    # (1*0)*1 = 0*1 = 1 but 1*(0*1) = 1*1 = 0.
+    with pytest.raises(PreconditionError, match=re.escape("(1, 0, 1)")):
+        SemigroupTable((0, 1), [[0, 1], [0, 0]])
+
+
+def test_sampled_associativity_check_names_a_failing_triple():
+    order = 300  # above the exhaustive limit, so triples are sampled
+    mul = [[(i + j) % order for j in range(order)] for i in range(order)]
+    mul[7][11] = 0
+    with pytest.raises(PreconditionError) as err:
+        SemigroupTable(tuple(range(order)), mul)
+    i, j, k = map(int, re.search(r"\((\d+), (\d+), (\d+)\)", str(err.value)).groups())
+    assert mul[mul[i][j]][k] != mul[i][mul[j][k]]
+
+
+def test_table_check_rejects_a_false_identity():
+    left_zero = [[0, 0], [1, 1]]  # x*y = x: associative, with no identity
+    for claimed in (0, 1, 2, -1):
+        with pytest.raises(PreconditionError):
+            SemigroupTable((0, 1), left_zero, identity_idx=claimed)
+
+
+def test_table_is_a_read_only_uint16_array():
+    mul = TABLE_231.mul
+    assert isinstance(mul, np.ndarray)
+    assert mul.dtype == np.uint16 and mul.shape == (64, 64)
+    with pytest.raises(ValueError):
+        mul[0, 0] = 1
+    source = np.zeros((1, 1), dtype=np.int64)
+    SemigroupTable(("z",), source)
+    assert source.flags.writeable  # the caller's array is left as it was
+
+
+@pytest.mark.parametrize("pnr", [(2, 2, 1), (2, 3, 1), (3, 2, 1)])
+def test_a_changed_product_fails_the_table_check(pnr):
+    s = enumerate_semigroup(make_instance(*pnr))
+    t = s.table
+    i, j = [x for x in range(len(t)) if x != t.identity_idx][:2]
+    bad = with_product(s, i, j, (int(t.mul[i, j]) + 1) % len(t)).table
     with pytest.raises(PreconditionError):
-        SemigroupTable((0, 0), [[0, 0], [0, 0]])
-    with pytest.raises(PreconditionError):
-        SemigroupTable((0, 1), [[0, 2], [0, 0]])
-    with pytest.raises(PreconditionError):
-        SemigroupTable((0, 1), [[0, 1], [0, 0]])  # (1*1)*1 != 1*(1*1)
+        SemigroupTable(bad.elements, bad.mul, identity_idx=bad.identity_idx, check=True)
 
 
 def test_identity_detection():
@@ -87,9 +140,9 @@ def test_green_oracle_on_smallest_instance():
     assert sizes == [2, 2]
     assert green.d == green.j
     i = table.index_of
-    assert green.same("L", i(A0), i(A2))
-    assert not green.same("R", i(A0), i(A2))
-    assert green.same("H", i(IDENT), i(A3))
+    assert same_class(green, "L", i(A0), i(A2))
+    assert not same_class(green, "R", i(A0), i(A2))
+    assert same_class(green, "H", i(IDENT), i(A3))
 
 
 def test_green_oracle_matches_literal_definitions():
@@ -100,7 +153,7 @@ def test_green_oracle_matches_literal_definitions():
         for relation in ("L", "R", "H", "D", "J"):
             for a in range(n):
                 for b in range(n):
-                    assert green.same(relation, a, b) == naive_green_same(table, a, b, relation)
+                    assert same_class(green, relation, a, b) == naive_green_same(table, a, b, relation)
 
 
 def test_green_refinement_lattice():
