@@ -8,10 +8,10 @@ constructive factorizations behind the generating-set results, the
 unit group and its semidirect-product decompositions, and the two
 conjugation counterexamples showing which factors fail to be normal.
 
-Every constructive operation verifies its own output exactly (the
-recomposition is multiplied back out) and raises
-InternalInconsistencyError on failure, so a successful return is a
-machine-checked certificate.
+Every constructive operation takes and returns table indices, verifies
+its own output exactly (the recomposition is multiplied back out) and
+raises InternalInconsistencyError on failure, so a successful return is
+a machine-checked certificate.
 """
 
 from __future__ import annotations
@@ -214,13 +214,6 @@ def enumerate_semigroup(inst: Instance, cap: int = DEFAULT_ENUM_CAP) -> Structur
     return Structure(inst, SemigroupTable(mats, _cayley(inst.p, mats), identity_idx=identity_idx))
 
 
-def codim(inst: Instance, m: Mat) -> int:
-    """dim(V m / U) = dim(image) - r; the grading invariant of the J-classes."""
-    if not is_member(inst, m):
-        raise PreconditionError("matrix is not a member of the semigroup")
-    return image(inst.p, m).dim - inst.r
-
-
 def j_class(s: Structure, k: int) -> frozenset[int]:
     """Indices of the members of codimension exactly k."""
     top = s.inst.n - s.inst.r
@@ -265,38 +258,51 @@ def _act(inst: Instance, rows, m: Mat) -> tuple[Vec, ...]:
     return tuple(vec_mat(inst.p, row, m) for row in rows)
 
 
-def dclass_witness(inst: Instance, a: Mat, b: Mat) -> Mat:
-    """A member with the image of a and the kernel of b.
+def _member(s: Structure, i: int) -> tuple[Mat, Subspace, Subspace, int]:
+    # (matrix, image, kernel, codim) of index i; a negative i must not wrap.
+    if not 0 <= i < len(s.table):
+        raise PreconditionError(f"index {i} outside [0, {len(s.table)})")
+    return (s.table.elements[i], *s.profiles[i])
+
+
+def _index(s: Structure, m: Mat) -> int:
+    try:
+        return s.table.index_of(m)
+    except KeyError:
+        raise InternalInconsistencyError("a constructed factor is not a member") from None
+
+
+def dclass_witness(s: Structure, a: int, b: int) -> int:
+    """Index of a member with the image of a and the kernel of b.
 
     Such an element links a and b inside their common D-class; its
     existence is exactly what makes equal codimension sufficient.
     """
-    p = inst.p
-    ka, kb = codim(inst, a), codim(inst, b)
+    inst = s.inst
+    ma, img_a, _, ka = _member(s, a)
+    _, _, ker_b, kb = _member(s, b)
     if ka != kb:
         raise PreconditionError("witness requires equal codimension")
-    img_a = image(p, a)
-    ker_b = kernel(p, b)
     trans_b = _transversal(inst, ker_b)
     img_trans = extend_basis(inst.u.basis, img_a)
     domain = ker_b.basis + tuple(trans_b) + inst.u.basis
     zeros = ((0,) * inst.n,) * ker_b.dim
-    images = zeros + tuple(img_trans) + _act(inst, inst.u.basis, a)
-    gamma = linear_map(p, domain, images)
-    if not is_member(inst, gamma) or image(p, gamma) != img_a or kernel(p, gamma) != ker_b:
+    images = zeros + tuple(img_trans) + _act(inst, inst.u.basis, ma)
+    gamma = _index(s, linear_map(inst.p, domain, images))
+    if s.profiles[gamma][:2] != (img_a, ker_b):
         raise InternalInconsistencyError("constructed witness has the wrong image or kernel")
     return gamma
 
 
-def factor_through(inst: Instance, a: Mat, b: Mat) -> tuple[Mat, Mat]:
-    """Members (lam, mu) with a = lam * b * mu, possible iff codim(a) <= codim(b)."""
-    p, n = inst.p, inst.n
-    ka, kb = codim(inst, a), codim(inst, b)
+def factor_through(s: Structure, a: int, b: int) -> tuple[int, int]:
+    """Indices (lam, mu) with a = lam * b * mu, possible iff codim(a) <= codim(b)."""
+    inst, p, n = s.inst, s.inst.p, s.inst.n
+    ma, _, ker_a, ka = _member(s, a)
+    mb, _, ker_b, kb = _member(s, b)
     if ka > kb:
         raise InfeasibleError(
             f"codim {ka} cannot factor through codim {kb}: products only lower codimension"
         )
-    ker_a, ker_b = kernel(p, a), kernel(p, b)
     w_rows = _transversal(inst, ker_a)          # ka vectors
     w_primed = _transversal(inst, ker_b)[:ka]   # matching transversal for b
     zeros_a = ((0,) * n,) * ker_a.dim
@@ -305,46 +311,42 @@ def factor_through(inst: Instance, a: Mat, b: Mat) -> tuple[Mat, Mat]:
         ker_a.basis + tuple(w_rows) + inst.u.basis,
         zeros_a + tuple(w_primed) + inst.u.basis,
     )
-    wpb = _act(inst, w_primed, b)
-    ub = _act(inst, inst.u.basis, b)
+    wpb = _act(inst, w_primed, mb)
+    ub = _act(inst, inst.u.basis, mb)
     tail = extend_basis(wpb + ub, full_space(p, n))
     zeros_t = ((0,) * n,) * len(tail)
     mu = linear_map(
         p,
         tuple(tail) + wpb + ub,
-        zeros_t + _act(inst, w_rows, a) + _act(inst, inst.u.basis, a),
+        zeros_t + _act(inst, w_rows, ma) + _act(inst, inst.u.basis, ma),
     )
-    recomposed = mat_mul(p, mat_mul(p, lam, b), mu)
-    if recomposed != a or not (is_member(inst, lam) and is_member(inst, mu)):
+    if mat_mul(p, mat_mul(p, lam, mb), mu) != ma:
         raise InternalInconsistencyError("factor-through construction failed to recompose")
-    return lam, mu
+    return _index(s, lam), _index(s, mu)
 
 
-def regular_witness(inst: Instance, a: Mat) -> Mat:
-    """An inner inverse: b with a*b*a = a and b*a*b = b."""
-    p, n = inst.p, inst.n
-    if not is_member(inst, a):
-        raise PreconditionError("matrix is not a member of the semigroup")
-    if is_invertible(p, a):
-        return mat_inverse(p, a)
-    ker_a = kernel(p, a)
+def regular_witness(s: Structure, a: int) -> int:
+    """Index of an inner inverse: b with a*b*a = a and b*a*b = b."""
+    inst, p, n = s.inst, s.inst.p, s.inst.n
+    ma, img_a, ker_a, _ = _member(s, a)
+    if a in s.grades[n - inst.r]:
+        return _index(s, mat_inverse(p, ma))
     w_rows = _transversal(inst, ker_a)
-    img_a = image(p, a)
     tail = extend_basis(img_a.basis, full_space(p, n))
     zeros = ((0,) * n,) * len(tail)
     b = linear_map(
         p,
-        _act(inst, w_rows, a) + _act(inst, inst.u.basis, a) + tuple(tail),
+        _act(inst, w_rows, ma) + _act(inst, inst.u.basis, ma) + tuple(tail),
         tuple(w_rows) + inst.u.basis + zeros,
     )
-    aba = mat_mul(p, mat_mul(p, a, b), a)
-    bab = mat_mul(p, mat_mul(p, b, a), b)
-    if aba != a or bab != b or not is_member(inst, b):
+    aba = mat_mul(p, mat_mul(p, ma, b), ma)
+    bab = mat_mul(p, mat_mul(p, b, ma), b)
+    if aba != ma or bab != b:
         raise InternalInconsistencyError("inner inverse construction failed")
-    return b
+    return _index(s, b)
 
 
-def raise_factor(inst: Instance, a: Mat) -> tuple[Mat, Mat]:
+def raise_factor(s: Structure, a: int) -> tuple[int, int]:
     """Split a of codimension k <= n-r-2 as lam*mu with both factors one grade up.
 
     The kernel then has dimension at least 2: one kernel line is routed
@@ -352,17 +354,16 @@ def raise_factor(inst: Instance, a: Mat) -> tuple[Mat, Mat]:
     complement vector alive while killing the first, so both factors
     have codimension exactly k+1.
     """
-    p, n = inst.p, inst.n
-    k = codim(inst, a)
+    inst, p, n = s.inst, s.inst.p, s.inst.n
+    ma, img_a, ker_a, k = _member(s, a)
     if k > n - inst.r - 2:
         raise PreconditionError(
             f"raise requires codim <= {n - inst.r - 2} so the kernel has dimension >= 2"
         )
-    ker_a = kernel(p, a)
     trans = _transversal(inst, ker_a)           # k vectors
-    fresh = extend_basis(image(p, a).basis, full_space(p, n))  # >= 2 vectors
-    ta = _act(inst, trans, a)
-    ua = _act(inst, inst.u.basis, a)
+    fresh = extend_basis(img_a.basis, full_space(p, n))  # >= 2 vectors
+    ta = _act(inst, trans, ma)
+    ua = _act(inst, inst.u.basis, ma)
     kernel_imgs = (fresh[0],) + ((0,) * n,) * (ker_a.dim - 1)
     lam = linear_map(p, tuple(trans) + ker_a.basis + inst.u.basis, ta + kernel_imgs + ua)
     mu_imgs = list(ta)
@@ -371,27 +372,29 @@ def raise_factor(inst: Instance, a: Mat) -> tuple[Mat, Mat]:
     mu_imgs.extend(((0,) * n,) * (len(fresh) - 2))
     mu_imgs.extend(ua)
     mu = linear_map(p, ta + tuple(fresh) + ua, tuple(mu_imgs))
-    if mat_mul(p, lam, mu) != a:
+    if mat_mul(p, lam, mu) != ma:
         raise InternalInconsistencyError("raise factorization failed to recompose")
-    if codim(inst, lam) != k + 1 or codim(inst, mu) != k + 1:
+    li, mi = _index(s, lam), _index(s, mu)
+    if s.profiles[li][2] != k + 1 or s.profiles[mi][2] != k + 1:
         raise InternalInconsistencyError("raise factors landed in the wrong grade")
-    return lam, mu
+    return li, mi
 
 
-def sandwich_factor(inst: Instance, target: Mat, a: Mat) -> tuple[Mat, Mat]:
-    """Invertible members (lam, mu) with lam * a * mu = target.
+def sandwich_factor(s: Structure, target: int, a: int) -> tuple[int, int]:
+    """Indices of units (lam, mu) with lam * a * mu = target.
 
     Both a and target must have codimension n-r-1; conjugating by units
     moves freely inside that top proper grade.
     """
-    p, n = inst.p, inst.n
+    inst, p, n = s.inst, s.inst.p, s.inst.n
     m = n - inst.r - 1
-    if codim(inst, a) != m or codim(inst, target) != m:
+    mt, img_t, ker_t, kt = _member(s, target)
+    ma, img_a, ker_a, ka = _member(s, a)
+    if ka != m or kt != m:
         raise PreconditionError(f"sandwich factorization requires codimension {m}")
-    ker_a, ker_t = kernel(p, a), kernel(p, target)
     trans_a, trans_t = _transversal(inst, ker_a), _transversal(inst, ker_t)
-    ext_a = extend_basis(image(p, a).basis, full_space(p, n))
-    ext_t = extend_basis(image(p, target).basis, full_space(p, n))
+    ext_a = extend_basis(img_a.basis, full_space(p, n))
+    ext_t = extend_basis(img_t.basis, full_space(p, n))
     lam = linear_map(
         p,
         tuple(trans_t) + ker_t.basis + inst.u.basis,
@@ -399,20 +402,15 @@ def sandwich_factor(inst: Instance, target: Mat, a: Mat) -> tuple[Mat, Mat]:
     )
     mu = linear_map(
         p,
-        _act(inst, trans_a, a) + tuple(ext_a) + _act(inst, inst.u.basis, a),
-        _act(inst, trans_t, target) + tuple(ext_t) + _act(inst, inst.u.basis, target),
+        _act(inst, trans_a, ma) + tuple(ext_a) + _act(inst, inst.u.basis, ma),
+        _act(inst, trans_t, mt) + tuple(ext_t) + _act(inst, inst.u.basis, mt),
     )
-    recomposed = mat_mul(p, mat_mul(p, lam, a), mu)
-    ok = (
-        recomposed == target
-        and is_member(inst, lam)
-        and is_member(inst, mu)
-        and is_invertible(p, lam)
-        and is_invertible(p, mu)
-    )
-    if not ok:
+    if mat_mul(p, mat_mul(p, lam, ma), mu) != mt:
         raise InternalInconsistencyError("sandwich factorization failed to recompose")
-    return lam, mu
+    li, mi = _index(s, lam), _index(s, mu)
+    if not {li, mi} <= s.grades[n - inst.r]:
+        raise InternalInconsistencyError("sandwich factors are not units")
+    return li, mi
 
 
 def generating_set(s: Structure) -> frozenset[int]:
@@ -446,11 +444,10 @@ def rank_value(s: Structure, rank_cap: int = 4, budget: int | None = 200_000) ->
     return found[0] + 1
 
 
-def is_idempotent_by_image(inst: Instance, m: Mat) -> bool:
-    """Idempotency via the restriction test: m fixes its image pointwise."""
-    if not is_member(inst, m):
-        raise PreconditionError("matrix is not a member of the semigroup")
-    return all(vec_mat(inst.p, row, m) == row for row in image(inst.p, m).basis)
+def is_idempotent_by_image(s: Structure, a: int) -> bool:
+    """Idempotency via the restriction test: a fixes its image pointwise."""
+    m, img, _, _ = _member(s, a)
+    return all(vec_mat(s.inst.p, row, m) == row for row in img.basis)
 
 
 def minimal_idempotents(s: Structure) -> frozenset[int]:
@@ -521,37 +518,38 @@ def special_subgroup(s: Structure, kind: str, w: Subspace | None = None) -> froz
     return group
 
 
-def decompose_unit(inst: Instance, a: Mat, w: Subspace) -> tuple[Mat, Mat]:
+def decompose_unit(s: Structure, a: int, w: Subspace) -> tuple[int, int]:
     """Split a unit as (fix_w part) * (fix_u part); the split is unique."""
+    inst, p = s.inst, s.inst.p
     _require_subgroup_setting(inst, FIX_W, w)
-    p = inst.p
-    if not (is_member(inst, a) and is_invertible(p, a)):
+    ma = _member(s, a)[0]
+    if a not in s.grades[inst.n - inst.r]:
         raise PreconditionError("decomposition is defined on units only")
-    first = linear_map(p, w.basis + inst.u.basis, w.basis + _act(inst, inst.u.basis, a))
-    second = mat_mul(p, mat_inverse(p, first), a)
+    first = linear_map(p, w.basis + inst.u.basis, w.basis + _act(inst, inst.u.basis, ma))
+    second = mat_mul(p, mat_inverse(p, first), ma)
     ok = (
-        mat_mul(p, first, second) == a
+        mat_mul(p, first, second) == ma
         and _fixes_pointwise(inst, first, w.basis)
         and _fixes_pointwise(inst, second, inst.u.basis)
-        and is_member(inst, second)
     )
     if not ok:
         raise InternalInconsistencyError("unit decomposition failed to verify")
-    return first, second
+    return _index(s, first), _index(s, second)
 
 
-def decompose_fix_u(inst: Instance, a: Mat, w: Subspace) -> tuple[Mat, Mat]:
+def decompose_fix_u(s: Structure, a: int, w: Subspace) -> tuple[int, int]:
     """Split a U-fixing unit as (W-stabilizing part) * (translation part).
 
     The translation part moves each basis vector w_i of W by the unique
     u'_i in U with w_i + u'_i inside the image of W under a; the other
     factor is recovered through preimages and stabilizes W.
     """
+    inst, p, n = s.inst, s.inst.p, s.inst.n
     _require_subgroup_setting(inst, G_W, w)
-    p, n = inst.p, inst.n
-    if not (is_member(inst, a) and is_invertible(p, a) and _fixes_pointwise(inst, a, inst.u.basis)):
+    ma = _member(s, a)[0]
+    if a not in s.grades[n - inst.r] or not _fixes_pointwise(inst, ma, inst.u.basis):
         raise PreconditionError("decomposition is defined on U-fixing units only")
-    moved = _act(inst, w.basis, a)
+    moved = _act(inst, w.basis, ma)
     mixed_inv = mat_inverse(p, moved + inst.u.basis)
     translated = []
     for row in w.basis:
@@ -564,11 +562,11 @@ def decompose_fix_u(inst: Instance, a: Mat, w: Subspace) -> tuple[Mat, Mat]:
         shift = tuple((-x) % p for x in u_part)
         translated.append(vec_add(p, row, shift))
     translation = linear_map(p, w.basis + inst.u.basis, tuple(translated) + inst.u.basis)
-    pre = tuple(preimage_vector(p, a, t) for t in translated)
+    pre = tuple(preimage_vector(p, ma, t) for t in translated)
     stabilizer = linear_map(p, pre + inst.u.basis, w.basis + inst.u.basis)
     w_image = rref_canonical(p, n, _act(inst, w.basis, stabilizer))
     ok = (
-        mat_mul(p, stabilizer, translation) == a
+        mat_mul(p, stabilizer, translation) == ma
         and w_image == w
         and _fixes_pointwise(inst, stabilizer, inst.u.basis)
         and _fixes_pointwise(inst, translation, inst.u.basis)
@@ -576,7 +574,7 @@ def decompose_fix_u(inst: Instance, a: Mat, w: Subspace) -> tuple[Mat, Mat]:
     )
     if not ok:
         raise InternalInconsistencyError("fix-U decomposition failed to verify")
-    return stabilizer, translation
+    return _index(s, stabilizer), _index(s, translation)
 
 
 def subgroup_iso_check(s: Structure, kind: str, w: Subspace | None = None) -> bool:

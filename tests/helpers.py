@@ -5,10 +5,22 @@ and triple loops) and deliberately avoid the library's own elimination
 and grouping code paths, so agreement is meaningful.
 """
 
+import sys
 from itertools import product
 
+from glsemi import gl_restriction
 from glsemi.gl_restriction import Structure
 from glsemi.semigroup_core import SemigroupTable
+
+CONSTRUCTORS = (
+    "regular_witness",
+    "factor_through",
+    "dclass_witness",
+    "raise_factor",
+    "sandwich_factor",
+    "decompose_unit",
+    "decompose_fix_u",
+)
 
 
 def mats(s, idxs):
@@ -26,6 +38,24 @@ def with_product(s, i, j, k):
     mul[i, j] = k
     table = SemigroupTable(s.table.elements, mul, identity_idx=s.table.identity_idx, check=False)
     return Structure(s.inst, table)
+
+
+def break_linear_map(monkeypatch, constructors):
+    """Make gl_restriction.linear_map build a wrong factor whenever one of
+    the named constructors calls it.
+
+    The last two columns are swapped, which keeps an invertible factor
+    invertible, so the constructor's own check has to catch the error.
+    """
+    real = gl_restriction.linear_map
+
+    def broken(p, basis_rows, image_rows):
+        m = real(p, basis_rows, image_rows)
+        if sys._getframe(1).f_code.co_name not in constructors:
+            return m
+        return tuple(row[:-2] + (row[-1], row[-2]) for row in m)
+
+    monkeypatch.setattr(gl_restriction, "linear_map", broken)
 
 
 def same_class(green, relation, i, j):

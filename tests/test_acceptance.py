@@ -24,7 +24,6 @@ from glsemi.gl_restriction import (
     FIX_W,
     G_W,
     N_W,
-    codim,
     dclass_witness,
     decompose_fix_u,
     decompose_unit,
@@ -146,8 +145,10 @@ def test_c06_regularity():
     total = 0
     for args, inst in INSTANCES.items():
         p = inst.p
-        for m in STRUCTURES[args].table.elements:
-            witness = regular_witness(inst, m)
+        s = STRUCTURES[args]
+        elems = s.table.elements
+        for a, m in enumerate(elems):
+            witness = elems[regular_witness(s, a)]
             assert mat_mul(p, mat_mul(p, m, witness), m) == m
             total += 1
     assert total == sum(EXPECTED_ORDERS.values())
@@ -157,39 +158,42 @@ def test_c06_regularity():
 def test_c07_constructive_factorizations():
     counts = {"factor": 0, "witness": 0, "raise": 0, "sandwich": 0}
     for args in ((2, 3, 1), (2, 3, 2)):
-        inst = INSTANCES[args]
+        s = STRUCTURES[args]
+        inst = s.inst
         p = inst.p
-        elems = STRUCTURES[args].table.elements
-        cd = {m: codim(inst, m) for m in elems}
+        elems = s.table.elements
+        idxs = range(len(elems))
+        # Codimensions from the matrices, not from the Structure's profiles.
+        cd = [image(p, m).dim - inst.r for m in elems]
         top = inst.n - inst.r
-        for a in elems:
-            for b in elems:
+        for a in idxs:
+            for b in idxs:
                 if cd[a] <= cd[b]:
-                    lam, mu = factor_through(inst, a, b)
-                    assert mat_mul(p, mat_mul(p, lam, b), mu) == a
+                    lam, mu = factor_through(s, a, b)
+                    assert mat_mul(p, mat_mul(p, elems[lam], elems[b]), elems[mu]) == elems[a]
                     counts["factor"] += 1
                 else:
                     with pytest.raises(InfeasibleError):
-                        factor_through(inst, a, b)
+                        factor_through(s, a, b)
                 if cd[a] == cd[b]:
-                    gamma = dclass_witness(inst, a, b)
-                    assert image(p, gamma) == image(p, a)
-                    assert kernel(p, gamma) == kernel(p, b)
+                    gamma = elems[dclass_witness(s, a, b)]
+                    assert image(p, gamma) == image(p, elems[a])
+                    assert kernel(p, gamma) == kernel(p, elems[b])
                     counts["witness"] += 1
-        for a in elems:
+        for a in idxs:
             if cd[a] <= top - 2:
-                lam, mu = raise_factor(inst, a)
-                assert mat_mul(p, lam, mu) == a
-                assert cd.get(lam, codim(inst, lam)) == cd[a] + 1
-                assert codim(inst, mu) == cd[a] + 1
+                lam, mu = raise_factor(s, a)
+                assert mat_mul(p, elems[lam], elems[mu]) == elems[a]
+                assert cd[lam] == cd[a] + 1
+                assert cd[mu] == cd[a] + 1
                 counts["raise"] += 1
-        mid = [m for m in elems if cd[m] == top - 1]
+        mid = [i for i in idxs if cd[i] == top - 1]
         for a in mid:
             for b in mid:
-                lam, mu = sandwich_factor(inst, b, a)
-                assert mat_mul(p, mat_mul(p, lam, a), mu) == b
-                assert cd.get(lam, codim(inst, lam)) == top
-                assert codim(inst, mu) == top
+                lam, mu = sandwich_factor(s, b, a)
+                assert mat_mul(p, mat_mul(p, elems[lam], elems[a]), elems[mu]) == elems[b]
+                assert cd[lam] == top
+                assert cd[mu] == top
                 counts["sandwich"] += 1
     _ok("7 constructive factorizations", str(counts))
 
@@ -227,7 +231,8 @@ def test_c10_unit_group_decomposition():
         inst = s.inst
         p = inst.p
         ident = identity_mat(inst.n)
-        units = [s.table.elements[i] for i in sorted(j_class(s, inst.n - inst.r))]
+        elems, idx = s.table.elements, s.table.index_of
+        units = [elems[i] for i in sorted(j_class(s, inst.n - inst.r))]
         fix_u = sorted(mats(s, special_subgroup(s, FIX_U)))
         for g in units:
             g_inv = mat_inverse(p, g)
@@ -238,7 +243,7 @@ def test_c10_unit_group_decomposition():
             assert len(units) == len(fix_w) * len(fix_u), args
             assert set(fix_w) & set(fix_u) == {ident}
             for a in units:
-                first, second = decompose_unit(inst, a, w)
+                first, second = (elems[i] for i in decompose_unit(s, idx(a), w))
                 assert mat_mul(p, first, second) == a
                 assert first in set(fix_w) and second in set(fix_u)
                 matches = sum(
@@ -249,7 +254,7 @@ def test_c10_unit_group_decomposition():
             g_w = mats(s, special_subgroup(s, G_W, w))
             assert g_w & n_w == {ident}
             for a in fix_u:
-                stab, trans = decompose_fix_u(inst, a, w)
+                stab, trans = (elems[i] for i in decompose_fix_u(s, idx(a), w))
                 assert mat_mul(p, stab, trans) == a
                 assert stab in g_w and trans in n_w
                 matches = sum(1 for x in g_w for y in n_w if mat_mul(p, x, y) == a)

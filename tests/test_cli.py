@@ -11,7 +11,9 @@ from glsemi.cli import (
     ENV_ENUM_CAP,
     ENV_RANK_CAP,
     InstanceConfig,
+    _check_generation,
     _check_green_agreement,
+    _check_ideal_structure,
     _check_j_class_count,
     _check_unit_decomposition,
     build_instance,
@@ -37,7 +39,7 @@ from glsemi.gl_restriction import (
 )
 from glsemi.semigroup_core import SemigroupTable
 
-from helpers import with_product
+from helpers import CONSTRUCTORS, break_linear_map, with_product
 
 CAPS = (DEFAULT_ENUM_CAP, DEFAULT_RANK_CAP)
 
@@ -193,6 +195,40 @@ def test_unit_decomposition_fails_on_a_unit_without_inverse():
     status, _, reason = _check_unit_decomposition(bad, CAPS)
     assert status == "fail"
     assert "a unit has no inverse in the table" in reason
+
+
+def test_verify_fails_the_checks_whose_constructors_build_a_wrong_factor(monkeypatch):
+    break_linear_map(monkeypatch, CONSTRUCTORS)
+    report = cmd_verify(InstanceConfig(p=2, n=3, r=1), DEFAULT_ENUM_CAP, DEFAULT_RANK_CAP)
+    broken = {"regularity", "factorizations", "unit_decomposition"}
+    for check in report.checks:
+        if check.name in broken:
+            assert check.status == "fail", check.name
+            assert "InternalInconsistencyError" in check.reason, check.name
+        else:
+            assert check.status in ("pass", "skip"), check.name
+
+
+def test_generation_fails_when_one_product_leaves_its_ideal():
+    s = enumerate_semigroup(make_instance(2, 3, 1))
+    a, b = sorted(j_class(s, 1))[:2]
+    # a*b now reads the identity, so grade 1 generates a unit.
+    bad = with_product(s, a, b, s.table.identity_idx)
+    assert _check_generation(s, CAPS)[0] == "pass"
+    status, _, reason = _check_generation(bad, CAPS)
+    assert status == "fail"
+    assert "grade 1 did not generate the ideal below 2" in reason
+
+
+def test_ideal_structure_fails_when_one_product_leaves_the_minimal_ideal():
+    s = enumerate_semigroup(make_instance(2, 3, 1))
+    a = min(j_class(s, 0))
+    # a*a now reads the identity, which lies outside Q(1).
+    bad = with_product(s, a, a, s.table.identity_idx)
+    assert _check_ideal_structure(s, CAPS)[0] == "pass"
+    status, _, reason = _check_ideal_structure(bad, CAPS)
+    assert status == "fail"
+    assert "Q(1) is not an ideal" in reason
 
 
 class _ExtraJClassTable(SemigroupTable):

@@ -24,13 +24,13 @@ from glsemi.gf_linalg import (
     rref_canonical,
     vec_mat,
 )
+from glsemi import gl_restriction
 from glsemi.cli import build_instance, load_config
 from glsemi.gl_restriction import (
     FIX_U,
     FIX_W,
     G_W,
     N_W,
-    codim,
     dclass_witness,
     decompose_fix_u,
     decompose_unit,
@@ -56,7 +56,15 @@ from glsemi.gl_restriction import (
 )
 from glsemi.semigroup_core import closure_indices, rank_search
 
-from helpers import brute_members, mats, naive_span, with_product
+from helpers import (
+    CONSTRUCTORS,
+    break_linear_map,
+    brute_members,
+    mats,
+    naive_image_vectors,
+    naive_span,
+    with_product,
+)
 
 A0 = ((1, 0), (0, 0))
 IDENT2 = ((1, 0), (0, 1))
@@ -69,6 +77,7 @@ INST232 = make_instance(2, 3, 2)
 INST321 = make_instance(3, 2, 1)
 S221, S231, S232, S321 = (enumerate_semigroup(i) for i in (INST221, INST231, INST232, INST321))
 STRUCTURES = {s.inst: s for s in (S221, S231, S232, S321)}
+IDX221, E221 = S221.table.index_of, S221.table.elements
 
 
 def test_make_instance_validation():
@@ -151,11 +160,9 @@ def test_cayley_table_matches_products_on_sampled_pairs(pnr):
 
 
 def test_codim():
-    assert codim(INST221, IDENT2) == 1
-    assert codim(INST221, A0) == 0
-    assert codim(INST231, ((1, 0, 0), (0, 1, 0), (0, 0, 0))) == 1
-    with pytest.raises(PreconditionError):
-        codim(INST221, ((0, 1), (1, 0)))
+    assert S221.profiles[IDX221(IDENT2)][2] == 1
+    assert S221.profiles[IDX221(A0)][2] == 0
+    assert S231.profiles[S231.table.index_of(((1, 0, 0), (0, 1, 0), (0, 0, 0)))][2] == 1
 
 
 def test_j_class_and_q_ideal():
@@ -165,7 +172,7 @@ def test_j_class_and_q_ideal():
     assert q_ideal(S221, 1) == j_class(S221, 0)
     assert q_ideal(S231, 2) == j_class(S231, 0) | j_class(S231, 1)
     for i, (_, _, cd) in enumerate(S231.profiles):
-        assert cd == codim(INST231, S231.table.elements[i])
+        assert len(naive_image_vectors(2, S231.table.elements[i])) == 2 ** (INST231.r + cd)
     with pytest.raises(PreconditionError):
         j_class(S221, 2)
     with pytest.raises(PreconditionError):
@@ -173,61 +180,60 @@ def test_j_class_and_q_ideal():
 
 
 def test_dclass_witness():
-    gamma = dclass_witness(INST221, A0, A2)
-    assert gamma == A2  # unique member with image U and kernel <(1,1)>
+    assert dclass_witness(S221, IDX221(A0), IDX221(A2)) == IDX221(A2)  # unique: image U, kernel <(1,1)>
     with pytest.raises(PreconditionError):
-        dclass_witness(INST221, A0, IDENT2)
+        dclass_witness(S221, IDX221(A0), IDX221(IDENT2))  # unequal codims
     elems = S232.table.elements
-    for a in elems:
-        for b in elems:
-            if codim(INST232, a) == codim(INST232, b):
-                gamma = dclass_witness(INST232, a, b)
-                assert image(2, gamma) == image(2, a)  # L-related to a
-                assert kernel(2, gamma) == kernel(2, b)  # R-related to b
+    for a in range(len(elems)):
+        for b in range(len(elems)):
+            if S232.profiles[a][2] == S232.profiles[b][2]:
+                gamma = elems[dclass_witness(S232, a, b)]
+                assert image(2, gamma) == image(2, elems[a])  # L-related to a
+                assert kernel(2, gamma) == kernel(2, elems[b])  # R-related to b
 
 
 def test_factor_through_examples():
-    lam, mu = factor_through(INST221, A0, IDENT2)
-    assert mat_mul(2, mat_mul(2, lam, IDENT2), mu) == A0
+    lam, mu = factor_through(S221, IDX221(A0), IDX221(IDENT2))
+    assert mat_mul(2, mat_mul(2, E221[lam], IDENT2), E221[mu]) == A0
     with pytest.raises(InfeasibleError):
-        factor_through(INST221, IDENT2, A0)
+        factor_through(S221, IDX221(IDENT2), IDX221(A0))
 
 
 def test_factor_through_matches_exhaustive_existence():
-    elems = S221.table.elements
-    for a in elems:
-        for b in elems:
-            feasible = codim(INST221, a) <= codim(INST221, b)
+    elems = E221
+    for a in range(len(elems)):
+        for b in range(len(elems)):
+            feasible = S221.profiles[a][2] <= S221.profiles[b][2]
             exists = any(
-                mat_mul(2, mat_mul(2, lam, b), mu) == a
+                mat_mul(2, mat_mul(2, lam, elems[b]), mu) == elems[a]
                 for lam in elems
                 for mu in elems
             )
             assert exists == feasible
             if feasible:
-                lam, mu = factor_through(INST221, a, b)
-                assert mat_mul(2, mat_mul(2, lam, b), mu) == a
+                lam, mu = factor_through(S221, a, b)
+                assert mat_mul(2, mat_mul(2, elems[lam], elems[b]), elems[mu]) == elems[a]
 
 
 def test_regular_witness():
-    assert regular_witness(INST221, A3) == mat_inverse(2, A3)
-    b = regular_witness(INST221, A2)
+    assert E221[regular_witness(S221, IDX221(A3))] == mat_inverse(2, A3)
+    b = E221[regular_witness(S221, IDX221(A2))]
     assert mat_mul(2, mat_mul(2, A2, b), A2) == A2
-    for m in S321.table.elements:
-        w = regular_witness(INST321, m)
+    for i, m in enumerate(S321.table.elements):
+        w = S321.table.elements[regular_witness(S321, i)]
         assert mat_mul(3, mat_mul(3, m, w), m) == m
         assert mat_mul(3, mat_mul(3, w, m), w) == w
 
 
 def test_raise_factor():
-    low = sorted(mats(S231, j_class(S231, 0)))
-    for a in low:
-        lam, mu = raise_factor(INST231, a)
-        assert mat_mul(2, lam, mu) == a
-        assert codim(INST231, lam) == 1
-        assert codim(INST231, mu) == 1
+    elems = S231.table.elements
+    for a in sorted(j_class(S231, 0)):
+        lam, mu = raise_factor(S231, a)
+        assert mat_mul(2, elems[lam], elems[mu]) == elems[a]
+        assert len(naive_image_vectors(2, elems[lam])) == 2 ** 2  # codim 1
+        assert len(naive_image_vectors(2, elems[mu])) == 2 ** 2
     with pytest.raises(PreconditionError):
-        raise_factor(INST221, A0)  # kernel too small below dimension 2
+        raise_factor(S221, IDX221(A0))  # kernel too small below dimension 2
 
 
 def test_raise_factor_closure_property():
@@ -237,13 +243,13 @@ def test_raise_factor_closure_property():
 
 
 def test_sandwich_factor():
-    lam, mu = sandwich_factor(INST221, A0, A0)
-    assert mat_mul(2, mat_mul(2, lam, A0), mu) == A0
-    lam, mu = sandwich_factor(INST221, A2, A0)
-    assert mat_mul(2, mat_mul(2, lam, A0), mu) == A2
-    assert codim(INST221, lam) == 1 and codim(INST221, mu) == 1
+    lam, mu = sandwich_factor(S221, IDX221(A0), IDX221(A0))
+    assert mat_mul(2, mat_mul(2, E221[lam], A0), E221[mu]) == A0
+    lam, mu = sandwich_factor(S221, IDX221(A2), IDX221(A0))
+    assert mat_mul(2, mat_mul(2, E221[lam], A0), E221[mu]) == A2
+    assert {E221[lam], E221[mu]} <= {IDENT2, A3}  # both units
     with pytest.raises(PreconditionError):
-        sandwich_factor(INST221, IDENT2, A0)
+        sandwich_factor(S221, IDX221(IDENT2), IDX221(A0))
 
 
 def test_generating_set():
@@ -268,11 +274,11 @@ def test_minimal_idempotents():
 
 
 def test_idempotent_by_image():
-    assert is_idempotent_by_image(INST221, IDENT2)
-    assert is_idempotent_by_image(INST221, A2)
-    assert not is_idempotent_by_image(INST221, A3)
-    for m in S232.table.elements:
-        assert is_idempotent_by_image(INST232, m) == (mat_mul(2, m, m) == m)
+    assert is_idempotent_by_image(S221, IDX221(IDENT2))
+    assert is_idempotent_by_image(S221, IDX221(A2))
+    assert not is_idempotent_by_image(S221, IDX221(A3))
+    for i, m in enumerate(S232.table.elements):
+        assert is_idempotent_by_image(S232, i) == (mat_mul(2, m, m) == m)
 
 
 def test_special_subgroups_smallest_instance():
@@ -323,33 +329,67 @@ def test_fix_u_is_conjugation_closed():
 
 def test_decompose_unit():
     w = rref_canonical(2, 3, [(0, 0, 1)])
-    ident = identity_mat(3)
-    assert decompose_unit(INST232, ident, w) == (ident, ident)
-    swap_translate = ((0, 1, 0), (1, 0, 0), (1, 0, 1))
-    first, second = decompose_unit(INST232, swap_translate, w)
-    assert first == ((0, 1, 0), (1, 0, 0), (0, 0, 1))
-    assert second == ((1, 0, 0), (0, 1, 0), (1, 0, 1))
-    for a in mats(S232, special_subgroup(S232, FIX_U)):
-        assert decompose_unit(INST232, a, w) == (ident, a)
+    idx, elems = S232.table.index_of, S232.table.elements
+    ident = S232.table.identity_idx
+    assert decompose_unit(S232, ident, w) == (ident, ident)
+    first, second = decompose_unit(S232, idx(((0, 1, 0), (1, 0, 0), (1, 0, 1))), w)
+    assert elems[first] == ((0, 1, 0), (1, 0, 0), (0, 0, 1))
+    assert elems[second] == ((1, 0, 0), (0, 1, 0), (1, 0, 1))
+    for a in special_subgroup(S232, FIX_U):
+        assert decompose_unit(S232, a, w) == (ident, a)
     with pytest.raises(PreconditionError):
-        decompose_unit(INST232, ((1, 0, 0), (0, 1, 0), (0, 0, 0)), w)
+        decompose_unit(S232, idx(((1, 0, 0), (0, 1, 0), (0, 0, 0))), w)  # not a unit
+    with pytest.raises(PreconditionError):
+        decompose_unit(S232, ident, INST232.u)  # U is not its own complement
 
 
 def test_decompose_fix_u():
     w = rref_canonical(2, 2, [(0, 1)])
-    assert decompose_fix_u(INST221, IDENT2, w) == (IDENT2, IDENT2)
-    assert decompose_fix_u(INST221, A3, w) == (IDENT2, A3)
+    assert decompose_fix_u(S221, IDX221(IDENT2), w) == (IDX221(IDENT2), IDX221(IDENT2))
+    assert decompose_fix_u(S221, IDX221(A3), w) == (IDX221(IDENT2), IDX221(A3))
     w3 = rref_canonical(2, 3, [(0, 1, 0), (0, 0, 1)])
-    for a in mats(S231, special_subgroup(S231, N_W, w3)):
-        assert decompose_fix_u(INST231, a, w3) == (identity_mat(3), a)
-    idx = S231.table.index_of
-    for a in mats(S231, special_subgroup(S231, FIX_U)):
-        stab, trans = decompose_fix_u(INST231, a, w3)
-        assert mat_mul(2, stab, trans) == a
-        assert idx(stab) in special_subgroup(S231, G_W, w3)
-        assert idx(trans) in special_subgroup(S231, N_W, w3)
+    ident = S231.table.identity_idx
+    for a in special_subgroup(S231, N_W, w3):
+        assert decompose_fix_u(S231, a, w3) == (ident, a)
+    elems = S231.table.elements
+    for a in special_subgroup(S231, FIX_U):
+        stab, trans = decompose_fix_u(S231, a, w3)
+        assert mat_mul(2, elems[stab], elems[trans]) == elems[a]
+        assert stab in special_subgroup(S231, G_W, w3)
+        assert trans in special_subgroup(S231, N_W, w3)
     with pytest.raises(PreconditionError):
-        decompose_fix_u(INST221, A0, w)
+        decompose_fix_u(S221, IDX221(A0), w)  # not a unit
+    with pytest.raises(PreconditionError):
+        decompose_fix_u(S321, S321.table.index_of(((2, 0), (0, 1))), rref_canonical(3, 2, [(0, 1)]))  # moves U
+
+
+W232 = rref_canonical(2, 3, [(0, 0, 1)])
+
+
+@pytest.mark.parametrize(
+    "fn, arity, extra",
+    [
+        pytest.param(fn, arity, extra, id=fn.__name__)
+        for fn, arity, extra in (
+            (dclass_witness, 2, ()),
+            (factor_through, 2, ()),
+            (sandwich_factor, 2, ()),
+            (regular_witness, 1, ()),
+            (raise_factor, 1, ()),
+            (is_idempotent_by_image, 1, ()),
+            (decompose_unit, 1, (W232,)),
+            (decompose_fix_u, 1, (W232,)),
+        )
+    ],
+)
+@pytest.mark.parametrize("bad", [-1, len(S232.table)])
+def test_constructors_reject_out_of_range_indices(fn, arity, extra, bad):
+    # Each index position in turn; -1 must not wrap around to the last element.
+    for pos in range(arity):
+        idxs = [S232.table.identity_idx] * arity
+        idxs[pos] = bad
+        with pytest.raises(PreconditionError, match="outside"):
+            fn(S232, *idxs, *extra)
 
 
 def test_decomposition_uniqueness():
@@ -393,6 +433,38 @@ def test_subgroup_iso_check_rejects_a_wrong_product_inside_fix_w():
     assert not subgroup_iso_check(bad, FIX_W, w)
 
 
+W231 = rref_canonical(2, 3, [(0, 1, 0), (0, 0, 1)])
+ALL231, CD231 = range(len(S231.table)), [prof[2] for prof in S231.profiles]
+MID231 = sorted(j_class(S231, 1))
+# Every valid call of each constructor on (2,3,1).
+VALID_CALLS = {
+    "regular_witness": (regular_witness, [(a,) for a in ALL231]),
+    "factor_through": (factor_through, [(a, b) for a in ALL231 for b in ALL231 if CD231[a] <= CD231[b]]),
+    "dclass_witness": (dclass_witness, [(a, b) for a in ALL231 for b in ALL231 if CD231[a] == CD231[b]]),
+    "raise_factor": (raise_factor, [(a,) for a in sorted(j_class(S231, 0))]),
+    "sandwich_factor": (sandwich_factor, [(a, b) for a in MID231 for b in MID231]),
+    "decompose_unit": (decompose_unit, [(a, W231) for a in sorted(j_class(S231, 2))]),
+    "decompose_fix_u": (decompose_fix_u, [(a, W231) for a in sorted(special_subgroup(S231, FIX_U))]),
+}
+
+
+@pytest.mark.parametrize("name", CONSTRUCTORS)
+def test_each_constructor_rejects_a_wrong_factor(monkeypatch, name):
+    fn, calls = VALID_CALLS[name]
+    break_linear_map(monkeypatch, {name})
+    with pytest.raises(InternalInconsistencyError):
+        for args in calls:
+            fn(S231, *args)
+
+
+def test_a_constructed_non_member_is_refused(monkeypatch):
+    # The zero map moves U, so it is no member; dclass_witness has no
+    # recomposition to catch it first, so the table lookup must.
+    monkeypatch.setattr(gl_restriction, "linear_map", lambda p, rows, images: ((0, 0, 0),) * 3)
+    with pytest.raises(InternalInconsistencyError, match="not a member"):
+        dclass_witness(S231, MID231[0], MID231[0])
+
+
 def test_nonnormality_gf3_matches_hand_computation():
     rep = nonnormality_example(3, "fix_w_in_units")
     assert rep.escaped
@@ -423,11 +495,12 @@ def test_j_class_count_report():
 def test_membership_closure_and_codim_monotonicity():
     rng = random.Random(2)
     elems = S232.table.elements
+    codim = lambda m: S232.profiles[S232.table.index_of(m)][2]
     for _ in range(300):
         a, b = rng.choice(elems), rng.choice(elems)
         ab = mat_mul(2, a, b)
         assert is_member(INST232, ab)
-        assert codim(INST232, ab) <= min(codim(INST232, a), codim(INST232, b))
+        assert codim(ab) <= min(codim(a), codim(b))
 
 
 def test_unit_group_subtable_is_group():

@@ -43,6 +43,9 @@ VERIFY = {
     "p2n2r1": "6719a2db743184edbd2fa0643cc0a025161a88282af51c567624f06653b08338",
     "p3n2r1": "3a4653228682ce77312bf1d32a3c3a3bdd71360412adb9cbe45d43cb028ab2c4",
     "p2n3r2": "9af5656b0c845ad4a2450c83efb2d6f028f3a672e04bae771b5fa82909213fc7",
+    "p2n3r1": "f6193cac4b4b7ef93a741ee3cea2470bd40790979951ea8917246415784288fd",
+    "p2n3r1_shifted": "f6193cac4b4b7ef93a741ee3cea2470bd40790979951ea8917246415784288fd",
+    "p2n4r2": "669417109df4ab9404914ce62c85d20bb9740c5a7bb8275e7b6165aeefdcbc00",
 }
 
 
