@@ -121,7 +121,9 @@ class VerifyReport:
     instance: dict
     checks: list[CheckResult] = field(default_factory=list)
     # Work done outside the checks: enumerate_s is the time of the one
-    # enumerate_semigroup call (member list, Cayley table, table check).
+    # enumerate_semigroup call (member list, Cayley table, table check),
+    # profiles_s the time to work out every element's image, kernel and
+    # codimension from the Structure's action array.
     stages: dict = field(default_factory=dict)
 
     @property
@@ -254,7 +256,8 @@ def _complements(inst: Instance):
 # Checks take the instance's Structure and the (enum_cap, rank_cap) pair,
 # except those in _INSTANCE_CHECKS, which take the Instance and run
 # without a table.  cmd_verify builds the Structure once, before the
-# first check that needs it, and times the build as its own stage.
+# first check that needs it, and times the build and the profiles as
+# stages of their own.
 
 
 def _check_order_law(s: Structure, caps):
@@ -560,6 +563,13 @@ def cmd_verify(cfg: InstanceConfig, enum_cap: int, rank_cap: int) -> VerifyRepor
             except GlsemiError as exc:
                 build_error = exc  # each table check reports it
             report.stages["enumerate_s"] = round(time.perf_counter() - start, 4)
+            if s is not None:
+                start = time.perf_counter()
+                try:
+                    s.profiles
+                except GlsemiError as exc:
+                    build_error = exc
+                report.stages["profiles_s"] = round(time.perf_counter() - start, 4)
         start = time.perf_counter()
         try:
             if fn in _INSTANCE_CHECKS:
@@ -626,8 +636,7 @@ def eggbox_dot(table: SemigroupTable, codims, minimal_idxs=frozenset()) -> str:
 
 def cmd_eggbox(cfg: InstanceConfig, enum_cap: int) -> str:
     s = enumerate_semigroup(build_instance(cfg), enum_cap)
-    codims = [prof[2] for prof in s.profiles]
-    return eggbox_dot(s.table, codims, minimal_idempotents_oracle(s.table))
+    return eggbox_dot(s.table, s.codims, minimal_idempotents_oracle(s.table))
 
 
 def cmd_report(cfg: InstanceConfig, enum_cap: int, rank_cap: int) -> dict:

@@ -227,16 +227,21 @@ def linear_map(p: int, basis_rows, image_rows) -> Mat:
 
     basis_rows must form a basis of the full space; this realizes the
     usual tableau definition of a map by its values on a chosen basis.
+    One Gauss-Jordan pass over [basis | images] turns the left block
+    into the identity and the right block into dom^-1 * images.
     """
-    dom = tuple(tuple(x % p for x in row) for row in basis_rows)
-    img = tuple(tuple(x % p for x in row) for row in image_rows)
+    dom = tuple(tuple(row) for row in basis_rows)
+    img = tuple(tuple(row) for row in image_rows)
     if len(dom) != len(img):
         raise ConfigurationError("domain and image row counts differ")
-    try:
-        inv = mat_inverse(p, dom)
-    except PreconditionError:
-        raise PreconditionError("domain rows do not form a basis") from None
-    return mat_mul(p, inv, img)
+    n = len(dom)
+    if any(len(row) != n for row in dom):
+        raise PreconditionError("domain rows do not form a basis")
+    width = len(img[0]) if img else 0
+    reduced, pivots = _rref(p, n + width, [d + i for d, i in zip(dom, img)])
+    if pivots != list(range(n)):
+        raise PreconditionError("domain rows do not form a basis")
+    return tuple(row[n:] for row in reduced)
 
 
 def extend_basis(partial, within: Subspace) -> list[Vec]:

@@ -129,9 +129,9 @@ def _members(inst: Instance) -> tuple[Mat, ...]:
     return tuple(out)
 
 
-def _cayley(p: int, mats) -> np.ndarray:
+def _cayley(p: int, mats) -> tuple[np.ndarray, np.ndarray]:
     # Gather instead of multiplying: a row vector is coded as an integer
-    # in [0, p^n), act[b, v] codes v*b, and row i of a*b is act[b, row_i(a)].
+    # in [0, p^n), act[v, b] codes v*b, and row i of a*b is act[row_i(a), b].
     # A member's key packs its row codes base p^n, so keys follow the
     # sorted member order, and a dense inverse over all p^(n^2) keys
     # (never more entries than the table) maps each product to its index.
@@ -142,51 +142,129 @@ def _cayley(p: int, mats) -> np.ndarray:
     digits = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
     vecs = np.array(list(iter_product(range(p), repeat=n)), dtype=np.int64)
     rows = arr @ digits  # rows[a, i]: code of row i of a
-    act_t = (((vecs @ arr) % p) @ digits).T.astype(key_type)  # act_t[v, b]: code of v*b
+    act = (((vecs @ arr) % p) @ digits).T.astype(key_type)  # act[v, b]: code of v*b
     index = np.full(q**n, -1, dtype=key_type)
     index[rows @ (q ** np.arange(n - 1, -1, -1, dtype=np.int64))] = np.arange(count)
     out = np.empty((count, count), dtype=np.uint16 if count < 65536 else np.int32)
     block = max(1, 2**20 // count)
     for lo in range(0, count, block):
-        keys = act_t[rows[lo : lo + block, 0]]
+        keys = act[rows[lo : lo + block, 0]]
         for i in range(1, n):
             keys *= q
-            keys += act_t[rows[lo : lo + block, i]]
+            keys += act[rows[lo : lo + block, i]]
         found = index[keys]
         if (found < 0).any():
             raise InternalInconsistencyError("a product escaped the member list")
         out[lo : lo + block] = found
-    return out
+    act.flags.writeable = False
+    return out, act
+
+
+def _once(store: dict, key, make):
+    # store[key], filled by make() on the first request.
+    if key not in store:
+        store[key] = make()
+    return store[key]
+
+
+def _first_of_each(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # (class id of each row, first row of each class), equal rows sharing a class.
+    _, first, ids = np.unique(np.packbits(masks, axis=1), axis=0, return_index=True, return_inverse=True)
+    return ids.reshape(-1), first
 
 
 class Structure:
     """One enumerated instance: the instance, its checked Cayley table,
-    and per-element data worked out from the table at most once, on
-    first use.  Build it with enumerate_semigroup(inst, cap).
+    the action array the table was gathered from, and data worked out
+    from them at most once, on first use.  Build it with
+    enumerate_semigroup(inst, cap).
 
     Element indices are table indices; the elements are sorted, so
-    index order is matrix order.
+    index order is matrix order.  `act[v, b]` is the code of the row
+    vector v times element b, a row vector coded base p as in _cayley.
+
+    Green's L-, R- and D-classes are the classes of equal image, kernel
+    and codimension, so every basis a constructor derives from an
+    element's image or kernel is a per-class basis.  The Structure
+    holds each one once, keyed by the subspace: transversal(ker),
+    extension(sub) and u_extension(img).  Their number is bounded by
+    the number of R-classes, L-classes and subspaces of V.
     """
 
-    def __init__(self, inst: Instance, table: SemigroupTable):
+    def __init__(self, inst: Instance, table: SemigroupTable, act: np.ndarray):
         self.inst = inst
         self.table = table
+        self.act = act
+        self._transversals: dict[Subspace, tuple[Vec, ...]] = {}
+        self._extensions: dict[Subspace, tuple[Vec, ...]] = {}
+        self._u_extensions: dict[Subspace, tuple[Vec, ...]] = {}
+        self._subgroups: dict[tuple[str, Subspace | None], frozenset[int]] = {}
+
+    def _image_masks(self) -> np.ndarray:
+        # masks[b, c]: the vector coded c lies in the image of element b.
+        count = self.act.shape[1]
+        masks = np.zeros((count, self.act.shape[0]), dtype=bool)
+        masks[np.arange(count), self.act] = True
+        return masks
+
+    @cached_property
+    def codims(self) -> tuple[int, ...]:
+        """codim of each element, log_p |image| - r, read off the action array."""
+        p, n, r = self.inst.p, self.inst.n, self.inst.r
+        sizes = self._image_masks().sum(axis=1)
+        dims = np.searchsorted(p ** np.arange(n + 1), sizes)
+        if (p**dims != sizes).any():
+            raise InternalInconsistencyError("an image size is not a power of p")
+        return tuple((dims - r).tolist())
 
     @cached_property
     def profiles(self) -> tuple[tuple[Subspace, Subspace, int], ...]:
-        """(image, kernel, codim) of each element."""
-        out = []
-        for m in self.table.elements:
-            img = image(self.inst.p, m)
-            out.append((img, kernel(self.inst.p, m), img.dim - self.inst.r))
-        return tuple(out)
+        """(image, kernel, codim) of each element.
+
+        Elements are grouped by their image set and their kernel mask in
+        the action array; each distinct image and kernel is reduced to
+        one RREF Subspace, shared by its whole class.
+        """
+        p, elements = self.inst.p, self.table.elements
+        img_ids, img_first = _first_of_each(self._image_masks())
+        ker_ids, ker_first = _first_of_each(self.act.T == 0)
+        images = [image(p, elements[i]) for i in img_first.tolist()]
+        kernels = [kernel(p, elements[i]) for i in ker_first.tolist()]
+        codims = self.codims
+        if any(images[k].dim - self.inst.r != codims[i] for k, i in enumerate(img_first.tolist())):
+            raise InternalInconsistencyError("an image's rank disagrees with its size")
+        return tuple(
+            (images[i], kernels[k], cd) for i, k, cd in zip(img_ids.tolist(), ker_ids.tolist(), codims)
+        )
+
+    def transversal(self, ker: Subspace) -> tuple[Vec, ...]:
+        """Vectors completing (ker basis, U basis) to a basis of V; once per kernel."""
+        inst = self.inst
+        return _once(
+            self._transversals,
+            ker,
+            lambda: tuple(extend_basis(ker.basis + inst.u.basis, full_space(inst.p, inst.n))),
+        )
+
+    def extension(self, sub: Subspace) -> tuple[Vec, ...]:
+        """Vectors extending sub's basis to a basis of V; once per subspace.
+
+        extend_basis depends only on the span of its rows, so any basis
+        of sub gets the same vectors.
+        """
+        inst = self.inst
+        return _once(self._extensions, sub, lambda: tuple(extend_basis(sub.basis, full_space(inst.p, inst.n))))
+
+    def u_extension(self, img: Subspace) -> tuple[Vec, ...]:
+        """Vectors extending U's basis to a basis of img; once per image."""
+        return _once(self._u_extensions, img, lambda: tuple(extend_basis(self.inst.u.basis, img)))
 
     @cached_property
     def grades(self) -> tuple[frozenset[int], ...]:
         """grades[k]: indices of codimension exactly k, for k = 0..n-r."""
-        codims = [prof[2] for prof in self.profiles]
+        codims = np.array(self.codims)
         top = self.inst.n - self.inst.r
-        return tuple(frozenset(i for i, cd in enumerate(codims) if cd == k) for k in range(top + 1))
+        return tuple(frozenset(np.flatnonzero(codims == k).tolist()) for k in range(top + 1))
 
     @cached_property
     def below(self) -> tuple[frozenset[int], ...]:
@@ -211,7 +289,8 @@ def enumerate_semigroup(inst: Instance, cap: int = DEFAULT_ENUM_CAP) -> Structur
             f"enumerated {len(mats)} members, closed form predicts {order}"
         )
     identity_idx = mats.index(identity_mat(inst.n))
-    return Structure(inst, SemigroupTable(mats, _cayley(inst.p, mats), identity_idx=identity_idx))
+    mul, act = _cayley(inst.p, mats)
+    return Structure(inst, SemigroupTable(mats, mul, identity_idx=identity_idx), act)
 
 
 def j_class(s: Structure, k: int) -> frozenset[int]:
@@ -249,11 +328,6 @@ def green_char_partitions(s: Structure) -> GreenPartitions:
     return GreenPartitions(l=l_part, r=r_part, h=h_part, d=d_part, j=d_part)
 
 
-def _transversal(inst: Instance, ker: Subspace) -> list[Vec]:
-    # Vectors completing (kernel basis, U basis) to a basis of V.
-    return extend_basis(ker.basis + inst.u.basis, full_space(inst.p, inst.n))
-
-
 def _act(inst: Instance, rows, m: Mat) -> tuple[Vec, ...]:
     return tuple(vec_mat(inst.p, row, m) for row in rows)
 
@@ -283,11 +357,9 @@ def dclass_witness(s: Structure, a: int, b: int) -> int:
     _, _, ker_b, kb = _member(s, b)
     if ka != kb:
         raise PreconditionError("witness requires equal codimension")
-    trans_b = _transversal(inst, ker_b)
-    img_trans = extend_basis(inst.u.basis, img_a)
-    domain = ker_b.basis + tuple(trans_b) + inst.u.basis
+    domain = ker_b.basis + s.transversal(ker_b) + inst.u.basis
     zeros = ((0,) * inst.n,) * ker_b.dim
-    images = zeros + tuple(img_trans) + _act(inst, inst.u.basis, ma)
+    images = zeros + s.u_extension(img_a) + _act(inst, inst.u.basis, ma)
     gamma = _index(s, linear_map(inst.p, domain, images))
     if s.profiles[gamma][:2] != (img_a, ker_b):
         raise InternalInconsistencyError("constructed witness has the wrong image or kernel")
@@ -303,21 +375,21 @@ def factor_through(s: Structure, a: int, b: int) -> tuple[int, int]:
         raise InfeasibleError(
             f"codim {ka} cannot factor through codim {kb}: products only lower codimension"
         )
-    w_rows = _transversal(inst, ker_a)          # ka vectors
-    w_primed = _transversal(inst, ker_b)[:ka]   # matching transversal for b
+    w_rows = s.transversal(ker_a)               # ka vectors
+    w_primed = s.transversal(ker_b)[:ka]        # matching transversal for b
     zeros_a = ((0,) * n,) * ker_a.dim
     lam = linear_map(
         p,
-        ker_a.basis + tuple(w_rows) + inst.u.basis,
-        zeros_a + tuple(w_primed) + inst.u.basis,
+        ker_a.basis + w_rows + inst.u.basis,
+        zeros_a + w_primed + inst.u.basis,
     )
     wpb = _act(inst, w_primed, mb)
     ub = _act(inst, inst.u.basis, mb)
-    tail = extend_basis(wpb + ub, full_space(p, n))
+    tail = s.extension(rref_canonical(p, n, wpb + ub))
     zeros_t = ((0,) * n,) * len(tail)
     mu = linear_map(
         p,
-        tuple(tail) + wpb + ub,
+        tail + wpb + ub,
         zeros_t + _act(inst, w_rows, ma) + _act(inst, inst.u.basis, ma),
     )
     if mat_mul(p, mat_mul(p, lam, mb), mu) != ma:
@@ -330,15 +402,16 @@ def regular_witness(s: Structure, a: int) -> int:
     inst, p, n = s.inst, s.inst.p, s.inst.n
     ma, img_a, ker_a, _ = _member(s, a)
     if a in s.grades[n - inst.r]:
-        return _index(s, mat_inverse(p, ma))
-    w_rows = _transversal(inst, ker_a)
-    tail = extend_basis(img_a.basis, full_space(p, n))
-    zeros = ((0,) * n,) * len(tail)
-    b = linear_map(
-        p,
-        _act(inst, w_rows, ma) + _act(inst, inst.u.basis, ma) + tuple(tail),
-        tuple(w_rows) + inst.u.basis + zeros,
-    )
+        b = mat_inverse(p, ma)
+    else:
+        w_rows = s.transversal(ker_a)
+        tail = s.extension(img_a)
+        zeros = ((0,) * n,) * len(tail)
+        b = linear_map(
+            p,
+            _act(inst, w_rows, ma) + _act(inst, inst.u.basis, ma) + tail,
+            w_rows + inst.u.basis + zeros,
+        )
     aba = mat_mul(p, mat_mul(p, ma, b), ma)
     bab = mat_mul(p, mat_mul(p, b, ma), b)
     if aba != ma or bab != b:
@@ -360,18 +433,18 @@ def raise_factor(s: Structure, a: int) -> tuple[int, int]:
         raise PreconditionError(
             f"raise requires codim <= {n - inst.r - 2} so the kernel has dimension >= 2"
         )
-    trans = _transversal(inst, ker_a)           # k vectors
-    fresh = extend_basis(img_a.basis, full_space(p, n))  # >= 2 vectors
+    trans = s.transversal(ker_a)                # k vectors
+    fresh = s.extension(img_a)                  # >= 2 vectors
     ta = _act(inst, trans, ma)
     ua = _act(inst, inst.u.basis, ma)
     kernel_imgs = (fresh[0],) + ((0,) * n,) * (ker_a.dim - 1)
-    lam = linear_map(p, tuple(trans) + ker_a.basis + inst.u.basis, ta + kernel_imgs + ua)
+    lam = linear_map(p, trans + ker_a.basis + inst.u.basis, ta + kernel_imgs + ua)
     mu_imgs = list(ta)
     mu_imgs.append((0,) * n)                    # kill the fresh line used by lam
     mu_imgs.append(fresh[1])                    # keep the second fresh line alive
     mu_imgs.extend(((0,) * n,) * (len(fresh) - 2))
     mu_imgs.extend(ua)
-    mu = linear_map(p, ta + tuple(fresh) + ua, tuple(mu_imgs))
+    mu = linear_map(p, ta + fresh + ua, tuple(mu_imgs))
     if mat_mul(p, lam, mu) != ma:
         raise InternalInconsistencyError("raise factorization failed to recompose")
     li, mi = _index(s, lam), _index(s, mu)
@@ -392,18 +465,16 @@ def sandwich_factor(s: Structure, target: int, a: int) -> tuple[int, int]:
     ma, img_a, ker_a, ka = _member(s, a)
     if ka != m or kt != m:
         raise PreconditionError(f"sandwich factorization requires codimension {m}")
-    trans_a, trans_t = _transversal(inst, ker_a), _transversal(inst, ker_t)
-    ext_a = extend_basis(img_a.basis, full_space(p, n))
-    ext_t = extend_basis(img_t.basis, full_space(p, n))
+    trans_a, trans_t = s.transversal(ker_a), s.transversal(ker_t)
     lam = linear_map(
         p,
-        tuple(trans_t) + ker_t.basis + inst.u.basis,
-        tuple(trans_a) + ker_a.basis + inst.u.basis,
+        trans_t + ker_t.basis + inst.u.basis,
+        trans_a + ker_a.basis + inst.u.basis,
     )
     mu = linear_map(
         p,
-        _act(inst, trans_a, ma) + tuple(ext_a) + _act(inst, inst.u.basis, ma),
-        _act(inst, trans_t, mt) + tuple(ext_t) + _act(inst, inst.u.basis, mt),
+        _act(inst, trans_a, ma) + s.extension(img_a) + _act(inst, inst.u.basis, ma),
+        _act(inst, trans_t, mt) + s.extension(img_t) + _act(inst, inst.u.basis, mt),
     )
     if mat_mul(p, mat_mul(p, lam, ma), mu) != mt:
         raise InternalInconsistencyError("sandwich factorization failed to recompose")
@@ -486,11 +557,16 @@ def special_subgroup(s: Structure, kind: str, w: Subspace | None = None) -> froz
     n_w:   fix_u elements translating each W-vector by an element of U.
 
     Membership is decided on each unit's matrix; the identity and the
-    closure under products are then checked on the Cayley table.
+    closure under products are then checked on the Cayley table.  Each
+    subgroup is built once per Structure, keyed by (kind, w).
     """
-    inst = s.inst
-    _require_subgroup_setting(inst, kind, w)
-    p = inst.p
+    _require_subgroup_setting(s.inst, kind, w)
+    key = (kind, None if kind == FIX_U else w)
+    return _once(s._subgroups, key, lambda: _subgroup_members(s, kind, w))
+
+
+def _subgroup_members(s: Structure, kind: str, w: Subspace | None) -> frozenset[int]:
+    inst, p = s.inst, s.inst.p
     picked = []
     for i in sorted(s.grades[inst.n - inst.r]):
         m = s.table.elements[i]

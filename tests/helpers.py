@@ -37,25 +37,26 @@ def with_product(s, i, j, k):
     mul = s.table.mul.copy()
     mul[i, j] = k
     table = SemigroupTable(s.table.elements, mul, identity_idx=s.table.identity_idx, check=False)
-    return Structure(s.inst, table)
+    return Structure(s.inst, table, s.act)
 
 
-def break_linear_map(monkeypatch, constructors):
-    """Make gl_restriction.linear_map build a wrong factor whenever one of
-    the named constructors calls it.
+def break_matrix_call(monkeypatch, constructors, name="linear_map"):
+    """Make the matrix function gl_restriction.<name> (linear_map or
+    mat_inverse) return a wrong matrix whenever one of the named
+    constructors calls it.
 
     The last two columns are swapped, which keeps an invertible factor
     invertible, so the constructor's own check has to catch the error.
     """
-    real = gl_restriction.linear_map
+    real = getattr(gl_restriction, name)
 
-    def broken(p, basis_rows, image_rows):
-        m = real(p, basis_rows, image_rows)
+    def broken(*args):
+        m = real(*args)
         if sys._getframe(1).f_code.co_name not in constructors:
             return m
         return tuple(row[:-2] + (row[-1], row[-2]) for row in m)
 
-    monkeypatch.setattr(gl_restriction, "linear_map", broken)
+    monkeypatch.setattr(gl_restriction, name, broken)
 
 
 def same_class(green, relation, i, j):
@@ -94,6 +95,23 @@ def naive_kernel_vectors(p, m):
 def naive_image_vectors(p, m):
     n = len(m)
     return frozenset(naive_vec_mat(p, v, m) for v in product(range(p), repeat=n))
+
+
+def naive_least_extension(p, n, rows):
+    """The lexicographically least vectors extending rows to a basis of
+    GF(p)^n: scan every vector in order and keep each one outside the
+    span of the rows kept so far, spans taken by direct summation."""
+    kept = [tuple(x % p for x in row) for row in rows]
+    out = []
+    # Every vector skipped so far lies in the current span, so the scan
+    # resumes where it stopped.
+    vectors = product(range(p), repeat=n)
+    while len(kept) < n:
+        span = naive_span(p, n, kept)
+        v = next(v for v in vectors if v not in span)
+        out.append(v)
+        kept.append(v)
+    return out
 
 
 def all_subspace_vector_sets(p, n, k):

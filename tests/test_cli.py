@@ -27,9 +27,13 @@ from glsemi.cli import (
 )
 from glsemi import cli, gl_restriction
 from glsemi.errors import ConfigurationError
+from glsemi.gf_linalg import enumerate_complements
 from glsemi.gl_restriction import (
     DEFAULT_ENUM_CAP,
     FIX_U,
+    FIX_W,
+    G_W,
+    N_W,
     Structure,
     enumerate_semigroup,
     j_class,
@@ -39,7 +43,7 @@ from glsemi.gl_restriction import (
 )
 from glsemi.semigroup_core import SemigroupTable
 
-from helpers import CONSTRUCTORS, break_linear_map, with_product
+from helpers import CONSTRUCTORS, break_matrix_call, with_product
 
 CAPS = (DEFAULT_ENUM_CAP, DEFAULT_RANK_CAP)
 
@@ -198,7 +202,7 @@ def test_unit_decomposition_fails_on_a_unit_without_inverse():
 
 
 def test_verify_fails_the_checks_whose_constructors_build_a_wrong_factor(monkeypatch):
-    break_linear_map(monkeypatch, CONSTRUCTORS)
+    break_matrix_call(monkeypatch, CONSTRUCTORS)
     report = cmd_verify(InstanceConfig(p=2, n=3, r=1), DEFAULT_ENUM_CAP, DEFAULT_RANK_CAP)
     broken = {"regularity", "factorizations", "unit_decomposition"}
     for check in report.checks:
@@ -246,7 +250,7 @@ class _ExtraJClassTable(SemigroupTable):
 def test_j_class_count_fails_on_an_extra_j_class():
     s = enumerate_semigroup(make_instance(2, 3, 1))
     t = s.table
-    bad = Structure(s.inst, _ExtraJClassTable(t.elements, t.mul, identity_idx=t.identity_idx, check=False))
+    bad = Structure(s.inst, _ExtraJClassTable(t.elements, t.mul, identity_idx=t.identity_idx, check=False), s.act)
     assert _check_j_class_count(s, CAPS) == ("pass", {"observed": 3, "quotient_dim": 2, "flagged": True}, None)
     status, counts, _ = _check_j_class_count(bad, CAPS)
     assert status == "fail"
@@ -265,7 +269,8 @@ def test_main_verify_smallest(tmp_path, capsys):
     assert [c["name"] for c in payload["checks"]] == CHECK_NAMES
     assert all(set(c) == {"name", "claim", "status", "counts", "reason", "seconds"} for c in payload["checks"])
     assert list(payload) == ["instance", "summary", "checks", "stages"]
-    assert list(payload["stages"]) == ["enumerate_s"] and payload["stages"]["enumerate_s"] >= 0
+    assert list(payload["stages"]) == ["enumerate_s", "profiles_s"]
+    assert all(seconds >= 0 for seconds in payload["stages"].values())
 
 
 def test_main_verify_respects_env_and_flag(tmp_path, capsys, monkeypatch):
@@ -301,6 +306,45 @@ def test_each_command_builds_each_table_once(monkeypatch):
     built.clear()
     cmd_eggbox(InstanceConfig(p=2, n=3, r=1), DEFAULT_ENUM_CAP)
     assert built == [64]
+
+
+def test_regularity_fails_on_a_wrong_unit_inverse(monkeypatch):
+    # Only the unit branch of regular_witness calls mat_inverse.
+    break_matrix_call(monkeypatch, {"regular_witness"}, name="mat_inverse")
+    report = cmd_verify(InstanceConfig(p=2, n=3, r=1), DEFAULT_ENUM_CAP, DEFAULT_RANK_CAP)
+    for check in report.checks:
+        if check.name == "regularity":
+            assert check.status == "fail"
+            assert "InternalInconsistencyError" in check.reason
+        else:
+            assert check.status in ("pass", "skip"), check.name
+
+
+def test_verify_builds_each_special_subgroup_once(monkeypatch):
+    built = []
+    real = gl_restriction._subgroup_members
+
+    def counting(s, kind, w):
+        built.append((kind, w))
+        return real(s, kind, w)
+
+    monkeypatch.setattr(gl_restriction, "_subgroup_members", counting)
+    report = cmd_verify(InstanceConfig(p=2, n=3, r=1), DEFAULT_ENUM_CAP, DEFAULT_RANK_CAP)
+    assert not report.failed
+    comps = enumerate_complements(make_instance(2, 3, 1).u)
+    expected = [(FIX_U, None)] + [(kind, w) for w in comps for kind in (FIX_W, G_W, N_W)]
+    assert sorted(built, key=repr) == sorted(expected, key=repr)
+
+
+def test_eggbox_reads_codims_without_building_subspaces(monkeypatch):
+    expected = cmd_eggbox(InstanceConfig(p=2, n=3, r=1), DEFAULT_ENUM_CAP)
+
+    def refuse(*args):
+        raise AssertionError("eggbox built a subspace")
+
+    monkeypatch.setattr(gl_restriction, "image", refuse)
+    monkeypatch.setattr(gl_restriction, "kernel", refuse)
+    assert cmd_eggbox(InstanceConfig(p=2, n=3, r=1), DEFAULT_ENUM_CAP) == expected
 
 
 def test_main_rejects_bad_config(tmp_path, capsys):

@@ -4,6 +4,7 @@ import random
 from itertools import permutations, product
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from glsemi.errors import ConfigurationError, NoPreimageError, PreconditionError
 from glsemi.gf_linalg import (
@@ -31,6 +32,7 @@ from glsemi.gf_linalg import (
 from helpers import (
     all_subspace_vector_sets,
     naive_kernel_vectors,
+    naive_least_extension,
     naive_mat_mul,
     naive_span,
     naive_vec_mat,
@@ -203,6 +205,49 @@ def test_extend_basis_deterministic():
         extend_basis([(1, 0), (1, 0)], v)
     with pytest.raises(PreconditionError):
         extend_basis([(1, 0, 1)], rref_canonical(2, 3, [(1, 0, 0)]))
+
+
+@st.composite
+def _field_rows(draw, square=False):
+    """(p, n, rows, other): p <= 13, n <= 4, k rows of length n (k = n when
+    square), and k more rows, each a random combination of the first k."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 11, 13)))
+    n = draw(st.integers(1, 4))
+    k = n if square else draw(st.integers(0, n))
+    entry = st.integers(0, p - 1)
+    rows = draw(st.lists(st.tuples(*[entry] * n), min_size=k, max_size=k))
+    mix = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=k, max_size=k))
+    other = [
+        tuple(sum(c * row[j] for c, row in zip(coeffs, rows)) % p for j in range(n)) for coeffs in mix
+    ]
+    return p, n, rows, other
+
+
+@settings(max_examples=60, deadline=None)
+@given(_field_rows())
+def test_extend_basis_depends_only_on_the_span_and_is_lex_least(case):
+    p, n, rows, other = case
+    k = len(rows)
+    assume(len(naive_span(p, n, rows)) == p**k)  # independent rows
+    full = full_space(p, n)
+    got = extend_basis(rows, full)
+    assert got == naive_least_extension(p, n, rows)
+    assert extend_basis(rref_canonical(p, n, rows).basis, full) == got
+    if len(naive_span(p, n, other)) == p**k:  # another basis of the same span
+        assert extend_basis(other, full) == got
+
+
+@settings(max_examples=60, deadline=None)
+@given(_field_rows(square=True), st.randoms(use_true_random=False))
+def test_linear_map_sends_each_basis_row_to_its_image(case, rng):
+    p, n, basis, _ = case
+    images = [tuple(rng.randrange(p) for _ in range(n)) for _ in range(n)]
+    if len(naive_span(p, n, basis)) == p**n:
+        m = linear_map(p, basis, images)
+        assert all(naive_vec_mat(p, b, m) == t for b, t in zip(basis, images))
+    else:
+        with pytest.raises(PreconditionError):
+            linear_map(p, basis, images)
 
 
 def test_preimage_vector():

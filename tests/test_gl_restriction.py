@@ -24,7 +24,7 @@ from glsemi.gf_linalg import (
     rref_canonical,
     vec_mat,
 )
-from glsemi import gl_restriction
+from glsemi import cli, gl_restriction
 from glsemi.cli import build_instance, load_config
 from glsemi.gl_restriction import (
     FIX_U,
@@ -58,7 +58,7 @@ from glsemi.semigroup_core import closure_indices, rank_search
 
 from helpers import (
     CONSTRUCTORS,
-    break_linear_map,
+    break_matrix_call,
     brute_members,
     mats,
     naive_image_vectors,
@@ -163,6 +163,35 @@ def test_codim():
     assert S221.profiles[IDX221(IDENT2)][2] == 1
     assert S221.profiles[IDX221(A0)][2] == 0
     assert S231.profiles[S231.table.index_of(((1, 0, 0), (0, 1, 0), (0, 0, 0)))][2] == 1
+
+
+@pytest.mark.parametrize("name", SMALL_CONFIGS + ("p2n4r2",))
+def test_profiles_from_the_action_array_match_each_element(name):
+    s = enumerate_semigroup(build_instance(load_config(str(CONFIGS / f"{name}.cfg"))))
+    p, r = s.inst.p, s.inst.r
+    for m, prof, cd in zip(s.table.elements, s.profiles, s.codims):
+        img = image(p, m)
+        assert prof == (img, kernel(p, m), img.dim - r)
+        assert cd == img.dim - r
+    # One Subspace object per distinct image and per distinct kernel.
+    green = s.table.green()
+    assert len({id(prof[0]) for prof in s.profiles}) == len(green.l)
+    assert len({id(prof[1]) for prof in s.profiles}) == len(green.r)
+
+
+def test_per_class_bases_grow_per_class_not_per_element():
+    s = enumerate_semigroup(build_instance(load_config(str(CONFIGS / "p2n4r2.cfg"))))
+    assert cli._check_factorizations(s, (gl_restriction.DEFAULT_ENUM_CAP, 4))[0] == "pass"
+    # The sampled pairs hold no unit, so touch every element, and with it
+    # every class: factor_through(a, a) needs the kernel's transversal and
+    # the image's extension.
+    for a in range(len(s.table)):
+        regular_witness(s, a)
+        factor_through(s, a, a)
+    green = s.table.green()
+    assert len(s._transversals) == len(green.r)  # one per kernel
+    assert len(s._extensions) == len(green.l)  # one per image
+    assert 0 < len(s._u_extensions) <= len(green.l)
 
 
 def test_j_class_and_q_ideal():
@@ -451,7 +480,7 @@ VALID_CALLS = {
 @pytest.mark.parametrize("name", CONSTRUCTORS)
 def test_each_constructor_rejects_a_wrong_factor(monkeypatch, name):
     fn, calls = VALID_CALLS[name]
-    break_linear_map(monkeypatch, {name})
+    break_matrix_call(monkeypatch, {name})
     with pytest.raises(InternalInconsistencyError):
         for args in calls:
             fn(S231, *args)

@@ -5,6 +5,13 @@ bytes is a change in behaviour, not in implementation.
 The verify digests cover stdout with the per-check `[x.xxs]` times
 removed.  To recompute a digest, run the command by hand and hash its
 output the same way `_digest_*` below does.
+
+The constructor digests cover the library instead of the CLI: every
+constructive factorization, unit split and special subgroup, written as
+matrices, on every index (and pair of indices) below order 120, on a
+stride of every 40th index at (2,4,2), and on every complement; there
+the unit splits also see every 40th unit.  Which inputs raise, and with
+which error, is part of the digest.
 """
 
 import hashlib
@@ -13,7 +20,25 @@ import re
 
 import pytest
 
-from glsemi.cli import ENV_ENUM_CAP, ENV_RANK_CAP, main
+from glsemi.cli import ENV_ENUM_CAP, ENV_RANK_CAP, build_instance, load_config, main
+from glsemi.errors import InfeasibleError, PreconditionError
+from glsemi.gf_linalg import enumerate_complements
+from glsemi.gl_restriction import (
+    FIX_U,
+    FIX_W,
+    G_W,
+    N_W,
+    dclass_witness,
+    decompose_fix_u,
+    decompose_unit,
+    enumerate_semigroup,
+    factor_through,
+    raise_factor,
+    regular_witness,
+    sandwich_factor,
+    special_subgroup,
+    subgroup_iso_check,
+)
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 _TIME = re.compile(r" \[\d+\.\d\ds\]$", re.M)
@@ -46,6 +71,15 @@ VERIFY = {
     "p2n3r1": "f6193cac4b4b7ef93a741ee3cea2470bd40790979951ea8917246415784288fd",
     "p2n3r1_shifted": "f6193cac4b4b7ef93a741ee3cea2470bd40790979951ea8917246415784288fd",
     "p2n4r2": "669417109df4ab9404914ce62c85d20bb9740c5a7bb8275e7b6165aeefdcbc00",
+}
+
+CONSTRUCTORS = {
+    "p2n2r1": "916b9086a8520f99d1aacd5aee5320cbf8d47686f150f46a843a4b580565838b",
+    "p2n3r1": "8dfdc5922b80e8490ae47b923e45524b07154443e0acbda39c6d90e3b47e6fe4",
+    "p2n3r1_shifted": "dc7db85d337c73d02eac734c8c6b36f1524bb599f815da74c5395605b6b312c2",
+    "p2n3r2": "f2843d0e291bddd71ff2da83a0f0012b2c667a9c8d450b21516e5dff2c2416e2",
+    "p2n4r2": "1882d85d47e4deeac48c34ba03b6ef19451de89d716dff631f64541bc2523c9a",
+    "p3n2r1": "12ea3cefe6ad17a05b5b974ad539aa61a3aa00d125f3621122f17e2bd861a7e1",
 }
 
 
@@ -92,3 +126,46 @@ def test_stretch_eggbox_dot_is_golden(pnr, tmp_path):
 @pytest.mark.parametrize("name", sorted(VERIFY))
 def test_verify_stdout_is_golden(name, capsys):
     assert _digest_verify(name, capsys) == VERIFY[name]
+
+
+def _digest_constructors(name: str) -> str:
+    s = enumerate_semigroup(build_instance(load_config(str(CONFIGS / f"{name}.cfg"))))
+    step = 1 if len(s.table) < 120 else 40
+    idxs = range(0, len(s.table), step)
+    # The unit splits also see every step-th unit and U-fixing unit, so
+    # the strided sample is not all refusals.
+    units = sorted(s.grades[s.inst.n - s.inst.r])
+    split_idxs = sorted(set(idxs) | set(units[::step]) | set(sorted(special_subgroup(s, FIX_U))[::step]))
+    elements = s.table.elements
+    h = hashlib.sha256()
+
+    def record(label, fn, *args):
+        try:
+            out = fn(s, *args)
+        except (InfeasibleError, PreconditionError) as exc:
+            text = type(exc).__name__
+        else:
+            text = repr([elements[i] for i in ((out,) if isinstance(out, int) else out)])
+        h.update(f"{label} {text}\n".encode("utf-8"))
+
+    for a in idxs:
+        record(f"regular_witness {a}", regular_witness, a)
+        record(f"raise_factor {a}", raise_factor, a)
+        for b in idxs:
+            record(f"factor_through {a} {b}", factor_through, a, b)
+            record(f"dclass_witness {a} {b}", dclass_witness, a, b)
+            record(f"sandwich_factor {a} {b}", sandwich_factor, a, b)
+    record("special_subgroup fix_u", lambda s: sorted(special_subgroup(s, FIX_U)))
+    for w in enumerate_complements(s.inst.u):
+        for kind in (FIX_W, G_W, N_W):
+            record(f"special_subgroup {kind} {w.basis}", lambda s: sorted(special_subgroup(s, kind, w)))
+            h.update(f"subgroup_iso_check {kind} {w.basis} {subgroup_iso_check(s, kind, w)}\n".encode())
+        for a in split_idxs:
+            record(f"decompose_unit {a} {w.basis}", decompose_unit, a, w)
+            record(f"decompose_fix_u {a} {w.basis}", decompose_fix_u, a, w)
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(REPORT))
+def test_constructor_results_are_golden(name):
+    assert _digest_constructors(name) == CONSTRUCTORS[name]
