@@ -44,8 +44,6 @@ from .gl_restriction import (
     CONJUGATION_CASES,
     Instance,
     Structure,
-    decompose_fix_u,
-    decompose_unit,
     enumerate_semigroup,
     factor_through,
     generating_set,
@@ -63,6 +61,7 @@ from .gl_restriction import (
     sandwich_factor,
     dclass_witness,
     special_subgroup,
+    split_grid,
     subgroup_iso_check,
     unit_group_subtable,
 )
@@ -348,7 +347,9 @@ def _check_factorizations(s: Structure, caps):
     table, profs = s.table, s.profiles
     top = s.inst.n - s.inst.r
     sampled = len(table) > _LIST_SAMPLE
-    idxs = _strided(range(len(table)), _PAIR_SAMPLE) if sampled else list(range(len(table)))
+    # Strided in (codimension, index) order, so every grade is sampled.
+    by_grade = sorted(range(len(table)), key=lambda i: (profs[i][2], i))
+    idxs = _strided(by_grade, _PAIR_SAMPLE) if sampled else list(range(len(table)))
     factored = witnesses = infeasible = 0
     for i in idxs:
         for j in idxs:
@@ -437,20 +438,14 @@ def _check_unit_decomposition(s: Structure, caps):
         g_inv = is_ident.argmax(axis=1)
         if not in_fix_u[mul[mul[np.ix_(g, h)], g_inv[:, None]]].all():
             failures.append("conjugate left the U-fixing subgroup")
+    # Each split is unique exactly when its product grid is a bijection,
+    # which split_grid checks for every unit and every U-fixing unit.
     comps = _complements(inst)
     decomposed = 0
     for w in comps:
-        fix_w = special_subgroup(s, FIX_W, w)
-        if len(units) != len(fix_w) * len(fix_u):
-            failures.append("order of the unit group does not split")
-        if fix_w & fix_u != {ident}:
-            failures.append("the two unit factors overlap beyond the identity")
-        for a in _strided(units, 100):
-            decompose_unit(s, a, w)
-            decomposed += 1
-        for a in _strided(sorted(fix_u), 100):
-            decompose_fix_u(s, a, w)
-            decomposed += 1
+        for left_kind in (FIX_W, G_W):
+            left, right, _ = split_grid(s, left_kind, w)
+            decomposed += left.size * right.size
     counts = {
         "units": len(units),
         "fix_u": len(fix_u),

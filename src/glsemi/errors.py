@@ -13,10 +13,6 @@ class PreconditionError(GlsemiError):
     """An operation was called outside its stated domain."""
 
 
-class NoPreimageError(GlsemiError):
-    """Requested a preimage of a vector that is not in the image."""
-
-
 class CapacityError(GlsemiError):
     """An enumeration, closure, or search exceeded its configured cap."""
 

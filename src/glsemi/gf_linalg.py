@@ -21,7 +21,6 @@ from itertools import product as iter_product
 from .errors import (
     ConfigurationError,
     InternalInconsistencyError,
-    NoPreimageError,
     PreconditionError,
 )
 
@@ -43,10 +42,6 @@ def check_modulus(p: int) -> None:
 
 def vec_add(p: int, a: Vec, b: Vec) -> Vec:
     return tuple((x + y) % p for x, y in zip(a, b))
-
-
-def vec_sub(p: int, a: Vec, b: Vec) -> Vec:
-    return tuple((x - y) % p for x, y in zip(a, b))
 
 
 def vec_mat(p: int, v: Vec, m: Mat) -> Vec:
@@ -300,25 +295,6 @@ def is_complement(w: Subspace, u: Subspace) -> bool:
     if w.dim + u.dim != w.n:
         return False
     return rref_canonical(w.p, w.n, w.basis + u.basis).dim == w.n
-
-
-def preimage_vector(p: int, m: Mat, target: Vec) -> Vec:
-    """Lexicographically least v with v*m = target.
-
-    Raises NoPreimageError when target is outside the image of m.
-    """
-    n = len(m)
-    t = tuple(x % p for x in target)
-    cols = transpose(m)
-    aug = [cols[i] + (t[i],) for i in range(n)]
-    reduced, pivots = _rref(p, n + 1, aug)
-    if n in pivots:
-        raise NoPreimageError("target vector is not in the image")
-    base = [0] * n
-    for row_i, pc in enumerate(pivots):
-        base[pc] = reduced[row_i][n]
-    base_v = tuple(base)
-    return min(vec_add(p, base_v, k) for k in kernel(p, m).vectors())
 
 
 def general_linear(p: int, k: int) -> tuple[Mat, ...]:

@@ -47,11 +47,9 @@ from .gf_linalg import (
     linear_map,
     mat_inverse,
     mat_mul,
-    preimage_vector,
     rref_canonical,
     vec_add,
     vec_mat,
-    vec_sub,
 )
 from .semigroup_core import GreenPartitions, SemigroupTable, subtable, rank_search
 
@@ -129,6 +127,18 @@ def _members(inst: Instance) -> tuple[Mat, ...]:
     return tuple(out)
 
 
+def _vectors(p: int, n: int) -> np.ndarray:
+    # Every row vector of GF(p)^n, row c being the vector coded c.
+    return np.array(list(iter_product(range(p), repeat=n)), dtype=np.int64).reshape(-1, n)
+
+
+def _codes(p: int, rows) -> np.ndarray:
+    # Code of each row vector along the last axis: its digits base p,
+    # the first entry most significant, so codes follow lexicographic order.
+    rows = np.asarray(rows, dtype=np.int64)
+    return rows @ p ** np.arange(rows.shape[-1] - 1, -1, -1, dtype=np.int64)
+
+
 def _cayley(p: int, mats) -> tuple[np.ndarray, np.ndarray]:
     # Gather instead of multiplying: a row vector is coded as an integer
     # in [0, p^n), act[v, b] codes v*b, and row i of a*b is act[row_i(a), b].
@@ -139,12 +149,10 @@ def _cayley(p: int, mats) -> tuple[np.ndarray, np.ndarray]:
     q = p**n
     key_type = np.int32 if q**n < 2**31 else np.int64
     arr = np.array(mats, dtype=np.int64)
-    digits = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    vecs = np.array(list(iter_product(range(p), repeat=n)), dtype=np.int64)
-    rows = arr @ digits  # rows[a, i]: code of row i of a
-    act = (((vecs @ arr) % p) @ digits).T.astype(key_type)  # act[v, b]: code of v*b
+    rows = _codes(p, arr)  # rows[a, i]: code of row i of a
+    act = _codes(p, (_vectors(p, n) @ arr) % p).T.astype(key_type)  # act[v, b]: code of v*b
     index = np.full(q**n, -1, dtype=key_type)
-    index[rows @ (q ** np.arange(n - 1, -1, -1, dtype=np.int64))] = np.arange(count)
+    index[_codes(q, rows)] = np.arange(count)
     out = np.empty((count, count), dtype=np.uint16 if count < 65536 else np.int32)
     block = max(1, 2**20 // count)
     for lo in range(0, count, block):
@@ -177,7 +185,8 @@ class Structure:
     """One enumerated instance: the instance, its checked Cayley table,
     the action array the table was gathered from, and data worked out
     from them at most once, on first use.  Build it with
-    enumerate_semigroup(inst, cap).
+    enumerate_semigroup(inst, cap).  The special subgroups and the unit
+    splits' product grids are held once per (kind, w).
 
     Element indices are table indices; the elements are sorted, so
     index order is matrix order.  `act[v, b]` is the code of the row
@@ -198,7 +207,7 @@ class Structure:
         self._transversals: dict[Subspace, tuple[Vec, ...]] = {}
         self._extensions: dict[Subspace, tuple[Vec, ...]] = {}
         self._u_extensions: dict[Subspace, tuple[Vec, ...]] = {}
-        self._subgroups: dict[tuple[str, Subspace | None], frozenset[int]] = {}
+        self._subgroups: dict[tuple[str, Subspace | None], object] = {}
 
     def _image_masks(self) -> np.ndarray:
         # masks[b, c]: the vector coded c lies in the image of element b.
@@ -401,17 +410,14 @@ def regular_witness(s: Structure, a: int) -> int:
     """Index of an inner inverse: b with a*b*a = a and b*a*b = b."""
     inst, p, n = s.inst, s.inst.p, s.inst.n
     ma, img_a, ker_a, _ = _member(s, a)
-    if a in s.grades[n - inst.r]:
-        b = mat_inverse(p, ma)
-    else:
-        w_rows = s.transversal(ker_a)
-        tail = s.extension(img_a)
-        zeros = ((0,) * n,) * len(tail)
-        b = linear_map(
-            p,
-            _act(inst, w_rows, ma) + _act(inst, inst.u.basis, ma) + tail,
-            w_rows + inst.u.basis + zeros,
-        )
+    w_rows = s.transversal(ker_a)
+    tail = s.extension(img_a)
+    zeros = ((0,) * n,) * len(tail)
+    b = linear_map(
+        p,
+        _act(inst, w_rows, ma) + _act(inst, inst.u.basis, ma) + tail,
+        w_rows + inst.u.basis + zeros,
+    )
     aba = mat_mul(p, mat_mul(p, ma, b), ma)
     bab = mat_mul(p, mat_mul(p, b, ma), b)
     if aba != ma or bab != b:
@@ -556,35 +562,35 @@ def special_subgroup(s: Structure, kind: str, w: Subspace | None = None) -> froz
     g_w:   fix_u elements mapping W onto itself.
     n_w:   fix_u elements translating each W-vector by an element of U.
 
-    Membership is decided on each unit's matrix; the identity and the
-    closure under products are then checked on the Cayley table.  Each
-    subgroup is built once per Structure, keyed by (kind, w).
+    Membership is one mask per kind over the units' columns of s.act;
+    the identity and the closure under products are then checked on
+    the Cayley table.  Each subgroup is built once per Structure, keyed
+    by (kind, w).
     """
     _require_subgroup_setting(s.inst, kind, w)
     key = (kind, None if kind == FIX_U else w)
     return _once(s._subgroups, key, lambda: _subgroup_members(s, kind, w))
 
 
+def _in_subgroup(s: Structure, kind: str, w: Subspace | None, idxs) -> np.ndarray:
+    # Mask over the units idxs of the members of subgroup kind, read off
+    # their columns of s.act: each rule's row must land in its allowed set.
+    p, u = s.inst.p, s.inst.u
+    rules = [(row, [row]) for row in (w.basis if kind == FIX_W else u.basis)]
+    if kind == G_W:
+        rules += [(row, w.vectors()) for row in w.basis]
+    elif kind == N_W:
+        rules += [(row, [vec_add(p, row, x) for x in u.vectors()]) for row in w.basis]
+    keep = np.ones(len(idxs), dtype=bool)
+    for row, allowed in rules:
+        keep &= np.isin(s.act[_codes(p, row), idxs], _codes(p, allowed))
+    return keep
+
+
 def _subgroup_members(s: Structure, kind: str, w: Subspace | None) -> frozenset[int]:
-    inst, p = s.inst, s.inst.p
-    picked = []
-    for i in sorted(s.grades[inst.n - inst.r]):
-        m = s.table.elements[i]
-        if kind == FIX_U:
-            keep = _fixes_pointwise(inst, m, inst.u.basis)
-        elif kind == FIX_W:
-            keep = _fixes_pointwise(inst, m, w.basis)
-        elif kind == G_W:
-            keep = _fixes_pointwise(inst, m, inst.u.basis) and (
-                rref_canonical(p, inst.n, _act(inst, w.basis, m)) == w
-            )
-        else:
-            keep = _fixes_pointwise(inst, m, inst.u.basis) and all(
-                inst.u.contains(vec_sub(p, vec_mat(p, row, m), row)) for row in w.basis
-            )
-        if keep:
-            picked.append(i)
-    group = frozenset(picked)
+    units = np.array(sorted(s.grades[s.inst.n - s.inst.r]))
+    picked = units[_in_subgroup(s, kind, w, units)]
+    group = frozenset(picked.tolist())
     if s.table.identity_idx not in group:
         raise InternalInconsistencyError("subgroup is missing the identity")
     inside = np.zeros(len(s.table), dtype=bool)
@@ -594,63 +600,85 @@ def _subgroup_members(s: Structure, kind: str, w: Subspace | None) -> frozenset[
     return group
 
 
-def decompose_unit(s: Structure, a: int, w: Subspace) -> tuple[int, int]:
-    """Split a unit as (fix_w part) * (fix_u part); the split is unique."""
-    inst, p = s.inst, s.inst.p
-    _require_subgroup_setting(inst, FIX_W, w)
-    ma = _member(s, a)[0]
-    if a not in s.grades[inst.n - inst.r]:
-        raise PreconditionError("decomposition is defined on units only")
-    first = linear_map(p, w.basis + inst.u.basis, w.basis + _act(inst, inst.u.basis, ma))
-    second = mat_mul(p, mat_inverse(p, first), ma)
+# Left factor: (right factor, what the split covers; None for all units).
+_SPLITS = {FIX_W: (FIX_U, None), G_W: (N_W, FIX_U)}
+
+
+def split_grid(s: Structure, left_kind: str, w: Subspace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(left, right, pos) of the product grid fix_w x fix_u (left_kind
+    fix_w) or g_w x n_w (left_kind g_w): the sorted factor indices and
+    pos[a], the flat grid cell holding a, -1 off the grid.
+
+    Splits are unique exactly when the grid is a bijection onto the
+    units (fix_u for g_w); anything else raises
+    InternalInconsistencyError.  Checked once per (split, W).
+    """
+    if left_kind not in _SPLITS:
+        raise PreconditionError(f"no unit split has left factor {left_kind!r}")
+    _require_subgroup_setting(s.inst, left_kind, w)
+    right_kind, whole_kind = _SPLITS[left_kind]
+
+    def make():
+        left = np.array(sorted(special_subgroup(s, left_kind, w)))
+        right = np.array(sorted(special_subgroup(s, right_kind, w)))
+        whole = s.grades[s.inst.n - s.inst.r] if whole_kind is None else special_subgroup(s, whole_kind)
+        cells = s.table.mul[np.ix_(left, right)].ravel()
+        if not np.array_equal(np.sort(cells), sorted(whole)):
+            raise InternalInconsistencyError(
+                f"{left_kind} x {right_kind} products are not a bijection onto {whole_kind or 'the units'}"
+            )
+        pos = np.full(len(s.table), -1, dtype=np.int64)
+        pos[cells] = np.arange(cells.size)
+        return left, right, pos
+
+    return _once(s._subgroups, (f"{left_kind}*{right_kind}", w), make)
+
+
+def _split(s: Structure, a: int, left_kind: str, w: Subspace) -> tuple[int, int]:
+    # a's cell of the checked grid, multiplied back out, each factor
+    # tested again for membership of its subgroup.
+    left, right, pos = split_grid(s, left_kind, w)
+    i, j = divmod(int(pos[a]), len(right))
+    first, second = int(left[i]), int(right[j])
+    elements = s.table.elements
     ok = (
-        mat_mul(p, first, second) == ma
-        and _fixes_pointwise(inst, first, w.basis)
-        and _fixes_pointwise(inst, second, inst.u.basis)
+        mat_mul(s.inst.p, elements[first], elements[second]) == elements[a]
+        and _in_subgroup(s, left_kind, w, [first])[0]
+        and _in_subgroup(s, _SPLITS[left_kind][0], w, [second])[0]
     )
     if not ok:
-        raise InternalInconsistencyError("unit decomposition failed to verify")
-    return _index(s, first), _index(s, second)
+        raise InternalInconsistencyError(f"{left_kind} split failed to verify")
+    return first, second
+
+
+def decompose_unit(s: Structure, a: int, w: Subspace) -> tuple[int, int]:
+    """Split a unit as (fix_w part) * (fix_u part); the split is unique.
+
+    The split is a lookup in the fix_w x fix_u grid of split_grid.
+    """
+    _member(s, a)
+    if a not in s.grades[s.inst.n - s.inst.r]:
+        raise PreconditionError("decomposition is defined on units only")
+    return _split(s, a, FIX_W, w)
 
 
 def decompose_fix_u(s: Structure, a: int, w: Subspace) -> tuple[int, int]:
     """Split a U-fixing unit as (W-stabilizing part) * (translation part).
 
-    The translation part moves each basis vector w_i of W by the unique
-    u'_i in U with w_i + u'_i inside the image of W under a; the other
-    factor is recovered through preimages and stabilizes W.
+    The split is unique, and a lookup in the g_w x n_w grid of split_grid.
     """
-    inst, p, n = s.inst, s.inst.p, s.inst.n
-    _require_subgroup_setting(inst, G_W, w)
-    ma = _member(s, a)[0]
-    if a not in s.grades[n - inst.r] or not _fixes_pointwise(inst, ma, inst.u.basis):
+    _member(s, a)
+    if a not in special_subgroup(s, FIX_U):
         raise PreconditionError("decomposition is defined on U-fixing units only")
-    moved = _act(inst, w.basis, ma)
-    mixed_inv = mat_inverse(p, moved + inst.u.basis)
-    translated = []
-    for row in w.basis:
-        coeffs = vec_mat(p, row, mixed_inv)
-        u_part = [0] * n
-        for c, u_row in zip(coeffs[len(moved) :], inst.u.basis):
-            if c:
-                for jj, x in enumerate(u_row):
-                    u_part[jj] += c * x
-        shift = tuple((-x) % p for x in u_part)
-        translated.append(vec_add(p, row, shift))
-    translation = linear_map(p, w.basis + inst.u.basis, tuple(translated) + inst.u.basis)
-    pre = tuple(preimage_vector(p, ma, t) for t in translated)
-    stabilizer = linear_map(p, pre + inst.u.basis, w.basis + inst.u.basis)
-    w_image = rref_canonical(p, n, _act(inst, w.basis, stabilizer))
-    ok = (
-        mat_mul(p, stabilizer, translation) == ma
-        and w_image == w
-        and _fixes_pointwise(inst, stabilizer, inst.u.basis)
-        and _fixes_pointwise(inst, translation, inst.u.basis)
-        and all(inst.u.contains(vec_sub(p, t, row)) for t, row in zip(translated, w.basis))
-    )
-    if not ok:
-        raise InternalInconsistencyError("fix-U decomposition failed to verify")
-    return _index(s, stabilizer), _index(s, translation)
+    return _split(s, a, G_W, w)
+
+
+def _coordinates(sub: Subspace) -> np.ndarray:
+    # out[c]: coordinates over sub's basis of the vector coded c; -1s off sub.
+    coeffs = _vectors(sub.p, sub.dim)
+    out = np.full((sub.p**sub.n, sub.dim), -1, dtype=np.int64)
+    out[_codes(sub.p, coeffs @ np.array(sub.basis) % sub.p)] = coeffs
+    return out
 
 
 def subgroup_iso_check(s: Structure, kind: str, w: Subspace | None = None) -> bool:
@@ -658,45 +686,43 @@ def subgroup_iso_check(s: Structure, kind: str, w: Subspace | None = None) -> bo
 
     fix_w maps onto GL(U) by restriction to U, g_w onto GL(W) by
     restriction to W, and n_w onto the additive group U^(n-r) by
-    extracting the translation tuple.  The map is checked to be a
-    bijection and a homomorphism over the whole subgroup; the
-    subgroup's products are read from the Cayley table, and only the
-    comparison group's products are computed.
+    extracting the translation tuple.  Each member is mapped once, off
+    s.act, to its coordinate rows.  The map must be a bijection onto
+    general_linear or onto every coordinate tuple, and the homomorphism
+    law over every pair is one array compare: the image of a*b, read
+    from the Cayley table, against the product of the images (matrix
+    product, or coordinate sum mod p).
     """
     inst = s.inst
     _require_subgroup_setting(inst, kind, w)
     if kind == FIX_U:
         raise PreconditionError("no canonical comparison group for fix_u; decompose it instead")
     p = inst.p
-    members = sorted(special_subgroup(s, kind, w))
-    elements, mul = s.table.elements, s.table.mul
-
-    if kind in (FIX_W, G_W):
-        space = inst.u if kind == FIX_W else w
-
-        def to_target(m):
-            return tuple(space.coordinates(vec_mat(p, row, m)) for row in space.basis)
-
-        target = set(general_linear(p, space.dim))
-        combine = lambda fa, fb: mat_mul(p, fa, fb)
+    members = np.array(sorted(special_subgroup(s, kind, w)))
+    if kind == N_W:
+        # coords[i, m]: U-coordinates of w_i*m - w_i.
+        moved = _vectors(p, inst.n)[s.act[_codes(p, w.basis)][:, members]]
+        coords = _coordinates(inst.u)[_codes(p, (moved - np.array(w.basis)[:, None]) % p)]
+        group = np.arange(p ** (inst.r * w.dim))
     else:
-
-        def to_target(m):
-            return tuple(vec_sub(p, vec_mat(p, row, m), row) for row in w.basis)
-
-        target = set(iter_product(inst.u.vectors(), repeat=w.dim))
-        combine = lambda fa, fb: tuple(vec_add(p, x, y) for x, y in zip(fa, fb))
-
-    mapped = {i: to_target(elements[i]) for i in members}
-    if set(mapped.values()) != target or len(target) != len(members):
+        # coords[i, m]: coordinates of (basis row i) * m over the space.
+        space = inst.u if kind == FIX_W else w
+        coords = _coordinates(space)[s.act[_codes(p, space.basis)][:, members]]
+        gl = np.array(general_linear(p, space.dim))
+        group = np.sort(_codes(p, gl.reshape(len(gl), -1)))
+    if (coords < 0).any():
         return False
-    products = mul[np.ix_(members, members)].tolist()
-    for a, row in zip(members, products):
-        fa = mapped[a]
-        for b, ab in zip(members, row):
-            if mapped[ab] != combine(fa, mapped[b]):
-                return False
-    return True
+    images = coords.transpose(1, 0, 2)  # images[m]: m's coordinate rows
+    if not np.array_equal(np.sort(_codes(p, images.reshape(len(members), -1))), group):
+        return False
+    local = np.full(len(s.table), -1, dtype=np.int64)
+    local[members] = np.arange(len(members))
+    products = local[s.table.mul[np.ix_(members, members)]]
+    if kind == N_W:
+        expected = (images[:, None] + images) % p
+    else:
+        expected = np.einsum("aij,bjk->abik", images, images) % p
+    return bool((products >= 0).all() and np.array_equal(images[products], expected))
 
 
 CONJUGATION_CASES = ("fix_w_in_units", "g_w_in_fix_u")

@@ -9,6 +9,7 @@ import sys
 from itertools import product
 
 from glsemi import gl_restriction
+from glsemi.gf_linalg import enumerate_complements
 from glsemi.gl_restriction import Structure
 from glsemi.semigroup_core import SemigroupTable
 
@@ -18,8 +19,6 @@ CONSTRUCTORS = (
     "dclass_witness",
     "raise_factor",
     "sandwich_factor",
-    "decompose_unit",
-    "decompose_fix_u",
 )
 
 
@@ -40,15 +39,14 @@ def with_product(s, i, j, k):
     return Structure(s.inst, table, s.act)
 
 
-def break_matrix_call(monkeypatch, constructors, name="linear_map"):
-    """Make the matrix function gl_restriction.<name> (linear_map or
-    mat_inverse) return a wrong matrix whenever one of the named
-    constructors calls it.
+def break_matrix_call(monkeypatch, constructors):
+    """Make gl_restriction.linear_map return a wrong matrix whenever one
+    of the named constructors calls it.
 
     The last two columns are swapped, which keeps an invertible factor
     invertible, so the constructor's own check has to catch the error.
     """
-    real = getattr(gl_restriction, name)
+    real = gl_restriction.linear_map
 
     def broken(*args):
         m = real(*args)
@@ -56,7 +54,32 @@ def break_matrix_call(monkeypatch, constructors, name="linear_map"):
             return m
         return tuple(row[:-2] + (row[-1], row[-2]) for row in m)
 
-    monkeypatch.setattr(gl_restriction, name, broken)
+    monkeypatch.setattr(gl_restriction, "linear_map", broken)
+
+
+def with_wrong_split(s, left_kind, w):
+    """A with_product copy of s in which one cell of the left_kind split's
+    product grid (fix_w x fix_u onto the units, or g_w x n_w onto fix_u)
+    holds another element of the whole, so the grid is no bijection.
+
+    Every special subgroup, for every complement, that holds both
+    factors of the cell also holds the element put there, so each one
+    stays closed under products and only the grid is wrong.
+    """
+    g = gl_restriction
+    left, right, pos = g.split_grid(s, left_kind, w)
+    subgroups = [g.special_subgroup(s, g.FIX_U)] + [
+        g.special_subgroup(s, kind, v) for v in enumerate_complements(s.inst.u) for kind in (g.FIX_W, g.G_W, g.N_W)
+    ]
+    mul = s.table.mul
+    a, b, c = next(
+        (a, b, c)
+        for a in left.tolist()
+        for b in right.tolist()
+        for c in (pos >= 0).nonzero()[0].tolist()
+        if c != mul[a, b] and all(c in h for h in subgroups if a in h and b in h)
+    )
+    return with_product(s, a, b, c)
 
 
 def same_class(green, relation, i, j):

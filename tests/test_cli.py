@@ -11,6 +11,7 @@ from glsemi.cli import (
     ENV_ENUM_CAP,
     ENV_RANK_CAP,
     InstanceConfig,
+    _check_factorizations,
     _check_generation,
     _check_green_agreement,
     _check_ideal_structure,
@@ -26,7 +27,7 @@ from glsemi.cli import (
     resolve_caps,
 )
 from glsemi import cli, gl_restriction
-from glsemi.errors import ConfigurationError
+from glsemi.errors import ConfigurationError, InternalInconsistencyError
 from glsemi.gf_linalg import enumerate_complements
 from glsemi.gl_restriction import (
     DEFAULT_ENUM_CAP,
@@ -35,15 +36,17 @@ from glsemi.gl_restriction import (
     G_W,
     N_W,
     Structure,
+    decompose_unit,
     enumerate_semigroup,
     j_class,
     make_instance,
+    regular_witness,
     special_subgroup,
     unit_group_subtable,
 )
 from glsemi.semigroup_core import SemigroupTable
 
-from helpers import CONSTRUCTORS, break_matrix_call, with_product
+from helpers import CONSTRUCTORS, break_matrix_call, with_product, with_wrong_split
 
 CAPS = (DEFAULT_ENUM_CAP, DEFAULT_RANK_CAP)
 
@@ -175,6 +178,39 @@ def test_unit_decomposition_fails_on_a_broken_conjugate():
     assert "conjugate left the U-fixing subgroup" in reason
 
 
+@pytest.mark.parametrize("left_kind", [FIX_W, G_W])
+def test_unit_decomposition_fails_on_a_wrong_cell_in_a_split_grid(monkeypatch, left_kind):
+    s = enumerate_semigroup(make_instance(2, 3, 1))
+    w = enumerate_complements(s.inst.u)[0]
+    bad = with_wrong_split(s, left_kind, w)
+    real = cli.enumerate_semigroup
+    monkeypatch.setattr(cli, "enumerate_semigroup", lambda inst, cap: bad if inst == s.inst else real(inst, cap))
+    report = cmd_verify(InstanceConfig(p=2, n=3, r=1), DEFAULT_ENUM_CAP, DEFAULT_RANK_CAP)
+    check = next(c for c in report.checks if c.name == "unit_decomposition")
+    assert check.status == "fail"
+    assert "InternalInconsistencyError" in check.reason and "not a bijection" in check.reason
+    if left_kind == FIX_W:
+        with pytest.raises(InternalInconsistencyError, match="not a bijection onto the units"):
+            decompose_unit(bad, min(j_class(bad, 2)), w)
+
+
+def test_factorization_sample_holds_every_grade_as_each_operand(monkeypatch):
+    s = enumerate_semigroup(make_instance(2, 4, 2))
+    pairs = []
+    real = cli.factor_through
+
+    def recording(s, a, b):
+        pairs.append((s.codims[a], s.codims[b]))
+        return real(s, a, b)
+
+    monkeypatch.setattr(cli, "factor_through", recording)
+    status, counts, _ = _check_factorizations(s, CAPS)
+    assert status == "pass" and counts["sampled"]
+    grades = set(range(3))
+    assert {a for a, _ in pairs} == grades
+    assert {b for _, b in pairs} == grades
+
+
 def test_green_agreement_fails_when_one_product_splits_an_l_class():
     s = enumerate_semigroup(make_instance(2, 3, 1))
     first = min(s.table.green().l, key=min)  # element 0 and three others
@@ -204,7 +240,7 @@ def test_unit_decomposition_fails_on_a_unit_without_inverse():
 def test_verify_fails_the_checks_whose_constructors_build_a_wrong_factor(monkeypatch):
     break_matrix_call(monkeypatch, CONSTRUCTORS)
     report = cmd_verify(InstanceConfig(p=2, n=3, r=1), DEFAULT_ENUM_CAP, DEFAULT_RANK_CAP)
-    broken = {"regularity", "factorizations", "unit_decomposition"}
+    broken = {"regularity", "factorizations"}
     for check in report.checks:
         if check.name in broken:
             assert check.status == "fail", check.name
@@ -309,8 +345,12 @@ def test_each_command_builds_each_table_once(monkeypatch):
 
 
 def test_regularity_fails_on_a_wrong_unit_inverse(monkeypatch):
-    # Only the unit branch of regular_witness calls mat_inverse.
-    break_matrix_call(monkeypatch, {"regular_witness"}, name="mat_inverse")
+    # A unit's inverse comes from the same linear_map as any inner inverse.
+    s = enumerate_semigroup(make_instance(2, 3, 1))
+    break_matrix_call(monkeypatch, {"regular_witness"})
+    for a in sorted(j_class(s, 2)):
+        with pytest.raises(InternalInconsistencyError):
+            regular_witness(s, a)
     report = cmd_verify(InstanceConfig(p=2, n=3, r=1), DEFAULT_ENUM_CAP, DEFAULT_RANK_CAP)
     for check in report.checks:
         if check.name == "regularity":

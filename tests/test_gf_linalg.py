@@ -6,10 +6,9 @@ from itertools import permutations, product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from glsemi.errors import ConfigurationError, NoPreimageError, PreconditionError
+from glsemi.errors import ConfigurationError, PreconditionError
 from glsemi.gf_linalg import (
     Subspace,
-    all_vectors,
     check_modulus,
     enumerate_complements,
     extend_basis,
@@ -23,7 +22,6 @@ from glsemi.gf_linalg import (
     linear_map,
     mat_inverse,
     mat_mul,
-    preimage_vector,
     rref_canonical,
     vec_mat,
     zero_space,
@@ -248,25 +246,6 @@ def test_linear_map_sends_each_basis_row_to_its_image(case, rng):
     else:
         with pytest.raises(PreconditionError):
             linear_map(p, basis, images)
-
-
-def test_preimage_vector():
-    assert preimage_vector(2, identity_mat(2), (1, 1)) == (1, 1)
-    m = ((1, 0), (1, 0))
-    # solutions of v*m = (1,0) are {(0,1), (1,0)}; lexicographic least wins
-    assert preimage_vector(2, m, (1, 0)) == (0, 1)
-    with pytest.raises(NoPreimageError):
-        preimage_vector(2, m, (0, 1))
-
-
-def test_preimage_is_lex_least_by_exhaustion():
-    rng = random.Random(13)
-    for p in (2, 3):
-        for _ in range(60):
-            m = tuple(tuple(rng.randrange(p) for _ in range(3)) for _ in range(3))
-            target = naive_vec_mat(p, tuple(rng.randrange(p) for _ in range(3)), m)
-            expected = min(v for v in all_vectors(p, 3) if naive_vec_mat(p, v, m) == target)
-            assert preimage_vector(p, m, target) == expected
 
 
 def test_mat_inverse_and_linear_map():

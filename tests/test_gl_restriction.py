@@ -51,6 +51,7 @@ from glsemi.gl_restriction import (
     regular_witness,
     sandwich_factor,
     special_subgroup,
+    split_grid,
     subgroup_iso_check,
     unit_group_subtable,
 )
@@ -63,7 +64,9 @@ from helpers import (
     mats,
     naive_image_vectors,
     naive_span,
+    naive_vec_mat,
     with_product,
+    with_wrong_split,
 )
 
 A0 = ((1, 0), (0, 0))
@@ -182,9 +185,9 @@ def test_profiles_from_the_action_array_match_each_element(name):
 def test_per_class_bases_grow_per_class_not_per_element():
     s = enumerate_semigroup(build_instance(load_config(str(CONFIGS / "p2n4r2.cfg"))))
     assert cli._check_factorizations(s, (gl_restriction.DEFAULT_ENUM_CAP, 4))[0] == "pass"
-    # The sampled pairs hold no unit, so touch every element, and with it
-    # every class: factor_through(a, a) needs the kernel's transversal and
-    # the image's extension.
+    # The sampled pairs need not meet every class, so touch every element:
+    # factor_through(a, a) needs the kernel's transversal and the image's
+    # extension.
     for a in range(len(s.table)):
         regular_witness(s, a)
         factor_through(s, a, a)
@@ -345,6 +348,36 @@ def test_special_subgroup_sizes_match_formulas():
         )
 
 
+def test_special_subgroups_match_their_matrix_definitions():
+    # Membership is read off the action array; this oracle multiplies
+    # each unit's matrix out instead.
+    for s in (S231, S232, S321):
+        inst, p = s.inst, s.inst.p
+        u_set = naive_span(p, inst.n, inst.u.basis)
+        units = sorted(j_class(s, inst.n - inst.r))
+
+        def members(*tests):
+            out = set()
+            for i in units:
+                images = [(row, naive_vec_mat(p, row, s.table.elements[i])) for row in inst.u.basis + w.basis]
+                if all(test(images) for test in tests):
+                    out.add(i)
+            return out
+
+        def fixes_u(images):
+            return all(x == y for x, y in images[: inst.r])
+
+        for w in enumerate_complements(inst.u):
+            w_set = naive_span(p, inst.n, w.basis)
+            assert special_subgroup(s, FIX_U) == members(fixes_u)
+            assert special_subgroup(s, FIX_W, w) == members(lambda im: all(x == y for x, y in im[inst.r :]))
+            assert special_subgroup(s, G_W, w) == members(fixes_u, lambda im: all(y in w_set for _, y in im[inst.r :]))
+            assert special_subgroup(s, N_W, w) == members(
+                fixes_u,
+                lambda im: all(tuple((b - a) % p for a, b in zip(x, y)) in u_set for x, y in im[inst.r :]),
+            )
+
+
 def test_fix_u_is_conjugation_closed():
     for s in (S232, S321):
         p = s.inst.p
@@ -451,15 +484,28 @@ def test_special_subgroup_rejects_a_product_leaving_it():
         special_subgroup(with_product(S232, a, b, outside), FIX_U)
 
 
-def test_subgroup_iso_check_rejects_a_wrong_product_inside_fix_w():
-    w = rref_canonical(2, 3, [(0, 0, 1)])
-    fix_w = sorted(special_subgroup(S232, FIX_W, w))
+@pytest.mark.parametrize("kind", [FIX_W, N_W])
+def test_subgroup_iso_check_rejects_a_wrong_product_inside_the_subgroup(kind):
+    # fix_w is compared with the GL table, n_w with coordinate addition.
+    members = sorted(special_subgroup(S232, kind, W232))
     ident = S232.table.identity_idx
-    a, b = [i for i in fix_w if i != ident][:2]
-    wrong = next(c for c in fix_w if c != S232.table.mul[a][b])
+    a, b = [i for i in members if i != ident][:2]
+    wrong = next(c for c in members if c != S232.table.mul[a][b])
     bad = with_product(S232, a, b, wrong)
-    assert special_subgroup(bad, FIX_W, w) == set(fix_w)  # still closed
-    assert not subgroup_iso_check(bad, FIX_W, w)
+    assert special_subgroup(bad, kind, W232) == set(members)  # still closed
+    assert not subgroup_iso_check(bad, kind, W232)
+
+
+def test_split_grid_holds_each_element_in_one_cell():
+    for left_kind, whole in ((FIX_W, j_class(S232, 1)), (G_W, special_subgroup(S232, FIX_U))):
+        left, right, pos = split_grid(S232, left_kind, W232)
+        cells = S232.table.mul[np.ix_(left, right)].ravel()
+        assert sorted(cells.tolist()) == sorted(whole)
+        assert [int(cells[pos[a]]) for a in sorted(whole)] == sorted(whole)
+        assert (pos >= 0).sum() == len(whole)
+    for kind in (FIX_U, N_W):
+        with pytest.raises(PreconditionError):
+            split_grid(S232, kind, W232)
 
 
 W231 = rref_canonical(2, 3, [(0, 1, 0), (0, 0, 1)])
@@ -477,13 +523,22 @@ VALID_CALLS = {
 }
 
 
-@pytest.mark.parametrize("name", CONSTRUCTORS)
+# The unit splits read their factors off a product grid, not linear_map,
+# so they are broken through a table with one wrong cell in that grid.
+UNIT_SPLITS = {"decompose_unit": FIX_W, "decompose_fix_u": G_W}
+
+
+@pytest.mark.parametrize("name", CONSTRUCTORS + tuple(UNIT_SPLITS))
 def test_each_constructor_rejects_a_wrong_factor(monkeypatch, name):
     fn, calls = VALID_CALLS[name]
-    break_matrix_call(monkeypatch, {name})
-    with pytest.raises(InternalInconsistencyError):
+    if name in UNIT_SPLITS:
+        s, match = with_wrong_split(S231, UNIT_SPLITS[name], W231), "not a bijection"
+    else:
+        s, match = S231, None
+        break_matrix_call(monkeypatch, {name})
+    with pytest.raises(InternalInconsistencyError, match=match):
         for args in calls:
-            fn(S231, *args)
+            fn(s, *args)
 
 
 def test_a_constructed_non_member_is_refused(monkeypatch):
