@@ -51,7 +51,7 @@ from .gf_linalg import (
     vec_add,
     vec_mat,
 )
-from .semigroup_core import GreenPartitions, SemigroupTable, subtable, rank_search
+from .semigroup_core import GreenPartitions, SemigroupTable, subtable, rank_search, table_dtype
 
 #: Default ceiling on the semigroup order accepted for full enumeration.
 DEFAULT_ENUM_CAP = 2000
@@ -153,7 +153,7 @@ def _cayley(p: int, mats) -> tuple[np.ndarray, np.ndarray]:
     act = _codes(p, (_vectors(p, n) @ arr) % p).T.astype(key_type)  # act[v, b]: code of v*b
     index = np.full(q**n, -1, dtype=key_type)
     index[_codes(q, rows)] = np.arange(count)
-    out = np.empty((count, count), dtype=np.uint16 if count < 65536 else np.int32)
+    out = np.empty((count, count), dtype=table_dtype(count))
     block = max(1, 2**20 // count)
     for lo in range(0, count, block):
         keys = act[rows[lo : lo + block, 0]]

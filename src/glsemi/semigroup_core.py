@@ -16,12 +16,14 @@ import numpy as np
 
 from .errors import CapacityError, InternalInconsistencyError, PreconditionError
 
-# Exhaustive associativity check up to this order; random triples above.
-_ASSOC_EXHAUSTIVE_LIMIT = 200
-_ASSOC_SAMPLE_COUNT = 1_000_000
-# Rows per block when a whole-table scatter would need an index array
-# as large as the table itself.
+# Rows per block wherever a whole-table scatter or gather would need a
+# temporary as large as the table itself.
 _ROW_BLOCK = 256
+
+
+def table_dtype(n: int):
+    """The index dtype of an n x n table: uint16 below order 65536, int32 above."""
+    return np.uint16 if n < 65536 else np.int32
 
 
 def _table_array(mul, n: int) -> np.ndarray:
@@ -37,7 +39,7 @@ def _table_array(mul, n: int) -> np.ndarray:
     if arr.min() < 0 or arr.max() >= n:
         raise PreconditionError("multiplication table is not closed")
     # A view, so that the caller's array keeps its own write flag.
-    out = arr.astype(np.uint16 if n < 65536 else np.int32, copy=False).view()
+    out = arr.astype(table_dtype(n), copy=False).view()
     out.flags.writeable = False
     return out
 
@@ -95,21 +97,32 @@ class SemigroupTable:
             idx = np.arange(n)
             if not (0 <= e < n and (mul[e] == idx).all() and (mul[:, e] == idx).all()):
                 raise PreconditionError("claimed identity is not two-sided neutral")
-        if n <= _ASSOC_EXHAUSTIVE_LIMIT:
-            for i in range(n):
-                # [j, k]: (i*j)*k against i*(j*k), for every j and k.
-                bad = np.argwhere(mul[mul[i]] != mul[i][mul])
-                if bad.size:
-                    j, k = bad[0].tolist()
-                    raise PreconditionError(f"table is not associative at ({i}, {j}, {k})")
-        else:
-            i, j, k = np.random.default_rng(0).integers(0, n, size=(3, _ASSOC_SAMPLE_COUNT))
-            bad = np.flatnonzero(mul[mul[i, j], k] != mul[i, mul[j, k]])
-            if bad.size:
-                t = bad[0]
-                raise PreconditionError(
-                    f"table is not associative at ({i[t]}, {j[t]}, {k[t]})"
-                )
+        # Light's test: (x*g)*y == x*(g*y) for every generator g.  Every
+        # element is a left-normed product t*g of generators (that is what
+        # closure_indices builds, on this same table), so by induction on
+        # its length the law then holds with any element in the middle.
+        for g in _generators(self):
+            for lo in range(0, n, _ROW_BLOCK):
+                rows = mul[lo : lo + _ROW_BLOCK]
+                bad = mul[rows[:, g]] != rows.take(mul[g], axis=1)
+                if bad.any():
+                    x, y = np.argwhere(bad)[0].tolist()
+                    raise PreconditionError(f"table is not associative at ({lo + x}, {g}, {y})")
+
+
+def _generators(table: SemigroupTable) -> list[int]:
+    """A greedy generating set: the units first, then the rest in index
+    order, each taken only when the closure so far misses it."""
+    mul = table.mul
+    e = table.identity_idx
+    units = [] if e is None else np.flatnonzero((mul == e).any(axis=1)).tolist()
+    gens: list[int] = []
+    covered: frozenset[int] = frozenset()
+    for i in dict.fromkeys(units + list(range(len(mul)))):
+        if i not in covered:
+            gens.append(i)
+            covered = closure_indices(table, gens)
+    return gens
 
 
 @dataclass(frozen=True)

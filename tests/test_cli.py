@@ -271,6 +271,16 @@ def test_ideal_structure_fails_when_one_product_leaves_the_minimal_ideal():
     assert "Q(1) is not an ideal" in reason
 
 
+def test_ideal_structure_checks_the_principal_ideal_of_every_element():
+    s = enumerate_semigroup(make_instance(2, 4, 2))
+    a = max(j_class(s, 0))  # shares its image and L-class with 95 lower indices
+    # a*a now reads the identity, so a's principal ideal is all of S, not Q(1).
+    bad = with_product(s, a, a, s.table.identity_idx)
+    status, counts, reason = _check_ideal_structure(bad, CAPS)
+    assert status == "fail" and counts["principal_reps"] == len(s.table)
+    assert f"principal ideal mismatch at element {a}" in reason
+
+
 class _ExtraJClassTable(SemigroupTable):
     """A table whose Green oracle splits its first J-class in two."""
 

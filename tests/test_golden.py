@@ -70,7 +70,7 @@ VERIFY = {
     "p2n3r2": "9af5656b0c845ad4a2450c83efb2d6f028f3a672e04bae771b5fa82909213fc7",
     "p2n3r1": "f6193cac4b4b7ef93a741ee3cea2470bd40790979951ea8917246415784288fd",
     "p2n3r1_shifted": "f6193cac4b4b7ef93a741ee3cea2470bd40790979951ea8917246415784288fd",
-    "p2n4r2": "b23d951bc2e55c829b89353b87fbff907108d1f5a1b69194818b48cbb520629c",
+    "p2n4r2": "61d3775a0ca5a25b43204f3efbbbc54027a47569d916853a0141d91436e8451e",
 }
 
 CONSTRUCTORS = {

@@ -10,6 +10,7 @@ from glsemi.gf_linalg import identity_mat
 from glsemi.gl_restriction import enumerate_semigroup, make_instance
 from glsemi.semigroup_core import (
     SemigroupTable,
+    _generators,
     check_refinement_lattice,
     closure_indices,
     green_oracle,
@@ -76,14 +77,41 @@ def test_table_check_names_the_first_non_associative_triple():
         SemigroupTable((0, 1), [[0, 1], [0, 0]])
 
 
-def test_sampled_associativity_check_names_a_failing_triple():
-    order = 300  # above the exhaustive limit, so triples are sampled
+def test_associativity_check_names_a_failing_triple_in_a_large_group():
+    order = 300
     mul = [[(i + j) % order for j in range(order)] for i in range(order)]
-    mul[7][11] = 0
+    mul[order - 1][11] = 0  # only rows past the first block see this product
     with pytest.raises(PreconditionError) as err:
         SemigroupTable(tuple(range(order)), mul)
     i, j, k = map(int, re.search(r"\((\d+), (\d+), (\d+)\)", str(err.value)).groups())
     assert mul[mul[i][j]][k] != mul[i][mul[j][k]]
+
+
+def test_every_seeded_product_change_fails_the_table_check():
+    # At order 1536 a single wrong product breaks only a sliver of the
+    # 1536^3 triples, so a sample of them misses some of these changes.
+    s = enumerate_semigroup(make_instance(2, 4, 2))
+    t = s.table
+    rng = np.random.default_rng(8)
+    changes = 0
+    while changes < 20:
+        i, j, k = rng.integers(len(t), size=3).tolist()
+        if t.identity_idx in (i, j) or k == t.mul[i, j]:
+            continue  # a changed identity row or column fails another check
+        bad = with_product(s, i, j, k).table.mul
+        with pytest.raises(PreconditionError, match="not associative") as err:
+            SemigroupTable(t.elements, bad, identity_idx=t.identity_idx, check=True)
+        x, g, y = map(int, re.search(r"\((\d+), (\d+), (\d+)\)", str(err.value)).groups())
+        assert bad[bad[x, g], y] != bad[x, bad[g, y]]
+        changes += 1
+
+
+def test_identity_free_table_passes_the_table_check():
+    s = enumerate_semigroup(make_instance(2, 4, 2))
+    below_units = subtable(s.table, s.below[2])  # an ideal without the identity
+    table = SemigroupTable(below_units.elements, below_units.mul, check=True)
+    assert table.identity_idx is None and len(table) == 960
+    assert len(closure_indices(table, _generators(table))) == len(table)
 
 
 def test_table_check_rejects_a_false_identity():
