@@ -45,7 +45,7 @@ from .gl_restriction import (
     Instance,
     Structure,
     enumerate_semigroup,
-    factor_through,
+    factor_through_grid,
     generating_set,
     green_char_partitions,
     j_class,
@@ -55,11 +55,11 @@ from .gl_restriction import (
     nonnormality_example,
     predicted_order,
     q_ideal,
-    raise_factor,
+    raise_factors,
     rank_value,
-    regular_witness,
-    sandwich_factor,
-    dclass_witness,
+    regular_witnesses,
+    sandwich_factor_grid,
+    dclass_witness_grid,
     special_subgroup,
     split_grid,
     subgroup_iso_check,
@@ -80,9 +80,6 @@ DEFAULT_RANK_CAP = 4
 RANK_BUDGET = 200_000
 ENV_ENUM_CAP = "GLSEMI_ENUM_CAP"
 ENV_RANK_CAP = "GLSEMI_RANK_CAP"
-
-_PAIR_SAMPLE = 64
-_LIST_SAMPLE = 120
 
 
 @dataclass
@@ -237,14 +234,6 @@ def resolve_caps(cfg: InstanceConfig, flag_cap: int | None, flag_rank_cap: int |
     return enum_cap, rank_cap
 
 
-def _strided(seq, limit):
-    seq = list(seq)
-    if len(seq) <= limit:
-        return seq
-    step = len(seq) / limit
-    return [seq[int(i * step)] for i in range(limit)]
-
-
 def _complements(inst: Instance):
     count = inst.p ** (inst.r * (inst.n - inst.r))
     if count > 100_000:
@@ -302,22 +291,19 @@ def _check_ideal_structure(s: Structure, caps):
             failures.append(f"Q({k}) is not an ideal")
     if top >= 1 and verify_ideal(table, j_class(s, top)):
         failures.append("unit grade wrongly closed as an ideal")
-    # principal_ideal(table, a) reads nothing of a but the set S^1 a, that
-    # is column a of the table plus a itself, so one ideal per distinct
-    # S^1 a and one compare per (S^1 a, codim) covers every element.
-    firsts = {}
-    for i, prof in enumerate(profs):
-        left = np.zeros(len(table), dtype=bool)
-        left[table.mul[:, i]] = True
-        left[i] = True
-        firsts.setdefault((left.tobytes(), prof[2]), i)
-    ideals = {}
-    for (left, cd), i in firsts.items():
-        if left not in ideals:
-            ideals[left] = principal_ideal(table, i)
-        expected = frozenset(range(len(table))) if cd == top else q_ideal(s, cd + 1)
-        if ideals[left] != expected:
-            failures.append(f"principal ideal mismatch at element {i}")
+    # principal_ideal(table, a) reads nothing of a but the set S^1 a, and
+    # the L-classes of the table's Green oracle are exactly the classes of
+    # equal S^1 a, so one ideal per L-class and one compare per (L-class,
+    # codim) covers every element.
+    for cls in table.green().l:
+        ideal = principal_ideal(table, min(cls))
+        firsts = {}
+        for i in sorted(cls):
+            firsts.setdefault(profs[i][2], i)
+        for cd, i in firsts.items():
+            expected = frozenset(range(len(table))) if cd == top else q_ideal(s, cd + 1)
+            if ideal != expected:
+                failures.append(f"principal ideal mismatch at element {i}")
     minimal = q_ideal(s, 1)
     for i in minimal:
         img, ker, _ = profs[i]
@@ -338,52 +324,40 @@ def _check_minimal_idempotents(s: Structure, caps):
 
 
 def _check_regularity(s: Structure, caps):
-    for i in range(len(s.table)):
-        regular_witness(s, i)  # verifies a * b * a == a internally
+    regular_witnesses(s, range(len(s.table)))  # verifies a * b * a == a and b * a * b == b internally
     counts = {"members": len(s.table), "verified": len(s.table)}
     return ("pass", counts, None)
 
 
 def _check_factorizations(s: Structure, caps):
-    table, profs = s.table, s.profiles
+    # Every pair, grade block by grade block: each constructor certifies
+    # its whole block, and each infeasible block must be refused.
     top = s.inst.n - s.inst.r
-    sampled = len(table) > _LIST_SAMPLE
-    # Strided in (codimension, index) order, so every grade is sampled.
-    by_grade = sorted(range(len(table)), key=lambda i: (profs[i][2], i))
-    idxs = _strided(by_grade, _PAIR_SAMPLE) if sampled else list(range(len(table)))
+    grades = [np.array(sorted(g)) for g in s.grades]
     factored = witnesses = infeasible = 0
-    for i in idxs:
-        for j in idxs:
-            if profs[i][2] <= profs[j][2]:
-                factor_through(s, i, j)
-                factored += 1
+    for ka, left in enumerate(grades):
+        for kb, right in enumerate(grades):
+            if ka <= kb:
+                factor_through_grid(s, left, right)
+                factored += left.size * right.size
             else:
                 try:
-                    factor_through(s, i, j)
+                    factor_through_grid(s, left, right)
                 except InfeasibleError:
-                    infeasible += 1
+                    infeasible += left.size * right.size
                 else:
                     return ("fail", {}, "factor_through accepted an impossible pair")
-            if profs[i][2] == profs[j][2]:
-                dclass_witness(s, i, j)
-                witnesses += 1
-    raised = 0
-    for i in sorted(s.below[top - 1]):
-        raise_factor(s, i)
-        raised += 1
-    sandwiched = 0
-    mid = sorted(j_class(s, top - 1))
-    for i in _strided(mid, 40):
-        for j in _strided(mid, 40):
-            sandwich_factor(s, j, i)
-            sandwiched += 1
+        dclass_witness_grid(s, left, left)
+        witnesses += left.size**2
+    raised = len(raise_factors(s, sorted(s.below[top - 1]))[0])
+    mid = grades[top - 1]
+    sandwich_factor_grid(s, mid, mid)
     counts = {
         "factored": factored,
         "infeasible_rejected": infeasible,
         "d_witnesses": witnesses,
         "raised": raised,
-        "sandwiched": sandwiched,
-        "sampled": sampled,
+        "sandwiched": mid.size**2,
     }
     return ("pass", counts, None)
 

@@ -11,12 +11,17 @@ subspaces; this is relied on everywhere above this module.
 
 All tie-breaking is lexicographic over coordinate tuples, which makes
 every construction in the package reproducible byte for byte.
+
+solve_batch is the one numpy routine here: linear_map over a stack of
+integer arrays, for the batched constructors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iter_product
+
+import numpy as np
 
 from .errors import (
     ConfigurationError,
@@ -237,6 +242,35 @@ def linear_map(p: int, basis_rows, image_rows) -> Mat:
     if pivots != list(range(n)):
         raise PreconditionError("domain rows do not form a basis")
     return tuple(row[n:] for row in reduced)
+
+
+def solve_batch(p: int, doms, imgs) -> np.ndarray:
+    """linear_map over a batch: out[i] = doms[i]^-1 * imgs[i] mod p.
+
+    doms is a (B, n, n) stack of domain bases, imgs a (B, n, m) stack of
+    image rows.  One Gauss-Jordan pass runs on all B augmented matrices
+    at once; any singular domain raises PreconditionError.
+    """
+    doms = np.asarray(doms, dtype=np.int64)
+    imgs = np.asarray(imgs, dtype=np.int64)
+    if doms.ndim != 3 or imgs.ndim != 3 or doms.shape[1] != doms.shape[2] or imgs.shape[:2] != doms.shape[:2]:
+        raise ConfigurationError("expected (B, n, n) domains and (B, n, m) images")
+    count, n = doms.shape[:2]
+    work = np.concatenate([doms, imgs], axis=2) % p
+    inverse = np.array([0] + [pow(x, p - 2, p) for x in range(1, p)])
+    batch = np.arange(count)
+    for col in range(n):
+        nonzero = work[:, col:, col] != 0
+        if not nonzero.any(axis=1).all():
+            raise PreconditionError("domain rows do not form a basis")
+        piv = col + nonzero.argmax(axis=1)
+        lead = work[batch, piv]
+        work[batch, piv] = work[:, col]
+        work[:, col] = lead * inverse[lead[:, col]][:, None] % p
+        factors = work[:, :, col].copy()
+        factors[:, col] = 0
+        work = (work - factors[:, :, None] * work[:, None, col]) % p
+    return work[:, :, n:]
 
 
 def extend_basis(partial, within: Subspace) -> list[Vec]:

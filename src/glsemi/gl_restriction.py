@@ -48,6 +48,7 @@ from .gf_linalg import (
     mat_inverse,
     mat_mul,
     rref_canonical,
+    solve_batch,
     vec_add,
     vec_mat,
 )
@@ -129,7 +130,7 @@ def _members(inst: Instance) -> tuple[Mat, ...]:
 
 def _vectors(p: int, n: int) -> np.ndarray:
     # Every row vector of GF(p)^n, row c being the vector coded c.
-    return np.array(list(iter_product(range(p), repeat=n)), dtype=np.int64).reshape(-1, n)
+    return np.array(list(iter_product(range(p), repeat=n)), dtype=np.int64).reshape(p**n, n)
 
 
 def _codes(p: int, rows) -> np.ndarray:
@@ -137,6 +138,26 @@ def _codes(p: int, rows) -> np.ndarray:
     # the first entry most significant, so codes follow lexicographic order.
     rows = np.asarray(rows, dtype=np.int64)
     return rows @ p ** np.arange(rows.shape[-1] - 1, -1, -1, dtype=np.int64)
+
+
+def _table(p: int, mats) -> np.ndarray:
+    # t[v, i]: code of the row vector coded v times mats[i], the layout of act.
+    mats = np.asarray(mats, dtype=np.int64)
+    return _codes(p, (_vectors(p, mats.shape[-1]) @ mats) % p).T
+
+
+def _key_type(q: int, n: int):
+    # Keys pack n row codes base q; int32 while every key fits.
+    return np.int32 if q**n < 2**31 else np.int64
+
+
+def _key_index(q: int, rows: np.ndarray) -> np.ndarray:
+    # index[key]: the position in rows of the row-code tuple whose codes
+    # pack (base q, first row most significant) to key; -1 for any other
+    # key.  Dense over all q^n keys.
+    index = np.full(q ** rows.shape[1], -1, dtype=_key_type(q, rows.shape[1]))
+    index[_codes(q, rows)] = np.arange(len(rows))
+    return index
 
 
 def _cayley(p: int, mats) -> tuple[np.ndarray, np.ndarray]:
@@ -147,12 +168,10 @@ def _cayley(p: int, mats) -> tuple[np.ndarray, np.ndarray]:
     # (never more entries than the table) maps each product to its index.
     count, n = len(mats), len(mats[0])
     q = p**n
-    key_type = np.int32 if q**n < 2**31 else np.int64
     arr = np.array(mats, dtype=np.int64)
     rows = _codes(p, arr)  # rows[a, i]: code of row i of a
-    act = _codes(p, (_vectors(p, n) @ arr) % p).T.astype(key_type)  # act[v, b]: code of v*b
-    index = np.full(q**n, -1, dtype=key_type)
-    index[_codes(q, rows)] = np.arange(count)
+    act = _table(p, arr).astype(_key_type(q, n))  # act[v, b]: code of v*b
+    index = _key_index(q, rows)
     out = np.empty((count, count), dtype=table_dtype(count))
     block = max(1, 2**20 // count)
     for lo in range(0, count, block):
@@ -197,7 +216,9 @@ class Structure:
     element's image or kernel is a per-class basis.  The Structure
     holds each one once, keyed by the subspace: transversal(ker),
     extension(sub) and u_extension(img).  Their number is bounded by
-    the number of R-classes, L-classes and subspaces of V.
+    the number of R-classes, L-classes and subspaces of V.  `batch`
+    holds them as row codes, with the domain inverses and image tables
+    of the batched constructors.
     """
 
     def __init__(self, inst: Instance, table: SemigroupTable, act: np.ndarray):
@@ -227,6 +248,35 @@ class Structure:
         return tuple((dims - r).tolist())
 
     @cached_property
+    def image_classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(class id of each element, first element of each class) for
+        equal images: the L-classes, read off the action array."""
+        return _first_of_each(self._image_masks())
+
+    @cached_property
+    def kernel_classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(class id of each element, first element of each class) for
+        equal kernels: the R-classes, read off the action array."""
+        return _first_of_each(self.act.T == 0)
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """rows[a, i]: code of row i of element a, read off act (row i is e_i * a)."""
+        p, n = self.inst.p, self.inst.n
+        return np.ascontiguousarray(self.act[p ** np.arange(n - 1, -1, -1)].T)
+
+    @cached_property
+    def index(self) -> np.ndarray:
+        """index[key]: the element whose row codes pack to key (base p^n,
+        as in _cayley); -1 for every non-member."""
+        return _key_index(self.inst.p ** self.inst.n, self.rows)
+
+    @cached_property
+    def batch(self) -> "_Batch":
+        """Domain inverses and image tables of the batched constructors."""
+        return _Batch(self)
+
+    @cached_property
     def profiles(self) -> tuple[tuple[Subspace, Subspace, int], ...]:
         """(image, kernel, codim) of each element.
 
@@ -235,8 +285,8 @@ class Structure:
         one RREF Subspace, shared by its whole class.
         """
         p, elements = self.inst.p, self.table.elements
-        img_ids, img_first = _first_of_each(self._image_masks())
-        ker_ids, ker_first = _first_of_each(self.act.T == 0)
+        img_ids, img_first = self.image_classes
+        ker_ids, ker_first = self.kernel_classes
         images = [image(p, elements[i]) for i in img_first.tolist()]
         kernels = [kernel(p, elements[i]) for i in ker_first.tolist()]
         codims = self.codims
@@ -348,11 +398,339 @@ def _member(s: Structure, i: int) -> tuple[Mat, Subspace, Subspace, int]:
     return (s.table.elements[i], *s.profiles[i])
 
 
-def _index(s: Structure, m: Mat) -> int:
-    try:
-        return s.table.index_of(m)
-    except KeyError:
-        raise InternalInconsistencyError("a constructed factor is not a member") from None
+# The constructors run in batches.  Every matrix is held as its n row
+# codes (base p, as in _cayley), and a matrix m is held by its action
+# table t, t[v, j] coding v*m_j in the layout of act, so a product x*m
+# is the gather t[rows of x, j].  Each output is inverse(domain) times
+# images (_apply): the domain inverses come from one batched
+# Gauss-Jordan per Structure, every output is looked up in s.index, and
+# it is multiplied back out through s.act, never through the Cayley
+# table.  The scalar constructors are batches of one.
+
+#: Most pairs (or elements) one block of a batch holds.
+_BLOCK = 2**14
+
+
+def _solved(p: int, doms: np.ndarray, imgs=None) -> np.ndarray:
+    # Row codes of doms[i]^-1 * imgs[i] (the inverse when imgs is None),
+    # every matrix given by its row codes: one batched Gauss-Jordan.
+    n = doms.shape[-1]
+    if imgs is None:
+        imgs = np.broadcast_to(p ** np.arange(n - 1, -1, -1), doms.shape)
+    vectors = _vectors(p, n)
+    return _codes(p, solve_batch(p, vectors[doms], vectors[imgs])).astype(np.min_scalar_type(p**n - 1))
+
+
+def _spliced(head: np.ndarray, fill, rows: np.ndarray, shift: np.ndarray, n_r: int) -> np.ndarray:
+    # Row codes: fill on the head rows; below them and above row n_r,
+    # rows[j - shift] (the first rows of a transversal, moved down by
+    # shift); from row n_r on, rows[j] (U's rows).
+    j = np.arange(rows.shape[-1])
+    src = np.where(j < n_r, j - shift[:, None], j).clip(0)
+    return np.where(head, fill, np.take_along_axis(rows, src, axis=1))
+
+
+def _apply(inv: np.ndarray, table: np.ndarray, owner) -> np.ndarray:
+    """Row codes of inv * m for each output, m being the images matrix
+    in column owner of table: row i of inv, coded c, times m is
+    table[c, owner].  Every constructor output is made here."""
+    return table[inv, np.asarray(owner)[..., None]]
+
+
+def _require(ok: np.ndarray, message: str, name) -> None:
+    # Raise InternalInconsistencyError naming the first output where ok fails.
+    if not ok.all():
+        raise InternalInconsistencyError(f"{message} at {name(*np.argwhere(~ok)[0].tolist())}")
+
+
+def _found(s: Structure, codes: np.ndarray, what: str, name) -> np.ndarray:
+    # Index of each output given by its row codes, through s.index.
+    q = s.inst.p ** s.inst.n
+    keys = codes[..., 0].astype(s.index.dtype)
+    for i in range(1, codes.shape[-1]):
+        keys *= q
+        keys += codes[..., i]
+    found = s.index[keys]
+    _require(found >= 0, f"a constructed {what} is not a member", name)
+    return found
+
+
+class _Batch:
+    """Row-code data of the batched constructors of one Structure.
+
+    Per kernel class c, kernel[c] codes [kernel basis; transversal; U
+    basis]; per image class, image[c] codes [extension of the image to
+    V; extension of U to the image; U basis].  For an element a of
+    codimension k, head[a] marks the first n-r-k rows, applied[a] is
+    kernel[ker a] * a, that is [zeros; transversal * a; U * a], and a's
+    domain is applied[a] with the image's extension on the head.
+    kernel_inv, element_inv (of the domains) and domain_inv hold
+    inverses; images holds each constructor's per-element images as
+    action tables.
+    """
+
+    def __init__(self, s: Structure):
+        inst, p, n, r = s.inst, s.inst.p, s.inst.n, s.inst.r
+        self.s = s
+        self.codims = np.array(s.codims)
+        self.ker_ids, ker_first = s.kernel_classes
+        self.img_ids, img_first = s.image_classes
+        self.ker_codims = self.codims[ker_first]
+        u = inst.u.basis
+        kernels = [s.profiles[i][1] for i in ker_first.tolist()]
+        images = [s.profiles[i][0] for i in img_first.tolist()]
+        self.kernel = np.array([_codes(p, k.basis + s.transversal(k) + u) for k in kernels])
+        self.image = np.array([_codes(p, s.extension(i) + s.u_extension(i) + u) for i in images])
+        count = len(s.table)
+        self.applied = s.act[self.kernel[self.ker_ids], np.arange(count)[:, None]]
+        self.head = np.arange(n) < (n - r - self.codims)[:, None]
+        self.kernel_inv = _solved(p, self.kernel)
+        self.domain_inv = self._domain_inverses()
+        self.element_inv = self.domain_inv[np.arange(count), self.codims]
+
+    def _action(self, codes: np.ndarray) -> np.ndarray:
+        p, n = self.s.inst.p, self.s.inst.n
+        return _table(p, _vectors(p, n)[codes]).astype(np.min_scalar_type(p**n - 1))
+
+    def _domain_inverses(self) -> np.ndarray:
+        # inv[b, k], for k <= codim b: the inverse of factor_through's
+        # domain [tail; first k transversal rows * b; U * b], the tail
+        # extending the other rows' span to V.  That span is b's image of
+        # span(first k transversal rows, U), read off act as a set of
+        # codes; each distinct set gets its tail once, from s.extension.
+        # At k = codim b this is b's domain.
+        s, p, n, r = self.s, self.s.inst.p, self.s.inst.n, self.s.inst.r
+        top, vectors = n - r, _vectors(p, n)
+        bs, ks = np.nonzero(np.arange(top + 1) <= self.codims[:, None])
+        spans = np.zeros((len(bs), p**n), dtype=bool)
+        group = self.ker_ids[bs] * (top + 1) + ks
+        for g in sorted(set(group.tolist())):
+            c, k = divmod(g, top + 1)
+            d = top - int(self.ker_codims[c])
+            basis = np.concatenate([self.kernel[c][d : d + k], self.kernel[c][top:]])
+            span = _codes(p, _vectors(p, len(basis)) @ vectors[basis] % p)
+            at = np.flatnonzero(group == g)
+            spans[at[:, None], s.act[span][:, bs[at]].T] = True
+        ids, first = _first_of_each(spans)
+        tails = np.zeros((len(first), n), dtype=np.int64)
+        for t, i in enumerate(first.tolist()):
+            b, k = int(bs[i]), int(ks[i])
+            d = top - int(self.codims[b])
+            rows = vectors[np.concatenate([self.applied[b][d : d + k], self.applied[b][top:]])]
+            tail = s.extension(rref_canonical(p, n, [tuple(v) for v in rows.tolist()]))
+            tails[t, : top - k] = _codes(p, np.array(tail).reshape(-1, n))
+        doms = _spliced(np.arange(n) < (top - ks)[:, None], tails[ids], self.applied[bs], self.codims[bs] - ks, top)
+        inverses = _solved(p, doms)
+        inv = np.zeros((len(self.codims), top + 1, n), dtype=inverses.dtype)
+        inv[bs, ks] = inverses
+        return inv
+
+    @cached_property
+    def images(self) -> dict[str, np.ndarray]:
+        """Action table of each constructor's per-element images, rows
+        in the order of its domain (kernel or domain, as named)."""
+        n, r = self.s.inst.n, self.s.inst.r
+        img = self.image[self.img_ids]
+        domain = np.where(self.head, img, self.applied)
+        raise_lam, raise_mu = self.applied.copy(), self.applied.copy()
+        raise_lam[:, 0] = img[:, 0]  # one kernel line onto the first fresh vector
+        raise_mu[:, 1] = img[:, 1]  # the second fresh line stays alive
+        rows = {
+            "regular": np.where(self.head, 0, self.kernel[self.ker_ids]),  # on domain
+            "factor": self.applied,  # on domain_inv[b, codim a]
+            "dclass": np.where(self.head, 0, np.where(np.arange(n) < n - r, img, self.applied)),  # on kernel
+            "raise_lam": raise_lam,  # on kernel
+            "raise_mu": raise_mu,  # on domain
+            "sandwich": domain,  # on domain
+        }
+        return {name: self._action(codes) for name, codes in rows.items()}
+
+    @cached_property
+    def factor_lams(self) -> np.ndarray:
+        """lam[c, d]: factor_through's lam from kernel class c to kernel
+        class d (-1 where codim c > codim d): c's kernel to zero, c's
+        transversal onto the first rows of d's, U fixed."""
+        n, top, kc = self.s.inst.n, self.s.inst.n - self.s.inst.r, self.ker_codims
+        c1, c2 = np.nonzero(kc[:, None] <= kc)
+        images = _spliced(np.arange(n) < (top - kc[c1])[:, None], 0, self.kernel[c2], kc[c2] - kc[c1], top)
+        rows = _solved(self.s.inst.p, self.kernel[c1], images)
+        lam = np.full((len(kc), len(kc)), -1, dtype=np.int64)
+        lam[c1, c2] = _found(self.s, rows, "factor-through lam", lambda i: f"kernel classes ({c1[i]}, {c2[i]})")
+        return lam
+
+    @cached_property
+    def sandwich_lams(self) -> np.ndarray:
+        """lam[c, d]: sandwich_factor's lam between kernel classes of
+        codimension n-r-1 (-1 elsewhere), sending c's transversal,
+        kernel and U onto d's."""
+        m = self.s.inst.n - self.s.inst.r - 1
+        grade = np.flatnonzero(self.ker_codims == m)
+        ct, ca = np.repeat(grade, len(grade)), np.tile(grade, len(grade))
+        rows = _solved(self.s.inst.p, self.kernel[ct], self.kernel[ca])
+        lam = np.full((len(self.ker_codims),) * 2, -1, dtype=np.int64)
+        lam[ct, ca] = _found(self.s, rows, "sandwich lam", lambda i: f"kernel classes ({ct[i]}, {ca[i]})")
+        return lam
+
+
+def _indices(s: Structure, idxs) -> np.ndarray:
+    # idxs as a flat index array; an index outside the table (a negative one too) is refused.
+    out = np.asarray(idxs, dtype=np.int64).reshape(-1)
+    bad = (out < 0) | (out >= len(s.table))
+    if bad.any():
+        raise PreconditionError(f"index {out[bad][0]} outside [0, {len(s.table)})")
+    return out
+
+
+def _row_blocks(left: np.ndarray, width: int):
+    # (offset, run) over consecutive runs of left whose rows of a
+    # left x width grid hold at most _BLOCK cells (one row at least).
+    step = max(1, _BLOCK // max(width, 1))
+    for lo in range(0, len(left), step):
+        yield lo, left[lo : lo + step]
+
+
+def regular_witnesses(s: Structure, idxs) -> np.ndarray:
+    """Inner inverses: b[i] with a*b*a = a and b*a*b = b for a = idxs[i].
+
+    b sends a's image basis (transversal * a, U * a) back to
+    (transversal, U) and kills the image's extension to V.
+    """
+    every, bt = _indices(s, idxs), s.batch
+    out = np.empty(len(every), dtype=table_dtype(len(s.table)))
+    for lo, a in _row_blocks(every, 1):
+        name = lambda i: f"element {a[i]}"
+        b = _found(s, _apply(bt.element_inv[a], bt.images["regular"], a), "inner inverse", name)
+        aba = s.act[s.act[s.rows[a], b[:, None]], a[:, None]]
+        bab = s.act[s.act[s.rows[b], a[:, None]], b[:, None]]
+        ok = (aba == s.rows[a]).all(axis=1) & (bab == s.rows[b]).all(axis=1)
+        _require(ok, "inner inverse construction failed", name)
+        out[lo : lo + len(a)] = b
+    return out
+
+
+def raise_factors(s: Structure, idxs) -> tuple[np.ndarray, np.ndarray]:
+    """(lam, mu) with a = lam * mu, both one grade up, for a = idxs[i] of
+    codimension k <= n-r-2.
+
+    The kernel then has dimension at least 2: one kernel line is routed
+    through a fresh complement vector by lam, and mu keeps a second
+    complement vector alive while killing the first, so both factors
+    have codimension exactly k+1.
+    """
+    every, bt = _indices(s, idxs), s.batch
+    limit = s.inst.n - s.inst.r - 2
+    if every.size and bt.codims[every].max() > limit:
+        raise PreconditionError(f"raise requires codim <= {limit} so the kernel has dimension >= 2")
+    lam = np.empty(len(every), dtype=table_dtype(len(s.table)))
+    mu = np.empty_like(lam)
+    for lo, a in _row_blocks(every, 1):
+        name = lambda i: f"element {a[i]}"
+        li = _found(s, _apply(bt.kernel_inv[bt.ker_ids[a]], bt.images["raise_lam"], a), "raise lam", name)
+        mi = _found(s, _apply(bt.element_inv[a], bt.images["raise_mu"], a), "raise mu", name)
+        back = s.act[s.rows[li], mi[:, None]]
+        _require((back == s.rows[a]).all(axis=1), "raise factorization failed to recompose", name)
+        up = bt.codims[a] + 1
+        _require((bt.codims[li] == up) & (bt.codims[mi] == up), "raise factors landed in the wrong grade", name)
+        lam[lo : lo + len(a)], mu[lo : lo + len(a)] = li, mi
+    return lam, mu
+
+
+def _recomposed_grid(s: Structure, xs, ys, lams, inverse, images, what: str):
+    # (lam, mu) with x = lam * y * mu for x = xs[i], y = ys[j]: lam is
+    # lams[ker x, ker y] and mu is inverse(codim x)[y] * (x's images).
+    # Rows run grade by grade, so each block shares the inverses, and
+    # lam * y is multiplied out once per (kernel class of x, y).
+    bt = s.batch
+    lam = np.empty((len(xs), len(ys)), dtype=table_dtype(len(s.table)))
+    mu = np.empty_like(lam)
+    for k in sorted(set(bt.codims[xs].tolist())):
+        at = np.flatnonzero(bt.codims[xs] == k)
+        classes, pos = np.unique(bt.ker_ids[xs[at]], return_inverse=True)
+        class_lam = lams[classes[:, None], bt.ker_ids[ys]]
+        lam_y = s.act[s.rows[class_lam], ys[:, None]]
+        inv = inverse(k)[ys]
+        for lo, run in _row_blocks(at, len(ys)):
+            x, here = xs[run], pos[lo : lo + len(run)]
+            name = lambda i, j: f"pair ({x[i]}, {ys[j]})"
+            mi = _found(s, _apply(inv, images, x[:, None]), f"{what} mu", name)
+            back = s.act[lam_y[here], mi[..., None]]
+            _require((back == s.rows[x][:, None]).all(axis=2), f"{what} factors failed to recompose", name)
+            lam[run], mu[run] = class_lam[here], mi
+    return lam, mu
+
+
+def factor_through_grid(s: Structure, left, right) -> tuple[np.ndarray, np.ndarray]:
+    """(lam, mu) with a = lam[i, j] * b * mu[i, j] for a = left[i] and
+    b = right[j]; possible iff codim(a) <= codim(b) for every pair.
+
+    lam depends only on the kernel classes (see _Batch.factor_lams).
+    mu kills the tail extending (first codim(a) rows of b's transversal,
+    U) * b to V and sends those rows * b to (a's transversal, U) * a.
+    """
+    every, b, bt = _indices(s, left), _indices(s, right), s.batch
+    if every.size and b.size and bt.codims[every].max() > bt.codims[b].min():
+        ka, kb = bt.codims[every].max(), bt.codims[b].min()
+        raise InfeasibleError(f"codim {ka} cannot factor through codim {kb}: products only lower codimension")
+    inverse = lambda k: bt.domain_inv[:, k]
+    return _recomposed_grid(s, every, b, bt.factor_lams, inverse, bt.images["factor"], "factor-through")
+
+
+def dclass_witness_grid(s: Structure, left, right) -> np.ndarray:
+    """gamma[i, j]: a member with the image of left[i] and the kernel of
+    right[j]; every element must have the same codimension.
+
+    gamma kills b's kernel, sends b's transversal to the extension of U
+    to a's image, and sends U as a does.
+    """
+    every, b, bt = _indices(s, left), _indices(s, right), s.batch
+    codims = bt.codims[np.concatenate([every, b])]
+    if codims.size and codims.min() != codims.max():
+        raise PreconditionError("witness requires equal codimension")
+    out = np.empty((len(every), len(b)), dtype=table_dtype(len(s.table)))
+    for lo, a in _row_blocks(every, len(b)):
+        name = lambda i, j: f"pair ({a[i]}, {b[j]})"
+        rows = _apply(bt.kernel_inv[bt.ker_ids[b]], bt.images["dclass"], a[:, None])
+        g = _found(s, rows, "D-class witness", name)
+        ok = (bt.img_ids[g] == bt.img_ids[a][:, None]) & (bt.ker_ids[g] == bt.ker_ids[b])
+        _require(ok, "constructed witness has the wrong image or kernel", name)
+        out[lo : lo + len(a)] = g
+    return out
+
+
+def sandwich_factor_grid(s: Structure, targets, sources) -> tuple[np.ndarray, np.ndarray]:
+    """Units (lam, mu) with lam[i, j] * a * mu[i, j] = t for t =
+    targets[i] and a = sources[j], all of codimension n-r-1.
+
+    lam sends t's transversal, kernel and U onto a's; mu sends a's
+    domain rows onto t's.
+    """
+    every, a, bt = _indices(s, targets), _indices(s, sources), s.batch
+    top = s.inst.n - s.inst.r
+    if (bt.codims[np.concatenate([every, a])] != top - 1).any():
+        raise PreconditionError(f"sandwich factorization requires codimension {top - 1}")
+    inverse = lambda k: bt.element_inv
+    lam, mu = _recomposed_grid(s, every, a, bt.sandwich_lams, inverse, bt.images["sandwich"], "sandwich")
+    name = lambda i, j: f"pair ({every[i]}, {a[j]})"
+    unit = bt.codims == top
+    _require(unit[lam] & unit[mu], "sandwich factors are not units", name)
+    return lam, mu
+
+
+def regular_witness(s: Structure, a: int) -> int:
+    """Index of an inner inverse: b with a*b*a = a and b*a*b = b."""
+    return int(regular_witnesses(s, [a])[0])
+
+
+def raise_factor(s: Structure, a: int) -> tuple[int, int]:
+    """Split a of codimension k <= n-r-2 as lam*mu with both factors one grade up."""
+    lam, mu = raise_factors(s, [a])
+    return int(lam[0]), int(mu[0])
+
+
+def factor_through(s: Structure, a: int, b: int) -> tuple[int, int]:
+    """Indices (lam, mu) with a = lam * b * mu, possible iff codim(a) <= codim(b)."""
+    lam, mu = factor_through_grid(s, [a], [b])
+    return int(lam[0, 0]), int(mu[0, 0])
 
 
 def dclass_witness(s: Structure, a: int, b: int) -> int:
@@ -361,102 +739,7 @@ def dclass_witness(s: Structure, a: int, b: int) -> int:
     Such an element links a and b inside their common D-class; its
     existence is exactly what makes equal codimension sufficient.
     """
-    inst = s.inst
-    ma, img_a, _, ka = _member(s, a)
-    _, _, ker_b, kb = _member(s, b)
-    if ka != kb:
-        raise PreconditionError("witness requires equal codimension")
-    domain = ker_b.basis + s.transversal(ker_b) + inst.u.basis
-    zeros = ((0,) * inst.n,) * ker_b.dim
-    images = zeros + s.u_extension(img_a) + _act(inst, inst.u.basis, ma)
-    gamma = _index(s, linear_map(inst.p, domain, images))
-    if s.profiles[gamma][:2] != (img_a, ker_b):
-        raise InternalInconsistencyError("constructed witness has the wrong image or kernel")
-    return gamma
-
-
-def factor_through(s: Structure, a: int, b: int) -> tuple[int, int]:
-    """Indices (lam, mu) with a = lam * b * mu, possible iff codim(a) <= codim(b)."""
-    inst, p, n = s.inst, s.inst.p, s.inst.n
-    ma, _, ker_a, ka = _member(s, a)
-    mb, _, ker_b, kb = _member(s, b)
-    if ka > kb:
-        raise InfeasibleError(
-            f"codim {ka} cannot factor through codim {kb}: products only lower codimension"
-        )
-    w_rows = s.transversal(ker_a)               # ka vectors
-    w_primed = s.transversal(ker_b)[:ka]        # matching transversal for b
-    zeros_a = ((0,) * n,) * ker_a.dim
-    lam = linear_map(
-        p,
-        ker_a.basis + w_rows + inst.u.basis,
-        zeros_a + w_primed + inst.u.basis,
-    )
-    wpb = _act(inst, w_primed, mb)
-    ub = _act(inst, inst.u.basis, mb)
-    tail = s.extension(rref_canonical(p, n, wpb + ub))
-    zeros_t = ((0,) * n,) * len(tail)
-    mu = linear_map(
-        p,
-        tail + wpb + ub,
-        zeros_t + _act(inst, w_rows, ma) + _act(inst, inst.u.basis, ma),
-    )
-    if mat_mul(p, mat_mul(p, lam, mb), mu) != ma:
-        raise InternalInconsistencyError("factor-through construction failed to recompose")
-    return _index(s, lam), _index(s, mu)
-
-
-def regular_witness(s: Structure, a: int) -> int:
-    """Index of an inner inverse: b with a*b*a = a and b*a*b = b."""
-    inst, p, n = s.inst, s.inst.p, s.inst.n
-    ma, img_a, ker_a, _ = _member(s, a)
-    w_rows = s.transversal(ker_a)
-    tail = s.extension(img_a)
-    zeros = ((0,) * n,) * len(tail)
-    b = linear_map(
-        p,
-        _act(inst, w_rows, ma) + _act(inst, inst.u.basis, ma) + tail,
-        w_rows + inst.u.basis + zeros,
-    )
-    aba = mat_mul(p, mat_mul(p, ma, b), ma)
-    bab = mat_mul(p, mat_mul(p, b, ma), b)
-    if aba != ma or bab != b:
-        raise InternalInconsistencyError("inner inverse construction failed")
-    return _index(s, b)
-
-
-def raise_factor(s: Structure, a: int) -> tuple[int, int]:
-    """Split a of codimension k <= n-r-2 as lam*mu with both factors one grade up.
-
-    The kernel then has dimension at least 2: one kernel line is routed
-    through a fresh complement vector by lam, and mu keeps a second
-    complement vector alive while killing the first, so both factors
-    have codimension exactly k+1.
-    """
-    inst, p, n = s.inst, s.inst.p, s.inst.n
-    ma, img_a, ker_a, k = _member(s, a)
-    if k > n - inst.r - 2:
-        raise PreconditionError(
-            f"raise requires codim <= {n - inst.r - 2} so the kernel has dimension >= 2"
-        )
-    trans = s.transversal(ker_a)                # k vectors
-    fresh = s.extension(img_a)                  # >= 2 vectors
-    ta = _act(inst, trans, ma)
-    ua = _act(inst, inst.u.basis, ma)
-    kernel_imgs = (fresh[0],) + ((0,) * n,) * (ker_a.dim - 1)
-    lam = linear_map(p, trans + ker_a.basis + inst.u.basis, ta + kernel_imgs + ua)
-    mu_imgs = list(ta)
-    mu_imgs.append((0,) * n)                    # kill the fresh line used by lam
-    mu_imgs.append(fresh[1])                    # keep the second fresh line alive
-    mu_imgs.extend(((0,) * n,) * (len(fresh) - 2))
-    mu_imgs.extend(ua)
-    mu = linear_map(p, ta + fresh + ua, tuple(mu_imgs))
-    if mat_mul(p, lam, mu) != ma:
-        raise InternalInconsistencyError("raise factorization failed to recompose")
-    li, mi = _index(s, lam), _index(s, mu)
-    if s.profiles[li][2] != k + 1 or s.profiles[mi][2] != k + 1:
-        raise InternalInconsistencyError("raise factors landed in the wrong grade")
-    return li, mi
+    return int(dclass_witness_grid(s, [a], [b])[0, 0])
 
 
 def sandwich_factor(s: Structure, target: int, a: int) -> tuple[int, int]:
@@ -465,29 +748,8 @@ def sandwich_factor(s: Structure, target: int, a: int) -> tuple[int, int]:
     Both a and target must have codimension n-r-1; conjugating by units
     moves freely inside that top proper grade.
     """
-    inst, p, n = s.inst, s.inst.p, s.inst.n
-    m = n - inst.r - 1
-    mt, img_t, ker_t, kt = _member(s, target)
-    ma, img_a, ker_a, ka = _member(s, a)
-    if ka != m or kt != m:
-        raise PreconditionError(f"sandwich factorization requires codimension {m}")
-    trans_a, trans_t = s.transversal(ker_a), s.transversal(ker_t)
-    lam = linear_map(
-        p,
-        trans_t + ker_t.basis + inst.u.basis,
-        trans_a + ker_a.basis + inst.u.basis,
-    )
-    mu = linear_map(
-        p,
-        _act(inst, trans_a, ma) + s.extension(img_a) + _act(inst, inst.u.basis, ma),
-        _act(inst, trans_t, mt) + s.extension(img_t) + _act(inst, inst.u.basis, mt),
-    )
-    if mat_mul(p, mat_mul(p, lam, ma), mu) != mt:
-        raise InternalInconsistencyError("sandwich factorization failed to recompose")
-    li, mi = _index(s, lam), _index(s, mu)
-    if not {li, mi} <= s.grades[n - inst.r]:
-        raise InternalInconsistencyError("sandwich factors are not units")
-    return li, mi
+    lam, mu = sandwich_factor_grid(s, [target], [a])
+    return int(lam[0, 0]), int(mu[0, 0])
 
 
 def generating_set(s: Structure) -> frozenset[int]:

@@ -8,6 +8,8 @@ and grouping code paths, so agreement is meaningful.
 import sys
 from itertools import product
 
+import numpy as np
+
 from glsemi import gl_restriction
 from glsemi.gf_linalg import enumerate_complements
 from glsemi.gl_restriction import Structure
@@ -39,22 +41,52 @@ def with_product(s, i, j, k):
     return Structure(s.inst, table, s.act)
 
 
-def break_matrix_call(monkeypatch, constructors):
-    """Make gl_restriction.linear_map return a wrong matrix whenever one
-    of the named constructors calls it.
+#: The batch each scalar constructor runs as a batch of one.
+BATCHES = {
+    "regular_witness": "regular_witnesses",
+    "factor_through": "factor_through_grid",
+    "dclass_witness": "dclass_witness_grid",
+    "raise_factor": "raise_factors",
+    "sandwich_factor": "sandwich_factor_grid",
+}
 
-    The last two columns are swapped, which keeps an invertible factor
-    invertible, so the constructor's own check has to catch the error.
+
+def break_batch(monkeypatch, p, batch, call=None, member=True):
+    """Corrupt outputs of gl_restriction._apply, which makes every output
+    of the batched constructors, while the named batch function runs.
+
+    call counts the _apply calls made under that function from 0; only
+    the first output of the call-th call is corrupted, or of every call
+    when call is None.  member=True swaps the output's last two columns,
+    which keeps a member a member when U lies in the span of the first
+    n-2 standard vectors, so the recomposition (or the image and kernel
+    compare of a D-class witness) has to catch it.  member=False makes
+    it the zero matrix, which moves any U != 0, so the membership lookup
+    has to.  Returns the list of the corrupted outputs' owners: the
+    element whose images each one used.
     """
-    real = gl_restriction.linear_map
+    real = gl_restriction._apply
+    seen, owners = [0], []
 
-    def broken(*args):
-        m = real(*args)
-        if sys._getframe(1).f_code.co_name not in constructors:
-            return m
-        return tuple(row[:-2] + (row[-1], row[-2]) for row in m)
+    def broken(inv, table, owner):
+        out = real(inv, table, owner)
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code.co_name != batch:
+            frame = frame.f_back
+        if frame is None:
+            return out
+        number, seen[0] = seen[0], seen[0] + 1
+        if call is not None and number != call:
+            return out
+        first = (0,) * (out.ndim - 1)
+        codes = out[first].astype(np.int64)
+        last, second = codes % p, codes // p % p
+        out[first] = codes + (last - second) * (p - 1) if member else 0
+        owners.append(int(np.broadcast_to(owner, out.shape[:-1])[first]))
+        return out
 
-    monkeypatch.setattr(gl_restriction, "linear_map", broken)
+    monkeypatch.setattr(gl_restriction, "_apply", broken)
+    return owners
 
 
 def with_wrong_split(s, left_kind, w):

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import re
 
+import numpy as np
 import pytest
 
 from glsemi.cli import (
@@ -16,6 +17,7 @@ from glsemi.cli import (
     _check_green_agreement,
     _check_ideal_structure,
     _check_j_class_count,
+    _check_regularity,
     _check_unit_decomposition,
     build_instance,
     cmd_eggbox,
@@ -46,7 +48,7 @@ from glsemi.gl_restriction import (
 )
 from glsemi.semigroup_core import SemigroupTable
 
-from helpers import CONSTRUCTORS, break_matrix_call, with_product, with_wrong_split
+from helpers import BATCHES, break_batch, with_product, with_wrong_split
 
 CAPS = (DEFAULT_ENUM_CAP, DEFAULT_RANK_CAP)
 
@@ -194,21 +196,49 @@ def test_unit_decomposition_fails_on_a_wrong_cell_in_a_split_grid(monkeypatch, l
             decompose_unit(bad, min(j_class(bad, 2)), w)
 
 
-def test_factorization_sample_holds_every_grade_as_each_operand(monkeypatch):
+def test_factorizations_and_regularity_cover_every_pair_and_element(monkeypatch):
     s = enumerate_semigroup(make_instance(2, 4, 2))
-    pairs = []
-    real = cli.factor_through
+    n, grades = len(s.table), s.grades
+    offered = {name: np.zeros((n, n), dtype=np.int64) for name in ("factor", "dclass", "sandwich")}
+    singles = {"raise": [], "regular": []}
 
-    def recording(s, a, b):
-        pairs.append((s.codims[a], s.codims[b]))
-        return real(s, a, b)
+    def grid(name, real):
+        def recording(s, left, right):
+            offered[name][np.ix_(left, right)] += 1
+            return real(s, left, right)
 
-    monkeypatch.setattr(cli, "factor_through", recording)
+        return recording
+
+    def single(name, real):
+        def recording(s, idxs):
+            singles[name].extend(idxs)
+            return real(s, idxs)
+
+        return recording
+
+    monkeypatch.setattr(cli, "factor_through_grid", grid("factor", cli.factor_through_grid))
+    monkeypatch.setattr(cli, "dclass_witness_grid", grid("dclass", cli.dclass_witness_grid))
+    monkeypatch.setattr(cli, "sandwich_factor_grid", grid("sandwich", cli.sandwich_factor_grid))
+    monkeypatch.setattr(cli, "raise_factors", single("raise", cli.raise_factors))
+    monkeypatch.setattr(cli, "regular_witnesses", single("regular", cli.regular_witnesses))
     status, counts, _ = _check_factorizations(s, CAPS)
-    assert status == "pass" and counts["sampled"]
-    grades = set(range(3))
-    assert {a for a, _ in pairs} == grades
-    assert {b for _, b in pairs} == grades
+    assert status == "pass"
+    assert counts["factored"] + counts["infeasible_rejected"] == n**2
+    assert counts["d_witnesses"] == sum(len(g) ** 2 for g in grades)
+    assert counts["sandwiched"] == len(grades[1]) ** 2
+    assert counts["raised"] == len(s.below[1])
+    status, counts, _ = _check_regularity(s, CAPS)
+    assert status == "pass" and counts["verified"] == n
+    # Every pair offered to factor_through exactly once; D-class witnesses
+    # and sandwiches on every pair of their grades; every element raised
+    # below grade 1 and given an inner inverse.
+    codims = np.array(s.codims)
+    assert (offered["factor"] == 1).all()
+    assert np.array_equal(offered["dclass"], (codims[:, None] == codims).astype(np.int64))
+    mid = codims == 1
+    assert np.array_equal(offered["sandwich"], (mid[:, None] & mid).astype(np.int64))
+    assert sorted(singles["raise"]) == sorted(s.below[1])
+    assert sorted(singles["regular"]) == list(range(n))
 
 
 def test_green_agreement_fails_when_one_product_splits_an_l_class():
@@ -238,15 +268,23 @@ def test_unit_decomposition_fails_on_a_unit_without_inverse():
 
 
 def test_verify_fails_the_checks_whose_constructors_build_a_wrong_factor(monkeypatch):
-    break_matrix_call(monkeypatch, CONSTRUCTORS)
-    report = cmd_verify(InstanceConfig(p=2, n=3, r=1), DEFAULT_ENUM_CAP, DEFAULT_RANK_CAP)
-    broken = {"regularity", "factorizations"}
-    for check in report.checks:
-        if check.name in broken:
-            assert check.status == "fail", check.name
-            assert "InternalInconsistencyError" in check.reason, check.name
-        else:
-            assert check.status in ("pass", "skip"), check.name
+    # Blocks of two pairs or elements (one grid row when rows are wider),
+    # and the third kernel call of one batch corrupted, so the bad output
+    # sits in a block past the first and must be named with its offset.
+    monkeypatch.setattr(gl_restriction, "_BLOCK", 2)
+    for batch in sorted(BATCHES.values()):
+        with pytest.MonkeyPatch.context() as patch:
+            owners = break_batch(patch, 2, batch, call=2, member=False)
+            report = cmd_verify(InstanceConfig(p=2, n=3, r=1), DEFAULT_ENUM_CAP, DEFAULT_RANK_CAP)
+        broken = "regularity" if batch == "regular_witnesses" else "factorizations"
+        (owner,) = owners
+        for check in report.checks:
+            if check.name == broken:
+                assert check.status == "fail", batch
+                assert "InternalInconsistencyError" in check.reason and "not a member" in check.reason
+                assert f"element {owner}" in check.reason or f"pair ({owner}, " in check.reason, batch
+            else:
+                assert check.status in ("pass", "skip"), (batch, check.name)
 
 
 def test_generation_fails_when_one_product_leaves_its_ideal():
@@ -355,9 +393,11 @@ def test_each_command_builds_each_table_once(monkeypatch):
 
 
 def test_regularity_fails_on_a_wrong_unit_inverse(monkeypatch):
-    # A unit's inverse comes from the same linear_map as any inner inverse.
+    # A unit's inverse comes from the same batch kernel as any inner inverse.
+    # One element per block, so verify sees every output corrupted too.
     s = enumerate_semigroup(make_instance(2, 3, 1))
-    break_matrix_call(monkeypatch, {"regular_witness"})
+    monkeypatch.setattr(gl_restriction, "_BLOCK", 1)
+    break_batch(monkeypatch, 2, "regular_witnesses")
     for a in sorted(j_class(s, 2)):
         with pytest.raises(InternalInconsistencyError):
             regular_witness(s, a)

@@ -23,6 +23,7 @@ from glsemi.gf_linalg import (
     mat_inverse,
     mat_mul,
     rref_canonical,
+    solve_batch,
     vec_mat,
     zero_space,
 )
@@ -246,6 +247,64 @@ def test_linear_map_sends_each_basis_row_to_its_image(case, rng):
     else:
         with pytest.raises(PreconditionError):
             linear_map(p, basis, images)
+
+
+@st.composite
+def _invertible_batches(draw):
+    """(p, n, doms, imgs): p <= 13, n <= 4, one to four invertible n x n
+    domains, each a row permutation of L * R with L unit lower triangular
+    and R upper triangular with a nonzero diagonal, and as many arbitrary
+    n x n image matrices."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 11, 13)))
+    n = draw(st.integers(1, 4))
+    size = draw(st.integers(1, 4))
+    entry, unit = st.integers(0, p - 1), st.integers(1, p - 1)
+    doms = []
+    for _ in range(size):
+        low = [[1 if i == j else draw(entry) if j < i else 0 for j in range(n)] for i in range(n)]
+        up = [[draw(unit) if i == j else draw(entry) if j > i else 0 for j in range(n)] for i in range(n)]
+        rows = naive_mat_mul(p, low, up)
+        doms.append([rows[i] for i in draw(st.permutations(range(n)))])
+    mat = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    imgs = draw(st.lists(mat, min_size=size, max_size=size))
+    return p, n, doms, imgs
+
+
+@settings(max_examples=80, deadline=None)
+@given(_invertible_batches())
+def test_solve_batch_matches_linear_map_and_mat_inverse(case):
+    p, n, doms, imgs = case
+    got = solve_batch(p, doms, imgs)
+    inverses = solve_batch(p, doms, [identity_mat(n)] * len(doms))
+    assert got.shape == (len(doms), n, n)
+    for dom, img, out, inv in zip(doms, imgs, got.tolist(), inverses.tolist()):
+        assert tuple(map(tuple, out)) == linear_map(p, dom, img)
+        assert tuple(map(tuple, inv)) == mat_inverse(p, dom)
+        assert naive_mat_mul(p, dom, out) == tuple(map(tuple, img))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_invertible_batches(), st.data())
+def test_solve_batch_refuses_a_batch_holding_a_singular_domain(case, data):
+    p, n, doms, imgs = case
+    # One domain loses a row to a multiple of another row (or to zero).
+    k = data.draw(st.integers(0, len(doms) - 1))
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    c = data.draw(st.integers(0, p - 1))
+    singular = [list(row) for row in doms[k]]
+    singular[i] = [c * x % p for x in singular[j]] if i != j else [0] * n
+    doms = doms[:k] + [singular] + doms[k + 1 :]
+    with pytest.raises(PreconditionError):
+        mat_inverse(p, singular)
+    with pytest.raises(PreconditionError):
+        solve_batch(p, doms, imgs)
+
+
+def test_solve_batch_rejects_mismatched_shapes():
+    eye = [[1, 0], [0, 1]]
+    for doms, imgs in (([eye], eye), ([[[1, 0]]], [[[1]]]), ([eye], [eye, eye])):
+        with pytest.raises(ConfigurationError):
+            solve_batch(2, doms, imgs)
 
 
 def test_mat_inverse_and_linear_map():

@@ -32,10 +32,12 @@ from glsemi.gl_restriction import (
     G_W,
     N_W,
     dclass_witness,
+    dclass_witness_grid,
     decompose_fix_u,
     decompose_unit,
     enumerate_semigroup,
     factor_through,
+    factor_through_grid,
     generating_set,
     is_idempotent_by_image,
     is_member,
@@ -47,9 +49,12 @@ from glsemi.gl_restriction import (
     predicted_order,
     q_ideal,
     raise_factor,
+    raise_factors,
     rank_value,
     regular_witness,
+    regular_witnesses,
     sandwich_factor,
+    sandwich_factor_grid,
     special_subgroup,
     split_grid,
     subgroup_iso_check,
@@ -58,8 +63,9 @@ from glsemi.gl_restriction import (
 from glsemi.semigroup_core import closure_indices, rank_search
 
 from helpers import (
+    BATCHES,
     CONSTRUCTORS,
-    break_matrix_call,
+    break_batch,
     brute_members,
     mats,
     naive_image_vectors,
@@ -184,13 +190,9 @@ def test_profiles_from_the_action_array_match_each_element(name):
 
 def test_per_class_bases_grow_per_class_not_per_element():
     s = enumerate_semigroup(build_instance(load_config(str(CONFIGS / "p2n4r2.cfg"))))
+    # The check offers every pair, so every kernel's transversal and every
+    # image's extension is asked for.
     assert cli._check_factorizations(s, (gl_restriction.DEFAULT_ENUM_CAP, 4))[0] == "pass"
-    # The sampled pairs need not meet every class, so touch every element:
-    # factor_through(a, a) needs the kernel's transversal and the image's
-    # extension.
-    for a in range(len(s.table)):
-        regular_witness(s, a)
-        factor_through(s, a, a)
     green = s.table.green()
     assert len(s._transversals) == len(green.r)  # one per kernel
     assert len(s._extensions) == len(green.l)  # one per image
@@ -523,9 +525,56 @@ VALID_CALLS = {
 }
 
 
-# The unit splits read their factors off a product grid, not linear_map,
-# so they are broken through a table with one wrong cell in that grid.
+def test_batches_agree_with_their_scalar_calls_across_blocks(monkeypatch):
+    # Blocks of three outputs (one grid row when rows are wider), so every
+    # batch below runs many blocks and must put each output in its place.
+    monkeypatch.setattr(gl_restriction, "_BLOCK", 3)
+    s, grades = S231, [sorted(g) for g in S231.grades]
+    assert regular_witnesses(s, ALL231).tolist() == [regular_witness(s, a) for a in ALL231]
+    lam, mu = raise_factors(s, grades[0])
+    assert list(zip(lam.tolist(), mu.tolist())) == [raise_factor(s, a) for a in grades[0]]
+    for left, right in ((grades[0], grades[1]), (grades[1], grades[2]), (ALL231[:20], grades[2])):
+        lam, mu = factor_through_grid(s, left, right)
+        assert [list(zip(*row)) for row in zip(lam.tolist(), mu.tolist())] == [
+            [factor_through(s, a, b) for b in right] for a in left
+        ]
+    for grade in grades:
+        expected = [[dclass_witness(s, a, b) for b in grade] for a in grade]
+        assert dclass_witness_grid(s, grade, grade).tolist() == expected
+    lam, mu = sandwich_factor_grid(s, grades[1], grades[1])
+    assert [list(zip(*row)) for row in zip(lam.tolist(), mu.tolist())] == [
+        [sandwich_factor(s, t, a) for a in grades[1]] for t in grades[1]
+    ]
+
+
+def test_grade_checks_read_the_codimension_of_each_factor():
+    # The batch's own codimension array, changed for one factor after the
+    # batch is built, must fail the unit check and the raise grade check.
+    s = enumerate_semigroup(make_instance(2, 3, 1))
+    mid, low = sorted(j_class(s, 1)), sorted(j_class(s, 0))
+    lam, _ = sandwich_factor(s, mid[0], mid[0])
+    up, _ = raise_factor(s, low[0])
+    codims = s.batch.codims
+    codims[lam] = 1
+    with pytest.raises(InternalInconsistencyError, match=f"not units at pair \\({mid[0]}, {mid[0]}\\)"):
+        sandwich_factor_grid(s, mid, mid)
+    codims[lam], codims[up] = 2, 2
+    with pytest.raises(InternalInconsistencyError, match=f"wrong grade at element {low[0]}"):
+        raise_factors(s, low)
+
+
+# The unit splits read their factors off a product grid, not the batch
+# kernel, so they are broken through a table with one wrong cell in that grid.
 UNIT_SPLITS = {"decompose_unit": FIX_W, "decompose_fix_u": G_W}
+# What catches a wrong member: the recomposition, or for a D-class
+# witness the image and kernel compare.
+CAUGHT_BY = {
+    "regular_witness": "inner inverse construction failed",
+    "factor_through": "failed to recompose",
+    "dclass_witness": "wrong image or kernel",
+    "raise_factor": "failed to recompose",
+    "sandwich_factor": "failed to recompose",
+}
 
 
 @pytest.mark.parametrize("name", CONSTRUCTORS + tuple(UNIT_SPLITS))
@@ -534,19 +583,23 @@ def test_each_constructor_rejects_a_wrong_factor(monkeypatch, name):
     if name in UNIT_SPLITS:
         s, match = with_wrong_split(S231, UNIT_SPLITS[name], W231), "not a bijection"
     else:
-        s, match = S231, None
-        break_matrix_call(monkeypatch, {name})
+        s, match = S231, CAUGHT_BY[name]
+        break_batch(monkeypatch, 2, BATCHES[name])
     with pytest.raises(InternalInconsistencyError, match=match):
         for args in calls:
             fn(s, *args)
 
 
-def test_a_constructed_non_member_is_refused(monkeypatch):
-    # The zero map moves U, so it is no member; dclass_witness has no
-    # recomposition to catch it first, so the table lookup must.
-    monkeypatch.setattr(gl_restriction, "linear_map", lambda p, rows, images: ((0, 0, 0),) * 3)
-    with pytest.raises(InternalInconsistencyError, match="not a member"):
-        dclass_witness(S231, MID231[0], MID231[0])
+def test_a_constructed_non_member_is_refused():
+    # The zero map moves U, so it is no member, and each constructor's
+    # lookup in s.index must say so before anything multiplies it out.
+    for name in CONSTRUCTORS:
+        fn, calls = VALID_CALLS[name]
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            owners = break_batch(monkeypatch, 2, BATCHES[name], call=0, member=False)
+            with pytest.raises(InternalInconsistencyError, match="not a member"):
+                fn(S231, *calls[0])
+        assert owners == [calls[0][0]], name
 
 
 def test_nonnormality_gf3_matches_hand_computation():

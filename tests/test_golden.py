@@ -65,12 +65,12 @@ STRETCH = {
     (2, 4, 1): "0ffc7d578af378d0972eddbb290f5d1a18ee7fbf4db8c446b7e3b12aa3bda2f3",
 }
 VERIFY = {
-    "p2n2r1": "6719a2db743184edbd2fa0643cc0a025161a88282af51c567624f06653b08338",
-    "p3n2r1": "3a4653228682ce77312bf1d32a3c3a3bdd71360412adb9cbe45d43cb028ab2c4",
-    "p2n3r2": "9af5656b0c845ad4a2450c83efb2d6f028f3a672e04bae771b5fa82909213fc7",
-    "p2n3r1": "f6193cac4b4b7ef93a741ee3cea2470bd40790979951ea8917246415784288fd",
-    "p2n3r1_shifted": "f6193cac4b4b7ef93a741ee3cea2470bd40790979951ea8917246415784288fd",
-    "p2n4r2": "61d3775a0ca5a25b43204f3efbbbc54027a47569d916853a0141d91436e8451e",
+    "p2n2r1": "d0c2cdbfd79c55c6064c208ce23501f215a6be002a2048198e5ae3f8d5d0e7a8",
+    "p3n2r1": "50af33c329bc61dbbddf57130bd5350a80fa7d46f7875f2ddbee422b45a609b6",
+    "p2n3r2": "18e8650e052c1b57663d499a8f5af0117dfad50bdd44680a110585d226e9c8fe",
+    "p2n3r1": "602b2ccb19f89159322ee314992b015169bbb69b97724a99c8e8f1eea92d5800",
+    "p2n3r1_shifted": "602b2ccb19f89159322ee314992b015169bbb69b97724a99c8e8f1eea92d5800",
+    "p2n4r2": "2b9776226f3634e78b168059e263f526f809114e7a2c4c5cc294140a53060b4a",
 }
 
 CONSTRUCTORS = {
