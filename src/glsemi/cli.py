@@ -118,8 +118,8 @@ class VerifyReport:
     checks: list[CheckResult] = field(default_factory=list)
     # Work done outside the checks: enumerate_s is the time of the one
     # enumerate_semigroup call (member list, Cayley table, table check),
-    # profiles_s the time to work out every element's image, kernel and
-    # codimension from the Structure's action array.
+    # profiles_s the time to read every element's codimension and its
+    # image and kernel class ids off the Structure's action array.
     stages: dict = field(default_factory=dict)
 
     @property
@@ -244,8 +244,8 @@ def _complements(inst: Instance):
 # Checks take the instance's Structure and the (enum_cap, rank_cap) pair,
 # except those in _INSTANCE_CHECKS, which take the Instance and run
 # without a table.  cmd_verify builds the Structure once, before the
-# first check that needs it, and times the build and the profiles as
-# stages of their own.
+# first check that needs it, and times the build and the per-element
+# codims and class ids as stages of their own.
 
 
 def _check_order_law(s: Structure, caps):
@@ -283,8 +283,8 @@ def _check_green_agreement(s: Structure, caps):
 
 
 def _check_ideal_structure(s: Structure, caps):
-    inst, table, profs = s.inst, s.table, s.profiles
-    top = inst.n - inst.r
+    inst, table, codims = s.inst, s.table, s.codims
+    p, n, top = inst.p, inst.n, inst.n - inst.r
     failures = []
     for k in range(1, top + 1):
         if not verify_ideal(table, q_ideal(s, k)):
@@ -299,17 +299,23 @@ def _check_ideal_structure(s: Structure, caps):
         ideal = principal_ideal(table, min(cls))
         firsts = {}
         for i in sorted(cls):
-            firsts.setdefault(profs[i][2], i)
+            firsts.setdefault(codims[i], i)
         for cd, i in firsts.items():
             expected = frozenset(range(len(table))) if cd == top else q_ideal(s, cd + 1)
             if ideal != expected:
                 failures.append(f"principal ideal mismatch at element {i}")
-    minimal = q_ideal(s, 1)
-    for i in minimal:
-        img, ker, _ = profs[i]
-        if img != inst.u or not is_complement(ker, inst.u):
-            failures.append(f"minimal-ideal element {i} fails image/kernel split")
-    counts = {"ideals": top, "principal_reps": len(profs), "minimal_ideal": len(minimal)}
+    # A minimal-ideal element, whose column of s.act holds p^r codes, must
+    # have image U (every code in U) and a kernel meeting U only in 0 with
+    # p^(n-r) codes: mask tests on that column.
+    minimal = np.array(sorted(q_ideal(s, 1)))
+    cols = s.act[:, minimal]  # cols[v, j]: code of v times minimal[j]
+    in_u = np.zeros(p**n, dtype=bool)
+    in_u[np.array(inst.u.vectors()) @ p ** np.arange(n - 1, -1, -1)] = True
+    zero = cols == 0
+    split = in_u[cols].all(axis=0) & ((zero & in_u[:, None]).sum(axis=0) == 1) & (zero.sum(axis=0) == p**top)
+    for i in minimal[~split].tolist():
+        failures.append(f"minimal-ideal element {i} fails image/kernel split")
+    counts = {"ideals": top, "principal_reps": len(table), "minimal_ideal": len(minimal)}
     return ("pass" if not failures else "fail", counts, "; ".join(failures) or None)
 
 
@@ -536,7 +542,7 @@ def cmd_verify(cfg: InstanceConfig, enum_cap: int, rank_cap: int) -> VerifyRepor
             if s is not None:
                 start = time.perf_counter()
                 try:
-                    s.profiles
+                    s.codims, s.image_classes, s.kernel_classes
                 except GlsemiError as exc:
                     build_error = exc
                 report.stages["profiles_s"] = round(time.perf_counter() - start, 4)

@@ -52,7 +52,7 @@ from .gf_linalg import (
     vec_add,
     vec_mat,
 )
-from .semigroup_core import GreenPartitions, SemigroupTable, subtable, rank_search, table_dtype
+from .semigroup_core import GreenPartitions, SemigroupTable, _classes, subtable, rank_search, table_dtype
 
 #: Default ceiling on the semigroup order accepted for full enumeration.
 DEFAULT_ENUM_CAP = 2000
@@ -212,22 +212,16 @@ class Structure:
     vector v times element b, a row vector coded base p as in _cayley.
 
     Green's L-, R- and D-classes are the classes of equal image, kernel
-    and codimension, so every basis a constructor derives from an
-    element's image or kernel is a per-class basis.  The Structure
-    holds each one once, keyed by the subspace: transversal(ker),
-    extension(sub) and u_extension(img).  Their number is bounded by
-    the number of R-classes, L-classes and subspaces of V.  `batch`
-    holds them as row codes, with the domain inverses and image tables
-    of the batched constructors.
+    and codimension; the class ids and the codimensions are read off
+    the action array, and every per-element question is answered on
+    it.  `batch` holds each class's bases as row codes, with the domain
+    inverses and image tables of the batched constructors.
     """
 
     def __init__(self, inst: Instance, table: SemigroupTable, act: np.ndarray):
         self.inst = inst
         self.table = table
         self.act = act
-        self._transversals: dict[Subspace, tuple[Vec, ...]] = {}
-        self._extensions: dict[Subspace, tuple[Vec, ...]] = {}
-        self._u_extensions: dict[Subspace, tuple[Vec, ...]] = {}
         self._subgroups: dict[tuple[str, Subspace | None], object] = {}
 
     def _image_masks(self) -> np.ndarray:
@@ -271,52 +265,19 @@ class Structure:
         as in _cayley); -1 for every non-member."""
         return _key_index(self.inst.p ** self.inst.n, self.rows)
 
+    def find(self, codes: np.ndarray) -> np.ndarray:
+        """Index of each matrix given by its row codes (last axis); -1 for a non-member."""
+        q = self.inst.p ** self.inst.n
+        keys = codes[..., 0].astype(self.index.dtype)
+        for i in range(1, codes.shape[-1]):
+            keys *= q
+            keys += codes[..., i]
+        return self.index[keys]
+
     @cached_property
     def batch(self) -> "_Batch":
         """Domain inverses and image tables of the batched constructors."""
         return _Batch(self)
-
-    @cached_property
-    def profiles(self) -> tuple[tuple[Subspace, Subspace, int], ...]:
-        """(image, kernel, codim) of each element.
-
-        Elements are grouped by their image set and their kernel mask in
-        the action array; each distinct image and kernel is reduced to
-        one RREF Subspace, shared by its whole class.
-        """
-        p, elements = self.inst.p, self.table.elements
-        img_ids, img_first = self.image_classes
-        ker_ids, ker_first = self.kernel_classes
-        images = [image(p, elements[i]) for i in img_first.tolist()]
-        kernels = [kernel(p, elements[i]) for i in ker_first.tolist()]
-        codims = self.codims
-        if any(images[k].dim - self.inst.r != codims[i] for k, i in enumerate(img_first.tolist())):
-            raise InternalInconsistencyError("an image's rank disagrees with its size")
-        return tuple(
-            (images[i], kernels[k], cd) for i, k, cd in zip(img_ids.tolist(), ker_ids.tolist(), codims)
-        )
-
-    def transversal(self, ker: Subspace) -> tuple[Vec, ...]:
-        """Vectors completing (ker basis, U basis) to a basis of V; once per kernel."""
-        inst = self.inst
-        return _once(
-            self._transversals,
-            ker,
-            lambda: tuple(extend_basis(ker.basis + inst.u.basis, full_space(inst.p, inst.n))),
-        )
-
-    def extension(self, sub: Subspace) -> tuple[Vec, ...]:
-        """Vectors extending sub's basis to a basis of V; once per subspace.
-
-        extend_basis depends only on the span of its rows, so any basis
-        of sub gets the same vectors.
-        """
-        inst = self.inst
-        return _once(self._extensions, sub, lambda: tuple(extend_basis(sub.basis, full_space(inst.p, inst.n))))
-
-    def u_extension(self, img: Subspace) -> tuple[Vec, ...]:
-        """Vectors extending U's basis to a basis of img; once per image."""
-        return _once(self._u_extensions, img, lambda: tuple(extend_basis(self.inst.u.basis, img)))
 
     @cached_property
     def grades(self) -> tuple[frozenset[int], ...]:
@@ -371,31 +332,18 @@ def q_ideal(s: Structure, k: int) -> frozenset[int]:
 
 def green_char_partitions(s: Structure) -> GreenPartitions:
     """All five partitions from the characterizations, no table products
-    used: L by image, R by kernel, H by both, D and J by codimension."""
-    profs = s.profiles
-
-    def group(key):
-        buckets: dict[object, list[int]] = {}
-        for i, prof in enumerate(profs):
-            buckets.setdefault(key(prof), []).append(i)
-        return tuple(sorted((frozenset(g) for g in buckets.values()), key=min))
-
-    l_part = group(lambda prof: prof[0])
-    r_part = group(lambda prof: prof[1])
-    h_part = group(lambda prof: (prof[0], prof[1]))
-    d_part = group(lambda prof: prof[2])
+    used: L by image, R by kernel, H by both, D and J by codimension,
+    each grouping the class ids read off the action array."""
+    img_ids, ker_ids = s.image_classes[0], s.kernel_classes[0]
+    l_part = _classes(img_ids)
+    r_part = _classes(ker_ids)
+    h_part = _classes(img_ids * (ker_ids.max() + 1) + ker_ids)
+    d_part = _classes(np.array(s.codims))
     return GreenPartitions(l=l_part, r=r_part, h=h_part, d=d_part, j=d_part)
 
 
 def _act(inst: Instance, rows, m: Mat) -> tuple[Vec, ...]:
     return tuple(vec_mat(inst.p, row, m) for row in rows)
-
-
-def _member(s: Structure, i: int) -> tuple[Mat, Subspace, Subspace, int]:
-    # (matrix, image, kernel, codim) of index i; a negative i must not wrap.
-    if not 0 <= i < len(s.table):
-        raise PreconditionError(f"index {i} outside [0, {len(s.table)})")
-    return (s.table.elements[i], *s.profiles[i])
 
 
 # The constructors run in batches.  Every matrix is held as its n row
@@ -445,12 +393,7 @@ def _require(ok: np.ndarray, message: str, name) -> None:
 
 def _found(s: Structure, codes: np.ndarray, what: str, name) -> np.ndarray:
     # Index of each output given by its row codes, through s.index.
-    q = s.inst.p ** s.inst.n
-    keys = codes[..., 0].astype(s.index.dtype)
-    for i in range(1, codes.shape[-1]):
-        keys *= q
-        keys += codes[..., i]
-    found = s.index[keys]
+    found = s.find(codes)
     _require(found >= 0, f"a constructed {what} is not a member", name)
     return found
 
@@ -470,17 +413,20 @@ class _Batch:
     """
 
     def __init__(self, s: Structure):
-        inst, p, n, r = s.inst, s.inst.p, s.inst.n, s.inst.r
+        p, n, r, u = s.inst.p, s.inst.n, s.inst.r, s.inst.u.basis
         self.s = s
         self.codims = np.array(s.codims)
         self.ker_ids, ker_first = s.kernel_classes
         self.img_ids, img_first = s.image_classes
         self.ker_codims = self.codims[ker_first]
-        u = inst.u.basis
-        kernels = [s.profiles[i][1] for i in ker_first.tolist()]
-        images = [s.profiles[i][0] for i in img_first.tolist()]
-        self.kernel = np.array([_codes(p, k.basis + s.transversal(k) + u) for k in kernels])
-        self.image = np.array([_codes(p, s.extension(i) + s.u_extension(i) + u) for i in images])
+        # One kernel and one image per class, each from its first element.
+        elements, space = s.table.elements, full_space(p, n)
+        kernels = [kernel(p, elements[i]) for i in ker_first.tolist()]
+        images = [image(p, elements[i]) for i in img_first.tolist()]
+        if any(img.dim - r != self.codims[i] for img, i in zip(images, img_first.tolist())):
+            raise InternalInconsistencyError("an image's rank disagrees with its size")
+        self.kernel = np.array([_codes(p, [*k.basis, *extend_basis(k.basis + u, space), *u]) for k in kernels])
+        self.image = np.array([_codes(p, [*extend_basis(i.basis, space), *extend_basis(u, i), *u]) for i in images])
         count = len(s.table)
         self.applied = s.act[self.kernel[self.ker_ids], np.arange(count)[:, None]]
         self.head = np.arange(n) < (n - r - self.codims)[:, None]
@@ -497,8 +443,8 @@ class _Batch:
         # domain [tail; first k transversal rows * b; U * b], the tail
         # extending the other rows' span to V.  That span is b's image of
         # span(first k transversal rows, U), read off act as a set of
-        # codes; each distinct set gets its tail once, from s.extension.
-        # At k = codim b this is b's domain.
+        # codes; each distinct set gets its tail once.  At k = codim b
+        # this is b's domain.
         s, p, n, r = self.s, self.s.inst.p, self.s.inst.n, self.s.inst.r
         top, vectors = n - r, _vectors(p, n)
         bs, ks = np.nonzero(np.arange(top + 1) <= self.codims[:, None])
@@ -517,7 +463,7 @@ class _Batch:
             b, k = int(bs[i]), int(ks[i])
             d = top - int(self.codims[b])
             rows = vectors[np.concatenate([self.applied[b][d : d + k], self.applied[b][top:]])]
-            tail = s.extension(rref_canonical(p, n, [tuple(v) for v in rows.tolist()]))
+            tail = extend_basis(rows.tolist(), full_space(p, n))
             tails[t, : top - k] = _codes(p, np.array(tail).reshape(-1, n))
         doms = _spliced(np.arange(n) < (top - ks)[:, None], tails[ids], self.applied[bs], self.codims[bs] - ks, top)
         inverses = _solved(p, doms)
@@ -784,9 +730,11 @@ def rank_value(s: Structure, rank_cap: int = 4, budget: int | None = 200_000) ->
 
 
 def is_idempotent_by_image(s: Structure, a: int) -> bool:
-    """Idempotency via the restriction test: a fixes its image pointwise."""
-    m, img, _, _ = _member(s, a)
-    return all(vec_mat(s.inst.p, row, m) == row for row in img.basis)
+    """Idempotency via the restriction test: a fixes its image pointwise,
+    the image being the set of codes in a's column of s.act."""
+    (a,) = _indices(s, a)
+    img = np.unique(s.act[:, a])
+    return bool((s.act[img, a] == img).all())
 
 
 def minimal_idempotents(s: Structure) -> frozenset[int]:
@@ -897,14 +845,13 @@ def split_grid(s: Structure, left_kind: str, w: Subspace) -> tuple[np.ndarray, n
 
 
 def _split(s: Structure, a: int, left_kind: str, w: Subspace) -> tuple[int, int]:
-    # a's cell of the checked grid, multiplied back out, each factor
-    # tested again for membership of its subgroup.
+    # a's cell of the checked grid, multiplied back out on row codes
+    # through s.act, each factor tested again for membership of its subgroup.
     left, right, pos = split_grid(s, left_kind, w)
     i, j = divmod(int(pos[a]), len(right))
     first, second = int(left[i]), int(right[j])
-    elements = s.table.elements
     ok = (
-        mat_mul(s.inst.p, elements[first], elements[second]) == elements[a]
+        (s.act[s.rows[first], second] == s.rows[a]).all()
         and _in_subgroup(s, left_kind, w, [first])[0]
         and _in_subgroup(s, _SPLITS[left_kind][0], w, [second])[0]
     )
@@ -918,7 +865,7 @@ def decompose_unit(s: Structure, a: int, w: Subspace) -> tuple[int, int]:
 
     The split is a lookup in the fix_w x fix_u grid of split_grid.
     """
-    _member(s, a)
+    (a,) = _indices(s, a)
     if a not in s.grades[s.inst.n - s.inst.r]:
         raise PreconditionError("decomposition is defined on units only")
     return _split(s, a, FIX_W, w)
@@ -929,7 +876,7 @@ def decompose_fix_u(s: Structure, a: int, w: Subspace) -> tuple[int, int]:
 
     The split is unique, and a lookup in the g_w x n_w grid of split_grid.
     """
-    _member(s, a)
+    (a,) = _indices(s, a)
     if a not in special_subgroup(s, FIX_U):
         raise PreconditionError("decomposition is defined on U-fixing units only")
     return _split(s, a, G_W, w)

@@ -19,11 +19,10 @@ from .gf_linalg import (
     full_space,
     linear_map,
     mat_inverse,
-    mat_mul,
     rref_canonical,
     vec_mat,
 )
-from .gl_restriction import Instance, Structure
+from .gl_restriction import Instance, Structure, _codes, _table
 
 
 @dataclass(frozen=True)
@@ -61,8 +60,11 @@ def decide_isomorphic(i1: Instance, i2: Instance) -> IsoWitness | None:
 def element_bijection(witness: IsoWitness, s1: Structure, s2: Structure) -> tuple[int, ...]:
     """The index map psi that conjugation by the witness induces from s1 to s2.
 
-    psi is checked injective and multiplicative on every pair of the
-    two full tables; any failure raises InternalInconsistencyError.
+    Row i of phi^-1 * m * phi is (row i of phi^-1) * m, read off s1.act,
+    times phi, read off phi's action table; the conjugates are looked up
+    in s2.index.  psi is checked injective and multiplicative on every
+    pair of the two full tables; any failure raises
+    InternalInconsistencyError.
     """
     if s1.inst != witness.source or s2.inst != witness.target:
         raise PreconditionError("structures do not belong to the witness's instances")
@@ -70,16 +72,15 @@ def element_bijection(witness: IsoWitness, s1: Structure, s2: Structure) -> tupl
     t1, t2 = s1.table, s2.table
     if len(t1) != len(t2):
         raise InternalInconsistencyError("matched parameters but different orders")
-    mapping = []
-    for m in t1.elements:
-        try:
-            mapping.append(t2.index_of(mat_mul(p, mat_mul(p, witness.phi_inv, m), witness.phi)))
-        except KeyError:
-            raise InternalInconsistencyError("conjugation carried an element out of the target") from None
-    if len(set(mapping)) != len(mapping):
+    rows = _table(p, [witness.phi])[:, 0][s1.act[_codes(p, witness.phi_inv)]].T
+    found = s2.find(rows)
+    if (found < 0).any():
+        raise InternalInconsistencyError("conjugation carried an element out of the target")
+    # psi in the table's own index dtype, so psi[t1.mul] is no wider than t1.mul.
+    psi = found.astype(t2.mul.dtype)
+    if np.unique(psi).size != len(psi):
         raise InternalInconsistencyError("conjugation is not injective on elements")
-    psi = np.array(mapping)
     # psi(a*b) against psi(a)*psi(b), for every pair (a, b).
     if (psi[t1.mul] != t2.mul[np.ix_(psi, psi)]).any():
         raise InternalInconsistencyError("conjugation failed to respect a product")
-    return tuple(mapping)
+    return tuple(psi.tolist())

@@ -208,18 +208,18 @@ def green_oracle(table: SemigroupTable) -> GreenPartitions:
     r_part = _classes(rid)
     h_part = _classes(lid * (rid.max() + 1) + rid)
 
-    # profiles[l, r]: some element has L-class l and R-class r.
-    profiles = np.zeros((lid.max() + 1, rid.max() + 1), dtype=bool)
-    profiles[lid, rid] = True
-    pl, pr = np.nonzero(profiles)
+    # cells[l, r]: some element has L-class l and R-class r.
+    cells = np.zeros((lid.max() + 1, rid.max() + 1), dtype=bool)
+    cells[lid, rid] = True
+    pl, pr = np.nonzero(cells)
     # (l1, r2) present iff (l2, r1) present, over all present (l1, r1), (l2, r2).
-    cross = profiles[pl[:, None], pr[None, :]]
+    cross = cells[pl[:, None], pr[None, :]]
     if (cross != cross.T).any():
         raise InternalInconsistencyError("composite of L and R is not symmetric")
 
     # D: join of L and R, by union-find over the class labels (R shifted by nl).
-    nl = len(profiles)
-    parent = list(range(nl + profiles.shape[1]))
+    nl = len(cells)
+    parent = list(range(nl + cells.shape[1]))
 
     def find(x):
         while parent[x] != x:
@@ -236,14 +236,14 @@ def green_oracle(table: SemigroupTable) -> GreenPartitions:
     d_part = _classes(d_of_l[lid])
 
     # One composition step of L then R must already connect each D-class.
-    if (profiles != (d_of_l[:, None] == d_of_r[None, :])).any():
+    if (cells != (d_of_l[:, None] == d_of_r[None, :])).any():
         raise InternalInconsistencyError("D-class not covered by one L-then-R step")
 
     # J: S^1 a S^1 is the union of t S^1 over t in S^1 a.  Both are constant
     # on classes (S^1 a on a's L-class, t S^1 on t's R-class), so one boolean
     # product: R-classes met by each L-class's left ideal, times right ideals.
     in_l, members = np.nonzero(left)
-    meets = np.zeros(profiles.shape, dtype=bool)
+    meets = np.zeros(cells.shape, dtype=bool)
     meets[in_l, rid[members]] = True
     j_of_l = _labels(np.matmul(meets, right))
     j_part = _classes(j_of_l[lid])

@@ -41,6 +41,19 @@ def with_product(s, i, j, k):
     return Structure(s.inst, table, s.act)
 
 
+def with_column(s, a, m):
+    """A copy of Structure s whose action array says element a acts as
+    the matrix m: column a of s.act holds the code of v*m for every row
+    vector v, in code order.  The table is shared, so only a check that
+    reads s.act can notice."""
+    p, n = s.inst.p, len(m)
+    act = s.act.copy()
+    act[:, a] = [
+        sum(x * p ** (n - 1 - j) for j, x in enumerate(naive_vec_mat(p, v, m))) for v in product(range(p), repeat=n)
+    ]
+    return Structure(s.inst, s.table, act)
+
+
 #: The batch each scalar constructor runs as a batch of one.
 BATCHES = {
     "regular_witness": "regular_witnesses",

@@ -104,7 +104,11 @@ def test_c03_green_agreement():
 
 def test_c04_ideal_structure():
     for args, s in STRUCTURES.items():
-        inst, table, profs = s.inst, s.table, s.profiles
+        inst, table, elems = s.inst, s.table, s.table.elements
+        # Image, kernel and codimension from the matrices.
+        images = [image(inst.p, m) for m in elems]
+        kernels = [kernel(inst.p, m) for m in elems]
+        cds = [img.dim - inst.r for img in images]
         top = inst.n - inst.r
         for k in range(1, top + 1):
             assert verify_ideal(table, q_ideal(s, k)), (args, k)
@@ -112,21 +116,20 @@ def test_c04_ideal_structure():
             reps = range(len(table))
         else:
             by_image = {}
-            for i, prof in enumerate(profs):
-                by_image.setdefault(prof[0], i)
+            for i, img in enumerate(images):
+                by_image.setdefault(img, i)
             reps = sorted(by_image.values())
         for i in reps:
-            cd = profs[i][2]
+            cd = cds[i]
             if cd == top:
                 assert principal_ideal(table, i) == frozenset(range(len(table)))
             else:
                 assert principal_ideal(table, i) == q_ideal(s, cd + 1), (args, i)
         minimal = q_ideal(s, 1)
-        assert minimal == j_class(s, 0) == {i for i in range(len(table)) if profs[i][2] == 0}
+        assert minimal == j_class(s, 0) == {i for i in range(len(table)) if cds[i] == 0}
         for i in minimal:
-            img, ker, _ = profs[i]
-            assert img == inst.u
-            assert is_complement(ker, inst.u)
+            assert images[i] == inst.u
+            assert is_complement(kernels[i], inst.u)
     _ok("4 ideal structure", "Q(k) chain, principal ideals, minimal ideal split")
 
 
@@ -163,7 +166,7 @@ def test_c07_constructive_factorizations():
         p = inst.p
         elems = s.table.elements
         idxs = range(len(elems))
-        # Codimensions from the matrices, not from the Structure's profiles.
+        # Codimensions from the matrices, not from the Structure.
         cd = [image(p, m).dim - inst.r for m in elems]
         top = inst.n - inst.r
         for a in idxs:

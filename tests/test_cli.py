@@ -48,7 +48,7 @@ from glsemi.gl_restriction import (
 )
 from glsemi.semigroup_core import SemigroupTable
 
-from helpers import BATCHES, break_batch, with_product, with_wrong_split
+from helpers import BATCHES, break_batch, with_column, with_product, with_wrong_split
 
 CAPS = (DEFAULT_ENUM_CAP, DEFAULT_RANK_CAP)
 
@@ -307,6 +307,27 @@ def test_ideal_structure_fails_when_one_product_leaves_the_minimal_ideal():
     status, _, reason = _check_ideal_structure(bad, CAPS)
     assert status == "fail"
     assert "Q(1) is not an ideal" in reason
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        pytest.param(((0, 0, 0), (1, 0, 0), (0, 0, 0)), id="kernel-meets-u"),  # image U, kernel <e1, e3>
+        pytest.param(((0, 1, 0), (0, 0, 0), (0, 0, 0)), id="image-not-u"),  # image <e2>, kernel <e2, e3>
+    ],
+)
+def test_verify_fails_a_minimal_ideal_element_without_the_image_kernel_split(monkeypatch, m):
+    s = enumerate_semigroup(make_instance(2, 3, 1))
+    a = max(j_class(s, 0))
+    # a's column of s.act now reads m, whose image still has p^r codes,
+    # so a keeps codimension 0 and only the split test can catch it.
+    bad = with_column(s, a, m)
+    assert bad.codims == s.codims
+    monkeypatch.setattr(cli, "enumerate_semigroup", lambda inst, cap: bad if inst == s.inst else enumerate_semigroup(inst, cap))
+    check = next(c for c in cmd_verify(InstanceConfig(p=2, n=3, r=1), *CAPS).checks if c.name == "ideal_structure")
+    assert check.status == "fail"
+    assert check.reason == f"minimal-ideal element {a} fails image/kernel split"
+    assert _check_ideal_structure(s, CAPS)[0] == "pass"
 
 
 def test_ideal_structure_checks_the_principal_ideal_of_every_element():

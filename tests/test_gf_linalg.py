@@ -30,6 +30,7 @@ from glsemi.gf_linalg import (
 
 from helpers import (
     all_subspace_vector_sets,
+    naive_image_vectors,
     naive_kernel_vectors,
     naive_least_extension,
     naive_mat_mul,
@@ -133,6 +134,51 @@ def test_rank_nullity_exhaustive_gf2():
             assert img.dim + ker.dim == n
             assert naive_kernel_vectors(2, m) == naive_span(2, n, ker.basis)
             assert naive_span(2, n, m) == naive_span(2, n, img.basis)
+
+
+@st.composite
+def _small_rows(draw, square=False):
+    """(p, n, rows): p <= 13, n <= 4 with p^n <= 1331, so each naive
+    oracle below sums over at most 1331 vectors; n rows of length n when
+    square, else zero to n rows."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 11, 13)))
+    n = draw(st.sampled_from([n for n in range(1, 5) if p**n <= 1331]))
+    k = n if square else draw(st.integers(0, n))
+    entry = st.integers(0, p - 1)
+    return p, n, draw(st.lists(st.tuples(*[entry] * n), min_size=k, max_size=k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_rows(square=True))
+def test_image_and_kernel_span_exactly_their_vector_sets(case):
+    p, n, m = case
+    m = tuple(m)
+    img, ker = image(p, m), kernel(p, m)
+    assert naive_span(p, n, img.basis) == naive_image_vectors(p, m)
+    assert naive_span(p, n, ker.basis) == naive_kernel_vectors(p, m)
+    assert len(naive_image_vectors(p, m)) == p**img.dim  # the bases are independent
+    assert len(naive_kernel_vectors(p, m)) == p**ker.dim
+    assert img.dim + ker.dim == n
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_rows(), st.randoms(use_true_random=False))
+def test_rref_canonical_is_the_reduced_basis_of_the_span(case, rng):
+    p, n, rows = case
+    sub = rref_canonical(p, n, rows)
+    span = naive_span(p, n, rows)
+    assert naive_span(p, n, sub.basis) == span and len(span) == p**sub.dim
+    # Reduced echelon form: each row leads with a 1, in a column that is
+    # zero in every other row, and the leading columns increase.
+    leads = [next(j for j, x in enumerate(row) if x) for row in sub.basis]
+    assert leads == sorted(set(leads))
+    for row, j in zip(sub.basis, leads):
+        assert row[j] == 1 and all(other[j] == 0 for other in sub.basis if other is not row)
+    # Any other spanning list of the same span gets the same form.
+    coeffs = [[rng.randrange(p) for _ in rows] for _ in rows]
+    mixed = [tuple(sum(c * row[j] for c, row in zip(cs, rows)) % p for j in range(n)) for cs in coeffs]
+    assert rref_canonical(p, n, list(sub.basis) + mixed) == sub
+    assert rref_canonical(p, n, list(reversed(rows)) + mixed) == sub
 
 
 def test_kernel_matches_exhaustion_gf3():

@@ -71,6 +71,7 @@ from helpers import (
     naive_image_vectors,
     naive_span,
     naive_vec_mat,
+    with_column,
     with_product,
     with_wrong_split,
 )
@@ -169,34 +170,37 @@ def test_cayley_table_matches_products_on_sampled_pairs(pnr):
 
 
 def test_codim():
-    assert S221.profiles[IDX221(IDENT2)][2] == 1
-    assert S221.profiles[IDX221(A0)][2] == 0
-    assert S231.profiles[S231.table.index_of(((1, 0, 0), (0, 1, 0), (0, 0, 0)))][2] == 1
+    assert S221.codims[IDX221(IDENT2)] == 1
+    assert S221.codims[IDX221(A0)] == 0
+    assert S231.codims[S231.table.index_of(((1, 0, 0), (0, 1, 0), (0, 0, 0)))] == 1
 
 
 @pytest.mark.parametrize("name", SMALL_CONFIGS + ("p2n4r2",))
 def test_profiles_from_the_action_array_match_each_element(name):
     s = enumerate_semigroup(build_instance(load_config(str(CONFIGS / f"{name}.cfg"))))
+    # The class ids read off s.act partition the elements exactly as
+    # each element's own image and kernel do.
     p, r = s.inst.p, s.inst.r
-    for m, prof, cd in zip(s.table.elements, s.profiles, s.codims):
-        img = image(p, m)
-        assert prof == (img, kernel(p, m), img.dim - r)
-        assert cd == img.dim - r
-    # One Subspace object per distinct image and per distinct kernel.
-    green = s.table.green()
-    assert len({id(prof[0]) for prof in s.profiles}) == len(green.l)
-    assert len({id(prof[1]) for prof in s.profiles}) == len(green.r)
+    images = [image(p, m) for m in s.table.elements]
+    kernels = [kernel(p, m) for m in s.table.elements]
+    assert list(s.codims) == [img.dim - r for img in images]
+    for (ids, first), spaces in ((s.image_classes, images), (s.kernel_classes, kernels)):
+        assert [spaces[i] for i in first[ids]] == spaces  # one space per class
+        assert len(set(spaces)) == len(first)  # and one class per space
 
 
-def test_per_class_bases_grow_per_class_not_per_element():
+def test_per_class_bases_grow_per_class_not_per_element(monkeypatch):
     s = enumerate_semigroup(build_instance(load_config(str(CONFIGS / "p2n4r2.cfg"))))
-    # The check offers every pair, so every kernel's transversal and every
-    # image's extension is asked for.
+    calls = []
+    real = gl_restriction.extend_basis
+    monkeypatch.setattr(gl_restriction, "extend_basis", lambda *args: calls.append(args) or real(*args))
     assert cli._check_factorizations(s, (gl_restriction.DEFAULT_ENUM_CAP, 4))[0] == "pass"
     green = s.table.green()
-    assert len(s._transversals) == len(green.r)  # one per kernel
-    assert len(s._extensions) == len(green.l)  # one per image
-    assert 0 < len(s._u_extensions) <= len(green.l)
+    assert s.batch.kernel.shape == (len(green.r), s.inst.n)  # one row per kernel
+    assert s.batch.image.shape == (len(green.l), s.inst.n)  # one row per image
+    # A transversal per kernel, two extensions per image, and one tail per
+    # distinct span of factor_through's domain rows, each span an image.
+    assert len(green.r) + 2 * len(green.l) < len(calls) <= len(green.r) + 3 * len(green.l) < len(s.table) // 30
 
 
 def test_j_class_and_q_ideal():
@@ -205,7 +209,7 @@ def test_j_class_and_q_ideal():
     assert len(j_class(S231, 2)) == 24
     assert q_ideal(S221, 1) == j_class(S221, 0)
     assert q_ideal(S231, 2) == j_class(S231, 0) | j_class(S231, 1)
-    for i, (_, _, cd) in enumerate(S231.profiles):
+    for i, cd in enumerate(S231.codims):
         assert len(naive_image_vectors(2, S231.table.elements[i])) == 2 ** (INST231.r + cd)
     with pytest.raises(PreconditionError):
         j_class(S221, 2)
@@ -220,7 +224,7 @@ def test_dclass_witness():
     elems = S232.table.elements
     for a in range(len(elems)):
         for b in range(len(elems)):
-            if S232.profiles[a][2] == S232.profiles[b][2]:
+            if S232.codims[a] == S232.codims[b]:
                 gamma = elems[dclass_witness(S232, a, b)]
                 assert image(2, gamma) == image(2, elems[a])  # L-related to a
                 assert kernel(2, gamma) == kernel(2, elems[b])  # R-related to b
@@ -237,7 +241,7 @@ def test_factor_through_matches_exhaustive_existence():
     elems = E221
     for a in range(len(elems)):
         for b in range(len(elems)):
-            feasible = S221.profiles[a][2] <= S221.profiles[b][2]
+            feasible = S221.codims[a] <= S221.codims[b]
             exists = any(
                 mat_mul(2, mat_mul(2, lam, elems[b]), mu) == elems[a]
                 for lam in elems
@@ -456,6 +460,29 @@ def test_constructors_reject_out_of_range_indices(fn, arity, extra, bad):
             fn(S232, *idxs, *extra)
 
 
+def test_a_split_is_recomposed_on_the_action_array():
+    # The grid is read off s.table.mul, the recomposition off s.act.  Once
+    # the Fix(U) factor's column acts as another Fix(U) unit, both
+    # subgroups and the grid stay as they were, but first * second no
+    # longer recomposes a.
+    fix_u = special_subgroup(S232, FIX_U)
+    a = min(j_class(S232, 1) - special_subgroup(S232, FIX_W, W232) - fix_u)
+    _, second = decompose_unit(S232, a, W232)
+    other = min(fix_u - {second, S232.table.identity_idx})
+    bad = with_column(S232, second, S232.table.elements[other])
+    with pytest.raises(InternalInconsistencyError, match="fix_w split failed to verify"):
+        decompose_unit(bad, a, W232)
+
+
+def test_batch_refuses_an_image_whose_rank_disagrees_with_its_size():
+    # Element 0 heads its image class whatever its column reads.  Made to
+    # act as the identity, its image has p^n codes, but its matrix rank r.
+    bad = with_column(S231, 0, identity_mat(3))
+    assert (bad.codims[0], S231.codims[0]) == (2, 0)
+    with pytest.raises(InternalInconsistencyError, match="rank disagrees with its size"):
+        bad.batch
+
+
 def test_decomposition_uniqueness():
     w = rref_canonical(2, 3, [(0, 0, 1)])
     fix_w = mats(S232, special_subgroup(S232, FIX_W, w))
@@ -511,7 +538,7 @@ def test_split_grid_holds_each_element_in_one_cell():
 
 
 W231 = rref_canonical(2, 3, [(0, 1, 0), (0, 0, 1)])
-ALL231, CD231 = range(len(S231.table)), [prof[2] for prof in S231.profiles]
+ALL231, CD231 = range(len(S231.table)), S231.codims
 MID231 = sorted(j_class(S231, 1))
 # Every valid call of each constructor on (2,3,1).
 VALID_CALLS = {
@@ -632,7 +659,7 @@ def test_j_class_count_report():
 def test_membership_closure_and_codim_monotonicity():
     rng = random.Random(2)
     elems = S232.table.elements
-    codim = lambda m: S232.profiles[S232.table.index_of(m)][2]
+    codim = lambda m: S232.codims[S232.table.index_of(m)]
     for _ in range(300):
         a, b = rng.choice(elems), rng.choice(elems)
         ab = mat_mul(2, a, b)

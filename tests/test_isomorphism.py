@@ -1,11 +1,15 @@
 """Instance comparison and the element bijection it induces."""
 
+import tracemalloc
+
 import pytest
 
 from glsemi.errors import InternalInconsistencyError, PreconditionError, UnsupportedComparisonError
 from glsemi.gf_linalg import identity_mat, vec_mat
-from glsemi.gl_restriction import enumerate_semigroup, make_instance, minimal_idempotents
+from glsemi.gl_restriction import Structure, enumerate_semigroup, make_instance, minimal_idempotents
 from glsemi.isomorphism import IsoWitness, decide_isomorphic, element_bijection
+
+from helpers import with_product
 
 S221 = enumerate_semigroup(make_instance(2, 2, 1))
 S221_SHIFTED = enumerate_semigroup(make_instance(2, 2, 1, [(0, 1)]))
@@ -59,8 +63,8 @@ def test_transport_preserves_structure():
     t1, t2 = S221.table, S221_SHIFTED.table
     psi = element_bijection(witness, S221, S221_SHIFTED)
     assert psi[t1.identity_idx] == t2.identity_idx
-    for i, (_, _, cd) in enumerate(S221.profiles):
-        assert S221_SHIFTED.profiles[psi[i]][2] == cd
+    for i, cd in enumerate(S221.codims):
+        assert S221_SHIFTED.codims[psi[i]] == cd
     assert {psi[i] for i in minimal_idempotents(S221)} == minimal_idempotents(S221_SHIFTED)
 
 
@@ -73,11 +77,42 @@ def test_decision_needs_no_enumeration():
     assert vec_mat(2, (1, 0, 0, 0, 0), witness.phi) == (0, 1, 0, 0, 0)
 
 
+def test_element_bijection_refuses_a_target_it_does_not_match():
+    witness = decide_isomorphic(S231.inst, S231_SHIFTED.inst)
+    psi = element_bijection(witness, S231, S231_SHIFTED)
+    t2 = S231_SHIFTED.table
+    e, x, y = t2.identity_idx, psi[0], psi[1]
+    # e*e now reads x in the target's table.
+    with pytest.raises(InternalInconsistencyError, match="failed to respect a product"):
+        element_bijection(witness, S231, with_product(S231_SHIFTED, e, e, x))
+    # The target's index now sends x's row codes to y as well.
+    merged = Structure(S231_SHIFTED.inst, t2, S231_SHIFTED.act)
+    merged.index = S231_SHIFTED.index.copy()
+    merged.index[merged.index == x] = y
+    with pytest.raises(InternalInconsistencyError, match="not injective"):
+        element_bijection(witness, S231, merged)
+
+
+def test_element_bijection_peak_stays_below_six_bytes_per_table_cell():
+    # psi is held in the table's index dtype (uint16 here), so psi[t1.mul]
+    # costs no more than t1.mul itself; an int64 psi would cost 8 bytes a cell.
+    s1 = enumerate_semigroup(make_instance(2, 4, 2))
+    s2 = enumerate_semigroup(make_instance(2, 4, 2, [(1, 0, 1, 0), (0, 1, 0, 0)]))
+    witness = decide_isomorphic(s1.inst, s2.inst)
+    tracemalloc.start()
+    try:
+        element_bijection(witness, s1, s2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * len(s1.table) ** 2
+
+
 def test_element_bijection_checks_its_inputs():
     witness = decide_isomorphic(S231.inst, S231_SHIFTED.inst)
     with pytest.raises(PreconditionError):
         element_bijection(witness, S231_SHIFTED, S231)
     swap = ((0, 1, 0), (1, 0, 0), (0, 0, 1))  # carries U onto a third line
     wrong = IsoWitness(S231.inst, S231_SHIFTED.inst, swap, swap)
-    with pytest.raises(InternalInconsistencyError):
+    with pytest.raises(InternalInconsistencyError, match="carried an element out of the target"):
         element_bijection(wrong, S231, S231_SHIFTED)
