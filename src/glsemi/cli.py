@@ -29,10 +29,12 @@ from .errors import (
     InfeasibleError,
 )
 from .gf_linalg import (
+    codes,
     enumerate_complements,
     extend_basis,
     full_space,
     is_complement,
+    span_mask,
     vec_add,
 )
 from .gl_restriction import (
@@ -249,9 +251,14 @@ def _complements(inst: Instance):
 
 
 def _check_order_law(s: Structure, caps):
+    # Distinct elements, each permuting U's codes (U*b = U), as many as the
+    # closed form: the element list is exactly the semigroup.
     expected = predicted_order(s.inst)
     counts = {"order": len(s.table), "expected": expected}
-    return ("pass" if len(s.table) == expected else "fail", counts, None)
+    u = np.flatnonzero(span_mask(s.inst.p, s.inst.n, codes(s.inst.p, s.inst.u.basis)))
+    moved = np.flatnonzero((np.sort(s.act[u], axis=0) != u[:, None]).any(axis=0))
+    reason = f"element {moved[0]} does not map U onto U" if moved.size else None
+    return ("pass" if len(s.table) == expected and reason is None else "fail", counts, reason)
 
 
 def _check_complement_count(inst: Instance):
@@ -309,8 +316,7 @@ def _check_ideal_structure(s: Structure, caps):
     # p^(n-r) codes: mask tests on that column.
     minimal = np.array(sorted(q_ideal(s, 1)))
     cols = s.act[:, minimal]  # cols[v, j]: code of v times minimal[j]
-    in_u = np.zeros(p**n, dtype=bool)
-    in_u[np.array(inst.u.vectors()) @ p ** np.arange(n - 1, -1, -1)] = True
+    in_u = span_mask(p, n, codes(p, inst.u.basis))
     zero = cols == 0
     split = in_u[cols].all(axis=0) & ((zero & in_u[:, None]).sum(axis=0) == 1) & (zero.sum(axis=0) == p**top)
     for i in minimal[~split].tolist():

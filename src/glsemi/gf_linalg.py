@@ -12,8 +12,11 @@ subspaces; this is relied on everywhere above this module.
 All tie-breaking is lexicographic over coordinate tuples, which makes
 every construction in the package reproducible byte for byte.
 
-solve_batch is the one numpy routine here: linear_map over a stack of
-integer arrays, for the batched constructors.
+The row-code layer (codes through coordinate_table) is the numpy form
+of the same algebra, and the enumerated semigroup's working form: a row
+vector is coded by its digits base p, so codes follow lexicographic
+order; a matrix is held as its n row codes, a subspace as a mask over
+all p^n codes.  solve_batch is linear_map over a stack of arrays.
 """
 
 from __future__ import annotations
@@ -79,11 +82,6 @@ def transpose(m: Mat) -> Mat:
     return tuple(zip(*m)) if m else ()
 
 
-def all_vectors(p: int, n: int) -> tuple[Vec, ...]:
-    """Every vector of GF(p)^n in lexicographic order."""
-    return tuple(iter_product(range(p), repeat=n))
-
-
 def _rref(p: int, n: int, rows) -> tuple[list[Vec], list[int]]:
     """Gauss-Jordan reduce rows (length n); return (nonzero rows, pivot columns)."""
     work = [[x % p for x in row] for row in rows]
@@ -107,17 +105,6 @@ def _rref(p: int, n: int, rows) -> tuple[list[Vec], list[int]]:
     return [tuple(r) for r in work[:pr]], pivots
 
 
-def _reduce_against(p: int, rref_rows, v: Vec) -> list[int]:
-    """Residue of v after elimination against rows already in RREF."""
-    out = [x % p for x in v]
-    for row in rref_rows:
-        lead = next(i for i, x in enumerate(row) if x)
-        c = out[lead]
-        if c:
-            out = [(a - c * b) % p for a, b in zip(out, row)]
-    return out
-
-
 @dataclass(frozen=True)
 class Subspace:
     """A subspace of GF(p)^n held as its unique RREF basis (no zero rows)."""
@@ -133,33 +120,18 @@ class Subspace:
     def contains(self, v: Vec) -> bool:
         if len(v) != self.n:
             raise ConfigurationError(f"vector length {len(v)} does not match ambient dimension {self.n}")
-        return not any(_reduce_against(self.p, self.basis, v))
+        return bool(span_mask(self.p, self.n, codes(self.p, self.basis))[codes(self.p, np.asarray(v) % self.p)])
 
     def coordinates(self, v: Vec) -> Vec:
         """Coefficients of v over the basis rows; v must be a member."""
-        out = [x % self.p for x in v]
-        coeffs = []
-        for row in self.basis:
-            lead = next(i for i, x in enumerate(row) if x)
-            c = out[lead]
-            coeffs.append(c)
-            if c:
-                out = [(a - c * b) % self.p for a, b in zip(out, row)]
-        if any(out):
+        if not self.contains(v):
             raise PreconditionError("vector is not in the subspace")
-        return tuple(coeffs)
+        return tuple(coordinate_table(self)[codes(self.p, np.asarray(v) % self.p)].tolist())
 
     def vectors(self) -> tuple[Vec, ...]:
-        """All member vectors, sorted lexicographically."""
-        out = []
-        for coeffs in iter_product(range(self.p), repeat=self.dim):
-            acc = [0] * self.n
-            for c, row in zip(coeffs, self.basis):
-                if c:
-                    for j, x in enumerate(row):
-                        acc[j] += c * x
-            out.append(tuple(x % self.p for x in acc))
-        return tuple(sorted(out))
+        """All member vectors, sorted lexicographically (in code order)."""
+        mask = span_mask(self.p, self.n, codes(self.p, self.basis))
+        return tuple(map(tuple, code_vectors(self.p, self.n)[mask].tolist()))
 
 
 def zero_space(p: int, n: int) -> Subspace:
@@ -273,32 +245,102 @@ def solve_batch(p: int, doms, imgs) -> np.ndarray:
     return work[:, :, n:]
 
 
+def code_vectors(p: int, n: int) -> np.ndarray:
+    """Every row vector of GF(p)^n as a (p^n, n) array, row c being the vector coded c."""
+    return np.arange(p**n, dtype=np.int64)[:, None] // p ** np.arange(n - 1, -1, -1, dtype=np.int64) % p
+
+
+def codes(p: int, rows) -> np.ndarray:
+    """Code of each row vector along the last axis: its digits base p,
+    the first entry most significant, so codes follow lexicographic
+    order.  An empty list of rows has an empty array of codes."""
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.ndim == 1 and not rows.size:
+        rows = rows.reshape(0, 0)
+    return rows @ p ** np.arange(rows.shape[-1] - 1, -1, -1, dtype=np.int64)
+
+
+def action_table(p: int, rows) -> np.ndarray:
+    """t[v, j]: code of the row vector coded v times matrix j, each
+    matrix given by its row codes along the last axis of rows."""
+    rows = np.asarray(rows, dtype=np.int64)
+    vectors = code_vectors(p, rows.shape[-1])
+    return codes(p, vectors @ vectors[rows] % p).T
+
+
+def key_index(q: int, rows: np.ndarray) -> np.ndarray:
+    """index[key]: the position in rows of the row-code tuple whose codes
+    pack (base q, first row most significant) to key; -1 for any other
+    key.  Dense over all q^n keys; int32 while every key fits."""
+    n = rows.shape[1]
+    index = np.full(q**n, -1, dtype=np.int32 if q**n < 2**31 else np.int64)
+    index[codes(q, rows)] = np.arange(len(rows))
+    return index
+
+
+def span_mask(p: int, n: int, basis) -> np.ndarray:
+    """mask[c]: the vector coded c lies in the span of the row vectors coded basis."""
+    basis = np.asarray(basis, dtype=np.int64).reshape(-1)
+    mask = np.zeros(p**n, dtype=bool)
+    mask[codes(p, code_vectors(p, len(basis)) @ code_vectors(p, n)[basis] % p)] = True
+    return mask
+
+
+def extend_codes(p: int, n: int, span: np.ndarray, within: np.ndarray | None = None) -> list[int]:
+    """Codes extending the subspace marked by the mask span to a basis of
+    the one marked by within (all of GF(p)^n when None): each the least
+    code of within outside the span so far, which then grows by it.
+    That is the lexicographically least extension; from the zero space,
+    the codes reversed are within's RREF basis."""
+    vectors = code_vectors(p, n)
+    span = span.copy()
+    out: list[int] = []
+    while True:
+        outside = np.flatnonzero(~span if within is None else within & ~span)
+        if not outside.size:
+            return out
+        out.append(int(outside[0]))
+        multiples = np.arange(1, p)[:, None] * vectors[outside[0]]
+        span[codes(p, (vectors[span][:, None] + multiples) % p)] = True
+
+
+def solve_codes(p: int, doms: np.ndarray, imgs=None) -> np.ndarray:
+    """Row codes of doms[i]^-1 * imgs[i] (the inverse when imgs is None),
+    every matrix given by its row codes: one solve_batch pass."""
+    n = doms.shape[-1]
+    if imgs is None:
+        imgs = np.broadcast_to(p ** np.arange(n - 1, -1, -1), doms.shape)
+    vectors = code_vectors(p, n)
+    return codes(p, solve_batch(p, vectors[doms], vectors[imgs])).astype(np.min_scalar_type(p**n - 1))
+
+
+def coordinate_table(sub: Subspace) -> np.ndarray:
+    """out[c]: coordinates over sub's basis of the vector coded c; -1s off sub."""
+    coeffs = code_vectors(sub.p, sub.dim)
+    out = np.full((sub.p**sub.n, sub.dim), -1, dtype=np.int64)
+    out[codes(sub.p, coeffs @ np.array(sub.basis) % sub.p)] = coeffs
+    return out
+
+
 def extend_basis(partial, within: Subspace) -> list[Vec]:
     """Vectors extending `partial` to a basis of `within`.
 
-    Candidates are scanned in lexicographic order over the member
-    vectors of `within`, so the result is deterministic.  The input
-    rows must be linearly independent members of `within`.
+    The lexicographically least extension, from extend_codes, so the
+    result is deterministic.  The input rows must be linearly
+    independent members of `within`.
     """
     p, n = within.p, within.n
     rows = [tuple(x % p for x in row) for row in partial]
     for row in rows:
         if not within.contains(row):
             raise PreconditionError("partial basis vector lies outside the target subspace")
-    current, _ = _rref(p, n, rows)
-    if len(current) != len(rows):
+    span = span_mask(p, n, codes(p, rows))
+    if span.sum() != p ** len(rows):
         raise PreconditionError("partial basis is linearly dependent")
-    appended: list[Vec] = []
-    if len(current) < within.dim:
-        for cand in within.vectors():
-            if any(_reduce_against(p, current, cand)):
-                appended.append(cand)
-                current, _ = _rref(p, n, current + [cand])
-                if len(current) == within.dim:
-                    break
-    if len(current) != within.dim:
+    appended = extend_codes(p, n, span, span_mask(p, n, codes(p, within.basis)))
+    if len(rows) + len(appended) != within.dim:
         raise InternalInconsistencyError("basis extension failed to reach full dimension")
-    return appended
+    return [tuple(v) for v in code_vectors(p, n)[appended].tolist()]
 
 
 def enumerate_complements(u: Subspace) -> list[Subspace]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, product as iter_product
+from itertools import accumulate
 
 import numpy as np
 
@@ -33,26 +33,28 @@ from .gf_linalg import (
     Mat,
     Subspace,
     Vec,
-    all_vectors,
+    action_table,
     check_modulus,
-    extend_basis,
-    full_space,
+    code_vectors,
+    codes,
+    coordinate_table,
+    extend_codes,
     general_linear,
     gl_order,
     identity_mat,
-    image,
     is_complement,
     is_invertible,
-    kernel,
+    key_index,
     linear_map,
     mat_inverse,
     mat_mul,
     rref_canonical,
-    solve_batch,
+    solve_codes,
+    span_mask,
     vec_add,
     vec_mat,
 )
-from .semigroup_core import GreenPartitions, SemigroupTable, _classes, subtable, rank_search, table_dtype
+from .semigroup_core import GreenPartitions, SemigroupTable, label_classes, subtable, rank_search, table_dtype
 
 #: Default ceiling on the semigroup order accepted for full enumeration.
 DEFAULT_ENUM_CAP = 2000
@@ -112,66 +114,30 @@ def is_member(inst: Instance, m: Mat) -> bool:
     return rref_canonical(inst.p, inst.n, rows) == inst.u
 
 
-def _members(inst: Instance) -> tuple[Mat, ...]:
-    # Adapted-basis enumeration: pick the images of a U-basis from GL(U)
-    # and the images of a fixed complement basis freely from V.
+def _members(inst: Instance) -> np.ndarray:
+    # Row codes of every member, in matrix order: the images of U's basis
+    # range over GL(U), those of a fixed complement basis freely over V.
     p, n, r = inst.p, inst.n, inst.r
-    anchors = extend_basis(inst.u.basis, full_space(p, n))
-    dom_inv = mat_inverse(p, inst.u.basis + tuple(anchors))
-    vecs = all_vectors(p, n)
-    out = []
-    for a in general_linear(p, r):
-        u_imgs = tuple(vec_mat(p, row, inst.u.basis) for row in a)
-        for w_imgs in iter_product(vecs, repeat=n - r):
-            out.append(mat_mul(p, dom_inv, u_imgs + w_imgs))
-    out.sort()
-    return tuple(out)
+    q, u = p**n, codes(p, inst.u.basis)
+    dom = np.concatenate([u, extend_codes(p, n, span_mask(p, n, u))])
+    gl = general_linear(p, r)
+    u_imgs = codes(p, np.array(gl, dtype=np.int64).reshape(len(gl), r, r) @ code_vectors(p, n)[u] % p)
+    free = code_vectors(q, n - r)  # every tuple of n-r row codes
+    imgs = np.concatenate([np.repeat(u_imgs, len(free), axis=0), np.tile(free, (len(gl), 1))], axis=1)
+    rows = solve_codes(p, np.broadcast_to(dom, imgs.shape), imgs)
+    return rows[np.argsort(codes(q, rows))]  # packed keys follow matrix order
 
 
-def _vectors(p: int, n: int) -> np.ndarray:
-    # Every row vector of GF(p)^n, row c being the vector coded c.
-    return np.array(list(iter_product(range(p), repeat=n)), dtype=np.int64).reshape(p**n, n)
-
-
-def _codes(p: int, rows) -> np.ndarray:
-    # Code of each row vector along the last axis: its digits base p,
-    # the first entry most significant, so codes follow lexicographic order.
-    rows = np.asarray(rows, dtype=np.int64)
-    return rows @ p ** np.arange(rows.shape[-1] - 1, -1, -1, dtype=np.int64)
-
-
-def _table(p: int, mats) -> np.ndarray:
-    # t[v, i]: code of the row vector coded v times mats[i], the layout of act.
-    mats = np.asarray(mats, dtype=np.int64)
-    return _codes(p, (_vectors(p, mats.shape[-1]) @ mats) % p).T
-
-
-def _key_type(q: int, n: int):
-    # Keys pack n row codes base q; int32 while every key fits.
-    return np.int32 if q**n < 2**31 else np.int64
-
-
-def _key_index(q: int, rows: np.ndarray) -> np.ndarray:
-    # index[key]: the position in rows of the row-code tuple whose codes
-    # pack (base q, first row most significant) to key; -1 for any other
-    # key.  Dense over all q^n keys.
-    index = np.full(q ** rows.shape[1], -1, dtype=_key_type(q, rows.shape[1]))
-    index[_codes(q, rows)] = np.arange(len(rows))
-    return index
-
-
-def _cayley(p: int, mats) -> tuple[np.ndarray, np.ndarray]:
-    # Gather instead of multiplying: a row vector is coded as an integer
-    # in [0, p^n), act[v, b] codes v*b, and row i of a*b is act[row_i(a), b].
-    # A member's key packs its row codes base p^n, so keys follow the
-    # sorted member order, and a dense inverse over all p^(n^2) keys
-    # (never more entries than the table) maps each product to its index.
-    count, n = len(mats), len(mats[0])
+def _cayley(p: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Gather instead of multiplying: rows[a, i] codes row i of member a,
+    # act[v, b] codes v*b, and row i of a*b is act[row_i(a), b].  A
+    # member's key packs its row codes base p^n, so keys follow the sorted
+    # member order, and a dense inverse over all p^(n^2) keys (never more
+    # entries than the table) maps each product to its index.
+    count, n = rows.shape
     q = p**n
-    arr = np.array(mats, dtype=np.int64)
-    rows = _codes(p, arr)  # rows[a, i]: code of row i of a
-    act = _table(p, arr).astype(_key_type(q, n))  # act[v, b]: code of v*b
-    index = _key_index(q, rows)
+    index = key_index(q, rows)
+    act = action_table(p, rows).astype(index.dtype)  # act[v, b]: code of v*b
     out = np.empty((count, count), dtype=table_dtype(count))
     block = max(1, 2**20 // count)
     for lo in range(0, count, block):
@@ -209,7 +175,7 @@ class Structure:
 
     Element indices are table indices; the elements are sorted, so
     index order is matrix order.  `act[v, b]` is the code of the row
-    vector v times element b, a row vector coded base p as in _cayley.
+    vector v times element b, a row vector coded as in gf_linalg.codes.
 
     Green's L-, R- and D-classes are the classes of equal image, kernel
     and codimension; the class ids and the codimensions are read off
@@ -262,8 +228,8 @@ class Structure:
     @cached_property
     def index(self) -> np.ndarray:
         """index[key]: the element whose row codes pack to key (base p^n,
-        as in _cayley); -1 for every non-member."""
-        return _key_index(self.inst.p ** self.inst.n, self.rows)
+        as in gf_linalg.key_index); -1 for every non-member."""
+        return key_index(self.inst.p ** self.inst.n, self.rows)
 
     def find(self, codes: np.ndarray) -> np.ndarray:
         """Index of each matrix given by its row codes (last axis); -1 for a non-member."""
@@ -303,14 +269,16 @@ def enumerate_semigroup(inst: Instance, cap: int = DEFAULT_ENUM_CAP) -> Structur
     order = predicted_order(inst)
     if order > cap:
         raise CapacityError(f"predicted order {order} exceeds enumeration cap {cap}")
-    mats = _members(inst)
-    if len(mats) != order:
+    rows = _members(inst)
+    if len(rows) != order:
         raise InternalInconsistencyError(
-            f"enumerated {len(mats)} members, closed form predicts {order}"
+            f"enumerated {len(rows)} members, closed form predicts {order}"
         )
-    identity_idx = mats.index(identity_mat(inst.n))
-    mul, act = _cayley(inst.p, mats)
-    return Structure(inst, SemigroupTable(mats, mul, identity_idx=identity_idx), act)
+    mul, act = _cayley(inst.p, rows)
+    # The table's element list, the one place members are tuple matrices.
+    vecs = [tuple(v) for v in code_vectors(inst.p, inst.n).tolist()]
+    mats = [tuple(map(vecs.__getitem__, r)) for r in rows.tolist()]
+    return Structure(inst, SemigroupTable(mats, mul, identity_idx=mats.index(identity_mat(inst.n))), act)
 
 
 def j_class(s: Structure, k: int) -> frozenset[int]:
@@ -335,10 +303,10 @@ def green_char_partitions(s: Structure) -> GreenPartitions:
     used: L by image, R by kernel, H by both, D and J by codimension,
     each grouping the class ids read off the action array."""
     img_ids, ker_ids = s.image_classes[0], s.kernel_classes[0]
-    l_part = _classes(img_ids)
-    r_part = _classes(ker_ids)
-    h_part = _classes(img_ids * (ker_ids.max() + 1) + ker_ids)
-    d_part = _classes(np.array(s.codims))
+    l_part = label_classes(img_ids)
+    r_part = label_classes(ker_ids)
+    h_part = label_classes(img_ids * (ker_ids.max() + 1) + ker_ids)
+    d_part = label_classes(np.array(s.codims))
     return GreenPartitions(l=l_part, r=r_part, h=h_part, d=d_part, j=d_part)
 
 
@@ -347,7 +315,7 @@ def _act(inst: Instance, rows, m: Mat) -> tuple[Vec, ...]:
 
 
 # The constructors run in batches.  Every matrix is held as its n row
-# codes (base p, as in _cayley), and a matrix m is held by its action
+# codes (gf_linalg.codes), and a matrix m is held by its action
 # table t, t[v, j] coding v*m_j in the layout of act, so a product x*m
 # is the gather t[rows of x, j].  Each output is inverse(domain) times
 # images (_apply): the domain inverses come from one batched
@@ -357,16 +325,6 @@ def _act(inst: Instance, rows, m: Mat) -> tuple[Vec, ...]:
 
 #: Most pairs (or elements) one block of a batch holds.
 _BLOCK = 2**14
-
-
-def _solved(p: int, doms: np.ndarray, imgs=None) -> np.ndarray:
-    # Row codes of doms[i]^-1 * imgs[i] (the inverse when imgs is None),
-    # every matrix given by its row codes: one batched Gauss-Jordan.
-    n = doms.shape[-1]
-    if imgs is None:
-        imgs = np.broadcast_to(p ** np.arange(n - 1, -1, -1), doms.shape)
-    vectors = _vectors(p, n)
-    return _codes(p, solve_batch(p, vectors[doms], vectors[imgs])).astype(np.min_scalar_type(p**n - 1))
 
 
 def _spliced(head: np.ndarray, fill, rows: np.ndarray, shift: np.ndarray, n_r: int) -> np.ndarray:
@@ -413,30 +371,30 @@ class _Batch:
     """
 
     def __init__(self, s: Structure):
-        p, n, r, u = s.inst.p, s.inst.n, s.inst.r, s.inst.u.basis
+        p, n, r, u = s.inst.p, s.inst.n, s.inst.r, codes(s.inst.p, s.inst.u.basis)
         self.s = s
         self.codims = np.array(s.codims)
         self.ker_ids, ker_first = s.kernel_classes
         self.img_ids, img_first = s.image_classes
         self.ker_codims = self.codims[ker_first]
-        # One kernel and one image per class, each from its first element.
-        elements, space = s.table.elements, full_space(p, n)
-        kernels = [kernel(p, elements[i]) for i in ker_first.tolist()]
-        images = [image(p, elements[i]) for i in img_first.tolist()]
-        if any(img.dim - r != self.codims[i] for img, i in zip(images, img_first.tolist())):
+        # One kernel and one image per class, as masks over the codes in its
+        # first element's column of act; a kernel's RREF basis, reversed.
+        zero = np.arange(p**n) == 0
+        kernels = [extend_codes(p, n, zero, s.act[:, i] == 0)[::-1] for i in ker_first.tolist()]
+        masks = s._image_masks()[img_first]
+        if any(len(extend_codes(p, n, zero, m)) - r != self.codims[i] for m, i in zip(masks, img_first.tolist())):
             raise InternalInconsistencyError("an image's rank disagrees with its size")
-        self.kernel = np.array([_codes(p, [*k.basis, *extend_basis(k.basis + u, space), *u]) for k in kernels])
-        self.image = np.array([_codes(p, [*extend_basis(i.basis, space), *extend_basis(u, i), *u]) for i in images])
+        rows = [[*k, *extend_codes(p, n, span_mask(p, n, [*k, *u])), *u] for k in kernels]
+        rows += [[*extend_codes(p, n, m), *extend_codes(p, n, span_mask(p, n, u), m), *u] for m in masks]
+        if any(len(basis) != n for basis in rows):  # a kernel meeting U, or an image missing it
+            raise InternalInconsistencyError("a kernel or image class does not split off U")
+        self.kernel, self.image = np.split(np.array(rows), [len(kernels)])
         count = len(s.table)
         self.applied = s.act[self.kernel[self.ker_ids], np.arange(count)[:, None]]
         self.head = np.arange(n) < (n - r - self.codims)[:, None]
-        self.kernel_inv = _solved(p, self.kernel)
+        self.kernel_inv = solve_codes(p, self.kernel)
         self.domain_inv = self._domain_inverses()
         self.element_inv = self.domain_inv[np.arange(count), self.codims]
-
-    def _action(self, codes: np.ndarray) -> np.ndarray:
-        p, n = self.s.inst.p, self.s.inst.n
-        return _table(p, _vectors(p, n)[codes]).astype(np.min_scalar_type(p**n - 1))
 
     def _domain_inverses(self) -> np.ndarray:
         # inv[b, k], for k <= codim b: the inverse of factor_through's
@@ -446,7 +404,7 @@ class _Batch:
         # codes; each distinct set gets its tail once.  At k = codim b
         # this is b's domain.
         s, p, n, r = self.s, self.s.inst.p, self.s.inst.n, self.s.inst.r
-        top, vectors = n - r, _vectors(p, n)
+        top = n - r
         bs, ks = np.nonzero(np.arange(top + 1) <= self.codims[:, None])
         spans = np.zeros((len(bs), p**n), dtype=bool)
         group = self.ker_ids[bs] * (top + 1) + ks
@@ -454,19 +412,15 @@ class _Batch:
             c, k = divmod(g, top + 1)
             d = top - int(self.ker_codims[c])
             basis = np.concatenate([self.kernel[c][d : d + k], self.kernel[c][top:]])
-            span = _codes(p, _vectors(p, len(basis)) @ vectors[basis] % p)
+            span = np.flatnonzero(span_mask(p, n, basis))
             at = np.flatnonzero(group == g)
             spans[at[:, None], s.act[span][:, bs[at]].T] = True
         ids, first = _first_of_each(spans)
         tails = np.zeros((len(first), n), dtype=np.int64)
         for t, i in enumerate(first.tolist()):
-            b, k = int(bs[i]), int(ks[i])
-            d = top - int(self.codims[b])
-            rows = vectors[np.concatenate([self.applied[b][d : d + k], self.applied[b][top:]])]
-            tail = extend_basis(rows.tolist(), full_space(p, n))
-            tails[t, : top - k] = _codes(p, np.array(tail).reshape(-1, n))
+            tails[t, : top - int(ks[i])] = extend_codes(p, n, spans[i])
         doms = _spliced(np.arange(n) < (top - ks)[:, None], tails[ids], self.applied[bs], self.codims[bs] - ks, top)
-        inverses = _solved(p, doms)
+        inverses = solve_codes(p, doms)
         inv = np.zeros((len(self.codims), top + 1, n), dtype=inverses.dtype)
         inv[bs, ks] = inverses
         return inv
@@ -475,7 +429,7 @@ class _Batch:
     def images(self) -> dict[str, np.ndarray]:
         """Action table of each constructor's per-element images, rows
         in the order of its domain (kernel or domain, as named)."""
-        n, r = self.s.inst.n, self.s.inst.r
+        p, n, r = self.s.inst.p, self.s.inst.n, self.s.inst.r
         img = self.image[self.img_ids]
         domain = np.where(self.head, img, self.applied)
         raise_lam, raise_mu = self.applied.copy(), self.applied.copy()
@@ -489,7 +443,8 @@ class _Batch:
             "raise_mu": raise_mu,  # on domain
             "sandwich": domain,  # on domain
         }
-        return {name: self._action(codes) for name, codes in rows.items()}
+        dtype = np.min_scalar_type(p**n - 1)
+        return {name: action_table(p, held).astype(dtype) for name, held in rows.items()}
 
     @cached_property
     def factor_lams(self) -> np.ndarray:
@@ -499,7 +454,7 @@ class _Batch:
         n, top, kc = self.s.inst.n, self.s.inst.n - self.s.inst.r, self.ker_codims
         c1, c2 = np.nonzero(kc[:, None] <= kc)
         images = _spliced(np.arange(n) < (top - kc[c1])[:, None], 0, self.kernel[c2], kc[c2] - kc[c1], top)
-        rows = _solved(self.s.inst.p, self.kernel[c1], images)
+        rows = solve_codes(self.s.inst.p, self.kernel[c1], images)
         lam = np.full((len(kc), len(kc)), -1, dtype=np.int64)
         lam[c1, c2] = _found(self.s, rows, "factor-through lam", lambda i: f"kernel classes ({c1[i]}, {c2[i]})")
         return lam
@@ -512,7 +467,7 @@ class _Batch:
         m = self.s.inst.n - self.s.inst.r - 1
         grade = np.flatnonzero(self.ker_codims == m)
         ct, ca = np.repeat(grade, len(grade)), np.tile(grade, len(grade))
-        rows = _solved(self.s.inst.p, self.kernel[ct], self.kernel[ca])
+        rows = solve_codes(self.s.inst.p, self.kernel[ct], self.kernel[ca])
         lam = np.full((len(self.ker_codims),) * 2, -1, dtype=np.int64)
         lam[ct, ca] = _found(self.s, rows, "sandwich lam", lambda i: f"kernel classes ({ct[i]}, {ca[i]})")
         return lam
@@ -793,7 +748,7 @@ def _in_subgroup(s: Structure, kind: str, w: Subspace | None, idxs) -> np.ndarra
         rules += [(row, [vec_add(p, row, x) for x in u.vectors()]) for row in w.basis]
     keep = np.ones(len(idxs), dtype=bool)
     for row, allowed in rules:
-        keep &= np.isin(s.act[_codes(p, row), idxs], _codes(p, allowed))
+        keep &= np.isin(s.act[codes(p, row), idxs], codes(p, allowed))
     return keep
 
 
@@ -882,14 +837,6 @@ def decompose_fix_u(s: Structure, a: int, w: Subspace) -> tuple[int, int]:
     return _split(s, a, G_W, w)
 
 
-def _coordinates(sub: Subspace) -> np.ndarray:
-    # out[c]: coordinates over sub's basis of the vector coded c; -1s off sub.
-    coeffs = _vectors(sub.p, sub.dim)
-    out = np.full((sub.p**sub.n, sub.dim), -1, dtype=np.int64)
-    out[_codes(sub.p, coeffs @ np.array(sub.basis) % sub.p)] = coeffs
-    return out
-
-
 def subgroup_iso_check(s: Structure, kind: str, w: Subspace | None = None) -> bool:
     """Verify the structural isomorphism for the requested subgroup.
 
@@ -910,19 +857,19 @@ def subgroup_iso_check(s: Structure, kind: str, w: Subspace | None = None) -> bo
     members = np.array(sorted(special_subgroup(s, kind, w)))
     if kind == N_W:
         # coords[i, m]: U-coordinates of w_i*m - w_i.
-        moved = _vectors(p, inst.n)[s.act[_codes(p, w.basis)][:, members]]
-        coords = _coordinates(inst.u)[_codes(p, (moved - np.array(w.basis)[:, None]) % p)]
+        moved = code_vectors(p, inst.n)[s.act[codes(p, w.basis)][:, members]]
+        coords = coordinate_table(inst.u)[codes(p, (moved - np.array(w.basis)[:, None]) % p)]
         group = np.arange(p ** (inst.r * w.dim))
     else:
         # coords[i, m]: coordinates of (basis row i) * m over the space.
         space = inst.u if kind == FIX_W else w
-        coords = _coordinates(space)[s.act[_codes(p, space.basis)][:, members]]
+        coords = coordinate_table(space)[s.act[codes(p, space.basis)][:, members]]
         gl = np.array(general_linear(p, space.dim))
-        group = np.sort(_codes(p, gl.reshape(len(gl), -1)))
+        group = np.sort(codes(p, gl.reshape(len(gl), -1)))
     if (coords < 0).any():
         return False
     images = coords.transpose(1, 0, 2)  # images[m]: m's coordinate rows
-    if not np.array_equal(np.sort(_codes(p, images.reshape(len(members), -1))), group):
+    if not np.array_equal(np.sort(codes(p, images.reshape(len(members), -1))), group):
         return False
     local = np.full(len(s.table), -1, dtype=np.int64)
     local[members] = np.arange(len(members))

@@ -15,6 +15,8 @@ import numpy as np
 from .errors import InternalInconsistencyError, PreconditionError, UnsupportedComparisonError
 from .gf_linalg import (
     Mat,
+    action_table,
+    codes,
     extend_basis,
     full_space,
     linear_map,
@@ -22,7 +24,8 @@ from .gf_linalg import (
     rref_canonical,
     vec_mat,
 )
-from .gl_restriction import Instance, Structure, _codes, _table
+from .gl_restriction import Instance, Structure
+from .semigroup_core import ROW_BLOCK
 
 
 @dataclass(frozen=True)
@@ -72,7 +75,7 @@ def element_bijection(witness: IsoWitness, s1: Structure, s2: Structure) -> tupl
     t1, t2 = s1.table, s2.table
     if len(t1) != len(t2):
         raise InternalInconsistencyError("matched parameters but different orders")
-    rows = _table(p, [witness.phi])[:, 0][s1.act[_codes(p, witness.phi_inv)]].T
+    rows = action_table(p, codes(p, witness.phi)[None])[:, 0][s1.act[codes(p, witness.phi_inv)]].T
     found = s2.find(rows)
     if (found < 0).any():
         raise InternalInconsistencyError("conjugation carried an element out of the target")
@@ -80,7 +83,8 @@ def element_bijection(witness: IsoWitness, s1: Structure, s2: Structure) -> tupl
     psi = found.astype(t2.mul.dtype)
     if np.unique(psi).size != len(psi):
         raise InternalInconsistencyError("conjugation is not injective on elements")
-    # psi(a*b) against psi(a)*psi(b), for every pair (a, b).
-    if (psi[t1.mul] != t2.mul[np.ix_(psi, psi)]).any():
-        raise InternalInconsistencyError("conjugation failed to respect a product")
+    # psi(a*b) against psi(a)*psi(b) for every pair, a block of rows at a time.
+    for lo in range(0, len(psi), ROW_BLOCK):
+        if (psi[t1.mul[lo : lo + ROW_BLOCK]] != t2.mul[np.ix_(psi[lo : lo + ROW_BLOCK], psi)]).any():
+            raise InternalInconsistencyError("conjugation failed to respect a product")
     return tuple(psi.tolist())

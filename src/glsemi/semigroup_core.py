@@ -18,7 +18,7 @@ from .errors import CapacityError, InternalInconsistencyError, PreconditionError
 
 # Rows per block wherever a whole-table scatter or gather would need a
 # temporary as large as the table itself.
-_ROW_BLOCK = 256
+ROW_BLOCK = 256
 
 
 def table_dtype(n: int):
@@ -102,8 +102,8 @@ class SemigroupTable:
         # closure_indices builds, on this same table), so by induction on
         # its length the law then holds with any element in the middle.
         for g in _generators(self):
-            for lo in range(0, n, _ROW_BLOCK):
-                rows = mul[lo : lo + _ROW_BLOCK]
+            for lo in range(0, n, ROW_BLOCK):
+                rows = mul[lo : lo + ROW_BLOCK]
                 bad = mul[rows[:, g]] != rows.take(mul[g], axis=1)
                 if bad.any():
                     x, y = np.argwhere(bad)[0].tolist()
@@ -167,7 +167,7 @@ def _labels(rows: np.ndarray) -> np.ndarray:
     return np.array([seen.setdefault(row.tobytes(), len(seen)) for row in rows])
 
 
-def _classes(labels: np.ndarray) -> tuple[frozenset[int], ...]:
+def label_classes(labels: np.ndarray) -> tuple[frozenset[int], ...]:
     """Indices grouped by label, classes ordered by their least index."""
     order = np.argsort(labels, kind="stable")
     groups = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
@@ -179,9 +179,9 @@ def _row_sets(rows: np.ndarray) -> np.ndarray:
     """Boolean matrix whose row a marks the values in rows[a] and a itself."""
     count, n = rows.shape
     out = np.zeros((count, n), dtype=bool)
-    for lo in range(0, count, _ROW_BLOCK):
-        block = out[lo : lo + _ROW_BLOCK]
-        block[np.arange(len(block))[:, None], rows[lo : lo + _ROW_BLOCK]] = True
+    for lo in range(0, count, ROW_BLOCK):
+        block = out[lo : lo + ROW_BLOCK]
+        block[np.arange(len(block))[:, None], rows[lo : lo + ROW_BLOCK]] = True
     out[np.arange(count), np.arange(count)] = True
     return out
 
@@ -204,9 +204,9 @@ def green_oracle(table: SemigroupTable) -> GreenPartitions:
     # Row x: the left ideal of L-class x, and the right ideal of R-class x.
     left = left[np.unique(lid, return_index=True)[1]]
     right = right[np.unique(rid, return_index=True)[1]]
-    l_part = _classes(lid)
-    r_part = _classes(rid)
-    h_part = _classes(lid * (rid.max() + 1) + rid)
+    l_part = label_classes(lid)
+    r_part = label_classes(rid)
+    h_part = label_classes(lid * (rid.max() + 1) + rid)
 
     # cells[l, r]: some element has L-class l and R-class r.
     cells = np.zeros((lid.max() + 1, rid.max() + 1), dtype=bool)
@@ -233,7 +233,7 @@ def green_oracle(table: SemigroupTable) -> GreenPartitions:
             parent[rb] = ra
     roots = np.array([find(x) for x in range(len(parent))])
     d_of_l, d_of_r = roots[:nl], roots[nl:]
-    d_part = _classes(d_of_l[lid])
+    d_part = label_classes(d_of_l[lid])
 
     # One composition step of L then R must already connect each D-class.
     if (cells != (d_of_l[:, None] == d_of_r[None, :])).any():
@@ -246,7 +246,7 @@ def green_oracle(table: SemigroupTable) -> GreenPartitions:
     meets = np.zeros(cells.shape, dtype=bool)
     meets[in_l, rid[members]] = True
     j_of_l = _labels(np.matmul(meets, right))
-    j_part = _classes(j_of_l[lid])
+    j_part = label_classes(j_of_l[lid])
 
     green = GreenPartitions(l=l_part, r=r_part, h=h_part, d=d_part, j=j_part)
     check_refinement_lattice(green, n)

@@ -17,6 +17,7 @@ from glsemi.cli import (
     _check_green_agreement,
     _check_ideal_structure,
     _check_j_class_count,
+    _check_order_law,
     _check_regularity,
     _check_unit_decomposition,
     build_instance,
@@ -40,6 +41,7 @@ from glsemi.gl_restriction import (
     Structure,
     decompose_unit,
     enumerate_semigroup,
+    is_member,
     j_class,
     make_instance,
     regular_witness,
@@ -255,6 +257,19 @@ def test_green_agreement_fails_when_one_product_splits_an_l_class():
     assert counts["l_classes"] == len(s.table.green().l) + 1
 
 
+@pytest.mark.parametrize("p, n, r, u_rows", [(2, 3, 1, None), (3, 3, 2, [(1, 1, 0), (0, 1, 2)])])
+def test_order_law_fails_when_one_element_moves_u(p, n, r, u_rows):
+    s = enumerate_semigroup(make_instance(p, n, r, u_rows))
+    swap = ((0, 0, 1), (0, 1, 0), (1, 0, 0))  # invertible, but no member
+    assert not is_member(s.inst, swap)
+    a = len(s.table) // 2
+    # a's column of s.act now reads the swap; the order still matches.
+    bad = with_column(s, a, swap)
+    status, counts, reason = _check_order_law(s, CAPS)
+    assert status == "pass" and reason is None
+    assert _check_order_law(bad, CAPS) == ("fail", counts, f"element {a} does not map U onto U")
+
+
 def test_unit_decomposition_fails_on_a_unit_without_inverse():
     s = enumerate_semigroup(make_instance(2, 3, 2))
     mul, ident = s.table.mul, s.table.identity_idx
@@ -447,15 +462,11 @@ def test_verify_builds_each_special_subgroup_once(monkeypatch):
     assert sorted(built, key=repr) == sorted(expected, key=repr)
 
 
-def test_eggbox_reads_codims_without_building_subspaces(monkeypatch):
-    expected = cmd_eggbox(InstanceConfig(p=2, n=3, r=1), DEFAULT_ENUM_CAP)
-
-    def refuse(*args):
-        raise AssertionError("eggbox built a subspace")
-
-    monkeypatch.setattr(gl_restriction, "image", refuse)
-    monkeypatch.setattr(gl_restriction, "kernel", refuse)
-    assert cmd_eggbox(InstanceConfig(p=2, n=3, r=1), DEFAULT_ENUM_CAP) == expected
+def test_eggbox_reads_codims_without_building_subspaces():
+    # The layer that builds and reads a Structure does not even import the
+    # per-element subspace builders, so eggbox, and every constructor, can
+    # only read codims and classes off s.act.
+    assert not {"image", "kernel", "extend_basis"} & set(vars(gl_restriction))
 
 
 def test_main_rejects_bad_config(tmp_path, capsys):

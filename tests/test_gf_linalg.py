@@ -3,15 +3,20 @@
 import random
 from itertools import permutations, product
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from glsemi.errors import ConfigurationError, PreconditionError
 from glsemi.gf_linalg import (
     Subspace,
+    action_table,
     check_modulus,
+    code_vectors,
+    codes,
     enumerate_complements,
     extend_basis,
+    extend_codes,
     full_space,
     general_linear,
     gl_order,
@@ -24,6 +29,7 @@ from glsemi.gf_linalg import (
     mat_mul,
     rref_canonical,
     solve_batch,
+    span_mask,
     vec_mat,
     zero_space,
 )
@@ -280,6 +286,60 @@ def test_extend_basis_depends_only_on_the_span_and_is_lex_least(case):
     assert extend_basis(rref_canonical(p, n, rows).basis, full) == got
     if len(naive_span(p, n, other)) == p**k:  # another basis of the same span
         assert extend_basis(other, full) == got
+
+
+def _code(p, v):
+    """Code of the row vector v, summed digit by digit."""
+    return sum(x * p ** (len(v) - 1 - j) for j, x in enumerate(v))
+
+
+@st.composite
+def _code_rows(draw):
+    """(p, n, rows): p in {2, 3, 5, 7}, n <= 4, and zero to n rows of
+    length n; p^n <= 2401, so the naive span sums stay small."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    n = draw(st.integers(1, 4))
+    entry = st.integers(0, p - 1)
+    return p, n, draw(st.lists(st.tuples(*[entry] * n), min_size=0, max_size=n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_code_rows())
+def test_greedy_codes_from_the_zero_space_reversed_are_the_rref_basis(case):
+    p, n, rows = case
+    mask = span_mask(p, n, codes(p, rows))
+    assert set(np.flatnonzero(mask).tolist()) == {_code(p, v) for v in naive_span(p, n, rows)}
+    greedy = extend_codes(p, n, np.arange(p**n) == 0, mask)
+    assert greedy[::-1] == [_code(p, v) for v in rref_canonical(p, n, rows).basis]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_code_rows())
+def test_extend_codes_is_the_lex_least_extension(case):
+    p, n, rows = case
+    assume(len(naive_span(p, n, rows)) == p ** len(rows))  # independent rows
+    got = extend_codes(p, n, span_mask(p, n, codes(p, rows)))
+    assert got == [_code(p, v) for v in naive_least_extension(p, n, rows)]
+
+
+@pytest.mark.parametrize("p, n", [(2, 1), (3, 3), (7, 2)])
+def test_codes_of_an_empty_basis_is_an_empty_array(p, n):
+    for empty in ((), [], np.zeros((0, n), dtype=np.int64)):
+        assert codes(p, empty).shape == (0,)
+    assert np.flatnonzero(span_mask(p, n, codes(p, ()))).tolist() == [0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_code_rows(), st.randoms(use_true_random=False))
+def test_action_table_is_every_vector_times_every_matrix(case, rng):
+    p, n, _ = case
+    mats = [tuple(tuple(rng.randrange(p) for _ in range(n)) for _ in range(n)) for _ in range(3)]
+    vectors = list(product(range(p), repeat=n))
+    assert code_vectors(p, n).tolist() == [list(v) for v in vectors]
+    table = action_table(p, [[_code(p, row) for row in m] for m in mats])
+    assert table.shape == (p**n, len(mats))
+    for j, m in enumerate(mats):
+        assert table[:, j].tolist() == [_code(p, naive_vec_mat(p, v, m)) for v in vectors]
 
 
 @settings(max_examples=60, deadline=None)

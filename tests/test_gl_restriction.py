@@ -15,7 +15,6 @@ from glsemi.errors import (
 )
 from glsemi.gf_linalg import (
     enumerate_complements,
-    identity_mat,
     image,
     is_complement,
     kernel,
@@ -31,6 +30,7 @@ from glsemi.gl_restriction import (
     FIX_W,
     G_W,
     N_W,
+    Structure,
     dclass_witness,
     dclass_witness_grid,
     decompose_fix_u,
@@ -192,15 +192,17 @@ def test_profiles_from_the_action_array_match_each_element(name):
 def test_per_class_bases_grow_per_class_not_per_element(monkeypatch):
     s = enumerate_semigroup(build_instance(load_config(str(CONFIGS / "p2n4r2.cfg"))))
     calls = []
-    real = gl_restriction.extend_basis
-    monkeypatch.setattr(gl_restriction, "extend_basis", lambda *args: calls.append(args) or real(*args))
+    real = gl_restriction.extend_codes
+    monkeypatch.setattr(gl_restriction, "extend_codes", lambda *args: calls.append(args) or real(*args))
     assert cli._check_factorizations(s, (gl_restriction.DEFAULT_ENUM_CAP, 4))[0] == "pass"
     green = s.table.green()
     assert s.batch.kernel.shape == (len(green.r), s.inst.n)  # one row per kernel
     assert s.batch.image.shape == (len(green.l), s.inst.n)  # one row per image
-    # A transversal per kernel, two extensions per image, and one tail per
-    # distinct span of factor_through's domain rows, each span an image.
-    assert len(green.r) + 2 * len(green.l) < len(calls) <= len(green.r) + 3 * len(green.l) < len(s.table) // 30
+    # A basis and a transversal per kernel, a basis and two extensions per
+    # image, and one tail per distinct span of factor_through's domain
+    # rows, each span an image.
+    r, l = len(green.r), len(green.l)
+    assert 2 * r + 3 * l < len(calls) <= 2 * r + 4 * l < len(s.table) // 15
 
 
 def test_j_class_and_q_ideal():
@@ -476,10 +478,23 @@ def test_a_split_is_recomposed_on_the_action_array():
 
 def test_batch_refuses_an_image_whose_rank_disagrees_with_its_size():
     # Element 0 heads its image class whatever its column reads.  Made to
-    # act as the identity, its image has p^n codes, but its matrix rank r.
-    bad = with_column(S231, 0, identity_mat(3))
-    assert (bad.codims[0], S231.codims[0]) == (2, 0)
+    # read the codes 0, 1, 2, 4, its image has p^2 codes, so codimension
+    # 1, but those codes span all of V.
+    act = S231.act.copy()
+    act[:, 0] = [0, 1, 2, 4, 0, 1, 2, 4]
+    bad = Structure(S231.inst, S231.table, act)
+    assert (bad.codims[0], S231.codims[0]) == (1, 0)
     with pytest.raises(InternalInconsistencyError, match="rank disagrees with its size"):
+        bad.batch
+
+
+def test_batch_refuses_a_kernel_that_meets_u():
+    # The last minimal-ideal element made to kill U = <e1>: its kernel
+    # <e1, e3> heads a class of its own, and kernel plus U is no basis.
+    a = max(j_class(S231, 0))
+    bad = with_column(S231, a, ((0, 0, 0), (1, 0, 0), (0, 0, 0)))
+    assert bad.codims == S231.codims
+    with pytest.raises(InternalInconsistencyError, match="does not split off U"):
         bad.batch
 
 

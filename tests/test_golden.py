@@ -3,7 +3,8 @@ configs.  Outputs are deterministic by contract, so any change to these
 bytes is a change in behaviour, not in implementation.
 
 The verify digests cover stdout with the per-check `[x.xxs]` times
-removed.  To recompute a digest, run the command by hand and hash its
+removed.  p3n3r1 and p3n3r2_shifted put an odd prime at n = 3 in the
+grid: at p = 2, -1 = 1 hides sign errors in every mod-p routine.  To recompute a digest, run the command by hand and hash its
 output the same way `_digest_*` below does.
 
 The constructor digests cover the library instead of the CLI: every
@@ -50,6 +51,8 @@ REPORT = {
     "p2n3r2": "125e6a0e106d947ec521ab7c02df83a145e7b9eb4e7701ed7ab3f00fdd57d9bd",
     "p2n4r2": "78da8dc55ea907261b642c7cc824530bdb2cd56f58b0da0a95decdeb4e2ee276",
     "p3n2r1": "5ad33d55772851c2174a1dd918878b5e200cc320d98c8aff34fd0ec89081c0a2",
+    "p3n3r1": "469cb4aacb908d050c60b41c832e700e7c18a84b409fb8fa38cd75b2b0af3ecf",
+    "p3n3r2_shifted": "f625e9e62e9337fd36dce0e6b685270f43d0d0db3beb1d6b52c5f797d4441f82",
 }
 EGGBOX = {
     "p2n2r1": "b98b38b893f837b7b651a384acba9ba2162d4377c7f771142e9c86a6a3c6322c",
@@ -58,6 +61,8 @@ EGGBOX = {
     "p2n3r2": "6259e7469fba479eeedfe63fee45231c92306037d55e817008864d7acec8e6cd",
     "p2n4r2": "c69b511af2f51521f84448af0f313f37b548e0a8bef7379c067724c927057f35",
     "p3n2r1": "02749a039e400dc5d78fb99096554455cf8fc2b462d491dbedf56ee8eb7bc587",
+    "p3n3r1": "89736b8dbe6776526dc48ba9dc4705417a397626b323782c9aa82104249b6d4a",
+    "p3n3r2_shifted": "297254df734b772d74cb86597c77a87634a3bbb26fca5a63af26d981b533abb0",
 }
 # eggbox --cap 4096 on the two stretch instances, standard U.
 STRETCH = {
@@ -71,6 +76,8 @@ VERIFY = {
     "p2n3r1": "602b2ccb19f89159322ee314992b015169bbb69b97724a99c8e8f1eea92d5800",
     "p2n3r1_shifted": "602b2ccb19f89159322ee314992b015169bbb69b97724a99c8e8f1eea92d5800",
     "p2n4r2": "2b9776226f3634e78b168059e263f526f809114e7a2c4c5cc294140a53060b4a",
+    "p3n3r1": "c484e11c7bb1c756123c1a6b41484219fe6bdf8246dffb08c34a3b32f0f2b8a3",
+    "p3n3r2_shifted": "eb2d50feea6f4eae0f1b264d0ade53df742ffe0a96bac9511fac4edc60493a39",
 }
 
 CONSTRUCTORS = {
@@ -80,6 +87,8 @@ CONSTRUCTORS = {
     "p2n3r2": "f2843d0e291bddd71ff2da83a0f0012b2c667a9c8d450b21516e5dff2c2416e2",
     "p2n4r2": "1882d85d47e4deeac48c34ba03b6ef19451de89d716dff631f64541bc2523c9a",
     "p3n2r1": "12ea3cefe6ad17a05b5b974ad539aa61a3aa00d125f3621122f17e2bd861a7e1",
+    "p3n3r1": "c070249e6a5a80ed722b6b98d3c65a916bbf5d5fbffe975ed3252c4bfe2507b7",
+    "p3n3r2_shifted": "3a6f6ff1f6510579eed12bc6c3773491f0771e4c3a53c5daf5497d72b5254ce0",
 }
 
 

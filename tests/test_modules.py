@@ -1,0 +1,53 @@
+"""Module boundaries of the package, read from its source with ast."""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "glsemi"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _private_imports(tree: ast.Module) -> list[str]:
+    """Every `_`-prefixed name this module takes from another module of
+    the package: by `from .mod import _name`, or as `mod._name` where mod
+    was bound by `from . import mod` or `import glsemi.mod as mod`."""
+    found, modules = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("glsemi")):
+            for alias in node.names:
+                if node.module in (None, "glsemi"):  # from . import mod
+                    modules.add(alias.asname or alias.name)
+                elif alias.name.startswith("_"):
+                    found.append(f"{node.module}.{alias.name}")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("glsemi.") and alias.asname:
+                    modules.add(alias.asname)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            if node.attr.startswith("_"):
+                found.append(f"{node.value.id}.{node.attr}")
+    return found
+
+
+def test_every_module_is_found():
+    assert {path.stem for path in MODULES} >= {"gf_linalg", "semigroup_core", "gl_restriction", "isomorphism", "cli"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
+def test_no_module_imports_another_modules_private_name(path):
+    assert _private_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "from .gl_restriction import Structure, _codes\n",
+        "from glsemi.semigroup_core import _classes\n",
+        "from . import semigroup_core\nsemigroup_core._ROW_BLOCK\n",
+    ],
+)
+def test_a_private_import_is_flagged(source):
+    assert len(_private_imports(ast.parse(source))) == 1
