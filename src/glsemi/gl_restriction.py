@@ -133,24 +133,36 @@ def _cayley(p: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # act[v, b] codes v*b, and row i of a*b is act[row_i(a), b].  A
     # member's key packs its row codes base p^n, so keys follow the sorted
     # member order, and a dense inverse over all p^(n^2) keys (never more
-    # entries than the table) maps each product to its index.
+    # entries than the table) maps each product to its index.  The key of
+    # a*b is the part packed from a's first n//2 rows plus the part from
+    # the rest, each tabulated once per distinct half of a member's rows.
     count, n = rows.shape
     q = p**n
     index = key_index(q, rows)
     act = action_table(p, rows).astype(index.dtype)  # act[v, b]: code of v*b
+    head, head_keys = _half_keys(q, act, rows[:, : n // 2])
+    tail, tail_keys = _half_keys(q, act, rows[:, n // 2 :])
+    head_keys *= q ** (n - n // 2)
     out = np.empty((count, count), dtype=table_dtype(count))
-    block = max(1, 2**20 // count)
+    block = max(1, 2**15 // count)  # rows whose keys stay in cache
     for lo in range(0, count, block):
-        keys = act[rows[lo : lo + block, 0]]
-        for i in range(1, n):
-            keys *= q
-            keys += act[rows[lo : lo + block, i]]
-        found = index[keys]
+        found = index.take(head_keys[head[lo : lo + block]] + tail_keys[tail[lo : lo + block]])
         if (found < 0).any():
             raise InternalInconsistencyError("a product escaped the member list")
         out[lo : lo + block] = found
     act.flags.writeable = False
     return out, act
+
+
+def _half_keys(q: int, act: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # (id of each member's row-code tuple, keys[id, b]: the tuple's rows
+    # times b packed base q); a single all-zero row when the tuple is empty.
+    _, first, ids = np.unique(codes(q, rows), return_index=True, return_inverse=True)
+    keys = np.zeros((len(first), act.shape[1]), dtype=act.dtype)
+    for i in range(rows.shape[1]):
+        keys *= q
+        keys += act[rows[first, i]]
+    return ids.reshape(-1), keys
 
 
 def _once(store: dict, key, make):

@@ -205,6 +205,43 @@ def brute_members(p, n, u_vectors):
     return members
 
 
+def dense_green(table):
+    """The five Green partitions, each a set of frozensets, from whole
+    unpacked n x n ideal matrices: row a of `left` marks S^1 a, of `right`
+    a S^1.  Memory grows as n^2 bytes, so it is the reference the blocked,
+    packed oracle is compared with on tables past one row block."""
+    mul = np.asarray(table.mul, dtype=np.intp)
+    n = len(mul)
+    owner = np.arange(n)[:, None]
+    left = np.eye(n, dtype=bool)
+    left[owner, mul.T] = True
+    right = np.eye(n, dtype=bool)
+    right[owner, mul] = True
+
+    def classes(sets):  # elements grouped by equal rows
+        ids = np.unique(sets, axis=0, return_inverse=True)[1].reshape(-1)
+        return {frozenset(np.flatnonzero(ids == k).tolist()) for k in range(ids.max() + 1)}
+
+    def related(partition):  # the n x n matrix of the equivalence, as 0/1 floats
+        out = np.zeros((n, n), dtype=np.float32)
+        for cls in partition:
+            idx = list(cls)
+            out[np.ix_(idx, idx)] = 1
+        return out
+
+    l_part, r_part = classes(left), classes(right)
+    # S^1 a S^1 is the union of t S^1 over t in S^1 a; a D b iff a L c R b for some c.
+    two_sided = left.astype(np.float32) @ right.astype(np.float32) > 0
+    d_rel = related(l_part) @ related(r_part) > 0
+    return {
+        "L": l_part,
+        "R": r_part,
+        "H": classes(np.concatenate([left, right], axis=1)),
+        "D": classes(d_rel),
+        "J": classes(two_sided),
+    }
+
+
 def naive_green_same(table, a, b, relation):
     """Green tests by literal principal-ideal comparison (small tables only)."""
     n = len(table.elements)

@@ -152,18 +152,29 @@ def _multiplied_out(s, pairs):
     return [(a, b, s.table.index_of(mat_mul(p, elements[a], elements[b]))) for a, b in pairs]
 
 
-@pytest.mark.parametrize("name", SMALL_CONFIGS)
+def _instance(spec):
+    """A shipped config by name, or make_instance(*spec) for a tuple."""
+    if isinstance(spec, str):
+        return build_instance(load_config(str(CONFIGS / f"{spec}.cfg")))
+    return make_instance(*spec)
+
+
+# At n = 1 the first half of each product key (n // 2 rows) is empty.
+@pytest.mark.parametrize(
+    "name", SMALL_CONFIGS + (pytest.param((2, 1, 0), id="p2n1r0"), pytest.param((3, 1, 0), id="p3n1r0"))
+)
 def test_cayley_table_matches_products_on_every_pair(name):
-    s = enumerate_semigroup(build_instance(load_config(str(CONFIGS / f"{name}.cfg"))))
+    s = enumerate_semigroup(_instance(name))
     n = len(s.table)
     assert n < 200
     for a, b, ab in _multiplied_out(s, [(a, b) for a in range(n) for b in range(n)]):
         assert int(s.table.mul[a, b]) == ab
 
 
-@pytest.mark.parametrize("pnr", [(2, 4, 2), (2, 4, 1)])
+# The configs add an odd prime, odd n (halves of 1 and 2 rows) and a shifted U.
+@pytest.mark.parametrize("pnr", [(2, 4, 2), (2, 4, 1), "p3n3r1", "p3n3r2_shifted"])
 def test_cayley_table_matches_products_on_sampled_pairs(pnr):
-    s = enumerate_semigroup(make_instance(*pnr), 4096)
+    s = enumerate_semigroup(_instance(pnr), 4096)
     pairs = np.random.default_rng(0).integers(0, len(s.table), size=(10_000, 2)).tolist()
     for a, b, ab in _multiplied_out(s, pairs):
         assert int(s.table.mul[a, b]) == ab

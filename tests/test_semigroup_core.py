@@ -1,6 +1,7 @@
 """Generic table machinery: closure, Green oracle, idempotent order, rank."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from glsemi.errors import CapacityError, PreconditionError
 from glsemi.gf_linalg import identity_mat
 from glsemi.gl_restriction import enumerate_semigroup, make_instance
 from glsemi.semigroup_core import (
+    ROW_BLOCK,
     SemigroupTable,
     _generators,
     check_refinement_lattice,
@@ -24,7 +26,7 @@ from glsemi.semigroup_core import (
     verify_ideal,
 )
 
-from helpers import naive_green_same, same_class, with_product
+from helpers import dense_green, naive_green_same, same_class, with_product
 
 A0 = ((1, 0), (0, 0))
 IDENT = ((1, 0), (0, 1))
@@ -151,6 +153,16 @@ def test_identity_detection():
     assert left_zero.identity_idx is None
 
 
+def test_identity_detection_past_one_row_block():
+    order = 300
+    shifted = [[(i + j + 1) % order for j in range(order)] for i in range(order)]  # identity: 299
+    assert SemigroupTable(tuple(range(order)), shifted).identity_idx == order - 1
+    shifted[0][order - 1] = 5  # column 299 now fails in the first block only
+    assert SemigroupTable(tuple(range(order)), shifted, check=False).identity_idx is None
+    right_zero = [list(range(order))] * order  # x*y = y: every row neutral, no column
+    assert SemigroupTable(tuple(range(order)), right_zero).identity_idx is None
+
+
 def test_green_oracle_trivial_and_group():
     one = SemigroupTable(("e",), [[0]])
     green = green_oracle(one)
@@ -182,6 +194,49 @@ def test_green_oracle_matches_literal_definitions():
             for a in range(n):
                 for b in range(n):
                     assert same_class(green, relation, a, b) == naive_green_same(table, a, b, relation)
+
+
+@pytest.mark.parametrize("which", ["p2n3r0", "p2n4r2_ideal", "null"])
+def test_green_oracle_matches_a_dense_reference_past_one_row_block(which):
+    if which == "null":
+        table = SemigroupTable(tuple(range(300)), np.zeros((300, 300), dtype=int))  # a not in S a
+    elif which == "p2n3r0":
+        table = enumerate_semigroup(make_instance(2, 3, 0)).table  # a monoid of order 512
+    else:
+        s = enumerate_semigroup(make_instance(2, 4, 2))
+        table = subtable(s.table, s.below[2])  # an identity-free ideal of order 960
+        assert table.identity_idx is None
+    assert len(table) > ROW_BLOCK
+    green = green_oracle(table)
+    reference = dense_green(table)
+    for relation in ("L", "R", "H", "D", "J"):
+        assert set(getattr(green, relation.lower())) == reference[relation]
+
+
+def test_table_engine_peaks_per_table_cell():
+    # At order 4096 the table itself is 2 bytes a cell (uint16).  Building
+    # and checking it used to peak at 3.06 bytes a cell, the Green oracle
+    # at 2.0 bytes a cell above the table (two whole boolean ideal matrices).
+    tracemalloc.start()
+    try:
+        s = enumerate_semigroup(make_instance(2, 4, 1), 4096)
+        _, built = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        live, _ = tracemalloc.get_traced_memory()
+        green_oracle(s.table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    cells = len(s.table) ** 2
+    assert built < 2.5 * cells
+    assert peak - live < 0.5 * cells
+
+
+def test_generators_at_the_largest_shipped_order():
+    table = enumerate_semigroup(make_instance(2, 4, 2)).table
+    gens = _generators(table)
+    assert len(gens) <= 4
+    assert len(closure_indices(table, gens)) == len(table)
 
 
 def test_green_refinement_lattice():
