@@ -72,6 +72,7 @@ from .semigroup_core import (
     SemigroupTable,
     closure_indices,
     idempotents,
+    label_classes,
     minimal_idempotents_oracle,
     principal_ideal,
     rank_search,
@@ -251,7 +252,8 @@ def _complements(inst: Instance):
 
 
 def _check_order_law(s: Structure, caps):
-    # Distinct elements, each permuting U's codes (U*b = U), as many as the
+    # Distinct elements (enumerate_semigroup proves their keys strictly
+    # increasing), each permuting U's codes (U*b = U), as many as the
     # closed form: the element list is exactly the semigroup.
     expected = predicted_order(s.inst)
     counts = {"order": len(s.table), "expected": expected}
@@ -273,16 +275,14 @@ def _check_green_agreement(s: Structure, caps):
     table = s.table
     oracle = table.green()
     char = green_char_partitions(s)
-    same = all(
-        getattr(oracle, rel) == getattr(char, rel) for rel in ("l", "r", "h", "d", "j")
-    )
-    d_equals_j = oracle.d == oracle.j
+    same = all(np.array_equal(getattr(oracle, rel), getattr(char, rel)) for rel in ("l", "r", "h", "d", "j"))
+    d_equals_j = np.array_equal(oracle.d, oracle.j)
     counts = {
         "elements": len(table),
-        "l_classes": len(oracle.l),
-        "r_classes": len(oracle.r),
-        "h_classes": len(oracle.h),
-        "d_classes": len(oracle.d),
+        "l_classes": int(oracle.l.max()) + 1,
+        "r_classes": int(oracle.r.max()) + 1,
+        "h_classes": int(oracle.h.max()) + 1,
+        "d_classes": int(oracle.d.max()) + 1,
         "agrees": same,
         "d_equals_j": d_equals_j,
     }
@@ -302,12 +302,12 @@ def _check_ideal_structure(s: Structure, caps):
     # the L-classes of the table's Green oracle are exactly the classes of
     # equal S^1 a, so one ideal per L-class and one compare per (L-class,
     # codim) covers every element.
-    for cls in table.green().l:
-        ideal = principal_ideal(table, min(cls))
-        firsts = {}
-        for i in sorted(cls):
-            firsts.setdefault(codims[i], i)
-        for cd, i in firsts.items():
+    l_ids = table.green().l
+    firsts = np.unique(np.column_stack([l_ids, codims]), axis=0, return_index=True)[1]
+    for least in np.unique(l_ids, return_index=True)[1].tolist():
+        ideal = principal_ideal(table, least)
+        for i in firsts[l_ids[firsts] == l_ids[least]].tolist():
+            cd = codims[i]
             expected = frozenset(range(len(table))) if cd == top else q_ideal(s, cd + 1)
             if ideal != expected:
                 failures.append(f"principal ideal mismatch at element {i}")
@@ -572,9 +572,11 @@ def eggbox_dot(table: SemigroupTable, codims, minimal_idxs=frozenset()) -> str:
     """DOT text for the egg-box diagram: one cluster per D-class ordered
     by codimension, H-classes as grid cells, idempotents starred."""
     green = table.green()
-    idem = idempotents(table)
-    order_of = {cls: max(codims[i] for i in cls) for cls in green.d}
-    d_sorted = sorted(green.d, key=lambda cls: (-order_of[cls], min(cls)))
+    marks = np.zeros((2, len(table)), dtype=bool)  # idempotents, then minimal_idxs
+    marks[0, sorted(idempotents(table))] = True
+    marks[1, sorted(minimal_idxs)] = True
+    d_codim = np.zeros(green.d.max() + 1, dtype=np.intp)
+    np.maximum.at(d_codim, green.d, codims)
     lines = [
         "digraph eggbox {",
         "  compound=true;",
@@ -582,28 +584,27 @@ def eggbox_dot(table: SemigroupTable, codims, minimal_idxs=frozenset()) -> str:
         '  node [shape=box fontname="Courier"];',
     ]
     anchors = []
-    for di, dcls in enumerate(d_sorted):
-        r_rows = sorted((cls & dcls for cls in green.r if cls & dcls), key=min)
-        l_cols = sorted((cls & dcls for cls in green.l if cls & dcls), key=min)
+    # D labels follow least elements, so this is by codim, then least element.
+    for di, d in enumerate(np.lexsort((np.arange(len(d_codim)), -d_codim)).tolist()):
+        members = np.flatnonzero(green.d == d)
+        # R rows and L columns in order of their least member in the cluster.
+        row, col = label_classes(green.r[members]), label_classes(green.l[members])
+        width = col.max() + 1
+        cells = row * width + col
+        count = (row.max() + 1) * width
+        sizes = np.bincount(cells, minlength=count).reshape(-1, width)
+        # One star for an idempotent in the cell, one for a minimal_idxs member.
+        stars = sum(np.bincount(cells, marks[k, members], count) > 0 for k in (0, 1)).reshape(sizes.shape)
         lines.append(f"  subgraph cluster_{di} {{")
-        lines.append(f'    label="codim {order_of[dcls]}: {len(dcls)} elements";')
+        lines.append(f'    label="codim {d_codim[d]}: {len(members)} elements";')
         anchor = None
-        for ri, rcls in enumerate(r_rows):
+        for ri, cols in enumerate(sizes):
             row_nodes = []
-            for li, lcls in enumerate(l_cols):
-                hcls = rcls & lcls
-                if not hcls:
-                    continue
+            for li in np.flatnonzero(cols).tolist():
                 name = f"h{di}_{ri}_{li}"
-                stars = ""
-                if hcls & idem:
-                    stars += "*"
-                if hcls & minimal_idxs:
-                    stars += "*"
-                lines.append(f'    {name} [label="{len(hcls)}{stars}"];')
+                lines.append(f'    {name} [label="{cols[li]}{"*" * stars[ri, li]}"];')
                 row_nodes.append(name)
-                if anchor is None:
-                    anchor = name
+                anchor = anchor or name
             if len(row_nodes) > 1:
                 lines.append("    { rank=same; " + "; ".join(row_nodes) + "; }")
         lines.append("  }")

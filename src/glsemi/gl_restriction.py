@@ -271,7 +271,7 @@ class Structure:
 
 
 def enumerate_semigroup(inst: Instance, cap: int = DEFAULT_ENUM_CAP) -> Structure:
-    """Full element list and checked Cayley table; refuses orders above the cap.
+    """Every member, as row codes, and the checked Cayley table; refuses orders above the cap.
 
     This is the only way to build an instance's table: every helper
     that needs one takes the Structure returned here.
@@ -286,11 +286,15 @@ def enumerate_semigroup(inst: Instance, cap: int = DEFAULT_ENUM_CAP) -> Structur
         raise InternalInconsistencyError(
             f"enumerated {len(rows)} members, closed form predicts {order}"
         )
+    # Distinct members make the list exactly the semigroup (order_law), and
+    # the table check proves the one found by the identity's key neutral.
+    q = inst.p**inst.n
+    keys = codes(q, rows)
+    if (np.diff(keys) <= 0).any():
+        raise InternalInconsistencyError("member keys are not strictly increasing")
+    ident = int(np.searchsorted(keys, codes(q, codes(inst.p, identity_mat(inst.n)))))
     mul, act = _cayley(inst.p, rows)
-    # The table's element list, the one place members are tuple matrices.
-    vecs = [tuple(v) for v in code_vectors(inst.p, inst.n).tolist()]
-    mats = [tuple(map(vecs.__getitem__, r)) for r in rows.tolist()]
-    return Structure(inst, SemigroupTable(mats, mul, identity_idx=mats.index(identity_mat(inst.n))), act)
+    return Structure(inst, SemigroupTable(mul, identity_idx=ident), act)
 
 
 def j_class(s: Structure, k: int) -> frozenset[int]:
@@ -315,11 +319,9 @@ def green_char_partitions(s: Structure) -> GreenPartitions:
     used: L by image, R by kernel, H by both, D and J by codimension,
     each grouping the class ids read off the action array."""
     img_ids, ker_ids = s.image_classes[0], s.kernel_classes[0]
-    l_part = label_classes(img_ids)
-    r_part = label_classes(ker_ids)
-    h_part = label_classes(img_ids * (ker_ids.max() + 1) + ker_ids)
-    d_part = label_classes(np.array(s.codims))
-    return GreenPartitions(l=l_part, r=r_part, h=h_part, d=d_part, j=d_part)
+    h = label_classes(img_ids * (ker_ids.max() + 1) + ker_ids)
+    d = label_classes(np.array(s.codims))
+    return GreenPartitions(l=label_classes(img_ids), r=label_classes(ker_ids), h=h, d=d, j=d)
 
 
 def _act(inst: Instance, rows, m: Mat) -> tuple[Vec, ...]:
@@ -969,7 +971,7 @@ def j_class_count_report(s: Structure) -> dict:
     n-r+1; the report flags any disagreement with the bare quotient
     dimension instead of asserting either value.
     """
-    observed = len(s.table.green().j)
+    observed = int(s.table.green().j.max()) + 1
     quotient_dim = s.inst.n - s.inst.r
     return {
         "observed": observed,

@@ -1,7 +1,7 @@
 """Generic finite-semigroup machinery on explicit multiplication tables.
 
-Elements are arbitrary hashable values; every structural computation
-runs on integer indices into the element list.  Green's relations are
+Elements are the integer indices 0..n-1 of the table's rows, and every
+structural computation runs on integer arrays.  Green's relations are
 computed here from their ideal-based definitions only, so this module
 doubles as the brute-force oracle against which the characterized
 relations of the main layer are checked.
@@ -29,14 +29,17 @@ def table_dtype(n: int):
     return np.uint16 if n < 65536 else np.int32
 
 
-def _table_array(mul, n: int) -> np.ndarray:
+def _table_array(mul) -> np.ndarray:
     """The table as a read-only n x n array of the smallest index dtype."""
     try:
         arr = np.asarray(mul)
     except ValueError:  # ragged rows
         raise PreconditionError("multiplication table is not square") from None
-    if arr.shape != (n, n):
+    if not arr.size:
+        raise PreconditionError("a semigroup table needs at least one element")
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise PreconditionError("multiplication table is not square")
+    n = len(arr)
     if arr.dtype.kind not in "iu":
         raise PreconditionError("multiplication table entries are not integers")
     if arr.min() < 0 or arr.max() >= n:
@@ -48,25 +51,18 @@ def _table_array(mul, n: int) -> np.ndarray:
 
 
 class SemigroupTable:
-    """Indexed element list plus a full multiplication table.
+    """A full multiplication table on the elements 0..n-1.
 
     `mul` is a read-only n x n numpy array (uint16 below order 65536,
     int32 above); `int(mul[i, j])` is the index of the product of
     element i by element j.  Instances are immutable after construction.
     """
 
-    __slots__ = ("elements", "mul", "identity_idx", "_index", "_green")
+    __slots__ = ("mul", "identity_idx", "_right", "_green")
 
-    def __init__(self, elements, mul, identity_idx=None, check=True):
-        self.elements = tuple(elements)
-        n = len(self.elements)
-        if not n:
-            raise PreconditionError("a semigroup table needs at least one element")
-        self._index = {x: i for i, x in enumerate(self.elements)}
-        self._green = None
-        if len(self._index) != n:
-            raise PreconditionError("element list contains duplicates")
-        self.mul = _table_array(mul, n)
+    def __init__(self, mul, identity_idx=None, check=True):
+        self.mul = _table_array(mul)
+        self._right = self._green = None
         if identity_idx is None:
             identity_idx = self._find_identity()
         self.identity_idx = identity_idx
@@ -74,16 +70,20 @@ class SemigroupTable:
             self._check_table()
 
     def __len__(self):
-        return len(self.elements)
-
-    def index_of(self, x):
-        return self._index[x]
+        return len(self.mul)
 
     def green(self):
         """Cached definition-level Green partitions for this table."""
         if self._green is None:
             self._green = green_oracle(self)
         return self._green
+
+    def _right_classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cached _set_classes of the right ideals a S^1: the table check
+        labels them for its generating set, and the Green oracle reuses them."""
+        if self._right is None:
+            self._right = _set_classes(self.mul)
+        return self._right
 
     def _find_identity(self):
         mul = self.mul
@@ -124,7 +124,8 @@ def _generators(table: SemigroupTable) -> list[int]:
     descending |a S^1|, each taken only when the closure so far misses
     it; then every unit whose dropping leaves a generating set goes."""
     n = len(table)
-    sizes = np.concatenate([np.count_nonzero(sets, axis=1) for sets in _row_sets(table.mul)])
+    labels, sets = table._right_classes()
+    sizes = np.count_nonzero(sets, axis=1)[labels]
     # In a finite monoid a S^1 = S exactly when a is a unit; a table
     # without an identity has no units.
     unit = sizes == n if table.identity_idx is not None else np.zeros(n, dtype=bool)
@@ -144,54 +145,35 @@ def _generators(table: SemigroupTable) -> list[int]:
     return gens
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GreenPartitions:
-    """The five Green partitions of a table, each a tuple of frozensets."""
+    """The five Green partitions of a table, each a canonical label array:
+    entry i is the class of element i, classes numbered 0, 1, ... in
+    order of their least element (see label_classes), so two equal
+    partitions have equal arrays.  Compare them with np.array_equal."""
 
-    l: tuple[frozenset[int], ...]
-    r: tuple[frozenset[int], ...]
-    h: tuple[frozenset[int], ...]
-    d: tuple[frozenset[int], ...]
-    j: tuple[frozenset[int], ...]
-
-
-def partition_lookup(partition) -> dict[int, int]:
-    """Map each element index to the position of its class."""
-    out = {}
-    for pos, cls in enumerate(partition):
-        for i in cls:
-            out[i] = pos
-    return out
+    l: np.ndarray
+    r: np.ndarray
+    h: np.ndarray
+    d: np.ndarray
+    j: np.ndarray
 
 
-def is_partition(partition, n: int) -> bool:
-    seen: set[int] = set()
-    for cls in partition:
-        if not cls or seen & cls:
-            return False
-        seen |= cls
-    return seen == set(range(n))
+def label_classes(labels: np.ndarray) -> np.ndarray:
+    """The canonical form of a labelling: equal labels stay equal, and
+    classes are renumbered 0, 1, ... in order of their least index."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[inverse.reshape(-1)]
 
 
-def refines(finer, coarser) -> bool:
-    """True iff every class of `finer` sits inside one class of `coarser`."""
-    lookup = partition_lookup(coarser)
-    return all(len({lookup[i] for i in cls}) == 1 for cls in finer)
-
-
-def _labels(rows: np.ndarray) -> np.ndarray:
-    """Class label of each row: equal rows, equal labels, numbered in
-    order of first appearance."""
-    seen: dict[bytes, int] = {}
-    return np.array([seen.setdefault(row.tobytes(), len(seen)) for row in rows])
-
-
-def label_classes(labels: np.ndarray) -> tuple[frozenset[int], ...]:
-    """Indices grouped by label, classes ordered by their least index."""
-    order = np.argsort(labels, kind="stable")
-    groups = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
-    groups.sort(key=lambda g: g[0])  # stable sort: g[0] is the least index
-    return tuple(frozenset(g.tolist()) for g in groups)
+def refines(finer: np.ndarray, coarser: np.ndarray) -> bool:
+    """True iff every class of `finer` sits inside one class of `coarser`,
+    both label arrays over the same elements, `finer` canonical."""
+    of_class = np.empty(finer.max() + 1, dtype=coarser.dtype)
+    of_class[finer] = coarser  # the coarser label of some member of each finer class
+    return bool((of_class[finer] == coarser).all())
 
 
 def _row_sets(mul: np.ndarray, left: bool = False):
@@ -236,11 +218,9 @@ def green_oracle(table: SemigroupTable) -> GreenPartitions:
     mul = table.mul
     n = len(mul)
     # Row x: the left ideal of L-class x, and the right ideal of R-class x.
+    # Labels in order of first appearance are already canonical.
     lid, left = _set_classes(mul, left=True)
-    rid, right = _set_classes(mul)
-    l_part = label_classes(lid)
-    r_part = label_classes(rid)
-    h_part = label_classes(lid * (rid.max() + 1) + rid)
+    rid, right = table._right_classes()
 
     # cells[l, r]: some element has L-class l and R-class r.
     cells = np.zeros((lid.max() + 1, rid.max() + 1), dtype=bool)
@@ -267,7 +247,6 @@ def green_oracle(table: SemigroupTable) -> GreenPartitions:
             parent[rb] = ra
     roots = np.array([find(x) for x in range(len(parent))])
     d_of_l, d_of_r = roots[:nl], roots[nl:]
-    d_part = label_classes(d_of_l[lid])
 
     # One composition step of L then R must already connect each D-class.
     if (cells != (d_of_l[:, None] == d_of_r[None, :])).any():
@@ -279,19 +258,20 @@ def green_oracle(table: SemigroupTable) -> GreenPartitions:
     in_l, members = np.nonzero(left)
     meets = np.zeros(cells.shape, dtype=bool)
     meets[in_l, rid[members]] = True
-    j_of_l = _labels(np.matmul(meets, right))
-    j_part = label_classes(j_of_l[lid])
+    j_of_l = np.unique(np.matmul(meets, right), axis=0, return_inverse=True)[1].reshape(-1)
 
-    green = GreenPartitions(l=l_part, r=r_part, h=h_part, d=d_part, j=j_part)
+    h = label_classes(lid * (rid.max() + 1) + rid)
+    green = GreenPartitions(l=lid, r=rid, h=h, d=label_classes(d_of_l[lid]), j=label_classes(j_of_l[lid]))
     check_refinement_lattice(green, n)
     return green
 
 
 def check_refinement_lattice(green: GreenPartitions, n: int) -> None:
-    """Assert H <= L, R; L, R <= D; D <= J, and that all five are partitions."""
+    """Assert H <= L, R; L, R <= D; D <= J, and that all five are
+    canonical label arrays over the n elements."""
     for part in (green.l, green.r, green.h, green.d, green.j):
-        if not is_partition(part, n):
-            raise InternalInconsistencyError("Green relation is not a partition")
+        if len(part) != n or not np.array_equal(part, label_classes(part)):
+            raise InternalInconsistencyError("Green relation is not a canonical labelling of the elements")
     for finer, coarser in (
         (green.h, green.l),
         (green.h, green.r),
@@ -399,4 +379,4 @@ def subtable(table: SemigroupTable, indices) -> SemigroupTable:
     rows = pos[table.mul[np.ix_(idxs, idxs)]]
     if (rows < 0).any():
         raise PreconditionError("subset is not closed under products")
-    return SemigroupTable([table.elements[i] for i in idxs.tolist()], rows, check=False)
+    return SemigroupTable(rows, check=False)

@@ -11,7 +11,7 @@ from itertools import product
 import numpy as np
 
 from glsemi import gl_restriction
-from glsemi.gf_linalg import enumerate_complements
+from glsemi.gf_linalg import code_vectors, codes, enumerate_complements
 from glsemi.gl_restriction import Structure
 from glsemi.semigroup_core import SemigroupTable
 
@@ -24,9 +24,22 @@ CONSTRUCTORS = (
 )
 
 
+def matrices(s):
+    """Every element of Structure s as a tuple matrix, in index order,
+    its rows read off s.rows through code_vectors."""
+    vecs = [tuple(v) for v in code_vectors(s.inst.p, s.inst.n).tolist()]
+    return [tuple(vecs[c] for c in row) for row in s.rows.tolist()]
+
+
+def index_of(s, m):
+    """The table index of the matrix m in Structure s, or -1 for a non-member."""
+    return int(s.find(codes(s.inst.p, m)))
+
+
 def mats(s, idxs):
     """The matrices of Structure s at the given table indices."""
-    return {s.table.elements[i] for i in idxs}
+    every = matrices(s)
+    return {every[i] for i in idxs}
 
 
 def with_product(s, i, j, k):
@@ -37,7 +50,7 @@ def with_product(s, i, j, k):
     """
     mul = s.table.mul.copy()
     mul[i, j] = k
-    table = SemigroupTable(s.table.elements, mul, identity_idx=s.table.identity_idx, check=False)
+    table = SemigroupTable(mul, identity_idx=s.table.identity_idx, check=False)
     return Structure(s.inst, table, s.act)
 
 
@@ -129,7 +142,13 @@ def with_wrong_split(s, left_kind, w):
 
 def same_class(green, relation, i, j):
     """True iff i and j share a class of the named Green partition."""
-    return any(i in cls and j in cls for cls in getattr(green, relation.lower()))
+    labels = getattr(green, relation.lower())
+    return labels[i] == labels[j]
+
+
+def label_sets(labels):
+    """The partition a label array stands for, as a set of frozensets."""
+    return {frozenset(np.flatnonzero(labels == k).tolist()) for k in np.unique(labels).tolist()}
 
 
 def naive_vec_mat(p, v, m):
@@ -244,7 +263,7 @@ def dense_green(table):
 
 def naive_green_same(table, a, b, relation):
     """Green tests by literal principal-ideal comparison (small tables only)."""
-    n = len(table.elements)
+    n = len(table)
     mul = table.mul
 
     def left(x):

@@ -48,7 +48,7 @@ from glsemi.gl_restriction import (
     special_subgroup,
     unit_group_subtable,
 )
-from glsemi.semigroup_core import SemigroupTable
+from glsemi.semigroup_core import SemigroupTable, label_classes
 
 from helpers import BATCHES, break_batch, with_column, with_product, with_wrong_split
 
@@ -245,8 +245,8 @@ def test_factorizations_and_regularity_cover_every_pair_and_element(monkeypatch)
 
 def test_green_agreement_fails_when_one_product_splits_an_l_class():
     s = enumerate_semigroup(make_instance(2, 3, 1))
-    first = min(s.table.green().l, key=min)  # element 0 and three others
-    assert len(first) == 4
+    l_ids = s.table.green().l
+    assert np.count_nonzero(l_ids == l_ids[0]) == 4  # element 0 and three others
     # 0*0 now reads the identity, so the left ideal S^1 0 (column 0 plus 0)
     # gains the identity and 0 leaves the other three.
     bad = with_product(s, 0, 0, s.table.identity_idx)
@@ -254,7 +254,7 @@ def test_green_agreement_fails_when_one_product_splits_an_l_class():
     status, counts, _ = _check_green_agreement(bad, CAPS)
     assert status == "fail"
     assert counts["agrees"] is False
-    assert counts["l_classes"] == len(s.table.green().l) + 1
+    assert counts["l_classes"] == l_ids.max() + 2
 
 
 @pytest.mark.parametrize("p, n, r, u_rows", [(2, 3, 1, None), (3, 3, 2, [(1, 1, 0), (0, 1, 2)])])
@@ -362,15 +362,15 @@ class _ExtraJClassTable(SemigroupTable):
 
     def green(self):
         green = super().green()
-        first = green.j[0]
-        split = (frozenset({min(first)}), first - {min(first)})
-        return dataclasses.replace(green, j=split + green.j[1:])
+        j = green.j.copy()
+        j[0] = j.max() + 1  # element 0 leaves the J-class it led
+        return dataclasses.replace(green, j=label_classes(j))
 
 
 def test_j_class_count_fails_on_an_extra_j_class():
     s = enumerate_semigroup(make_instance(2, 3, 1))
     t = s.table
-    bad = Structure(s.inst, _ExtraJClassTable(t.elements, t.mul, identity_idx=t.identity_idx, check=False), s.act)
+    bad = Structure(s.inst, _ExtraJClassTable(t.mul, identity_idx=t.identity_idx, check=False), s.act)
     assert _check_j_class_count(s, CAPS) == ("pass", {"observed": 3, "quotient_dim": 2, "flagged": True}, None)
     status, counts, _ = _check_j_class_count(bad, CAPS)
     assert status == "fail"

@@ -2,6 +2,7 @@
 
 import pathlib
 import random
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from glsemi.errors import (
 )
 from glsemi.gf_linalg import (
     enumerate_complements,
+    identity_mat,
     image,
     is_complement,
     kernel,
@@ -67,6 +69,8 @@ from helpers import (
     CONSTRUCTORS,
     break_batch,
     brute_members,
+    index_of,
+    matrices,
     mats,
     naive_image_vectors,
     naive_span,
@@ -87,7 +91,7 @@ INST232 = make_instance(2, 3, 2)
 INST321 = make_instance(3, 2, 1)
 S221, S231, S232, S321 = (enumerate_semigroup(i) for i in (INST221, INST231, INST232, INST321))
 STRUCTURES = {s.inst: s for s in (S221, S231, S232, S321)}
-IDX221, E221 = S221.table.index_of, S221.table.elements
+IDX221, E221 = partial(index_of, S221), matrices(S221)
 
 
 def test_make_instance_validation():
@@ -116,7 +120,7 @@ def test_is_member():
 def test_enumeration_matches_definition_filter(inst):
     u_vectors = naive_span(inst.p, inst.n, inst.u.basis)
     expected = brute_members(inst.p, inst.n, u_vectors)
-    got = STRUCTURES[inst].table.elements
+    got = matrices(STRUCTURES[inst])
     assert sorted(got) == sorted(expected)
 
 
@@ -148,8 +152,8 @@ SMALL_CONFIGS = ("p2n2r1", "p2n3r1", "p2n3r1_shifted", "p2n3r2", "p3n2r1")
 
 def _multiplied_out(s, pairs):
     """(a, b, index of a*b) for each pair, from mat_mul and index_of alone."""
-    elements, p = s.table.elements, s.inst.p
-    return [(a, b, s.table.index_of(mat_mul(p, elements[a], elements[b]))) for a, b in pairs]
+    elements, p = matrices(s), s.inst.p
+    return [(a, b, index_of(s, mat_mul(p, elements[a], elements[b]))) for a, b in pairs]
 
 
 def _instance(spec):
@@ -157,6 +161,24 @@ def _instance(spec):
     if isinstance(spec, str):
         return build_instance(load_config(str(CONFIGS / f"{spec}.cfg")))
     return make_instance(*spec)
+
+
+def test_enumeration_refuses_a_repeated_member(monkeypatch):
+    real = gl_restriction._members
+
+    def repeated(inst):  # row 0 twice and the last row gone: the count still holds
+        rows = real(inst)
+        return np.concatenate([rows[:1], rows[:-1]])
+
+    monkeypatch.setattr(gl_restriction, "_members", repeated)
+    with pytest.raises(InternalInconsistencyError, match="strictly increasing"):
+        enumerate_semigroup(INST231)
+
+
+@pytest.mark.parametrize("name", sorted(path.stem for path in CONFIGS.glob("*.cfg")))
+def test_identity_is_found_by_its_key(name):
+    s = enumerate_semigroup(_instance(name))
+    assert matrices(s)[s.table.identity_idx] == identity_mat(s.inst.n)
 
 
 # At n = 1 the first half of each product key (n // 2 rows) is empty.
@@ -183,7 +205,7 @@ def test_cayley_table_matches_products_on_sampled_pairs(pnr):
 def test_codim():
     assert S221.codims[IDX221(IDENT2)] == 1
     assert S221.codims[IDX221(A0)] == 0
-    assert S231.codims[S231.table.index_of(((1, 0, 0), (0, 1, 0), (0, 0, 0)))] == 1
+    assert S231.codims[index_of(S231, ((1, 0, 0), (0, 1, 0), (0, 0, 0)))] == 1
 
 
 @pytest.mark.parametrize("name", SMALL_CONFIGS + ("p2n4r2",))
@@ -192,8 +214,8 @@ def test_profiles_from_the_action_array_match_each_element(name):
     # The class ids read off s.act partition the elements exactly as
     # each element's own image and kernel do.
     p, r = s.inst.p, s.inst.r
-    images = [image(p, m) for m in s.table.elements]
-    kernels = [kernel(p, m) for m in s.table.elements]
+    images = [image(p, m) for m in matrices(s)]
+    kernels = [kernel(p, m) for m in matrices(s)]
     assert list(s.codims) == [img.dim - r for img in images]
     for (ids, first), spaces in ((s.image_classes, images), (s.kernel_classes, kernels)):
         assert [spaces[i] for i in first[ids]] == spaces  # one space per class
@@ -207,12 +229,12 @@ def test_per_class_bases_grow_per_class_not_per_element(monkeypatch):
     monkeypatch.setattr(gl_restriction, "extend_codes", lambda *args: calls.append(args) or real(*args))
     assert cli._check_factorizations(s, (gl_restriction.DEFAULT_ENUM_CAP, 4))[0] == "pass"
     green = s.table.green()
-    assert s.batch.kernel.shape == (len(green.r), s.inst.n)  # one row per kernel
-    assert s.batch.image.shape == (len(green.l), s.inst.n)  # one row per image
+    r, l = green.r.max() + 1, green.l.max() + 1
+    assert s.batch.kernel.shape == (r, s.inst.n)  # one row per kernel
+    assert s.batch.image.shape == (l, s.inst.n)  # one row per image
     # A basis and a transversal per kernel, a basis and two extensions per
     # image, and one tail per distinct span of factor_through's domain
     # rows, each span an image.
-    r, l = len(green.r), len(green.l)
     assert 2 * r + 3 * l < len(calls) <= 2 * r + 4 * l < len(s.table) // 15
 
 
@@ -222,8 +244,8 @@ def test_j_class_and_q_ideal():
     assert len(j_class(S231, 2)) == 24
     assert q_ideal(S221, 1) == j_class(S221, 0)
     assert q_ideal(S231, 2) == j_class(S231, 0) | j_class(S231, 1)
-    for i, cd in enumerate(S231.codims):
-        assert len(naive_image_vectors(2, S231.table.elements[i])) == 2 ** (INST231.r + cd)
+    for m, cd in zip(matrices(S231), S231.codims):
+        assert len(naive_image_vectors(2, m)) == 2 ** (INST231.r + cd)
     with pytest.raises(PreconditionError):
         j_class(S221, 2)
     with pytest.raises(PreconditionError):
@@ -234,7 +256,7 @@ def test_dclass_witness():
     assert dclass_witness(S221, IDX221(A0), IDX221(A2)) == IDX221(A2)  # unique: image U, kernel <(1,1)>
     with pytest.raises(PreconditionError):
         dclass_witness(S221, IDX221(A0), IDX221(IDENT2))  # unequal codims
-    elems = S232.table.elements
+    elems = matrices(S232)
     for a in range(len(elems)):
         for b in range(len(elems)):
             if S232.codims[a] == S232.codims[b]:
@@ -270,14 +292,15 @@ def test_regular_witness():
     assert E221[regular_witness(S221, IDX221(A3))] == mat_inverse(2, A3)
     b = E221[regular_witness(S221, IDX221(A2))]
     assert mat_mul(2, mat_mul(2, A2, b), A2) == A2
-    for i, m in enumerate(S321.table.elements):
-        w = S321.table.elements[regular_witness(S321, i)]
+    elems = matrices(S321)
+    for i, m in enumerate(elems):
+        w = elems[regular_witness(S321, i)]
         assert mat_mul(3, mat_mul(3, m, w), m) == m
         assert mat_mul(3, mat_mul(3, w, m), w) == w
 
 
 def test_raise_factor():
-    elems = S231.table.elements
+    elems = matrices(S231)
     for a in sorted(j_class(S231, 0)):
         lam, mu = raise_factor(S231, a)
         assert mat_mul(2, elems[lam], elems[mu]) == elems[a]
@@ -328,13 +351,13 @@ def test_idempotent_by_image():
     assert is_idempotent_by_image(S221, IDX221(IDENT2))
     assert is_idempotent_by_image(S221, IDX221(A2))
     assert not is_idempotent_by_image(S221, IDX221(A3))
-    for i, m in enumerate(S232.table.elements):
+    for i, m in enumerate(matrices(S232)):
         assert is_idempotent_by_image(S232, i) == (mat_mul(2, m, m) == m)
 
 
 def test_special_subgroups_smallest_instance():
     w = rref_canonical(2, 2, [(0, 1)])
-    idx = S221.table.index_of
+    idx = IDX221
     assert special_subgroup(S221, FIX_W, w) == {idx(IDENT2)}
     assert special_subgroup(S221, N_W, w) == {idx(IDENT2), idx(A3)}
     assert special_subgroup(S221, FIX_U) == {idx(IDENT2), idx(A3)}
@@ -374,11 +397,12 @@ def test_special_subgroups_match_their_matrix_definitions():
         inst, p = s.inst, s.inst.p
         u_set = naive_span(p, inst.n, inst.u.basis)
         units = sorted(j_class(s, inst.n - inst.r))
+        elems = matrices(s)
 
         def members(*tests):
             out = set()
             for i in units:
-                images = [(row, naive_vec_mat(p, row, s.table.elements[i])) for row in inst.u.basis + w.basis]
+                images = [(row, naive_vec_mat(p, row, elems[i])) for row in inst.u.basis + w.basis]
                 if all(test(images) for test in tests):
                     out.add(i)
             return out
@@ -410,7 +434,7 @@ def test_fix_u_is_conjugation_closed():
 
 def test_decompose_unit():
     w = rref_canonical(2, 3, [(0, 0, 1)])
-    idx, elems = S232.table.index_of, S232.table.elements
+    idx, elems = partial(index_of, S232), matrices(S232)
     ident = S232.table.identity_idx
     assert decompose_unit(S232, ident, w) == (ident, ident)
     first, second = decompose_unit(S232, idx(((0, 1, 0), (1, 0, 0), (1, 0, 1))), w)
@@ -432,7 +456,7 @@ def test_decompose_fix_u():
     ident = S231.table.identity_idx
     for a in special_subgroup(S231, N_W, w3):
         assert decompose_fix_u(S231, a, w3) == (ident, a)
-    elems = S231.table.elements
+    elems = matrices(S231)
     for a in special_subgroup(S231, FIX_U):
         stab, trans = decompose_fix_u(S231, a, w3)
         assert mat_mul(2, elems[stab], elems[trans]) == elems[a]
@@ -441,7 +465,7 @@ def test_decompose_fix_u():
     with pytest.raises(PreconditionError):
         decompose_fix_u(S221, IDX221(A0), w)  # not a unit
     with pytest.raises(PreconditionError):
-        decompose_fix_u(S321, S321.table.index_of(((2, 0), (0, 1))), rref_canonical(3, 2, [(0, 1)]))  # moves U
+        decompose_fix_u(S321, index_of(S321, ((2, 0), (0, 1))), rref_canonical(3, 2, [(0, 1)]))  # moves U
 
 
 W232 = rref_canonical(2, 3, [(0, 0, 1)])
@@ -482,7 +506,7 @@ def test_a_split_is_recomposed_on_the_action_array():
     a = min(j_class(S232, 1) - special_subgroup(S232, FIX_W, W232) - fix_u)
     _, second = decompose_unit(S232, a, W232)
     other = min(fix_u - {second, S232.table.identity_idx})
-    bad = with_column(S232, second, S232.table.elements[other])
+    bad = with_column(S232, second, matrices(S232)[other])
     with pytest.raises(InternalInconsistencyError, match="fix_w split failed to verify"):
         decompose_unit(bad, a, W232)
 
@@ -684,8 +708,8 @@ def test_j_class_count_report():
 
 def test_membership_closure_and_codim_monotonicity():
     rng = random.Random(2)
-    elems = S232.table.elements
-    codim = lambda m: S232.codims[S232.table.index_of(m)]
+    elems = matrices(S232)
+    codim = lambda m: S232.codims[index_of(S232, m)]
     for _ in range(300):
         a, b = rng.choice(elems), rng.choice(elems)
         ab = mat_mul(2, a, b)
@@ -697,4 +721,4 @@ def test_unit_group_subtable_is_group():
     sub = unit_group_subtable(S321)
     assert len(sub) == 12
     green = sub.green()
-    assert green.h == (frozenset(range(12)),)
+    assert green.h.tolist() == [0] * 12

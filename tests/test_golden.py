@@ -41,6 +41,8 @@ from glsemi.gl_restriction import (
     subgroup_iso_check,
 )
 
+from helpers import matrices
+
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 _TIME = re.compile(r" \[\d+\.\d\ds\]$", re.M)
 
@@ -145,7 +147,7 @@ def _digest_constructors(name: str) -> str:
     # the strided sample is not all refusals.
     units = sorted(s.grades[s.inst.n - s.inst.r])
     split_idxs = sorted(set(idxs) | set(units[::step]) | set(sorted(special_subgroup(s, FIX_U))[::step]))
-    elements = s.table.elements
+    elements = matrices(s)
     h = hashlib.sha256()
 
     def record(label, fn, *args):

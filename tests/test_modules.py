@@ -32,6 +32,21 @@ def _private_imports(tree: ast.Module) -> list[str]:
     return found
 
 
+def _package_imports(tree: ast.Module) -> set[str]:
+    """Every module of the package this module imports: by `from .mod
+    import x`, `from . import mod` or `import glsemi.mod`."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("glsemi")):
+            if node.module in (None, "glsemi"):
+                found |= {alias.name for alias in node.names}
+            else:
+                found.add(node.module.removeprefix("glsemi."))
+        elif isinstance(node, ast.Import):
+            found |= {alias.name.removeprefix("glsemi.") for alias in node.names if alias.name.startswith("glsemi")}
+    return found
+
+
 def test_every_module_is_found():
     assert {path.stem for path in MODULES} >= {"gf_linalg", "semigroup_core", "gl_restriction", "isomorphism", "cli"}
 
@@ -51,3 +66,22 @@ def test_no_module_imports_another_modules_private_name(path):
 )
 def test_a_private_import_is_flagged(source):
     assert len(_private_imports(ast.parse(source))) == 1
+
+
+@pytest.mark.parametrize("name", ["gf_linalg", "semigroup_core"])
+def test_the_generic_layers_import_only_errors_from_the_package(name):
+    # The table engine and the GF(p) kernel know nothing of the semigroup
+    # of linear maps, so either can be reused or tested on its own.
+    assert _package_imports(ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))) <= {"errors"}
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "from .errors import PreconditionError\nfrom .gl_restriction import Structure\n",
+        "from glsemi import errors, gf_linalg\n",
+        "import glsemi.isomorphism\n",
+    ],
+)
+def test_a_package_import_is_flagged(source):
+    assert len(_package_imports(ast.parse(source)) - {"errors"}) == 1

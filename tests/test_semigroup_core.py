@@ -2,21 +2,25 @@
 
 import re
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from glsemi.errors import CapacityError, PreconditionError
+from glsemi.errors import CapacityError, InternalInconsistencyError, PreconditionError
 from glsemi.gf_linalg import identity_mat
 from glsemi.gl_restriction import enumerate_semigroup, make_instance
 from glsemi.semigroup_core import (
     ROW_BLOCK,
+    GreenPartitions,
     SemigroupTable,
     _generators,
     check_refinement_lattice,
     closure_indices,
     green_oracle,
     idempotents,
+    label_classes,
     minimal_idempotents_oracle,
     natural_leq,
     principal_ideal,
@@ -26,7 +30,7 @@ from glsemi.semigroup_core import (
     verify_ideal,
 )
 
-from helpers import dense_green, naive_green_same, same_class, with_product
+from helpers import dense_green, index_of, label_sets, mats, naive_green_same, same_class, with_product
 
 A0 = ((1, 0), (0, 0))
 IDENT = ((1, 0), (0, 1))
@@ -34,19 +38,18 @@ A2 = ((1, 0), (1, 0))
 A3 = ((1, 0), (1, 1))
 
 
-TABLE_221 = enumerate_semigroup(make_instance(2, 2, 1)).table
-TABLE_231 = enumerate_semigroup(make_instance(2, 3, 1)).table
+S221 = enumerate_semigroup(make_instance(2, 2, 1))
+S231 = enumerate_semigroup(make_instance(2, 3, 1))
+TABLE_221, TABLE_231 = S221.table, S231.table
+i221 = partial(index_of, S221)
 
 
 def cyclic_table(order):
-    return SemigroupTable(
-        tuple(range(order)),
-        [[(i + j) % order for j in range(order)] for i in range(order)],
-    )
+    return SemigroupTable([[(i + j) % order for j in range(order)] for i in range(order)])
 
 
 def test_closure_indices_on_the_smallest_table():
-    table, i = TABLE_221, TABLE_221.index_of
+    table, i = TABLE_221, i221
     assert closure_indices(table, [i(IDENT)]) == {i(IDENT)}
     assert closure_indices(table, [i(A3)]) == {i(A3), i(IDENT)}
     assert closure_indices(table, [i(A3), i(A0)]) == set(range(4))
@@ -59,24 +62,24 @@ def test_closure_indices_on_the_smallest_table():
 
 
 def test_table_construction_rejects_bad_input():
-    for elements, mul in (
-        ((0, 0), [[0, 0], [0, 0]]),  # duplicate elements
-        ((0, 1), [[0, 2], [0, 0]]),  # out of range
-        ((0, 1), [[0, -1], [0, 0]]),  # negative
-        ((0, 1), [[0, 1], [0]]),  # ragged
-        ((0, 1), [[0, 1, 0], [0, 0, 0]]),  # not square
-        ((0, 1), [[0, 1]]),  # too few rows
-        ((0, 1), [[0.0, 1.0], [1.0, 0.0]]),  # not integers
-        ((), []),  # empty
+    for mul in (
+        [[0, 2], [0, 0]],  # out of range
+        [[0, -1], [0, 0]],  # negative
+        [[0, 1], [0]],  # ragged
+        [[0, 1, 0], [0, 0, 0]],  # not square
+        [[0, 1]],  # too few rows
+        0,  # not a matrix
+        [[0.0, 1.0], [1.0, 0.0]],  # not integers
+        [],  # empty
     ):
         with pytest.raises(PreconditionError):
-            SemigroupTable(elements, mul)
+            SemigroupTable(mul)
 
 
 def test_table_check_names_the_first_non_associative_triple():
     # (1*0)*1 = 0*1 = 1 but 1*(0*1) = 1*1 = 0.
     with pytest.raises(PreconditionError, match=re.escape("(1, 0, 1)")):
-        SemigroupTable((0, 1), [[0, 1], [0, 0]])
+        SemigroupTable([[0, 1], [0, 0]])
 
 
 def test_associativity_check_names_a_failing_triple_in_a_large_group():
@@ -84,7 +87,7 @@ def test_associativity_check_names_a_failing_triple_in_a_large_group():
     mul = [[(i + j) % order for j in range(order)] for i in range(order)]
     mul[order - 1][11] = 0  # only rows past the first block see this product
     with pytest.raises(PreconditionError) as err:
-        SemigroupTable(tuple(range(order)), mul)
+        SemigroupTable(mul)
     i, j, k = map(int, re.search(r"\((\d+), (\d+), (\d+)\)", str(err.value)).groups())
     assert mul[mul[i][j]][k] != mul[i][mul[j][k]]
 
@@ -102,7 +105,7 @@ def test_every_seeded_product_change_fails_the_table_check():
             continue  # a changed identity row or column fails another check
         bad = with_product(s, i, j, k).table.mul
         with pytest.raises(PreconditionError, match="not associative") as err:
-            SemigroupTable(t.elements, bad, identity_idx=t.identity_idx, check=True)
+            SemigroupTable(bad, identity_idx=t.identity_idx, check=True)
         x, g, y = map(int, re.search(r"\((\d+), (\d+), (\d+)\)", str(err.value)).groups())
         assert bad[bad[x, g], y] != bad[x, bad[g, y]]
         changes += 1
@@ -111,7 +114,7 @@ def test_every_seeded_product_change_fails_the_table_check():
 def test_identity_free_table_passes_the_table_check():
     s = enumerate_semigroup(make_instance(2, 4, 2))
     below_units = subtable(s.table, s.below[2])  # an ideal without the identity
-    table = SemigroupTable(below_units.elements, below_units.mul, check=True)
+    table = SemigroupTable(below_units.mul, check=True)
     assert table.identity_idx is None and len(table) == 960
     assert len(closure_indices(table, _generators(table))) == len(table)
 
@@ -120,7 +123,7 @@ def test_table_check_rejects_a_false_identity():
     left_zero = [[0, 0], [1, 1]]  # x*y = x: associative, with no identity
     for claimed in (0, 1, 2, -1):
         with pytest.raises(PreconditionError):
-            SemigroupTable((0, 1), left_zero, identity_idx=claimed)
+            SemigroupTable(left_zero, identity_idx=claimed)
 
 
 def test_table_is_a_read_only_uint16_array():
@@ -130,7 +133,7 @@ def test_table_is_a_read_only_uint16_array():
     with pytest.raises(ValueError):
         mul[0, 0] = 1
     source = np.zeros((1, 1), dtype=np.int64)
-    SemigroupTable(("z",), source)
+    SemigroupTable(source)
     assert source.flags.writeable  # the caller's array is left as it was
 
 
@@ -141,45 +144,42 @@ def test_a_changed_product_fails_the_table_check(pnr):
     i, j = [x for x in range(len(t)) if x != t.identity_idx][:2]
     bad = with_product(s, i, j, (int(t.mul[i, j]) + 1) % len(t)).table
     with pytest.raises(PreconditionError):
-        SemigroupTable(bad.elements, bad.mul, identity_idx=bad.identity_idx, check=True)
+        SemigroupTable(bad.mul, identity_idx=bad.identity_idx, check=True)
 
 
 def test_identity_detection():
     table = TABLE_221
-    assert table.elements[table.identity_idx] == IDENT
-    zero = SemigroupTable((0,), [[0]])
+    assert table.identity_idx == i221(IDENT)
+    zero = SemigroupTable([[0]])
     assert zero.identity_idx == 0
-    left_zero = SemigroupTable((0, 1), [[0, 0], [1, 1]])
+    left_zero = SemigroupTable([[0, 0], [1, 1]])
     assert left_zero.identity_idx is None
 
 
 def test_identity_detection_past_one_row_block():
     order = 300
     shifted = [[(i + j + 1) % order for j in range(order)] for i in range(order)]  # identity: 299
-    assert SemigroupTable(tuple(range(order)), shifted).identity_idx == order - 1
+    assert SemigroupTable(shifted).identity_idx == order - 1
     shifted[0][order - 1] = 5  # column 299 now fails in the first block only
-    assert SemigroupTable(tuple(range(order)), shifted, check=False).identity_idx is None
+    assert SemigroupTable(shifted, check=False).identity_idx is None
     right_zero = [list(range(order))] * order  # x*y = y: every row neutral, no column
-    assert SemigroupTable(tuple(range(order)), right_zero).identity_idx is None
+    assert SemigroupTable(right_zero).identity_idx is None
 
 
 def test_green_oracle_trivial_and_group():
-    one = SemigroupTable(("e",), [[0]])
-    green = green_oracle(one)
-    assert green.l == green.r == green.h == green.d == green.j == (frozenset({0}),)
-    group = cyclic_table(6)
-    green = green_oracle(group)
+    one = green_oracle(SemigroupTable([[0]]))
+    group = green_oracle(cyclic_table(6))
     for relation in ("l", "r", "h", "d", "j"):
-        assert getattr(green, relation) == (frozenset(range(6)),)
+        assert getattr(one, relation).tolist() == [0]
+        assert getattr(group, relation).tolist() == [0] * 6
 
 
 def test_green_oracle_on_smallest_instance():
     table = TABLE_221
     green = table.green()
-    sizes = sorted(len(c) for c in green.j)
-    assert sizes == [2, 2]
-    assert green.d == green.j
-    i = table.index_of
+    assert np.bincount(green.j).tolist() == [2, 2]
+    assert np.array_equal(green.d, green.j)
+    i = i221
     assert same_class(green, "L", i(A0), i(A2))
     assert not same_class(green, "R", i(A0), i(A2))
     assert same_class(green, "H", i(IDENT), i(A3))
@@ -199,7 +199,7 @@ def test_green_oracle_matches_literal_definitions():
 @pytest.mark.parametrize("which", ["p2n3r0", "p2n4r2_ideal", "null"])
 def test_green_oracle_matches_a_dense_reference_past_one_row_block(which):
     if which == "null":
-        table = SemigroupTable(tuple(range(300)), np.zeros((300, 300), dtype=int))  # a not in S a
+        table = SemigroupTable(np.zeros((300, 300), dtype=int))  # a not in S a
     elif which == "p2n3r0":
         table = enumerate_semigroup(make_instance(2, 3, 0)).table  # a monoid of order 512
     else:
@@ -210,7 +210,7 @@ def test_green_oracle_matches_a_dense_reference_past_one_row_block(which):
     green = green_oracle(table)
     reference = dense_green(table)
     for relation in ("L", "R", "H", "D", "J"):
-        assert set(getattr(green, relation.lower())) == reference[relation]
+        assert label_sets(getattr(green, relation.lower())) == reference[relation]
 
 
 def test_table_engine_peaks_per_table_cell():
@@ -249,16 +249,72 @@ def test_green_refinement_lattice():
         assert refines(green.d, green.j)
 
 
+#: A valid lattice on four elements: H singletons, two L- and two
+#: R-classes crossing, one D = J class.
+LATTICE = {"l": [0, 0, 1, 1], "r": [0, 1, 0, 1], "h": [0, 1, 2, 3], "d": [0, 0, 0, 0], "j": [0, 0, 0, 0]}
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"h": [0, 1, 0, 2]},
+        {"h": [0, 0, 1, 2]},
+        {"d": [0, 1, 0, 1]},
+        {"d": [0, 0, 1, 1]},
+        {"j": [0, 0, 1, 1]},
+        {"r": [0, 1, 0]},
+        {"l": [1, 1, 0, 0]},
+    ],
+    ids=["h-not-in-l", "h-not-in-r", "l-not-in-d", "r-not-in-d", "d-not-in-j", "short-r", "l-not-canonical"],
+)
+def test_refinement_lattice_check_fails(change):
+    def green(labels):
+        return GreenPartitions(**{rel: np.array(v) for rel, v in labels.items()})
+
+    check_refinement_lattice(green(LATTICE), 4)
+    with pytest.raises(InternalInconsistencyError):
+        check_refinement_lattice(green({**LATTICE, **change}), 4)
+
+
+def _reference_classes(labels):
+    """Indices grouped by label as frozensets, ordered by least index."""
+    groups = {}
+    for i, x in enumerate(labels):
+        groups.setdefault(x, set()).add(i)
+    return sorted((frozenset(g) for g in groups.values()), key=min)
+
+
+LABELLINGS = st.lists(st.integers(0, 5), min_size=1, max_size=30)
+
+
+@given(LABELLINGS)
+def test_label_classes_numbers_classes_by_least_index(labels):
+    classes = _reference_classes(labels)
+    expected = [next(k for k, cls in enumerate(classes) if i in cls) for i in range(len(labels))]
+    assert label_classes(np.array(labels)).tolist() == expected
+
+
+@given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=30))
+def test_refines_matches_a_frozenset_reference(pairs):
+    first, second = (np.array(x) for x in zip(*pairs))
+    coarser = label_classes(second)
+    lookup = {i: k for k, cls in enumerate(_reference_classes(second.tolist())) for i in cls}
+    for finer in (label_classes(first), label_classes(first * 6 + second)):
+        expected = all(len({lookup[i] for i in cls}) == 1 for cls in _reference_classes(finer.tolist()))
+        assert refines(finer, coarser) == expected
+    assert refines(label_classes(first * 6 + second), coarser)
+
+
 def test_idempotents():
     table = TABLE_221
-    assert {table.elements[i] for i in idempotents(table)} == {A0, IDENT, A2}
+    assert mats(S221, idempotents(table)) == {A0, IDENT, A2}
     assert idempotents(cyclic_table(5)) == {0}
-    assert idempotents(SemigroupTable((0,), [[0]])) == {0}
+    assert idempotents(SemigroupTable([[0]])) == {0}
 
 
 def test_natural_leq():
     table = TABLE_221
-    i = table.index_of
+    i = i221
     assert natural_leq(i(A0), i(A0), table)
     assert natural_leq(i(A0), i(IDENT), table)
     assert not natural_leq(i(A0), i(A2), table)
@@ -270,7 +326,7 @@ def test_natural_leq():
 def test_minimal_idempotents_oracle():
     assert minimal_idempotents_oracle(cyclic_table(4)) == {0}
     table = TABLE_221
-    assert {table.elements[i] for i in minimal_idempotents_oracle(table)} == {A0, A2}
+    assert mats(S221, minimal_idempotents_oracle(table)) == {A0, A2}
     bigger = TABLE_231
     assert len(minimal_idempotents_oracle(bigger)) == 4
     idem = idempotents(bigger)
@@ -280,7 +336,7 @@ def test_minimal_idempotents_oracle():
 
 def test_principal_ideal():
     table = TABLE_221
-    i = table.index_of
+    i = i221
     assert principal_ideal(table, i(IDENT)) == frozenset(range(4))
     assert principal_ideal(table, i(A0)) == {i(A0), i(A2)}
     group = cyclic_table(5)
@@ -289,7 +345,7 @@ def test_principal_ideal():
 
 def test_verify_ideal():
     table = TABLE_221
-    i = table.index_of
+    i = i221
     assert verify_ideal(table, range(4))
     assert verify_ideal(table, {i(A0), i(A2)})
     assert not verify_ideal(table, {i(IDENT), i(A3)})
@@ -298,7 +354,7 @@ def test_verify_ideal():
 
 
 def test_rank_search_basics():
-    assert rank_search(SemigroupTable((0,), [[0]]), [0], 1) == (1, (0,))
+    assert rank_search(SemigroupTable([[0]]), [0], 1) == (1, (0,))
     pair_group = cyclic_table(2)
     assert rank_search(pair_group, [0, 1], 2) == (1, (1,))
     table = TABLE_221
@@ -330,17 +386,17 @@ def test_rank_search_witness_is_lex_least():
 
 def test_subtable_units_form_group():
     table = TABLE_231
-    ident_idx = table.index_of(identity_mat(3))
+    ident_idx = index_of(S231, identity_mat(3))
     units = [i for i in range(len(table)) if ident_idx in table.mul[i]]
     sub = subtable(table, units)
     assert len(sub) == 24
     green = green_oracle(sub)
-    assert green.h == (frozenset(range(24)),)
+    assert green.h.tolist() == [0] * 24
 
 
 def test_subtable_rejects_unclosed_subset():
     table = TABLE_221
-    i = table.index_of
+    i = i221
     # {identity, A3*?}: the pair {A3, A0} generates everything, so it is not closed
     with pytest.raises(PreconditionError):
         subtable(table, [i(A3), i(A0)])
