@@ -268,12 +268,17 @@ def action_table(p: int, rows) -> np.ndarray:
     return codes(p, vectors @ vectors[rows] % p).T
 
 
+def key_dtype(q: int, n: int) -> type:
+    """Integer type of the keys packing n row codes base q: int32 while every key fits."""
+    return np.int32 if q**n < 2**31 else np.int64
+
+
 def key_index(q: int, rows: np.ndarray) -> np.ndarray:
     """index[key]: the position in rows of the row-code tuple whose codes
     pack (base q, first row most significant) to key; -1 for any other
-    key.  Dense over all q^n keys; int32 while every key fits."""
+    key.  Dense over all q^n keys, in key_dtype."""
     n = rows.shape[1]
-    index = np.full(q**n, -1, dtype=np.int32 if q**n < 2**31 else np.int64)
+    index = np.full(q**n, -1, dtype=key_dtype(q, n))
     index[codes(q, rows)] = np.arange(len(rows))
     return index
 

@@ -44,6 +44,7 @@ from .gf_linalg import (
     identity_mat,
     is_complement,
     is_invertible,
+    key_dtype,
     key_index,
     linear_map,
     mat_inverse,
@@ -134,15 +135,11 @@ def _cayley(p: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # member's key packs its row codes base p^n, so keys follow the sorted
     # member order, and a dense inverse over all p^(n^2) keys (never more
     # entries than the table) maps each product to its index.  The key of
-    # a*b is the part packed from a's first n//2 rows plus the part from
-    # the rest, each tabulated once per distinct half of a member's rows.
+    # a*b comes from _half_keys, two gathers and one add per product.
     count, n = rows.shape
-    q = p**n
-    index = key_index(q, rows)
+    index = key_index(p**n, rows)
     act = action_table(p, rows).astype(index.dtype)  # act[v, b]: code of v*b
-    head, head_keys = _half_keys(q, act, rows[:, : n // 2])
-    tail, tail_keys = _half_keys(q, act, rows[:, n // 2 :])
-    head_keys *= q ** (n - n // 2)
+    head, head_keys, tail, tail_keys = _half_keys(p**n, act, rows)
     out = np.empty((count, count), dtype=table_dtype(count))
     block = max(1, 2**15 // count)  # rows whose keys stay in cache
     for lo in range(0, count, block):
@@ -154,15 +151,29 @@ def _cayley(p: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, act
 
 
-def _half_keys(q: int, act: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # (id of each member's row-code tuple, keys[id, b]: the tuple's rows
-    # times b packed base q); a single all-zero row when the tuple is empty.
-    _, first, ids = np.unique(codes(q, rows), return_index=True, return_inverse=True)
-    keys = np.zeros((len(first), act.shape[1]), dtype=act.dtype)
-    for i in range(rows.shape[1]):
-        keys *= q
-        keys += act[rows[first, i]]
-    return ids.reshape(-1), keys
+def _half_keys(q: int, table: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The product-key kernel: (head_ids, head, tail_ids, tail) with
+
+        key(rows[i] * b) = head[head_ids[i], b] + tail[tail_ids[i], b],
+
+    the key packing (base q, first row most significant) the codes
+    table[rows[i, j], b] of the product of the matrix given by the row
+    codes rows[i] with the matrix of column b of the action table.  The
+    head covers the first n//2 rows, pre-scaled by q^(n - n//2), the tail
+    the rest; each part is tabulated once per distinct half of the rows,
+    as a single all-zero row when the half is empty (n = 1).
+    """
+    n = rows.shape[1]
+    parts: list[np.ndarray] = []
+    for half, scale in ((rows[:, : n // 2], q ** (n - n // 2)), (rows[:, n // 2 :], 1)):
+        _, first, ids = np.unique(codes(q, half), return_index=True, return_inverse=True)
+        keys = np.zeros((len(first), table.shape[1]), dtype=key_dtype(q, n))
+        for i in range(half.shape[1]):
+            keys *= q
+            keys += table[half[first, i]]
+        keys *= scale
+        parts += [ids.reshape(-1), keys]
+    return tuple(parts)
 
 
 def _once(store: dict, key, make):
@@ -253,6 +264,12 @@ class Structure:
         return self.index[keys]
 
     @cached_property
+    def keys(self) -> np.ndarray:
+        """keys[a]: the key of element a, its row codes packed as s.index reads them."""
+        q = self.inst.p ** self.inst.n
+        return codes(q, self.rows).astype(key_dtype(q, self.inst.n))
+
+    @cached_property
     def batch(self) -> "_Batch":
         """Domain inverses and image tables of the batched constructors."""
         return _Batch(self)
@@ -330,12 +347,13 @@ def _act(inst: Instance, rows, m: Mat) -> tuple[Vec, ...]:
 
 # The constructors run in batches.  Every matrix is held as its n row
 # codes (gf_linalg.codes), and a matrix m is held by its action
-# table t, t[v, j] coding v*m_j in the layout of act, so a product x*m
-# is the gather t[rows of x, j].  Each output is inverse(domain) times
-# images (_apply): the domain inverses come from one batched
-# Gauss-Jordan per Structure, every output is looked up in s.index, and
-# it is multiplied back out through s.act, never through the Cayley
-# table.  The scalar constructors are batches of one.
+# table t, t[v, j] coding v*m_j in the layout of act.  Each output is
+# inverse(domain) times images: the domain inverses come from one
+# batched Gauss-Jordan per Structure, and the images are columns of an
+# action table.  Every output is made by _made, its key read off the
+# _half_keys tables of the inverses and looked up in s.index; it is
+# multiplied back out through _half_keys tables of s.act, never through
+# the Cayley table.  The scalar constructors are batches of one.
 
 #: Most pairs (or elements) one block of a batch holds.
 _BLOCK = 2**14
@@ -350,22 +368,26 @@ def _spliced(head: np.ndarray, fill, rows: np.ndarray, shift: np.ndarray, n_r: i
     return np.where(head, fill, np.take_along_axis(rows, src, axis=1))
 
 
-def _apply(inv: np.ndarray, table: np.ndarray, owner) -> np.ndarray:
-    """Row codes of inv * m for each output, m being the images matrix
-    in column owner of table: row i of inv, coded c, times m is
-    table[c, owner].  Every constructor output is made here."""
-    return table[inv, np.asarray(owner)[..., None]]
-
-
 def _require(ok: np.ndarray, message: str, name) -> None:
     # Raise InternalInconsistencyError naming the first output where ok fails.
     if not ok.all():
         raise InternalInconsistencyError(f"{message} at {name(*np.argwhere(~ok)[0].tolist())}")
 
 
-def _found(s: Structure, codes: np.ndarray, what: str, name) -> np.ndarray:
-    # Index of each output given by its row codes, through s.index.
-    found = s.find(codes)
+def _key(parts: tuple[np.ndarray, ...], i, b) -> np.ndarray:
+    # key(R_i * b) from the _half_keys tables parts of rows R; i and b
+    # broadcast.  Flat takes: about twice as fast as 2-D fancy indexing.
+    head_ids, head, tail_ids, tail = parts
+    width = head.shape[1]
+    return head.take(head_ids[i] * width + b) + tail.take(tail_ids[i] * width + b)
+
+
+def _made(s: Structure, parts: tuple[np.ndarray, ...], i, b, what: str, name) -> np.ndarray:
+    """Index of each constructor output R_i * b, R being the inverses
+    and b a column of the images table that _half_keys tabulated parts
+    from; i and b broadcast.  Every constructor output is made here, and
+    one whose key no member has is refused."""
+    found = s.index[_key(parts, i, b)]
     _require(found >= 0, f"a constructed {what} is not a member", name)
     return found
 
@@ -465,12 +487,14 @@ class _Batch:
         """lam[c, d]: factor_through's lam from kernel class c to kernel
         class d (-1 where codim c > codim d): c's kernel to zero, c's
         transversal onto the first rows of d's, U fixed."""
-        n, top, kc = self.s.inst.n, self.s.inst.n - self.s.inst.r, self.ker_codims
+        p, n, top, kc = self.s.inst.p, self.s.inst.n, self.s.inst.n - self.s.inst.r, self.ker_codims
         c1, c2 = np.nonzero(kc[:, None] <= kc)
         images = _spliced(np.arange(n) < (top - kc[c1])[:, None], 0, self.kernel[c2], kc[c2] - kc[c1], top)
-        rows = solve_codes(self.s.inst.p, self.kernel[c1], images)
+        parts = _half_keys(p**n, action_table(p, images), self.kernel_inv[c1])
+        pair = np.arange(len(c1))
         lam = np.full((len(kc), len(kc)), -1, dtype=np.int64)
-        lam[c1, c2] = _found(self.s, rows, "factor-through lam", lambda i: f"kernel classes ({c1[i]}, {c2[i]})")
+        name = lambda i: f"kernel classes ({c1[i]}, {c2[i]})"
+        lam[c1, c2] = _made(self.s, parts, pair, pair, "factor-through lam", name)
         return lam
 
     @cached_property
@@ -478,12 +502,13 @@ class _Batch:
         """lam[c, d]: sandwich_factor's lam between kernel classes of
         codimension n-r-1 (-1 elsewhere), sending c's transversal,
         kernel and U onto d's."""
-        m = self.s.inst.n - self.s.inst.r - 1
-        grade = np.flatnonzero(self.ker_codims == m)
-        ct, ca = np.repeat(grade, len(grade)), np.tile(grade, len(grade))
-        rows = solve_codes(self.s.inst.p, self.kernel[ct], self.kernel[ca])
+        p, n, r = self.s.inst.p, self.s.inst.n, self.s.inst.r
+        grade = np.flatnonzero(self.ker_codims == n - r - 1)
+        parts = _half_keys(p**n, action_table(p, self.kernel[grade]), self.kernel_inv[grade])
+        at = np.arange(len(grade))
         lam = np.full((len(self.ker_codims),) * 2, -1, dtype=np.int64)
-        lam[ct, ca] = _found(self.s, rows, "sandwich lam", lambda i: f"kernel classes ({ct[i]}, {ca[i]})")
+        name = lambda i, j: f"kernel classes ({grade[i]}, {grade[j]})"
+        lam[np.ix_(grade, grade)] = _made(self.s, parts, at[:, None], at, "sandwich lam", name)
         return lam
 
 
@@ -510,11 +535,12 @@ def regular_witnesses(s: Structure, idxs) -> np.ndarray:
     b sends a's image basis (transversal * a, U * a) back to
     (transversal, U) and kills the image's extension to V.
     """
-    every, bt = _indices(s, idxs), s.batch
+    every, bt, q = _indices(s, idxs), s.batch, s.inst.p**s.inst.n
     out = np.empty(len(every), dtype=table_dtype(len(s.table)))
     for lo, a in _row_blocks(every, 1):
         name = lambda i: f"element {a[i]}"
-        b = _found(s, _apply(bt.element_inv[a], bt.images["regular"], a), "inner inverse", name)
+        at = np.arange(len(a))
+        b = _made(s, _half_keys(q, bt.images["regular"], bt.element_inv[a]), at, a, "inner inverse", name)
         aba = s.act[s.act[s.rows[a], b[:, None]], a[:, None]]
         bab = s.act[s.act[s.rows[b], a[:, None]], b[:, None]]
         ok = (aba == s.rows[a]).all(axis=1) & (bab == s.rows[b]).all(axis=1)
@@ -532,7 +558,7 @@ def raise_factors(s: Structure, idxs) -> tuple[np.ndarray, np.ndarray]:
     complement vector alive while killing the first, so both factors
     have codimension exactly k+1.
     """
-    every, bt = _indices(s, idxs), s.batch
+    every, bt, q = _indices(s, idxs), s.batch, s.inst.p**s.inst.n
     limit = s.inst.n - s.inst.r - 2
     if every.size and bt.codims[every].max() > limit:
         raise PreconditionError(f"raise requires codim <= {limit} so the kernel has dimension >= 2")
@@ -540,8 +566,10 @@ def raise_factors(s: Structure, idxs) -> tuple[np.ndarray, np.ndarray]:
     mu = np.empty_like(lam)
     for lo, a in _row_blocks(every, 1):
         name = lambda i: f"element {a[i]}"
-        li = _found(s, _apply(bt.kernel_inv[bt.ker_ids[a]], bt.images["raise_lam"], a), "raise lam", name)
-        mi = _found(s, _apply(bt.element_inv[a], bt.images["raise_mu"], a), "raise mu", name)
+        at = np.arange(len(a))
+        lam_parts = _half_keys(q, bt.images["raise_lam"], bt.kernel_inv[bt.ker_ids[a]])
+        li = _made(s, lam_parts, at, a, "raise lam", name)
+        mi = _made(s, _half_keys(q, bt.images["raise_mu"], bt.element_inv[a]), at, a, "raise mu", name)
         back = s.act[s.rows[li], mi[:, None]]
         _require((back == s.rows[a]).all(axis=1), "raise factorization failed to recompose", name)
         up = bt.codims[a] + 1
@@ -553,23 +581,26 @@ def raise_factors(s: Structure, idxs) -> tuple[np.ndarray, np.ndarray]:
 def _recomposed_grid(s: Structure, xs, ys, lams, inverse, images, what: str):
     # (lam, mu) with x = lam * y * mu for x = xs[i], y = ys[j]: lam is
     # lams[ker x, ker y] and mu is inverse(codim x)[y] * (x's images).
-    # Rows run grade by grade, so each block shares the inverses, and
-    # lam * y is multiplied out once per (kernel class of x, y).
-    bt = s.batch
+    # Rows run grade by grade, so each block shares the inverses' key
+    # tables, and lam * y is multiplied out once per (kernel class of x,
+    # y); its key tables then give the key of lam * y * mu, held against x's.
+    bt, q = s.batch, s.inst.p**s.inst.n
     lam = np.empty((len(xs), len(ys)), dtype=table_dtype(len(s.table)))
     mu = np.empty_like(lam)
+    cols = np.arange(len(ys))
     for k in sorted(set(bt.codims[xs].tolist())):
         at = np.flatnonzero(bt.codims[xs] == k)
         classes, pos = np.unique(bt.ker_ids[xs[at]], return_inverse=True)
         class_lam = lams[classes[:, None], bt.ker_ids[ys]]
         lam_y = s.act[s.rows[class_lam], ys[:, None]]
-        inv = inverse(k)[ys]
+        back = _half_keys(q, s.act, lam_y.reshape(-1, lam_y.shape[-1]))
+        parts = _half_keys(q, images, inverse(k)[ys])
         for lo, run in _row_blocks(at, len(ys)):
             x, here = xs[run], pos[lo : lo + len(run)]
             name = lambda i, j: f"pair ({x[i]}, {ys[j]})"
-            mi = _found(s, _apply(inv, images, x[:, None]), f"{what} mu", name)
-            back = s.act[lam_y[here], mi[..., None]]
-            _require((back == s.rows[x][:, None]).all(axis=2), f"{what} factors failed to recompose", name)
+            mi = _made(s, parts, cols, x[:, None], f"{what} mu", name)
+            ok = _key(back, here[:, None] * len(ys) + cols, mi) == s.keys[x][:, None]
+            _require(ok, f"{what} factors failed to recompose", name)
             lam[run], mu[run] = class_lam[here], mi
     return lam, mu
 
@@ -602,10 +633,11 @@ def dclass_witness_grid(s: Structure, left, right) -> np.ndarray:
     if codims.size and codims.min() != codims.max():
         raise PreconditionError("witness requires equal codimension")
     out = np.empty((len(every), len(b)), dtype=table_dtype(len(s.table)))
+    parts = _half_keys(s.inst.p**s.inst.n, bt.images["dclass"], bt.kernel_inv[bt.ker_ids[b]])
+    cols = np.arange(len(b))
     for lo, a in _row_blocks(every, len(b)):
         name = lambda i, j: f"pair ({a[i]}, {b[j]})"
-        rows = _apply(bt.kernel_inv[bt.ker_ids[b]], bt.images["dclass"], a[:, None])
-        g = _found(s, rows, "D-class witness", name)
+        g = _made(s, parts, cols, a[:, None], "D-class witness", name)
         ok = (bt.img_ids[g] == bt.img_ids[a][:, None]) & (bt.ker_ids[g] == bt.ker_ids[b])
         _require(ok, "constructed witness has the wrong image or kernel", name)
         out[lo : lo + len(a)] = g
@@ -702,7 +734,7 @@ def is_idempotent_by_image(s: Structure, a: int) -> bool:
     """Idempotency via the restriction test: a fixes its image pointwise,
     the image being the set of codes in a's column of s.act."""
     (a,) = _indices(s, a)
-    img = np.unique(s.act[:, a])
+    img = np.flatnonzero(np.bincount(s.act[:, a]))
     return bool((s.act[img, a] == img).all())
 
 

@@ -81,7 +81,8 @@ def element_bijection(witness: IsoWitness, s1: Structure, s2: Structure) -> tupl
         raise InternalInconsistencyError("conjugation carried an element out of the target")
     # psi in the table's own index dtype, so psi[t1.mul] is no wider than t1.mul.
     psi = found.astype(t2.mul.dtype)
-    if np.unique(psi).size != len(psi):
+    # Injective iff no index is hit twice; a plain np.unique would import numpy.ma.
+    if np.bincount(psi).max() > 1:
         raise InternalInconsistencyError("conjugation is not injective on elements")
     # psi(a*b) against psi(a)*psi(b) for every pair, a block of rows at a time.
     for lo in range(0, len(psi), ROW_BLOCK):

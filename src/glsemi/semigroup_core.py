@@ -334,15 +334,26 @@ def principal_ideal(table: SemigroupTable, a: int) -> frozenset[int]:
 
 
 def verify_ideal(table: SemigroupTable, subset) -> bool:
-    """True iff the subset is closed under multiplication by all of S, both sides."""
+    """True iff the subset is closed under multiplication by all of S, both sides.
+
+    One ROW_BLOCK of table rows at a time: the subset's own rows (i * S),
+    then every row restricted to the subset's columns (S * i), each a
+    contiguous read of the table, so no |I| x N temporary is made.
+    """
     s = frozenset(subset)
     if not s:
         raise PreconditionError("ideal candidate is empty")
     mul = table.mul
-    idx = np.fromiter(s, dtype=np.intp, count=len(s))
+    idx = np.fromiter(sorted(s), dtype=np.intp, count=len(s))
     inside = np.zeros(len(mul), dtype=bool)
     inside[idx] = True
-    return bool(inside[mul[idx]].all() and inside[mul[:, idx]].all())
+    for lo in range(0, len(idx), ROW_BLOCK):
+        if not inside[mul[idx[lo : lo + ROW_BLOCK]]].all():
+            return False
+    for lo in range(0, len(mul), ROW_BLOCK):
+        if not inside[mul[lo : lo + ROW_BLOCK][:, idx]].all():
+            return False
+    return True
 
 
 def rank_search(table: SemigroupTable, candidates, cap: int, budget: int | None = None):

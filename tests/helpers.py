@@ -78,40 +78,53 @@ BATCHES = {
 
 
 def break_batch(monkeypatch, p, batch, call=None, member=True):
-    """Corrupt outputs of gl_restriction._apply, which makes every output
+    """Corrupt outputs of gl_restriction._made, which makes every output
     of the batched constructors, while the named batch function runs.
 
-    call counts the _apply calls made under that function from 0; only
+    call counts the _made calls made under that function from 0; only
     the first output of the call-th call is corrupted, or of every call
-    when call is None.  member=True swaps the output's last two columns,
-    which keeps a member a member when U lies in the span of the first
-    n-2 standard vectors, so the recomposition (or the image and kernel
-    compare of a D-class witness) has to catch it.  member=False makes
-    it the zero matrix, which moves any U != 0, so the membership lookup
-    has to.  Returns the list of the corrupted outputs' owners: the
-    element whose images each one used.
+    when call is None.  Outputs made for a _Batch lam table (factor_lams,
+    sandwich_lams) count only when batch names that table.  member=True
+    swaps the output's last two columns, which keeps a member a member
+    when U lies in the span of the first n-2 standard vectors, so the
+    recomposition (or the image and kernel compare of a D-class witness)
+    has to catch it.  member=False makes it the zero matrix, which moves
+    any U != 0, so the membership lookup has to.  The corrupted key is
+    handed to the real _made through one extra row of the head table, so
+    its own lookup and check run on it.  Returns the list of the
+    corrupted outputs' owners: the column of the images table each used,
+    which is the element whose images they are.
     """
-    real = gl_restriction._apply
+    real = gl_restriction._made
     seen, owners = [0], []
+    makers = {batch, "factor_lams", "sandwich_lams"}
 
-    def broken(inv, table, owner):
-        out = real(inv, table, owner)
+    def broken(s, parts, i, b, what, name):
         frame = sys._getframe(1)
-        while frame is not None and frame.f_code.co_name != batch:
+        while frame is not None and frame.f_code.co_name not in makers:
             frame = frame.f_back
-        if frame is None:
-            return out
+        if frame is None or frame.f_code.co_name != batch:
+            return real(s, parts, i, b, what, name)
         number, seen[0] = seen[0], seen[0] + 1
         if call is not None and number != call:
-            return out
-        first = (0,) * (out.ndim - 1)
-        codes = out[first].astype(np.int64)
-        last, second = codes % p, codes // p % p
-        out[first] = codes + (last - second) * (p - 1) if member else 0
-        owners.append(int(np.broadcast_to(owner, out.shape[:-1])[first]))
-        return out
+            return real(s, parts, i, b, what, name)
+        shape = np.broadcast_shapes(np.shape(i), np.shape(b))
+        i, b = np.array(np.broadcast_to(i, shape)), np.broadcast_to(b, shape)
+        first = (0,) * len(shape)
+        q, n = p**s.inst.n, s.inst.n
+        key = int(gl_restriction._key(parts, i[first], b[first]))
+        rows = [key // q ** (n - 1 - j) % q for j in range(n)]
+        bad = sum((c + (c % p - c // p % p) * (p - 1)) * q ** (n - 1 - j) for j, c in enumerate(rows))
+        head_ids, head, tail_ids, tail = parts
+        tail_id = tail_ids[i[first]]
+        row = head[head_ids[i[first]]].astype(np.int64)
+        row[b[first]] = (bad if member else 0) - tail[tail_id, b[first]]
+        parts = (np.append(head_ids, len(head)), np.vstack([head, row]), np.append(tail_ids, tail_id), tail)
+        i[first] = len(head_ids)
+        owners.append(int(b[first]))
+        return real(s, parts, i, b, what, name)
 
-    monkeypatch.setattr(gl_restriction, "_apply", broken)
+    monkeypatch.setattr(gl_restriction, "_made", broken)
     return owners
 
 

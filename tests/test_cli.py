@@ -2,7 +2,11 @@
 
 import dataclasses
 import json
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -391,6 +395,24 @@ def test_main_verify_smallest(tmp_path, capsys):
     assert list(payload) == ["instance", "summary", "checks", "stages"]
     assert list(payload["stages"]) == ["enumerate_s", "profiles_s"]
     assert all(seconds >= 0 for seconds in payload["stages"].values())
+
+
+def test_verify_eggbox_and_report_never_import_numpy_ma(tmp_path):
+    # numpy.ma costs 13-16 ms to import in a cold process, and a plain
+    # np.unique imports it; one fresh interpreter runs all three commands.
+    root = pathlib.Path(__file__).resolve().parents[1]
+    cfg = str(root / "configs" / "p2n2r1.cfg")
+    script = (
+        "import sys\n"
+        "from glsemi.cli import main\n"
+        f"assert main(['verify', '--instance', {cfg!r}]) == 0\n"
+        f"assert main(['eggbox', '--instance', {cfg!r}, '--out', {str(tmp_path / 'e.dot')!r}]) == 0\n"
+        f"assert main(['report', '--instance', {cfg!r}, '--out', {str(tmp_path / 'r.json')!r}]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 def test_main_verify_respects_env_and_flag(tmp_path, capsys, monkeypatch):

@@ -6,6 +6,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from glsemi.errors import (
     CapacityError,
@@ -677,6 +678,57 @@ def test_a_constructed_non_member_is_refused():
             with pytest.raises(InternalInconsistencyError, match="not a member"):
                 fn(S231, *calls[0])
         assert owners == [calls[0][0]], name
+
+
+@pytest.mark.parametrize("member", [True, False])
+@pytest.mark.parametrize("table, name", [("factor_lams", "factor_through"), ("sandwich_lams", "sandwich_factor")])
+def test_a_wrong_lam_table_entry_is_caught(monkeypatch, table, name, member):
+    # The lams come out of the same kernel as every other output; a fresh
+    # Structure builds its lam table under the patch.
+    s = enumerate_semigroup(INST231)
+    fn, calls = VALID_CALLS[name]
+    break_batch(monkeypatch, 2, table, member=member)
+    match = "failed to recompose" if member else "lam is not a member at kernel classes"
+    with pytest.raises(InternalInconsistencyError, match=match):
+        for args in calls:
+            fn(s, *args)
+
+
+@st.composite
+def _kernel_cases(draw):
+    """(q, table, rows): q = p^n for p in {2, 3, 5} and n in 1..4 with
+    q <= 625; an action table of q rows and one to five columns, entries
+    below q, in the smallest type that holds them (as the images tables
+    are held); and one to twelve matrices of n row codes, their halves
+    drawn from small pools so that some repeat."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    n = draw(st.integers(1, 4).filter(lambda n: p**n <= 625))
+    q = p**n
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = rng.integers(0, q, (q, draw(st.integers(1, 5)))).astype(np.min_scalar_type(q - 1))
+    count = draw(st.integers(1, 12))
+    heads = rng.integers(0, q, (3, n // 2))[rng.integers(0, 3, count)]
+    tails = rng.integers(0, q, (3, n - n // 2))[rng.integers(0, 3, count)]
+    return q, table, np.concatenate([heads, tails], axis=1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_kernel_cases())
+def test_half_key_kernel_packs_each_product_row_by_row(case):
+    q, table, rows = case
+    n, width = rows.shape[1], table.shape[1]
+    head_ids, head, tail_ids, tail = parts = gl_restriction._half_keys(q, table, rows)
+    # One table row per distinct half, the head's empty at n = 1.
+    assert len(head) == len(np.unique(rows[:, : n // 2], axis=0))
+    assert len(tail) == len(np.unique(rows[:, n // 2 :], axis=0))
+    # The product's row codes table[c, b], packed base q by direct summation.
+    expected = [
+        [sum(int(table[c, b]) * q ** (n - 1 - j) for j, c in enumerate(row)) for b in range(width)]
+        for row in rows.tolist()
+    ]
+    got = head[head_ids[:, None], np.arange(width)] + tail[tail_ids[:, None], np.arange(width)]
+    assert got.tolist() == expected
+    assert gl_restriction._key(parts, np.arange(len(rows))[:, None], np.arange(width)).tolist() == expected
 
 
 def test_nonnormality_gf3_matches_hand_computation():

@@ -353,6 +353,24 @@ def test_verify_ideal():
         verify_ideal(table, ())
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_verify_ideal_reads_every_block_on_each_side(side):
+    # The null semigroup: every product is 0, so any subset holding 0 is an
+    # ideal.  One product is then moved out of the subset, on one side,
+    # at an element of the subset past its first block and an outsider
+    # past the table's first block.
+    n = 3 * ROW_BLOCK + 5
+    subset = range(2 * ROW_BLOCK + 10)
+    inner, outer = 2 * ROW_BLOCK + 5, n - 2
+    mul = np.zeros((n, n), dtype=np.uint16)
+    assert verify_ideal(SemigroupTable(mul, check=False), subset)
+    if side == "left":
+        mul[inner, outer] = n - 1  # inner * outer leaves; column outer is no subset column
+    else:
+        mul[outer, inner] = n - 1  # outer * inner leaves; row outer is no subset row
+    assert not verify_ideal(SemigroupTable(mul, check=False), subset)
+
+
 def test_rank_search_basics():
     assert rank_search(SemigroupTable([[0]]), [0], 1) == (1, (0,))
     pair_group = cyclic_table(2)
