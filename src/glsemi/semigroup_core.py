@@ -2,9 +2,9 @@
 
 Elements are the integer indices 0..n-1 of the table's rows, and every
 structural computation runs on integer arrays.  Green's relations are
-computed here from their ideal-based definitions only, so this module
-doubles as the brute-force oracle against which the characterized
-relations of the main layer are checked.
+computed here from the table alone, as the one-sided ideals of their
+definitions, so this module doubles as the oracle against which the
+characterized relations of the main layer are checked.
 """
 
 from __future__ import annotations
@@ -58,11 +58,11 @@ class SemigroupTable:
     element i by element j.  Instances are immutable after construction.
     """
 
-    __slots__ = ("mul", "identity_idx", "_right", "_green")
+    __slots__ = ("mul", "identity_idx", "_gens", "_green")
 
     def __init__(self, mul, identity_idx=None, check=True):
         self.mul = _table_array(mul)
-        self._right = self._green = None
+        self._gens = self._green = None
         if identity_idx is None:
             identity_idx = self._find_identity()
         self.identity_idx = identity_idx
@@ -73,17 +73,18 @@ class SemigroupTable:
         return len(self.mul)
 
     def green(self):
-        """Cached definition-level Green partitions for this table."""
+        """Cached Green partitions for this table (see green_oracle)."""
         if self._green is None:
             self._green = green_oracle(self)
         return self._green
 
-    def _right_classes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cached _set_classes of the right ideals a S^1: the table check
-        labels them for its generating set, and the Green oracle reuses them."""
-        if self._right is None:
-            self._right = _set_classes(self.mul)
-        return self._right
+    def _checked_generators(self) -> list[int]:
+        """The generating set the table check proved associativity with.
+        A table built with check=False is checked now, so a table that
+        is not associative is refused here, never mislabelled."""
+        if self._gens is None:
+            self._check_table()
+        return self._gens
 
     def _find_identity(self):
         mul = self.mul
@@ -108,39 +109,52 @@ class SemigroupTable:
                 raise PreconditionError("claimed identity is not two-sided neutral")
         # Light's test: (x*g)*y == x*(g*y) for every generator g.  Every
         # element is a left-normed product t*g of generators (that is what
-        # closure_indices builds, on this same table), so by induction on
-        # its length the law then holds with any element in the middle.
-        for g in _generators(self):
+        # _closure builds, on this same table), so by induction on its
+        # length the law then holds with any element in the middle.
+        gens = _generators(self)
+        for g in gens:
             for lo in range(0, n, ROW_BLOCK):
                 rows = mul[lo : lo + ROW_BLOCK]
                 bad = mul[rows[:, g]] != rows.take(mul[g], axis=1)
                 if bad.any():
                     x, y = np.argwhere(bad)[0].tolist()
                     raise PreconditionError(f"table is not associative at ({lo + x}, {g}, {y})")
+        self._gens = gens
 
 
 def _generators(table: SemigroupTable) -> list[int]:
-    """A greedy generating set: the units first, then the non-units by
-    descending |a S^1|, each taken only when the closure so far misses
-    it; then every unit whose dropping leaves a generating set goes."""
-    n = len(table)
-    labels, sets = table._right_classes()
-    sizes = np.count_nonzero(sets, axis=1)[labels]
-    # In a finite monoid a S^1 = S exactly when a is a unit; a table
-    # without an identity has no units.
-    unit = sizes == n if table.identity_idx is not None else np.zeros(n, dtype=bool)
-    order = np.argsort(-sizes, kind="stable")
-    gens: list[int] = []
-    covered: frozenset[int] = frozenset()
-    for i in np.concatenate([np.flatnonzero(unit), order[~unit[order]]]).tolist():
-        if len(covered) == n:
+    """A greedy generating set: the units by descending order, then the
+    non-units in index order, each taken only when the closure so far
+    misses it; then every generator the others still generate goes."""
+    mul = table.mul
+    n = len(mul)
+    unit = np.zeros(n, dtype=bool)
+    e = table.identity_idx
+    if e is not None:
+        # In a finite monoid a is a unit exactly when some a*b is the identity.
+        for lo in range(0, n, ROW_BLOCK):
+            unit[lo : lo + ROW_BLOCK] = (mul[lo : lo + ROW_BLOCK] == e).any(axis=1)
+    units = np.flatnonzero(unit)
+    # order[i]: the least k with units[i]^k = e.  A unit's powers stay in
+    # the group of units, so they return within |units| steps; the bound
+    # stops the loop on a table that is no monoid (order 0 there), which
+    # Light's test then refuses.
+    order = np.zeros(len(units), dtype=np.intp)
+    power = units
+    for k in range(1, len(units) + 1):
+        order[(order == 0) & (power == e)] = k
+        if order.all():
             break
-        if i not in covered:
+        power = mul[power, units]
+    gens: list[int] = []
+    covered = np.zeros(n, dtype=bool)
+    for i in np.concatenate([units[np.argsort(-order, kind="stable")], np.flatnonzero(~unit)]).tolist():
+        if not covered[i]:
             gens.append(i)
-            covered = closure_indices(table, gens)
-    for u in [g for g in gens if unit[g]]:
-        fewer = [g for g in gens if g != u]
-        if fewer and len(closure_indices(table, fewer)) == n:
+            covered = _closure(mul, gens)
+    for g in list(gens):
+        fewer = [h for h in gens if h != g]
+        if fewer and _closure(mul, fewer).all():
             gens = fewer
     return gens
 
@@ -176,51 +190,80 @@ def refines(finer: np.ndarray, coarser: np.ndarray) -> bool:
     return bool((of_class[finer] == coarser).all())
 
 
-def _row_sets(mul: np.ndarray, left: bool = False):
-    """Yield, one ROW_BLOCK of elements a at a time, the boolean matrix
-    whose row marks a S^1 (with left, S^1 a): the values in row a (in
-    column a) and a itself.  A block is one flat scatter; the columns
-    are read a tile at a time, never as the whole strided mul.T."""
-    n = len(mul)
-    for lo in range(0, n, ROW_BLOCK):
-        count = min(ROW_BLOCK, n - lo)
-        owners = np.arange(count) * n
-        sets = np.zeros(count * n, dtype=bool)
-        sets[mul[:, lo : lo + count] + owners if left else mul[lo : lo + count] + owners[:, None]] = True
-        sets[owners + np.arange(lo, lo + count)] = True
-        yield sets.reshape(count, n)
+def _components(succ: np.ndarray) -> np.ndarray:
+    """The strongly connected component of each vertex of the graph with
+    edges x -> succ[x, j], by an iterative Tarjan: components numbered
+    in the order they are completed."""
+    adj = succ.tolist()
+    n = len(adj)
+    index, low, comp = [-1] * n, [0] * n, [-1] * n
+    stack: list[int] = []
+    seen = done = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = seen
+        seen += 1
+        stack.append(root)
+        work = [(root, iter(adj[root]))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if index[w] < 0:  # a tree edge: descend, resume v's edges later
+                    index[w] = low[w] = seen
+                    seen += 1
+                    stack.append(w)
+                    work.append((w, iter(adj[w])))
+                    break
+                if comp[w] < 0 and index[w] < low[v]:  # w is still on the stack
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    w = -1
+                    while w != v:
+                        w = stack.pop()
+                        comp[w] = done
+                    done += 1
+    return np.array(comp)
 
 
-def _set_classes(mul: np.ndarray, left: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """(class label of each element, unpacked set of each class) for equal
-    a S^1 (with left, S^1 a), labels in order of first appearance.  The
-    sets are compared np.packbits-packed; only one per class is unpacked."""
-    seen: dict[bytes, int] = {}
-    labels = [
-        seen.setdefault(row.tobytes(), len(seen))
-        for sets in _row_sets(mul, left)
-        for row in np.packbits(sets, axis=1)
-    ]
-    packed = np.frombuffer(b"".join(seen), dtype=np.uint8).reshape(len(seen), -1)
-    return np.array(labels), np.unpackbits(packed, axis=1, count=len(mul)).view(bool)
+def _ideal_sets(lines: np.ndarray, owners: np.ndarray) -> np.ndarray:
+    """Row c marks the values of lines[c] and owners[c]: with a row of
+    mul through a, the right ideal a S^1; with a column, S^1 a."""
+    count, n = lines.shape
+    sets = np.zeros((count, n), dtype=bool)
+    sets[np.arange(count)[:, None], lines] = True
+    sets[np.arange(count), owners] = True
+    return sets
 
 
 def green_oracle(table: SemigroupTable) -> GreenPartitions:
-    """Green partitions straight from the one- and two-sided ideal definitions.
+    """Green partitions from the table alone.
 
-    L compares left ideals S^1 a, R compares right ideals a S^1, H is
-    the meet of L and R, J compares two-sided ideals S^1 a S^1, and D
-    is the composite of L and R, which is checked to be a symmetric
-    (hence equivalence) relation before being returned.  Each one-sided
-    ideal is a row-presence bitset, built a row block at a time and
-    compared packed; the D and J steps read one bitset per class.
+    With A the generating set the table check proved associativity
+    with, S^1 a is the set reachable from a along the edges x -> g x of
+    the left Cayley graph (g in A), and a S^1 along x -> x g of the
+    right one.  So L (equal S^1 a) and R (equal a S^1) are the strongly
+    connected components of two graphs of N |A| edges (Froidure and
+    Pin, 1997).  H is the meet of L and R, J compares two-sided ideals
+    S^1 a S^1, and D is the composite of L and R, which is checked to be
+    a symmetric (hence equivalence) relation before being returned.  The
+    D and J steps read one one-sided ideal per class, from one column
+    (S^1 a) or one row (a S^1) of the table.
     """
     mul = table.mul
     n = len(mul)
-    # Row x: the left ideal of L-class x, and the right ideal of R-class x.
-    # Labels in order of first appearance are already canonical.
-    lid, left = _set_classes(mul, left=True)
-    rid, right = table._right_classes()
+    gens = table._checked_generators()
+    lid = label_classes(_components(mul[gens].T))
+    rid = label_classes(_components(mul[:, gens]))
+    # Row x: the left ideal of L-class x, and the right ideal of R-class x,
+    # each read off the class's least element.
+    lead_l, lead_r = (np.unique(ids, return_index=True)[1] for ids in (lid, rid))
+    left = _ideal_sets(mul[:, lead_l].T, lead_l)
+    right = _ideal_sets(mul[lead_r], lead_r)
 
     # cells[l, r]: some element has L-class l and R-class r.
     cells = np.zeros((lid.max() + 1, rid.max() + 1), dtype=bool)
@@ -258,7 +301,10 @@ def green_oracle(table: SemigroupTable) -> GreenPartitions:
     in_l, members = np.nonzero(left)
     meets = np.zeros(cells.shape, dtype=bool)
     meets[in_l, rid[members]] = True
-    j_of_l = np.unique(np.matmul(meets, right), axis=0, return_inverse=True)[1].reshape(-1)
+    two_sided: dict[bytes, int] = {}
+    j_of_l = np.array(
+        [two_sided.setdefault(row.tobytes(), len(two_sided)) for row in np.packbits(np.matmul(meets, right), axis=1)]
+    )
 
     h = label_classes(lid * (rid.max() + 1) + rid)
     green = GreenPartitions(l=lid, r=rid, h=h, d=label_classes(d_of_l[lid]), j=label_classes(j_of_l[lid]))
@@ -283,9 +329,10 @@ def check_refinement_lattice(green: GreenPartitions, n: int) -> None:
             raise InternalInconsistencyError("Green refinement lattice violated")
 
 
-def closure_indices(table: SemigroupTable, gen_idxs) -> frozenset[int]:
-    """Indices of the subsemigroup generated by the given indices."""
-    mul = table.mul
+def _closure(mul: np.ndarray, gen_idxs) -> np.ndarray:
+    """Mask of the subsemigroup generated by the given indices: the
+    generators, then every product t*g of an element t found so far by a
+    generator g, frontier by frontier."""
     gens = np.array(list(dict.fromkeys(gen_idxs)), dtype=np.intp)
     if not gens.size:
         raise PreconditionError("generator set is empty")
@@ -297,7 +344,12 @@ def closure_indices(table: SemigroupTable, gen_idxs) -> frozenset[int]:
         grown[mul[frontier[:, None], gens]] = True
         frontier = np.flatnonzero(grown > seen)
         seen = grown
-    return frozenset(np.flatnonzero(seen).tolist())
+    return seen
+
+
+def closure_indices(table: SemigroupTable, gen_idxs) -> frozenset[int]:
+    """Indices of the subsemigroup generated by the given indices."""
+    return frozenset(np.flatnonzero(_closure(table.mul, gen_idxs)).tolist())
 
 
 def idempotents(table: SemigroupTable) -> frozenset[int]:
@@ -362,7 +414,7 @@ def rank_search(table: SemigroupTable, candidates, cap: int, budget: int | None 
     Sweeps subsets in deterministic lexicographic order and returns
     (size, witness) for the first generating subset found, or None if
     no subset of size <= cap generates.  A `budget` bounds the number
-    of closures attempted; exceeding it raises CapacityError so that
+    of subsets swept; exceeding it raises CapacityError so that
     callers can report "not computed" instead of a wrong answer.
     """
     if cap < 1:
@@ -371,13 +423,16 @@ def rank_search(table: SemigroupTable, candidates, cap: int, budget: int | None 
     cands = sorted(set(candidates))
     if any(c < 0 or c >= n for c in cands):
         raise PreconditionError("candidate indices out of range")
+    # One element generates a commutative subsemigroup, so on a table that
+    # is not commutative the singletons count against the budget untried.
+    commutative = np.array_equal(table.mul, table.mul.T)
     attempts = 0
     for k in range(1, min(cap, len(cands)) + 1):
         for combo in combinations(cands, k):
             attempts += 1
             if budget is not None and attempts > budget:
                 raise CapacityError(f"rank search exceeded budget of {budget} subsets")
-            if len(closure_indices(table, combo)) == n:
+            if (k > 1 or commutative) and _closure(table.mul, combo).all():
                 return k, combo
     return None
 

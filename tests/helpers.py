@@ -45,8 +45,11 @@ def mats(s, idxs):
 def with_product(s, i, j, k):
     """A copy of Structure s whose table says element i times element j is k.
 
-    The table check is skipped so that the one wrong product survives;
-    a check that reads the table must then notice it.
+    The table check is skipped so that the one wrong product survives; a
+    check that reads the table's products must then notice it.  A table
+    that is not associative is refused by its first green() call, which
+    runs the skipped check, so a check that reads Green's relations fails
+    on it with a PreconditionError naming a non-associative triple.
     """
     mul = s.table.mul.copy()
     mul[i, j] = k
@@ -65,6 +68,15 @@ def with_column(s, a, m):
         sum(x * p ** (n - 1 - j) for j, x in enumerate(naive_vec_mat(p, v, m))) for v in product(range(p), repeat=n)
     ]
     return Structure(s.inst, s.table, act)
+
+
+def with_codim(s, a, k):
+    """A copy of Structure s that says element a has codimension k.  The
+    table and the action array are shared, so only a check that reads
+    s.codims, or the grades and ideals made from them, can notice."""
+    bad = Structure(s.inst, s.table, s.act)
+    bad.codims = s.codims[:a] + (k,) + s.codims[a + 1 :]
+    return bad
 
 
 #: The batch each scalar constructor runs as a batch of one.

@@ -54,7 +54,7 @@ from glsemi.gl_restriction import (
 )
 from glsemi.semigroup_core import SemigroupTable, label_classes
 
-from helpers import BATCHES, break_batch, with_column, with_product, with_wrong_split
+from helpers import BATCHES, break_batch, matrices, with_codim, with_column, with_product, with_wrong_split
 
 CAPS = (DEFAULT_ENUM_CAP, DEFAULT_RANK_CAP)
 
@@ -247,18 +247,40 @@ def test_factorizations_and_regularity_cover_every_pair_and_element(monkeypatch)
     assert sorted(singles["regular"]) == list(range(n))
 
 
-def test_green_agreement_fails_when_one_product_splits_an_l_class():
+def _verify_with(monkeypatch, s, bad):
+    """The checks of cmd_verify, by name, on s's instance with the
+    Structure bad in place of the one enumerate_semigroup builds."""
+    monkeypatch.setattr(cli, "enumerate_semigroup", lambda inst, cap: bad if inst == s.inst else enumerate_semigroup(inst, cap))
+    report = cmd_verify(InstanceConfig(p=s.inst.p, n=s.inst.n, r=s.inst.r), *CAPS)
+    return {check.name: check for check in report.checks}
+
+
+def test_green_agreement_fails_when_one_product_splits_an_l_class(monkeypatch):
     s = enumerate_semigroup(make_instance(2, 3, 1))
     l_ids = s.table.green().l
     assert np.count_nonzero(l_ids == l_ids[0]) == 4  # element 0 and three others
     # 0*0 now reads the identity, so the left ideal S^1 0 (column 0 plus 0)
-    # gains the identity and 0 leaves the other three.
+    # would gain the identity and 0 leave the other three.  Such a table
+    # is not associative, and the Green oracle refuses it before labelling.
     bad = with_product(s, 0, 0, s.table.identity_idx)
     assert _check_green_agreement(s, CAPS)[0] == "pass"
+    check = _verify_with(monkeypatch, s, bad)["green_agreement"]
+    assert check.status == "fail"
+    assert check.reason.startswith("PreconditionError: table is not associative at (")
+
+
+def test_green_agreement_fails_when_one_element_acts_with_another_image():
+    s = enumerate_semigroup(make_instance(2, 3, 1))
+    img, codims = s.image_classes[0], s.codims
+    a = min(j_class(s, 1))
+    b = next(i for i in range(len(s.table)) if img[i] != img[a] and codims[i] == codims[a])
+    # a's column of s.act now reads b's matrix: the table is unchanged
+    # and associative, but the characterization moves a to b's L-class.
+    bad = with_column(s, a, matrices(s)[b])
+    assert bad.codims == codims
     status, counts, _ = _check_green_agreement(bad, CAPS)
     assert status == "fail"
-    assert counts["agrees"] is False
-    assert counts["l_classes"] == l_ids.max() + 2
+    assert counts["agrees"] is False and counts["d_equals_j"] is True
 
 
 @pytest.mark.parametrize("p, n, r, u_rows", [(2, 3, 1, None), (3, 3, 2, [(1, 1, 0), (0, 1, 2)])])
@@ -317,12 +339,24 @@ def test_generation_fails_when_one_product_leaves_its_ideal():
     assert "grade 1 did not generate the ideal below 2" in reason
 
 
-def test_ideal_structure_fails_when_one_product_leaves_the_minimal_ideal():
+def test_ideal_structure_fails_when_one_product_leaves_the_minimal_ideal(monkeypatch):
     s = enumerate_semigroup(make_instance(2, 3, 1))
     a = min(j_class(s, 0))
-    # a*a now reads the identity, which lies outside Q(1).
+    # a*a now reads the identity, which lies outside Q(1).  Such a table
+    # is not associative, and the check's Green oracle refuses it.
     bad = with_product(s, a, a, s.table.identity_idx)
     assert _check_ideal_structure(s, CAPS)[0] == "pass"
+    check = _verify_with(monkeypatch, s, bad)["ideal_structure"]
+    assert check.status == "fail"
+    assert check.reason.startswith("PreconditionError: table is not associative at (")
+
+
+def test_ideal_structure_fails_when_a_wrong_codimension_leaves_q1_no_ideal():
+    s = enumerate_semigroup(make_instance(2, 3, 1))
+    a = min(j_class(s, 1))
+    # a is now said to have codimension 0, so Q(1) holds a but not the
+    # rest of a S^1; the table is the checked one.
+    bad = with_codim(s, a, 0)
     status, _, reason = _check_ideal_structure(bad, CAPS)
     assert status == "fail"
     assert "Q(1) is not an ideal" in reason
@@ -349,11 +383,25 @@ def test_verify_fails_a_minimal_ideal_element_without_the_image_kernel_split(mon
     assert _check_ideal_structure(s, CAPS)[0] == "pass"
 
 
-def test_ideal_structure_checks_the_principal_ideal_of_every_element():
+def test_ideal_structure_checks_the_principal_ideal_of_every_element(monkeypatch):
     s = enumerate_semigroup(make_instance(2, 4, 2))
     a = max(j_class(s, 0))  # shares its image and L-class with 95 lower indices
-    # a*a now reads the identity, so a's principal ideal is all of S, not Q(1).
+    # a*a now reads the identity, so a's principal ideal would be all of
+    # S, not Q(1).  Such a table is not associative, and is refused.
     bad = with_product(s, a, a, s.table.identity_idx)
+    check = _verify_with(monkeypatch, s, bad)["ideal_structure"]
+    assert check.status == "fail"
+    assert check.reason.startswith("PreconditionError: table is not associative at (")
+
+
+def test_ideal_structure_compares_the_principal_ideal_past_each_l_class_leader():
+    s = enumerate_semigroup(make_instance(2, 4, 2))
+    a = max(j_class(s, 0))
+    l_ids = s.table.green().l
+    assert np.flatnonzero(l_ids == l_ids[a])[0] < a  # a does not lead its L-class
+    # a is now said to have codimension 1, so its principal ideal, Q(1) on
+    # the checked table, should have been Q(2).
+    bad = with_codim(s, a, 1)
     status, counts, reason = _check_ideal_structure(bad, CAPS)
     assert status == "fail" and counts["principal_reps"] == len(s.table)
     assert f"principal ideal mismatch at element {a}" in reason

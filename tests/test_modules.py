@@ -2,10 +2,12 @@
 
 import ast
 import pathlib
+import sys
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "glsemi"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "glsemi"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -47,6 +49,18 @@ def _package_imports(tree: ast.Module) -> set[str]:
     return found
 
 
+def _third_party_imports(tree: ast.Module) -> list[str]:
+    """The top-level name of every absolute import that is neither the
+    standard library, numpy nor the package itself."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+    return sorted(found - set(sys.stdlib_module_names) - {"numpy", "glsemi"})
+
+
 def test_every_module_is_found():
     assert {path.stem for path in MODULES} >= {"gf_linalg", "semigroup_core", "gl_restriction", "isomorphism", "cli"}
 
@@ -85,3 +99,28 @@ def test_the_generic_layers_import_only_errors_from_the_package(name):
 )
 def test_a_package_import_is_flagged(source):
     assert len(_package_imports(ast.parse(source)) - {"errors"}) == 1
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
+def test_no_module_imports_a_third_party_package_but_numpy(path):
+    # numpy is the one declared dependency; anything else would be a
+    # dependency nobody installs, and an import cost in every command.
+    assert _third_party_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "import scipy\n",
+        "import numpy as np\nfrom scipy.sparse.csgraph import connected_components\n",
+        "from __future__ import annotations\nimport itertools\nimport networkx as nx\n",
+    ],
+)
+def test_a_third_party_import_is_flagged(source):
+    assert len(_third_party_imports(ast.parse(source))) == 1
+
+
+def test_the_package_declares_only_numpy():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    assert project["dependencies"] == ["numpy"]

@@ -3,14 +3,16 @@
 import re
 import tracemalloc
 from functools import partial
+from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from glsemi.errors import CapacityError, InternalInconsistencyError, PreconditionError
 from glsemi.gf_linalg import identity_mat
-from glsemi.gl_restriction import enumerate_semigroup, make_instance
+from glsemi import semigroup_core
+from glsemi.gl_restriction import enumerate_semigroup, make_instance, unit_group_subtable
 from glsemi.semigroup_core import (
     ROW_BLOCK,
     GreenPartitions,
@@ -77,9 +79,13 @@ def test_table_construction_rejects_bad_input():
 
 
 def test_table_check_names_the_first_non_associative_triple():
-    # (1*0)*1 = 0*1 = 1 but 1*(0*1) = 1*1 = 0.
-    with pytest.raises(PreconditionError, match=re.escape("(1, 0, 1)")):
-        SemigroupTable([[0, 1], [0, 0]])
+    # No identity; 1 alone generates (1*1 = 0), so Light's test runs on
+    # generator 1 only: (1*1)*1 = 0*1 = 1 but 1*(1*1) = 1*0 = 0.
+    mul = [[0, 1], [0, 0]]
+    with pytest.raises(PreconditionError, match=re.escape("(1, 1, 1)")) as err:
+        SemigroupTable(mul)
+    x, g, y = map(int, re.search(r"\((\d+), (\d+), (\d+)\)", str(err.value)).groups())
+    assert mul[mul[x][g]][y] != mul[x][mul[g][y]]
 
 
 def test_associativity_check_names_a_failing_triple_in_a_large_group():
@@ -229,14 +235,85 @@ def test_table_engine_peaks_per_table_cell():
         tracemalloc.stop()
     cells = len(s.table) ** 2
     assert built < 2.5 * cells
-    assert peak - live < 0.5 * cells
+    assert peak - live < 0.25 * cells
 
 
 def test_generators_at_the_largest_shipped_order():
-    table = enumerate_semigroup(make_instance(2, 4, 2)).table
-    gens = _generators(table)
-    assert len(gens) <= 4
-    assert len(closure_indices(table, gens)) == len(table)
+    # rank(S) = rank(G) + 1 = 3 on each, the least any generating set can have.
+    for pnr in ((2, 4, 2), (2, 4, 3), (2, 4, 1)):
+        table = enumerate_semigroup(make_instance(*pnr), 4096).table
+        gens = _generators(table)
+        assert len(gens) == 3, pnr
+        assert len(closure_indices(table, gens)) == len(table)
+        assert table._checked_generators() == gens
+
+
+def test_generators_stop_on_unit_powers_that_never_return():
+    # 1 is a "unit" (1*2 is the identity 0), but its powers run 1, 2, 2, ...
+    # and never reach 0: no monoid, and the bounded power loop must end.
+    mul = [[0, 1, 2], [1, 2, 0], [2, 2, 2]]
+    table = SemigroupTable(mul, check=False)
+    assert table.identity_idx == 0
+    assert len(closure_indices(table, _generators(table))) == 3
+    with pytest.raises(PreconditionError, match="not associative"):
+        SemigroupTable(mul)
+
+
+def test_green_refuses_a_table_that_is_not_associative():
+    s = enumerate_semigroup(make_instance(2, 3, 1))
+    bad = with_product(s, 0, 0, s.table.identity_idx).table  # built with check=False
+    with pytest.raises(PreconditionError, match="not associative"):
+        bad.green()
+    with pytest.raises(PreconditionError, match="not associative"):
+        green_oracle(bad)
+
+
+def transformation_table(maps):
+    """The table of the semigroup generated by the given maps of 0..m-1,
+    each a tuple t sending x to t[x], composed left to right:
+    (a*b)[x] = b[a[x]].  Elements in order of discovery, generators first."""
+    elements = list(dict.fromkeys(maps))
+    index = {t: i for i, t in enumerate(elements)}
+    for a in elements:  # the list grows while it is walked
+        for g in maps:
+            product = tuple(g[x] for x in a)
+            if product not in index:
+                index[product] = len(elements)
+                elements.append(product)
+    return [[index[tuple(b[x] for x in a)] for b in elements] for a in elements]
+
+
+#: One map of three points, 0 -> 1 -> 2 -> 2: the semigroup {a, a^2} has
+#: no identity, and a is not in aS = {a^2}.
+NILPOTENT = ((1, 2, 2),)
+
+
+def test_a_transformation_table_without_identity_and_with_a_outside_a_s():
+    table = SemigroupTable(transformation_table(NILPOTENT))
+    assert len(table) == 2 and table.identity_idx is None
+    assert 0 not in table.mul[0].tolist()
+
+
+@st.composite
+def transformations(draw):
+    points = draw(st.integers(1, 5))
+    maps = st.tuples(*[st.integers(0, points - 1)] * points)
+    return tuple(draw(st.lists(maps, min_size=1, max_size=3)))
+
+
+@given(transformations())
+@example(NILPOTENT)
+@example(((1, 0, 2), (1, 2, 0)))  # the symmetric group on three points
+@example(((0, 0), (1, 1)))  # constant maps: a right zero semigroup, a*b = b
+@settings(max_examples=60, deadline=None)
+def test_green_oracle_matches_a_dense_reference_on_transformation_semigroups(maps):
+    mul = transformation_table(maps)
+    assume(len(mul) <= 256)
+    table = SemigroupTable(mul)
+    green = green_oracle(table)
+    reference = dense_green(table)
+    for relation in ("L", "R", "H", "D", "J"):
+        assert label_sets(getattr(green, relation.lower())) == reference[relation]
 
 
 def test_green_refinement_lattice():
@@ -388,6 +465,42 @@ def test_rank_search_not_found_and_budget():
     assert rank_search(table, range(4), 1) is None
     with pytest.raises(CapacityError):
         rank_search(table, range(4), 3, budget=2)
+
+
+def plain_rank_search(table, candidates, cap, budget=None):
+    """The sweep rank_search makes, with every level tried; "budget" in
+    place of a CapacityError."""
+    cands, attempts = sorted(set(candidates)), 0
+    for k in range(1, min(cap, len(cands)) + 1):
+        for combo in combinations(cands, k):
+            attempts += 1
+            if budget is not None and attempts > budget:
+                return "budget"
+            if len(closure_indices(table, combo)) == len(table):
+                return k, combo
+    return None
+
+
+def test_rank_search_still_tries_singletons_on_a_commutative_table():
+    assert rank_search(cyclic_table(6), range(6), 2) == (1, (1,))
+    assert rank_search(cyclic_table(6), range(6), 2, budget=2) == (1, (1,))
+
+
+@pytest.mark.parametrize("which", ["p2n2r1", "p2n3r1_units"])
+def test_rank_search_skips_singletons_on_a_non_commutative_table(monkeypatch, which):
+    table = TABLE_221 if which == "p2n2r1" else unit_group_subtable(S231)
+    n = len(table)
+    for budget in [None, *range(n + 40)]:
+        try:
+            found = rank_search(table, range(n), 3, budget=budget)
+        except CapacityError:
+            found = "budget"
+        assert found == plain_rank_search(table, range(n), 3, budget), budget
+    tried = []
+    real = semigroup_core._closure
+    monkeypatch.setattr(semigroup_core, "_closure", lambda mul, gens: tried.append(len(gens)) or real(mul, gens))
+    assert rank_search(table, range(n), 3)[0] == 2
+    assert tried and 1 not in tried
 
 
 def test_rank_search_witness_is_lex_least():
