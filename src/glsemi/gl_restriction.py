@@ -140,6 +140,7 @@ def _cayley(p: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     index = key_index(p**n, rows)
     act = action_table(p, rows).astype(index.dtype)  # act[v, b]: code of v*b
     head, head_keys, tail, tail_keys = _half_keys(p**n, act, rows)
+    head, tail = head // count, tail // count  # each member's rows of the key tables
     out = np.empty((count, count), dtype=table_dtype(count))
     block = max(1, 2**15 // count)  # rows whose keys stay in cache
     for lo in range(0, count, block):
@@ -152,27 +153,32 @@ def _cayley(p: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _half_keys(q: int, table: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The product-key kernel: (head_ids, head, tail_ids, tail) with
+    """The product-key kernel: (head_at, head, tail_at, tail) with
 
-        key(rows[i] * b) = head[head_ids[i], b] + tail[tail_ids[i], b],
+        key(rows[i] * b) = head.flat[head_at[i] + b] + tail.flat[tail_at[i] + b],
 
     the key packing (base q, first row most significant) the codes
     table[rows[i, j], b] of the product of the matrix given by the row
     codes rows[i] with the matrix of column b of the action table.  The
     head covers the first n//2 rows, pre-scaled by q^(n - n//2), the tail
     the rest; each part is tabulated once per distinct half of the rows,
-    as a single all-zero row when the half is empty (n = 1).
+    as a single all-zero row when the half is empty (n = 1), head_at[i]
+    the flat offset of rows[i]'s row.  Keys stay below q^n, so the tables,
+    and the action table they gather from, are cast to the least unsigned
+    type holding q^n - 1 (uint16 to q^n = 2^16): no gather is wider.
     """
     n = rows.shape[1]
+    dtype = np.min_scalar_type(q**n - 1)
+    table = table.astype(dtype, copy=False)
     parts: list[np.ndarray] = []
     for half, scale in ((rows[:, : n // 2], q ** (n - n // 2)), (rows[:, n // 2 :], 1)):
         _, first, ids = np.unique(codes(q, half), return_index=True, return_inverse=True)
-        keys = np.zeros((len(first), table.shape[1]), dtype=key_dtype(q, n))
+        keys = np.zeros((len(first), table.shape[1]), dtype=dtype)
         for i in range(half.shape[1]):
             keys *= q
             keys += table[half[first, i]]
         keys *= scale
-        parts += [ids.reshape(-1), keys]
+        parts += [ids.reshape(-1) * table.shape[1], keys]
     return tuple(parts)
 
 
@@ -193,8 +199,8 @@ class Structure:
     """One enumerated instance: the instance, its checked Cayley table,
     the action array the table was gathered from, and data worked out
     from them at most once, on first use.  Build it with
-    enumerate_semigroup(inst, cap).  The special subgroups and the unit
-    splits' product grids are held once per (kind, w).
+    enumerate_semigroup(inst, cap).  The special subgroups, the unit
+    splits' product grids and GL(k)'s sorted codes are each held once.
 
     Element indices are table indices; the elements are sorted, so
     index order is matrix order.  `act[v, b]` is the code of the row
@@ -211,7 +217,7 @@ class Structure:
         self.inst = inst
         self.table = table
         self.act = act
-        self._subgroups: dict[tuple[str, Subspace | None], object] = {}
+        self._subgroups: dict[tuple, object] = {}
 
     def _image_masks(self) -> np.ndarray:
         # masks[b, c]: the vector coded c lies in the image of element b.
@@ -350,10 +356,10 @@ def _act(inst: Instance, rows, m: Mat) -> tuple[Vec, ...]:
 # table t, t[v, j] coding v*m_j in the layout of act.  Each output is
 # inverse(domain) times images: the domain inverses come from one
 # batched Gauss-Jordan per Structure, and the images are columns of an
-# action table.  Every output is made by _made, its key read off the
-# _half_keys tables of the inverses and looked up in s.index; it is
-# multiplied back out through _half_keys tables of s.act, never through
-# the Cayley table.  The scalar constructors are batches of one.
+# action table.  Every output is looked up in s.index by _made, its key
+# read off _half_keys tables of the inverses, or packed from the one images
+# column an inverse meets; it is multiplied back out through s.act, never
+# through the Cayley table.  The scalar constructors are batches of one.
 
 #: Most pairs (or elements) one block of a batch holds.
 _BLOCK = 2**14
@@ -377,17 +383,14 @@ def _require(ok: np.ndarray, message: str, name) -> None:
 def _key(parts: tuple[np.ndarray, ...], i, b) -> np.ndarray:
     # key(R_i * b) from the _half_keys tables parts of rows R; i and b
     # broadcast.  Flat takes: about twice as fast as 2-D fancy indexing.
-    head_ids, head, tail_ids, tail = parts
-    width = head.shape[1]
-    return head.take(head_ids[i] * width + b) + tail.take(tail_ids[i] * width + b)
+    head_at, head, tail_at, tail = parts
+    return np.add(head.take(head_at[i] + b), tail.take(tail_at[i] + b), dtype=np.intp)
 
 
-def _made(s: Structure, parts: tuple[np.ndarray, ...], i, b, what: str, name) -> np.ndarray:
-    """Index of each constructor output R_i * b, R being the inverses
-    and b a column of the images table that _half_keys tabulated parts
-    from; i and b broadcast.  Every constructor output is made here, and
-    one whose key no member has is refused."""
-    found = s.index[_key(parts, i, b)]
+def _made(s: Structure, keys: np.ndarray, what: str, name) -> np.ndarray:
+    """Index of each constructor output, given by its key; one whose key
+    no member has is refused.  Every constructor output is looked up here."""
+    found = s.index[keys]
     _require(found >= 0, f"a constructed {what} is not a member", name)
     return found
 
@@ -490,11 +493,10 @@ class _Batch:
         p, n, top, kc = self.s.inst.p, self.s.inst.n, self.s.inst.n - self.s.inst.r, self.ker_codims
         c1, c2 = np.nonzero(kc[:, None] <= kc)
         images = _spliced(np.arange(n) < (top - kc[c1])[:, None], 0, self.kernel[c2], kc[c2] - kc[c1], top)
-        parts = _half_keys(p**n, action_table(p, images), self.kernel_inv[c1])
-        pair = np.arange(len(c1))
+        keys = codes(p**n, action_table(p, images)[self.kernel_inv[c1], np.arange(len(c1))[:, None]])
         lam = np.full((len(kc), len(kc)), -1, dtype=np.int64)
         name = lambda i: f"kernel classes ({c1[i]}, {c2[i]})"
-        lam[c1, c2] = _made(self.s, parts, pair, pair, "factor-through lam", name)
+        lam[c1, c2] = _made(self.s, keys, "factor-through lam", name)
         return lam
 
     @cached_property
@@ -508,7 +510,7 @@ class _Batch:
         at = np.arange(len(grade))
         lam = np.full((len(self.ker_codims),) * 2, -1, dtype=np.int64)
         name = lambda i, j: f"kernel classes ({grade[i]}, {grade[j]})"
-        lam[np.ix_(grade, grade)] = _made(self.s, parts, at[:, None], at, "sandwich lam", name)
+        lam[np.ix_(grade, grade)] = _made(self.s, _key(parts, at[:, None], at), "sandwich lam", name)
         return lam
 
 
@@ -539,8 +541,7 @@ def regular_witnesses(s: Structure, idxs) -> np.ndarray:
     out = np.empty(len(every), dtype=table_dtype(len(s.table)))
     for lo, a in _row_blocks(every, 1):
         name = lambda i: f"element {a[i]}"
-        at = np.arange(len(a))
-        b = _made(s, _half_keys(q, bt.images["regular"], bt.element_inv[a]), at, a, "inner inverse", name)
+        b = _made(s, codes(q, bt.images["regular"][bt.element_inv[a], a[:, None]]), "inner inverse", name)
         aba = s.act[s.act[s.rows[a], b[:, None]], a[:, None]]
         bab = s.act[s.act[s.rows[b], a[:, None]], b[:, None]]
         ok = (aba == s.rows[a]).all(axis=1) & (bab == s.rows[b]).all(axis=1)
@@ -566,10 +567,8 @@ def raise_factors(s: Structure, idxs) -> tuple[np.ndarray, np.ndarray]:
     mu = np.empty_like(lam)
     for lo, a in _row_blocks(every, 1):
         name = lambda i: f"element {a[i]}"
-        at = np.arange(len(a))
-        lam_parts = _half_keys(q, bt.images["raise_lam"], bt.kernel_inv[bt.ker_ids[a]])
-        li = _made(s, lam_parts, at, a, "raise lam", name)
-        mi = _made(s, _half_keys(q, bt.images["raise_mu"], bt.element_inv[a]), at, a, "raise mu", name)
+        li = _made(s, codes(q, bt.images["raise_lam"][bt.kernel_inv[bt.ker_ids[a]], a[:, None]]), "raise lam", name)
+        mi = _made(s, codes(q, bt.images["raise_mu"][bt.element_inv[a], a[:, None]]), "raise mu", name)
         back = s.act[s.rows[li], mi[:, None]]
         _require((back == s.rows[a]).all(axis=1), "raise factorization failed to recompose", name)
         up = bt.codims[a] + 1
@@ -583,23 +582,24 @@ def _recomposed_grid(s: Structure, xs, ys, lams, inverse, images, what: str):
     # lams[ker x, ker y] and mu is inverse(codim x)[y] * (x's images).
     # Rows run grade by grade, so each block shares the inverses' key
     # tables, and lam * y is multiplied out once per (kernel class of x,
-    # y); its key tables then give the key of lam * y * mu, held against x's.
+    # y); its key tables, rows by (class, y), then give the key of
+    # lam * y * mu, held against x's.
     bt, q = s.batch, s.inst.p**s.inst.n
     lam = np.empty((len(xs), len(ys)), dtype=table_dtype(len(s.table)))
     mu = np.empty_like(lam)
-    cols = np.arange(len(ys))
     for k in sorted(set(bt.codims[xs].tolist())):
         at = np.flatnonzero(bt.codims[xs] == k)
         classes, pos = np.unique(bt.ker_ids[xs[at]], return_inverse=True)
         class_lam = lams[classes[:, None], bt.ker_ids[ys]]
         lam_y = s.act[s.rows[class_lam], ys[:, None]]
-        back = _half_keys(q, s.act, lam_y.reshape(-1, lam_y.shape[-1]))
+        head_at, head, tail_at, tail = _half_keys(q, s.act, lam_y.reshape(-1, lam_y.shape[-1]))
+        back = (head_at.reshape(lam_y.shape[:2]), head, tail_at.reshape(lam_y.shape[:2]), tail)
         parts = _half_keys(q, images, inverse(k)[ys])
         for lo, run in _row_blocks(at, len(ys)):
             x, here = xs[run], pos[lo : lo + len(run)]
             name = lambda i, j: f"pair ({x[i]}, {ys[j]})"
-            mi = _made(s, parts, cols, x[:, None], f"{what} mu", name)
-            ok = _key(back, here[:, None] * len(ys) + cols, mi) == s.keys[x][:, None]
+            mi = _made(s, _key(parts, slice(None), x[:, None]), f"{what} mu", name)
+            ok = _key(back, here, mi) == s.keys[x][:, None]
             _require(ok, f"{what} factors failed to recompose", name)
             lam[run], mu[run] = class_lam[here], mi
     return lam, mu
@@ -634,10 +634,9 @@ def dclass_witness_grid(s: Structure, left, right) -> np.ndarray:
         raise PreconditionError("witness requires equal codimension")
     out = np.empty((len(every), len(b)), dtype=table_dtype(len(s.table)))
     parts = _half_keys(s.inst.p**s.inst.n, bt.images["dclass"], bt.kernel_inv[bt.ker_ids[b]])
-    cols = np.arange(len(b))
     for lo, a in _row_blocks(every, len(b)):
         name = lambda i, j: f"pair ({a[i]}, {b[j]})"
-        g = _made(s, parts, cols, a[:, None], "D-class witness", name)
+        g = _made(s, _key(parts, slice(None), a[:, None]), "D-class witness", name)
         ok = (bt.img_ids[g] == bt.img_ids[a][:, None]) & (bt.ker_ids[g] == bt.ker_ids[b])
         _require(ok, "constructed witness has the wrong image or kernel", name)
         out[lo : lo + len(a)] = g
@@ -749,18 +748,6 @@ def minimal_idempotents(s: Structure) -> frozenset[int]:
     return frozenset(low[s.table.mul[low, low] == low].tolist())
 
 
-def _require_subgroup_setting(inst: Instance, kind: str, w: Subspace | None) -> None:
-    if inst.r < 1:
-        raise PreconditionError("unit-group subgroup structure requires r >= 1")
-    if kind not in SUBGROUP_KINDS:
-        raise PreconditionError(f"unknown subgroup kind {kind!r}")
-    if kind != FIX_U:
-        if w is None:
-            raise PreconditionError(f"subgroup kind {kind!r} needs a complement W")
-        if not is_complement(w, inst.u):
-            raise PreconditionError("W is not a complement of U")
-
-
 def _fixes_pointwise(inst: Instance, m: Mat, rows) -> bool:
     return all(vec_mat(inst.p, row, m) == tuple(row) for row in rows)
 
@@ -775,10 +762,9 @@ def special_subgroup(s: Structure, kind: str, w: Subspace | None = None) -> froz
 
     Membership is one mask per kind over the units' columns of s.act;
     the identity and the closure under products are then checked on
-    the Cayley table.  Each subgroup is built once per Structure, keyed
-    by (kind, w).
+    the Cayley table.  Each subgroup is built, and its (kind, w)
+    validated, once per Structure.
     """
-    _require_subgroup_setting(s.inst, kind, w)
     key = (kind, None if kind == FIX_U else w)
     return _once(s._subgroups, key, lambda: _subgroup_members(s, kind, w))
 
@@ -799,6 +785,15 @@ def _in_subgroup(s: Structure, kind: str, w: Subspace | None, idxs) -> np.ndarra
 
 
 def _subgroup_members(s: Structure, kind: str, w: Subspace | None) -> frozenset[int]:
+    if s.inst.r < 1:
+        raise PreconditionError("unit-group subgroup structure requires r >= 1")
+    if kind not in SUBGROUP_KINDS:
+        raise PreconditionError(f"unknown subgroup kind {kind!r}")
+    if kind != FIX_U:
+        if w is None:
+            raise PreconditionError(f"subgroup kind {kind!r} needs a complement W")
+        if not is_complement(w, s.inst.u):
+            raise PreconditionError("W is not a complement of U")
     units = np.array(sorted(s.grades[s.inst.n - s.inst.r]))
     picked = units[_in_subgroup(s, kind, w, units)]
     group = frozenset(picked.tolist())
@@ -826,7 +821,6 @@ def split_grid(s: Structure, left_kind: str, w: Subspace) -> tuple[np.ndarray, n
     """
     if left_kind not in _SPLITS:
         raise PreconditionError(f"no unit split has left factor {left_kind!r}")
-    _require_subgroup_setting(s.inst, left_kind, w)
     right_kind, whole_kind = _SPLITS[left_kind]
 
     def make():
@@ -896,7 +890,6 @@ def subgroup_iso_check(s: Structure, kind: str, w: Subspace | None = None) -> bo
     product, or coordinate sum mod p).
     """
     inst = s.inst
-    _require_subgroup_setting(inst, kind, w)
     if kind == FIX_U:
         raise PreconditionError("no canonical comparison group for fix_u; decompose it instead")
     p = inst.p
@@ -910,8 +903,8 @@ def subgroup_iso_check(s: Structure, kind: str, w: Subspace | None = None) -> bo
         # coords[i, m]: coordinates of (basis row i) * m over the space.
         space = inst.u if kind == FIX_W else w
         coords = coordinate_table(space)[s.act[codes(p, space.basis)][:, members]]
-        gl = np.array(general_linear(p, space.dim))
-        group = np.sort(codes(p, gl.reshape(len(gl), -1)))
+        gl = lambda: np.array(general_linear(p, space.dim)).reshape(-1, space.dim**2)
+        group = _once(s._subgroups, ("gl", space.dim), lambda: np.sort(codes(p, gl())))
     if (coords < 0).any():
         return False
     images = coords.transpose(1, 0, 2)  # images[m]: m's coordinate rows

@@ -25,7 +25,7 @@ from .gf_linalg import (
     vec_mat,
 )
 from .gl_restriction import Instance, Structure
-from .semigroup_core import ROW_BLOCK
+from .semigroup_core import is_homomorphism
 
 
 @dataclass(frozen=True)
@@ -65,9 +65,10 @@ def element_bijection(witness: IsoWitness, s1: Structure, s2: Structure) -> tupl
 
     Row i of phi^-1 * m * phi is (row i of phi^-1) * m, read off s1.act,
     times phi, read off phi's action table; the conjugates are looked up
-    in s2.index.  psi is checked injective and multiplicative on every
-    pair of the two full tables; any failure raises
-    InternalInconsistencyError.
+    in s2.index.  psi is checked injective, and multiplicative by
+    is_homomorphism, which reads psi on A x S only, A the generating set
+    of s1's table check.  Any failure raises InternalInconsistencyError,
+    and a target table that is not associative raises PreconditionError.
     """
     if s1.inst != witness.source or s2.inst != witness.target:
         raise PreconditionError("structures do not belong to the witness's instances")
@@ -76,16 +77,12 @@ def element_bijection(witness: IsoWitness, s1: Structure, s2: Structure) -> tupl
     if len(t1) != len(t2):
         raise InternalInconsistencyError("matched parameters but different orders")
     rows = action_table(p, codes(p, witness.phi)[None])[:, 0][s1.act[codes(p, witness.phi_inv)]].T
-    found = s2.find(rows)
-    if (found < 0).any():
+    psi = s2.find(rows)
+    if (psi < 0).any():
         raise InternalInconsistencyError("conjugation carried an element out of the target")
-    # psi in the table's own index dtype, so psi[t1.mul] is no wider than t1.mul.
-    psi = found.astype(t2.mul.dtype)
     # Injective iff no index is hit twice; a plain np.unique would import numpy.ma.
     if np.bincount(psi).max() > 1:
         raise InternalInconsistencyError("conjugation is not injective on elements")
-    # psi(a*b) against psi(a)*psi(b) for every pair, a block of rows at a time.
-    for lo in range(0, len(psi), ROW_BLOCK):
-        if (psi[t1.mul[lo : lo + ROW_BLOCK]] != t2.mul[np.ix_(psi[lo : lo + ROW_BLOCK], psi)]).any():
-            raise InternalInconsistencyError("conjugation failed to respect a product")
+    if not is_homomorphism(psi, t1, t2):
+        raise InternalInconsistencyError("conjugation failed to respect a product")
     return tuple(psi.tolist())

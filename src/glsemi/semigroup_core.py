@@ -329,22 +329,27 @@ def check_refinement_lattice(green: GreenPartitions, n: int) -> None:
             raise InternalInconsistencyError("Green refinement lattice violated")
 
 
-def _closure(mul: np.ndarray, gen_idxs) -> np.ndarray:
-    """Mask of the subsemigroup generated by the given indices: the
-    generators, then every product t*g of an element t found so far by a
-    generator g, frontier by frontier."""
-    gens = np.array(list(dict.fromkeys(gen_idxs)), dtype=np.intp)
-    if not gens.size:
-        raise PreconditionError("generator set is empty")
+def _reach(mul: np.ndarray, start, right, left=()) -> np.ndarray:
+    """Mask of what start reaches along x -> x*g (g in right) and x -> g*x (g in left)."""
+    frontier = np.asarray(start, dtype=np.intp)
     seen = np.zeros(len(mul), dtype=bool)
-    seen[gens] = True
-    frontier = gens
+    seen[frontier] = True
     while frontier.size:
         grown = seen.copy()
-        grown[mul[frontier[:, None], gens]] = True
+        grown[mul[frontier[:, None], right]] = True
+        if len(left):
+            grown[mul[np.ix_(left, frontier)]] = True
         frontier = np.flatnonzero(grown > seen)
         seen = grown
     return seen
+
+
+def _closure(mul: np.ndarray, gen_idxs) -> np.ndarray:
+    """Mask of the subsemigroup generated by the given indices."""
+    gens = np.array(list(dict.fromkeys(gen_idxs)), dtype=np.intp)
+    if not gens.size:
+        raise PreconditionError("generator set is empty")
+    return _reach(mul, gens, gens)
 
 
 def closure_indices(table: SemigroupTable, gen_idxs) -> frozenset[int]:
@@ -376,36 +381,37 @@ def minimal_idempotents_oracle(table: SemigroupTable) -> frozenset[int]:
 
 
 def principal_ideal(table: SemigroupTable, a: int) -> frozenset[int]:
-    """The two-sided ideal S^1 a S^1 as a set of indices."""
-    mul = table.mul
-    ideal = np.zeros(len(mul), dtype=bool)
-    ideal[mul[:, a]] = True
-    ideal[a] = True
-    ideal[mul[np.flatnonzero(ideal)]] = True
-    return frozenset(np.flatnonzero(ideal).tolist())
+    """The two-sided ideal S^1 a S^1 as a set of indices: what a reaches
+    along x -> x g and x -> g x, g in the table check's generating set A.
+    That is every u a v with u, v words over A, on an associative table."""
+    gens = table._checked_generators()
+    return frozenset(np.flatnonzero(_reach(table.mul, [a], gens, gens)).tolist())
 
 
 def verify_ideal(table: SemigroupTable, subset) -> bool:
     """True iff the subset is closed under multiplication by all of S, both sides.
 
-    One ROW_BLOCK of table rows at a time: the subset's own rows (i * S),
-    then every row restricted to the subset's columns (S * i), each a
-    contiguous read of the table, so no |I| x N temporary is made.
+    With A the table check's generating set, I S^1 lies in I iff I g does
+    for every g in A, as (i g1) g2 ... never leaves I; likewise g I.
     """
-    s = frozenset(subset)
-    if not s:
+    idx = np.fromiter(frozenset(subset), dtype=np.intp)
+    if not idx.size:
         raise PreconditionError("ideal candidate is empty")
-    mul = table.mul
-    idx = np.fromiter(sorted(s), dtype=np.intp, count=len(s))
+    mul, gens = table.mul, table._checked_generators()
     inside = np.zeros(len(mul), dtype=bool)
     inside[idx] = True
-    for lo in range(0, len(idx), ROW_BLOCK):
-        if not inside[mul[idx[lo : lo + ROW_BLOCK]]].all():
-            return False
-    for lo in range(0, len(mul), ROW_BLOCK):
-        if not inside[mul[lo : lo + ROW_BLOCK][:, idx]].all():
-            return False
-    return True
+    return bool(inside[mul[np.ix_(idx, gens)]].all() and inside[mul[np.ix_(gens, idx)]].all())
+
+
+def is_homomorphism(psi: np.ndarray, source: SemigroupTable, target: SemigroupTable) -> bool:
+    """True iff psi(a*b) = psi(a)*psi(b) for all source elements a, b,
+    read on A x S, A the source's checked generating set.  With both
+    tables associative (the target is checked here if it was not),
+    induction on the length of y as a word over A gives
+    psi(g y x) = psi(g) psi(y x) = psi(g) psi(y) psi(x) = psi(g y) psi(x)."""
+    gens = source._checked_generators()
+    target._checked_generators()
+    return bool((psi[source.mul[gens]] == target.mul[psi[gens]][:, psi]).all())
 
 
 def rank_search(table: SemigroupTable, candidates, cap: int, budget: int | None = None):

@@ -90,8 +90,9 @@ BATCHES = {
 
 
 def break_batch(monkeypatch, p, batch, call=None, member=True):
-    """Corrupt outputs of gl_restriction._made, which makes every output
-    of the batched constructors, while the named batch function runs.
+    """Corrupt outputs of gl_restriction._made, which looks up every
+    output of the batched constructors by its key, while the named batch
+    function runs.
 
     call counts the _made calls made under that function from 0; only
     the first output of the call-th call is corrupted, or of every call
@@ -102,42 +103,35 @@ def break_batch(monkeypatch, p, batch, call=None, member=True):
     recomposition (or the image and kernel compare of a D-class witness)
     has to catch it.  member=False makes it the zero matrix, which moves
     any U != 0, so the membership lookup has to.  The corrupted key is
-    handed to the real _made through one extra row of the head table, so
-    its own lookup and check run on it.  Returns the list of the
-    corrupted outputs' owners: the column of the images table each used,
-    which is the element whose images they are.
+    handed to the real _made, so its own lookup and check run on it.
+    Returns a list with one (name, output) per corrupted output: its name
+    as the batch's errors give it ("element a", "pair (a, b)", ...), and
+    the index it had before it was corrupted.
     """
     real = gl_restriction._made
-    seen, owners = [0], []
+    seen, corrupted = [0], []
     makers = {batch, "factor_lams", "sandwich_lams"}
 
-    def broken(s, parts, i, b, what, name):
+    def broken(s, keys, what, name):
         frame = sys._getframe(1)
         while frame is not None and frame.f_code.co_name not in makers:
             frame = frame.f_back
         if frame is None or frame.f_code.co_name != batch:
-            return real(s, parts, i, b, what, name)
+            return real(s, keys, what, name)
         number, seen[0] = seen[0], seen[0] + 1
         if call is not None and number != call:
-            return real(s, parts, i, b, what, name)
-        shape = np.broadcast_shapes(np.shape(i), np.shape(b))
-        i, b = np.array(np.broadcast_to(i, shape)), np.broadcast_to(b, shape)
-        first = (0,) * len(shape)
+            return real(s, keys, what, name)
+        keys = np.array(keys)
+        first = (0,) * keys.ndim
         q, n = p**s.inst.n, s.inst.n
-        key = int(gl_restriction._key(parts, i[first], b[first]))
-        rows = [key // q ** (n - 1 - j) % q for j in range(n)]
+        rows = [int(keys[first]) // q ** (n - 1 - j) % q for j in range(n)]
         bad = sum((c + (c % p - c // p % p) * (p - 1)) * q ** (n - 1 - j) for j, c in enumerate(rows))
-        head_ids, head, tail_ids, tail = parts
-        tail_id = tail_ids[i[first]]
-        row = head[head_ids[i[first]]].astype(np.int64)
-        row[b[first]] = (bad if member else 0) - tail[tail_id, b[first]]
-        parts = (np.append(head_ids, len(head)), np.vstack([head, row]), np.append(tail_ids, tail_id), tail)
-        i[first] = len(head_ids)
-        owners.append(int(b[first]))
-        return real(s, parts, i, b, what, name)
+        corrupted.append((name(*first), int(s.index[keys[first]])))
+        keys[first] = bad if member else 0
+        return real(s, keys, what, name)
 
     monkeypatch.setattr(gl_restriction, "_made", broken)
-    return owners
+    return corrupted
 
 
 def with_wrong_split(s, left_kind, w):
@@ -284,6 +278,34 @@ def dense_green(table):
         "D": classes(d_rel),
         "J": classes(two_sided),
     }
+
+
+def dense_principal_ideal(table, a):
+    """S^1 a S^1 as a set of indices, from whole rows and columns of the
+    table: S^1 a is column a and a, and S^1 a S^1 the rows of its members."""
+    mul = table.mul
+    ideal = np.zeros(len(mul), dtype=bool)
+    ideal[mul[:, a]] = True
+    ideal[a] = True
+    ideal[mul[np.flatnonzero(ideal)]] = True
+    return frozenset(np.flatnonzero(ideal).tolist())
+
+
+def dense_verify_ideal(table, subset):
+    """True iff the subset is closed under multiplication by every
+    element, both sides, read off its whole rows and columns."""
+    mul = table.mul
+    idx = np.array(sorted(set(subset)), dtype=np.intp)
+    inside = np.zeros(len(mul), dtype=bool)
+    inside[idx] = True
+    return bool(inside[mul[idx]].all() and inside[mul[:, idx]].all())
+
+
+def dense_homomorphism(psi, t1, t2):
+    """True iff psi(a*b) = psi(a)*psi(b) for every pair a, b of t1's
+    elements, compared as two whole tables."""
+    psi = np.asarray(psi, dtype=np.intp)
+    return bool(np.array_equal(psi[t1.mul], t2.mul[np.ix_(psi, psi)]))
 
 
 def naive_green_same(table, a, b, relation):

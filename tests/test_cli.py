@@ -7,6 +7,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,6 +46,7 @@ from glsemi.gl_restriction import (
     Structure,
     decompose_unit,
     enumerate_semigroup,
+    generating_set,
     is_member,
     j_class,
     make_instance,
@@ -52,7 +54,7 @@ from glsemi.gl_restriction import (
     special_subgroup,
     unit_group_subtable,
 )
-from glsemi.semigroup_core import SemigroupTable, label_classes
+from glsemi.semigroup_core import SemigroupTable, closure_indices, label_classes
 
 from helpers import BATCHES, break_batch, matrices, with_codim, with_column, with_product, with_wrong_split
 
@@ -313,30 +315,60 @@ def test_verify_fails_the_checks_whose_constructors_build_a_wrong_factor(monkeyp
     # and the third kernel call of one batch corrupted, so the bad output
     # sits in a block past the first and must be named with its offset.
     monkeypatch.setattr(gl_restriction, "_BLOCK", 2)
+    s = enumerate_semigroup(make_instance(2, 3, 1))
     for batch in sorted(BATCHES.values()):
         with pytest.MonkeyPatch.context() as patch:
-            owners = break_batch(patch, 2, batch, call=2, member=False)
+            corrupted = break_batch(patch, 2, batch, call=2, member=False)
             report = cmd_verify(InstanceConfig(p=2, n=3, r=1), DEFAULT_ENUM_CAP, DEFAULT_RANK_CAP)
         broken = "regularity" if batch == "regular_witnesses" else "factorizations"
-        (owner,) = owners
+        ((named, made),) = corrupted
         for check in report.checks:
             if check.name == broken:
                 assert check.status == "fail", batch
                 assert "InternalInconsistencyError" in check.reason and "not a member" in check.reason
-                assert f"element {owner}" in check.reason or f"pair ({owner}, " in check.reason, batch
+                assert check.reason.endswith(f"not a member at {named}"), batch
             else:
                 assert check.status in ("pass", "skip"), (batch, check.name)
+        # The element or pair named is the one whose output was corrupted:
+        # its batch of one makes that output again.
+        args = [[int(v)] for v in re.findall(r"\d+", named)]
+        assert made in np.ravel(getattr(gl_restriction, batch)(s, *args)), (batch, named)
 
 
-def test_generation_fails_when_one_product_leaves_its_ideal():
+def test_generation_fails_when_one_product_leaves_its_ideal(monkeypatch):
     s = enumerate_semigroup(make_instance(2, 3, 1))
     a, b = sorted(j_class(s, 1))[:2]
-    # a*b now reads the identity, so grade 1 generates a unit.
+    # a*b now reads the identity, so grade 1 would generate a unit.  Such a
+    # table is not associative, and the check's generating set refuses it.
     bad = with_product(s, a, b, s.table.identity_idx)
     assert _check_generation(s, CAPS)[0] == "pass"
-    status, _, reason = _check_generation(bad, CAPS)
+    check = _verify_with(monkeypatch, s, bad)["generation"]
+    assert check.status == "fail"
+    assert check.reason.startswith("PreconditionError: table is not associative at (")
+
+
+def test_generation_fails_when_a_grade_misses_part_of_its_ideal():
+    s = enumerate_semigroup(make_instance(2, 3, 1))
+    a = max(j_class(s, 1))
+    # a is now said to be a unit, so Q(2) misses it, though grade 1 still
+    # generates it; the table is the checked one.
+    status, _, reason = _check_generation(with_codim(s, a, 2), CAPS)
     assert status == "fail"
     assert "grade 1 did not generate the ideal below 2" in reason
+
+
+def test_generation_closes_no_generator_outside_the_claimed_set():
+    s = enumerate_semigroup(make_instance(2, 3, 1))
+    g = next(g for g in s.table._checked_generators() if s.codims[g] == 2)
+    # A unit of the table check's set is now said to have codimension 1,
+    # so it is no unit of the claimed generating set.  The check closes
+    # only the checked units the set holds, and those fall short, though
+    # the set's other units would still generate g.
+    bad = with_codim(s, g, 1)
+    assert len(closure_indices(bad.table, generating_set(bad))) == len(s.table)
+    status, counts, reason = _check_generation(bad, CAPS)
+    assert status == "fail" and counts["closure"] < len(s.table)
+    assert "units plus one lower element failed to generate" in reason
 
 
 def test_ideal_structure_fails_when_one_product_leaves_the_minimal_ideal(monkeypatch):
@@ -405,6 +437,23 @@ def test_ideal_structure_compares_the_principal_ideal_past_each_l_class_leader()
     status, counts, reason = _check_ideal_structure(bad, CAPS)
     assert status == "fail" and counts["principal_reps"] == len(s.table)
     assert f"principal ideal mismatch at element {a}" in reason
+
+
+def test_ideal_structure_peaks_below_a_quarter_byte_per_table_cell():
+    # Closure reads I x A and A x I, and each principal ideal is a reach
+    # over A, so no temporary is a whole table: the principal ideal of a
+    # unit used to gather a copy of it (2.06 bytes a cell).  The first call
+    # builds the Structure's cached grades and Green oracle, so the second
+    # one's peak is the check's own working memory.
+    s = enumerate_semigroup(make_instance(2, 4, 2))
+    assert _check_ideal_structure(s, CAPS)[0] == "pass"
+    tracemalloc.start()
+    try:
+        _check_ideal_structure(s, CAPS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * len(s.table) ** 2
 
 
 class _ExtraJClassTable(SemigroupTable):
@@ -530,6 +579,21 @@ def test_verify_builds_each_special_subgroup_once(monkeypatch):
     comps = enumerate_complements(make_instance(2, 3, 1).u)
     expected = [(FIX_U, None)] + [(kind, w) for w in comps for kind in (FIX_W, G_W, N_W)]
     assert sorted(built, key=repr) == sorted(expected, key=repr)
+
+
+def test_verify_checks_each_complement_and_builds_each_gl_once(monkeypatch):
+    calls = {"is_complement": [], "general_linear": []}
+    for name, seen in calls.items():
+        real = getattr(gl_restriction, name)
+        monkeypatch.setattr(gl_restriction, name, lambda *args, real=real, seen=seen: seen.append(args) or real(*args))
+    report = cmd_verify(InstanceConfig(p=2, n=3, r=1), DEFAULT_ENUM_CAP, DEFAULT_RANK_CAP)
+    assert not report.failed
+    # One validation per (kind, W) with kind fix_w, g_w or n_w; GL(1) and
+    # GL(2) once each for the isomorphism checks, and GL(1) once per
+    # enumeration (the instance and its isomorphism partner).
+    comps = enumerate_complements(make_instance(2, 3, 1).u)
+    assert len(calls["is_complement"]) == 3 * len(comps)
+    assert sorted(k for _, k in calls["general_linear"]) == [1, 1, 1, 2]
 
 
 def test_eggbox_reads_codims_without_building_subspaces():

@@ -674,10 +674,12 @@ def test_a_constructed_non_member_is_refused():
     for name in CONSTRUCTORS:
         fn, calls = VALID_CALLS[name]
         with pytest.MonkeyPatch.context() as monkeypatch:
-            owners = break_batch(monkeypatch, 2, BATCHES[name], call=0, member=False)
+            corrupted = break_batch(monkeypatch, 2, BATCHES[name], call=0, member=False)
             with pytest.raises(InternalInconsistencyError, match="not a member"):
                 fn(S231, *calls[0])
-        assert owners == [calls[0][0]], name
+        args = calls[0]
+        named = f"element {args[0]}" if len(args) == 1 else f"pair ({args[0]}, {args[1]})"
+        assert [got for got, _ in corrupted] == [named], name
 
 
 @pytest.mark.parametrize("member", [True, False])
@@ -717,7 +719,9 @@ def _kernel_cases(draw):
 def test_half_key_kernel_packs_each_product_row_by_row(case):
     q, table, rows = case
     n, width = rows.shape[1], table.shape[1]
-    head_ids, head, tail_ids, tail = parts = gl_restriction._half_keys(q, table, rows)
+    head_at, head, tail_at, tail = parts = gl_restriction._half_keys(q, table, rows)
+    # Every key is below q^n, so the tables hold it in the least unsigned type.
+    assert head.dtype == tail.dtype == np.min_scalar_type(q**n - 1)
     # One table row per distinct half, the head's empty at n = 1.
     assert len(head) == len(np.unique(rows[:, : n // 2], axis=0))
     assert len(tail) == len(np.unique(rows[:, n // 2 :], axis=0))
@@ -726,7 +730,7 @@ def test_half_key_kernel_packs_each_product_row_by_row(case):
         [sum(int(table[c, b]) * q ** (n - 1 - j) for j, c in enumerate(row)) for b in range(width)]
         for row in rows.tolist()
     ]
-    got = head[head_ids[:, None], np.arange(width)] + tail[tail_ids[:, None], np.arange(width)]
+    got = head.take(head_at[:, None] + np.arange(width)) + tail.take(tail_at[:, None] + np.arange(width))
     assert got.tolist() == expected
     assert gl_restriction._key(parts, np.arange(len(rows))[:, None], np.arange(width)).tolist() == expected
 

@@ -10,7 +10,7 @@ from glsemi.gf_linalg import identity_mat, vec_mat
 from glsemi.gl_restriction import Structure, enumerate_semigroup, make_instance, minimal_idempotents
 from glsemi.isomorphism import IsoWitness, decide_isomorphic, element_bijection
 
-from helpers import with_product
+from helpers import dense_homomorphism, with_product
 
 S221 = enumerate_semigroup(make_instance(2, 2, 1))
 S221_SHIFTED = enumerate_semigroup(make_instance(2, 2, 1, [(0, 1)]))
@@ -83,8 +83,9 @@ def test_element_bijection_refuses_a_target_it_does_not_match():
     psi = element_bijection(witness, S231, S231_SHIFTED)
     t2 = S231_SHIFTED.table
     e, x, y = t2.identity_idx, psi[0], psi[1]
-    # e*e now reads x in the target's table.
-    with pytest.raises(InternalInconsistencyError, match="failed to respect a product"):
+    # e*e now reads x in the target's table, which was built unchecked; the
+    # check the local product compare needs refuses it.
+    with pytest.raises(PreconditionError, match="identity is not two-sided neutral"):
         element_bijection(witness, S231, with_product(S231_SHIFTED, e, e, x))
     # The target's index now sends x's row codes to y as well.
     merged = Structure(S231_SHIFTED.inst, t2, S231_SHIFTED.act)
@@ -94,20 +95,41 @@ def test_element_bijection_refuses_a_target_it_does_not_match():
         element_bijection(witness, S231, merged)
 
 
-def test_element_bijection_peak_stays_below_one_and_a_half_bytes_per_table_cell():
-    # psi is held in the table's index dtype (uint16 here), and the product
-    # law is compared a block of rows at a time, so no temporary is a whole
-    # table: a whole-table compare peaks at about 5.6 bytes a cell.
+def test_element_bijection_fails_when_the_target_swaps_two_images():
+    # The target's index swaps the row codes of x and y, so psi stays a
+    # bijection onto the checked target table, but some product g*x of a
+    # generator g of the source is no longer sent to psi(g)*psi(x).
+    witness = decide_isomorphic(S231.inst, S231_SHIFTED.inst)
+    psi = np.array(element_bijection(witness, S231, S231_SHIFTED))
+    x, y = psi[0], psi[1]
+    swapped = Structure(S231_SHIFTED.inst, S231_SHIFTED.table, S231_SHIFTED.act)
+    swapped.index = S231_SHIFTED.index.copy()
+    keys = S231_SHIFTED.keys
+    swapped.index[keys[x]], swapped.index[keys[y]] = y, x
+    wrong = psi.copy()
+    wrong[[0, 1]] = y, x
+    assert not dense_homomorphism(wrong, S231.table, S231_SHIFTED.table)
+    with pytest.raises(InternalInconsistencyError, match="failed to respect a product"):
+        element_bijection(witness, S231, swapped)
+
+
+def test_element_bijection_peaks_below_a_tenth_of_a_byte_per_table_cell():
+    # psi is compared on A x S, A the source's checked generating set, so
+    # no temporary is more than |A| table rows: the every-pair compare
+    # peaked at 0.44 bytes a cell, a whole-table compare at 5.6.  The first
+    # call builds the target's cached index, so the second one's peak is
+    # the bijection's own working memory.
     s1 = enumerate_semigroup(make_instance(2, 4, 2))
     s2 = enumerate_semigroup(make_instance(2, 4, 2, [(1, 0, 1, 0), (0, 1, 0, 0)]))
     witness = decide_isomorphic(s1.inst, s2.inst)
+    element_bijection(witness, s1, s2)
     tracemalloc.start()
     try:
         element_bijection(witness, s1, s2)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * len(s1.table) ** 2
+    assert peak < 0.1 * len(s1.table) ** 2
 
 
 def test_element_bijection_checks_its_inputs():

@@ -22,6 +22,7 @@ from glsemi.semigroup_core import (
     closure_indices,
     green_oracle,
     idempotents,
+    is_homomorphism,
     label_classes,
     minimal_idempotents_oracle,
     natural_leq,
@@ -32,7 +33,18 @@ from glsemi.semigroup_core import (
     verify_ideal,
 )
 
-from helpers import dense_green, index_of, label_sets, mats, naive_green_same, same_class, with_product
+from helpers import (
+    dense_green,
+    dense_homomorphism,
+    dense_principal_ideal,
+    dense_verify_ideal,
+    index_of,
+    label_sets,
+    mats,
+    naive_green_same,
+    same_class,
+    with_product,
+)
 
 A0 = ((1, 0), (0, 0))
 IDENT = ((1, 0), (0, 1))
@@ -418,6 +430,17 @@ def test_principal_ideal():
     assert principal_ideal(table, i(A0)) == {i(A0), i(A2)}
     group = cyclic_table(5)
     assert principal_ideal(group, 3) == frozenset(range(5))
+    for t in (table, group, TABLE_231):
+        assert [principal_ideal(t, a) for a in range(len(t))] == [dense_principal_ideal(t, a) for a in range(len(t))]
+
+
+def test_principal_ideal_reaches_across_both_sides():
+    # In a left zero semigroup (x*y = x) a S^1 is {a}, but S^1 a S^1 is the
+    # whole semigroup, reached by left products only; in a right zero
+    # semigroup (x*y = y), by right products only.
+    for mul in ([[0, 0], [1, 1]], [[0, 1], [0, 1]]):
+        table = SemigroupTable(mul)
+        assert principal_ideal(table, 0) == {0, 1} == dense_principal_ideal(table, 0)
 
 
 def test_verify_ideal():
@@ -428,6 +451,8 @@ def test_verify_ideal():
     assert not verify_ideal(table, {i(IDENT), i(A3)})
     with pytest.raises(PreconditionError):
         verify_ideal(table, ())
+    for subset in (range(4), {i(A0), i(A2)}, {i(IDENT), i(A3)}, {i(A0)}, {i(A2), i(A3)}):
+        assert verify_ideal(table, subset) == dense_verify_ideal(table, subset)
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
@@ -435,7 +460,9 @@ def test_verify_ideal_reads_every_block_on_each_side(side):
     # The null semigroup: every product is 0, so any subset holding 0 is an
     # ideal.  One product is then moved out of the subset, on one side,
     # at an element of the subset past its first block and an outsider
-    # past the table's first block.
+    # past the table's first block.  The table stays associative (every
+    # product of three elements is 0), and the outsider is the last of the
+    # generators its table check takes (every element but 0 and n - 1).
     n = 3 * ROW_BLOCK + 5
     subset = range(2 * ROW_BLOCK + 10)
     inner, outer = 2 * ROW_BLOCK + 5, n - 2
@@ -445,7 +472,70 @@ def test_verify_ideal_reads_every_block_on_each_side(side):
         mul[inner, outer] = n - 1  # inner * outer leaves; column outer is no subset column
     else:
         mul[outer, inner] = n - 1  # outer * inner leaves; row outer is no subset row
-    assert not verify_ideal(SemigroupTable(mul, check=False), subset)
+    table = SemigroupTable(mul)
+    assert table._checked_generators()[-1] == outer
+    assert not verify_ideal(table, subset)
+    assert not dense_verify_ideal(table, subset)
+
+
+@given(transformations(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_ideal_forms_match_their_dense_oracles_on_transformation_semigroups(maps, data):
+    mul = transformation_table(maps)
+    assume(len(mul) <= 256)
+    table = SemigroupTable(mul)
+    n = len(table)
+    ideals = [principal_ideal(table, a) for a in range(n)]
+    assert ideals == [dense_principal_ideal(table, a) for a in range(n)]
+    # Unions of principal ideals are ideals; a drawn subset mostly is not,
+    # and neither is a principal ideal less its generator, unless that
+    # generator is also a product.
+    union = frozenset().union(*data.draw(st.lists(st.sampled_from(ideals), min_size=1, max_size=3)))
+    a = data.draw(st.integers(0, n - 1))
+    for subset in (union, data.draw(st.sets(st.integers(0, n - 1), min_size=1)), ideals[a] - {a}):
+        if subset:
+            assert verify_ideal(table, subset) == dense_verify_ideal(table, subset)
+    assert verify_ideal(table, union)
+
+
+@given(transformations(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_is_homomorphism_matches_the_every_pair_compare_on_transformation_semigroups(maps, data):
+    mul = np.array(transformation_table(maps))
+    assume(len(mul) <= 256)
+    n = len(mul)
+    # The target is the source relabelled by a permutation, so that
+    # permutation is an isomorphism; swapping two of its images, or
+    # sending everything to one element, is a map that mostly is not.
+    perm = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).permutation(n)
+    relabelled = np.empty_like(mul)
+    relabelled[np.ix_(perm, perm)] = perm[mul]
+    source, target = SemigroupTable(mul), SemigroupTable(relabelled)
+    swapped = perm.copy()
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    swapped[[i, j]] = perm[[j, i]]
+    constant = np.full(n, data.draw(st.integers(0, n - 1)))
+    assert is_homomorphism(perm, source, target)
+    for psi in (perm, swapped, constant):
+        assert is_homomorphism(psi, source, target) == dense_homomorphism(psi, source, target)
+
+
+def test_is_homomorphism_reads_the_row_of_every_generator():
+    # a = (0, 0, 1) and the identity e generate {a, e, a^2}.  The table
+    # check takes e first, and e's row holds for any psi fixing e, so only
+    # a's row shows that swapping a and a^2 is no homomorphism.
+    table = SemigroupTable(transformation_table(((0, 0, 1), (0, 1, 2))))
+    psi = np.array([2, 1, 0])
+    assert table._checked_generators() == [table.identity_idx, 0]
+    assert not is_homomorphism(psi, table, table)
+    assert not dense_homomorphism(psi, table, table)
+
+
+def test_is_homomorphism_refuses_a_target_that_is_not_associative():
+    s = enumerate_semigroup(make_instance(2, 3, 1))
+    bad = with_product(s, 0, 0, s.table.identity_idx).table  # built with check=False
+    with pytest.raises(PreconditionError, match="not associative"):
+        is_homomorphism(np.arange(len(bad)), s.table, bad)
 
 
 def test_rank_search_basics():
