@@ -300,20 +300,20 @@ def _check_ideal_structure(s: Structure, caps):
         failures.append("unit grade wrongly closed as an ideal")
     # S^1 a S^1 is constant on a's L-class (the classes of equal S^1 a in
     # the table's Green oracle), so one principal ideal per L-class and one
-    # compare per (L-class, codim) covers every element.
+    # compare per (L-class, codim) covers every element.  An element of
+    # codimension k should generate Q(k+1), every element below codim k+1;
+    # for a unit that is all of S.
     l_ids = table.green().l
     firsts = np.unique(np.column_stack([l_ids, codims]), axis=0, return_index=True)[1]
     for least in np.unique(l_ids, return_index=True)[1].tolist():
         ideal = principal_ideal(table, least)
         for i in firsts[l_ids[firsts] == l_ids[least]].tolist():
-            cd = codims[i]
-            expected = frozenset(range(len(table))) if cd == top else q_ideal(s, cd + 1)
-            if ideal != expected:
+            if not np.array_equal(ideal, s.below[codims[i] + 1]):
                 failures.append(f"principal ideal mismatch at element {i}")
     # A minimal-ideal element, whose column of s.act holds p^r codes, must
     # have image U (every code in U) and a kernel meeting U only in 0 with
     # p^(n-r) codes: mask tests on that column.
-    minimal = np.array(sorted(q_ideal(s, 1)))
+    minimal = q_ideal(s, 1)
     cols = s.act[:, minimal]  # cols[v, j]: code of v times minimal[j]
     in_u = span_mask(p, n, codes(p, inst.u.basis))
     zero = cols == 0
@@ -329,7 +329,7 @@ def _check_minimal_idempotents(s: Structure, caps):
     char = minimal_idempotents(s)
     oracle = minimal_idempotents_oracle(s.table)
     expected = inst.p ** (inst.r * (inst.n - inst.r))
-    ok = char == oracle and len(char) == expected
+    ok = np.array_equal(char, oracle) and len(char) == expected
     counts = {"characterized": len(char), "oracle": len(oracle), "expected": expected}
     return ("pass" if ok else "fail", counts, None)
 
@@ -344,7 +344,7 @@ def _check_factorizations(s: Structure, caps):
     # Every pair, grade block by grade block: each constructor certifies
     # its whole block, and each infeasible block must be refused.
     top = s.inst.n - s.inst.r
-    grades = [np.array(sorted(g)) for g in s.grades]
+    grades = s.grades
     factored = witnesses = infeasible = 0
     for ka, left in enumerate(grades):
         for kb, right in enumerate(grades):
@@ -360,7 +360,7 @@ def _check_factorizations(s: Structure, caps):
                     return ("fail", {}, "factor_through accepted an impossible pair")
         dclass_witness_grid(s, left, left)
         witnesses += left.size**2
-    raised = len(raise_factors(s, sorted(s.below[top - 1]))[0])
+    raised = len(raise_factors(s, s.below[top - 1])[0])
     mid = grades[top - 1]
     sandwich_factor_grid(s, mid, mid)
     counts = {
@@ -379,13 +379,14 @@ def _check_generation(s: Structure, caps):
     gens = generating_set(s)
     # A's units and gens' one non-unit (A: the table check's generating set)
     # lie inside gens, so a closure of S from them proves the claim.
-    few = (gens & set(table._checked_generators())) | (gens - s.grades[top])
-    full = closure_indices(table, few)
+    few = s.codims != top
+    few[table._checked_generators()] = True
+    full = closure_indices(table, gens[few[gens]])
     failures = []
     if len(full) != len(table):
         failures.append("units plus one lower element failed to generate")
     for k in range(1, top):
-        if closure_indices(table, j_class(s, k)) != q_ideal(s, k + 1):
+        if not np.array_equal(closure_indices(table, j_class(s, k)), q_ideal(s, k + 1)):
             failures.append(f"grade {k} did not generate the ideal below {k + 1}")
     counts = {"generators": len(gens), "closure": len(full), "grades_checked": max(0, top - 1)}
     return ("pass" if not failures else "fail", counts, "; ".join(failures) or None)
@@ -412,19 +413,19 @@ def _check_unit_decomposition(s: Structure, caps):
     if inst.r < 1:
         return ("skip", {}, "subgroup structure needs r >= 1")
     mul, ident = table.mul, table.identity_idx
-    units = sorted(j_class(s, inst.n - inst.r))
-    fix_u = special_subgroup(s, FIX_U)
+    g = j_class(s, inst.n - inst.r)
+    h = special_subgroup(s, FIX_U)
     failures = []
     # Conjugation closure of the U-fixing normal factor under every unit:
-    # g*h*g^-1, with g^-1 read off as the column where g's row holds the identity.
-    g, h = np.array(units), np.array(sorted(fix_u))
-    is_ident = mul[g] == ident
+    # g*h*g^-1, with g^-1 read off as the unit column where g's row holds
+    # the identity (a unit's inverse is a unit).
+    is_ident = mul[np.ix_(g, g)] == ident
     in_fix_u = np.zeros(len(table), dtype=bool)
     in_fix_u[h] = True
     if not is_ident.any(axis=1).all():
         failures.append("a unit has no inverse in the table")
     else:
-        g_inv = is_ident.argmax(axis=1)
+        g_inv = g[is_ident.argmax(axis=1)]
         if not in_fix_u[mul[mul[np.ix_(g, h)], g_inv[:, None]]].all():
             failures.append("conjugate left the U-fixing subgroup")
     # Each split is unique exactly when its product grid is a bijection,
@@ -436,8 +437,8 @@ def _check_unit_decomposition(s: Structure, caps):
             left, right, _ = split_grid(s, left_kind, w)
             decomposed += left.size * right.size
     counts = {
-        "units": len(units),
-        "fix_u": len(fix_u),
+        "units": len(g),
+        "fix_u": len(h),
         "complements_checked": len(comps),
         "decompositions": decomposed,
     }
@@ -570,13 +571,13 @@ def cmd_verify(cfg: InstanceConfig, enum_cap: int, rank_cap: int) -> VerifyRepor
     return report
 
 
-def eggbox_dot(table: SemigroupTable, codims, minimal_idxs=frozenset()) -> str:
+def eggbox_dot(table: SemigroupTable, codims, minimal_idxs=()) -> str:
     """DOT text for the egg-box diagram: one cluster per D-class ordered
     by codimension, H-classes as grid cells, idempotents starred."""
     green = table.green()
     marks = np.zeros((2, len(table)), dtype=bool)  # idempotents, then minimal_idxs
-    marks[0, sorted(idempotents(table))] = True
-    marks[1, sorted(minimal_idxs)] = True
+    marks[0, idempotents(table)] = True
+    marks[1, np.asarray(minimal_idxs, dtype=np.intp)] = True
     d_codim = np.zeros(green.d.max() + 1, dtype=np.intp)
     np.maximum.at(d_codim, green.d, codims)
     lines = [

@@ -134,10 +134,6 @@ class Subspace:
         return tuple(map(tuple, code_vectors(self.p, self.n)[mask].tolist()))
 
 
-def zero_space(p: int, n: int) -> Subspace:
-    return Subspace(p, n, ())
-
-
 def full_space(p: int, n: int) -> Subspace:
     return Subspace(p, n, identity_mat(n))
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 
 import numpy as np
 
@@ -55,7 +54,7 @@ from .gf_linalg import (
     vec_add,
     vec_mat,
 )
-from .semigroup_core import GreenPartitions, SemigroupTable, label_classes, subtable, rank_search, table_dtype
+from .semigroup_core import GreenPartitions, SemigroupTable, indices, label_classes, subtable, rank_search, table_dtype
 
 #: Default ceiling on the semigroup order accepted for full enumeration.
 DEFAULT_ENUM_CAP = 2000
@@ -129,13 +128,21 @@ def _members(inst: Instance) -> np.ndarray:
     return rows[np.argsort(codes(q, rows))]  # packed keys follow matrix order
 
 
-def _cayley(p: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    # arr, made read-only: a Structure shares what it holds with every caller.
+    arr.flags.writeable = False
+    return arr
+
+
+def _cayley(p: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # Gather instead of multiplying: rows[a, i] codes row i of member a,
     # act[v, b] codes v*b, and row i of a*b is act[row_i(a), b].  A
     # member's key packs its row codes base p^n, so keys follow the sorted
     # member order, and a dense inverse over all p^(n^2) keys (never more
-    # entries than the table) maps each product to its index.  The key of
-    # a*b comes from _half_keys, two gathers and one add per product.
+    # entries than the table) maps each product to its index; it is
+    # returned with the table and the action array, for the Structure to
+    # keep.  The key of a*b comes from _half_keys, two gathers and one add
+    # per product.
     count, n = rows.shape
     index = key_index(p**n, rows)
     act = action_table(p, rows).astype(index.dtype)  # act[v, b]: code of v*b
@@ -148,8 +155,7 @@ def _cayley(p: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if (found < 0).any():
             raise InternalInconsistencyError("a product escaped the member list")
         out[lo : lo + block] = found
-    act.flags.writeable = False
-    return out, act
+    return out, _frozen(act), _frozen(index)
 
 
 def _half_keys(q: int, table: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -197,14 +203,20 @@ def _first_of_each(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 class Structure:
     """One enumerated instance: the instance, its checked Cayley table,
-    the action array the table was gathered from, and data worked out
-    from them at most once, on first use.  Build it with
-    enumerate_semigroup(inst, cap).  The special subgroups, the unit
-    splits' product grids and GL(k)'s sorted codes are each held once.
+    the action array the table was gathered from, the key index the
+    table was looked up in, and data worked out from them at most once,
+    on first use.  Build it with enumerate_semigroup(inst, cap).  The
+    special subgroups, the unit splits' product grids and GL(k)'s sorted
+    codes are each held once.
 
     Element indices are table indices; the elements are sorted, so
     index order is matrix order.  `act[v, b]` is the code of the row
     vector v times element b, a row vector coded as in gf_linalg.codes.
+    `index[key]` is the element whose row codes pack to key (base p^n,
+    as in gf_linalg.key_index), -1 for every non-member.  Every index
+    set it holds (grades, ideals, subgroups) is a sorted np.intp array.
+    Those, codims, act and index are shared with every caller, so they
+    are read-only.
 
     Green's L-, R- and D-classes are the classes of equal image, kernel
     and codimension; the class ids and the codimensions are read off
@@ -213,10 +225,11 @@ class Structure:
     inverses and image tables of the batched constructors.
     """
 
-    def __init__(self, inst: Instance, table: SemigroupTable, act: np.ndarray):
+    def __init__(self, inst: Instance, table: SemigroupTable, act: np.ndarray, index: np.ndarray):
         self.inst = inst
         self.table = table
         self.act = act
+        self.index = index
         self._subgroups: dict[tuple, object] = {}
 
     def _image_masks(self) -> np.ndarray:
@@ -227,14 +240,14 @@ class Structure:
         return masks
 
     @cached_property
-    def codims(self) -> tuple[int, ...]:
+    def codims(self) -> np.ndarray:
         """codim of each element, log_p |image| - r, read off the action array."""
         p, n, r = self.inst.p, self.inst.n, self.inst.r
         sizes = self._image_masks().sum(axis=1)
         dims = np.searchsorted(p ** np.arange(n + 1), sizes)
         if (p**dims != sizes).any():
             raise InternalInconsistencyError("an image size is not a power of p")
-        return tuple((dims - r).tolist())
+        return _frozen((dims - r).astype(np.intp))
 
     @cached_property
     def image_classes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -253,12 +266,6 @@ class Structure:
         """rows[a, i]: code of row i of element a, read off act (row i is e_i * a)."""
         p, n = self.inst.p, self.inst.n
         return np.ascontiguousarray(self.act[p ** np.arange(n - 1, -1, -1)].T)
-
-    @cached_property
-    def index(self) -> np.ndarray:
-        """index[key]: the element whose row codes pack to key (base p^n,
-        as in gf_linalg.key_index); -1 for every non-member."""
-        return key_index(self.inst.p ** self.inst.n, self.rows)
 
     def find(self, codes: np.ndarray) -> np.ndarray:
         """Index of each matrix given by its row codes (last axis); -1 for a non-member."""
@@ -281,16 +288,16 @@ class Structure:
         return _Batch(self)
 
     @cached_property
-    def grades(self) -> tuple[frozenset[int], ...]:
+    def grades(self) -> tuple[np.ndarray, ...]:
         """grades[k]: indices of codimension exactly k, for k = 0..n-r."""
-        codims = np.array(self.codims)
         top = self.inst.n - self.inst.r
-        return tuple(frozenset(np.flatnonzero(codims == k).tolist()) for k in range(top + 1))
+        return tuple(_frozen(np.flatnonzero(self.codims == k)) for k in range(top + 1))
 
     @cached_property
-    def below(self) -> tuple[frozenset[int], ...]:
+    def below(self) -> tuple[np.ndarray, ...]:
         """below[k]: indices of codimension strictly below k, for k = 0..n-r+1."""
-        return tuple(accumulate(self.grades, frozenset.union, initial=frozenset()))
+        top = self.inst.n - self.inst.r
+        return tuple(_frozen(np.flatnonzero(self.codims < k)) for k in range(top + 2))
 
 
 def enumerate_semigroup(inst: Instance, cap: int = DEFAULT_ENUM_CAP) -> Structure:
@@ -316,11 +323,11 @@ def enumerate_semigroup(inst: Instance, cap: int = DEFAULT_ENUM_CAP) -> Structur
     if (np.diff(keys) <= 0).any():
         raise InternalInconsistencyError("member keys are not strictly increasing")
     ident = int(np.searchsorted(keys, codes(q, codes(inst.p, identity_mat(inst.n)))))
-    mul, act = _cayley(inst.p, rows)
-    return Structure(inst, SemigroupTable(mul, identity_idx=ident), act)
+    mul, act, index = _cayley(inst.p, rows)
+    return Structure(inst, SemigroupTable(mul, identity_idx=ident), act, index)
 
 
-def j_class(s: Structure, k: int) -> frozenset[int]:
+def j_class(s: Structure, k: int) -> np.ndarray:
     """Indices of the members of codimension exactly k."""
     top = s.inst.n - s.inst.r
     if not 0 <= k <= top:
@@ -328,7 +335,7 @@ def j_class(s: Structure, k: int) -> frozenset[int]:
     return s.grades[k]
 
 
-def q_ideal(s: Structure, k: int) -> frozenset[int]:
+def q_ideal(s: Structure, k: int) -> np.ndarray:
     """Indices of the members of codimension strictly below k; the k-th
     ideal of the chain."""
     top = s.inst.n - s.inst.r
@@ -343,7 +350,7 @@ def green_char_partitions(s: Structure) -> GreenPartitions:
     each grouping the class ids read off the action array."""
     img_ids, ker_ids = s.image_classes[0], s.kernel_classes[0]
     h = label_classes(img_ids * (ker_ids.max() + 1) + ker_ids)
-    d = label_classes(np.array(s.codims))
+    d = label_classes(s.codims)
     return GreenPartitions(l=label_classes(img_ids), r=label_classes(ker_ids), h=h, d=d, j=d)
 
 
@@ -359,7 +366,7 @@ def _act(inst: Instance, rows, m: Mat) -> tuple[Vec, ...]:
 # action table.  Every output is looked up in s.index by _made, its key
 # read off _half_keys tables of the inverses, or packed from the one images
 # column an inverse meets; it is multiplied back out through s.act, never
-# through the Cayley table.  The scalar constructors are batches of one.
+# through the Cayley table.
 
 #: Most pairs (or elements) one block of a batch holds.
 _BLOCK = 2**14
@@ -412,7 +419,7 @@ class _Batch:
     def __init__(self, s: Structure):
         p, n, r, u = s.inst.p, s.inst.n, s.inst.r, codes(s.inst.p, s.inst.u.basis)
         self.s = s
-        self.codims = np.array(s.codims)
+        self.codims = s.codims.copy()
         self.ker_ids, ker_first = s.kernel_classes
         self.img_ids, img_first = s.image_classes
         self.ker_codims = self.codims[ker_first]
@@ -436,7 +443,7 @@ class _Batch:
         self.element_inv = self.domain_inv[np.arange(count), self.codims]
 
     def _domain_inverses(self) -> np.ndarray:
-        # inv[b, k], for k <= codim b: the inverse of factor_through's
+        # inv[b, k], for k <= codim b: the inverse of factor_through_grid's
         # domain [tail; first k transversal rows * b; U * b], the tail
         # extending the other rows' span to V.  That span is b's image of
         # span(first k transversal rows, U), read off act as a set of
@@ -487,7 +494,7 @@ class _Batch:
 
     @cached_property
     def factor_lams(self) -> np.ndarray:
-        """lam[c, d]: factor_through's lam from kernel class c to kernel
+        """lam[c, d]: factor_through_grid's lam from kernel class c to kernel
         class d (-1 where codim c > codim d): c's kernel to zero, c's
         transversal onto the first rows of d's, U fixed."""
         p, n, top, kc = self.s.inst.p, self.s.inst.n, self.s.inst.n - self.s.inst.r, self.ker_codims
@@ -501,7 +508,7 @@ class _Batch:
 
     @cached_property
     def sandwich_lams(self) -> np.ndarray:
-        """lam[c, d]: sandwich_factor's lam between kernel classes of
+        """lam[c, d]: sandwich_factor_grid's lam between kernel classes of
         codimension n-r-1 (-1 elsewhere), sending c's transversal,
         kernel and U onto d's."""
         p, n, r = self.s.inst.p, self.s.inst.n, self.s.inst.r
@@ -512,15 +519,6 @@ class _Batch:
         name = lambda i, j: f"kernel classes ({grade[i]}, {grade[j]})"
         lam[np.ix_(grade, grade)] = _made(self.s, _key(parts, at[:, None], at), "sandwich lam", name)
         return lam
-
-
-def _indices(s: Structure, idxs) -> np.ndarray:
-    # idxs as a flat index array; an index outside the table (a negative one too) is refused.
-    out = np.asarray(idxs, dtype=np.int64).reshape(-1)
-    bad = (out < 0) | (out >= len(s.table))
-    if bad.any():
-        raise PreconditionError(f"index {out[bad][0]} outside [0, {len(s.table)})")
-    return out
 
 
 def _row_blocks(left: np.ndarray, width: int):
@@ -537,7 +535,7 @@ def regular_witnesses(s: Structure, idxs) -> np.ndarray:
     b sends a's image basis (transversal * a, U * a) back to
     (transversal, U) and kills the image's extension to V.
     """
-    every, bt, q = _indices(s, idxs), s.batch, s.inst.p**s.inst.n
+    every, bt, q = indices(len(s.table), idxs), s.batch, s.inst.p**s.inst.n
     out = np.empty(len(every), dtype=table_dtype(len(s.table)))
     for lo, a in _row_blocks(every, 1):
         name = lambda i: f"element {a[i]}"
@@ -559,7 +557,7 @@ def raise_factors(s: Structure, idxs) -> tuple[np.ndarray, np.ndarray]:
     complement vector alive while killing the first, so both factors
     have codimension exactly k+1.
     """
-    every, bt, q = _indices(s, idxs), s.batch, s.inst.p**s.inst.n
+    every, bt, q = indices(len(s.table), idxs), s.batch, s.inst.p**s.inst.n
     limit = s.inst.n - s.inst.r - 2
     if every.size and bt.codims[every].max() > limit:
         raise PreconditionError(f"raise requires codim <= {limit} so the kernel has dimension >= 2")
@@ -613,7 +611,7 @@ def factor_through_grid(s: Structure, left, right) -> tuple[np.ndarray, np.ndarr
     mu kills the tail extending (first codim(a) rows of b's transversal,
     U) * b to V and sends those rows * b to (a's transversal, U) * a.
     """
-    every, b, bt = _indices(s, left), _indices(s, right), s.batch
+    every, b, bt = indices(len(s.table), left), indices(len(s.table), right), s.batch
     if every.size and b.size and bt.codims[every].max() > bt.codims[b].min():
         ka, kb = bt.codims[every].max(), bt.codims[b].min()
         raise InfeasibleError(f"codim {ka} cannot factor through codim {kb}: products only lower codimension")
@@ -628,7 +626,7 @@ def dclass_witness_grid(s: Structure, left, right) -> np.ndarray:
     gamma kills b's kernel, sends b's transversal to the extension of U
     to a's image, and sends U as a does.
     """
-    every, b, bt = _indices(s, left), _indices(s, right), s.batch
+    every, b, bt = indices(len(s.table), left), indices(len(s.table), right), s.batch
     codims = bt.codims[np.concatenate([every, b])]
     if codims.size and codims.min() != codims.max():
         raise PreconditionError("witness requires equal codimension")
@@ -650,7 +648,7 @@ def sandwich_factor_grid(s: Structure, targets, sources) -> tuple[np.ndarray, np
     lam sends t's transversal, kernel and U onto a's; mu sends a's
     domain rows onto t's.
     """
-    every, a, bt = _indices(s, targets), _indices(s, sources), s.batch
+    every, a, bt = indices(len(s.table), targets), indices(len(s.table), sources), s.batch
     top = s.inst.n - s.inst.r
     if (bt.codims[np.concatenate([every, a])] != top - 1).any():
         raise PreconditionError(f"sandwich factorization requires codimension {top - 1}")
@@ -662,50 +660,16 @@ def sandwich_factor_grid(s: Structure, targets, sources) -> tuple[np.ndarray, np
     return lam, mu
 
 
-def regular_witness(s: Structure, a: int) -> int:
-    """Index of an inner inverse: b with a*b*a = a and b*a*b = b."""
-    return int(regular_witnesses(s, [a])[0])
-
-
-def raise_factor(s: Structure, a: int) -> tuple[int, int]:
-    """Split a of codimension k <= n-r-2 as lam*mu with both factors one grade up."""
-    lam, mu = raise_factors(s, [a])
-    return int(lam[0]), int(mu[0])
-
-
-def factor_through(s: Structure, a: int, b: int) -> tuple[int, int]:
-    """Indices (lam, mu) with a = lam * b * mu, possible iff codim(a) <= codim(b)."""
-    lam, mu = factor_through_grid(s, [a], [b])
-    return int(lam[0, 0]), int(mu[0, 0])
-
-
-def dclass_witness(s: Structure, a: int, b: int) -> int:
-    """Index of a member with the image of a and the kernel of b.
-
-    Such an element links a and b inside their common D-class; its
-    existence is exactly what makes equal codimension sufficient.
-    """
-    return int(dclass_witness_grid(s, [a], [b])[0, 0])
-
-
-def sandwich_factor(s: Structure, target: int, a: int) -> tuple[int, int]:
-    """Indices of units (lam, mu) with lam * a * mu = target.
-
-    Both a and target must have codimension n-r-1; conjugating by units
-    moves freely inside that top proper grade.
-    """
-    lam, mu = sandwich_factor_grid(s, [target], [a])
-    return int(lam[0, 0]), int(mu[0, 0])
-
-
-def generating_set(s: Structure) -> frozenset[int]:
+def generating_set(s: Structure) -> np.ndarray:
     """Indices of the unit group plus one fixed element a single grade below it.
 
     The extra element is the least index of codimension n-r-1, which is
     the lexicographically least such matrix, so the set is deterministic.
     """
     top = s.inst.n - s.inst.r
-    return s.grades[top] | {min(s.grades[top - 1])}
+    chosen = s.codims == top
+    chosen[s.grades[top - 1][0]] = True
+    return np.flatnonzero(chosen)
 
 
 def unit_group_subtable(s: Structure) -> SemigroupTable:
@@ -729,30 +693,22 @@ def rank_value(s: Structure, rank_cap: int = 4, budget: int | None = 200_000) ->
     return found[0] + 1
 
 
-def is_idempotent_by_image(s: Structure, a: int) -> bool:
-    """Idempotency via the restriction test: a fixes its image pointwise,
-    the image being the set of codes in a's column of s.act."""
-    (a,) = _indices(s, a)
-    img = np.flatnonzero(np.bincount(s.act[:, a]))
-    return bool((s.act[img, a] == img).all())
-
-
-def minimal_idempotents(s: Structure) -> frozenset[int]:
+def minimal_idempotents(s: Structure) -> np.ndarray:
     """Indices of the idempotent members whose image is exactly U.
 
     These are the minimal idempotents under the natural partial order;
     there are p^(r(n-r)) of them, one per complement of U serving as
     the kernel.
     """
-    low = np.array(sorted(s.grades[0]))
-    return frozenset(low[s.table.mul[low, low] == low].tolist())
+    low = s.grades[0]
+    return low[s.table.mul[low, low] == low]
 
 
 def _fixes_pointwise(inst: Instance, m: Mat, rows) -> bool:
     return all(vec_mat(inst.p, row, m) == tuple(row) for row in rows)
 
 
-def special_subgroup(s: Structure, kind: str, w: Subspace | None = None) -> frozenset[int]:
+def special_subgroup(s: Structure, kind: str, w: Subspace | None = None) -> np.ndarray:
     """Indices of one of the structural subgroups of the unit group.
 
     fix_u: units restricting to the identity on U.
@@ -784,7 +740,7 @@ def _in_subgroup(s: Structure, kind: str, w: Subspace | None, idxs) -> np.ndarra
     return keep
 
 
-def _subgroup_members(s: Structure, kind: str, w: Subspace | None) -> frozenset[int]:
+def _subgroup_members(s: Structure, kind: str, w: Subspace | None) -> np.ndarray:
     if s.inst.r < 1:
         raise PreconditionError("unit-group subgroup structure requires r >= 1")
     if kind not in SUBGROUP_KINDS:
@@ -794,16 +750,15 @@ def _subgroup_members(s: Structure, kind: str, w: Subspace | None) -> frozenset[
             raise PreconditionError(f"subgroup kind {kind!r} needs a complement W")
         if not is_complement(w, s.inst.u):
             raise PreconditionError("W is not a complement of U")
-    units = np.array(sorted(s.grades[s.inst.n - s.inst.r]))
-    picked = units[_in_subgroup(s, kind, w, units)]
-    group = frozenset(picked.tolist())
-    if s.table.identity_idx not in group:
-        raise InternalInconsistencyError("subgroup is missing the identity")
+    units = s.grades[s.inst.n - s.inst.r]
+    group = units[_in_subgroup(s, kind, w, units)]
     inside = np.zeros(len(s.table), dtype=bool)
-    inside[picked] = True
-    if not inside[s.table.mul[np.ix_(picked, picked)]].all():
+    inside[group] = True
+    if not inside[s.table.identity_idx]:
+        raise InternalInconsistencyError("subgroup is missing the identity")
+    if not inside[s.table.mul[np.ix_(group, group)]].all():
         raise InternalInconsistencyError("subgroup is not closed under products")
-    return group
+    return _frozen(group)
 
 
 # Left factor: (right factor, what the split covers; None for all units).
@@ -824,57 +779,19 @@ def split_grid(s: Structure, left_kind: str, w: Subspace) -> tuple[np.ndarray, n
     right_kind, whole_kind = _SPLITS[left_kind]
 
     def make():
-        left = np.array(sorted(special_subgroup(s, left_kind, w)))
-        right = np.array(sorted(special_subgroup(s, right_kind, w)))
+        left = special_subgroup(s, left_kind, w)
+        right = special_subgroup(s, right_kind, w)
         whole = s.grades[s.inst.n - s.inst.r] if whole_kind is None else special_subgroup(s, whole_kind)
         cells = s.table.mul[np.ix_(left, right)].ravel()
-        if not np.array_equal(np.sort(cells), sorted(whole)):
+        if not np.array_equal(np.sort(cells), whole):
             raise InternalInconsistencyError(
                 f"{left_kind} x {right_kind} products are not a bijection onto {whole_kind or 'the units'}"
             )
-        pos = np.full(len(s.table), -1, dtype=np.int64)
+        pos = np.full(len(s.table), -1, dtype=np.intp)
         pos[cells] = np.arange(cells.size)
-        return left, right, pos
+        return left, right, _frozen(pos)
 
     return _once(s._subgroups, (f"{left_kind}*{right_kind}", w), make)
-
-
-def _split(s: Structure, a: int, left_kind: str, w: Subspace) -> tuple[int, int]:
-    # a's cell of the checked grid, multiplied back out on row codes
-    # through s.act, each factor tested again for membership of its subgroup.
-    left, right, pos = split_grid(s, left_kind, w)
-    i, j = divmod(int(pos[a]), len(right))
-    first, second = int(left[i]), int(right[j])
-    ok = (
-        (s.act[s.rows[first], second] == s.rows[a]).all()
-        and _in_subgroup(s, left_kind, w, [first])[0]
-        and _in_subgroup(s, _SPLITS[left_kind][0], w, [second])[0]
-    )
-    if not ok:
-        raise InternalInconsistencyError(f"{left_kind} split failed to verify")
-    return first, second
-
-
-def decompose_unit(s: Structure, a: int, w: Subspace) -> tuple[int, int]:
-    """Split a unit as (fix_w part) * (fix_u part); the split is unique.
-
-    The split is a lookup in the fix_w x fix_u grid of split_grid.
-    """
-    (a,) = _indices(s, a)
-    if a not in s.grades[s.inst.n - s.inst.r]:
-        raise PreconditionError("decomposition is defined on units only")
-    return _split(s, a, FIX_W, w)
-
-
-def decompose_fix_u(s: Structure, a: int, w: Subspace) -> tuple[int, int]:
-    """Split a U-fixing unit as (W-stabilizing part) * (translation part).
-
-    The split is unique, and a lookup in the g_w x n_w grid of split_grid.
-    """
-    (a,) = _indices(s, a)
-    if a not in special_subgroup(s, FIX_U):
-        raise PreconditionError("decomposition is defined on U-fixing units only")
-    return _split(s, a, G_W, w)
 
 
 def subgroup_iso_check(s: Structure, kind: str, w: Subspace | None = None) -> bool:
@@ -891,9 +808,9 @@ def subgroup_iso_check(s: Structure, kind: str, w: Subspace | None = None) -> bo
     """
     inst = s.inst
     if kind == FIX_U:
-        raise PreconditionError("no canonical comparison group for fix_u; decompose it instead")
+        raise PreconditionError("no canonical comparison group for fix_u; split it with split_grid instead")
     p = inst.p
-    members = np.array(sorted(special_subgroup(s, kind, w)))
+    members = special_subgroup(s, kind, w)
     if kind == N_W:
         # coords[i, m]: U-coordinates of w_i*m - w_i.
         moved = code_vectors(p, inst.n)[s.act[codes(p, w.basis)][:, members]]

@@ -60,8 +60,9 @@ def decide_isomorphic(i1: Instance, i2: Instance) -> IsoWitness | None:
     return IsoWitness(source=i1, target=i2, phi=phi, phi_inv=phi_inv)
 
 
-def element_bijection(witness: IsoWitness, s1: Structure, s2: Structure) -> tuple[int, ...]:
-    """The index map psi that conjugation by the witness induces from s1 to s2.
+def element_bijection(witness: IsoWitness, s1: Structure, s2: Structure) -> np.ndarray:
+    """The index map psi that conjugation by the witness induces from s1
+    to s2, as an array: psi[i] is the index in s2 of element i's conjugate.
 
     Row i of phi^-1 * m * phi is (row i of phi^-1) * m, read off s1.act,
     times phi, read off phi's action table; the conjugates are looked up
@@ -85,4 +86,4 @@ def element_bijection(witness: IsoWitness, s1: Structure, s2: Structure) -> tupl
         raise InternalInconsistencyError("conjugation is not injective on elements")
     if not is_homomorphism(psi, t1, t2):
         raise InternalInconsistencyError("conjugation failed to respect a product")
-    return tuple(psi.tolist())
+    return psi

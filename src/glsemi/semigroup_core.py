@@ -1,7 +1,9 @@
 """Generic finite-semigroup machinery on explicit multiplication tables.
 
 Elements are the integer indices 0..n-1 of the table's rows, and every
-structural computation runs on integer arrays.  Green's relations are
+structural computation runs on integer arrays.  An index set is a
+sorted, duplicate-free np.intp array; every index set taken passes
+`indices`, which refuses an index outside the table.  Green's relations are
 computed here from the table alone, as the one-sided ideals of their
 definitions, so this module doubles as the oracle against which the
 characterized relations of the main layer are checked.
@@ -344,48 +346,51 @@ def _reach(mul: np.ndarray, start, right, left=()) -> np.ndarray:
     return seen
 
 
+def indices(n: int, idxs) -> np.ndarray:
+    """idxs as a flat np.intp array of indices into a table of order n;
+    an index outside [0, n), a negative one too, is refused."""
+    out = np.asarray(idxs, dtype=np.intp).reshape(-1)
+    bad = (out < 0) | (out >= n)
+    if bad.any():
+        raise PreconditionError(f"index {out[bad][0]} outside [0, {n})")
+    return out
+
+
 def _closure(mul: np.ndarray, gen_idxs) -> np.ndarray:
-    """Mask of the subsemigroup generated by the given indices."""
+    """Mask of the subsemigroup generated by the given indices, each
+    already inside the table."""
     gens = np.array(list(dict.fromkeys(gen_idxs)), dtype=np.intp)
     if not gens.size:
         raise PreconditionError("generator set is empty")
     return _reach(mul, gens, gens)
 
 
-def closure_indices(table: SemigroupTable, gen_idxs) -> frozenset[int]:
+def closure_indices(table: SemigroupTable, gen_idxs) -> np.ndarray:
     """Indices of the subsemigroup generated by the given indices."""
-    return frozenset(np.flatnonzero(_closure(table.mul, gen_idxs)).tolist())
+    return np.flatnonzero(_closure(table.mul, indices(len(table), gen_idxs)))
 
 
-def idempotents(table: SemigroupTable) -> frozenset[int]:
+def idempotents(table: SemigroupTable) -> np.ndarray:
     mul = table.mul
-    return frozenset(np.flatnonzero(mul.diagonal() == np.arange(len(mul))).tolist())
+    return np.flatnonzero(mul.diagonal() == np.arange(len(mul)))
 
 
-def natural_leq(e: int, f: int, table: SemigroupTable) -> bool:
-    """Natural partial order on idempotents: e <= f iff e = ef = fe."""
-    idem = idempotents(table)
-    if e not in idem or f not in idem:
-        raise PreconditionError("natural order is defined on idempotents only")
-    return int(table.mul[e, f]) == e and int(table.mul[f, e]) == e
-
-
-def minimal_idempotents_oracle(table: SemigroupTable) -> frozenset[int]:
+def minimal_idempotents_oracle(table: SemigroupTable) -> np.ndarray:
     """Idempotents with no strictly smaller idempotent below them."""
-    idem = np.array(sorted(idempotents(table)))
+    idem = idempotents(table)
     prod = table.mul[np.ix_(idem, idem)]
-    # below[x, y]: f = idem[x] sits under e = idem[y], i.e. f = fe = ef (see natural_leq).
+    # below[x, y]: f = idem[x] sits under e = idem[y] in the natural order, f = fe = ef.
     below = (prod == idem[:, None]) & (prod.T == idem[:, None])
     np.fill_diagonal(below, False)
-    return frozenset(idem[~below.any(axis=0)].tolist())
+    return idem[~below.any(axis=0)]
 
 
-def principal_ideal(table: SemigroupTable, a: int) -> frozenset[int]:
-    """The two-sided ideal S^1 a S^1 as a set of indices: what a reaches
+def principal_ideal(table: SemigroupTable, a: int) -> np.ndarray:
+    """The two-sided ideal S^1 a S^1 as sorted indices: what a reaches
     along x -> x g and x -> g x, g in the table check's generating set A.
     That is every u a v with u, v words over A, on an associative table."""
     gens = table._checked_generators()
-    return frozenset(np.flatnonzero(_reach(table.mul, [a], gens, gens)).tolist())
+    return np.flatnonzero(_reach(table.mul, indices(len(table), a), gens, gens))
 
 
 def verify_ideal(table: SemigroupTable, subset) -> bool:
@@ -394,7 +399,7 @@ def verify_ideal(table: SemigroupTable, subset) -> bool:
     With A the table check's generating set, I S^1 lies in I iff I g does
     for every g in A, as (i g1) g2 ... never leaves I; likewise g I.
     """
-    idx = np.fromiter(frozenset(subset), dtype=np.intp)
+    idx = indices(len(table), subset)
     if not idx.size:
         raise PreconditionError("ideal candidate is empty")
     mul, gens = table.mul, table._checked_generators()
@@ -425,10 +430,7 @@ def rank_search(table: SemigroupTable, candidates, cap: int, budget: int | None 
     """
     if cap < 1:
         raise PreconditionError("rank search cap must be at least 1")
-    n = len(table)
-    cands = sorted(set(candidates))
-    if any(c < 0 or c >= n for c in cands):
-        raise PreconditionError("candidate indices out of range")
+    cands = sorted(set(indices(len(table), candidates).tolist()))
     # One element generates a commutative subsemigroup, so on a table that
     # is not commutative the singletons count against the budget untried.
     commutative = np.array_equal(table.mul, table.mul.T)
@@ -443,9 +445,11 @@ def rank_search(table: SemigroupTable, candidates, cap: int, budget: int | None 
     return None
 
 
-def subtable(table: SemigroupTable, indices) -> SemigroupTable:
+def subtable(table: SemigroupTable, idxs) -> SemigroupTable:
     """Restriction of the table to a product-closed subset of indices."""
-    idxs = np.array(sorted(set(indices)), dtype=np.intp)
+    inside = np.zeros(len(table), dtype=bool)
+    inside[indices(len(table), idxs)] = True
+    idxs = np.flatnonzero(inside)
     pos = np.full(len(table), -1, dtype=np.intp)
     pos[idxs] = np.arange(len(idxs))
     rows = pos[table.mul[np.ix_(idxs, idxs)]]

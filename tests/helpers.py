@@ -11,17 +11,60 @@ from itertools import product
 import numpy as np
 
 from glsemi import gl_restriction
-from glsemi.gf_linalg import code_vectors, codes, enumerate_complements
+from glsemi.errors import PreconditionError
+from glsemi.gf_linalg import Subspace, code_vectors, codes, enumerate_complements
 from glsemi.gl_restriction import Structure
-from glsemi.semigroup_core import SemigroupTable
+from glsemi.semigroup_core import SemigroupTable, idempotents
 
-CONSTRUCTORS = (
-    "regular_witness",
-    "factor_through",
-    "dclass_witness",
-    "raise_factor",
-    "sandwich_factor",
-)
+#: The batched constructor behind each construction the tests name.
+BATCHES = {
+    "regular_witness": "regular_witnesses",
+    "factor_through": "factor_through_grid",
+    "dclass_witness": "dclass_witness_grid",
+    "raise_factor": "raise_factors",
+    "sandwich_factor": "sandwich_factor_grid",
+}
+CONSTRUCTORS = tuple(BATCHES)
+
+
+def one(batch, s, *idxs):
+    """The output of a batched constructor for single indices: each index
+    goes in as a one-element array, and each output comes back as an int
+    (a tuple of ints for a (lam, mu) pair)."""
+    out = batch(s, *([a] for a in idxs))
+    return tuple(int(x.item()) for x in out) if isinstance(out, tuple) else int(out.item())
+
+
+def split_cell(s, left_kind, w, a):
+    """The unit split of element a as (left factor, right factor): a's
+    cell of split_grid's product grid (fix_w x fix_u for left_kind
+    fix_w, g_w x n_w for g_w).  An element with no cell raises
+    PreconditionError: a non-unit, or for g_w a unit not fixing U."""
+    left, right, pos = gl_restriction.split_grid(s, left_kind, w)
+    if pos[a] < 0:
+        raise PreconditionError(f"element {a} has no cell in the {left_kind} split")
+    i, j = divmod(int(pos[a]), len(right))
+    return int(left[i]), int(right[j])
+
+
+def zero_space(p, n):
+    """The zero subspace of GF(p)^n."""
+    return Subspace(p, n, ())
+
+
+def natural_leq(e, f, table):
+    """Natural partial order on idempotents: e <= f iff e = ef = fe."""
+    idem = idempotents(table)
+    if e not in idem or f not in idem:
+        raise PreconditionError("natural order is defined on idempotents only")
+    return int(table.mul[e, f]) == e and int(table.mul[f, e]) == e
+
+
+def is_idempotent_by_image(s, a):
+    """Idempotency via the restriction test: a fixes its image pointwise,
+    the image being the set of codes in a's column of s.act."""
+    img = np.flatnonzero(np.bincount(s.act[:, a]))
+    return bool((s.act[img, a] == img).all())
 
 
 def matrices(s):
@@ -54,7 +97,7 @@ def with_product(s, i, j, k):
     mul = s.table.mul.copy()
     mul[i, j] = k
     table = SemigroupTable(mul, identity_idx=s.table.identity_idx, check=False)
-    return Structure(s.inst, table, s.act)
+    return Structure(s.inst, table, s.act, s.index)
 
 
 def with_column(s, a, m):
@@ -67,26 +110,17 @@ def with_column(s, a, m):
     act[:, a] = [
         sum(x * p ** (n - 1 - j) for j, x in enumerate(naive_vec_mat(p, v, m))) for v in product(range(p), repeat=n)
     ]
-    return Structure(s.inst, s.table, act)
+    return Structure(s.inst, s.table, act, s.index)
 
 
 def with_codim(s, a, k):
     """A copy of Structure s that says element a has codimension k.  The
     table and the action array are shared, so only a check that reads
     s.codims, or the grades and ideals made from them, can notice."""
-    bad = Structure(s.inst, s.table, s.act)
-    bad.codims = s.codims[:a] + (k,) + s.codims[a + 1 :]
+    bad = Structure(s.inst, s.table, s.act, s.index)
+    bad.codims = s.codims.copy()
+    bad.codims[a] = k
     return bad
-
-
-#: The batch each scalar constructor runs as a batch of one.
-BATCHES = {
-    "regular_witness": "regular_witnesses",
-    "factor_through": "factor_through_grid",
-    "dclass_witness": "dclass_witness_grid",
-    "raise_factor": "raise_factors",
-    "sandwich_factor": "sandwich_factor_grid",
-}
 
 
 def break_batch(monkeypatch, p, batch, call=None, member=True):
@@ -281,14 +315,14 @@ def dense_green(table):
 
 
 def dense_principal_ideal(table, a):
-    """S^1 a S^1 as a set of indices, from whole rows and columns of the
+    """S^1 a S^1 as sorted indices, from whole rows and columns of the
     table: S^1 a is column a and a, and S^1 a S^1 the rows of its members."""
     mul = table.mul
     ideal = np.zeros(len(mul), dtype=bool)
     ideal[mul[:, a]] = True
     ideal[a] = True
     ideal[mul[np.flatnonzero(ideal)]] = True
-    return frozenset(np.flatnonzero(ideal).tolist())
+    return np.flatnonzero(ideal).tolist()
 
 
 def dense_verify_ideal(table, subset):

@@ -31,7 +31,6 @@ from glsemi.gf_linalg import (
     solve_batch,
     span_mask,
     vec_mat,
-    zero_space,
 )
 
 from helpers import (
@@ -42,6 +41,7 @@ from helpers import (
     naive_mat_mul,
     naive_span,
     naive_vec_mat,
+    zero_space,
 )
 
 

@@ -34,15 +34,10 @@ from glsemi.gl_restriction import (
     G_W,
     N_W,
     Structure,
-    dclass_witness,
     dclass_witness_grid,
-    decompose_fix_u,
-    decompose_unit,
     enumerate_semigroup,
-    factor_through,
     factor_through_grid,
     generating_set,
-    is_idempotent_by_image,
     is_member,
     j_class,
     j_class_count_report,
@@ -51,12 +46,9 @@ from glsemi.gl_restriction import (
     nonnormality_example,
     predicted_order,
     q_ideal,
-    raise_factor,
     raise_factors,
     rank_value,
-    regular_witness,
     regular_witnesses,
-    sandwich_factor,
     sandwich_factor_grid,
     special_subgroup,
     split_grid,
@@ -71,11 +63,14 @@ from helpers import (
     break_batch,
     brute_members,
     index_of,
+    is_idempotent_by_image,
     matrices,
     mats,
     naive_image_vectors,
     naive_span,
     naive_vec_mat,
+    one,
+    split_cell,
     with_column,
     with_product,
     with_wrong_split,
@@ -234,7 +229,7 @@ def test_per_class_bases_grow_per_class_not_per_element(monkeypatch):
     assert s.batch.kernel.shape == (r, s.inst.n)  # one row per kernel
     assert s.batch.image.shape == (l, s.inst.n)  # one row per image
     # A basis and a transversal per kernel, a basis and two extensions per
-    # image, and one tail per distinct span of factor_through's domain
+    # image, and one tail per distinct span of factor_through_grid's domain
     # rows, each span an image.
     assert 2 * r + 3 * l < len(calls) <= 2 * r + 4 * l < len(s.table) // 15
 
@@ -243,8 +238,8 @@ def test_j_class_and_q_ideal():
     assert mats(S221, j_class(S221, 0)) == {A0, A2}
     assert mats(S221, j_class(S221, 1)) == {IDENT2, A3}
     assert len(j_class(S231, 2)) == 24
-    assert q_ideal(S221, 1) == j_class(S221, 0)
-    assert q_ideal(S231, 2) == j_class(S231, 0) | j_class(S231, 1)
+    assert np.array_equal(q_ideal(S221, 1), j_class(S221, 0))
+    assert q_ideal(S231, 2).tolist() == sorted([*j_class(S231, 0).tolist(), *j_class(S231, 1).tolist()])
     for m, cd in zip(matrices(S231), S231.codims):
         assert len(naive_image_vectors(2, m)) == 2 ** (INST231.r + cd)
     with pytest.raises(PreconditionError):
@@ -253,24 +248,63 @@ def test_j_class_and_q_ideal():
         q_ideal(S221, 0)
 
 
+def test_each_cached_index_set_is_a_sorted_read_only_intp_array():
+    s = enumerate_semigroup(INST232)
+    w = enumerate_complements(s.inst.u)[0]
+    split = split_grid(s, FIX_W, w)
+    index_sets = [
+        *s.grades,
+        *s.below,
+        *(j_class(s, k) for k in range(2)),
+        q_ideal(s, 1),
+        special_subgroup(s, FIX_U),
+        *(special_subgroup(s, kind, w) for kind in (FIX_W, G_W, N_W)),
+        *split[:2],
+    ]
+    for idxs in index_sets:
+        assert idxs.dtype == np.intp and idxs.ndim == 1
+        assert (np.diff(idxs) > 0).all()  # strictly increasing: sorted, no repeats
+    for held in [*index_sets, s.codims, split[2], s.index, s.act]:
+        assert not held.flags.writeable
+        with pytest.raises(ValueError):
+            held[..., :1] = 0
+    assert s.codims.dtype == np.intp and split[2].dtype == np.intp
+    # The sets a call makes afresh are sorted intp arrays as well.
+    for idxs in (generating_set(s), minimal_idempotents(s)):
+        assert idxs.dtype == np.intp and (np.diff(idxs) > 0).all()
+
+
+def test_enumeration_builds_the_key_index_once(monkeypatch):
+    # _cayley looks every product up in the key index, and the Structure
+    # keeps that same index for its own lookups.
+    calls = []
+    real = gl_restriction.key_index
+    monkeypatch.setattr(gl_restriction, "key_index", lambda *args: calls.append(args) or real(*args))
+    s = enumerate_semigroup(INST231)
+    assert len(calls) == 1
+    assert np.array_equal(s.index[s.keys], np.arange(len(s.table)))
+    one(regular_witnesses, s, 0)  # a constructor's lookup reads the kept index
+    assert len(calls) == 1
+
+
 def test_dclass_witness():
-    assert dclass_witness(S221, IDX221(A0), IDX221(A2)) == IDX221(A2)  # unique: image U, kernel <(1,1)>
+    assert one(dclass_witness_grid, S221, IDX221(A0), IDX221(A2)) == IDX221(A2)  # unique: image U, kernel <(1,1)>
     with pytest.raises(PreconditionError):
-        dclass_witness(S221, IDX221(A0), IDX221(IDENT2))  # unequal codims
+        one(dclass_witness_grid, S221, IDX221(A0), IDX221(IDENT2))  # unequal codims
     elems = matrices(S232)
     for a in range(len(elems)):
         for b in range(len(elems)):
             if S232.codims[a] == S232.codims[b]:
-                gamma = elems[dclass_witness(S232, a, b)]
+                gamma = elems[one(dclass_witness_grid, S232, a, b)]
                 assert image(2, gamma) == image(2, elems[a])  # L-related to a
                 assert kernel(2, gamma) == kernel(2, elems[b])  # R-related to b
 
 
 def test_factor_through_examples():
-    lam, mu = factor_through(S221, IDX221(A0), IDX221(IDENT2))
+    lam, mu = one(factor_through_grid, S221, IDX221(A0), IDX221(IDENT2))
     assert mat_mul(2, mat_mul(2, E221[lam], IDENT2), E221[mu]) == A0
     with pytest.raises(InfeasibleError):
-        factor_through(S221, IDX221(IDENT2), IDX221(A0))
+        one(factor_through_grid, S221, IDX221(IDENT2), IDX221(A0))
 
 
 def test_factor_through_matches_exhaustive_existence():
@@ -285,46 +319,46 @@ def test_factor_through_matches_exhaustive_existence():
             )
             assert exists == feasible
             if feasible:
-                lam, mu = factor_through(S221, a, b)
+                lam, mu = one(factor_through_grid, S221, a, b)
                 assert mat_mul(2, mat_mul(2, elems[lam], elems[b]), elems[mu]) == elems[a]
 
 
 def test_regular_witness():
-    assert E221[regular_witness(S221, IDX221(A3))] == mat_inverse(2, A3)
-    b = E221[regular_witness(S221, IDX221(A2))]
+    assert E221[one(regular_witnesses, S221, IDX221(A3))] == mat_inverse(2, A3)
+    b = E221[one(regular_witnesses, S221, IDX221(A2))]
     assert mat_mul(2, mat_mul(2, A2, b), A2) == A2
     elems = matrices(S321)
     for i, m in enumerate(elems):
-        w = elems[regular_witness(S321, i)]
+        w = elems[one(regular_witnesses, S321, i)]
         assert mat_mul(3, mat_mul(3, m, w), m) == m
         assert mat_mul(3, mat_mul(3, w, m), w) == w
 
 
 def test_raise_factor():
     elems = matrices(S231)
-    for a in sorted(j_class(S231, 0)):
-        lam, mu = raise_factor(S231, a)
+    for a in j_class(S231, 0).tolist():
+        lam, mu = one(raise_factors, S231, a)
         assert mat_mul(2, elems[lam], elems[mu]) == elems[a]
         assert len(naive_image_vectors(2, elems[lam])) == 2 ** 2  # codim 1
         assert len(naive_image_vectors(2, elems[mu])) == 2 ** 2
     with pytest.raises(PreconditionError):
-        raise_factor(S221, IDX221(A0))  # kernel too small below dimension 2
+        one(raise_factors, S221, IDX221(A0))  # kernel too small below dimension 2
 
 
 def test_raise_factor_closure_property():
     # products of the next grade up cover each lower grade
     for k in (1,):
-        assert closure_indices(S231.table, j_class(S231, k)) == q_ideal(S231, k + 1)
+        assert np.array_equal(closure_indices(S231.table, j_class(S231, k)), q_ideal(S231, k + 1))
 
 
 def test_sandwich_factor():
-    lam, mu = sandwich_factor(S221, IDX221(A0), IDX221(A0))
+    lam, mu = one(sandwich_factor_grid, S221, IDX221(A0), IDX221(A0))
     assert mat_mul(2, mat_mul(2, E221[lam], A0), E221[mu]) == A0
-    lam, mu = sandwich_factor(S221, IDX221(A2), IDX221(A0))
+    lam, mu = one(sandwich_factor_grid, S221, IDX221(A2), IDX221(A0))
     assert mat_mul(2, mat_mul(2, E221[lam], A0), E221[mu]) == A2
     assert {E221[lam], E221[mu]} <= {IDENT2, A3}  # both units
     with pytest.raises(PreconditionError):
-        sandwich_factor(S221, IDX221(IDENT2), IDX221(A0))
+        one(sandwich_factor_grid, S221, IDX221(IDENT2), IDX221(A0))
 
 
 def test_generating_set():
@@ -359,9 +393,9 @@ def test_idempotent_by_image():
 def test_special_subgroups_smallest_instance():
     w = rref_canonical(2, 2, [(0, 1)])
     idx = IDX221
-    assert special_subgroup(S221, FIX_W, w) == {idx(IDENT2)}
-    assert special_subgroup(S221, N_W, w) == {idx(IDENT2), idx(A3)}
-    assert special_subgroup(S221, FIX_U) == {idx(IDENT2), idx(A3)}
+    assert special_subgroup(S221, FIX_W, w).tolist() == [idx(IDENT2)]
+    assert special_subgroup(S221, N_W, w).tolist() == sorted([idx(IDENT2), idx(A3)])
+    assert special_subgroup(S221, FIX_U).tolist() == sorted([idx(IDENT2), idx(A3)])
     with pytest.raises(PreconditionError):
         special_subgroup(S221, FIX_W, INST221.u)  # U is not its own complement
     with pytest.raises(PreconditionError):
@@ -397,15 +431,15 @@ def test_special_subgroups_match_their_matrix_definitions():
     for s in (S231, S232, S321):
         inst, p = s.inst, s.inst.p
         u_set = naive_span(p, inst.n, inst.u.basis)
-        units = sorted(j_class(s, inst.n - inst.r))
+        units = j_class(s, inst.n - inst.r).tolist()
         elems = matrices(s)
 
         def members(*tests):
-            out = set()
+            out = []
             for i in units:
                 images = [(row, naive_vec_mat(p, row, elems[i])) for row in inst.u.basis + w.basis]
                 if all(test(images) for test in tests):
-                    out.add(i)
+                    out.append(i)
             return out
 
         def fixes_u(images):
@@ -413,10 +447,12 @@ def test_special_subgroups_match_their_matrix_definitions():
 
         for w in enumerate_complements(inst.u):
             w_set = naive_span(p, inst.n, w.basis)
-            assert special_subgroup(s, FIX_U) == members(fixes_u)
-            assert special_subgroup(s, FIX_W, w) == members(lambda im: all(x == y for x, y in im[inst.r :]))
-            assert special_subgroup(s, G_W, w) == members(fixes_u, lambda im: all(y in w_set for _, y in im[inst.r :]))
-            assert special_subgroup(s, N_W, w) == members(
+            assert special_subgroup(s, FIX_U).tolist() == members(fixes_u)
+            assert special_subgroup(s, FIX_W, w).tolist() == members(lambda im: all(x == y for x, y in im[inst.r :]))
+            assert special_subgroup(s, G_W, w).tolist() == members(
+                fixes_u, lambda im: all(y in w_set for _, y in im[inst.r :])
+            )
+            assert special_subgroup(s, N_W, w).tolist() == members(
                 fixes_u,
                 lambda im: all(tuple((b - a) % p for a, b in zip(x, y)) in u_set for x, y in im[inst.r :]),
             )
@@ -434,82 +470,58 @@ def test_fix_u_is_conjugation_closed():
 
 
 def test_decompose_unit():
+    # A unit's split is its cell of the fix_w x fix_u grid.
     w = rref_canonical(2, 3, [(0, 0, 1)])
     idx, elems = partial(index_of, S232), matrices(S232)
     ident = S232.table.identity_idx
-    assert decompose_unit(S232, ident, w) == (ident, ident)
-    first, second = decompose_unit(S232, idx(((0, 1, 0), (1, 0, 0), (1, 0, 1))), w)
+    assert split_cell(S232, FIX_W, w, ident) == (ident, ident)
+    first, second = split_cell(S232, FIX_W, w, idx(((0, 1, 0), (1, 0, 0), (1, 0, 1))))
     assert elems[first] == ((0, 1, 0), (1, 0, 0), (0, 0, 1))
     assert elems[second] == ((1, 0, 0), (0, 1, 0), (1, 0, 1))
-    for a in special_subgroup(S232, FIX_U):
-        assert decompose_unit(S232, a, w) == (ident, a)
+    for a in special_subgroup(S232, FIX_U).tolist():
+        assert split_cell(S232, FIX_W, w, a) == (ident, a)
     with pytest.raises(PreconditionError):
-        decompose_unit(S232, idx(((1, 0, 0), (0, 1, 0), (0, 0, 0))), w)  # not a unit
+        split_cell(S232, FIX_W, w, idx(((1, 0, 0), (0, 1, 0), (0, 0, 0))))  # not a unit
     with pytest.raises(PreconditionError):
-        decompose_unit(S232, ident, INST232.u)  # U is not its own complement
+        split_grid(S232, FIX_W, INST232.u)  # U is not its own complement
 
 
 def test_decompose_fix_u():
+    # A U-fixing unit's split is its cell of the g_w x n_w grid.
     w = rref_canonical(2, 2, [(0, 1)])
-    assert decompose_fix_u(S221, IDX221(IDENT2), w) == (IDX221(IDENT2), IDX221(IDENT2))
-    assert decompose_fix_u(S221, IDX221(A3), w) == (IDX221(IDENT2), IDX221(A3))
+    assert split_cell(S221, G_W, w, IDX221(IDENT2)) == (IDX221(IDENT2), IDX221(IDENT2))
+    assert split_cell(S221, G_W, w, IDX221(A3)) == (IDX221(IDENT2), IDX221(A3))
     w3 = rref_canonical(2, 3, [(0, 1, 0), (0, 0, 1)])
     ident = S231.table.identity_idx
-    for a in special_subgroup(S231, N_W, w3):
-        assert decompose_fix_u(S231, a, w3) == (ident, a)
+    for a in special_subgroup(S231, N_W, w3).tolist():
+        assert split_cell(S231, G_W, w3, a) == (ident, a)
     elems = matrices(S231)
-    for a in special_subgroup(S231, FIX_U):
-        stab, trans = decompose_fix_u(S231, a, w3)
+    for a in special_subgroup(S231, FIX_U).tolist():
+        stab, trans = split_cell(S231, G_W, w3, a)
         assert mat_mul(2, elems[stab], elems[trans]) == elems[a]
         assert stab in special_subgroup(S231, G_W, w3)
         assert trans in special_subgroup(S231, N_W, w3)
     with pytest.raises(PreconditionError):
-        decompose_fix_u(S221, IDX221(A0), w)  # not a unit
+        split_cell(S221, G_W, w, IDX221(A0))  # not a unit
     with pytest.raises(PreconditionError):
-        decompose_fix_u(S321, index_of(S321, ((2, 0), (0, 1))), rref_canonical(3, 2, [(0, 1)]))  # moves U
+        split_cell(S321, G_W, rref_canonical(3, 2, [(0, 1)]), index_of(S321, ((2, 0), (0, 1))))  # moves U
 
 
 W232 = rref_canonical(2, 3, [(0, 0, 1)])
 
 
-@pytest.mark.parametrize(
-    "fn, arity, extra",
-    [
-        pytest.param(fn, arity, extra, id=fn.__name__)
-        for fn, arity, extra in (
-            (dclass_witness, 2, ()),
-            (factor_through, 2, ()),
-            (sandwich_factor, 2, ()),
-            (regular_witness, 1, ()),
-            (raise_factor, 1, ()),
-            (is_idempotent_by_image, 1, ()),
-            (decompose_unit, 1, (W232,)),
-            (decompose_fix_u, 1, (W232,)),
-        )
-    ],
-)
+@pytest.mark.parametrize("name", CONSTRUCTORS)
 @pytest.mark.parametrize("bad", [-1, len(S232.table)])
-def test_constructors_reject_out_of_range_indices(fn, arity, extra, bad):
-    # Each index position in turn; -1 must not wrap around to the last element.
+def test_constructors_reject_out_of_range_indices(name, bad):
+    # The bad index in each position in turn, beside one good index
+    # array; -1 must not wrap around to the last element.
+    batch = getattr(gl_restriction, BATCHES[name])
+    arity = 2 if batch in (factor_through_grid, dclass_witness_grid, sandwich_factor_grid) else 1
     for pos in range(arity):
-        idxs = [S232.table.identity_idx] * arity
-        idxs[pos] = bad
-        with pytest.raises(PreconditionError, match="outside"):
-            fn(S232, *idxs, *extra)
-
-
-def test_a_split_is_recomposed_on_the_action_array():
-    # The grid is read off s.table.mul, the recomposition off s.act.  Once
-    # the Fix(U) factor's column acts as another Fix(U) unit, both
-    # subgroups and the grid stay as they were, but first * second no
-    # longer recomposes a.
-    fix_u = special_subgroup(S232, FIX_U)
-    a = min(j_class(S232, 1) - special_subgroup(S232, FIX_W, W232) - fix_u)
-    _, second = decompose_unit(S232, a, W232)
-    other = min(fix_u - {second, S232.table.identity_idx})
-    bad = with_column(S232, second, matrices(S232)[other])
-    with pytest.raises(InternalInconsistencyError, match="fix_w split failed to verify"):
-        decompose_unit(bad, a, W232)
+        idxs = [[S232.table.identity_idx]] * arity
+        idxs[pos] = [S232.table.identity_idx, bad]
+        with pytest.raises(PreconditionError, match=f"index {bad} outside"):
+            batch(S232, *idxs)
 
 
 def test_batch_refuses_an_image_whose_rank_disagrees_with_its_size():
@@ -518,7 +530,7 @@ def test_batch_refuses_an_image_whose_rank_disagrees_with_its_size():
     # 1, but those codes span all of V.
     act = S231.act.copy()
     act[:, 0] = [0, 1, 2, 4, 0, 1, 2, 4]
-    bad = Structure(S231.inst, S231.table, act)
+    bad = Structure(S231.inst, S231.table, act, S231.index)
     assert (bad.codims[0], S231.codims[0]) == (1, 0)
     with pytest.raises(InternalInconsistencyError, match="rank disagrees with its size"):
         bad.batch
@@ -529,7 +541,7 @@ def test_batch_refuses_a_kernel_that_meets_u():
     # <e1, e3> heads a class of its own, and kernel plus U is no basis.
     a = max(j_class(S231, 0))
     bad = with_column(S231, a, ((0, 0, 0), (1, 0, 0), (0, 0, 0)))
-    assert bad.codims == S231.codims
+    assert np.array_equal(bad.codims, S231.codims)
     with pytest.raises(InternalInconsistencyError, match="does not split off U"):
         bad.batch
 
@@ -557,7 +569,7 @@ def test_subgroup_iso_checks():
 
 
 def test_special_subgroup_rejects_a_product_leaving_it():
-    fix_u = sorted(special_subgroup(S232, FIX_U))
+    fix_u = special_subgroup(S232, FIX_U).tolist()
     a, b = fix_u[-1], fix_u[-2]
     outside = min(set(range(len(S232.table))) - set(fix_u))
     with pytest.raises(InternalInconsistencyError):
@@ -567,12 +579,12 @@ def test_special_subgroup_rejects_a_product_leaving_it():
 @pytest.mark.parametrize("kind", [FIX_W, N_W])
 def test_subgroup_iso_check_rejects_a_wrong_product_inside_the_subgroup(kind):
     # fix_w is compared with the GL table, n_w with coordinate addition.
-    members = sorted(special_subgroup(S232, kind, W232))
+    members = special_subgroup(S232, kind, W232).tolist()
     ident = S232.table.identity_idx
     a, b = [i for i in members if i != ident][:2]
     wrong = next(c for c in members if c != S232.table.mul[a][b])
     bad = with_product(S232, a, b, wrong)
-    assert special_subgroup(bad, kind, W232) == set(members)  # still closed
+    assert special_subgroup(bad, kind, W232).tolist() == members  # still closed
     assert not subgroup_iso_check(bad, kind, W232)
 
 
@@ -580,8 +592,8 @@ def test_split_grid_holds_each_element_in_one_cell():
     for left_kind, whole in ((FIX_W, j_class(S232, 1)), (G_W, special_subgroup(S232, FIX_U))):
         left, right, pos = split_grid(S232, left_kind, W232)
         cells = S232.table.mul[np.ix_(left, right)].ravel()
-        assert sorted(cells.tolist()) == sorted(whole)
-        assert [int(cells[pos[a]]) for a in sorted(whole)] == sorted(whole)
+        assert sorted(cells.tolist()) == whole.tolist()
+        assert [int(cells[pos[a]]) for a in whole] == whole.tolist()
         assert (pos >= 0).sum() == len(whole)
     for kind in (FIX_U, N_W):
         with pytest.raises(PreconditionError):
@@ -590,48 +602,60 @@ def test_split_grid_holds_each_element_in_one_cell():
 
 W231 = rref_canonical(2, 3, [(0, 1, 0), (0, 0, 1)])
 ALL231, CD231 = range(len(S231.table)), S231.codims
-MID231 = sorted(j_class(S231, 1))
-# Every valid call of each constructor on (2,3,1).
+MID231 = j_class(S231, 1).tolist()
+# Every valid call of each constructor on (2,3,1): a batch on one-element
+# index arrays, or a unit split read off its cell of split_grid.
 VALID_CALLS = {
-    "regular_witness": (regular_witness, [(a,) for a in ALL231]),
-    "factor_through": (factor_through, [(a, b) for a in ALL231 for b in ALL231 if CD231[a] <= CD231[b]]),
-    "dclass_witness": (dclass_witness, [(a, b) for a in ALL231 for b in ALL231 if CD231[a] == CD231[b]]),
-    "raise_factor": (raise_factor, [(a,) for a in sorted(j_class(S231, 0))]),
-    "sandwich_factor": (sandwich_factor, [(a, b) for a in MID231 for b in MID231]),
-    "decompose_unit": (decompose_unit, [(a, W231) for a in sorted(j_class(S231, 2))]),
-    "decompose_fix_u": (decompose_fix_u, [(a, W231) for a in sorted(special_subgroup(S231, FIX_U))]),
+    "regular_witness": (partial(one, regular_witnesses), [(a,) for a in ALL231]),
+    "factor_through": (
+        partial(one, factor_through_grid),
+        [(a, b) for a in ALL231 for b in ALL231 if CD231[a] <= CD231[b]],
+    ),
+    "dclass_witness": (
+        partial(one, dclass_witness_grid),
+        [(a, b) for a in ALL231 for b in ALL231 if CD231[a] == CD231[b]],
+    ),
+    "raise_factor": (partial(one, raise_factors), [(a,) for a in j_class(S231, 0).tolist()]),
+    "sandwich_factor": (partial(one, sandwich_factor_grid), [(a, b) for a in MID231 for b in MID231]),
+    "decompose_unit": (
+        lambda s, a: split_cell(s, FIX_W, W231, a),
+        [(a,) for a in j_class(S231, 2).tolist()],
+    ),
+    "decompose_fix_u": (
+        lambda s, a: split_cell(s, G_W, W231, a),
+        [(a,) for a in special_subgroup(S231, FIX_U).tolist()],
+    ),
 }
 
 
 def test_batches_agree_with_their_scalar_calls_across_blocks(monkeypatch):
-    # Blocks of three outputs (one grid row when rows are wider), so every
-    # batch below runs many blocks and must put each output in its place.
+    # Each grid at the default block size, where every grid here is one
+    # block, against the same grid in blocks of three outputs (one grid
+    # row when rows are wider): every batch then runs many blocks and
+    # must put each output in its place.
+    s, grades = S231, S231.grades
+
+    def grids():
+        out = [regular_witnesses(s, ALL231), *raise_factors(s, grades[0])]
+        for left, right in ((grades[0], grades[1]), (grades[1], grades[2]), (ALL231[:20], grades[2])):
+            out += factor_through_grid(s, left, right)
+        out += [dclass_witness_grid(s, grade, grade) for grade in grades]
+        return [*out, *sandwich_factor_grid(s, grades[1], grades[1])]
+
+    whole = grids()
+    assert max(grid.size for grid in whole) <= gl_restriction._BLOCK
     monkeypatch.setattr(gl_restriction, "_BLOCK", 3)
-    s, grades = S231, [sorted(g) for g in S231.grades]
-    assert regular_witnesses(s, ALL231).tolist() == [regular_witness(s, a) for a in ALL231]
-    lam, mu = raise_factors(s, grades[0])
-    assert list(zip(lam.tolist(), mu.tolist())) == [raise_factor(s, a) for a in grades[0]]
-    for left, right in ((grades[0], grades[1]), (grades[1], grades[2]), (ALL231[:20], grades[2])):
-        lam, mu = factor_through_grid(s, left, right)
-        assert [list(zip(*row)) for row in zip(lam.tolist(), mu.tolist())] == [
-            [factor_through(s, a, b) for b in right] for a in left
-        ]
-    for grade in grades:
-        expected = [[dclass_witness(s, a, b) for b in grade] for a in grade]
-        assert dclass_witness_grid(s, grade, grade).tolist() == expected
-    lam, mu = sandwich_factor_grid(s, grades[1], grades[1])
-    assert [list(zip(*row)) for row in zip(lam.tolist(), mu.tolist())] == [
-        [sandwich_factor(s, t, a) for a in grades[1]] for t in grades[1]
-    ]
+    blocked = grids()
+    assert [grid.tolist() for grid in blocked] == [grid.tolist() for grid in whole]
 
 
 def test_grade_checks_read_the_codimension_of_each_factor():
     # The batch's own codimension array, changed for one factor after the
     # batch is built, must fail the unit check and the raise grade check.
     s = enumerate_semigroup(make_instance(2, 3, 1))
-    mid, low = sorted(j_class(s, 1)), sorted(j_class(s, 0))
-    lam, _ = sandwich_factor(s, mid[0], mid[0])
-    up, _ = raise_factor(s, low[0])
+    mid, low = j_class(s, 1).tolist(), j_class(s, 0).tolist()
+    lam, _ = one(sandwich_factor_grid, s, mid[0], mid[0])
+    up, _ = one(raise_factors, s, low[0])
     codims = s.batch.codims
     codims[lam] = 1
     with pytest.raises(InternalInconsistencyError, match=f"not units at pair \\({mid[0]}, {mid[0]}\\)"):

@@ -12,12 +12,17 @@ constructive factorization, unit split and special subgroup, written as
 matrices, on every index (and pair of indices) below order 120, on a
 stride of every 40th index at (2,4,2), and on every complement; there
 the unit splits also see every 40th unit.  Which inputs raise, and with
-which error, is part of the digest.
+which error, is part of the digest.  Each construction is its batch on
+one-element index arrays, and each unit split the element's cell of
+split_grid (a PreconditionError for an element with no cell): the
+digests were taken from single-index functions that wrapped exactly
+these, and hold unchanged.
 """
 
 import hashlib
 import pathlib
 import re
+from functools import partial
 
 import pytest
 
@@ -29,19 +34,17 @@ from glsemi.gl_restriction import (
     FIX_W,
     G_W,
     N_W,
-    dclass_witness,
-    decompose_fix_u,
-    decompose_unit,
+    dclass_witness_grid,
     enumerate_semigroup,
-    factor_through,
-    raise_factor,
-    regular_witness,
-    sandwich_factor,
+    factor_through_grid,
+    raise_factors,
+    regular_witnesses,
+    sandwich_factor_grid,
     special_subgroup,
     subgroup_iso_check,
 )
 
-from helpers import matrices
+from helpers import matrices, one, split_cell
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 _TIME = re.compile(r" \[\d+\.\d\ds\]$", re.M)
@@ -145,8 +148,8 @@ def _digest_constructors(name: str) -> str:
     idxs = range(0, len(s.table), step)
     # The unit splits also see every step-th unit and U-fixing unit, so
     # the strided sample is not all refusals.
-    units = sorted(s.grades[s.inst.n - s.inst.r])
-    split_idxs = sorted(set(idxs) | set(units[::step]) | set(sorted(special_subgroup(s, FIX_U))[::step]))
+    units = s.grades[s.inst.n - s.inst.r]
+    split_idxs = sorted(set(idxs) | set(units[::step].tolist()) | set(special_subgroup(s, FIX_U)[::step].tolist()))
     elements = matrices(s)
     h = hashlib.sha256()
 
@@ -160,20 +163,20 @@ def _digest_constructors(name: str) -> str:
         h.update(f"{label} {text}\n".encode("utf-8"))
 
     for a in idxs:
-        record(f"regular_witness {a}", regular_witness, a)
-        record(f"raise_factor {a}", raise_factor, a)
+        record(f"regular_witness {a}", partial(one, regular_witnesses), a)
+        record(f"raise_factor {a}", partial(one, raise_factors), a)
         for b in idxs:
-            record(f"factor_through {a} {b}", factor_through, a, b)
-            record(f"dclass_witness {a} {b}", dclass_witness, a, b)
-            record(f"sandwich_factor {a} {b}", sandwich_factor, a, b)
-    record("special_subgroup fix_u", lambda s: sorted(special_subgroup(s, FIX_U)))
+            record(f"factor_through {a} {b}", partial(one, factor_through_grid), a, b)
+            record(f"dclass_witness {a} {b}", partial(one, dclass_witness_grid), a, b)
+            record(f"sandwich_factor {a} {b}", partial(one, sandwich_factor_grid), a, b)
+    record("special_subgroup fix_u", lambda s: special_subgroup(s, FIX_U))
     for w in enumerate_complements(s.inst.u):
         for kind in (FIX_W, G_W, N_W):
-            record(f"special_subgroup {kind} {w.basis}", lambda s: sorted(special_subgroup(s, kind, w)))
+            record(f"special_subgroup {kind} {w.basis}", lambda s: special_subgroup(s, kind, w))
             h.update(f"subgroup_iso_check {kind} {w.basis} {subgroup_iso_check(s, kind, w)}\n".encode())
         for a in split_idxs:
-            record(f"decompose_unit {a} {w.basis}", decompose_unit, a, w)
-            record(f"decompose_fix_u {a} {w.basis}", decompose_fix_u, a, w)
+            record(f"decompose_unit {a} {w.basis}", split_cell, FIX_W, w, a)
+            record(f"decompose_fix_u {a} {w.basis}", split_cell, G_W, w, a)
     return h.hexdigest()
 
 

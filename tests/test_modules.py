@@ -61,6 +61,31 @@ def _third_party_imports(tree: ast.Module) -> list[str]:
     return sorted(found - set(sys.stdlib_module_names) - {"numpy", "glsemi"})
 
 
+def _unreferenced(trees: dict[str, ast.Module]) -> list[str]:
+    """Every top-level public function and class of the package's modules
+    (name to tree, `__init__` the package's own) that no code of the
+    package reads, as a name or an attribute, and `__init__` does not
+    import.  An import alone is no reference: it may import a dead name.
+    Methods are out of scope."""
+    read, exported = set(), set()
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and name == "__init__":
+                exported |= {alias.name for alias in node.names}
+    return sorted(
+        f"{name}.{node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in read | exported
+    )
+
+
 def test_every_module_is_found():
     assert {path.stem for path in MODULES} >= {"gf_linalg", "semigroup_core", "gl_restriction", "isomorphism", "cli"}
 
@@ -99,6 +124,25 @@ def test_the_generic_layers_import_only_errors_from_the_package(name):
 )
 def test_a_package_import_is_flagged(source):
     assert len(_package_imports(ast.parse(source)) - {"errors"}) == 1
+
+
+def test_every_public_function_and_class_is_used_by_the_package():
+    # Tests may call a name, but a name only tests call belongs in the
+    # tests' helpers: the package's API is what the package itself uses
+    # or exports.
+    assert _unreferenced({path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}) == []
+
+
+@pytest.mark.parametrize(
+    "sources",
+    [
+        {"a": "def used():\n    pass\n\n\ndef unused():\n    return used()\n"},
+        {"a": "def f():\n    pass\n", "b": "from .a import f\n"},
+        {"a": "class Kept:\n    pass\n\n\nclass Dropped:\n    pass\n", "__init__": "from .a import Kept\n"},
+    ],
+)
+def test_an_unreferenced_public_name_is_flagged(sources):
+    assert len(_unreferenced({name: ast.parse(text) for name, text in sources.items()})) == 1
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)

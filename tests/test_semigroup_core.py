@@ -25,7 +25,6 @@ from glsemi.semigroup_core import (
     is_homomorphism,
     label_classes,
     minimal_idempotents_oracle,
-    natural_leq,
     principal_ideal,
     rank_search,
     refines,
@@ -42,6 +41,7 @@ from helpers import (
     label_sets,
     mats,
     naive_green_same,
+    natural_leq,
     same_class,
     with_product,
 )
@@ -64,13 +64,13 @@ def cyclic_table(order):
 
 def test_closure_indices_on_the_smallest_table():
     table, i = TABLE_221, i221
-    assert closure_indices(table, [i(IDENT)]) == {i(IDENT)}
-    assert closure_indices(table, [i(A3)]) == {i(A3), i(IDENT)}
-    assert closure_indices(table, [i(A3), i(A0)]) == set(range(4))
+    assert closure_indices(table, [i(IDENT)]).tolist() == [i(IDENT)]
+    assert closure_indices(table, [i(A3)]).tolist() == sorted([i(A3), i(IDENT)])
+    assert closure_indices(table, [i(A3), i(A0)]).tolist() == list(range(4))
     for gens in ([i(A0)], [i(A2), i(A3)], [i(A0), i(IDENT)]):
         closed = closure_indices(table, gens)
-        assert set(gens) <= closed
-        assert closure_indices(table, closed) == closed
+        assert set(gens) <= set(closed.tolist())
+        assert np.array_equal(closure_indices(table, closed), closed)
     with pytest.raises(PreconditionError):
         closure_indices(table, [])
 
@@ -397,8 +397,8 @@ def test_refines_matches_a_frozenset_reference(pairs):
 def test_idempotents():
     table = TABLE_221
     assert mats(S221, idempotents(table)) == {A0, IDENT, A2}
-    assert idempotents(cyclic_table(5)) == {0}
-    assert idempotents(SemigroupTable([[0]])) == {0}
+    assert idempotents(cyclic_table(5)).tolist() == [0]
+    assert idempotents(SemigroupTable([[0]])).tolist() == [0]
 
 
 def test_natural_leq():
@@ -413,25 +413,27 @@ def test_natural_leq():
 
 
 def test_minimal_idempotents_oracle():
-    assert minimal_idempotents_oracle(cyclic_table(4)) == {0}
+    assert minimal_idempotents_oracle(cyclic_table(4)).tolist() == [0]
     table = TABLE_221
     assert mats(S221, minimal_idempotents_oracle(table)) == {A0, A2}
     bigger = TABLE_231
     assert len(minimal_idempotents_oracle(bigger)) == 4
-    idem = idempotents(bigger)
-    by_definition = {e for e in idem if not any(f != e and natural_leq(f, e, bigger) for f in idem)}
-    assert minimal_idempotents_oracle(bigger) == by_definition
+    idem = idempotents(bigger).tolist()
+    by_definition = [e for e in idem if not any(f != e and natural_leq(f, e, bigger) for f in idem)]
+    assert minimal_idempotents_oracle(bigger).tolist() == by_definition
 
 
 def test_principal_ideal():
     table = TABLE_221
     i = i221
-    assert principal_ideal(table, i(IDENT)) == frozenset(range(4))
-    assert principal_ideal(table, i(A0)) == {i(A0), i(A2)}
+    assert principal_ideal(table, i(IDENT)).tolist() == list(range(4))
+    assert principal_ideal(table, i(A0)).tolist() == sorted([i(A0), i(A2)])
     group = cyclic_table(5)
-    assert principal_ideal(group, 3) == frozenset(range(5))
+    assert principal_ideal(group, 3).tolist() == list(range(5))
     for t in (table, group, TABLE_231):
-        assert [principal_ideal(t, a) for a in range(len(t))] == [dense_principal_ideal(t, a) for a in range(len(t))]
+        assert [principal_ideal(t, a).tolist() for a in range(len(t))] == [
+            dense_principal_ideal(t, a) for a in range(len(t))
+        ]
 
 
 def test_principal_ideal_reaches_across_both_sides():
@@ -440,18 +442,35 @@ def test_principal_ideal_reaches_across_both_sides():
     # semigroup (x*y = y), by right products only.
     for mul in ([[0, 0], [1, 1]], [[0, 1], [0, 1]]):
         table = SemigroupTable(mul)
-        assert principal_ideal(table, 0) == {0, 1} == dense_principal_ideal(table, 0)
+        assert principal_ideal(table, 0).tolist() == [0, 1] == dense_principal_ideal(table, 0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda t, bad: closure_indices(t, [bad]), id="closure_indices"),
+        pytest.param(lambda t, bad: principal_ideal(t, bad), id="principal_ideal"),
+        pytest.param(lambda t, bad: verify_ideal(t, [0, bad]), id="verify_ideal"),
+        pytest.param(lambda t, bad: subtable(t, [bad]), id="subtable"),
+    ],
+)
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_index_inputs_outside_the_table_are_refused(call, bad):
+    # On (2,2,1), order 4: -1 must not wrap around to element 3, and 4
+    # must not surface as a bare IndexError.
+    with pytest.raises(PreconditionError, match=re.escape(f"index {bad} outside [0, 4)")):
+        call(TABLE_221, bad)
 
 
 def test_verify_ideal():
     table = TABLE_221
     i = i221
     assert verify_ideal(table, range(4))
-    assert verify_ideal(table, {i(A0), i(A2)})
-    assert not verify_ideal(table, {i(IDENT), i(A3)})
+    assert verify_ideal(table, [i(A0), i(A2)])
+    assert not verify_ideal(table, [i(IDENT), i(A3)])
     with pytest.raises(PreconditionError):
         verify_ideal(table, ())
-    for subset in (range(4), {i(A0), i(A2)}, {i(IDENT), i(A3)}, {i(A0)}, {i(A2), i(A3)}):
+    for subset in (range(4), [i(A0), i(A2)], [i(IDENT), i(A3)], [i(A0)], [i(A2), i(A3)]):
         assert verify_ideal(table, subset) == dense_verify_ideal(table, subset)
 
 
@@ -485,14 +504,14 @@ def test_ideal_forms_match_their_dense_oracles_on_transformation_semigroups(maps
     assume(len(mul) <= 256)
     table = SemigroupTable(mul)
     n = len(table)
-    ideals = [principal_ideal(table, a) for a in range(n)]
+    ideals = [principal_ideal(table, a).tolist() for a in range(n)]
     assert ideals == [dense_principal_ideal(table, a) for a in range(n)]
     # Unions of principal ideals are ideals; a drawn subset mostly is not,
     # and neither is a principal ideal less its generator, unless that
     # generator is also a product.
-    union = frozenset().union(*data.draw(st.lists(st.sampled_from(ideals), min_size=1, max_size=3)))
+    union = sorted(set().union(*data.draw(st.lists(st.sampled_from(ideals), min_size=1, max_size=3))))
     a = data.draw(st.integers(0, n - 1))
-    for subset in (union, data.draw(st.sets(st.integers(0, n - 1), min_size=1)), ideals[a] - {a}):
+    for subset in (union, sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))), [x for x in ideals[a] if x != a]):
         if subset:
             assert verify_ideal(table, subset) == dense_verify_ideal(table, subset)
     assert verify_ideal(table, union)
