@@ -21,6 +21,7 @@ all p^n codes.  solve_batch is linear_map over a stack of arrays.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import product as iter_product
 
@@ -76,10 +77,6 @@ def mat_mul(p: int, a: Mat, b: Mat) -> Mat:
 
 def identity_mat(n: int) -> Mat:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-
-def transpose(m: Mat) -> Mat:
-    return tuple(zip(*m)) if m else ()
 
 
 def _rref(p: int, n: int, rows) -> tuple[list[Vec], list[int]]:
@@ -139,7 +136,13 @@ def full_space(p: int, n: int) -> Subspace:
 
 
 def rref_canonical(p: int, n: int, rows) -> Subspace:
-    """Canonical subspace spanned by the given rows (empty input -> zero space)."""
+    """Canonical subspace spanned by the given rows (empty input -> zero
+    space).  Entries pass through operator.index, so numpy integers
+    span what plain ints do; any other entry is refused."""
+    try:
+        rows = [[operator.index(x) for x in row] for row in rows]
+    except TypeError:
+        raise ConfigurationError("row entries must be integers") from None
     for row in rows:
         if len(row) != n:
             raise ConfigurationError(f"row length {len(row)} does not match ambient dimension {n}")
@@ -159,25 +162,6 @@ def rank(p: int, m: Mat) -> int:
 
 def is_invertible(p: int, m: Mat) -> bool:
     return rank(p, m) == len(m)
-
-
-def kernel(p: int, m: Mat) -> Subspace:
-    """Canonical basis of {v : v*m = 0} for a square matrix m."""
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ConfigurationError("kernel requires a square matrix")
-    reduced, pivots = _rref(p, n, transpose(m))
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(n):
-        if free in pivot_set:
-            continue
-        v = [0] * n
-        v[free] = 1
-        for row_i, pc in enumerate(pivots):
-            v[pc] = (-reduced[row_i][free]) % p
-        basis.append(tuple(v))
-    return rref_canonical(p, n, basis)
 
 
 def mat_inverse(p: int, m: Mat) -> Mat:
@@ -280,10 +264,12 @@ def key_index(q: int, rows: np.ndarray) -> np.ndarray:
 
 
 def span_mask(p: int, n: int, basis) -> np.ndarray:
-    """mask[c]: the vector coded c lies in the span of the row vectors coded basis."""
-    basis = np.asarray(basis, dtype=np.int64).reshape(-1)
-    mask = np.zeros(p**n, dtype=bool)
-    mask[codes(p, code_vectors(p, len(basis)) @ code_vectors(p, n)[basis] % p)] = True
+    """mask[..., c]: the vector coded c lies in the span of the row
+    vectors coded basis[...], one basis along the last axis."""
+    basis = np.asarray(basis, dtype=np.int64)
+    spans = codes(p, code_vectors(p, basis.shape[-1]) @ code_vectors(p, n)[basis] % p)
+    mask = np.zeros(basis.shape[:-1] + (p**n,), dtype=bool)
+    np.put_along_axis(mask, spans, True, axis=-1)
     return mask
 
 
@@ -375,16 +361,19 @@ def is_complement(w: Subspace, u: Subspace) -> bool:
 
 
 def general_linear(p: int, k: int) -> tuple[Mat, ...]:
-    """All invertible k x k matrices over GF(p), sorted lexicographically."""
+    """All invertible k x k matrices over GF(p), sorted lexicographically.
+
+    Grown row by row: each independent prefix of rows goes on with every
+    row outside its span (span_mask), so only invertible matrices are
+    ever built.  Prefixes and the rows after each run in code order,
+    which is lexicographic, so the list comes out sorted.
+    """
     check_modulus(p)
-    if k == 0:
-        return ((),)
-    out = []
-    for entries in iter_product(range(p), repeat=k * k):
-        m = tuple(entries[i * k : (i + 1) * k] for i in range(k))
-        if is_invertible(p, m):
-            out.append(m)
-    return tuple(sorted(out))
+    rows = np.zeros((1, 0), dtype=np.int64)  # row codes of every prefix so far
+    for _ in range(k):
+        prefix, after = np.nonzero(~span_mask(p, k, rows))
+        rows = np.column_stack([rows[prefix], after])
+    return tuple(tuple(map(tuple, m)) for m in code_vectors(p, k)[rows].tolist())
 
 
 def gl_order(p: int, k: int) -> int:

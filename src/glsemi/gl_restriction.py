@@ -117,14 +117,17 @@ def is_member(inst: Instance, m: Mat) -> bool:
 def _members(inst: Instance) -> np.ndarray:
     # Row codes of every member, in matrix order: the images of U's basis
     # range over GL(U), those of a fixed complement basis freely over V.
+    # Every member shares that domain, so one inverse serves them all:
+    # row i of dom^-1 * imgs is row i of dom^-1 times imgs.
     p, n, r = inst.p, inst.n, inst.r
-    q, u = p**n, codes(p, inst.u.basis)
+    q, u, vectors = p**n, codes(p, inst.u.basis), code_vectors(p, n)
     dom = np.concatenate([u, extend_codes(p, n, span_mask(p, n, u))])
     gl = general_linear(p, r)
-    u_imgs = codes(p, np.array(gl, dtype=np.int64).reshape(len(gl), r, r) @ code_vectors(p, n)[u] % p)
+    u_imgs = codes(p, np.array(gl, dtype=np.int64).reshape(len(gl), r, r) @ vectors[u] % p)
     free = code_vectors(q, n - r)  # every tuple of n-r row codes
     imgs = np.concatenate([np.repeat(u_imgs, len(free), axis=0), np.tile(free, (len(gl), 1))], axis=1)
-    rows = solve_codes(p, np.broadcast_to(dom, imgs.shape), imgs)
+    inverse = vectors[solve_codes(p, dom[None])[0]]
+    rows = codes(p, inverse @ vectors[imgs] % p).astype(np.min_scalar_type(q - 1))
     return rows[np.argsort(codes(q, rows))]  # packed keys follow matrix order
 
 
@@ -142,19 +145,22 @@ def _cayley(p: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     # entries than the table) maps each product to its index; it is
     # returned with the table and the action array, for the Structure to
     # keep.  The key of a*b comes from _half_keys, two gathers and one add
-    # per product.
+    # per product, and is looked up straight into the table: the lookup is
+    # the index in the table's dtype, count standing for a non-member, and
+    # every key is below p^(n^2), its length, so take needs no bounds test.
     count, n = rows.shape
     index = key_index(p**n, rows)
     act = action_table(p, rows).astype(index.dtype)  # act[v, b]: code of v*b
     head, head_keys, tail, tail_keys = _half_keys(p**n, act, rows)
     head, tail = head // count, tail // count  # each member's rows of the key tables
     out = np.empty((count, count), dtype=table_dtype(count))
+    lookup = np.where(index < 0, count, index).astype(out.dtype)
     block = max(1, 2**15 // count)  # rows whose keys stay in cache
     for lo in range(0, count, block):
-        found = index.take(head_keys[head[lo : lo + block]] + tail_keys[tail[lo : lo + block]])
-        if (found < 0).any():
+        found = out[lo : lo + block]
+        lookup.take(head_keys[head[lo : lo + block]] + tail_keys[tail[lo : lo + block]], out=found, mode="clip")
+        if found.max() >= count:
             raise InternalInconsistencyError("a product escaped the member list")
-        out[lo : lo + block] = found
     return out, _frozen(act), _frozen(index)
 
 

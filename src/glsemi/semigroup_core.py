@@ -44,7 +44,7 @@ def _table_array(mul) -> np.ndarray:
     n = len(arr)
     if arr.dtype.kind not in "iu":
         raise PreconditionError("multiplication table entries are not integers")
-    if arr.min() < 0 or arr.max() >= n:
+    if (arr.dtype.kind == "i" and arr.min() < 0) or arr.max() >= n:  # unsigned cannot be negative
         raise PreconditionError("multiplication table is not closed")
     # A view, so that the caller's array keeps its own write flag.
     out = arr.astype(table_dtype(n), copy=False).view()
@@ -117,7 +117,9 @@ class SemigroupTable:
         for g in gens:
             for lo in range(0, n, ROW_BLOCK):
                 rows = mul[lo : lo + ROW_BLOCK]
-                bad = mul[rows[:, g]] != rows.take(mul[g], axis=1)
+                # mode="clip" skips take's bounds test: _table_array
+                # refused every entry outside [0, n), and mul is read-only.
+                bad = mul[rows[:, g]] != rows.take(mul[g], axis=1, mode="clip")
                 if bad.any():
                     x, y = np.argwhere(bad)[0].tolist()
                     raise PreconditionError(f"table is not associative at ({lo + x}, {g}, {y})")
@@ -348,8 +350,12 @@ def _reach(mul: np.ndarray, start, right, left=()) -> np.ndarray:
 
 def indices(n: int, idxs) -> np.ndarray:
     """idxs as a flat np.intp array of indices into a table of order n;
-    an index outside [0, n), a negative one too, is refused."""
-    out = np.asarray(idxs, dtype=np.intp).reshape(-1)
+    an index outside [0, n), a negative one too, is refused, and so is
+    any non-empty input not of an integer type (floats, booleans)."""
+    out = np.asarray(idxs)
+    if out.size and out.dtype.kind not in "iu":
+        raise PreconditionError(f"indices must be integers, got {out.dtype}")
+    out = out.astype(np.intp, copy=False).reshape(-1)
     bad = (out < 0) | (out >= n)
     if bad.any():
         raise PreconditionError(f"index {out[bad][0]} outside [0, {n})")

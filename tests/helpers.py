@@ -11,8 +11,18 @@ from itertools import product
 import numpy as np
 
 from glsemi import gl_restriction
-from glsemi.errors import PreconditionError
-from glsemi.gf_linalg import Subspace, code_vectors, codes, enumerate_complements
+from glsemi.errors import ConfigurationError, PreconditionError
+from glsemi.gf_linalg import (
+    Subspace,
+    code_vectors,
+    codes,
+    enumerate_complements,
+    extend_codes,
+    is_invertible,
+    rref_canonical,
+    solve_codes,
+    span_mask,
+)
 from glsemi.gl_restriction import Structure
 from glsemi.semigroup_core import SemigroupTable, idempotents
 
@@ -263,6 +273,56 @@ def all_subspace_vector_sets(p, n, k):
         if len(span) == p ** k:
             spaces.add(span)
     return spaces
+
+
+def transpose(m):
+    return tuple(zip(*m)) if m else ()
+
+
+def kernel(p, m):
+    """Canonical basis of {v : v*m = 0} for a square matrix m: v*m = 0
+    solved on the reduced rows of m transposed, one basis vector per
+    free column."""
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ConfigurationError("kernel requires a square matrix")
+    reduced = rref_canonical(p, n, transpose(m)).basis
+    pivots = [next(j for j, x in enumerate(row) if x) for row in reduced]
+    basis = []
+    for free in sorted(set(range(n)) - set(pivots)):
+        v = [0] * n
+        v[free] = 1
+        for row, pc in zip(reduced, pivots):
+            v[pc] = -row[free] % p
+        basis.append(v)
+    return rref_canonical(p, n, basis)
+
+
+def brute_general_linear(p, k):
+    """Every invertible k x k matrix over GF(p), sorted lexicographically:
+    all p^(k^2) matrices in order, each kept when its rank is k."""
+    out = []
+    for entries in product(range(p), repeat=k * k):
+        m = tuple(entries[i * k : (i + 1) * k] for i in range(k))
+        if is_invertible(p, m):
+            out.append(m)
+    return tuple(out)
+
+
+def members_by_solve(inst):
+    """Every member's row codes, in matrix order, with one elimination per
+    member: the images of U's basis range over brute_general_linear, those
+    of a fixed complement basis freely over V, and each member is its own
+    solve_codes of the shared domain against its images."""
+    p, n, r = inst.p, inst.n, inst.r
+    q, u = p**n, codes(p, inst.u.basis)
+    dom = np.concatenate([u, extend_codes(p, n, span_mask(p, n, u))])
+    gl = brute_general_linear(p, r)
+    u_imgs = codes(p, np.array(gl, dtype=np.int64).reshape(len(gl), r, r) @ code_vectors(p, n)[u] % p)
+    free = code_vectors(q, n - r)
+    imgs = np.concatenate([np.repeat(u_imgs, len(free), axis=0), np.tile(free, (len(gl), 1))], axis=1)
+    rows = solve_codes(p, np.broadcast_to(dom, imgs.shape), imgs)
+    return rows[np.argsort(codes(q, rows))]
 
 
 def brute_members(p, n, u_vectors):

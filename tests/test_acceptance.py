@@ -18,7 +18,6 @@ from glsemi.gf_linalg import (
     identity_mat,
     image,
     is_complement,
-    kernel,
     mat_inverse,
     mat_mul,
 )
@@ -56,7 +55,7 @@ from glsemi.semigroup_core import (
     verify_ideal,
 )
 
-from helpers import brute_members, index_of, label_sets, matrices, mats, naive_span, one, split_cell
+from helpers import brute_members, index_of, kernel, label_sets, matrices, mats, naive_span, one, split_cell
 
 GRID = ((2, 2, 1), (2, 3, 1), (2, 3, 2), (3, 2, 1), (2, 4, 2))
 EXPECTED_ORDERS = {(2, 2, 1): 4, (2, 3, 1): 64, (2, 3, 2): 48, (3, 2, 1): 18, (2, 4, 2): 1536}

@@ -23,7 +23,6 @@ from glsemi.gf_linalg import (
     identity_mat,
     image,
     is_complement,
-    kernel,
     linear_map,
     mat_inverse,
     mat_mul,
@@ -35,6 +34,8 @@ from glsemi.gf_linalg import (
 
 from helpers import (
     all_subspace_vector_sets,
+    brute_general_linear,
+    kernel,
     naive_image_vectors,
     naive_kernel_vectors,
     naive_least_extension,
@@ -426,6 +427,16 @@ def test_mat_inverse_and_linear_map():
         assert vec_mat(2, b, built) == t
     with pytest.raises(PreconditionError):
         linear_map(2, ((1, 0), (1, 0)), images)
+
+
+@pytest.mark.parametrize(
+    "p, k", [(2, 0), (2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 2), (13, 2)]
+)
+def test_general_linear_matches_the_rank_filter_over_every_matrix(p, k):
+    built = general_linear(p, k)
+    assert built == brute_general_linear(p, k)
+    assert len(built) == gl_order(p, k)
+    assert all(type(x) is int for m in built[:3] for row in m for x in row)
 
 
 def test_general_linear_sizes():

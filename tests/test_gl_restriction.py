@@ -20,13 +20,12 @@ from glsemi.gf_linalg import (
     identity_mat,
     image,
     is_complement,
-    kernel,
     mat_inverse,
     mat_mul,
     rref_canonical,
     vec_mat,
 )
-from glsemi import cli, gl_restriction
+from glsemi import cli, gf_linalg, gl_restriction
 from glsemi.cli import build_instance, load_config
 from glsemi.gl_restriction import (
     FIX_U,
@@ -64,7 +63,9 @@ from helpers import (
     brute_members,
     index_of,
     is_idempotent_by_image,
+    kernel,
     matrices,
+    members_by_solve,
     mats,
     naive_image_vectors,
     naive_span,
@@ -101,6 +102,19 @@ def test_make_instance_validation():
         make_instance(2, 3, 1, [(1, 1, 0), (0, 1, 1)])  # spans dim 2, not 1
     inst = make_instance(2, 3, 2)
     assert inst.u.basis == ((1, 0, 0), (0, 1, 0))
+
+
+@pytest.mark.parametrize("rows", [np.array([[1, 1, 0]]), [(np.int64(1), np.uint8(1), 0)], np.array([[3, 1, 2]])])
+def test_make_instance_takes_numpy_integer_rows(rows):
+    inst = make_instance(2, 3, 1, rows)
+    assert inst == make_instance(2, 3, 1, [(1, 1, 0)])
+    assert all(type(x) is int for row in inst.u.basis for x in row)
+
+
+@pytest.mark.parametrize("rows", [np.array([[1.0, 1.0, 0.0]]), [(1, 0.5, 0)], [("1", 1, 0)]])
+def test_make_instance_refuses_non_integer_entries(rows):
+    with pytest.raises(ConfigurationError, match="row entries must be integers"):
+        make_instance(2, 3, 1, rows)
 
 
 def test_is_member():
@@ -285,6 +299,49 @@ def test_enumeration_builds_the_key_index_once(monkeypatch):
     assert np.array_equal(s.index[s.keys], np.arange(len(s.table)))
     one(regular_witnesses, s, 0)  # a constructor's lookup reads the kept index
     assert len(calls) == 1
+
+
+SHIPPED = sorted(path.stem for path in CONFIGS.glob("*.cfg"))
+EXTRA = [(2, 4, 1), (2, 4, 3), (2, 3, 0), (3, 2, 0), (5, 2, 1), (2, 1, 0)]
+
+
+@pytest.mark.parametrize("spec", SHIPPED + [pytest.param(pnr, id="p{}n{}r{}".format(*pnr)) for pnr in EXTRA])
+def test_members_match_one_elimination_per_member(spec):
+    inst = _instance(spec)
+    rows, expected = gl_restriction._members(inst), members_by_solve(inst)
+    assert rows.dtype == expected.dtype
+    assert np.array_equal(rows, expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (5, 2)]), st.data())
+def test_members_match_one_elimination_per_member_on_drawn_subspaces(pn, data):
+    p, n = pn
+    rows = data.draw(st.lists(st.tuples(*[st.integers(0, p - 1)] * n), max_size=n))
+    r = rref_canonical(p, n, rows).dim
+    if r == n:
+        rows, r = rows[1:], rref_canonical(p, n, rows[1:]).dim
+    inst = make_instance(p, n, r, rows)
+    assert np.array_equal(gl_restriction._members(inst), members_by_solve(inst))
+
+
+def test_a_product_outside_the_member_list_is_refused():
+    # Without the identity, A3 * A3 = identity has no row in the table.
+    rows = np.delete(gl_restriction._members(INST221), S221.table.identity_idx, axis=0)
+    with pytest.raises(InternalInconsistencyError, match="a product escaped the member list"):
+        gl_restriction._cayley(2, rows)
+
+
+def test_enumeration_solves_one_batch_of_one(monkeypatch):
+    # Every member shares the domain of U's basis and its complement, so
+    # enumeration inverts that domain once and solves no member on its own.
+    shapes = []
+    real = gf_linalg.solve_batch
+    monkeypatch.setattr(gf_linalg, "solve_batch", lambda p, doms, imgs: shapes.append(np.shape(doms)) or real(p, doms, imgs))
+    for inst in (INST231, make_instance(2, 4, 2)):
+        shapes.clear()
+        enumerate_semigroup(inst, 4096)
+        assert shapes == [(1, inst.n, inst.n)]
 
 
 def test_dclass_witness():
@@ -511,16 +568,18 @@ W232 = rref_canonical(2, 3, [(0, 0, 1)])
 
 
 @pytest.mark.parametrize("name", CONSTRUCTORS)
-@pytest.mark.parametrize("bad", [-1, len(S232.table)])
+@pytest.mark.parametrize("bad", [-1, len(S232.table), 2.7])
 def test_constructors_reject_out_of_range_indices(name, bad):
     # The bad index in each position in turn, beside one good index
-    # array; -1 must not wrap around to the last element.
+    # array; -1 must not wrap around to the last element, nor 2.7 answer
+    # for element 2.
     batch = getattr(gl_restriction, BATCHES[name])
     arity = 2 if batch in (factor_through_grid, dclass_witness_grid, sandwich_factor_grid) else 1
+    match = f"index {bad} outside" if type(bad) is int else "indices must be integers, got float64"
     for pos in range(arity):
         idxs = [[S232.table.identity_idx]] * arity
         idxs[pos] = [S232.table.identity_idx, bad]
-        with pytest.raises(PreconditionError, match=f"index {bad} outside"):
+        with pytest.raises(PreconditionError, match=match):
             batch(S232, *idxs)
 
 

@@ -64,15 +64,16 @@ def _third_party_imports(tree: ast.Module) -> list[str]:
 def _unreferenced(trees: dict[str, ast.Module]) -> list[str]:
     """Every top-level public function and class of the package's modules
     (name to tree, `__init__` the package's own) that no code of the
-    package reads, as a name or an attribute, and `__init__` does not
-    import.  An import alone is no reference: it may import a dead name.
-    Methods are out of scope."""
+    package reads, as a name or as an attribute of a module (`mod.name`,
+    mod one of the trees), and `__init__` does not import.  An import
+    alone is no reference: it may import a dead name, and neither is an
+    attribute of anything else (`self.kernel`).  Methods are out of scope."""
     read, exported = set(), set()
     for name, tree in trees.items():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 read.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in trees:
                 read.add(node.attr)
             elif isinstance(node, ast.ImportFrom) and name == "__init__":
                 exported |= {alias.name for alias in node.names}
@@ -139,6 +140,9 @@ def test_every_public_function_and_class_is_used_by_the_package():
         {"a": "def used():\n    pass\n\n\ndef unused():\n    return used()\n"},
         {"a": "def f():\n    pass\n", "b": "from .a import f\n"},
         {"a": "class Kept:\n    pass\n\n\nclass Dropped:\n    pass\n", "__init__": "from .a import Kept\n"},
+        # a.used is read through its module; kernel only as an attribute of
+        # something else, which is no use of a.kernel.
+        {"a": "def used():\n    pass\n\n\ndef kernel():\n    pass\n", "b": "from . import a\n\n\ndef _f(bt):\n    return a.used(), bt.kernel\n"},
     ],
 )
 def test_an_unreferenced_public_name_is_flagged(sources):

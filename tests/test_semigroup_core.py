@@ -78,6 +78,7 @@ def test_closure_indices_on_the_smallest_table():
 def test_table_construction_rejects_bad_input():
     for mul in (
         [[0, 2], [0, 0]],  # out of range
+        np.array([[0, 2], [0, 0]], dtype=np.uint16),  # out of range, unsigned
         [[0, -1], [0, 0]],  # negative
         [[0, 1], [0]],  # ragged
         [[0, 1, 0], [0, 0, 0]],  # not square
@@ -454,12 +455,39 @@ def test_principal_ideal_reaches_across_both_sides():
         pytest.param(lambda t, bad: subtable(t, [bad]), id="subtable"),
     ],
 )
-@pytest.mark.parametrize("bad", [-1, 4])
+@pytest.mark.parametrize("bad", [-1, 4, 1.5, 1.9])
 def test_index_inputs_outside_the_table_are_refused(call, bad):
     # On (2,2,1), order 4: -1 must not wrap around to element 3, and 4
-    # must not surface as a bare IndexError.
-    with pytest.raises(PreconditionError, match=re.escape(f"index {bad} outside [0, 4)")):
+    # must not surface as a bare IndexError; a float must not be cut down
+    # to the element below it.
+    if type(bad) is int:
+        match = re.escape(f"index {bad} outside [0, 4)")
+    else:
+        match = f"indices must be integers, got {np.asarray(bad).dtype}"
+    with pytest.raises(PreconditionError, match=match):
         call(TABLE_221, bad)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda t: closure_indices(t, [True]), id="closure_indices"),
+        pytest.param(lambda t: principal_ideal(t, True), id="principal_ideal"),
+        pytest.param(lambda t: verify_ideal(t, np.array([True, True])), id="verify_ideal"),
+        pytest.param(lambda t: subtable(t, [True]), id="subtable"),
+    ],
+)
+def test_boolean_index_inputs_are_refused(call):
+    # True must not read as element 1, nor a mask as a list of indices.
+    with pytest.raises(PreconditionError, match="indices must be integers, got bool"):
+        call(TABLE_221)
+
+
+def test_an_empty_index_set_of_any_dtype_is_accepted():
+    assert semigroup_core.indices(4, []).dtype == np.intp
+    assert semigroup_core.indices(4, np.array([], dtype=float)).tolist() == []
+    assert semigroup_core.indices(4, range(4)).tolist() == [0, 1, 2, 3]
+    assert semigroup_core.indices(4, np.array([3, 0], dtype=np.uint16)).tolist() == [3, 0]
 
 
 def test_verify_ideal():
