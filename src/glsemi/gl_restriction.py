@@ -54,7 +54,17 @@ from .gf_linalg import (
     vec_add,
     vec_mat,
 )
-from .semigroup_core import GreenPartitions, SemigroupTable, indices, label_classes, subtable, rank_search, table_dtype
+from .semigroup_core import (
+    GreenPartitions,
+    SemigroupTable,
+    indices,
+    label_classes,
+    rank_search,
+    row_threads,
+    run_blocks,
+    subtable,
+    table_dtype,
+)
 
 #: Default ceiling on the semigroup order accepted for full enumeration.
 DEFAULT_ENUM_CAP = 2000
@@ -148,6 +158,9 @@ def _cayley(p: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     # per product, and is looked up straight into the table: the lookup is
     # the index in the table's dtype, count standing for a non-member, and
     # every key is below p^(n^2), its length, so take needs no bounds test.
+    # From 2 * THREAD_ROWS members on, the fill runs on threads (see
+    # row_threads), each with cache-sized blocks of its own; an escaped
+    # product is raised here, on the caller's thread.
     count, n = rows.shape
     index = key_index(p**n, rows)
     act = action_table(p, rows).astype(index.dtype)  # act[v, b]: code of v*b
@@ -155,12 +168,20 @@ def _cayley(p: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     head, tail = head // count, tail // count  # each member's rows of the key tables
     out = np.empty((count, count), dtype=table_dtype(count))
     lookup = np.where(index < 0, count, index).astype(out.dtype)
+
+    def fill(starts):
+        # Fills the run's rows; True once a product escaped the member list.
+        for lo in starts:
+            hi = lo + starts.step
+            found = out[lo:hi]
+            lookup.take(head_keys[head[lo:hi]] + tail_keys[tail[lo:hi]], out=found, mode="clip")
+            if found.max() >= count:
+                return True
+        return False
+
     block = max(1, 2**15 // count)  # rows whose keys stay in cache
-    for lo in range(0, count, block):
-        found = out[lo : lo + block]
-        lookup.take(head_keys[head[lo : lo + block]] + tail_keys[tail[lo : lo + block]], out=found, mode="clip")
-        if found.max() >= count:
-            raise InternalInconsistencyError("a product escaped the member list")
+    if any(run_blocks(count, block, row_threads(count), fill)):
+        raise InternalInconsistencyError("a product escaped the member list")
     return out, _frozen(act), _frozen(index)
 
 

@@ -11,6 +11,8 @@ characterized relations of the main layer are checked.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -22,8 +24,63 @@ from .errors import CapacityError, InternalInconsistencyError, PreconditionError
 # temporary as large as the table itself.  Blocks of 128 rows keep a
 # block's temporaries near cache size: at order 4096 they beat 256 rows
 # by a quarter to a third in the table check and the Green oracle
-# (2-vCPU x86 machine).
+# (2-vCPU x86 machine).  When the table check runs on threads (see
+# row_threads), each thread's blocks are ROW_BLOCK // threads rows, so
+# the temporaries in flight still add up to one block.
 ROW_BLOCK = 128
+
+# Rows each thread of a whole-table loop gets at least.  Below that,
+# starting and joining a thread costs about what a second core saves,
+# so every table up to order 2047 (the verify grid stops at 1536) runs
+# its loops on the calling thread alone.
+THREAD_ROWS = 1024
+
+
+def row_threads(n: int) -> int:
+    """Threads for a whole-table loop over n rows: one per usable CPU,
+    but only as many as give each at least THREAD_ROWS rows."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return max(1, min(cpus, n // THREAD_ROWS))
+
+
+def run_blocks(n: int, block: int, threads: int, work) -> list:
+    """[work(starts) for each run]: the blocks of `block` rows over the
+    rows 0..n-1, cut into `threads` contiguous runs of whole blocks.
+
+    A run is a range of block starts, its step the block size, so work
+    reads its block at lo as rows lo : lo + starts.step.  With one thread
+    this is work(range(0, n, block)) in the caller.  Runs past the first
+    go to threads the caller joins (numpy's gathers and compares release
+    the interpreter lock).  Work runs numpy alone: a layer tracer that
+    wraps the package's functions keeps one span stack per process, so
+    no package function may be entered off the caller's thread.  An
+    exception in any run is raised here, the earliest run's first.  The
+    results come back in run order, so a caller can pick the first
+    failure in row order.
+    """
+    blocks = -(-n // block)
+    runs = [range(i * blocks // threads * block, min(n, (i + 1) * blocks // threads * block), block) for i in range(threads)]
+    out: list = [None] * threads
+    errors: list = [None] * threads
+
+    def run(i):
+        try:
+            out[i] = work(runs[i])
+        except Exception as exc:  # raised in the caller, below
+            errors[i] = exc
+
+    workers = [threading.Thread(target=run, args=(i,)) for i in range(1, threads)]
+    for worker in workers:
+        worker.start()
+    try:
+        out[0] = work(runs[0])
+    finally:
+        for worker in workers:
+            worker.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return out
 
 
 def table_dtype(n: int):
@@ -114,15 +171,27 @@ class SemigroupTable:
         # _closure builds, on this same table), so by induction on its
         # length the law then holds with any element in the middle.
         gens = _generators(self)
-        for g in gens:
-            for lo in range(0, n, ROW_BLOCK):
-                rows = mul[lo : lo + ROW_BLOCK]
-                # mode="clip" skips take's bounds test: _table_array
-                # refused every entry outside [0, n), and mul is read-only.
-                bad = mul[rows[:, g]] != rows.take(mul[g], axis=1, mode="clip")
-                if bad.any():
-                    x, y = np.argwhere(bad)[0].tolist()
-                    raise PreconditionError(f"table is not associative at ({lo + x}, {g}, {y})")
+
+        def light(starts):
+            # The run's first failure as (generator position, x, y), or None.
+            for pos, g in enumerate(gens):
+                for lo in starts:
+                    rows = mul[lo : lo + starts.step]
+                    # mode="clip" skips take's bounds test: _table_array
+                    # refused every entry outside [0, n), and mul is read-only.
+                    bad = mul[rows[:, g]] != rows.take(mul[g], axis=1, mode="clip")
+                    if bad.any():
+                        x, y = np.argwhere(bad)[0].tolist()
+                        return pos, lo + x, y
+            return None
+
+        # Runs hold disjoint rows in order, so the least (position, x, y)
+        # over the runs is the failure a single pass would meet first.
+        threads = row_threads(n)
+        failed = [found for found in run_blocks(n, max(1, ROW_BLOCK // threads), threads, light) if found]
+        if failed:
+            pos, x, y = min(failed)
+            raise PreconditionError(f"table is not associative at ({x}, {gens[pos]}, {y})")
         self._gens = gens
 
 
@@ -355,6 +424,10 @@ def indices(n: int, idxs) -> np.ndarray:
     out = np.asarray(idxs)
     if out.size and out.dtype.kind not in "iu":
         raise PreconditionError(f"indices must be integers, got {out.dtype}")
+    # A list mixing ints with booleans promotes to an integer dtype, where
+    # True would read as element 1, so its items are looked at one by one.
+    if isinstance(idxs, (list, tuple)) and any(isinstance(x, (bool, np.bool_)) for x in np.asarray(idxs, dtype=object).flat):
+        raise PreconditionError("indices must be integers, got bool")
     out = out.astype(np.intp, copy=False).reshape(-1)
     bad = (out < 0) | (out >= n)
     if bad.any():

@@ -496,6 +496,8 @@ def test_main_verify_smallest(tmp_path, capsys):
 def test_verify_eggbox_and_report_never_import_numpy_ma(tmp_path):
     # numpy.ma costs 13-16 ms to import in a cold process, and a plain
     # np.unique imports it; one fresh interpreter runs all three commands.
+    # concurrent.futures pulls in logging (0.3 MB more max RSS after
+    # importing glsemi.cli), so the table loops start plain threads.
     root = pathlib.Path(__file__).resolve().parents[1]
     cfg = str(root / "configs" / "p2n2r1.cfg")
     script = (
@@ -504,11 +506,11 @@ def test_verify_eggbox_and_report_never_import_numpy_ma(tmp_path):
         f"assert main(['verify', '--instance', {cfg!r}]) == 0\n"
         f"assert main(['eggbox', '--instance', {cfg!r}, '--out', {str(tmp_path / 'e.dot')!r}]) == 0\n"
         f"assert main(['report', '--instance', {cfg!r}, '--out', {str(tmp_path / 'r.json')!r}]) == 0\n"
-        "print('numpy.ma' in sys.modules)\n"
+        "print('numpy.ma' in sys.modules, 'concurrent.futures' in sys.modules)\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.splitlines()[-1] == "False"
+    assert done.stdout.splitlines()[-1] == "False False"
 
 
 def test_main_verify_respects_env_and_flag(tmp_path, capsys, monkeypatch):

@@ -475,6 +475,10 @@ def test_index_inputs_outside_the_table_are_refused(call, bad):
         pytest.param(lambda t: principal_ideal(t, True), id="principal_ideal"),
         pytest.param(lambda t: verify_ideal(t, np.array([True, True])), id="verify_ideal"),
         pytest.param(lambda t: subtable(t, [True]), id="subtable"),
+        # Mixed with ints, a list promotes to an integer dtype.
+        pytest.param(lambda t: verify_ideal(t, [0, True]), id="verify_ideal-mixed"),
+        pytest.param(lambda t: closure_indices(t, (np.int64(2), np.True_)), id="closure_indices-mixed"),
+        pytest.param(lambda t: subtable(t, [[0], [True]]), id="subtable-mixed-nested"),
     ],
 )
 def test_boolean_index_inputs_are_refused(call):
