@@ -29,13 +29,11 @@ from .errors import (
     InfeasibleError,
 )
 from .gf_linalg import (
+    anchors,
     codes,
+    complements_among,
     enumerate_complements,
-    extend_basis,
-    full_space,
-    is_complement,
     span_mask,
-    vec_add,
 )
 from .gl_restriction import (
     DEFAULT_ENUM_CAP,
@@ -237,13 +235,6 @@ def resolve_caps(cfg: InstanceConfig, flag_cap: int | None, flag_rank_cap: int |
     return enum_cap, rank_cap
 
 
-def _complements(inst: Instance):
-    count = inst.p ** (inst.r * (inst.n - inst.r))
-    if count > 100_000:
-        raise CapacityError(f"{count} complements exceed the enumeration budget")
-    return enumerate_complements(inst.u)
-
-
 # Checks take the instance's Structure and the (enum_cap, rank_cap) pair,
 # except those in _INSTANCE_CHECKS, which take the Instance and run
 # without a table.  cmd_verify builds the Structure once, before the
@@ -264,9 +255,11 @@ def _check_order_law(s: Structure, caps):
 
 
 def _check_complement_count(inst: Instance):
-    comps = _complements(inst)
     expected = inst.p ** (inst.r * (inst.n - inst.r))
-    ok = len(comps) == expected and all(is_complement(w, inst.u) for w in comps)
+    if expected > 100_000:
+        raise CapacityError(f"{expected} complements exceed the enumeration budget")
+    comps = enumerate_complements(inst.u)
+    ok = len(comps) == expected and complements_among(inst.u, comps).all()
     counts = {"complements": len(comps), "expected": expected}
     return ("pass" if ok else "fail", counts, None)
 
@@ -430,16 +423,15 @@ def _check_unit_decomposition(s: Structure, caps):
             failures.append("conjugate left the U-fixing subgroup")
     # Each split is unique exactly when its product grid is a bijection,
     # which split_grid checks for every unit and every U-fixing unit.
-    comps = _complements(inst)
     decomposed = 0
-    for w in comps:
+    for w in s.complements:
         for left_kind in (FIX_W, G_W):
             left, right, _ = split_grid(s, left_kind, w)
             decomposed += left.size * right.size
     counts = {
         "units": len(g),
         "fix_u": len(h),
-        "complements_checked": len(comps),
+        "complements_checked": len(s.complements),
         "decompositions": decomposed,
     }
     return ("pass" if not failures else "fail", counts, "; ".join(failures) or None)
@@ -449,7 +441,7 @@ def _check_subgroup_isomorphisms(s: Structure, caps):
     if s.inst.r < 1:
         return ("skip", {}, "subgroup structure needs r >= 1")
     checked = 0
-    for w in _complements(s.inst):
+    for w in s.complements:
         for kind in (FIX_W, G_W, N_W):
             if not subgroup_iso_check(s, kind, w):
                 return ("fail", {"complement": [list(r) for r in w.basis]}, f"{kind} comparison failed")
@@ -469,10 +461,11 @@ def _check_isomorphism_theorem(s: Structure, caps):
     inst = s.inst
     failures = []
     if inst.r >= 1:
-        anchor = extend_basis(inst.u.basis, full_space(inst.p, inst.n))[0]
-        rows = list(inst.u.basis)
-        rows[0] = vec_add(inst.p, rows[0], anchor)
-        partner = enumerate_semigroup(make_instance(inst.p, inst.n, inst.r, rows), enum_cap)
+        # U with its first row moved by U's first anchor: another
+        # r-dimensional subspace.
+        rows = np.array(inst.u.basis)
+        rows[0] = (rows[0] + anchors(inst.u)[0]) % inst.p
+        partner = enumerate_semigroup(make_instance(inst.p, inst.n, inst.r, rows.tolist()), enum_cap)
     else:
         partner = s
     witness = decide_isomorphic(inst, partner.inst)
@@ -658,8 +651,7 @@ def cmd_report(cfg: InstanceConfig, enum_cap: int, rank_cap: int) -> dict:
         "expected": inst.p ** (inst.r * (inst.n - inst.r)),
     }
     if inst.r >= 1:
-        comps = enumerate_complements(inst.u)
-        w = comps[0]
+        w = s.complements[0]
         payload["unit_group"] = {
             "order": len(unit_group_subtable(s)),
             "complement": [list(row) for row in w.basis],

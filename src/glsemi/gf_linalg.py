@@ -1,29 +1,34 @@
-"""Exact linear algebra over prime fields GF(p).
+"""Exact linear algebra over prime fields GF(p), in one form: row codes.
 
-Vectors are tuples of ints in [0, p); matrices are tuples of row
-vectors.  A matrix M encodes the linear map v -> v*M acting on row
+A row vector of GF(p)^n is coded by its digits base p, the first entry
+most significant, so codes follow lexicographic order.  A matrix is held
+as its n row codes and encodes the linear map v -> v*M acting on row
 vectors, so applying map A and then map B multiplies matrices in the
-same left-to-right order: M_{AB} = M_A * M_B.
+same left-to-right order: M_{AB} = M_A * M_B.  A subspace of an
+enumerated space is a mask over all p^n codes (span_mask).
 
-Subspaces are carried as reduced-row-echelon bases.  RREF is unique
+There is one Gauss-Jordan elimination, rref_batch, run on a stack of
+matrices at once.  A subspace's canonical basis (subspace), a rank test
+(is_complement, complements_among), an inverse and a map given by its
+values on a basis (solve_batch, solve_codes on row codes) all go
+through it; none costs more than polynomially in n.  Where a subspace
+is a mask already, rref_codes reads the same basis off the mask.
+
+The canonical basis is the reduced-row-echelon basis.  RREF is unique
 per subspace, so structural equality of the basis equals equality of
-subspaces; this is relied on everywhere above this module.
+subspaces; this is relied on everywhere above this module.  All
+tie-breaking is by least code, that is lexicographic, which makes every
+construction in the package reproducible byte for byte.
 
-All tie-breaking is lexicographic over coordinate tuples, which makes
-every construction in the package reproducible byte for byte.
-
-The row-code layer (codes through coordinate_table) is the numpy form
-of the same algebra, and the enumerated semigroup's working form: a row
-vector is coded by its digits base p, so codes follow lexicographic
-order; a matrix is held as its n row codes, a subspace as a mask over
-all p^n codes.  solve_batch is linear_map over a stack of arrays.
+Tuples of ints appear only at the edges: Subspace.basis, instance
+files, JSON output and the nonnormality report.  subspace, image,
+mat_inverse, mat_mul and vec_mat take or give tuples for those edges.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import product as iter_product
 
 import numpy as np
 
@@ -47,10 +52,6 @@ def check_modulus(p: int) -> None:
     for d in range(2, int(p ** 0.5) + 1):
         if p % d == 0:
             raise ConfigurationError(f"modulus {p} is not prime")
-
-
-def vec_add(p: int, a: Vec, b: Vec) -> Vec:
-    return tuple((x + y) % p for x, y in zip(a, b))
 
 
 def vec_mat(p: int, v: Vec, m: Mat) -> Vec:
@@ -77,29 +78,6 @@ def mat_mul(p: int, a: Mat, b: Mat) -> Mat:
 
 def identity_mat(n: int) -> Mat:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-
-def _rref(p: int, n: int, rows) -> tuple[list[Vec], list[int]]:
-    """Gauss-Jordan reduce rows (length n); return (nonzero rows, pivot columns)."""
-    work = [[x % p for x in row] for row in rows]
-    pivots: list[int] = []
-    pr = 0
-    for col in range(n):
-        piv = next((i for i in range(pr, len(work)) if work[i][col]), None)
-        if piv is None:
-            continue
-        work[pr], work[piv] = work[piv], work[pr]
-        inv = pow(work[pr][col], p - 2, p)
-        work[pr] = [(inv * x) % p for x in work[pr]]
-        for i in range(len(work)):
-            if i != pr and work[i][col]:
-                f = work[i][col]
-                work[i] = [(x - f * y) % p for x, y in zip(work[i], work[pr])]
-        pivots.append(col)
-        pr += 1
-        if pr == len(work):
-            break
-    return [tuple(r) for r in work[:pr]], pivots
 
 
 @dataclass(frozen=True)
@@ -131,97 +109,96 @@ class Subspace:
         return tuple(map(tuple, code_vectors(self.p, self.n)[mask].tolist()))
 
 
-def full_space(p: int, n: int) -> Subspace:
-    return Subspace(p, n, identity_mat(n))
-
-
-def rref_canonical(p: int, n: int, rows) -> Subspace:
+def subspace(p: int, n: int, rows) -> Subspace:
     """Canonical subspace spanned by the given rows (empty input -> zero
-    space).  Entries pass through operator.index, so numpy integers
-    span what plain ints do; any other entry is refused."""
+    space): the nonzero rows of their rref_batch.  Entries pass through
+    operator.index, so numpy integers span what plain ints do; any other
+    entry is refused."""
     try:
-        rows = [[operator.index(x) for x in row] for row in rows]
+        rows = [[operator.index(x) % p for x in row] for row in rows]
     except TypeError:
         raise ConfigurationError("row entries must be integers") from None
     for row in rows:
         if len(row) != n:
             raise ConfigurationError(f"row length {len(row)} does not match ambient dimension {n}")
-    reduced, _ = _rref(p, n, rows)
-    return Subspace(p, n, tuple(reduced))
+    reduced = rref_batch(p, np.array(rows, dtype=np.int64).reshape(1, len(rows), n))[0]
+    return Subspace(p, n, tuple(map(tuple, reduced[reduced.any(axis=1)].tolist())))
 
 
 def image(p: int, m: Mat) -> Subspace:
     """Row space of m, i.e. the range of the encoded map."""
-    n = len(m[0]) if m else 0
-    return rref_canonical(p, n, m)
-
-
-def rank(p: int, m: Mat) -> int:
-    return image(p, m).dim
-
-
-def is_invertible(p: int, m: Mat) -> bool:
-    return rank(p, m) == len(m)
+    return subspace(p, len(m[0]) if m else 0, m)
 
 
 def mat_inverse(p: int, m: Mat) -> Mat:
-    """Inverse of a square matrix; raises PreconditionError if singular."""
+    """Inverse of a square matrix, one solve_batch pass; raises
+    PreconditionError if singular."""
     n = len(m)
-    aug = [tuple(m[i]) + tuple(int(i == j) for j in range(n)) for i in range(n)]
-    reduced, pivots = _rref(p, 2 * n, aug)
-    if pivots != list(range(n)):
-        raise PreconditionError("matrix is singular")
-    return tuple(tuple(row[n:]) for row in reduced)
+    if any(len(row) != n for row in m):
+        raise ConfigurationError("only a square matrix has an inverse")
+    try:
+        inverse = solve_batch(p, np.array(m, dtype=np.int64).reshape(1, n, n), np.eye(n, dtype=np.int64)[None])[0]
+    except PreconditionError:
+        raise PreconditionError("matrix is singular") from None
+    return tuple(map(tuple, inverse.tolist()))
 
 
-def linear_map(p: int, basis_rows, image_rows) -> Mat:
-    """The matrix sending each basis row to the matching image row.
+def rref_batch(p: int, rows) -> np.ndarray:
+    """Reduced row echelon form of each matrix in a (B, k, m) stack, its
+    nonzero rows first.
 
-    basis_rows must form a basis of the full space; this realizes the
-    usual tableau definition of a map by its values on a chosen basis.
-    One Gauss-Jordan pass over [basis | images] turns the left block
-    into the identity and the right block into dom^-1 * images.
+    The package's only Gauss-Jordan elimination, run on all B matrices
+    at once.  Column by column, each matrix whose rows below its pivots
+    so far have a nonzero entry there takes the first such row as its
+    next pivot row, scaled to a leading 1, and clears the column in
+    every other row; the rest are left as they are.
     """
-    dom = tuple(tuple(row) for row in basis_rows)
-    img = tuple(tuple(row) for row in image_rows)
-    if len(dom) != len(img):
-        raise ConfigurationError("domain and image row counts differ")
-    n = len(dom)
-    if any(len(row) != n for row in dom):
-        raise PreconditionError("domain rows do not form a basis")
-    width = len(img[0]) if img else 0
-    reduced, pivots = _rref(p, n + width, [d + i for d, i in zip(dom, img)])
-    if pivots != list(range(n)):
-        raise PreconditionError("domain rows do not form a basis")
-    return tuple(row[n:] for row in reduced)
+    work = np.asarray(rows, dtype=np.int64) % p
+    count, k, width = work.shape
+    inverse = np.array([0] + [pow(x, p - 2, p) for x in range(1, p)])
+    done = np.zeros(count, dtype=np.int64)  # pivot rows so far
+    below = np.arange(k)
+    for col in range(width):
+        if done.min(initial=k) == k:
+            break
+        nonzero = work[:, :, col] != 0
+        nonzero &= below >= done[:, None]
+        found = nonzero.any(axis=1)
+        every = found.all()
+        sub, top = (work, done) if every else (work[found], done[found])
+        batch = np.arange(len(sub))
+        piv = (nonzero if every else nonzero[found]).argmax(axis=1)
+        lead = sub[batch, piv]
+        sub[batch, piv] = sub[batch, top]
+        lead = lead * inverse[lead[:, col]][:, None] % p
+        sub[batch, top] = lead
+        factors = sub[:, :, col].copy()
+        factors[batch, top] = 0
+        sub = (sub - factors[:, :, None] * lead[:, None]) % p
+        if every:
+            work = sub
+        else:
+            work[found] = sub
+        done += found
+    return work
 
 
 def solve_batch(p: int, doms, imgs) -> np.ndarray:
-    """linear_map over a batch: out[i] = doms[i]^-1 * imgs[i] mod p.
+    """out[i] = doms[i]^-1 * imgs[i] mod p: the map sending each row of
+    doms[i] to the matching row of imgs[i].
 
     doms is a (B, n, n) stack of domain bases, imgs a (B, n, m) stack of
-    image rows.  One Gauss-Jordan pass runs on all B augmented matrices
-    at once; any singular domain raises PreconditionError.
+    image rows.  One rref_batch pass over all B augmented matrices
+    [doms[i] | imgs[i]]; any singular domain raises PreconditionError.
     """
     doms = np.asarray(doms, dtype=np.int64)
     imgs = np.asarray(imgs, dtype=np.int64)
     if doms.ndim != 3 or imgs.ndim != 3 or doms.shape[1] != doms.shape[2] or imgs.shape[:2] != doms.shape[:2]:
         raise ConfigurationError("expected (B, n, n) domains and (B, n, m) images")
-    count, n = doms.shape[:2]
-    work = np.concatenate([doms, imgs], axis=2) % p
-    inverse = np.array([0] + [pow(x, p - 2, p) for x in range(1, p)])
-    batch = np.arange(count)
-    for col in range(n):
-        nonzero = work[:, col:, col] != 0
-        if not nonzero.any(axis=1).all():
-            raise PreconditionError("domain rows do not form a basis")
-        piv = col + nonzero.argmax(axis=1)
-        lead = work[batch, piv]
-        work[batch, piv] = work[:, col]
-        work[:, col] = lead * inverse[lead[:, col]][:, None] % p
-        factors = work[:, :, col].copy()
-        factors[:, col] = 0
-        work = (work - factors[:, :, None] * work[:, None, col]) % p
+    n = doms.shape[1]
+    work = rref_batch(p, np.concatenate([doms, imgs], axis=2))
+    if (work[:, :, :n] != np.eye(n, dtype=np.int64)).any():
+        raise PreconditionError("domain rows do not form a basis")
     return work[:, :, n:]
 
 
@@ -278,7 +255,7 @@ def extend_codes(p: int, n: int, span: np.ndarray, within: np.ndarray | None = N
     the one marked by within (all of GF(p)^n when None): each the least
     code of within outside the span so far, which then grows by it.
     That is the lexicographically least extension; from the zero space,
-    the codes reversed are within's RREF basis."""
+    the codes reversed are within's RREF basis (see rref_codes)."""
     vectors = code_vectors(p, n)
     span = span.copy()
     out: list[int] = []
@@ -289,6 +266,21 @@ def extend_codes(p: int, n: int, span: np.ndarray, within: np.ndarray | None = N
         out.append(int(outside[0]))
         multiples = np.arange(1, p)[:, None] * vectors[outside[0]]
         span[codes(p, (vectors[span][:, None] + multiples) % p)] = True
+
+
+def rref_codes(p: int, n: int, mask: np.ndarray) -> list[int]:
+    """Codes of the RREF basis of the subspace marked by mask, in row
+    order.  The row with pivot j is the least code of the subspace whose
+    leading entry is a 1 in column j, that is the least marked code in
+    [p^(n-1-j), 2 p^(n-1-j)); no code there is marked when j is no
+    pivot.  The same codes as extend_codes from the zero space, reversed."""
+    out = []
+    for j in range(n):
+        low = p ** (n - 1 - j)
+        window = mask[low : 2 * low]
+        if window.any():
+            out.append(low + int(window.argmax()))
+    return out
 
 
 def solve_codes(p: int, doms: np.ndarray, imgs=None) -> np.ndarray:
@@ -309,25 +301,25 @@ def coordinate_table(sub: Subspace) -> np.ndarray:
     return out
 
 
-def extend_basis(partial, within: Subspace) -> list[Vec]:
-    """Vectors extending `partial` to a basis of `within`.
+def anchors(u: Subspace) -> np.ndarray:
+    """u's anchors, its least extension to the whole space, as the rows
+    of an (n - dim, n) array: the unit vectors at the columns that hold
+    no pivot of u's RREF basis, last column first.  extend_codes from
+    u's span mask picks the same vectors, in the same order."""
+    pivots = {next(j for j, x in enumerate(row) if x) for row in u.basis}
+    return np.eye(u.n, dtype=np.int64)[[j for j in range(u.n - 1, -1, -1) if j not in pivots]]
 
-    The lexicographically least extension, from extend_codes, so the
-    result is deterministic.  The input rows must be linearly
-    independent members of `within`.
-    """
-    p, n = within.p, within.n
-    rows = [tuple(x % p for x in row) for row in partial]
-    for row in rows:
-        if not within.contains(row):
-            raise PreconditionError("partial basis vector lies outside the target subspace")
-    span = span_mask(p, n, codes(p, rows))
-    if span.sum() != p ** len(rows):
-        raise PreconditionError("partial basis is linearly dependent")
-    appended = extend_codes(p, n, span, span_mask(p, n, codes(p, within.basis)))
-    if len(rows) + len(appended) != within.dim:
-        raise InternalInconsistencyError("basis extension failed to reach full dimension")
-    return [tuple(v) for v in code_vectors(p, n)[appended].tolist()]
+
+#: Most matrix entries one rref_batch pass over many subspaces takes,
+#: which bounds its temporaries to a few MB however many there are.
+BATCH_CELLS = 2**18
+
+
+def _parts(count: int, cells: int):
+    # Slices cutting range(count) into runs of at most BATCH_CELLS
+    # entries, each item holding cells of them.
+    step = max(1, BATCH_CELLS // max(1, cells))
+    return (slice(lo, lo + step) for lo in range(0, count, step))
 
 
 def enumerate_complements(u: Subspace) -> list[Subspace]:
@@ -335,19 +327,21 @@ def enumerate_complements(u: Subspace) -> list[Subspace]:
 
     Fixing one complement <w_1, ..., w_m> of u, every complement has a
     unique basis of the form {w_i + u'_i} with each u'_i in u, so the
-    list has exactly p^(dim(u) * (n - dim(u))) entries.
+    list has exactly p^(dim(u) * (n - dim(u))) entries, in the order of
+    the translate tuples.  The w_i are u's anchors and the u'_i run over
+    u's vectors in code order; rref_batch reduces the translate bases in
+    parts of BATCH_CELLS entries, and a repeated complement is refused.
     """
     p, n = u.p, u.n
-    anchors = extend_basis(u.basis, full_space(p, n))
-    shifts = u.vectors()
-    out: list[Subspace] = []
-    seen: set[Subspace] = set()
-    for tup in iter_product(shifts, repeat=len(anchors)):
-        w = rref_canonical(p, n, [vec_add(p, a, s) for a, s in zip(anchors, tup)])
-        if w in seen:
-            raise InternalInconsistencyError("translate tuples produced a duplicate complement")
-        seen.add(w)
-        out.append(w)
+    ends = anchors(u)
+    shifts = code_vectors(p, u.dim) @ np.array(u.basis, dtype=np.int64).reshape(u.dim, n) % p
+    picks = code_vectors(len(shifts), len(ends))  # every tuple of translates, in order
+    out = []
+    for part in _parts(len(picks), ends.size):
+        bases = rref_batch(p, ends + shifts[picks[part]])
+        out += [Subspace(p, n, tuple(map(tuple, basis))) for basis in bases.tolist()]
+    if len(set(out)) != len(out):
+        raise InternalInconsistencyError("translate tuples produced a duplicate complement")
     return out
 
 
@@ -355,25 +349,39 @@ def is_complement(w: Subspace, u: Subspace) -> bool:
     """True iff w and u intersect trivially and together span the full space."""
     if (w.p, w.n) != (u.p, u.n):
         raise ConfigurationError("subspaces live in different ambient spaces")
-    if w.dim + u.dim != w.n:
-        return False
-    return rref_canonical(w.p, w.n, w.basis + u.basis).dim == w.n
+    return w.dim + u.dim == w.n and image(w.p, w.basis + u.basis).dim == w.n
 
 
-def general_linear(p: int, k: int) -> tuple[Mat, ...]:
-    """All invertible k x k matrices over GF(p), sorted lexicographically.
+def complements_among(u: Subspace, ws) -> np.ndarray:
+    """flags[i] = is_complement(ws[i], u), for many ws at once: their
+    dimensions add up to n and their bases, stacked, reduce to the
+    identity.  rref_batch runs on parts of BATCH_CELLS entries."""
+    p, n = u.p, u.n
+    if any((w.p, w.n) != (p, n) for w in ws):
+        raise ConfigurationError("subspaces live in different ambient spaces")
+    fits = np.flatnonzero([w.dim + u.dim == n for w in ws])
+    flags = np.zeros(len(ws), dtype=bool)
+    for part in _parts(len(fits), n * n):
+        stacked = np.array([ws[i].basis + u.basis for i in fits[part]], dtype=np.int64).reshape(-1, n, n)
+        flags[fits[part]] = (rref_batch(p, stacked) == np.eye(n, dtype=np.int64)).all(axis=(1, 2))
+    return flags
+
+
+def general_linear(p: int, k: int) -> np.ndarray:
+    """Row codes of every invertible k x k matrix over GF(p), one matrix
+    per row of the (count, k) result, in lexicographic order.
 
     Grown row by row: each independent prefix of rows goes on with every
     row outside its span (span_mask), so only invertible matrices are
     ever built.  Prefixes and the rows after each run in code order,
-    which is lexicographic, so the list comes out sorted.
+    which is lexicographic, so the rows come out sorted.
     """
     check_modulus(p)
     rows = np.zeros((1, 0), dtype=np.int64)  # row codes of every prefix so far
     for _ in range(k):
         prefix, after = np.nonzero(~span_mask(p, k, rows))
         rows = np.column_stack([rows[prefix], after])
-    return tuple(tuple(map(tuple, m)) for m in code_vectors(p, k)[rows].tolist())
+    return rows
 
 
 def gl_order(p: int, k: int) -> int:

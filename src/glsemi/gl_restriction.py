@@ -31,28 +31,26 @@ from .errors import (
 from .gf_linalg import (
     Mat,
     Subspace,
-    Vec,
     action_table,
+    anchors,
     check_modulus,
     code_vectors,
     codes,
     coordinate_table,
+    enumerate_complements,
     extend_codes,
     general_linear,
     gl_order,
     identity_mat,
     is_complement,
-    is_invertible,
     key_dtype,
     key_index,
-    linear_map,
-    mat_inverse,
     mat_mul,
-    rref_canonical,
+    rref_codes,
+    solve_batch,
     solve_codes,
     span_mask,
-    vec_add,
-    vec_mat,
+    subspace,
 )
 from .semigroup_core import (
     GreenPartitions,
@@ -91,7 +89,7 @@ class Instance:
             raise ConfigurationError(f"need 0 <= r < n, got r={self.r}, n={self.n}")
         if (self.u.p, self.u.n, self.u.dim) != (self.p, self.n, self.r):
             raise ConfigurationError("subspace does not match the declared (p, n, r)")
-        if rref_canonical(self.p, self.n, self.u.basis).basis != self.u.basis:
+        if subspace(self.p, self.n, self.u.basis).basis != self.u.basis:
             raise ConfigurationError("subspace basis is not in canonical form")
 
 
@@ -105,7 +103,7 @@ def make_instance(p: int, n: int, r: int, u_rows=None) -> Instance:
     if u_rows is None:
         u = Subspace(p, n, identity_mat(n)[:r])
     else:
-        u = rref_canonical(p, n, u_rows)
+        u = subspace(p, n, u_rows)
         if u.dim != r:
             raise ConfigurationError(f"u_basis spans dimension {u.dim}, expected {r}")
     return Instance(p, n, r, u)
@@ -116,14 +114,6 @@ def predicted_order(inst: Instance) -> int:
     return gl_order(inst.p, inst.r) * inst.p ** (inst.n * (inst.n - inst.r))
 
 
-def is_member(inst: Instance, m: Mat) -> bool:
-    """True iff U*m = U, i.e. the restriction of m to U is invertible."""
-    if len(m) != inst.n or any(len(row) != inst.n for row in m):
-        raise ConfigurationError(f"expected an {inst.n}x{inst.n} matrix")
-    rows = [vec_mat(inst.p, u_row, m) for u_row in inst.u.basis]
-    return rref_canonical(inst.p, inst.n, rows) == inst.u
-
-
 def _members(inst: Instance) -> np.ndarray:
     # Row codes of every member, in matrix order: the images of U's basis
     # range over GL(U), those of a fixed complement basis freely over V.
@@ -131,9 +121,9 @@ def _members(inst: Instance) -> np.ndarray:
     # row i of dom^-1 * imgs is row i of dom^-1 times imgs.
     p, n, r = inst.p, inst.n, inst.r
     q, u, vectors = p**n, codes(p, inst.u.basis), code_vectors(p, n)
-    dom = np.concatenate([u, extend_codes(p, n, span_mask(p, n, u))])
+    dom = np.concatenate([u, codes(p, anchors(inst.u))])
     gl = general_linear(p, r)
-    u_imgs = codes(p, np.array(gl, dtype=np.int64).reshape(len(gl), r, r) @ vectors[u] % p)
+    u_imgs = codes(p, code_vectors(p, r)[gl] @ vectors[u] % p)
     free = code_vectors(q, n - r)  # every tuple of n-r row codes
     imgs = np.concatenate([np.repeat(u_imgs, len(free), axis=0), np.tile(free, (len(gl), 1))], axis=1)
     inverse = vectors[solve_codes(p, dom[None])[0]]
@@ -232,9 +222,9 @@ class Structure:
     """One enumerated instance: the instance, its checked Cayley table,
     the action array the table was gathered from, the key index the
     table was looked up in, and data worked out from them at most once,
-    on first use.  Build it with enumerate_semigroup(inst, cap).  The
-    special subgroups, the unit splits' product grids and GL(k)'s sorted
-    codes are each held once.
+    on first use.  Build it with enumerate_semigroup(inst, cap).  U's
+    complements, the special subgroups, the unit splits' product grids
+    and GL(k)'s sorted codes are each held once.
 
     Element indices are table indices; the elements are sorted, so
     index order is matrix order.  `act[v, b]` is the code of the row
@@ -310,6 +300,11 @@ class Structure:
         return codes(q, self.rows).astype(key_dtype(q, self.inst.n))
 
     @cached_property
+    def complements(self) -> tuple[Subspace, ...]:
+        """Every complement of U, as gf_linalg.enumerate_complements lists them."""
+        return tuple(enumerate_complements(self.inst.u))
+
+    @cached_property
     def batch(self) -> "_Batch":
         """Domain inverses and image tables of the batched constructors."""
         return _Batch(self)
@@ -381,10 +376,6 @@ def green_char_partitions(s: Structure) -> GreenPartitions:
     return GreenPartitions(l=label_classes(img_ids), r=label_classes(ker_ids), h=h, d=d, j=d)
 
 
-def _act(inst: Instance, rows, m: Mat) -> tuple[Vec, ...]:
-    return tuple(vec_mat(inst.p, row, m) for row in rows)
-
-
 # The constructors run in batches.  Every matrix is held as its n row
 # codes (gf_linalg.codes), and a matrix m is held by its action
 # table t, t[v, j] coding v*m_j in the layout of act.  Each output is
@@ -451,11 +442,10 @@ class _Batch:
         self.img_ids, img_first = s.image_classes
         self.ker_codims = self.codims[ker_first]
         # One kernel and one image per class, as masks over the codes in its
-        # first element's column of act; a kernel's RREF basis, reversed.
-        zero = np.arange(p**n) == 0
-        kernels = [extend_codes(p, n, zero, s.act[:, i] == 0)[::-1] for i in ker_first.tolist()]
+        # first element's column of act; a kernel's RREF basis.
+        kernels = [rref_codes(p, n, s.act[:, i] == 0) for i in ker_first.tolist()]
         masks = s._image_masks()[img_first]
-        if any(len(extend_codes(p, n, zero, m)) - r != self.codims[i] for m, i in zip(masks, img_first.tolist())):
+        if any(len(rref_codes(p, n, m)) - r != self.codims[i] for m, i in zip(masks, img_first.tolist())):
             raise InternalInconsistencyError("an image's rank disagrees with its size")
         rows = [[*k, *extend_codes(p, n, span_mask(p, n, [*k, *u])), *u] for k in kernels]
         rows += [[*extend_codes(p, n, m), *extend_codes(p, n, span_mask(p, n, u), m), *u] for m in masks]
@@ -731,10 +721,6 @@ def minimal_idempotents(s: Structure) -> np.ndarray:
     return low[s.table.mul[low, low] == low]
 
 
-def _fixes_pointwise(inst: Instance, m: Mat, rows) -> bool:
-    return all(vec_mat(inst.p, row, m) == tuple(row) for row in rows)
-
-
 def special_subgroup(s: Structure, kind: str, w: Subspace | None = None) -> np.ndarray:
     """Indices of one of the structural subgroups of the unit group.
 
@@ -760,7 +746,7 @@ def _in_subgroup(s: Structure, kind: str, w: Subspace | None, idxs) -> np.ndarra
     if kind == G_W:
         rules += [(row, w.vectors()) for row in w.basis]
     elif kind == N_W:
-        rules += [(row, [vec_add(p, row, x) for x in u.vectors()]) for row in w.basis]
+        rules += [(row, (np.array(row) + u.vectors()) % p) for row in w.basis]
     keep = np.ones(len(idxs), dtype=bool)
     for row, allowed in rules:
         keep &= np.isin(s.act[codes(p, row), idxs], codes(p, allowed))
@@ -775,7 +761,7 @@ def _subgroup_members(s: Structure, kind: str, w: Subspace | None) -> np.ndarray
     if kind != FIX_U:
         if w is None:
             raise PreconditionError(f"subgroup kind {kind!r} needs a complement W")
-        if not is_complement(w, s.inst.u):
+        if not _once(s._subgroups, ("complement", w), lambda: is_complement(w, s.inst.u)):
             raise PreconditionError("W is not a complement of U")
     units = s.grades[s.inst.n - s.inst.r]
     group = units[_in_subgroup(s, kind, w, units)]
@@ -847,8 +833,9 @@ def subgroup_iso_check(s: Structure, kind: str, w: Subspace | None = None) -> bo
         # coords[i, m]: coordinates of (basis row i) * m over the space.
         space = inst.u if kind == FIX_W else w
         coords = coordinate_table(space)[s.act[codes(p, space.basis)][:, members]]
-        gl = lambda: np.array(general_linear(p, space.dim)).reshape(-1, space.dim**2)
-        group = _once(s._subgroups, ("gl", space.dim), lambda: np.sort(codes(p, gl())))
+        # GL(k)'s row codes packed base p^k are its matrices' codes, in order.
+        k = space.dim
+        group = _once(s._subgroups, ("gl", k), lambda: codes(p**k, general_linear(p, k)))
     if (coords < 0).any():
         return False
     images = coords.transpose(1, 0, 2)  # images[m]: m's coordinate rows
@@ -894,29 +881,28 @@ def nonnormality_example(p: int, case: str) -> ConjugationEscapeReport:
     check_modulus(p)
     if case not in CONJUGATION_CASES:
         raise PreconditionError(f"unknown case {case!r}")
+    # W is spanned by the standard vectors after U's, and both maps are
+    # given on the basis (W, U): alpha adds the first U row to the first
+    # W row, beta swaps u_1 and u_2 (fix_w_in_units) or w_1 and w_2.  One
+    # solve_batch pass makes alpha, beta and alpha^-1, and refuses a
+    # singular alpha.
+    r, swap = (2, [0, 2, 1]) if case == "fix_w_in_units" else (1, [1, 0, 2])
+    inst = make_instance(p, 3, r)
+    comp = Subspace(p, 3, identity_mat(3)[r:])
+    dom = np.array(comp.basis + inst.u.basis)
+    lifted = dom.copy()
+    lifted[0] = (dom[0] + dom[3 - r]) % p
+    solved = solve_batch(p, np.stack([dom, dom, lifted]), np.stack([lifted, dom[swap], dom]))
+    alpha, beta, alpha_inv = (tuple(map(tuple, m)) for m in solved.tolist())
+    fixes = lambda m, rows: mat_mul(p, rows, m) == rows
     if case == "fix_w_in_units":
-        inst = make_instance(p, 3, 2)
-        wv = (0, 0, 1)
-        u1, u2 = inst.u.basis
-        comp = rref_canonical(p, 3, [wv])
-        alpha = linear_map(p, (wv, u1, u2), (vec_add(p, wv, u1), u1, u2))
-        beta = linear_map(p, (wv, u1, u2), (wv, u2, u1))
-        inside = lambda m: _fixes_pointwise(inst, m, comp.basis)
-        if not (is_member(inst, alpha) and is_invertible(p, alpha) and inside(beta)):
-            raise InternalInconsistencyError("conjugation witnesses are malformed")
+        inside = lambda m: fixes(m, comp.basis)
     else:
-        inst = make_instance(p, 3, 1)
-        w1, w2 = (0, 1, 0), (0, 0, 1)
-        (u1,) = inst.u.basis
-        comp = rref_canonical(p, 3, [w1, w2])
-        alpha = linear_map(p, (w1, w2, u1), (vec_add(p, w1, u1), w2, u1))
-        beta = linear_map(p, (w1, w2, u1), (w2, w1, u1))
-        in_fix_u = lambda m: _fixes_pointwise(inst, m, inst.u.basis)
-        inside = lambda m: in_fix_u(m) and rref_canonical(p, 3, _act(inst, comp.basis, m)) == comp
-        if not (in_fix_u(alpha) and is_invertible(p, alpha) and inside(beta)):
-            raise InternalInconsistencyError("conjugation witnesses are malformed")
-    conj = mat_mul(p, mat_mul(p, alpha, beta), mat_inverse(p, alpha))
-    moved = rref_canonical(p, 3, _act(inst, comp.basis, conj))
+        inside = lambda m: fixes(m, inst.u.basis) and subspace(p, 3, mat_mul(p, comp.basis, m)) == comp
+    if not (fixes(alpha, inst.u.basis) and inside(beta)):  # alpha a unit fixing U
+        raise InternalInconsistencyError("conjugation witnesses are malformed")
+    conj = mat_mul(p, mat_mul(p, alpha, beta), alpha_inv)
+    moved = subspace(p, 3, mat_mul(p, comp.basis, conj))
     escaped = not inside(conj)
     if not escaped:
         raise InternalInconsistencyError("conjugate unexpectedly stayed in the subgroup")

@@ -16,13 +16,12 @@ from .errors import InternalInconsistencyError, PreconditionError, UnsupportedCo
 from .gf_linalg import (
     Mat,
     action_table,
+    anchors,
     codes,
-    extend_basis,
-    full_space,
-    linear_map,
     mat_inverse,
-    rref_canonical,
-    vec_mat,
+    mat_mul,
+    solve_batch,
+    subspace,
 )
 from .gl_restriction import Instance, Structure
 from .semigroup_core import is_homomorphism
@@ -44,20 +43,19 @@ def decide_isomorphic(i1: Instance, i2: Instance) -> IsoWitness | None:
     Instances over different primes are refused outright rather than
     answered.  The decision reads (n, r) and needs no enumeration; the
     element bijection on enumerated tables is element_bijection's job.
+    phi is one solve_batch pass, sending i1's basis (U's anchors, then
+    U's basis) onto i2's.
     """
     if i1.p != i2.p:
         raise UnsupportedComparisonError("instances live over different prime fields")
     if i1.n != i2.n or i1.r != i2.r:
         return None
     p, n = i1.p, i1.n
-    comp1 = extend_basis(i1.u.basis, full_space(p, n))
-    comp2 = extend_basis(i2.u.basis, full_space(p, n))
-    phi = linear_map(p, tuple(comp1) + i1.u.basis, tuple(comp2) + i2.u.basis)
-    phi_inv = mat_inverse(p, phi)
-    carried = rref_canonical(p, n, [vec_mat(p, row, phi) for row in i1.u.basis])
-    if carried != i2.u:
+    bases = [np.concatenate([anchors(i.u), np.reshape(i.u.basis, (i.r, n))]) for i in (i1, i2)]
+    phi = tuple(map(tuple, solve_batch(p, bases[:1], bases[1:])[0].tolist()))
+    if subspace(p, n, mat_mul(p, i1.u.basis, phi)) != i2.u:
         raise InternalInconsistencyError("ambient map failed to carry U onto its target")
-    return IsoWitness(source=i1, target=i2, phi=phi, phi_inv=phi_inv)
+    return IsoWitness(source=i1, target=i2, phi=phi, phi_inv=mat_inverse(p, phi))
 
 
 def element_bijection(witness: IsoWitness, s1: Structure, s2: Structure) -> np.ndarray:

@@ -19,9 +19,8 @@ from glsemi.gf_linalg import (
     codes,
     enumerate_complements,
     extend_codes,
-    is_invertible,
+    identity_mat,
     key_index,
-    rref_canonical,
     solve_codes,
     span_mask,
 )
@@ -275,6 +274,141 @@ def all_subspace_vector_sets(p, n, k):
         if len(span) == p ** k:
             spaces.add(span)
     return spaces
+
+
+# The tuple forms of the field algebra, kept as oracles for the row-code
+# layer: Gauss-Jordan on lists of tuples, one vector and one matrix at a
+# time, sharing no code with gf_linalg but the Subspace record.
+
+
+def _rref(p, n, rows):
+    """Gauss-Jordan reduce rows (length n); return (nonzero rows, pivot columns)."""
+    work = [[x % p for x in row] for row in rows]
+    pivots = []
+    pr = 0
+    for col in range(n):
+        piv = next((i for i in range(pr, len(work)) if work[i][col]), None)
+        if piv is None:
+            continue
+        work[pr], work[piv] = work[piv], work[pr]
+        inv = pow(work[pr][col], p - 2, p)
+        work[pr] = [(inv * x) % p for x in work[pr]]
+        for i in range(len(work)):
+            if i != pr and work[i][col]:
+                f = work[i][col]
+                work[i] = [(x - f * y) % p for x, y in zip(work[i], work[pr])]
+        pivots.append(col)
+        pr += 1
+        if pr == len(work):
+            break
+    return [tuple(r) for r in work[:pr]], pivots
+
+
+def rref_canonical(p, n, rows):
+    """The subspace spanned by rows, held by the RREF basis _rref finds."""
+    return Subspace(p, n, tuple(_rref(p, n, rows)[0]))
+
+
+def full_space(p, n):
+    return Subspace(p, n, identity_mat(n))
+
+
+def is_invertible(p, m):
+    return len(_rref(p, len(m), m)[0]) == len(m)
+
+
+def linear_map(p, basis_rows, image_rows):
+    """The matrix sending each basis row to the matching image row: one
+    Gauss-Jordan pass over [basis | images] turns the left block into
+    the identity and the right block into basis^-1 * images."""
+    dom = [tuple(row) for row in basis_rows]
+    img = [tuple(row) for row in image_rows]
+    n = len(dom)
+    if len(img) != n or any(len(row) != n for row in dom):
+        raise PreconditionError("domain rows do not form a basis")
+    width = len(img[0]) if img else 0
+    reduced, pivots = _rref(p, n + width, [d + i for d, i in zip(dom, img)])
+    if pivots != list(range(n)):
+        raise PreconditionError("domain rows do not form a basis")
+    return tuple(row[n:] for row in reduced)
+
+
+def extend_basis(partial, within):
+    """The lexicographically least vectors extending partial to a basis
+    of the Subspace within: every vector of GF(p)^n in order, kept when
+    it lies in within and outside the span of the rows so far."""
+    p, n = within.p, within.n
+    rows = [tuple(x % p for x in row) for row in partial]
+    rank = lambda vs: len(_rref(p, n, vs)[0])
+    if rank(rows) != len(rows):
+        raise PreconditionError("partial basis is linearly dependent")
+    if rank(list(within.basis) + rows) != within.dim:
+        raise PreconditionError("partial basis vector lies outside the target subspace")
+    out = []
+    for v in product(range(p), repeat=n):
+        if len(rows) + len(out) == within.dim:
+            break
+        if rank(list(within.basis) + [v]) == within.dim and rank(rows + out + [v]) > len(rows) + len(out):
+            out.append(v)
+    return out
+
+
+def complements_by_translates(u):
+    """Every complement of u, by the definition the library batches: the
+    RREF span of (anchor_i + u'_i) for each tuple of U-vectors u'_i, the
+    anchors extend_basis's extension of u, tuples in lexicographic order."""
+    p, n = u.p, u.n
+    anchors = extend_basis(u.basis, full_space(p, n))
+    shifts = sorted(naive_span(p, n, u.basis))
+    return [
+        rref_canonical(p, n, [tuple((a + b) % p for a, b in zip(anchor, s)) for anchor, s in zip(anchors, tup)])
+        for tup in product(shifts, repeat=len(anchors))
+    ]
+
+
+def act(p, rows, m):
+    """Each row times the matrix m."""
+    return tuple(naive_vec_mat(p, row, m) for row in rows)
+
+
+def fixes_pointwise(p, m, rows):
+    """True iff m fixes every given row."""
+    return act(p, rows, m) == tuple(map(tuple, rows))
+
+
+def is_member(inst, m):
+    """True iff U*m = U, i.e. the restriction of m to U is invertible."""
+    if len(m) != inst.n or any(len(row) != inst.n for row in m):
+        raise ConfigurationError(f"expected an {inst.n}x{inst.n} matrix")
+    return rref_canonical(inst.p, inst.n, act(inst.p, inst.u.basis, m)) == inst.u
+
+
+def nonnormality_by_tuples(p, case):
+    """(complement, alpha, beta, conjugate, conjugated complement,
+    escaped) of gl_restriction.nonnormality_example's witnesses, built
+    from the tuple oracles: each map by linear_map on its basis, every
+    subspace by rref_canonical, membership by is_member and
+    fixes_pointwise."""
+    add = lambda a, b: tuple((x + y) % p for x, y in zip(a, b))
+    if case == "fix_w_in_units":
+        inst = gl_restriction.make_instance(p, 3, 2)
+        w, (u1, u2) = (0, 0, 1), inst.u.basis
+        comp = rref_canonical(p, 3, [w])
+        alpha = linear_map(p, (w, u1, u2), (add(w, u1), u1, u2))
+        beta = linear_map(p, (w, u1, u2), (w, u2, u1))
+        inside = lambda m: fixes_pointwise(p, m, comp.basis)
+        assert is_member(inst, alpha)
+    else:
+        inst = gl_restriction.make_instance(p, 3, 1)
+        w1, w2, (u1,) = (0, 1, 0), (0, 0, 1), inst.u.basis
+        comp = rref_canonical(p, 3, [w1, w2])
+        alpha = linear_map(p, (w1, w2, u1), (add(w1, u1), w2, u1))
+        beta = linear_map(p, (w1, w2, u1), (w2, w1, u1))
+        inside = lambda m: fixes_pointwise(p, m, inst.u.basis) and rref_canonical(p, 3, act(p, comp.basis, m)) == comp
+        assert fixes_pointwise(p, alpha, inst.u.basis)
+    assert is_invertible(p, alpha) and inside(beta)
+    conj = naive_mat_mul(p, naive_mat_mul(p, alpha, beta), linear_map(p, alpha, identity_mat(3)))
+    return comp, alpha, beta, conj, rref_canonical(p, 3, act(p, comp.basis, conj)), not inside(conj)
 
 
 def transpose(m):

@@ -17,6 +17,7 @@ from glsemi.cli import (
     ENV_ENUM_CAP,
     ENV_RANK_CAP,
     InstanceConfig,
+    _check_complement_count,
     _check_factorizations,
     _check_generation,
     _check_green_agreement,
@@ -46,7 +47,6 @@ from glsemi.gl_restriction import (
     Structure,
     enumerate_semigroup,
     generating_set,
-    is_member,
     j_class,
     make_instance,
     regular_witnesses,
@@ -55,7 +55,18 @@ from glsemi.gl_restriction import (
 )
 from glsemi.semigroup_core import SemigroupTable, closure_indices, label_classes
 
-from helpers import BATCHES, break_batch, matrices, one, split_cell, with_codim, with_column, with_product, with_wrong_split
+from helpers import (
+    BATCHES,
+    break_batch,
+    is_member,
+    matrices,
+    one,
+    split_cell,
+    with_codim,
+    with_column,
+    with_product,
+    with_wrong_split,
+)
 
 CAPS = (DEFAULT_ENUM_CAP, DEFAULT_RANK_CAP)
 
@@ -589,12 +600,41 @@ def test_verify_checks_each_complement_and_builds_each_gl_once(monkeypatch):
         monkeypatch.setattr(gl_restriction, name, lambda *args, real=real, seen=seen: seen.append(args) or real(*args))
     report = cmd_verify(InstanceConfig(p=2, n=3, r=1), DEFAULT_ENUM_CAP, DEFAULT_RANK_CAP)
     assert not report.failed
-    # One validation per (kind, W) with kind fix_w, g_w or n_w; GL(1) and
-    # GL(2) once each for the isomorphism checks, and GL(1) once per
+    # One validation per W, shared by the kinds fix_w, g_w and n_w; GL(1)
+    # and GL(2) once each for the isomorphism checks, and GL(1) once per
     # enumeration (the instance and its isomorphism partner).
     comps = enumerate_complements(make_instance(2, 3, 1).u)
-    assert len(calls["is_complement"]) == 3 * len(comps)
+    assert sorted(map(str, calls["is_complement"])) == sorted(str((w, make_instance(2, 3, 1).u)) for w in comps)
     assert sorted(k for _, k in calls["general_linear"]) == [1, 1, 1, 2]
+
+
+def test_verify_enumerates_the_complements_once_per_structure(monkeypatch):
+    # complement_count enumerates them as an instance check; the Structure
+    # holds its own list for unit_decomposition and subgroup_isomorphisms,
+    # and the isomorphism partner never reads one.
+    calls = []
+    for module in (cli, gl_restriction):
+        real = module.enumerate_complements
+        monkeypatch.setattr(module, "enumerate_complements", lambda u, real=real: calls.append(u) or real(u))
+    assert not cmd_verify(InstanceConfig(p=2, n=3, r=1), *CAPS).failed
+    assert calls == [make_instance(2, 3, 1).u] * 2
+    s = enumerate_semigroup(make_instance(2, 3, 1))
+    assert s.complements is s.complements and len(calls) == 3
+
+
+def test_complement_count_runs_in_parts_at_a_large_ambient_space():
+    # (2, 11, 1): 1024 complements, each a hyperplane of GF(2)^11, and no
+    # table.  Working memory is a few rref_batch parts and the list itself;
+    # a span mask per translate basis at once would take over 90 MB.
+    inst = make_instance(2, 11, 1)
+    tracemalloc.start()
+    try:
+        status, counts, _ = _check_complement_count(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (status, counts) == ("pass", {"complements": 1024, "expected": 1024})
+    assert peak < 24 * 2**20
 
 
 def test_eggbox_reads_codims_without_building_subspaces():

@@ -7,41 +7,51 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from glsemi.errors import ConfigurationError, PreconditionError
+from glsemi import gf_linalg
+from glsemi.errors import ConfigurationError, InternalInconsistencyError, PreconditionError
 from glsemi.gf_linalg import (
     Subspace,
     action_table,
+    anchors,
     check_modulus,
     code_vectors,
     codes,
+    complements_among,
     enumerate_complements,
-    extend_basis,
     extend_codes,
-    full_space,
     general_linear,
     gl_order,
     identity_mat,
     image,
     is_complement,
-    linear_map,
     mat_inverse,
     mat_mul,
-    rref_canonical,
+    rref_batch,
+    rref_codes,
     solve_batch,
+    solve_codes,
     span_mask,
+    subspace,
     vec_mat,
 )
 
 from helpers import (
+    _rref,
     all_subspace_vector_sets,
     brute_general_linear,
+    complements_by_translates,
+    extend_basis,
+    full_space,
+    is_invertible,
     kernel,
+    linear_map,
     naive_image_vectors,
     naive_kernel_vectors,
     naive_least_extension,
     naive_mat_mul,
     naive_span,
     naive_vec_mat,
+    rref_canonical,
     zero_space,
 )
 
@@ -98,19 +108,23 @@ def test_vec_mat_matches_naive():
 
 
 def test_rref_hand_checked():
-    assert rref_canonical(2, 2, [(0, 0)]) == zero_space(2, 2)
-    assert rref_canonical(2, 2, [(1, 1), (0, 1)]).basis == ((1, 0), (0, 1))
-    assert rref_canonical(3, 2, [(2, 2)]).basis == ((1, 1),)
+    # The row-code form and the tuple oracle, on the same hand-worked spans.
+    for canonical in (subspace, rref_canonical):
+        assert canonical(2, 2, [(0, 0)]) == zero_space(2, 2)
+        assert canonical(2, 2, [(1, 1), (0, 1)]).basis == ((1, 0), (0, 1))
+        assert canonical(3, 2, [(2, 2)]).basis == ((1, 1),)
+        assert canonical(2, 3, [(0, 1, 0), (1, 0, 0)]).basis == ((1, 0, 0), (0, 1, 0))  # pivot order
+        assert canonical(3, 3, [(0, 2, 1), (1, 1, 1)]).basis == ((1, 0, 2), (0, 1, 2))
 
 
 def test_rref_idempotent_and_span_invariant_exhaustive_gf2():
     for n in (2, 3):
         for m in all_matrices(2, n):
-            sub = rref_canonical(2, n, m)
-            assert rref_canonical(2, n, sub.basis) == sub
+            sub = subspace(2, n, m)
+            assert subspace(2, n, sub.basis) == sub
             assert naive_span(2, n, sub.basis) == naive_span(2, n, m)
             for perm in permutations(m):
-                assert rref_canonical(2, n, perm) == sub
+                assert subspace(2, n, perm) == sub
 
 
 def test_rref_span_invariant_randomized_gf3():
@@ -118,10 +132,10 @@ def test_rref_span_invariant_randomized_gf3():
     for _ in range(300):
         n = rng.choice((2, 3))
         rows = [tuple(rng.randrange(3) for _ in range(n)) for _ in range(rng.randrange(1, 4))]
-        sub = rref_canonical(3, n, rows)
+        sub = subspace(3, n, rows)
         assert naive_span(3, n, sub.basis) == naive_span(3, n, rows)
         scaled = [tuple((2 * x) % 3 for x in row) for row in reversed(rows)]
-        assert rref_canonical(3, n, scaled) == sub
+        assert subspace(3, n, scaled) == sub
 
 
 def test_image_and_kernel_hand_checked():
@@ -172,7 +186,7 @@ def test_image_and_kernel_span_exactly_their_vector_sets(case):
 @given(_small_rows(), st.randoms(use_true_random=False))
 def test_rref_canonical_is_the_reduced_basis_of_the_span(case, rng):
     p, n, rows = case
-    sub = rref_canonical(p, n, rows)
+    sub = subspace(p, n, rows)
     span = naive_span(p, n, rows)
     assert naive_span(p, n, sub.basis) == span and len(span) == p**sub.dim
     # Reduced echelon form: each row leads with a 1, in a column that is
@@ -184,8 +198,8 @@ def test_rref_canonical_is_the_reduced_basis_of_the_span(case, rng):
     # Any other spanning list of the same span gets the same form.
     coeffs = [[rng.randrange(p) for _ in rows] for _ in rows]
     mixed = [tuple(sum(c * row[j] for c, row in zip(cs, rows)) % p for j in range(n)) for cs in coeffs]
-    assert rref_canonical(p, n, list(sub.basis) + mixed) == sub
-    assert rref_canonical(p, n, list(reversed(rows)) + mixed) == sub
+    assert subspace(p, n, list(sub.basis) + mixed) == sub
+    assert subspace(p, n, list(reversed(rows)) + mixed) == sub
 
 
 def test_kernel_matches_exhaustion_gf3():
@@ -196,7 +210,7 @@ def test_kernel_matches_exhaustion_gf3():
 
 
 def test_subspace_membership_and_coordinates():
-    sub = rref_canonical(3, 3, [(1, 0, 2), (0, 1, 1)])
+    sub = subspace(3, 3, [(1, 0, 2), (0, 1, 1)])
     for v in sub.vectors():
         coeffs = sub.coordinates(v)
         rebuilt = [0, 0, 0]
@@ -215,10 +229,10 @@ def test_complements_trivial_cases():
 
 
 def test_complements_hand_checked_lines():
-    u = rref_canonical(2, 2, [(1, 0)])
+    u = subspace(2, 2, [(1, 0)])
     got = {w.basis for w in enumerate_complements(u)}
     assert got == {((0, 1),), ((1, 1),)}
-    u3 = rref_canonical(3, 2, [(1, 0)])
+    u3 = subspace(3, 2, [(1, 0)])
     assert len(enumerate_complements(u3)) == 3
 
 
@@ -247,12 +261,17 @@ def test_complements_match_filter_oracle(p, n, k):
 
 
 def test_extend_basis_deterministic():
+    # The tuple oracle by hand, and extend_codes on the same cases.
     v = full_space(2, 2)
     assert extend_basis([(1, 0), (0, 1)], v) == []
     assert extend_basis([(1, 1)], v) == [(0, 1)]
+    assert extend_codes(2, 2, span_mask(2, 2, [2, 1])) == []
+    assert extend_codes(2, 2, span_mask(2, 2, [3])) == [1]
     u = rref_canonical(2, 3, [(1, 0, 1), (0, 1, 1)])
     appended = extend_basis([], u)
     assert set(appended) == set(u.basis)
+    zero, within = np.arange(8) == 0, span_mask(2, 3, codes(2, u.basis))
+    assert extend_codes(2, 3, zero, within) == [_code(2, v) for v in appended] == [3, 5]
     with pytest.raises(PreconditionError):
         extend_basis([(1, 0), (1, 0)], v)
     with pytest.raises(PreconditionError):
@@ -278,6 +297,8 @@ def _field_rows(draw, square=False):
 @settings(max_examples=60, deadline=None)
 @given(_field_rows())
 def test_extend_basis_depends_only_on_the_span_and_is_lex_least(case):
+    # The tuple oracle against the naive scan, and extend_codes against it,
+    # to the whole space and to a subspace holding the rows.
     p, n, rows, other = case
     k = len(rows)
     assume(len(naive_span(p, n, rows)) == p**k)  # independent rows
@@ -287,6 +308,11 @@ def test_extend_basis_depends_only_on_the_span_and_is_lex_least(case):
     assert extend_basis(rref_canonical(p, n, rows).basis, full) == got
     if len(naive_span(p, n, other)) == p**k:  # another basis of the same span
         assert extend_basis(other, full) == got
+    span = span_mask(p, n, codes(p, rows))
+    assert extend_codes(p, n, span) == [_code(p, v) for v in got]
+    within = rref_canonical(p, n, list(rows) + got[: len(got) // 2])
+    inside = extend_basis(rows, within)
+    assert extend_codes(p, n, span, span_mask(p, n, codes(p, within.basis))) == [_code(p, v) for v in inside]
 
 
 def _code(p, v):
@@ -311,7 +337,8 @@ def test_greedy_codes_from_the_zero_space_reversed_are_the_rref_basis(case):
     mask = span_mask(p, n, codes(p, rows))
     assert set(np.flatnonzero(mask).tolist()) == {_code(p, v) for v in naive_span(p, n, rows)}
     greedy = extend_codes(p, n, np.arange(p**n) == 0, mask)
-    assert greedy[::-1] == [_code(p, v) for v in rref_canonical(p, n, rows).basis]
+    expected = [_code(p, v) for v in rref_canonical(p, n, rows).basis]
+    assert greedy[::-1] == rref_codes(p, n, mask) == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -346,14 +373,20 @@ def test_action_table_is_every_vector_times_every_matrix(case, rng):
 @settings(max_examples=60, deadline=None)
 @given(_field_rows(square=True), st.randoms(use_true_random=False))
 def test_linear_map_sends_each_basis_row_to_its_image(case, rng):
+    # A map given by its values on a basis: the tuple oracle, and
+    # solve_codes on the same rows as codes.
     p, n, basis, _ = case
     images = [tuple(rng.randrange(p) for _ in range(n)) for _ in range(n)]
+    doms, imgs = codes(p, [basis]), codes(p, [images])
     if len(naive_span(p, n, basis)) == p**n:
         m = linear_map(p, basis, images)
         assert all(naive_vec_mat(p, b, m) == t for b, t in zip(basis, images))
+        assert solve_codes(p, doms, imgs).tolist() == [[_code(p, row) for row in m]]
     else:
         with pytest.raises(PreconditionError):
             linear_map(p, basis, images)
+        with pytest.raises(PreconditionError):
+            solve_codes(p, doms, imgs)
 
 
 @st.composite
@@ -414,12 +447,19 @@ def test_solve_batch_rejects_mismatched_shapes():
             solve_batch(2, doms, imgs)
 
 
+def _matrices(p, k, rows):
+    """Each matrix given by its row codes (a row of rows) as a tuple matrix."""
+    return tuple(tuple(map(tuple, m)) for m in code_vectors(p, k)[rows].tolist())
+
+
 def test_mat_inverse_and_linear_map():
     for p, n in ((2, 2), (3, 2), (2, 3)):
-        for m in general_linear(p, n):
+        for m in _matrices(p, n, general_linear(p, n)):
             assert mat_mul(p, m, mat_inverse(p, m)) == identity_mat(n)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="matrix is singular"):
         mat_inverse(2, ((1, 0), (1, 0)))
+    with pytest.raises(ConfigurationError):
+        mat_inverse(2, ((1, 0, 0), (0, 1, 0)))
     basis = ((1, 1), (0, 1))
     images = ((0, 1), (1, 0))
     built = linear_map(2, basis, images)
@@ -434,15 +474,157 @@ def test_mat_inverse_and_linear_map():
 )
 def test_general_linear_matches_the_rank_filter_over_every_matrix(p, k):
     built = general_linear(p, k)
-    assert built == brute_general_linear(p, k)
-    assert len(built) == gl_order(p, k)
-    assert all(type(x) is int for m in built[:3] for row in m for x in row)
+    assert built.shape == (gl_order(p, k), k)
+    assert _matrices(p, k, built) == brute_general_linear(p, k)
 
 
 def test_general_linear_sizes():
-    assert len(general_linear(2, 1)) == gl_order(2, 1) == 1
-    assert len(general_linear(2, 2)) == gl_order(2, 2) == 6
-    assert len(general_linear(3, 1)) == gl_order(3, 1) == 2
+    assert general_linear(2, 1).shape == (gl_order(2, 1), 1) == (1, 1)
+    assert general_linear(2, 2).shape == (gl_order(2, 2), 2) == (6, 2)
+    assert general_linear(3, 1).tolist() == [[1], [2]]
     assert len(general_linear(3, 2)) == gl_order(3, 2) == 48
-    assert general_linear(5, 0) == ((),)
+    assert general_linear(5, 0).shape == (1, 0)
     assert gl_order(5, 0) == 1
+
+
+# The row-code forms against the tuple oracles of tests/helpers.py, on
+# the primes the checks run on and a large one, p^n up to 13^4.
+
+
+@st.composite
+def _oracle_rows(draw, square=False):
+    """(p, n, rows): p in {2, 3, 5, 13}, n <= 4, and n rows of length n
+    when square, else zero to n rows."""
+    p = draw(st.sampled_from((2, 3, 5, 13)))
+    n = draw(st.integers(1, 4))
+    k = n if square else draw(st.integers(0, n))
+    entry = st.integers(0, p - 1)
+    return p, n, draw(st.lists(st.tuples(*[entry] * n), min_size=k, max_size=k))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_oracle_rows())
+def test_subspace_and_image_match_the_tuple_rref(case):
+    p, n, rows = case
+    expected = rref_canonical(p, n, rows)
+    assert subspace(p, n, rows) == expected
+    assert rref_codes(p, n, span_mask(p, n, codes(p, rows))) == [_code(p, v) for v in expected.basis]
+    if rows:
+        assert image(p, tuple(rows)) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(_oracle_rows(square=True))
+def test_mat_inverse_matches_the_tuple_inverse(case):
+    p, n, m = case
+    m = tuple(m)
+    if is_invertible(p, m):
+        inverse = mat_inverse(p, m)
+        assert inverse == linear_map(p, m, identity_mat(n))
+        assert naive_mat_mul(p, m, inverse) == identity_mat(n)
+    else:
+        with pytest.raises(PreconditionError, match="matrix is singular"):
+            mat_inverse(p, m)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_oracle_rows(), st.data())
+def test_is_complement_matches_the_tuple_rank_test(case, data):
+    # u gets n - len(rows) rows, so the dimensions often add up to n.
+    p, n, rows = case
+    entry = st.integers(0, p - 1)
+    other = data.draw(st.lists(st.tuples(*[entry] * n), min_size=n - len(rows), max_size=n - len(rows)))
+    w, u = rref_canonical(p, n, rows), rref_canonical(p, n, other)
+    expected = w.dim + u.dim == n and len(rref_canonical(p, n, w.basis + u.basis).basis) == n
+    assert is_complement(w, u) == expected == is_complement(u, w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_oracle_rows())
+def test_enumerate_complements_matches_the_tuple_translates(case):
+    p, n, rows = case
+    u = rref_canonical(p, n, rows)
+    assume(p ** (u.dim * (n - u.dim)) <= 256)
+    got = enumerate_complements(u)
+    assert got == complements_by_translates(u)
+    assert all(is_complement(w, u) for w in got)
+
+
+def test_enumerate_complements_refuses_a_repeated_complement(monkeypatch):
+    # One translate basis is made to reduce to the basis before it.
+    real = gf_linalg.rref_batch
+
+    def repeated(p, rows):
+        reduced = real(p, rows)
+        if len(reduced) > 1:  # the translate bases, not a single span
+            reduced[1] = reduced[0]
+        return reduced
+
+    monkeypatch.setattr(gf_linalg, "rref_batch", repeated)
+    with pytest.raises(InternalInconsistencyError, match="duplicate complement"):
+        enumerate_complements(subspace(2, 3, [(1, 0, 0)]))
+
+
+@pytest.mark.parametrize("m", [((0, 0), (0, 0)), ((1, 2), (2, 4)), ((1, 1, 0), (0, 1, 1), (1, 2, 1))])
+def test_mat_inverse_refuses_a_singular_matrix(m):
+    with pytest.raises(PreconditionError, match="matrix is singular"):
+        mat_inverse(5, m)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from((2, 3, 5, 13)), st.integers(1, 4), st.integers(0, 5), st.integers(0, 5), st.randoms(use_true_random=False))
+def test_rref_batch_reduces_every_matrix_of_a_stack_as_the_tuple_rref(p, count, k, width, rng):
+    # Rows are often repeated or zero, so ranks and pivots differ across
+    # the stack; each matrix must come out as its own RREF, zero rows last.
+    rows = [[[rng.randrange(p) if rng.random() < 0.7 else 0 for _ in range(width)] for _ in range(k)] for _ in range(count)]
+    for matrix in rows:
+        if k > 1 and rng.random() < 0.5:
+            matrix[-1] = list(matrix[0])
+    got = rref_batch(p, np.array(rows, dtype=np.int64).reshape(count, k, width))
+    assert got.shape == (count, k, width)
+    for matrix, reduced in zip(rows, got.tolist()):
+        basis = _rref(p, width, matrix)[0]
+        assert [tuple(row) for row in reduced[: len(basis)]] == basis
+        assert not any(map(any, reduced[len(basis) :]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_oracle_rows())
+def test_anchors_are_the_least_extension_of_the_span(case):
+    p, n, rows = case
+    u = subspace(p, n, rows)
+    assert codes(p, anchors(u)).tolist() == extend_codes(p, n, span_mask(p, n, codes(p, u.basis)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_oracle_rows(), st.data())
+def test_complements_among_flags_what_is_complement_decides(case, data):
+    p, n, rows = case
+    u = subspace(p, n, rows)
+    entry = st.integers(0, p - 1)
+    sizes = st.integers(0, n)
+    ws = [subspace(p, n, data.draw(st.lists(st.tuples(*[entry] * n), min_size=k, max_size=k))) for k in data.draw(st.lists(sizes, max_size=6))]
+    ws += enumerate_complements(u)[:3]
+    assert complements_among(u, ws).tolist() == [is_complement(w, u) for w in ws]
+
+
+@pytest.mark.parametrize("cells", [1, 7, 64])
+def test_parts_change_neither_the_complements_nor_their_flags(monkeypatch, cells):
+    # Small BATCH_CELLS cut the work into many rref_batch passes, each of
+    # at most BATCH_CELLS entries but one matrix.
+    u = subspace(3, 4, [(1, 2, 0, 1), (0, 0, 1, 2)])
+    expected = enumerate_complements(u)
+    ws = expected + [u, subspace(3, 4, [(0, 1, 0, 0)])]
+    flags = complements_among(u, ws)
+    assert flags.tolist() == [True] * 81 + [False, False]
+    passes = []
+    real = gf_linalg.rref_batch
+    monkeypatch.setattr(gf_linalg, "rref_batch", lambda p, rows: passes.append(np.shape(rows)) or real(p, rows))
+    monkeypatch.setattr(gf_linalg, "BATCH_CELLS", cells)
+    assert enumerate_complements(u) == expected
+    assert sum(shape[0] for shape in passes) == 81
+    assert all(shape[0] == 1 or shape[0] * shape[1] * shape[2] <= cells for shape in passes)
+    passes.clear()
+    assert complements_among(u, ws).tolist() == flags.tolist()
+    assert sum(shape[0] for shape in passes) == 82  # all but the line, of the wrong dimension
+    assert all(shape[0] == 1 or shape[0] * 16 <= cells for shape in passes)

@@ -16,28 +16,29 @@ from glsemi.errors import (
     PreconditionError,
 )
 from glsemi.gf_linalg import (
+    Subspace,
     enumerate_complements,
     identity_mat,
     image,
     is_complement,
     mat_inverse,
     mat_mul,
-    rref_canonical,
     vec_mat,
 )
 from glsemi import cli, gf_linalg, gl_restriction
 from glsemi.cli import build_instance, load_config
 from glsemi.gl_restriction import (
+    CONJUGATION_CASES,
     FIX_U,
     FIX_W,
     G_W,
     N_W,
+    Instance,
     Structure,
     dclass_witness_grid,
     enumerate_semigroup,
     factor_through_grid,
     generating_set,
-    is_member,
     j_class,
     j_class_count_report,
     make_instance,
@@ -63,6 +64,7 @@ from helpers import (
     brute_members,
     index_of,
     is_idempotent_by_image,
+    is_member,
     kernel,
     matrices,
     members_by_solve,
@@ -70,7 +72,9 @@ from helpers import (
     naive_image_vectors,
     naive_span,
     naive_vec_mat,
+    nonnormality_by_tuples,
     one,
+    rref_canonical,
     split_cell,
     with_column,
     with_product,
@@ -115,6 +119,18 @@ def test_make_instance_takes_numpy_integer_rows(rows):
 def test_make_instance_refuses_non_integer_entries(rows):
     with pytest.raises(ConfigurationError, match="row entries must be integers"):
         make_instance(2, 3, 1, rows)
+
+
+def test_instance_refuses_a_basis_out_of_pivot_order():
+    # The canonical basis lists its rows by increasing pivot (rref_batch
+    # leaves them so).  The same rows in code order, as the greedy codes
+    # from the zero space come unreversed, are no RREF basis: a hand-built
+    # instance is refused.
+    u = make_instance(3, 3, 2, [(0, 1, 2), (1, 0, 1)]).u
+    assert u.basis == ((1, 0, 1), (0, 1, 2))
+    with pytest.raises(ConfigurationError, match="not in canonical form"):
+        Instance(3, 3, 2, Subspace(3, 3, u.basis[::-1]))
+    assert Instance(3, 3, 2, u).u == u
 
 
 def test_is_member():
@@ -235,8 +251,9 @@ def test_profiles_from_the_action_array_match_each_element(name):
 def test_per_class_bases_grow_per_class_not_per_element(monkeypatch):
     s = enumerate_semigroup(build_instance(load_config(str(CONFIGS / "p2n4r2.cfg"))))
     calls = []
-    real = gl_restriction.extend_codes
-    monkeypatch.setattr(gl_restriction, "extend_codes", lambda *args: calls.append(args) or real(*args))
+    for name in ("extend_codes", "rref_codes"):  # a basis is rref_codes, an extension extend_codes
+        real = getattr(gl_restriction, name)
+        monkeypatch.setattr(gl_restriction, name, lambda *args, real=real: calls.append(args) or real(*args))
     assert cli._check_factorizations(s, (gl_restriction.DEFAULT_ENUM_CAP, 4))[0] == "pass"
     green = s.table.green()
     r, l = green.r.max() + 1, green.l.max() + 1
@@ -828,6 +845,14 @@ def test_nonnormality_gf3_matches_hand_computation():
     assert vec_mat(3, (0, 1, 0), rep.conjugate) == (1, 0, 1)  # w1 -> w2 + u
     assert vec_mat(3, (0, 0, 1), rep.conjugate) == (2, 1, 0)  # w2 -> w1 - u
     assert rep.conjugated_complement.basis == ((1, 0, 1), (0, 1, 1))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+@pytest.mark.parametrize("case", CONJUGATION_CASES)
+def test_nonnormality_matches_the_tuple_witnesses(p, case):
+    rep = nonnormality_example(p, case)
+    got = (rep.complement, rep.alpha, rep.beta, rep.conjugate, rep.conjugated_complement, rep.escaped)
+    assert got == nonnormality_by_tuples(p, case)
 
 
 def test_nonnormality_gf2():

@@ -4,13 +4,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from glsemi.errors import InternalInconsistencyError, PreconditionError, UnsupportedComparisonError
 from glsemi.gf_linalg import identity_mat, vec_mat
 from glsemi.gl_restriction import Structure, enumerate_semigroup, make_instance, minimal_idempotents
 from glsemi.isomorphism import IsoWitness, decide_isomorphic, element_bijection
 
-from helpers import dense_homomorphism, with_product
+from helpers import dense_homomorphism, extend_basis, full_space, linear_map, rref_canonical, with_product
 
 S221 = enumerate_semigroup(make_instance(2, 2, 1))
 S221_SHIFTED = enumerate_semigroup(make_instance(2, 2, 1, [(0, 1)]))
@@ -24,6 +25,23 @@ def test_same_instance_gives_identity_witness():
     assert witness is not None
     assert witness.phi == identity_mat(3)
     assert element_bijection(witness, S231, S231).tolist() == list(range(64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((2, 3, 5, 13)), st.integers(1, 4), st.data())
+def test_phi_matches_the_tuple_map_between_the_extended_bases(p, n, data):
+    # phi sends (U1's least extension, U1's basis) onto the same for U2,
+    # built here by the tuple oracles; phi_inv is its tuple inverse.
+    vector = st.tuples(*[st.integers(0, p - 1)] * n)
+    r = data.draw(st.integers(0, n - 1))
+    rows1, rows2 = (data.draw(st.lists(vector, min_size=r, max_size=r)) for _ in range(2))
+    u1, u2 = rref_canonical(p, n, rows1), rref_canonical(p, n, rows2)
+    assume(u1.dim == u2.dim == r)
+    witness = decide_isomorphic(make_instance(p, n, r, rows1), make_instance(p, n, r, rows2))
+    full = full_space(p, n)
+    phi = linear_map(p, tuple(extend_basis(u1.basis, full)) + u1.basis, tuple(extend_basis(u2.basis, full)) + u2.basis)
+    assert witness.phi == phi
+    assert witness.phi_inv == linear_map(p, phi, identity_mat(n))
 
 
 def test_shifted_subspace_is_isomorphic_with_verified_psi():

@@ -87,6 +87,23 @@ def _unreferenced(trees: dict[str, ast.Module]) -> list[str]:
     )
 
 
+def _modular_inverses(trees: dict[str, ast.Module]) -> list[str]:
+    """`module.function` of every modular inverse in the package's
+    modules (name to tree): a call pow(x, e, m) whose exponent e is
+    `something - 2` (Fermat) or -1.  A Gauss-Jordan elimination over
+    GF(p) needs one to scale its pivots, so this finds each one."""
+    found = []
+    for name, tree in trees.items():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "pow"):
+                    continue
+                exp = ast.unparse(node.args[1]) if len(node.args) == 3 else ""
+                if exp == "-1" or exp.endswith(" - 2"):
+                    found.append(f"{name}.{getattr(top, 'name', '<module>')}")
+    return found
+
+
 def test_every_module_is_found():
     assert {path.stem for path in MODULES} >= {"gf_linalg", "semigroup_core", "gl_restriction", "isomorphism", "cli"}
 
@@ -147,6 +164,26 @@ def test_every_public_function_and_class_is_used_by_the_package():
 )
 def test_an_unreferenced_public_name_is_flagged(sources):
     assert len(_unreferenced({name: ast.parse(text) for name, text in sources.items()})) == 1
+
+
+def test_the_package_holds_one_gauss_jordan():
+    # One elimination over GF(p): rref_batch, which every canonical
+    # basis, rank test, inverse and map given on a basis go through
+    # (solve_batch and solve_codes on top of it).
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    assert _modular_inverses(trees) == ["gf_linalg.rref_batch"]
+
+
+@pytest.mark.parametrize(
+    "sources",
+    [
+        {"a": "def solve(p, x):\n    return pow(x, p - 2, p)\n\n\ndef rref(p, rows):\n    return [pow(r[0], p - 2, p) for r in rows]\n"},
+        {"a": "def solve(p, x):\n    return pow(x, p - 2, p)\n", "b": "def inverse(p, x):\n    return pow(x, -1, p)\n"},
+    ],
+)
+def test_a_second_modular_inverse_is_flagged(sources):
+    found = _modular_inverses({name: ast.parse(text) for name, text in sources.items()})
+    assert len(found) == 2 and len(set(found)) == 2
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
