@@ -126,8 +126,11 @@ def subspace(p: int, n: int, rows) -> Subspace:
 
 
 def image(p: int, m: Mat) -> Subspace:
-    """Row space of m, i.e. the range of the encoded map."""
-    return subspace(p, len(m[0]) if m else 0, m)
+    """Row space of m, i.e. the range of the encoded map.  The ambient
+    dimension is m's row length, so an empty m is refused."""
+    if len(m) == 0:
+        raise ConfigurationError("an empty matrix has no ambient dimension")
+    return subspace(p, len(m[0]), m)
 
 
 def mat_inverse(p: int, m: Mat) -> Mat:

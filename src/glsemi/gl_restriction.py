@@ -58,8 +58,6 @@ from .semigroup_core import (
     indices,
     label_classes,
     rank_search,
-    row_threads,
-    run_blocks,
     subtable,
     table_dtype,
 )
@@ -148,9 +146,6 @@ def _cayley(p: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     # per product, and is looked up straight into the table: the lookup is
     # the index in the table's dtype, count standing for a non-member, and
     # every key is below p^(n^2), its length, so take needs no bounds test.
-    # From 2 * THREAD_ROWS members on, the fill runs on threads (see
-    # row_threads), each with cache-sized blocks of its own; an escaped
-    # product is raised here, on the caller's thread.
     count, n = rows.shape
     index = key_index(p**n, rows)
     act = action_table(p, rows).astype(index.dtype)  # act[v, b]: code of v*b
@@ -158,20 +153,12 @@ def _cayley(p: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     head, tail = head // count, tail // count  # each member's rows of the key tables
     out = np.empty((count, count), dtype=table_dtype(count))
     lookup = np.where(index < 0, count, index).astype(out.dtype)
-
-    def fill(starts):
-        # Fills the run's rows; True once a product escaped the member list.
-        for lo in starts:
-            hi = lo + starts.step
-            found = out[lo:hi]
-            lookup.take(head_keys[head[lo:hi]] + tail_keys[tail[lo:hi]], out=found, mode="clip")
-            if found.max() >= count:
-                return True
-        return False
-
     block = max(1, 2**15 // count)  # rows whose keys stay in cache
-    if any(run_blocks(count, block, row_threads(count), fill)):
-        raise InternalInconsistencyError("a product escaped the member list")
+    for lo in range(0, count, block):
+        found = out[lo : lo + block]
+        lookup.take(head_keys[head[lo : lo + block]] + tail_keys[tail[lo : lo + block]], out=found, mode="clip")
+        if found.max() >= count:
+            raise InternalInconsistencyError("a product escaped the member list")
     return out, _frozen(act), _frozen(index)
 
 
@@ -509,33 +496,34 @@ class _Batch:
         dtype = np.min_scalar_type(p**n - 1)
         return {name: action_table(p, held).astype(dtype) for name, held in rows.items()}
 
+    def _class_lams(self, c1: np.ndarray, c2: np.ndarray, images: np.ndarray, what: str) -> np.ndarray:
+        # lam[c1[i], c2[i]]: the member kernel_inv[c1[i]] * images[i] (-1 on
+        # every other pair of kernel classes).
+        p, n = self.s.inst.p, self.s.inst.n
+        keys = codes(p**n, action_table(p, images)[self.kernel_inv[c1], np.arange(len(c1))[:, None]])
+        lam = np.full((len(self.ker_codims),) * 2, -1, dtype=np.int64)
+        name = lambda i: f"kernel classes ({c1[i]}, {c2[i]})"
+        lam[c1, c2] = _made(self.s, keys, what, name)
+        return lam
+
     @cached_property
     def factor_lams(self) -> np.ndarray:
         """lam[c, d]: factor_through_grid's lam from kernel class c to kernel
         class d (-1 where codim c > codim d): c's kernel to zero, c's
         transversal onto the first rows of d's, U fixed."""
-        p, n, top, kc = self.s.inst.p, self.s.inst.n, self.s.inst.n - self.s.inst.r, self.ker_codims
+        n, top, kc = self.s.inst.n, self.s.inst.n - self.s.inst.r, self.ker_codims
         c1, c2 = np.nonzero(kc[:, None] <= kc)
         images = _spliced(np.arange(n) < (top - kc[c1])[:, None], 0, self.kernel[c2], kc[c2] - kc[c1], top)
-        keys = codes(p**n, action_table(p, images)[self.kernel_inv[c1], np.arange(len(c1))[:, None]])
-        lam = np.full((len(kc), len(kc)), -1, dtype=np.int64)
-        name = lambda i: f"kernel classes ({c1[i]}, {c2[i]})"
-        lam[c1, c2] = _made(self.s, keys, "factor-through lam", name)
-        return lam
+        return self._class_lams(c1, c2, images, "factor-through lam")
 
     @cached_property
     def sandwich_lams(self) -> np.ndarray:
         """lam[c, d]: sandwich_factor_grid's lam between kernel classes of
         codimension n-r-1 (-1 elsewhere), sending c's transversal,
         kernel and U onto d's."""
-        p, n, r = self.s.inst.p, self.s.inst.n, self.s.inst.r
-        grade = np.flatnonzero(self.ker_codims == n - r - 1)
-        parts = _half_keys(p**n, action_table(p, self.kernel[grade]), self.kernel_inv[grade])
-        at = np.arange(len(grade))
-        lam = np.full((len(self.ker_codims),) * 2, -1, dtype=np.int64)
-        name = lambda i, j: f"kernel classes ({grade[i]}, {grade[j]})"
-        lam[np.ix_(grade, grade)] = _made(self.s, _key(parts, at[:, None], at), "sandwich lam", name)
-        return lam
+        grade = self.ker_codims == self.s.inst.n - self.s.inst.r - 1
+        c1, c2 = np.nonzero(grade[:, None] & grade)
+        return self._class_lams(c1, c2, self.kernel[c2], "sandwich lam")
 
 
 def _row_blocks(left: np.ndarray, width: int):

@@ -29,10 +29,13 @@ from .errors import CapacityError, InternalInconsistencyError, PreconditionError
 # the temporaries in flight still add up to one block.
 ROW_BLOCK = 128
 
-# Rows each thread of a whole-table loop gets at least.  Below that,
-# starting and joining a thread costs about what a second core saves,
-# so every table up to order 2047 (the verify grid stops at 1536) runs
-# its loops on the calling thread alone.
+# Rows each thread of Light's test (SemigroupTable._check_table) gets at
+# least.  Below that, starting and joining a thread costs about what a
+# second core saves, so every table up to order 2047 (the verify grid
+# stops at 1536) is checked on the calling thread alone.  Light's test is
+# the one loop that threads: at order 4096 on a 2-vCPU x86 machine a
+# second core cut it from 0.12 to 0.07 s but left the Cayley fill
+# (gl_restriction._cayley) at 0.048 s, so the fill runs one pass.
 THREAD_ROWS = 1024
 
 
@@ -45,7 +48,8 @@ def row_threads(n: int) -> int:
 
 def run_blocks(n: int, block: int, threads: int, work) -> list:
     """[work(starts) for each run]: the blocks of `block` rows over the
-    rows 0..n-1, cut into `threads` contiguous runs of whole blocks.
+    rows 0..n-1, cut into `threads` contiguous runs of whole blocks; the
+    runner of Light's test.
 
     A run is a range of block starts, its step the block size, so work
     reads its block at lo as rows lo : lo + starts.step.  With one thread
@@ -313,6 +317,13 @@ def _ideal_sets(lines: np.ndarray, owners: np.ndarray) -> np.ndarray:
     return sets
 
 
+def _row_labels(rows: np.ndarray) -> np.ndarray:
+    """Equal rows of a boolean matrix get equal labels, numbered in order
+    of first appearance (np.unique over rows would import numpy.ma)."""
+    seen: dict[bytes, int] = {}
+    return np.array([seen.setdefault(row.tobytes(), len(seen)) for row in np.packbits(rows, axis=1)])
+
+
 def green_oracle(table: SemigroupTable) -> GreenPartitions:
     """Green partitions from the table alone.
 
@@ -322,10 +333,10 @@ def green_oracle(table: SemigroupTable) -> GreenPartitions:
     right one.  So L (equal S^1 a) and R (equal a S^1) are the strongly
     connected components of two graphs of N |A| edges (Froidure and
     Pin, 1997).  H is the meet of L and R, J compares two-sided ideals
-    S^1 a S^1, and D is the composite of L and R, which is checked to be
-    a symmetric (hence equivalence) relation before being returned.  The
-    D and J steps read one one-sided ideal per class, from one column
-    (S^1 a) or one row (a S^1) of the table.
+    S^1 a S^1, and D is the composite of L and R, which is checked to
+    join L and R in one step before being returned.  The J step reads
+    one one-sided ideal per class, from one column (S^1 a) or one row
+    (a S^1) of the table.
     """
     mul = table.mul
     n = len(mul)
@@ -341,30 +352,12 @@ def green_oracle(table: SemigroupTable) -> GreenPartitions:
     # cells[l, r]: some element has L-class l and R-class r.
     cells = np.zeros((lid.max() + 1, rid.max() + 1), dtype=bool)
     cells[lid, rid] = True
-    pl, pr = np.nonzero(cells)
-    # (l1, r2) present iff (l2, r1) present, over all present (l1, r1), (l2, r2).
-    cross = cells[pl[:, None], pr[None, :]]
-    if (cross != cross.T).any():
-        raise InternalInconsistencyError("composite of L and R is not symmetric")
-
-    # D: join of L and R, by union-find over the class labels (R shifted by nl).
-    nl = len(cells)
-    parent = list(range(nl + cells.shape[1]))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for l, r in zip(pl.tolist(), pr.tolist()):
-        ra, rb = find(l), find(nl + r)
-        if ra != rb:
-            parent[rb] = ra
-    roots = np.array([find(x) for x in range(len(parent))])
-    d_of_l, d_of_r = roots[:nl], roots[nl:]
-
-    # One composition step of L then R must already connect each D-class.
+    # D: on an associative table the L-classes of one D-class meet exactly
+    # the same R-classes, so an L-class's row of cells names its D-class,
+    # and an R-class takes the D-class of any L-class it meets.  Any other
+    # pattern leaves some cell off the product of the two labellings.
+    d_of_l = _row_labels(cells)
+    d_of_r = d_of_l[cells.argmax(axis=0)]
     if (cells != (d_of_l[:, None] == d_of_r[None, :])).any():
         raise InternalInconsistencyError("D-class not covered by one L-then-R step")
 
@@ -374,10 +367,7 @@ def green_oracle(table: SemigroupTable) -> GreenPartitions:
     in_l, members = np.nonzero(left)
     meets = np.zeros(cells.shape, dtype=bool)
     meets[in_l, rid[members]] = True
-    two_sided: dict[bytes, int] = {}
-    j_of_l = np.array(
-        [two_sided.setdefault(row.tobytes(), len(two_sided)) for row in np.packbits(np.matmul(meets, right), axis=1)]
-    )
+    j_of_l = _row_labels(np.matmul(meets, right))
 
     h = label_classes(lid * (rid.max() + 1) + rid)
     green = GreenPartitions(l=lid, r=rid, h=h, d=label_classes(d_of_l[lid]), j=label_classes(j_of_l[lid]))

@@ -11,21 +11,19 @@ from itertools import product
 import numpy as np
 
 from glsemi import gl_restriction
-from glsemi.errors import ConfigurationError, InternalInconsistencyError, PreconditionError
+from glsemi.errors import ConfigurationError, PreconditionError
 from glsemi.gf_linalg import (
     Subspace,
-    action_table,
     code_vectors,
     codes,
     enumerate_complements,
     extend_codes,
     identity_mat,
-    key_index,
     solve_codes,
     span_mask,
 )
 from glsemi.gl_restriction import Structure
-from glsemi.semigroup_core import ROW_BLOCK, SemigroupTable, idempotents, table_dtype
+from glsemi.semigroup_core import ROW_BLOCK, SemigroupTable, idempotents
 
 #: The batched constructor behind each construction the tests name.
 BATCHES = {
@@ -536,26 +534,6 @@ def dense_homomorphism(psi, t1, t2):
     elements, compared as two whole tables."""
     psi = np.asarray(psi, dtype=np.intp)
     return bool(np.array_equal(psi[t1.mul], t2.mul[np.ix_(psi, psi)]))
-
-
-def one_thread_cayley(p, rows):
-    """(mul, act, index) as gl_restriction._cayley builds them, the table
-    filled by one pass over its blocks on the calling thread: the loop
-    the threaded fill is compared with."""
-    count, n = rows.shape
-    index = key_index(p**n, rows)
-    act = action_table(p, rows).astype(index.dtype)
-    head, head_keys, tail, tail_keys = gl_restriction._half_keys(p**n, act, rows)
-    head, tail = head // count, tail // count
-    out = np.empty((count, count), dtype=table_dtype(count))
-    lookup = np.where(index < 0, count, index).astype(out.dtype)
-    block = max(1, 2**15 // count)
-    for lo in range(0, count, block):
-        found = out[lo : lo + block]
-        lookup.take(head_keys[head[lo : lo + block]] + tail_keys[tail[lo : lo + block]], out=found, mode="clip")
-        if found.max() >= count:
-            raise InternalInconsistencyError("a product escaped the member list")
-    return out, act, index
 
 
 def one_thread_light(mul, gens):

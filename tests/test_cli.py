@@ -508,7 +508,7 @@ def test_verify_eggbox_and_report_never_import_numpy_ma(tmp_path):
     # numpy.ma costs 13-16 ms to import in a cold process, and a plain
     # np.unique imports it; one fresh interpreter runs all three commands.
     # concurrent.futures pulls in logging (0.3 MB more max RSS after
-    # importing glsemi.cli), so the table loops start plain threads.
+    # importing glsemi.cli), so the table check starts plain threads.
     root = pathlib.Path(__file__).resolve().parents[1]
     cfg = str(root / "configs" / "p2n2r1.cfg")
     script = (

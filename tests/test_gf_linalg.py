@@ -147,6 +147,13 @@ def test_image_and_kernel_hand_checked():
     assert kernel(2, ((1, 0), (1, 0))).basis == ((1, 1),)
 
 
+def test_image_of_an_empty_matrix_is_refused():
+    # Answering the zero space of GF(p)^0 would compare unequal to the
+    # zero subspace of GF(p)^n.
+    with pytest.raises(ConfigurationError, match="no ambient dimension"):
+        image(2, ())
+
+
 def test_rank_nullity_exhaustive_gf2():
     for n in (2, 3):
         for m in all_matrices(2, n):

@@ -104,6 +104,24 @@ def _modular_inverses(trees: dict[str, ast.Module]) -> list[str]:
     return found
 
 
+def _readers(trees: dict[str, ast.Module], names: set[str]) -> set[str]:
+    """Every module (name to tree) that reads one of names: as a name, as
+    an attribute (`mod.name`) or by importing it."""
+    found = set()
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Name)
+                and node.id in names
+                or isinstance(node, ast.Attribute)
+                and node.attr in names
+                or isinstance(node, ast.ImportFrom)
+                and any(alias.name in names for alias in node.names)
+            ):
+                found.add(module)
+    return found
+
+
 def test_every_module_is_found():
     assert {path.stem for path in MODULES} >= {"gf_linalg", "semigroup_core", "gl_restriction", "isomorphism", "cli"}
 
@@ -164,6 +182,27 @@ def test_every_public_function_and_class_is_used_by_the_package():
 )
 def test_an_unreferenced_public_name_is_flagged(sources):
     assert len(_unreferenced({name: ast.parse(text) for name, text in sources.items()})) == 1
+
+
+THREADING = {"row_threads", "run_blocks"}
+
+
+def test_only_the_table_check_threads():
+    # Light's test in SemigroupTable._check_table is the one loop a second
+    # core pays for; every other table loop runs on the calling thread.
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    assert _readers(trees, THREADING) == {"semigroup_core"}
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "from .semigroup_core import row_threads, table_dtype\n",
+        "from . import semigroup_core\n\n\ndef fill(n, work):\n    return semigroup_core.run_blocks(n, 8, 2, work)\n",
+    ],
+)
+def test_a_threaded_loop_outside_the_table_check_is_flagged(source):
+    assert _readers({"a": ast.parse(source)}, THREADING) == {"a"}
 
 
 def test_the_package_holds_one_gauss_jordan():

@@ -281,6 +281,34 @@ def test_green_refuses_a_table_that_is_not_associative():
         green_oracle(bad)
 
 
+@pytest.mark.parametrize("fault", ["merge", "split"])
+def test_green_oracle_refuses_l_classes_that_do_not_make_d_classes(monkeypatch, fault):
+    # x lies in a D-class of several L- and R-classes.  Merged with an
+    # L-class of another D-class, x's L-class meets more R-classes than its
+    # D-class siblings; split off alone, x meets fewer.  Either way the
+    # L-classes of one D-class no longer meet the same R-classes.
+    table = enumerate_semigroup(make_instance(2, 3, 1)).table
+    good = green_oracle(table)
+    d = next(d for d in range(good.d.max() + 1) if min(len(set(good.l[good.d == d])), len(set(good.r[good.d == d]))) > 1)
+    x, y = np.flatnonzero(good.d == d)[0], np.flatnonzero(good.d != d)[0]
+    real, hit = semigroup_core._components, []
+
+    def broken(succ):
+        labels = real(succ).copy()
+        if np.array_equal(label_classes(labels), good.l):
+            hit.append(fault)
+            if fault == "merge":
+                labels[labels == labels[x]] = labels[y]
+            else:
+                labels[x] = labels.max() + 1
+        return labels
+
+    monkeypatch.setattr(semigroup_core, "_components", broken)
+    with pytest.raises(InternalInconsistencyError, match="D-class not covered"):
+        green_oracle(table)
+    assert hit == [fault]
+
+
 def transformation_table(maps):
     """The table of the semigroup generated by the given maps of 0..m-1,
     each a tuple t sending x to t[x], composed left to right:

@@ -1,7 +1,8 @@
-"""The threaded table loops: the Cayley fill and the table check's Light's
-test cut their row blocks into one run per usable CPU (run_blocks).
+"""The threaded table loop: the table check's Light's test cuts its row
+blocks into one run per usable CPU (run_blocks).  The Cayley fill runs
+one pass on the calling thread.
 
-Tables up to order 2047 run on one thread, so these tests lower
+Tables up to order 2047 are checked on one thread, so these tests lower
 THREAD_ROWS to put orders 1536 and 2688 on threads, and fix the usable
 CPUs through os.sched_getaffinity, so the runs do not depend on the
 machine the tests run on.
@@ -23,7 +24,7 @@ from glsemi.errors import InternalInconsistencyError, PreconditionError
 from glsemi.gl_restriction import DEFAULT_ENUM_CAP, enumerate_semigroup, make_instance
 from glsemi.semigroup_core import ROW_BLOCK, SemigroupTable, _generators, row_threads, run_blocks
 
-from helpers import one_thread_cayley, one_thread_light, with_product
+from helpers import one_thread_light, with_product
 
 
 def _cpus(monkeypatch, count):
@@ -98,29 +99,27 @@ def test_an_exception_in_a_later_run_reaches_the_caller():
     assert threading.active_count() == before
 
 
-@pytest.mark.parametrize("pnr", [(2, 4, 2), (2, 4, 3)], ids=["order1536", "order2688"])
-def test_threaded_cayley_table_matches_the_one_thread_fill(threaded, pnr):
-    rows = gl_restriction._members(make_instance(*pnr))
-    for got, want in zip(gl_restriction._cayley(2, rows), one_thread_cayley(2, rows)):
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+def test_the_cayley_fill_starts_no_thread(threaded, monkeypatch):
+    # Light's test is the one loop that threads; the fill runs one pass on
+    # the calling thread even where the table check would go to threads.
+    assert row_threads(1536) == 3
+    monkeypatch.setattr(threading, "Thread", None)  # starting a thread would fail
+    gl_restriction._cayley(2, gl_restriction._members(make_instance(2, 4, 2)))
 
 
-def test_more_threads_than_cores_fill_and_check_the_same_table(monkeypatch):
+def test_more_threads_than_cores_pass_a_correct_table(monkeypatch):
     # Eight threads on blocks of a few rows, switching as often as the
     # interpreter allows: runs that overlapped or skipped a block would
-    # change the table or fail its check.
+    # fail the check of a correct table.
+    mul = enumerate_semigroup(make_instance(2, 4, 2)).table.mul
     _cpus(monkeypatch, 8)
     monkeypatch.setattr(semigroup_core, "THREAD_ROWS", 64)
-    rows = gl_restriction._members(make_instance(2, 4, 2))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        mul = gl_restriction._cayley(2, rows)[0]
         SemigroupTable(mul)
     finally:
         sys.setswitchinterval(interval)
-    assert mul.tobytes() == one_thread_cayley(2, rows)[0].tobytes()
 
 
 def test_threaded_table_check_names_the_one_thread_triple(threaded):
@@ -142,23 +141,16 @@ def test_threaded_table_check_names_the_one_thread_triple(threaded):
         changes += 1
 
 
-def test_a_product_escaping_in_a_later_run_reaches_the_caller(threaded, monkeypatch):
+def test_a_product_escaping_in_a_later_block_reaches_the_caller():
     # Without the identity, only a unit times its inverse escapes the
     # member list.  With the units put last, every escaping product lies
-    # in the last run, none in the caller's own.
-    _cpus(monkeypatch, 2)
+    # in a block after the first.
     inst = make_instance(2, 4, 2)
     s = enumerate_semigroup(inst)
     units = np.setdiff1d(s.grades[-1], [s.table.identity_idx])  # the top grade is the unit group
     rows = gl_restriction._members(inst)[np.concatenate([s.below[-2], units])]
-    results = []
-    real = gl_restriction.run_blocks
-    monkeypatch.setattr(gl_restriction, "run_blocks", lambda *args: results.append(real(*args)) or results[-1])
-    before = threading.active_count()
     with pytest.raises(InternalInconsistencyError, match="a product escaped the member list"):
         gl_restriction._cayley(2, rows)
-    assert results == [[False, True]]
-    assert threading.active_count() == before
 
 
 def _wrap_package(monkeypatch, entered):
@@ -210,5 +202,5 @@ def test_only_the_calling_thread_enters_package_code(threaded, monkeypatch):
     cfg = InstanceConfig(p=2, n=4, r=2)
     assert not cmd_verify(cfg, DEFAULT_ENUM_CAP, DEFAULT_RANK_CAP).failed
     assert cmd_eggbox(cfg, DEFAULT_ENUM_CAP).startswith("digraph")
-    assert started  # the tables did go to threads
+    assert started  # the table check did go to threads
     assert entered == {threading.get_ident()}
