@@ -327,13 +327,16 @@ def enumerate_semigroup(inst: Instance, cap: int = DEFAULT_ENUM_CAP) -> Structur
         )
     # Distinct members make the list exactly the semigroup (order_law), and
     # the table check proves the one found by the identity's key neutral.
+    # Given act, v*M by matrix products mod p, the check certifies mul as
+    # the product table of the members' action, independently of the
+    # keys and lookups _cayley filled it with.
     q = inst.p**inst.n
     keys = codes(q, rows)
     if (np.diff(keys) <= 0).any():
         raise InternalInconsistencyError("member keys are not strictly increasing")
     ident = int(np.searchsorted(keys, codes(q, codes(inst.p, identity_mat(inst.n)))))
     mul, act, index = _cayley(inst.p, rows)
-    return Structure(inst, SemigroupTable(mul, identity_idx=ident), act, index)
+    return Structure(inst, SemigroupTable(mul, identity_idx=ident, action=act), act, index)
 
 
 def j_class(s: Structure, k: int) -> np.ndarray:

@@ -23,18 +23,21 @@ from .errors import CapacityError, InternalInconsistencyError, PreconditionError
 # Rows per block wherever a whole-table scatter or gather would need a
 # temporary as large as the table itself.  Blocks of 128 rows keep a
 # block's temporaries near cache size: at order 4096 they beat 256 rows
-# by a quarter to a third in the table check and the Green oracle
-# (2-vCPU x86 machine).  When the table check runs on threads (see
-# row_threads), each thread's blocks are ROW_BLOCK // threads rows, so
-# the temporaries in flight still add up to one block.
+# by a quarter to a third in Light's test and the Green oracle (2-vCPU
+# x86 machine).  When a table check runs on threads (see row_threads),
+# each thread's blocks are ROW_BLOCK // threads rows (Light's test) or a
+# quarter of that (the action certificate, whose rows hold three times
+# the temporaries), so the temporaries in flight still add up to about
+# one Light's-test block.
 ROW_BLOCK = 128
 
-# Rows each thread of Light's test (SemigroupTable._check_table) gets at
-# least.  Below that, starting and joining a thread costs about what a
-# second core saves, so every table up to order 2047 (the verify grid
-# stops at 1536) is checked on the calling thread alone.  Light's test is
-# the one loop that threads: at order 4096 on a 2-vCPU x86 machine a
-# second core cut it from 0.12 to 0.07 s but left the Cayley fill
+# Rows each thread of a table check (SemigroupTable._check_table: the
+# action certificate or Light's test) gets at least.  Below that,
+# starting and joining a thread costs about what a second core saves, so
+# every table up to order 2047 (the verify grid stops at 1536) is
+# checked on the calling thread alone.  The table check is the one loop
+# that threads: at order 4096 on a 2-vCPU x86 machine a second core cut
+# Light's test from 0.12 to 0.07 s but left the Cayley fill
 # (gl_restriction._cayley) at 0.048 s, so the fill runs one pass.
 THREAD_ROWS = 1024
 
@@ -49,7 +52,8 @@ def row_threads(n: int) -> int:
 def run_blocks(n: int, block: int, threads: int, work) -> list:
     """[work(starts) for each run]: the blocks of `block` rows over the
     rows 0..n-1, cut into `threads` contiguous runs of whole blocks; the
-    runner of Light's test.
+    runner of the table check (the action certificate's row checks, or
+    Light's test).
 
     A run is a range of block starts, its step the block size, so work
     reads its block at lo as rows lo : lo + starts.step.  With one thread
@@ -119,12 +123,18 @@ class SemigroupTable:
     `mul` is a read-only n x n numpy array (uint16 below order 65536,
     int32 above); `int(mul[i, j])` is the index of the product of
     element i by element j.  Instances are immutable after construction.
+
+    An optional `action`, a P x n integer array whose column x is the
+    map v -> v.x of the points 0..P-1 under element x, makes the table
+    check certify `mul` as the product table of that action (see
+    _certify) instead of running Light's test.
     """
 
-    __slots__ = ("mul", "identity_idx", "_gens", "_green")
+    __slots__ = ("mul", "identity_idx", "_action", "_gens", "_green")
 
-    def __init__(self, mul, identity_idx=None, check=True):
+    def __init__(self, mul, identity_idx=None, check=True, action=None):
         self.mul = _table_array(mul)
+        self._action = None if action is None else _action_array(action, len(self.mul))
         self._gens = self._green = None
         if identity_idx is None:
             identity_idx = self._find_identity()
@@ -142,9 +152,10 @@ class SemigroupTable:
         return self._green
 
     def _checked_generators(self) -> list[int]:
-        """The generating set the table check proved associativity with.
-        A table built with check=False is checked now, so a table that
-        is not associative is refused here, never mislabelled."""
+        """The generating set the table check passed on: the table is
+        associative and generated by it.  A table built with check=False
+        is checked now, so a table that is not associative (or, with an
+        action, not its product table) is refused here, never mislabelled."""
         if self._gens is None:
             self._check_table()
         return self._gens
@@ -170,33 +181,160 @@ class SemigroupTable:
             idx = np.arange(n)
             if not (0 <= e < n and (mul[e] == idx).all() and (mul[:, e] == idx).all()):
                 raise PreconditionError("claimed identity is not two-sided neutral")
-        # Light's test: (x*g)*y == x*(g*y) for every generator g.  Every
-        # element is a left-normed product t*g of generators (that is what
-        # _closure builds, on this same table), so by induction on its
-        # length the law then holds with any element in the middle.
         gens = _generators(self)
-
-        def light(starts):
-            # The run's first failure as (generator position, x, y), or None.
-            for pos, g in enumerate(gens):
-                for lo in starts:
-                    rows = mul[lo : lo + starts.step]
-                    # mode="clip" skips take's bounds test: _table_array
-                    # refused every entry outside [0, n), and mul is read-only.
-                    bad = mul[rows[:, g]] != rows.take(mul[g], axis=1, mode="clip")
-                    if bad.any():
-                        x, y = np.argwhere(bad)[0].tolist()
-                        return pos, lo + x, y
-            return None
-
-        # Runs hold disjoint rows in order, so the least (position, x, y)
-        # over the runs is the failure a single pass would meet first.
-        threads = row_threads(n)
-        failed = [found for found in run_blocks(n, max(1, ROW_BLOCK // threads), threads, light) if found]
-        if failed:
-            pos, x, y = min(failed)
-            raise PreconditionError(f"table is not associative at ({x}, {gens[pos]}, {y})")
+        if self._action is None:
+            _light(mul, gens)
+        else:
+            _certify(mul, self._action, gens)
         self._gens = gens
+
+
+def _action_array(action, n: int) -> np.ndarray:
+    """The action as a read-only P x n integer array of points in [0, P)."""
+    try:
+        arr = np.asarray(action)
+    except ValueError:  # ragged rows
+        raise PreconditionError("action is not a 2-D array") from None
+    if arr.ndim != 2:
+        raise PreconditionError(f"action is not a 2-D array: it has {arr.ndim} dimensions")
+    if arr.shape[1] != n:
+        raise PreconditionError(f"action has {arr.shape[1]} columns, the table {n} elements")
+    points = len(arr)
+    if not points:
+        raise PreconditionError("action has no points")
+    if arr.dtype.kind not in "iu":
+        raise PreconditionError(f"action entries are not integers, got {arr.dtype}")
+    if arr.min() < 0 or arr.max() >= points:
+        raise PreconditionError(f"action sends a point outside [0, {points})")
+    out = arr.view()  # a view, so that the caller's array keeps its own write flag
+    out.flags.writeable = False
+    return out
+
+
+def _light(mul: np.ndarray, gens: list[int]) -> None:
+    """Light's test: (x*g)*y == x*(g*y) for every generator g.  Every
+    element is a left-normed product t*g of generators (that is what
+    _closure builds, on this same table), so by induction on its length
+    the law then holds with any element in the middle."""
+    n = len(mul)
+
+    def light(starts):
+        # The run's first failure as (generator position, x, y), or None.
+        for pos, g in enumerate(gens):
+            for lo in starts:
+                rows = mul[lo : lo + starts.step]
+                # mode="clip" skips take's bounds test: _table_array
+                # refused every entry outside [0, n), and mul is read-only.
+                bad = mul[rows[:, g]] != rows.take(mul[g], axis=1, mode="clip")
+                if bad.any():
+                    x, y = np.argwhere(bad)[0].tolist()
+                    return pos, lo + x, y
+        return None
+
+    # Runs hold disjoint rows in order, so the least (position, x, y)
+    # over the runs is the failure a single pass would meet first.
+    threads = row_threads(n)
+    failed = [found for found in run_blocks(n, max(1, ROW_BLOCK // threads), threads, light) if found]
+    if failed:
+        pos, x, y = min(failed)
+        raise PreconditionError(f"table is not associative at ({x}, {gens[pos]}, {y})")
+
+
+def _certify(mul: np.ndarray, act: np.ndarray, gens: list[int]) -> None:
+    """Prove mul the product table of the action: M_(x*y) = M_x;M_y for
+    every x, y, M_x the map v -> act[v, x] (Froidure and Pin, 1997).
+
+    1. The columns of act are distinct, so x -> M_x is one-to-one.
+    2. For each generator g, M_(g*y) = M_g;M_y for every y: P |A| N cells.
+    3. The left tree (_left_tree) writes each x outside A as g_x * t_x.
+    4. For each such x, row x of mul is row g_x read through row t_x:
+       x*y = g_x*(t_x*y), one lookup per cell.
+    By induction on tree depth, M_(x*y) = M_(g_x*(t_x*y)) =
+    M_g_x;M_t_x;M_y = M_x;M_y.  Composition of maps is associative and
+    x -> M_x one-to-one, so mul is associative, and A generates it.
+    """
+    n = len(mul)
+    keys = _column_keys(act)
+    order = np.lexsort(keys[::-1])  # columns in lexicographic order, equal ones by index
+    same = (keys[:, order[1:]] == keys[:, order[:-1]]).all(axis=0)
+    if same.any():
+        x, y = min(zip(order[:-1][same].tolist(), order[1:][same].tolist()))
+        raise PreconditionError(f"action is not faithful: elements {x} and {y} act alike")
+    for g in gens:
+        # Column y: M_(g*y) against M_g;M_y, over every point.
+        bad = (act[:, mul[g]] != act[act[:, g]]).any(axis=0)
+        if bad.any():
+            raise PreconditionError(f"table is not the product table of its action at ({g}, {np.flatnonzero(bad)[0]})")
+    g_of, t_of = _left_tree(mul, gens)
+    # The rows outside A, grouped by g_x, each group in index order, so a
+    # piece of a block shares one N-entry row mul[g_x] to look up through.
+    xs = np.flatnonzero(g_of >= 0)
+    xs = xs[np.argsort(g_of[xs], kind="stable")]
+    gs, ts = g_of[xs], t_of[xs]
+    cuts = (np.flatnonzero(np.diff(gs)) + 1).tolist()  # where g_x changes
+
+    def check(starts):
+        # The least failing (x, y) of each piece of the run's blocks: a
+        # piece's rows rise, so its first failure is its least.
+        found = []
+        for lo in starts:
+            hi = min(lo + starts.step, len(xs))
+            edges = [lo, *(c for c in cuts if lo < c < hi), hi]
+            for a, b in zip(edges, edges[1:]):
+                # mode="clip" skips take's bounds test, as in Light's test.
+                bad = mul[xs[a:b]] != mul[gs[a]].take(mul[ts[a:b]], mode="clip")
+                if bad.any():
+                    i, y = np.argwhere(bad)[0].tolist()
+                    found.append((int(xs[a + i]), y))
+        return found
+
+    # A row of the loop above holds about 15 bytes of temporaries a cell
+    # (two gathered rows, take's intp copy of its indices, its output and
+    # the compare), a row of Light's test 5, so its blocks are a quarter
+    # of Light's.  Each x lies in one piece, so the least (x, y) over the
+    # runs is the cell one pass in index order meets first.
+    threads = row_threads(n)
+    failed = [found for run in run_blocks(len(xs), max(1, ROW_BLOCK // (4 * threads)), threads, check) for found in run]
+    if failed:
+        x, y = min(failed)
+        raise PreconditionError(f"table is not the product table of its action at ({x}, {y})")
+
+
+def _column_keys(act: np.ndarray) -> np.ndarray:
+    """The columns of act packed into as few int64 keys a column as hold
+    its points (63 bits of them a key), so that equal columns have equal
+    keys and sorting the columns takes a few keys instead of P rows."""
+    bits = max(1, (len(act) - 1).bit_length())
+    per = 63 // bits
+    keys = np.zeros((-(-len(act) // per), act.shape[1]), dtype=np.int64)
+    for i, row in enumerate(act.astype(np.int64)):
+        keys[i // per] <<= bits
+        keys[i // per] |= row
+    return keys
+
+
+def _left_tree(mul: np.ndarray, gens: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(g_of, t_of): a breadth-first tree of the edges t -> g*t (g in
+    gens) from gens, with x = mul[g_of[x], t_of[x]] and t_of[x] met a
+    round before x for every x outside gens, -1 on gens.  An element the
+    tree misses is refused: gens do not generate the table from the left."""
+    a = np.asarray(gens, dtype=np.intp)
+    g_of = np.full(len(mul), -1, dtype=np.intp)
+    t_of = g_of.copy()
+    seen = np.zeros(len(mul), dtype=bool)
+    seen[a] = True
+    frontier = a
+    while frontier.size:
+        # Entry i of the products is a[i // F] * frontier[i % F].
+        new, first = np.unique(mul[np.ix_(a, frontier)], return_index=True)
+        fresh = ~seen[new]
+        new, first = new[fresh], first[fresh]
+        g_of[new], t_of[new] = a[first // len(frontier)], frontier[first % len(frontier)]
+        seen[new] = True
+        frontier = new
+    if not seen.all():
+        raise PreconditionError(f"generators {list(gens)} do not reach element {int(np.argmin(seen))} from the left")
+    return g_of, t_of
 
 
 def _generators(table: SemigroupTable) -> list[int]:
@@ -215,7 +353,7 @@ def _generators(table: SemigroupTable) -> list[int]:
     # order[i]: the least k with units[i]^k = e.  A unit's powers stay in
     # the group of units, so they return within |units| steps; the bound
     # stops the loop on a table that is no monoid (order 0 there), which
-    # Light's test then refuses.
+    # the table check then refuses.
     order = np.zeros(len(units), dtype=np.intp)
     power = units
     for k in range(1, len(units) + 1):
@@ -327,16 +465,18 @@ def _row_labels(rows: np.ndarray) -> np.ndarray:
 def green_oracle(table: SemigroupTable) -> GreenPartitions:
     """Green partitions from the table alone.
 
-    With A the generating set the table check proved associativity
-    with, S^1 a is the set reachable from a along the edges x -> g x of
-    the left Cayley graph (g in A), and a S^1 along x -> x g of the
-    right one.  So L (equal S^1 a) and R (equal a S^1) are the strongly
-    connected components of two graphs of N |A| edges (Froidure and
-    Pin, 1997).  H is the meet of L and R, J compares two-sided ideals
-    S^1 a S^1, and D is the composite of L and R, which is checked to
-    join L and R in one step before being returned.  The J step reads
-    one one-sided ideal per class, from one column (S^1 a) or one row
-    (a S^1) of the table.
+    With A the table check's generating set (proved to generate an
+    associative table, by the action certificate when the table has an
+    action, else by Light's test and the closure that picked A), S^1 a
+    is the set reachable from a along the edges x -> g x of the left
+    Cayley graph (g in A), and a S^1 along x -> x g of the right one.
+    So L (equal S^1 a) and R (equal a S^1) are the strongly connected
+    components of two graphs of N |A| edges (Froidure and Pin, 1997).
+    H is the meet of L and R, J compares two-sided ideals S^1 a S^1, and
+    D is the composite of L and R, which is checked to join L and R in
+    one step before being returned.  The J step reads one one-sided
+    ideal per class, from one column (S^1 a) or one row (a S^1) of the
+    table.
     """
     mul = table.mul
     n = len(mul)

@@ -10,7 +10,7 @@ from itertools import product
 
 import numpy as np
 
-from glsemi import gl_restriction
+from glsemi import gl_restriction, semigroup_core
 from glsemi.errors import ConfigurationError, PreconditionError
 from glsemi.gf_linalg import (
     Subspace,
@@ -98,10 +98,12 @@ def with_product(s, i, j, k):
     """A copy of Structure s whose table says element i times element j is k.
 
     The table check is skipped so that the one wrong product survives; a
-    check that reads the table's products must then notice it.  A table
-    that is not associative is refused by its first green() call, which
-    runs the skipped check, so a check that reads Green's relations fails
-    on it with a PreconditionError naming a non-associative triple.
+    check that reads the table's products must then notice it.  The copy
+    carries no action, so the check its first green() call runs is Light's
+    test, not the action certificate: a table that is not associative is
+    refused there, and a check that reads Green's relations fails on it
+    with a PreconditionError naming a non-associative triple.  A copy that
+    stays associative passes, though it is no longer the members' table.
     """
     mul = s.table.mul.copy()
     mul[i, j] = k
@@ -549,6 +551,28 @@ def one_thread_light(mul, gens):
             if bad.any():
                 x, y = np.argwhere(bad)[0].tolist()
                 return lo + x, g, y
+    return None
+
+
+def one_pass_certificate(mul, act, gens):
+    """The first cell the action certificate refuses, met by one pass on
+    the calling thread, as (x, y); None when there is none.  The
+    generator rows come first, in the order of gens, each compared as
+    maps, column by column; then every other x in index order, row x of
+    mul against row g_x of mul read through row t_x, with (g_x, t_x) the
+    certificate's own left tree.  The loop the threaded certificate is
+    compared with."""
+    mul, act = np.asarray(mul), np.asarray(act)
+    for g in gens:
+        for y in range(len(mul)):
+            if (act[:, mul[g, y]] != act[act[:, g], y]).any():
+                return g, y
+    g_of, t_of = semigroup_core._left_tree(mul, gens)
+    for x in range(len(mul)):
+        if g_of[x] >= 0:
+            bad = mul[x] != mul[g_of[x]][mul[t_of[x]]]
+            if bad.any():
+                return x, int(np.argmax(bad))
     return None
 
 

@@ -35,7 +35,7 @@ from glsemi.cli import (
     parse_config,
     resolve_caps,
 )
-from glsemi import cli, gl_restriction
+from glsemi import cli, gl_restriction, semigroup_core
 from glsemi.errors import ConfigurationError, InternalInconsistencyError
 from glsemi.gf_linalg import enumerate_complements
 from glsemi.gl_restriction import (
@@ -620,6 +620,21 @@ def test_verify_enumerates_the_complements_once_per_structure(monkeypatch):
     assert calls == [make_instance(2, 3, 1).u] * 2
     s = enumerate_semigroup(make_instance(2, 3, 1))
     assert s.complements is s.complements and len(calls) == 3
+
+
+def test_verify_certifies_the_instance_and_partner_tables_by_their_action(monkeypatch):
+    # enumerate_semigroup hands the table check the members' action, for
+    # the instance and for the isomorphism partner alike, so Light's test
+    # never runs; the partner's U differs, so its action does too.
+    certified, light = [], []
+    real = semigroup_core._certify
+    monkeypatch.setattr(semigroup_core, "_certify", lambda mul, act, gens: certified.append(act) or real(mul, act, gens))
+    monkeypatch.setattr(semigroup_core, "_light", lambda mul, gens: light.append(gens))
+    assert not cmd_verify(InstanceConfig(p=2, n=3, r=1), *CAPS).failed
+    assert light == []
+    instance, partner = certified
+    assert instance.shape == partner.shape == (8, 64) and not np.array_equal(instance, partner)
+    assert np.array_equal(instance, enumerate_semigroup(make_instance(2, 3, 1)).act)
 
 
 def test_complement_count_runs_in_parts_at_a_large_ambient_space():

@@ -309,10 +309,12 @@ def test_green_oracle_refuses_l_classes_that_do_not_make_d_classes(monkeypatch, 
     assert hit == [fault]
 
 
-def transformation_table(maps):
-    """The table of the semigroup generated by the given maps of 0..m-1,
-    each a tuple t sending x to t[x], composed left to right:
-    (a*b)[x] = b[a[x]].  Elements in order of discovery, generators first."""
+def transformation_semigroup(maps):
+    """(table, action) of the semigroup generated by the given maps of
+    0..m-1, each a tuple t sending x to t[x], composed left to right:
+    (a*b)[x] = b[a[x]].  Elements in order of discovery, generators first;
+    action[x, i] is element i's image of the point x, so column i is
+    element i as a map.  An m x N array."""
     elements = list(dict.fromkeys(maps))
     index = {t: i for i, t in enumerate(elements)}
     for a in elements:  # the list grows while it is walked
@@ -321,7 +323,13 @@ def transformation_table(maps):
             if product not in index:
                 index[product] = len(elements)
                 elements.append(product)
-    return [[index[tuple(b[x] for x in a)] for b in elements] for a in elements]
+    table = [[index[tuple(b[x] for x in a)] for b in elements] for a in elements]
+    return table, np.array(elements).T
+
+
+def transformation_table(maps):
+    """The table of transformation_semigroup(maps), without its action."""
+    return transformation_semigroup(maps)[0]
 
 
 #: One map of three points, 0 -> 1 -> 2 -> 2: the semigroup {a, a^2} has
@@ -355,6 +363,142 @@ def test_green_oracle_matches_a_dense_reference_on_transformation_semigroups(map
     reference = dense_green(table)
     for relation in ("L", "R", "H", "D", "J"):
         assert label_sets(getattr(green, relation.lower())) == reference[relation]
+
+
+# The action certificate: SemigroupTable(mul, action=act) proves mul the
+# product table of act in place of Light's test.
+
+
+def _cell(err):
+    return tuple(map(int, re.search(r"action at \((\d+), (\d+)\)", str(err.value)).groups()))
+
+
+def _certified(s, mul=None, act=None):
+    t = s.table
+    return SemigroupTable(t.mul if mul is None else mul, identity_idx=t.identity_idx, action=s.act if act is None else act)
+
+
+@pytest.mark.parametrize("pnr", [(2, 1, 0), (2, 2, 1), (2, 3, 1), (3, 2, 1), (2, 3, 2)])
+def test_member_tables_are_certified_with_the_generators_light_keeps(pnr):
+    s = enumerate_semigroup(make_instance(*pnr))
+    light = SemigroupTable(s.table.mul, identity_idx=s.table.identity_idx)
+    assert _certified(s)._checked_generators() == light._checked_generators() == s.table._checked_generators()
+
+
+@pytest.mark.parametrize(("copies", "named"), [({9: 5}, (5, 9)), ({9: 5, 3: 5}, (3, 5))])
+def test_certificate_refuses_equal_action_columns(copies, named):
+    # Step 1: under an action that is not faithful, two elements act
+    # alike, and no table is fixed by it.  The least such pair is named.
+    act = S231.act.copy()
+    for to, source in copies.items():
+        act[:, to] = act[:, source]
+    with pytest.raises(PreconditionError, match=re.escape("action is not faithful: elements %d and %d act alike" % named)):
+        _certified(S231, act=act)
+
+
+def test_columns_that_differ_only_in_their_last_point_act_apart():
+    # Twenty points take two int64 keys a column, twelve points a key:
+    # the identity and the map moving point 19 alone differ in the second.
+    identity = tuple(range(20))
+    mul, act = transformation_semigroup((identity, identity[:19] + (0,)))
+    assert SemigroupTable(mul, action=act)._checked_generators() == [0, 1]
+    with pytest.raises(PreconditionError, match="elements 0 and 1 act alike"):
+        SemigroupTable(mul, action=act[:, [0, 0]])
+
+
+def test_certificate_refuses_a_wrong_product_in_a_generator_row():
+    # Step 2 compares each generator's row, as maps, with the action.
+    s, t = S231, TABLE_231
+    gens = t._checked_generators()
+    g = gens[-1]
+    y = next(y for y in range(len(t)) if y not in gens and t.mul[g, y] != t.identity_idx)
+    bad = t.mul.copy()
+    bad[g, y] = (int(t.mul[g, y]) + 1) % len(t)
+    assert _generators(SemigroupTable(bad, identity_idx=t.identity_idx, check=False)) == gens
+    with pytest.raises(PreconditionError, match="not the product table of its action") as err:
+        _certified(s, mul=bad)
+    assert _cell(err) == (g, y)
+
+
+def test_certificate_refuses_generators_that_miss_an_element_from_the_left(monkeypatch):
+    # Step 3: the units alone generate only the group of units.  Light's
+    # test passes them on this correct table, since it proves only that
+    # the table is associative; the left tree finds the least non-unit
+    # they miss.
+    t = TABLE_231
+    units = np.flatnonzero((t.mul == t.identity_idx).any(axis=1)).tolist()
+    monkeypatch.setattr(semigroup_core, "_generators", lambda table: units)
+    assert SemigroupTable(t.mul, identity_idx=t.identity_idx)._checked_generators() == units
+    missed = min(set(range(len(t))) - set(units))
+    with pytest.raises(PreconditionError, match=re.escape(f"generators {units} do not reach element {missed} from the left")):
+        _certified(S231)
+
+
+def test_certificate_refuses_an_associative_relabelling_that_light_passes():
+    # Swap two elements in rows, columns and values: the table stays
+    # associative, so Light's test passes it, but unless the swap is an
+    # automorphism it is no longer the product table of the members.
+    t, e = TABLE_231, TABLE_231.identity_idx
+    for a, b in combinations(range(len(t)), 2):
+        sigma = np.arange(len(t))
+        sigma[[a, b]] = b, a
+        swapped = np.empty_like(t.mul)
+        swapped[np.ix_(sigma, sigma)] = sigma[t.mul]
+        if e not in (a, b) and not np.array_equal(swapped, t.mul):
+            break
+    SemigroupTable(swapped, identity_idx=e)
+    with pytest.raises(PreconditionError, match="not the product table of its action"):
+        _certified(S231, mul=swapped)
+
+
+@pytest.mark.parametrize(
+    ("change", "message"),
+    [
+        (lambda act: act[0], "action is not a 2-D array: it has 1 dimensions"),
+        (lambda act: act[None], "action is not a 2-D array: it has 3 dimensions"),
+        (lambda act: [list(range(64)), [0]], "action is not a 2-D array"),
+        (lambda act: act[:0], "action has no points"),
+        (lambda act: act[:, :-1], "action has 63 columns, the table 64 elements"),
+        (lambda act: np.hstack([act, act[:, :1]]), "action has 65 columns, the table 64 elements"),
+        (lambda act: act.astype(float), "action entries are not integers, got float64"),
+        (lambda act: act > 0, "action entries are not integers, got bool"),
+        (lambda act: act - 1, "action sends a point outside [0, 8)"),
+        (lambda act: act + 1, "action sends a point outside [0, 8)"),
+    ],
+)
+def test_a_malformed_action_is_refused(change, message):
+    act = S231.act.astype(np.int64)
+    with pytest.raises(PreconditionError, match=re.escape(message)):
+        _certified(S231, act=change(act))
+    with pytest.raises(PreconditionError, match=re.escape(message)):
+        SemigroupTable(TABLE_231.mul, action=change(act), check=False)
+
+
+def test_the_action_is_kept_read_only_and_the_callers_array_writable():
+    act = S231.act.copy()
+    table = _certified(S231, act=act)
+    assert act.flags.writeable
+    assert not table._action.flags.writeable
+
+
+@given(transformations(), st.integers(0, 2**32 - 1))
+@example(NILPOTENT, 0)
+@example(((1, 0, 2), (1, 2, 0)), 1)  # the symmetric group on three points
+@example(((0, 0), (1, 1)), 2)  # constant maps: a right zero semigroup, a*b = b
+@settings(max_examples=60, deadline=None)
+def test_transformation_tables_pass_the_certificate_and_refuse_every_changed_cell(maps, seed):
+    mul, act = transformation_semigroup(maps)
+    assume(len(mul) <= 256)
+    table = SemigroupTable(mul, action=act)
+    assert table._checked_generators() == SemigroupTable(mul)._checked_generators()
+    mul, n = np.array(mul), len(mul)
+    rng = np.random.default_rng(seed)
+    for _ in range(5 if n > 1 else 0):
+        i, j = rng.integers(n, size=2)
+        bad = mul.copy()
+        bad[i, j] = (mul[i, j] + rng.integers(1, n)) % n
+        with pytest.raises(PreconditionError):
+            SemigroupTable(bad, action=act)
 
 
 def test_green_refinement_lattice():
