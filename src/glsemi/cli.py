@@ -179,8 +179,10 @@ def parse_config(text: str) -> InstanceConfig:
     except ValueError:
         raise ConfigurationError("p, n, r must be integers") from None
     u_rows = None
-    if "u_basis" in values and values["u_basis"]:
+    if values.get("u_basis"):
         u_rows = tuple(_parse_row(tok, n, p) for tok in values["u_basis"].split())
+    elif "u_basis" in values and r:  # never silently the default U instead
+        raise ConfigurationError(f"u_basis is empty, but r = {r} needs {r} basis rows")
     caps = {}
     for key in ("cap", "rank_cap"):
         if key in values:

@@ -135,31 +135,20 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _cayley(p: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # Gather instead of multiplying: rows[a, i] codes row i of member a,
-    # act[v, b] codes v*b, and row i of a*b is act[row_i(a), b].  A
-    # member's key packs its row codes base p^n, so keys follow the sorted
-    # member order, and a dense inverse over all p^(n^2) keys (never more
-    # entries than the table) maps each product to its index; it is
-    # returned with the table and the action array, for the Structure to
-    # keep.  The key of a*b comes from _half_keys, two gathers and one add
-    # per product, and is looked up straight into the table: the lookup is
-    # the index in the table's dtype, count standing for a non-member, and
-    # every key is below p^(n^2), its length, so take needs no bounds test.
-    count, n = rows.shape
-    index = key_index(p**n, rows)
-    act = action_table(p, rows).astype(index.dtype)  # act[v, b]: code of v*b
-    head, head_keys, tail, tail_keys = _half_keys(p**n, act, rows)
-    head, tail = head // count, tail // count  # each member's rows of the key tables
-    out = np.empty((count, count), dtype=table_dtype(count))
-    lookup = np.where(index < 0, count, index).astype(out.dtype)
-    block = max(1, 2**15 // count)  # rows whose keys stay in cache
-    for lo in range(0, count, block):
-        found = out[lo : lo + block]
-        lookup.take(head_keys[head[lo : lo + block]] + tail_keys[tail[lo : lo + block]], out=found, mode="clip")
-        if found.max() >= count:
-            raise InternalInconsistencyError("a product escaped the member list")
-    return out, _frozen(act), _frozen(index)
+def _cayley(p: int, rows: np.ndarray):
+    """(act, index, product_row) of the members given by their row codes:
+    act[v, b] codes v*b (matrix products mod p), index is the key index
+    (gf_linalg.key_index), and product_row(a)[b] is the index of a*b, -1
+    for a non-member: its key read off _half_keys tables of a's rows (row
+    i of a*b is act[row_i(a), b]) and looked up in index."""
+    q = p ** rows.shape[1]
+    index = key_index(q, rows)
+    act = action_table(p, rows).astype(index.dtype)
+
+    def product_row(a):
+        return index[_key(_half_keys(q, act, rows[[a]]), 0, np.arange(len(rows)))]
+
+    return _frozen(act), _frozen(index), product_row
 
 
 def _half_keys(q: int, table: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -206,10 +195,10 @@ def _first_of_each(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class Structure:
-    """One enumerated instance: the instance, its checked Cayley table,
-    the action array the table was gathered from, the key index the
-    table was looked up in, and data worked out from them at most once,
-    on first use.  Build it with enumerate_semigroup(inst, cap).  U's
+    """One enumerated instance: the instance, its Cayley table, built and
+    proved from the action array, that action array, the key index the
+    key kernel looks products up in, and data worked out from them at
+    most once, on first use.  Build it with enumerate_semigroup(inst, cap).  U's
     complements, the special subgroups, the unit splits' product grids
     and GL(k)'s sorted codes are each held once.
 
@@ -325,18 +314,18 @@ def enumerate_semigroup(inst: Instance, cap: int = DEFAULT_ENUM_CAP) -> Structur
         raise InternalInconsistencyError(
             f"enumerated {len(rows)} members, closed form predicts {order}"
         )
-    # Distinct members make the list exactly the semigroup (order_law), and
-    # the table check proves the one found by the identity's key neutral.
-    # Given act, v*M by matrix products mod p, the check certifies mul as
-    # the product table of the members' action, independently of the
-    # keys and lookups _cayley filled it with.
+    # Distinct members make the list exactly the semigroup (order_law).
+    # SemigroupTable builds mul from act, v*M by matrix products mod p, and
+    # proves it the product table of the members' action as it goes: the
+    # one found by the identity's key must act as the identity map, and
+    # the few rows read off the keys and lookups are checked as maps.
     q = inst.p**inst.n
     keys = codes(q, rows)
     if (np.diff(keys) <= 0).any():
         raise InternalInconsistencyError("member keys are not strictly increasing")
     ident = int(np.searchsorted(keys, codes(q, codes(inst.p, identity_mat(inst.n)))))
-    mul, act, index = _cayley(inst.p, rows)
-    return Structure(inst, SemigroupTable(mul, identity_idx=ident, action=act), act, index)
+    act, index, product_row = _cayley(inst.p, rows)
+    return Structure(inst, SemigroupTable(identity_idx=ident, action=act, product_row=product_row), act, index)
 
 
 def j_class(s: Structure, k: int) -> np.ndarray:

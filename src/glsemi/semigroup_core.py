@@ -24,21 +24,21 @@ from .errors import CapacityError, InternalInconsistencyError, PreconditionError
 # temporary as large as the table itself.  Blocks of 128 rows keep a
 # block's temporaries near cache size: at order 4096 they beat 256 rows
 # by a quarter to a third in Light's test and the Green oracle (2-vCPU
-# x86 machine).  When a table check runs on threads (see row_threads),
-# each thread's blocks are ROW_BLOCK // threads rows (Light's test) or a
-# quarter of that (the action certificate, whose rows hold three times
-# the temporaries), so the temporaries in flight still add up to about
-# one Light's-test block.
+# x86 machine).  When Light's test runs on threads (see row_threads),
+# each thread's blocks are ROW_BLOCK // threads rows, so the temporaries
+# in flight still add up to one block.
 ROW_BLOCK = 128
 
-# Rows each thread of a table check (SemigroupTable._check_table: the
-# action certificate or Light's test) gets at least.  Below that,
-# starting and joining a thread costs about what a second core saves, so
-# every table up to order 2047 (the verify grid stops at 1536) is
-# checked on the calling thread alone.  The table check is the one loop
-# that threads: at order 4096 on a 2-vCPU x86 machine a second core cut
-# Light's test from 0.12 to 0.07 s but left the Cayley fill
-# (gl_restriction._cayley) at 0.048 s, so the fill runs one pass.
+# Rows a block of _build's fill writes: about 12 bytes of temporaries a
+# cell (rows t_x, take's intp copy of them, its output), under the 15 of
+# the 16-row blocks of the row compare it replaced.
+FILL_ROWS = ROW_BLOCK // 8
+
+# Rows each thread of Light's test, the one loop that threads, gets at
+# least: below that a thread costs about what a second core saves.  At
+# order 4096 on a 2-vCPU x86 machine a second core cut Light's test from
+# 0.12 to 0.07 s but left the Cayley fill at 0.048 s, so fills run one
+# pass on the calling thread.
 THREAD_ROWS = 1024
 
 
@@ -52,8 +52,7 @@ def row_threads(n: int) -> int:
 def run_blocks(n: int, block: int, threads: int, work) -> list:
     """[work(starts) for each run]: the blocks of `block` rows over the
     rows 0..n-1, cut into `threads` contiguous runs of whole blocks; the
-    runner of the table check (the action certificate's row checks, or
-    Light's test).
+    runner of Light's test.
 
     A run is a range of block starts, its step the block size, so work
     reads its block at lo as rows lo : lo + starts.step.  With one thread
@@ -124,21 +123,27 @@ class SemigroupTable:
     int32 above); `int(mul[i, j])` is the index of the product of
     element i by element j.  Instances are immutable after construction.
 
-    An optional `action`, a P x n integer array whose column x is the
-    map v -> v.x of the points 0..P-1 under element x, makes the table
-    check certify `mul` as the product table of that action (see
-    _certify) instead of running Light's test.
+    Given `mul`, the table is checked by Light's test (check=False
+    defers that to the first reader of the generating set).  Given
+    instead an `action`, a P x n integer array whose column x is the map
+    v -> v.x of the points 0..P-1 under x, and `product_row`, claiming
+    product_row(x)[y] the index of x*y, the table is built and proved
+    the action's product table (see _build), reading product_row only
+    for the generating set's candidates.
     """
 
     __slots__ = ("mul", "identity_idx", "_action", "_gens", "_green")
 
-    def __init__(self, mul, identity_idx=None, check=True, action=None):
+    def __init__(self, mul=None, identity_idx=None, check=True, action=None, product_row=None):
+        self._green = self._gens = self._action = None
+        if action is not None or product_row is not None:
+            if mul is not None or action is None or product_row is None or not check:
+                raise PreconditionError("a table is given by mul, or built and proved from an action and its product_row")
+            self._action = _action_array(action)
+            self.identity_idx, self.mul, self._gens = _build(self._action, identity_idx, product_row)
+            return
         self.mul = _table_array(mul)
-        self._action = None if action is None else _action_array(action, len(self.mul))
-        self._gens = self._green = None
-        if identity_idx is None:
-            identity_idx = self._find_identity()
-        self.identity_idx = identity_idx
+        self.identity_idx = self._find_identity() if identity_idx is None else identity_idx
         if check:
             self._check_table()
 
@@ -154,8 +159,8 @@ class SemigroupTable:
     def _checked_generators(self) -> list[int]:
         """The generating set the table check passed on: the table is
         associative and generated by it.  A table built with check=False
-        is checked now, so a table that is not associative (or, with an
-        action, not its product table) is refused here, never mislabelled."""
+        is checked now, so a table that is not associative is refused
+        here, never mislabelled."""
         if self._gens is None:
             self._check_table()
         return self._gens
@@ -174,22 +179,23 @@ class SemigroupTable:
         return int(found[0]) if found.size else None
 
     def _check_table(self):
-        mul = self.mul
+        mul, e = self.mul, self.identity_idx
         n = len(mul)
-        if self.identity_idx is not None:
-            e = self.identity_idx
+        units = np.array([], dtype=np.intp)
+        if e is not None:
             idx = np.arange(n)
             if not (0 <= e < n and (mul[e] == idx).all() and (mul[:, e] == idx).all()):
                 raise PreconditionError("claimed identity is not two-sided neutral")
-        gens = _generators(self)
-        if self._action is None:
-            _light(mul, gens)
-        else:
-            _certify(mul, self._action, gens)
+            # In a finite monoid a is a unit exactly when some a*b is the
+            # identity; e.u^k = u^k, so the point e tells each unit's order.
+            unit = np.concatenate([(mul[lo : lo + ROW_BLOCK] == e).any(axis=1) for lo in range(0, n, ROW_BLOCK)])
+            units = _by_order(np.flatnonzero(unit), mul, np.array([e]))
+        gens, _ = _generators(n, units, mul.__getitem__)
+        _light(mul, gens)
         self._gens = gens
 
 
-def _action_array(action, n: int) -> np.ndarray:
+def _action_array(action) -> np.ndarray:
     """The action as a read-only P x n integer array of points in [0, P)."""
     try:
         arr = np.asarray(action)
@@ -197,11 +203,9 @@ def _action_array(action, n: int) -> np.ndarray:
         raise PreconditionError("action is not a 2-D array") from None
     if arr.ndim != 2:
         raise PreconditionError(f"action is not a 2-D array: it has {arr.ndim} dimensions")
-    if arr.shape[1] != n:
-        raise PreconditionError(f"action has {arr.shape[1]} columns, the table {n} elements")
     points = len(arr)
-    if not points:
-        raise PreconditionError("action has no points")
+    if not arr.size:
+        raise PreconditionError("action has no points or no elements")
     if arr.dtype.kind not in "iu":
         raise PreconditionError(f"action entries are not integers, got {arr.dtype}")
     if arr.min() < 0 or arr.max() >= points:
@@ -213,9 +217,10 @@ def _action_array(action, n: int) -> np.ndarray:
 
 def _light(mul: np.ndarray, gens: list[int]) -> None:
     """Light's test: (x*g)*y == x*(g*y) for every generator g.  Every
-    element is a left-normed product t*g of generators (that is what
-    _closure builds, on this same table), so by induction on its length
-    the law then holds with any element in the middle."""
+    element is a product of generators on this same table (that is what
+    _generators' closures reach), and a product of two elements that
+    pass in the middle passes too, so the law then holds with any
+    element in the middle."""
     n = len(mul)
 
     def light(starts):
@@ -240,138 +245,143 @@ def _light(mul: np.ndarray, gens: list[int]) -> None:
         raise PreconditionError(f"table is not associative at ({x}, {gens[pos]}, {y})")
 
 
-def _certify(mul: np.ndarray, act: np.ndarray, gens: list[int]) -> None:
-    """Prove mul the product table of the action: M_(x*y) = M_x;M_y for
-    every x, y, M_x the map v -> act[v, x] (Froidure and Pin, 1997).
+def _build(act: np.ndarray, e, product_row) -> tuple[int | None, np.ndarray, list[int]]:
+    """(identity, mul, A): the product table of the action, M_(x*y) =
+    M_x;M_y for every x, y, M_x the map v -> act[v, x], built along a
+    left tree from A (Froidure and Pin, 1997).
 
-    1. The columns of act are distinct, so x -> M_x is one-to-one.
-    2. For each generator g, M_(g*y) = M_g;M_y for every y: P |A| N cells.
-    3. The left tree (_left_tree) writes each x outside A as g_x * t_x.
-    4. For each such x, row x of mul is row g_x read through row t_x:
-       x*y = g_x*(t_x*y), one lookup per cell.
-    By induction on tree depth, M_(x*y) = M_(g_x*(t_x*y)) =
-    M_g_x;M_t_x;M_y = M_x;M_y.  Composition of maps is associative and
-    x -> M_x one-to-one, so mul is associative, and A generates it.
+    1. The columns of act are distinct, so x -> M_x is one-to-one, and
+       the identity's column is the identity map.
+    2. A is _generators' greedy set, the units the columns that permute
+       the points.  Each row it reads must hold only elements, with
+       M_(g*y) = M_g;M_y for every y: P N cells a row.
+    3. Each edge x = g_x * t_x of the left tree from A's rows is checked
+       as maps, M_x = M_g_x;M_t_x: P cells an element.
+    4. Round by round, x*y = g_x*(t_x*y): one lookup per cell.
+    By induction on tree depth, M_(x*y) = M_g_x;M_t_x;M_y = M_x;M_y.
+    Composition is associative and x -> M_x one-to-one, so mul is
+    associative, and A generates it.
     """
-    n = len(mul)
-    keys = _column_keys(act)
-    order = np.lexsort(keys[::-1])  # columns in lexicographic order, equal ones by index
-    same = (keys[:, order[1:]] == keys[:, order[:-1]]).all(axis=0)
+    n = act.shape[1]
+    points = np.arange(len(act))
+    # Each column as one byte string, so equal ones sort side by side, by index.
+    cols = np.ascontiguousarray(act.T)
+    cols = cols.view(np.dtype((np.void, cols.itemsize * len(act)))).ravel()
+    order = np.argsort(cols, kind="stable")
+    same = cols[order[1:]] == cols[order[:-1]]
     if same.any():
         x, y = min(zip(order[:-1][same].tolist(), order[1:][same].tolist()))
         raise PreconditionError(f"action is not faithful: elements {x} and {y} act alike")
-    for g in gens:
-        # Column y: M_(g*y) against M_g;M_y, over every point.
-        bad = (act[:, mul[g]] != act[act[:, g]]).any(axis=0)
+    if e is None:  # the element that acts as the identity map, if any
+        found = np.flatnonzero((act == points[:, None]).all(axis=0))
+        e = int(found[0]) if found.size else None
+    elif not (0 <= e < n and (act[:, e] == points).all()):
+        raise PreconditionError("claimed identity is not the identity map")
+    units = _by_order(np.flatnonzero((np.sort(act, axis=0) == points[:, None]).all(axis=0)), act, points)
+    dtype = table_dtype(n)
+
+    def row(g):
+        got = np.asarray(product_row(g))
+        if got.ndim != 1 or got.dtype.kind not in "iu":
+            raise PreconditionError(f"product row of {g} is not a row of integers")
+        if len(got) != n:  # a row has an entry per element of the table
+            raise PreconditionError(f"action has {n} columns, the table {len(got)} elements")
+        out = (got < 0) | (got >= n)
+        if out.any():
+            raise PreconditionError(f"a product escaped the member list at ({g}, {np.argmax(out)})")
+        bad = (act[:, got] != act[act[:, g]]).any(axis=0)
         if bad.any():
-            raise PreconditionError(f"table is not the product table of its action at ({g}, {np.flatnonzero(bad)[0]})")
-    g_of, t_of = _left_tree(mul, gens)
-    # The rows outside A, grouped by g_x, each group in index order, so a
-    # piece of a block shares one N-entry row mul[g_x] to look up through.
+            raise PreconditionError(f"table is not the product table of its action at ({g}, {np.argmax(bad)})")
+        return got.astype(dtype)
+
+    gens, rows = _generators(n, units, row)
+    g_of, t_of, rounds = _left_tree(rows, gens)
     xs = np.flatnonzero(g_of >= 0)
-    xs = xs[np.argsort(g_of[xs], kind="stable")]
-    gs, ts = g_of[xs], t_of[xs]
-    cuts = (np.flatnonzero(np.diff(gs)) + 1).tolist()  # where g_x changes
-
-    def check(starts):
-        # The least failing (x, y) of each piece of the run's blocks: a
-        # piece's rows rise, so its first failure is its least.
-        found = []
-        for lo in starts:
-            hi = min(lo + starts.step, len(xs))
-            edges = [lo, *(c for c in cuts if lo < c < hi), hi]
-            for a, b in zip(edges, edges[1:]):
-                # mode="clip" skips take's bounds test, as in Light's test.
-                bad = mul[xs[a:b]] != mul[gs[a]].take(mul[ts[a:b]], mode="clip")
-                if bad.any():
-                    i, y = np.argwhere(bad)[0].tolist()
-                    found.append((int(xs[a + i]), y))
-        return found
-
-    # A row of the loop above holds about 15 bytes of temporaries a cell
-    # (two gathered rows, take's intp copy of its indices, its output and
-    # the compare), a row of Light's test 5, so its blocks are a quarter
-    # of Light's.  Each x lies in one piece, so the least (x, y) over the
-    # runs is the cell one pass in index order meets first.
-    threads = row_threads(n)
-    failed = [found for run in run_blocks(len(xs), max(1, ROW_BLOCK // (4 * threads)), threads, check) for found in run]
-    if failed:
-        x, y = min(failed)
-        raise PreconditionError(f"table is not the product table of its action at ({x}, {y})")
+    bad = (act[:, xs] != act[act[:, g_of[xs]], t_of[xs]]).any(axis=0)
+    if bad.any():
+        x = int(xs[np.argmax(bad)])
+        raise PreconditionError(f"left tree edge {x} = {g_of[x]}*{t_of[x]} is not a product of maps")
+    mul = np.empty((n, n), dtype=dtype)
+    mul[gens] = rows
+    for new in rounds:
+        for g in gens:
+            grown = new[g_of[new] == g]
+            for lo in range(0, len(grown), FILL_ROWS):
+                part = grown[lo : lo + FILL_ROWS]
+                # mode="clip" skips take's bounds test: every row read is
+                # one of A's, all entries in [0, n), or filled from them.
+                mul[part] = mul[g].take(mul[t_of[part]], mode="clip")
+    mul.flags.writeable = False
+    return e, mul, gens
 
 
-def _column_keys(act: np.ndarray) -> np.ndarray:
-    """The columns of act packed into as few int64 keys a column as hold
-    its points (63 bits of them a key), so that equal columns have equal
-    keys and sorting the columns takes a few keys instead of P rows."""
-    bits = max(1, (len(act) - 1).bit_length())
-    per = 63 // bits
-    keys = np.zeros((-(-len(act) // per), act.shape[1]), dtype=np.int64)
-    for i, row in enumerate(act.astype(np.int64)):
-        keys[i // per] <<= bits
-        keys[i // per] |= row
-    return keys
-
-
-def _left_tree(mul: np.ndarray, gens: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """(g_of, t_of): a breadth-first tree of the edges t -> g*t (g in
-    gens) from gens, with x = mul[g_of[x], t_of[x]] and t_of[x] met a
-    round before x for every x outside gens, -1 on gens.  An element the
-    tree misses is refused: gens do not generate the table from the left."""
+def _left_tree(rows: np.ndarray, gens: list[int]) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """(g_of, t_of, rounds): a breadth-first tree of the edges t -> g*t
+    from gens, rows[i] the products of gens[i]: x = g_of[x] * t_of[x],
+    t_of[x] met a round before x, for every x outside gens (-1 on gens),
+    and rounds lists what each round met.  An element the tree misses is
+    refused: gens do not generate the table from the left."""
     a = np.asarray(gens, dtype=np.intp)
-    g_of = np.full(len(mul), -1, dtype=np.intp)
+    g_of = np.full(rows.shape[1], -1, dtype=np.intp)
     t_of = g_of.copy()
-    seen = np.zeros(len(mul), dtype=bool)
+    seen = np.zeros(rows.shape[1], dtype=bool)
     seen[a] = True
-    frontier = a
+    frontier, rounds = a, []
     while frontier.size:
         # Entry i of the products is a[i // F] * frontier[i % F].
-        new, first = np.unique(mul[np.ix_(a, frontier)], return_index=True)
+        new, first = np.unique(rows[:, frontier], return_index=True)
         fresh = ~seen[new]
-        new, first = new[fresh], first[fresh]
+        new, first = new[fresh].astype(np.intp), first[fresh]
         g_of[new], t_of[new] = a[first // len(frontier)], frontier[first % len(frontier)]
         seen[new] = True
         frontier = new
+        rounds.append(new)
     if not seen.all():
         raise PreconditionError(f"generators {list(gens)} do not reach element {int(np.argmin(seen))} from the left")
-    return g_of, t_of
+    return g_of, t_of, rounds
 
 
-def _generators(table: SemigroupTable) -> list[int]:
-    """A greedy generating set: the units by descending order, then the
-    non-units in index order, each taken only when the closure so far
-    misses it; then every generator the others still generate goes."""
-    mul = table.mul
-    n = len(mul)
-    unit = np.zeros(n, dtype=bool)
-    e = table.identity_idx
-    if e is not None:
-        # In a finite monoid a is a unit exactly when some a*b is the identity.
-        for lo in range(0, n, ROW_BLOCK):
-            unit[lo : lo + ROW_BLOCK] = (mul[lo : lo + ROW_BLOCK] == e).any(axis=1)
-    units = np.flatnonzero(unit)
-    # order[i]: the least k with units[i]^k = e.  A unit's powers stay in
-    # the group of units, so they return within |units| steps; the bound
-    # stops the loop on a table that is no monoid (order 0 there), which
-    # the table check then refuses.
+def _by_order(units: np.ndarray, act: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """The units by descending order, the order of u the least k with u^k
+    fixing each of the points (act[v, x]: point v under x).  Powers of a
+    unit return within |units| steps; the bound stops the loop on a table
+    that is no monoid (order 0), which its check then refuses."""
     order = np.zeros(len(units), dtype=np.intp)
-    power = units
+    power = act[np.ix_(points, units)]  # power[i, j]: points[i] under units[j]^k
     for k in range(1, len(units) + 1):
-        order[(order == 0) & (power == e)] = k
+        order[(order == 0) & (power == points[:, None]).all(axis=0)] = k
         if order.all():
             break
-        power = mul[power, units]
+        power = act[power, units]
+    return units[np.argsort(-order, kind="stable")]
+
+
+def _generators(n: int, units: np.ndarray, row) -> tuple[list[int], np.ndarray]:
+    """(A, A's rows): a greedy generating set, the units in the order
+    given, then the non-units in index order, each taken only when the
+    closure so far misses it; then every generator the others still
+    generate goes.  row(x) gives x's products, read once per candidate
+    taken: the closures go left only, along y -> g*y, which on an
+    associative table reaches the subsemigroup the generators generate."""
+    rows: dict[int, np.ndarray] = {}
+
+    def closure(gens):
+        return _reach(np.array([rows[g] for g in gens]), gens, (), np.arange(len(gens)))
+
+    unit = np.zeros(n, dtype=bool)
+    unit[units] = True
     gens: list[int] = []
     covered = np.zeros(n, dtype=bool)
-    for i in np.concatenate([units[np.argsort(-order, kind="stable")], np.flatnonzero(~unit)]).tolist():
+    for i in np.concatenate([units, np.flatnonzero(~unit)]).tolist():
         if not covered[i]:
             gens.append(i)
-            covered = _closure(mul, gens)
+            rows[i] = row(i)
+            covered = closure(gens)
     for g in list(gens):
         fewer = [h for h in gens if h != g]
-        if fewer and _closure(mul, fewer).all():
+        if fewer and closure(fewer).all():
             gens = fewer
-    return gens
+    return gens, np.array([rows[g] for g in gens])
 
 
 @dataclass(frozen=True, eq=False)
@@ -466,7 +476,7 @@ def green_oracle(table: SemigroupTable) -> GreenPartitions:
     """Green partitions from the table alone.
 
     With A the table check's generating set (proved to generate an
-    associative table, by the action certificate when the table has an
+    associative table, by the build when the table was built from an
     action, else by Light's test and the closure that picked A), S^1 a
     is the set reachable from a along the edges x -> g x of the left
     Cayley graph (g in A), and a S^1 along x -> x g of the right one.
@@ -533,13 +543,16 @@ def check_refinement_lattice(green: GreenPartitions, n: int) -> None:
 
 
 def _reach(mul: np.ndarray, start, right, left=()) -> np.ndarray:
-    """Mask of what start reaches along x -> x*g (g in right) and x -> g*x (g in left)."""
+    """Mask of what start reaches along x -> x*g (g in right) and x -> g*x
+    (g in left).  Only the rows left names are read for the left edges,
+    so with right empty mul may hold just those rows."""
     frontier = np.asarray(start, dtype=np.intp)
-    seen = np.zeros(len(mul), dtype=bool)
+    seen = np.zeros(mul.shape[1], dtype=bool)
     seen[frontier] = True
     while frontier.size:
         grown = seen.copy()
-        grown[mul[frontier[:, None], right]] = True
+        if len(right):
+            grown[mul[frontier[:, None], right]] = True
         if len(left):
             grown[mul[np.ix_(left, frontier)]] = True
         frontier = np.flatnonzero(grown > seen)

@@ -10,7 +10,7 @@ from itertools import product
 
 import numpy as np
 
-from glsemi import gl_restriction, semigroup_core
+from glsemi import gf_linalg, gl_restriction, semigroup_core
 from glsemi.errors import ConfigurationError, PreconditionError
 from glsemi.gf_linalg import (
     Subspace,
@@ -99,11 +99,12 @@ def with_product(s, i, j, k):
 
     The table check is skipped so that the one wrong product survives; a
     check that reads the table's products must then notice it.  The copy
-    carries no action, so the check its first green() call runs is Light's
-    test, not the action certificate: a table that is not associative is
-    refused there, and a check that reads Green's relations fails on it
-    with a PreconditionError naming a non-associative triple.  A copy that
-    stays associative passes, though it is no longer the members' table.
+    is given by its table, not built from an action, so the check its
+    first green() call runs is Light's test: a table that is not
+    associative is refused there, and a check that reads Green's
+    relations fails on it with a PreconditionError naming a
+    non-associative triple.  A copy that stays associative passes,
+    though it is no longer the members' table.
     """
     mul = s.table.mul.copy()
     mul[i, j] = k
@@ -554,26 +555,59 @@ def one_thread_light(mul, gens):
     return None
 
 
-def one_pass_certificate(mul, act, gens):
-    """The first cell the action certificate refuses, met by one pass on
-    the calling thread, as (x, y); None when there is none.  The
-    generator rows come first, in the order of gens, each compared as
-    maps, column by column; then every other x in index order, row x of
-    mul against row g_x of mul read through row t_x, with (g_x, t_x) the
-    certificate's own left tree.  The loop the threaded certificate is
-    compared with."""
-    mul, act = np.asarray(mul), np.asarray(act)
-    for g in gens:
-        for y in range(len(mul)):
-            if (act[:, mul[g, y]] != act[act[:, g], y]).any():
-                return g, y
-    g_of, t_of = semigroup_core._left_tree(mul, gens)
-    for x in range(len(mul)):
-        if g_of[x] >= 0:
-            bad = mul[x] != mul[g_of[x]][mul[t_of[x]]]
-            if bad.any():
-                return x, int(np.argmax(bad))
-    return None
+def key_fill(p, rows):
+    """(mul, act, index) with every cell of mul looked up from its packed
+    key: the Cayley fill that SemigroupTable's build along the left tree
+    replaced, kept as its oracle.  rows[a, i] codes row i of member a,
+    act[v, b] codes v*b, and the key of a*b comes from _half_keys, two
+    gathers and one add per product, looked up in the dense key index."""
+    q = p ** rows.shape[1]
+    index = gf_linalg.key_index(q, rows)
+    act = gf_linalg.action_table(p, rows).astype(index.dtype)
+    head, head_keys, tail, tail_keys = gl_restriction._half_keys(q, act, rows)
+    head, tail = head // len(rows), tail // len(rows)  # each member's rows of the key tables
+    mul = np.empty((len(rows), len(rows)), dtype=semigroup_core.table_dtype(len(rows)))
+    for lo in range(0, len(rows), ROW_BLOCK):
+        found = index[head_keys[head[lo : lo + ROW_BLOCK]] + tail_keys[tail[lo : lo + ROW_BLOCK]]]
+        if (found < 0).any():
+            raise AssertionError("a product escaped the member list")
+        mul[lo : lo + ROW_BLOCK] = found
+    return mul, act, index
+
+
+def scan_generators(table):
+    """The greedy generating set as the table check picked it before the
+    table was built from its action: the units (the rows holding the
+    identity, found by reading every cell) by descending order, then
+    the non-units in index order, each taken when the right closure so
+    far misses it, then every generator the others still generate
+    dropped.  The oracle of the set A the build picks from a few rows."""
+    mul, e = table.mul, table.identity_idx
+    units = np.flatnonzero((mul == e).any(axis=1)) if e is not None else np.array([], dtype=np.intp)
+    order = np.zeros(len(units), dtype=np.intp)
+    power = units
+    for k in range(1, len(units) + 1):
+        order[(order == 0) & (power == e)] = k
+        if order.all():
+            break
+        power = mul[power, units]
+    gens, covered = [], np.zeros(len(mul), dtype=bool)
+    for i in np.concatenate([units[np.argsort(-order, kind="stable")], np.flatnonzero(~np.isin(np.arange(len(mul)), units))]).tolist():
+        if not covered[i]:
+            gens.append(i)
+            covered = semigroup_core._closure(mul, gens)
+    for g in list(gens):
+        fewer = [h for h in gens if h != g]
+        if fewer and semigroup_core._closure(mul, fewer).all():
+            gens = fewer
+    return gens
+
+
+def rows_of(mul):
+    """A product_row for SemigroupTable's action form that reads the rows
+    of a given table: product_row(x) is row x of mul."""
+    mul = np.asarray(mul)
+    return lambda x: mul[x]
 
 
 def naive_green_same(table, a, b, relation):

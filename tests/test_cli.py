@@ -126,6 +126,18 @@ def test_parse_config_rejects(text):
         parse_config(text)
 
 
+@pytest.mark.parametrize("text", ["p=2 \nn=3\nr=1\nu_basis =\n", "p = 3\nn = 3\nr = 2\nu_basis =   # none\n"])
+def test_parse_config_refuses_an_empty_u_basis(text):
+    # An empty u_basis with r >= 1 would otherwise run the default U.
+    with pytest.raises(ConfigurationError, match=r"u_basis is empty, but r = \d needs \d basis rows"):
+        parse_config(text)
+
+
+def test_parse_config_accepts_an_empty_u_basis_at_r_zero():
+    cfg = parse_config("p = 2\nn = 3\nr = 0\nu_basis =\n")
+    assert build_instance(cfg).u.dim == 0
+
+
 def test_build_instance_rejects_r_equal_n():
     with pytest.raises(ConfigurationError):
         build_instance(InstanceConfig(p=2, n=2, r=2))
@@ -623,12 +635,12 @@ def test_verify_enumerates_the_complements_once_per_structure(monkeypatch):
 
 
 def test_verify_certifies_the_instance_and_partner_tables_by_their_action(monkeypatch):
-    # enumerate_semigroup hands the table check the members' action, for
+    # enumerate_semigroup builds the table from the members' action, for
     # the instance and for the isomorphism partner alike, so Light's test
     # never runs; the partner's U differs, so its action does too.
     certified, light = [], []
-    real = semigroup_core._certify
-    monkeypatch.setattr(semigroup_core, "_certify", lambda mul, act, gens: certified.append(act) or real(mul, act, gens))
+    real = semigroup_core._build
+    monkeypatch.setattr(semigroup_core, "_build", lambda act, e, row: certified.append(act) or real(act, e, row))
     monkeypatch.setattr(semigroup_core, "_light", lambda mul, gens: light.append(gens))
     assert not cmd_verify(InstanceConfig(p=2, n=3, r=1), *CAPS).failed
     assert light == []

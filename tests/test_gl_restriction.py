@@ -55,7 +55,7 @@ from glsemi.gl_restriction import (
     subgroup_iso_check,
     unit_group_subtable,
 )
-from glsemi.semigroup_core import closure_indices, rank_search
+from glsemi.semigroup_core import SemigroupTable, closure_indices, rank_search
 
 from helpers import (
     BATCHES,
@@ -66,6 +66,7 @@ from helpers import (
     is_idempotent_by_image,
     is_member,
     kernel,
+    key_fill,
     matrices,
     members_by_solve,
     mats,
@@ -75,6 +76,7 @@ from helpers import (
     nonnormality_by_tuples,
     one,
     rref_canonical,
+    scan_generators,
     split_cell,
     with_column,
     with_product,
@@ -343,10 +345,49 @@ def test_members_match_one_elimination_per_member_on_drawn_subspaces(pn, data):
 
 
 def test_a_product_outside_the_member_list_is_refused():
-    # Without the identity, A3 * A3 = identity has no row in the table.
+    # Without the identity, A3 * A3 = identity has no row in the table:
+    # the key kernel names it -1, and the build refuses A3's row.
     rows = np.delete(gl_restriction._members(INST221), S221.table.identity_idx, axis=0)
-    with pytest.raises(InternalInconsistencyError, match="a product escaped the member list"):
-        gl_restriction._cayley(2, rows)
+    act, _, product_row = gl_restriction._cayley(2, rows)
+    with pytest.raises(PreconditionError, match="a product escaped the member list"):
+        SemigroupTable(action=act, product_row=product_row)
+
+
+def _same_as_the_key_fill(inst):
+    # The Structure's mul, act and index are the key fill's, byte for byte,
+    # and its A is the one the table-scan greedy picks from the filled table.
+    s = enumerate_semigroup(inst, 4096)
+    mul, act, index = key_fill(inst.p, gl_restriction._members(inst))
+    for got, want in ((s.table.mul, mul), (s.act, act), (s.index, index)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert s.table._checked_generators() == scan_generators(SemigroupTable(mul, check=False))
+
+
+@pytest.mark.parametrize("spec", SHIPPED + [pytest.param(pnr, id="p{}n{}r{}".format(*pnr)) for pnr in EXTRA[:5]])
+def test_the_table_built_along_the_left_tree_is_the_key_fill(spec):
+    _same_as_the_key_fill(_instance(spec))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 2), (5, 2)]), st.data())
+def test_the_table_built_along_the_left_tree_is_the_key_fill_on_drawn_subspaces(pn, data):
+    p, n = pn
+    rows = data.draw(st.lists(st.tuples(*[st.integers(0, p - 1)] * n), max_size=n))
+    r = rref_canonical(p, n, rows).dim
+    if r == n:
+        rows, r = rows[1:], rref_canonical(p, n, rows[1:]).dim
+    _same_as_the_key_fill(make_instance(p, n, r, rows))
+
+
+def test_the_key_kernel_is_asked_for_a_few_candidate_rows(monkeypatch):
+    # The build reads the key kernel only for the greedy's candidates,
+    # never for the N rows of the table, and every row of A is one of them.
+    asked = []
+    real = gl_restriction._half_keys
+    monkeypatch.setattr(gl_restriction, "_half_keys", lambda q, table, rows: asked.append(len(rows)) or real(q, table, rows))
+    s = enumerate_semigroup(make_instance(2, 4, 1), 4096)
+    assert len(s.table) == 4096 and set(asked) == {1}
+    assert len(s.table._checked_generators()) <= len(asked) <= 8
 
 
 def test_enumeration_solves_one_batch_of_one(monkeypatch):

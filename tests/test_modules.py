@@ -188,8 +188,9 @@ THREADING = {"row_threads", "run_blocks"}
 
 
 def test_only_the_table_check_threads():
-    # Light's test in SemigroupTable._check_table is the one loop a second
-    # core pays for; every other table loop runs on the calling thread.
+    # Light's test, the check of a table given by mul, is the one threaded
+    # loop; every other table loop, the fill and proof of a table built
+    # from its action included, runs on the calling thread.
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
     assert _readers(trees, THREADING) == {"semigroup_core"}
 

@@ -17,7 +17,6 @@ from glsemi.semigroup_core import (
     ROW_BLOCK,
     GreenPartitions,
     SemigroupTable,
-    _generators,
     check_refinement_lattice,
     closure_indices,
     green_oracle,
@@ -42,7 +41,9 @@ from helpers import (
     mats,
     naive_green_same,
     natural_leq,
+    rows_of,
     same_class,
+    scan_generators,
     with_product,
 )
 
@@ -135,7 +136,8 @@ def test_identity_free_table_passes_the_table_check():
     below_units = subtable(s.table, s.below[2])  # an ideal without the identity
     table = SemigroupTable(below_units.mul, check=True)
     assert table.identity_idx is None and len(table) == 960
-    assert len(closure_indices(table, _generators(table))) == len(table)
+    assert table._checked_generators() == scan_generators(table)
+    assert len(closure_indices(table, table._checked_generators())) == len(table)
 
 
 def test_table_check_rejects_a_false_identity():
@@ -255,10 +257,10 @@ def test_generators_at_the_largest_shipped_order():
     # rank(S) = rank(G) + 1 = 3 on each, the least any generating set can have.
     for pnr in ((2, 4, 2), (2, 4, 3), (2, 4, 1)):
         table = enumerate_semigroup(make_instance(*pnr), 4096).table
-        gens = _generators(table)
+        gens = table._checked_generators()
         assert len(gens) == 3, pnr
         assert len(closure_indices(table, gens)) == len(table)
-        assert table._checked_generators() == gens
+        assert gens == scan_generators(table)
 
 
 def test_generators_stop_on_unit_powers_that_never_return():
@@ -267,7 +269,9 @@ def test_generators_stop_on_unit_powers_that_never_return():
     mul = [[0, 1, 2], [1, 2, 0], [2, 2, 2]]
     table = SemigroupTable(mul, check=False)
     assert table.identity_idx == 0
-    assert len(closure_indices(table, _generators(table))) == 3
+    assert len(closure_indices(table, scan_generators(table))) == 3
+    with pytest.raises(PreconditionError, match="not associative"):
+        table._checked_generators()
     with pytest.raises(PreconditionError, match="not associative"):
         SemigroupTable(mul)
 
@@ -365,73 +369,128 @@ def test_green_oracle_matches_a_dense_reference_on_transformation_semigroups(map
         assert label_sets(getattr(green, relation.lower())) == reference[relation]
 
 
-# The action certificate: SemigroupTable(mul, action=act) proves mul the
-# product table of act in place of Light's test.
+# The action form: SemigroupTable(action=act, product_row=...) builds mul
+# along a left tree from the rows of a few generator candidates, and
+# proves it the product table of act as it goes.
 
 
 def _cell(err):
-    return tuple(map(int, re.search(r"action at \((\d+), (\d+)\)", str(err.value)).groups()))
+    return tuple(map(int, re.search(r"at \((\d+), (\d+)\)", str(err.value)).groups()))
 
 
-def _certified(s, mul=None, act=None):
-    t = s.table
-    return SemigroupTable(t.mul if mul is None else mul, identity_idx=t.identity_idx, action=s.act if act is None else act)
+def _built(s, act=None, product_row=None, identity_idx=None):
+    """s's table built from its action: s.act and the rows of s.table
+    unless given otherwise, with s's identity claimed."""
+    return SemigroupTable(
+        identity_idx=s.table.identity_idx if identity_idx is None else identity_idx,
+        action=s.act if act is None else act,
+        product_row=rows_of(s.table.mul) if product_row is None else product_row,
+    )
+
+
+def _changed_rows(mul, cells):
+    """A product_row reading mul, but with each (x, y) of cells set to its value."""
+    bad = np.array(mul, dtype=np.int64)
+    for (x, y), k in cells.items():
+        bad[x, y] = k
+    return rows_of(bad)
 
 
 @pytest.mark.parametrize("pnr", [(2, 1, 0), (2, 2, 1), (2, 3, 1), (3, 2, 1), (2, 3, 2)])
 def test_member_tables_are_certified_with_the_generators_light_keeps(pnr):
     s = enumerate_semigroup(make_instance(*pnr))
     light = SemigroupTable(s.table.mul, identity_idx=s.table.identity_idx)
-    assert _certified(s)._checked_generators() == light._checked_generators() == s.table._checked_generators()
+    built = _built(s)
+    assert built._checked_generators() == light._checked_generators() == s.table._checked_generators() == scan_generators(light)
+    assert np.array_equal(built.mul, light.mul) and built.mul.dtype == light.mul.dtype
 
 
 @pytest.mark.parametrize(("copies", "named"), [({9: 5}, (5, 9)), ({9: 5, 3: 5}, (3, 5))])
 def test_certificate_refuses_equal_action_columns(copies, named):
-    # Step 1: under an action that is not faithful, two elements act
-    # alike, and no table is fixed by it.  The least such pair is named.
+    # Two members that act alike: under an action that is not faithful no
+    # table is fixed by it.  The least such pair is named.
     act = S231.act.copy()
     for to, source in copies.items():
         act[:, to] = act[:, source]
     with pytest.raises(PreconditionError, match=re.escape("action is not faithful: elements %d and %d act alike" % named)):
-        _certified(S231, act=act)
+        _built(S231, act=act)
 
 
 def test_columns_that_differ_only_in_their_last_point_act_apart():
-    # Twenty points take two int64 keys a column, twelve points a key:
-    # the identity and the map moving point 19 alone differ in the second.
+    # Each column is compared as one byte string: the identity and the map
+    # moving point 19 alone differ in its last bytes only.
     identity = tuple(range(20))
     mul, act = transformation_semigroup((identity, identity[:19] + (0,)))
-    assert SemigroupTable(mul, action=act)._checked_generators() == [0, 1]
+    assert SemigroupTable(action=act, product_row=rows_of(mul))._checked_generators() == [0, 1]
     with pytest.raises(PreconditionError, match="elements 0 and 1 act alike"):
-        SemigroupTable(mul, action=act[:, [0, 0]])
+        SemigroupTable(action=act[:, [0, 0]], product_row=rows_of(mul))
 
 
 def test_certificate_refuses_a_wrong_product_in_a_generator_row():
-    # Step 2 compares each generator's row, as maps, with the action.
+    # A wrong cell in one generator row from the key kernel: each row the
+    # build reads is compared, as maps, with the action.
     s, t = S231, TABLE_231
-    gens = t._checked_generators()
-    g = gens[-1]
-    y = next(y for y in range(len(t)) if y not in gens and t.mul[g, y] != t.identity_idx)
-    bad = t.mul.copy()
-    bad[g, y] = (int(t.mul[g, y]) + 1) % len(t)
-    assert _generators(SemigroupTable(bad, identity_idx=t.identity_idx, check=False)) == gens
+    g = t._checked_generators()[-1]
+    y = next(y for y in range(len(t)) if t.mul[g, y] != t.identity_idx)
     with pytest.raises(PreconditionError, match="not the product table of its action") as err:
-        _certified(s, mul=bad)
+        _built(s, product_row=_changed_rows(t.mul, {(g, y): (int(t.mul[g, y]) + 1) % len(t)}))
     assert _cell(err) == (g, y)
 
 
+@pytest.mark.parametrize("outside", [-1, 64, 2**40])
+def test_a_generator_row_product_outside_the_member_list_is_refused(outside):
+    # The key kernel names a non-member -1; any product that names no
+    # element of the table is refused before it is read as one.
+    t = TABLE_231
+    g = t._checked_generators()[0]
+    with pytest.raises(PreconditionError, match=re.escape(f"a product escaped the member list at ({g}, 5)")):
+        _built(S231, product_row=_changed_rows(t.mul, {(g, 5): outside}))
+
+
+def test_an_identity_that_is_not_the_identity_map_is_refused():
+    # The identity is claimed by its key; its column must be the identity
+    # map.  Unclaimed, it is the element that acts as the identity map.
+    t = TABLE_231
+    assert SemigroupTable(action=S231.act, product_row=rows_of(t.mul)).identity_idx == t.identity_idx
+    other = (t.identity_idx + 1) % len(t)
+    for claimed in (other, -1, len(t)):
+        with pytest.raises(PreconditionError, match="claimed identity is not the identity map"):
+            _built(S231, identity_idx=claimed)
+
+
+def test_a_tree_edge_that_is_not_a_product_of_maps_is_refused(monkeypatch):
+    # Each left-tree edge x = g_x * t_x is checked as maps: a tree that
+    # gives x the parent of another element of the same generator is refused.
+    real = semigroup_core._left_tree
+    hit = []
+
+    def broken(rows, gens):
+        g_of, t_of, rounds = real(rows, gens)
+        x1, x2 = (int(x) for x in np.flatnonzero(g_of == g_of[np.flatnonzero(g_of >= 0)[0]])[:2])
+        t_of = t_of.copy()
+        t_of[x1] = t_of[x2]
+        hit.append((x1, int(g_of[x1]), int(t_of[x1])))
+        return g_of, t_of, rounds
+
+    monkeypatch.setattr(semigroup_core, "_left_tree", broken)
+    with pytest.raises(PreconditionError, match="is not a product of maps") as err:
+        _built(S231)
+    (x, g, t), = hit
+    assert str(err.value) == f"left tree edge {x} = {g}*{t} is not a product of maps"
+
+
 def test_certificate_refuses_generators_that_miss_an_element_from_the_left(monkeypatch):
-    # Step 3: the units alone generate only the group of units.  Light's
-    # test passes them on this correct table, since it proves only that
-    # the table is associative; the left tree finds the least non-unit
-    # they miss.
+    # The units alone generate only the group of units.  Light's test
+    # passes them on this correct table, since it proves only that the
+    # table is associative; the left tree finds the least non-unit they
+    # miss.
     t = TABLE_231
     units = np.flatnonzero((t.mul == t.identity_idx).any(axis=1)).tolist()
-    monkeypatch.setattr(semigroup_core, "_generators", lambda table: units)
+    monkeypatch.setattr(semigroup_core, "_generators", lambda n, order, row: (units, np.array([row(u) for u in units])))
     assert SemigroupTable(t.mul, identity_idx=t.identity_idx)._checked_generators() == units
     missed = min(set(range(len(t))) - set(units))
     with pytest.raises(PreconditionError, match=re.escape(f"generators {units} do not reach element {missed} from the left")):
-        _certified(S231)
+        _built(S231)
 
 
 def test_certificate_refuses_an_associative_relabelling_that_light_passes():
@@ -448,7 +507,7 @@ def test_certificate_refuses_an_associative_relabelling_that_light_passes():
             break
     SemigroupTable(swapped, identity_idx=e)
     with pytest.raises(PreconditionError, match="not the product table of its action"):
-        _certified(S231, mul=swapped)
+        _built(S231, product_row=rows_of(swapped))
 
 
 @pytest.mark.parametrize(
@@ -458,8 +517,10 @@ def test_certificate_refuses_an_associative_relabelling_that_light_passes():
         (lambda act: act[None], "action is not a 2-D array: it has 3 dimensions"),
         (lambda act: [list(range(64)), [0]], "action is not a 2-D array"),
         (lambda act: act[:0], "action has no points"),
+        (lambda act: act[:, :0], "action has no points or no elements"),
         (lambda act: act[:, :-1], "action has 63 columns, the table 64 elements"),
-        (lambda act: np.hstack([act, act[:, :1]]), "action has 65 columns, the table 64 elements"),
+        # The zero map is no member, so its column keeps the action faithful.
+        (lambda act: np.hstack([act, act[:, :1] * 0]), "action has 65 columns, the table 64 elements"),
         (lambda act: act.astype(float), "action entries are not integers, got float64"),
         (lambda act: act > 0, "action entries are not integers, got bool"),
         (lambda act: act - 1, "action sends a point outside [0, 8)"),
@@ -467,38 +528,63 @@ def test_certificate_refuses_an_associative_relabelling_that_light_passes():
     ],
 )
 def test_a_malformed_action_is_refused(change, message):
+    # The table has as many elements as a product row has entries.
     act = S231.act.astype(np.int64)
     with pytest.raises(PreconditionError, match=re.escape(message)):
-        _certified(S231, act=change(act))
+        _built(S231, act=change(act))
+
+
+@pytest.mark.parametrize(
+    ("kwargs", "message"),
+    [
+        ({"mul": TABLE_231.mul, "action": S231.act, "product_row": rows_of(TABLE_231.mul)}, "built and proved from an action"),
+        ({"action": S231.act}, "built and proved from an action"),
+        ({"action": S231.act, "product_row": rows_of(TABLE_231.mul), "check": False}, "built and proved from an action"),
+        ({"mul": TABLE_231.mul, "product_row": rows_of(TABLE_231.mul)}, "built and proved from an action"),
+        ({"action": S231.act, "product_row": lambda x: TABLE_231.mul[x] * 1.0}, "is not a row of integers"),
+        ({"action": S231.act, "product_row": lambda x: TABLE_231.mul[[x]]}, "is not a row of integers"),
+    ],
+)
+def test_a_table_is_given_by_its_rows_or_built_from_its_action(kwargs, message):
+    # Nothing reaches a table built from an action but unproved.
     with pytest.raises(PreconditionError, match=re.escape(message)):
-        SemigroupTable(TABLE_231.mul, action=change(act), check=False)
+        SemigroupTable(**kwargs)
 
 
 def test_the_action_is_kept_read_only_and_the_callers_array_writable():
     act = S231.act.copy()
-    table = _certified(S231, act=act)
+    table = _built(S231, act=act)
     assert act.flags.writeable
-    assert not table._action.flags.writeable
+    assert not table._action.flags.writeable and not table.mul.flags.writeable
 
 
 @given(transformations(), st.integers(0, 2**32 - 1))
 @example(NILPOTENT, 0)
 @example(((1, 0, 2), (1, 2, 0)), 1)  # the symmetric group on three points
 @example(((0, 0), (1, 1)), 2)  # constant maps: a right zero semigroup, a*b = b
+@example(((0, 0, 0), (0, 0, 2)), 0)  # the identity (0, 0, 2) is no identity map
 @settings(max_examples=60, deadline=None)
 def test_transformation_tables_pass_the_certificate_and_refuse_every_changed_cell(maps, seed):
+    # The build reads the rows of A's candidates only.  It builds exactly
+    # the table, with Light's generators, and a changed cell in any row it
+    # reads is refused.
     mul, act = transformation_semigroup(maps)
     assume(len(mul) <= 256)
-    table = SemigroupTable(mul, action=act)
-    assert table._checked_generators() == SemigroupTable(mul)._checked_generators()
     mul, n = np.array(mul), len(mul)
+    asked = []
+    table = SemigroupTable(action=act, product_row=lambda x: asked.append(x) or mul[x])
+    assert np.array_equal(table.mul, mul)
+    light = SemigroupTable(mul)
+    # Units are found as the columns that permute the points, so the two
+    # forms pick one A when the identity, if any, is the identity map.
+    if table.identity_idx == light.identity_idx:
+        assert table._checked_generators() == light._checked_generators()
+    assert set(table._checked_generators()) <= set(asked)
     rng = np.random.default_rng(seed)
     for _ in range(5 if n > 1 else 0):
-        i, j = rng.integers(n, size=2)
-        bad = mul.copy()
-        bad[i, j] = (mul[i, j] + rng.integers(1, n)) % n
-        with pytest.raises(PreconditionError):
-            SemigroupTable(bad, action=act)
+        i, j = int(rng.choice(asked)), int(rng.integers(n))
+        with pytest.raises(PreconditionError, match="not the product table of its action"):
+            SemigroupTable(action=act, product_row=_changed_rows(mul, {(i, j): (mul[i, j] + rng.integers(1, n)) % n}))
 
 
 def test_green_refinement_lattice():

@@ -1,7 +1,7 @@
-"""The threaded table loop: the table check (the action certificate's row
-checks, or Light's test on a table without an action) cuts its row
-blocks into one run per usable CPU (run_blocks).  The Cayley fill runs
-one pass on the calling thread.
+"""The threaded table loop: Light's test, the check of a table given by
+its rows, cuts its row blocks into one run per usable CPU (run_blocks).
+A table built from its action (the member tables) is filled and proved
+in one pass on the calling thread.
 
 Tables up to order 2047 are checked on one thread, so these tests lower
 THREAD_ROWS to put orders 1536 and 2688 on threads, and fix the usable
@@ -21,11 +21,11 @@ import pytest
 
 from glsemi import cli, errors, gf_linalg, gl_restriction, isomorphism, semigroup_core
 from glsemi.cli import DEFAULT_RANK_CAP, InstanceConfig, cmd_eggbox, cmd_verify
-from glsemi.errors import InternalInconsistencyError, PreconditionError
+from glsemi.errors import PreconditionError
 from glsemi.gl_restriction import DEFAULT_ENUM_CAP, enumerate_semigroup, make_instance
-from glsemi.semigroup_core import ROW_BLOCK, SemigroupTable, _generators, _left_tree, row_threads, run_blocks
+from glsemi.semigroup_core import ROW_BLOCK, SemigroupTable, row_threads, run_blocks
 
-from helpers import one_pass_certificate, one_thread_light, with_product
+from helpers import one_thread_light, rows_of, with_product
 
 
 def _cpus(monkeypatch, count):
@@ -101,18 +101,19 @@ def test_an_exception_in_a_later_run_reaches_the_caller():
 
 
 def test_the_cayley_fill_starts_no_thread(threaded, monkeypatch):
-    # Light's test is the one loop that threads; the fill runs one pass on
-    # the calling thread even where the table check would go to threads.
+    # Light's test is the one loop that threads; the build of a member
+    # table, fill and proof, runs one pass on the calling thread even
+    # where Light's test would go to threads.
     assert row_threads(1536) == 3
     monkeypatch.setattr(threading, "Thread", None)  # starting a thread would fail
-    gl_restriction._cayley(2, gl_restriction._members(make_instance(2, 4, 2)))
+    assert len(enumerate_semigroup(make_instance(2, 4, 2)).table) == 1536
 
 
 def test_more_threads_than_cores_pass_a_correct_table(monkeypatch):
     # Eight threads on blocks of a few rows, switching as often as the
-    # interpreter allows: a correct table must still pass both checks,
-    # Light's test and the action certificate, with no failure made up by
-    # runs that interleave.
+    # interpreter allows: a correct table must still pass Light's test,
+    # with no failure made up by runs that interleave, and build from its
+    # action alike.
     s = enumerate_semigroup(make_instance(2, 4, 2))
     _cpus(monkeypatch, 8)
     monkeypatch.setattr(semigroup_core, "THREAD_ROWS", 64)
@@ -120,16 +121,20 @@ def test_more_threads_than_cores_pass_a_correct_table(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         SemigroupTable(s.table.mul)
-        SemigroupTable(s.table.mul, action=s.act)
+        built = SemigroupTable(action=s.act, product_row=rows_of(s.table.mul))
     finally:
         sys.setswitchinterval(interval)
+    assert np.array_equal(built.mul, s.table.mul)
 
 
-def test_threaded_table_check_names_the_one_thread_triple(threaded):
+def test_threaded_table_check_names_the_one_thread_triple(threaded, monkeypatch):
     # Each run reports its own first failure; the one raised must be the
     # failure a single pass over the generators and blocks meets first.
     s = enumerate_semigroup(make_instance(2, 4, 2))
     t = s.table
+    used = []
+    real = semigroup_core._light
+    monkeypatch.setattr(semigroup_core, "_light", lambda mul, gens: used.append(gens) or real(mul, gens))
     rng = np.random.default_rng(20)
     changes = 0
     while changes < 40:
@@ -137,100 +142,10 @@ def test_threaded_table_check_names_the_one_thread_triple(threaded):
         if t.identity_idx in (i, j) or k == t.mul[i, j]:
             continue  # a changed identity row or column fails another check
         bad = with_product(s, i, j, k).table.mul
-        gens = _generators(SemigroupTable(bad, identity_idx=t.identity_idx, check=False))
         with pytest.raises(PreconditionError, match="not associative") as err:
             SemigroupTable(bad, identity_idx=t.identity_idx, check=True)
-        assert _triple(err) == one_thread_light(bad, gens)
+        assert _triple(err) == one_thread_light(bad, used.pop())
         changes += 1
-
-
-def _cell(err):
-    return tuple(map(int, re.search(r"action at \((\d+), (\d+)\)", str(err.value)).groups()))
-
-
-def _with_cell(t, x, y, k):
-    """t's table with x*y = k, built unchecked; its generators must be t's,
-    so the certificate's left tree and row order stay those of t."""
-    bad = t.mul.copy()
-    bad[x, y] = k
-    assert _generators(SemigroupTable(bad, identity_idx=t.identity_idx, check=False)) == t._checked_generators()
-    return bad
-
-
-def _free_cell(t, x, rng=None):
-    """A column y of row x and a new value k for x*y that leave the units
-    and the generators' columns as they are: neither the old nor the new
-    product is the identity, and y is no generator."""
-    gens, e, n = t._checked_generators(), t.identity_idx, len(t)
-    ys = [y for y in range(n) if y not in gens and t.mul[x, y] != e]
-    y = ys[0] if rng is None else int(rng.choice(ys))
-    k = next(k for k in (int(t.mul[x, y]) + np.arange(1, n)) % n if k != e)
-    return y, k
-
-
-@pytest.mark.parametrize("where", ["first block", "last block", "second run"])
-def test_a_wrong_cell_outside_the_generators_is_named_where_one_pass_meets_it(threaded, monkeypatch, where):
-    # The certificate checks the rows outside the generators grouped by
-    # the generator of their left-tree parent.  A wrong cell in row x is
-    # seen by the check of row x and by those read through row x (x's
-    # children in the tree), whichever block and run they lie in.
-    s = enumerate_semigroup(make_instance(2, 4, 2))
-    t = s.table
-    g_of, t_of = _left_tree(t.mul, t._checked_generators())
-    xs = np.flatnonzero(g_of >= 0)
-    xs = xs[np.argsort(g_of[xs], kind="stable")]
-    cut = []
-
-    def spy(n, block, threads, work):
-        cut.append((n, block, threads))
-        return run_blocks(n, block, threads, work)
-
-    monkeypatch.setattr(semigroup_core, "run_blocks", spy)
-    SemigroupTable(t.mul, identity_idx=t.identity_idx, action=s.act)
-    (n, block, threads), = cut
-    assert (n, threads) == (len(xs), 3)
-    runs, _ = _runs(n, block, threads)
-    span = {
-        "first block": range(0, block),
-        "last block": range(runs[-1][-1], n),
-        "second run": range(runs[1][0], runs[1][-1] + block),
-    }[where]
-    x = int(xs[span[-1] if where == "last block" else span[0]])
-    y, k = _free_cell(t, x)
-    bad = _with_cell(t, x, y, k)
-    with pytest.raises(PreconditionError, match="not the product table of its action") as err:
-        SemigroupTable(bad, identity_idx=t.identity_idx, action=s.act)
-    named = _cell(err)
-    assert named == one_pass_certificate(bad, s.act, t._checked_generators())
-    assert named == (x, y) or t_of[named[0]] == x
-
-
-def test_threaded_certificate_names_the_one_pass_cell(threaded):
-    # Each run reports the least failing cell of each piece of its blocks;
-    # the one raised must be the cell a single pass in index order meets
-    # first, wherever the rows checked through a changed row lie.
-    s = enumerate_semigroup(make_instance(2, 4, 2))
-    t = s.table
-    gens = t._checked_generators()
-    rng = np.random.default_rng(23)
-    for x in rng.choice(np.setdiff1d(np.arange(len(t)), [*gens, t.identity_idx]), size=30, replace=False).tolist():
-        y, k = _free_cell(t, x, rng)
-        bad = _with_cell(t, x, y, k)
-        with pytest.raises(PreconditionError, match="not the product table of its action") as err:
-            SemigroupTable(bad, identity_idx=t.identity_idx, action=s.act)
-        assert _cell(err) == one_pass_certificate(bad, s.act, gens)
-
-
-def test_a_product_escaping_in_a_later_block_reaches_the_caller():
-    # Without the identity, only a unit times its inverse escapes the
-    # member list.  With the units put last, every escaping product lies
-    # in a block after the first.
-    inst = make_instance(2, 4, 2)
-    s = enumerate_semigroup(inst)
-    units = np.setdiff1d(s.grades[-1], [s.table.identity_idx])  # the top grade is the unit group
-    rows = gl_restriction._members(inst)[np.concatenate([s.below[-2], units])]
-    with pytest.raises(InternalInconsistencyError, match="a product escaped the member list"):
-        gl_restriction._cayley(2, rows)
 
 
 def _wrap_package(monkeypatch, entered):
@@ -282,5 +197,6 @@ def test_only_the_calling_thread_enters_package_code(threaded, monkeypatch):
     cfg = InstanceConfig(p=2, n=4, r=2)
     assert not cmd_verify(cfg, DEFAULT_ENUM_CAP, DEFAULT_RANK_CAP).failed
     assert cmd_eggbox(cfg, DEFAULT_ENUM_CAP).startswith("digraph")
-    assert started  # the table check did go to threads
+    SemigroupTable(enumerate_semigroup(make_instance(2, 4, 2)).table.mul)
+    assert started  # Light's test did go to threads
     assert entered == {threading.get_ident()}
