@@ -63,7 +63,6 @@ from .gl_restriction import (
     special_subgroup,
     split_grid,
     subgroup_iso_check,
-    unit_group_subtable,
 )
 from .isomorphism import decide_isomorphic, element_bijection
 from .semigroup_core import (
@@ -655,7 +654,7 @@ def cmd_report(cfg: InstanceConfig, enum_cap: int, rank_cap: int) -> dict:
     if inst.r >= 1:
         w = s.complements[0]
         payload["unit_group"] = {
-            "order": len(unit_group_subtable(s)),
+            "order": len(j_class(s, top)),
             "complement": [list(row) for row in w.basis],
             "fix_w": len(special_subgroup(s, FIX_W, w)),
             "fix_u": len(special_subgroup(s, FIX_U)),
@@ -663,7 +662,7 @@ def cmd_report(cfg: InstanceConfig, enum_cap: int, rank_cap: int) -> dict:
             "n_w": len(special_subgroup(s, N_W, w)),
         }
     else:
-        payload["unit_group"] = {"order": len(unit_group_subtable(s))}
+        payload["unit_group"] = {"order": len(j_class(s, top))}
         payload["skipped"].append("subgroup structure (r = 0)")
     value = rank_value(s, rank_cap=rank_cap, budget=RANK_BUDGET)
     if value is None:

@@ -11,8 +11,6 @@ characterized relations of the main layer are checked.
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -24,70 +22,13 @@ from .errors import CapacityError, InternalInconsistencyError, PreconditionError
 # temporary as large as the table itself.  Blocks of 128 rows keep a
 # block's temporaries near cache size: at order 4096 they beat 256 rows
 # by a quarter to a third in Light's test and the Green oracle (2-vCPU
-# x86 machine).  When Light's test runs on threads (see row_threads),
-# each thread's blocks are ROW_BLOCK // threads rows, so the temporaries
-# in flight still add up to one block.
+# x86 machine).
 ROW_BLOCK = 128
 
 # Rows a block of _build's fill writes: about 12 bytes of temporaries a
 # cell (rows t_x, take's intp copy of them, its output), under the 15 of
 # the 16-row blocks of the row compare it replaced.
 FILL_ROWS = ROW_BLOCK // 8
-
-# Rows each thread of Light's test, the one loop that threads, gets at
-# least: below that a thread costs about what a second core saves.  At
-# order 4096 on a 2-vCPU x86 machine a second core cut Light's test from
-# 0.12 to 0.07 s but left the Cayley fill at 0.048 s, so fills run one
-# pass on the calling thread.
-THREAD_ROWS = 1024
-
-
-def row_threads(n: int) -> int:
-    """Threads for a whole-table loop over n rows: one per usable CPU,
-    but only as many as give each at least THREAD_ROWS rows."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    return max(1, min(cpus, n // THREAD_ROWS))
-
-
-def run_blocks(n: int, block: int, threads: int, work) -> list:
-    """[work(starts) for each run]: the blocks of `block` rows over the
-    rows 0..n-1, cut into `threads` contiguous runs of whole blocks; the
-    runner of Light's test.
-
-    A run is a range of block starts, its step the block size, so work
-    reads its block at lo as rows lo : lo + starts.step.  With one thread
-    this is work(range(0, n, block)) in the caller.  Runs past the first
-    go to threads the caller joins (numpy's gathers and compares release
-    the interpreter lock).  Work runs numpy alone: a layer tracer that
-    wraps the package's functions keeps one span stack per process, so
-    no package function may be entered off the caller's thread.  An
-    exception in any run is raised here, the earliest run's first.  The
-    results come back in run order, so a caller can pick the first
-    failure in row order.
-    """
-    blocks = -(-n // block)
-    runs = [range(i * blocks // threads * block, min(n, (i + 1) * blocks // threads * block), block) for i in range(threads)]
-    out: list = [None] * threads
-    errors: list = [None] * threads
-
-    def run(i):
-        try:
-            out[i] = work(runs[i])
-        except Exception as exc:  # raised in the caller, below
-            errors[i] = exc
-
-    workers = [threading.Thread(target=run, args=(i,)) for i in range(1, threads)]
-    for worker in workers:
-        worker.start()
-    try:
-        out[0] = work(runs[0])
-    finally:
-        for worker in workers:
-            worker.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return out
 
 
 def table_dtype(n: int):
@@ -129,7 +70,8 @@ class SemigroupTable:
     v -> v.x of the points 0..P-1 under x, and `product_row`, claiming
     product_row(x)[y] the index of x*y, the table is built and proved
     the action's product table (see _build), reading product_row only
-    for the generating set's candidates.
+    for the generating set's candidates.  Either check is one pass on the
+    calling thread.
     """
 
     __slots__ = ("mul", "identity_idx", "_action", "_gens", "_green")
@@ -220,29 +162,17 @@ def _light(mul: np.ndarray, gens: list[int]) -> None:
     element is a product of generators on this same table (that is what
     _generators' closures reach), and a product of two elements that
     pass in the middle passes too, so the law then holds with any
-    element in the middle."""
-    n = len(mul)
-
-    def light(starts):
-        # The run's first failure as (generator position, x, y), or None.
-        for pos, g in enumerate(gens):
-            for lo in starts:
-                rows = mul[lo : lo + starts.step]
-                # mode="clip" skips take's bounds test: _table_array
-                # refused every entry outside [0, n), and mul is read-only.
-                bad = mul[rows[:, g]] != rows.take(mul[g], axis=1, mode="clip")
-                if bad.any():
-                    x, y = np.argwhere(bad)[0].tolist()
-                    return pos, lo + x, y
-        return None
-
-    # Runs hold disjoint rows in order, so the least (position, x, y)
-    # over the runs is the failure a single pass would meet first.
-    threads = row_threads(n)
-    failed = [found for found in run_blocks(n, max(1, ROW_BLOCK // threads), threads, light) if found]
-    if failed:
-        pos, x, y = min(failed)
-        raise PreconditionError(f"table is not associative at ({x}, {gens[pos]}, {y})")
+    element in the middle.  One pass, generator by generator and each
+    over the row blocks in order, raises at the first failure it meets."""
+    for g in gens:
+        for lo in range(0, len(mul), ROW_BLOCK):
+            rows = mul[lo : lo + ROW_BLOCK]
+            # mode="clip" skips take's bounds test: _table_array refused
+            # every entry outside [0, n), and mul is read-only.
+            bad = mul[rows[:, g]] != rows.take(mul[g], axis=1, mode="clip")
+            if bad.any():
+                x, y = np.argwhere(bad)[0].tolist()
+                raise PreconditionError(f"table is not associative at ({lo + x}, {g}, {y})")
 
 
 def _build(act: np.ndarray, e, product_row) -> tuple[int | None, np.ndarray, list[int]]:

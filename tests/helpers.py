@@ -539,22 +539,6 @@ def dense_homomorphism(psi, t1, t2):
     return bool(np.array_equal(psi[t1.mul], t2.mul[np.ix_(psi, psi)]))
 
 
-def one_thread_light(mul, gens):
-    """The first (x, g, y) with (x*g)*y != x*(g*y), g in gens, met by one
-    pass over the generators and, for each, the table's row blocks in
-    order on the calling thread; None when there is none.  The loop the
-    threaded table check is compared with."""
-    mul = np.asarray(mul)
-    for g in gens:
-        for lo in range(0, len(mul), ROW_BLOCK):
-            rows = mul[lo : lo + ROW_BLOCK]
-            bad = mul[rows[:, g]] != rows.take(mul[g], axis=1)
-            if bad.any():
-                x, y = np.argwhere(bad)[0].tolist()
-                return lo + x, g, y
-    return None
-
-
 def key_fill(p, rows):
     """(mul, act, index) with every cell of mul looked up from its packed
     key: the Cayley fill that SemigroupTable's build along the left tree

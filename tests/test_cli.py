@@ -520,7 +520,7 @@ def test_verify_eggbox_and_report_never_import_numpy_ma(tmp_path):
     # numpy.ma costs 13-16 ms to import in a cold process, and a plain
     # np.unique imports it; one fresh interpreter runs all three commands.
     # concurrent.futures pulls in logging (0.3 MB more max RSS after
-    # importing glsemi.cli), so the table check starts plain threads.
+    # importing glsemi.cli), so no module may import it.
     root = pathlib.Path(__file__).resolve().parents[1]
     cfg = str(root / "configs" / "p2n2r1.cfg")
     script = (
@@ -725,6 +725,17 @@ def test_report_payload(tmp_path):
     assert payload["unit_group"]["n_w"] == 3
     assert payload["rank"] == 3
     assert payload["skipped"] == []
+
+
+@pytest.mark.parametrize("pnr", [(2, 3, 1), (2, 2, 0)])
+def test_report_builds_the_unit_group_table_once(monkeypatch, pnr):
+    # The unit group's order is the size of J(n-r), read off the grades;
+    # only the rank search needs the group as a table of its own.
+    built = []
+    real = gl_restriction.subtable
+    monkeypatch.setattr(gl_restriction, "subtable", lambda table, idxs: built.append(len(idxs)) or real(table, idxs))
+    payload = cmd_report(InstanceConfig(*pnr), DEFAULT_ENUM_CAP, DEFAULT_RANK_CAP)
+    assert built == [payload["unit_group"]["order"]]
 
 
 def test_report_minimal_idempotent_count_232():

@@ -104,24 +104,6 @@ def _modular_inverses(trees: dict[str, ast.Module]) -> list[str]:
     return found
 
 
-def _readers(trees: dict[str, ast.Module], names: set[str]) -> set[str]:
-    """Every module (name to tree) that reads one of names: as a name, as
-    an attribute (`mod.name`) or by importing it."""
-    found = set()
-    for module, tree in trees.items():
-        for node in ast.walk(tree):
-            if (
-                isinstance(node, ast.Name)
-                and node.id in names
-                or isinstance(node, ast.Attribute)
-                and node.attr in names
-                or isinstance(node, ast.ImportFrom)
-                and any(alias.name in names for alias in node.names)
-            ):
-                found.add(module)
-    return found
-
-
 def test_every_module_is_found():
     assert {path.stem for path in MODULES} >= {"gf_linalg", "semigroup_core", "gl_restriction", "isomorphism", "cli"}
 
@@ -184,26 +166,42 @@ def test_an_unreferenced_public_name_is_flagged(sources):
     assert len(_unreferenced({name: ast.parse(text) for name, text in sources.items()})) == 1
 
 
-THREADING = {"row_threads", "run_blocks"}
+THREADS = {"threading", "concurrent", "multiprocessing"}
 
 
-def test_only_the_table_check_threads():
-    # Light's test, the check of a table given by mul, is the one threaded
-    # loop; every other table loop, the fill and proof of a table built
-    # from its action included, runs on the calling thread.
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
-    assert _readers(trees, THREADING) == {"semigroup_core"}
+def _thread_imports(tree: ast.Module) -> list[str]:
+    """Every import of a module that starts threads or processes
+    (threading, concurrent.futures, multiprocessing), as the module named."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name.split(".")[0] in THREADS]
+        elif isinstance(node, ast.ImportFrom) and not node.level and node.module.split(".")[0] in THREADS:
+            found.append(node.module)
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
+def test_no_module_starts_threads_or_processes(path):
+    # Every table loop runs on the calling thread.  The layer tracer in
+    # perfbench keeps one span stack a process, so a package function
+    # entered off the calling thread would corrupt its spans.  And no
+    # command gains from a second thread: it left the Cayley fill flat at
+    # order 4096, and Light's test, the one loop it sped up, checks no
+    # table a command builds.
+    assert _thread_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
 
 
 @pytest.mark.parametrize(
     "source",
     [
-        "from .semigroup_core import row_threads, table_dtype\n",
-        "from . import semigroup_core\n\n\ndef fill(n, work):\n    return semigroup_core.run_blocks(n, 8, 2, work)\n",
+        "import threading\n",
+        "from concurrent.futures import ThreadPoolExecutor\n",
+        "import multiprocessing as mp\n",
     ],
 )
-def test_a_threaded_loop_outside_the_table_check_is_flagged(source):
-    assert _readers({"a": ast.parse(source)}, THREADING) == {"a"}
+def test_a_thread_or_process_import_is_flagged(source):
+    assert len(_thread_imports(ast.parse(source))) == 1
 
 
 def test_the_package_holds_one_gauss_jordan():

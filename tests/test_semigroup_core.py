@@ -112,10 +112,11 @@ def test_associativity_check_names_a_failing_triple_in_a_large_group():
     assert mul[mul[i][j]][k] != mul[i][mul[j][k]]
 
 
-def test_every_seeded_product_change_fails_the_table_check():
-    # At order 1536 a single wrong product breaks only a sliver of the
-    # 1536^3 triples, so a sample of them misses some of these changes.
-    s = enumerate_semigroup(make_instance(2, 4, 2))
+@pytest.mark.parametrize("pnr", [(2, 4, 2), (2, 4, 3)], ids=["order1536", "order2688"])
+def test_every_seeded_product_change_fails_the_table_check(pnr):
+    # At orders 1536 and 2688 a single wrong product breaks only a sliver
+    # of the n^3 triples, so a sample of them misses some of these changes.
+    s = enumerate_semigroup(make_instance(*pnr), 4096)
     t = s.table
     rng = np.random.default_rng(8)
     changes = 0
@@ -396,7 +397,7 @@ def _changed_rows(mul, cells):
     return rows_of(bad)
 
 
-@pytest.mark.parametrize("pnr", [(2, 1, 0), (2, 2, 1), (2, 3, 1), (3, 2, 1), (2, 3, 2)])
+@pytest.mark.parametrize("pnr", [(2, 1, 0), (2, 2, 1), (2, 3, 1), (3, 2, 1), (2, 3, 2), (2, 4, 2)])
 def test_member_tables_are_certified_with_the_generators_light_keeps(pnr):
     s = enumerate_semigroup(make_instance(*pnr))
     light = SemigroupTable(s.table.mul, identity_idx=s.table.identity_idx)
