@@ -670,7 +670,9 @@ def generating_set(s: Structure) -> np.ndarray:
 
 
 def unit_group_subtable(s: Structure) -> SemigroupTable:
-    """The unit group J(n-r) as a standalone table."""
+    """The unit group J(n-r) as a standalone table, built and proved from
+    the units' columns of s.act (see subtable); its identity is the
+    identity matrix's position among the units."""
     return subtable(s.table, s.grades[s.inst.n - s.inst.r])
 
 

@@ -1,12 +1,17 @@
 """Generic finite-semigroup machinery on explicit multiplication tables.
 
-Elements are the integer indices 0..n-1 of the table's rows, and every
-structural computation runs on integer arrays.  An index set is a
-sorted, duplicate-free np.intp array; every index set taken passes
-`indices`, which refuses an index outside the table.  Green's relations are
-computed here from the table alone, as the one-sided ideals of their
-definitions, so this module doubles as the oracle against which the
-characterized relations of the main layer are checked.
+Every table is built from an action, a faithful representation of its
+elements as maps of points, and proved the product table of those maps
+as it is built, along a left tree from a generating set (Froidure and
+Pin, 1997); a sub-table is built the same way from the action's columns
+at its elements.  Elements are the integer indices 0..n-1 of the
+table's rows, and every structural computation runs on integer arrays.
+An index set is a sorted, duplicate-free np.intp array; every index set
+taken passes `indices`, which refuses an index outside the table.
+Green's relations are computed here from the table alone, as the
+one-sided ideals of their definitions, so this module doubles as the
+oracle against which the characterized relations of the main layer are
+checked.
 """
 
 from __future__ import annotations
@@ -18,17 +23,9 @@ import numpy as np
 
 from .errors import CapacityError, InternalInconsistencyError, PreconditionError
 
-# Rows per block wherever a whole-table scatter or gather would need a
-# temporary as large as the table itself.  Blocks of 128 rows keep a
-# block's temporaries near cache size: at order 4096 they beat 256 rows
-# by a quarter to a third in Light's test and the Green oracle (2-vCPU
-# x86 machine).
-ROW_BLOCK = 128
-
 # Rows a block of _build's fill writes: about 12 bytes of temporaries a
-# cell (rows t_x, take's intp copy of them, its output), under the 15 of
-# the 16-row blocks of the row compare it replaced.
-FILL_ROWS = ROW_BLOCK // 8
+# cell (rows t_x, take's intp copy of them, its output).
+FILL_ROWS = 16
 
 
 def table_dtype(n: int):
@@ -36,58 +33,28 @@ def table_dtype(n: int):
     return np.uint16 if n < 65536 else np.int32
 
 
-def _table_array(mul) -> np.ndarray:
-    """The table as a read-only n x n array of the smallest index dtype."""
-    try:
-        arr = np.asarray(mul)
-    except ValueError:  # ragged rows
-        raise PreconditionError("multiplication table is not square") from None
-    if not arr.size:
-        raise PreconditionError("a semigroup table needs at least one element")
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise PreconditionError("multiplication table is not square")
-    n = len(arr)
-    if arr.dtype.kind not in "iu":
-        raise PreconditionError("multiplication table entries are not integers")
-    if (arr.dtype.kind == "i" and arr.min() < 0) or arr.max() >= n:  # unsigned cannot be negative
-        raise PreconditionError("multiplication table is not closed")
-    # A view, so that the caller's array keeps its own write flag.
-    out = arr.astype(table_dtype(n), copy=False).view()
-    out.flags.writeable = False
-    return out
-
-
 class SemigroupTable:
-    """A full multiplication table on the elements 0..n-1.
+    """A full multiplication table on the elements 0..n-1, built from an
+    action and proved its product table as it is built.
 
     `mul` is a read-only n x n numpy array (uint16 below order 65536,
     int32 above); `int(mul[i, j])` is the index of the product of
-    element i by element j.  Instances are immutable after construction.
-
-    Given `mul`, the table is checked by Light's test (check=False
-    defers that to the first reader of the generating set).  Given
-    instead an `action`, a P x n integer array whose column x is the map
-    v -> v.x of the points 0..P-1 under x, and `product_row`, claiming
-    product_row(x)[y] the index of x*y, the table is built and proved
-    the action's product table (see _build), reading product_row only
-    for the generating set's candidates.  Either check is one pass on the
-    calling thread.
+    element i by element j.  `action` is a P x n integer array whose
+    column x is the map v -> v.x of the points 0..P-1 under x, and
+    `product_row(x)` claims x's row of products, product_row(x)[y] the
+    index of x*y; it is read only for the generating set's candidates
+    (see _build).  `identity_idx` is the claimed identity, which must
+    act as the identity map; unclaimed, it is the element that does, or
+    None.  The build is one pass on the calling thread, and instances
+    are immutable after it.
     """
 
     __slots__ = ("mul", "identity_idx", "_action", "_gens", "_green")
 
-    def __init__(self, mul=None, identity_idx=None, check=True, action=None, product_row=None):
-        self._green = self._gens = self._action = None
-        if action is not None or product_row is not None:
-            if mul is not None or action is None or product_row is None or not check:
-                raise PreconditionError("a table is given by mul, or built and proved from an action and its product_row")
-            self._action = _action_array(action)
-            self.identity_idx, self.mul, self._gens = _build(self._action, identity_idx, product_row)
-            return
-        self.mul = _table_array(mul)
-        self.identity_idx = self._find_identity() if identity_idx is None else identity_idx
-        if check:
-            self._check_table()
+    def __init__(self, action, product_row, identity_idx=None):
+        self._green = None
+        self._action = _action_array(action)
+        self.identity_idx, self.mul, self._gens = _build(self._action, identity_idx, product_row)
 
     def __len__(self):
         return len(self.mul)
@@ -99,42 +66,9 @@ class SemigroupTable:
         return self._green
 
     def _checked_generators(self) -> list[int]:
-        """The generating set the table check passed on: the table is
-        associative and generated by it.  A table built with check=False
-        is checked now, so a table that is not associative is refused
-        here, never mislabelled."""
-        if self._gens is None:
-            self._check_table()
+        """The generating set the build proved the table on: the table is
+        associative and generated by it."""
         return self._gens
-
-    def _find_identity(self):
-        mul = self.mul
-        n = len(mul)
-        idx = np.arange(n)
-        left = np.empty(n, dtype=bool)  # left[a]: row a is idx
-        right = np.ones(n, dtype=bool)  # right[a]: column a is idx
-        for lo in range(0, n, ROW_BLOCK):
-            rows = mul[lo : lo + ROW_BLOCK]
-            left[lo : lo + len(rows)] = (rows == idx).all(axis=1)
-            right &= (rows == idx[lo : lo + len(rows), None]).all(axis=0)
-        found = np.flatnonzero(left & right)
-        return int(found[0]) if found.size else None
-
-    def _check_table(self):
-        mul, e = self.mul, self.identity_idx
-        n = len(mul)
-        units = np.array([], dtype=np.intp)
-        if e is not None:
-            idx = np.arange(n)
-            if not (0 <= e < n and (mul[e] == idx).all() and (mul[:, e] == idx).all()):
-                raise PreconditionError("claimed identity is not two-sided neutral")
-            # In a finite monoid a is a unit exactly when some a*b is the
-            # identity; e.u^k = u^k, so the point e tells each unit's order.
-            unit = np.concatenate([(mul[lo : lo + ROW_BLOCK] == e).any(axis=1) for lo in range(0, n, ROW_BLOCK)])
-            units = _by_order(np.flatnonzero(unit), mul, np.array([e]))
-        gens, _ = _generators(n, units, mul.__getitem__)
-        _light(mul, gens)
-        self._gens = gens
 
 
 def _action_array(action) -> np.ndarray:
@@ -155,24 +89,6 @@ def _action_array(action) -> np.ndarray:
     out = arr.view()  # a view, so that the caller's array keeps its own write flag
     out.flags.writeable = False
     return out
-
-
-def _light(mul: np.ndarray, gens: list[int]) -> None:
-    """Light's test: (x*g)*y == x*(g*y) for every generator g.  Every
-    element is a product of generators on this same table (that is what
-    _generators' closures reach), and a product of two elements that
-    pass in the middle passes too, so the law then holds with any
-    element in the middle.  One pass, generator by generator and each
-    over the row blocks in order, raises at the first failure it meets."""
-    for g in gens:
-        for lo in range(0, len(mul), ROW_BLOCK):
-            rows = mul[lo : lo + ROW_BLOCK]
-            # mode="clip" skips take's bounds test: _table_array refused
-            # every entry outside [0, n), and mul is read-only.
-            bad = mul[rows[:, g]] != rows.take(mul[g], axis=1, mode="clip")
-            if bad.any():
-                x, y = np.argwhere(bad)[0].tolist()
-                raise PreconditionError(f"table is not associative at ({lo + x}, {g}, {y})")
 
 
 def _build(act: np.ndarray, e, product_row) -> tuple[int | None, np.ndarray, list[int]]:
@@ -207,7 +123,7 @@ def _build(act: np.ndarray, e, product_row) -> tuple[int | None, np.ndarray, lis
         e = int(found[0]) if found.size else None
     elif not (0 <= e < n and (act[:, e] == points).all()):
         raise PreconditionError("claimed identity is not the identity map")
-    units = _by_order(np.flatnonzero((np.sort(act, axis=0) == points[:, None]).all(axis=0)), act, points)
+    units = _by_order(np.flatnonzero((np.sort(act, axis=0) == points[:, None]).all(axis=0)), act)
     dtype = table_dtype(n)
 
     def row(g):
@@ -271,15 +187,17 @@ def _left_tree(rows: np.ndarray, gens: list[int]) -> tuple[np.ndarray, np.ndarra
     return g_of, t_of, rounds
 
 
-def _by_order(units: np.ndarray, act: np.ndarray, points: np.ndarray) -> np.ndarray:
+def _by_order(units: np.ndarray, act: np.ndarray) -> np.ndarray:
     """The units by descending order, the order of u the least k with u^k
-    fixing each of the points (act[v, x]: point v under x).  Powers of a
-    unit return within |units| steps; the bound stops the loop on a table
-    that is no monoid (order 0), which its check then refuses."""
+    the identity map (act[v, x]: point v under x).  The units of a
+    product table of maps are a group, so their powers return within
+    |units| steps; the bound stops the loop on permutations that are no
+    group (order 0), which the build then refuses."""
+    points = np.arange(len(act))[:, None]
     order = np.zeros(len(units), dtype=np.intp)
-    power = act[np.ix_(points, units)]  # power[i, j]: points[i] under units[j]^k
+    power = act[:, units]  # power[v, j]: point v under units[j]^k
     for k in range(1, len(units) + 1):
-        order[(order == 0) & (power == points[:, None]).all(axis=0)] = k
+        order[(order == 0) & (power == points).all(axis=0)] = k
         if order.all():
             break
         power = act[power, units]
@@ -405,11 +323,10 @@ def _row_labels(rows: np.ndarray) -> np.ndarray:
 def green_oracle(table: SemigroupTable) -> GreenPartitions:
     """Green partitions from the table alone.
 
-    With A the table check's generating set (proved to generate an
-    associative table, by the build when the table was built from an
-    action, else by Light's test and the closure that picked A), S^1 a
-    is the set reachable from a along the edges x -> g x of the left
-    Cayley graph (g in A), and a S^1 along x -> x g of the right one.
+    With A the generating set the build proved the table on (associative
+    and generated by A, see _build), S^1 a is the set reachable from a
+    along the edges x -> g x of the left Cayley graph (g in A), and a S^1
+    along x -> x g of the right one.
     So L (equal S^1 a) and R (equal a S^1) are the strongly connected
     components of two graphs of N |A| edges (Froidure and Pin, 1997).
     H is the meet of L and R, J compares two-sided ideals S^1 a S^1, and
@@ -539,7 +456,7 @@ def minimal_idempotents_oracle(table: SemigroupTable) -> np.ndarray:
 
 def principal_ideal(table: SemigroupTable, a: int) -> np.ndarray:
     """The two-sided ideal S^1 a S^1 as sorted indices: what a reaches
-    along x -> x g and x -> g x, g in the table check's generating set A.
+    along x -> x g and x -> g x, g in the build's generating set A.
     That is every u a v with u, v words over A, on an associative table."""
     gens = table._checked_generators()
     return np.flatnonzero(_reach(table.mul, indices(len(table), a), gens, gens))
@@ -548,7 +465,7 @@ def principal_ideal(table: SemigroupTable, a: int) -> np.ndarray:
 def verify_ideal(table: SemigroupTable, subset) -> bool:
     """True iff the subset is closed under multiplication by all of S, both sides.
 
-    With A the table check's generating set, I S^1 lies in I iff I g does
+    With A the build's generating set, I S^1 lies in I iff I g does
     for every g in A, as (i g1) g2 ... never leaves I; likewise g I.
     """
     idx = indices(len(table), subset)
@@ -562,9 +479,11 @@ def verify_ideal(table: SemigroupTable, subset) -> bool:
 
 def is_homomorphism(psi: np.ndarray, source: SemigroupTable, target: SemigroupTable) -> bool:
     """True iff psi(a*b) = psi(a)*psi(b) for all source elements a, b,
-    read on A x S, A the source's checked generating set.  With both
-    tables associative (the target is checked here if it was not),
-    induction on the length of y as a word over A gives
+    read on A x S, A the source's checked generating set.  Both tables
+    are associative, each proved as it was built; the target's
+    generating set is read too, so that a table whose proof runs on that
+    read refuses before the compare.  Induction on the length of y as a
+    word over A then gives
     psi(g y x) = psi(g) psi(y x) = psi(g) psi(y) psi(x) = psi(g y) psi(x)."""
     gens = source._checked_generators()
     target._checked_generators()
@@ -598,13 +517,17 @@ def rank_search(table: SemigroupTable, candidates, cap: int, budget: int | None 
 
 
 def subtable(table: SemigroupTable, idxs) -> SemigroupTable:
-    """Restriction of the table to a product-closed subset of indices."""
+    """The table of a product-closed subset of indices, its element i the
+    subset's i-th least index.  It is built and proved from the columns
+    of the table's action at the subset, and its rows are read off the
+    table through the subset's positions, so a subset that is not closed
+    is refused (a product escapes it in a row the build reads).  Its
+    identity is the element that acts as the identity map, or None: a
+    group of non-units, such as the H-class of an idempotent below the
+    identity, has none."""
     inside = np.zeros(len(table), dtype=bool)
     inside[indices(len(table), idxs)] = True
     idxs = np.flatnonzero(inside)
     pos = np.full(len(table), -1, dtype=np.intp)
     pos[idxs] = np.arange(len(idxs))
-    rows = pos[table.mul[np.ix_(idxs, idxs)]]
-    if (rows < 0).any():
-        raise PreconditionError("subset is not closed under products")
-    return SemigroupTable(rows, check=False)
+    return SemigroupTable(table._action[:, idxs], lambda i: pos[table.mul[idxs[i], idxs]])

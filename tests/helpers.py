@@ -23,7 +23,11 @@ from glsemi.gf_linalg import (
     span_mask,
 )
 from glsemi.gl_restriction import Structure
-from glsemi.semigroup_core import ROW_BLOCK, SemigroupTable, idempotents
+from glsemi.semigroup_core import SemigroupTable, idempotents
+
+#: Rows per block of the whole-table oracles below (Light's test and the
+#: key fill), and the order past which a test table spans several blocks.
+ROW_BLOCK = 128
 
 #: The batched constructor behind each construction the tests name.
 BATCHES = {
@@ -97,19 +101,18 @@ def mats(s, idxs):
 def with_product(s, i, j, k):
     """A copy of Structure s whose table says element i times element j is k.
 
-    The table check is skipped so that the one wrong product survives; a
-    check that reads the table's products must then notice it.  The copy
-    is given by its table, not built from an action, so the check its
-    first green() call runs is Light's test: a table that is not
-    associative is refused there, and a check that reads Green's
-    relations fails on it with a PreconditionError naming a
-    non-associative triple.  A copy that stays associative passes,
+    The copy's table is a GivenTable, which takes the changed mul as
+    given, so that the one wrong product survives; a check that reads
+    the table's products must then notice it.  The first read of its
+    generating set runs the mul form's table check (light_check): a
+    table that is not associative is refused there, and a check that
+    reads Green's relations fails on it with a PreconditionError naming
+    a non-associative triple.  A copy that stays associative passes,
     though it is no longer the members' table.
     """
     mul = s.table.mul.copy()
     mul[i, j] = k
-    table = SemigroupTable(mul, identity_idx=s.table.identity_idx, check=False)
-    return Structure(s.inst, table, s.act, s.index)
+    return Structure(s.inst, GivenTable(mul, s.table.identity_idx, s.table._action), s.act, s.index)
 
 
 def with_column(s, a, m):
@@ -587,8 +590,91 @@ def scan_generators(table):
     return gens
 
 
+def find_identity(mul):
+    """The two-sided identity of the table mul: the least index whose row
+    and column both read 0..n-1, or None."""
+    mul = np.asarray(mul)
+    idx = np.arange(len(mul))
+    found = np.flatnonzero((mul == idx).all(axis=1) & (mul == idx[:, None]).all(axis=0))
+    return int(found[0]) if found.size else None
+
+
+def light(mul, gens):
+    """Light's test (Clifford and Preston I, section 1.2): (x*g)*y ==
+    x*(g*y) for every generator g.  Every element is a product of
+    generators on this same table, and a product of two elements that
+    pass in the middle passes too, so the law then holds with any
+    element in the middle.  One pass, generator by generator and each
+    over the row blocks in order, raises at the first failure it meets."""
+    for g in gens:
+        for lo in range(0, len(mul), ROW_BLOCK):
+            rows = mul[lo : lo + ROW_BLOCK]
+            bad = mul[rows[:, g]] != rows.take(mul[g], axis=1)
+            if bad.any():
+                x, y = np.argwhere(bad)[0].tolist()
+                raise PreconditionError(f"table is not associative at ({lo + x}, {g}, {y})")
+
+
+def light_check(table):
+    """The table check of the mul form, kept as the oracle of the build's
+    proof: a claimed identity must be two-sided neutral, and Light's
+    test runs on the greedy generating set scan_generators picks, which
+    is returned."""
+    mul, e = table.mul, table.identity_idx
+    if e is not None:
+        idx = np.arange(len(mul))
+        if not (0 <= e < len(mul) and (mul[e] == idx).all() and (mul[:, e] == idx).all()):
+            raise PreconditionError("claimed identity is not two-sided neutral")
+    gens = scan_generators(table)
+    light(mul, gens)
+    return gens
+
+
+class GivenTable(SemigroupTable):
+    """A fake SemigroupTable that takes mul and its identity as given,
+    unproved, and carries the action it is given, if any.  The first read
+    of its generating set runs light_check on it, so a table that is not
+    associative is refused there, as the mul form's lazy check did."""
+
+    __slots__ = ()
+
+    def __init__(self, mul, identity_idx=None, action=None):
+        self.mul = np.asarray(mul).view()
+        self.mul.flags.writeable = False
+        self.identity_idx, self._action, self._gens, self._green = identity_idx, action, None, None
+
+    def _checked_generators(self):
+        if self._gens is None:
+            self._gens = light_check(self)
+        return self._gens
+
+
+def regular_table(mul, identity_idx=None):
+    """The SemigroupTable of a table given by mul, built through its right
+    regular action, mul's rows as product_row: under x, point v goes to
+    v*x.  The points are the elements when mul has a two-sided identity,
+    and otherwise the elements and one adjoined point, which x sends to
+    x.  Either way the action is faithful, and M_(x*y) = M_x;M_y reads
+    (v*x)*y = v*(x*y) for every point v; at the identity, or the
+    adjoined point, it reads x*y = mul[x, y].  So the build proves mul
+    associative and builds mul itself, or refuses it."""
+    mul = np.asarray(mul)
+    act = mul if find_identity(mul) is not None else np.vstack([mul, np.arange(len(mul))])
+    return SemigroupTable(act, rows_of(mul), identity_idx)
+
+
+def restricted_mul(table, idxs):
+    """The table of the subset idxs as subtable made it before it was
+    built from the action: the rows and columns of the sorted subset,
+    each product renumbered by its position in it, -1 outside it."""
+    idxs = np.unique(idxs)
+    pos = np.full(len(table), -1, dtype=np.intp)
+    pos[idxs] = np.arange(len(idxs))
+    return pos[table.mul[np.ix_(idxs, idxs)]]
+
+
 def rows_of(mul):
-    """A product_row for SemigroupTable's action form that reads the rows
+    """A product_row for SemigroupTable that reads the rows
     of a given table: product_row(x) is row x of mul."""
     mul = np.asarray(mul)
     return lambda x: mul[x]

@@ -53,10 +53,11 @@ from glsemi.gl_restriction import (
     special_subgroup,
     unit_group_subtable,
 )
-from glsemi.semigroup_core import SemigroupTable, closure_indices, label_classes
+from glsemi.semigroup_core import closure_indices, label_classes
 
 from helpers import (
     BATCHES,
+    GivenTable,
     break_batch,
     is_member,
     matrices,
@@ -478,7 +479,7 @@ def test_ideal_structure_peaks_below_a_quarter_byte_per_table_cell():
     assert peak < 0.25 * len(s.table) ** 2
 
 
-class _ExtraJClassTable(SemigroupTable):
+class _ExtraJClassTable(GivenTable):
     """A table whose Green oracle splits its first J-class in two."""
 
     __slots__ = ()
@@ -493,11 +494,32 @@ class _ExtraJClassTable(SemigroupTable):
 def test_j_class_count_fails_on_an_extra_j_class():
     s = enumerate_semigroup(make_instance(2, 3, 1))
     t = s.table
-    bad = Structure(s.inst, _ExtraJClassTable(t.mul, identity_idx=t.identity_idx, check=False), s.act, s.index)
+    bad = Structure(s.inst, _ExtraJClassTable(t.mul, t.identity_idx, t._action), s.act, s.index)
     assert _check_j_class_count(s, CAPS) == ("pass", {"observed": 3, "quotient_dim": 2, "flagged": True}, None)
     status, counts, _ = _check_j_class_count(bad, CAPS)
     assert status == "fail"
     assert counts["observed"] == 4
+
+
+def test_rank_identity_fails_when_the_unit_rank_is_off_by_one(monkeypatch):
+    # At (2,2,1) the exhaustive sweep finds rank 2; the unit group's rank
+    # plus one now reads 3.
+    cfg = InstanceConfig(p=2, n=2, r=1)
+    check = next(c for c in cmd_verify(cfg, *CAPS).checks if c.name == "rank_identity")
+    assert (check.status, check.counts) == ("pass", {"rank_via_units": 2, "rank_exhaustive": 2})
+    real = cli.rank_value
+    monkeypatch.setattr(cli, "rank_value", lambda s, **kwargs: real(s, **kwargs) + 1)
+    check = next(c for c in cmd_verify(cfg, *CAPS).checks if c.name == "rank_identity")
+    assert (check.status, check.counts) == ("fail", {"rank_via_units": 3, "rank_exhaustive": 2})
+
+
+def test_minimal_idempotents_fails_on_one_extra_characterized_idempotent(monkeypatch):
+    # The identity is an idempotent, but no minimal one: characterized
+    # with the rest, it matches neither the oracle nor the count.
+    real = cli.minimal_idempotents
+    monkeypatch.setattr(cli, "minimal_idempotents", lambda s: np.union1d(real(s), [s.table.identity_idx]))
+    check = next(c for c in cmd_verify(InstanceConfig(p=2, n=3, r=1), *CAPS).checks if c.name == "minimal_idempotents")
+    assert (check.status, check.counts) == ("fail", {"characterized": 5, "oracle": 4, "expected": 4})
 
 
 def test_main_verify_smallest(tmp_path, capsys):
@@ -636,17 +658,18 @@ def test_verify_enumerates_the_complements_once_per_structure(monkeypatch):
 
 def test_verify_certifies_the_instance_and_partner_tables_by_their_action(monkeypatch):
     # enumerate_semigroup builds the table from the members' action, for
-    # the instance and for the isomorphism partner alike, so Light's test
-    # never runs; the partner's U differs, so its action does too.
-    certified, light = [], []
+    # the instance and for the isomorphism partner alike, and the unit
+    # group's table is built from the units' columns of the same action;
+    # the partner's U differs, so its action does too.
+    certified = []
     real = semigroup_core._build
     monkeypatch.setattr(semigroup_core, "_build", lambda act, e, row: certified.append(act) or real(act, e, row))
-    monkeypatch.setattr(semigroup_core, "_light", lambda mul, gens: light.append(gens))
     assert not cmd_verify(InstanceConfig(p=2, n=3, r=1), *CAPS).failed
-    assert light == []
-    instance, partner = certified
+    instance, units, partner = certified
     assert instance.shape == partner.shape == (8, 64) and not np.array_equal(instance, partner)
-    assert np.array_equal(instance, enumerate_semigroup(make_instance(2, 3, 1)).act)
+    s = enumerate_semigroup(make_instance(2, 3, 1))
+    assert np.array_equal(instance, s.act)
+    assert np.array_equal(units, s.act[:, s.grades[2]])
 
 
 def test_complement_count_runs_in_parts_at_a_large_ambient_space():

@@ -2,6 +2,7 @@
 
 import pathlib
 import random
+import re
 from functools import partial
 
 import numpy as np
@@ -60,6 +61,7 @@ from glsemi.semigroup_core import SemigroupTable, closure_indices, rank_search
 from helpers import (
     BATCHES,
     CONSTRUCTORS,
+    GivenTable,
     break_batch,
     brute_members,
     index_of,
@@ -75,6 +77,7 @@ from helpers import (
     naive_vec_mat,
     nonnormality_by_tuples,
     one,
+    restricted_mul,
     rref_canonical,
     scan_generators,
     split_cell,
@@ -360,7 +363,7 @@ def _same_as_the_key_fill(inst):
     mul, act, index = key_fill(inst.p, gl_restriction._members(inst))
     for got, want in ((s.table.mul, mul), (s.act, act), (s.index, index)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert s.table._checked_generators() == scan_generators(SemigroupTable(mul, check=False))
+    assert s.table._checked_generators() == scan_generators(GivenTable(mul, s.table.identity_idx))
 
 
 @pytest.mark.parametrize("spec", SHIPPED + [pytest.param(pnr, id="p{}n{}r{}".format(*pnr)) for pnr in EXTRA[:5]])
@@ -927,3 +930,27 @@ def test_unit_group_subtable_is_group():
     assert len(sub) == 12
     green = sub.green()
     assert green.h.tolist() == [0] * 12
+
+
+@pytest.mark.parametrize("spec", SHIPPED + [pytest.param(pnr, id="p{}n{}r{}".format(*pnr)) for pnr in EXTRA[:2]])
+def test_unit_group_subtable_is_the_member_table_restricted_to_the_units(spec):
+    # Built and proved from the units' columns of s.act, the unit table is
+    # the restriction subtable used to gather, and its identity is the
+    # identity matrix's position among the units.
+    s = enumerate_semigroup(_instance(spec), 4096)
+    units, group = unit_group_subtable(s), s.grades[s.inst.n - s.inst.r]
+    assert np.array_equal(units.mul, restricted_mul(s.table, group))
+    assert group[units.identity_idx] == s.table.identity_idx
+
+
+def test_unit_group_subtable_refuses_a_wrong_cell_in_a_row_its_build_reads():
+    # One unit product is wrong in the member table the unit table's rows
+    # are read from, in the row of a unit generator: the build compares
+    # that row with the units' action and names the cell.
+    group = S231.grades[S231.inst.n - S231.inst.r]
+    units = unit_group_subtable(S231)
+    g, y = units._checked_generators()[-1], len(units) // 2
+    k = (int(units.mul[g, y]) + 1) % len(units)
+    bad = with_product(S231, group[g], group[y], group[k])
+    with pytest.raises(PreconditionError, match=re.escape(f"table is not the product table of its action at ({g}, {y})")):
+        unit_group_subtable(bad)

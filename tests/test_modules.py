@@ -187,8 +187,8 @@ def test_no_module_starts_threads_or_processes(path):
     # perfbench keeps one span stack a process, so a package function
     # entered off the calling thread would corrupt its spans.  And no
     # command gains from a second thread: it left the Cayley fill flat at
-    # order 4096, and Light's test, the one loop it sped up, checks no
-    # table a command builds.
+    # order 4096, and Light's test, the one loop it sped up, is now only a
+    # test oracle.
     assert _thread_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
 
 
@@ -202,6 +202,46 @@ def test_no_module_starts_threads_or_processes(path):
 )
 def test_a_thread_or_process_import_is_flagged(source):
     assert len(_thread_imports(ast.parse(source))) == 1
+
+
+#: The helpers of the table form given by mul, which the package no longer has.
+MUL_FORM = {"_light", "_find_identity", "_table_array", "_check_table"}
+
+
+def _second_table_form(tree: ast.Module) -> list[str]:
+    """Every trace of a table form given by mul in a module: a function,
+    method or class named in MUL_FORM, and a `mul` or `check` parameter
+    of `SemigroupTable.__init__`."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in MUL_FORM:
+            found.append(node.name)
+        elif isinstance(node, ast.ClassDef) and node.name == "SemigroupTable":
+            for init in (item for item in node.body if isinstance(item, ast.FunctionDef) and item.name == "__init__"):
+                args = init.args.posonlyargs + init.args.args + init.args.kwonlyargs
+                found += [f"SemigroupTable.__init__({arg.arg})" for arg in args if arg.arg in ("mul", "check")]
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
+def test_no_module_keeps_a_second_table_form(path):
+    # Every table is built from an action and proved as it is built.  Light's
+    # test and the mul form are oracles in tests/helpers.py, not a second
+    # constructor path that no command proves anything with.
+    assert _second_table_form(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "def _light(mul, gens):\n    pass\n",
+        "class SemigroupTable:\n    def _find_identity(self):\n        pass\n",
+        "class SemigroupTable:\n    def __init__(self, action, product_row, identity_idx=None, check=True):\n        pass\n",
+        "class SemigroupTable:\n    def __init__(self, mul=None, *, action=None, product_row=None):\n        pass\n",
+    ],
+)
+def test_a_second_table_form_is_flagged(source):
+    assert len(_second_table_form(ast.parse(source))) == 1
 
 
 def test_the_package_holds_one_gauss_jordan():

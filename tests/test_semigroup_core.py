@@ -14,7 +14,6 @@ from glsemi.gf_linalg import identity_mat
 from glsemi import semigroup_core
 from glsemi.gl_restriction import enumerate_semigroup, make_instance, unit_group_subtable
 from glsemi.semigroup_core import (
-    ROW_BLOCK,
     GreenPartitions,
     SemigroupTable,
     check_refinement_lattice,
@@ -32,15 +31,21 @@ from glsemi.semigroup_core import (
 )
 
 from helpers import (
+    ROW_BLOCK,
+    GivenTable,
     dense_green,
     dense_homomorphism,
     dense_principal_ideal,
     dense_verify_ideal,
+    find_identity,
     index_of,
     label_sets,
+    light,
+    light_check,
     mats,
     naive_green_same,
     natural_leq,
+    regular_table,
     rows_of,
     same_class,
     scan_generators,
@@ -60,7 +65,7 @@ i221 = partial(index_of, S221)
 
 
 def cyclic_table(order):
-    return SemigroupTable([[(i + j) % order for j in range(order)] for i in range(order)])
+    return regular_table([[(i + j) % order for j in range(order)] for i in range(order)])
 
 
 def test_closure_indices_on_the_smallest_table():
@@ -77,6 +82,8 @@ def test_closure_indices_on_the_smallest_table():
 
 
 def test_table_construction_rejects_bad_input():
+    # Each malformed table, given as its own right regular action (see
+    # regular_table), is refused before a product row is read.
     for mul in (
         [[0, 2], [0, 0]],  # out of range
         np.array([[0, 2], [0, 0]], dtype=np.uint16),  # out of range, unsigned
@@ -89,55 +96,53 @@ def test_table_construction_rejects_bad_input():
         [],  # empty
     ):
         with pytest.raises(PreconditionError):
-            SemigroupTable(mul)
+            SemigroupTable(mul, lambda x: mul[x])
 
 
 def test_table_check_names_the_first_non_associative_triple():
-    # No identity; 1 alone generates (1*1 = 0), so Light's test runs on
-    # generator 1 only: (1*1)*1 = 0*1 = 1 but 1*(1*1) = 1*0 = 0.
+    # No identity, so the points are 0, 1 and an adjoined one.  The build
+    # reads 0's row first, and it fails at y = 1: under the point 1,
+    # (1*0)*1 = 0*1 = 1 but 1*(0*1) = 1*1 = 0.  Light's test runs on the
+    # one generator 1 (1*1 = 0): (1*1)*1 = 0*1 = 1 but 1*(1*1) = 1*0 = 0.
     mul = [[0, 1], [0, 0]]
-    with pytest.raises(PreconditionError, match=re.escape("(1, 1, 1)")) as err:
-        SemigroupTable(mul)
-    x, g, y = map(int, re.search(r"\((\d+), (\d+), (\d+)\)", str(err.value)).groups())
-    assert mul[mul[x][g]][y] != mul[x][mul[g][y]]
+    with pytest.raises(PreconditionError, match=re.escape("not the product table of its action at (0, 1)")):
+        regular_table(mul)
+    with pytest.raises(PreconditionError, match=re.escape("not associative at (1, 1, 1)")):
+        light_check(GivenTable(mul))
 
 
 def test_associativity_check_names_a_failing_triple_in_a_large_group():
     order = 300
     mul = [[(i + j) % order for j in range(order)] for i in range(order)]
-    mul[order - 1][11] = 0  # only rows past the first block see this product
-    with pytest.raises(PreconditionError) as err:
-        SemigroupTable(mul)
-    i, j, k = map(int, re.search(r"\((\d+), (\d+), (\d+)\)", str(err.value)).groups())
-    assert mul[mul[i][j]][k] != mul[i][mul[j][k]]
+    mul[order - 1][11] = 0  # only the point 299 sees this product
+    with pytest.raises(PreconditionError, match="not the product table of its action") as err:
+        regular_table(mul)
+    g, y = _cell(err)
+    assert any(mul[mul[v][g]][y] != mul[v][mul[g][y]] for v in range(order))
 
 
 @pytest.mark.parametrize("pnr", [(2, 4, 2), (2, 4, 3)], ids=["order1536", "order2688"])
 def test_every_seeded_product_change_fails_the_table_check(pnr):
-    # At orders 1536 and 2688 a single wrong product breaks only a sliver
-    # of the n^3 triples, so a sample of them misses some of these changes.
+    # At orders 1536 and 2688, each of 20 seeded wrong products in a row
+    # the build reads is refused at its own cell, though it breaks only
+    # a sliver of the n^3 triples.
     s = enumerate_semigroup(make_instance(*pnr), 4096)
-    t = s.table
+    t, asked = s.table, []
+    _built(s, product_row=lambda x: asked.append(x) or t.mul[x])
     rng = np.random.default_rng(8)
-    changes = 0
-    while changes < 20:
-        i, j, k = rng.integers(len(t), size=3).tolist()
-        if t.identity_idx in (i, j) or k == t.mul[i, j]:
-            continue  # a changed identity row or column fails another check
-        bad = with_product(s, i, j, k).table.mul
-        with pytest.raises(PreconditionError, match="not associative") as err:
-            SemigroupTable(bad, identity_idx=t.identity_idx, check=True)
-        x, g, y = map(int, re.search(r"\((\d+), (\d+), (\d+)\)", str(err.value)).groups())
-        assert bad[bad[x, g], y] != bad[x, bad[g, y]]
-        changes += 1
+    for _ in range(20):
+        i, j = int(rng.choice(asked)), int(rng.integers(len(t)))
+        k = (int(t.mul[i, j]) + int(rng.integers(1, len(t)))) % len(t)
+        with pytest.raises(PreconditionError, match="not the product table of its action") as err:
+            _built(s, product_row=_changed_rows(t.mul, {(i, j): k}))
+        assert _cell(err) == (i, j)
 
 
 def test_identity_free_table_passes_the_table_check():
     s = enumerate_semigroup(make_instance(2, 4, 2))
-    below_units = subtable(s.table, s.below[2])  # an ideal without the identity
-    table = SemigroupTable(below_units.mul, check=True)
+    table = subtable(s.table, s.below[2])  # an ideal without the identity
     assert table.identity_idx is None and len(table) == 960
-    assert table._checked_generators() == scan_generators(table)
+    assert table._checked_generators() == light_check(table)
     assert len(closure_indices(table, table._checked_generators())) == len(table)
 
 
@@ -145,7 +150,7 @@ def test_table_check_rejects_a_false_identity():
     left_zero = [[0, 0], [1, 1]]  # x*y = x: associative, with no identity
     for claimed in (0, 1, 2, -1):
         with pytest.raises(PreconditionError):
-            SemigroupTable(left_zero, identity_idx=claimed)
+            regular_table(left_zero, identity_idx=claimed)
 
 
 def test_table_is_a_read_only_uint16_array():
@@ -155,7 +160,7 @@ def test_table_is_a_read_only_uint16_array():
     with pytest.raises(ValueError):
         mul[0, 0] = 1
     source = np.zeros((1, 1), dtype=np.int64)
-    SemigroupTable(source)
+    regular_table(source)
     assert source.flags.writeable  # the caller's array is left as it was
 
 
@@ -166,30 +171,33 @@ def test_a_changed_product_fails_the_table_check(pnr):
     i, j = [x for x in range(len(t)) if x != t.identity_idx][:2]
     bad = with_product(s, i, j, (int(t.mul[i, j]) + 1) % len(t)).table
     with pytest.raises(PreconditionError):
-        SemigroupTable(bad.mul, identity_idx=bad.identity_idx, check=True)
+        regular_table(bad.mul, identity_idx=bad.identity_idx)
 
 
 def test_identity_detection():
     table = TABLE_221
     assert table.identity_idx == i221(IDENT)
-    zero = SemigroupTable([[0]])
+    zero = regular_table([[0]])
     assert zero.identity_idx == 0
-    left_zero = SemigroupTable([[0, 0], [1, 1]])
+    left_zero = regular_table([[0, 0], [1, 1]])
     assert left_zero.identity_idx is None
 
 
 def test_identity_detection_past_one_row_block():
+    # The identity is the element that acts as the identity map.
     order = 300
     shifted = [[(i + j + 1) % order for j in range(order)] for i in range(order)]  # identity: 299
-    assert SemigroupTable(shifted).identity_idx == order - 1
-    shifted[0][order - 1] = 5  # column 299 now fails in the first block only
-    assert SemigroupTable(shifted, check=False).identity_idx is None
+    assert regular_table(shifted).identity_idx == order - 1
     right_zero = [list(range(order))] * order  # x*y = y: every row neutral, no column
-    assert SemigroupTable(right_zero).identity_idx is None
+    assert regular_table(right_zero).identity_idx is None
+    shifted[0][order - 1] = 5  # column 299 is no longer neutral, at point 0 only
+    assert find_identity(shifted) is None
+    with pytest.raises(PreconditionError, match="not the product table of its action"):
+        regular_table(shifted)
 
 
 def test_green_oracle_trivial_and_group():
-    one = green_oracle(SemigroupTable([[0]]))
+    one = green_oracle(regular_table([[0]]))
     group = green_oracle(cyclic_table(6))
     for relation in ("l", "r", "h", "d", "j"):
         assert getattr(one, relation).tolist() == [0]
@@ -221,7 +229,7 @@ def test_green_oracle_matches_literal_definitions():
 @pytest.mark.parametrize("which", ["p2n3r0", "p2n4r2_ideal", "null"])
 def test_green_oracle_matches_a_dense_reference_past_one_row_block(which):
     if which == "null":
-        table = SemigroupTable(np.zeros((300, 300), dtype=int))  # a not in S a
+        table = regular_table(np.zeros((300, 300), dtype=int))  # a not in S a
     elif which == "p2n3r0":
         table = enumerate_semigroup(make_instance(2, 3, 0)).table  # a monoid of order 512
     else:
@@ -267,19 +275,21 @@ def test_generators_at_the_largest_shipped_order():
 def test_generators_stop_on_unit_powers_that_never_return():
     # 1 is a "unit" (1*2 is the identity 0), but its powers run 1, 2, 2, ...
     # and never reach 0: no monoid, and the bounded power loop must end.
+    # As the action's columns, 1 is no permutation, so the build takes no
+    # such unit and refuses 1's row as a product of maps.
     mul = [[0, 1, 2], [1, 2, 0], [2, 2, 2]]
-    table = SemigroupTable(mul, check=False)
+    table = GivenTable(mul, identity_idx=0)
     assert table.identity_idx == 0
     assert len(closure_indices(table, scan_generators(table))) == 3
     with pytest.raises(PreconditionError, match="not associative"):
         table._checked_generators()
-    with pytest.raises(PreconditionError, match="not associative"):
-        SemigroupTable(mul)
+    with pytest.raises(PreconditionError, match="not the product table of its action"):
+        regular_table(mul)
 
 
 def test_green_refuses_a_table_that_is_not_associative():
     s = enumerate_semigroup(make_instance(2, 3, 1))
-    bad = with_product(s, 0, 0, s.table.identity_idx).table  # built with check=False
+    bad = with_product(s, 0, 0, s.table.identity_idx).table  # given, not built
     with pytest.raises(PreconditionError, match="not associative"):
         bad.green()
     with pytest.raises(PreconditionError, match="not associative"):
@@ -343,7 +353,7 @@ NILPOTENT = ((1, 2, 2),)
 
 
 def test_a_transformation_table_without_identity_and_with_a_outside_a_s():
-    table = SemigroupTable(transformation_table(NILPOTENT))
+    table = regular_table(transformation_table(NILPOTENT))
     assert len(table) == 2 and table.identity_idx is None
     assert 0 not in table.mul[0].tolist()
 
@@ -363,14 +373,14 @@ def transformations(draw):
 def test_green_oracle_matches_a_dense_reference_on_transformation_semigroups(maps):
     mul = transformation_table(maps)
     assume(len(mul) <= 256)
-    table = SemigroupTable(mul)
+    table = regular_table(mul)
     green = green_oracle(table)
     reference = dense_green(table)
     for relation in ("L", "R", "H", "D", "J"):
         assert label_sets(getattr(green, relation.lower())) == reference[relation]
 
 
-# The action form: SemigroupTable(action=act, product_row=...) builds mul
+# The build: SemigroupTable(action=act, product_row=...) builds mul
 # along a left tree from the rows of a few generator candidates, and
 # proves it the product table of act as it goes.
 
@@ -400,10 +410,9 @@ def _changed_rows(mul, cells):
 @pytest.mark.parametrize("pnr", [(2, 1, 0), (2, 2, 1), (2, 3, 1), (3, 2, 1), (2, 3, 2), (2, 4, 2)])
 def test_member_tables_are_certified_with_the_generators_light_keeps(pnr):
     s = enumerate_semigroup(make_instance(*pnr))
-    light = SemigroupTable(s.table.mul, identity_idx=s.table.identity_idx)
     built = _built(s)
-    assert built._checked_generators() == light._checked_generators() == s.table._checked_generators() == scan_generators(light)
-    assert np.array_equal(built.mul, light.mul) and built.mul.dtype == light.mul.dtype
+    assert built._checked_generators() == light_check(s.table) == s.table._checked_generators()
+    assert np.array_equal(built.mul, s.table.mul) and built.mul.dtype == s.table.mul.dtype
 
 
 @pytest.mark.parametrize(("copies", "named"), [({9: 5}, (5, 9)), ({9: 5, 3: 5}, (3, 5))])
@@ -488,7 +497,7 @@ def test_certificate_refuses_generators_that_miss_an_element_from_the_left(monke
     t = TABLE_231
     units = np.flatnonzero((t.mul == t.identity_idx).any(axis=1)).tolist()
     monkeypatch.setattr(semigroup_core, "_generators", lambda n, order, row: (units, np.array([row(u) for u in units])))
-    assert SemigroupTable(t.mul, identity_idx=t.identity_idx)._checked_generators() == units
+    light(t.mul, units)
     missed = min(set(range(len(t))) - set(units))
     with pytest.raises(PreconditionError, match=re.escape(f"generators {units} do not reach element {missed} from the left")):
         _built(S231)
@@ -506,7 +515,7 @@ def test_certificate_refuses_an_associative_relabelling_that_light_passes():
         swapped[np.ix_(sigma, sigma)] = sigma[t.mul]
         if e not in (a, b) and not np.array_equal(swapped, t.mul):
             break
-    SemigroupTable(swapped, identity_idx=e)
+    light_check(GivenTable(swapped, e))
     with pytest.raises(PreconditionError, match="not the product table of its action"):
         _built(S231, product_row=rows_of(swapped))
 
@@ -538,17 +547,18 @@ def test_a_malformed_action_is_refused(change, message):
 @pytest.mark.parametrize(
     ("kwargs", "message"),
     [
-        ({"mul": TABLE_231.mul, "action": S231.act, "product_row": rows_of(TABLE_231.mul)}, "built and proved from an action"),
-        ({"action": S231.act}, "built and proved from an action"),
-        ({"action": S231.act, "product_row": rows_of(TABLE_231.mul), "check": False}, "built and proved from an action"),
-        ({"mul": TABLE_231.mul, "product_row": rows_of(TABLE_231.mul)}, "built and proved from an action"),
+        ({"mul": TABLE_231.mul, "action": S231.act, "product_row": rows_of(TABLE_231.mul)}, "unexpected keyword argument 'mul'"),
+        ({"action": S231.act}, "missing 1 required positional argument: 'product_row'"),
+        ({"action": S231.act, "product_row": rows_of(TABLE_231.mul), "check": False}, "unexpected keyword argument 'check'"),
+        ({"mul": TABLE_231.mul, "product_row": rows_of(TABLE_231.mul)}, "unexpected keyword argument 'mul'"),
         ({"action": S231.act, "product_row": lambda x: TABLE_231.mul[x] * 1.0}, "is not a row of integers"),
         ({"action": S231.act, "product_row": lambda x: TABLE_231.mul[[x]]}, "is not a row of integers"),
     ],
 )
 def test_a_table_is_given_by_its_rows_or_built_from_its_action(kwargs, message):
-    # Nothing reaches a table built from an action but unproved.
-    with pytest.raises(PreconditionError, match=re.escape(message)):
+    # A table is only ever built from an action and proved: it cannot be
+    # given by mul, left unchecked, or built without its product rows.
+    with pytest.raises((TypeError, PreconditionError), match=re.escape(message)):
         SemigroupTable(**kwargs)
 
 
@@ -567,19 +577,19 @@ def test_the_action_is_kept_read_only_and_the_callers_array_writable():
 @settings(max_examples=60, deadline=None)
 def test_transformation_tables_pass_the_certificate_and_refuse_every_changed_cell(maps, seed):
     # The build reads the rows of A's candidates only.  It builds exactly
-    # the table, with Light's generators, and a changed cell in any row it
-    # reads is refused.
+    # the table, with the generators Light's test is run on, and a changed
+    # cell in any row it reads is refused.
     mul, act = transformation_semigroup(maps)
     assume(len(mul) <= 256)
     mul, n = np.array(mul), len(mul)
     asked = []
     table = SemigroupTable(action=act, product_row=lambda x: asked.append(x) or mul[x])
     assert np.array_equal(table.mul, mul)
-    light = SemigroupTable(mul)
+    e = find_identity(mul)
     # Units are found as the columns that permute the points, so the two
     # forms pick one A when the identity, if any, is the identity map.
-    if table.identity_idx == light.identity_idx:
-        assert table._checked_generators() == light._checked_generators()
+    if table.identity_idx == e:
+        assert table._checked_generators() == light_check(GivenTable(mul, e))
     assert set(table._checked_generators()) <= set(asked)
     rng = np.random.default_rng(seed)
     for _ in range(5 if n > 1 else 0):
@@ -658,7 +668,7 @@ def test_idempotents():
     table = TABLE_221
     assert mats(S221, idempotents(table)) == {A0, IDENT, A2}
     assert idempotents(cyclic_table(5)).tolist() == [0]
-    assert idempotents(SemigroupTable([[0]])).tolist() == [0]
+    assert idempotents(regular_table([[0]])).tolist() == [0]
 
 
 def test_natural_leq():
@@ -701,7 +711,7 @@ def test_principal_ideal_reaches_across_both_sides():
     # whole semigroup, reached by left products only; in a right zero
     # semigroup (x*y = y), by right products only.
     for mul in ([[0, 0], [1, 1]], [[0, 1], [0, 1]]):
-        table = SemigroupTable(mul)
+        table = regular_table(mul)
         assert principal_ideal(table, 0).tolist() == [0, 1] == dense_principal_ideal(table, 0)
 
 
@@ -777,12 +787,12 @@ def test_verify_ideal_reads_every_block_on_each_side(side):
     subset = range(2 * ROW_BLOCK + 10)
     inner, outer = 2 * ROW_BLOCK + 5, n - 2
     mul = np.zeros((n, n), dtype=np.uint16)
-    assert verify_ideal(SemigroupTable(mul, check=False), subset)
+    assert verify_ideal(regular_table(mul), subset)
     if side == "left":
         mul[inner, outer] = n - 1  # inner * outer leaves; column outer is no subset column
     else:
         mul[outer, inner] = n - 1  # outer * inner leaves; row outer is no subset row
-    table = SemigroupTable(mul)
+    table = regular_table(mul)
     assert table._checked_generators()[-1] == outer
     assert not verify_ideal(table, subset)
     assert not dense_verify_ideal(table, subset)
@@ -793,7 +803,7 @@ def test_verify_ideal_reads_every_block_on_each_side(side):
 def test_ideal_forms_match_their_dense_oracles_on_transformation_semigroups(maps, data):
     mul = transformation_table(maps)
     assume(len(mul) <= 256)
-    table = SemigroupTable(mul)
+    table = regular_table(mul)
     n = len(table)
     ideals = [principal_ideal(table, a).tolist() for a in range(n)]
     assert ideals == [dense_principal_ideal(table, a) for a in range(n)]
@@ -820,7 +830,7 @@ def test_is_homomorphism_matches_the_every_pair_compare_on_transformation_semigr
     perm = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).permutation(n)
     relabelled = np.empty_like(mul)
     relabelled[np.ix_(perm, perm)] = perm[mul]
-    source, target = SemigroupTable(mul), SemigroupTable(relabelled)
+    source, target = regular_table(mul), regular_table(relabelled)
     swapped = perm.copy()
     i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
     swapped[[i, j]] = perm[[j, i]]
@@ -834,7 +844,7 @@ def test_is_homomorphism_reads_the_row_of_every_generator():
     # a = (0, 0, 1) and the identity e generate {a, e, a^2}.  The table
     # check takes e first, and e's row holds for any psi fixing e, so only
     # a's row shows that swapping a and a^2 is no homomorphism.
-    table = SemigroupTable(transformation_table(((0, 0, 1), (0, 1, 2))))
+    table = regular_table(transformation_table(((0, 0, 1), (0, 1, 2))))
     psi = np.array([2, 1, 0])
     assert table._checked_generators() == [table.identity_idx, 0]
     assert not is_homomorphism(psi, table, table)
@@ -843,13 +853,13 @@ def test_is_homomorphism_reads_the_row_of_every_generator():
 
 def test_is_homomorphism_refuses_a_target_that_is_not_associative():
     s = enumerate_semigroup(make_instance(2, 3, 1))
-    bad = with_product(s, 0, 0, s.table.identity_idx).table  # built with check=False
+    bad = with_product(s, 0, 0, s.table.identity_idx).table  # given, not built
     with pytest.raises(PreconditionError, match="not associative"):
         is_homomorphism(np.arange(len(bad)), s.table, bad)
 
 
 def test_rank_search_basics():
-    assert rank_search(SemigroupTable([[0]]), [0], 1) == (1, (0,))
+    assert rank_search(regular_table([[0]]), [0], 1) == (1, (0,))
     pair_group = cyclic_table(2)
     assert rank_search(pair_group, [0, 1], 2) == (1, (1,))
     table = TABLE_221
@@ -928,6 +938,23 @@ def test_subtable_units_form_group():
 def test_subtable_rejects_unclosed_subset():
     table = TABLE_221
     i = i221
-    # {identity, A3*?}: the pair {A3, A0} generates everything, so it is not closed
-    with pytest.raises(PreconditionError):
+    # {identity, A3*?}: the pair {A3, A0} generates everything, so it is not
+    # closed, and a product leaves it in a row the build reads.
+    with pytest.raises(PreconditionError, match="a product escaped the member list"):
         subtable(table, [i(A3), i(A0)])
+
+
+def test_subtable_identity_is_the_element_that_acts_as_the_identity_map():
+    # The unit group's identity is the identity matrix, the identity map.
+    # A minimal idempotent e is the identity of its H-class, a group of
+    # non-units, but acts as a projection, so that sub-table has none;
+    # read off its rows, as the mul form found it, it would be e.
+    s = enumerate_semigroup(make_instance(2, 3, 2))
+    units = s.grades[s.inst.n - s.inst.r]
+    assert units[subtable(s.table, units).identity_idx] == s.table.identity_idx
+    e = int(minimal_idempotents_oracle(s.table)[0])
+    h = s.table.green().h
+    members = np.flatnonzero(h == h[e])
+    group = subtable(s.table, members)
+    assert len(group) == 6 and group.identity_idx is None
+    assert members[find_identity(group.mul)] == e
