@@ -74,6 +74,11 @@ STRETCH = {
     (2, 4, 3): "bc08d1cddfc8c8145c0f5783c257c863c5db12a421574def01537477f3b3d4f3",
     (2, 4, 1): "0ffc7d578af378d0972eddbb290f5d1a18ee7fbf4db8c446b7e3b12aa3bda2f3",
 }
+# verify --cap 4096 on the two stretch instances, standard U, times removed.
+STRETCH_VERIFY = {
+    (2, 4, 3): "699238644946408eeab4ae48154d6ace3ad42922ffc8d3639a646cb1720a6a13",
+    (2, 4, 1): "2509be89943dd2cba5dfb91700d8f1632c1e09ac7b2175e2b3b6ea67a5b7ebc5",
+}
 VERIFY = {
     "p2n2r1": "d0c2cdbfd79c55c6064c208ce23501f215a6be002a2048198e5ae3f8d5d0e7a8",
     "p3n2r1": "50af33c329bc61dbbddf57130bd5350a80fa7d46f7875f2ddbee422b45a609b6",
@@ -127,14 +132,24 @@ def test_eggbox_dot_is_golden(name, tmp_path):
     assert _digest_file("eggbox", name, tmp_path / "eggbox.dot") == EGGBOX[name]
 
 
-@pytest.mark.parametrize("pnr", sorted(STRETCH))
-def test_stretch_eggbox_dot_is_golden(pnr, tmp_path):
+def _stretch_cfg(pnr, tmp_path) -> str:
     p, n, r = pnr
     cfg = tmp_path / "stretch.cfg"
     cfg.write_text(f"p = {p}\nn = {n}\nr = {r}\n", encoding="utf-8")
+    return str(cfg)
+
+
+@pytest.mark.parametrize("pnr", sorted(STRETCH))
+def test_stretch_eggbox_dot_is_golden(pnr, tmp_path):
     out = tmp_path / "eggbox.dot"
-    assert main(["eggbox", "--instance", str(cfg), "--out", str(out), "--cap", "4096"]) == 0
+    assert main(["eggbox", "--instance", _stretch_cfg(pnr, tmp_path), "--out", str(out), "--cap", "4096"]) == 0
     assert _sha(out.read_bytes()) == STRETCH[pnr]
+
+
+@pytest.mark.parametrize("pnr", sorted(STRETCH_VERIFY))
+def test_stretch_verify_stdout_is_golden(pnr, tmp_path, capsys):
+    assert main(["verify", "--instance", _stretch_cfg(pnr, tmp_path), "--cap", "4096"]) == 0
+    assert _sha(_TIME.sub("", capsys.readouterr().out).encode("utf-8")) == STRETCH_VERIFY[pnr]
 
 
 @pytest.mark.parametrize("name", sorted(VERIFY))
