@@ -30,6 +30,7 @@ from .errors import (
 )
 from .gf_linalg import (
     anchors,
+    code_vectors,
     codes,
     complements_among,
     enumerate_complements,
@@ -260,7 +261,7 @@ def _check_complement_count(inst: Instance):
     if expected > 100_000:
         raise CapacityError(f"{expected} complements exceed the enumeration budget")
     comps = enumerate_complements(inst.u)
-    ok = len(comps) == expected and complements_among(inst.u, comps).all()
+    ok = len(set(comps)) == len(comps) == expected and complements_among(inst.u, comps).all()
     counts = {"complements": len(comps), "expected": expected}
     return ("pass" if ok else "fail", counts, None)
 
@@ -335,36 +336,45 @@ def _check_regularity(s: Structure, caps):
 
 
 def _check_factorizations(s: Structure, caps):
-    # Every pair, grade block by grade block: each constructor certifies
-    # its whole block, and each infeasible block must be refused.
-    top = s.inst.n - s.inst.r
-    grades = s.grades
+    # One pair per (kernel class, element) covers every pair: each
+    # constructor reads x only through K_c * x, K_c = [basis of ker c;
+    # transversal; U], c = ker x (lemmas in each docstring).  Factor-through:
+    # lam*y*mu = N*x, N = lam*y*D(y, codim x)^-1*K_c, and N*x0 = x0 puts the
+    # rows of N - I in ker c.  Witness: gamma = K_d^-1*(x's images), d = ker
+    # y.  Sandwich: lam*a*mu = t iff lam*a*dom(a)^-1 = K_c^-1*Z_c, by (i).
+    # Each mu is a member (a unit, for a sandwich) by (i) K_c's head rows lie
+    # in ker c, its last r rows are U's; (ii) U*D(y, k)^-1 spans the last r unit rows.
+    p, n, top, bt = s.inst.p, s.inst.n, s.inst.n - s.inst.r, s.batch
+    u, j, vectors = codes(p, s.inst.u.basis), np.arange(n), code_vectors(p, n)
+    in_ker = s.act[bt.kernel, s.kernel_classes[1][:, None]] == 0
+    ok = np.where(j < (top - bt.ker_codims)[:, None], in_ker, (j < top) | (bt.kernel == np.pad(u, (top, 0))))
+    if not ok.all():
+        return ("fail", {}, f"kernel class {(~ok).any(axis=1).argmax()} is no [basis of its kernel; transversal; U]")
+    ys, ks = np.nonzero(np.arange(top + 1) <= bt.codims[:, None])
+    spans = np.sort(codes(p, vectors[span_mask(p, n, u)] @ vectors[bt.domain_inv[ys, ks]] % p), axis=1)
+    if (bad := (spans != np.arange(p**s.inst.r)).any(axis=1)).any():
+        return ("fail", {}, f"U * D({ys[bad][0]}, {ks[bad][0]})^-1 is not the span of the last r unit rows")
+    reps = lambda idx: idx[np.unique(bt.ker_ids[idx], return_index=True)[1]]  # least of each kernel class
+    grades, mid = s.grades, s.grades[top - 1]
     factored = witnesses = infeasible = 0
     for ka, left in enumerate(grades):
         for kb, right in enumerate(grades):
             if ka <= kb:
-                factor_through_grid(s, left, right)
+                factor_through_grid(s, reps(left), right)
                 factored += left.size * right.size
             else:
                 try:
-                    factor_through_grid(s, left, right)
+                    factor_through_grid(s, reps(left), right)
                 except InfeasibleError:
                     infeasible += left.size * right.size
                 else:
                     return ("fail", {}, "factor_through accepted an impossible pair")
-        dclass_witness_grid(s, left, left)
+        dclass_witness_grid(s, left, reps(left))
         witnesses += left.size**2
     raised = len(raise_factors(s, s.below[top - 1])[0])
-    mid = grades[top - 1]
-    sandwich_factor_grid(s, mid, mid)
-    counts = {
-        "factored": factored,
-        "infeasible_rejected": infeasible,
-        "d_witnesses": witnesses,
-        "raised": raised,
-        "sandwiched": mid.size**2,
-    }
-    return ("pass", counts, None)
+    sandwich_factor_grid(s, reps(mid), mid)
+    counts = {"factored": factored, "infeasible_rejected": infeasible, "d_witnesses": witnesses}
+    return ("pass", {**counts, "raised": raised, "sandwiched": mid.size**2}, None)
 
 
 def _check_generation(s: Structure, caps):

@@ -606,7 +606,10 @@ def factor_through_grid(s: Structure, left, right) -> tuple[np.ndarray, np.ndarr
 
     lam depends only on the kernel classes (see _Batch.factor_lams).
     mu kills the tail extending (first codim(a) rows of b's transversal,
-    U) * b to V and sends those rows * b to (a's transversal, U) * a.
+    U) * b to V and sends those rows * b to (a's transversal, U) * a: mu
+    = D^-1 * K_c * a for that domain D, K_c = kernel[ker a], so lam * b * mu
+    = N * a for N fixed by (ker a, b), and one a per kernel class puts N - I's
+    rows in ker a.  U * mu = U * a when U * D^-1 spans the last r unit rows.
     """
     every, b, bt = indices(len(s.table), left), indices(len(s.table), right), s.batch
     if every.size and b.size and bt.codims[every].max() > bt.codims[b].min():
@@ -621,7 +624,8 @@ def dclass_witness_grid(s: Structure, left, right) -> np.ndarray:
     right[j]; every element must have the same codimension.
 
     gamma kills b's kernel, sends b's transversal to the extension of U
-    to a's image, and sends U as a does.
+    to a's image, and sends U as a does: gamma = K_d^-1 * (a's images),
+    d = ker b, so one b per kernel class gives every pair's witness.
     """
     every, b, bt = indices(len(s.table), left), indices(len(s.table), right), s.batch
     codims = bt.codims[np.concatenate([every, b])]
@@ -643,7 +647,11 @@ def sandwich_factor_grid(s: Structure, targets, sources) -> tuple[np.ndarray, np
     targets[i] and a = sources[j], all of codimension n-r-1.
 
     lam sends t's transversal, kernel and U onto a's; mu sends a's
-    domain rows onto t's.
+    domain rows onto t's.  With K_c = kernel[ker t], whose head rows lie
+    in ker t, Z_c * dom(t) = K_c * t for Z_c zeroing them, so lam * a * mu
+    = t iff lam * a * dom(a)^-1 = K_c^-1 * Z_c: one t per kernel class
+    proves the rest, and U * mu = U * t when U * dom(a)^-1 spans the last
+    r unit rows.
     """
     every, a, bt = indices(len(s.table), targets), indices(len(s.table), sources), s.batch
     top = s.inst.n - s.inst.r

@@ -521,7 +521,7 @@ def subtable(table: SemigroupTable, idxs) -> SemigroupTable:
     subset's i-th least index.  It is built and proved from the columns
     of the table's action at the subset, and its rows are read off the
     table through the subset's positions, so a subset that is not closed
-    is refused (a product escapes it in a row the build reads).  Its
+    is refused by the product leaving it in a row the build reads.  Its
     identity is the element that acts as the identity map, or None: a
     group of non-units, such as the H-class of an idempotent below the
     identity, has none."""
@@ -530,4 +530,11 @@ def subtable(table: SemigroupTable, idxs) -> SemigroupTable:
     idxs = np.flatnonzero(inside)
     pos = np.full(len(table), -1, dtype=np.intp)
     pos[idxs] = np.arange(len(idxs))
-    return SemigroupTable(table._action[:, idxs], lambda i: pos[table.mul[idxs[i], idxs]])
+
+    def product_row(i):
+        row = table.mul[idxs[i], idxs]
+        if (out := pos[row] < 0).any():
+            raise PreconditionError(f"subset is not closed: {idxs[i]} * {idxs[out][0]} = {row[out][0]} lies outside it")
+        return pos[row]
+
+    return SemigroupTable(table._action[:, idxs], product_row)

@@ -11,7 +11,7 @@ from itertools import product
 import numpy as np
 
 from glsemi import gf_linalg, gl_restriction, semigroup_core
-from glsemi.errors import ConfigurationError, PreconditionError
+from glsemi.errors import ConfigurationError, InfeasibleError, PreconditionError
 from glsemi.gf_linalg import (
     Subspace,
     code_vectors,
@@ -58,6 +58,43 @@ def split_cell(s, left_kind, w, a):
         raise PreconditionError(f"element {a} has no cell in the {left_kind} split")
     i, j = divmod(int(pos[a]), len(right))
     return int(left[i]), int(right[j])
+
+
+def every_pair_factorizations(s):
+    """The factorizations check on every pair of S x S: (status, counts,
+    reason) as cli's check returns them.  Grade block by grade block,
+    every pair goes to its constructor, which multiplies each output back
+    out, and each infeasible block must be refused.  The check itself
+    takes one pair per (kernel class, element); this is its oracle."""
+    g = gl_restriction
+    top = s.inst.n - s.inst.r
+    grades = s.grades
+    factored = witnesses = infeasible = 0
+    for ka, left in enumerate(grades):
+        for kb, right in enumerate(grades):
+            if ka <= kb:
+                g.factor_through_grid(s, left, right)
+                factored += left.size * right.size
+            else:
+                try:
+                    g.factor_through_grid(s, left, right)
+                except InfeasibleError:
+                    infeasible += left.size * right.size
+                else:
+                    return ("fail", {}, "factor_through accepted an impossible pair")
+        g.dclass_witness_grid(s, left, left)
+        witnesses += left.size**2
+    raised = len(g.raise_factors(s, s.below[top - 1])[0])
+    mid = grades[top - 1]
+    g.sandwich_factor_grid(s, mid, mid)
+    counts = {
+        "factored": factored,
+        "infeasible_rejected": infeasible,
+        "d_witnesses": witnesses,
+        "raised": raised,
+        "sandwiched": mid.size**2,
+    }
+    return ("pass", counts, None)
 
 
 def zero_space(p, n):

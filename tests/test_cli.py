@@ -1,5 +1,6 @@
 """Config parsing, the verify suite surface, DOT emission, and reports."""
 
+import ast
 import dataclasses
 import json
 import os
@@ -31,13 +32,14 @@ from glsemi.cli import (
     cmd_report,
     cmd_verify,
     eggbox_dot,
+    load_config,
     main,
     parse_config,
     resolve_caps,
 )
 from glsemi import cli, gl_restriction, semigroup_core
 from glsemi.errors import ConfigurationError, InternalInconsistencyError
-from glsemi.gf_linalg import enumerate_complements
+from glsemi.gf_linalg import code_vectors, codes, enumerate_complements
 from glsemi.gl_restriction import (
     DEFAULT_ENUM_CAP,
     FIX_U,
@@ -59,6 +61,7 @@ from helpers import (
     BATCHES,
     GivenTable,
     break_batch,
+    every_pair_factorizations,
     is_member,
     matrices,
     one,
@@ -70,6 +73,7 @@ from helpers import (
 )
 
 CAPS = (DEFAULT_ENUM_CAP, DEFAULT_RANK_CAP)
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 CHECK_NAMES = [
     "order_law",
@@ -228,14 +232,29 @@ def test_unit_decomposition_fails_on_a_wrong_cell_in_a_split_grid(monkeypatch, l
 
 
 def test_factorizations_and_regularity_cover_every_pair_and_element(monkeypatch):
+    # The check offers each constructor one element per kernel class, the
+    # least, which stands for its class (the lemmas in the check's comment):
+    # every pair must lie in exactly one checked cell, (class of x, y) for
+    # factor-through, (x, class of y) for D-class witnesses and (class of
+    # t, a) for sandwiches.
     s = enumerate_semigroup(make_instance(2, 4, 2))
     n, grades = len(s.table), s.grades
-    offered = {name: np.zeros((n, n), dtype=np.int64) for name in ("factor", "dclass", "sandwich")}
+    ker, least = s.kernel_classes
+    every = np.arange(n)
+    covered = {name: np.zeros((n, n), dtype=np.int8) for name in ("factor", "dclass", "sandwich")}
     singles = {"raise": [], "regular": []}
 
-    def grid(name, real):
+    def classes(idxs):
+        assert np.array_equal(idxs, least[ker[idxs]]), "not the least element of each kernel class"
+        assert len(np.unique(ker[idxs])) == len(idxs), "a kernel class offered twice"
+        return np.isin(ker, ker[idxs])
+
+    def grid(name, real, by_class):
         def recording(s, left, right):
-            offered[name][np.ix_(left, right)] += 1
+            left, right = np.asarray(left), np.asarray(right)
+            rows = classes(left) if by_class == 0 else np.isin(every, left)
+            cols = classes(right) if by_class == 1 else np.isin(every, right)
+            covered[name] += rows[:, None] & cols
             return real(s, left, right)
 
         return recording
@@ -247,9 +266,9 @@ def test_factorizations_and_regularity_cover_every_pair_and_element(monkeypatch)
 
         return recording
 
-    monkeypatch.setattr(cli, "factor_through_grid", grid("factor", cli.factor_through_grid))
-    monkeypatch.setattr(cli, "dclass_witness_grid", grid("dclass", cli.dclass_witness_grid))
-    monkeypatch.setattr(cli, "sandwich_factor_grid", grid("sandwich", cli.sandwich_factor_grid))
+    monkeypatch.setattr(cli, "factor_through_grid", grid("factor", cli.factor_through_grid, 0))
+    monkeypatch.setattr(cli, "dclass_witness_grid", grid("dclass", cli.dclass_witness_grid, 1))
+    monkeypatch.setattr(cli, "sandwich_factor_grid", grid("sandwich", cli.sandwich_factor_grid, 0))
     monkeypatch.setattr(cli, "raise_factors", single("raise", cli.raise_factors))
     monkeypatch.setattr(cli, "regular_witnesses", single("regular", cli.regular_witnesses))
     status, counts, _ = _check_factorizations(s, CAPS)
@@ -260,16 +279,126 @@ def test_factorizations_and_regularity_cover_every_pair_and_element(monkeypatch)
     assert counts["raised"] == len(s.below[1])
     status, counts, _ = _check_regularity(s, CAPS)
     assert status == "pass" and counts["verified"] == n
-    # Every pair offered to factor_through_grid exactly once; D-class witnesses
-    # and sandwiches on every pair of their grades; every element raised
+    # Every pair in one factor-through cell; D-class witnesses and
+    # sandwiches on every pair of their grades, once; every element raised
     # below grade 1 and given an inner inverse.
     codims = s.codims
-    assert (offered["factor"] == 1).all()
-    assert np.array_equal(offered["dclass"], (codims[:, None] == codims).astype(np.int64))
+    assert (covered["factor"] == 1).all()
+    assert np.array_equal(covered["dclass"], (codims[:, None] == codims).astype(np.int8))
     mid = codims == 1
-    assert np.array_equal(offered["sandwich"], (mid[:, None] & mid).astype(np.int64))
+    assert np.array_equal(covered["sandwich"], (mid[:, None] & mid).astype(np.int8))
     assert sorted(singles["raise"]) == s.below[1].tolist()
     assert sorted(singles["regular"]) == list(range(n))
+
+
+@pytest.mark.parametrize("name", [*sorted(path.stem for path in CONFIGS.glob("*.cfg")), "p2n4r3"])
+def test_factorizations_match_the_every_pair_oracle(name):
+    # One pair per (kernel class, element) gives the status and counts
+    # that recomposing every pair gives, on every shipped config and the
+    # stretch instance (2,4,3).
+    path = CONFIGS / f"{name}.cfg"
+    inst = build_instance(load_config(str(path))) if path.exists() else make_instance(2, 4, 3)
+    s = enumerate_semigroup(inst, 4096)
+    found = _check_factorizations(s, CAPS)
+    assert found[0] == "pass"
+    assert found == every_pair_factorizations(s)
+
+
+def test_factorizations_peaks_below_a_byte_per_table_cell():
+    # No grid over S x S: the constructors see one element per kernel
+    # class on one side.  The Structure's batch is built first, as verify
+    # builds it for regularity, the check before this one; the lam tables
+    # the check builds on its first call count.
+    s = enumerate_semigroup(make_instance(2, 4, 3), 4096)
+    s.batch.images
+    tracemalloc.start()
+    try:
+        status, _, _ = _check_factorizations(s, CAPS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert status == "pass" and peak < len(s.table) ** 2
+
+
+def _failing(cfg=InstanceConfig(p=2, n=3, r=1)):
+    """The checks of cmd_verify on cfg that fail, by name, with their reasons."""
+    return {c.name: c.reason for c in cmd_verify(cfg, *CAPS).checks if c.status == "fail"}
+
+
+def test_factorizations_fails_on_a_wrong_factor_lam(monkeypatch):
+    # One class pair's factor-through lam is the identity instead: the
+    # pair of its least x with any y of the other class no longer recomposes.
+    real = gl_restriction._Batch.__dict__["factor_lams"].func
+    wrong = []
+
+    def factor_lams(bt):
+        lam = real(bt).copy()
+        c, d = next((c, d) for c, d in np.argwhere(lam >= 0).tolist() if lam[c, d] != bt.s.table.identity_idx)
+        lam[c, d] = bt.s.table.identity_idx
+        wrong.append((c, d))
+        return lam
+
+    monkeypatch.setattr(gl_restriction._Batch, "factor_lams", property(factor_lams))
+    failed = _failing()
+    assert set(failed) == {"factorizations"} and wrong
+    assert "factor-through factors failed to recompose" in failed["factorizations"]
+
+
+def _with_domain_columns_swapped(monkeypatch, i, j):
+    """Swap columns i and j of domain_inv[y, 1] for the least unit y of
+    (2,3,1), an inverse only factor-through reads (k = 1 < codim y = 2);
+    return y."""
+    s = enumerate_semigroup(make_instance(2, 3, 1))
+    y = int(s.grades[2][0])
+    real = gl_restriction._Batch._domain_inverses
+
+    def swapped(bt):
+        inv = real(bt)
+        rows = code_vectors(2, 3)[inv[y, 1]]
+        rows[:, [i, j]] = rows[:, [j, i]]
+        inv[y, 1] = codes(2, rows)
+        return inv
+
+    monkeypatch.setattr(gl_restriction._Batch, "_domain_inverses", swapped)
+    return y
+
+
+def test_factorizations_fails_on_a_wrong_domain_inverse(monkeypatch):
+    # Columns 0 and 1 are both off U's coordinates, so U * D^-1 still spans
+    # the last unit row (ii) and only the recomposition, at y, can notice.
+    y = _with_domain_columns_swapped(monkeypatch, 0, 1)
+    failed = _failing()
+    assert set(failed) == {"factorizations"}
+    assert "factor-through factors failed to recompose at pair (" in failed["factorizations"]
+    assert failed["factorizations"].endswith(f", {y})")
+
+
+def test_factorizations_fails_when_u_times_a_domain_inverse_leaves_the_last_unit_rows(monkeypatch):
+    # Column 0 swapped with U's column 2 breaks (ii) at (y, 1).
+    y = _with_domain_columns_swapped(monkeypatch, 0, 2)
+    failed = _failing()
+    assert set(failed) == {"factorizations"}
+    assert failed["factorizations"] == f"U * D({y}, 1)^-1 is not the span of the last r unit rows"
+
+
+def test_factorizations_fails_when_a_kernel_head_row_leaves_the_kernel(monkeypatch):
+    # The first row of a codimension-0 class's K_c gains U's row: K_c stays
+    # a basis, but that row leaves ker c (i).  No constructor reads the head
+    # rows of a codimension-0 K_c: the sandwich lams see codimension 1 only.
+    real = gl_restriction._Batch.__init__
+    moved = []
+
+    def init(bt, s):
+        real(bt, s)
+        c = int(np.flatnonzero(bt.ker_codims == 0)[0])
+        rows = code_vectors(s.inst.p, s.inst.n)[bt.kernel[c]]
+        bt.kernel[c, 0] = codes(s.inst.p, (rows[0] + rows[2]) % s.inst.p)
+        moved.append(c)
+
+    monkeypatch.setattr(gl_restriction._Batch, "__init__", init)
+    failed = _failing()
+    assert set(failed) == {"factorizations"}
+    assert failed["factorizations"] == f"kernel class {moved[0]} is no [basis of its kernel; transversal; U]"
 
 
 def _verify_with(monkeypatch, s, bad):
@@ -520,6 +649,87 @@ def test_minimal_idempotents_fails_on_one_extra_characterized_idempotent(monkeyp
     monkeypatch.setattr(cli, "minimal_idempotents", lambda s: np.union1d(real(s), [s.table.identity_idx]))
     check = next(c for c in cmd_verify(InstanceConfig(p=2, n=3, r=1), *CAPS).checks if c.name == "minimal_idempotents")
     assert (check.status, check.counts) == ("fail", {"characterized": 5, "oracle": 4, "expected": 4})
+
+
+def test_complement_count_fails_on_a_duplicated_complement(monkeypatch):
+    # The last complement listed is the first again: as many as expected,
+    # each a complement of U, but not all of them.
+    real = cli.enumerate_complements
+    monkeypatch.setattr(cli, "enumerate_complements", lambda u: [*real(u)[:-1], real(u)[0]])
+    assert set(_failing()) == {"complement_count"}
+
+
+def test_subgroup_isomorphisms_fails_on_one_swapped_coordinate_row(monkeypatch):
+    # The coordinates of the first two vectors of every space trade places,
+    # so the images of the members are no longer their coordinate rows.
+    real = gl_restriction.coordinate_table
+
+    def swapped(sub):
+        out = real(sub)
+        inside = np.flatnonzero((out >= 0).all(axis=1))[:2]
+        out[inside] = out[inside[::-1]]
+        return out
+
+    monkeypatch.setattr(gl_restriction, "coordinate_table", swapped)
+    failed = _failing()
+    assert set(failed) == {"subgroup_isomorphisms"}
+    assert failed["subgroup_isomorphisms"] == "fix_w comparison failed"
+
+
+def test_nonnormality_fails_on_a_conjugate_that_stays_inside(monkeypatch):
+    # alpha and its inverse solved as the identity: the conjugate of beta
+    # is beta, which lies in its own subgroup.
+    real = gl_restriction.solve_batch
+
+    def solve_batch(p, doms, imgs):
+        doms, imgs = np.array(doms), np.array(imgs)
+        imgs[0], doms[2] = doms[0], imgs[2]
+        return real(p, doms, imgs)
+
+    monkeypatch.setattr(gl_restriction, "solve_batch", solve_batch)
+    failed = _failing()
+    assert set(failed) == {"nonnormality"}
+    assert failed["nonnormality"].endswith("conjugate unexpectedly stayed in the subgroup")
+
+
+def test_isomorphism_theorem_fails_on_a_psi_that_breaks_a_product(monkeypatch):
+    # The conjugates of elements 1 and 2 are looked up the wrong way round:
+    # psi stays a bijection onto the partner, but not a homomorphism.
+    real = Structure.find
+
+    def find(s, rows):
+        psi = real(s, rows).copy()
+        psi[[1, 2]] = psi[[2, 1]]
+        return psi
+
+    monkeypatch.setattr(Structure, "find", find)
+    failed = _failing()
+    assert set(failed) == {"isomorphism_theorem"}
+    assert failed["isomorphism_theorem"].endswith("conjugation failed to respect a product")
+
+
+def _checks_without_fault_tests(checks, tests) -> list[str]:
+    """Each check name with no test named test_<check>_fails_..., the
+    name a test takes when it turns that check's line to fail."""
+    return [name for name in checks if not any(test.startswith(f"test_{name}_fails_") for test in tests)]
+
+
+def test_every_verify_check_has_a_fault_test():
+    # A check that no test ever sees fail may be unable to fail: each one
+    # in cli's table of checks needs a fault test, so a new check without
+    # one fails here.
+    tests = {
+        node.name
+        for path in pathlib.Path(__file__).resolve().parent.glob("test_*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert _checks_without_fault_tests([name for name, _, _ in cli._CHECKS], tests) == []
+
+
+def test_a_check_without_a_fault_test_is_flagged():
+    tests = {"test_order_law_fails_when_u_moves", "test_new_check_passes", "test_new_check_fails"}
+    assert _checks_without_fault_tests(["order_law", "new_check"], tests) == ["new_check"]
 
 
 def test_main_verify_smallest(tmp_path, capsys):

@@ -939,9 +939,13 @@ def test_subtable_rejects_unclosed_subset():
     table = TABLE_221
     i = i221
     # {identity, A3*?}: the pair {A3, A0} generates everything, so it is not
-    # closed, and a product leaves it in a row the build reads.
-    with pytest.raises(PreconditionError, match="a product escaped the member list"):
-        subtable(table, [i(A3), i(A0)])
+    # closed, and a product leaves it in a row the build reads.  The
+    # refusal names that product by the members' table indices.
+    subset = {i(A3), i(A0)}
+    with pytest.raises(PreconditionError, match=r"subset is not closed: \d+ \* \d+ = \d+ lies outside it") as info:
+        subtable(table, sorted(subset))
+    x, y, xy = map(int, re.findall(r"\d+", str(info.value)))
+    assert {x, y} <= subset and xy not in subset and table.mul[x, y] == xy
 
 
 def test_subtable_identity_is_the_element_that_acts_as_the_identity_map():
