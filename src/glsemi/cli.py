@@ -343,7 +343,9 @@ def _check_factorizations(s: Structure, caps):
     # rows of N - I in ker c.  Witness: gamma = K_d^-1*(x's images), d = ker
     # y.  Sandwich: lam*a*mu = t iff lam*a*dom(a)^-1 = K_c^-1*Z_c, by (i).
     # Each mu is a member (a unit, for a sandwich) by (i) K_c's head rows lie
-    # in ker c, its last r rows are U's; (ii) U*D(y, k)^-1 spans the last r unit rows.
+    # in ker c, its last r rows are U's; (ii) U*D(y, k)^-1 spans the last r unit
+    # rows: D^-1 is invertible, so U's r basis rows times it are independent,
+    # and they span those unit rows when their codes are all below p^r.
     p, n, top, bt = s.inst.p, s.inst.n, s.inst.n - s.inst.r, s.batch
     u, j, vectors = codes(p, s.inst.u.basis), np.arange(n), code_vectors(p, n)
     in_ker = s.act[bt.kernel, s.kernel_classes[1][:, None]] == 0
@@ -351,8 +353,8 @@ def _check_factorizations(s: Structure, caps):
     if not ok.all():
         return ("fail", {}, f"kernel class {(~ok).any(axis=1).argmax()} is no [basis of its kernel; transversal; U]")
     ys, ks = np.nonzero(np.arange(top + 1) <= bt.codims[:, None])
-    spans = np.sort(codes(p, vectors[span_mask(p, n, u)] @ vectors[bt.domain_inv[ys, ks]] % p), axis=1)
-    if (bad := (spans != np.arange(p**s.inst.r)).any(axis=1)).any():
+    moved = codes(p, vectors[u] @ vectors[bt.domain_inv[ys, ks]] % p)
+    if (bad := (moved >= p**s.inst.r).any(axis=1)).any():
         return ("fail", {}, f"U * D({ys[bad][0]}, {ks[bad][0]})^-1 is not the span of the last r unit rows")
     reps = lambda idx: idx[np.unique(bt.ker_ids[idx], return_index=True)[1]]  # least of each kernel class
     grades, mid = s.grades, s.grades[top - 1]
@@ -461,10 +463,9 @@ def _check_subgroup_isomorphisms(s: Structure, caps):
 
 
 def _check_nonnormality(inst: Instance):
+    # nonnormality_example raises when a conjugate stays inside its subgroup.
     reports = [nonnormality_example(inst.p, case) for case in CONJUGATION_CASES]
-    ok = all(rep.escaped for rep in reports)
-    counts = {"cases": len(reports)}
-    return ("pass" if ok else "fail", counts, None)
+    return ("pass", {"cases": len(reports)}, None)
 
 
 def _check_isomorphism_theorem(s: Structure, caps):

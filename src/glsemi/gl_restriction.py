@@ -43,7 +43,6 @@ from .gf_linalg import (
     gl_order,
     identity_mat,
     is_complement,
-    key_dtype,
     key_index,
     mat_mul,
     rref_codes,
@@ -139,46 +138,16 @@ def _cayley(p: int, rows: np.ndarray):
     """(act, index, product_row) of the members given by their row codes:
     act[v, b] codes v*b (matrix products mod p), index is the key index
     (gf_linalg.key_index), and product_row(a)[b] is the index of a*b, -1
-    for a non-member: its key read off _half_keys tables of a's rows (row
-    i of a*b is act[row_i(a), b]) and looked up in index."""
+    for a non-member: row i of a*b is act[row_i(a), b], and the key those
+    rows pack to is looked up in index."""
     q = p ** rows.shape[1]
     index = key_index(q, rows)
     act = action_table(p, rows).astype(index.dtype)
 
     def product_row(a):
-        return index[_key(_half_keys(q, act, rows[[a]]), 0, np.arange(len(rows)))]
+        return index[codes(q, act[rows[a]].T)]
 
     return _frozen(act), _frozen(index), product_row
-
-
-def _half_keys(q: int, table: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The product-key kernel: (head_at, head, tail_at, tail) with
-
-        key(rows[i] * b) = head.flat[head_at[i] + b] + tail.flat[tail_at[i] + b],
-
-    the key packing (base q, first row most significant) the codes
-    table[rows[i, j], b] of the product of the matrix given by the row
-    codes rows[i] with the matrix of column b of the action table.  The
-    head covers the first n//2 rows, pre-scaled by q^(n - n//2), the tail
-    the rest; each part is tabulated once per distinct half of the rows,
-    as a single all-zero row when the half is empty (n = 1), head_at[i]
-    the flat offset of rows[i]'s row.  Keys stay below q^n, so the tables,
-    and the action table they gather from, are cast to the least unsigned
-    type holding q^n - 1 (uint16 to q^n = 2^16): no gather is wider.
-    """
-    n = rows.shape[1]
-    dtype = np.min_scalar_type(q**n - 1)
-    table = table.astype(dtype, copy=False)
-    parts: list[np.ndarray] = []
-    for half, scale in ((rows[:, : n // 2], q ** (n - n // 2)), (rows[:, n // 2 :], 1)):
-        _, first, ids = np.unique(codes(q, half), return_index=True, return_inverse=True)
-        keys = np.zeros((len(first), table.shape[1]), dtype=dtype)
-        for i in range(half.shape[1]):
-            keys *= q
-            keys += table[half[first, i]]
-        keys *= scale
-        parts += [ids.reshape(-1) * table.shape[1], keys]
-    return tuple(parts)
 
 
 def _once(store: dict, key, make):
@@ -196,11 +165,12 @@ def _first_of_each(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 class Structure:
     """One enumerated instance: the instance, its Cayley table, built and
-    proved from the action array, that action array, the key index the
-    key kernel looks products up in, and data worked out from them at
-    most once, on first use.  Build it with enumerate_semigroup(inst, cap).  U's
-    complements, the special subgroups, the unit splits' product grids
-    and GL(k)'s sorted codes are each held once.
+    proved from the action array, that action array, the key index every
+    product and constructor output is looked up in (through find), and
+    data worked out from them at most once, on first use.  Build it with
+    enumerate_semigroup(inst, cap).  U's complements, the special
+    subgroups, the unit splits' product grids and GL(k)'s sorted codes
+    are each held once.
 
     Element indices are table indices; the elements are sorted, so
     index order is matrix order.  `act[v, b]` is the code of the row
@@ -260,20 +230,9 @@ class Structure:
         p, n = self.inst.p, self.inst.n
         return np.ascontiguousarray(self.act[p ** np.arange(n - 1, -1, -1)].T)
 
-    def find(self, codes: np.ndarray) -> np.ndarray:
+    def find(self, rows: np.ndarray) -> np.ndarray:
         """Index of each matrix given by its row codes (last axis); -1 for a non-member."""
-        q = self.inst.p ** self.inst.n
-        keys = codes[..., 0].astype(self.index.dtype)
-        for i in range(1, codes.shape[-1]):
-            keys *= q
-            keys += codes[..., i]
-        return self.index[keys]
-
-    @cached_property
-    def keys(self) -> np.ndarray:
-        """keys[a]: the key of element a, its row codes packed as s.index reads them."""
-        q = self.inst.p ** self.inst.n
-        return codes(q, self.rows).astype(key_dtype(q, self.inst.n))
+        return self.index[codes(self.inst.p**self.inst.n, rows)]
 
     @cached_property
     def complements(self) -> tuple[Subspace, ...]:
@@ -360,9 +319,9 @@ def green_char_partitions(s: Structure) -> GreenPartitions:
 # table t, t[v, j] coding v*m_j in the layout of act.  Each output is
 # inverse(domain) times images: the domain inverses come from one
 # batched Gauss-Jordan per Structure, and the images are columns of an
-# action table.  Every output is looked up in s.index by _made, its key
-# read off _half_keys tables of the inverses, or packed from the one images
-# column an inverse meets; it is multiplied back out through s.act, never
+# action table, so row i of an output is the images column read at the
+# inverse's row i.  Every output's row codes are looked up by _made
+# through Structure.find; it is multiplied back out through s.act, never
 # through the Cayley table.
 
 #: Most pairs (or elements) one block of a batch holds.
@@ -384,17 +343,10 @@ def _require(ok: np.ndarray, message: str, name) -> None:
         raise InternalInconsistencyError(f"{message} at {name(*np.argwhere(~ok)[0].tolist())}")
 
 
-def _key(parts: tuple[np.ndarray, ...], i, b) -> np.ndarray:
-    # key(R_i * b) from the _half_keys tables parts of rows R; i and b
-    # broadcast.  Flat takes: about twice as fast as 2-D fancy indexing.
-    head_at, head, tail_at, tail = parts
-    return np.add(head.take(head_at[i] + b), tail.take(tail_at[i] + b), dtype=np.intp)
-
-
-def _made(s: Structure, keys: np.ndarray, what: str, name) -> np.ndarray:
-    """Index of each constructor output, given by its key; one whose key
-    no member has is refused.  Every constructor output is looked up here."""
-    found = s.index[keys]
+def _made(s: Structure, rows: np.ndarray, what: str, name) -> np.ndarray:
+    """Index of each constructor output, given by its row codes (last
+    axis); a non-member is refused.  Every constructor output is looked up here."""
+    found = s.find(rows)
     _require(found >= 0, f"a constructed {what} is not a member", name)
     return found
 
@@ -491,11 +443,10 @@ class _Batch:
     def _class_lams(self, c1: np.ndarray, c2: np.ndarray, images: np.ndarray, what: str) -> np.ndarray:
         # lam[c1[i], c2[i]]: the member kernel_inv[c1[i]] * images[i] (-1 on
         # every other pair of kernel classes).
-        p, n = self.s.inst.p, self.s.inst.n
-        keys = codes(p**n, action_table(p, images)[self.kernel_inv[c1], np.arange(len(c1))[:, None]])
+        rows = action_table(self.s.inst.p, images)[self.kernel_inv[c1], np.arange(len(c1))[:, None]]
         lam = np.full((len(self.ker_codims),) * 2, -1, dtype=np.int64)
         name = lambda i: f"kernel classes ({c1[i]}, {c2[i]})"
-        lam[c1, c2] = _made(self.s, keys, what, name)
+        lam[c1, c2] = _made(self.s, rows, what, name)
         return lam
 
     @cached_property
@@ -532,11 +483,11 @@ def regular_witnesses(s: Structure, idxs) -> np.ndarray:
     b sends a's image basis (transversal * a, U * a) back to
     (transversal, U) and kills the image's extension to V.
     """
-    every, bt, q = indices(len(s.table), idxs), s.batch, s.inst.p**s.inst.n
+    every, bt = indices(len(s.table), idxs), s.batch
     out = np.empty(len(every), dtype=table_dtype(len(s.table)))
     for lo, a in _row_blocks(every, 1):
         name = lambda i: f"element {a[i]}"
-        b = _made(s, codes(q, bt.images["regular"][bt.element_inv[a], a[:, None]]), "inner inverse", name)
+        b = _made(s, bt.images["regular"][bt.element_inv[a], a[:, None]], "inner inverse", name)
         aba = s.act[s.act[s.rows[a], b[:, None]], a[:, None]]
         bab = s.act[s.act[s.rows[b], a[:, None]], b[:, None]]
         ok = (aba == s.rows[a]).all(axis=1) & (bab == s.rows[b]).all(axis=1)
@@ -554,7 +505,7 @@ def raise_factors(s: Structure, idxs) -> tuple[np.ndarray, np.ndarray]:
     complement vector alive while killing the first, so both factors
     have codimension exactly k+1.
     """
-    every, bt, q = indices(len(s.table), idxs), s.batch, s.inst.p**s.inst.n
+    every, bt = indices(len(s.table), idxs), s.batch
     limit = s.inst.n - s.inst.r - 2
     if every.size and bt.codims[every].max() > limit:
         raise PreconditionError(f"raise requires codim <= {limit} so the kernel has dimension >= 2")
@@ -562,8 +513,8 @@ def raise_factors(s: Structure, idxs) -> tuple[np.ndarray, np.ndarray]:
     mu = np.empty_like(lam)
     for lo, a in _row_blocks(every, 1):
         name = lambda i: f"element {a[i]}"
-        li = _made(s, codes(q, bt.images["raise_lam"][bt.kernel_inv[bt.ker_ids[a]], a[:, None]]), "raise lam", name)
-        mi = _made(s, codes(q, bt.images["raise_mu"][bt.element_inv[a], a[:, None]]), "raise mu", name)
+        li = _made(s, bt.images["raise_lam"][bt.kernel_inv[bt.ker_ids[a]], a[:, None]], "raise lam", name)
+        mi = _made(s, bt.images["raise_mu"][bt.element_inv[a], a[:, None]], "raise mu", name)
         back = s.act[s.rows[li], mi[:, None]]
         _require((back == s.rows[a]).all(axis=1), "raise factorization failed to recompose", name)
         up = bt.codims[a] + 1
@@ -574,29 +525,19 @@ def raise_factors(s: Structure, idxs) -> tuple[np.ndarray, np.ndarray]:
 
 def _recomposed_grid(s: Structure, xs, ys, lams, inverse, images, what: str):
     # (lam, mu) with x = lam * y * mu for x = xs[i], y = ys[j]: lam is
-    # lams[ker x, ker y] and mu is inverse(codim x)[y] * (x's images).
-    # Rows run grade by grade, so each block shares the inverses' key
-    # tables, and lam * y is multiplied out once per (kernel class of x,
-    # y); its key tables, rows by (class, y), then give the key of
-    # lam * y * mu, held against x's.
-    bt, q = s.batch, s.inst.p**s.inst.n
+    # lams[ker x, ker y] and mu is inverse(x)[i, j] * (x's images),
+    # inverse(x) giving the domain inverses of x's pairs; lam * y * mu is
+    # multiplied out through s.act and held against x.
+    bt = s.batch
     lam = np.empty((len(xs), len(ys)), dtype=table_dtype(len(s.table)))
     mu = np.empty_like(lam)
-    for k in sorted(set(bt.codims[xs].tolist())):
-        at = np.flatnonzero(bt.codims[xs] == k)
-        classes, pos = np.unique(bt.ker_ids[xs[at]], return_inverse=True)
-        class_lam = lams[classes[:, None], bt.ker_ids[ys]]
-        lam_y = s.act[s.rows[class_lam], ys[:, None]]
-        head_at, head, tail_at, tail = _half_keys(q, s.act, lam_y.reshape(-1, lam_y.shape[-1]))
-        back = (head_at.reshape(lam_y.shape[:2]), head, tail_at.reshape(lam_y.shape[:2]), tail)
-        parts = _half_keys(q, images, inverse(k)[ys])
-        for lo, run in _row_blocks(at, len(ys)):
-            x, here = xs[run], pos[lo : lo + len(run)]
-            name = lambda i, j: f"pair ({x[i]}, {ys[j]})"
-            mi = _made(s, _key(parts, slice(None), x[:, None]), f"{what} mu", name)
-            ok = _key(back, here, mi) == s.keys[x][:, None]
-            _require(ok, f"{what} factors failed to recompose", name)
-            lam[run], mu[run] = class_lam[here], mi
+    for lo, x in _row_blocks(xs, len(ys)):
+        name = lambda i, j: f"pair ({x[i]}, {ys[j]})"
+        li = lams[bt.ker_ids[x][:, None], bt.ker_ids[ys]]
+        mi = _made(s, images[inverse(x), x[:, None, None]], f"{what} mu", name)
+        back = s.act[s.act[s.rows[li], ys[:, None]], mi[..., None]]
+        _require((back == s.rows[x][:, None]).all(axis=-1), f"{what} factors failed to recompose", name)
+        lam[lo : lo + len(x)], mu[lo : lo + len(x)] = li, mi
     return lam, mu
 
 
@@ -615,7 +556,7 @@ def factor_through_grid(s: Structure, left, right) -> tuple[np.ndarray, np.ndarr
     if every.size and b.size and bt.codims[every].max() > bt.codims[b].min():
         ka, kb = bt.codims[every].max(), bt.codims[b].min()
         raise InfeasibleError(f"codim {ka} cannot factor through codim {kb}: products only lower codimension")
-    inverse = lambda k: bt.domain_inv[:, k]
+    inverse = lambda x: bt.domain_inv[b, bt.codims[x][:, None]]
     return _recomposed_grid(s, every, b, bt.factor_lams, inverse, bt.images["factor"], "factor-through")
 
 
@@ -632,10 +573,10 @@ def dclass_witness_grid(s: Structure, left, right) -> np.ndarray:
     if codims.size and codims.min() != codims.max():
         raise PreconditionError("witness requires equal codimension")
     out = np.empty((len(every), len(b)), dtype=table_dtype(len(s.table)))
-    parts = _half_keys(s.inst.p**s.inst.n, bt.images["dclass"], bt.kernel_inv[bt.ker_ids[b]])
+    inverse = bt.kernel_inv[bt.ker_ids[b]]
     for lo, a in _row_blocks(every, len(b)):
         name = lambda i, j: f"pair ({a[i]}, {b[j]})"
-        g = _made(s, _key(parts, slice(None), a[:, None]), "D-class witness", name)
+        g = _made(s, bt.images["dclass"][inverse, a[:, None, None]], "D-class witness", name)
         ok = (bt.img_ids[g] == bt.img_ids[a][:, None]) & (bt.ker_ids[g] == bt.ker_ids[b])
         _require(ok, "constructed witness has the wrong image or kernel", name)
         out[lo : lo + len(a)] = g
@@ -657,7 +598,7 @@ def sandwich_factor_grid(s: Structure, targets, sources) -> tuple[np.ndarray, np
     top = s.inst.n - s.inst.r
     if (bt.codims[np.concatenate([every, a])] != top - 1).any():
         raise PreconditionError(f"sandwich factorization requires codimension {top - 1}")
-    inverse = lambda k: bt.element_inv
+    inverse = lambda x: bt.element_inv[a]
     lam, mu = _recomposed_grid(s, every, a, bt.sandwich_lams, inverse, bt.images["sandwich"], "sandwich")
     name = lambda i, j: f"pair ({every[i]}, {a[j]})"
     unit = bt.codims == top

@@ -177,19 +177,20 @@ def with_codim(s, a, k):
 
 def break_batch(monkeypatch, p, batch, call=None, member=True):
     """Corrupt outputs of gl_restriction._made, which looks up every
-    output of the batched constructors by its key, while the named batch
-    function runs.
+    output of the batched constructors by its row codes, while the named
+    batch function runs.
 
     call counts the _made calls made under that function from 0; only
     the first output of the call-th call is corrupted, or of every call
     when call is None.  Outputs made for a _Batch lam table (factor_lams,
     sandwich_lams) count only when batch names that table.  member=True
-    swaps the output's last two columns, which keeps a member a member
-    when U lies in the span of the first n-2 standard vectors, so the
-    recomposition (or the image and kernel compare of a D-class witness)
-    has to catch it.  member=False makes it the zero matrix, which moves
-    any U != 0, so the membership lookup has to.  The corrupted key is
-    handed to the real _made, so its own lookup and check run on it.
+    swaps the last two digits of the output's row codes, that is its last
+    two columns, which keeps a member a member when U lies in the span
+    of the first n-2 standard vectors, so the recomposition (or the image
+    and kernel compare of a D-class witness) has to catch it.
+    member=False makes it the zero matrix, which moves any U != 0, so the
+    membership lookup has to.  The corrupted row codes are handed to the
+    real _made, so its own lookup and check run on them.
     Returns a list with one (name, output) per corrupted output: its name
     as the batch's errors give it ("element a", "pair (a, b)", ...), and
     the index it had before it was corrupted.
@@ -198,23 +199,21 @@ def break_batch(monkeypatch, p, batch, call=None, member=True):
     seen, corrupted = [0], []
     makers = {batch, "factor_lams", "sandwich_lams"}
 
-    def broken(s, keys, what, name):
+    def broken(s, rows, what, name):
         frame = sys._getframe(1)
         while frame is not None and frame.f_code.co_name not in makers:
             frame = frame.f_back
         if frame is None or frame.f_code.co_name != batch:
-            return real(s, keys, what, name)
+            return real(s, rows, what, name)
         number, seen[0] = seen[0], seen[0] + 1
         if call is not None and number != call:
-            return real(s, keys, what, name)
-        keys = np.array(keys)
-        first = (0,) * keys.ndim
-        q, n = p**s.inst.n, s.inst.n
-        rows = [int(keys[first]) // q ** (n - 1 - j) % q for j in range(n)]
-        bad = sum((c + (c % p - c // p % p) * (p - 1)) * q ** (n - 1 - j) for j, c in enumerate(rows))
-        corrupted.append((name(*first), int(s.index[keys[first]])))
-        keys[first] = bad if member else 0
-        return real(s, keys, what, name)
+            return real(s, rows, what, name)
+        rows = np.array(rows)
+        first = (0,) * (rows.ndim - 1)
+        corrupted.append((name(*first), int(s.find(rows[first]))))
+        bad = [c + (c % p - c // p % p) * (p - 1) for c in rows[first].tolist()]
+        rows[first] = bad if member else 0
+        return real(s, rows, what, name)
 
     monkeypatch.setattr(gl_restriction, "_made", broken)
     return corrupted
@@ -583,16 +582,16 @@ def key_fill(p, rows):
     """(mul, act, index) with every cell of mul looked up from its packed
     key: the Cayley fill that SemigroupTable's build along the left tree
     replaced, kept as its oracle.  rows[a, i] codes row i of member a,
-    act[v, b] codes v*b, and the key of a*b comes from _half_keys, two
-    gathers and one add per product, looked up in the dense key index."""
-    q = p ** rows.shape[1]
+    act[v, b] codes v*b, so row i of a*b is act[rows[a, i], b]; the key
+    of a*b packs those n codes base q, first row most significant, and
+    is looked up in the dense key index."""
+    q, n = p ** rows.shape[1], rows.shape[1]
     index = gf_linalg.key_index(q, rows)
     act = gf_linalg.action_table(p, rows).astype(index.dtype)
-    head, head_keys, tail, tail_keys = gl_restriction._half_keys(q, act, rows)
-    head, tail = head // len(rows), tail // len(rows)  # each member's rows of the key tables
     mul = np.empty((len(rows), len(rows)), dtype=semigroup_core.table_dtype(len(rows)))
     for lo in range(0, len(rows), ROW_BLOCK):
-        found = index[head_keys[head[lo : lo + ROW_BLOCK]] + tail_keys[tail[lo : lo + ROW_BLOCK]]]
+        block = rows[lo : lo + ROW_BLOCK]
+        found = index[sum(act[block[:, i]].astype(np.int64) * q ** (n - 1 - i) for i in range(n))]
         if (found < 0).any():
             raise AssertionError("a product escaped the member list")
         mul[lo : lo + ROW_BLOCK] = found

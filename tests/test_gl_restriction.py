@@ -212,7 +212,7 @@ def test_identity_is_found_by_its_key(name):
     assert matrices(s)[s.table.identity_idx] == identity_mat(s.inst.n)
 
 
-# At n = 1 the first half of each product key (n // 2 rows) is empty.
+# At n = 1 each product key packs a single row code.
 @pytest.mark.parametrize(
     "name", SMALL_CONFIGS + (pytest.param((2, 1, 0), id="p2n1r0"), pytest.param((3, 1, 0), id="p3n1r0"))
 )
@@ -224,7 +224,7 @@ def test_cayley_table_matches_products_on_every_pair(name):
         assert int(s.table.mul[a, b]) == ab
 
 
-# The configs add an odd prime, odd n (halves of 1 and 2 rows) and a shifted U.
+# The configs add an odd prime, odd n and a shifted U.
 @pytest.mark.parametrize("pnr", [(2, 4, 2), (2, 4, 1), "p3n3r1", "p3n3r2_shifted"])
 def test_cayley_table_matches_products_on_sampled_pairs(pnr):
     s = enumerate_semigroup(_instance(pnr), 4096)
@@ -318,7 +318,7 @@ def test_enumeration_builds_the_key_index_once(monkeypatch):
     monkeypatch.setattr(gl_restriction, "key_index", lambda *args: calls.append(args) or real(*args))
     s = enumerate_semigroup(INST231)
     assert len(calls) == 1
-    assert np.array_equal(s.index[s.keys], np.arange(len(s.table)))
+    assert np.array_equal(s.find(s.rows), np.arange(len(s.table)))
     one(regular_witnesses, s, 0)  # a constructor's lookup reads the kept index
     assert len(calls) == 1
 
@@ -349,7 +349,7 @@ def test_members_match_one_elimination_per_member_on_drawn_subspaces(pn, data):
 
 def test_a_product_outside_the_member_list_is_refused():
     # Without the identity, A3 * A3 = identity has no row in the table:
-    # the key kernel names it -1, and the build refuses A3's row.
+    # its key names -1 in the key index, and the build refuses A3's row.
     rows = np.delete(gl_restriction._members(INST221), S221.table.identity_idx, axis=0)
     act, _, product_row = gl_restriction._cayley(2, rows)
     with pytest.raises(PreconditionError, match="a product escaped the member list"):
@@ -382,15 +382,21 @@ def test_the_table_built_along_the_left_tree_is_the_key_fill_on_drawn_subspaces(
     _same_as_the_key_fill(make_instance(p, n, r, rows))
 
 
-def test_the_key_kernel_is_asked_for_a_few_candidate_rows(monkeypatch):
-    # The build reads the key kernel only for the greedy's candidates,
-    # never for the N rows of the table, and every row of A is one of them.
+def test_the_build_reads_product_rows_for_a_few_candidates_only(monkeypatch):
+    # The build looks products up only for the greedy's candidates, one
+    # row at a time, never for the N rows of the table, and every row of A
+    # is one of them.
     asked = []
-    real = gl_restriction._half_keys
-    monkeypatch.setattr(gl_restriction, "_half_keys", lambda q, table, rows: asked.append(len(rows)) or real(q, table, rows))
+    real = gl_restriction._cayley
+
+    def cayley(p, rows):
+        act, index, product_row = real(p, rows)
+        return act, index, lambda a: asked.append(a) or product_row(a)
+
+    monkeypatch.setattr(gl_restriction, "_cayley", cayley)
     s = enumerate_semigroup(make_instance(2, 4, 1), 4096)
-    assert len(s.table) == 4096 and set(asked) == {1}
-    assert len(s.table._checked_generators()) <= len(asked) <= 8
+    assert len(s.table) == 4096 and all(isinstance(a, int) for a in asked)
+    assert set(s.table._checked_generators()) <= set(asked) and len(asked) <= 8
 
 
 def test_enumeration_solves_one_batch_of_one(monkeypatch):
@@ -840,43 +846,25 @@ def test_a_wrong_lam_table_entry_is_caught(monkeypatch, table, name, member):
             fn(s, *args)
 
 
-@st.composite
-def _kernel_cases(draw):
-    """(q, table, rows): q = p^n for p in {2, 3, 5} and n in 1..4 with
-    q <= 625; an action table of q rows and one to five columns, entries
-    below q, in the smallest type that holds them (as the images tables
-    are held); and one to twelve matrices of n row codes, their halves
-    drawn from small pools so that some repeat."""
-    p = draw(st.sampled_from((2, 3, 5)))
-    n = draw(st.integers(1, 4).filter(lambda n: p**n <= 625))
-    q = p**n
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    table = rng.integers(0, q, (q, draw(st.integers(1, 5)))).astype(np.min_scalar_type(q - 1))
-    count = draw(st.integers(1, 12))
-    heads = rng.integers(0, q, (3, n // 2))[rng.integers(0, 3, count)]
-    tails = rng.integers(0, q, (3, n - n // 2))[rng.integers(0, 3, count)]
-    return q, table, np.concatenate([heads, tails], axis=1)
+FIND_STRUCTURES = {pnr: enumerate_semigroup(make_instance(*pnr)) for pnr in [(2, 4, 2), (3, 3, 1)]}
 
 
-@settings(max_examples=80, deadline=None)
-@given(_kernel_cases())
-def test_half_key_kernel_packs_each_product_row_by_row(case):
-    q, table, rows = case
-    n, width = rows.shape[1], table.shape[1]
-    head_at, head, tail_at, tail = parts = gl_restriction._half_keys(q, table, rows)
-    # Every key is below q^n, so the tables hold it in the least unsigned type.
-    assert head.dtype == tail.dtype == np.min_scalar_type(q**n - 1)
-    # One table row per distinct half, the head's empty at n = 1.
-    assert len(head) == len(np.unique(rows[:, : n // 2], axis=0))
-    assert len(tail) == len(np.unique(rows[:, n // 2 :], axis=0))
-    # The product's row codes table[c, b], packed base q by direct summation.
-    expected = [
-        [sum(int(table[c, b]) * q ** (n - 1 - j) for j, c in enumerate(row)) for b in range(width)]
-        for row in rows.tolist()
-    ]
-    got = head.take(head_at[:, None] + np.arange(width)) + tail.take(tail_at[:, None] + np.arange(width))
-    assert got.tolist() == expected
-    assert gl_restriction._key(parts, np.arange(len(rows))[:, None], np.arange(width)).tolist() == expected
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(FIND_STRUCTURES)), st.data())
+def test_find_names_each_member_by_its_row_codes_and_refuses_the_rest(pnr, data):
+    # Row-code arrays of any leading shape, members and non-members mixed,
+    # against a dictionary of every member's row codes.
+    s = FIND_STRUCTURES[pnr]
+    q, n = s.inst.p**s.inst.n, s.inst.n
+    brute = {tuple(row): a for a, row in enumerate(s.rows.tolist())}
+    shape = tuple(data.draw(st.lists(st.integers(0, 4), max_size=3)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    drawn = rng.integers(0, q, shape + (n,))
+    members = s.rows[rng.integers(0, len(s.table), shape)]
+    rows = np.where(rng.random(shape + (1,)) < 0.5, members, drawn)
+    expected = [brute.get(tuple(row), -1) for row in rows.reshape(-1, n).tolist()]
+    got = s.find(rows)
+    assert got.shape == shape and got.reshape(-1).tolist() == expected
 
 
 def test_nonnormality_gf3_matches_hand_computation():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from glsemi.errors import InternalInconsistencyError, PreconditionError, UnsupportedComparisonError
-from glsemi.gf_linalg import identity_mat, vec_mat
+from glsemi.gf_linalg import codes, identity_mat, vec_mat
 from glsemi.gl_restriction import Structure, enumerate_semigroup, make_instance, minimal_idempotents
 from glsemi.isomorphism import IsoWitness, decide_isomorphic, element_bijection
 
@@ -121,7 +121,7 @@ def test_element_bijection_fails_when_the_target_swaps_two_images():
     psi = element_bijection(witness, S231, S231_SHIFTED)
     x, y = psi[0], psi[1]
     index = S231_SHIFTED.index.copy()
-    keys = S231_SHIFTED.keys
+    keys = codes(S231_SHIFTED.inst.p ** S231_SHIFTED.inst.n, S231_SHIFTED.rows)
     index[keys[x]], index[keys[y]] = y, x
     swapped = Structure(S231_SHIFTED.inst, S231_SHIFTED.table, S231_SHIFTED.act, index)
     wrong = psi.copy()

@@ -437,7 +437,7 @@ def test_columns_that_differ_only_in_their_last_point_act_apart():
 
 
 def test_certificate_refuses_a_wrong_product_in_a_generator_row():
-    # A wrong cell in one generator row from the key kernel: each row the
+    # A wrong cell in one generator row from product_row: each row the
     # build reads is compared, as maps, with the action.
     s, t = S231, TABLE_231
     g = t._checked_generators()[-1]
@@ -449,7 +449,7 @@ def test_certificate_refuses_a_wrong_product_in_a_generator_row():
 
 @pytest.mark.parametrize("outside", [-1, 64, 2**40])
 def test_a_generator_row_product_outside_the_member_list_is_refused(outside):
-    # The key kernel names a non-member -1; any product that names no
+    # product_row names a non-member -1; any product that names no
     # element of the table is refused before it is read as one.
     t = TABLE_231
     g = t._checked_generators()[0]
