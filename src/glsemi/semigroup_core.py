@@ -4,8 +4,11 @@ Every table is built from an action, a faithful representation of its
 elements as maps of points, and proved the product table of those maps
 as it is built, along a left tree from a generating set (Froidure and
 Pin, 1997); a sub-table is built the same way from the action's columns
-at its elements.  Elements are the integer indices 0..n-1 of the
-table's rows, and every structural computation runs on integer arrays.
+at its elements.  The proof is kept, not the n x n table: any block of
+products is read off the generating set's rows along the tree, and the
+whole table is filled only for a reader that needs all of it.  Elements
+are the integer indices 0..n-1 of the table's rows, and every structural
+computation runs on integer arrays.
 An index set is a sorted, duplicate-free np.intp array; every index set
 taken passes `indices`, which refuses an index outside the table.
 Green's relations are computed here from the table alone, as the
@@ -23,8 +26,9 @@ import numpy as np
 
 from .errors import CapacityError, InternalInconsistencyError, PreconditionError
 
-# Rows a block of _build's fill writes: about 12 bytes of temporaries a
-# cell (rows t_x, take's intp copy of them, its output).
+# Rows of the whole table a block of products' fill writes, FILL_ROWS * n
+# cells: about 12 bytes of temporaries a cell (the cells of t_x, take's
+# intp copy of them, its output).
 FILL_ROWS = 16
 
 
@@ -34,30 +38,75 @@ def table_dtype(n: int):
 
 
 class SemigroupTable:
-    """A full multiplication table on the elements 0..n-1, built from an
+    """A multiplication table on the elements 0..n-1, built from an
     action and proved its product table as it is built.
 
-    `mul` is a read-only n x n numpy array (uint16 below order 65536,
-    int32 above); `int(mul[i, j])` is the index of the product of
-    element i by element j.  `action` is a P x n integer array whose
-    column x is the map v -> v.x of the points 0..P-1 under x, and
-    `product_row(x)` claims x's row of products, product_row(x)[y] the
-    index of x*y; it is read only for the generating set's candidates
-    (see _build).  `identity_idx` is the claimed identity, which must
-    act as the identity map; unclaimed, it is the element that does, or
-    None.  The build is one pass on the calling thread, and instances
-    are immutable after it.
+    `action` is a P x n integer array whose column x is the map v -> v.x
+    of the points 0..P-1 under x, and `product_row(x)` claims x's row of
+    products, product_row(x)[y] the index of x*y; it is read only for
+    the generating set's candidates (see _build).  `identity_idx` is the
+    claimed identity, which must act as the identity map; unclaimed, it
+    is the element that does, or None.  The build is one pass on the
+    calling thread.  It keeps what it proved, the generating set A, A's
+    rows and the left tree, and `products(xs, ys)` reads any block of
+    products off them.  `mul` is the whole read-only n x n array (uint16
+    below order 65536, int32 above), `int(mul[i, j])` the index of the
+    product of element i by element j, filled on its first read; the
+    filled table is a cache.
     """
 
-    __slots__ = ("mul", "identity_idx", "_action", "_gens", "_green")
+    __slots__ = ("identity_idx", "_action", "_gens", "_rows", "_t_of", "_steps", "_mul", "_green")
 
     def __init__(self, action, product_row, identity_idx=None):
-        self._green = None
+        self._green = self._mul = None
         self._action = _action_array(action)
-        self.identity_idx, self.mul, self._gens = _build(self._action, identity_idx, product_row)
+        self.identity_idx, self._gens, self._rows, self._t_of, self._steps = _build(self._action, identity_idx, product_row)
 
     def __len__(self):
-        return len(self.mul)
+        return self._action.shape[1]
+
+    @property
+    def mul(self) -> np.ndarray:
+        """The whole table, products(all, all), filled on the first read and then kept."""
+        if self._mul is None:
+            every = np.arange(len(self))
+            mul = self.products(every, every)
+            mul.flags.writeable = False
+            self._mul = mul
+        return self._mul
+
+    def products(self, xs, ys) -> np.ndarray:
+        """The block of products x*y, x in xs by y in ys: out[i, j] is the
+        index of xs[i]*ys[j].  Both pass `indices`, and may be unsorted,
+        repeated or empty.  A filled table is read.  Otherwise each
+        ancestor of xs on the left tree (x, t_x, t_(t_x), ... down to A)
+        gets its cells at ys, step by step from A's rows, x*y =
+        g_x*(t_x*y), about FILL_ROWS * n cells a block: step 4 of _build."""
+        n = len(self)
+        xs, ys = indices(n, xs), indices(n, ys)
+        if self._mul is not None:
+            return self._mul[np.ix_(xs, ys)]
+        t_of, rows = self._t_of, self._rows
+        need = np.zeros(n, dtype=bool)
+        need[xs] = True
+        for _, grown in reversed(self._steps):
+            need[t_of[grown[need[grown]]]] = True
+        held = np.flatnonzero(need)
+        pos = np.full(n, -1, dtype=np.intp)  # the row of cells of each element held
+        pos[held] = np.arange(len(held))
+        cells = np.empty((len(held), len(ys)), dtype=rows.dtype)
+        gens = np.asarray(self._gens)
+        taken = np.flatnonzero(need[gens])
+        cells[pos[gens[taken]]] = rows[np.ix_(taken, ys)]
+        block = max(1, FILL_ROWS * n // max(1, len(ys)))
+        for i, grown in self._steps:
+            grown = grown[need[grown]]
+            for lo in range(0, len(grown), block):
+                part = grown[lo : lo + block]
+                # mode="clip" skips take's bounds test: every cell read is
+                # one of A's entries, all in [0, n), or filled from them.
+                cells[pos[part]] = rows[i].take(cells[pos[t_of[part]]], mode="clip")
+        return cells if np.array_equal(held, xs) else cells[pos[xs]]
 
     def green(self):
         """Cached Green partitions for this table (see green_oracle)."""
@@ -91,10 +140,13 @@ def _action_array(action) -> np.ndarray:
     return out
 
 
-def _build(act: np.ndarray, e, product_row) -> tuple[int | None, np.ndarray, list[int]]:
-    """(identity, mul, A): the product table of the action, M_(x*y) =
-    M_x;M_y for every x, y, M_x the map v -> act[v, x], built along a
-    left tree from A (Froidure and Pin, 1997).
+def _build(act: np.ndarray, e, product_row) -> tuple[int | None, list[int], np.ndarray, np.ndarray, list]:
+    """(identity, A, A's rows, t_of, steps): the proof that the products
+    x*y, read along the left tree from A, make the product table of the
+    action, M_(x*y) = M_x;M_y for every x, y, M_x the map v -> act[v, x]
+    (Froidure and Pin, 1997).  The tree is t_of (see _left_tree) and
+    steps, each round's elements split by g_x: (i, the x with g_x =
+    A[i]), in round order.
 
     1. The columns of act are distinct, so x -> M_x is one-to-one, and
        the identity's column is the identity map.
@@ -103,7 +155,8 @@ def _build(act: np.ndarray, e, product_row) -> tuple[int | None, np.ndarray, lis
        M_(g*y) = M_g;M_y for every y: P N cells a row.
     3. Each edge x = g_x * t_x of the left tree from A's rows is checked
        as maps, M_x = M_g_x;M_t_x: P cells an element.
-    4. Round by round, x*y = g_x*(t_x*y): one lookup per cell.
+    4. Round by round, x*y = g_x*(t_x*y): one lookup per cell, made by
+       SemigroupTable.products for the cells a reader asks for.
     By induction on tree depth, M_(x*y) = M_g_x;M_t_x;M_y = M_x;M_y.
     Composition is associative and x -> M_x one-to-one, so mul is
     associative, and A generates it.
@@ -124,7 +177,6 @@ def _build(act: np.ndarray, e, product_row) -> tuple[int | None, np.ndarray, lis
     elif not (0 <= e < n and (act[:, e] == points).all()):
         raise PreconditionError("claimed identity is not the identity map")
     units = _by_order(np.flatnonzero((np.sort(act, axis=0) == points[:, None]).all(axis=0)), act)
-    dtype = table_dtype(n)
 
     def row(g):
         got = np.asarray(product_row(g))
@@ -138,7 +190,7 @@ def _build(act: np.ndarray, e, product_row) -> tuple[int | None, np.ndarray, lis
         bad = (act[:, got] != act[act[:, g]]).any(axis=0)
         if bad.any():
             raise PreconditionError(f"table is not the product table of its action at ({g}, {np.argmax(bad)})")
-        return got.astype(dtype)
+        return got
 
     gens, rows = _generators(n, units, row)
     g_of, t_of, rounds = _left_tree(rows, gens)
@@ -147,18 +199,8 @@ def _build(act: np.ndarray, e, product_row) -> tuple[int | None, np.ndarray, lis
     if bad.any():
         x = int(xs[np.argmax(bad)])
         raise PreconditionError(f"left tree edge {x} = {g_of[x]}*{t_of[x]} is not a product of maps")
-    mul = np.empty((n, n), dtype=dtype)
-    mul[gens] = rows
-    for new in rounds:
-        for g in gens:
-            grown = new[g_of[new] == g]
-            for lo in range(0, len(grown), FILL_ROWS):
-                part = grown[lo : lo + FILL_ROWS]
-                # mode="clip" skips take's bounds test: every row read is
-                # one of A's, all entries in [0, n), or filled from them.
-                mul[part] = mul[g].take(mul[t_of[part]], mode="clip")
-    mul.flags.writeable = False
-    return e, mul, gens
+    steps = [(i, x) for new in rounds for i, g in enumerate(gens) if (x := new[g_of[new] == g]).size]
+    return e, gens, rows, t_of, steps
 
 
 def _left_tree(rows: np.ndarray, gens: list[int]) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
@@ -210,26 +252,39 @@ def _generators(n: int, units: np.ndarray, row) -> tuple[list[int], np.ndarray]:
     closure so far misses it; then every generator the others still
     generate goes.  row(x) gives x's products, read once per candidate
     taken: the closures go left only, along y -> g*y, which on an
-    associative table reaches the subsemigroup the generators generate."""
-    rows: dict[int, np.ndarray] = {}
-
-    def closure(gens):
-        return _reach(np.array([rows[g] for g in gens]), gens, (), np.arange(len(gens)))
-
+    associative table reaches the subsemigroup the generators generate.
+    A word holding the new generator i is w*i*c, w a word over all the
+    generators and c one over the old ones, either empty, so each
+    closure grows the last from i and from i's row at what that covered.
+    The others generate g only if g is some other generator h times
+    something: in h's row."""
+    stack = np.empty((1, n), dtype=table_dtype(n))  # A's rows, grown in place
     unit = np.zeros(n, dtype=bool)
     unit[units] = True
     gens: list[int] = []
     covered = np.zeros(n, dtype=bool)
     for i in np.concatenate([units, np.flatnonzero(~unit)]).tolist():
         if not covered[i]:
+            if len(gens) == len(stack):
+                stack = np.concatenate([stack, np.empty_like(stack)])
+            stack[len(gens)] = row(i)
             gens.append(i)
-            rows[i] = row(i)
-            covered = closure(gens)
-    for g in list(gens):
-        fewer = [h for h in gens if h != g]
-        if fewer and closure(fewer).all():
-            gens = fewer
-    return gens, np.array([rows[g] for g in gens])
+            covered = _reach(stack, np.append(i, stack[len(gens) - 1, covered]), (), np.arange(len(gens)), covered)
+    a, stack = np.array(gens, dtype=np.intp), stack[: len(gens)]
+    pos = np.full(n, -1, dtype=np.intp)
+    pos[a] = np.arange(len(a))
+    holds = np.zeros((len(a), len(a)), dtype=bool)  # holds[h, g]: generator g is in h's row
+    for h, line in enumerate(stack):
+        hit = pos[line]
+        holds[h, hit[hit >= 0]] = True
+    np.fill_diagonal(holds, False)
+    keep = np.ones(len(a), dtype=bool)
+    for g in range(len(a)):
+        fewer = keep.copy()
+        fewer[g] = False
+        if holds[fewer, g].any() and _reach(stack[fewer], a[fewer], (), np.arange(fewer.sum())).all():
+            keep = fewer
+    return a[keep].tolist(), stack[keep]
 
 
 @dataclass(frozen=True, eq=False)
@@ -335,16 +390,16 @@ def green_oracle(table: SemigroupTable) -> GreenPartitions:
     ideal per class, from one column (S^1 a) or one row (a S^1) of the
     table.
     """
-    mul = table.mul
-    n = len(mul)
+    n = len(table)
+    every = np.arange(n)
     gens = table._checked_generators()
-    lid = label_classes(_components(mul[gens].T))
-    rid = label_classes(_components(mul[:, gens]))
+    lid = label_classes(_components(table.products(gens, every).T))
+    rid = label_classes(_components(table.products(every, gens)))
     # Row x: the left ideal of L-class x, and the right ideal of R-class x,
     # each read off the class's least element.
     lead_l, lead_r = (np.unique(ids, return_index=True)[1] for ids in (lid, rid))
-    left = _ideal_sets(mul[:, lead_l].T, lead_l)
-    right = _ideal_sets(mul[lead_r], lead_r)
+    left = _ideal_sets(table.products(every, lead_l).T, lead_l)
+    right = _ideal_sets(table.products(lead_r, every), lead_r)
 
     # cells[l, r]: some element has L-class l and R-class r.
     cells = np.zeros((lid.max() + 1, rid.max() + 1), dtype=bool)
@@ -389,12 +444,14 @@ def check_refinement_lattice(green: GreenPartitions, n: int) -> None:
             raise InternalInconsistencyError("Green refinement lattice violated")
 
 
-def _reach(mul: np.ndarray, start, right, left=()) -> np.ndarray:
+def _reach(mul: np.ndarray, start, right, left=(), seen=None) -> np.ndarray:
     """Mask of what start reaches along x -> x*g (g in right) and x -> g*x
-    (g in left).  Only the rows left names are read for the left edges,
-    so with right empty mul may hold just those rows."""
+    (g in left), on top of the mask seen, if given, which is taken as
+    closed.  Only the rows left names are read for the left edges, so
+    with right empty mul may hold just those rows."""
+    seen = np.zeros(mul.shape[1], dtype=bool) if seen is None else seen.copy()
     frontier = np.asarray(start, dtype=np.intp)
-    seen = np.zeros(mul.shape[1], dtype=bool)
+    frontier = frontier[~seen[frontier]]
     seen[frontier] = True
     while frontier.size:
         grown = seen.copy()
@@ -440,14 +497,20 @@ def closure_indices(table: SemigroupTable, gen_idxs) -> np.ndarray:
 
 
 def idempotents(table: SemigroupTable) -> np.ndarray:
-    mul = table.mul
-    return np.flatnonzero(mul.diagonal() == np.arange(len(mul)))
+    """The x with x*x = x: on a filled table, its diagonal; otherwise the
+    x with M_x;M_x = M_x on the action, the same set, as the build
+    proved M_(x*y) = M_x;M_y and x -> M_x one-to-one."""
+    every = np.arange(len(table))
+    if table._mul is not None:
+        return np.flatnonzero(table._mul.diagonal() == every)
+    act = table._action
+    return np.flatnonzero((act[act, every] == act).all(axis=0))
 
 
 def minimal_idempotents_oracle(table: SemigroupTable) -> np.ndarray:
     """Idempotents with no strictly smaller idempotent below them."""
     idem = idempotents(table)
-    prod = table.mul[np.ix_(idem, idem)]
+    prod = table.products(idem, idem)
     # below[x, y]: f = idem[x] sits under e = idem[y] in the natural order, f = fe = ef.
     below = (prod == idem[:, None]) & (prod.T == idem[:, None])
     np.fill_diagonal(below, False)
@@ -471,15 +534,17 @@ def verify_ideal(table: SemigroupTable, subset) -> bool:
     idx = indices(len(table), subset)
     if not idx.size:
         raise PreconditionError("ideal candidate is empty")
-    mul, gens = table.mul, table._checked_generators()
-    inside = np.zeros(len(mul), dtype=bool)
+    gens = table._checked_generators()
+    inside = np.zeros(len(table), dtype=bool)
     inside[idx] = True
-    return bool(inside[mul[np.ix_(idx, gens)]].all() and inside[mul[np.ix_(gens, idx)]].all())
+    return bool(inside[table.products(idx, gens)].all() and inside[table.products(gens, idx)].all())
 
 
 def is_homomorphism(psi: np.ndarray, source: SemigroupTable, target: SemigroupTable) -> bool:
     """True iff psi(a*b) = psi(a)*psi(b) for all source elements a, b,
-    read on A x S, A the source's checked generating set.  Both tables
+    read on A x S, A the source's checked generating set: the source's
+    rows of A against the target's block psi(A) x psi(S), which
+    products reads off the target's left tree.  Both tables
     are associative, each proved as it was built; the target's
     generating set is read too, so that a table whose proof runs on that
     read refuses before the compare.  Induction on the length of y as a
@@ -487,7 +552,7 @@ def is_homomorphism(psi: np.ndarray, source: SemigroupTable, target: SemigroupTa
     psi(g y x) = psi(g) psi(y x) = psi(g) psi(y) psi(x) = psi(g y) psi(x)."""
     gens = source._checked_generators()
     target._checked_generators()
-    return bool((psi[source.mul[gens]] == target.mul[psi[gens]][:, psi]).all())
+    return bool((psi[source.products(gens, np.arange(len(source)))] == target.products(psi[gens], psi)).all())
 
 
 def rank_search(table: SemigroupTable, candidates, cap: int, budget: int | None = None):
@@ -532,7 +597,7 @@ def subtable(table: SemigroupTable, idxs) -> SemigroupTable:
     pos[idxs] = np.arange(len(idxs))
 
     def product_row(i):
-        row = table.mul[idxs[i], idxs]
+        row = table.products(idxs[i : i + 1], idxs)[0]
         if (out := pos[row] < 0).any():
             raise PreconditionError(f"subset is not closed: {idxs[i]} * {idxs[out][0]} = {row[out][0]} lies outside it")
         return pos[row]

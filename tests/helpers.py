@@ -668,16 +668,21 @@ def light_check(table):
 
 class GivenTable(SemigroupTable):
     """A fake SemigroupTable that takes mul and its identity as given,
-    unproved, and carries the action it is given, if any.  The first read
-    of its generating set runs light_check on it, so a table that is not
-    associative is refused there, as the mul form's lazy check did."""
+    unproved, and carries the action it is given, if any.  mul is held
+    as the table already filled, so products, idempotents and every
+    other reader read it.  The first read of its generating set runs
+    light_check on it, so a table that is not associative is refused
+    there, as the mul form's lazy check did."""
 
     __slots__ = ()
 
     def __init__(self, mul, identity_idx=None, action=None):
-        self.mul = np.asarray(mul).view()
-        self.mul.flags.writeable = False
+        self._mul = np.asarray(mul).view()
+        self._mul.flags.writeable = False
         self.identity_idx, self._action, self._gens, self._green = identity_idx, action, None, None
+
+    def __len__(self):
+        return len(self._mul)
 
     def _checked_generators(self):
         if self._gens is None:

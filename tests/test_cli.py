@@ -23,6 +23,7 @@ from glsemi.cli import (
     _check_generation,
     _check_green_agreement,
     _check_ideal_structure,
+    _check_isomorphism_theorem,
     _check_j_class_count,
     _check_order_law,
     _check_regularity,
@@ -707,6 +708,24 @@ def test_nonnormality_fails_on_a_conjugate_that_stays_inside(monkeypatch):
     failed = _failing()
     assert set(failed) == {"nonnormality"}
     assert failed["nonnormality"].endswith("conjugate unexpectedly stayed in the subgroup")
+
+
+def test_isomorphism_theorem_holds_no_whole_partner_table():
+    # The partner is built and read on psi(A) x psi only, so its table is
+    # never filled.  The instance's own table is filled and its Green
+    # relations computed first, as verify's earlier checks leave them;
+    # the partner's table alone would be 4.7 MB at order 1536.
+    s = enumerate_semigroup(make_instance(2, 4, 2))
+    s.table.mul
+    s.table.green()
+    tracemalloc.start()
+    try:
+        status, counts, _ = _check_isomorphism_theorem(s, CAPS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert status == "pass" and counts["psi_pairs_verified"] == len(s.table) ** 2
+    assert peak <= 3e6
 
 
 def test_isomorphism_theorem_fails_on_a_psi_that_breaks_a_product(monkeypatch):

@@ -1,5 +1,6 @@
 """Generic table machinery: closure, Green oracle, idempotent order, rank."""
 
+import pathlib
 import re
 import tracemalloc
 from functools import partial
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from glsemi.cli import build_instance, eggbox_dot, load_config
 from glsemi.errors import CapacityError, InternalInconsistencyError, PreconditionError
 from glsemi.gf_linalg import identity_mat
 from glsemi import semigroup_core
@@ -262,6 +264,76 @@ def test_table_engine_peaks_per_table_cell():
     assert peak - live < 0.25 * cells
 
 
+def _index_sets(n, rng):
+    """Index sets of a table of order n as readers pass them: all of it,
+    unsorted, repeated, a single element and empty."""
+    return (
+        np.arange(n),
+        rng.permutation(n)[: max(1, n // 3)],
+        rng.integers(0, n, size=2 * n),
+        [n - 1],
+        np.array([], dtype=np.intp),
+    )
+
+
+def _check_products(table, mul, rng):
+    # Every block of products, and the idempotents, agree with mul before
+    # the table is filled; none of them fills it.
+    sets = _index_sets(len(table), rng)
+    for xs in sets:
+        for ys in sets:
+            block = table.products(xs, ys)
+            assert block.shape == (len(xs), len(ys)) and block.dtype == mul.dtype
+            assert np.array_equal(block, mul[np.ix_(xs, ys)])
+    assert np.array_equal(idempotents(table), np.flatnonzero(mul.diagonal() == np.arange(len(mul))))
+    assert table._mul is None
+
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("name", [*sorted(path.stem for path in CONFIGS.glob("*.cfg")), "p2n4r3"])
+def test_products_match_the_filled_table(name):
+    # On every shipped config and the stretch instance (2,4,3): read along
+    # the left tree from a table never filled, against the filled table of
+    # a second build, and, once filled, read from the fill.
+    path = CONFIGS / f"{name}.cfg"
+    inst = build_instance(load_config(str(path))) if path.exists() else make_instance(2, 4, 3)
+    table, filled = (enumerate_semigroup(inst, 4096).table for _ in range(2))
+    mul = filled.mul
+    assert mul is filled.mul and not mul.flags.writeable
+    _check_products(table, mul, np.random.default_rng(len(mul)))
+    assert np.array_equal(table.mul, mul)
+    xs = np.random.default_rng(0).integers(0, len(mul), size=50)
+    assert np.array_equal(table.products(xs, xs[::-1]), mul[np.ix_(xs, xs[::-1])])
+
+
+def test_products_refuse_an_index_outside_the_table():
+    table = enumerate_semigroup(make_instance(2, 3, 1)).table
+    n = len(table)
+    for xs, ys in (([n], [0]), ([0], [n]), ([-1], [0]), ([0], [0.5])):
+        with pytest.raises(PreconditionError, match="outside|integers"):
+            table.products(xs, ys)
+    table.mul
+    with pytest.raises(PreconditionError, match="outside"):
+        table.products([0], [n])
+
+
+def test_the_build_and_eggbox_hold_no_whole_table():
+    # The build keeps A's rows and the left tree, and the Green oracle, the
+    # idempotents and the minimal idempotents read a few lines of products
+    # off them: at order 2688 the table alone is 14.5 MB.
+    tracemalloc.start()
+    try:
+        s = enumerate_semigroup(make_instance(2, 4, 3), 4096)
+        eggbox_dot(s.table, s.codims, minimal_idempotents_oracle(s.table))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert s.table._mul is None
+    assert peak <= 6e6
+
+
 def test_generators_at_the_largest_shipped_order():
     # rank(S) = rank(G) + 1 = 3 on each, the least any generating set can have.
     for pnr in ((2, 4, 2), (2, 4, 3), (2, 4, 1)):
@@ -378,6 +450,16 @@ def test_green_oracle_matches_a_dense_reference_on_transformation_semigroups(map
     reference = dense_green(table)
     for relation in ("L", "R", "H", "D", "J"):
         assert label_sets(getattr(green, relation.lower())) == reference[relation]
+
+
+@given(transformations(), st.integers(0, 2**32 - 1))
+@example(NILPOTENT, 0)
+@example(((0, 0), (1, 1)), 0)  # constant maps: a right zero semigroup, a*b = b
+@settings(max_examples=60, deadline=None)
+def test_products_match_the_given_table_on_transformation_semigroups(maps, seed):
+    mul = np.array(transformation_table(maps))
+    assume(len(mul) <= 256)
+    _check_products(regular_table(mul), mul.astype(np.uint16), np.random.default_rng(seed))
 
 
 # The build: SemigroupTable(action=act, product_row=...) builds mul
