@@ -347,15 +347,16 @@ def _check_factorizations(s: Structure, caps):
     # rows: D^-1 is invertible, so U's r basis rows times it are independent,
     # and they span those unit rows when their codes are all below p^r.
     p, n, top, bt = s.inst.p, s.inst.n, s.inst.n - s.inst.r, s.batch
-    u, j, vectors = codes(p, s.inst.u.basis), np.arange(n), code_vectors(p, n)
+    # Each entry of U * D^-1 sums n products below p: n (p-1)^2 at most.
+    u, j, vectors = codes(p, s.inst.u.basis), np.arange(n), code_vectors(p, n).astype(np.min_scalar_type(n * (p - 1) ** 2))
     in_ker = s.act[bt.kernel, s.kernel_classes[1][:, None]] == 0
     ok = np.where(j < (top - bt.ker_codims)[:, None], in_ker, (j < top) | (bt.kernel == np.pad(u, (top, 0))))
     if not ok.all():
         return ("fail", {}, f"kernel class {(~ok).any(axis=1).argmax()} is no [basis of its kernel; transversal; U]")
-    ys, ks = np.nonzero(np.arange(top + 1) <= bt.codims[:, None])
-    moved = codes(p, vectors[u] @ vectors[bt.domain_inv[ys, ks]] % p)
-    if (bad := (moved >= p**s.inst.r).any(axis=1)).any():
-        return ("fail", {}, f"U * D({ys[bad][0]}, {ks[bad][0]})^-1 is not the span of the last r unit rows")
+    at = np.arange(top + 1) <= bt.codims[:, None]  # the (y, k) with k <= codim y
+    if (bad := (codes(p, vectors[u] @ vectors[bt.domain_inv[at]] % p) >= p**s.inst.r).any(axis=1)).any():
+        y, k = np.argwhere(at)[bad][0]
+        return ("fail", {}, f"U * D({y}, {k})^-1 is not the span of the last r unit rows")
     reps = lambda idx: idx[np.unique(bt.ker_ids[idx], return_index=True)[1]]  # least of each kernel class
     grades, mid = s.grades, s.grades[top - 1]
     factored = witnesses = infeasible = 0
@@ -391,9 +392,14 @@ def _check_generation(s: Structure, caps):
     failures = []
     if len(full) != len(table):
         failures.append("units plus one lower element failed to generate")
+    # Grade k generates Q(k+1): that ideal holds grade k, so all its products,
+    # and raise_factors writes each element below grade n-r-1 as lam * mu,
+    # both one grade up, so by induction each below k is a product of grade k.
     for k in range(1, top):
-        if not np.array_equal(closure_indices(table, j_class(s, k)), q_ideal(s, k + 1)):
-            failures.append(f"grade {k} did not generate the ideal below {k + 1}")
+        if not verify_ideal(table, q_ideal(s, k + 1)):
+            failures.append(f"grade {k} did not generate the ideal below {k + 1}: Q({k + 1}) is not an ideal")
+    if top > 1 and not failures:
+        raise_factors(s, s.below[top - 1])  # refuses a factor that fails to recompose or to land one grade up
     counts = {"generators": len(gens), "closure": len(full), "grades_checked": max(0, top - 1)}
     return ("pass" if not failures else "fail", counts, "; ".join(failures) or None)
 
@@ -415,25 +421,20 @@ def _check_rank_identity(s: Structure, caps):
 
 
 def _check_unit_decomposition(s: Structure, caps):
-    inst, table = s.inst, s.table
-    if inst.r < 1:
+    if s.inst.r < 1:
         return ("skip", {}, "subgroup structure needs r >= 1")
-    mul, ident = table.mul, table.identity_idx
-    g = j_class(s, inst.n - inst.r)
+    g = j_class(s, s.inst.n - s.inst.r)
     h = special_subgroup(s, FIX_U)
     failures = []
     # Conjugation closure of the U-fixing normal factor under every unit:
-    # g*h*g^-1, with g^-1 read off as the unit column where g's row holds
-    # the identity (a unit's inverse is a unit).
-    is_ident = mul[np.ix_(g, g)] == ident
-    in_fix_u = np.zeros(len(table), dtype=bool)
-    in_fix_u[h] = True
+    # g*h*g^-1 on the unit group's table, in the units' positions, with g^-1
+    # the unit where g's row holds the identity (a unit's inverse is a unit).
+    block, in_fix_u = s.unit_block, np.isin(g, h)
+    is_ident = block == np.searchsorted(g, s.table.identity_idx)
     if not is_ident.any(axis=1).all():
         failures.append("a unit has no inverse in the table")
-    else:
-        g_inv = g[is_ident.argmax(axis=1)]
-        if not in_fix_u[mul[mul[np.ix_(g, h)], g_inv[:, None]]].all():
-            failures.append("conjugate left the U-fixing subgroup")
+    elif not in_fix_u[block[block[:, in_fix_u], is_ident.argmax(axis=1)[:, None]]].all():
+        failures.append("conjugate left the U-fixing subgroup")
     # Each split is unique exactly when its product grid is a bijection,
     # which split_grid checks for every unit and every U-fixing unit.
     decomposed = 0

@@ -169,8 +169,8 @@ class Structure:
     product and constructor output is looked up in (through find), and
     data worked out from them at most once, on first use.  Build it with
     enumerate_semigroup(inst, cap).  U's complements, the special
-    subgroups, the unit splits' product grids and GL(k)'s sorted codes
-    are each held once.
+    subgroups, the unit splits' grids, GL(k)'s sorted codes and the unit
+    group's table and block of products are each held once.
 
     Element indices are table indices; the elements are sorted, so
     index order is matrix order.  `act[v, b]` is the code of the row
@@ -256,6 +256,13 @@ class Structure:
         top = self.inst.n - self.inst.r
         return tuple(_frozen(np.flatnonzero(self.codims < k)) for k in range(top + 2))
 
+    @cached_property
+    def unit_block(self) -> np.ndarray:
+        """unit_block[i, j]: the position among the units of the i-th unit
+        times the j-th, the unit group's whole table (unit_group_subtable)."""
+        units = unit_group_subtable(self)
+        return _frozen(units.products(range(len(units)), range(len(units))))
+
 
 def enumerate_semigroup(inst: Instance, cap: int = DEFAULT_ENUM_CAP) -> Structure:
     """Every member, as row codes, and the checked Cayley table; refuses orders above the cap.
@@ -274,8 +281,8 @@ def enumerate_semigroup(inst: Instance, cap: int = DEFAULT_ENUM_CAP) -> Structur
             f"enumerated {len(rows)} members, closed form predicts {order}"
         )
     # Distinct members make the list exactly the semigroup (order_law).
-    # SemigroupTable builds mul from act, v*M by matrix products mod p, and
-    # proves it the product table of the members' action as it goes: the
+    # SemigroupTable builds the table from act, v*M by matrix products mod
+    # p, and proves it the product table of the members' action as it goes: the
     # one found by the identity's key must act as the identity map, and
     # the few rows read off the keys and lookups are checked as maps.
     q = inst.p**inst.n
@@ -620,9 +627,9 @@ def generating_set(s: Structure) -> np.ndarray:
 
 def unit_group_subtable(s: Structure) -> SemigroupTable:
     """The unit group J(n-r) as a standalone table, built and proved from
-    the units' columns of s.act (see subtable); its identity is the
-    identity matrix's position among the units."""
-    return subtable(s.table, s.grades[s.inst.n - s.inst.r])
+    the units' columns of s.act (see subtable), once per Structure; its
+    identity is the identity matrix's position among the units."""
+    return _once(s._subgroups, "units", lambda: subtable(s.table, s.grades[s.inst.n - s.inst.r]))
 
 
 def rank_value(s: Structure, rank_cap: int = 4, budget: int | None = 200_000) -> int | None:
@@ -649,7 +656,7 @@ def minimal_idempotents(s: Structure) -> np.ndarray:
     the kernel.
     """
     low = s.grades[0]
-    return low[s.table.mul[low, low] == low]
+    return low[(s.act[s.act[:, low], low] == s.act[:, low]).all(axis=0)]  # M_x;M_x = M_x
 
 
 def special_subgroup(s: Structure, kind: str, w: Subspace | None = None) -> np.ndarray:
@@ -661,9 +668,9 @@ def special_subgroup(s: Structure, kind: str, w: Subspace | None = None) -> np.n
     n_w:   fix_u elements translating each W-vector by an element of U.
 
     Membership is one mask per kind over the units' columns of s.act;
-    the identity and the closure under products are then checked on
-    the Cayley table.  Each subgroup is built, and its (kind, w)
-    validated, once per Structure.
+    the identity and the closure under products are then checked on the
+    unit group's table (Structure.unit_block).  Each subgroup is built,
+    and its (kind, w) validated, once per Structure.
     """
     key = (kind, None if kind == FIX_U else w)
     return _once(s._subgroups, key, lambda: _subgroup_members(s, kind, w))
@@ -695,14 +702,13 @@ def _subgroup_members(s: Structure, kind: str, w: Subspace | None) -> np.ndarray
         if not _once(s._subgroups, ("complement", w), lambda: is_complement(w, s.inst.u)):
             raise PreconditionError("W is not a complement of U")
     units = s.grades[s.inst.n - s.inst.r]
-    group = units[_in_subgroup(s, kind, w, units)]
-    inside = np.zeros(len(s.table), dtype=bool)
-    inside[group] = True
-    if not inside[s.table.identity_idx]:
+    inside = _in_subgroup(s, kind, w, units)  # over the units' positions
+    if not inside[np.searchsorted(units, s.table.identity_idx)]:
         raise InternalInconsistencyError("subgroup is missing the identity")
-    if not inside[s.table.mul[np.ix_(group, group)]].all():
+    at = np.flatnonzero(inside)
+    if not inside[s.unit_block[np.ix_(at, at)]].all():
         raise InternalInconsistencyError("subgroup is not closed under products")
-    return _frozen(group)
+    return _frozen(units[at])
 
 
 # Left factor: (right factor, what the split covers; None for all units).
@@ -725,8 +731,9 @@ def split_grid(s: Structure, left_kind: str, w: Subspace) -> tuple[np.ndarray, n
     def make():
         left = special_subgroup(s, left_kind, w)
         right = special_subgroup(s, right_kind, w)
-        whole = s.grades[s.inst.n - s.inst.r] if whole_kind is None else special_subgroup(s, whole_kind)
-        cells = s.table.mul[np.ix_(left, right)].ravel()
+        units = s.grades[s.inst.n - s.inst.r]
+        whole = units if whole_kind is None else special_subgroup(s, whole_kind)
+        cells = units[s.unit_block[np.ix_(np.searchsorted(units, left), np.searchsorted(units, right))].ravel()]
         if not np.array_equal(np.sort(cells), whole):
             raise InternalInconsistencyError(
                 f"{left_kind} x {right_kind} products are not a bijection onto {whole_kind or 'the units'}"
@@ -747,8 +754,8 @@ def subgroup_iso_check(s: Structure, kind: str, w: Subspace | None = None) -> bo
     s.act, to its coordinate rows.  The map must be a bijection onto
     general_linear or onto every coordinate tuple, and the homomorphism
     law over every pair is one array compare: the image of a*b, read
-    from the Cayley table, against the product of the images (matrix
-    product, or coordinate sum mod p).
+    from the unit group's table (Structure.unit_block), against the
+    product of the images (matrix product, or coordinate sum mod p).
     """
     inst = s.inst
     if kind == FIX_U:
@@ -772,9 +779,10 @@ def subgroup_iso_check(s: Structure, kind: str, w: Subspace | None = None) -> bo
     images = coords.transpose(1, 0, 2)  # images[m]: m's coordinate rows
     if not np.array_equal(np.sort(codes(p, images.reshape(len(members), -1))), group):
         return False
-    local = np.full(len(s.table), -1, dtype=np.int64)
-    local[members] = np.arange(len(members))
-    products = local[s.table.mul[np.ix_(members, members)]]
+    at = np.searchsorted(s.grades[inst.n - inst.r], members)
+    local = np.full(len(s.unit_block), -1, dtype=np.int64)
+    local[at] = np.arange(len(members))
+    products = local[s.unit_block[np.ix_(at, at)]]
     if kind == N_W:
         expected = (images[:, None] + images) % p
     else:

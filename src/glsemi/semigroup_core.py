@@ -4,10 +4,10 @@ Every table is built from an action, a faithful representation of its
 elements as maps of points, and proved the product table of those maps
 as it is built, along a left tree from a generating set (Froidure and
 Pin, 1997); a sub-table is built the same way from the action's columns
-at its elements.  The proof is kept, not the n x n table: any block of
-products is read off the generating set's rows along the tree, and the
-whole table is filled only for a reader that needs all of it.  Elements
-are the integer indices 0..n-1 of the table's rows, and every structural
+at its elements.  The proof is kept, not the n x n table: every product
+is read as part of a block, off the generating set's rows along the
+tree, and each reader asks for the block it needs.  Elements are the
+integer indices 0..n-1 of the table's rows, and every structural
 computation runs on integer arrays.
 An index set is a sorted, duplicate-free np.intp array; every index set
 taken passes `indices`, which refuses an index outside the table.
@@ -26,9 +26,8 @@ import numpy as np
 
 from .errors import CapacityError, InternalInconsistencyError, PreconditionError
 
-# Rows of the whole table a block of products' fill writes, FILL_ROWS * n
-# cells: about 12 bytes of temporaries a cell (the cells of t_x, take's
-# intp copy of them, its output).
+# One step of products writes about FILL_ROWS * n cells at a time, with about
+# 12 bytes of temporaries a cell (t_x's cells, take's intp copy, its output).
 FILL_ROWS = 16
 
 
@@ -49,43 +48,29 @@ class SemigroupTable:
     is the element that does, or None.  The build is one pass on the
     calling thread.  It keeps what it proved, the generating set A, A's
     rows and the left tree, and `products(xs, ys)` reads any block of
-    products off them.  `mul` is the whole read-only n x n array (uint16
-    below order 65536, int32 above), `int(mul[i, j])` the index of the
-    product of element i by element j, filled on its first read; the
-    filled table is a cache.
+    products off them (uint16 below order 65536, int32 above), keeping
+    only the blocks S x A and A x S once read (see generator_blocks).
     """
 
-    __slots__ = ("identity_idx", "_action", "_gens", "_rows", "_t_of", "_steps", "_mul", "_green")
+    __slots__ = ("identity_idx", "_action", "_gens", "_rows", "_t_of", "_steps", "_blocks", "_green")
 
     def __init__(self, action, product_row, identity_idx=None):
-        self._green = self._mul = None
+        self._green = self._blocks = None
         self._action = _action_array(action)
         self.identity_idx, self._gens, self._rows, self._t_of, self._steps = _build(self._action, identity_idx, product_row)
 
     def __len__(self):
         return self._action.shape[1]
 
-    @property
-    def mul(self) -> np.ndarray:
-        """The whole table, products(all, all), filled on the first read and then kept."""
-        if self._mul is None:
-            every = np.arange(len(self))
-            mul = self.products(every, every)
-            mul.flags.writeable = False
-            self._mul = mul
-        return self._mul
-
     def products(self, xs, ys) -> np.ndarray:
         """The block of products x*y, x in xs by y in ys: out[i, j] is the
         index of xs[i]*ys[j].  Both pass `indices`, and may be unsorted,
-        repeated or empty.  A filled table is read.  Otherwise each
-        ancestor of xs on the left tree (x, t_x, t_(t_x), ... down to A)
-        gets its cells at ys, step by step from A's rows, x*y =
-        g_x*(t_x*y), about FILL_ROWS * n cells a block: step 4 of _build."""
+        repeated or empty.  Each ancestor of xs on the left tree (x, t_x,
+        t_(t_x), ... down to A) gets its cells at ys, step by step from
+        A's rows, x*y = g_x*(t_x*y), about FILL_ROWS * n cells a step:
+        step 4 of _build."""
         n = len(self)
         xs, ys = indices(n, xs), indices(n, ys)
-        if self._mul is not None:
-            return self._mul[np.ix_(xs, ys)]
         t_of, rows = self._t_of, self._rows
         need = np.zeros(n, dtype=bool)
         need[xs] = True
@@ -107,6 +92,16 @@ class SemigroupTable:
                 # one of A's entries, all in [0, n), or filled from them.
                 cells[pos[part]] = rows[i].take(cells[pos[t_of[part]]], mode="clip")
         return cells if np.array_equal(held, xs) else cells[pos[xs]]
+
+    def generator_blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """(products(S, A), products(A, S)), A the build's generating set:
+        the right and left Cayley graphs' edges, read once, kept read-only."""
+        if self._blocks is None:
+            every, gens = np.arange(len(self)), self._checked_generators()
+            self._blocks = blocks = (self.products(every, gens), self.products(gens, every))
+            for block in blocks:
+                block.flags.writeable = False
+        return self._blocks
 
     def green(self):
         """Cached Green partitions for this table (see green_oracle)."""
@@ -158,7 +153,7 @@ def _build(act: np.ndarray, e, product_row) -> tuple[int | None, list[int], np.n
     4. Round by round, x*y = g_x*(t_x*y): one lookup per cell, made by
        SemigroupTable.products for the cells a reader asks for.
     By induction on tree depth, M_(x*y) = M_g_x;M_t_x;M_y = M_x;M_y.
-    Composition is associative and x -> M_x one-to-one, so mul is
+    Composition is associative and x -> M_x one-to-one, so the table is
     associative, and A generates it.
     """
     n = act.shape[1]
@@ -269,7 +264,7 @@ def _generators(n: int, units: np.ndarray, row) -> tuple[list[int], np.ndarray]:
                 stack = np.concatenate([stack, np.empty_like(stack)])
             stack[len(gens)] = row(i)
             gens.append(i)
-            covered = _reach(stack, np.append(i, stack[len(gens) - 1, covered]), (), np.arange(len(gens)), covered)
+            covered = _reach(np.append(i, stack[len(gens) - 1, covered]), left=stack[: len(gens)], seen=covered)
     a, stack = np.array(gens, dtype=np.intp), stack[: len(gens)]
     pos = np.full(n, -1, dtype=np.intp)
     pos[a] = np.arange(len(a))
@@ -282,7 +277,7 @@ def _generators(n: int, units: np.ndarray, row) -> tuple[list[int], np.ndarray]:
     for g in range(len(a)):
         fewer = keep.copy()
         fewer[g] = False
-        if holds[fewer, g].any() and _reach(stack[fewer], a[fewer], (), np.arange(fewer.sum())).all():
+        if holds[fewer, g].any() and _reach(a[fewer], left=stack[fewer]).all():
             keep = fewer
     return a[keep].tolist(), stack[keep]
 
@@ -359,8 +354,8 @@ def _components(succ: np.ndarray) -> np.ndarray:
 
 
 def _ideal_sets(lines: np.ndarray, owners: np.ndarray) -> np.ndarray:
-    """Row c marks the values of lines[c] and owners[c]: with a row of
-    mul through a, the right ideal a S^1; with a column, S^1 a."""
+    """Row c marks the values of lines[c] and owners[c]: with the products
+    a*y through a, the right ideal a S^1; with the y*a, S^1 a."""
     count, n = lines.shape
     sets = np.zeros((count, n), dtype=bool)
     sets[np.arange(count)[:, None], lines] = True
@@ -387,14 +382,14 @@ def green_oracle(table: SemigroupTable) -> GreenPartitions:
     H is the meet of L and R, J compares two-sided ideals S^1 a S^1, and
     D is the composite of L and R, which is checked to join L and R in
     one step before being returned.  The J step reads one one-sided
-    ideal per class, from one column (S^1 a) or one row (a S^1) of the
-    table.
+    ideal per class, from one block of products y*a (S^1 a) or a*y
+    (a S^1) over the classes' least elements.
     """
     n = len(table)
     every = np.arange(n)
-    gens = table._checked_generators()
-    lid = label_classes(_components(table.products(gens, every).T))
-    rid = label_classes(_components(table.products(every, gens)))
+    right_edges, left_edges = table.generator_blocks()
+    lid = label_classes(_components(left_edges.T))
+    rid = label_classes(_components(right_edges))
     # Row x: the left ideal of L-class x, and the right ideal of R-class x,
     # each read off the class's least element.
     lead_l, lead_r = (np.unique(ids, return_index=True)[1] for ids in (lid, rid))
@@ -444,21 +439,21 @@ def check_refinement_lattice(green: GreenPartitions, n: int) -> None:
             raise InternalInconsistencyError("Green refinement lattice violated")
 
 
-def _reach(mul: np.ndarray, start, right, left=(), seen=None) -> np.ndarray:
-    """Mask of what start reaches along x -> x*g (g in right) and x -> g*x
-    (g in left), on top of the mask seen, if given, which is taken as
-    closed.  Only the rows left names are read for the left edges, so
-    with right empty mul may hold just those rows."""
-    seen = np.zeros(mul.shape[1], dtype=bool) if seen is None else seen.copy()
+def _reach(start, right=None, left=None, seen=None) -> np.ndarray:
+    """Mask of what start reaches along the edges x -> right[x, j] (right
+    the block of products x*g) and x -> left[j, x] (left the block g*x),
+    on top of the mask seen, if given, which is taken as closed."""
+    n = len(right) if right is not None else left.shape[1]
+    seen = np.zeros(n, dtype=bool) if seen is None else seen.copy()
     frontier = np.asarray(start, dtype=np.intp)
     frontier = frontier[~seen[frontier]]
     seen[frontier] = True
     while frontier.size:
         grown = seen.copy()
-        if len(right):
-            grown[mul[frontier[:, None], right]] = True
-        if len(left):
-            grown[mul[np.ix_(left, frontier)]] = True
+        if right is not None:
+            grown[right[frontier]] = True
+        if left is not None:
+            grown[left[:, frontier]] = True
         frontier = np.flatnonzero(grown > seen)
         seen = grown
     return seen
@@ -482,29 +477,26 @@ def indices(n: int, idxs) -> np.ndarray:
     return out
 
 
-def _closure(mul: np.ndarray, gen_idxs) -> np.ndarray:
-    """Mask of the subsemigroup generated by the given indices, each
-    already inside the table."""
-    gens = np.array(list(dict.fromkeys(gen_idxs)), dtype=np.intp)
-    if not gens.size:
+def _closure(rows: np.ndarray, gens) -> np.ndarray:
+    """Mask of the subsemigroup generated by the distinct indices gens,
+    rows[i] the products gens[i]*y: what gens reach along x -> g*x."""
+    if not len(gens):
         raise PreconditionError("generator set is empty")
-    return _reach(mul, gens, gens)
+    return _reach(gens, left=rows)
 
 
 def closure_indices(table: SemigroupTable, gen_idxs) -> np.ndarray:
-    """Indices of the subsemigroup generated by the given indices."""
-    return np.flatnonzero(_closure(table.mul, indices(len(table), gen_idxs)))
+    """Indices of the subsemigroup generated by the given indices, read
+    off their block of products with every element."""
+    gens = np.flatnonzero(np.bincount(indices(len(table), gen_idxs), minlength=len(table)))
+    return np.flatnonzero(_closure(table.products(gens, range(len(table))), gens))
 
 
 def idempotents(table: SemigroupTable) -> np.ndarray:
-    """The x with x*x = x: on a filled table, its diagonal; otherwise the
-    x with M_x;M_x = M_x on the action, the same set, as the build
-    proved M_(x*y) = M_x;M_y and x -> M_x one-to-one."""
-    every = np.arange(len(table))
-    if table._mul is not None:
-        return np.flatnonzero(table._mul.diagonal() == every)
+    """The x with x*x = x: the x with M_x;M_x = M_x on the action, as the
+    build proved M_(x*y) = M_x;M_y and x -> M_x one-to-one."""
     act = table._action
-    return np.flatnonzero((act[act, every] == act).all(axis=0))
+    return np.flatnonzero((act[act, np.arange(len(table))] == act).all(axis=0))
 
 
 def minimal_idempotents_oracle(table: SemigroupTable) -> np.ndarray:
@@ -521,8 +513,7 @@ def principal_ideal(table: SemigroupTable, a: int) -> np.ndarray:
     """The two-sided ideal S^1 a S^1 as sorted indices: what a reaches
     along x -> x g and x -> g x, g in the build's generating set A.
     That is every u a v with u, v words over A, on an associative table."""
-    gens = table._checked_generators()
-    return np.flatnonzero(_reach(table.mul, indices(len(table), a), gens, gens))
+    return np.flatnonzero(_reach(indices(len(table), a), *table.generator_blocks()))
 
 
 def verify_ideal(table: SemigroupTable, subset) -> bool:
@@ -534,25 +525,24 @@ def verify_ideal(table: SemigroupTable, subset) -> bool:
     idx = indices(len(table), subset)
     if not idx.size:
         raise PreconditionError("ideal candidate is empty")
-    gens = table._checked_generators()
+    right_edges, left_edges = table.generator_blocks()
     inside = np.zeros(len(table), dtype=bool)
     inside[idx] = True
-    return bool(inside[table.products(idx, gens)].all() and inside[table.products(gens, idx)].all())
+    return bool(inside[right_edges[idx]].all() and inside[left_edges[:, idx]].all())
 
 
 def is_homomorphism(psi: np.ndarray, source: SemigroupTable, target: SemigroupTable) -> bool:
     """True iff psi(a*b) = psi(a)*psi(b) for all source elements a, b,
     read on A x S, A the source's checked generating set: the source's
-    rows of A against the target's block psi(A) x psi(S), which
-    products reads off the target's left tree.  Both tables
-    are associative, each proved as it was built; the target's
-    generating set is read too, so that a table whose proof runs on that
-    read refuses before the compare.  Induction on the length of y as a
-    word over A then gives
+    block A x S (see generator_blocks) against the target's block
+    psi(A) x psi(S).  Both tables are associative, each proved as it was
+    built; the target's generating set is read too, so that a table whose
+    proof runs on that read refuses before the compare.  Induction on the
+    length of y as a word over A then gives
     psi(g y x) = psi(g) psi(y x) = psi(g) psi(y) psi(x) = psi(g y) psi(x)."""
-    gens = source._checked_generators()
+    gens, (_, left_edges) = source._checked_generators(), source.generator_blocks()
     target._checked_generators()
-    return bool((psi[source.products(gens, np.arange(len(source)))] == target.products(psi[gens], psi)).all())
+    return bool((psi[left_edges] == target.products(psi[gens], psi)).all())
 
 
 def rank_search(table: SemigroupTable, candidates, cap: int, budget: int | None = None):
@@ -562,21 +552,22 @@ def rank_search(table: SemigroupTable, candidates, cap: int, budget: int | None 
     (size, witness) for the first generating subset found, or None if
     no subset of size <= cap generates.  A `budget` bounds the number
     of subsets swept; exceeding it raises CapacityError so that
-    callers can report "not computed" instead of a wrong answer.
-    """
+    callers can report "not computed" instead of a wrong answer.  It
+    reads the table's whole block once: it is for small tables only."""
     if cap < 1:
         raise PreconditionError("rank search cap must be at least 1")
     cands = sorted(set(indices(len(table), candidates).tolist()))
+    mul = table.products(range(len(table)), range(len(table)))
     # One element generates a commutative subsemigroup, so on a table that
     # is not commutative the singletons count against the budget untried.
-    commutative = np.array_equal(table.mul, table.mul.T)
+    commutative = np.array_equal(mul, mul.T)
     attempts = 0
     for k in range(1, min(cap, len(cands)) + 1):
         for combo in combinations(cands, k):
             attempts += 1
             if budget is not None and attempts > budget:
                 raise CapacityError(f"rank search exceeded budget of {budget} subsets")
-            if (k > 1 or commutative) and _closure(table.mul, combo).all():
+            if (k > 1 or commutative) and _closure(mul[list(combo)], combo).all():
                 return k, combo
     return None
 
@@ -590,9 +581,7 @@ def subtable(table: SemigroupTable, idxs) -> SemigroupTable:
     identity is the element that acts as the identity map, or None: a
     group of non-units, such as the H-class of an idempotent below the
     identity, has none."""
-    inside = np.zeros(len(table), dtype=bool)
-    inside[indices(len(table), idxs)] = True
-    idxs = np.flatnonzero(inside)
+    idxs = np.flatnonzero(np.bincount(indices(len(table), idxs), minlength=len(table)))
     pos = np.full(len(table), -1, dtype=np.intp)
     pos[idxs] = np.arange(len(idxs))
 

@@ -40,6 +40,14 @@ BATCHES = {
 CONSTRUCTORS = tuple(BATCHES)
 
 
+def full_table(table):
+    """The whole n x n block of products of a table, products(S, S):
+    full_table(t)[i, j] is the index of i*j.  The package never reads it
+    whole; the tests read it as the reference for smaller blocks."""
+    every = np.arange(len(table))
+    return table.products(every, every)
+
+
 def one(batch, s, *idxs):
     """The output of a batched constructor for single indices: each index
     goes in as a one-element array, and each output comes back as an int
@@ -107,7 +115,8 @@ def natural_leq(e, f, table):
     idem = idempotents(table)
     if e not in idem or f not in idem:
         raise PreconditionError("natural order is defined on idempotents only")
-    return int(table.mul[e, f]) == e and int(table.mul[f, e]) == e
+    prod = table.products([e, f], [e, f])
+    return int(prod[0, 1]) == e and int(prod[1, 0]) == e
 
 
 def is_idempotent_by_image(s, a):
@@ -138,8 +147,8 @@ def mats(s, idxs):
 def with_product(s, i, j, k):
     """A copy of Structure s whose table says element i times element j is k.
 
-    The copy's table is a GivenTable, which takes the changed mul as
-    given, so that the one wrong product survives; a check that reads
+    The copy's table is a GivenTable, which takes the changed full table
+    as given, so that the one wrong product survives; a check that reads
     the table's products must then notice it.  The first read of its
     generating set runs the mul form's table check (light_check): a
     table that is not associative is refused there, and a check that
@@ -147,7 +156,7 @@ def with_product(s, i, j, k):
     a non-associative triple.  A copy that stays associative passes,
     though it is no longer the members' table.
     """
-    mul = s.table.mul.copy()
+    mul = full_table(s.table)
     mul[i, j] = k
     return Structure(s.inst, GivenTable(mul, s.table.identity_idx, s.table._action), s.act, s.index)
 
@@ -219,10 +228,30 @@ def break_batch(monkeypatch, p, batch, call=None, member=True):
     return corrupted
 
 
+def with_unit_product(s, a, b, c):
+    """A copy of Structure s whose unit group's block of products
+    (Structure.unit_block) says unit a times unit b is unit c, all three
+    given by their member indices.  The member table is shared, so only
+    a reader of the unit block can notice."""
+    units = s.grades[s.inst.n - s.inst.r]
+    block = s.unit_block.copy()
+    block[np.searchsorted(units, a), np.searchsorted(units, b)] = np.searchsorted(units, c)
+    bad = Structure(s.inst, s.table, s.act, s.index)
+    bad.unit_block = block
+    return bad
+
+
+def unit_products(s, xs, ys):
+    """The block of products x*y of units x in xs by y in ys, as member
+    indices, read off s.unit_block."""
+    units = s.grades[s.inst.n - s.inst.r]
+    return units[s.unit_block[np.ix_(np.searchsorted(units, xs), np.searchsorted(units, ys))]]
+
+
 def with_wrong_split(s, left_kind, w):
-    """A with_product copy of s in which one cell of the left_kind split's
-    product grid (fix_w x fix_u onto the units, or g_w x n_w onto fix_u)
-    holds another element of the whole, so the grid is no bijection.
+    """A with_unit_product copy of s in which one cell of the left_kind
+    split's product grid (fix_w x fix_u onto the units, or g_w x n_w onto
+    fix_u) holds another element of the whole, so the grid is no bijection.
 
     Every special subgroup, for every complement, that holds both
     factors of the cell also holds the element put there, so each one
@@ -233,15 +262,23 @@ def with_wrong_split(s, left_kind, w):
     subgroups = [g.special_subgroup(s, g.FIX_U)] + [
         g.special_subgroup(s, kind, v) for v in enumerate_complements(s.inst.u) for kind in (g.FIX_W, g.G_W, g.N_W)
     ]
-    mul = s.table.mul
+    cells = unit_products(s, left, right)
     a, b, c = next(
         (a, b, c)
-        for a in left.tolist()
-        for b in right.tolist()
+        for i, a in enumerate(left.tolist())
+        for j, b in enumerate(right.tolist())
         for c in (pos >= 0).nonzero()[0].tolist()
-        if c != mul[a, b] and all(c in h for h in subgroups if a in h and b in h)
+        if c != cells[i, j] and all(c in h for h in subgroups if a in h and b in h)
     )
-    return with_product(s, a, b, c)
+    return with_unit_product(s, a, b, c)
+
+
+def grade_generates(s, k):
+    """True iff grade k generates the ideal below k+1, by its closure: the
+    words over the whole grade, read off its block of products with every
+    element.  The generation check certifies each grade with one raise
+    call instead; this is its oracle."""
+    return bool(np.array_equal(semigroup_core.closure_indices(s.table, s.grades[k]), s.below[k + 1]))
 
 
 def same_class(green, relation, i, j):
@@ -518,7 +555,7 @@ def dense_green(table):
     unpacked n x n ideal matrices: row a of `left` marks S^1 a, of `right`
     a S^1.  Memory grows as n^2 bytes, so it is the reference the blocked,
     packed oracle is compared with on tables past one row block."""
-    mul = np.asarray(table.mul, dtype=np.intp)
+    mul = np.asarray(full_table(table), dtype=np.intp)
     n = len(mul)
     owner = np.arange(n)[:, None]
     left = np.eye(n, dtype=bool)
@@ -553,7 +590,7 @@ def dense_green(table):
 def dense_principal_ideal(table, a):
     """S^1 a S^1 as sorted indices, from whole rows and columns of the
     table: S^1 a is column a and a, and S^1 a S^1 the rows of its members."""
-    mul = table.mul
+    mul = full_table(table)
     ideal = np.zeros(len(mul), dtype=bool)
     ideal[mul[:, a]] = True
     ideal[a] = True
@@ -564,7 +601,7 @@ def dense_principal_ideal(table, a):
 def dense_verify_ideal(table, subset):
     """True iff the subset is closed under multiplication by every
     element, both sides, read off its whole rows and columns."""
-    mul = table.mul
+    mul = full_table(table)
     idx = np.array(sorted(set(subset)), dtype=np.intp)
     inside = np.zeros(len(mul), dtype=bool)
     inside[idx] = True
@@ -575,7 +612,7 @@ def dense_homomorphism(psi, t1, t2):
     """True iff psi(a*b) = psi(a)*psi(b) for every pair a, b of t1's
     elements, compared as two whole tables."""
     psi = np.asarray(psi, dtype=np.intp)
-    return bool(np.array_equal(psi[t1.mul], t2.mul[np.ix_(psi, psi)]))
+    return bool(np.array_equal(psi[full_table(t1)], full_table(t2)[np.ix_(psi, psi)]))
 
 
 def key_fill(p, rows):
@@ -605,7 +642,7 @@ def scan_generators(table):
     the non-units in index order, each taken when the right closure so
     far misses it, then every generator the others still generate
     dropped.  The oracle of the set A the build picks from a few rows."""
-    mul, e = table.mul, table.identity_idx
+    mul, e = full_table(table), table.identity_idx
     units = np.flatnonzero((mul == e).any(axis=1)) if e is not None else np.array([], dtype=np.intp)
     order = np.zeros(len(units), dtype=np.intp)
     power = units
@@ -618,10 +655,10 @@ def scan_generators(table):
     for i in np.concatenate([units[np.argsort(-order, kind="stable")], np.flatnonzero(~np.isin(np.arange(len(mul)), units))]).tolist():
         if not covered[i]:
             gens.append(i)
-            covered = semigroup_core._closure(mul, gens)
+            covered = semigroup_core._closure(mul[gens], gens)
     for g in list(gens):
         fewer = [h for h in gens if h != g]
-        if fewer and semigroup_core._closure(mul, fewer).all():
+        if fewer and semigroup_core._closure(mul[fewer], fewer).all():
             gens = fewer
     return gens
 
@@ -656,7 +693,7 @@ def light_check(table):
     proof: a claimed identity must be two-sided neutral, and Light's
     test runs on the greedy generating set scan_generators picks, which
     is returned."""
-    mul, e = table.mul, table.identity_idx
+    mul, e = full_table(table), table.identity_idx
     if e is not None:
         idx = np.arange(len(mul))
         if not (0 <= e < len(mul) and (mul[e] == idx).all() and (mul[:, e] == idx).all()):
@@ -667,22 +704,26 @@ def light_check(table):
 
 
 class GivenTable(SemigroupTable):
-    """A fake SemigroupTable that takes mul and its identity as given,
-    unproved, and carries the action it is given, if any.  mul is held
-    as the table already filled, so products, idempotents and every
-    other reader read it.  The first read of its generating set runs
-    light_check on it, so a table that is not associative is refused
-    there, as the mul form's lazy check did."""
+    """A fake SemigroupTable that takes its full table mul and its
+    identity as given, unproved, and carries the action it is given, if
+    any.  Every block of products is read off mul, so a wrong cell in it
+    reaches every reader of products.  The first read of its generating
+    set runs light_check on it, so a table that is not associative is
+    refused there, as the mul form's lazy check did."""
 
-    __slots__ = ()
+    __slots__ = ("_mul",)
 
     def __init__(self, mul, identity_idx=None, action=None):
         self._mul = np.asarray(mul).view()
         self._mul.flags.writeable = False
-        self.identity_idx, self._action, self._gens, self._green = identity_idx, action, None, None
+        self.identity_idx, self._action, self._gens, self._green, self._blocks = identity_idx, action, None, None, None
 
     def __len__(self):
         return len(self._mul)
+
+    def products(self, xs, ys):
+        n = len(self)
+        return self._mul[np.ix_(semigroup_core.indices(n, xs), semigroup_core.indices(n, ys))]
 
     def _checked_generators(self):
         if self._gens is None:
@@ -711,7 +752,7 @@ def restricted_mul(table, idxs):
     idxs = np.unique(idxs)
     pos = np.full(len(table), -1, dtype=np.intp)
     pos[idxs] = np.arange(len(idxs))
-    return pos[table.mul[np.ix_(idxs, idxs)]]
+    return pos[table.products(idxs, idxs)]
 
 
 def rows_of(mul):
@@ -724,7 +765,7 @@ def rows_of(mul):
 def naive_green_same(table, a, b, relation):
     """Green tests by literal principal-ideal comparison (small tables only)."""
     n = len(table)
-    mul = table.mul
+    mul = full_table(table)
 
     def left(x):
         return frozenset([x] + [mul[s][x] for s in range(n)])

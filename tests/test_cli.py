@@ -63,13 +63,17 @@ from helpers import (
     GivenTable,
     break_batch,
     every_pair_factorizations,
+    full_table,
+    grade_generates,
     is_member,
     matrices,
     one,
     split_cell,
+    unit_products,
     with_codim,
     with_column,
     with_product,
+    with_unit_product,
     with_wrong_split,
 )
 
@@ -202,18 +206,22 @@ def test_library_commands_reject_non_positive_caps(command, caps):
         command(InstanceConfig(p=2, n=2, r=1), *caps)
 
 
-def test_unit_decomposition_fails_on_a_broken_conjugate():
+def test_unit_decomposition_fails_on_a_broken_conjugate(monkeypatch):
     s = enumerate_semigroup(make_instance(2, 3, 2))
-    mul, ident = s.table.mul, s.table.identity_idx
+    g, ident = j_class(s, 1), s.table.identity_idx
+    mul = unit_products(s, g, g)
     fix_u = special_subgroup(s, FIX_U)
-    g = next(i for i in j_class(s, 1).tolist() if i not in fix_u and mul[i][i] != ident)
+    i = next(i for i in range(len(g)) if g[i] not in fix_u and mul[i, i] != ident)
     h = next(i for i in fix_u.tolist() if i != ident)
-    # g*h now reads g*g, so the conjugate g*h*g^-1 reads g, which is outside Fix(U).
-    bad = with_product(s, g, h, mul[g][g])
+    # In the unit group's table, g*h now reads g*g, so the conjugate
+    # g*h*g^-1 reads g, which is outside Fix(U).
+    bad = with_unit_product(s, g[i], h, mul[i, i])
     assert _check_unit_decomposition(s, CAPS)[0] == "pass"
     status, _, reason = _check_unit_decomposition(bad, CAPS)
     assert status == "fail"
     assert "conjugate left the U-fixing subgroup" in reason
+    check = _verify_with(monkeypatch, s, bad)["unit_decomposition"]
+    assert check.status == "fail" and check.reason == "conjugate left the U-fixing subgroup"
 
 
 @pytest.mark.parametrize("left_kind", [FIX_W, G_W])
@@ -468,16 +476,19 @@ def test_order_law_fails_when_one_element_moves_u(p, n, r, u_rows):
     assert _check_order_law(bad, CAPS) == ("fail", counts, f"element {a} does not map U onto U")
 
 
-def test_unit_decomposition_fails_on_a_unit_without_inverse():
+def test_unit_decomposition_fails_on_a_unit_without_inverse(monkeypatch):
     s = enumerate_semigroup(make_instance(2, 3, 2))
-    mul, ident = s.table.mul, s.table.identity_idx
-    g = next(i for i in j_class(s, 1).tolist() if i != ident)
-    g_inv = int((mul[g] == ident).argmax())
-    # g*g^-1 now reads g, so the identity no longer appears in g's row.
-    bad = with_product(s, g, g_inv, g)
+    units, ident = j_class(s, 1), s.table.identity_idx
+    g = next(i for i in units.tolist() if i != ident)
+    g_inv = int(units[(unit_products(s, [g], units)[0] == ident).argmax()])
+    # In the unit group's table, g*g^-1 now reads g, so the identity no
+    # longer appears in g's row.
+    bad = with_unit_product(s, g, g_inv, g)
     status, _, reason = _check_unit_decomposition(bad, CAPS)
     assert status == "fail"
     assert "a unit has no inverse in the table" in reason
+    check = _verify_with(monkeypatch, s, bad)["unit_decomposition"]
+    assert check.status == "fail" and check.reason.startswith("a unit has no inverse in the table")
 
 
 def test_verify_fails_the_checks_whose_constructors_build_a_wrong_factor(monkeypatch):
@@ -517,17 +528,44 @@ def test_generation_fails_when_one_product_leaves_its_ideal(monkeypatch):
     assert check.reason.startswith("PreconditionError: table is not associative at (")
 
 
-def test_generation_fails_when_a_grade_misses_part_of_its_ideal():
+def test_generation_fails_when_a_grade_misses_part_of_its_ideal(monkeypatch):
     s = enumerate_semigroup(make_instance(2, 3, 1))
     a = max(j_class(s, 1))
     # a is now said to be a unit, so Q(2) misses it, though grade 1 still
-    # generates it; the table is the checked one.
-    status, _, reason = _check_generation(with_codim(s, a, 2), CAPS)
+    # generates it: Q(2) is no ideal, and the whole-grade closure oracle
+    # disagrees too.  The table is the checked one.
+    bad = with_codim(s, a, 2)
+    assert grade_generates(s, 1) and not grade_generates(bad, 1)
+    status, _, reason = _check_generation(bad, CAPS)
     assert status == "fail"
-    assert "grade 1 did not generate the ideal below 2" in reason
+    assert reason == "grade 1 did not generate the ideal below 2: Q(2) is not an ideal"
+    check = _verify_with(monkeypatch, s, bad)["generation"]
+    assert (check.status, check.reason) == ("fail", reason)
 
 
-def test_generation_closes_no_generator_outside_the_claimed_set():
+def test_generation_fails_on_a_raise_factor_that_fails_to_recompose(monkeypatch):
+    # The check certifies each grade with one raise call, and its first lam
+    # is corrupted (the third lookup under raise_factors in verify, after
+    # the factorizations check's lam and mu): a fault the whole-grade
+    # closures, which read no raise factor, could not see.
+    corrupted = break_batch(monkeypatch, 2, "raise_factors", call=2)
+    failed = _failing()
+    ((named, _),) = corrupted
+    assert failed == {"generation": f"InternalInconsistencyError: raise factorization failed to recompose at {named}"}
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda path: path.stem)
+def test_generation_certifies_the_grades_the_whole_grade_closure_finds(path):
+    # The raise certificate passes each grade of a shipped config, and the
+    # closure of the whole grade, its oracle, finds each one generating.
+    s = enumerate_semigroup(build_instance(load_config(str(path))))
+    top = s.inst.n - s.inst.r
+    status, counts, _ = _check_generation(s, CAPS)
+    assert status == "pass" and counts["grades_checked"] == max(0, top - 1)
+    assert all(grade_generates(s, k) for k in range(1, top))
+
+
+def test_generation_closes_no_generator_outside_the_claimed_set(monkeypatch):
     s = enumerate_semigroup(make_instance(2, 3, 1))
     g = next(g for g in s.table._checked_generators() if s.codims[g] == 2)
     # A unit of the table check's set is now said to have codimension 1,
@@ -539,6 +577,8 @@ def test_generation_closes_no_generator_outside_the_claimed_set():
     status, counts, reason = _check_generation(bad, CAPS)
     assert status == "fail" and counts["closure"] < len(s.table)
     assert "units plus one lower element failed to generate" in reason
+    check = _verify_with(monkeypatch, s, bad)["generation"]
+    assert (check.status, check.reason) == ("fail", reason)
 
 
 def test_ideal_structure_fails_when_one_product_leaves_the_minimal_ideal(monkeypatch):
@@ -641,7 +681,7 @@ class _ExtraJClassTable(GivenTable):
 def test_j_class_count_fails_on_an_extra_j_class():
     s = enumerate_semigroup(make_instance(2, 3, 1))
     t = s.table
-    bad = Structure(s.inst, _ExtraJClassTable(t.mul, t.identity_idx, t._action), s.act, s.index)
+    bad = Structure(s.inst, _ExtraJClassTable(full_table(t), t.identity_idx, t._action), s.act, s.index)
     assert _check_j_class_count(s, CAPS) == ("pass", {"observed": 3, "quotient_dim": 2, "flagged": True}, None)
     status, counts, _ = _check_j_class_count(bad, CAPS)
     assert status == "fail"
@@ -710,13 +750,50 @@ def test_nonnormality_fails_on_a_conjugate_that_stays_inside(monkeypatch):
     assert failed["nonnormality"].endswith("conjugate unexpectedly stayed in the subgroup")
 
 
+def test_factorizations_peaks_below_one_and_a_half_megabytes_at_order_4096():
+    # Fact (ii) gathers the vectors of U and of the domain inverses in the
+    # narrowest dtype that holds their products unreduced, not int64: at
+    # (2,4,1) that step alone peaked at 2.12 MB, above the largest grid
+    # call (1.31 MB).  The first call builds the Structure's cached batch
+    # and lam tables, so the second one's peak is the check's own.
+    s = enumerate_semigroup(make_instance(2, 4, 1), 4096)
+    assert _check_factorizations(s, CAPS)[0] == "pass"
+    tracemalloc.start()
+    try:
+        status = _check_factorizations(s, CAPS)[0]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert status == "pass" and peak <= 1.5e6
+
+
+def test_verify_and_report_read_no_block_near_a_whole_table(monkeypatch):
+    # No claim needs the whole table: every block of products that verify
+    # and report ask of a table of order 1536 (the instance's, and the
+    # isomorphism partner's) holds under a quarter of its cells.  The
+    # largest, the Green oracle's lines at the classes' leaders, holds
+    # about 2 % of them.
+    cfg, order, asked = InstanceConfig(p=2, n=4, r=2), 1536, []
+    real = semigroup_core.SemigroupTable.products
+
+    def products(table, xs, ys):
+        out = real(table, xs, ys)
+        if len(table) == order:
+            asked.append(out.size)
+        return out
+
+    monkeypatch.setattr(semigroup_core.SemigroupTable, "products", products)
+    assert not cmd_verify(cfg, *CAPS).failed
+    assert cmd_report(cfg, *CAPS)["order"] == order
+    assert asked and max(asked) < order**2 / 4
+
+
 def test_isomorphism_theorem_holds_no_whole_partner_table():
-    # The partner is built and read on psi(A) x psi only, so its table is
-    # never filled.  The instance's own table is filled and its Green
-    # relations computed first, as verify's earlier checks leave them;
-    # the partner's table alone would be 4.7 MB at order 1536.
+    # The partner is built and read on psi(A) x psi only, so no whole
+    # table of it is read.  The instance's Green relations are computed
+    # first, as verify's earlier checks leave them; the partner's table
+    # alone would be 4.7 MB at order 1536.
     s = enumerate_semigroup(make_instance(2, 4, 2))
-    s.table.mul
     s.table.green()
     tracemalloc.start()
     try:

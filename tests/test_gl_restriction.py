@@ -64,6 +64,7 @@ from helpers import (
     GivenTable,
     break_batch,
     brute_members,
+    full_table,
     index_of,
     is_idempotent_by_image,
     is_member,
@@ -81,8 +82,10 @@ from helpers import (
     rref_canonical,
     scan_generators,
     split_cell,
+    unit_products,
     with_column,
     with_product,
+    with_unit_product,
     with_wrong_split,
 )
 
@@ -218,10 +221,10 @@ def test_identity_is_found_by_its_key(name):
 )
 def test_cayley_table_matches_products_on_every_pair(name):
     s = enumerate_semigroup(_instance(name))
-    n = len(s.table)
+    n, mul = len(s.table), full_table(s.table)
     assert n < 200
     for a, b, ab in _multiplied_out(s, [(a, b) for a in range(n) for b in range(n)]):
-        assert int(s.table.mul[a, b]) == ab
+        assert int(mul[a, b]) == ab
 
 
 # The configs add an odd prime, odd n and a shifted U.
@@ -229,8 +232,9 @@ def test_cayley_table_matches_products_on_every_pair(name):
 def test_cayley_table_matches_products_on_sampled_pairs(pnr):
     s = enumerate_semigroup(_instance(pnr), 4096)
     pairs = np.random.default_rng(0).integers(0, len(s.table), size=(10_000, 2)).tolist()
+    mul = full_table(s.table)
     for a, b, ab in _multiplied_out(s, pairs):
-        assert int(s.table.mul[a, b]) == ab
+        assert int(mul[a, b]) == ab
 
 
 def test_codim():
@@ -361,7 +365,7 @@ def _same_as_the_key_fill(inst):
     # and its A is the one the table-scan greedy picks from the filled table.
     s = enumerate_semigroup(inst, 4096)
     mul, act, index = key_fill(inst.p, gl_restriction._members(inst))
-    for got, want in ((s.table.mul, mul), (s.act, act), (s.index, index)):
+    for got, want in ((full_table(s.table), mul), (s.act, act), (s.index, index)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
     assert s.table._checked_generators() == scan_generators(GivenTable(mul, s.table.identity_idx))
 
@@ -695,11 +699,13 @@ def test_subgroup_iso_checks():
 
 
 def test_special_subgroup_rejects_a_product_leaving_it():
+    # One product of two U-fixing units, in the unit group's table, now
+    # reads a unit that moves U.
     fix_u = special_subgroup(S232, FIX_U).tolist()
     a, b = fix_u[-1], fix_u[-2]
-    outside = min(set(range(len(S232.table))) - set(fix_u))
-    with pytest.raises(InternalInconsistencyError):
-        special_subgroup(with_product(S232, a, b, outside), FIX_U)
+    outside = min(set(j_class(S232, 1).tolist()) - set(fix_u))
+    with pytest.raises(InternalInconsistencyError, match="not closed under products"):
+        special_subgroup(with_unit_product(S232, a, b, outside), FIX_U)
 
 
 @pytest.mark.parametrize("kind", [FIX_W, N_W])
@@ -708,8 +714,8 @@ def test_subgroup_iso_check_rejects_a_wrong_product_inside_the_subgroup(kind):
     members = special_subgroup(S232, kind, W232).tolist()
     ident = S232.table.identity_idx
     a, b = [i for i in members if i != ident][:2]
-    wrong = next(c for c in members if c != S232.table.mul[a][b])
-    bad = with_product(S232, a, b, wrong)
+    wrong = next(c for c in members if c != unit_products(S232, [a], [b])[0, 0])
+    bad = with_unit_product(S232, a, b, wrong)
     assert special_subgroup(bad, kind, W232).tolist() == members  # still closed
     assert not subgroup_iso_check(bad, kind, W232)
 
@@ -717,7 +723,7 @@ def test_subgroup_iso_check_rejects_a_wrong_product_inside_the_subgroup(kind):
 def test_split_grid_holds_each_element_in_one_cell():
     for left_kind, whole in ((FIX_W, j_class(S232, 1)), (G_W, special_subgroup(S232, FIX_U))):
         left, right, pos = split_grid(S232, left_kind, W232)
-        cells = S232.table.mul[np.ix_(left, right)].ravel()
+        cells = S232.table.products(left, right).ravel()
         assert sorted(cells.tolist()) == whole.tolist()
         assert [int(cells[pos[a]]) for a in whole] == whole.tolist()
         assert (pos >= 0).sum() == len(whole)
@@ -927,7 +933,8 @@ def test_unit_group_subtable_is_the_member_table_restricted_to_the_units(spec):
     # identity matrix's position among the units.
     s = enumerate_semigroup(_instance(spec), 4096)
     units, group = unit_group_subtable(s), s.grades[s.inst.n - s.inst.r]
-    assert np.array_equal(units.mul, restricted_mul(s.table, group))
+    assert np.array_equal(full_table(units), restricted_mul(s.table, group))
+    assert np.array_equal(s.unit_block, full_table(units))
     assert group[units.identity_idx] == s.table.identity_idx
 
 
@@ -938,7 +945,7 @@ def test_unit_group_subtable_refuses_a_wrong_cell_in_a_row_its_build_reads():
     group = S231.grades[S231.inst.n - S231.inst.r]
     units = unit_group_subtable(S231)
     g, y = units._checked_generators()[-1], len(units) // 2
-    k = (int(units.mul[g, y]) + 1) % len(units)
+    k = (int(full_table(units)[g, y]) + 1) % len(units)
     bad = with_product(S231, group[g], group[y], group[k])
     with pytest.raises(PreconditionError, match=re.escape(f"table is not the product table of its action at ({g}, {y})")):
         unit_group_subtable(bad)

@@ -11,7 +11,7 @@ from glsemi.gf_linalg import codes, identity_mat, vec_mat
 from glsemi.gl_restriction import Structure, enumerate_semigroup, make_instance, minimal_idempotents
 from glsemi.isomorphism import IsoWitness, decide_isomorphic, element_bijection
 
-from helpers import dense_homomorphism, extend_basis, full_space, linear_map, rref_canonical, with_product
+from helpers import dense_homomorphism, extend_basis, full_space, full_table, linear_map, rref_canonical, with_product
 
 S221 = enumerate_semigroup(make_instance(2, 2, 1))
 S221_SHIFTED = enumerate_semigroup(make_instance(2, 2, 1, [(0, 1)]))
@@ -49,12 +49,12 @@ def test_shifted_subspace_is_isomorphic_with_verified_psi():
     witness = decide_isomorphic(i1, i2)
     assert witness is not None
     assert vec_mat(2, (1, 0, 0), witness.phi) in {v for v in i2.u.vectors() if any(v)}
-    t1, t2 = S231.table, S231_SHIFTED.table
+    t1, t2 = full_table(S231.table), full_table(S231_SHIFTED.table)
     psi = element_bijection(witness, S231, S231_SHIFTED)
     assert len(set(psi)) == 64
     for a in range(64):
         for b in range(64):
-            assert psi[t1.mul[a][b]] == t2.mul[psi[a]][psi[b]]
+            assert psi[t1[a][b]] == t2[psi[a]][psi[b]]
 
 
 def test_isomorphic_instances_share_invariants():

@@ -206,28 +206,42 @@ def test_a_thread_or_process_import_is_flagged(source):
 
 #: The helpers of the table form given by mul, which the package no longer has.
 MUL_FORM = {"_light", "_find_identity", "_table_array", "_check_table"}
+#: The names of a whole n x n table kept beside the proof, which the package
+#: no longer keeps: every product is read as part of a block.
+WHOLE_TABLE = {"mul", "_mul"}
 
 
 def _second_table_form(tree: ast.Module) -> list[str]:
-    """Every trace of a table form given by mul in a module: a function,
-    method or class named in MUL_FORM, and a `mul` or `check` parameter
-    of `SemigroupTable.__init__`."""
+    """Every trace of a table form given by mul, or of a whole table kept
+    beside the proof, in a module: a function, method or class named in
+    MUL_FORM; a `mul` or `check` parameter of `SemigroupTable.__init__`;
+    a `mul` method or a `mul` / `_mul` slot of `SemigroupTable`; and any
+    attribute `.mul` or `._mul`, read or written."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in MUL_FORM:
             found.append(node.name)
+        elif isinstance(node, ast.Attribute) and node.attr in WHOLE_TABLE:
+            found.append(f".{node.attr}")
         elif isinstance(node, ast.ClassDef) and node.name == "SemigroupTable":
-            for init in (item for item in node.body if isinstance(item, ast.FunctionDef) and item.name == "__init__"):
-                args = init.args.posonlyargs + init.args.args + init.args.kwonlyargs
-                found += [f"SemigroupTable.__init__({arg.arg})" for arg in args if arg.arg in ("mul", "check")]
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                    args = item.args.posonlyargs + item.args.args + item.args.kwonlyargs
+                    found += [f"SemigroupTable.__init__({arg.arg})" for arg in args if arg.arg in ("mul", "check")]
+                elif isinstance(item, ast.FunctionDef) and item.name in WHOLE_TABLE:
+                    found.append(f"SemigroupTable.{item.name}")
+                elif isinstance(item, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in item.targets):
+                    slots = [c.value for c in ast.walk(item.value) if isinstance(c, ast.Constant)]
+                    found += [f"SemigroupTable.__slots__({slot})" for slot in slots if slot in WHOLE_TABLE]
     return found
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
 def test_no_module_keeps_a_second_table_form(path):
-    # Every table is built from an action and proved as it is built.  Light's
-    # test and the mul form are oracles in tests/helpers.py, not a second
-    # constructor path that no command proves anything with.
+    # Every table is built from an action and proved as it is built, and
+    # each reader reads the block of products it needs.  Light's test, the
+    # mul form and the whole-table reads are oracles in tests/helpers.py,
+    # not a second constructor path or a cache no claim needs.
     assert _second_table_form(ast.parse(path.read_text(encoding="utf-8"))) == []
 
 
@@ -238,6 +252,9 @@ def test_no_module_keeps_a_second_table_form(path):
         "class SemigroupTable:\n    def _find_identity(self):\n        pass\n",
         "class SemigroupTable:\n    def __init__(self, action, product_row, identity_idx=None, check=True):\n        pass\n",
         "class SemigroupTable:\n    def __init__(self, mul=None, *, action=None, product_row=None):\n        pass\n",
+        "class SemigroupTable:\n    __slots__ = (\"identity_idx\", \"_action\", \"_mul\")\n",
+        "class SemigroupTable:\n    @property\n    def mul(self):\n        return self.products(range(len(self)), range(len(self)))\n",
+        "def minimal_idempotents(s):\n    low = s.grades[0]\n    return low[s.table.mul[low, low] == low]\n",
     ],
 )
 def test_a_second_table_form_is_flagged(source):

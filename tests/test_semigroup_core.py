@@ -13,7 +13,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from glsemi.cli import build_instance, eggbox_dot, load_config
 from glsemi.errors import CapacityError, InternalInconsistencyError, PreconditionError
 from glsemi.gf_linalg import identity_mat
-from glsemi import semigroup_core
+from glsemi import gl_restriction, semigroup_core
 from glsemi.gl_restriction import enumerate_semigroup, make_instance, unit_group_subtable
 from glsemi.semigroup_core import (
     GreenPartitions,
@@ -40,7 +40,9 @@ from helpers import (
     dense_principal_ideal,
     dense_verify_ideal,
     find_identity,
+    full_table,
     index_of,
+    key_fill,
     label_sets,
     light,
     light_check,
@@ -63,6 +65,7 @@ A3 = ((1, 0), (1, 1))
 S221 = enumerate_semigroup(make_instance(2, 2, 1))
 S231 = enumerate_semigroup(make_instance(2, 3, 1))
 TABLE_221, TABLE_231 = S221.table, S231.table
+MUL_231 = full_table(TABLE_231)
 i221 = partial(index_of, S221)
 
 
@@ -129,14 +132,14 @@ def test_every_seeded_product_change_fails_the_table_check(pnr):
     # the build reads is refused at its own cell, though it breaks only
     # a sliver of the n^3 triples.
     s = enumerate_semigroup(make_instance(*pnr), 4096)
-    t, asked = s.table, []
-    _built(s, product_row=lambda x: asked.append(x) or t.mul[x])
+    t, mul, asked = s.table, full_table(s.table), []
+    _built(s, product_row=lambda x: asked.append(x) or mul[x])
     rng = np.random.default_rng(8)
     for _ in range(20):
         i, j = int(rng.choice(asked)), int(rng.integers(len(t)))
-        k = (int(t.mul[i, j]) + int(rng.integers(1, len(t)))) % len(t)
+        k = (int(mul[i, j]) + int(rng.integers(1, len(t)))) % len(t)
         with pytest.raises(PreconditionError, match="not the product table of its action") as err:
-            _built(s, product_row=_changed_rows(t.mul, {(i, j): k}))
+            _built(s, product_row=_changed_rows(mul, {(i, j): k}))
         assert _cell(err) == (i, j)
 
 
@@ -156,11 +159,14 @@ def test_table_check_rejects_a_false_identity():
 
 
 def test_table_is_a_read_only_uint16_array():
-    mul = TABLE_231.mul
-    assert isinstance(mul, np.ndarray)
-    assert mul.dtype == np.uint16 and mul.shape == (64, 64)
-    with pytest.raises(ValueError):
-        mul[0, 0] = 1
+    # Each block of products is a uint16 array, and the blocks the table
+    # keeps, its Cayley graphs' edges, are read-only.
+    assert isinstance(MUL_231, np.ndarray)
+    assert MUL_231.dtype == np.uint16 and MUL_231.shape == (64, 64)
+    for block in TABLE_231.generator_blocks():
+        assert block.dtype == np.uint16
+        with pytest.raises(ValueError):
+            block[0, 0] = 1
     source = np.zeros((1, 1), dtype=np.int64)
     regular_table(source)
     assert source.flags.writeable  # the caller's array is left as it was
@@ -171,9 +177,9 @@ def test_a_changed_product_fails_the_table_check(pnr):
     s = enumerate_semigroup(make_instance(*pnr))
     t = s.table
     i, j = [x for x in range(len(t)) if x != t.identity_idx][:2]
-    bad = with_product(s, i, j, (int(t.mul[i, j]) + 1) % len(t)).table
+    bad = with_product(s, i, j, (int(full_table(t)[i, j]) + 1) % len(t)).table
     with pytest.raises(PreconditionError):
-        regular_table(bad.mul, identity_idx=bad.identity_idx)
+        regular_table(full_table(bad), identity_idx=bad.identity_idx)
 
 
 def test_identity_detection():
@@ -277,8 +283,7 @@ def _index_sets(n, rng):
 
 
 def _check_products(table, mul, rng):
-    # Every block of products, and the idempotents, agree with mul before
-    # the table is filled; none of them fills it.
+    # Every block of products, and the idempotents, agree with mul.
     sets = _index_sets(len(table), rng)
     for xs in sets:
         for ys in sets:
@@ -286,7 +291,6 @@ def _check_products(table, mul, rng):
             assert block.shape == (len(xs), len(ys)) and block.dtype == mul.dtype
             assert np.array_equal(block, mul[np.ix_(xs, ys)])
     assert np.array_equal(idempotents(table), np.flatnonzero(mul.diagonal() == np.arange(len(mul))))
-    assert table._mul is None
 
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -294,16 +298,15 @@ CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 @pytest.mark.parametrize("name", [*sorted(path.stem for path in CONFIGS.glob("*.cfg")), "p2n4r3"])
 def test_products_match_the_filled_table(name):
-    # On every shipped config and the stretch instance (2,4,3): read along
-    # the left tree from a table never filled, against the filled table of
-    # a second build, and, once filled, read from the fill.
+    # On every shipped config and the stretch instance (2,4,3): blocks read
+    # along the left tree, against the table filled cell by cell from the
+    # members' keys (the key fill).
     path = CONFIGS / f"{name}.cfg"
     inst = build_instance(load_config(str(path))) if path.exists() else make_instance(2, 4, 3)
-    table, filled = (enumerate_semigroup(inst, 4096).table for _ in range(2))
-    mul = filled.mul
-    assert mul is filled.mul and not mul.flags.writeable
+    table = enumerate_semigroup(inst, 4096).table
+    mul = key_fill(inst.p, gl_restriction._members(inst))[0]
     _check_products(table, mul, np.random.default_rng(len(mul)))
-    assert np.array_equal(table.mul, mul)
+    assert np.array_equal(full_table(table), mul)
     xs = np.random.default_rng(0).integers(0, len(mul), size=50)
     assert np.array_equal(table.products(xs, xs[::-1]), mul[np.ix_(xs, xs[::-1])])
 
@@ -314,9 +317,6 @@ def test_products_refuse_an_index_outside_the_table():
     for xs, ys in (([n], [0]), ([0], [n]), ([-1], [0]), ([0], [0.5])):
         with pytest.raises(PreconditionError, match="outside|integers"):
             table.products(xs, ys)
-    table.mul
-    with pytest.raises(PreconditionError, match="outside"):
-        table.products([0], [n])
 
 
 def test_the_build_and_eggbox_hold_no_whole_table():
@@ -330,7 +330,6 @@ def test_the_build_and_eggbox_hold_no_whole_table():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert s.table._mul is None
     assert peak <= 6e6
 
 
@@ -427,7 +426,7 @@ NILPOTENT = ((1, 2, 2),)
 def test_a_transformation_table_without_identity_and_with_a_outside_a_s():
     table = regular_table(transformation_table(NILPOTENT))
     assert len(table) == 2 and table.identity_idx is None
-    assert 0 not in table.mul[0].tolist()
+    assert 0 not in full_table(table)[0].tolist()
 
 
 @st.composite
@@ -477,7 +476,7 @@ def _built(s, act=None, product_row=None, identity_idx=None):
     return SemigroupTable(
         identity_idx=s.table.identity_idx if identity_idx is None else identity_idx,
         action=s.act if act is None else act,
-        product_row=rows_of(s.table.mul) if product_row is None else product_row,
+        product_row=rows_of(full_table(s.table)) if product_row is None else product_row,
     )
 
 
@@ -494,7 +493,8 @@ def test_member_tables_are_certified_with_the_generators_light_keeps(pnr):
     s = enumerate_semigroup(make_instance(*pnr))
     built = _built(s)
     assert built._checked_generators() == light_check(s.table) == s.table._checked_generators()
-    assert np.array_equal(built.mul, s.table.mul) and built.mul.dtype == s.table.mul.dtype
+    mul = full_table(s.table)
+    assert np.array_equal(full_table(built), mul) and full_table(built).dtype == mul.dtype
 
 
 @pytest.mark.parametrize(("copies", "named"), [({9: 5}, (5, 9)), ({9: 5, 3: 5}, (3, 5))])
@@ -521,11 +521,11 @@ def test_columns_that_differ_only_in_their_last_point_act_apart():
 def test_certificate_refuses_a_wrong_product_in_a_generator_row():
     # A wrong cell in one generator row from product_row: each row the
     # build reads is compared, as maps, with the action.
-    s, t = S231, TABLE_231
+    s, t, mul = S231, TABLE_231, MUL_231
     g = t._checked_generators()[-1]
-    y = next(y for y in range(len(t)) if t.mul[g, y] != t.identity_idx)
+    y = next(y for y in range(len(t)) if mul[g, y] != t.identity_idx)
     with pytest.raises(PreconditionError, match="not the product table of its action") as err:
-        _built(s, product_row=_changed_rows(t.mul, {(g, y): (int(t.mul[g, y]) + 1) % len(t)}))
+        _built(s, product_row=_changed_rows(mul, {(g, y): (int(mul[g, y]) + 1) % len(t)}))
     assert _cell(err) == (g, y)
 
 
@@ -536,14 +536,14 @@ def test_a_generator_row_product_outside_the_member_list_is_refused(outside):
     t = TABLE_231
     g = t._checked_generators()[0]
     with pytest.raises(PreconditionError, match=re.escape(f"a product escaped the member list at ({g}, 5)")):
-        _built(S231, product_row=_changed_rows(t.mul, {(g, 5): outside}))
+        _built(S231, product_row=_changed_rows(MUL_231, {(g, 5): outside}))
 
 
 def test_an_identity_that_is_not_the_identity_map_is_refused():
     # The identity is claimed by its key; its column must be the identity
     # map.  Unclaimed, it is the element that acts as the identity map.
     t = TABLE_231
-    assert SemigroupTable(action=S231.act, product_row=rows_of(t.mul)).identity_idx == t.identity_idx
+    assert SemigroupTable(action=S231.act, product_row=rows_of(MUL_231)).identity_idx == t.identity_idx
     other = (t.identity_idx + 1) % len(t)
     for claimed in (other, -1, len(t)):
         with pytest.raises(PreconditionError, match="claimed identity is not the identity map"):
@@ -577,9 +577,9 @@ def test_certificate_refuses_generators_that_miss_an_element_from_the_left(monke
     # table is associative; the left tree finds the least non-unit they
     # miss.
     t = TABLE_231
-    units = np.flatnonzero((t.mul == t.identity_idx).any(axis=1)).tolist()
+    units = np.flatnonzero((MUL_231 == t.identity_idx).any(axis=1)).tolist()
     monkeypatch.setattr(semigroup_core, "_generators", lambda n, order, row: (units, np.array([row(u) for u in units])))
-    light(t.mul, units)
+    light(MUL_231, units)
     missed = min(set(range(len(t))) - set(units))
     with pytest.raises(PreconditionError, match=re.escape(f"generators {units} do not reach element {missed} from the left")):
         _built(S231)
@@ -593,9 +593,9 @@ def test_certificate_refuses_an_associative_relabelling_that_light_passes():
     for a, b in combinations(range(len(t)), 2):
         sigma = np.arange(len(t))
         sigma[[a, b]] = b, a
-        swapped = np.empty_like(t.mul)
-        swapped[np.ix_(sigma, sigma)] = sigma[t.mul]
-        if e not in (a, b) and not np.array_equal(swapped, t.mul):
+        swapped = np.empty_like(MUL_231)
+        swapped[np.ix_(sigma, sigma)] = sigma[MUL_231]
+        if e not in (a, b) and not np.array_equal(swapped, MUL_231):
             break
     light_check(GivenTable(swapped, e))
     with pytest.raises(PreconditionError, match="not the product table of its action"):
@@ -629,12 +629,12 @@ def test_a_malformed_action_is_refused(change, message):
 @pytest.mark.parametrize(
     ("kwargs", "message"),
     [
-        ({"mul": TABLE_231.mul, "action": S231.act, "product_row": rows_of(TABLE_231.mul)}, "unexpected keyword argument 'mul'"),
+        ({"mul": MUL_231, "action": S231.act, "product_row": rows_of(MUL_231)}, "unexpected keyword argument 'mul'"),
         ({"action": S231.act}, "missing 1 required positional argument: 'product_row'"),
-        ({"action": S231.act, "product_row": rows_of(TABLE_231.mul), "check": False}, "unexpected keyword argument 'check'"),
-        ({"mul": TABLE_231.mul, "product_row": rows_of(TABLE_231.mul)}, "unexpected keyword argument 'mul'"),
-        ({"action": S231.act, "product_row": lambda x: TABLE_231.mul[x] * 1.0}, "is not a row of integers"),
-        ({"action": S231.act, "product_row": lambda x: TABLE_231.mul[[x]]}, "is not a row of integers"),
+        ({"action": S231.act, "product_row": rows_of(MUL_231), "check": False}, "unexpected keyword argument 'check'"),
+        ({"mul": MUL_231, "product_row": rows_of(MUL_231)}, "unexpected keyword argument 'mul'"),
+        ({"action": S231.act, "product_row": lambda x: MUL_231[x] * 1.0}, "is not a row of integers"),
+        ({"action": S231.act, "product_row": lambda x: MUL_231[[x]]}, "is not a row of integers"),
     ],
 )
 def test_a_table_is_given_by_its_rows_or_built_from_its_action(kwargs, message):
@@ -648,7 +648,8 @@ def test_the_action_is_kept_read_only_and_the_callers_array_writable():
     act = S231.act.copy()
     table = _built(S231, act=act)
     assert act.flags.writeable
-    assert not table._action.flags.writeable and not table.mul.flags.writeable
+    assert not table._action.flags.writeable
+    assert not any(block.flags.writeable for block in table.generator_blocks())
 
 
 @given(transformations(), st.integers(0, 2**32 - 1))
@@ -666,7 +667,7 @@ def test_transformation_tables_pass_the_certificate_and_refuse_every_changed_cel
     mul, n = np.array(mul), len(mul)
     asked = []
     table = SemigroupTable(action=act, product_row=lambda x: asked.append(x) or mul[x])
-    assert np.array_equal(table.mul, mul)
+    assert np.array_equal(full_table(table), mul)
     e = find_identity(mul)
     # Units are found as the columns that permute the points, so the two
     # forms pick one A when the identity, if any, is the identity map.
@@ -1010,7 +1011,7 @@ def test_rank_search_witness_is_lex_least():
 def test_subtable_units_form_group():
     table = TABLE_231
     ident_idx = index_of(S231, identity_mat(3))
-    units = [i for i in range(len(table)) if ident_idx in table.mul[i]]
+    units = [i for i in range(len(table)) if ident_idx in MUL_231[i]]
     sub = subtable(table, units)
     assert len(sub) == 24
     green = green_oracle(sub)
@@ -1027,7 +1028,7 @@ def test_subtable_rejects_unclosed_subset():
     with pytest.raises(PreconditionError, match=r"subset is not closed: \d+ \* \d+ = \d+ lies outside it") as info:
         subtable(table, sorted(subset))
     x, y, xy = map(int, re.findall(r"\d+", str(info.value)))
-    assert {x, y} <= subset and xy not in subset and table.mul[x, y] == xy
+    assert {x, y} <= subset and xy not in subset and table.products([x], [y])[0, 0] == xy
 
 
 def test_subtable_identity_is_the_element_that_acts_as_the_identity_map():
@@ -1043,4 +1044,4 @@ def test_subtable_identity_is_the_element_that_acts_as_the_identity_map():
     members = np.flatnonzero(h == h[e])
     group = subtable(s.table, members)
     assert len(group) == 6 and group.identity_idx is None
-    assert members[find_identity(group.mul)] == e
+    assert members[find_identity(full_table(group))] == e
