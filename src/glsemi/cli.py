@@ -413,7 +413,8 @@ def _check_rank_identity(s: Structure, caps):
     if len(table) > 20:
         counts = {"rank_via_units": via_units}
         return ("skip", counts, "full-semigroup subset sweep infeasible at this order")
-    found = rank_search(table, range(len(table)), rank_cap, budget=RANK_BUDGET)
+    every = range(len(table))
+    found = rank_search(table.products(every, every), every, rank_cap, budget=RANK_BUDGET)
     if found is None:
         return ("skip", {"rank_via_units": via_units}, "no generating set within the rank cap")
     counts = {"rank_via_units": via_units, "rank_exhaustive": found[0]}

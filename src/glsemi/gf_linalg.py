@@ -148,17 +148,21 @@ def mat_inverse(p: int, m: Mat) -> Mat:
 
 def rref_batch(p: int, rows) -> np.ndarray:
     """Reduced row echelon form of each matrix in a (B, k, m) stack, its
-    nonzero rows first.
+    nonzero rows first, as int64.
 
     The package's only Gauss-Jordan elimination, run on all B matrices
     at once.  Column by column, each matrix whose rows below its pivots
     so far have a nonzero entry there takes the first such row as its
     next pivot row, scaled to a leading 1, and clears the column in
-    every other row; the rest are left as they are.
+    every other row; the rest are left as they are.  It eliminates in
+    the narrowest signed type that holds +-(p-1)^2, the widest value a
+    step makes before it is reduced mod p (int8 for p <= 11, int16 up
+    to MAX_PRIME), so its temporaries take a byte or two an entry.
     """
-    work = np.asarray(rows, dtype=np.int64) % p
+    narrow = np.min_scalar_type(-((p - 1) ** 2))
+    work = (np.asarray(rows, dtype=np.int64) % p).astype(narrow)
     count, k, width = work.shape
-    inverse = np.array([0] + [pow(x, p - 2, p) for x in range(1, p)])
+    inverse = np.array([0] + [pow(x, p - 2, p) for x in range(1, p)], dtype=narrow)
     done = np.zeros(count, dtype=np.int64)  # pivot rows so far
     below = np.arange(k)
     for col in range(width):
@@ -183,7 +187,7 @@ def rref_batch(p: int, rows) -> np.ndarray:
         else:
             work[found] = sub
         done += found
-    return work
+    return work.astype(np.int64)
 
 
 def solve_batch(p: int, doms, imgs) -> np.ndarray:
@@ -222,10 +226,16 @@ def codes(p: int, rows) -> np.ndarray:
 
 def action_table(p: int, rows) -> np.ndarray:
     """t[v, j]: code of the row vector coded v times matrix j, each
-    matrix given by its row codes along the last axis of rows."""
+    matrix given by its row codes along the last axis of rows.  The
+    products are taken in the narrowest type that holds n (p-1)^2, an
+    entry before it is reduced mod p, and packed in the narrowest that
+    holds p^n - 1, the largest code; the table comes out in int64."""
     rows = np.asarray(rows, dtype=np.int64)
-    vectors = code_vectors(p, rows.shape[-1])
-    return codes(p, vectors @ vectors[rows] % p).T
+    n = rows.shape[-1]
+    vectors = code_vectors(p, n).astype(np.min_scalar_type(n * (p - 1) ** 2))
+    narrow = np.min_scalar_type(p**n - 1)
+    digits = (vectors @ vectors[rows] % p).astype(narrow)
+    return (digits @ (p ** np.arange(n - 1, -1, -1)).astype(narrow)).astype(np.int64).T
 
 
 def key_dtype(q: int, n: int) -> type:
@@ -288,12 +298,21 @@ def rref_codes(p: int, n: int, mask: np.ndarray) -> list[int]:
 
 def solve_codes(p: int, doms: np.ndarray, imgs=None) -> np.ndarray:
     """Row codes of doms[i]^-1 * imgs[i] (the inverse when imgs is None),
-    every matrix given by its row codes: one solve_batch pass."""
+    every matrix given by its row codes: solve_batch passes over parts
+    of BATCH_CELLS entries, a domain counting 16 n^2 (its augmented
+    matrix's 2 n^2 entries enter and leave rref_batch as 8-byte int64),
+    so the temporaries stay a few hundred KB however many domains there
+    are.  A singular domain in any part raises PreconditionError."""
     n = doms.shape[-1]
     if imgs is None:
         imgs = np.broadcast_to(p ** np.arange(n - 1, -1, -1), doms.shape)
+    if np.shape(imgs) != doms.shape:
+        raise ConfigurationError("expected domains and images of the same shape")
     vectors = code_vectors(p, n)
-    return codes(p, solve_batch(p, vectors[doms], vectors[imgs])).astype(np.min_scalar_type(p**n - 1))
+    out = np.empty(doms.shape, dtype=np.min_scalar_type(p**n - 1))
+    for part in _parts(len(doms), 16 * n * n):
+        out[part] = codes(p, solve_batch(p, vectors[doms[part]], vectors[imgs[part]]))
+    return out
 
 
 def coordinate_table(sub: Subspace) -> np.ndarray:
@@ -313,8 +332,9 @@ def anchors(u: Subspace) -> np.ndarray:
     return np.eye(u.n, dtype=np.int64)[[j for j in range(u.n - 1, -1, -1) if j not in pivots]]
 
 
-#: Most matrix entries one rref_batch pass over many subspaces takes,
-#: which bounds its temporaries to a few MB however many there are.
+#: Most matrix entries one rref_batch pass over many subspaces or
+#: domains takes.  It eliminates in int8 or int16 (see rref_batch), so
+#: that bounds its temporaries to a few MB however many there are.
 BATCH_CELLS = 2**18
 
 

@@ -638,9 +638,8 @@ def rank_value(s: Structure, rank_cap: int = 4, budget: int | None = 200_000) ->
     Returns None when the exhaustive subset sweep over the unit group
     would exceed the budget or finds nothing within rank_cap.
     """
-    units = unit_group_subtable(s)
     try:
-        found = rank_search(units, range(len(units)), rank_cap, budget=budget)
+        found = rank_search(s.unit_block, range(len(s.unit_block)), rank_cap, budget=budget)
     except CapacityError:
         return None
     if found is None:
@@ -776,7 +775,9 @@ def subgroup_iso_check(s: Structure, kind: str, w: Subspace | None = None) -> bo
         group = _once(s._subgroups, ("gl", k), lambda: codes(p**k, general_linear(p, k)))
     if (coords < 0).any():
         return False
-    images = coords.transpose(1, 0, 2)  # images[m]: m's coordinate rows
+    # images[m]: m's coordinate rows, in the narrowest type that holds a
+    # row times a matrix, n (p-1)^2, or a sum of two rows, 2 (p-1), unreduced.
+    images = coords.transpose(1, 0, 2).astype(np.min_scalar_type(max(inst.n * (p - 1) ** 2, 2 * (p - 1))))
     if not np.array_equal(np.sort(codes(p, images.reshape(len(members), -1))), group):
         return False
     at = np.searchsorted(s.grades[inst.n - inst.r], members)

@@ -545,19 +545,19 @@ def is_homomorphism(psi: np.ndarray, source: SemigroupTable, target: SemigroupTa
     return bool((psi[left_edges] == target.products(psi[gens], psi)).all())
 
 
-def rank_search(table: SemigroupTable, candidates, cap: int, budget: int | None = None):
-    """Smallest generating subset of the candidates, up to size `cap`.
+def rank_search(mul: np.ndarray, candidates, cap: int, budget: int | None = None):
+    """Smallest generating subset of the candidates, up to size `cap`,
+    in the table whose whole N x N block of products is mul (mul[i, j]
+    the index of i*j): it is for small tables only.
 
     Sweeps subsets in deterministic lexicographic order and returns
     (size, witness) for the first generating subset found, or None if
     no subset of size <= cap generates.  A `budget` bounds the number
     of subsets swept; exceeding it raises CapacityError so that
-    callers can report "not computed" instead of a wrong answer.  It
-    reads the table's whole block once: it is for small tables only."""
+    callers can report "not computed" instead of a wrong answer."""
     if cap < 1:
         raise PreconditionError("rank search cap must be at least 1")
-    cands = sorted(set(indices(len(table), candidates).tolist()))
-    mul = table.products(range(len(table)), range(len(table)))
+    cands = sorted(set(indices(len(mul), candidates).tolist()))
     # One element generates a commutative subsemigroup, so on a table that
     # is not commutative the singletons count against the budget untried.
     commutative = np.array_equal(mul, mul.T)

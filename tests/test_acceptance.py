@@ -217,10 +217,10 @@ def test_c09_rank_identity():
         s = STRUCTURES[args]
         table = s.table
         units = unit_group_subtable(s)
-        group_rank = rank_search(units, range(len(units)), 4)
+        group_rank = rank_search(full_table(units), range(len(units)), 4)
         assert group_rank is not None
         via_units = group_rank[0] + 1
-        exhaustive = rank_search(table, range(len(table)), 4)
+        exhaustive = rank_search(full_table(table), range(len(table)), 4)
         assert exhaustive is not None
         assert exhaustive[0] == via_units == rank_value(s), args
         if expected is not None:

@@ -330,6 +330,34 @@ def test_factorizations_peaks_below_a_few_megabytes_on_the_stretch_instances(r, 
     assert status == "pass" and peak <= limit
 
 
+@pytest.mark.parametrize("r, limit", [(1, 4e6), (2, 2e6)])
+def test_batch_peaks_below_a_few_megabytes_on_the_largest_instances(r, limit):
+    # The domain inverses are solved in parts of BATCH_CELLS entries in
+    # int8, and the image tables multiplied in uint8: one int64 solve over
+    # all 13 224 (element, k) domains at (2,4,1) peaked at 19.9 MB, over
+    # the 3552 at (2,4,2) at 5.4 MB.
+    s = enumerate_semigroup(make_instance(2, 4, r), 4096)
+    tracemalloc.start()
+    try:
+        s.batch.images
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit
+
+
+def test_enumeration_peaks_below_two_and_a_half_megabytes_at_order_4096():
+    # The members' action table is multiplied in uint8 and packed in
+    # uint8, not as a (4096, 16, 4) int64 product: that peaked at 4.6 MB.
+    tracemalloc.start()
+    try:
+        s = enumerate_semigroup(make_instance(2, 4, 1), 4096)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(s.table) == 4096 and peak <= 2.5e6
+
+
 def test_factorizations_peaks_below_a_byte_per_table_cell():
     # No grid over S x S: the constructors see one element per kernel
     # class on one side.  The Structure's batch is built first, as verify

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from glsemi import gf_linalg
 from glsemi.errors import ConfigurationError, InternalInconsistencyError, PreconditionError
 from glsemi.gf_linalg import (
+    MAX_PRIME,
     Subspace,
     action_table,
     anchors,
@@ -588,11 +589,71 @@ def test_rref_batch_reduces_every_matrix_of_a_stack_as_the_tuple_rref(p, count, 
         if k > 1 and rng.random() < 0.5:
             matrix[-1] = list(matrix[0])
     got = rref_batch(p, np.array(rows, dtype=np.int64).reshape(count, k, width))
-    assert got.shape == (count, k, width)
+    assert got.shape == (count, k, width) and got.dtype == np.int64  # eliminated narrow, returned wide
     for matrix, reduced in zip(rows, got.tolist()):
         basis = _rref(p, width, matrix)[0]
         assert [tuple(row) for row in reduced[: len(basis)]] == basis
         assert not any(map(any, reduced[len(basis) :]))
+
+
+@pytest.mark.parametrize("p", [2, 3, MAX_PRIME])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_action_table_matches_the_int64_product(p, n):
+    # action_table multiplies and packs in the narrowest types its values
+    # fit; on random matrices it gives what the int64 product gives, up
+    # to p = MAX_PRIME where the naive oracle above is too slow, in int64.
+    mats = np.random.default_rng(100 * p + n).integers(p**n, size=(64, n))
+    vectors = code_vectors(p, n)
+    table = action_table(p, mats)
+    assert table.dtype == np.int64
+    assert table.tolist() == codes(p, vectors @ vectors[mats] % p).T.tolist()
+
+
+def test_the_narrow_types_hold_the_widest_values_at_max_prime():
+    # Entries of p - 1 reach each kernel's widest unreduced value at
+    # p = MAX_PRIME: (p-1)^2 when a pivot row is scaled, -(p-1)^2 when a
+    # column is cleared, and n (p-1)^2 in a vector times a matrix (144,
+    # -144 and 576 at 13).  A type that cannot hold them wraps, and the
+    # results below differ; so raising MAX_PRIME past what the chosen
+    # types hold fails here.
+    p, top = MAX_PRIME, MAX_PRIME - 1
+    assert rref_batch(p, [[[1, top], [top, 0]]]).tolist() == [[[1, 0], [0, 1]]]
+    full = codes(p, [top] * 4)  # the 4 x 4 matrix of p - 1s, as row codes
+    assert action_table(p, [[full] * 4])[full, 0] == codes(p, [4 * top * top % p] * 4)
+
+
+def test_solve_codes_in_parts_equals_one_whole_stack_solve(monkeypatch):
+    # 3000 domains at n = 4 take several solve_batch passes of at most
+    # BATCH_CELLS entries, 16 n^2 a domain; their codes are those of one
+    # solve_batch pass over the whole stack.  A singular domain in the
+    # last part alone is still refused.
+    rng = np.random.default_rng(0)
+    gl = general_linear(2, 4)
+    doms, imgs = gl[rng.integers(len(gl), size=3000)], rng.integers(16, size=(3000, 4))
+    vectors = code_vectors(2, 4)
+    whole = codes(2, solve_batch(2, vectors[doms], vectors[imgs]))
+    inverses = codes(2, solve_batch(2, vectors[doms], np.broadcast_to(np.eye(4, dtype=np.int64), (3000, 4, 4))))
+    passes = []
+    real = gf_linalg.solve_batch
+    monkeypatch.setattr(gf_linalg, "solve_batch", lambda p, d, i: passes.append(len(d)) or real(p, d, i))
+    assert solve_codes(2, doms, imgs).tolist() == whole.tolist()
+    assert solve_codes(2, doms).tolist() == inverses.tolist()
+    parts = len(passes) // 2
+    assert parts > 1 and sum(passes) == 6000
+    assert max(passes) * 16 * 4 * 4 <= gf_linalg.BATCH_CELLS
+    singular = doms.copy()
+    singular[-1] = [1, 2, 3, 3]
+    passes.clear()
+    with pytest.raises(PreconditionError, match="domain rows do not form a basis"):
+        solve_codes(2, singular, imgs)
+    assert len(passes) == parts
+
+
+def test_solve_codes_rejects_images_of_another_shape():
+    doms = codes(2, [np.eye(2, dtype=np.int64)] * 3)
+    for imgs in (doms[:2], doms[:, :1], np.concatenate([doms, doms])):
+        with pytest.raises(ConfigurationError):
+            solve_codes(2, doms, imgs)
 
 
 @settings(max_examples=80, deadline=None)

@@ -496,7 +496,7 @@ def test_generating_set():
 
 def test_rank_value():
     assert rank_value(S221) == 2
-    exhaustive = rank_search(S221.table, range(len(S221.table)), 3)
+    exhaustive = rank_search(full_table(S221.table), range(len(S221.table)), 3)
     assert exhaustive[0] == 2
     assert rank_value(S221, budget=1) is None
 

@@ -281,6 +281,50 @@ def test_a_second_modular_inverse_is_flagged(sources):
     assert len(found) == 2 and len(set(found)) == 2
 
 
+#: The callers of solve_batch: solve_codes, which solves any number of
+#: domains in parts of BATCH_CELLS entries, and the fixed calls on one
+#: to three matrices.
+SOLVE_BATCH_CALLERS = [
+    "gf_linalg.mat_inverse",
+    "gf_linalg.solve_codes",
+    "gl_restriction.nonnormality_example",
+    "isomorphism.decide_isomorphic",
+]
+
+
+def _solve_batch_callers(trees: dict[str, ast.Module]) -> list[str]:
+    """`module.function` of every call to solve_batch, by name or as an
+    attribute (`gf_linalg.solve_batch(...)`), in the package's modules
+    (name to tree), sorted."""
+    found = []
+    for name, tree in trees.items():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "solve_batch" in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    found.append(f"{name}.{getattr(top, 'name', '<module>')}")
+    return sorted(found)
+
+
+def test_only_solve_codes_solves_a_stack_of_any_size():
+    # One whole-stack solve over every member's domains set the verify
+    # peak (about 20 MB at order 4096); a new solve over all the members
+    # has to go through solve_codes, which solves them in parts.
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    assert _solve_batch_callers(trees) == SOLVE_BATCH_CALLERS
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "def domain_inverses(p, doms, eye):\n    return solve_batch(p, doms, eye)\n",
+        "from . import gf_linalg\n\n\ndef images(p, doms, imgs):\n    return gf_linalg.solve_batch(p, doms, imgs)\n",
+    ],
+)
+def test_another_solve_batch_caller_is_flagged(source):
+    found = _solve_batch_callers({"gl_restriction": ast.parse(source)})
+    assert len(set(found) - set(SOLVE_BATCH_CALLERS)) == 1
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
 def test_no_module_imports_a_third_party_package_but_numpy(path):
     # numpy is the one declared dependency; anything else would be a
