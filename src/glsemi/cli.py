@@ -424,17 +424,19 @@ def _check_rank_identity(s: Structure, caps):
 def _check_unit_decomposition(s: Structure, caps):
     if s.inst.r < 1:
         return ("skip", {}, "subgroup structure needs r >= 1")
-    g = j_class(s, s.inst.n - s.inst.r)
+    top = s.inst.n - s.inst.r
+    g = j_class(s, top)
     h = special_subgroup(s, FIX_U)
     failures = []
-    # Conjugation closure of the U-fixing normal factor under every unit:
-    # g*h*g^-1 on the unit group's table, in the units' positions, with g^-1
-    # the unit where g's row holds the identity (a unit's inverse is a unit).
+    # Fix(U) is normal iff a*h*a^-1 stays in it for every a of a generating
+    # set of the units, such as the table check's generators that are units
+    # (S minus the units is closed under products); a^-1 is where a's row holds e.
     block, in_fix_u = s.unit_block, np.isin(g, h)
     is_ident = block == np.searchsorted(g, s.table.identity_idx)
+    at = np.searchsorted(g, [a for a in s.table._checked_generators() if s.codims[a] == top])
     if not is_ident.any(axis=1).all():
         failures.append("a unit has no inverse in the table")
-    elif not in_fix_u[block[block[:, in_fix_u], is_ident.argmax(axis=1)[:, None]]].all():
+    elif not in_fix_u[block[block[at][:, in_fix_u], is_ident[at].argmax(axis=1)[:, None]]].all():
         failures.append("conjugate left the U-fixing subgroup")
     # Each split is unique exactly when its product grid is a bijection,
     # which split_grid checks for every unit and every U-fixing unit.

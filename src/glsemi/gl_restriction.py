@@ -52,12 +52,13 @@ from .gf_linalg import (
     subspace,
 )
 from .semigroup_core import (
+    FILL_ROWS,
     GreenPartitions,
     SemigroupTable,
     indices,
     label_classes,
     rank_search,
-    subtable,
+    row_classes,
     table_dtype,
 )
 
@@ -157,12 +158,6 @@ def _once(store: dict, key, make):
     return store[key]
 
 
-def _first_of_each(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # (class id of each row, first row of each class), equal rows sharing a class.
-    _, first, ids = np.unique(np.packbits(masks, axis=1), axis=0, return_index=True, return_inverse=True)
-    return ids.reshape(-1), first
-
-
 class Structure:
     """One enumerated instance: the instance, its Cayley table, built and
     proved from the action array, that action array, the key index every
@@ -170,7 +165,7 @@ class Structure:
     data worked out from them at most once, on first use.  Build it with
     enumerate_semigroup(inst, cap).  U's complements, the special
     subgroups, the unit splits' grids, GL(k)'s sorted codes and the unit
-    group's table and block of products are each held once.
+    group's block of products are each held once.
 
     Element indices are table indices; the elements are sorted, so
     index order is matrix order.  `act[v, b]` is the code of the row
@@ -216,13 +211,13 @@ class Structure:
     def image_classes(self) -> tuple[np.ndarray, np.ndarray]:
         """(class id of each element, first element of each class) for
         equal images: the L-classes, read off the action array."""
-        return _first_of_each(self._image_masks())
+        return row_classes(self._image_masks())
 
     @cached_property
     def kernel_classes(self) -> tuple[np.ndarray, np.ndarray]:
         """(class id of each element, first element of each class) for
         equal kernels: the R-classes, read off the action array."""
-        return _first_of_each(self.act.T == 0)
+        return row_classes(self.act.T == 0)
 
     @cached_property
     def rows(self) -> np.ndarray:
@@ -259,9 +254,17 @@ class Structure:
     @cached_property
     def unit_block(self) -> np.ndarray:
         """unit_block[i, j]: the position among the units of the i-th unit
-        times the j-th, the unit group's whole table (unit_group_subtable)."""
-        units = unit_group_subtable(self)
-        return _frozen(units.products(range(len(units)), range(len(units))))
+        times the j-th, the unit group's whole table: the member table's
+        block units x units, renumbered in place FILL_ROWS rows at a time.
+        A unit's left-tree ancestors are units (maps of a finite set compose
+        to a bijection only if each is one), so products reads no other row."""
+        units = self.grades[self.inst.n - self.inst.r]
+        block = self.table.products(units, units)
+        pos = np.zeros(len(self.table), dtype=block.dtype)
+        pos[units] = np.arange(len(units))
+        for lo in range(0, len(block), FILL_ROWS):
+            block[lo : lo + FILL_ROWS] = pos[block[lo : lo + FILL_ROWS]]
+        return _frozen(block)
 
 
 def enumerate_semigroup(inst: Instance, cap: int = DEFAULT_ENUM_CAP) -> Structure:
@@ -416,7 +419,7 @@ class _Batch:
             span = np.flatnonzero(span_mask(p, n, basis))
             at = np.flatnonzero(group == g)
             spans[at[:, None], s.act[span][:, bs[at]].T] = True
-        ids, first = _first_of_each(spans)
+        ids, first = row_classes(spans)
         tails = np.zeros((len(first), n), dtype=np.int64)
         for t, i in enumerate(first.tolist()):
             tails[t, : top - int(ks[i])] = extend_codes(p, n, spans[i])
@@ -623,13 +626,6 @@ def generating_set(s: Structure) -> np.ndarray:
     chosen = s.codims == top
     chosen[s.grades[top - 1][0]] = True
     return np.flatnonzero(chosen)
-
-
-def unit_group_subtable(s: Structure) -> SemigroupTable:
-    """The unit group J(n-r) as a standalone table, built and proved from
-    the units' columns of s.act (see subtable), once per Structure; its
-    identity is the identity matrix's position among the units."""
-    return _once(s._subgroups, "units", lambda: subtable(s.table, s.grades[s.inst.n - s.inst.r]))
 
 
 def rank_value(s: Structure, rank_cap: int = 4, budget: int | None = 200_000) -> int | None:

@@ -3,12 +3,11 @@
 Every table is built from an action, a faithful representation of its
 elements as maps of points, and proved the product table of those maps
 as it is built, along a left tree from a generating set (Froidure and
-Pin, 1997); a sub-table is built the same way from the action's columns
-at its elements.  The proof is kept, not the n x n table: every product
-is read as part of a block, off the generating set's rows along the
-tree, and each reader asks for the block it needs.  Elements are the
-integer indices 0..n-1 of the table's rows, and every structural
-computation runs on integer arrays.
+Pin, 1997).  The proof is kept, not the n x n table: every product is
+read as part of a block, off the generating set's rows along the tree,
+and each reader asks for the block it needs, a subset's products too.
+Elements are the integer indices 0..n-1 of the table's rows, and every
+structural computation runs on integer arrays.
 An index set is a sorted, duplicate-free np.intp array; every index set
 taken passes `indices`, which refuses an index outside the table.
 Green's relations are computed here from the table alone, as the
@@ -363,11 +362,14 @@ def _ideal_sets(lines: np.ndarray, owners: np.ndarray) -> np.ndarray:
     return sets
 
 
-def _row_labels(rows: np.ndarray) -> np.ndarray:
-    """Equal rows of a boolean matrix get equal labels, numbered in order
-    of first appearance (np.unique over rows would import numpy.ma)."""
-    seen: dict[bytes, int] = {}
-    return np.array([seen.setdefault(row.tobytes(), len(seen)) for row in np.packbits(rows, axis=1)])
+def row_classes(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(class id of each row, first row of each class) of a boolean matrix,
+    classes in the order of the packed rows, each one byte string (np.unique
+    over axis 0 makes a field of each byte).  Asking for the first rows
+    keeps np.unique off numpy.ma, which only a plain np.unique imports."""
+    packed = np.packbits(masks, axis=1)
+    _, first, ids = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(), return_index=True, return_inverse=True)
+    return ids, first
 
 
 def green_oracle(table: SemigroupTable) -> GreenPartitions:
@@ -403,7 +405,7 @@ def green_oracle(table: SemigroupTable) -> GreenPartitions:
     # the same R-classes, so an L-class's row of cells names its D-class,
     # and an R-class takes the D-class of any L-class it meets.  Any other
     # pattern leaves some cell off the product of the two labellings.
-    d_of_l = _row_labels(cells)
+    d_of_l = row_classes(cells)[0]
     d_of_r = d_of_l[cells.argmax(axis=0)]
     if (cells != (d_of_l[:, None] == d_of_r[None, :])).any():
         raise InternalInconsistencyError("D-class not covered by one L-then-R step")
@@ -414,7 +416,7 @@ def green_oracle(table: SemigroupTable) -> GreenPartitions:
     in_l, members = np.nonzero(left)
     meets = np.zeros(cells.shape, dtype=bool)
     meets[in_l, rid[members]] = True
-    j_of_l = _row_labels(np.matmul(meets, right))
+    j_of_l = row_classes(np.matmul(meets, right))[0]
 
     h = label_classes(lid * (rid.max() + 1) + rid)
     green = GreenPartitions(l=lid, r=rid, h=h, d=label_classes(d_of_l[lid]), j=label_classes(j_of_l[lid]))
@@ -560,7 +562,8 @@ def rank_search(mul: np.ndarray, candidates, cap: int, budget: int | None = None
     cands = sorted(set(indices(len(mul), candidates).tolist()))
     # One element generates a commutative subsemigroup, so on a table that
     # is not commutative the singletons count against the budget untried.
-    commutative = np.array_equal(mul, mul.T)
+    # Compared FILL_ROWS columns at a time, with no N x N temporary.
+    commutative = all(np.array_equal(mul[:, lo : lo + FILL_ROWS], mul[lo : lo + FILL_ROWS].T) for lo in range(0, len(mul), FILL_ROWS))
     attempts = 0
     for k in range(1, min(cap, len(cands)) + 1):
         for combo in combinations(cands, k):
@@ -571,24 +574,3 @@ def rank_search(mul: np.ndarray, candidates, cap: int, budget: int | None = None
                 return k, combo
     return None
 
-
-def subtable(table: SemigroupTable, idxs) -> SemigroupTable:
-    """The table of a product-closed subset of indices, its element i the
-    subset's i-th least index.  It is built and proved from the columns
-    of the table's action at the subset, and its rows are read off the
-    table through the subset's positions, so a subset that is not closed
-    is refused by the product leaving it in a row the build reads.  Its
-    identity is the element that acts as the identity map, or None: a
-    group of non-units, such as the H-class of an idempotent below the
-    identity, has none."""
-    idxs = np.flatnonzero(np.bincount(indices(len(table), idxs), minlength=len(table)))
-    pos = np.full(len(table), -1, dtype=np.intp)
-    pos[idxs] = np.arange(len(idxs))
-
-    def product_row(i):
-        row = table.products(idxs[i : i + 1], idxs)[0]
-        if (out := pos[row] < 0).any():
-            raise PreconditionError(f"subset is not closed: {idxs[i]} * {idxs[out][0]} = {row[out][0]} lies outside it")
-        return pos[row]
-
-    return SemigroupTable(table._action[:, idxs], product_row)

@@ -248,6 +248,18 @@ def unit_products(s, xs, ys):
     return units[s.unit_block[np.ix_(np.searchsorted(units, xs), np.searchsorted(units, ys))]]
 
 
+def every_unit_conjugation_closed(s):
+    """True iff g*h*g^-1 lies in Fix(U) for every unit g and every h in
+    Fix(U), read on s.unit_block with g^-1 the unit where g's row holds
+    the identity.  The oracle of the unit_decomposition check, which
+    conjugates by the units among the table's generators only."""
+    units = s.grades[s.inst.n - s.inst.r]
+    block = s.unit_block
+    in_fix_u = np.isin(units, gl_restriction.special_subgroup(s, gl_restriction.FIX_U))
+    inverse = (block == np.searchsorted(units, s.table.identity_idx)).argmax(axis=1)
+    return bool(in_fix_u[block[block[:, in_fix_u], inverse[:, None]]].all())
+
+
 def with_wrong_split(s, left_kind, w):
     """A with_unit_product copy of s in which one cell of the left_kind
     split's product grid (fix_w x fix_u onto the units, or g_w x n_w onto
@@ -746,9 +758,10 @@ def regular_table(mul, identity_idx=None):
 
 
 def restricted_mul(table, idxs):
-    """The table of the subset idxs as subtable made it before it was
-    built from the action: the rows and columns of the sorted subset,
-    each product renumbered by its position in it, -1 outside it."""
+    """The table of the subset idxs as a mul array: the rows and columns
+    of the sorted subset, each product renumbered by its position in it,
+    -1 outside it.  regular_table of it is the subset's own table when
+    the subset is closed; an identity-free ideal gets an adjoined point."""
     idxs = np.unique(idxs)
     pos = np.full(len(table), -1, dtype=np.intp)
     pos[idxs] = np.arange(len(idxs))

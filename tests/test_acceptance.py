@@ -44,7 +44,6 @@ from glsemi.gl_restriction import (
     sandwich_factor_grid,
     special_subgroup,
     subgroup_iso_check,
-    unit_group_subtable,
 )
 from glsemi.isomorphism import decide_isomorphic, element_bijection
 from glsemi.semigroup_core import (
@@ -55,7 +54,19 @@ from glsemi.semigroup_core import (
     verify_ideal,
 )
 
-from helpers import brute_members, full_table, index_of, kernel, label_sets, matrices, mats, naive_span, one, split_cell
+from helpers import (
+    brute_members,
+    full_table,
+    index_of,
+    kernel,
+    label_sets,
+    matrices,
+    mats,
+    naive_span,
+    one,
+    restricted_mul,
+    split_cell,
+)
 
 GRID = ((2, 2, 1), (2, 3, 1), (2, 3, 2), (3, 2, 1), (2, 4, 2))
 EXPECTED_ORDERS = {(2, 2, 1): 4, (2, 3, 1): 64, (2, 3, 2): 48, (3, 2, 1): 18, (2, 4, 2): 1536}
@@ -216,8 +227,8 @@ def test_c09_rank_identity():
     for args, expected in (((2, 2, 1), 2), ((3, 2, 1), None)):
         s = STRUCTURES[args]
         table = s.table
-        units = unit_group_subtable(s)
-        group_rank = rank_search(full_table(units), range(len(units)), 4)
+        units = restricted_mul(table, j_class(s, s.inst.n - s.inst.r))
+        group_rank = rank_search(units, range(len(units)), 4)
         assert group_rank is not None
         via_units = group_rank[0] + 1
         exhaustive = rank_search(full_table(table), range(len(table)), 4)

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -54,7 +55,6 @@ from glsemi.gl_restriction import (
     make_instance,
     regular_witnesses,
     special_subgroup,
-    unit_group_subtable,
 )
 from glsemi.semigroup_core import closure_indices, label_classes
 
@@ -63,11 +63,14 @@ from helpers import (
     GivenTable,
     break_batch,
     every_pair_factorizations,
+    every_unit_conjugation_closed,
     full_table,
     grade_generates,
     is_member,
     matrices,
     one,
+    regular_table,
+    restricted_mul,
     split_cell,
     unit_products,
     with_codim,
@@ -211,17 +214,30 @@ def test_unit_decomposition_fails_on_a_broken_conjugate(monkeypatch):
     g, ident = j_class(s, 1), s.table.identity_idx
     mul = unit_products(s, g, g)
     fix_u = special_subgroup(s, FIX_U)
-    i = next(i for i in range(len(g)) if g[i] not in fix_u and mul[i, i] != ident)
+    # The check conjugates by the units among the table's generators, so
+    # the conjugating unit is one of them.
+    gens = [a for a in s.table._checked_generators() if s.codims[a] == 1]
+    i = next(i for i in np.searchsorted(g, gens).tolist() if g[i] not in fix_u and mul[i, i] != ident)
     h = next(i for i in fix_u.tolist() if i != ident)
     # In the unit group's table, g*h now reads g*g, so the conjugate
     # g*h*g^-1 reads g, which is outside Fix(U).
     bad = with_unit_product(s, g[i], h, mul[i, i])
+    assert not every_unit_conjugation_closed(bad)
     assert _check_unit_decomposition(s, CAPS)[0] == "pass"
     status, _, reason = _check_unit_decomposition(bad, CAPS)
     assert status == "fail"
     assert "conjugate left the U-fixing subgroup" in reason
     check = _verify_with(monkeypatch, s, bad)["unit_decomposition"]
     assert check.status == "fail" and check.reason == "conjugate left the U-fixing subgroup"
+
+
+@pytest.mark.parametrize("name", sorted(path.stem for path in CONFIGS.glob("*.cfg")))
+def test_unit_decomposition_conjugates_as_the_every_unit_oracle(name):
+    # Conjugating Fix(U) by the units among the table's generators decides
+    # its normality as conjugating it by every unit does.
+    s = enumerate_semigroup(build_instance(load_config(str(CONFIGS / f"{name}.cfg"))))
+    status, _, reason = _check_unit_decomposition(s, CAPS)
+    assert (status == "pass") == every_unit_conjugation_closed(s), reason
 
 
 @pytest.mark.parametrize("left_kind", [FIX_W, G_W])
@@ -1012,20 +1028,25 @@ def test_verify_enumerates_the_complements_once_per_structure(monkeypatch):
     assert s.complements is s.complements and len(calls) == 3
 
 
-def test_verify_certifies_the_instance_and_partner_tables_by_their_action(monkeypatch):
-    # enumerate_semigroup builds the table from the members' action, for
-    # the instance and for the isomorphism partner alike, and the unit
-    # group's table is built from the units' columns of the same action;
-    # the partner's U differs, so its action does too.
+def _builds(monkeypatch):
+    """The action of every table built from here on, in build order."""
     certified = []
     real = semigroup_core._build
     monkeypatch.setattr(semigroup_core, "_build", lambda act, e, row: certified.append(act) or real(act, e, row))
+    return certified
+
+
+def test_verify_certifies_the_instance_and_partner_tables_by_their_action(monkeypatch):
+    # enumerate_semigroup builds the table from the members' action, for
+    # the instance and for the isomorphism partner alike, and no other
+    # table is built: the unit group's products are a block of the
+    # instance's.  The partner's U differs, so its action does too.
+    certified = _builds(monkeypatch)
     assert not cmd_verify(InstanceConfig(p=2, n=3, r=1), *CAPS).failed
-    instance, units, partner = certified
+    instance, partner = certified
     assert instance.shape == partner.shape == (8, 64) and not np.array_equal(instance, partner)
     s = enumerate_semigroup(make_instance(2, 3, 1))
     assert np.array_equal(instance, s.act)
-    assert np.array_equal(units, s.act[:, s.grades[2]])
 
 
 def test_complement_count_runs_in_parts_at_a_large_ambient_space():
@@ -1079,7 +1100,8 @@ def test_eggbox_cluster_count_and_sizes(tmp_path):
 
 
 def test_eggbox_of_a_group_is_single_cluster():
-    units = unit_group_subtable(enumerate_semigroup(make_instance(2, 3, 1)))
+    s = enumerate_semigroup(make_instance(2, 3, 1))
+    units = regular_table(restricted_mul(s.table, s.grades[2]))
     text = eggbox_dot(units, [0] * len(units))
     assert text.count("subgraph cluster_") == 1
     assert '[label="24*"]' in text
@@ -1109,12 +1131,23 @@ def test_report_payload(tmp_path):
 @pytest.mark.parametrize("pnr", [(2, 3, 1), (2, 2, 0)])
 def test_report_builds_the_unit_group_table_once(monkeypatch, pnr):
     # The unit group's order is the size of J(n-r), read off the grades;
-    # only the rank search needs the group as a table of its own.
-    built = []
-    real = gl_restriction.subtable
-    monkeypatch.setattr(gl_restriction, "subtable", lambda table, idxs: built.append(len(idxs)) or real(table, idxs))
+    # only the rank search needs the group's table, its block of products
+    # in the member table, read once, and the member table is the only
+    # table built.
+    certified, read = _builds(monkeypatch), []
+    real = Structure.unit_block.func
+    unit_block = cached_property(lambda s: read.append(s) or real(s))
+    unit_block.__set_name__(Structure, "unit_block")
+    monkeypatch.setattr(Structure, "unit_block", unit_block)
     payload = cmd_report(InstanceConfig(*pnr), DEFAULT_ENUM_CAP, DEFAULT_RANK_CAP)
-    assert built == [payload["unit_group"]["order"]]
+    assert len(certified) == len(read) == 1
+    assert read[0].unit_block.shape == (payload["unit_group"]["order"],) * 2
+
+
+def test_eggbox_builds_one_table(monkeypatch):
+    certified = _builds(monkeypatch)
+    assert cmd_eggbox(InstanceConfig(p=2, n=3, r=1), DEFAULT_ENUM_CAP).startswith("digraph")
+    assert len(certified) == 1
 
 
 def test_report_minimal_idempotent_count_232():

@@ -2,7 +2,7 @@
 
 import pathlib
 import random
-import re
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -54,7 +54,6 @@ from glsemi.gl_restriction import (
     special_subgroup,
     split_grid,
     subgroup_iso_check,
-    unit_group_subtable,
 )
 from glsemi.semigroup_core import SemigroupTable, closure_indices, rank_search
 
@@ -78,13 +77,13 @@ from helpers import (
     naive_vec_mat,
     nonnormality_by_tuples,
     one,
+    regular_table,
     restricted_mul,
     rref_canonical,
     scan_generators,
     split_cell,
     unit_products,
     with_column,
-    with_product,
     with_unit_product,
     with_wrong_split,
 )
@@ -920,32 +919,50 @@ def test_membership_closure_and_codim_monotonicity():
 
 
 def test_unit_group_subtable_is_group():
-    sub = unit_group_subtable(S321)
-    assert len(sub) == 12
-    green = sub.green()
+    units = regular_table(S321.unit_block)
+    assert len(units) == 12 and units.identity_idx is not None
+    green = units.green()
     assert green.h.tolist() == [0] * 12
 
 
 @pytest.mark.parametrize("spec", SHIPPED + [pytest.param(pnr, id="p{}n{}r{}".format(*pnr)) for pnr in EXTRA[:2]])
-def test_unit_group_subtable_is_the_member_table_restricted_to_the_units(spec):
-    # Built and proved from the units' columns of s.act, the unit table is
-    # the restriction subtable used to gather, and its identity is the
-    # identity matrix's position among the units.
+def test_unit_block_is_the_member_table_restricted_to_the_units(spec):
+    # The member table's block of units x units, renumbered by the units'
+    # positions, is the unit group's whole table: every product of two
+    # units is a unit, and the identity matrix's position is its identity.
     s = enumerate_semigroup(_instance(spec), 4096)
-    units, group = unit_group_subtable(s), s.grades[s.inst.n - s.inst.r]
-    assert np.array_equal(full_table(units), restricted_mul(s.table, group))
-    assert np.array_equal(s.unit_block, full_table(units))
-    assert group[units.identity_idx] == s.table.identity_idx
+    group = s.grades[s.inst.n - s.inst.r]
+    assert np.array_equal(s.unit_block, restricted_mul(s.table, group))
+    assert s.unit_block.dtype == np.uint16 and not s.unit_block.flags.writeable
+    e = np.searchsorted(group, s.table.identity_idx)
+    assert np.array_equal(s.unit_block[e], np.arange(len(group))) and np.array_equal(s.unit_block[:, e], np.arange(len(group)))
 
 
-def test_unit_group_subtable_refuses_a_wrong_cell_in_a_row_its_build_reads():
-    # One unit product is wrong in the member table the unit table's rows
-    # are read from, in the row of a unit generator: the build compares
-    # that row with the units' action and names the cell.
-    group = S231.grades[S231.inst.n - S231.inst.r]
-    units = unit_group_subtable(S231)
-    g, y = units._checked_generators()[-1], len(units) // 2
-    k = (int(full_table(units)[g, y]) + 1) % len(units)
-    bad = with_product(S231, group[g], group[y], group[k])
-    with pytest.raises(PreconditionError, match=re.escape(f"table is not the product table of its action at ({g}, {y})")):
-        unit_group_subtable(bad)
+def test_unit_block_peaks_below_five_megabytes_at_order_4096():
+    # The block itself is 1344^2 uint16 cells, 3.6 MB; it is renumbered in
+    # place FILL_ROWS rows at a time.  Renumbering it whole, a second
+    # block beside the first, peaked at 7.1 MB.
+    s = enumerate_semigroup(make_instance(2, 4, 1), 4096)
+    s.grades
+    tracemalloc.start()
+    try:
+        block = s.unit_block
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert block.shape == (1344, 1344) and peak <= 5e6
+
+
+def test_rank_value_peaks_below_half_a_megabyte_at_order_2688():
+    # The unit block is read first, as verify's rank_identity reads it.
+    # The commutativity test compares FILL_ROWS columns at a time: the
+    # whole mul == mul.T compare took 1.8 MB of a 1.87 MB peak.
+    s = enumerate_semigroup(make_instance(2, 4, 3), 4096)
+    s.unit_block
+    tracemalloc.start()
+    try:
+        rank = rank_value(s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rank == 3 and peak <= 5e5

@@ -261,6 +261,39 @@ def test_a_second_table_form_is_flagged(source):
     assert len(_second_table_form(ast.parse(source))) == 1
 
 
+def _table_builders(trees: dict[str, ast.Module]) -> list[str]:
+    """`module.function` of every call that constructs a SemigroupTable,
+    by name or as an attribute (`semigroup_core.SemigroupTable(...)`),
+    in the package's modules (name to tree), sorted."""
+    found = []
+    for name, tree in trees.items():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "SemigroupTable" in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    found.append(f"{name}.{getattr(top, 'name', '<module>')}")
+    return sorted(found)
+
+
+def test_only_enumerate_semigroup_builds_a_table():
+    # One table per instance: every product a claim reads, the unit
+    # group's included, is a block of the member table, so no subset or
+    # group of the instance gets a table of its own.
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    assert _table_builders(trees) == ["gl_restriction.enumerate_semigroup"]
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "def subtable(table, idxs):\n    return SemigroupTable(table._action[:, idxs], lambda i: table.products([i], idxs)[0])\n",
+        "from . import semigroup_core\n\n\ndef unit_table(s):\n    return semigroup_core.SemigroupTable(s.act[:, s.grades[-1]], s.row)\n",
+    ],
+)
+def test_a_second_table_build_is_flagged(source):
+    found = _table_builders({"gl_restriction": ast.parse(source)})
+    assert len(found) == 1 and found != ["gl_restriction.enumerate_semigroup"]
+
+
 def test_the_package_holds_one_gauss_jordan():
     # One elimination over GF(p): rref_batch, which every canonical
     # basis, rank test, inverse and map given on a basis go through

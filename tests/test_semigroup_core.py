@@ -14,7 +14,7 @@ from glsemi.cli import build_instance, eggbox_dot, load_config
 from glsemi.errors import CapacityError, InternalInconsistencyError, PreconditionError
 from glsemi.gf_linalg import identity_mat
 from glsemi import gl_restriction, semigroup_core
-from glsemi.gl_restriction import enumerate_semigroup, make_instance, unit_group_subtable
+from glsemi.gl_restriction import enumerate_semigroup, make_instance
 from glsemi.semigroup_core import (
     GreenPartitions,
     SemigroupTable,
@@ -28,7 +28,7 @@ from glsemi.semigroup_core import (
     principal_ideal,
     rank_search,
     refines,
-    subtable,
+    row_classes,
     verify_ideal,
 )
 
@@ -50,6 +50,7 @@ from helpers import (
     naive_green_same,
     natural_leq,
     regular_table,
+    restricted_mul,
     rows_of,
     same_class,
     scan_generators,
@@ -145,7 +146,7 @@ def test_every_seeded_product_change_fails_the_table_check(pnr):
 
 def test_identity_free_table_passes_the_table_check():
     s = enumerate_semigroup(make_instance(2, 4, 2))
-    table = subtable(s.table, s.below[2])  # an ideal without the identity
+    table = regular_table(restricted_mul(s.table, s.below[2]))  # an ideal without the identity
     assert table.identity_idx is None and len(table) == 960
     assert table._checked_generators() == light_check(table)
     assert len(closure_indices(table, table._checked_generators())) == len(table)
@@ -242,7 +243,7 @@ def test_green_oracle_matches_a_dense_reference_past_one_row_block(which):
         table = enumerate_semigroup(make_instance(2, 3, 0)).table  # a monoid of order 512
     else:
         s = enumerate_semigroup(make_instance(2, 4, 2))
-        table = subtable(s.table, s.below[2])  # an identity-free ideal of order 960
+        table = regular_table(restricted_mul(s.table, s.below[2]))  # an identity-free ideal of order 960
         assert table.identity_idx is None
     assert len(table) > ROW_BLOCK
     green = green_oracle(table)
@@ -747,6 +748,20 @@ def test_refines_matches_a_frozenset_reference(pairs):
     assert refines(label_classes(first * 6 + second), coarser)
 
 
+@given(st.lists(st.lists(st.booleans(), min_size=11, max_size=11), min_size=1, max_size=20))
+def test_row_classes_group_equal_rows_and_name_each_first(rows):
+    masks = np.array(rows, dtype=bool)
+    ids, first = row_classes(masks)
+    keys = [tuple(row) for row in rows]
+    assert label_sets(ids) == set(_reference_classes(keys))
+    assert sorted(first.tolist()) == sorted(keys.index(key) for key in set(keys))
+    assert all(keys[f] == keys[i] for i, f in enumerate(first[ids].tolist()))
+    # The same classes, in the same order, as np.unique over axis 0, which
+    # makes a field of each packed byte.
+    _, first_by_axis, ids_by_axis = np.unique(np.packbits(masks, axis=1), axis=0, return_index=True, return_inverse=True)
+    assert np.array_equal(ids, ids_by_axis.reshape(-1)) and np.array_equal(first, first_by_axis)
+
+
 def test_idempotents():
     table = TABLE_221
     assert mats(S221, idempotents(table)) == {A0, IDENT, A2}
@@ -804,7 +819,7 @@ def test_principal_ideal_reaches_across_both_sides():
         pytest.param(lambda t, bad: closure_indices(t, [bad]), id="closure_indices"),
         pytest.param(lambda t, bad: principal_ideal(t, bad), id="principal_ideal"),
         pytest.param(lambda t, bad: verify_ideal(t, [0, bad]), id="verify_ideal"),
-        pytest.param(lambda t, bad: subtable(t, [bad]), id="subtable"),
+        pytest.param(lambda t, bad: t.products([bad], [0]), id="products"),
     ],
 )
 @pytest.mark.parametrize("bad", [-1, 4, 1.5, 1.9])
@@ -826,11 +841,11 @@ def test_index_inputs_outside_the_table_are_refused(call, bad):
         pytest.param(lambda t: closure_indices(t, [True]), id="closure_indices"),
         pytest.param(lambda t: principal_ideal(t, True), id="principal_ideal"),
         pytest.param(lambda t: verify_ideal(t, np.array([True, True])), id="verify_ideal"),
-        pytest.param(lambda t: subtable(t, [True]), id="subtable"),
+        pytest.param(lambda t: t.products([0], [True]), id="products"),
         # Mixed with ints, a list promotes to an integer dtype.
         pytest.param(lambda t: verify_ideal(t, [0, True]), id="verify_ideal-mixed"),
         pytest.param(lambda t: closure_indices(t, (np.int64(2), np.True_)), id="closure_indices-mixed"),
-        pytest.param(lambda t: subtable(t, [[0], [True]]), id="subtable-mixed-nested"),
+        pytest.param(lambda t: t.products([[0], [True]], [0]), id="products-mixed-nested"),
     ],
 )
 def test_boolean_index_inputs_are_refused(call):
@@ -981,7 +996,7 @@ def test_rank_search_still_tries_singletons_on_a_commutative_table():
 
 @pytest.mark.parametrize("which", ["p2n2r1", "p2n3r1_units"])
 def test_rank_search_skips_singletons_on_a_non_commutative_table(monkeypatch, which):
-    table = TABLE_221 if which == "p2n2r1" else unit_group_subtable(S231)
+    table = TABLE_221 if which == "p2n2r1" else regular_table(S231.unit_block)
     n = len(table)
     for budget in [None, *range(n + 40)]:
         try:
@@ -1012,36 +1027,7 @@ def test_subtable_units_form_group():
     table = TABLE_231
     ident_idx = index_of(S231, identity_mat(3))
     units = [i for i in range(len(table)) if ident_idx in MUL_231[i]]
-    sub = subtable(table, units)
+    sub = regular_table(restricted_mul(table, units))
     assert len(sub) == 24
     green = green_oracle(sub)
     assert green.h.tolist() == [0] * 24
-
-
-def test_subtable_rejects_unclosed_subset():
-    table = TABLE_221
-    i = i221
-    # {identity, A3*?}: the pair {A3, A0} generates everything, so it is not
-    # closed, and a product leaves it in a row the build reads.  The
-    # refusal names that product by the members' table indices.
-    subset = {i(A3), i(A0)}
-    with pytest.raises(PreconditionError, match=r"subset is not closed: \d+ \* \d+ = \d+ lies outside it") as info:
-        subtable(table, sorted(subset))
-    x, y, xy = map(int, re.findall(r"\d+", str(info.value)))
-    assert {x, y} <= subset and xy not in subset and table.products([x], [y])[0, 0] == xy
-
-
-def test_subtable_identity_is_the_element_that_acts_as_the_identity_map():
-    # The unit group's identity is the identity matrix, the identity map.
-    # A minimal idempotent e is the identity of its H-class, a group of
-    # non-units, but acts as a projection, so that sub-table has none;
-    # read off its rows, as the mul form found it, it would be e.
-    s = enumerate_semigroup(make_instance(2, 3, 2))
-    units = s.grades[s.inst.n - s.inst.r]
-    assert units[subtable(s.table, units).identity_idx] == s.table.identity_idx
-    e = int(minimal_idempotents_oracle(s.table)[0])
-    h = s.table.green().h
-    members = np.flatnonzero(h == h[e])
-    group = subtable(s.table, members)
-    assert len(group) == 6 and group.identity_idx is None
-    assert members[find_identity(full_table(group))] == e
