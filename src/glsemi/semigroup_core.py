@@ -10,10 +10,12 @@ Elements are the integer indices 0..n-1 of the table's rows, and every
 structural computation runs on integer arrays.
 An index set is a sorted, duplicate-free np.intp array; every index set
 taken passes `indices`, which refuses an index outside the table.
-Green's relations are computed here from the table alone, as the
-one-sided ideals of their definitions, so this module doubles as the
-oracle against which the characterized relations of the main layer are
-checked.
+Green's relations are computed here from the table alone: L, R and J
+are the strongly connected components of the left, right and two-sided
+Cayley graphs over the generating set, each found with the cycles of
+its permuting generators (the units) merged first, so this module
+doubles as the oracle against which the characterized relations of the
+main layer are checked.
 """
 
 from __future__ import annotations
@@ -314,14 +316,44 @@ def refines(finer: np.ndarray, coarser: np.ndarray) -> bool:
 
 def _components(succ: np.ndarray) -> np.ndarray:
     """The strongly connected component of each vertex of the graph with
-    edges x -> succ[x, j], by an iterative Tarjan: components numbered
-    in the order they are completed."""
-    adj = succ.tolist()
-    n = len(adj)
-    index, low, comp = [-1] * n, [0] * n, [-1] * n
+    edges x -> succ[x, j], as labels in no set order (see label_classes).
+
+    A column of succ that permutes the vertices (no value twice) has each
+    edge on a cycle, so each class of vertices its edges join, over all
+    such columns, is strongly connected.  These are merged first: each
+    vertex takes the least vertex it reaches along them, by min-label
+    propagation with pointer jumping.  An iterative Tarjan then runs on
+    the quotient, over the other columns' distinct edges between merged
+    classes.  With no permuting column the quotient is the graph itself.
+    """
+    n = len(succ)
+    label = np.arange(n)
+    cycles = np.array([np.bincount(column, minlength=n).max() == 1 for column in succ.T], dtype=bool)
+    along = succ[:, cycles]
+    while True:
+        # label[x] <= x, a vertex x reaches, so label[label] is a hop.
+        merged = np.minimum(label, label[along].min(axis=1, initial=n))
+        merged = merged[merged]
+        if np.array_equal(merged, label):
+            break
+        label = merged
+    roots = np.flatnonzero(label == np.arange(n))  # each merged class's least vertex
+    q = len(roots)
+    of = np.empty(n, dtype=np.intp)
+    of[roots] = np.arange(q)
+    cls = of[label]
+    ends = cls[succ[:, ~cycles]]
+    keys = (cls[:, None] * q + ends)[ends != cls[:, None]]  # self-loops drop out
+    # Asking for the first indices keeps np.unique off numpy.ma.
+    keys = np.unique(keys, return_index=True)[0]
+    tails, heads = np.divmod(keys, q)
+    cut = np.searchsorted(tails, np.arange(q + 1)).tolist()
+    heads = heads.tolist()
+    adj = [heads[lo:hi] for lo, hi in zip(cut[:-1], cut[1:])]
+    index, low, comp = [-1] * q, [0] * q, [-1] * q
     stack: list[int] = []
     seen = done = 0
-    for root in range(n):
+    for root in range(q):
         if index[root] >= 0:
             continue
         index[root] = low[root] = seen
@@ -349,17 +381,7 @@ def _components(succ: np.ndarray) -> np.ndarray:
                         w = stack.pop()
                         comp[w] = done
                     done += 1
-    return np.array(comp)
-
-
-def _ideal_sets(lines: np.ndarray, owners: np.ndarray) -> np.ndarray:
-    """Row c marks the values of lines[c] and owners[c]: with the products
-    a*y through a, the right ideal a S^1; with the y*a, S^1 a."""
-    count, n = lines.shape
-    sets = np.zeros((count, n), dtype=bool)
-    sets[np.arange(count)[:, None], lines] = True
-    sets[np.arange(count), owners] = True
-    return sets
+    return np.array(comp)[cls]
 
 
 def row_classes(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -377,26 +399,21 @@ def green_oracle(table: SemigroupTable) -> GreenPartitions:
 
     With A the generating set the build proved the table on (associative
     and generated by A, see _build), S^1 a is the set reachable from a
-    along the edges x -> g x of the left Cayley graph (g in A), and a S^1
-    along x -> x g of the right one.
-    So L (equal S^1 a) and R (equal a S^1) are the strongly connected
-    components of two graphs of N |A| edges (Froidure and Pin, 1997).
-    H is the meet of L and R, J compares two-sided ideals S^1 a S^1, and
-    D is the composite of L and R, which is checked to join L and R in
-    one step before being returned.  The J step reads one one-sided
-    ideal per class, from one block of products y*a (S^1 a) or a*y
-    (a S^1) over the classes' least elements.
+    along the edges x -> g x of the left Cayley graph (g in A), a S^1
+    along x -> x g of the right one, and S^1 a S^1 along the edges of
+    both (see principal_ideal).  So L (equal S^1 a), R (equal a S^1) and
+    J (equal S^1 a S^1) are the strongly connected components of the
+    left, the right and the two-sided graph, of N |A|, N |A| and 2 N |A|
+    edges, each read off generator_blocks (Froidure and Pin, 1997).  A
+    unit of A permutes the elements from either side, so its edges are
+    merged first (see _components).  H is the meet of L and R, and D is
+    the composite of L and R, which is checked to join L and R in one
+    step before being returned.
     """
-    n = len(table)
-    every = np.arange(n)
     right_edges, left_edges = table.generator_blocks()
     lid = label_classes(_components(left_edges.T))
     rid = label_classes(_components(right_edges))
-    # Row x: the left ideal of L-class x, and the right ideal of R-class x,
-    # each read off the class's least element.
-    lead_l, lead_r = (np.unique(ids, return_index=True)[1] for ids in (lid, rid))
-    left = _ideal_sets(table.products(every, lead_l).T, lead_l)
-    right = _ideal_sets(table.products(lead_r, every), lead_r)
+    jid = label_classes(_components(np.hstack([right_edges, left_edges.T])))
 
     # cells[l, r]: some element has L-class l and R-class r.
     cells = np.zeros((lid.max() + 1, rid.max() + 1), dtype=bool)
@@ -410,17 +427,9 @@ def green_oracle(table: SemigroupTable) -> GreenPartitions:
     if (cells != (d_of_l[:, None] == d_of_r[None, :])).any():
         raise InternalInconsistencyError("D-class not covered by one L-then-R step")
 
-    # J: S^1 a S^1 is the union of t S^1 over t in S^1 a.  Both are constant
-    # on classes (S^1 a on a's L-class, t S^1 on t's R-class), so one boolean
-    # product: R-classes met by each L-class's left ideal, times right ideals.
-    in_l, members = np.nonzero(left)
-    meets = np.zeros(cells.shape, dtype=bool)
-    meets[in_l, rid[members]] = True
-    j_of_l = row_classes(np.matmul(meets, right))[0]
-
     h = label_classes(lid * (rid.max() + 1) + rid)
-    green = GreenPartitions(l=lid, r=rid, h=h, d=label_classes(d_of_l[lid]), j=label_classes(j_of_l[lid]))
-    check_refinement_lattice(green, n)
+    green = GreenPartitions(l=lid, r=rid, h=h, d=label_classes(d_of_l[lid]), j=jid)
+    check_refinement_lattice(green, len(table))
     return green
 
 

@@ -507,6 +507,28 @@ def test_green_agreement_fails_when_one_element_acts_with_another_image():
     assert counts["agrees"] is False and counts["d_equals_j"] is True
 
 
+def test_green_agreement_fails_when_the_two_sided_graph_merges_two_j_classes(tmp_path, capsys, monkeypatch):
+    # J is read off the two-sided Cayley graph's components.  Two of its
+    # classes merged into one still sit above D, so the lattice holds, but
+    # D no longer equals J and verify prints the FAIL line.
+    good = enumerate_semigroup(make_instance(2, 3, 1)).table.green()
+    assert good.j.max() >= 1
+    real, hit = semigroup_core._components, []
+
+    def merged(succ):
+        labels = real(succ).copy()
+        if np.array_equal(label_classes(labels), good.j):
+            hit.append(len(succ))
+            labels[labels == labels[0]] = labels[np.argmax(good.j != good.j[0])]
+        return labels
+
+    monkeypatch.setattr(semigroup_core, "_components", merged)
+    assert main(["verify", "--instance", write_cfg(tmp_path, "p = 2\nn = 3\nr = 1\n")]) == 1
+    line = next(line for line in capsys.readouterr().out.splitlines() if line.split()[1] == "green_agreement")
+    assert line.startswith("FAIL green_agreement (") and "agrees=False, d_equals_j=False" in line
+    assert hit == [64]  # the instance's table, once
+
+
 @pytest.mark.parametrize("p, n, r, u_rows", [(2, 3, 1, None), (3, 3, 2, [(1, 1, 0), (0, 1, 2)])])
 def test_order_law_fails_when_one_element_moves_u(p, n, r, u_rows):
     s = enumerate_semigroup(make_instance(p, n, r, u_rows))
@@ -815,8 +837,8 @@ def test_verify_and_report_read_no_block_near_a_whole_table(monkeypatch):
     # No claim needs the whole table: every block of products that verify
     # and report ask of a table of order 1536 (the instance's, and the
     # isomorphism partner's) holds under a quarter of its cells.  The
-    # largest, the Green oracle's lines at the classes' leaders, holds
-    # about 2 % of them.
+    # largest, the unit group's block Structure.unit_block, holds about
+    # 14 % of them.
     cfg, order, asked = InstanceConfig(p=2, n=4, r=2), 1536, []
     real = semigroup_core.SemigroupTable.products
 

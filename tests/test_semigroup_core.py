@@ -254,8 +254,9 @@ def test_green_oracle_matches_a_dense_reference_past_one_row_block(which):
 
 def test_table_engine_peaks_per_table_cell():
     # At order 4096 the table itself is 2 bytes a cell (uint16).  Building
-    # and checking it used to peak at 3.06 bytes a cell, the Green oracle
-    # at 2.0 bytes a cell above the table (two whole boolean ideal matrices).
+    # and checking it used to peak at 3.06 bytes a cell.  The Green oracle
+    # reads the generator blocks and their graphs' components, about 0.034
+    # bytes a cell above what is live.
     tracemalloc.start()
     try:
         s = enumerate_semigroup(make_instance(2, 4, 1), 4096)
@@ -268,7 +269,7 @@ def test_table_engine_peaks_per_table_cell():
         tracemalloc.stop()
     cells = len(s.table) ** 2
     assert built < 2.5 * cells
-    assert peak - live < 0.25 * cells
+    assert peak - live < 0.06 * cells
 
 
 def _index_sets(n, rng):
@@ -373,16 +374,19 @@ def test_green_oracle_refuses_l_classes_that_do_not_make_d_classes(monkeypatch, 
     # x lies in a D-class of several L- and R-classes.  Merged with an
     # L-class of another D-class, x's L-class meets more R-classes than its
     # D-class siblings; split off alone, x meets fewer.  Either way the
-    # L-classes of one D-class no longer meet the same R-classes.
+    # L-classes of one D-class no longer meet the same R-classes.  The
+    # oracle reads three graphs' components, L's, R's and J's, and only
+    # the one that is L's is broken.
     table = enumerate_semigroup(make_instance(2, 3, 1)).table
     good = green_oracle(table)
     d = next(d for d in range(good.d.max() + 1) if min(len(set(good.l[good.d == d])), len(set(good.r[good.d == d]))) > 1)
     x, y = np.flatnonzero(good.d == d)[0], np.flatnonzero(good.d != d)[0]
-    real, hit = semigroup_core._components, []
+    real, hit, found = semigroup_core._components, [], []
 
     def broken(succ):
         labels = real(succ).copy()
-        if np.array_equal(label_classes(labels), good.l):
+        found.append(label_classes(labels))
+        if np.array_equal(found[-1], good.l):
             hit.append(fault)
             if fault == "merge":
                 labels[labels == labels[x]] = labels[y]
@@ -394,6 +398,64 @@ def test_green_oracle_refuses_l_classes_that_do_not_make_d_classes(monkeypatch, 
     with pytest.raises(InternalInconsistencyError, match="D-class not covered"):
         green_oracle(table)
     assert hit == [fault]
+    assert [np.array_equal(got, want) for got, want in zip(found, (good.l, good.r, good.j))] == [True] * 3
+
+
+def test_green_oracle_refuses_a_split_j_class(monkeypatch):
+    # x alone in a J-class of its own leaves the rest of its D-class in
+    # another: D no longer refines J.
+    table = enumerate_semigroup(make_instance(2, 3, 1)).table
+    good = green_oracle(table)
+    x = next(x for x in range(len(table)) if np.count_nonzero(good.d == good.d[x]) > 1)
+    real, hit = semigroup_core._components, []
+
+    def broken(succ):
+        labels = real(succ).copy()
+        if np.array_equal(label_classes(labels), good.j):
+            hit.append(x)
+            labels[x] = labels.max() + 1
+        return labels
+
+    monkeypatch.setattr(semigroup_core, "_components", broken)
+    with pytest.raises(InternalInconsistencyError, match="refinement lattice violated"):
+        green_oracle(table)
+    assert hit == [x]
+
+
+def brute_components(succ):
+    """Each vertex's strongly connected component as its least member,
+    from the transitive closure of the edges x -> succ[x, j]."""
+    n = len(succ)
+    reach = np.eye(n, dtype=bool)
+    reach[np.arange(n)[:, None], succ] = True
+    while True:
+        grown = reach | (reach.astype(np.intp) @ reach.astype(np.intp) > 0)
+        if np.array_equal(grown, reach):
+            break
+        reach = grown
+    return (reach & reach.T).argmax(axis=1)
+
+
+@st.composite
+def successor_arrays(draw):
+    n = draw(st.integers(1, 40))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            columns.append(draw(st.permutations(range(n))))
+        else:
+            columns.append(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+    return np.array(columns, dtype=np.uint16).T
+
+
+@given(successor_arrays())
+@example(np.array([[1], [1], [2]], dtype=np.uint16))  # 1 twice: no permutation, nothing merged
+@example(np.array([[1, 3], [2, 3], [0, 3], [0, 3]], dtype=np.uint16))  # no permuting column
+# (0 1)(2 3) and (1 2) share vertices across cycles; 4 -> 0 leaves 4 alone.
+@example(np.array([[1, 0, 0], [0, 2, 0], [3, 1, 0], [2, 3, 0], [4, 4, 0]], dtype=np.uint16))
+@settings(max_examples=200, deadline=None)
+def test_components_match_the_transitive_closure(succ):
+    assert np.array_equal(label_classes(semigroup_core._components(succ)), label_classes(brute_components(succ)))
 
 
 def transformation_semigroup(maps):
