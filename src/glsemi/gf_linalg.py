@@ -21,7 +21,7 @@ tie-breaking is by least code, that is lexicographic, which makes every
 construction in the package reproducible byte for byte.
 
 Tuples of ints appear only at the edges: Subspace.basis, instance
-files, JSON output and the nonnormality report.  subspace, image,
+files, JSON output and the isomorphism witness.  subspace, image,
 mat_inverse, mat_mul and vec_mat take or give tuples for those edges.
 """
 

@@ -5,8 +5,8 @@ This layer owns everything specific to that semigroup: membership and
 enumeration, the codimension grading of its J-classes and ideal chain,
 characterized Green's relations (image / kernel / codimension), the
 constructive factorizations behind the generating-set results, the
-unit group and its semidirect-product decompositions, and the two
-conjugation counterexamples showing which factors fail to be normal.
+unit group and its semidirect-product decompositions, and the
+conjugation test that decides which factors fail to be normal.
 
 Every constructive operation takes and returns table indices, verifies
 its own output exactly (the recomposition is multiplied back out) and
@@ -29,7 +29,6 @@ from .errors import (
     PreconditionError,
 )
 from .gf_linalg import (
-    Mat,
     Subspace,
     action_table,
     anchors,
@@ -44,9 +43,7 @@ from .gf_linalg import (
     identity_mat,
     is_complement,
     key_index,
-    mat_mul,
     rref_codes,
-    solve_batch,
     solve_codes,
     span_mask,
     subspace,
@@ -64,6 +61,10 @@ from .semigroup_core import (
 
 #: Default ceiling on the semigroup order accepted for full enumeration.
 DEFAULT_ENUM_CAP = 2000
+#: Default ceiling on the generating-set size the rank search tries.
+DEFAULT_RANK_CAP = 4
+#: Most subsets the rank search tries before giving up.
+RANK_BUDGET = 200_000
 
 FIX_U = "fix_u"
 FIX_W = "fix_w"
@@ -628,7 +629,7 @@ def generating_set(s: Structure) -> np.ndarray:
     return np.flatnonzero(chosen)
 
 
-def rank_value(s: Structure, rank_cap: int = 4, budget: int | None = 200_000) -> int | None:
+def rank_value(s: Structure, rank_cap: int = DEFAULT_RANK_CAP, budget: int | None = RANK_BUDGET) -> int | None:
     """Minimal generating-set size, computed as (rank of the unit group) + 1.
 
     Returns None when the exhaustive subset sweep over the unit group
@@ -787,72 +788,21 @@ def subgroup_iso_check(s: Structure, kind: str, w: Subspace | None = None) -> bo
     return bool((products >= 0).all() and np.array_equal(images[products], expected))
 
 
-CONJUGATION_CASES = ("fix_w_in_units", "g_w_in_fix_u")
+def conjugates_leave(s: Structure, h, by) -> bool:
+    """True iff g*x*g^-1 lies outside h for some g in by and some x in h,
+    both given as member indices of units.
 
-
-@dataclass(frozen=True)
-class ConjugationEscapeReport:
-    """Record of one conjugation computation leaving a subgroup."""
-
-    case: str
-    p: int
-    instance: Instance
-    complement: Subspace
-    alpha: Mat
-    beta: Mat
-    conjugate: Mat
-    conjugated_complement: Subspace
-    escaped: bool
-
-
-def nonnormality_example(p: int, case: str) -> ConjugationEscapeReport:
-    """Reproduce the conjugation witnesses showing two subgroups are not normal.
-
-    fix_w_in_units: in dimension 3 with dim U = 2, conjugating the swap
-    of the two U-basis vectors by the unit sending w to w + u_1 moves W.
-    g_w_in_fix_u: in dimension 3 with dim U = 1, conjugating the swap of
-    the two W-basis vectors by the U-fixing unit sending w_1 to w_1 + u
-    moves W as well.
+    Read on the unit group's table (Structure.unit_block): g^-1 is the
+    unit where g's row holds the identity, so only by's rows are read
+    whole, and a g whose row holds no identity is refused.
     """
-    check_modulus(p)
-    if case not in CONJUGATION_CASES:
-        raise PreconditionError(f"unknown case {case!r}")
-    # W is spanned by the standard vectors after U's, and both maps are
-    # given on the basis (W, U): alpha adds the first U row to the first
-    # W row, beta swaps u_1 and u_2 (fix_w_in_units) or w_1 and w_2.  One
-    # solve_batch pass makes alpha, beta and alpha^-1, and refuses a
-    # singular alpha.
-    r, swap = (2, [0, 2, 1]) if case == "fix_w_in_units" else (1, [1, 0, 2])
-    inst = make_instance(p, 3, r)
-    comp = Subspace(p, 3, identity_mat(3)[r:])
-    dom = np.array(comp.basis + inst.u.basis)
-    lifted = dom.copy()
-    lifted[0] = (dom[0] + dom[3 - r]) % p
-    solved = solve_batch(p, np.stack([dom, dom, lifted]), np.stack([lifted, dom[swap], dom]))
-    alpha, beta, alpha_inv = (tuple(map(tuple, m)) for m in solved.tolist())
-    fixes = lambda m, rows: mat_mul(p, rows, m) == rows
-    if case == "fix_w_in_units":
-        inside = lambda m: fixes(m, comp.basis)
-    else:
-        inside = lambda m: fixes(m, inst.u.basis) and subspace(p, 3, mat_mul(p, comp.basis, m)) == comp
-    if not (fixes(alpha, inst.u.basis) and inside(beta)):  # alpha a unit fixing U
-        raise InternalInconsistencyError("conjugation witnesses are malformed")
-    conj = mat_mul(p, mat_mul(p, alpha, beta), alpha_inv)
-    moved = subspace(p, 3, mat_mul(p, comp.basis, conj))
-    escaped = not inside(conj)
-    if not escaped:
-        raise InternalInconsistencyError("conjugate unexpectedly stayed in the subgroup")
-    return ConjugationEscapeReport(
-        case=case,
-        p=p,
-        instance=inst,
-        complement=comp,
-        alpha=alpha,
-        beta=beta,
-        conjugate=conj,
-        conjugated_complement=moved,
-        escaped=escaped,
-    )
+    units = s.grades[s.inst.n - s.inst.r]
+    inside = np.isin(units, h)
+    rows = s.unit_block[np.searchsorted(units, by)]
+    is_ident = rows == np.searchsorted(units, s.table.identity_idx)
+    if not is_ident.any(axis=1).all():
+        raise InternalInconsistencyError("a conjugating unit has no inverse in the table")
+    return not inside[s.unit_block[rows[:, inside], is_ident.argmax(axis=1)[:, None]]].all()
 
 
 def j_class_count_report(s: Structure) -> dict:

@@ -248,16 +248,34 @@ def unit_products(s, xs, ys):
     return units[s.unit_block[np.ix_(np.searchsorted(units, xs), np.searchsorted(units, ys))]]
 
 
-def every_unit_conjugation_closed(s):
-    """True iff g*h*g^-1 lies in Fix(U) for every unit g and every h in
-    Fix(U), read on s.unit_block with g^-1 the unit where g's row holds
-    the identity.  The oracle of the unit_decomposition check, which
-    conjugates by the units among the table's generators only."""
+def conjugation_closed(s, h, by):
+    """True iff g*x*g^-1 lies in h for every unit g in by and every x in
+    h, read on s.unit_block with g^-1 the unit where g's row holds the
+    identity, found on the whole block."""
     units = s.grades[s.inst.n - s.inst.r]
     block = s.unit_block
-    in_fix_u = np.isin(units, gl_restriction.special_subgroup(s, gl_restriction.FIX_U))
+    inside = np.isin(units, h)
     inverse = (block == np.searchsorted(units, s.table.identity_idx)).argmax(axis=1)
-    return bool(in_fix_u[block[block[:, in_fix_u], inverse[:, None]]].all())
+    at = np.searchsorted(units, by)
+    return bool(inside[block[block[at][:, inside], inverse[at][:, None]]].all())
+
+
+def every_unit_conjugation_closed(s):
+    """True iff Fix(U) is closed under conjugation by every unit.  The
+    oracle of the unit_decomposition check, which conjugates by the
+    units among the table's generators only."""
+    g = gl_restriction
+    return conjugation_closed(s, g.special_subgroup(s, g.FIX_U), s.grades[s.inst.n - s.inst.r])
+
+
+def normal_in_its_whole(s, kind, w):
+    """True iff the subgroup kind (fix_w or g_w) for the complement w is
+    closed under conjugation by every element of the group it splits:
+    every unit for Fix(W), every element of Fix(U) for G(W).  The oracle
+    of the nonnormality check, which conjugates by N(W) only."""
+    g = gl_restriction
+    whole = s.grades[s.inst.n - s.inst.r] if kind == g.FIX_W else g.special_subgroup(s, g.FIX_U)
+    return conjugation_closed(s, g.special_subgroup(s, kind, w), whole)
 
 
 def with_wrong_split(s, left_kind, w):
@@ -472,12 +490,45 @@ def is_member(inst, m):
     return rref_canonical(inst.p, inst.n, act(inst.p, inst.u.basis, m)) == inst.u
 
 
+#: The paper's two conjugation witnesses, in dimension 3 with U the span
+#: of the first r standard vectors and W of the rest: alpha adds u_1 to
+#: w_1 and fixes the other basis vectors; beta swaps u_1 and u_2
+#: (fix_w_in_units, r = 2) or w_1 and w_2 (g_w_in_fix_u, r = 1).  Each
+#: case's value is (r, the subgroup beta lies in, beta's row order).
+PAPER_CASES = {
+    "fix_w_in_units": (2, gl_restriction.FIX_W, [1, 0, 2]),
+    "g_w_in_fix_u": (1, gl_restriction.G_W, [0, 2, 1]),
+}
+
+
+def nonnormality_in_table(p, case):
+    """(complement, alpha, beta, conjugate, conjugated complement,
+    escaped) of the paper's witnesses over GF(p), read off the table of
+    (p, 3, r): alpha and beta are found with Structure.find, the
+    conjugate alpha*beta*alpha^-1 is read off s.unit_block with alpha^-1
+    where alpha's row holds the identity, and escaped says the conjugate
+    lies outside beta's subgroup.  The same tuple as nonnormality_by_tuples."""
+    r, kind, swap = PAPER_CASES[case]
+    s = gl_restriction.enumerate_semigroup(gl_restriction.make_instance(p, 3, r))
+    comp = Subspace(p, 3, identity_mat(3)[r:])
+    alpha = np.eye(3, dtype=np.int64)
+    alpha[r, 0] = 1  # w_1 = e_r goes to w_1 + u_1
+    a, b = s.find(codes(p, [alpha, np.eye(3, dtype=np.int64)[swap]]))
+    units, block = s.grades[s.inst.n - s.inst.r], s.unit_block
+    at_a, at_b = np.searchsorted(units, [a, b])
+    inverse = np.flatnonzero(block[at_a] == np.searchsorted(units, s.table.identity_idx))[0]
+    conj = units[block[block[at_a, at_b], inverse]]
+    elements = matrices(s)
+    moved = rref_canonical(p, 3, act(p, comp.basis, elements[conj]))
+    escaped = conj not in gl_restriction.special_subgroup(s, kind, comp)
+    return comp, elements[a], elements[b], elements[conj], moved, escaped
+
+
 def nonnormality_by_tuples(p, case):
     """(complement, alpha, beta, conjugate, conjugated complement,
-    escaped) of gl_restriction.nonnormality_example's witnesses, built
-    from the tuple oracles: each map by linear_map on its basis, every
-    subspace by rref_canonical, membership by is_member and
-    fixes_pointwise."""
+    escaped) of the paper's witnesses (PAPER_CASES), built from the tuple
+    oracles: each map by linear_map on its basis, every subspace by
+    rref_canonical, membership by is_member and fixes_pointwise."""
     add = lambda a, b: tuple((x + y) % p for x, y in zip(a, b))
     if case == "fix_w_in_units":
         inst = gl_restriction.make_instance(p, 3, 2)

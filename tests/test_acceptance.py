@@ -35,7 +35,6 @@ from glsemi.gl_restriction import (
     j_class_count_report,
     make_instance,
     minimal_idempotents,
-    nonnormality_example,
     predicted_order,
     q_ideal,
     raise_factors,
@@ -63,6 +62,8 @@ from helpers import (
     matrices,
     mats,
     naive_span,
+    nonnormality_by_tuples,
+    nonnormality_in_table,
     one,
     restricted_mul,
     split_cell,
@@ -290,18 +291,20 @@ def test_c11_subgroup_isomorphisms():
 def test_c12_nonnormality_reproduction():
     from glsemi.gf_linalg import vec_mat
 
-    rep = nonnormality_example(3, "fix_w_in_units")
-    assert rep.escaped
-    assert vec_mat(3, (0, 0, 1), rep.conjugate) == (2, 1, 1)  # w - u1 + u2
-    assert rep.conjugated_complement != rep.complement
-    rep = nonnormality_example(3, "g_w_in_fix_u")
-    assert rep.escaped
-    assert vec_mat(3, (0, 1, 0), rep.conjugate) == (1, 0, 1)  # w1 + u after swap
-    assert vec_mat(3, (0, 0, 1), rep.conjugate) == (2, 1, 0)  # w2 - u after swap
-    assert rep.conjugated_complement != rep.complement
+    # The paper's witnesses, found in the tables of (3,3,2) and (3,3,1) and
+    # conjugated on their unit groups' tables.
+    comp, _, _, conj, moved, escaped = nonnormality_in_table(3, "fix_w_in_units")
+    assert escaped
+    assert vec_mat(3, (0, 0, 1), conj) == (2, 1, 1)  # w - u1 + u2
+    assert moved != comp
+    comp, _, _, conj, moved, escaped = nonnormality_in_table(3, "g_w_in_fix_u")
+    assert escaped
+    assert vec_mat(3, (0, 1, 0), conj) == (1, 0, 1)  # w1 + u after swap
+    assert vec_mat(3, (0, 0, 1), conj) == (2, 1, 0)  # w2 - u after swap
+    assert moved != comp
     for p in (2, 3):
         for case in ("fix_w_in_units", "g_w_in_fix_u"):
-            assert nonnormality_example(p, case).escaped
+            assert nonnormality_in_table(p, case) == nonnormality_by_tuples(p, case)
     _ok("12 nonnormality witnesses", "conjugates leave Fix(W) and G(W); GF(3) vectors match")
 
 

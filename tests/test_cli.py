@@ -26,6 +26,7 @@ from glsemi.cli import (
     _check_ideal_structure,
     _check_isomorphism_theorem,
     _check_j_class_count,
+    _check_nonnormality,
     _check_order_law,
     _check_regularity,
     _check_unit_decomposition,
@@ -49,6 +50,7 @@ from glsemi.gl_restriction import (
     G_W,
     N_W,
     Structure,
+    conjugates_leave,
     enumerate_semigroup,
     generating_set,
     j_class,
@@ -68,6 +70,7 @@ from helpers import (
     grade_generates,
     is_member,
     matrices,
+    normal_in_its_whole,
     one,
     regular_table,
     restricted_mul,
@@ -192,12 +195,12 @@ def test_verify_skips_above_cap(monkeypatch):
     report = cmd_verify(InstanceConfig(p=2, n=5, r=1), DEFAULT_ENUM_CAP, DEFAULT_RANK_CAP)
     assert len(calls) == 1  # refused once, and every table check reports that
     skipped = [c for c in report.checks if c.status == "skip"]
-    assert len(skipped) == 12
+    assert len(skipped) == 13
     assert {c.reason for c in skipped} == {"predicted order 1048576 exceeds enumeration cap 2000"}
     statuses = {c.name: c.status for c in report.checks}
     assert statuses["order_law"] == "skip"
     assert statuses["complement_count"] == "pass"
-    assert statuses["nonnormality"] == "pass"
+    assert statuses["nonnormality"] == "skip"
     assert statuses["isomorphism_theorem"] == "skip"
     assert not report.failed
 
@@ -238,6 +241,42 @@ def test_unit_decomposition_conjugates_as_the_every_unit_oracle(name):
     s = enumerate_semigroup(build_instance(load_config(str(CONFIGS / f"{name}.cfg"))))
     status, _, reason = _check_unit_decomposition(s, CAPS)
     assert (status == "pass") == every_unit_conjugation_closed(s), reason
+
+
+def test_subgroup_checks_skip_without_u():
+    # At r = 0 the unit group is all of GL(V) and U has no complements to split by.
+    report = cmd_verify(InstanceConfig(p=2, n=2, r=0), *CAPS)
+    skipped = {c.name: c.reason for c in report.checks if c.status == "skip"}
+    assert skipped == dict.fromkeys(["unit_decomposition", "subgroup_isomorphisms", "nonnormality"], "subgroup structure needs r >= 1")
+    assert not report.failed
+
+
+@pytest.mark.parametrize("name", sorted(path.stem for path in CONFIGS.glob("*.cfg")))
+def test_nonnormality_moves_as_the_whole_group_oracles(name):
+    # Conjugating by N(W) finds Fix(W) non-normal in the units, and G(W) in
+    # Fix(U), for exactly the W where conjugating by every unit, or by every
+    # element of Fix(U), does; and that is where they are nontrivial.
+    s = enumerate_semigroup(build_instance(load_config(str(CONFIGS / f"{name}.cfg"))))
+    status, counts, reason = _check_nonnormality(s, CAPS)
+    assert status == "pass", reason
+    for kind in (FIX_W, G_W):
+        moved = [not normal_in_its_whole(s, kind, w) for w in s.complements]
+        assert moved == [len(special_subgroup(s, kind, w)) > 1 for w in s.complements]
+        assert counts[f"{kind}_moved"] == sum(moved)
+    assert counts["complements"] == len(s.complements)
+
+
+def test_conjugates_leave_refuses_a_conjugator_without_an_inverse():
+    s = enumerate_semigroup(make_instance(3, 2, 1))
+    w = s.complements[0]
+    by, h = special_subgroup(s, N_W, w), special_subgroup(s, FIX_W, w)
+    g = by[by != s.table.identity_idx][0]
+    inverse = next(x for x in by.tolist() if unit_products(s, [g], [x])[0, 0] == s.table.identity_idx)
+    bad = with_unit_product(s, g, inverse, g)  # g's row no longer holds the identity
+    assert conjugates_leave(s, h, by)
+    for fn in (lambda: conjugates_leave(bad, h, by), lambda: _check_nonnormality(bad, CAPS)):
+        with pytest.raises(InternalInconsistencyError, match="a conjugating unit has no inverse in the table"):
+            fn()
 
 
 @pytest.mark.parametrize("left_kind", [FIX_W, G_W])
@@ -801,19 +840,23 @@ def test_subgroup_isomorphisms_fails_on_one_swapped_coordinate_row(monkeypatch):
 
 
 def test_nonnormality_fails_on_a_conjugate_that_stays_inside(monkeypatch):
-    # alpha and its inverse solved as the identity: the conjugate of beta
-    # is beta, which lies in its own subgroup.
-    real = gl_restriction.solve_batch
-
-    def solve_batch(p, doms, imgs):
-        doms, imgs = np.array(doms), np.array(imgs)
-        imgs[0], doms[2] = doms[0], imgs[2]
-        return real(p, doms, imgs)
-
-    monkeypatch.setattr(gl_restriction, "solve_batch", solve_batch)
-    failed = _failing()
-    assert set(failed) == {"nonnormality"}
-    assert failed["nonnormality"].endswith("conjugate unexpectedly stayed in the subgroup")
+    # At (3,2,1) each H in {Fix(W), G(W)} has order 2 and N(W) order 3, and
+    # both translations g != e move H's x != e.  In each g's row of the unit
+    # block, g*x now reads x*g, so g*x*g^-1 reads x: no conjugate leaves H.
+    s = enumerate_semigroup(make_instance(3, 2, 1))
+    w, ident = s.complements[0], s.table.identity_idx
+    by = special_subgroup(s, N_W, w)
+    for kind in (FIX_W, G_W):
+        h = special_subgroup(s, kind, w)
+        (x,) = h[h != ident]
+        bad = s
+        for g in by[by != ident].tolist():
+            bad = with_unit_product(bad, g, x, unit_products(s, [x], [g])[0, 0])
+        assert conjugates_leave(s, h, by) and not conjugates_leave(bad, h, by)
+        checks = _verify_with(monkeypatch, s, bad)
+        assert {name for name, check in checks.items() if check.status == "fail"} == {"nonnormality"}
+        assert checks["nonnormality"].reason == f"N(W) conjugation keeps {kind} of order 2"
+        assert checks["nonnormality"].counts == {"complement": [list(row) for row in w.basis]}
 
 
 def test_factorizations_peaks_below_one_and_a_half_megabytes_at_order_4096():

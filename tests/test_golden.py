@@ -76,18 +76,18 @@ STRETCH = {
 }
 # verify --cap 4096 on the two stretch instances, standard U, times removed.
 STRETCH_VERIFY = {
-    (2, 4, 3): "699238644946408eeab4ae48154d6ace3ad42922ffc8d3639a646cb1720a6a13",
-    (2, 4, 1): "2509be89943dd2cba5dfb91700d8f1632c1e09ac7b2175e2b3b6ea67a5b7ebc5",
+    (2, 4, 3): "e976ff030a6df2596670bad723b8370d77ebd5d497271bc44a86942bf17d602f",
+    (2, 4, 1): "21bec38c02556d3c156a613d550c7123d56c73837a77b5df679a037d8e5e4f8e",
 }
 VERIFY = {
-    "p2n2r1": "d0c2cdbfd79c55c6064c208ce23501f215a6be002a2048198e5ae3f8d5d0e7a8",
-    "p3n2r1": "50af33c329bc61dbbddf57130bd5350a80fa7d46f7875f2ddbee422b45a609b6",
-    "p2n3r2": "18e8650e052c1b57663d499a8f5af0117dfad50bdd44680a110585d226e9c8fe",
-    "p2n3r1": "602b2ccb19f89159322ee314992b015169bbb69b97724a99c8e8f1eea92d5800",
-    "p2n3r1_shifted": "602b2ccb19f89159322ee314992b015169bbb69b97724a99c8e8f1eea92d5800",
-    "p2n4r2": "2b9776226f3634e78b168059e263f526f809114e7a2c4c5cc294140a53060b4a",
-    "p3n3r1": "c484e11c7bb1c756123c1a6b41484219fe6bdf8246dffb08c34a3b32f0f2b8a3",
-    "p3n3r2_shifted": "eb2d50feea6f4eae0f1b264d0ade53df742ffe0a96bac9511fac4edc60493a39",
+    "p2n2r1": "d3730c795fbc68481f4f568ea1feea5c9d9d1e7e51a8d75e097b95780035083f",
+    "p3n2r1": "a8d153a648559bdc81ab6fca40a1ec6af64c87d99b9997afa6e5c6995d4daa22",
+    "p2n3r2": "34e9339703a5e0399148d014eeae4eca3680482d579d7930a2e250646628f3e0",
+    "p2n3r1": "42c901b69c8b02c2b06b8b170e3633769a390d7aa14ba08de1252387dc0ff38f",
+    "p2n3r1_shifted": "42c901b69c8b02c2b06b8b170e3633769a390d7aa14ba08de1252387dc0ff38f",
+    "p2n4r2": "8181ed149e017f9e99318c484cbbf9a64f46632a9119935c7645ee542cbaf352",
+    "p3n3r1": "9664c5054e2b4d2286b182f12b7deb24e52989d1a3f3c9d807ec9ce312310706",
+    "p3n3r2_shifted": "874b55254ab65231d79a689dc3fcee12dff822aab28c2aeb8a1aea5a69c120f9",
 }
 
 CONSTRUCTORS = {

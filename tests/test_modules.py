@@ -316,11 +316,10 @@ def test_a_second_modular_inverse_is_flagged(sources):
 
 #: The callers of solve_batch: solve_codes, which solves any number of
 #: domains in parts of BATCH_CELLS entries, and the fixed calls on one
-#: to three matrices.
+#: matrix.
 SOLVE_BATCH_CALLERS = [
     "gf_linalg.mat_inverse",
     "gf_linalg.solve_codes",
-    "gl_restriction.nonnormality_example",
     "isomorphism.decide_isomorphic",
 ]
 
