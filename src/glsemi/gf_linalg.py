@@ -8,11 +8,15 @@ same left-to-right order: M_{AB} = M_A * M_B.  A subspace of an
 enumerated space is a mask over all p^n codes (span_mask).
 
 There is one Gauss-Jordan elimination, rref_batch, run on a stack of
-matrices at once.  A subspace's canonical basis (subspace), a rank test
-(is_complement, complements_among), an inverse and a map given by its
-values on a basis (solve_batch, solve_codes on row codes) all go
-through it; none costs more than polynomially in n.  Where a subspace
-is a mask already, rref_codes reads the same basis off the mask.
+matrices at once.  Rank tests over many subspaces (complements_among),
+translate bases (enumerate_complements), an inverse and a map given by
+its values on a basis (solve_batch, solve_codes on row codes) go
+through it; none costs more than polynomially in n.  A single
+subspace's canonical basis (subspace, and so is_complement) is read
+off its span mask by rref_codes, with no elimination.
+
+There is one action-table kernel, action_table: every vector times
+every matrix of a stack, filled by code addition, with no product.
 
 The canonical basis is the reduced-row-echelon basis.  RREF is unique
 per subspace, so structural equality of the basis equals equality of
@@ -27,6 +31,7 @@ mat_inverse, mat_mul and vec_mat take or give tuples for those edges.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 
@@ -111,9 +116,9 @@ class Subspace:
 
 def subspace(p: int, n: int, rows) -> Subspace:
     """Canonical subspace spanned by the given rows (empty input -> zero
-    space): the nonzero rows of their rref_batch.  Entries pass through
-    operator.index, so numpy integers span what plain ints do; any other
-    entry is refused."""
+    space): their span mask, grown row by row, and the RREF basis read
+    off it (rref_codes).  Entries pass through operator.index, so numpy
+    integers span what plain ints do; any other entry is refused."""
     try:
         rows = [[operator.index(x) % p for x in row] for row in rows]
     except TypeError:
@@ -121,8 +126,11 @@ def subspace(p: int, n: int, rows) -> Subspace:
     for row in rows:
         if len(row) != n:
             raise ConfigurationError(f"row length {len(row)} does not match ambient dimension {n}")
-    reduced = rref_batch(p, np.array(rows, dtype=np.int64).reshape(1, len(rows), n))[0]
-    return Subspace(p, n, tuple(map(tuple, reduced[reduced.any(axis=1)].tolist())))
+    vectors, span = code_vectors(p, n), np.arange(p**n) == 0
+    for code in codes(p, rows).tolist():
+        if not span[code]:
+            _grow(p, vectors, span, code)
+    return Subspace(p, n, tuple(map(tuple, vectors[rref_codes(p, n, span)].tolist())))
 
 
 def image(p: int, m: Mat) -> Subspace:
@@ -226,30 +234,56 @@ def codes(p: int, rows) -> np.ndarray:
 
 def action_table(p: int, rows) -> np.ndarray:
     """t[v, j]: code of the row vector coded v times matrix j, each
-    matrix given by its row codes along the last axis of rows.  The
-    products are taken in the narrowest type that holds n (p-1)^2, an
-    entry before it is reduced mod p, and packed in the narrowest that
-    holds p^n - 1, the largest code; the table comes out in int64."""
-    rows = np.asarray(rows, dtype=np.int64)
-    n = rows.shape[-1]
-    vectors = code_vectors(p, n).astype(np.min_scalar_type(n * (p - 1) ** 2))
-    narrow = np.min_scalar_type(p**n - 1)
-    digits = (vectors @ vectors[rows] % p).astype(narrow)
-    return (digits @ (p ** np.arange(n - 1, -1, -1)).astype(narrow)).astype(np.int64).T
+    matrix given by its n row codes, a row of the (m, n) rows; in the
+    narrowest type that holds p^n - 1, each column contiguous.
+
+    No product is taken: v*M sums v's digits times M's rows, so the
+    vectors whose digit k is d are those with d - 1 there, plus M's row
+    n-1-k, each sum read off a table of code sums.  That table adds
+    codes of w digits, w = n while its p^2w cells fit in BATCH_CELLS;
+    past that each code is cut into chunks of w digits, summed chunk by
+    chunk in planes (no carry crosses a digit) and packed at the end.
+    """
+    rows = np.asarray(rows)
+    count, n = rows.shape
+    width = next(w for w in range(n, 0, -1) if p ** (2 * w) <= BATCH_CELLS)
+    chunk, q, sums = p**width, p**n, _code_sums(p, width)
+    if width == n:  # parts[c, j, i]: chunk c of row i of matrix j, times p^width
+        parts = (rows.astype(np.intp) * chunk)[None]
+    else:
+        parts = rows.astype(np.int64) // chunk ** np.arange(-(-n // width))[:, None, None] % chunk * chunk
+    planes = np.empty((len(parts), q, count), dtype=sums.dtype)  # planes[c, v, j]: chunk c of v * matrix j
+    planes[:, 0] = 0
+    for k in range(n):
+        size, row = p**k, parts[:, None, :, n - 1 - k]
+        for d in range(1, p):
+            sums.take(planes[:, (d - 1) * size : d * size] + row, out=planes[:, d * size : (d + 1) * size])
+    out = planes[-1].astype(np.min_scalar_type(q - 1), copy=False)
+    for plane in planes[-2::-1]:
+        out *= chunk
+        out += plane
+    return np.ascontiguousarray(out.T).T
 
 
-def key_dtype(q: int, n: int) -> type:
-    """Integer type of the keys packing n row codes base q: int32 while every key fits."""
-    return np.int32 if q**n < 2**31 else np.int64
+@functools.cache
+def _code_sums(p: int, width: int) -> np.ndarray:
+    # Entry a * p^width + b: the code of the sum of the vectors coded a
+    # and b, of width digits, built digit by digit.  A constant of the
+    # field, read-only and kept: one per (p, width), a few dozen at most.
+    digit = sums = (np.arange(p)[:, None] + np.arange(p)) % p
+    for _ in range(width - 1):
+        sums = (digit[:, None, :, None] * len(sums) + sums[:, None, :]).reshape(p * len(sums), -1)
+    sums = sums.astype(np.min_scalar_type(p**width - 1)).ravel()
+    sums.flags.writeable = False
+    return sums
 
 
-def key_index(q: int, rows: np.ndarray) -> np.ndarray:
-    """index[key]: the position in rows of the row-code tuple whose codes
-    pack (base q, first row most significant) to key; -1 for any other
-    key.  Dense over all q^n keys, in key_dtype."""
-    n = rows.shape[1]
-    index = np.full(q**n, -1, dtype=key_dtype(q, n))
-    index[codes(q, rows)] = np.arange(len(rows))
+def key_index(q: int, n: int, keys: np.ndarray) -> np.ndarray:
+    """index[key]: the position in keys of each key, n row codes packed
+    base q (codes, first row most significant); -1 for any other of the
+    q^n keys.  In int32 while every key fits."""
+    index = np.full(q**n, -1, dtype=np.int32 if q**n < 2**31 else np.int64)
+    index[keys] = np.arange(len(keys))
     return index
 
 
@@ -277,8 +311,13 @@ def extend_codes(p: int, n: int, span: np.ndarray, within: np.ndarray | None = N
         if not outside.size:
             return out
         out.append(int(outside[0]))
-        multiples = np.arange(1, p)[:, None] * vectors[outside[0]]
-        span[codes(p, (vectors[span][:, None] + multiples) % p)] = True
+        _grow(p, vectors, span, outside[0])
+
+
+def _grow(p: int, vectors: np.ndarray, span: np.ndarray, code) -> None:
+    # The span mask, grown in place by the vector coded code: every member
+    # plus every nonzero multiple of it (vectors: code_vectors).
+    span[codes(p, (vectors[span][:, None] + np.arange(1, p)[:, None] * vectors[code]) % p)] = True
 
 
 def rref_codes(p: int, n: int, mask: np.ndarray) -> list[int]:
@@ -334,7 +373,8 @@ def anchors(u: Subspace) -> np.ndarray:
 
 #: Most matrix entries one rref_batch pass over many subspaces or
 #: domains takes.  It eliminates in int8 or int16 (see rref_batch), so
-#: that bounds its temporaries to a few MB however many there are.
+#: that bounds its temporaries to a few MB however many there are.  It
+#: bounds action_table's table of code sums too.
 BATCH_CELLS = 2**18
 
 

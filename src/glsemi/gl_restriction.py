@@ -113,11 +113,15 @@ def predicted_order(inst: Instance) -> int:
     return gl_order(inst.p, inst.r) * inst.p ** (inst.n * (inst.n - inst.r))
 
 
-def _members(inst: Instance) -> np.ndarray:
-    # Row codes of every member, in matrix order: the images of U's basis
-    # range over GL(U), those of a fixed complement basis freely over V.
-    # Every member shares that domain, so one inverse serves them all:
-    # row i of dom^-1 * imgs is row i of dom^-1 times imgs.
+def _members(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, keys, act) of every member, in matrix order: rows[a] its
+    row codes, keys[a] those packed base p^n (gf_linalg.key_index), and
+    act[v, a] the code of v*a.  The images of U's basis range over
+    GL(U), those of a fixed complement basis freely over V.  Every
+    member M = dom^-1 * imgs shares that domain dom, so v*M is
+    (v*dom^-1)*imgs: one action table of the images, its rows permuted
+    by dom^-1, the inverse of the permutation w -> w*dom.  Row i of M
+    is e_i * M, read off it at the unit vectors."""
     p, n, r = inst.p, inst.n, inst.r
     q, u, vectors = p**n, codes(p, inst.u.basis), code_vectors(p, n)
     dom = np.concatenate([u, codes(p, anchors(inst.u))])
@@ -125,9 +129,12 @@ def _members(inst: Instance) -> np.ndarray:
     u_imgs = codes(p, code_vectors(p, r)[gl] @ vectors[u] % p)
     free = code_vectors(q, n - r)  # every tuple of n-r row codes
     imgs = np.concatenate([np.repeat(u_imgs, len(free), axis=0), np.tile(free, (len(gl), 1))], axis=1)
-    inverse = vectors[solve_codes(p, dom[None])[0]]
-    rows = codes(p, inverse @ vectors[imgs] % p).astype(np.min_scalar_type(q - 1))
-    return rows[np.argsort(codes(q, rows))]  # packed keys follow matrix order
+    moved = np.argsort(action_table(p, dom[None])[:, 0])  # code of v*dom^-1
+    table = action_table(p, imgs).T  # table[j, w]: code of w * imgs[j]
+    rows = table[:, moved[p ** np.arange(n - 1, -1, -1)]]
+    keys = codes(q, rows)
+    order = np.argsort(keys)  # packed keys follow matrix order
+    return rows[order], keys[order], table[order[:, None], moved].T
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -136,15 +143,14 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _cayley(p: int, rows: np.ndarray):
-    """(act, index, product_row) of the members given by their row codes:
-    act[v, b] codes v*b (matrix products mod p), index is the key index
-    (gf_linalg.key_index), and product_row(a)[b] is the index of a*b, -1
-    for a non-member: row i of a*b is act[row_i(a), b], and the key those
-    rows pack to is looked up in index."""
-    q = p ** rows.shape[1]
-    index = key_index(q, rows)
-    act = action_table(p, rows).astype(index.dtype)
+def _cayley(p: int, rows: np.ndarray, keys: np.ndarray, act: np.ndarray):
+    """(act, index, product_row) of the members given as _members gives
+    them: act, the key index (gf_linalg.key_index) and product_row(a)[b],
+    the index of a*b, -1 for a non-member: row i of a*b is
+    act[row_i(a), b], and the key those rows pack to is looked up in
+    index."""
+    q, n = p ** rows.shape[1], rows.shape[1]
+    index = key_index(q, n, keys)
 
     def product_row(a):
         return index[codes(q, act[rows[a]].T)]
@@ -279,22 +285,21 @@ def enumerate_semigroup(inst: Instance, cap: int = DEFAULT_ENUM_CAP) -> Structur
     order = predicted_order(inst)
     if order > cap:
         raise CapacityError(f"predicted order {order} exceeds enumeration cap {cap}")
-    rows = _members(inst)
+    rows, keys, act = _members(inst)
     if len(rows) != order:
         raise InternalInconsistencyError(
             f"enumerated {len(rows)} members, closed form predicts {order}"
         )
     # Distinct members make the list exactly the semigroup (order_law).
-    # SemigroupTable builds the table from act, v*M by matrix products mod
-    # p, and proves it the product table of the members' action as it goes: the
-    # one found by the identity's key must act as the identity map, and
-    # the few rows read off the keys and lookups are checked as maps.
-    q = inst.p**inst.n
-    keys = codes(q, rows)
+    # SemigroupTable builds the table from act, v*M read off the images'
+    # action table, and proves it the product table of the members'
+    # action as it goes: the one found by the identity's key must act as
+    # the identity map, and the few rows read off the keys and lookups
+    # are checked as maps.
     if (np.diff(keys) <= 0).any():
         raise InternalInconsistencyError("member keys are not strictly increasing")
-    ident = int(np.searchsorted(keys, codes(q, codes(inst.p, identity_mat(inst.n)))))
-    act, index, product_row = _cayley(inst.p, rows)
+    ident = int(np.searchsorted(keys, codes(inst.p**inst.n, codes(inst.p, identity_mat(inst.n)))))
+    act, index, product_row = _cayley(inst.p, rows, keys, act)
     return Structure(inst, SemigroupTable(identity_idx=ident, action=act, product_row=product_row), act, index)
 
 
@@ -448,8 +453,7 @@ class _Batch:
             "raise_mu": raise_mu,  # on domain
             "sandwich": domain,  # on domain
         }
-        dtype = np.min_scalar_type(p**n - 1)
-        return {name: action_table(p, held).astype(dtype) for name, held in rows.items()}
+        return {name: action_table(p, held) for name, held in rows.items()}
 
     def _class_lams(self, c1: np.ndarray, c2: np.ndarray, images: np.ndarray, what: str) -> np.ndarray:
         # lam[c1[i], c2[i]]: the member kernel_inv[c1[i]] * images[i] (-1 on

@@ -147,8 +147,9 @@ def _build(act: np.ndarray, e, product_row) -> tuple[int | None, list[int], np.n
     1. The columns of act are distinct, so x -> M_x is one-to-one, and
        the identity's column is the identity map.
     2. A is _generators' greedy set, the units the columns that permute
-       the points.  Each row it reads must hold only elements, with
-       M_(g*y) = M_g;M_y for every y: P N cells a row.
+       the points, the other candidates by descending image size.  Each
+       row it reads must hold only elements, with M_(g*y) = M_g;M_y for
+       every y: P N cells a row.
     3. Each edge x = g_x * t_x of the left tree from A's rows is checked
        as maps, M_x = M_g_x;M_t_x: P cells an element.
     4. Round by round, x*y = g_x*(t_x*y): one lookup per cell, made by
@@ -172,7 +173,12 @@ def _build(act: np.ndarray, e, product_row) -> tuple[int | None, list[int], np.n
         e = int(found[0]) if found.size else None
     elif not (0 <= e < n and (act[:, e] == points).all()):
         raise PreconditionError("claimed identity is not the identity map")
-    units = _by_order(np.flatnonzero((np.sort(act, axis=0) == points[:, None]).all(axis=0)), act)
+    # Each column's image size, its distinct points; the units have all P.
+    seen = np.zeros(act.shape, dtype=bool)
+    seen[act, np.arange(n)] = True
+    sizes = np.count_nonzero(seen, axis=0)
+    by_size = np.argsort(-sizes, kind="stable")
+    units = by_size[: np.count_nonzero(sizes == len(act))]
 
     def row(g):
         got = np.asarray(product_row(g))
@@ -188,7 +194,7 @@ def _build(act: np.ndarray, e, product_row) -> tuple[int | None, list[int], np.n
             raise PreconditionError(f"table is not the product table of its action at ({g}, {np.argmax(bad)})")
         return got
 
-    gens, rows = _generators(n, units, row)
+    gens, rows = _generators(n, np.concatenate([_by_order(units, act), by_size[len(units) :]]), row)
     g_of, t_of, rounds = _left_tree(rows, gens)
     xs = np.flatnonzero(g_of >= 0)
     bad = (act[:, xs] != act[act[:, g_of[xs]], t_of[xs]]).any(axis=0)
@@ -233,33 +239,34 @@ def _by_order(units: np.ndarray, act: np.ndarray) -> np.ndarray:
     group (order 0), which the build then refuses."""
     points = np.arange(len(act))[:, None]
     order = np.zeros(len(units), dtype=np.intp)
-    power = act[:, units]  # power[v, j]: point v under units[j]^k
+    power = maps = act[:, units].astype(np.intp)  # power[v, j]: point v under units[j]^k
     for k in range(1, len(units) + 1):
         order[(order == 0) & (power == points).all(axis=0)] = k
         if order.all():
             break
-        power = act[power, units]
+        power = np.take_along_axis(maps, power, axis=0)  # then under units[j]
     return units[np.argsort(-order, kind="stable")]
 
 
-def _generators(n: int, units: np.ndarray, row) -> tuple[list[int], np.ndarray]:
-    """(A, A's rows): a greedy generating set, the units in the order
-    given, then the non-units in index order, each taken only when the
-    closure so far misses it; then every generator the others still
-    generate goes.  row(x) gives x's products, read once per candidate
-    taken: the closures go left only, along y -> g*y, which on an
-    associative table reaches the subsemigroup the generators generate.
-    A word holding the new generator i is w*i*c, w a word over all the
-    generators and c one over the old ones, either empty, so each
-    closure grows the last from i and from i's row at what that covered.
-    The others generate g only if g is some other generator h times
-    something: in h's row."""
+def _generators(n: int, candidates: np.ndarray, row) -> tuple[list[int], np.ndarray]:
+    """(A, A's rows): a greedy generating set, the candidates in the
+    order given, each taken only when the closure so far misses it;
+    then every generator the others still generate goes.  _build lists
+    the units by descending order, then the others by descending image
+    size: an image cannot grow along a product, so no candidate is a
+    product with a later one of smaller image as a factor, and fewer
+    are taken only to go.  row(x) gives x's products, read once per
+    candidate taken: the closures go left only, along y -> g*y, which
+    on an associative table reaches the subsemigroup the generators
+    generate.  A word holding the new generator i is w*i*c, w a word
+    over all the generators and c one over the old ones, either empty,
+    so each closure grows the last from i and from i's row at what that
+    covered.  The others generate g only if g is some other generator h
+    times something: in h's row."""
     stack = np.empty((1, n), dtype=table_dtype(n))  # A's rows, grown in place
-    unit = np.zeros(n, dtype=bool)
-    unit[units] = True
     gens: list[int] = []
     covered = np.zeros(n, dtype=bool)
-    for i in np.concatenate([units, np.flatnonzero(~unit)]).tolist():
+    for i in candidates.tolist():
         if not covered[i]:
             if len(gens) == len(stack):
                 stack = np.concatenate([stack, np.empty_like(stack)])

@@ -678,6 +678,15 @@ def dense_homomorphism(psi, t1, t2):
     return bool(np.array_equal(psi[full_table(t1)], full_table(t2)[np.ix_(psi, psi)]))
 
 
+def product_action(p, rows):
+    """t[v, j]: code of the row vector coded v times matrix j, the
+    matrices given by their row codes (rows[j]), as the int64 product of
+    every vector with every matrix mod p: the formula action_table's
+    code-addition kernel replaced, kept as its oracle."""
+    vectors = gf_linalg.code_vectors(p, np.shape(rows)[-1])
+    return gf_linalg.codes(p, vectors @ vectors[np.asarray(rows, dtype=np.intp)] % p).T
+
+
 def key_fill(p, rows):
     """(mul, act, index) with every cell of mul looked up from its packed
     key: the Cayley fill that SemigroupTable's build along the left tree
@@ -686,8 +695,8 @@ def key_fill(p, rows):
     of a*b packs those n codes base q, first row most significant, and
     is looked up in the dense key index."""
     q, n = p ** rows.shape[1], rows.shape[1]
-    index = gf_linalg.key_index(q, rows)
-    act = gf_linalg.action_table(p, rows).astype(index.dtype)
+    index = gf_linalg.key_index(q, n, gf_linalg.codes(q, rows))
+    act = product_action(p, rows).astype(np.min_scalar_type(q - 1))
     mul = np.empty((len(rows), len(rows)), dtype=semigroup_core.table_dtype(len(rows)))
     for lo in range(0, len(rows), ROW_BLOCK):
         block = rows[lo : lo + ROW_BLOCK]
@@ -702,9 +711,11 @@ def scan_generators(table):
     """The greedy generating set as the table check picked it before the
     table was built from its action: the units (the rows holding the
     identity, found by reading every cell) by descending order, then
-    the non-units in index order, each taken when the right closure so
-    far misses it, then every generator the others still generate
-    dropped.  The oracle of the set A the build picks from a few rows."""
+    the non-units by descending image size under the table's action
+    (regular_action of its table when it carries none), ties in index
+    order, each taken when the right closure so far misses it, then
+    every generator the others still generate dropped.  The oracle of
+    the set A the build picks from a few rows."""
     mul, e = full_table(table), table.identity_idx
     units = np.flatnonzero((mul == e).any(axis=1)) if e is not None else np.array([], dtype=np.intp)
     order = np.zeros(len(units), dtype=np.intp)
@@ -714,8 +725,11 @@ def scan_generators(table):
         if order.all():
             break
         power = mul[power, units]
+    action = regular_action(mul) if table._action is None else np.asarray(table._action)
+    sizes = np.array([len(set(column)) for column in action.T.tolist()])
+    others = np.flatnonzero(~np.isin(np.arange(len(mul)), units))
     gens, covered = [], np.zeros(len(mul), dtype=bool)
-    for i in np.concatenate([units[np.argsort(-order, kind="stable")], np.flatnonzero(~np.isin(np.arange(len(mul)), units))]).tolist():
+    for i in np.concatenate([units[np.argsort(-order, kind="stable")], others[np.argsort(-sizes[others], kind="stable")]]).tolist():
         if not covered[i]:
             gens.append(i)
             covered = semigroup_core._closure(mul[gens], gens)
@@ -803,9 +817,16 @@ def regular_table(mul, identity_idx=None):
     (v*x)*y = v*(x*y) for every point v; at the identity, or the
     adjoined point, it reads x*y = mul[x, y].  So the build proves mul
     associative and builds mul itself, or refuses it."""
+    return SemigroupTable(regular_action(mul), rows_of(mul), identity_idx)
+
+
+def regular_action(mul):
+    """The right regular action regular_table builds mul from: column x
+    sends point v to v*x, the points being the elements, and one
+    adjoined point, which x sends to x, when mul has no two-sided
+    identity."""
     mul = np.asarray(mul)
-    act = mul if find_identity(mul) is not None else np.vstack([mul, np.arange(len(mul))])
-    return SemigroupTable(act, rows_of(mul), identity_idx)
+    return mul if find_identity(mul) is not None else np.vstack([mul, np.arange(len(mul))])
 
 
 def restricted_mul(table, idxs):

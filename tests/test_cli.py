@@ -582,9 +582,12 @@ def test_order_law_fails_when_one_element_moves_u(p, n, r, u_rows):
 
 
 def test_unit_decomposition_fails_on_a_unit_without_inverse(monkeypatch):
+    # g is the last of the 24 units, so its row lies past the first
+    # FILL_ROWS rows of the unit group's block.
     s = enumerate_semigroup(make_instance(2, 3, 2))
     units, ident = j_class(s, 1), s.table.identity_idx
-    g = next(i for i in units.tolist() if i != ident)
+    g = next(i for i in units.tolist()[::-1] if i != ident)
+    assert np.searchsorted(units, g) >= semigroup_core.FILL_ROWS
     g_inv = int(units[(unit_products(s, [g], units)[0] == ident).argmax()])
     # In the unit group's table, g*g^-1 now reads g, so the identity no
     # longer appears in g's row.
@@ -594,6 +597,22 @@ def test_unit_decomposition_fails_on_a_unit_without_inverse(monkeypatch):
     assert "a unit has no inverse in the table" in reason
     check = _verify_with(monkeypatch, s, bad)["unit_decomposition"]
     assert check.status == "fail" and check.reason.startswith("a unit has no inverse in the table")
+
+
+def test_unit_decomposition_peaks_below_the_unit_groups_whole_mask():
+    # The inverse test reads the unit group's block FILL_ROWS rows at a
+    # time: at (2,4,3), |G| = 1344, the check peaked at the 1.8 MB of the
+    # |G| x |G| mask of the block's identities.  The first call builds the
+    # subgroups and split grids, so the second one's peak is the check's own.
+    s = enumerate_semigroup(make_instance(2, 4, 3), 4096)
+    assert _check_unit_decomposition(s, CAPS)[0] == "pass"
+    tracemalloc.start()
+    try:
+        status = _check_unit_decomposition(s, CAPS)[0]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert status == "pass" and peak < len(s.unit_block) ** 2 / 8
 
 
 def test_verify_fails_the_checks_whose_constructors_build_a_wrong_factor(monkeypatch):
@@ -1017,9 +1036,9 @@ def test_each_command_builds_each_table_once(monkeypatch):
     built = []
     real = gl_restriction._cayley
 
-    def counting(p, mats):
-        built.append(len(mats))
-        return real(p, mats)
+    def counting(p, rows, *members):
+        built.append(len(rows))
+        return real(p, rows, *members)
 
     monkeypatch.setattr(gl_restriction, "_cayley", counting)
     report = cmd_verify(InstanceConfig(p=2, n=3, r=1), DEFAULT_ENUM_CAP, DEFAULT_RANK_CAP)

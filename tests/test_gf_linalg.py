@@ -52,6 +52,7 @@ from helpers import (
     naive_mat_mul,
     naive_span,
     naive_vec_mat,
+    product_action,
     rref_canonical,
     zero_space,
 )
@@ -599,23 +600,45 @@ def test_rref_batch_reduces_every_matrix_of_a_stack_as_the_tuple_rref(p, count, 
 @pytest.mark.parametrize("p", [2, 3, MAX_PRIME])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_action_table_matches_the_int64_product(p, n):
-    # action_table multiplies and packs in the narrowest types its values
-    # fit; on random matrices it gives what the int64 product gives, up
-    # to p = MAX_PRIME where the naive oracle above is too slow, in int64.
+    # The code-addition kernel gives what the int64 product gives, in the
+    # narrowest type that holds p^n - 1, each matrix's column contiguous;
+    # at p = MAX_PRIME from n = 3 each code spans two chunks of the table
+    # of sums.
     mats = np.random.default_rng(100 * p + n).integers(p**n, size=(64, n))
-    vectors = code_vectors(p, n)
     table = action_table(p, mats)
-    assert table.dtype == np.int64
-    assert table.tolist() == codes(p, vectors @ vectors[mats] % p).T.tolist()
+    assert table.dtype == np.min_scalar_type(p**n - 1) and table.flags.f_contiguous
+    assert np.array_equal(table, product_action(p, mats))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3, 5, MAX_PRIME]), st.integers(1, 5), st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_action_table_matches_the_int64_product_on_drawn_matrices(p, n, count, seed):
+    # p = 5 from n = 4 and p = 13 from n = 3 cut each code into chunks.
+    assume(p**n <= MAX_PRIME**4)
+    mats = np.random.default_rng(seed).integers(p**n, size=(count, n))
+    assert np.array_equal(action_table(p, mats), product_action(p, mats))
+
+
+@pytest.mark.parametrize("cells", [2**2, 2**4, 3**4])
+def test_action_table_in_chunks_matches_the_int64_product(monkeypatch, cells):
+    # Tables of sums too narrow for one code: chunks of one, two or three
+    # binary digits and of one or two ternary ones, a shorter last chunk
+    # among them.
+    monkeypatch.setattr(gf_linalg, "BATCH_CELLS", cells)
+    rng = np.random.default_rng(cells)
+    for p, n in [(p, n) for p, n in ((2, 1), (2, 4), (2, 5), (3, 3), (3, 4)) if p * p <= cells]:
+        mats = rng.integers(p**n, size=(6, n))
+        mats[0] = p**n - 1  # every row all p - 1s
+        assert np.array_equal(action_table(p, mats), product_action(p, mats)), (p, n)
 
 
 def test_the_narrow_types_hold_the_widest_values_at_max_prime():
     # Entries of p - 1 reach each kernel's widest unreduced value at
     # p = MAX_PRIME: (p-1)^2 when a pivot row is scaled, -(p-1)^2 when a
-    # column is cleared, and n (p-1)^2 in a vector times a matrix (144,
-    # -144 and 576 at 13).  A type that cannot hold them wraps, and the
-    # results below differ; so raising MAX_PRIME past what the chosen
-    # types hold fails here.
+    # column is cleared (144 and -144 at 13), and the largest code, every
+    # digit p - 1, in a vector times a matrix.  A type that cannot hold
+    # them wraps, and the results below differ; so raising MAX_PRIME past
+    # what the chosen types hold fails here.
     p, top = MAX_PRIME, MAX_PRIME - 1
     assert rref_batch(p, [[[1, top], [top, 0]]]).tolist() == [[[1, 0], [0, 1]]]
     full = codes(p, [top] * 4)  # the 4 x 4 matrix of p - 1s, as row codes

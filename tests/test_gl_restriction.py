@@ -18,6 +18,7 @@ from glsemi.errors import (
 )
 from glsemi.gf_linalg import (
     Subspace,
+    codes,
     enumerate_complements,
     identity_mat,
     image,
@@ -76,6 +77,7 @@ from helpers import (
     nonnormality_by_tuples,
     nonnormality_in_table,
     one,
+    product_action,
     regular_table,
     restricted_mul,
     rref_canonical,
@@ -198,9 +200,9 @@ def _instance(spec):
 def test_enumeration_refuses_a_repeated_member(monkeypatch):
     real = gl_restriction._members
 
-    def repeated(inst):  # row 0 twice and the last row gone: the count still holds
-        rows = real(inst)
-        return np.concatenate([rows[:1], rows[:-1]])
+    def repeated(inst):  # member 0 twice and the last one gone: the count still holds
+        rows, keys, act = real(inst)
+        return np.concatenate([rows[:1], rows[:-1]]), np.concatenate([keys[:1], keys[:-1]]), np.hstack([act[:, :1], act[:, :-1]])
 
     monkeypatch.setattr(gl_restriction, "_members", repeated)
     with pytest.raises(InternalInconsistencyError, match="strictly increasing"):
@@ -325,6 +327,17 @@ def test_enumeration_builds_the_key_index_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_members_pack_their_keys_and_their_action_once(monkeypatch):
+    # One action table of the images holds every member's action and rows;
+    # the member keys are packed once, then sorted with them.
+    calls = {"codes": [], "action_table": []}
+    for name, real in (("codes", gl_restriction.codes), ("action_table", gl_restriction.action_table)):
+        monkeypatch.setattr(gl_restriction, name, lambda p, rows, real=real, name=name: calls[name].append(np.shape(rows)) or real(p, rows))
+    rows, _, _ = gl_restriction._members(make_instance(2, 4, 3))
+    assert [shape for shape in calls["codes"] if shape[0] == len(rows)] == [(2688, 4)]
+    assert calls["action_table"] == [(1, 4), (2688, 4)]  # dom, then the images
+
+
 SHIPPED = sorted(path.stem for path in CONFIGS.glob("*.cfg"))
 EXTRA = [(2, 4, 1), (2, 4, 3), (2, 3, 0), (3, 2, 0), (5, 2, 1), (2, 1, 0)]
 
@@ -332,9 +345,21 @@ EXTRA = [(2, 4, 1), (2, 4, 3), (2, 3, 0), (3, 2, 0), (5, 2, 1), (2, 1, 0)]
 @pytest.mark.parametrize("spec", SHIPPED + [pytest.param(pnr, id="p{}n{}r{}".format(*pnr)) for pnr in EXTRA])
 def test_members_match_one_elimination_per_member(spec):
     inst = _instance(spec)
-    rows, expected = gl_restriction._members(inst), members_by_solve(inst)
+    rows, expected = gl_restriction._members(inst)[0], members_by_solve(inst)
     assert rows.dtype == expected.dtype
     assert np.array_equal(rows, expected)
+
+
+@pytest.mark.parametrize("spec", SHIPPED + [pytest.param(pnr, id="p{}n{}r{}".format(*pnr)) for pnr in EXTRA])
+def test_enumeration_acts_as_the_int64_product_on_its_members(spec):
+    # act, read off one action table of the images with its rows permuted
+    # by dom^-1, is every vector times every member, as the int64 product
+    # of the member rows gives it; the keys pack those rows.
+    inst = _instance(spec)
+    rows, keys, _ = gl_restriction._members(inst)
+    s = enumerate_semigroup(inst, 4096)
+    assert np.array_equal(s.act, product_action(inst.p, rows))
+    assert np.array_equal(keys, codes(inst.p**inst.n, rows)) and np.array_equal(s.rows, rows)
 
 
 @settings(max_examples=40, deadline=None)
@@ -346,14 +371,15 @@ def test_members_match_one_elimination_per_member_on_drawn_subspaces(pn, data):
     if r == n:
         rows, r = rows[1:], rref_canonical(p, n, rows[1:]).dim
     inst = make_instance(p, n, r, rows)
-    assert np.array_equal(gl_restriction._members(inst), members_by_solve(inst))
+    assert np.array_equal(gl_restriction._members(inst)[0], members_by_solve(inst))
 
 
 def test_a_product_outside_the_member_list_is_refused():
     # Without the identity, A3 * A3 = identity has no row in the table:
     # its key names -1 in the key index, and the build refuses A3's row.
-    rows = np.delete(gl_restriction._members(INST221), S221.table.identity_idx, axis=0)
-    act, _, product_row = gl_restriction._cayley(2, rows)
+    rows, keys, act = gl_restriction._members(INST221)
+    e = S221.table.identity_idx
+    act, _, product_row = gl_restriction._cayley(2, np.delete(rows, e, axis=0), np.delete(keys, e), np.delete(act, e, axis=1))
     with pytest.raises(PreconditionError, match="a product escaped the member list"):
         SemigroupTable(action=act, product_row=product_row)
 
@@ -362,7 +388,7 @@ def _same_as_the_key_fill(inst):
     # The Structure's mul, act and index are the key fill's, byte for byte,
     # and its A is the one the table-scan greedy picks from the filled table.
     s = enumerate_semigroup(inst, 4096)
-    mul, act, index = key_fill(inst.p, gl_restriction._members(inst))
+    mul, act, index = key_fill(inst.p, gl_restriction._members(inst)[0])
     for got, want in ((full_table(s.table), mul), (s.act, act), (s.index, index)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
     assert s.table._checked_generators() == scan_generators(GivenTable(mul, s.table.identity_idx))
@@ -391,26 +417,26 @@ def test_the_build_reads_product_rows_for_a_few_candidates_only(monkeypatch):
     asked = []
     real = gl_restriction._cayley
 
-    def cayley(p, rows):
-        act, index, product_row = real(p, rows)
+    def cayley(*members):
+        act, index, product_row = real(*members)
         return act, index, lambda a: asked.append(a) or product_row(a)
 
     monkeypatch.setattr(gl_restriction, "_cayley", cayley)
     s = enumerate_semigroup(make_instance(2, 4, 1), 4096)
     assert len(s.table) == 4096 and all(isinstance(a, int) for a in asked)
-    assert set(s.table._checked_generators()) <= set(asked) and len(asked) <= 8
+    assert set(s.table._checked_generators()) <= set(asked) and len(asked) <= 4
 
 
-def test_enumeration_solves_one_batch_of_one(monkeypatch):
-    # Every member shares the domain of U's basis and its complement, so
-    # enumeration inverts that domain once and solves no member on its own.
+def test_enumeration_solves_no_matrix(monkeypatch):
+    # Every member shares the domain of U's basis and its complement, and
+    # the inverse of that domain acts as the inverse of its permutation
+    # of the codes, so enumeration runs no elimination at all.
     shapes = []
     real = gf_linalg.solve_batch
     monkeypatch.setattr(gf_linalg, "solve_batch", lambda p, doms, imgs: shapes.append(np.shape(doms)) or real(p, doms, imgs))
-    for inst in (INST231, make_instance(2, 4, 2)):
-        shapes.clear()
-        enumerate_semigroup(inst, 4096)
-        assert shapes == [(1, inst.n, inst.n)]
+    for inst in (INST231, make_instance(2, 4, 2), make_instance(3, 3, 2, [(1, 2, 0), (0, 1, 1)])):
+        s = enumerate_semigroup(inst, 4096)
+        assert shapes == [] and len(s.table) == predicted_order(inst)
 
 
 def test_dclass_witness():

@@ -357,6 +357,50 @@ def test_another_solve_batch_caller_is_flagged(source):
     assert len(set(found) - set(SOLVE_BATCH_CALLERS)) == 1
 
 
+#: The sites that multiply vectors by matrices as (... @ ...) % p: small
+#: products per subspace (its span, its translates, its coordinates),
+#: the images of U's basis under GL(U), and U times each domain inverse.
+#: Every vector times every matrix of a stack is action_table's.
+MATMUL_MOD_SITES = [
+    "cli._check_factorizations",
+    "gf_linalg.coordinate_table",
+    "gf_linalg.enumerate_complements",
+    "gf_linalg.span_mask",
+    "gl_restriction._members",
+]
+
+
+def _matmul_mod_sites(trees: dict[str, ast.Module]) -> list[str]:
+    """`module.function` of every (a @ b) % m in the package's modules
+    (name to tree), once per function, sorted."""
+    found = set()
+    for name, tree in trees.items():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod) and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.MatMult):
+                    found.add(f"{name}.{getattr(top, 'name', '<module>')}")
+    return sorted(found)
+
+
+def test_the_package_holds_one_action_table_formula():
+    # Every vector times every matrix of a stack is action_table's
+    # code-addition kernel; an int64 product of the vectors and the
+    # matrices, mod p, is left only at the small sites named.
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    assert _matmul_mod_sites(trees) == MATMUL_MOD_SITES
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "def action(p, rows):\n    vectors = code_vectors(p, rows.shape[-1])\n    return codes(p, vectors @ vectors[rows] % p).T\n",
+        "class Batch:\n    def images(self, p, a, b):\n        return (a @ b) % p\n",
+    ],
+)
+def test_a_second_action_table_formula_is_flagged(source):
+    assert _matmul_mod_sites({"gl_restriction": ast.parse(source)}) in (["gl_restriction.action"], ["gl_restriction.Batch"])
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
 def test_no_module_imports_a_third_party_package_but_numpy(path):
     # numpy is the one declared dependency; anything else would be a

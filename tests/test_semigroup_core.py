@@ -107,11 +107,12 @@ def test_table_construction_rejects_bad_input():
 
 def test_table_check_names_the_first_non_associative_triple():
     # No identity, so the points are 0, 1 and an adjoined one.  The build
-    # reads 0's row first, and it fails at y = 1: under the point 1,
-    # (1*0)*1 = 0*1 = 1 but 1*(0*1) = 1*1 = 0.  Light's test runs on the
-    # one generator 1 (1*1 = 0): (1*1)*1 = 0*1 = 1 but 1*(1*1) = 1*0 = 0.
+    # reads 1's row first, its image {0, 1} larger than 0's {0}, and it
+    # fails at y = 1: under the point 1, (1*1)*1 = 0*1 = 1 but 1*(1*1) =
+    # 1*0 = 0.  Light's test runs on the one generator 1 (1*1 = 0):
+    # (1*1)*1 = 0*1 = 1 but 1*(1*1) = 1*0 = 0.
     mul = [[0, 1], [0, 0]]
-    with pytest.raises(PreconditionError, match=re.escape("not the product table of its action at (0, 1)")):
+    with pytest.raises(PreconditionError, match=re.escape("not the product table of its action at (1, 1)")):
         regular_table(mul)
     with pytest.raises(PreconditionError, match=re.escape("not associative at (1, 1, 1)")):
         light_check(GivenTable(mul))
@@ -306,7 +307,7 @@ def test_products_match_the_filled_table(name):
     path = CONFIGS / f"{name}.cfg"
     inst = build_instance(load_config(str(path))) if path.exists() else make_instance(2, 4, 3)
     table = enumerate_semigroup(inst, 4096).table
-    mul = key_fill(inst.p, gl_restriction._members(inst))[0]
+    mul = key_fill(inst.p, gl_restriction._members(inst)[0])[0]
     _check_products(table, mul, np.random.default_rng(len(mul)))
     assert np.array_equal(full_table(table), mul)
     xs = np.random.default_rng(0).integers(0, len(mul), size=50)
@@ -733,9 +734,10 @@ def test_transformation_tables_pass_the_certificate_and_refuse_every_changed_cel
     assert np.array_equal(full_table(table), mul)
     e = find_identity(mul)
     # Units are found as the columns that permute the points, so the two
-    # forms pick one A when the identity, if any, is the identity map.
+    # forms pick one A when the identity, if any, is the identity map; the
+    # other candidates go by their image sizes under the same action.
     if table.identity_idx == e:
-        assert table._checked_generators() == light_check(GivenTable(mul, e))
+        assert table._checked_generators() == light_check(GivenTable(mul, e, act))
     assert set(table._checked_generators()) <= set(asked)
     rng = np.random.default_rng(seed)
     for _ in range(5 if n > 1 else 0):
@@ -941,8 +943,10 @@ def test_verify_ideal_reads_every_block_on_each_side(side):
     # ideal.  One product is then moved out of the subset, on one side,
     # at an element of the subset past its first block and an outsider
     # past the table's first block.  The table stays associative (every
-    # product of three elements is 0), and the outsider is the last of the
-    # generators its table check takes (every element but 0 and n - 1).
+    # product of three elements is 0), and the outsider is one of the
+    # generators its table check takes (every element but 0 and n - 1):
+    # the last on the right, the first on the left, where its image, the
+    # adjoined point's outer, 0 and n - 1, is the one largest.
     n = 3 * ROW_BLOCK + 5
     subset = range(2 * ROW_BLOCK + 10)
     inner, outer = 2 * ROW_BLOCK + 5, n - 2
@@ -953,7 +957,7 @@ def test_verify_ideal_reads_every_block_on_each_side(side):
     else:
         mul[outer, inner] = n - 1  # outer * inner leaves; row outer is no subset row
     table = regular_table(mul)
-    assert table._checked_generators()[-1] == outer
+    assert table._checked_generators()[0 if side == "left" else -1] == outer
     assert not verify_ideal(table, subset)
     assert not dense_verify_ideal(table, subset)
 
