@@ -18,7 +18,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -103,14 +103,7 @@ class CheckResult:
     seconds: float
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "claim": self.claim,
-            "status": self.status,
-            "counts": self.counts,
-            "reason": self.reason,
-            "seconds": round(self.seconds, 4),
-        }
+        return {**asdict(self), "seconds": round(self.seconds, 4)}
 
 
 @dataclass
@@ -547,19 +540,14 @@ def _require_positive_caps(enum_cap: int, rank_cap: int) -> None:
             raise ConfigurationError(f"{name} must be positive, got {value}")
 
 
+def _header(inst: Instance) -> dict:
+    return {"p": inst.p, "n": inst.n, "r": inst.r, "u_basis": [list(row) for row in inst.u.basis]}
+
+
 def cmd_verify(cfg: InstanceConfig, enum_cap: int, rank_cap: int) -> VerifyReport:
     _require_positive_caps(enum_cap, rank_cap)
     inst = build_instance(cfg)
-    report = VerifyReport(
-        instance={
-            "p": inst.p,
-            "n": inst.n,
-            "r": inst.r,
-            "u_basis": [list(row) for row in inst.u.basis],
-            "enum_cap": enum_cap,
-            "rank_cap": rank_cap,
-        }
-    )
+    report = VerifyReport(instance={**_header(inst), "enum_cap": enum_cap, "rank_cap": rank_cap})
     s = build_error = None
     for name, claim, fn in _CHECKS:
         if fn not in _INSTANCE_CHECKS and s is None and build_error is None:
@@ -601,12 +589,7 @@ def eggbox_dot(table: SemigroupTable, codims, minimal_idxs=()) -> str:
     marks[1, np.asarray(minimal_idxs, dtype=np.intp)] = True
     d_codim = np.zeros(green.d.max() + 1, dtype=np.intp)
     np.maximum.at(d_codim, green.d, codims)
-    lines = [
-        "digraph eggbox {",
-        "  compound=true;",
-        "  rankdir=TB;",
-        '  node [shape=box fontname="Courier"];',
-    ]
+    lines = ["digraph eggbox {", "  compound=true;", "  rankdir=TB;", '  node [shape=box fontname="Courier"];']
     anchors = []
     # D labels follow least elements, so this is by codim, then least element.
     for di, d in enumerate(np.lexsort((np.arange(len(d_codim)), -d_codim)).tolist()):
@@ -634,9 +617,7 @@ def eggbox_dot(table: SemigroupTable, codims, minimal_idxs=()) -> str:
         lines.append("  }")
         anchors.append((di, anchor))
     for (d1, a1), (d2, a2) in zip(anchors, anchors[1:]):
-        lines.append(
-            f"  {a1} -> {a2} [ltail=cluster_{d1}, lhead=cluster_{d2}, style=dashed];"
-        )
+        lines.append(f"  {a1} -> {a2} [ltail=cluster_{d1}, lhead=cluster_{d2}, style=dashed];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -649,22 +630,8 @@ def cmd_eggbox(cfg: InstanceConfig, enum_cap: int) -> str:
 def cmd_report(cfg: InstanceConfig, enum_cap: int, rank_cap: int) -> dict:
     _require_positive_caps(enum_cap, rank_cap)
     inst = build_instance(cfg)
-    payload: dict = {
-        "instance": {
-            "p": inst.p,
-            "n": inst.n,
-            "r": inst.r,
-            "u_basis": [list(row) for row in inst.u.basis],
-        },
-        "order": None,
-        "j_classes": None,
-        "ideals": None,
-        "minimal_idempotents": None,
-        "unit_group": None,
-        "rank": None,
-        "j_class_count": None,
-        "skipped": [],
-    }
+    fields = ("order", "j_classes", "ideals", "minimal_idempotents", "unit_group", "rank", "j_class_count")
+    payload: dict = {"instance": _header(inst), **dict.fromkeys(fields), "skipped": []}
     order = predicted_order(inst)
     if order > enum_cap:
         payload["skipped"].append(f"enumeration (predicted order {order} > cap {enum_cap})")
@@ -734,9 +701,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.instance)
-        enum_cap, rank_cap = resolve_caps(
-            cfg, getattr(args, "cap", None), getattr(args, "rank_cap", None)
-        )
+        enum_cap, rank_cap = resolve_caps(cfg, args.cap, getattr(args, "rank_cap", None))
         if args.command == "verify":
             report = cmd_verify(cfg, enum_cap, rank_cap)
             header = report.instance

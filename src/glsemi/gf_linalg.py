@@ -8,15 +8,12 @@ same left-to-right order: M_{AB} = M_A * M_B.  A subspace of an
 enumerated space is a mask over all p^n codes (span_mask).
 
 There is one Gauss-Jordan elimination, rref_batch, run on a stack of
-matrices at once.  Rank tests over many subspaces (complements_among),
-translate bases (enumerate_complements), an inverse and a map given by
-its values on a basis (solve_batch, solve_codes on row codes) go
-through it; none costs more than polynomially in n.  A single
-subspace's canonical basis (subspace, and so is_complement) is read
-off its span mask by rref_codes, with no elimination.
-
-There is one action-table kernel, action_table: every vector times
-every matrix of a stack, filled by code addition, with no product.
+matrices at once.  A subspace's canonical basis (subspace), a rank test
+(is_complement, complements_among), an inverse and a map given by its
+values on a basis (solve_batch, solve_codes on row codes) all go
+through it; none costs more than polynomially in n.  Where a subspace
+is a mask already, rref_codes reads the same basis off the mask.  There
+is one action-table kernel, action_table, filled by code addition.
 
 The canonical basis is the reduced-row-echelon basis.  RREF is unique
 per subspace, so structural equality of the basis equals equality of
@@ -116,9 +113,9 @@ class Subspace:
 
 def subspace(p: int, n: int, rows) -> Subspace:
     """Canonical subspace spanned by the given rows (empty input -> zero
-    space): their span mask, grown row by row, and the RREF basis read
-    off it (rref_codes).  Entries pass through operator.index, so numpy
-    integers span what plain ints do; any other entry is refused."""
+    space): the nonzero rows of their rref_batch.  Entries pass through
+    operator.index, so numpy integers span what plain ints do; any other
+    entry is refused."""
     try:
         rows = [[operator.index(x) % p for x in row] for row in rows]
     except TypeError:
@@ -126,11 +123,8 @@ def subspace(p: int, n: int, rows) -> Subspace:
     for row in rows:
         if len(row) != n:
             raise ConfigurationError(f"row length {len(row)} does not match ambient dimension {n}")
-    vectors, span = code_vectors(p, n), np.arange(p**n) == 0
-    for code in codes(p, rows).tolist():
-        if not span[code]:
-            _grow(p, vectors, span, code)
-    return Subspace(p, n, tuple(map(tuple, vectors[rref_codes(p, n, span)].tolist())))
+    reduced = rref_batch(p, np.array(rows, dtype=np.int64).reshape(1, len(rows), n))[0]
+    return Subspace(p, n, tuple(map(tuple, reduced[reduced.any(axis=1)].tolist())))
 
 
 def image(p: int, m: Mat) -> Subspace:
@@ -240,18 +234,16 @@ def action_table(p: int, rows) -> np.ndarray:
     No product is taken: v*M sums v's digits times M's rows, so the
     vectors whose digit k is d are those with d - 1 there, plus M's row
     n-1-k, each sum read off a table of code sums.  That table adds
-    codes of w digits, w = n while its p^2w cells fit in BATCH_CELLS;
-    past that each code is cut into chunks of w digits, summed chunk by
-    chunk in planes (no carry crosses a digit) and packed at the end.
+    codes of w digits, the most whose p^2w cells fit in BATCH_CELLS (all
+    n digits while p^n <= 512), so each code is summed in chunks of w
+    digits, one plane a chunk (no carry crosses a digit), then packed.
     """
-    rows = np.asarray(rows)
+    rows = np.asarray(rows, dtype=np.int64)
     count, n = rows.shape
     width = next(w for w in range(n, 0, -1) if p ** (2 * w) <= BATCH_CELLS)
     chunk, q, sums = p**width, p**n, _code_sums(p, width)
-    if width == n:  # parts[c, j, i]: chunk c of row i of matrix j, times p^width
-        parts = (rows.astype(np.intp) * chunk)[None]
-    else:
-        parts = rows.astype(np.int64) // chunk ** np.arange(-(-n // width))[:, None, None] % chunk * chunk
+    # parts[c, j, i]: chunk c (least significant first) of row i of matrix j, times p^width
+    parts = rows // chunk ** np.arange(-(-n // width))[:, None, None] % chunk * chunk
     planes = np.empty((len(parts), q, count), dtype=sums.dtype)  # planes[c, v, j]: chunk c of v * matrix j
     planes[:, 0] = 0
     for k in range(n):
@@ -311,13 +303,8 @@ def extend_codes(p: int, n: int, span: np.ndarray, within: np.ndarray | None = N
         if not outside.size:
             return out
         out.append(int(outside[0]))
-        _grow(p, vectors, span, outside[0])
-
-
-def _grow(p: int, vectors: np.ndarray, span: np.ndarray, code) -> None:
-    # The span mask, grown in place by the vector coded code: every member
-    # plus every nonzero multiple of it (vectors: code_vectors).
-    span[codes(p, (vectors[span][:, None] + np.arange(1, p)[:, None] * vectors[code]) % p)] = True
+        multiples = np.arange(1, p)[:, None] * vectors[outside[0]]
+        span[codes(p, (vectors[span][:, None] + multiples) % p)] = True
 
 
 def rref_codes(p: int, n: int, mask: np.ndarray) -> list[int]:

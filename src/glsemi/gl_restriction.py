@@ -114,14 +114,13 @@ def predicted_order(inst: Instance) -> int:
 
 
 def _members(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, keys, act) of every member, in matrix order: rows[a] its
-    row codes, keys[a] those packed base p^n (gf_linalg.key_index), and
-    act[v, a] the code of v*a.  The images of U's basis range over
-    GL(U), those of a fixed complement basis freely over V.  Every
-    member M = dom^-1 * imgs shares that domain dom, so v*M is
-    (v*dom^-1)*imgs: one action table of the images, its rows permuted
-    by dom^-1, the inverse of the permutation w -> w*dom.  Row i of M
-    is e_i * M, read off it at the unit vectors."""
+    """(rows, keys, act) of every member, in matrix order: its row codes,
+    those packed base p^n (gf_linalg.key_index), and act[v, a], the code
+    of v*a.  The images of U's basis range over GL(U), those of a fixed
+    complement basis freely over V, and every member M = dom^-1 * imgs
+    shares that domain, so v*M = (v*dom^-1)*imgs: the images' action
+    table, its rows permuted by the inverse of w -> w*dom.  Row i of M
+    is e_i * M."""
     p, n, r = inst.p, inst.n, inst.r
     q, u, vectors = p**n, codes(p, inst.u.basis), code_vectors(p, n)
     dom = np.concatenate([u, codes(p, anchors(inst.u))])
@@ -816,10 +815,5 @@ def j_class_count_report(s: Structure) -> dict:
     n-r+1; the report flags any disagreement with the bare quotient
     dimension instead of asserting either value.
     """
-    observed = int(s.table.green().j.max()) + 1
-    quotient_dim = s.inst.n - s.inst.r
-    return {
-        "observed": observed,
-        "quotient_dim": quotient_dim,
-        "flagged": observed != quotient_dim,
-    }
+    observed, quotient_dim = int(s.table.green().j.max()) + 1, s.inst.n - s.inst.r
+    return {"observed": observed, "quotient_dim": quotient_dim, "flagged": observed != quotient_dim}

@@ -250,19 +250,17 @@ def _by_order(units: np.ndarray, act: np.ndarray) -> np.ndarray:
 
 def _generators(n: int, candidates: np.ndarray, row) -> tuple[list[int], np.ndarray]:
     """(A, A's rows): a greedy generating set, the candidates in the
-    order given, each taken only when the closure so far misses it;
-    then every generator the others still generate goes.  _build lists
-    the units by descending order, then the others by descending image
-    size: an image cannot grow along a product, so no candidate is a
-    product with a later one of smaller image as a factor, and fewer
-    are taken only to go.  row(x) gives x's products, read once per
-    candidate taken: the closures go left only, along y -> g*y, which
-    on an associative table reaches the subsemigroup the generators
-    generate.  A word holding the new generator i is w*i*c, w a word
-    over all the generators and c one over the old ones, either empty,
-    so each closure grows the last from i and from i's row at what that
-    covered.  The others generate g only if g is some other generator h
-    times something: in h's row."""
+    order given (by _build: an image cannot grow along a product, so no
+    later candidate of smaller image is a factor of an earlier one),
+    each taken only when the closure so far misses it; then every
+    generator the others still generate goes.  row(x) gives x's
+    products, read once per candidate taken: the closures go left only,
+    along y -> g*y, which on an associative table reaches the
+    subsemigroup the generators generate.  A word holding the new
+    generator i is w*i*c, w a word over all the generators and c one
+    over the old ones, either empty, so each closure grows the last from
+    i and from i's row at what that covered.  The others generate g only
+    if g is some other generator h times something: in h's row."""
     stack = np.empty((1, n), dtype=table_dtype(n))  # A's rows, grown in place
     gens: list[int] = []
     covered = np.zeros(n, dtype=bool)

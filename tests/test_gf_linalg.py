@@ -619,19 +619,6 @@ def test_action_table_matches_the_int64_product_on_drawn_matrices(p, n, count, s
     assert np.array_equal(action_table(p, mats), product_action(p, mats))
 
 
-@pytest.mark.parametrize("cells", [2**2, 2**4, 3**4])
-def test_action_table_in_chunks_matches_the_int64_product(monkeypatch, cells):
-    # Tables of sums too narrow for one code: chunks of one, two or three
-    # binary digits and of one or two ternary ones, a shorter last chunk
-    # among them.
-    monkeypatch.setattr(gf_linalg, "BATCH_CELLS", cells)
-    rng = np.random.default_rng(cells)
-    for p, n in [(p, n) for p, n in ((2, 1), (2, 4), (2, 5), (3, 3), (3, 4)) if p * p <= cells]:
-        mats = rng.integers(p**n, size=(6, n))
-        mats[0] = p**n - 1  # every row all p - 1s
-        assert np.array_equal(action_table(p, mats), product_action(p, mats)), (p, n)
-
-
 def test_the_narrow_types_hold_the_widest_values_at_max_prime():
     # Entries of p - 1 reach each kernel's widest unreduced value at
     # p = MAX_PRIME: (p-1)^2 when a pivot row is scaled, -(p-1)^2 when a

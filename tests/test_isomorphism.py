@@ -158,3 +158,17 @@ def test_element_bijection_checks_its_inputs():
     wrong = IsoWitness(S231.inst, S231_SHIFTED.inst, swap, swap)
     with pytest.raises(InternalInconsistencyError, match="carried an element out of the target"):
         element_bijection(wrong, S231, S231_SHIFTED)
+
+
+def test_instances_and_their_isomorphism_stay_polynomial_in_n():
+    # Building an instance and deciding an isomorphism read (n, r) and
+    # bases only, so at n = 40 no array over the 2^40 codes is made.
+    tracemalloc.start()
+    try:
+        i1, i2 = make_instance(2, 40, 1), make_instance(2, 40, 1, [[0] * 39 + [1]])
+        witness = decide_isomorphic(i1, i2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert witness is not None and witness.target.u.basis == ((0,) * 39 + (1,),)
+    assert peak < 2**20
