@@ -549,21 +549,20 @@ def cmd_verify(cfg: InstanceConfig, enum_cap: int, rank_cap: int) -> VerifyRepor
     inst = build_instance(cfg)
     report = VerifyReport(instance={**_header(inst), "enum_cap": enum_cap, "rank_cap": rank_cap})
     s = build_error = None
+    start = time.perf_counter()
+    try:
+        s = enumerate_semigroup(inst, enum_cap)
+    except GlsemiError as exc:
+        build_error = exc  # each table check reports it
+    report.stages["enumerate_s"] = round(time.perf_counter() - start, 4)
+    if s is not None:
+        start = time.perf_counter()
+        try:
+            s.codims, s.image_classes, s.kernel_classes
+        except GlsemiError as exc:
+            build_error = exc
+        report.stages["profiles_s"] = round(time.perf_counter() - start, 4)
     for name, claim, fn in _CHECKS:
-        if fn not in _INSTANCE_CHECKS and s is None and build_error is None:
-            start = time.perf_counter()
-            try:
-                s = enumerate_semigroup(inst, enum_cap)
-            except GlsemiError as exc:
-                build_error = exc  # each table check reports it
-            report.stages["enumerate_s"] = round(time.perf_counter() - start, 4)
-            if s is not None:
-                start = time.perf_counter()
-                try:
-                    s.codims, s.image_classes, s.kernel_classes
-                except GlsemiError as exc:
-                    build_error = exc
-                report.stages["profiles_s"] = round(time.perf_counter() - start, 4)
         start = time.perf_counter()
         try:
             if fn in _INSTANCE_CHECKS:

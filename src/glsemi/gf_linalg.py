@@ -8,12 +8,14 @@ same left-to-right order: M_{AB} = M_A * M_B.  A subspace of an
 enumerated space is a mask over all p^n codes (span_mask).
 
 There is one Gauss-Jordan elimination, rref_batch, run on a stack of
-matrices at once.  A subspace's canonical basis (subspace), a rank test
-(is_complement, complements_among), an inverse and a map given by its
-values on a basis (solve_batch, solve_codes on row codes) all go
+matrices at once.  A subspace's canonical basis (subspace), the
+complement test (complements_among), and a map given by its values on
+a basis (solve_batch, and solve_codes for inverses in row codes) all go
 through it; none costs more than polynomially in n.  Where a subspace
 is a mask already, rref_codes reads the same basis off the mask.  There
-is one action-table kernel, action_table, filled by code addition.
+is one action-table kernel, action_table, filled by code addition over
+whole codes; it serves every space small enough to enumerate and
+refuses larger ones.
 
 The canonical basis is the reduced-row-echelon basis.  RREF is unique
 per subspace, so structural equality of the basis equals equality of
@@ -22,8 +24,8 @@ tie-breaking is by least code, that is lexicographic, which makes every
 construction in the package reproducible byte for byte.
 
 Tuples of ints appear only at the edges: Subspace.basis, instance
-files, JSON output and the isomorphism witness.  subspace, image,
-mat_inverse, mat_mul and vec_mat take or give tuples for those edges.
+files, JSON output and the isomorphism witness.  subspace, mat_mul and
+vec_mat take or give tuples for those edges.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    CapacityError,
     ConfigurationError,
     InternalInconsistencyError,
     PreconditionError,
@@ -127,27 +130,6 @@ def subspace(p: int, n: int, rows) -> Subspace:
     return Subspace(p, n, tuple(map(tuple, reduced[reduced.any(axis=1)].tolist())))
 
 
-def image(p: int, m: Mat) -> Subspace:
-    """Row space of m, i.e. the range of the encoded map.  The ambient
-    dimension is m's row length, so an empty m is refused."""
-    if len(m) == 0:
-        raise ConfigurationError("an empty matrix has no ambient dimension")
-    return subspace(p, len(m[0]), m)
-
-
-def mat_inverse(p: int, m: Mat) -> Mat:
-    """Inverse of a square matrix, one solve_batch pass; raises
-    PreconditionError if singular."""
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ConfigurationError("only a square matrix has an inverse")
-    try:
-        inverse = solve_batch(p, np.array(m, dtype=np.int64).reshape(1, n, n), np.eye(n, dtype=np.int64)[None])[0]
-    except PreconditionError:
-        raise PreconditionError("matrix is singular") from None
-    return tuple(map(tuple, inverse.tolist()))
-
-
 def rref_batch(p: int, rows) -> np.ndarray:
     """Reduced row echelon form of each matrix in a (B, k, m) stack, its
     nonzero rows first, as int64.
@@ -233,39 +215,35 @@ def action_table(p: int, rows) -> np.ndarray:
 
     No product is taken: v*M sums v's digits times M's rows, so the
     vectors whose digit k is d are those with d - 1 there, plus M's row
-    n-1-k, each sum read off a table of code sums.  That table adds
-    codes of w digits, the most whose p^2w cells fit in BATCH_CELLS (all
-    n digits while p^n <= 512), so each code is summed in chunks of w
-    digits, one plane a chunk (no carry crosses a digit), then packed.
+    n-1-k, each sum read off the table of code sums.  That table has
+    p^2n cells; past BATCH_CELLS, that is p^n > 512, which no instance
+    small enough to enumerate reaches, CapacityError is raised before
+    anything is allocated.
     """
     rows = np.asarray(rows, dtype=np.int64)
     count, n = rows.shape
-    width = next(w for w in range(n, 0, -1) if p ** (2 * w) <= BATCH_CELLS)
-    chunk, q, sums = p**width, p**n, _code_sums(p, width)
-    # parts[c, j, i]: chunk c (least significant first) of row i of matrix j, times p^width
-    parts = rows // chunk ** np.arange(-(-n // width))[:, None, None] % chunk * chunk
-    planes = np.empty((len(parts), q, count), dtype=sums.dtype)  # planes[c, v, j]: chunk c of v * matrix j
-    planes[:, 0] = 0
+    q = p**n
+    if q * q > BATCH_CELLS:
+        raise CapacityError(f"an action table on GF({p})^{n} needs {q * q} code sums, more than {BATCH_CELLS}")
+    sums = _code_sums(p, n)
+    out = np.empty((q, count), dtype=sums.dtype)
+    out[0] = 0
     for k in range(n):
-        size, row = p**k, parts[:, None, :, n - 1 - k]
+        size, row = p**k, rows[:, n - 1 - k] * q
         for d in range(1, p):
-            sums.take(planes[:, (d - 1) * size : d * size] + row, out=planes[:, d * size : (d + 1) * size])
-    out = planes[-1].astype(np.min_scalar_type(q - 1), copy=False)
-    for plane in planes[-2::-1]:
-        out *= chunk
-        out += plane
+            sums.take(out[(d - 1) * size : d * size] + row, out=out[d * size : (d + 1) * size])
     return np.ascontiguousarray(out.T).T
 
 
 @functools.cache
-def _code_sums(p: int, width: int) -> np.ndarray:
-    # Entry a * p^width + b: the code of the sum of the vectors coded a
-    # and b, of width digits, built digit by digit.  A constant of the
-    # field, read-only and kept: one per (p, width), a few dozen at most.
+def _code_sums(p: int, n: int) -> np.ndarray:
+    # Entry a * p^n + b: the code of the sum of the vectors coded a and
+    # b, built digit by digit.  A constant of the field, read-only and
+    # kept: one per (p, n), two dozen at most.
     digit = sums = (np.arange(p)[:, None] + np.arange(p)) % p
-    for _ in range(width - 1):
+    for _ in range(n - 1):
         sums = (digit[:, None, :, None] * len(sums) + sums[:, None, :]).reshape(p * len(sums), -1)
-    sums = sums.astype(np.min_scalar_type(p**width - 1)).ravel()
+    sums = sums.astype(np.min_scalar_type(p**n - 1)).ravel()
     sums.flags.writeable = False
     return sums
 
@@ -322,22 +300,19 @@ def rref_codes(p: int, n: int, mask: np.ndarray) -> list[int]:
     return out
 
 
-def solve_codes(p: int, doms: np.ndarray, imgs=None) -> np.ndarray:
-    """Row codes of doms[i]^-1 * imgs[i] (the inverse when imgs is None),
-    every matrix given by its row codes: solve_batch passes over parts
-    of BATCH_CELLS entries, a domain counting 16 n^2 (its augmented
-    matrix's 2 n^2 entries enter and leave rref_batch as 8-byte int64),
-    so the temporaries stay a few hundred KB however many domains there
-    are.  A singular domain in any part raises PreconditionError."""
+def solve_codes(p: int, doms: np.ndarray) -> np.ndarray:
+    """Row codes of each domain's inverse, every matrix given by its row
+    codes: solve_batch passes over parts of BATCH_CELLS entries, a
+    domain counting 16 n^2 (its augmented matrix's 2 n^2 entries enter
+    and leave rref_batch as 8-byte int64), so the temporaries stay a few
+    hundred KB however many domains there are.  A singular domain in any
+    part raises PreconditionError."""
     n = doms.shape[-1]
-    if imgs is None:
-        imgs = np.broadcast_to(p ** np.arange(n - 1, -1, -1), doms.shape)
-    if np.shape(imgs) != doms.shape:
-        raise ConfigurationError("expected domains and images of the same shape")
-    vectors = code_vectors(p, n)
+    vectors, eye = code_vectors(p, n), np.eye(n, dtype=np.int64)
     out = np.empty(doms.shape, dtype=np.min_scalar_type(p**n - 1))
     for part in _parts(len(doms), 16 * n * n):
-        out[part] = codes(p, solve_batch(p, vectors[doms[part]], vectors[imgs[part]]))
+        held = vectors[doms[part]]
+        out[part] = codes(p, solve_batch(p, held, np.broadcast_to(eye, held.shape)))
     return out
 
 
@@ -361,7 +336,7 @@ def anchors(u: Subspace) -> np.ndarray:
 #: Most matrix entries one rref_batch pass over many subspaces or
 #: domains takes.  It eliminates in int8 or int16 (see rref_batch), so
 #: that bounds its temporaries to a few MB however many there are.  It
-#: bounds action_table's table of code sums too.
+#: bounds action_table's table of code sums too, so p^n <= 512.
 BATCH_CELLS = 2**18
 
 
@@ -395,17 +370,11 @@ def enumerate_complements(u: Subspace) -> list[Subspace]:
     return out
 
 
-def is_complement(w: Subspace, u: Subspace) -> bool:
-    """True iff w and u intersect trivially and together span the full space."""
-    if (w.p, w.n) != (u.p, u.n):
-        raise ConfigurationError("subspaces live in different ambient spaces")
-    return w.dim + u.dim == w.n and image(w.p, w.basis + u.basis).dim == w.n
-
-
 def complements_among(u: Subspace, ws) -> np.ndarray:
-    """flags[i] = is_complement(ws[i], u), for many ws at once: their
-    dimensions add up to n and their bases, stacked, reduce to the
-    identity.  rref_batch runs on parts of BATCH_CELLS entries."""
+    """flags[i]: ws[i] is a complement of u, meeting it in 0 and with it
+    spanning the whole space; for many ws at once, their dimensions add
+    up to n and their bases, stacked, reduce to the identity.  rref_batch
+    runs on parts of BATCH_CELLS entries."""
     p, n = u.p, u.n
     if any((w.p, w.n) != (p, n) for w in ws):
         raise ConfigurationError("subspaces live in different ambient spaces")

@@ -35,13 +35,13 @@ from .gf_linalg import (
     check_modulus,
     code_vectors,
     codes,
+    complements_among,
     coordinate_table,
     enumerate_complements,
     extend_codes,
     general_linear,
     gl_order,
     identity_mat,
-    is_complement,
     key_index,
     rref_codes,
     solve_codes,
@@ -698,7 +698,7 @@ def _subgroup_members(s: Structure, kind: str, w: Subspace | None) -> np.ndarray
     if kind != FIX_U:
         if w is None:
             raise PreconditionError(f"subgroup kind {kind!r} needs a complement W")
-        if not _once(s._subgroups, ("complement", w), lambda: is_complement(w, s.inst.u)):
+        if not _once(s._subgroups, ("complement", w), lambda: complements_among(s.inst.u, [w])[0]):
             raise PreconditionError("W is not a complement of U")
     units = s.grades[s.inst.n - s.inst.r]
     inside = _in_subgroup(s, kind, w, units)  # over the units' positions

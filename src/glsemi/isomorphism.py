@@ -18,7 +18,6 @@ from .gf_linalg import (
     action_table,
     anchors,
     codes,
-    mat_inverse,
     mat_mul,
     solve_batch,
     subspace,
@@ -43,8 +42,8 @@ def decide_isomorphic(i1: Instance, i2: Instance) -> IsoWitness | None:
     Instances over different primes are refused outright rather than
     answered.  The decision reads (n, r) and needs no enumeration; the
     element bijection on enumerated tables is element_bijection's job.
-    phi is one solve_batch pass, sending i1's basis (U's anchors, then
-    U's basis) onto i2's.
+    phi and its inverse are one solve_batch pass, sending i1's basis
+    (U's anchors, then U's basis) onto i2's and i2's back onto i1's.
     """
     if i1.p != i2.p:
         raise UnsupportedComparisonError("instances live over different prime fields")
@@ -52,10 +51,10 @@ def decide_isomorphic(i1: Instance, i2: Instance) -> IsoWitness | None:
         return None
     p, n = i1.p, i1.n
     bases = [np.concatenate([anchors(i.u), np.reshape(i.u.basis, (i.r, n))]) for i in (i1, i2)]
-    phi = tuple(map(tuple, solve_batch(p, bases[:1], bases[1:])[0].tolist()))
+    phi, phi_inv = (tuple(map(tuple, m)) for m in solve_batch(p, bases, bases[::-1]).tolist())
     if subspace(p, n, mat_mul(p, i1.u.basis, phi)) != i2.u:
         raise InternalInconsistencyError("ambient map failed to carry U onto its target")
-    return IsoWitness(source=i1, target=i2, phi=phi, phi_inv=mat_inverse(p, phi))
+    return IsoWitness(source=i1, target=i2, phi=phi, phi_inv=phi_inv)
 
 
 def element_bijection(witness: IsoWitness, s1: Structure, s2: Structure) -> np.ndarray:

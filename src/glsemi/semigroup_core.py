@@ -264,13 +264,13 @@ def _generators(n: int, candidates: np.ndarray, row) -> tuple[list[int], np.ndar
     stack = np.empty((1, n), dtype=table_dtype(n))  # A's rows, grown in place
     gens: list[int] = []
     covered = np.zeros(n, dtype=bool)
-    for i in candidates.tolist():
-        if not covered[i]:
-            if len(gens) == len(stack):
-                stack = np.concatenate([stack, np.empty_like(stack)])
-            stack[len(gens)] = row(i)
-            gens.append(i)
-            covered = _reach(np.append(i, stack[len(gens) - 1, covered]), left=stack[: len(gens)], seen=covered)
+    while not (met := covered[candidates]).all():
+        i = int(candidates[met.argmin()])  # the first candidate missed
+        if len(gens) == len(stack):
+            stack = np.concatenate([stack, np.empty_like(stack)])
+        stack[len(gens)] = row(i)
+        gens.append(i)
+        covered = _reach(np.append(i, stack[len(gens) - 1, covered]), left=stack[: len(gens)], seen=covered)
     a, stack = np.array(gens, dtype=np.intp), stack[: len(gens)]
     pos = np.full(n, -1, dtype=np.intp)
     pos[a] = np.arange(len(a))

@@ -19,7 +19,7 @@ from glsemi.gf_linalg import (
     enumerate_complements,
     extend_codes,
     identity_mat,
-    solve_codes,
+    solve_batch,
     span_mask,
 )
 from glsemi.gl_restriction import Structure
@@ -589,7 +589,7 @@ def members_by_solve(inst):
     """Every member's row codes, in matrix order, with one elimination per
     member: the images of U's basis range over brute_general_linear, those
     of a fixed complement basis freely over V, and each member is its own
-    solve_codes of the shared domain against its images."""
+    solve_batch of the shared domain against its images."""
     p, n, r = inst.p, inst.n, inst.r
     q, u = p**n, codes(p, inst.u.basis)
     dom = np.concatenate([u, extend_codes(p, n, span_mask(p, n, u))])
@@ -597,8 +597,9 @@ def members_by_solve(inst):
     u_imgs = codes(p, np.array(gl, dtype=np.int64).reshape(len(gl), r, r) @ code_vectors(p, n)[u] % p)
     free = code_vectors(q, n - r)
     imgs = np.concatenate([np.repeat(u_imgs, len(free), axis=0), np.tile(free, (len(gl), 1))], axis=1)
-    rows = solve_codes(p, np.broadcast_to(dom, imgs.shape), imgs)
-    return rows[np.argsort(codes(q, rows))]
+    vectors = code_vectors(p, n)
+    rows = codes(p, solve_batch(p, np.broadcast_to(vectors[dom], (len(imgs), n, n)), vectors[imgs]))
+    return rows.astype(np.min_scalar_type(q - 1))[np.argsort(codes(q, rows))]
 
 
 def brute_members(p, n, u_vectors):

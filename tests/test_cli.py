@@ -1084,7 +1084,7 @@ def test_verify_builds_each_special_subgroup_once(monkeypatch):
 
 
 def test_verify_checks_each_complement_and_builds_each_gl_once(monkeypatch):
-    calls = {"is_complement": [], "general_linear": []}
+    calls = {"complements_among": [], "general_linear": []}
     for name, seen in calls.items():
         real = getattr(gl_restriction, name)
         monkeypatch.setattr(gl_restriction, name, lambda *args, real=real, seen=seen: seen.append(args) or real(*args))
@@ -1093,8 +1093,8 @@ def test_verify_checks_each_complement_and_builds_each_gl_once(monkeypatch):
     # One validation per W, shared by the kinds fix_w, g_w and n_w; GL(1)
     # and GL(2) once each for the isomorphism checks, and GL(1) once per
     # enumeration (the instance and its isomorphism partner).
-    comps = enumerate_complements(make_instance(2, 3, 1).u)
-    assert sorted(map(str, calls["is_complement"])) == sorted(str((w, make_instance(2, 3, 1).u)) for w in comps)
+    u = make_instance(2, 3, 1).u
+    assert sorted(map(str, calls["complements_among"])) == sorted(str((u, [w])) for w in enumerate_complements(u))
     assert sorted(k for _, k in calls["general_linear"]) == [1, 1, 1, 2]
 
 

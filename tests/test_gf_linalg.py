@@ -1,6 +1,7 @@
 """Field-level linear algebra against exhaustive and hand-checked oracles."""
 
 import random
+import tracemalloc
 from itertools import permutations, product
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from glsemi import gf_linalg
-from glsemi.errors import ConfigurationError, InternalInconsistencyError, PreconditionError
+from glsemi.errors import CapacityError, ConfigurationError, InternalInconsistencyError, PreconditionError
 from glsemi.gf_linalg import (
     MAX_PRIME,
     Subspace,
@@ -23,9 +24,6 @@ from glsemi.gf_linalg import (
     general_linear,
     gl_order,
     identity_mat,
-    image,
-    is_complement,
-    mat_inverse,
     mat_mul,
     rref_batch,
     rref_codes,
@@ -35,6 +33,7 @@ from glsemi.gf_linalg import (
     subspace,
     vec_mat,
 )
+from glsemi.gl_restriction import make_instance, predicted_order
 
 from helpers import (
     _rref,
@@ -141,25 +140,18 @@ def test_rref_span_invariant_randomized_gf3():
 
 
 def test_image_and_kernel_hand_checked():
-    assert image(2, ((0, 0), (0, 0))) == zero_space(2, 2)
-    assert image(2, identity_mat(2)) == full_space(2, 2)
-    assert image(2, ((1, 0), (1, 0))).basis == ((1, 0),)
+    assert subspace(2, 2, ((0, 0), (0, 0))) == zero_space(2, 2)
+    assert subspace(2, 2, identity_mat(2)) == full_space(2, 2)
+    assert subspace(2, 2, ((1, 0), (1, 0))).basis == ((1, 0),)
     assert kernel(2, identity_mat(2)) == zero_space(2, 2)
     assert kernel(2, ((0, 0), (0, 0))) == full_space(2, 2)
     assert kernel(2, ((1, 0), (1, 0))).basis == ((1, 1),)
 
 
-def test_image_of_an_empty_matrix_is_refused():
-    # Answering the zero space of GF(p)^0 would compare unequal to the
-    # zero subspace of GF(p)^n.
-    with pytest.raises(ConfigurationError, match="no ambient dimension"):
-        image(2, ())
-
-
 def test_rank_nullity_exhaustive_gf2():
     for n in (2, 3):
         for m in all_matrices(2, n):
-            img = image(2, m)
+            img = subspace(2, n, m)
             ker = kernel(2, m)
             assert img.dim + ker.dim == n
             assert naive_kernel_vectors(2, m) == naive_span(2, n, ker.basis)
@@ -183,7 +175,7 @@ def _small_rows(draw, square=False):
 def test_image_and_kernel_span_exactly_their_vector_sets(case):
     p, n, m = case
     m = tuple(m)
-    img, ker = image(p, m), kernel(p, m)
+    img, ker = subspace(p, n, m), kernel(p, m)
     assert naive_span(p, n, img.basis) == naive_image_vectors(p, m)
     assert naive_span(p, n, ker.basis) == naive_kernel_vectors(p, m)
     assert len(naive_image_vectors(p, m)) == p**img.dim  # the bases are independent
@@ -253,7 +245,7 @@ def test_complement_count_and_validity(p, n, k):
     assert len(set(comps)) == len(comps)
     for w in comps:
         assert w.dim + u.dim == n
-        assert is_complement(w, u)
+    assert complements_among(u, comps).all()
 
 
 @pytest.mark.parametrize("p,n,k", [(2, 3, 1), (2, 3, 2), (3, 2, 1)])
@@ -370,6 +362,7 @@ def test_codes_of_an_empty_basis_is_an_empty_array(p, n):
 @given(_code_rows(), st.randoms(use_true_random=False))
 def test_action_table_is_every_vector_times_every_matrix(case, rng):
     p, n, _ = case
+    assume(p ** (2 * n) <= gf_linalg.BATCH_CELLS)  # past that it is refused
     mats = [tuple(tuple(rng.randrange(p) for _ in range(n)) for _ in range(n)) for _ in range(3)]
     vectors = list(product(range(p), repeat=n))
     assert code_vectors(p, n).tolist() == [list(v) for v in vectors]
@@ -383,19 +376,18 @@ def test_action_table_is_every_vector_times_every_matrix(case, rng):
 @given(_field_rows(square=True), st.randoms(use_true_random=False))
 def test_linear_map_sends_each_basis_row_to_its_image(case, rng):
     # A map given by its values on a basis: the tuple oracle, and
-    # solve_codes on the same rows as codes.
+    # solve_batch on the same rows.
     p, n, basis, _ = case
     images = [tuple(rng.randrange(p) for _ in range(n)) for _ in range(n)]
-    doms, imgs = codes(p, [basis]), codes(p, [images])
     if len(naive_span(p, n, basis)) == p**n:
         m = linear_map(p, basis, images)
         assert all(naive_vec_mat(p, b, m) == t for b, t in zip(basis, images))
-        assert solve_codes(p, doms, imgs).tolist() == [[_code(p, row) for row in m]]
+        assert solve_batch(p, [basis], [images]).tolist() == [list(map(list, m))]
     else:
         with pytest.raises(PreconditionError):
             linear_map(p, basis, images)
         with pytest.raises(PreconditionError):
-            solve_codes(p, doms, imgs)
+            solve_batch(p, [basis], [images])
 
 
 @st.composite
@@ -428,7 +420,7 @@ def test_solve_batch_matches_linear_map_and_mat_inverse(case):
     assert got.shape == (len(doms), n, n)
     for dom, img, out, inv in zip(doms, imgs, got.tolist(), inverses.tolist()):
         assert tuple(map(tuple, out)) == linear_map(p, dom, img)
-        assert tuple(map(tuple, inv)) == mat_inverse(p, dom)
+        assert tuple(map(tuple, inv)) == linear_map(p, dom, identity_mat(n))
         assert naive_mat_mul(p, dom, out) == tuple(map(tuple, img))
 
 
@@ -444,7 +436,7 @@ def test_solve_batch_refuses_a_batch_holding_a_singular_domain(case, data):
     singular[i] = [c * x % p for x in singular[j]] if i != j else [0] * n
     doms = doms[:k] + [singular] + doms[k + 1 :]
     with pytest.raises(PreconditionError):
-        mat_inverse(p, singular)
+        solve_batch(p, [singular], [identity_mat(n)])
     with pytest.raises(PreconditionError):
         solve_batch(p, doms, imgs)
 
@@ -462,13 +454,17 @@ def _matrices(p, k, rows):
 
 
 def test_mat_inverse_and_linear_map():
+    # Every invertible matrix's inverse is one pass of solve_batch over
+    # the whole group against the identity.
     for p, n in ((2, 2), (3, 2), (2, 3)):
-        for m in _matrices(p, n, general_linear(p, n)):
-            assert mat_mul(p, m, mat_inverse(p, m)) == identity_mat(n)
-    with pytest.raises(PreconditionError, match="matrix is singular"):
-        mat_inverse(2, ((1, 0), (1, 0)))
+        group = _matrices(p, n, general_linear(p, n))
+        inverses = solve_batch(p, group, [identity_mat(n)] * len(group)).tolist()
+        for m, inverse in zip(group, inverses):
+            assert mat_mul(p, m, tuple(map(tuple, inverse))) == identity_mat(n)
+    with pytest.raises(PreconditionError, match="domain rows do not form a basis"):
+        solve_batch(2, [((1, 0), (1, 0))], [identity_mat(2)])
     with pytest.raises(ConfigurationError):
-        mat_inverse(2, ((1, 0, 0), (0, 1, 0)))
+        solve_batch(2, [((1, 0, 0), (0, 1, 0))], [identity_mat(2)])
     basis = ((1, 1), (0, 1))
     images = ((0, 1), (1, 0))
     built = linear_map(2, basis, images)
@@ -514,26 +510,26 @@ def _oracle_rows(draw, square=False):
 @settings(max_examples=80, deadline=None)
 @given(_oracle_rows())
 def test_subspace_and_image_match_the_tuple_rref(case):
+    # A matrix's image is the subspace its rows span.
     p, n, rows = case
     expected = rref_canonical(p, n, rows)
     assert subspace(p, n, rows) == expected
     assert rref_codes(p, n, span_mask(p, n, codes(p, rows))) == [_code(p, v) for v in expected.basis]
-    if rows:
-        assert image(p, tuple(rows)) == expected
 
 
 @settings(max_examples=80, deadline=None)
 @given(_oracle_rows(square=True))
 def test_mat_inverse_matches_the_tuple_inverse(case):
+    # The inverse is solve_batch against the identity.
     p, n, m = case
     m = tuple(m)
     if is_invertible(p, m):
-        inverse = mat_inverse(p, m)
+        inverse = tuple(map(tuple, solve_batch(p, [m], [identity_mat(n)])[0].tolist()))
         assert inverse == linear_map(p, m, identity_mat(n))
         assert naive_mat_mul(p, m, inverse) == identity_mat(n)
     else:
-        with pytest.raises(PreconditionError, match="matrix is singular"):
-            mat_inverse(p, m)
+        with pytest.raises(PreconditionError, match="domain rows do not form a basis"):
+            solve_batch(p, [m], [identity_mat(n)])
 
 
 @settings(max_examples=80, deadline=None)
@@ -545,7 +541,7 @@ def test_is_complement_matches_the_tuple_rank_test(case, data):
     other = data.draw(st.lists(st.tuples(*[entry] * n), min_size=n - len(rows), max_size=n - len(rows)))
     w, u = rref_canonical(p, n, rows), rref_canonical(p, n, other)
     expected = w.dim + u.dim == n and len(rref_canonical(p, n, w.basis + u.basis).basis) == n
-    assert is_complement(w, u) == expected == is_complement(u, w)
+    assert complements_among(u, [w])[0] == expected == complements_among(w, [u])[0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -556,7 +552,7 @@ def test_enumerate_complements_matches_the_tuple_translates(case):
     assume(p ** (u.dim * (n - u.dim)) <= 256)
     got = enumerate_complements(u)
     assert got == complements_by_translates(u)
-    assert all(is_complement(w, u) for w in got)
+    assert complements_among(u, got).all()
 
 
 def test_enumerate_complements_refuses_a_repeated_complement(monkeypatch):
@@ -576,8 +572,8 @@ def test_enumerate_complements_refuses_a_repeated_complement(monkeypatch):
 
 @pytest.mark.parametrize("m", [((0, 0), (0, 0)), ((1, 2), (2, 4)), ((1, 1, 0), (0, 1, 1), (1, 2, 1))])
 def test_mat_inverse_refuses_a_singular_matrix(m):
-    with pytest.raises(PreconditionError, match="matrix is singular"):
-        mat_inverse(5, m)
+    with pytest.raises(PreconditionError, match="domain rows do not form a basis"):
+        solve_batch(5, [m], [identity_mat(len(m))])
 
 
 @settings(max_examples=80, deadline=None)
@@ -597,13 +593,10 @@ def test_rref_batch_reduces_every_matrix_of_a_stack_as_the_tuple_rref(p, count, 
         assert not any(map(any, reduced[len(basis) :]))
 
 
-@pytest.mark.parametrize("p", [2, 3, MAX_PRIME])
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n, p", [(n, p) for p in (2, 3, MAX_PRIME) for n in (1, 2, 3, 4) if p**n <= 512])
 def test_action_table_matches_the_int64_product(p, n):
     # The code-addition kernel gives what the int64 product gives, in the
-    # narrowest type that holds p^n - 1, each matrix's column contiguous;
-    # at p = MAX_PRIME from n = 3 each code spans two chunks of the table
-    # of sums.
+    # narrowest type that holds p^n - 1, each matrix's column contiguous.
     mats = np.random.default_rng(100 * p + n).integers(p**n, size=(64, n))
     table = action_table(p, mats)
     assert table.dtype == np.min_scalar_type(p**n - 1) and table.flags.f_contiguous
@@ -611,10 +604,9 @@ def test_action_table_matches_the_int64_product(p, n):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.sampled_from([2, 3, 5, MAX_PRIME]), st.integers(1, 5), st.integers(1, 8), st.integers(0, 2**32 - 1))
+@given(st.sampled_from([2, 3, 5, 7, MAX_PRIME]), st.integers(1, 9), st.integers(1, 8), st.integers(0, 2**32 - 1))
 def test_action_table_matches_the_int64_product_on_drawn_matrices(p, n, count, seed):
-    # p = 5 from n = 4 and p = 13 from n = 3 cut each code into chunks.
-    assume(p**n <= MAX_PRIME**4)
+    assume(p**n <= 512)
     mats = np.random.default_rng(seed).integers(p**n, size=(count, n))
     assert np.array_equal(action_table(p, mats), product_action(p, mats))
 
@@ -623,47 +615,70 @@ def test_the_narrow_types_hold_the_widest_values_at_max_prime():
     # Entries of p - 1 reach each kernel's widest unreduced value at
     # p = MAX_PRIME: (p-1)^2 when a pivot row is scaled, -(p-1)^2 when a
     # column is cleared (144 and -144 at 13), and the largest code, every
-    # digit p - 1, in a vector times a matrix.  A type that cannot hold
+    # digit p - 1, in a vector times a matrix, at n = 2, the widest space
+    # an action table serves at p = MAX_PRIME.  A type that cannot hold
     # them wraps, and the results below differ; so raising MAX_PRIME past
     # what the chosen types hold fails here.
     p, top = MAX_PRIME, MAX_PRIME - 1
     assert rref_batch(p, [[[1, top], [top, 0]]]).tolist() == [[[1, 0], [0, 1]]]
-    full = codes(p, [top] * 4)  # the 4 x 4 matrix of p - 1s, as row codes
-    assert action_table(p, [[full] * 4])[full, 0] == codes(p, [4 * top * top % p] * 4)
+    full = codes(p, [top] * 2)  # the 2 x 2 matrix of p - 1s, as row codes
+    assert action_table(p, [[full] * 2])[full, 0] == codes(p, [2 * top * top % p] * 2)
+
+
+def test_every_instance_small_enough_to_enumerate_fits_the_action_table():
+    # Orders up to 10^7 are the most a run enumerates (the members'
+    # action array at (7,3,2), order 691 488, takes 474 MB already).  The
+    # widest of their spaces is GF(7)^3, so a table of code sums of
+    # 343^2 cells must fit in BATCH_CELLS; lowering it below that fails
+    # here.  Orders grow with n, so none past n = 7 qualifies either.
+    widest = 0
+    for p in (2, 3, 5, 7, 11, 13):
+        for n in range(1, 8):
+            for r in range(n):
+                if predicted_order(make_instance(p, n, r)) <= 10**7:
+                    assert n < 7 and p ** (2 * n) <= gf_linalg.BATCH_CELLS, (p, n, r)
+                    widest = max(widest, p**n)
+    assert widest == 343
+
+
+@pytest.mark.parametrize("p, n", [(5, 4), (11, 3), (MAX_PRIME, 3), (MAX_PRIME, 4)])
+def test_action_table_refuses_a_space_past_batch_cells(p, n):
+    # p^2n code sums past BATCH_CELLS are refused before anything is
+    # allocated: neither the table of sums (at least 781 KB) nor the
+    # table of 1000 matrices (at least 1.25 MB).
+    mats = np.zeros((1000, n), dtype=np.int64)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="code sums"):
+            action_table(p, mats)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_solve_codes_in_parts_equals_one_whole_stack_solve(monkeypatch):
     # 3000 domains at n = 4 take several solve_batch passes of at most
-    # BATCH_CELLS entries, 16 n^2 a domain; their codes are those of one
-    # solve_batch pass over the whole stack.  A singular domain in the
-    # last part alone is still refused.
+    # BATCH_CELLS entries, 16 n^2 a domain; the codes of their inverses
+    # are those of one solve_batch pass over the whole stack.  A singular
+    # domain in the last part alone is still refused.
     rng = np.random.default_rng(0)
     gl = general_linear(2, 4)
-    doms, imgs = gl[rng.integers(len(gl), size=3000)], rng.integers(16, size=(3000, 4))
-    vectors = code_vectors(2, 4)
-    whole = codes(2, solve_batch(2, vectors[doms], vectors[imgs]))
-    inverses = codes(2, solve_batch(2, vectors[doms], np.broadcast_to(np.eye(4, dtype=np.int64), (3000, 4, 4))))
+    doms = gl[rng.integers(len(gl), size=3000)]
+    inverses = codes(2, solve_batch(2, code_vectors(2, 4)[doms], np.broadcast_to(np.eye(4, dtype=np.int64), (3000, 4, 4))))
     passes = []
     real = gf_linalg.solve_batch
     monkeypatch.setattr(gf_linalg, "solve_batch", lambda p, d, i: passes.append(len(d)) or real(p, d, i))
-    assert solve_codes(2, doms, imgs).tolist() == whole.tolist()
     assert solve_codes(2, doms).tolist() == inverses.tolist()
-    parts = len(passes) // 2
-    assert parts > 1 and sum(passes) == 6000
+    parts = len(passes)
+    assert parts > 1 and sum(passes) == 3000
     assert max(passes) * 16 * 4 * 4 <= gf_linalg.BATCH_CELLS
     singular = doms.copy()
     singular[-1] = [1, 2, 3, 3]
     passes.clear()
     with pytest.raises(PreconditionError, match="domain rows do not form a basis"):
-        solve_codes(2, singular, imgs)
+        solve_codes(2, singular)
     assert len(passes) == parts
-
-
-def test_solve_codes_rejects_images_of_another_shape():
-    doms = codes(2, [np.eye(2, dtype=np.int64)] * 3)
-    for imgs in (doms[:2], doms[:, :1], np.concatenate([doms, doms])):
-        with pytest.raises(ConfigurationError):
-            solve_codes(2, doms, imgs)
 
 
 @settings(max_examples=80, deadline=None)
@@ -677,13 +692,30 @@ def test_anchors_are_the_least_extension_of_the_span(case):
 @settings(max_examples=60, deadline=None)
 @given(_oracle_rows(), st.data())
 def test_complements_among_flags_what_is_complement_decides(case, data):
+    # The tuple rank test decides each w: dimensions adding up to n, and
+    # the bases together of rank n.
     p, n, rows = case
     u = subspace(p, n, rows)
     entry = st.integers(0, p - 1)
     sizes = st.integers(0, n)
     ws = [subspace(p, n, data.draw(st.lists(st.tuples(*[entry] * n), min_size=k, max_size=k))) for k in data.draw(st.lists(sizes, max_size=6))]
     ws += enumerate_complements(u)[:3]
-    assert complements_among(u, ws).tolist() == [is_complement(w, u) for w in ws]
+    expected = [w.dim + u.dim == n and len(rref_canonical(p, n, w.basis + u.basis).basis) == n for w in ws]
+    assert complements_among(u, ws).tolist() == expected
+
+
+def test_complements_among_refuses_subspaces_of_another_ambient_space():
+    u = subspace(2, 3, [(1, 0, 0)])
+    for w in (subspace(3, 3, [(0, 1, 0), (0, 0, 1)]), subspace(2, 2, [(0, 1)])):
+        with pytest.raises(ConfigurationError, match="different ambient spaces"):
+            complements_among(u, [u, w])
+
+
+def test_a_row_or_vector_of_the_wrong_length_is_refused():
+    with pytest.raises(ConfigurationError, match="does not match ambient dimension 3"):
+        subspace(2, 3, [(1, 0, 0), (1, 0)])
+    with pytest.raises(ConfigurationError, match="does not match 2 matrix rows"):
+        vec_mat(2, (1, 0, 1), identity_mat(2))
 
 
 @pytest.mark.parametrize("cells", [1, 7, 64])

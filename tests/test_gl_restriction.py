@@ -19,12 +19,12 @@ from glsemi.errors import (
 from glsemi.gf_linalg import (
     Subspace,
     codes,
+    complements_among,
     enumerate_complements,
     identity_mat,
-    image,
-    is_complement,
-    mat_inverse,
     mat_mul,
+    solve_batch,
+    subspace,
     vec_mat,
 )
 from glsemi import cli, gf_linalg, gl_restriction
@@ -141,6 +141,24 @@ def test_instance_refuses_a_basis_out_of_pivot_order():
     assert Instance(3, 3, 2, u).u == u
 
 
+def test_instance_refuses_an_r_out_of_range_and_a_subspace_of_another_shape():
+    # Both other refusals of a hand-built instance: r outside [0, n), and
+    # a U of another field, ambient dimension or dimension than declared.
+    u = make_instance(2, 3, 1).u
+    for r in (-1, 3):
+        with pytest.raises(ConfigurationError, match="need 0 <= r < n"):
+            Instance(2, 3, r, u)
+    for p, n, r in ((3, 3, 1), (2, 4, 1), (2, 3, 2)):
+        with pytest.raises(ConfigurationError, match="does not match the declared"):
+            Instance(p, n, r, u)
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_make_instance_refuses_an_ambient_dimension_below_one(n):
+    with pytest.raises(ConfigurationError, match="ambient dimension must be at least 1"):
+        make_instance(2, n, 0)
+
+
 def test_is_member():
     assert is_member(INST221, IDENT2)
     assert is_member(INST221, A3)
@@ -249,7 +267,7 @@ def test_profiles_from_the_action_array_match_each_element(name):
     # The class ids read off s.act partition the elements exactly as
     # each element's own image and kernel do.
     p, r = s.inst.p, s.inst.r
-    images = [image(p, m) for m in matrices(s)]
+    images = [subspace(p, len(m[0]), m) for m in matrices(s)]
     kernels = [kernel(p, m) for m in matrices(s)]
     assert list(s.codims) == [img.dim - r for img in images]
     for (ids, first), spaces in ((s.image_classes, images), (s.kernel_classes, kernels)):
@@ -448,7 +466,7 @@ def test_dclass_witness():
         for b in range(len(elems)):
             if S232.codims[a] == S232.codims[b]:
                 gamma = elems[one(dclass_witness_grid, S232, a, b)]
-                assert image(2, gamma) == image(2, elems[a])  # L-related to a
+                assert subspace(2, 3, gamma) == subspace(2, 3, elems[a])  # L-related to a
                 assert kernel(2, gamma) == kernel(2, elems[b])  # R-related to b
 
 
@@ -476,7 +494,7 @@ def test_factor_through_matches_exhaustive_existence():
 
 
 def test_regular_witness():
-    assert E221[one(regular_witnesses, S221, IDX221(A3))] == mat_inverse(2, A3)
+    assert E221[one(regular_witnesses, S221, IDX221(A3))] == tuple(map(tuple, solve_batch(2, [A3], [IDENT2])[0].tolist()))
     b = E221[one(regular_witnesses, S221, IDX221(A2))]
     assert mat_mul(2, mat_mul(2, A2, b), A2) == A2
     elems = matrices(S321)
@@ -530,8 +548,8 @@ def test_minimal_idempotents():
     assert len(minimal_idempotents(S231)) == 4
     assert len(minimal_idempotents(S232)) == 4
     for m in mats(S231, minimal_idempotents(S231)):
-        assert image(2, m) == INST231.u
-        assert is_complement(kernel(2, m), INST231.u)
+        assert subspace(2, 3, m) == INST231.u
+        assert complements_among(INST231.u, [kernel(2, m)])[0]
 
 
 def test_idempotent_by_image():
@@ -554,6 +572,12 @@ def test_special_subgroups_smallest_instance():
         special_subgroup(S221, "weird", w)
     with pytest.raises(PreconditionError):
         special_subgroup(enumerate_semigroup(make_instance(2, 2, 0)), FIX_U)
+
+
+@pytest.mark.parametrize("kind", [FIX_W, G_W, N_W])
+def test_special_subgroup_of_a_complement_kind_needs_a_w(kind):
+    with pytest.raises(PreconditionError, match="needs a complement W"):
+        special_subgroup(S221, kind)
 
 
 def test_special_subgroup_sizes_match_formulas():
@@ -616,7 +640,7 @@ def test_fix_u_is_conjugation_closed():
         units = sorted(mats(s, j_class(s, s.inst.n - s.inst.r)))
         fix_u = mats(s, special_subgroup(s, FIX_U))
         for g in units:
-            g_inv = mat_inverse(p, g)
+            g_inv = tuple(map(tuple, solve_batch(p, [g], [identity_mat(s.inst.n)])[0].tolist()))
             for h in fix_u:
                 assert mat_mul(p, mat_mul(p, g, h), g_inv) in fix_u
 

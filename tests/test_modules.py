@@ -314,11 +314,10 @@ def test_a_second_modular_inverse_is_flagged(sources):
     assert len(found) == 2 and len(set(found)) == 2
 
 
-#: The callers of solve_batch: solve_codes, which solves any number of
-#: domains in parts of BATCH_CELLS entries, and the fixed calls on one
-#: matrix.
+#: The callers of solve_batch: solve_codes, which inverts any number of
+#: domains in parts of BATCH_CELLS entries, and the isomorphism witness,
+#: one pass over two matrices.
 SOLVE_BATCH_CALLERS = [
-    "gf_linalg.mat_inverse",
     "gf_linalg.solve_codes",
     "isomorphism.decide_isomorphic",
 ]

@@ -1041,6 +1041,12 @@ def test_rank_search_not_found_and_budget():
         rank_search(full_table(table), range(4), 3, budget=2)
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_rank_search_refuses_a_cap_below_one(cap):
+    with pytest.raises(PreconditionError, match="cap must be at least 1"):
+        rank_search(full_table(TABLE_221), range(4), cap)
+
+
 def plain_rank_search(table, candidates, cap, budget=None):
     """The sweep rank_search makes, with every level tried; "budget" in
     place of a CapacityError."""
