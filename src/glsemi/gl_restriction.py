@@ -196,18 +196,18 @@ class Structure:
         self.index = index
         self._subgroups: dict[tuple, object] = {}
 
+    @cached_property
     def _image_masks(self) -> np.ndarray:
         # masks[b, c]: the vector coded c lies in the image of element b.
-        count = self.act.shape[1]
-        masks = np.zeros((count, self.act.shape[0]), dtype=bool)
-        masks[np.arange(count), self.act] = True
-        return masks
+        masks = np.zeros(self.act.shape[::-1], dtype=bool)
+        masks[np.arange(len(masks)), self.act] = True
+        return _frozen(masks)
 
     @cached_property
     def codims(self) -> np.ndarray:
         """codim of each element, log_p |image| - r, read off the action array."""
         p, n, r = self.inst.p, self.inst.n, self.inst.r
-        sizes = self._image_masks().sum(axis=1)
+        sizes = self._image_masks.sum(axis=1)
         dims = np.searchsorted(p ** np.arange(n + 1), sizes)
         if (p**dims != sizes).any():
             raise InternalInconsistencyError("an image size is not a power of p")
@@ -217,7 +217,7 @@ class Structure:
     def image_classes(self) -> tuple[np.ndarray, np.ndarray]:
         """(class id of each element, first element of each class) for
         equal images: the L-classes, read off the action array."""
-        return row_classes(self._image_masks())
+        return row_classes(self._image_masks)
 
     @cached_property
     def kernel_classes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -375,9 +375,10 @@ class _Batch:
     codimension k, head[a] marks the first n-r-k rows, applied[a] is
     kernel[ker a] * a, that is [zeros; transversal * a; U * a], and a's
     domain is applied[a] with the image's extension on the head.
-    kernel_inv, element_inv (of the domains) and domain_inv hold
-    inverses; images holds each constructor's per-element images as
-    action tables.
+    kernel_inv and domain_inv hold the inverses of the kernel bases and of
+    factor_through_grid's domains, one solve per distinct domain (1344 of
+    13 224 pairs at (2,4,1)); element_inv is domain_inv at k = codim.
+    images holds each constructor's per-element images as action tables.
     """
 
     def __init__(self, s: Structure):
@@ -390,7 +391,7 @@ class _Batch:
         # One kernel and one image per class, as masks over the codes in its
         # first element's column of act; a kernel's RREF basis.
         kernels = [rref_codes(p, n, s.act[:, i] == 0) for i in ker_first.tolist()]
-        masks = s._image_masks()[img_first]
+        masks = s._image_masks[img_first]
         if any(len(rref_codes(p, n, m)) - r != self.codims[i] for m, i in zip(masks, img_first.tolist())):
             raise InternalInconsistencyError("an image's rank disagrees with its size")
         rows = [[*k, *extend_codes(p, n, span_mask(p, n, [*k, *u])), *u] for k in kernels]
@@ -407,31 +408,29 @@ class _Batch:
 
     def _domain_inverses(self) -> np.ndarray:
         # inv[b, k], for k <= codim b: the inverse of factor_through_grid's
-        # domain [tail; first k transversal rows * b; U * b], the tail
-        # extending the other rows' span to V.  That span is b's image of
-        # span(first k transversal rows, U), read off act as a set of
-        # codes; each distinct set gets its tail once.  At k = codim b
-        # this is b's domain.
-        s, p, n, r = self.s, self.s.inst.p, self.s.inst.n, self.s.inst.r
-        top = n - r
+        # domain [tail; first k transversal rows * b; U * b], the tail the
+        # least extension of the other rows' span to V (zeros for k > codim
+        # b); at k = codim b, b's domain.  The tail is a function of the
+        # other rows: each distinct set of them is completed once, each
+        # distinct span extended once and each distinct domain solved once.
+        p, n, top = self.s.inst.p, self.s.inst.n, self.s.inst.n - self.s.inst.r
         bs, ks = np.nonzero(np.arange(top + 1) <= self.codims[:, None])
-        spans = np.zeros((len(bs), p**n), dtype=bool)
-        group = self.ker_ids[bs] * (top + 1) + ks
-        for g in sorted(set(group.tolist())):
-            c, k = divmod(g, top + 1)
-            d = top - int(self.ker_codims[c])
-            basis = np.concatenate([self.kernel[c][d : d + k], self.kernel[c][top:]])
-            span = np.flatnonzero(span_mask(p, n, basis))
-            at = np.flatnonzero(group == g)
-            spans[at[:, None], s.act[span][:, bs[at]].T] = True
-        ids, first = row_classes(spans)
-        tails = np.zeros((len(first), n), dtype=np.int64)
-        for t, i in enumerate(first.tolist()):
-            tails[t, : top - int(ks[i])] = extend_codes(p, n, spans[i])
-        doms = _spliced(np.arange(n) < (top - ks)[:, None], tails[ids], self.applied[bs], self.codims[bs] - ks, top)
-        inverses = solve_codes(p, doms)
+        head = np.arange(n) < (top - ks)[:, None]
+        rows = _spliced(head, 0, self.applied[bs], self.codims[bs] - ks, top)
+        _, first, ids = np.unique(codes(p**n, rows), return_index=True, return_inverse=True)
+        doms, head = rows[first], head[first]
+        fill = head[:, 0]  # the domains with a tail, k < n - r
+        spans = span_mask(p, n, doms[fill])
+        span_ids, span_first = row_classes(spans)
+        tails = np.zeros((len(span_first), n), dtype=np.int64)
+        for t, i in enumerate(span_first.tolist()):
+            tail = extend_codes(p, n, spans[i])
+            tails[t, : len(tail)] = tail
+        doms[fill] = np.where(head[fill], tails[span_ids], doms[fill])
+        _, first, again = np.unique(codes(p**n, doms), return_index=True, return_inverse=True)
+        inverses = solve_codes(p, doms[first])
         inv = np.zeros((len(self.codims), top + 1, n), dtype=inverses.dtype)
-        inv[bs, ks] = inverses
+        inv[bs, ks] = inverses[again[ids]]
         return inv
 
     @cached_property

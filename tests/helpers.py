@@ -602,6 +602,26 @@ def members_by_solve(inst):
     return rows.astype(np.min_scalar_type(q - 1))[np.argsort(codes(q, rows))]
 
 
+def domain_inverses_by_pair(s):
+    """s.batch.domain_inv from its definition, one (b, k) at a time: for
+    k <= codim b, the row codes of the inverse of the domain [tail; first
+    k transversal rows * b; U * b], the transversal that of b's kernel
+    class in s.batch.kernel and the tail the lexicographically least
+    extension of the other rows to a basis of V, each domain solved on
+    its own by Gauss-Jordan on tuples; zeros for k > codim b."""
+    p, n, bt = s.inst.p, s.inst.n, s.batch
+    top, eye = n - s.inst.r, identity_mat(n)
+    vectors = [tuple(v) for v in code_vectors(p, n).tolist()]
+    inv = np.zeros_like(bt.domain_inv)
+    for b, m in enumerate(matrices(s)):
+        c = int(bt.codims[b])
+        transversal = [vectors[x] for x in bt.kernel[bt.ker_ids[b], top - c : top].tolist()]
+        for k in range(c + 1):
+            rows = list(act(p, transversal[:k] + list(s.inst.u.basis), m))
+            inv[b, k] = codes(p, linear_map(p, naive_least_extension(p, n, rows) + rows, eye))
+    return inv
+
+
 def brute_members(p, n, u_vectors):
     """Filter all p^(n^2) matrices by the definition: the image of the
     set U under the map equals U."""

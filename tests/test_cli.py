@@ -387,10 +387,11 @@ def test_factorizations_peaks_below_a_few_megabytes_on_the_stretch_instances(r, 
 
 @pytest.mark.parametrize("r, limit", [(1, 4e6), (2, 2e6)])
 def test_batch_peaks_below_a_few_megabytes_on_the_largest_instances(r, limit):
-    # The domain inverses are solved in parts of BATCH_CELLS entries in
-    # int8, and the image tables multiplied in uint8: one int64 solve over
-    # all 13 224 (element, k) domains at (2,4,1) peaked at 19.9 MB, over
-    # the 3552 at (2,4,2) at 5.4 MB.
+    # Only the distinct domains are solved, 1344 of the 13 224 (element, k)
+    # pairs at (2,4,1) and 576 of the 3552 at (2,4,2), in parts of
+    # BATCH_CELLS entries in int8, and the image tables are multiplied in
+    # uint8: 1.8 and 0.7 MB.  One int64 solve over every pair peaked at
+    # 19.9 and 5.4 MB.
     s = enumerate_semigroup(make_instance(2, 4, r), 4096)
     tracemalloc.start()
     try:
@@ -488,6 +489,25 @@ def test_factorizations_fails_when_u_times_a_domain_inverse_leaves_the_last_unit
     failed = _failing()
     assert set(failed) == {"factorizations"}
     assert failed["factorizations"] == f"U * D({y}, 1)^-1 is not the span of the last r unit rows"
+
+
+def test_a_misspread_domain_inverse_fails_the_recompositions(monkeypatch):
+    # Each distinct domain is solved once and its inverse spread to every
+    # (b, k) that shares it.  Rolled by one before the spread, each (b, k)
+    # gets another distinct domain's inverse: a true inverse, of the wrong
+    # domain, which only the recompositions can notice.
+    real, solve = gl_restriction._Batch._domain_inverses, gl_restriction.solve_codes
+
+    def rolled(bt):
+        with monkeypatch.context() as m:
+            m.setattr(gl_restriction, "solve_codes", lambda p, doms: np.roll(solve(p, doms), 1, axis=0))
+            return real(bt)
+
+    monkeypatch.setattr(gl_restriction._Batch, "_domain_inverses", rolled)
+    failed = _failing()
+    assert {"regularity", "factorizations"} <= set(failed) <= {"regularity", "factorizations", "generation"}
+    assert "inner inverse construction failed at element" in failed["regularity"]
+    assert "factor-through factors failed to recompose at pair" in failed["factorizations"]
 
 
 def test_factorizations_fails_when_a_kernel_head_row_leaves_the_kernel(monkeypatch):
@@ -1160,6 +1180,48 @@ def test_main_rejects_bad_config(tmp_path, capsys):
     assert main(["verify", "--instance", cfg]) == 2
     assert "error:" in capsys.readouterr().err
     assert main(["verify", "--instance", str(tmp_path / "missing.cfg")]) == 2
+
+
+@pytest.mark.parametrize(
+    "text, env, message",
+    [
+        ("p = 2\nn = 3\nr = 1\n", "0", f"environment variable {ENV_ENUM_CAP} must be positive"),
+        ("p = 2\nn = 3\nr = 1\nu_basis = 1x0\n", None, "cannot parse basis row '1x0'"),
+        ("p = 2\nn = 3\nr 1\n", None, "line 3: expected key = value, got 'r 1'"),
+        ("p = 2\nn = 3\nr = 1\ncap = many\n", None, "cap must be an integer"),
+    ],
+    ids=["env-cap-zero", "unparsable-row", "line-without-equals", "non-integer-cap"],
+)
+def test_main_refuses_bad_input_by_name(tmp_path, capsys, monkeypatch, text, env, message):
+    # Each refusal stops the run before any check, with its own message.
+    if env is not None:
+        monkeypatch.setenv(ENV_ENUM_CAP, env)
+    assert main(["verify", "--instance", write_cfg(tmp_path, text)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+def test_verify_skips_a_complement_count_past_its_budget():
+    # 2^(4*5) complements at (2,9,4), over the budget of 100 000: a skip
+    # that names the count, not a failure.
+    checks = {c.name: c for c in cmd_verify(InstanceConfig(p=2, n=9, r=4), *CAPS).checks}
+    assert checks["complement_count"].status == "skip"
+    assert checks["complement_count"].reason == "1048576 complements exceed the enumeration budget"
+
+
+def test_verify_fails_every_table_check_when_a_member_is_missing(monkeypatch):
+    # The closed form is the enumeration's own certificate: one member
+    # short, the Structure is refused, and each table check says why.
+    real = gl_restriction._members
+
+    def short(inst):  # the last member's rows, key and action column gone
+        rows, keys, act = real(inst)
+        return rows[:-1], keys[:-1], act[:, :-1]
+
+    monkeypatch.setattr(gl_restriction, "_members", short)
+    failed = _failing()
+    assert set(failed) == set(CHECK_NAMES) - {"complement_count"}
+    assert set(failed.values()) == {"InternalInconsistencyError: enumerated 63 members, closed form predicts 64"}
 
 
 def test_eggbox_output(tmp_path):

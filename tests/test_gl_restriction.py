@@ -62,6 +62,7 @@ from helpers import (
     GivenTable,
     break_batch,
     brute_members,
+    domain_inverses_by_pair,
     full_table,
     index_of,
     is_idempotent_by_image,
@@ -290,6 +291,30 @@ def test_per_class_bases_grow_per_class_not_per_element(monkeypatch):
     # image, and one tail per distinct span of factor_through_grid's domain
     # rows, each span an image.
     assert 2 * r + 3 * l < len(calls) <= 2 * r + 4 * l < len(s.table) // 15
+
+
+# The configs, the stretch instances and a shifted U at n = 4.
+@pytest.mark.parametrize(
+    "spec",
+    [*sorted(path.stem for path in CONFIGS.glob("*.cfg")), (2, 4, 1), (2, 4, 3), (2, 4, 2, [(1, 0, 1, 0), (0, 1, 1, 1)])],
+    ids=str,
+)
+def test_domain_inverses_match_each_domain_solved_on_its_own(spec, monkeypatch):
+    # The batch completes each distinct set of non-tail rows once, solves
+    # each distinct domain once and spreads the inverses back: every (b, k)
+    # must still get its own domain's inverse, and no domain may reach
+    # solve_codes twice.  At (2,4,1), 13 224 pairs share 1344 domains.
+    s = enumerate_semigroup(_instance(spec), 4096)
+    solved = []
+    real = gl_restriction.solve_codes
+    monkeypatch.setattr(gl_restriction, "solve_codes", lambda p, doms: solved.append(doms) or real(p, doms))
+    inv, q = s.batch.domain_inv, s.inst.p**s.inst.n
+    assert inv.shape == (len(s.table), s.inst.n - s.inst.r + 1, s.inst.n)
+    oracle = domain_inverses_by_pair(s)
+    assert inv.dtype == oracle.dtype and np.array_equal(inv, oracle)
+    _, doms = solved  # the kernel classes' bases, then the domains
+    at = np.arange(inv.shape[1]) <= s.batch.codims[:, None]
+    assert len(np.unique(codes(q, doms))) == len(doms) == len(np.unique(codes(q, inv[at]))) <= 1600
 
 
 def test_j_class_and_q_ideal():
