@@ -63,8 +63,6 @@ from .gl_restriction import (
     sandwich_factor_grid,
     dclass_witness_grid,
     special_subgroup,
-    split_grid,
-    subgroup_iso_check,
 )
 from .isomorphism import decide_isomorphic, element_bijection
 from .semigroup_core import (
@@ -431,31 +429,33 @@ def _check_unit_decomposition(s: Structure, caps):
     elif conjugates_leave(s, h, [a for a in s.table._checked_generators() if s.codims[a] == top]):
         failures.append("conjugate left the U-fixing subgroup")
     # Each split is unique exactly when its product grid is a bijection,
-    # which split_grid checks for every unit and every U-fixing unit.
-    decomposed = 0
-    for w in s.complements:
-        for left_kind in (FIX_W, G_W):
-            left, right, _ = split_grid(s, left_kind, w)
-            decomposed += left.size * right.size
+    # which the layer's grids check for every W, onto every unit and every
+    # U-fixing unit.
     counts = {
         "units": len(g),
         "fix_u": len(h),
         "complements_checked": len(s.complements),
-        "decompositions": decomposed,
+        "decompositions": sum(cells.size for cells in s.subgroups.grids.values()),
     }
     return ("pass" if not failures else "fail", counts, "; ".join(failures) or None)
+
+
+def _failing_complement(s: Structure, ok: np.ndarray, kinds, reason):
+    # The fail result naming the first (W, kind) where ok[i, k] is false, in
+    # the order W, then kind; None when every one holds.
+    if ok.all():
+        return None
+    i, k = np.argwhere(~ok)[0]
+    return ("fail", {"complement": [list(row) for row in s.complements[i].basis]}, reason(kinds[k]))
 
 
 def _check_subgroup_isomorphisms(s: Structure, caps):
     if s.inst.r < 1:
         return ("skip", {}, "subgroup structure needs r >= 1")
-    checked = 0
-    for w in s.complements:
-        for kind in (FIX_W, G_W, N_W):
-            if not subgroup_iso_check(s, kind, w):
-                return ("fail", {"complement": [list(r) for r in w.basis]}, f"{kind} comparison failed")
-            checked += 1
-    return ("pass", {"isomorphisms_checked": checked}, None)
+    kinds = (FIX_W, G_W, N_W)
+    ok = np.column_stack([s.subgroups.isomorphic[kind] for kind in kinds])
+    failed = _failing_complement(s, ok, kinds, lambda kind: f"{kind} comparison failed")
+    return failed or ("pass", {"isomorphisms_checked": ok.size}, None)
 
 
 def _check_nonnormality(s: Structure, caps):
@@ -464,17 +464,18 @@ def _check_nonnormality(s: Structure, caps):
     # Fix(W) is non-normal in the units, and G(W) in Fix(U), exactly when it
     # is nontrivial.  The units are Fix(W)*Fix(U) and Fix(U) is G(W)*N(W), so
     # a translation in N(W) that moves H, as the paper's witnesses do, is a
-    # witness in the bigger group too.
-    moved = {FIX_W: 0, G_W: 0}
-    for w in s.complements:
-        by = special_subgroup(s, N_W, w)
-        for kind in moved:
-            h = special_subgroup(s, kind, w)
-            if conjugates_leave(s, h, by) != (len(h) > 1):
-                verdict = "keeps" if len(h) > 1 else "moves"
-                return ("fail", {"complement": [list(r) for r in w.basis]}, f"N(W) conjugation {verdict} {kind} of order {len(h)}")
-            moved[kind] += len(h) > 1
-    return ("pass", {"complements": len(s.complements), "fix_w_moved": moved[FIX_W], "g_w_moved": moved[G_W]}, None)
+    # witness in the bigger group too.  Every W is conjugated at once.
+    kinds, members = (FIX_W, G_W), s.subgroups.members
+    moved = np.column_stack([conjugates_leave(s, members[kind], members[N_W]) for kind in kinds])
+    orders = {kind: members[kind].shape[1] for kind in kinds}
+
+    def reason(kind):
+        verdict = "keeps" if orders[kind] > 1 else "moves"
+        return f"N(W) conjugation {verdict} {kind} of order {orders[kind]}"
+
+    failed = _failing_complement(s, moved == [orders[kind] > 1 for kind in kinds], kinds, reason)
+    fix_w_moved, g_w_moved = moved.sum(axis=0).tolist()
+    return failed or ("pass", {"complements": len(s.complements), "fix_w_moved": fix_w_moved, "g_w_moved": g_w_moved}, None)
 
 
 def _check_isomorphism_theorem(s: Structure, caps):

@@ -225,7 +225,7 @@ def action_table(p: int, rows) -> np.ndarray:
     q = p**n
     if q * q > BATCH_CELLS:
         raise CapacityError(f"an action table on GF({p})^{n} needs {q * q} code sums, more than {BATCH_CELLS}")
-    sums = _code_sums(p, n)
+    sums = code_sums(p, n)
     out = np.empty((q, count), dtype=sums.dtype)
     out[0] = 0
     for k in range(n):
@@ -236,10 +236,10 @@ def action_table(p: int, rows) -> np.ndarray:
 
 
 @functools.cache
-def _code_sums(p: int, n: int) -> np.ndarray:
-    # Entry a * p^n + b: the code of the sum of the vectors coded a and
-    # b, built digit by digit.  A constant of the field, read-only and
-    # kept: one per (p, n), two dozen at most.
+def code_sums(p: int, n: int) -> np.ndarray:
+    """Entry a * p^n + b: the code of the sum of the vectors coded a and
+    b, built digit by digit.  A constant of the field, read-only and
+    kept: one per (p, n), two dozen at most."""
     digit = sums = (np.arange(p)[:, None] + np.arange(p)) % p
     for _ in range(n - 1):
         sums = (digit[:, None, :, None] * len(sums) + sums[:, None, :]).reshape(p * len(sums), -1)

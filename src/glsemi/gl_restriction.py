@@ -33,9 +33,9 @@ from .gf_linalg import (
     action_table,
     anchors,
     check_modulus,
+    code_sums,
     code_vectors,
     codes,
-    complements_among,
     coordinate_table,
     enumerate_complements,
     extend_codes,
@@ -157,21 +157,15 @@ def _cayley(p: int, rows: np.ndarray, keys: np.ndarray, act: np.ndarray):
     return _frozen(act), _frozen(index), product_row
 
 
-def _once(store: dict, key, make):
-    # store[key], filled by make() on the first request.
-    if key not in store:
-        store[key] = make()
-    return store[key]
-
-
 class Structure:
     """One enumerated instance: the instance, its Cayley table, built and
     proved from the action array, that action array, the key index every
     product and constructor output is looked up in (through find), and
     data worked out from them at most once, on first use.  Build it with
-    enumerate_semigroup(inst, cap).  U's complements, the special
-    subgroups, the unit splits' grids, GL(k)'s sorted codes and the unit
-    group's block of products are each held once.
+    enumerate_semigroup(inst, cap).  U's complements, the unit group's
+    block of products and `subgroups`, the special subgroups of every
+    complement stacked with their proofs, split grids and isomorphism
+    verdicts (see _UnitLayer), are each held once.
 
     Element indices are table indices; the elements are sorted, so
     index order is matrix order.  `act[v, b]` is the code of the row
@@ -194,7 +188,6 @@ class Structure:
         self.table = table
         self.act = act
         self.index = index
-        self._subgroups: dict[tuple, object] = {}
 
     @cached_property
     def _image_masks(self) -> np.ndarray:
@@ -272,6 +265,12 @@ class Structure:
             block[lo : lo + FILL_ROWS] = pos[block[lo : lo + FILL_ROWS]]
         return _frozen(block)
 
+    @cached_property
+    def subgroups(self) -> "_UnitLayer":
+        """Fix(U), and Fix(W), G(W) and N(W) for every complement W at
+        once, each proved a subgroup on its generators (see _UnitLayer)."""
+        return _UnitLayer(self)
+
 
 def enumerate_semigroup(inst: Instance, cap: int = DEFAULT_ENUM_CAP) -> Structure:
     """Every member, as row codes, and the checked Cayley table; refuses orders above the cap.
@@ -346,10 +345,16 @@ _BLOCK = 2**14
 def _spliced(head: np.ndarray, fill, rows: np.ndarray, shift: np.ndarray, n_r: int) -> np.ndarray:
     # Row codes: fill on the head rows; below them and above row n_r,
     # rows[j - shift] (the first rows of a transversal, moved down by
-    # shift); from row n_r on, rows[j] (U's rows).
-    j = np.arange(rows.shape[-1])
-    src = np.where(j < n_r, j - shift[:, None], j).clip(0)
-    return np.where(head, fill, np.take_along_axis(rows, src, axis=1))
+    # shift, row 0 where that is negative); from row n_r on, rows[j] (U's
+    # rows).  One masked copy per (shift, row), so the temporaries are a
+    # boolean per matrix, not an index per entry.
+    out = rows.copy()
+    for d in range(1, int(shift.max(initial=0)) + 1):
+        at = shift == d
+        for j in range(n_r):
+            np.copyto(out[:, j], rows[:, max(j - d, 0)], where=at)
+    np.copyto(out, fill, where=head)
+    return out
 
 
 def _require(ok: np.ndarray, message: str, name) -> None:
@@ -441,8 +446,9 @@ class _Batch:
         img = self.image[self.img_ids]
         domain = np.where(self.head, img, self.applied)
         raise_lam, raise_mu = self.applied.copy(), self.applied.copy()
-        raise_lam[:, 0] = img[:, 0]  # one kernel line onto the first fresh vector
-        raise_mu[:, 1] = img[:, 1]  # the second fresh line stays alive
+        # Slices, so at n = 1, where no element is raised, a missing row is skipped.
+        raise_lam[:, :1] = img[:, :1]  # one kernel line onto the first fresh vector
+        raise_mu[:, 1:2] = img[:, 1:2]  # the second fresh line stays alive
         rows = {
             "regular": np.where(self.head, 0, self.kernel[self.ker_ids]),  # on domain
             "factor": self.applied,  # on domain_inv[b, codim a]
@@ -657,6 +663,24 @@ def minimal_idempotents(s: Structure) -> np.ndarray:
     return low[(s.act[s.act[:, low], low] == s.act[:, low]).all(axis=0)]  # M_x;M_x = M_x
 
 
+def _row(s: Structure, kind: str, w: Subspace | None) -> int:
+    # The row of (kind, w) in the stacked unit layer: 0 for fix_u, else
+    # W's position in s.complements, found by RREF equality; anything the
+    # layer does not hold is refused.
+    if s.inst.r < 1:
+        raise PreconditionError("unit-group subgroup structure requires r >= 1")
+    if kind not in SUBGROUP_KINDS:
+        raise PreconditionError(f"unknown subgroup kind {kind!r}")
+    if kind == FIX_U:
+        return 0
+    if w is None:
+        raise PreconditionError(f"subgroup kind {kind!r} needs a complement W")
+    try:
+        return s.complements.index(w)
+    except ValueError:
+        raise PreconditionError("W is not a complement of U") from None
+
+
 def special_subgroup(s: Structure, kind: str, w: Subspace | None = None) -> np.ndarray:
     """Indices of one of the structural subgroups of the unit group.
 
@@ -665,82 +689,217 @@ def special_subgroup(s: Structure, kind: str, w: Subspace | None = None) -> np.n
     g_w:   fix_u elements mapping W onto itself.
     n_w:   fix_u elements translating each W-vector by an element of U.
 
-    Membership is one mask per kind over the units' columns of s.act;
-    the identity and the closure under products are then checked on the
-    unit group's table (Structure.unit_block).  Each subgroup is built,
-    and its (kind, w) validated, once per Structure.
+    A view of s.subgroups, which builds and proves every kind for every
+    complement at once (see _UnitLayer); W must be one of s.complements.
     """
-    key = (kind, None if kind == FIX_U else w)
-    return _once(s._subgroups, key, lambda: _subgroup_members(s, kind, w))
+    i = _row(s, kind, w)
+    return s.subgroups.members[kind][i]
 
 
-def _in_subgroup(s: Structure, kind: str, w: Subspace | None, idxs) -> np.ndarray:
-    # Mask over the units idxs of the members of subgroup kind, read off
-    # their columns of s.act: each rule's row must land in its allowed set.
-    p, u = s.inst.p, s.inst.u
-    rules = [(row, [row]) for row in (w.basis if kind == FIX_W else u.basis)]
-    if kind == G_W:
-        rules += [(row, w.vectors()) for row in w.basis]
-    elif kind == N_W:
-        rules += [(row, (np.array(row) + u.vectors()) % p) for row in w.basis]
-    keep = np.ones(len(idxs), dtype=bool)
-    for row, allowed in rules:
-        keep &= np.isin(s.act[codes(p, row), idxs], codes(p, allowed))
-    return keep
+def _local(held: np.ndarray, count: int) -> np.ndarray:
+    # local[i, x]: the place of unit position x in row i of held, -1 off it.
+    local = np.full((len(held), count), -1, dtype=np.intp)
+    local[np.arange(len(held))[:, None], held] = np.arange(held.shape[1])
+    return local
 
 
-def _subgroup_members(s: Structure, kind: str, w: Subspace | None) -> np.ndarray:
-    if s.inst.r < 1:
-        raise PreconditionError("unit-group subgroup structure requires r >= 1")
-    if kind not in SUBGROUP_KINDS:
-        raise PreconditionError(f"unknown subgroup kind {kind!r}")
-    if kind != FIX_U:
-        if w is None:
-            raise PreconditionError(f"subgroup kind {kind!r} needs a complement W")
-        if not _once(s._subgroups, ("complement", w), lambda: complements_among(s.inst.u, [w])[0]):
-            raise PreconditionError("W is not a complement of U")
-    units = s.grades[s.inst.n - s.inst.r]
-    inside = _in_subgroup(s, kind, w, units)  # over the units' positions
-    if not inside[np.searchsorted(units, s.table.identity_idx)]:
-        raise InternalInconsistencyError("subgroup is missing the identity")
-    at = np.flatnonzero(inside)
-    if not inside[s.unit_block[np.ix_(at, at)]].all():
-        raise InternalInconsistencyError("subgroup is not closed under products")
-    return _frozen(units[at])
+def _generated(block: np.ndarray, held: np.ndarray, ident: int, kind: str) -> np.ndarray:
+    """Generators of each row's subgroup H, one column per round, as
+    positions among the units, proved on the unit group's table block.
+
+    H is a subgroup of the finite group G iff H*B lies in H for some B in
+    H whose words reach all of H from the identity: x*y, for y a word
+    b_1...b_t over B, is ((x*b_1)*b_2)...*b_t on the proved associative
+    table, which never leaves H.  B is picked greedily, every row in
+    lockstep: each round's generator is the first member the closure so
+    far misses (the identity, once a row is reached whole), its column
+    x*g is read for every x in H, and the closure grows breadth-first
+    along x -> x*g.  That reads |H|*|B| cells.  Each closure of a correct
+    H is a subgroup at least twice the last, so a row not reached whole
+    within log2 |H| rounds is refused.
+    """
+    m, h = held.shape
+    rows = np.arange(m)[:, None]
+    local = _local(held, len(block))
+    start = local[:, ident]
+    if (start < 0).any():
+        raise InternalInconsistencyError(f"subgroup {kind} is missing the identity")
+    reached = np.zeros((m, h), dtype=bool)
+    reached[rows[:, 0], start] = True
+    flat = reached.reshape(-1)
+    gens, edges = [], np.empty((m * h, h.bit_length() - 1), dtype=np.intp)  # x -> x*g, over every row's x
+    while not reached.all():
+        if len(gens) == edges.shape[1]:
+            raise InternalInconsistencyError(f"subgroup {kind} is not reached from the identity by its generators")
+        g = held[rows[:, 0], np.where(reached.all(axis=1), start, (~reached).argmax(axis=1))]
+        step = local[rows, block[held, g[:, None]]]
+        if (step < 0).any():
+            raise InternalInconsistencyError(f"subgroup {kind} is not closed under products")
+        edges[:, len(gens)] = (step + rows * h).ravel()
+        gens.append(g)
+        frontier = np.flatnonzero(flat)
+        while frontier.size:
+            to = edges[frontier, : len(gens)].ravel()
+            frontier = to[~flat[to]]
+            flat[frontier] = True
+    return np.array(gens, dtype=np.intp).reshape(-1, m).T
 
 
 # Left factor: (right factor, what the split covers; None for all units).
 _SPLITS = {FIX_W: (FIX_U, None), G_W: (N_W, FIX_U)}
 
 
-def split_grid(s: Structure, left_kind: str, w: Subspace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(left, right, pos) of the product grid fix_w x fix_u (left_kind
-    fix_w) or g_w x n_w (left_kind g_w): the sorted factor indices and
-    pos[a], the flat grid cell holding a, -1 off the grid.
+class _UnitLayer:
+    """The special subgroups of the unit group G for every complement W
+    of U at once (Structure.subgroups), with their proofs.
 
-    Splits are unique exactly when the grid is a bijection onto the
-    units (fix_u for g_w); anything else raises
-    InternalInconsistencyError.  Checked once per (split, W).
+    held[kind] is an (m, h) array whose row i holds the positions among
+    the units (s.grades[n-r]) of the subgroup for W = s.complements[i],
+    sorted; every W gives one order h, and fix_u has one row.
+    members[kind] holds the same as member indices.  Membership is read
+    off one gather of the units' columns of s.act, at the codes of U's
+    and of every W's basis: fix_u and fix_w keep U's or W's basis codes,
+    g_w fixes U and sends W's basis into W's span mask, and n_w fixes U
+    and sends each w_j into w_j + U, the code of w_j*g - w_j read off
+    gf_linalg.code_sums.  Each row is proved a subgroup on the
+    generators gens[kind] (see _generated).  grids and isomorphic, the
+    split grids and the isomorphism verdicts, are stacked over W too and
+    built on first use.
     """
-    if left_kind not in _SPLITS:
-        raise PreconditionError(f"no unit split has left factor {left_kind!r}")
-    right_kind, whole_kind = _SPLITS[left_kind]
 
-    def make():
-        left = special_subgroup(s, left_kind, w)
-        right = special_subgroup(s, right_kind, w)
-        units = s.grades[s.inst.n - s.inst.r]
-        whole = units if whole_kind is None else special_subgroup(s, whole_kind)
-        cells = units[s.unit_block[np.ix_(np.searchsorted(units, left), np.searchsorted(units, right))].ravel()]
-        if not np.array_equal(np.sort(cells), whole):
+    def __init__(self, s: Structure):
+        p, n, r = s.inst.p, s.inst.n, s.inst.r
+        if r < 1:
+            raise PreconditionError("unit-group subgroup structure requires r >= 1")
+        self.s, self.units = s, s.grades[n - r]
+        u, self.ws = codes(p, s.inst.u.basis), codes(p, [w.basis for w in s.complements])
+        m = len(self.ws)
+        img = s.act[:, self.units][np.concatenate([u, self.ws.ravel()])]
+        self.on_u, self.on_w = img[:r], img[r:].reshape(m, n - r, -1)
+        # moved[i, j, x]: the code of w_j*x - w_j, that is w_j*x plus -w_j.
+        negated = codes(p, -code_vectors(p, n) % p)
+        self.moved = code_sums(p, n)[negated[self.ws][..., None] * p**n + self.on_w]
+        fix_u = (self.on_u == u[:, None]).all(axis=0)
+        masks = {
+            FIX_U: fix_u[None],
+            FIX_W: (self.on_w == self.ws[..., None]).all(axis=1),
+            G_W: fix_u & span_mask(p, n, self.ws).take(np.arange(m)[:, None, None] * p**n + self.on_w).all(axis=1),
+            N_W: fix_u & span_mask(p, n, u).take(self.moved).all(axis=1),
+        }
+        self.ident = int(np.searchsorted(self.units, s.table.identity_idx))
+        self.held, self.members, self.gens = {}, {}, {}
+        for kind, mask in masks.items():
+            sizes = mask.sum(axis=1)
+            if (sizes != sizes[0]).any():
+                raise InternalInconsistencyError(f"subgroup {kind} has different orders for different complements")
+            held = _frozen(np.nonzero(mask)[1].reshape(len(mask), -1))
+            self.gens[kind] = _generated(s.unit_block, held, self.ident, kind)
+            self.held[kind], self.members[kind] = held, _frozen(self.units[held])
+
+    @cached_property
+    def grids(self) -> dict[str, np.ndarray]:
+        """grids[left_kind][i]: the unit positions of the product grid
+        left x right (_SPLITS: fix_w x fix_u, g_w x n_w) for W =
+        complements[i], flat and row-major.  Each W's splits are unique
+        exactly when its grid is a bijection onto the units (onto fix_u
+        for g_w); at the first W, then split, where one is not,
+        InternalInconsistencyError is raised."""
+        block, count, m = self.s.unit_block, len(self.units), len(self.ws)
+        fix_u = np.zeros(count, dtype=bool)
+        fix_u[self.held[FIX_U]] = True
+        grids, ok = {}, []
+        for left_kind, (right_kind, whole_kind) in _SPLITS.items():
+            cells = block[self.held[left_kind][:, :, None], self.held[right_kind][:, None]].reshape(m, -1)
+            whole = fix_u if whole_kind else np.ones(count, dtype=bool)
+            hit = np.zeros((m, count), dtype=bool)
+            hit[np.arange(m)[:, None], cells] = True
+            ok.append((cells.shape[1] == whole.sum()) & (hit == whole).all(axis=1))
+            grids[left_kind] = _frozen(cells)
+        bad = np.argwhere(~np.column_stack(ok))
+        if bad.size:
+            left_kind = list(_SPLITS)[bad[0, 1]]
+            right_kind, whole_kind = _SPLITS[left_kind]
             raise InternalInconsistencyError(
                 f"{left_kind} x {right_kind} products are not a bijection onto {whole_kind or 'the units'}"
             )
-        pos = np.full(len(s.table), -1, dtype=np.intp)
-        pos[cells] = np.arange(cells.size)
-        return left, right, _frozen(pos)
+        return grids
 
-    return _once(s._subgroups, (f"{left_kind}*{right_kind}", w), make)
+    @cached_property
+    def isomorphic(self) -> dict[str, np.ndarray]:
+        """isomorphic[kind][i]: whether kind's subgroup for W =
+        complements[i] maps isomorphically onto its comparison group:
+        fix_w onto GL(U) by restriction to U, g_w onto GL(W) by
+        restriction to W, n_w onto U^(n-r) by its translation tuple.
+
+        Each member is mapped once to its coordinate rows.  The map must
+        send the identity to the identity, be one-to-one, and H must have
+        as many members as the comparison group: with the homomorphism law
+        every image is then invertible, psi(x)*psi(x^-1) = psi(e) = 1, so
+        the map is a bijection onto the group.  The law psi(g*x) =
+        psi(g)*psi(x) is compared only for g in gens and every x in H.  The
+        g for which it holds at every x form a set closed under products:
+        psi(g1*g2*x) = psi(g1)*psi(g2*x) = psi(g1)*psi(g2)*psi(x) =
+        psi(g1*g2)*psi(x), the last step the law for g1 at x = g2.  So it
+        holds for every word over gens, which is all of H (_generated; the
+        identity is a power of a generator, or H's one member).
+        """
+        p, n, r = self.s.inst.p, self.s.inst.n, self.s.inst.r
+        block, held, m = self.s.unit_block, self.held, len(self.ws)
+        rows, vectors, u_coords = np.arange(m)[:, None], code_vectors(p, n), coordinate_table(self.s.inst.u)
+        on = lambda table, kind: np.take_along_axis(table, held[kind][:, None], axis=2)  # kind's members' columns
+        # Over W's RREF basis, a vector of W has its entries at the basis's
+        # pivot columns as coordinates.
+        pivots = (vectors[self.ws] != 0).argmax(axis=-1)
+        coords = {  # coords[kind][i, x, j]: coordinates of basis row j's image under member x
+            FIX_W: u_coords[self.on_u[:, held[FIX_W]]].transpose(1, 2, 0, 3),
+            G_W: np.take_along_axis(vectors[on(self.on_w, G_W)], pivots[:, None, None], axis=3).transpose(0, 2, 1, 3),
+            N_W: u_coords[on(self.moved, N_W)].transpose(0, 2, 1, 3),
+        }
+        # Each comparison group's order and identity.
+        groups = {
+            FIX_W: (gl_order(p, r), np.eye(r)),
+            G_W: (gl_order(p, n - r), np.eye(n - r)),
+            N_W: (p ** (r * (n - r)), np.zeros((n - r, r))),
+        }
+        verdicts = {}
+        for kind, (order, one) in groups.items():
+            h = held[kind].shape[1]
+            # images[i, x]: x's coordinate rows, in the narrowest type that holds
+            # a row times a matrix, n (p-1)^2, or a sum of two rows, 2 (p-1).
+            images = coords[kind].astype(np.min_scalar_type(max(n * (p - 1) ** 2, 2 * (p - 1))))
+            local = _local(held[kind], len(self.units))
+            keys = np.sort(codes(p, images.reshape(m, h, -1)), axis=1)
+            onto = (h == order) & (np.diff(keys, axis=1) > 0).all(axis=1) & (images[rows[:, 0], local[:, self.ident]] == one).all(axis=(1, 2))
+            gens = self.gens[kind]
+            products = local[rows[..., None], block[gens[..., None], held[kind][:, None]]]  # g*x, (m, |B|, h)
+            at = images[rows, local[rows, gens]]
+            if kind == N_W:
+                expected = (at[:, :, None] + images[:, None]) % p
+            else:
+                expected = np.einsum("mgij,mxjk->mgxik", at, images) % p
+            law = (products >= 0).all(axis=(1, 2)) & (images[rows[..., None], products] == expected).all(axis=(1, 2, 3, 4))
+            verdicts[kind] = _frozen((coords[kind] >= 0).all(axis=(1, 2, 3)) & onto & law)
+        return verdicts
+
+
+def split_grid(s: Structure, left_kind: str, w: Subspace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(left, right, pos) of the product grid fix_w x fix_u (left_kind
+    fix_w) or g_w x n_w (left_kind g_w) for the complement w: the sorted
+    factor indices and pos[a], the flat grid cell holding a, -1 off the
+    grid.
+
+    A view of s.subgroups.grids, which checks every W's grids at once:
+    splits are unique exactly when the grid is a bijection onto the
+    units (fix_u for g_w); anything else raises
+    InternalInconsistencyError.
+    """
+    if left_kind not in _SPLITS:
+        raise PreconditionError(f"no unit split has left factor {left_kind!r}")
+    left, right = special_subgroup(s, left_kind, w), special_subgroup(s, _SPLITS[left_kind][0], w)
+    cells = s.subgroups.units[s.subgroups.grids[left_kind][_row(s, left_kind, w)]]
+    pos = np.full(len(s.table), -1, dtype=np.intp)
+    pos[cells] = np.arange(cells.size)
+    return left, right, _frozen(pos)
 
 
 def subgroup_iso_check(s: Structure, kind: str, w: Subspace | None = None) -> bool:
@@ -748,63 +907,35 @@ def subgroup_iso_check(s: Structure, kind: str, w: Subspace | None = None) -> bo
 
     fix_w maps onto GL(U) by restriction to U, g_w onto GL(W) by
     restriction to W, and n_w onto the additive group U^(n-r) by
-    extracting the translation tuple.  Each member is mapped once, off
-    s.act, to its coordinate rows.  The map must be a bijection onto
-    general_linear or onto every coordinate tuple, and the homomorphism
-    law over every pair is one array compare: the image of a*b, read
-    from the unit group's table (Structure.unit_block), against the
-    product of the images (matrix product, or coordinate sum mod p).
+    extracting the translation tuple.  A view of s.subgroups.isomorphic,
+    which decides every W at once: a bijection onto the comparison group
+    and the homomorphism law on the subgroup's generators times all of it.
     """
-    inst = s.inst
     if kind == FIX_U:
         raise PreconditionError("no canonical comparison group for fix_u; split it with split_grid instead")
-    p = inst.p
-    members = special_subgroup(s, kind, w)
-    if kind == N_W:
-        # coords[i, m]: U-coordinates of w_i*m - w_i.
-        moved = code_vectors(p, inst.n)[s.act[codes(p, w.basis)][:, members]]
-        coords = coordinate_table(inst.u)[codes(p, (moved - np.array(w.basis)[:, None]) % p)]
-        group = np.arange(p ** (inst.r * w.dim))
-    else:
-        # coords[i, m]: coordinates of (basis row i) * m over the space.
-        space = inst.u if kind == FIX_W else w
-        coords = coordinate_table(space)[s.act[codes(p, space.basis)][:, members]]
-        # GL(k)'s row codes packed base p^k are its matrices' codes, in order.
-        k = space.dim
-        group = _once(s._subgroups, ("gl", k), lambda: codes(p**k, general_linear(p, k)))
-    if (coords < 0).any():
-        return False
-    # images[m]: m's coordinate rows, in the narrowest type that holds a
-    # row times a matrix, n (p-1)^2, or a sum of two rows, 2 (p-1), unreduced.
-    images = coords.transpose(1, 0, 2).astype(np.min_scalar_type(max(inst.n * (p - 1) ** 2, 2 * (p - 1))))
-    if not np.array_equal(np.sort(codes(p, images.reshape(len(members), -1))), group):
-        return False
-    at = np.searchsorted(s.grades[inst.n - inst.r], members)
-    local = np.full(len(s.unit_block), -1, dtype=np.int64)
-    local[at] = np.arange(len(members))
-    products = local[s.unit_block[np.ix_(at, at)]]
-    if kind == N_W:
-        expected = (images[:, None] + images) % p
-    else:
-        expected = np.einsum("aij,bjk->abik", images, images) % p
-    return bool((products >= 0).all() and np.array_equal(images[products], expected))
+    i = _row(s, kind, w)
+    return bool(s.subgroups.isomorphic[kind][i])
 
 
-def conjugates_leave(s: Structure, h, by) -> bool:
+def conjugates_leave(s: Structure, h, by):
     """True iff g*x*g^-1 lies outside h for some g in by and some x in h,
-    both given as member indices of units.
+    both given as member indices of units.  Stacked, h of shape (m, a)
+    and by of shape (m, b), it gives one verdict per row.
 
     Read on the unit group's table (Structure.unit_block): g^-1 is the
     unit where g's row holds the identity, so only by's rows are read
     whole, and a g whose row holds no identity is refused.
     """
     units = s.grades[s.inst.n - s.inst.r]
-    inside = np.isin(units, h)
-    rows = s.unit_block[np.searchsorted(units, by)]
+    h, by = np.searchsorted(units, h), np.searchsorted(units, by)
+    rows = s.unit_block[by]
     is_ident = rows == np.searchsorted(units, s.table.identity_idx)
-    if not is_ident.any(axis=1).all():
+    if not is_ident.any(axis=-1).all():
         raise InternalInconsistencyError("a conjugating unit has no inverse in the table")
-    return not inside[s.unit_block[rows[:, inside], is_ident.argmax(axis=1)[:, None]]].all()
+    conj = s.unit_block[np.take_along_axis(rows, h[..., None, :], axis=-1), is_ident.argmax(axis=-1)[..., None]]
+    inside = np.zeros(h.shape[:-1] + (len(units),), dtype=bool)
+    np.put_along_axis(inside, h, True, axis=-1)
+    return ~np.take_along_axis(inside, conj.reshape(*conj.shape[:-2], -1), axis=-1).all(axis=-1)
 
 
 def j_class_count_report(s: Structure) -> dict:

@@ -16,7 +16,6 @@ from glsemi.gf_linalg import (
     Subspace,
     code_vectors,
     codes,
-    enumerate_complements,
     extend_codes,
     identity_mat,
     solve_batch,
@@ -285,22 +284,98 @@ def with_wrong_split(s, left_kind, w):
 
     Every special subgroup, for every complement, that holds both
     factors of the cell also holds the element put there, so each one
-    stays closed under products and only the grid is wrong.
+    stays closed under products; and no subgroup's generator proof reads
+    the cell (x*g or g*x for g one of its generators, x in it), so only
+    the grid is wrong.
     """
-    g = gl_restriction
-    left, right, pos = g.split_grid(s, left_kind, w)
-    subgroups = [g.special_subgroup(s, g.FIX_U)] + [
-        g.special_subgroup(s, kind, v) for v in enumerate_complements(s.inst.u) for kind in (g.FIX_W, g.G_W, g.N_W)
-    ]
+    left, right, pos = gl_restriction.split_grid(s, left_kind, w)
+    proved = proved_subgroups(s)
     cells = unit_products(s, left, right)
     a, b, c = next(
         (a, b, c)
         for i, a in enumerate(left.tolist())
         for j, b in enumerate(right.tolist())
+        if not proof_reads(proved, a, b)
         for c in (pos >= 0).nonzero()[0].tolist()
-        if c != cells[i, j] and all(c in h for h in subgroups if a in h and b in h)
+        if c != cells[i, j] and all(c in h for h, _ in proved if a in h and b in h)
     )
     return with_unit_product(s, a, b, c)
+
+
+def proved_subgroups(s):
+    """(members, generators) of every special subgroup, each a set of
+    member indices: Fix(U), then each kind for each complement, as the
+    stacked unit layer (s.subgroups) proved them."""
+    layer = s.subgroups
+    return [
+        (set(members.tolist()), set(layer.units[gens].tolist()))
+        for kind in gl_restriction.SUBGROUP_KINDS
+        for members, gens in zip(layer.members[kind], layer.gens[kind])
+    ]
+
+
+def proof_reads(proved, a, b):
+    """True iff a generator certificate reads the product a*b: the
+    closure of a subgroup H reads x*g, and its isomorphism check g*x,
+    for g a generator of H and x in H (proved as proved_subgroups gives it)."""
+    return any((a in h and b in gens) or (a in gens and b in h) for h, gens in proved)
+
+
+def whole_closure(s, members):
+    """True iff x*y lies in members for every x and y in members (unit
+    member indices), read off their |H| x |H| block of s.unit_block.  The
+    oracle of the unit layer's closure proof, which reads H x B for the
+    generators B only."""
+    units = s.grades[s.inst.n - s.inst.r]
+    at = np.searchsorted(units, members)
+    inside = np.zeros(len(units), dtype=bool)
+    inside[at] = True
+    return bool(inside[s.unit_block[np.ix_(at, at)]].all())
+
+
+def every_pair_isomorphic(s, kind, w):
+    """subgroup_iso_check's verdict for kind (fix_w, g_w or n_w) and the
+    complement w, with the homomorphism law compared on every pair of
+    the subgroup: psi(a*b), a*b read off s.unit_block, against
+    psi(a)*psi(b).  Each member's image is its basis rows' images (for
+    n_w their translations) over U or W, looked up among every
+    coefficient tuple; the comparison group is brute_general_linear or
+    every tuple.  The oracle of the check, which compares the subgroup's
+    generators times all of it only."""
+    g = gl_restriction
+    p, u = s.inst.p, s.inst.u.basis
+    space = w.basis if kind == g.G_W else u
+    over = {
+        tuple(sum(c * row[j] for c, row in zip(coeffs, space)) % p for j in range(s.inst.n)): coeffs
+        for coeffs in product(range(p), repeat=len(space))
+    }
+    members = g.special_subgroup(s, kind, w)
+    elems = matrices(s)
+    images = []
+    for a in members.tolist():
+        if kind == g.N_W:
+            rows = [tuple((y - x) % p for x, y in zip(v, naive_vec_mat(p, v, elems[a]))) for v in w.basis]
+        else:
+            rows = [naive_vec_mat(p, v, elems[a]) for v in space]
+        if any(row not in over for row in rows):
+            return False
+        images.append([over[row] for row in rows])
+    if kind == g.N_W:
+        group = set(product(product(range(p), repeat=len(u)), repeat=len(w.basis)))
+    else:
+        group = set(brute_general_linear(p, len(space)))
+    if len({tuple(map(tuple, m)) for m in images}) != len(images) or {tuple(map(tuple, m)) for m in images} != group:
+        return False
+    images = np.array(images, dtype=np.int64)
+    mul = unit_products(s, members, members)
+    at = np.searchsorted(members, mul).clip(max=len(members) - 1)
+    if not (members[at] == mul).all():
+        return False
+    if kind == g.N_W:
+        expected = (images[:, None] + images) % p
+    else:
+        expected = np.einsum("aij,bjk->abik", images, images) % p
+    return bool((images[at] == expected).all())
 
 
 def grade_generates(s, k):

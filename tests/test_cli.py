@@ -5,6 +5,7 @@ import dataclasses
 import json
 import os
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -42,7 +43,7 @@ from glsemi.cli import (
 )
 from glsemi import cli, gl_restriction, semigroup_core
 from glsemi.errors import ConfigurationError, InternalInconsistencyError
-from glsemi.gf_linalg import code_vectors, codes, enumerate_complements
+from glsemi.gf_linalg import code_vectors, codes, enumerate_complements, gl_order, subspace
 from glsemi.gl_restriction import (
     DEFAULT_ENUM_CAP,
     FIX_U,
@@ -55,6 +56,7 @@ from glsemi.gl_restriction import (
     generating_set,
     j_class,
     make_instance,
+    predicted_order,
     regular_witnesses,
     special_subgroup,
 )
@@ -65,6 +67,7 @@ from helpers import (
     GivenTable,
     break_batch,
     every_pair_factorizations,
+    every_pair_isomorphic,
     every_unit_conjugation_closed,
     full_table,
     grade_generates,
@@ -72,10 +75,13 @@ from helpers import (
     matrices,
     normal_in_its_whole,
     one,
+    proof_reads,
+    proved_subgroups,
     regular_table,
     restricted_mul,
     split_cell,
     unit_products,
+    whole_closure,
     with_codim,
     with_column,
     with_product,
@@ -898,6 +904,125 @@ def test_nonnormality_fails_on_a_conjugate_that_stays_inside(monkeypatch):
         assert checks["nonnormality"].counts == {"complement": [list(row) for row in w.basis]}
 
 
+def _complement_counts(s, i):
+    return {"complement": [list(row) for row in s.complements[i].basis]}
+
+
+def _failed(checks):
+    return {name: check for name, check in checks.items() if check.status == "fail"}
+
+
+def test_nonnormality_reports_a_trivial_subgroup_moved(monkeypatch):
+    # At (2,3,1) Fix(W) = {e}, and N(W) is the same group for every W.  For
+    # g in N(W), not one of its generators (whose rows the isomorphism check
+    # reads), g*e now reads another y in N(W): the conjugate g*e*g^-1 reads
+    # y*g^-1 != e, so conjugation moves the trivial subgroup, from the
+    # first W on.
+    s = enumerate_semigroup(make_instance(2, 3, 1))
+    layer, ident = s.subgroups, s.table.identity_idx
+    n_w, gens = special_subgroup(s, N_W, s.complements[0]).tolist(), layer.units[layer.gens[N_W][0]].tolist()
+    g = next(x for x in n_w if x != ident and x not in gens)
+    bad = with_unit_product(s, g, ident, next(y for y in n_w if y not in (ident, g)))
+    assert normal_in_its_whole(s, FIX_W, s.complements[0]) and not normal_in_its_whole(bad, FIX_W, s.complements[0])
+    failed = _failed(_verify_with(monkeypatch, s, bad))
+    assert set(failed) == {"nonnormality"}
+    assert failed["nonnormality"].reason == "N(W) conjugation moves fix_w of order 1"
+    assert failed["nonnormality"].counts == _complement_counts(s, 0)
+
+
+def _wrong_image_at(s, kind, i):
+    """(g, x, c): g the first of the generators of kind's subgroup H for
+    the i-th complement, x in H, and c in H in place of g*x, so that H
+    stays closed but psi(g*x) is wrong.  No other generator proof reads
+    g*x, no earlier (W, kind) holds both g and x, and neither g*x nor c is
+    the identity, so every unit keeps an inverse."""
+    layer, ident = s.subgroups, s.table.identity_idx
+    h = layer.members[kind][i].tolist()
+    g = int(layer.units[layer.gens[kind][i, 0]])
+    order = [(k, j) for j in range(len(s.complements)) for k in (FIX_W, G_W, N_W)]
+    earlier = [set(layer.members[k][j].tolist()) for k, j in order[: order.index((kind, i))]]
+    others = [(m, gens) for m, gens in proved_subgroups(s) if m != set(h)]
+    gx = lambda x: unit_products(s, [g], [x])[0, 0]
+    x = next(
+        x
+        for x in h
+        if x != ident and gx(x) != ident and not proof_reads(others, g, x) and not any(g in m and x in m for m in earlier)
+    )
+    return g, x, next(c for c in h if c not in (ident, gx(x)))
+
+
+@pytest.mark.parametrize("kinds", [(G_W,), (FIX_W, G_W)])
+def test_subgroup_isomorphisms_reports_the_first_failing_complement_and_kind(monkeypatch, kinds):
+    # At (2,4,2) Fix(W) and G(W) are both GL(2, 2), of order 6.  Faults at
+    # the second W only, one wrong image at a generator per kind: the check
+    # names that W and the first kind that fails there, as the every-W loop
+    # of Fix(W), G(W), N(W) meets them, and the every-pair oracle agrees.
+    s = enumerate_semigroup(make_instance(2, 4, 2))
+    bad = s
+    for kind in kinds:
+        bad = with_unit_product(bad, *_wrong_image_at(s, kind, 1))
+    verdicts = lambda t: [every_pair_isomorphic(t, kind, w) for w in s.complements[:2] for kind in (FIX_W, G_W, N_W)]
+    assert verdicts(s) == [True] * 6
+    assert verdicts(bad) == [True] * 3 + [kind not in kinds for kind in (FIX_W, G_W, N_W)]
+    failed = _failed(_verify_with(monkeypatch, s, bad))
+    assert set(failed) == {"subgroup_isomorphisms"}
+    assert failed["subgroup_isomorphisms"].reason == f"{kinds[0]} comparison failed"
+    assert failed["subgroup_isomorphisms"].counts == _complement_counts(s, 1)
+
+
+def test_nonnormality_reports_the_first_failing_complement_and_kind(monkeypatch):
+    # At (3,2,1) Fix(W) = {e, x} and G(W) = {e, y} for each of the three W,
+    # and N(W) = {e, g, g^2} for all of them.  At the second W only, g*x
+    # and g*y read x*g and y*g for each g != e, so no conjugate of x or y
+    # leaves its subgroup: the check names that W and its first kind.
+    s = enumerate_semigroup(make_instance(3, 2, 1))
+    w, ident = s.complements[1], s.table.identity_idx
+    bad = s
+    for g in special_subgroup(s, N_W, w).tolist():
+        for kind in (FIX_W, G_W):
+            for x in special_subgroup(s, kind, w).tolist():
+                if ident not in (g, x):
+                    bad = with_unit_product(bad, g, x, unit_products(s, [x], [g])[0, 0])
+    moved = lambda t: [not normal_in_its_whole(t, kind, v) for v in s.complements for kind in (FIX_W, G_W)]
+    assert moved(s) == [True] * 6
+    assert moved(bad)[:2] == [True, True]
+    failed = _failed(_verify_with(monkeypatch, s, bad))
+    assert set(failed) == {"nonnormality"}
+    assert failed["nonnormality"].reason == "N(W) conjugation keeps fix_w of order 2"
+    assert failed["nonnormality"].counts == _complement_counts(s, 1)
+
+
+def test_verify_fails_on_a_product_leaving_a_subgroup_at_a_generator(monkeypatch):
+    # x*g, for g one of G(W)'s generators, now reads a unit outside G(W):
+    # the cell the closure proof reads for x.  The layer refuses it, so each
+    # check that reads the layer fails; the whole-group oracle agrees.
+    s = enumerate_semigroup(make_instance(2, 3, 1))
+    layer, w = s.subgroups, s.complements[1]
+    h = special_subgroup(s, G_W, w)
+    g = int(layer.units[layer.gens[G_W][1, -1]])
+    outside = min(set(j_class(s, 2).tolist()) - set(h.tolist()))
+    bad = with_unit_product(s, h[-1], g, outside)
+    assert whole_closure(s, h) and not whole_closure(bad, h)
+    failed = _failed(_verify_with(monkeypatch, s, bad))
+    assert set(failed) == {"unit_decomposition", "subgroup_isomorphisms", "nonnormality"}
+    for check in failed.values():
+        assert check.reason == "InternalInconsistencyError: subgroup g_w is not closed under products"
+
+
+def test_verify_fails_on_a_wrong_image_at_a_generator(monkeypatch):
+    # g*x, for g the first of Fix(W)'s generators, now reads another member
+    # of Fix(W): still closed, but psi(g*x) != psi(g)*psi(x).  Only the
+    # isomorphism check reads the cell, and so does its every-pair oracle.
+    s = enumerate_semigroup(make_instance(2, 3, 2))
+    w = s.complements[0]
+    bad = with_unit_product(s, *_wrong_image_at(s, FIX_W, 0))
+    assert every_pair_isomorphic(s, FIX_W, w) and not every_pair_isomorphic(bad, FIX_W, w)
+    failed = _failed(_verify_with(monkeypatch, s, bad))
+    assert set(failed) == {"subgroup_isomorphisms"}
+    assert failed["subgroup_isomorphisms"].reason == "fix_w comparison failed"
+    assert failed["subgroup_isomorphisms"].counts == _complement_counts(s, 0)
+
+
 def test_factorizations_peaks_below_one_and_a_half_megabytes_at_order_4096():
     # Fact (ii) gathers the vectors of U and of the domain inverses in the
     # narrowest dtype that holds their products unreduced, not int64: at
@@ -1087,35 +1212,38 @@ def test_regularity_fails_on_a_wrong_unit_inverse(monkeypatch):
             assert check.status in ("pass", "skip"), check.name
 
 
-def test_verify_builds_each_special_subgroup_once(monkeypatch):
+def test_verify_builds_the_stacked_unit_layer_once_per_structure(monkeypatch):
+    # Every kind for every W is built and proved in one _UnitLayer, and
+    # the isomorphism partner never reads one.
     built = []
-    real = gl_restriction._subgroup_members
+    real = gl_restriction._UnitLayer.__init__
 
-    def counting(s, kind, w):
-        built.append((kind, w))
-        return real(s, kind, w)
+    def counting(layer, s):
+        built.append(s.inst)
+        real(layer, s)
 
-    monkeypatch.setattr(gl_restriction, "_subgroup_members", counting)
+    monkeypatch.setattr(gl_restriction._UnitLayer, "__init__", counting)
     report = cmd_verify(InstanceConfig(p=2, n=3, r=1), DEFAULT_ENUM_CAP, DEFAULT_RANK_CAP)
     assert not report.failed
-    comps = enumerate_complements(make_instance(2, 3, 1).u)
-    expected = [(FIX_U, None)] + [(kind, w) for w in comps for kind in (FIX_W, G_W, N_W)]
-    assert sorted(built, key=repr) == sorted(expected, key=repr)
+    assert built == [make_instance(2, 3, 1)]
 
 
-def test_verify_checks_each_complement_and_builds_each_gl_once(monkeypatch):
+def test_verify_checks_the_complements_once_and_builds_gl_once_per_enumeration(monkeypatch):
     calls = {"complements_among": [], "general_linear": []}
-    for name, seen in calls.items():
-        real = getattr(gl_restriction, name)
-        monkeypatch.setattr(gl_restriction, name, lambda *args, real=real, seen=seen: seen.append(args) or real(*args))
+    for module, name in ((cli, "complements_among"), (gl_restriction, "general_linear")):
+        seen, real = calls[name], getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, real=real, seen=seen: seen.append(args) or real(*args))
     report = cmd_verify(InstanceConfig(p=2, n=3, r=1), DEFAULT_ENUM_CAP, DEFAULT_RANK_CAP)
     assert not report.failed
-    # One validation per W, shared by the kinds fix_w, g_w and n_w; GL(1)
-    # and GL(2) once each for the isomorphism checks, and GL(1) once per
-    # enumeration (the instance and its isomorphism partner).
+    # complement_count tests every complement in one call; the unit layer
+    # finds each W among s.complements by RREF equality and runs no
+    # complement test.  GL(1) once per enumeration (the instance and its
+    # isomorphism partner); the isomorphism checks compare orders and
+    # never list a GL(k).
     u = make_instance(2, 3, 1).u
-    assert sorted(map(str, calls["complements_among"])) == sorted(str((u, [w])) for w in enumerate_complements(u))
-    assert sorted(k for _, k in calls["general_linear"]) == [1, 1, 1, 2]
+    assert [str(args) for args in calls["complements_among"]] == [str((u, enumerate_complements(u)))]
+    assert not hasattr(gl_restriction, "complements_among")
+    assert [k for _, k in calls["general_linear"]] == [1, 1]
 
 
 def test_verify_enumerates_the_complements_once_per_structure(monkeypatch):
@@ -1322,3 +1450,76 @@ def test_cmd_verify_deterministic():
     r2 = cmd_verify(cfg, DEFAULT_ENUM_CAP, DEFAULT_RANK_CAP)
     strip = lambda rep: [(c.name, c.status, c.counts, c.reason) for c in rep.checks]
     assert strip(r1) == strip(r2)
+
+
+PRIMES = (2, 3, 5, 7, 11, 13)
+SUBGROUP_CHECKS = ("unit_decomposition", "subgroup_isomorphisms", "nonnormality")
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_verify_passes_on_the_line_over_every_prime(tmp_path, capsys, p):
+    # (p, 1, 0): U = 0, so S is all of GF(p) acting on the line.  No
+    # element can be raised, and the constructors build no raise row
+    # that a 1 x 1 matrix lacks.
+    path = write_cfg(tmp_path, f"p = {p}\nn = 1\nr = 0\n")
+    assert main(["verify", "--instance", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    checks = [line.split()[:2] for line in lines[1:-1]]
+    assert [name for _, name in checks] == CHECK_NAMES
+    assert sorted(name for status, name in checks if status == "SKIP") == sorted(SUBGROUP_CHECKS)
+    assert all(status == "PASS" for status, name in checks if name not in SUBGROUP_CHECKS)
+
+
+def _drawn_u(p, n, r, seed=1):
+    # r rows of GF(p)^n drawn from random.Random(seed) until independent,
+    # as perfbench/instances.py draws a U at seed k > 0.
+    rng = random.Random(seed)
+    while True:
+        rows = [[rng.randrange(p) for _ in range(n)] for _ in range(r)]
+        if subspace(p, n, rows).dim == r:
+            return rows
+
+
+#: Every (p, n, r) make_instance accepts with p <= 13 and order <= 4096
+#: (24 of them), and every (p, n, n) whose GL(n, p) is that small (11).
+SWEEP = [(p, n, r) for p in PRIMES for n in range(1, 5) for r in range(n) if predicted_order(make_instance(p, n, r)) <= 4096]
+REFUSED = [(p, n, n) for p in PRIMES for n in range(1, 5) if gl_order(p, n) <= 4096]
+
+
+@pytest.mark.parametrize(
+    "pnr, drawn",
+    [(pnr, drawn) for pnr in SWEEP for drawn in (False, True) if pnr[2] or not drawn],  # at r = 0, U = 0 is all there is
+    ids=lambda value: "p{}n{}r{}".format(*value) if isinstance(value, tuple) else ("drawn_u" if value else "standard_u"),
+)
+def test_verify_passes_on_every_accepted_instance(pnr, drawn):
+    # The unit layer's shapes: GL(1) factors, r = 1 and n - r = 1, p up to 13.
+    p, n, r = pnr
+    cfg = InstanceConfig(p=p, n=n, r=r, u_rows=tuple(map(tuple, _drawn_u(p, n, r))) if drawn else None)
+    report = cmd_verify(cfg, 4096, DEFAULT_RANK_CAP)
+    checks = {c.name: c for c in report.checks}
+    assert list(checks) == CHECK_NAMES
+    assert not report.failed, {name: c.reason for name, c in checks.items() if c.status == "fail"}
+    allowed = {("rank_identity", "full-semigroup subset sweep infeasible at this order")} if predicted_order(make_instance(p, n, r)) > 20 else set()
+    if not r:
+        allowed |= {(name, "subgroup structure needs r >= 1") for name in SUBGROUP_CHECKS}
+    assert {(name, c.reason) for name, c in checks.items() if c.status == "skip"} <= allowed
+    if r:
+        complements = p ** (r * (n - r))
+        fix_u = gl_order(p, n - r) * complements
+        counts = checks["unit_decomposition"].counts
+        assert counts["complements_checked"] == complements
+        assert counts["decompositions"] == complements * (gl_order(p, r) * fix_u + fix_u)
+
+
+@pytest.mark.parametrize("pnr", REFUSED, ids=lambda pnr: "p{}n{}r{}".format(*pnr))
+def test_verify_refuses_u_equal_to_v(pnr):
+    p, n, r = pnr
+    with pytest.raises(ConfigurationError, match=f"need 0 <= r < n, got r={r}, n={n}"):
+        cmd_verify(InstanceConfig(p=p, n=n, r=r), 4096, DEFAULT_RANK_CAP)
+
+
+def test_the_sweep_covers_the_instances_it_names():
+    assert len(SWEEP) == 24 and len(REFUSED) == 11
+    assert (2, 4, 2) in SWEEP and (13, 2, 1) in SWEEP and (2, 1, 0) in SWEEP
+    complements, fix_u = 2**4, 6 * 2**4
+    assert complements * (6 * fix_u + fix_u) == 10_752  # decompositions at (2,4,2)

@@ -63,6 +63,7 @@ from helpers import (
     break_batch,
     brute_members,
     domain_inverses_by_pair,
+    every_pair_isomorphic,
     full_table,
     index_of,
     is_idempotent_by_image,
@@ -85,6 +86,7 @@ from helpers import (
     scan_generators,
     split_cell,
     unit_products,
+    whole_closure,
     with_column,
     with_unit_product,
     with_wrong_split,
@@ -315,6 +317,27 @@ def test_domain_inverses_match_each_domain_solved_on_its_own(spec, monkeypatch):
     _, doms = solved  # the kernel classes' bases, then the domains
     at = np.arange(inv.shape[1]) <= s.batch.codims[:, None]
     assert len(np.unique(codes(q, doms))) == len(doms) == len(np.unique(codes(q, inv[at]))) <= 1600
+
+
+def test_spliced_peaks_below_a_third_of_a_megabyte_at_order_4096():
+    # The rows of all 13 224 (b, k) domains at (2,4,1), 53 KB of uint8: one
+    # int64 index per entry for the gather, j - shift and its clip, peaked
+    # at 1.08 MB.  The gather by index stays as the reference.
+    s = enumerate_semigroup(make_instance(2, 4, 1), 4096)
+    bt, top = s.batch, 3
+    bs, ks = np.nonzero(np.arange(top + 1) <= bt.codims[:, None])
+    head, rows, shift = np.arange(4) < (top - ks)[:, None], bt.applied[bs], bt.codims[bs] - ks
+    assert len(bs) == 13_224 and rows.nbytes == 52_896
+    tracemalloc.start()
+    try:
+        out = gl_restriction._spliced(head, 0, rows, shift, top)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    j = np.arange(4)
+    src = np.where(j < top, j - shift[:, None], j).clip(0)
+    assert np.array_equal(out, np.where(head, 0, np.take_along_axis(rows, src, axis=1))) and out.dtype == rows.dtype
+    assert peak <= 0.3e6
 
 
 def test_j_class_and_q_ideal():
@@ -709,6 +732,7 @@ def test_decompose_fix_u():
 
 
 W232 = rref_canonical(2, 3, [(0, 0, 1)])
+W232_ROW = S232.complements.index(W232)
 
 
 @pytest.mark.parametrize("name", CONSTRUCTORS)
@@ -773,24 +797,44 @@ def test_subgroup_iso_checks():
 
 def test_special_subgroup_rejects_a_product_leaving_it():
     # One product of two U-fixing units, in the unit group's table, now
-    # reads a unit that moves U.
+    # reads a unit that moves U.  The closure proof reads x*g for g a
+    # generator (the last member times the last generator here); the
+    # whole-group oracle reads every product, the last two members' too.
     fix_u = special_subgroup(S232, FIX_U).tolist()
-    a, b = fix_u[-1], fix_u[-2]
+    gens = S232.subgroups.units[S232.subgroups.gens[FIX_U][0]].tolist()
     outside = min(set(j_class(S232, 1).tolist()) - set(fix_u))
+    for a, b in ((fix_u[-1], gens[-1]), (fix_u[-1], fix_u[-2])):
+        assert not whole_closure(with_unit_product(S232, a, b, outside), fix_u)
     with pytest.raises(InternalInconsistencyError, match="not closed under products"):
-        special_subgroup(with_unit_product(S232, a, b, outside), FIX_U)
+        special_subgroup(with_unit_product(S232, fix_u[-1], gens[-1], outside), FIX_U)
+
+
+@pytest.mark.parametrize("spec", [*sorted(path.stem for path in CONFIGS.glob("*.cfg")), (2, 4, 1), (2, 4, 3)], ids=str)
+def test_generator_certificates_agree_with_the_whole_group_oracles(spec):
+    # The layer proves each subgroup closed on H x B and each isomorphism on
+    # B x H, B its generators; the oracles read H x H.
+    s = enumerate_semigroup(_instance(spec), 4096)
+    assert whole_closure(s, special_subgroup(s, FIX_U))
+    for w in s.complements:
+        for kind in (FIX_W, G_W, N_W):
+            assert whole_closure(s, special_subgroup(s, kind, w))
+            assert subgroup_iso_check(s, kind, w) is every_pair_isomorphic(s, kind, w) is True
 
 
 @pytest.mark.parametrize("kind", [FIX_W, N_W])
 def test_subgroup_iso_check_rejects_a_wrong_product_inside_the_subgroup(kind):
-    # fix_w is compared with the GL table, n_w with coordinate addition.
+    # fix_w is compared with matrix products, n_w with coordinate addition.
+    # The first member after the identity is the first generator, so the
+    # law is compared at a*b.
     members = special_subgroup(S232, kind, W232).tolist()
     ident = S232.table.identity_idx
     a, b = [i for i in members if i != ident][:2]
+    layer = S232.subgroups
+    assert a == layer.units[layer.gens[kind][W232_ROW, 0]]
     wrong = next(c for c in members if c != unit_products(S232, [a], [b])[0, 0])
     bad = with_unit_product(S232, a, b, wrong)
     assert special_subgroup(bad, kind, W232).tolist() == members  # still closed
-    assert not subgroup_iso_check(bad, kind, W232)
+    assert not subgroup_iso_check(bad, kind, W232) and not every_pair_isomorphic(bad, kind, W232)
 
 
 def test_split_grid_holds_each_element_in_one_cell():
