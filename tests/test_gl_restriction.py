@@ -821,6 +821,46 @@ def test_generator_certificates_agree_with_the_whole_group_oracles(spec):
             assert subgroup_iso_check(s, kind, w) is every_pair_isomorphic(s, kind, w) is True
 
 
+def _identity_moving_u():
+    # The identity made to act as a unit that moves U: no subgroup holds it.
+    fix_u = special_subgroup(S232, FIX_U).tolist()
+    moving = next(a for a in j_class(S232, 1).tolist() if a not in fix_u)
+    return with_column(S232, S232.table.identity_idx, matrices(S232)[moving])
+
+
+def _fix_w_grown_at_the_first_complement():
+    # A unit in no Fix(W) made to act as a member of the first Fix(W) only.
+    fix_w = [set(row.tolist()) for row in S232.subgroups.members[FIX_W]]
+    only = next(y for y in sorted(fix_w[0]) if not any(y in other for other in fix_w[1:]))
+    x = next(a for a in j_class(S232, 1).tolist() if not any(a in h for h in fix_w))
+    return with_column(S232, x, matrices(S232)[only])
+
+
+def _identity_row_missing_a_generator():
+    # e*g, for g Fix(U)'s first generator, reads another member of Fix(U):
+    # every product stays inside, but no word from e reaches g.
+    layer, ident = S231.subgroups, S231.table.identity_idx
+    g = int(layer.units[layer.gens[FIX_U][0, 0]])
+    c = next(a for a in special_subgroup(S231, FIX_U).tolist() if a not in (ident, g))
+    return with_unit_product(S231, ident, g, c)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (_identity_moving_u, "subgroup fix_u is missing the identity"),
+        (_fix_w_grown_at_the_first_complement, "subgroup fix_w has different orders for different complements"),
+        (_identity_row_missing_a_generator, "subgroup fix_u is not reached from the identity by its generators"),
+    ],
+    ids=["identity", "orders", "reach"],
+)
+def test_the_unit_layer_refuses_what_it_cannot_prove(bad, message):
+    s = bad()
+    assert np.array_equal(s.codims, S232.codims if s.inst == INST232 else S231.codims)
+    with pytest.raises(InternalInconsistencyError, match=message):
+        special_subgroup(s, FIX_U)
+
+
 @pytest.mark.parametrize("kind", [FIX_W, N_W])
 def test_subgroup_iso_check_rejects_a_wrong_product_inside_the_subgroup(kind):
     # fix_w is compared with matrix products, n_w with coordinate addition.
