@@ -30,6 +30,7 @@ from glsemi.cli import (
     _check_nonnormality,
     _check_order_law,
     _check_regularity,
+    _check_subgroup_isomorphisms,
     _check_unit_decomposition,
     build_instance,
     cmd_eggbox,
@@ -910,6 +911,44 @@ def _complement_counts(s, i):
 
 def _failed(checks):
     return {name: check for name, check in checks.items() if check.status == "fail"}
+
+
+def test_subgroup_isomorphisms_fails_on_a_map_that_is_not_one_to_one(monkeypatch):
+    # At (3,2,1) Fix(W) is GL(1, 3) = {1, 2}.  With every nonzero vector of
+    # U read as coordinate 1, Fix(W) maps onto {1} alone: the identity to
+    # the identity, the law holding, and as many members as GL(U), but two
+    # members share an image.
+    real = gl_restriction.coordinate_table
+
+    def collapsed(sub):
+        out = real(sub)
+        out[out > 0] = 1
+        return out
+
+    monkeypatch.setattr(gl_restriction, "coordinate_table", collapsed)
+    assert _failing(InstanceConfig(p=3, n=2, r=1)) == {"subgroup_isomorphisms": "fix_w comparison failed"}
+
+
+def test_subgroup_isomorphisms_fails_on_a_subgroup_smaller_than_its_group(monkeypatch):
+    # With U's span mask shrunk to the zero vector (the unit layer asks for
+    # it only to test N(W)'s translations), N(W) is {e}: one-to-one and a
+    # homomorphism, but not onto the p^(r(n-r)) translation tuples.
+    real = gl_restriction.span_mask
+    monkeypatch.setattr(gl_restriction, "span_mask", lambda p, n, basis: real(p, n, basis if np.ndim(basis) > 1 else []))
+    s = enumerate_semigroup(make_instance(2, 3, 2))
+    assert len(special_subgroup(s, N_W, s.complements[0])) == 1
+    assert _check_subgroup_isomorphisms(s, CAPS) == ("fail", _complement_counts(s, 0), "n_w comparison failed")
+
+
+def test_unit_decomposition_fails_on_a_grid_with_more_cells_than_its_group(monkeypatch):
+    # With every code sum read as 0, each translation w_j*x - w_j is 0, so
+    # N(W) is all of Fix(U): G(W) x N(W) covers Fix(U) with |G(W)| = 6 times
+    # as many cells as it has elements.
+    real = gl_restriction.code_sums
+    monkeypatch.setattr(gl_restriction, "code_sums", lambda p, n: np.zeros_like(real(p, n)))
+    failed = _failing()
+    assert failed["unit_decomposition"] == "InternalInconsistencyError: g_w x n_w products are not a bijection onto fix_u"
+    assert set(failed) == {"unit_decomposition", "subgroup_isomorphisms"}
 
 
 def test_nonnormality_reports_a_trivial_subgroup_moved(monkeypatch):
