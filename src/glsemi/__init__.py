@@ -19,8 +19,6 @@ from .gl_restriction import (
     minimal_idempotents,
     q_ideal,
     special_subgroup,
-    split_grid,
-    subgroup_iso_check,
 )
 from .isomorphism import decide_isomorphic, element_bijection
 

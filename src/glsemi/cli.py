@@ -33,7 +33,6 @@ from .gf_linalg import (
     code_vectors,
     codes,
     complements_among,
-    enumerate_complements,
     span_mask,
 )
 from .gl_restriction import (
@@ -251,7 +250,7 @@ def _check_complement_count(inst: Instance):
     expected = inst.p ** (inst.r * (inst.n - inst.r))
     if expected > 100_000:
         raise CapacityError(f"{expected} complements exceed the enumeration budget")
-    comps = enumerate_complements(inst.u)
+    comps = inst.complements
     ok = len(set(comps)) == len(comps) == expected and complements_among(inst.u, comps).all()
     counts = {"complements": len(comps), "expected": expected}
     return ("pass" if ok else "fail", counts, None)
@@ -434,7 +433,7 @@ def _check_unit_decomposition(s: Structure, caps):
     counts = {
         "units": len(g),
         "fix_u": len(h),
-        "complements_checked": len(s.complements),
+        "complements_checked": len(s.inst.complements),
         "decompositions": sum(cells.size for cells in s.subgroups.grids.values()),
     }
     return ("pass" if not failures else "fail", counts, "; ".join(failures) or None)
@@ -446,7 +445,7 @@ def _failing_complement(s: Structure, ok: np.ndarray, kinds, reason):
     if ok.all():
         return None
     i, k = np.argwhere(~ok)[0]
-    return ("fail", {"complement": [list(row) for row in s.complements[i].basis]}, reason(kinds[k]))
+    return ("fail", {"complement": [list(row) for row in s.inst.complements[i].basis]}, reason(kinds[k]))
 
 
 def _check_subgroup_isomorphisms(s: Structure, caps):
@@ -475,7 +474,7 @@ def _check_nonnormality(s: Structure, caps):
 
     failed = _failing_complement(s, moved == [orders[kind] > 1 for kind in kinds], kinds, reason)
     fix_w_moved, g_w_moved = moved.sum(axis=0).tolist()
-    return failed or ("pass", {"complements": len(s.complements), "fix_w_moved": fix_w_moved, "g_w_moved": g_w_moved}, None)
+    return failed or ("pass", {"complements": len(s.inst.complements), "fix_w_moved": fix_w_moved, "g_w_moved": g_w_moved}, None)
 
 
 def _check_isomorphism_theorem(s: Structure, caps):
@@ -646,7 +645,7 @@ def cmd_report(cfg: InstanceConfig, enum_cap: int, rank_cap: int) -> dict:
         "expected": inst.p ** (inst.r * (inst.n - inst.r)),
     }
     if inst.r >= 1:
-        w = s.complements[0]
+        w = inst.complements[0]
         payload["unit_group"] = {
             "order": len(j_class(s, top)),
             "complement": [list(row) for row in w.basis],

@@ -76,7 +76,9 @@ SUBGROUP_KINDS = (FIX_U, FIX_W, G_W, N_W)
 @dataclass(frozen=True)
 class Instance:
     """Ambient configuration: prime p, dimension n, and a distinguished
-    r-dimensional subspace U of GF(p)^n held in canonical form."""
+    r-dimensional subspace U of GF(p)^n held in canonical form.  U's
+    complements are enumerated once, on first use (`complements`), and
+    every reader of a complement reads them there."""
 
     p: int
     n: int
@@ -90,6 +92,11 @@ class Instance:
             raise ConfigurationError("subspace does not match the declared (p, n, r)")
         if subspace(self.p, self.n, self.u.basis).basis != self.u.basis:
             raise ConfigurationError("subspace basis is not in canonical form")
+
+    @cached_property
+    def complements(self) -> tuple[Subspace, ...]:
+        """Every complement of U, as gf_linalg.enumerate_complements lists them."""
+        return tuple(enumerate_complements(self.u))
 
 
 def make_instance(p: int, n: int, r: int, u_rows=None) -> Instance:
@@ -162,10 +169,10 @@ class Structure:
     proved from the action array, that action array, the key index every
     product and constructor output is looked up in (through find), and
     data worked out from them at most once, on first use.  Build it with
-    enumerate_semigroup(inst, cap).  U's complements, the unit group's
-    block of products and `subgroups`, the special subgroups of every
-    complement stacked with their proofs, split grids and isomorphism
-    verdicts (see _UnitLayer), are each held once.
+    enumerate_semigroup(inst, cap).  The unit group's block of products
+    and `subgroups`, the special subgroups of every complement of U
+    (inst.complements) stacked with their proofs, split grids and
+    isomorphism verdicts (see _UnitLayer), are each held once.
 
     Element indices are table indices; the elements are sorted, so
     index order is matrix order.  `act[v, b]` is the code of the row
@@ -227,11 +234,6 @@ class Structure:
     def find(self, rows: np.ndarray) -> np.ndarray:
         """Index of each matrix given by its row codes (last axis); -1 for a non-member."""
         return self.index[codes(self.inst.p**self.inst.n, rows)]
-
-    @cached_property
-    def complements(self) -> tuple[Subspace, ...]:
-        """Every complement of U, as gf_linalg.enumerate_complements lists them."""
-        return tuple(enumerate_complements(self.inst.u))
 
     @cached_property
     def batch(self) -> "_Batch":
@@ -663,24 +665,6 @@ def minimal_idempotents(s: Structure) -> np.ndarray:
     return low[(s.act[s.act[:, low], low] == s.act[:, low]).all(axis=0)]  # M_x;M_x = M_x
 
 
-def _row(s: Structure, kind: str, w: Subspace | None) -> int:
-    # The row of (kind, w) in the stacked unit layer: 0 for fix_u, else
-    # W's position in s.complements, found by RREF equality; anything the
-    # layer does not hold is refused.
-    if s.inst.r < 1:
-        raise PreconditionError("unit-group subgroup structure requires r >= 1")
-    if kind not in SUBGROUP_KINDS:
-        raise PreconditionError(f"unknown subgroup kind {kind!r}")
-    if kind == FIX_U:
-        return 0
-    if w is None:
-        raise PreconditionError(f"subgroup kind {kind!r} needs a complement W")
-    try:
-        return s.complements.index(w)
-    except ValueError:
-        raise PreconditionError("W is not a complement of U") from None
-
-
 def special_subgroup(s: Structure, kind: str, w: Subspace | None = None) -> np.ndarray:
     """Indices of one of the structural subgroups of the unit group.
 
@@ -689,11 +673,22 @@ def special_subgroup(s: Structure, kind: str, w: Subspace | None = None) -> np.n
     g_w:   fix_u elements mapping W onto itself.
     n_w:   fix_u elements translating each W-vector by an element of U.
 
-    A view of s.subgroups, which builds and proves every kind for every
-    complement at once (see _UnitLayer); W must be one of s.complements.
+    Read off s.subgroups, which builds and proves every kind for every
+    complement at once (see _UnitLayer), at W's position in
+    s.inst.complements, found by RREF equality; a kind or W the layer
+    does not hold is refused.
     """
-    i = _row(s, kind, w)
-    return s.subgroups.members[kind][i]
+    layer = s.subgroups
+    if kind not in SUBGROUP_KINDS:
+        raise PreconditionError(f"unknown subgroup kind {kind!r}")
+    if kind == FIX_U:
+        return layer.members[FIX_U][0]
+    if w is None:
+        raise PreconditionError(f"subgroup kind {kind!r} needs a complement W")
+    try:
+        return layer.members[kind][s.inst.complements.index(w)]
+    except ValueError:
+        raise PreconditionError("W is not a complement of U") from None
 
 
 def _local(held: np.ndarray, count: int) -> np.ndarray:
@@ -751,10 +746,12 @@ _SPLITS = {FIX_W: (FIX_U, None), G_W: (N_W, FIX_U)}
 
 class _UnitLayer:
     """The special subgroups of the unit group G for every complement W
-    of U at once (Structure.subgroups), with their proofs.
+    of U at once (Structure.subgroups), with their proofs; r = 0, where
+    U has no complement to split by, is refused.  Every per-W result is
+    read by W's position i in s.inst.complements.
 
     held[kind] is an (m, h) array whose row i holds the positions among
-    the units (s.grades[n-r]) of the subgroup for W = s.complements[i],
+    the units (s.grades[n-r]) of the subgroup for W = s.inst.complements[i],
     sorted; every W gives one order h, and fix_u has one row.
     members[kind] holds the same as member indices.  Membership is read
     off one gather of the units' columns of s.act, at the codes of U's
@@ -764,7 +761,8 @@ class _UnitLayer:
     gf_linalg.code_sums.  Each row is proved a subgroup on the
     generators gens[kind] (see _generated).  grids and isomorphic, the
     split grids and the isomorphism verdicts, are stacked over W too and
-    built on first use.
+    built on first use: W's split of a unit is its cell of grids[kind][i],
+    and its verdict isomorphic[kind][i].
     """
 
     def __init__(self, s: Structure):
@@ -772,7 +770,7 @@ class _UnitLayer:
         if r < 1:
             raise PreconditionError("unit-group subgroup structure requires r >= 1")
         self.s, self.units = s, s.grades[n - r]
-        u, self.ws = codes(p, s.inst.u.basis), codes(p, [w.basis for w in s.complements])
+        u, self.ws = codes(p, s.inst.u.basis), codes(p, [w.basis for w in s.inst.complements])
         m = len(self.ws)
         img = s.act[:, self.units][np.concatenate([u, self.ws.ravel()])]
         self.on_u, self.on_w = img[:r], img[r:].reshape(m, n - r, -1)
@@ -800,7 +798,7 @@ class _UnitLayer:
     def grids(self) -> dict[str, np.ndarray]:
         """grids[left_kind][i]: the unit positions of the product grid
         left x right (_SPLITS: fix_w x fix_u, g_w x n_w) for W =
-        complements[i], flat and row-major.  Each W's splits are unique
+        inst.complements[i], flat and row-major.  Each W's splits are unique
         exactly when its grid is a bijection onto the units (onto fix_u
         for g_w); at the first W, then split, where one is not,
         InternalInconsistencyError is raised."""
@@ -827,7 +825,7 @@ class _UnitLayer:
     @cached_property
     def isomorphic(self) -> dict[str, np.ndarray]:
         """isomorphic[kind][i]: whether kind's subgroup for W =
-        complements[i] maps isomorphically onto its comparison group:
+        inst.complements[i] maps isomorphically onto its comparison group:
         fix_w onto GL(U) by restriction to U, g_w onto GL(W) by
         restriction to W, n_w onto U^(n-r) by its translation tuple.
 
@@ -880,41 +878,6 @@ class _UnitLayer:
             law = (products >= 0).all(axis=(1, 2)) & (images[rows[..., None], products] == expected).all(axis=(1, 2, 3, 4))
             verdicts[kind] = _frozen((coords[kind] >= 0).all(axis=(1, 2, 3)) & onto & law)
         return verdicts
-
-
-def split_grid(s: Structure, left_kind: str, w: Subspace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(left, right, pos) of the product grid fix_w x fix_u (left_kind
-    fix_w) or g_w x n_w (left_kind g_w) for the complement w: the sorted
-    factor indices and pos[a], the flat grid cell holding a, -1 off the
-    grid.
-
-    A view of s.subgroups.grids, which checks every W's grids at once:
-    splits are unique exactly when the grid is a bijection onto the
-    units (fix_u for g_w); anything else raises
-    InternalInconsistencyError.
-    """
-    if left_kind not in _SPLITS:
-        raise PreconditionError(f"no unit split has left factor {left_kind!r}")
-    left, right = special_subgroup(s, left_kind, w), special_subgroup(s, _SPLITS[left_kind][0], w)
-    cells = s.subgroups.units[s.subgroups.grids[left_kind][_row(s, left_kind, w)]]
-    pos = np.full(len(s.table), -1, dtype=np.intp)
-    pos[cells] = np.arange(cells.size)
-    return left, right, _frozen(pos)
-
-
-def subgroup_iso_check(s: Structure, kind: str, w: Subspace | None = None) -> bool:
-    """Verify the structural isomorphism for the requested subgroup.
-
-    fix_w maps onto GL(U) by restriction to U, g_w onto GL(W) by
-    restriction to W, and n_w onto the additive group U^(n-r) by
-    extracting the translation tuple.  A view of s.subgroups.isomorphic,
-    which decides every W at once: a bijection onto the comparison group
-    and the homomorphism law on the subgroup's generators times all of it.
-    """
-    if kind == FIX_U:
-        raise PreconditionError("no canonical comparison group for fix_u; split it with split_grid instead")
-    i = _row(s, kind, w)
-    return bool(s.subgroups.isomorphic[kind][i])
 
 
 def conjugates_leave(s: Structure, h, by):

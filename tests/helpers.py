@@ -55,15 +55,29 @@ def one(batch, s, *idxs):
     return tuple(int(x.item()) for x in out) if isinstance(out, tuple) else int(out.item())
 
 
+def split_factors(s, left_kind, w):
+    """(left, right, cells) of the left_kind split for the complement w
+    (fix_w x fix_u for left_kind fix_w, g_w x n_w for g_w), read off the
+    stacked unit layer: the factors' member indices, and
+    cells[i * len(right) + j], the member index of left[i] * right[j],
+    from s.subgroups.grids at w's position in s.inst.complements."""
+    g = gl_restriction
+    right_kind = {g.FIX_W: g.FIX_U, g.G_W: g.N_W}[left_kind]
+    left, right = g.special_subgroup(s, left_kind, w), g.special_subgroup(s, right_kind, w)
+    layer = s.subgroups
+    return left, right, layer.units[layer.grids[left_kind][s.inst.complements.index(w)]]
+
+
 def split_cell(s, left_kind, w, a):
     """The unit split of element a as (left factor, right factor): a's
-    cell of split_grid's product grid (fix_w x fix_u for left_kind
-    fix_w, g_w x n_w for g_w).  An element with no cell raises
-    PreconditionError: a non-unit, or for g_w a unit not fixing U."""
-    left, right, pos = gl_restriction.split_grid(s, left_kind, w)
-    if pos[a] < 0:
+    cell of the split's product grid (split_factors).  An element with no
+    cell raises PreconditionError: a non-unit, or for g_w a unit not
+    fixing U."""
+    left, right, cells = split_factors(s, left_kind, w)
+    at = np.flatnonzero(cells == a)
+    if not at.size:
         raise PreconditionError(f"element {a} has no cell in the {left_kind} split")
-    i, j = divmod(int(pos[a]), len(right))
+    i, j = divmod(int(at[0]), len(right))
     return int(left[i]), int(right[j])
 
 
@@ -288,7 +302,7 @@ def with_wrong_split(s, left_kind, w):
     the cell (x*g or g*x for g one of its generators, x in it), so only
     the grid is wrong.
     """
-    left, right, pos = gl_restriction.split_grid(s, left_kind, w)
+    left, right, whole = split_factors(s, left_kind, w)
     proved = proved_subgroups(s)
     cells = unit_products(s, left, right)
     a, b, c = next(
@@ -296,7 +310,7 @@ def with_wrong_split(s, left_kind, w):
         for i, a in enumerate(left.tolist())
         for j, b in enumerate(right.tolist())
         if not proof_reads(proved, a, b)
-        for c in (pos >= 0).nonzero()[0].tolist()
+        for c in np.sort(whole).tolist()
         if c != cells[i, j] and all(c in h for h, _ in proved if a in h and b in h)
     )
     return with_unit_product(s, a, b, c)
@@ -334,13 +348,13 @@ def whole_closure(s, members):
 
 
 def every_pair_isomorphic(s, kind, w):
-    """subgroup_iso_check's verdict for kind (fix_w, g_w or n_w) and the
-    complement w, with the homomorphism law compared on every pair of
-    the subgroup: psi(a*b), a*b read off s.unit_block, against
-    psi(a)*psi(b).  Each member's image is its basis rows' images (for
-    n_w their translations) over U or W, looked up among every
-    coefficient tuple; the comparison group is brute_general_linear or
-    every tuple.  The oracle of the check, which compares the subgroup's
+    """The unit layer's isomorphism verdict (s.subgroups.isomorphic) for
+    kind (fix_w, g_w or n_w) and the complement w, with the homomorphism
+    law compared on every pair of the subgroup: psi(a*b), a*b read off
+    s.unit_block, against psi(a)*psi(b).  Each member's image is its
+    basis rows' images (for n_w their translations) over U or W, looked
+    up among every coefficient tuple; the comparison group is
+    brute_general_linear or every tuple.  The oracle of the check, which compares the subgroup's
     generators times all of it only."""
     g = gl_restriction
     p, u = s.inst.p, s.inst.u.basis

@@ -42,7 +42,6 @@ from glsemi.gl_restriction import (
     regular_witnesses,
     sandwich_factor_grid,
     special_subgroup,
-    subgroup_iso_check,
 )
 from glsemi.isomorphism import decide_isomorphic, element_bijection
 from glsemi.semigroup_core import (
@@ -281,10 +280,11 @@ def test_c11_subgroup_isomorphisms():
     checked = 0
     for args in ((2, 3, 1), (2, 3, 2), (3, 2, 1)):
         s = STRUCTURES[args]
-        for w in enumerate_complements(s.inst.u):
-            for kind in (FIX_W, G_W, N_W):
-                assert subgroup_iso_check(s, kind, w), (args, kind)
-                checked += 1
+        count = len(enumerate_complements(s.inst.u))
+        for kind in (FIX_W, G_W, N_W):
+            verdicts = s.subgroups.isomorphic[kind]  # one per complement
+            assert len(verdicts) == count and verdicts.all(), (args, kind)
+            checked += count
     _ok("11 subgroup isomorphisms", f"{checked} full multiplication-table checks")
 
 

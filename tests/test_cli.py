@@ -42,7 +42,7 @@ from glsemi.cli import (
     parse_config,
     resolve_caps,
 )
-from glsemi import cli, gl_restriction, semigroup_core
+from glsemi import cli, gl_restriction, isomorphism, semigroup_core
 from glsemi.errors import ConfigurationError, InternalInconsistencyError
 from glsemi.gf_linalg import code_vectors, codes, enumerate_complements, gl_order, subspace
 from glsemi.gl_restriction import (
@@ -61,6 +61,7 @@ from glsemi.gl_restriction import (
     regular_witnesses,
     special_subgroup,
 )
+from glsemi.isomorphism import decide_isomorphic, element_bijection
 from glsemi.semigroup_core import closure_indices, label_classes
 
 from helpers import (
@@ -267,15 +268,15 @@ def test_nonnormality_moves_as_the_whole_group_oracles(name):
     status, counts, reason = _check_nonnormality(s, CAPS)
     assert status == "pass", reason
     for kind in (FIX_W, G_W):
-        moved = [not normal_in_its_whole(s, kind, w) for w in s.complements]
-        assert moved == [len(special_subgroup(s, kind, w)) > 1 for w in s.complements]
+        moved = [not normal_in_its_whole(s, kind, w) for w in s.inst.complements]
+        assert moved == [len(special_subgroup(s, kind, w)) > 1 for w in s.inst.complements]
         assert counts[f"{kind}_moved"] == sum(moved)
-    assert counts["complements"] == len(s.complements)
+    assert counts["complements"] == len(s.inst.complements)
 
 
 def test_conjugates_leave_refuses_a_conjugator_without_an_inverse():
     s = enumerate_semigroup(make_instance(3, 2, 1))
-    w = s.complements[0]
+    w = s.inst.complements[0]
     by, h = special_subgroup(s, N_W, w), special_subgroup(s, FIX_W, w)
     g = by[by != s.table.identity_idx][0]
     inverse = next(x for x in by.tolist() if unit_products(s, [g], [x])[0, 0] == s.table.identity_idx)
@@ -755,6 +756,14 @@ def test_ideal_structure_fails_when_a_wrong_codimension_leaves_q1_no_ideal():
     assert "Q(1) is not an ideal" in reason
 
 
+def test_ideal_structure_fails_when_the_one_unit_grade_reads_as_an_ideal(monkeypatch):
+    # At (2,2,1), n - r = 1: the unit grade is grade 1, and no ideal, since
+    # its products with the grade below leave it.  With every index set
+    # read as an ideal, the check must still test that grade and fail it.
+    monkeypatch.setattr(cli, "verify_ideal", lambda table, idxs: True)
+    assert _failing(InstanceConfig(p=2, n=2, r=1)) == {"ideal_structure": "unit grade wrongly closed as an ideal"}
+
+
 @pytest.mark.parametrize(
     "m",
     [
@@ -860,11 +869,21 @@ def test_minimal_idempotents_fails_on_one_extra_characterized_idempotent(monkeyp
     assert (check.status, check.counts) == ("fail", {"characterized": 5, "oracle": 4, "expected": 4})
 
 
+def test_minimal_idempotents_fails_on_a_swapped_characterized_idempotent(monkeypatch):
+    # The least characterized idempotent traded for the identity: as many as
+    # the oracle finds and the closed form expects, but not the same set.
+    real = cli.minimal_idempotents
+    monkeypatch.setattr(cli, "minimal_idempotents", lambda s: np.union1d(real(s)[1:], [s.table.identity_idx]))
+    check = next(c for c in cmd_verify(InstanceConfig(p=2, n=3, r=1), *CAPS).checks if c.name == "minimal_idempotents")
+    assert (check.status, check.counts) == ("fail", {"characterized": 4, "oracle": 4, "expected": 4})
+
+
 def test_complement_count_fails_on_a_duplicated_complement(monkeypatch):
     # The last complement listed is the first again: as many as expected,
-    # each a complement of U, but not all of them.
-    real = cli.enumerate_complements
-    monkeypatch.setattr(cli, "enumerate_complements", lambda u: [*real(u)[:-1], real(u)[0]])
+    # each a complement of U, but not all of them.  The unit layer reads the
+    # same list, and holds the first W's subgroups twice.
+    real = gl_restriction.enumerate_complements
+    monkeypatch.setattr(gl_restriction, "enumerate_complements", lambda u: [*real(u)[:-1], real(u)[0]])
     assert set(_failing()) == {"complement_count"}
 
 
@@ -890,7 +909,7 @@ def test_nonnormality_fails_on_a_conjugate_that_stays_inside(monkeypatch):
     # both translations g != e move H's x != e.  In each g's row of the unit
     # block, g*x now reads x*g, so g*x*g^-1 reads x: no conjugate leaves H.
     s = enumerate_semigroup(make_instance(3, 2, 1))
-    w, ident = s.complements[0], s.table.identity_idx
+    w, ident = s.inst.complements[0], s.table.identity_idx
     by = special_subgroup(s, N_W, w)
     for kind in (FIX_W, G_W):
         h = special_subgroup(s, kind, w)
@@ -906,7 +925,7 @@ def test_nonnormality_fails_on_a_conjugate_that_stays_inside(monkeypatch):
 
 
 def _complement_counts(s, i):
-    return {"complement": [list(row) for row in s.complements[i].basis]}
+    return {"complement": [list(row) for row in s.inst.complements[i].basis]}
 
 
 def _failed(checks):
@@ -936,7 +955,7 @@ def test_subgroup_isomorphisms_fails_on_a_subgroup_smaller_than_its_group(monkey
     real = gl_restriction.span_mask
     monkeypatch.setattr(gl_restriction, "span_mask", lambda p, n, basis: real(p, n, basis if np.ndim(basis) > 1 else []))
     s = enumerate_semigroup(make_instance(2, 3, 2))
-    assert len(special_subgroup(s, N_W, s.complements[0])) == 1
+    assert len(special_subgroup(s, N_W, s.inst.complements[0])) == 1
     assert _check_subgroup_isomorphisms(s, CAPS) == ("fail", _complement_counts(s, 0), "n_w comparison failed")
 
 
@@ -959,10 +978,10 @@ def test_nonnormality_reports_a_trivial_subgroup_moved(monkeypatch):
     # first W on.
     s = enumerate_semigroup(make_instance(2, 3, 1))
     layer, ident = s.subgroups, s.table.identity_idx
-    n_w, gens = special_subgroup(s, N_W, s.complements[0]).tolist(), layer.units[layer.gens[N_W][0]].tolist()
+    n_w, gens = special_subgroup(s, N_W, s.inst.complements[0]).tolist(), layer.units[layer.gens[N_W][0]].tolist()
     g = next(x for x in n_w if x != ident and x not in gens)
     bad = with_unit_product(s, g, ident, next(y for y in n_w if y not in (ident, g)))
-    assert normal_in_its_whole(s, FIX_W, s.complements[0]) and not normal_in_its_whole(bad, FIX_W, s.complements[0])
+    assert normal_in_its_whole(s, FIX_W, s.inst.complements[0]) and not normal_in_its_whole(bad, FIX_W, s.inst.complements[0])
     failed = _failed(_verify_with(monkeypatch, s, bad))
     assert set(failed) == {"nonnormality"}
     assert failed["nonnormality"].reason == "N(W) conjugation moves fix_w of order 1"
@@ -978,7 +997,7 @@ def _wrong_image_at(s, kind, i):
     layer, ident = s.subgroups, s.table.identity_idx
     h = layer.members[kind][i].tolist()
     g = int(layer.units[layer.gens[kind][i, 0]])
-    order = [(k, j) for j in range(len(s.complements)) for k in (FIX_W, G_W, N_W)]
+    order = [(k, j) for j in range(len(s.inst.complements)) for k in (FIX_W, G_W, N_W)]
     earlier = [set(layer.members[k][j].tolist()) for k, j in order[: order.index((kind, i))]]
     others = [(m, gens) for m, gens in proved_subgroups(s) if m != set(h)]
     gx = lambda x: unit_products(s, [g], [x])[0, 0]
@@ -1000,7 +1019,7 @@ def test_subgroup_isomorphisms_reports_the_first_failing_complement_and_kind(mon
     bad = s
     for kind in kinds:
         bad = with_unit_product(bad, *_wrong_image_at(s, kind, 1))
-    verdicts = lambda t: [every_pair_isomorphic(t, kind, w) for w in s.complements[:2] for kind in (FIX_W, G_W, N_W)]
+    verdicts = lambda t: [every_pair_isomorphic(t, kind, w) for w in s.inst.complements[:2] for kind in (FIX_W, G_W, N_W)]
     assert verdicts(s) == [True] * 6
     assert verdicts(bad) == [True] * 3 + [kind not in kinds for kind in (FIX_W, G_W, N_W)]
     failed = _failed(_verify_with(monkeypatch, s, bad))
@@ -1015,14 +1034,14 @@ def test_nonnormality_reports_the_first_failing_complement_and_kind(monkeypatch)
     # and g*y read x*g and y*g for each g != e, so no conjugate of x or y
     # leaves its subgroup: the check names that W and its first kind.
     s = enumerate_semigroup(make_instance(3, 2, 1))
-    w, ident = s.complements[1], s.table.identity_idx
+    w, ident = s.inst.complements[1], s.table.identity_idx
     bad = s
     for g in special_subgroup(s, N_W, w).tolist():
         for kind in (FIX_W, G_W):
             for x in special_subgroup(s, kind, w).tolist():
                 if ident not in (g, x):
                     bad = with_unit_product(bad, g, x, unit_products(s, [x], [g])[0, 0])
-    moved = lambda t: [not normal_in_its_whole(t, kind, v) for v in s.complements for kind in (FIX_W, G_W)]
+    moved = lambda t: [not normal_in_its_whole(t, kind, v) for v in s.inst.complements for kind in (FIX_W, G_W)]
     assert moved(s) == [True] * 6
     assert moved(bad)[:2] == [True, True]
     failed = _failed(_verify_with(monkeypatch, s, bad))
@@ -1036,7 +1055,7 @@ def test_verify_fails_on_a_product_leaving_a_subgroup_at_a_generator(monkeypatch
     # the cell the closure proof reads for x.  The layer refuses it, so each
     # check that reads the layer fails; the whole-group oracle agrees.
     s = enumerate_semigroup(make_instance(2, 3, 1))
-    layer, w = s.subgroups, s.complements[1]
+    layer, w = s.subgroups, s.inst.complements[1]
     h = special_subgroup(s, G_W, w)
     g = int(layer.units[layer.gens[G_W][1, -1]])
     outside = min(set(j_class(s, 2).tolist()) - set(h.tolist()))
@@ -1053,7 +1072,7 @@ def test_verify_fails_on_a_wrong_image_at_a_generator(monkeypatch):
     # of Fix(W): still closed, but psi(g*x) != psi(g)*psi(x).  Only the
     # isomorphism check reads the cell, and so does its every-pair oracle.
     s = enumerate_semigroup(make_instance(2, 3, 2))
-    w = s.complements[0]
+    w = s.inst.complements[0]
     bad = with_unit_product(s, *_wrong_image_at(s, FIX_W, 0))
     assert every_pair_isomorphic(s, FIX_W, w) and not every_pair_isomorphic(bad, FIX_W, w)
     failed = _failed(_verify_with(monkeypatch, s, bad))
@@ -1115,6 +1134,46 @@ def test_isomorphism_theorem_holds_no_whole_partner_table():
         tracemalloc.stop()
     assert status == "pass" and counts["psi_pairs_verified"] == len(s.table) ** 2
     assert peak <= 3e6
+
+
+def test_verify_fails_every_table_check_on_an_image_size_that_is_no_power_of_p(monkeypatch):
+    # Element 0's column of the action reads three codes: no image of a
+    # linear map over GF(2) has three vectors, so no codimension is read.
+    s = enumerate_semigroup(make_instance(2, 3, 1))
+    act = s.act.copy()
+    act[:, 0] = [0, 1, 2, 1, 0, 1, 2, 1]
+    bad = Structure(s.inst, s.table, act, s.index)
+    with pytest.raises(InternalInconsistencyError, match="an image size is not a power of p"):
+        bad.codims
+    failed = {name: check.reason for name, check in _failed(_verify_with(monkeypatch, s, bad)).items()}
+    assert set(failed) == {name for name, _, _ in cli._CHECKS} - {"complement_count"}
+    assert set(failed.values()) == {"InternalInconsistencyError: an image size is not a power of p"}
+
+
+def test_isomorphism_theorem_fails_on_a_map_that_misses_the_partner_u(monkeypatch):
+    # phi read as the identity: it keeps U where the partner has moved it.
+    monkeypatch.setattr(isomorphism, "solve_batch", lambda p, a, b: np.array([np.eye(len(a[0]), dtype=np.int64)] * len(a)))
+    with pytest.raises(InternalInconsistencyError, match="ambient map failed to carry U onto its target"):
+        decide_isomorphic(make_instance(2, 3, 1), make_instance(2, 3, 1, [(1, 1, 0)]))
+    failed = _failing()
+    assert failed == {"isomorphism_theorem": "InternalInconsistencyError: ambient map failed to carry U onto its target"}
+
+
+def test_isomorphism_theorem_fails_on_a_partner_of_another_order(monkeypatch):
+    # The partner's Structure holds the table of (2,2,1): same (p, n, r)
+    # claimed, 4 members against 64.
+    small = enumerate_semigroup(make_instance(2, 2, 1))
+    real = cli.enumerate_semigroup
+
+    def built(inst, cap):
+        return real(inst, cap) if inst == make_instance(2, 3, 1) else Structure(inst, small.table, small.act, small.index)
+
+    monkeypatch.setattr(cli, "enumerate_semigroup", built)
+    s, partner = (built(make_instance(2, 3, 1, rows), CAPS[0]) for rows in (None, [(1, 1, 0)]))
+    with pytest.raises(InternalInconsistencyError, match="matched parameters but different orders"):
+        element_bijection(decide_isomorphic(s.inst, partner.inst), s, partner)
+    failed = _failing()
+    assert failed == {"isomorphism_theorem": "InternalInconsistencyError: matched parameters but different orders"}
 
 
 def test_isomorphism_theorem_fails_on_a_psi_that_breaks_a_product(monkeypatch):
@@ -1275,28 +1334,28 @@ def test_verify_checks_the_complements_once_and_builds_gl_once_per_enumeration(m
     report = cmd_verify(InstanceConfig(p=2, n=3, r=1), DEFAULT_ENUM_CAP, DEFAULT_RANK_CAP)
     assert not report.failed
     # complement_count tests every complement in one call; the unit layer
-    # finds each W among s.complements by RREF equality and runs no
+    # reads each W by its position in inst.complements and runs no
     # complement test.  GL(1) once per enumeration (the instance and its
     # isomorphism partner); the isomorphism checks compare orders and
     # never list a GL(k).
     u = make_instance(2, 3, 1).u
-    assert [str(args) for args in calls["complements_among"]] == [str((u, enumerate_complements(u)))]
+    assert [str(args) for args in calls["complements_among"]] == [str((u, tuple(enumerate_complements(u))))]
     assert not hasattr(gl_restriction, "complements_among")
     assert [k for _, k in calls["general_linear"]] == [1, 1]
 
 
 def test_verify_enumerates_the_complements_once_per_structure(monkeypatch):
-    # complement_count enumerates them as an instance check; the Structure
-    # holds its own list for unit_decomposition and subgroup_isomorphisms,
-    # and the isomorphism partner never reads one.
-    calls = []
-    for module in (cli, gl_restriction):
-        real = module.enumerate_complements
-        monkeypatch.setattr(module, "enumerate_complements", lambda u, real=real: calls.append(u) or real(u))
+    # The instance holds the one list: complement_count, the unit layer and
+    # report read it there, and the isomorphism partner never reads one.
+    calls, real = [], gl_restriction.enumerate_complements
+    monkeypatch.setattr(gl_restriction, "enumerate_complements", lambda u: calls.append(u) or real(u))
+    assert not hasattr(cli, "enumerate_complements")
     assert not cmd_verify(InstanceConfig(p=2, n=3, r=1), *CAPS).failed
+    assert calls == [make_instance(2, 3, 1).u]
+    cmd_report(InstanceConfig(p=2, n=3, r=1), *CAPS)
     assert calls == [make_instance(2, 3, 1).u] * 2
-    s = enumerate_semigroup(make_instance(2, 3, 1))
-    assert s.complements is s.complements and len(calls) == 3
+    inst = make_instance(2, 3, 1)
+    assert inst.complements is inst.complements and len(calls) == 3
 
 
 def _builds(monkeypatch):
@@ -1368,12 +1427,15 @@ def test_main_refuses_bad_input_by_name(tmp_path, capsys, monkeypatch, text, env
     assert captured.err == f"error: {message}\n" and captured.out == ""
 
 
-def test_verify_skips_a_complement_count_past_its_budget():
+def test_verify_skips_a_complement_count_past_its_budget(monkeypatch):
     # 2^(4*5) complements at (2,9,4), over the budget of 100 000: a skip
-    # that names the count, not a failure.
+    # that names the count, not a failure, before any is enumerated.
+    calls, real = [], gl_restriction.enumerate_complements
+    monkeypatch.setattr(gl_restriction, "enumerate_complements", lambda u: calls.append(u) or real(u))
     checks = {c.name: c for c in cmd_verify(InstanceConfig(p=2, n=9, r=4), *CAPS).checks}
     assert checks["complement_count"].status == "skip"
     assert checks["complement_count"].reason == "1048576 complements exceed the enumeration budget"
+    assert calls == []
 
 
 def test_verify_fails_every_table_check_when_a_member_is_missing(monkeypatch):

@@ -51,8 +51,6 @@ from glsemi.gl_restriction import (
     regular_witnesses,
     sandwich_factor_grid,
     special_subgroup,
-    split_grid,
-    subgroup_iso_check,
 )
 from glsemi.semigroup_core import SemigroupTable, closure_indices, rank_search
 
@@ -85,6 +83,7 @@ from helpers import (
     rref_canonical,
     scan_generators,
     split_cell,
+    split_factors,
     unit_products,
     whole_closure,
     with_column,
@@ -357,7 +356,6 @@ def test_j_class_and_q_ideal():
 def test_each_cached_index_set_is_a_sorted_read_only_intp_array():
     s = enumerate_semigroup(INST232)
     w = enumerate_complements(s.inst.u)[0]
-    split = split_grid(s, FIX_W, w)
     index_sets = [
         *s.grades,
         *s.below,
@@ -365,16 +363,16 @@ def test_each_cached_index_set_is_a_sorted_read_only_intp_array():
         q_ideal(s, 1),
         special_subgroup(s, FIX_U),
         *(special_subgroup(s, kind, w) for kind in (FIX_W, G_W, N_W)),
-        *split[:2],
     ]
     for idxs in index_sets:
         assert idxs.dtype == np.intp and idxs.ndim == 1
         assert (np.diff(idxs) > 0).all()  # strictly increasing: sorted, no repeats
-    for held in [*index_sets, s.codims, split[2], s.index, s.act]:
+    layer = s.subgroups
+    for held in [*index_sets, s.codims, *layer.grids.values(), *layer.isomorphic.values(), s.index, s.act]:
         assert not held.flags.writeable
         with pytest.raises(ValueError):
             held[..., :1] = 0
-    assert s.codims.dtype == np.intp and split[2].dtype == np.intp
+    assert s.codims.dtype == np.intp
     # The sets a call makes afresh are sorted intp arrays as well.
     for idxs in (generating_set(s), minimal_idempotents(s)):
         assert idxs.dtype == np.intp and (np.diff(idxs) > 0).all()
@@ -707,7 +705,7 @@ def test_decompose_unit():
     with pytest.raises(PreconditionError):
         split_cell(S232, FIX_W, w, idx(((1, 0, 0), (0, 1, 0), (0, 0, 0))))  # not a unit
     with pytest.raises(PreconditionError):
-        split_grid(S232, FIX_W, INST232.u)  # U is not its own complement
+        split_cell(S232, FIX_W, INST232.u, ident)  # U is not its own complement
 
 
 def test_decompose_fix_u():
@@ -732,7 +730,7 @@ def test_decompose_fix_u():
 
 
 W232 = rref_canonical(2, 3, [(0, 0, 1)])
-W232_ROW = S232.complements.index(W232)
+W232_ROW = S232.inst.complements.index(W232)
 
 
 @pytest.mark.parametrize("name", CONSTRUCTORS)
@@ -785,14 +783,13 @@ def test_decomposition_uniqueness():
 
 
 def test_subgroup_iso_checks():
-    w = rref_canonical(2, 3, [(0, 0, 1)])
-    assert subgroup_iso_check(S232, FIX_W, w)
-    assert subgroup_iso_check(S232, G_W, w)
-    assert subgroup_iso_check(S232, N_W, w)
+    # One verdict per complement, at W's position in inst.complements; Fix(U)
+    # has no comparison group, it is split instead.
+    verdicts = S232.subgroups.isomorphic
+    assert set(verdicts) == {FIX_W, G_W, N_W}
+    assert [bool(verdicts[kind][W232_ROW]) for kind in (FIX_W, G_W, N_W)] == [True] * 3
     w2 = rref_canonical(2, 3, [(0, 1, 0), (0, 0, 1)])
-    assert subgroup_iso_check(S231, N_W, w2)
-    with pytest.raises(PreconditionError):
-        subgroup_iso_check(S232, FIX_U, w)
+    assert S231.subgroups.isomorphic[N_W][S231.inst.complements.index(w2)]
 
 
 def test_special_subgroup_rejects_a_product_leaving_it():
@@ -815,10 +812,10 @@ def test_generator_certificates_agree_with_the_whole_group_oracles(spec):
     # B x H, B its generators; the oracles read H x H.
     s = enumerate_semigroup(_instance(spec), 4096)
     assert whole_closure(s, special_subgroup(s, FIX_U))
-    for w in s.complements:
+    for i, w in enumerate(s.inst.complements):
         for kind in (FIX_W, G_W, N_W):
             assert whole_closure(s, special_subgroup(s, kind, w))
-            assert subgroup_iso_check(s, kind, w) is every_pair_isomorphic(s, kind, w) is True
+            assert bool(s.subgroups.isomorphic[kind][i]) is every_pair_isomorphic(s, kind, w) is True
 
 
 def _identity_moving_u():
@@ -874,26 +871,23 @@ def test_subgroup_iso_check_rejects_a_wrong_product_inside_the_subgroup(kind):
     wrong = next(c for c in members if c != unit_products(S232, [a], [b])[0, 0])
     bad = with_unit_product(S232, a, b, wrong)
     assert special_subgroup(bad, kind, W232).tolist() == members  # still closed
-    assert not subgroup_iso_check(bad, kind, W232) and not every_pair_isomorphic(bad, kind, W232)
+    assert not bad.subgroups.isomorphic[kind][W232_ROW] and not every_pair_isomorphic(bad, kind, W232)
 
 
 def test_split_grid_holds_each_element_in_one_cell():
+    # The layer's grid of W's split, against the member table's products.
     for left_kind, whole in ((FIX_W, j_class(S232, 1)), (G_W, special_subgroup(S232, FIX_U))):
-        left, right, pos = split_grid(S232, left_kind, W232)
-        cells = S232.table.products(left, right).ravel()
+        left, right, cells = split_factors(S232, left_kind, W232)
+        assert cells.tolist() == S232.table.products(left, right).ravel().tolist()
         assert sorted(cells.tolist()) == whole.tolist()
-        assert [int(cells[pos[a]]) for a in whole] == whole.tolist()
-        assert (pos >= 0).sum() == len(whole)
-    for kind in (FIX_U, N_W):
-        with pytest.raises(PreconditionError):
-            split_grid(S232, kind, W232)
+    assert set(S232.subgroups.grids) == {FIX_W, G_W}
 
 
 W231 = rref_canonical(2, 3, [(0, 1, 0), (0, 0, 1)])
 ALL231, CD231 = range(len(S231.table)), S231.codims
 MID231 = j_class(S231, 1).tolist()
 # Every valid call of each constructor on (2,3,1): a batch on one-element
-# index arrays, or a unit split read off its cell of split_grid.
+# index arrays, or a unit split read off its cell of the layer's grid.
 VALID_CALLS = {
     "regular_witness": (partial(one, regular_witnesses), [(a,) for a in ALL231]),
     "factor_through": (

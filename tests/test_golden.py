@@ -13,10 +13,12 @@ matrices, on every index (and pair of indices) below order 120, on a
 stride of every 40th index at (2,4,2), and on every complement; there
 the unit splits also see every 40th unit.  Which inputs raise, and with
 which error, is part of the digest.  Each construction is its batch on
-one-element index arrays, and each unit split the element's cell of
-split_grid (a PreconditionError for an element with no cell): the
-digests were taken from single-index functions that wrapped exactly
-these, and hold unchanged.
+one-element index arrays, each unit split the element's cell of the
+stacked unit layer's product grid (s.subgroups.grids; a
+PreconditionError for an element with no cell) and each isomorphism
+verdict the layer's s.subgroups.isomorphic: the digests were taken from
+single-index functions and per-W views that read exactly these, and
+hold unchanged.
 """
 
 import hashlib
@@ -28,7 +30,6 @@ import pytest
 
 from glsemi.cli import ENV_ENUM_CAP, ENV_RANK_CAP, build_instance, load_config, main
 from glsemi.errors import InfeasibleError, PreconditionError
-from glsemi.gf_linalg import enumerate_complements
 from glsemi.gl_restriction import (
     FIX_U,
     FIX_W,
@@ -41,7 +42,6 @@ from glsemi.gl_restriction import (
     regular_witnesses,
     sandwich_factor_grid,
     special_subgroup,
-    subgroup_iso_check,
 )
 
 from helpers import matrices, one, split_cell
@@ -185,10 +185,10 @@ def _digest_constructors(name: str) -> str:
             record(f"dclass_witness {a} {b}", partial(one, dclass_witness_grid), a, b)
             record(f"sandwich_factor {a} {b}", partial(one, sandwich_factor_grid), a, b)
     record("special_subgroup fix_u", lambda s: special_subgroup(s, FIX_U))
-    for w in enumerate_complements(s.inst.u):
+    for i, w in enumerate(s.inst.complements):
         for kind in (FIX_W, G_W, N_W):
             record(f"special_subgroup {kind} {w.basis}", lambda s: special_subgroup(s, kind, w))
-            h.update(f"subgroup_iso_check {kind} {w.basis} {subgroup_iso_check(s, kind, w)}\n".encode())
+            h.update(f"subgroup_iso_check {kind} {w.basis} {bool(s.subgroups.isomorphic[kind][i])}\n".encode())
         for a in split_idxs:
             record(f"decompose_unit {a} {w.basis}", split_cell, FIX_W, w, a)
             record(f"decompose_fix_u {a} {w.basis}", split_cell, G_W, w, a)

@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import re
 import sys
 
 import pytest
@@ -164,6 +165,36 @@ def test_every_public_function_and_class_is_used_by_the_package():
 )
 def test_an_unreferenced_public_name_is_flagged(sources):
     assert len(_unreferenced({name: ast.parse(text) for name, text in sources.items()})) == 1
+
+
+def _export_mismatch(readme: str, init: ast.Module) -> list[str]:
+    """Every name that README's sentence "The package namespace
+    re-exports exactly these names: ..." (its backticked names, up to the
+    sentence's full stop) and the imports of the package's `__init__`
+    do not share, sorted."""
+    sentence = re.search(r"re-exports exactly these names:(.*?)\.\s", readme, re.S)
+    listed = set(re.findall(r"`(\w+)`", sentence.group(1))) if sentence else set()
+    imported = {alias.asname or alias.name for node in init.body if isinstance(node, ast.ImportFrom) for alias in node.names}
+    return sorted(listed ^ imported)
+
+
+def test_the_readme_lists_exactly_the_package_exports():
+    # The README's export list is the package's documented API; a name
+    # deleted or added on one side only leaves it wrong.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert _export_mismatch(readme, ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))) == []
+
+
+@pytest.mark.parametrize(
+    "readme, init",
+    [
+        ("The package namespace re-exports exactly these names: `a`, `b` and\n`c`.  Not `d`.\n", "from .m import a, b\n"),
+        ("The package namespace re-exports exactly these names: `a` and `b`.\n", "from .m import a\nfrom .n import b, c\n"),
+    ],
+    ids=["readme-only", "init-only"],
+)
+def test_an_export_on_one_side_only_is_flagged(readme, init):
+    assert len(_export_mismatch(readme, ast.parse(init))) == 1
 
 
 THREADS = {"threading", "concurrent", "multiprocessing"}
