@@ -18,7 +18,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,8 +29,8 @@ from .errors import (
     InfeasibleError,
 )
 from .gf_linalg import (
+    action_table,
     anchors,
-    code_vectors,
     codes,
     complements_among,
     span_mask,
@@ -100,7 +100,8 @@ class CheckResult:
     seconds: float
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "seconds": round(self.seconds, 4)}
+        # Shallow: the counts dict is shared, not deep-copied as asdict would.
+        return {**vars(self), "seconds": round(self.seconds, 4)}
 
 
 @dataclass
@@ -326,46 +327,57 @@ def _check_regularity(s: Structure, caps):
 
 
 def _check_factorizations(s: Structure, caps):
-    # One pair per (kernel class, element) covers every pair: each
-    # constructor reads x only through K_c * x, K_c = [basis of ker c;
-    # transversal; U], c = ker x (lemmas in each docstring).  Factor-through:
-    # lam*y*mu = N*x, N = lam*y*D(y, codim x)^-1*K_c, and N*x0 = x0 puts the
-    # rows of N - I in ker c.  Witness: gamma = K_d^-1*(x's images), d = ker
-    # y.  Sandwich: lam*a*mu = t iff lam*a*dom(a)^-1 = K_c^-1*Z_c, by (i).
-    # Each mu is a member (a unit, for a sandwich) by (i) K_c's head rows lie
-    # in ker c, its last r rows are U's; (ii) U*D(y, k)^-1 spans the last r unit
-    # rows: D^-1 is invertible, so U's r basis rows times it are independent,
-    # and they span those unit rows when their codes are all below p^r.
+    # Matrices act on rows.  For x of kernel class c and codim k, y of class
+    # d with k <= codim y: K_c = kernel[c] = [basis of ker c; transversal;
+    # U], A = K_c*x (applied[x]), Dinv = domain_inv[y, k] as stored, lam =
+    # kernel_inv[c]*S with S = [0; first k transversal rows of K_d; U]
+    # spliced as D(y, k) is, and mu = Dinv*A.  Facts: (i) K_c's head rows
+    # lie in ker c and its last r rows are U's; (ii) U*Dinv lies in the span
+    # L of the last r unit rows (codes below p^r); (iii) D(y, k)'s rows from
+    # n-r-k on, which are S*y's, times Dinv are the matching unit rows.
+    # Lemma: S*y*Dinv = Z, the identity with its first n-r-k rows zeroed,
+    # by (iii), and Z*A = A by (i), so lam*y*mu = kernel_inv[c]*K_c*x for
+    # every y.  One recomposition x0 = lam*y0*mu puts the rows of
+    # kernel_inv[c]*K_c - I in ker c, so every x of c recomposes.  mu is a
+    # member: U*y = U, so U*Dinv spans L by (ii) and (iii), and U*mu = L*A =
+    # U*x = U.  Witness: gamma = K_d^-1*(x's images).  Sandwich: lam*a*mu =
+    # t iff lam*a*dom(a)^-1 = K_c^-1*Z_c, by (i); mu = dom(a)^-1*dom(t) is a
+    # unit by (ii), as at the least t.  So one pair per pair of kernel
+    # classes, or per (element, class), covers every pair.
     p, n, top, bt = s.inst.p, s.inst.n, s.inst.n - s.inst.r, s.batch
-    # Each entry of U * D^-1 sums n products below p: n (p-1)^2 at most.
-    u, j, vectors = codes(p, s.inst.u.basis), np.arange(n), code_vectors(p, n).astype(np.min_scalar_type(n * (p - 1) ** 2))
+    u, j = codes(p, s.inst.u.basis), np.arange(n)
     in_ker = s.act[bt.kernel, s.kernel_classes[1][:, None]] == 0
     ok = np.where(j < (top - bt.ker_codims)[:, None], in_ker, (j < top) | (bt.kernel == np.pad(u, (top, 0))))
     if not ok.all():
         return ("fail", {}, f"kernel class {(~ok).any(axis=1).argmax()} is no [basis of its kernel; transversal; U]")
-    at = np.arange(top + 1) <= bt.codims[:, None]  # the (y, k) with k <= codim y
-    if (bad := (codes(p, vectors[u] @ vectors[bt.domain_inv[at]] % p) >= p**s.inst.r).any(axis=1)).any():
-        y, k = np.argwhere(at)[bad][0]
-        return ("fail", {}, f"U * D({y}, {k})^-1 is not the span of the last r unit rows")
-    reps = lambda idx: idx[np.unique(bt.ker_ids[idx], return_index=True)[1]]  # least of each kernel class
+    for k in range(top + 1):
+        ys = np.flatnonzero(k <= bt.codims)  # the y with k <= codim y
+        times = action_table(p, bt.domain_inv[ys, k])  # times[v, i]: code of v * Dinv at (ys[i], k)
+        if (bad := (times[u] >= p**s.inst.r).any(axis=0)).any():
+            return ("fail", {}, f"U * D({ys[bad][0]}, {k})^-1 is not the span of the last r unit rows")
+        # D(y, k)'s row j, from n-r-k on: row j - (codim y - k) of K_d*y, or j among U's rows.
+        rows = bt.applied[ys[:, None], j - np.where(j < top, (bt.codims[ys] - k)[:, None], 0)]
+        if (bad := ((times[rows, np.arange(len(ys))[:, None]] != p ** (n - 1 - j)) & (j >= top - k)).any(axis=1)).any():
+            return ("fail", {}, f"D({ys[bad][0]}, {k}) times its stored inverse is no unit row")
+    reps = [g[np.unique(bt.ker_ids[g], return_index=True)[1]] for g in s.grades]  # least of each kernel class
     grades, mid = s.grades, s.grades[top - 1]
     factored = witnesses = infeasible = 0
     for ka, left in enumerate(grades):
         for kb, right in enumerate(grades):
             if ka <= kb:
-                factor_through_grid(s, reps(left), right)
+                factor_through_grid(s, reps[ka], reps[kb])
                 factored += left.size * right.size
             else:
                 try:
-                    factor_through_grid(s, reps(left), right)
+                    factor_through_grid(s, reps[ka], reps[kb])
                 except InfeasibleError:
                     infeasible += left.size * right.size
                 else:
                     return ("fail", {}, "factor_through accepted an impossible pair")
-        dclass_witness_grid(s, left, reps(left))
+        dclass_witness_grid(s, left, reps[ka])
         witnesses += left.size**2
     raised = len(raise_factors(s, s.below[top - 1])[0])
-    sandwich_factor_grid(s, reps(mid), mid)
+    sandwich_factor_grid(s, reps[top - 1], mid)
     counts = {"factored": factored, "infeasible_rejected": infeasible, "d_witnesses": witnesses}
     return ("pass", {**counts, "raised": raised, "sandwiched": mid.size**2}, None)
 
@@ -714,10 +726,11 @@ def main(argv=None) -> int:
                     line += f" -- {check.reason}"
                 line += f" [{check.seconds:.2f}s]"
                 print(line)
-            tally = report.to_dict()["summary"]
+            payload = report.to_dict()
+            tally = payload["summary"]
             print(f"verify: {tally['pass']} passed, {tally['fail']} failed, {tally['skip']} skipped")
             if args.out:
-                _write_text(args.out, json.dumps(report.to_dict(), indent=2) + "\n")
+                _write_text(args.out, json.dumps(payload, indent=2) + "\n")
             return 1 if report.failed else 0
         if args.command == "eggbox":
             _write_text(args.out, cmd_eggbox(cfg, enum_cap))

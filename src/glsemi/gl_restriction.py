@@ -569,9 +569,11 @@ def factor_through_grid(s: Structure, left, right) -> tuple[np.ndarray, np.ndarr
     lam depends only on the kernel classes (see _Batch.factor_lams).
     mu kills the tail extending (first codim(a) rows of b's transversal,
     U) * b to V and sends those rows * b to (a's transversal, U) * a: mu
-    = D^-1 * K_c * a for that domain D, K_c = kernel[ker a], so lam * b * mu
-    = N * a for N fixed by (ker a, b), and one a per kernel class puts N - I's
-    rows in ker a.  U * mu = U * a when U * D^-1 spans the last r unit rows.
+    = D^-1 * K_c * a for that domain D, K_c = kernel[c], c = ker a.  When
+    D's rows below its tail times D^-1 are unit rows, lam * b * mu =
+    kernel_inv[c] * K_c * a whatever b, so one pair per pair of kernel
+    classes proves every pair (cli's factorizations check gives the
+    proof).  U * mu = U * a when U * D^-1 spans the last r unit rows.
     """
     every, b, bt = indices(len(s.table), left), indices(len(s.table), right), s.batch
     if every.size and b.size and bt.codims[every].max() > bt.codims[b].min():
@@ -642,11 +644,12 @@ def generating_set(s: Structure) -> np.ndarray:
 def rank_value(s: Structure, rank_cap: int = DEFAULT_RANK_CAP, budget: int | None = RANK_BUDGET) -> int | None:
     """Minimal generating-set size, computed as (rank of the unit group) + 1.
 
-    Returns None when the exhaustive subset sweep over the unit group
-    would exceed the budget or finds nothing within rank_cap.
+    The sweep tries the units by descending order, as the table's build
+    does (s.table.units), and returns None when it would exceed the budget
+    or finds nothing within rank_cap.
     """
     try:
-        found = rank_search(s.unit_block, range(len(s.unit_block)), rank_cap, budget=budget)
+        found = rank_search(s.unit_block, np.searchsorted(s.grades[-1], s.table.units), rank_cap, budget=budget)
     except CapacityError:
         return None
     if found is None:

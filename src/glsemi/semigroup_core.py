@@ -51,14 +51,16 @@ class SemigroupTable:
     rows and the left tree, and `products(xs, ys)` reads any block of
     products off them (uint16 below order 65536, int32 above), keeping
     only the blocks S x A and A x S once read (see generator_blocks).
+    `units` lists the elements that permute the points by descending
+    order, as the build tried them (see _by_order).
     """
 
-    __slots__ = ("identity_idx", "_action", "_gens", "_rows", "_t_of", "_steps", "_blocks", "_green")
+    __slots__ = ("identity_idx", "units", "_action", "_gens", "_rows", "_t_of", "_steps", "_blocks", "_green")
 
     def __init__(self, action, product_row, identity_idx=None):
         self._green = self._blocks = None
         self._action = _action_array(action)
-        self.identity_idx, self._gens, self._rows, self._t_of, self._steps = _build(self._action, identity_idx, product_row)
+        self.identity_idx, self.units, self._gens, self._rows, self._t_of, self._steps = _build(self._action, identity_idx, product_row)
 
     def __len__(self):
         return self._action.shape[1]
@@ -136,8 +138,8 @@ def _action_array(action) -> np.ndarray:
     return out
 
 
-def _build(act: np.ndarray, e, product_row) -> tuple[int | None, list[int], np.ndarray, np.ndarray, list]:
-    """(identity, A, A's rows, t_of, steps): the proof that the products
+def _build(act: np.ndarray, e, product_row) -> tuple[int | None, np.ndarray, list[int], np.ndarray, np.ndarray, list]:
+    """(identity, units by order, A, A's rows, t_of, steps): the proof that the products
     x*y, read along the left tree from A, make the product table of the
     action, M_(x*y) = M_x;M_y for every x, y, M_x the map v -> act[v, x]
     (Froidure and Pin, 1997).  The tree is t_of (see _left_tree) and
@@ -194,7 +196,9 @@ def _build(act: np.ndarray, e, product_row) -> tuple[int | None, list[int], np.n
             raise PreconditionError(f"table is not the product table of its action at ({g}, {np.argmax(bad)})")
         return got
 
-    gens, rows = _generators(n, np.concatenate([_by_order(units, act), by_size[len(units) :]]), row)
+    units = _by_order(units, act)
+    units.flags.writeable = False  # shared with every reader of the table
+    gens, rows = _generators(n, np.concatenate([units, by_size[len(units) :]]), row)
     g_of, t_of, rounds = _left_tree(rows, gens)
     xs = np.flatnonzero(g_of >= 0)
     bad = (act[:, xs] != act[act[:, g_of[xs]], t_of[xs]]).any(axis=0)
@@ -202,7 +206,7 @@ def _build(act: np.ndarray, e, product_row) -> tuple[int | None, list[int], np.n
         x = int(xs[np.argmax(bad)])
         raise PreconditionError(f"left tree edge {x} = {g_of[x]}*{t_of[x]} is not a product of maps")
     steps = [(i, x) for new in rounds for i, g in enumerate(gens) if (x := new[g_of[new] == g]).size]
-    return e, gens, rows, t_of, steps
+    return e, units, gens, rows, t_of, steps
 
 
 def _left_tree(rows: np.ndarray, gens: list[int]) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
@@ -566,14 +570,16 @@ def rank_search(mul: np.ndarray, candidates, cap: int, budget: int | None = None
     in the table whose whole N x N block of products is mul (mul[i, j]
     the index of i*j): it is for small tables only.
 
-    Sweeps subsets in deterministic lexicographic order and returns
-    (size, witness) for the first generating subset found, or None if
-    no subset of size <= cap generates.  A `budget` bounds the number
-    of subsets swept; exceeding it raises CapacityError so that
-    callers can report "not computed" instead of a wrong answer."""
+    Sweeps each size's subsets whole, smallest size first, each size in
+    the candidates' given order (repeats dropped, the first kept), so the
+    size found is the rank whatever that order, and returns (size,
+    witness) for the first generating subset found, or None if no subset
+    of size <= cap generates.  A `budget` bounds the number of subsets
+    swept; exceeding it raises CapacityError so that callers can report
+    "not computed" instead of a wrong answer."""
     if cap < 1:
         raise PreconditionError("rank search cap must be at least 1")
-    cands = sorted(set(indices(len(mul), candidates).tolist()))
+    cands = list(dict.fromkeys(indices(len(mul), candidates).tolist()))
     # One element generates a commutative subsemigroup, so on a table that
     # is not commutative the singletons count against the budget untried.
     # Compared FILL_ROWS columns at a time, with no N x N temporary.

@@ -6,7 +6,7 @@ and grouping code paths, so agreement is meaningful.
 """
 
 import sys
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -116,6 +116,22 @@ def every_pair_factorizations(s):
         "sandwiched": mid.size**2,
     }
     return ("pass", counts, None)
+
+
+def lexicographic_rank_search(table, candidates, cap, budget=None):
+    """(size, witness) of the first generating subset of the candidates
+    in lexicographic order, every subset of each size tried, sizes up to
+    cap, each closed by closure_indices; None when none generates, and
+    "budget" in place of a CapacityError past budget attempts."""
+    cands, attempts = sorted(set(candidates)), 0
+    for k in range(1, min(cap, len(cands)) + 1):
+        for combo in combinations(cands, k):
+            attempts += 1
+            if budget is not None and attempts > budget:
+                return "budget"
+            if len(semigroup_core.closure_indices(table, combo)) == len(table):
+                return k, combo
+    return None
 
 
 def zero_space(p, n):
@@ -896,7 +912,9 @@ class GivenTable(SemigroupTable):
     any.  Every block of products is read off mul, so a wrong cell in it
     reaches every reader of products.  The first read of its generating
     set runs light_check on it, so a table that is not associative is
-    refused there, as the mul form's lazy check did."""
+    refused there, as the mul form's lazy check did.  Its units are
+    the given action's permutations by descending order, none without
+    one."""
 
     __slots__ = ("_mul",)
 
@@ -904,6 +922,10 @@ class GivenTable(SemigroupTable):
         self._mul = np.asarray(mul).view()
         self._mul.flags.writeable = False
         self.identity_idx, self._action, self._gens, self._green, self._blocks = identity_idx, action, None, None, None
+        self.units = np.arange(0)
+        if action is not None:
+            permutes = (np.sort(action, axis=0) == np.arange(len(action))[:, None]).all(axis=0)
+            self.units = semigroup_core._by_order(np.flatnonzero(permutes), action)
 
     def __len__(self):
         return len(self._mul)

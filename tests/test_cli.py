@@ -42,7 +42,7 @@ from glsemi.cli import (
     parse_config,
     resolve_caps,
 )
-from glsemi import cli, gl_restriction, isomorphism, semigroup_core
+from glsemi import cli, gf_linalg, gl_restriction, isomorphism, semigroup_core
 from glsemi.errors import ConfigurationError, InternalInconsistencyError
 from glsemi.gf_linalg import code_vectors, codes, enumerate_complements, gl_order, subspace
 from glsemi.gl_restriction import (
@@ -306,30 +306,36 @@ def test_unit_decomposition_fails_on_a_wrong_cell_in_a_split_grid(monkeypatch, l
 def test_factorizations_and_regularity_cover_every_pair_and_element(monkeypatch):
     # The check offers each constructor one element per kernel class, the
     # least, which stands for its class (the lemmas in the check's comment):
-    # every pair must lie in exactly one checked cell, (class of x, y) for
-    # factor-through, (x, class of y) for D-class witnesses and (class of
-    # t, a) for sandwiches.
+    # every pair must lie in exactly one checked cell, (class of x, class
+    # of y) for factor-through, (x, class of y) for D-class witnesses and
+    # (class of t, a) for sandwiches.  Factor-through's per-(y, k) facts
+    # read the domain inverse of every y at every k <= codim y.
     s = enumerate_semigroup(make_instance(2, 4, 2))
     n, grades = len(s.table), s.grades
     ker, least = s.kernel_classes
     every = np.arange(n)
     covered = {name: np.zeros((n, n), dtype=np.int8) for name in ("factor", "dclass", "sandwich")}
     singles = {"raise": [], "regular": []}
+    inverses_read = []
 
     def classes(idxs):
         assert np.array_equal(idxs, least[ker[idxs]]), "not the least element of each kernel class"
         assert len(np.unique(ker[idxs])) == len(idxs), "a kernel class offered twice"
         return np.isin(ker, ker[idxs])
 
-    def grid(name, real, by_class):
+    def grid(name, real, *by_class):
         def recording(s, left, right):
             left, right = np.asarray(left), np.asarray(right)
-            rows = classes(left) if by_class == 0 else np.isin(every, left)
-            cols = classes(right) if by_class == 1 else np.isin(every, right)
+            rows = classes(left) if 0 in by_class else np.isin(every, left)
+            cols = classes(right) if 1 in by_class else np.isin(every, right)
             covered[name] += rows[:, None] & cols
             return real(s, left, right)
 
         return recording
+
+    def action_table(p, rows):
+        inverses_read.append(np.asarray(rows))
+        return gf_linalg.action_table(p, rows)
 
     def single(name, real):
         def recording(s, idxs):
@@ -338,7 +344,8 @@ def test_factorizations_and_regularity_cover_every_pair_and_element(monkeypatch)
 
         return recording
 
-    monkeypatch.setattr(cli, "factor_through_grid", grid("factor", cli.factor_through_grid, 0))
+    monkeypatch.setattr(cli, "factor_through_grid", grid("factor", cli.factor_through_grid, 0, 1))
+    monkeypatch.setattr(cli, "action_table", action_table)
     monkeypatch.setattr(cli, "dclass_witness_grid", grid("dclass", cli.dclass_witness_grid, 1))
     monkeypatch.setattr(cli, "sandwich_factor_grid", grid("sandwich", cli.sandwich_factor_grid, 0))
     monkeypatch.setattr(cli, "raise_factors", single("raise", cli.raise_factors))
@@ -351,11 +358,14 @@ def test_factorizations_and_regularity_cover_every_pair_and_element(monkeypatch)
     assert counts["raised"] == len(s.below[1])
     status, counts, _ = _check_regularity(s, CAPS)
     assert status == "pass" and counts["verified"] == n
-    # Every pair in one factor-through cell; D-class witnesses and
-    # sandwiches on every pair of their grades, once; every element raised
-    # below grade 1 and given an inner inverse.
+    # Every pair in one factor-through cell, and every (y, k) inverse read,
+    # k by k; D-class witnesses and sandwiches on every pair of their
+    # grades, once; every element raised below grade 1 and given an inner
+    # inverse.
     codims = s.codims
     assert (covered["factor"] == 1).all()
+    ks, ys = np.nonzero(np.arange(3)[:, None] <= codims)
+    assert np.array_equal(np.concatenate(inverses_read), s.batch.domain_inv[ys, ks])
     assert np.array_equal(covered["dclass"], (codims[:, None] == codims).astype(np.int8))
     mid = codims == 1
     assert np.array_equal(covered["sandwich"], (mid[:, None] & mid).astype(np.int8))
@@ -363,17 +373,35 @@ def test_factorizations_and_regularity_cover_every_pair_and_element(monkeypatch)
     assert sorted(singles["regular"]) == list(range(n))
 
 
-@pytest.mark.parametrize("name", [*sorted(path.stem for path in CONFIGS.glob("*.cfg")), "p2n4r3"])
+@pytest.mark.parametrize("name", [*sorted(path.stem for path in CONFIGS.glob("*.cfg")), "p2n4r3", "p2n4r1"])
 def test_factorizations_match_the_every_pair_oracle(name):
-    # One pair per (kernel class, element) gives the status and counts
-    # that recomposing every pair gives, on every shipped config and the
-    # stretch instance (2,4,3).
+    # One pair per pair of kernel classes, or per (element, class), gives
+    # the status and counts that recomposing every pair gives, on every
+    # shipped config and both stretch instances, (2,4,3) and (2,4,1).
     path = CONFIGS / f"{name}.cfg"
-    inst = build_instance(load_config(str(path))) if path.exists() else make_instance(2, 4, 3)
+    inst = build_instance(load_config(str(path))) if path.exists() else make_instance(2, 4, int(name[-1]))
     s = enumerate_semigroup(inst, 4096)
     found = _check_factorizations(s, CAPS)
     assert found[0] == "pass"
     assert found == every_pair_factorizations(s)
+
+
+@pytest.mark.parametrize("r, most", [(2, 621), (1, 1823)])
+def test_factorizations_recomposes_one_pair_per_pair_of_kernel_classes(monkeypatch, r, most):
+    # The pairs factor_through_grid recomposes: the (c, d) with codim c <=
+    # codim d, 621 at (2,4,2) and 1823 at (2,4,1), against 42 432 and
+    # 200 320 with every y on the right.
+    s = enumerate_semigroup(make_instance(2, 4, r), 4096)
+    real, pairs = cli.factor_through_grid, []
+
+    def counted(s, left, right):
+        out = real(s, left, right)
+        pairs.append(len(left) * len(right))
+        return out
+
+    monkeypatch.setattr(cli, "factor_through_grid", counted)
+    assert _check_factorizations(s, CAPS)[0] == "pass"
+    assert 0 < sum(pairs) <= most
 
 
 @pytest.mark.parametrize("r, limit", [(1, 4e6), (3, 1.5e6)])
@@ -462,12 +490,13 @@ def test_factorizations_fails_on_a_wrong_factor_lam(monkeypatch):
     assert "factor-through factors failed to recompose" in failed["factorizations"]
 
 
-def _with_domain_columns_swapped(monkeypatch, i, j):
-    """Swap columns i and j of domain_inv[y, 1] for the least unit y of
-    (2,3,1), an inverse only factor-through reads (k = 1 < codim y = 2);
-    return y."""
+def _with_domain_columns_swapped(monkeypatch, i, j, unit=0):
+    """Swap columns i and j of domain_inv[y, 1] for y the unit-th unit
+    of (2,3,1), by index, an inverse only factor-through reads (k = 1 <
+    codim y = 2); return y.  Every unit has kernel 0, so the least is the
+    one the check offers the grids for every unit."""
     s = enumerate_semigroup(make_instance(2, 3, 1))
-    y = int(s.grades[2][0])
+    y = int(s.grades[2][unit])
     real = gl_restriction._Batch._domain_inverses
 
     def swapped(bt):
@@ -483,12 +512,18 @@ def _with_domain_columns_swapped(monkeypatch, i, j):
 
 def test_factorizations_fails_on_a_wrong_domain_inverse(monkeypatch):
     # Columns 0 and 1 are both off U's coordinates, so U * D^-1 still spans
-    # the last unit row (ii) and only the recomposition, at y, can notice.
+    # the last unit row (ii); D(y, 1)'s row 1 times it is now e_0 (iii).
     y = _with_domain_columns_swapped(monkeypatch, 0, 1)
     failed = _failing()
-    assert set(failed) == {"factorizations"}
-    assert "factor-through factors failed to recompose at pair (" in failed["factorizations"]
-    assert failed["factorizations"].endswith(f", {y})")
+    assert failed == {"factorizations": f"D({y}, 1) times its stored inverse is no unit row"}
+
+
+def test_factorizations_fails_on_a_wrong_domain_inverse_of_a_unit_no_grid_sees(monkeypatch):
+    # The same fault at the second unit: no grid is offered it, since the
+    # least unit stands for its kernel class, so only fact (iii) sees it.
+    y = _with_domain_columns_swapped(monkeypatch, 0, 1, unit=1)
+    failed = _failing()
+    assert failed == {"factorizations": f"D({y}, 1) times its stored inverse is no unit row"}
 
 
 def test_factorizations_fails_when_u_times_a_domain_inverse_leaves_the_last_unit_rows(monkeypatch):
@@ -499,11 +534,64 @@ def test_factorizations_fails_when_u_times_a_domain_inverse_leaves_the_last_unit
     assert failed["factorizations"] == f"U * D({y}, 1)^-1 is not the span of the last r unit rows"
 
 
+def test_factorizations_fails_when_u_times_a_domain_inverse_has_a_row_code_of_exactly_p_to_the_r(monkeypatch):
+    # Columns 1 and 2 swapped send U * D(y, 1)^-1 from e_2, code 1, to
+    # e_1, code 2 = p^r: the least code outside the last unit row's span.
+    y = _with_domain_columns_swapped(monkeypatch, 1, 2)
+    failed = _failing()
+    assert failed == {"factorizations": f"U * D({y}, 1)^-1 is not the span of the last r unit rows"}
+
+
+def _with_batch_changed(monkeypatch, change):
+    """Run change(bt) on each _Batch once it is built and its image
+    tables are made, so the elements' own inverses (element_inv) and the
+    constructors' images keep the true values; return the list change's
+    results are appended to."""
+    real, made = gl_restriction._Batch.__init__, []
+
+    def init(bt, s):
+        real(bt, s)
+        bt.images
+        made.append(change(bt))
+
+    monkeypatch.setattr(gl_restriction._Batch, "__init__", init)
+    return made
+
+
+def test_factorizations_fails_on_a_domain_inverse_at_k_equal_to_codim_y(monkeypatch):
+    # Columns 0 and 2 of domain_inv[y, 2] swapped for the least unit y of
+    # (2,3,1), codim 2: (ii) at k = codim y, the one k a unit's own
+    # inverse (element_inv, kept true here) shares with factor-through.
+    def swap(bt):
+        y = int(bt.s.grades[2][0])
+        rows = code_vectors(2, 3)[bt.domain_inv[y, 2]]
+        bt.domain_inv[y, 2] = codes(2, rows[:, [2, 1, 0]])
+        return y
+
+    made = _with_batch_changed(monkeypatch, swap)
+    failed = _failing()
+    assert failed == {"factorizations": f"U * D({made[0]}, 2)^-1 is not the span of the last r unit rows"}
+
+
+def test_factorizations_fails_when_a_kernel_basis_loses_the_first_of_us_rows(monkeypatch):
+    # The first of U's rows in a K_c, row n - r, becomes U's row plus e_2:
+    # K_c stays a basis, but its last r rows are no longer U's (i).
+    def move(bt):
+        top = bt.s.inst.n - bt.s.inst.r
+        bt.kernel[0, top] = bt.kernel[0, top] ^ 1
+        return 0
+
+    made = _with_batch_changed(monkeypatch, move)
+    failed = _failing()
+    assert failed == {"factorizations": f"kernel class {made[0]} is no [basis of its kernel; transversal; U]"}
+
+
 def test_a_misspread_domain_inverse_fails_the_recompositions(monkeypatch):
     # Each distinct domain is solved once and its inverse spread to every
     # (b, k) that shares it.  Rolled by one before the spread, each (b, k)
     # gets another distinct domain's inverse: a true inverse, of the wrong
-    # domain, which only the recompositions can notice.
+    # domain, which the inner inverses' recomposition and factor-through's
+    # fact (iii) notice.
     real, solve = gl_restriction._Batch._domain_inverses, gl_restriction.solve_codes
 
     def rolled(bt):
@@ -515,7 +603,7 @@ def test_a_misspread_domain_inverse_fails_the_recompositions(monkeypatch):
     failed = _failing()
     assert {"regularity", "factorizations"} <= set(failed) <= {"regularity", "factorizations", "generation"}
     assert "inner inverse construction failed at element" in failed["regularity"]
-    assert "factor-through factors failed to recompose at pair" in failed["factorizations"]
+    assert failed["factorizations"].endswith(" times its stored inverse is no unit row")
 
 
 def test_factorizations_fails_when_a_kernel_head_row_leaves_the_kernel(monkeypatch):
@@ -1082,11 +1170,10 @@ def test_verify_fails_on_a_wrong_image_at_a_generator(monkeypatch):
 
 
 def test_factorizations_peaks_below_one_and_a_half_megabytes_at_order_4096():
-    # Fact (ii) gathers the vectors of U and of the domain inverses in the
-    # narrowest dtype that holds their products unreduced, not int64: at
-    # (2,4,1) that step alone peaked at 2.12 MB, above the largest grid
-    # call (1.31 MB).  The first call builds the Structure's cached batch
-    # and lam tables, so the second one's peak is the check's own.
+    # Facts (ii) and (iii) read the domain inverses' action table one k at
+    # a time: over all 13 224 (y, k) at once at (2,4,1), action_table alone
+    # peaked at 1.69 MB.  The first call builds the Structure's cached
+    # batch and lam tables, so the second one's peak is the check's own.
     s = enumerate_semigroup(make_instance(2, 4, 1), 4096)
     assert _check_factorizations(s, CAPS)[0] == "pass"
     tracemalloc.start()
@@ -1174,6 +1261,20 @@ def test_isomorphism_theorem_fails_on_a_partner_of_another_order(monkeypatch):
         element_bijection(decide_isomorphic(s.inst, partner.inst), s, partner)
     failed = _failing()
     assert failed == {"isomorphism_theorem": "InternalInconsistencyError: matched parameters but different orders"}
+
+
+def test_isomorphism_theorem_fails_when_matched_parameters_give_no_witness(monkeypatch):
+    real = cli.decide_isomorphic
+    monkeypatch.setattr(cli, "decide_isomorphic", lambda a, b: None if a.r == b.r else real(a, b))
+    failed = _failing()
+    assert failed == {"isomorphism_theorem": "matched parameters did not produce a witness"}
+
+
+def test_isomorphism_theorem_fails_when_differing_dimensions_read_as_isomorphic(monkeypatch):
+    real = cli.decide_isomorphic
+    monkeypatch.setattr(cli, "decide_isomorphic", lambda a, b: real(a, b) if a.r == b.r else real(a, a))
+    failed = _failing()
+    assert failed == {"isomorphism_theorem": "differing subspace dimensions wrongly reported isomorphic"}
 
 
 def test_isomorphism_theorem_fails_on_a_psi_that_breaks_a_product(monkeypatch):

@@ -714,6 +714,8 @@ def test_complements_among_refuses_subspaces_of_another_ambient_space():
 def test_a_row_or_vector_of_the_wrong_length_is_refused():
     with pytest.raises(ConfigurationError, match="does not match ambient dimension 3"):
         subspace(2, 3, [(1, 0, 0), (1, 0)])
+    with pytest.raises(ConfigurationError, match="vector length 2 does not match ambient dimension 3"):
+        subspace(2, 3, [(1, 0, 0)]).contains((1, 0))
     with pytest.raises(ConfigurationError, match="does not match 2 matrix rows"):
         vec_mat(2, (1, 0, 1), identity_mat(2))
 

@@ -586,7 +586,11 @@ def test_rank_value():
     assert rank_value(S221) == 2
     exhaustive = rank_search(full_table(S221.table), range(len(S221.table)), 3)
     assert exhaustive[0] == 2
-    assert rank_value(S221, budget=1) is None
+    # By descending order the unit of order 2 comes first and generates
+    # (2,2,1)'s unit group at the first attempt.  (2,3,1)'s unit group is
+    # not commutative, so its singletons count against the budget untried.
+    assert rank_value(S221, budget=1) == 2
+    assert rank_value(S231) == 3 and rank_value(S231, budget=1) is None
 
 
 def test_minimal_idempotents():

@@ -392,7 +392,6 @@ def test_another_solve_batch_caller_is_flagged(source):
 #: the images of U's basis under GL(U), and U times each domain inverse.
 #: Every vector times every matrix of a stack is action_table's.
 MATMUL_MOD_SITES = [
-    "cli._check_factorizations",
     "gf_linalg.coordinate_table",
     "gf_linalg.enumerate_complements",
     "gf_linalg.span_mask",

@@ -44,6 +44,7 @@ from helpers import (
     index_of,
     key_fill,
     label_sets,
+    lexicographic_rank_search,
     light,
     light_check,
     mats,
@@ -1047,20 +1048,6 @@ def test_rank_search_refuses_a_cap_below_one(cap):
         rank_search(full_table(TABLE_221), range(4), cap)
 
 
-def plain_rank_search(table, candidates, cap, budget=None):
-    """The sweep rank_search makes, with every level tried; "budget" in
-    place of a CapacityError."""
-    cands, attempts = sorted(set(candidates)), 0
-    for k in range(1, min(cap, len(cands)) + 1):
-        for combo in combinations(cands, k):
-            attempts += 1
-            if budget is not None and attempts > budget:
-                return "budget"
-            if len(closure_indices(table, combo)) == len(table):
-                return k, combo
-    return None
-
-
 def test_rank_search_still_tries_singletons_on_a_commutative_table():
     assert rank_search(full_table(cyclic_table(6)), range(6), 2) == (1, (1,))
     assert rank_search(full_table(cyclic_table(6)), range(6), 2, budget=2) == (1, (1,))
@@ -1075,12 +1062,35 @@ def test_rank_search_skips_singletons_on_a_non_commutative_table(monkeypatch, wh
             found = rank_search(full_table(table), range(n), 3, budget=budget)
         except CapacityError:
             found = "budget"
-        assert found == plain_rank_search(table, range(n), 3, budget), budget
+        assert found == lexicographic_rank_search(table, range(n), 3, budget), budget
     tried = []
     real = semigroup_core._closure
     monkeypatch.setattr(semigroup_core, "_closure", lambda mul, gens: tried.append(len(gens)) or real(mul, gens))
     assert rank_search(full_table(table), range(n), 3)[0] == 2
     assert tried and 1 not in tried
+
+
+@pytest.mark.parametrize("name", sorted(path.stem for path in CONFIGS.glob("*.cfg")))
+def test_rank_search_by_element_order_finds_the_lexicographic_rank(name):
+    # rank_value offers the units by descending order, as the build tried
+    # them; every smaller size is still swept whole, so the size found is
+    # the lexicographic sweep's.
+    s = enumerate_semigroup(build_instance(load_config(str(CONFIGS / f"{name}.cfg"))))
+    units = np.searchsorted(s.grades[-1], s.table.units)
+    found = rank_search(s.unit_block, units, 4)
+    assert found[0] == lexicographic_rank_search(regular_table(s.unit_block), range(len(units)), 4)[0]
+
+
+def test_a_search_by_order_that_skips_a_smaller_subset_misses_the_lexicographic_rank(monkeypatch):
+    # (2,2,1)'s units are the identity and one unit of order 2, which alone
+    # generates them.  A sweep that skips that singleton still finds a
+    # generating pair, and only the lexicographic sweep's rank shows it.
+    units = np.searchsorted(S221.grades[-1], S221.table.units)
+    oracle = lexicographic_rank_search(regular_table(S221.unit_block), range(len(units)), 3)
+    assert rank_search(S221.unit_block, units, 3) == (1, (units[0],)) and oracle[0] == 1
+    real = semigroup_core.combinations
+    monkeypatch.setattr(semigroup_core, "combinations", lambda items, k: (c for c in real(items, k) if c != (items[0],)))
+    assert rank_search(S221.unit_block, units, 3)[0] == 2 != oracle[0]
 
 
 def test_rank_search_witness_is_lex_least():
