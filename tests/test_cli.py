@@ -407,8 +407,8 @@ def test_factorizations_recomposes_one_pair_per_pair_of_kernel_classes(monkeypat
 @pytest.mark.parametrize("r, limit", [(1, 4e6), (3, 1.5e6)])
 def test_factorizations_peaks_below_a_few_megabytes_on_the_stretch_instances(r, limit):
     # Each grid block gathers its outputs' row codes and looks them up
-    # through find, with no key tables per grade, and step (ii) multiplies
-    # U's r basis rows, not its p^r vectors, through the domain inverses.
+    # through find, with no key tables per grade, and facts (ii) and (iii)
+    # read the domain inverses' action table one k at a time.
     # The batch is built first, as for the test below.
     s = enumerate_semigroup(make_instance(2, 4, r), 4096)
     s.batch.images

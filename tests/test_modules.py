@@ -389,7 +389,7 @@ def test_another_solve_batch_caller_is_flagged(source):
 
 #: The sites that multiply vectors by matrices as (... @ ...) % p: small
 #: products per subspace (its span, its translates, its coordinates),
-#: the images of U's basis under GL(U), and U times each domain inverse.
+#: and the images of U's basis under GL(U).
 #: Every vector times every matrix of a stack is action_table's.
 MATMUL_MOD_SITES = [
     "gf_linalg.coordinate_table",
