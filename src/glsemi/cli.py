@@ -284,18 +284,16 @@ def _check_ideal_structure(s: Structure, caps):
             failures.append(f"Q({k}) is not an ideal")
     if top >= 1 and verify_ideal(table, j_class(s, top)):
         failures.append("unit grade wrongly closed as an ideal")
-    # S^1 a S^1 is constant on a's L-class (the classes of equal S^1 a in
-    # the table's Green oracle), so one principal ideal per L-class and one
-    # compare per (L-class, codim) covers every element.  An element of
-    # codimension k should generate Q(k+1), every element below codim k+1;
-    # for a unit that is all of S.
-    l_ids = table.green().l
-    firsts = np.unique(np.column_stack([l_ids, codims]), axis=0, return_index=True)[1]
-    for least in np.unique(l_ids, return_index=True)[1].tolist():
-        ideal = principal_ideal(table, least)
-        for i in firsts[l_ids[firsts] == l_ids[least]].tolist():
-            if not np.array_equal(ideal, s.below[codims[i] + 1]):
-                failures.append(f"principal ideal mismatch at element {i}")
+    # The J-classes of the table's Green oracle are the classes of equal
+    # S^1 a S^1, numbered by least element, so one principal ideal per
+    # J-class and one compare per (J-class, codim) covers every element.
+    # An element of codimension k should generate Q(k+1), every element
+    # below codim k+1; for a unit that is all of S.
+    j_ids = table.green().j
+    ideals = [principal_ideal(table, least) for least in np.unique(j_ids, return_index=True)[1].tolist()]
+    for i in np.unique(np.column_stack([j_ids, codims]), axis=0, return_index=True)[1].tolist():
+        if not np.array_equal(ideals[j_ids[i]], s.below[codims[i] + 1]):
+            failures.append(f"principal ideal mismatch at element {i}")
     # A minimal-ideal element, whose column of s.act holds p^r codes, must
     # have image U (every code in U) and a kernel meeting U only in 0 with
     # p^(n-r) codes: mask tests on that column.
@@ -332,18 +330,22 @@ def _check_factorizations(s: Structure, caps):
     # U], A = K_c*x (applied[x]), Dinv = domain_inv[y, k] as stored, lam =
     # kernel_inv[c]*S with S = [0; first k transversal rows of K_d; U]
     # spliced as D(y, k) is, and mu = Dinv*A.  Facts: (i) K_c's head rows
-    # lie in ker c and its last r rows are U's; (ii) U*Dinv lies in the span
-    # L of the last r unit rows (codes below p^r); (iii) D(y, k)'s rows from
+    # lie in ker c and its last r rows are U's; (ii) D(y, k)'s rows from
     # n-r-k on, which are S*y's, times Dinv are the matching unit rows.
     # Lemma: S*y*Dinv = Z, the identity with its first n-r-k rows zeroed,
-    # by (iii), and Z*A = A by (i), so lam*y*mu = kernel_inv[c]*K_c*x for
+    # by (ii), and Z*A = A by (i), so lam*y*mu = kernel_inv[c]*K_c*x for
     # every y.  One recomposition x0 = lam*y0*mu puts the rows of
     # kernel_inv[c]*K_c - I in ker c, so every x of c recomposes.  mu is a
-    # member: U*y = U, so U*Dinv spans L by (ii) and (iii), and U*mu = L*A =
-    # U*x = U.  Witness: gamma = K_d^-1*(x's images).  Sandwich: lam*a*mu =
-    # t iff lam*a*dom(a)^-1 = K_c^-1*Z_c, by (i); mu = dom(a)^-1*dom(t) is a
-    # unit by (ii), as at the least t.  So one pair per pair of kernel
-    # classes, or per (element, class), covers every pair.
+    # member: D(y, k)'s last r rows are U*y = U, by (i), and (ii) sends them
+    # onto the last r unit rows, so U*mu spans A's last r rows: U*x = U.
+    # Witness: gamma = K_d^-1*(a's images) has a's image and b's kernel, d =
+    # ker b, so one witness serves every pair drawn from those two classes.
+    # Sandwich: lam*a*mu = t iff lam*a*dom(a)^-1 = K_c^-1*Z_c, by (i), so
+    # the least t of a kernel class recomposes the rest, U*mu = U as above,
+    # but their mu is a unit only if dom(t) is invertible, and (ii) reads no
+    # row of D before n-r-k.  So the grids take the least element of each
+    # class: kernel classes on both sides of factor-through, image by kernel
+    # classes for witnesses, and targets' (not sources') for sandwiches.
     p, n, top, bt = s.inst.p, s.inst.n, s.inst.n - s.inst.r, s.batch
     u, j = codes(p, s.inst.u.basis), np.arange(n)
     in_ker = s.act[bt.kernel, s.kernel_classes[1][:, None]] == 0
@@ -353,31 +355,28 @@ def _check_factorizations(s: Structure, caps):
     for k in range(top + 1):
         ys = np.flatnonzero(k <= bt.codims)  # the y with k <= codim y
         times = action_table(p, bt.domain_inv[ys, k])  # times[v, i]: code of v * Dinv at (ys[i], k)
-        if (bad := (times[u] >= p**s.inst.r).any(axis=0)).any():
-            return ("fail", {}, f"U * D({ys[bad][0]}, {k})^-1 is not the span of the last r unit rows")
         # D(y, k)'s row j, from n-r-k on: row j - (codim y - k) of K_d*y, or j among U's rows.
         rows = bt.applied[ys[:, None], j - np.where(j < top, (bt.codims[ys] - k)[:, None], 0)]
         if (bad := ((times[rows, np.arange(len(ys))[:, None]] != p ** (n - 1 - j)) & (j >= top - k)).any(axis=1)).any():
             return ("fail", {}, f"D({ys[bad][0]}, {k}) times its stored inverse is no unit row")
-    reps = [g[np.unique(bt.ker_ids[g], return_index=True)[1]] for g in s.grades]  # least of each kernel class
-    grades, mid = s.grades, s.grades[top - 1]
+    kers = [g[np.unique(bt.ker_ids[g], return_index=True)[1]] for g in s.grades]  # least of each kernel class
+    imgs = [g[np.unique(bt.img_ids[g], return_index=True)[1]] for g in s.grades]  # least of each image class
     factored = witnesses = infeasible = 0
-    for ka, left in enumerate(grades):
-        for kb, right in enumerate(grades):
-            if ka <= kb:
-                factor_through_grid(s, reps[ka], reps[kb])
-                factored += left.size * right.size
+    for k, left in enumerate(s.grades):
+        factor_through_grid(s, kers[k], np.concatenate(kers[k:]))
+        factored += left.size * (len(s.table) - s.below[k].size)
+        if k:
+            try:
+                factor_through_grid(s, kers[k], np.concatenate(kers[:k]))
+            except InfeasibleError:
+                infeasible += left.size * s.below[k].size
             else:
-                try:
-                    factor_through_grid(s, reps[ka], reps[kb])
-                except InfeasibleError:
-                    infeasible += left.size * right.size
-                else:
-                    return ("fail", {}, "factor_through accepted an impossible pair")
-        dclass_witness_grid(s, left, reps[ka])
+                return ("fail", {}, "factor_through accepted an impossible pair")
+        dclass_witness_grid(s, imgs[k], kers[k])
         witnesses += left.size**2
     raised = len(raise_factors(s, s.below[top - 1])[0])
-    sandwich_factor_grid(s, reps[top - 1], mid)
+    mid = s.grades[top - 1]
+    sandwich_factor_grid(s, kers[top - 1], mid)
     counts = {"factored": factored, "infeasible_rejected": infeasible, "d_witnesses": witnesses}
     return ("pass", {**counts, "raised": raised, "sandwiched": mid.size**2}, None)
 

@@ -569,11 +569,9 @@ def factor_through_grid(s: Structure, left, right) -> tuple[np.ndarray, np.ndarr
     lam depends only on the kernel classes (see _Batch.factor_lams).
     mu kills the tail extending (first codim(a) rows of b's transversal,
     U) * b to V and sends those rows * b to (a's transversal, U) * a: mu
-    = D^-1 * K_c * a for that domain D, K_c = kernel[c], c = ker a.  When
-    D's rows below its tail times D^-1 are unit rows, lam * b * mu =
-    kernel_inv[c] * K_c * a whatever b, so one pair per pair of kernel
-    classes proves every pair (cli's factorizations check gives the
-    proof).  U * mu = U * a when U * D^-1 spans the last r unit rows.
+    = D^-1 * K_c * a for that domain D, K_c = kernel[c], c = ker a.  The
+    lemma in cli's factorizations check makes one pair per pair of kernel
+    classes prove every pair.
     """
     every, b, bt = indices(len(s.table), left), indices(len(s.table), right), s.batch
     if every.size and b.size and bt.codims[every].max() > bt.codims[b].min():
@@ -589,7 +587,9 @@ def dclass_witness_grid(s: Structure, left, right) -> np.ndarray:
 
     gamma kills b's kernel, sends b's transversal to the extension of U
     to a's image, and sends U as a does: gamma = K_d^-1 * (a's images),
-    d = ker b, so one b per kernel class gives every pair's witness.
+    d = ker b.  One witness serves every pair drawn from a's image class
+    and b's kernel class, so one a per image class and one b per kernel
+    class cover every pair.
     """
     every, b, bt = indices(len(s.table), left), indices(len(s.table), right), s.batch
     codims = bt.codims[np.concatenate([every, b])]
@@ -614,8 +614,8 @@ def sandwich_factor_grid(s: Structure, targets, sources) -> tuple[np.ndarray, np
     domain rows onto t's.  With K_c = kernel[ker t], whose head rows lie
     in ker t, Z_c * dom(t) = K_c * t for Z_c zeroing them, so lam * a * mu
     = t iff lam * a * dom(a)^-1 = K_c^-1 * Z_c: one t per kernel class
-    proves the rest, and U * mu = U * t when U * dom(a)^-1 spans the last
-    r unit rows.
+    proves the rest's recomposition, not that their dom(t) is invertible;
+    U * mu = U by the lemma in cli's factorizations check.
     """
     every, a, bt = indices(len(s.table), targets), indices(len(s.table), sources), s.batch
     top = s.inst.n - s.inst.r

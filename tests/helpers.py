@@ -86,7 +86,8 @@ def every_pair_factorizations(s):
     reason) as cli's check returns them.  Grade block by grade block,
     every pair goes to its constructor, which multiplies each output back
     out, and each infeasible block must be refused.  The check itself
-    takes one pair per (kernel class, element); this is its oracle."""
+    offers the least element of each Green class (see its comment); this
+    is its oracle."""
     g = gl_restriction
     top = s.inst.n - s.inst.r
     grades = s.grades

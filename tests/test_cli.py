@@ -304,30 +304,31 @@ def test_unit_decomposition_fails_on_a_wrong_cell_in_a_split_grid(monkeypatch, l
 
 
 def test_factorizations_and_regularity_cover_every_pair_and_element(monkeypatch):
-    # The check offers each constructor one element per kernel class, the
-    # least, which stands for its class (the lemmas in the check's comment):
-    # every pair must lie in exactly one checked cell, (class of x, class
-    # of y) for factor-through, (x, class of y) for D-class witnesses and
-    # (class of t, a) for sandwiches.  Factor-through's per-(y, k) facts
-    # read the domain inverse of every y at every k <= codim y.
+    # The check offers each constructor the least element of each class,
+    # which stands for its class (the lemmas in the check's comment): every
+    # pair must lie in exactly one checked cell, (kernel class of x, kernel
+    # class of y) for factor-through, (image class of x, kernel class of y)
+    # for D-class witnesses and (kernel class of t, a) for sandwiches.
+    # Factor-through's per-(y, k) fact reads the domain inverse of every y
+    # at every k <= codim y.
     s = enumerate_semigroup(make_instance(2, 4, 2))
     n, grades = len(s.table), s.grades
-    ker, least = s.kernel_classes
     every = np.arange(n)
     covered = {name: np.zeros((n, n), dtype=np.int8) for name in ("factor", "dclass", "sandwich")}
     singles = {"raise": [], "regular": []}
     inverses_read = []
 
-    def classes(idxs):
-        assert np.array_equal(idxs, least[ker[idxs]]), "not the least element of each kernel class"
-        assert len(np.unique(ker[idxs])) == len(idxs), "a kernel class offered twice"
-        return np.isin(ker, ker[idxs])
+    def classes(idxs, partition):
+        ids, least = partition
+        assert np.array_equal(idxs, least[ids[idxs]]), "not the least element of each class"
+        assert len(np.unique(ids[idxs])) == len(idxs), "a class offered twice"
+        return np.isin(ids, ids[idxs])
 
-    def grid(name, real, *by_class):
+    def grid(name, real, left_by=None, right_by=None):
         def recording(s, left, right):
             left, right = np.asarray(left), np.asarray(right)
-            rows = classes(left) if 0 in by_class else np.isin(every, left)
-            cols = classes(right) if 1 in by_class else np.isin(every, right)
+            rows = classes(left, left_by) if left_by else np.isin(every, left)
+            cols = classes(right, right_by) if right_by else np.isin(every, right)
             covered[name] += rows[:, None] & cols
             return real(s, left, right)
 
@@ -344,10 +345,11 @@ def test_factorizations_and_regularity_cover_every_pair_and_element(monkeypatch)
 
         return recording
 
-    monkeypatch.setattr(cli, "factor_through_grid", grid("factor", cli.factor_through_grid, 0, 1))
+    ker, img = s.kernel_classes, s.image_classes
+    monkeypatch.setattr(cli, "factor_through_grid", grid("factor", cli.factor_through_grid, ker, ker))
     monkeypatch.setattr(cli, "action_table", action_table)
-    monkeypatch.setattr(cli, "dclass_witness_grid", grid("dclass", cli.dclass_witness_grid, 1))
-    monkeypatch.setattr(cli, "sandwich_factor_grid", grid("sandwich", cli.sandwich_factor_grid, 0))
+    monkeypatch.setattr(cli, "dclass_witness_grid", grid("dclass", cli.dclass_witness_grid, img, ker))
+    monkeypatch.setattr(cli, "sandwich_factor_grid", grid("sandwich", cli.sandwich_factor_grid, ker))
     monkeypatch.setattr(cli, "raise_factors", single("raise", cli.raise_factors))
     monkeypatch.setattr(cli, "regular_witnesses", single("regular", cli.regular_witnesses))
     status, counts, _ = _check_factorizations(s, CAPS)
@@ -375,8 +377,8 @@ def test_factorizations_and_regularity_cover_every_pair_and_element(monkeypatch)
 
 @pytest.mark.parametrize("name", [*sorted(path.stem for path in CONFIGS.glob("*.cfg")), "p2n4r3", "p2n4r1"])
 def test_factorizations_match_the_every_pair_oracle(name):
-    # One pair per pair of kernel classes, or per (element, class), gives
-    # the status and counts that recomposing every pair gives, on every
+    # The least element of each class standing for its class gives the
+    # status and counts that recomposing every pair gives, on every
     # shipped config and both stretch instances, (2,4,3) and (2,4,1).
     path = CONFIGS / f"{name}.cfg"
     inst = build_instance(load_config(str(path))) if path.exists() else make_instance(2, 4, int(name[-1]))
@@ -404,11 +406,37 @@ def test_factorizations_recomposes_one_pair_per_pair_of_kernel_classes(monkeypat
     assert 0 < sum(pairs) <= most
 
 
+@pytest.mark.parametrize("r, cells, ideals", [(1, 303, 4), (2, 53, 3)])
+def test_verify_reads_each_green_class_once(monkeypatch, r, cells, ideals):
+    # verify offers the D-class witness grid the least element of each
+    # image class against that of each kernel class, grade by grade, reads
+    # one principal ideal per J-class, and calls factor_through_grid once
+    # feasibly and once infeasibly per left grade.  Every element on the
+    # left would be 45 312 and 12 480 cells, one principal ideal per
+    # L-class 16 and 5 reads, and one call per pair of grades (n-r+1)^2.
+    calls = dict.fromkeys(("dclass", "ideal", "factor"), 0)
+
+    def counting(name, real, size):
+        def counted(*args):
+            calls[name] += size(*args)
+            return real(*args)
+
+        return counted
+
+    monkeypatch.setattr(cli, "dclass_witness_grid", counting("dclass", cli.dclass_witness_grid, lambda s, a, b: len(a) * len(b)))
+    monkeypatch.setattr(cli, "principal_ideal", counting("ideal", cli.principal_ideal, lambda table, a: 1))
+    monkeypatch.setattr(cli, "factor_through_grid", counting("factor", cli.factor_through_grid, lambda s, a, b: 1))
+    statuses = {c.name: c.status for c in cmd_verify(InstanceConfig(p=2, n=4, r=r), 4096, DEFAULT_RANK_CAP).checks}
+    assert statuses["ideal_structure"] == statuses["factorizations"] == "pass"
+    assert 0 < calls["dclass"] <= cells and calls["ideal"] == ideals
+    assert 0 < calls["factor"] <= 2 * (4 - r) + 1
+
+
 @pytest.mark.parametrize("r, limit", [(1, 4e6), (3, 1.5e6)])
 def test_factorizations_peaks_below_a_few_megabytes_on_the_stretch_instances(r, limit):
     # Each grid block gathers its outputs' row codes and looks them up
-    # through find, with no key tables per grade, and facts (ii) and (iii)
-    # read the domain inverses' action table one k at a time.
+    # through find, with no key tables per grade, and fact (ii) reads the
+    # domain inverses' action table one k at a time.
     # The batch is built first, as for the test below.
     s = enumerate_semigroup(make_instance(2, 4, r), 4096)
     s.batch.images
@@ -512,7 +540,7 @@ def _with_domain_columns_swapped(monkeypatch, i, j, unit=0):
 
 def test_factorizations_fails_on_a_wrong_domain_inverse(monkeypatch):
     # Columns 0 and 1 are both off U's coordinates, so U * D^-1 still spans
-    # the last unit row (ii); D(y, 1)'s row 1 times it is now e_0 (iii).
+    # the last unit row; D(y, 1)'s row 1 times it is now e_0 (ii).
     y = _with_domain_columns_swapped(monkeypatch, 0, 1)
     failed = _failing()
     assert failed == {"factorizations": f"D({y}, 1) times its stored inverse is no unit row"}
@@ -520,26 +548,28 @@ def test_factorizations_fails_on_a_wrong_domain_inverse(monkeypatch):
 
 def test_factorizations_fails_on_a_wrong_domain_inverse_of_a_unit_no_grid_sees(monkeypatch):
     # The same fault at the second unit: no grid is offered it, since the
-    # least unit stands for its kernel class, so only fact (iii) sees it.
+    # least unit stands for its kernel class, so only fact (ii) sees it.
     y = _with_domain_columns_swapped(monkeypatch, 0, 1, unit=1)
     failed = _failing()
     assert failed == {"factorizations": f"D({y}, 1) times its stored inverse is no unit row"}
 
 
 def test_factorizations_fails_when_u_times_a_domain_inverse_leaves_the_last_unit_rows(monkeypatch):
-    # Column 0 swapped with U's column 2 breaks (ii) at (y, 1).
+    # Column 0 swapped with U's column 2 sends U * D(y, 1)^-1 off the last
+    # unit row: D(y, 1)'s last row, U * y = U, times it is now e_0 (ii).
     y = _with_domain_columns_swapped(monkeypatch, 0, 2)
     failed = _failing()
     assert set(failed) == {"factorizations"}
-    assert failed["factorizations"] == f"U * D({y}, 1)^-1 is not the span of the last r unit rows"
+    assert failed["factorizations"] == f"D({y}, 1) times its stored inverse is no unit row"
 
 
 def test_factorizations_fails_when_u_times_a_domain_inverse_has_a_row_code_of_exactly_p_to_the_r(monkeypatch):
     # Columns 1 and 2 swapped send U * D(y, 1)^-1 from e_2, code 1, to
-    # e_1, code 2 = p^r: the least code outside the last unit row's span.
+    # e_1, code 2 = p^r: the least code outside the last unit row's span,
+    # and D(y, 1)'s last row times it is no longer e_2 (ii).
     y = _with_domain_columns_swapped(monkeypatch, 1, 2)
     failed = _failing()
-    assert failed == {"factorizations": f"U * D({y}, 1)^-1 is not the span of the last r unit rows"}
+    assert failed == {"factorizations": f"D({y}, 1) times its stored inverse is no unit row"}
 
 
 def _with_batch_changed(monkeypatch, change):
@@ -561,7 +591,8 @@ def _with_batch_changed(monkeypatch, change):
 def test_factorizations_fails_on_a_domain_inverse_at_k_equal_to_codim_y(monkeypatch):
     # Columns 0 and 2 of domain_inv[y, 2] swapped for the least unit y of
     # (2,3,1), codim 2: (ii) at k = codim y, the one k a unit's own
-    # inverse (element_inv, kept true here) shares with factor-through.
+    # inverse (element_inv, kept true here) shares with factor-through;
+    # U * D(y, 2)^-1 leaves the last unit row too.
     def swap(bt):
         y = int(bt.s.grades[2][0])
         rows = code_vectors(2, 3)[bt.domain_inv[y, 2]]
@@ -570,7 +601,7 @@ def test_factorizations_fails_on_a_domain_inverse_at_k_equal_to_codim_y(monkeypa
 
     made = _with_batch_changed(monkeypatch, swap)
     failed = _failing()
-    assert failed == {"factorizations": f"U * D({made[0]}, 2)^-1 is not the span of the last r unit rows"}
+    assert failed == {"factorizations": f"D({made[0]}, 2) times its stored inverse is no unit row"}
 
 
 def test_factorizations_fails_when_a_kernel_basis_loses_the_first_of_us_rows(monkeypatch):
@@ -591,7 +622,7 @@ def test_a_misspread_domain_inverse_fails_the_recompositions(monkeypatch):
     # (b, k) that shares it.  Rolled by one before the spread, each (b, k)
     # gets another distinct domain's inverse: a true inverse, of the wrong
     # domain, which the inner inverses' recomposition and factor-through's
-    # fact (iii) notice.
+    # fact (ii) notice.
     real, solve = gl_restriction._Batch._domain_inverses, gl_restriction.solve_codes
 
     def rolled(bt):
@@ -884,13 +915,13 @@ def test_ideal_structure_checks_the_principal_ideal_of_every_element(monkeypatch
     assert check.reason.startswith("PreconditionError: table is not associative at (")
 
 
-def test_ideal_structure_compares_the_principal_ideal_past_each_l_class_leader():
+def test_ideal_structure_compares_the_principal_ideal_past_each_j_class_leader():
     s = enumerate_semigroup(make_instance(2, 4, 2))
     a = max(j_class(s, 0))
-    l_ids = s.table.green().l
-    assert np.flatnonzero(l_ids == l_ids[a])[0] < a  # a does not lead its L-class
-    # a is now said to have codimension 1, so its principal ideal, Q(1) on
-    # the checked table, should have been Q(2).
+    j_ids = s.table.green().j
+    assert np.flatnonzero(j_ids == j_ids[a])[0] < a  # a does not lead its J-class
+    # a is now said to have codimension 1, so its principal ideal, read once
+    # for its J-class, Q(1) on the checked table, should have been Q(2).
     bad = with_codim(s, a, 1)
     status, counts, reason = _check_ideal_structure(bad, CAPS)
     assert status == "fail" and counts["principal_reps"] == len(s.table)
@@ -1170,9 +1201,9 @@ def test_verify_fails_on_a_wrong_image_at_a_generator(monkeypatch):
 
 
 def test_factorizations_peaks_below_one_and_a_half_megabytes_at_order_4096():
-    # Facts (ii) and (iii) read the domain inverses' action table one k at
-    # a time: over all 13 224 (y, k) at once at (2,4,1), action_table alone
-    # peaked at 1.69 MB.  The first call builds the Structure's cached
+    # Fact (ii) reads the domain inverses' action table one k at a time:
+    # over all 13 224 (y, k) at once at (2,4,1), action_table alone peaked
+    # at 1.69 MB.  The first call builds the Structure's cached
     # batch and lam tables, so the second one's peak is the check's own.
     s = enumerate_semigroup(make_instance(2, 4, 1), 4096)
     assert _check_factorizations(s, CAPS)[0] == "pass"
