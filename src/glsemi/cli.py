@@ -331,7 +331,8 @@ def _check_factorizations(s: Structure, caps):
     # kernel_inv[c]*S with S = [0; first k transversal rows of K_d; U]
     # spliced as D(y, k) is, and mu = Dinv*A.  Facts: (i) K_c's head rows
     # lie in ker c and its last r rows are U's; (ii) D(y, k)'s rows from
-    # n-r-k on, which are S*y's, times Dinv are the matching unit rows.
+    # n-r-k on, which are S*y's, times Dinv are the matching unit rows;
+    # (iii) dom(y)*element_inv[y] = I: every dom(y) is invertible.
     # Lemma: S*y*Dinv = Z, the identity with its first n-r-k rows zeroed,
     # by (ii), and Z*A = A by (i), so lam*y*mu = kernel_inv[c]*K_c*x for
     # every y.  One recomposition x0 = lam*y0*mu puts the rows of
@@ -340,12 +341,13 @@ def _check_factorizations(s: Structure, caps):
     # onto the last r unit rows, so U*mu spans A's last r rows: U*x = U.
     # Witness: gamma = K_d^-1*(a's images) has a's image and b's kernel, d =
     # ker b, so one witness serves every pair drawn from those two classes.
-    # Sandwich: lam*a*mu = t iff lam*a*dom(a)^-1 = K_c^-1*Z_c, by (i), so
-    # the least t of a kernel class recomposes the rest, U*mu = U as above,
-    # but their mu is a unit only if dom(t) is invertible, and (ii) reads no
-    # row of D before n-r-k.  So the grids take the least element of each
-    # class: kernel classes on both sides of factor-through, image by kernel
-    # classes for witnesses, and targets' (not sources') for sandwiches.
+    # Sandwich: for t of class c and a of class d, lam = kernel_inv[c]*K_d,
+    # mu = element_inv[a]*dom(t) and K_d*a = Z*dom(a) by (i), so lam*a*mu =
+    # kernel_inv[c]*K_c*t by (iii): one t per c proves every t of c, as
+    # above.  lam is one per pair of classes, mu a unit by (iii), and U*mu =
+    # U as above, by (iii) for (ii).  So every grid takes the least element
+    # of each class: kernel classes on both sides of factor-through and
+    # sandwiches, image by kernel classes for witnesses.
     p, n, top, bt = s.inst.p, s.inst.n, s.inst.n - s.inst.r, s.batch
     u, j = codes(p, s.inst.u.basis), np.arange(n)
     in_ker = s.act[bt.kernel, s.kernel_classes[1][:, None]] == 0
@@ -359,6 +361,9 @@ def _check_factorizations(s: Structure, caps):
         rows = bt.applied[ys[:, None], j - np.where(j < top, (bt.codims[ys] - k)[:, None], 0)]
         if (bad := ((times[rows, np.arange(len(ys))[:, None]] != p ** (n - 1 - j)) & (j >= top - k)).any(axis=1)).any():
             return ("fail", {}, f"D({ys[bad][0]}, {k}) times its stored inverse is no unit row")
+    times = action_table(p, bt.element_inv)  # times[v, y]: code of v * element_inv[y]
+    if (bad := (times[bt.domain, np.arange(len(bt.domain))[:, None]] != p ** (n - 1 - j)).any(axis=1)).any():
+        return ("fail", {}, f"dom({bad.argmax()}) times its stored inverse is not the identity")
     kers = [g[np.unique(bt.ker_ids[g], return_index=True)[1]] for g in s.grades]  # least of each kernel class
     imgs = [g[np.unique(bt.img_ids[g], return_index=True)[1]] for g in s.grades]  # least of each image class
     factored = witnesses = infeasible = 0
@@ -375,10 +380,9 @@ def _check_factorizations(s: Structure, caps):
         dclass_witness_grid(s, imgs[k], kers[k])
         witnesses += left.size**2
     raised = len(raise_factors(s, s.below[top - 1])[0])
-    mid = s.grades[top - 1]
-    sandwich_factor_grid(s, kers[top - 1], mid)
+    sandwich_factor_grid(s, kers[top - 1], kers[top - 1])
     counts = {"factored": factored, "infeasible_rejected": infeasible, "d_witnesses": witnesses}
-    return ("pass", {**counts, "raised": raised, "sandwiched": mid.size**2}, None)
+    return ("pass", {**counts, "raised": raised, "sandwiched": s.grades[top - 1].size ** 2}, None)
 
 
 def _check_generation(s: Structure, caps):
@@ -508,7 +512,7 @@ def _check_isomorphism_theorem(s: Structure, caps):
         verified_pairs = len(element_bijection(witness, s, partner)) ** 2
     negative = None
     for r2 in (inst.r + 1, inst.r - 1):
-        if 0 <= r2 < inst.n and r2 != inst.r:
+        if 0 <= r2 < inst.n:
             negative = make_instance(inst.p, inst.n, r2)
             break
     if negative is not None and decide_isomorphic(inst, negative) is not None:

@@ -104,8 +104,6 @@ def make_instance(p: int, n: int, r: int, u_rows=None) -> Instance:
     check_modulus(p)
     if n < 1:
         raise ConfigurationError("ambient dimension must be at least 1")
-    if not 0 <= r < n:
-        raise ConfigurationError(f"need 0 <= r < n, got r={r}, n={n}")
     if u_rows is None:
         u = Subspace(p, n, identity_mat(n)[:r])
     else:
@@ -344,8 +342,8 @@ def green_char_partitions(s: Structure) -> GreenPartitions:
 _BLOCK = 2**14
 
 
-def _spliced(head: np.ndarray, fill, rows: np.ndarray, shift: np.ndarray, n_r: int) -> np.ndarray:
-    # Row codes: fill on the head rows; below them and above row n_r,
+def _spliced(head: np.ndarray, rows: np.ndarray, shift: np.ndarray, n_r: int) -> np.ndarray:
+    # Row codes: zeros on the head rows; below them and above row n_r,
     # rows[j - shift] (the first rows of a transversal, moved down by
     # shift, row 0 where that is negative); from row n_r on, rows[j] (U's
     # rows).  One masked copy per (shift, row), so the temporaries are a
@@ -355,7 +353,7 @@ def _spliced(head: np.ndarray, fill, rows: np.ndarray, shift: np.ndarray, n_r: i
         at = shift == d
         for j in range(n_r):
             np.copyto(out[:, j], rows[:, max(j - d, 0)], where=at)
-    np.copyto(out, fill, where=head)
+    np.copyto(out, 0, where=head)
     return out
 
 
@@ -380,11 +378,11 @@ class _Batch:
     basis]; per image class, image[c] codes [extension of the image to
     V; extension of U to the image; U basis].  For an element a of
     codimension k, head[a] marks the first n-r-k rows, applied[a] is
-    kernel[ker a] * a, that is [zeros; transversal * a; U * a], and a's
-    domain is applied[a] with the image's extension on the head.
-    kernel_inv and domain_inv hold the inverses of the kernel bases and of
-    factor_through_grid's domains, one solve per distinct domain (1344 of
-    13 224 pairs at (2,4,1)); element_inv is domain_inv at k = codim.
+    kernel[ker a] * a, that is [zeros; transversal * a; U * a], and
+    domain[a] is applied[a] with the image's extension on the head.
+    kernel_inv and element_inv invert the kernel bases and the domains,
+    one solve per distinct one (1344 domains at (2,4,1)); domain_inv[a, k]
+    inverts factor_through_grid's D(a, k) (see _domain_inverses).
     images holds each constructor's per-element images as action tables.
     """
 
@@ -409,35 +407,28 @@ class _Batch:
         count = len(s.table)
         self.applied = s.act[self.kernel[self.ker_ids], np.arange(count)[:, None]]
         self.head = np.arange(n) < (n - r - self.codims)[:, None]
+        self.domain = np.where(self.head, self.image[self.img_ids], self.applied)
         self.kernel_inv = solve_codes(p, self.kernel)
         self.domain_inv = self._domain_inverses()
         self.element_inv = self.domain_inv[np.arange(count), self.codims]
 
     def _domain_inverses(self) -> np.ndarray:
         # inv[b, k], for k <= codim b: the inverse of factor_through_grid's
-        # domain [tail; first k transversal rows * b; U * b], the tail the
-        # least extension of the other rows' span to V (zeros for k > codim
-        # b); at k = codim b, b's domain.  The tail is a function of the
-        # other rows: each distinct set of them is completed once, each
-        # distinct span extended once and each distinct domain solved once.
+        # domain D(b, k) = [image extension; transversal rows k.. * b; first
+        # k transversal rows * b; U * b] (zeros for k > codim b), dom(b) with
+        # its rows permuted, P * dom(b), whose inverse is dom(b)^-1 * P^T.  So
+        # each distinct dom(b) is solved once, and each row read through the
+        # action table of the P^T of (m, k), held at m*(m+1)/2 + k, m = codim b.
         p, n, top = self.s.inst.p, self.s.inst.n, self.s.inst.n - self.s.inst.r
+        _, first, ids = np.unique(codes(p**n, self.domain), return_index=True, return_inverse=True)
+        own = solve_codes(p, self.domain[first])[ids]
+        perms = np.zeros(((top + 1) * (top + 2) // 2, n), dtype=np.int64)
+        for i, (m, k) in enumerate(zip(*np.tril_indices(top + 1))):
+            lo = top - m  # row j of P^T is the unit row of j's place in D
+            perms[i, np.r_[:lo, lo + k : top, lo : lo + k, top:n]] = p ** np.arange(n - 1, -1, -1)
         bs, ks = np.nonzero(np.arange(top + 1) <= self.codims[:, None])
-        head = np.arange(n) < (top - ks)[:, None]
-        rows = _spliced(head, 0, self.applied[bs], self.codims[bs] - ks, top)
-        _, first, ids = np.unique(codes(p**n, rows), return_index=True, return_inverse=True)
-        doms, head = rows[first], head[first]
-        fill = head[:, 0]  # the domains with a tail, k < n - r
-        spans = span_mask(p, n, doms[fill])
-        span_ids, span_first = row_classes(spans)
-        tails = np.zeros((len(span_first), n), dtype=np.int64)
-        for t, i in enumerate(span_first.tolist()):
-            tail = extend_codes(p, n, spans[i])
-            tails[t, : len(tail)] = tail
-        doms[fill] = np.where(head[fill], tails[span_ids], doms[fill])
-        _, first, again = np.unique(codes(p**n, doms), return_index=True, return_inverse=True)
-        inverses = solve_codes(p, doms[first])
-        inv = np.zeros((len(self.codims), top + 1, n), dtype=inverses.dtype)
-        inv[bs, ks] = inverses[again[ids]]
+        inv = np.zeros((len(self.codims), top + 1, n), dtype=own.dtype)
+        inv[bs, ks] = action_table(p, perms)[own[bs], (self.codims[bs] * (self.codims[bs] + 1) // 2 + ks)[:, None]]
         return inv
 
     @cached_property
@@ -446,7 +437,6 @@ class _Batch:
         in the order of its domain (kernel or domain, as named)."""
         p, n, r = self.s.inst.p, self.s.inst.n, self.s.inst.r
         img = self.image[self.img_ids]
-        domain = np.where(self.head, img, self.applied)
         raise_lam, raise_mu = self.applied.copy(), self.applied.copy()
         # Slices, so at n = 1, where no element is raised, a missing row is skipped.
         raise_lam[:, :1] = img[:, :1]  # one kernel line onto the first fresh vector
@@ -457,7 +447,7 @@ class _Batch:
             "dclass": np.where(self.head, 0, np.where(np.arange(n) < n - r, img, self.applied)),  # on kernel
             "raise_lam": raise_lam,  # on kernel
             "raise_mu": raise_mu,  # on domain
-            "sandwich": domain,  # on domain
+            "sandwich": self.domain,  # on domain
         }
         return {name: action_table(p, held) for name, held in rows.items()}
 
@@ -477,7 +467,7 @@ class _Batch:
         transversal onto the first rows of d's, U fixed."""
         n, top, kc = self.s.inst.n, self.s.inst.n - self.s.inst.r, self.ker_codims
         c1, c2 = np.nonzero(kc[:, None] <= kc)
-        images = _spliced(np.arange(n) < (top - kc[c1])[:, None], 0, self.kernel[c2], kc[c2] - kc[c1], top)
+        images = _spliced(np.arange(n) < (top - kc[c1])[:, None], self.kernel[c2], kc[c2] - kc[c1], top)
         return self._class_lams(c1, c2, images, "factor-through lam")
 
     @cached_property
@@ -567,11 +557,11 @@ def factor_through_grid(s: Structure, left, right) -> tuple[np.ndarray, np.ndarr
     b = right[j]; possible iff codim(a) <= codim(b) for every pair.
 
     lam depends only on the kernel classes (see _Batch.factor_lams).
-    mu kills the tail extending (first codim(a) rows of b's transversal,
-    U) * b to V and sends those rows * b to (a's transversal, U) * a: mu
-    = D^-1 * K_c * a for that domain D, K_c = kernel[c], c = ker a.  The
-    lemma in cli's factorizations check makes one pair per pair of kernel
-    classes prove every pair.
+    mu = D^-1 * K_c * a for D = D(b, codim a) (see _Batch._domain_inverses),
+    K_c = kernel[c], c = ker a: it kills D's head rows and sends the rest,
+    (first codim(a) transversal rows, U) * b, to (a's transversal, U) * a.
+    The lemma in cli's factorizations check makes one pair per pair of
+    kernel classes prove every pair.
     """
     every, b, bt = indices(len(s.table), left), indices(len(s.table), right), s.batch
     if every.size and b.size and bt.codims[every].max() > bt.codims[b].min():
@@ -610,12 +600,11 @@ def sandwich_factor_grid(s: Structure, targets, sources) -> tuple[np.ndarray, np
     """Units (lam, mu) with lam[i, j] * a * mu[i, j] = t for t =
     targets[i] and a = sources[j], all of codimension n-r-1.
 
-    lam sends t's transversal, kernel and U onto a's; mu sends a's
-    domain rows onto t's.  With K_c = kernel[ker t], whose head rows lie
-    in ker t, Z_c * dom(t) = K_c * t for Z_c zeroing them, so lam * a * mu
-    = t iff lam * a * dom(a)^-1 = K_c^-1 * Z_c: one t per kernel class
-    proves the rest's recomposition, not that their dom(t) is invertible;
-    U * mu = U by the lemma in cli's factorizations check.
+    lam sends t's transversal, kernel and U onto a's; mu = dom(a)^-1 *
+    dom(t).  With K_c = kernel[ker t], whose head rows lie in ker t,
+    Z_c * dom(t) = K_c * t for Z_c zeroing them, so lam * a * mu = t iff
+    lam * a * dom(a)^-1 = K_c^-1 * Z_c, which names t and a only through
+    their kernel classes (see the lemma in cli's factorizations check).
     """
     every, a, bt = indices(len(s.table), targets), indices(len(s.table), sources), s.batch
     top = s.inst.n - s.inst.r

@@ -710,11 +710,13 @@ def members_by_solve(inst):
 
 def domain_inverses_by_pair(s):
     """s.batch.domain_inv from its definition, one (b, k) at a time: for
-    k <= codim b, the row codes of the inverse of the domain [tail; first
-    k transversal rows * b; U * b], the transversal that of b's kernel
-    class in s.batch.kernel and the tail the lexicographically least
-    extension of the other rows to a basis of V, each domain solved on
-    its own by Gauss-Jordan on tuples; zeros for k > codim b."""
+    k <= codim b, the row codes of the inverse of the domain [image
+    extension; transversal rows after the first k * b; first k
+    transversal rows * b; U * b], the transversal that of b's kernel
+    class in s.batch.kernel and the image extension the
+    lexicographically least extension of b's image to a basis of V, each
+    domain solved on its own by Gauss-Jordan on tuples; zeros for k >
+    codim b."""
     p, n, bt = s.inst.p, s.inst.n, s.batch
     top, eye = n - s.inst.r, identity_mat(n)
     vectors = [tuple(v) for v in code_vectors(p, n).tolist()]
@@ -722,9 +724,10 @@ def domain_inverses_by_pair(s):
     for b, m in enumerate(matrices(s)):
         c = int(bt.codims[b])
         transversal = [vectors[x] for x in bt.kernel[bt.ker_ids[b], top - c : top].tolist()]
+        image = list(act(p, transversal + list(s.inst.u.basis), m))
+        head = naive_least_extension(p, n, image)
         for k in range(c + 1):
-            rows = list(act(p, transversal[:k] + list(s.inst.u.basis), m))
-            inv[b, k] = codes(p, linear_map(p, naive_least_extension(p, n, rows) + rows, eye))
+            inv[b, k] = codes(p, linear_map(p, head + image[k:c] + image[:k] + image[c:], eye))
     return inv
 
 

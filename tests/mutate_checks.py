@@ -3,23 +3,25 @@
 Run from the repository root:
 
     python tests/mutate_checks.py
-    python tests/mutate_checks.py --functions _check_factorizations
+    python tests/mutate_checks.py --functions _check_factorizations gl_restriction._Batch._domain_inverses
 
 It copies src/, tests/ and configs/ into a fresh temporary directory.
 Then, one mutant at a time, it changes one operator inside the named
-top-level functions of src/glsemi/cli.py in that copy and runs
-`pytest -x -q` on TESTS against it, for at most TIMEOUT_S seconds.  A
-comparison moves to its neighbour (== and !=, is and is not, in and not
-in, < and <=, > and >=), a boolean `and` becomes `or` and back, and so
-does an array one, `&` and `|`.  A mutant that no test fails survives.
+functions in that copy and runs `pytest -x -q` on TESTS against it, for
+at most TIMEOUT_S seconds.  A bare name is a top-level function of
+src/glsemi/cli.py; module.function and module.Class.method name one in
+any module of src/glsemi.  A comparison moves to its neighbour (== and
+!=, is and is not, in and not in, < and <=, > and >=), a boolean `and`
+becomes `or` and back, and so does an array one, `&` and `|`.  A mutant
+that no test fails survives.
 The number of mutants is printed first, each mutant's verdict as it
 finishes, then the counts and the survivors.
 
 The mutated function is rewritten with ast.unparse and spliced back in
-place of its own lines, so the rest of the module keeps its text.  A
-first run with every function unparsed but unchanged must pass, or the
-run stops.  pytest does not collect this file (its name does not start
-with test_), and it uses the standard library only.
+place of its own lines, indented as they were, so the rest of the module
+keeps its text.  A first run with every function unparsed but unchanged
+must pass, or the run stops.  pytest does not collect this file (its
+name does not start with test_), and it uses the standard library only.
 """
 
 from __future__ import annotations
@@ -33,10 +35,11 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import textwrap
 import time
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-MODULE = "src/glsemi/cli.py"
+PACKAGE = "src/glsemi"
 TIMEOUT_S = 900.0
 FUNCTIONS = ("_check_ideal_structure", "_check_factorizations")
 TESTS = ("tests/test_cli.py", "tests/test_golden.py", "tests/test_acceptance.py")
@@ -82,10 +85,24 @@ def mutated(func: ast.FunctionDef, pos: int, i: int | None) -> tuple[str, str]:
     return ast.unparse(twin), f"{SYMBOLS[type(old)]} -> {SYMBOLS[type(new)]}"
 
 
+def find(name: str) -> tuple[str, ast.FunctionDef | None]:
+    """(module path, def) that name names: a bare name in cli.py,
+    module.function or module.Class.method; the def is None when the
+    module holds no such function."""
+    module, path = name.split(".", 1) if "." in name else ("cli", name)
+    source = ROOT / PACKAGE / f"{module}.py"
+    node = ast.parse(source.read_text()) if source.is_file() else None
+    for part in path.split("."):
+        node = next((d for d in getattr(node, "body", ()) if isinstance(d, (ast.ClassDef, ast.FunctionDef)) and d.name == part), None)
+    return f"{PACKAGE}/{module}.py", node if isinstance(node, ast.FunctionDef) else None
+
+
 def splice(text: str, func: ast.FunctionDef, body: str) -> str:
-    # The module's text with func's lines replaced by body (a top-level def).
+    # The module's text with func's lines, decorators included, replaced by
+    # body, indented as func is.
     lines = text.splitlines(keepends=True)
-    return "".join(lines[: func.lineno - 1]) + body + "\n" + "".join(lines[func.end_lineno :])
+    start = min([func.lineno, *(d.lineno for d in func.decorator_list)])
+    return "".join(lines[: start - 1]) + textwrap.indent(body, " " * func.col_offset) + "\n" + "".join(lines[func.end_lineno :])
 
 
 def run_tests(work: pathlib.Path) -> str:
@@ -101,47 +118,51 @@ def run_tests(work: pathlib.Path) -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--functions", nargs="+", default=list(FUNCTIONS), help="top-level functions to mutate")
+    parser.add_argument("--functions", nargs="+", default=list(FUNCTIONS), help="functions to mutate: name, module.name or module.Class.name")
     args = parser.parse_args(argv)
 
-    text = (ROOT / MODULE).read_text()
-    funcs = {node.name: node for node in ast.parse(text).body if isinstance(node, ast.FunctionDef)}
-    missing = [name for name in args.functions if name not in funcs]
+    found = {name: find(name) for name in args.functions}
+    missing = [name for name, (_, func) in found.items() if func is None]
     if missing:
-        parser.error(f"no top-level function {', '.join(missing)} in {MODULE}")
-    # Bottom-up, so splicing one function leaves the line numbers of those above it.
-    chosen = sorted((funcs[name] for name in args.functions), key=lambda f: f.lineno, reverse=True)
-    unparsed = {func.name: ast.unparse(func) for func in chosen}
+        parser.error(f"no function {', '.join(missing)} in {PACKAGE}")
+    # Per module, its chosen (name, def) bottom-up, so splicing one function
+    # leaves the line numbers of those above it.
+    chosen = {}
+    for name, (path, func) in sorted(found.items(), key=lambda item: -item[1][1].lineno):
+        chosen.setdefault(path, []).append((name, func))
+    texts = {path: (ROOT / path).read_text() for path in chosen}
+    unparsed = {name: ast.unparse(func) for name, (_, func) in found.items()}
 
-    def module(bodies):
-        # The module's text with each chosen function replaced by bodies[name].
-        out = text
-        for func in chosen:
-            out = splice(out, func, bodies[func.name])
+    def module(path, bodies):
+        # The module's text with each chosen function in it replaced by bodies[name].
+        out = texts[path]
+        for name, func in chosen[path]:
+            out = splice(out, func, bodies[name])
         return out
 
-    mutants, seen = [], {}  # (label, module source); seen: sites per line
-    for func in reversed(chosen):
+    mutants, seen = [], {}  # (label, module path, module source); seen: sites per line
+    for name, (path, func) in found.items():
         for pos, i, node in sites(func):
             body, change = mutated(func, pos, i)
-            seen[node.lineno] = nth = seen.get(node.lineno, 0) + 1
-            mutants.append((f"{func.name}:{node.lineno}.{nth} {change}", module({**unparsed, func.name: body})))
+            seen[path, node.lineno] = nth = seen.get((path, node.lineno), 0) + 1
+            mutants.append((f"{name}:{node.lineno}.{nth} {change}", path, module(path, {**unparsed, name: body})))
     print(f"{len(mutants)} mutants", flush=True)
 
     work = pathlib.Path(tempfile.mkdtemp(prefix="mutate-"))
     try:
         for part in ("src", "tests", "configs"):
             shutil.copytree(ROOT / part, work / part, ignore=shutil.ignore_patterns("__pycache__"))
-        target = work / MODULE
-        target.write_text(module(unparsed))
+        for path in texts:
+            (work / path).write_text(module(path, unparsed))
         if run_tests(work) != "pass":
             print("the unmutated copy fails its tests; no mutant was run", file=sys.stderr)
             return 2
         survivors, tally = [], {"killed": 0, "survived": 0, "timeout": 0}
-        for label, source in mutants:
-            target.write_text(source)  # every other chosen function unparsed, as in the first run
+        for label, path, source in mutants:
+            (work / path).write_text(source)  # every other chosen function unparsed, as in the first run
             start = time.perf_counter()
             verdict = {"fail": "killed", "pass": "survived", "timeout": "timeout"}[run_tests(work)]
+            (work / path).write_text(module(path, unparsed))
             tally[verdict] += 1
             if verdict == "survived":
                 survivors.append(label)

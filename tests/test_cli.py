@@ -307,10 +307,10 @@ def test_factorizations_and_regularity_cover_every_pair_and_element(monkeypatch)
     # The check offers each constructor the least element of each class,
     # which stands for its class (the lemmas in the check's comment): every
     # pair must lie in exactly one checked cell, (kernel class of x, kernel
-    # class of y) for factor-through, (image class of x, kernel class of y)
-    # for D-class witnesses and (kernel class of t, a) for sandwiches.
-    # Factor-through's per-(y, k) fact reads the domain inverse of every y
-    # at every k <= codim y.
+    # class of y) for factor-through and sandwiches and (image class of x,
+    # kernel class of y) for D-class witnesses.  Fact (ii) reads the domain
+    # inverse of every y at every k <= codim y, and fact (iii) every y's
+    # own inverse.
     s = enumerate_semigroup(make_instance(2, 4, 2))
     n, grades = len(s.table), s.grades
     every = np.arange(n)
@@ -349,7 +349,7 @@ def test_factorizations_and_regularity_cover_every_pair_and_element(monkeypatch)
     monkeypatch.setattr(cli, "factor_through_grid", grid("factor", cli.factor_through_grid, ker, ker))
     monkeypatch.setattr(cli, "action_table", action_table)
     monkeypatch.setattr(cli, "dclass_witness_grid", grid("dclass", cli.dclass_witness_grid, img, ker))
-    monkeypatch.setattr(cli, "sandwich_factor_grid", grid("sandwich", cli.sandwich_factor_grid, ker))
+    monkeypatch.setattr(cli, "sandwich_factor_grid", grid("sandwich", cli.sandwich_factor_grid, ker, ker))
     monkeypatch.setattr(cli, "raise_factors", single("raise", cli.raise_factors))
     monkeypatch.setattr(cli, "regular_witnesses", single("regular", cli.regular_witnesses))
     status, counts, _ = _check_factorizations(s, CAPS)
@@ -360,14 +360,16 @@ def test_factorizations_and_regularity_cover_every_pair_and_element(monkeypatch)
     assert counts["raised"] == len(s.below[1])
     status, counts, _ = _check_regularity(s, CAPS)
     assert status == "pass" and counts["verified"] == n
-    # Every pair in one factor-through cell, and every (y, k) inverse read,
-    # k by k; D-class witnesses and sandwiches on every pair of their
-    # grades, once; every element raised below grade 1 and given an inner
-    # inverse.
+    # Every pair in one factor-through cell, every (y, k) inverse read, k
+    # by k, then every element's own; D-class witnesses and sandwiches on
+    # every pair of their grades, once; every element raised below grade 1
+    # and given an inner inverse.
     codims = s.codims
     assert (covered["factor"] == 1).all()
     ks, ys = np.nonzero(np.arange(3)[:, None] <= codims)
-    assert np.array_equal(np.concatenate(inverses_read), s.batch.domain_inv[ys, ks])
+    *per_k, own = inverses_read
+    assert np.array_equal(np.concatenate(per_k), s.batch.domain_inv[ys, ks])
+    assert np.array_equal(own, s.batch.element_inv)
     assert np.array_equal(covered["dclass"], (codims[:, None] == codims).astype(np.int8))
     mid = codims == 1
     assert np.array_equal(covered["sandwich"], (mid[:, None] & mid).astype(np.int8))
@@ -409,12 +411,14 @@ def test_factorizations_recomposes_one_pair_per_pair_of_kernel_classes(monkeypat
 @pytest.mark.parametrize("r, cells, ideals", [(1, 303, 4), (2, 53, 3)])
 def test_verify_reads_each_green_class_once(monkeypatch, r, cells, ideals):
     # verify offers the D-class witness grid the least element of each
-    # image class against that of each kernel class, grade by grade, reads
-    # one principal ideal per J-class, and calls factor_through_grid once
+    # image class against that of each kernel class, grade by grade, and
+    # the sandwich grid that of each kernel class on both sides, reads one
+    # principal ideal per J-class, and calls factor_through_grid once
     # feasibly and once infeasibly per left grade.  Every element on the
-    # left would be 45 312 and 12 480 cells, one principal ideal per
-    # L-class 16 and 5 reads, and one call per pair of grades (n-r+1)^2.
-    calls = dict.fromkeys(("dclass", "ideal", "factor"), 0)
+    # left would be 45 312 and 12 480 witness cells, every source 14 x 2352
+    # and 12 x 864 sandwich cells, one principal ideal per L-class 16 and 5
+    # reads, and one call per pair of grades (n-r+1)^2.
+    calls = dict.fromkeys(("dclass", "sandwich", "ideal", "factor"), 0)
 
     def counting(name, real, size):
         def counted(*args):
@@ -424,11 +428,13 @@ def test_verify_reads_each_green_class_once(monkeypatch, r, cells, ideals):
         return counted
 
     monkeypatch.setattr(cli, "dclass_witness_grid", counting("dclass", cli.dclass_witness_grid, lambda s, a, b: len(a) * len(b)))
+    monkeypatch.setattr(cli, "sandwich_factor_grid", counting("sandwich", cli.sandwich_factor_grid, lambda s, a, b: len(a) * len(b)))
     monkeypatch.setattr(cli, "principal_ideal", counting("ideal", cli.principal_ideal, lambda table, a: 1))
     monkeypatch.setattr(cli, "factor_through_grid", counting("factor", cli.factor_through_grid, lambda s, a, b: 1))
     statuses = {c.name: c.status for c in cmd_verify(InstanceConfig(p=2, n=4, r=r), 4096, DEFAULT_RANK_CAP).checks}
     assert statuses["ideal_structure"] == statuses["factorizations"] == "pass"
     assert 0 < calls["dclass"] <= cells and calls["ideal"] == ideals
+    assert 0 < calls["sandwich"] <= {1: 196, 2: 144}[r]
     assert 0 < calls["factor"] <= 2 * (4 - r) + 1
 
 
@@ -518,6 +524,32 @@ def test_factorizations_fails_on_a_wrong_factor_lam(monkeypatch):
     assert "factor-through factors failed to recompose" in failed["factorizations"]
 
 
+def test_factorizations_fails_on_a_sandwich_lam_that_recomposes_but_is_no_unit(monkeypatch):
+    # One class pair's sandwich lam becomes lam * f, f = I + c * w for w
+    # spanning ker d and the column c = -K_d^-1 e_0, so w * c = -1 and U * c
+    # = 0: f fixes U, is singular (w * f = 0) and f * a = a for every a of
+    # class d.  So lam * f is a member, every pair still recomposes and mu
+    # is still a unit, but lam is not.
+    real = gl_restriction._Batch.__dict__["sandwich_lams"].func
+    wrong = []
+
+    def sandwich_lams(bt):
+        s, lam = bt.s, real(bt).copy()
+        p, n = s.inst.p, s.inst.n
+        c, d = np.argwhere(lam >= 0)[0].tolist()
+        vectors = code_vectors(p, n)
+        column = -vectors[bt.kernel_inv[d], 0]
+        f = s.find(codes(p, (np.identity(n, dtype=np.int64) + np.outer(column, vectors[bt.kernel[d, 0]])) % p))
+        lam[c, d] = s.find(s.act[s.rows[lam[c, d]], f])
+        wrong.append(int(bt.codims[f]))
+        return lam
+
+    monkeypatch.setattr(gl_restriction._Batch, "sandwich_lams", property(sandwich_lams))
+    failed = _failing()
+    assert set(failed) == {"factorizations"} and wrong == [1]
+    assert "sandwich factors are not units" in failed["factorizations"]
+
+
 def _with_domain_columns_swapped(monkeypatch, i, j, unit=0):
     """Swap columns i and j of domain_inv[y, 1] for y the unit-th unit
     of (2,3,1), by index, an inverse only factor-through reads (k = 1 <
@@ -602,6 +634,24 @@ def test_factorizations_fails_on_a_domain_inverse_at_k_equal_to_codim_y(monkeypa
     made = _with_batch_changed(monkeypatch, swap)
     failed = _failing()
     assert failed == {"factorizations": f"D({made[0]}, 2) times its stored inverse is no unit row"}
+
+
+def test_factorizations_fails_on_an_element_inverse_only_fact_iii_reads(monkeypatch):
+    # element_inv[y] times the projection killing its first coordinate, for
+    # y the second element of the least kernel class of grade n-r-1 at
+    # (2,3,1): that coordinate is y's one head row, on which the inner
+    # inverses' images are zero, y is too high to be raised, and no grid is
+    # offered y, since the least element stands for its class.  Only fact
+    # (iii), dom(y) times element_inv[y] = I, reads it.
+    def project(bt):
+        mid = bt.s.grades[bt.s.inst.n - bt.s.inst.r - 1]
+        y = int(mid[bt.ker_ids[mid] == bt.ker_ids[mid[0]]][1])
+        bt.element_inv[y] %= bt.s.inst.p ** (bt.s.inst.n - 1)
+        return y
+
+    made = _with_batch_changed(monkeypatch, project)
+    failed = _failing()
+    assert failed == {"factorizations": f"dom({made[0]}) times its stored inverse is not the identity"}
 
 
 def test_factorizations_fails_when_a_kernel_basis_loses_the_first_of_us_rows(monkeypatch):

@@ -90,15 +90,17 @@ VERIFY = {
     "p3n3r2_shifted": "874b55254ab65231d79a689dc3fcee12dff822aab28c2aeb8a1aea5a69c120f9",
 }
 
+# factor_through's mu for codim a < codim b kills the head rows of
+# D(b, codim a): b's image extension and its later transversal rows.
 CONSTRUCTORS = {
-    "p2n2r1": "916b9086a8520f99d1aacd5aee5320cbf8d47686f150f46a843a4b580565838b",
-    "p2n3r1": "8dfdc5922b80e8490ae47b923e45524b07154443e0acbda39c6d90e3b47e6fe4",
-    "p2n3r1_shifted": "dc7db85d337c73d02eac734c8c6b36f1524bb599f815da74c5395605b6b312c2",
-    "p2n3r2": "f2843d0e291bddd71ff2da83a0f0012b2c667a9c8d450b21516e5dff2c2416e2",
-    "p2n4r2": "1882d85d47e4deeac48c34ba03b6ef19451de89d716dff631f64541bc2523c9a",
-    "p3n2r1": "12ea3cefe6ad17a05b5b974ad539aa61a3aa00d125f3621122f17e2bd861a7e1",
-    "p3n3r1": "c070249e6a5a80ed722b6b98d3c65a916bbf5d5fbffe975ed3252c4bfe2507b7",
-    "p3n3r2_shifted": "3a6f6ff1f6510579eed12bc6c3773491f0771e4c3a53c5daf5497d72b5254ce0",
+    "p2n2r1": "a13db2991efc55992b2b6ec70f7157459e0cfdc978fc2b6af6b9ff451be6c54e",
+    "p2n3r1": "fc95ff0c56e45c8b7ef1a67d70d345f850427545d802e53c7b5ec4841a8dc046",
+    "p2n3r1_shifted": "a23481cff642263cb13cafc2133333db2ae3b23f3129dfb77d605f707c8ebb65",
+    "p2n3r2": "feb5f57e3bda5d9bf3139998ae57988c5b7a2124744a07088b76e25fa7a7a5a3",
+    "p2n4r2": "9fe6dcd3d23b8670589c7fbf22929e0dfc1f96916a90b4f2b10e0c32b4c9f722",
+    "p3n2r1": "9193406fe8bd0149de2f6e1178fd5cf35329eb9437f4015ba660b4dc2ac7993c",
+    "p3n3r1": "20dbf17ddab65573fa6e560e1071cd4deaad1d11f189b605a1916f8cdbfd307f",
+    "p3n3r2_shifted": "c32cce8404c009d59571e1a836b7b71dbf1818ce561e2e117a94405d8ed87955",
 }
 
 
