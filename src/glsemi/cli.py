@@ -65,7 +65,6 @@ from .gl_restriction import (
 )
 from .isomorphism import decide_isomorphic, element_bijection
 from .semigroup_core import (
-    FILL_ROWS,
     SemigroupTable,
     closure_indices,
     idempotents,
@@ -418,8 +417,7 @@ def _check_rank_identity(s: Structure, caps):
     if len(table) > 20:
         counts = {"rank_via_units": via_units}
         return ("skip", counts, "full-semigroup subset sweep infeasible at this order")
-    every = range(len(table))
-    found = rank_search(table.products(every, every), every, rank_cap, budget=RANK_BUDGET)
+    found = rank_search(table, range(len(table)), rank_cap, budget=RANK_BUDGET)
     if found is None:
         return ("skip", {"rank_via_units": via_units}, "no generating set within the rank cap")
     counts = {"rank_via_units": via_units, "rank_exhaustive": found[0]}
@@ -430,23 +428,22 @@ def _check_unit_decomposition(s: Structure, caps):
     if s.inst.r < 1:
         return ("skip", {}, "subgroup structure needs r >= 1")
     top = s.inst.n - s.inst.r
-    g = j_class(s, top)
     h = special_subgroup(s, FIX_U)
     failures = []
-    # Fix(U) is normal iff a*h*a^-1 stays in it for every a of a generating
-    # set of the units, such as the table check's generators that are units
-    # (S minus the units is closed under products).  Each unit's row holds
-    # the identity, read FILL_ROWS rows at a time.
-    e, block = np.searchsorted(g, s.table.identity_idx), s.unit_block
-    if not all((block[lo : lo + FILL_ROWS] == e).any(axis=1).all() for lo in range(0, len(block), FILL_ROWS)):
+    # The table check's generators that are units generate the units (a
+    # unit's left-tree ancestors are units), so every unit has an inverse
+    # once each of them does (a word's inverse is the reversed word of
+    # inverses), and Fix(U) is normal iff a*h*a^-1 stays in it for each.
+    gens = [a for a in s.table._checked_generators() if s.codims[a] == top]
+    if (s.inverse(gens) < 0).any():
         failures.append("a unit has no inverse in the table")
-    elif conjugates_leave(s, h, [a for a in s.table._checked_generators() if s.codims[a] == top]):
+    elif conjugates_leave(s, h, gens):
         failures.append("conjugate left the U-fixing subgroup")
     # Each split is unique exactly when its product grid is a bijection,
     # which the layer's grids check for every W, onto every unit and every
     # U-fixing unit.
     counts = {
-        "units": len(g),
+        "units": len(s.grades[top]),
         "fix_u": len(h),
         "complements_checked": len(s.inst.complements),
         "decompositions": sum(cells.size for cells in s.subgroups.grids.values()),

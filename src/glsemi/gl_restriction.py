@@ -49,7 +49,6 @@ from .gf_linalg import (
     subspace,
 )
 from .semigroup_core import (
-    FILL_ROWS,
     GreenPartitions,
     SemigroupTable,
     indices,
@@ -147,19 +146,19 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _times(q: int, act: np.ndarray, rows: np.ndarray, index: np.ndarray, xs, ys) -> np.ndarray:
+    """Index of each x*y, xs and ys broadcast, -1 for a non-member: row i of
+    x*y is act[rows[x, i], y], and its rows' key (base q) is looked up in index."""
+    return index[codes(q, act[rows[xs], np.asarray(ys)[..., None]])]
+
+
 def _cayley(p: int, rows: np.ndarray, keys: np.ndarray, act: np.ndarray):
     """(act, index, product_row) of the members given as _members gives
     them: act, the key index (gf_linalg.key_index) and product_row(a)[b],
-    the index of a*b, -1 for a non-member: row i of a*b is
-    act[row_i(a), b], and the key those rows pack to is looked up in
-    index."""
-    q, n = p ** rows.shape[1], rows.shape[1]
-    index = key_index(q, n, keys)
-
-    def product_row(a):
-        return index[codes(q, act[rows[a]].T)]
-
-    return _frozen(act), _frozen(index), product_row
+    the index of a*b (_times)."""
+    q = p ** rows.shape[1]
+    index = key_index(q, rows.shape[1], keys)
+    return _frozen(act), _frozen(index), lambda a: _times(q, act, rows, index, a, np.arange(len(rows)))
 
 
 class Structure:
@@ -167,10 +166,10 @@ class Structure:
     proved from the action array, that action array, the key index every
     product and constructor output is looked up in (through find), and
     data worked out from them at most once, on first use.  Build it with
-    enumerate_semigroup(inst, cap).  The unit group's block of products
-    and `subgroups`, the special subgroups of every complement of U
-    (inst.complements) stacked with their proofs, split grids and
-    isomorphism verdicts (see _UnitLayer), are each held once.
+    enumerate_semigroup(inst, cap).  `subgroups`, the special subgroups
+    of every complement of U (inst.complements) stacked with their
+    proofs, split grids and isomorphism verdicts (see _UnitLayer), is
+    held once; it reads its products through `times`, off the action.
 
     Element indices are table indices; the elements are sorted, so
     index order is matrix order.  `act[v, b]` is the code of the row
@@ -233,6 +232,17 @@ class Structure:
         """Index of each matrix given by its row codes (last axis); -1 for a non-member."""
         return self.index[codes(self.inst.p**self.inst.n, rows)]
 
+    def times(self, xs, ys) -> np.ndarray:
+        """Index of each x*y, xs and ys broadcast, read off act (_times); -1 for a non-member."""
+        return _times(self.inst.p**self.inst.n, self.act, self.rows, self.index, xs, ys)
+
+    def inverse(self, xs) -> np.ndarray:
+        """Index of the inverse of each unit in xs, -1 for a non-member: row i
+        of x^-1 is the point that x's column of act sends to e_i."""
+        cols, basis = self.act[:, xs], self.inst.p ** np.arange(self.inst.n - 1, -1, -1)  # the codes of e_0, e_1, ...
+        rows = (cols == basis.reshape(-1, *[1] * cols.ndim)).argmax(axis=1)  # rows[i, ...]: x^-1's row i
+        return self.find(np.moveaxis(rows, 0, -1))
+
     @cached_property
     def batch(self) -> "_Batch":
         """Domain inverses and image tables of the batched constructors."""
@@ -249,21 +259,6 @@ class Structure:
         """below[k]: indices of codimension strictly below k, for k = 0..n-r+1."""
         top = self.inst.n - self.inst.r
         return tuple(_frozen(np.flatnonzero(self.codims < k)) for k in range(top + 2))
-
-    @cached_property
-    def unit_block(self) -> np.ndarray:
-        """unit_block[i, j]: the position among the units of the i-th unit
-        times the j-th, the unit group's whole table: the member table's
-        block units x units, renumbered in place FILL_ROWS rows at a time.
-        A unit's left-tree ancestors are units (maps of a finite set compose
-        to a bijection only if each is one), so products reads no other row."""
-        units = self.grades[self.inst.n - self.inst.r]
-        block = self.table.products(units, units)
-        pos = np.zeros(len(self.table), dtype=block.dtype)
-        pos[units] = np.arange(len(units))
-        for lo in range(0, len(block), FILL_ROWS):
-            block[lo : lo + FILL_ROWS] = pos[block[lo : lo + FILL_ROWS]]
-        return _frozen(block)
 
     @cached_property
     def subgroups(self) -> "_UnitLayer":
@@ -638,12 +633,10 @@ def rank_value(s: Structure, rank_cap: int = DEFAULT_RANK_CAP, budget: int | Non
     or finds nothing within rank_cap.
     """
     try:
-        found = rank_search(s.unit_block, np.searchsorted(s.grades[-1], s.table.units), rank_cap, budget=budget)
+        found = rank_search(s.table, s.table.units, rank_cap, budget=budget)
     except CapacityError:
         return None
-    if found is None:
-        return None
-    return found[0] + 1
+    return None if found is None else found[0] + 1
 
 
 def minimal_idempotents(s: Structure) -> np.ndarray:
@@ -684,15 +677,15 @@ def special_subgroup(s: Structure, kind: str, w: Subspace | None = None) -> np.n
 
 
 def _local(held: np.ndarray, count: int) -> np.ndarray:
-    # local[i, x]: the place of unit position x in row i of held, -1 off it.
-    local = np.full((len(held), count), -1, dtype=np.intp)
+    # local[i, x]: the place of unit position x in row i of held, -1 off it (and at x = -1).
+    local = np.full((len(held), count + 1), -1, dtype=np.intp)
     local[np.arange(len(held))[:, None], held] = np.arange(held.shape[1])
     return local
 
 
-def _generated(block: np.ndarray, held: np.ndarray, ident: int, kind: str) -> np.ndarray:
-    """Generators of each row's subgroup H, one column per round, as
-    positions among the units, proved on the unit group's table block.
+def _generated(times, held: np.ndarray, count: int, ident: int, kind: str) -> np.ndarray:
+    """Generators of each row's subgroup H, one column per round, as unit
+    positions, proved on times(xs, ys), the products' positions (-1 off G).
 
     H is a subgroup of the finite group G iff H*B lies in H for some B in
     H whose words reach all of H from the identity: x*y, for y a word
@@ -701,13 +694,13 @@ def _generated(block: np.ndarray, held: np.ndarray, ident: int, kind: str) -> np
     lockstep: each round's generator is the first member the closure so
     far misses (the identity, once a row is reached whole), its column
     x*g is read for every x in H, and the closure grows breadth-first
-    along x -> x*g.  That reads |H|*|B| cells.  Each closure of a correct
-    H is a subgroup at least twice the last, so a row not reached whole
-    within log2 |H| rounds is refused.
+    along x -> x*g.  That reads |H|*|B| products, one times call a round.
+    Each closure of a correct H is a subgroup at least twice the last, so
+    a row not reached whole within log2 |H| rounds is refused.
     """
     m, h = held.shape
     rows = np.arange(m)[:, None]
-    local = _local(held, len(block))
+    local = _local(held, count)
     start = local[:, ident]
     if (start < 0).any():
         raise InternalInconsistencyError(f"subgroup {kind} is missing the identity")
@@ -719,7 +712,7 @@ def _generated(block: np.ndarray, held: np.ndarray, ident: int, kind: str) -> np
         if len(gens) == edges.shape[1]:
             raise InternalInconsistencyError(f"subgroup {kind} is not reached from the identity by its generators")
         g = held[rows[:, 0], np.where(reached.all(axis=1), start, (~reached).argmax(axis=1))]
-        step = local[rows, block[held, g[:, None]]]
+        step = local[rows, times(held, g[:, None])]
         if (step < 0).any():
             raise InternalInconsistencyError(f"subgroup {kind} is not closed under products")
         edges[:, len(gens)] = (step + rows * h).ravel()
@@ -751,10 +744,10 @@ class _UnitLayer:
     g_w fixes U and sends W's basis into W's span mask, and n_w fixes U
     and sends each w_j into w_j + U, the code of w_j*g - w_j read off
     gf_linalg.code_sums.  Each row is proved a subgroup on the
-    generators gens[kind] (see _generated).  grids and isomorphic, the
-    split grids and the isomorphism verdicts, are stacked over W too and
-    built on first use: W's split of a unit is its cell of grids[kind][i],
-    and its verdict isomorphic[kind][i].
+    generators gens[kind] (see _generated), its products read through
+    s.times.  grids and isomorphic, the split grids and the isomorphism
+    verdicts, are stacked over W too and built on first use: W's split of
+    a unit is its cell of grids[kind][i], and its verdict isomorphic[kind][i].
     """
 
     def __init__(self, s: Structure):
@@ -777,33 +770,39 @@ class _UnitLayer:
             N_W: fix_u & span_mask(p, n, u).take(self.moved).all(axis=1),
         }
         self.ident = int(np.searchsorted(self.units, s.table.identity_idx))
+        self.at = np.full(len(s.table) + 1, -1, dtype=np.intp)  # at[x]: x's unit position, -1 off them and at -1
+        self.at[self.units] = np.arange(len(self.units))
         self.held, self.members, self.gens = {}, {}, {}
         for kind, mask in masks.items():
             sizes = mask.sum(axis=1)
             if (sizes != sizes[0]).any():
                 raise InternalInconsistencyError(f"subgroup {kind} has different orders for different complements")
             held = _frozen(np.nonzero(mask)[1].reshape(len(mask), -1))
-            self.gens[kind] = _generated(s.unit_block, held, self.ident, kind)
+            self.gens[kind] = _generated(self._times, held, len(self.units), self.ident, kind)
             self.held[kind], self.members[kind] = held, _frozen(self.units[held])
+
+    def _times(self, xs, ys) -> np.ndarray:
+        # The unit positions of x*y for units at positions xs and ys, -1 off the units.
+        return self.at[self.s.times(self.units[xs], self.units[ys])]
 
     @cached_property
     def grids(self) -> dict[str, np.ndarray]:
         """grids[left_kind][i]: the unit positions of the product grid
         left x right (_SPLITS: fix_w x fix_u, g_w x n_w) for W =
         inst.complements[i], flat and row-major.  Each W's splits are unique
-        exactly when its grid is a bijection onto the units (onto fix_u
-        for g_w); at the first W, then split, where one is not,
-        InternalInconsistencyError is raised."""
-        block, count, m = self.s.unit_block, len(self.units), len(self.ws)
+        exactly when its grid, one times call per split, is a bijection
+        onto the units (onto fix_u for g_w); at the first W, then split,
+        where one is not, InternalInconsistencyError is raised."""
+        count, m = len(self.units), len(self.ws)
         fix_u = np.zeros(count, dtype=bool)
         fix_u[self.held[FIX_U]] = True
         grids, ok = {}, []
         for left_kind, (right_kind, whole_kind) in _SPLITS.items():
-            cells = block[self.held[left_kind][:, :, None], self.held[right_kind][:, None]].reshape(m, -1)
+            cells = self._times(self.held[left_kind][:, :, None], self.held[right_kind][:, None]).reshape(m, -1)
             whole = fix_u if whole_kind else np.ones(count, dtype=bool)
             hit = np.zeros((m, count), dtype=bool)
             hit[np.arange(m)[:, None], cells] = True
-            ok.append((cells.shape[1] == whole.sum()) & (hit == whole).all(axis=1))
+            ok.append((cells.shape[1] == whole.sum()) & (cells >= 0).all(axis=1) & (hit == whole).all(axis=1))
             grids[left_kind] = _frozen(cells)
         bad = np.argwhere(~np.column_stack(ok))
         if bad.size:
@@ -834,7 +833,7 @@ class _UnitLayer:
         identity is a power of a generator, or H's one member).
         """
         p, n, r = self.s.inst.p, self.s.inst.n, self.s.inst.r
-        block, held, m = self.s.unit_block, self.held, len(self.ws)
+        held, m = self.held, len(self.ws)
         rows, vectors, u_coords = np.arange(m)[:, None], code_vectors(p, n), coordinate_table(self.s.inst.u)
         on = lambda table, kind: np.take_along_axis(table, held[kind][:, None], axis=2)  # kind's members' columns
         # Over W's RREF basis, a vector of W has its entries at the basis's
@@ -861,7 +860,7 @@ class _UnitLayer:
             keys = np.sort(codes(p, images.reshape(m, h, -1)), axis=1)
             onto = (h == order) & (np.diff(keys, axis=1) > 0).all(axis=1) & (images[rows[:, 0], local[:, self.ident]] == one).all(axis=(1, 2))
             gens = self.gens[kind]
-            products = local[rows[..., None], block[gens[..., None], held[kind][:, None]]]  # g*x, (m, |B|, h)
+            products = local[rows[..., None], self._times(gens[..., None], held[kind][:, None])]  # g*x, (m, |B|, h)
             at = images[rows, local[rows, gens]]
             if kind == N_W:
                 expected = (at[:, :, None] + images[:, None]) % p
@@ -875,20 +874,16 @@ class _UnitLayer:
 def conjugates_leave(s: Structure, h, by):
     """True iff g*x*g^-1 lies outside h for some g in by and some x in h,
     both given as member indices of units.  Stacked, h of shape (m, a)
-    and by of shape (m, b), it gives one verdict per row.
-
-    Read on the unit group's table (Structure.unit_block): g^-1 is the
-    unit where g's row holds the identity, so only by's rows are read
-    whole, and a g whose row holds no identity is refused.
+    and by of shape (m, b), it gives one verdict per row.  Read through
+    s.times with g^-1 = s.inverse(g); a g whose inverse is no member is refused.
     """
-    units = s.grades[s.inst.n - s.inst.r]
-    h, by = np.searchsorted(units, h), np.searchsorted(units, by)
-    rows = s.unit_block[by]
-    is_ident = rows == np.searchsorted(units, s.table.identity_idx)
-    if not is_ident.any(axis=-1).all():
+    h, by = np.asarray(h), np.asarray(by)
+    inverse = s.inverse(by)
+    if (inverse < 0).any():
         raise InternalInconsistencyError("a conjugating unit has no inverse in the table")
-    conj = s.unit_block[np.take_along_axis(rows, h[..., None, :], axis=-1), is_ident.argmax(axis=-1)[..., None]]
-    inside = np.zeros(h.shape[:-1] + (len(units),), dtype=bool)
+    gx = s.times(by[..., :, None], h[..., None, :])
+    conj = np.where(gx >= 0, s.times(gx, inverse[..., None]), -1)
+    inside = np.zeros(h.shape[:-1] + (len(s.table) + 1,), dtype=bool)  # the last entry, read at -1, stays False
     np.put_along_axis(inside, h, True, axis=-1)
     return ~np.take_along_axis(inside, conj.reshape(*conj.shape[:-2], -1), axis=-1).all(axis=-1)
 

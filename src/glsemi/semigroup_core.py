@@ -565,10 +565,9 @@ def is_homomorphism(psi: np.ndarray, source: SemigroupTable, target: SemigroupTa
     return bool((psi[left_edges] == target.products(psi[gens], psi)).all())
 
 
-def rank_search(mul: np.ndarray, candidates, cap: int, budget: int | None = None):
-    """Smallest generating subset of the candidates, up to size `cap`,
-    in the table whose whole N x N block of products is mul (mul[i, j]
-    the index of i*j): it is for small tables only.
+def rank_search(table: SemigroupTable, candidates, cap: int, budget: int | None = None):
+    """Smallest subset of the candidates, up to size `cap`, that generates
+    every candidate: the rank of what they generate, over their subsets.
 
     Sweeps each size's subsets whole, smallest size first, each size in
     the candidates' given order (repeats dropped, the first kept), so the
@@ -576,21 +575,29 @@ def rank_search(mul: np.ndarray, candidates, cap: int, budget: int | None = None
     witness) for the first generating subset found, or None if no subset
     of size <= cap generates.  A `budget` bounds the number of subsets
     swept; exceeding it raises CapacityError so that callers can report
-    "not computed" instead of a wrong answer."""
+    "not computed" instead of a wrong answer.  A closure is read off the
+    rows products(X, S) of the candidates the sweep has reached, read in
+    batches that double from FILL_ROWS."""
     if cap < 1:
         raise PreconditionError("rank search cap must be at least 1")
-    cands = list(dict.fromkeys(indices(len(mul), candidates).tolist()))
-    # One element generates a commutative subsemigroup, so on a table that
-    # is not commutative the singletons count against the budget untried.
-    # Compared FILL_ROWS columns at a time, with no N x N temporary.
-    commutative = all(np.array_equal(mul[:, lo : lo + FILL_ROWS], mul[lo : lo + FILL_ROWS].T) for lo in range(0, len(mul), FILL_ROWS))
-    attempts = 0
+    n = len(table)
+    cands = np.array(list(dict.fromkeys(indices(n, candidates).tolist())), dtype=np.intp)
+    # One element generates a commutative subsemigroup, which cannot hold
+    # two candidates that do not commute, such as two of the build's
+    # generators: then the singletons count against the budget untried.
+    gens = cands[np.isin(cands, table._checked_generators())]
+    pairs = table.products(gens, gens)
+    commutative = np.array_equal(pairs, pairs.T)
+    rows, attempts = np.empty((0, n), dtype=table_dtype(n)), 0
     for k in range(1, min(cap, len(cands)) + 1):
-        for combo in combinations(cands, k):
+        for combo in map(list, combinations(range(len(cands)), k)):
             attempts += 1
             if budget is not None and attempts > budget:
                 raise CapacityError(f"rank search exceeded budget of {budget} subsets")
-            if (k > 1 or commutative) and _closure(mul[list(combo)], combo).all():
-                return k, combo
+            if k == 1 and not commutative:
+                continue
+            while combo[-1] >= len(rows):  # the next batch of candidates' rows
+                rows = np.concatenate([rows, table.products(cands[len(rows) : 2 * len(rows) + FILL_ROWS], range(n))])
+            if _closure(rows[combo], cands[combo])[cands].all():
+                return k, tuple(cands[combo].tolist())
     return None
-

@@ -259,35 +259,32 @@ def break_batch(monkeypatch, p, batch, call=None, member=True):
 
 
 def with_unit_product(s, a, b, c):
-    """A copy of Structure s whose unit group's block of products
-    (Structure.unit_block) says unit a times unit b is unit c, all three
-    given by their member indices.  The member table is shared, so only
-    a reader of the unit block can notice."""
-    units = s.grades[s.inst.n - s.inst.r]
-    block = s.unit_block.copy()
-    block[np.searchsorted(units, a), np.searchsorted(units, b)] = np.searchsorted(units, c)
+    """A copy of Structure s whose products (Structure.times) say unit a
+    times unit b is unit c, all three given by their member indices.
+    The member table and the action are shared, so only a reader of
+    times can notice."""
+    real = s.times
     bad = Structure(s.inst, s.table, s.act, s.index)
-    bad.unit_block = block
+    bad.times = lambda xs, ys: np.where((np.asarray(xs) == a) & (np.asarray(ys) == b), c, real(xs, ys))
     return bad
 
 
 def unit_products(s, xs, ys):
     """The block of products x*y of units x in xs by y in ys, as member
-    indices, read off s.unit_block."""
-    units = s.grades[s.inst.n - s.inst.r]
-    return units[s.unit_block[np.ix_(np.searchsorted(units, xs), np.searchsorted(units, ys))]]
+    indices, every pair read through s.times (ROW_BLOCK rows of xs at a
+    time), so that a with_unit_product copy's changed cell is read too."""
+    xs, ys = np.asarray(xs), np.asarray(ys)
+    return np.concatenate([s.times(xs[lo : lo + ROW_BLOCK, None], ys[None]) for lo in range(0, len(xs), ROW_BLOCK)])
 
 
 def conjugation_closed(s, h, by):
     """True iff g*x*g^-1 lies in h for every unit g in by and every x in
-    h, read on s.unit_block with g^-1 the unit where g's row holds the
-    identity, found on the whole block."""
-    units = s.grades[s.inst.n - s.inst.r]
-    block = s.unit_block
-    inside = np.isin(units, h)
-    inverse = (block == np.searchsorted(units, s.table.identity_idx)).argmax(axis=1)
-    at = np.searchsorted(units, by)
-    return bool(inside[block[block[at][:, inside], inverse[at][:, None]]].all())
+    h, read off unit_products with g^-1 the unit where g's row of products
+    with every unit holds the identity."""
+    units, by = s.grades[s.inst.n - s.inst.r], np.asarray(by)
+    inverse = units[(unit_products(s, by, units) == s.table.identity_idx).argmax(axis=1)]
+    conj = s.times(unit_products(s, by, h), inverse[:, None])
+    return bool(np.isin(conj, h).all())
 
 
 def every_unit_conjugation_closed(s):
@@ -354,21 +351,17 @@ def proof_reads(proved, a, b):
 
 def whole_closure(s, members):
     """True iff x*y lies in members for every x and y in members (unit
-    member indices), read off their |H| x |H| block of s.unit_block.  The
+    member indices), read off their |H| x |H| block of unit_products.  The
     oracle of the unit layer's closure proof, which reads H x B for the
     generators B only."""
-    units = s.grades[s.inst.n - s.inst.r]
-    at = np.searchsorted(units, members)
-    inside = np.zeros(len(units), dtype=bool)
-    inside[at] = True
-    return bool(inside[s.unit_block[np.ix_(at, at)]].all())
+    return bool(np.isin(unit_products(s, members, members), members).all())
 
 
 def every_pair_isomorphic(s, kind, w):
     """The unit layer's isomorphism verdict (s.subgroups.isomorphic) for
     kind (fix_w, g_w or n_w) and the complement w, with the homomorphism
     law compared on every pair of the subgroup: psi(a*b), a*b read off
-    s.unit_block, against psi(a)*psi(b).  Each member's image is its
+    unit_products, against psi(a)*psi(b).  Each member's image is its
     basis rows' images (for n_w their translations) over U or W, looked
     up among every coefficient tuple; the comparison group is
     brute_general_linear or every tuple.  The oracle of the check, which compares the subgroup's
@@ -611,16 +604,18 @@ def nonnormality_in_table(p, case):
     """(complement, alpha, beta, conjugate, conjugated complement,
     escaped) of the paper's witnesses over GF(p), read off the table of
     (p, 3, r): alpha and beta are found with Structure.find, the
-    conjugate alpha*beta*alpha^-1 is read off s.unit_block with alpha^-1
-    where alpha's row holds the identity, and escaped says the conjugate
-    lies outside beta's subgroup.  The same tuple as nonnormality_by_tuples."""
+    conjugate alpha*beta*alpha^-1 is read off the unit group's table,
+    restricted_mul of the member table, with alpha^-1 where alpha's row
+    holds the identity, and escaped says the conjugate lies outside
+    beta's subgroup.  The same tuple as nonnormality_by_tuples."""
     r, kind, swap = PAPER_CASES[case]
     s = gl_restriction.enumerate_semigroup(gl_restriction.make_instance(p, 3, r))
     comp = Subspace(p, 3, identity_mat(3)[r:])
     alpha = np.eye(3, dtype=np.int64)
     alpha[r, 0] = 1  # w_1 = e_r goes to w_1 + u_1
     a, b = s.find(codes(p, [alpha, np.eye(3, dtype=np.int64)[swap]]))
-    units, block = s.grades[s.inst.n - s.inst.r], s.unit_block
+    units = s.grades[s.inst.n - s.inst.r]
+    block = restricted_mul(s.table, units)
     at_a, at_b = np.searchsorted(units, [a, b])
     inverse = np.flatnonzero(block[at_a] == np.searchsorted(units, s.table.identity_idx))[0]
     conj = units[block[block[at_a, at_b], inverse]]

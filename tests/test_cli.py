@@ -29,6 +29,7 @@ from glsemi.cli import (
     _check_j_class_count,
     _check_nonnormality,
     _check_order_law,
+    _check_rank_identity,
     _check_regularity,
     _check_subgroup_isomorphisms,
     _check_unit_decomposition,
@@ -68,6 +69,7 @@ from helpers import (
     BATCHES,
     GivenTable,
     break_batch,
+    brute_general_linear,
     every_pair_factorizations,
     every_pair_isomorphic,
     every_unit_conjugation_closed,
@@ -75,6 +77,7 @@ from helpers import (
     grade_generates,
     is_member,
     matrices,
+    naive_vec_mat,
     normal_in_its_whole,
     one,
     proof_reads,
@@ -274,14 +277,27 @@ def test_nonnormality_moves_as_the_whole_group_oracles(name):
     assert counts["complements"] == len(s.inst.complements)
 
 
+def _acting_off_u(s, a, fixed=()):
+    # A copy of s in which element a acts as the first invertible matrix that
+    # moves U and fixes none of the vectors in fixed.  Its inverse moves U
+    # too, so no member is the inverse permutation of a's column.
+    p, n, u = s.inst.p, s.inst.n, s.inst.u
+    moves = lambda m: subspace(p, n, [naive_vec_mat(p, v, m) for v in u.basis]).basis != u.basis
+    fixes = lambda m: any(naive_vec_mat(p, w, m) == tuple(w) for w in fixed)
+    return with_column(s, a, next(m for m in brute_general_linear(p, n) if moves(m) and not fixes(m)))
+
+
 def test_conjugates_leave_refuses_a_conjugator_without_an_inverse():
+    # A unit of N(W) made to act as a map that moves U (_acting_off_u).  The
+    # copy keeps the unit layer proved on s, so that nonnormality reaches
+    # the conjugation.
     s = enumerate_semigroup(make_instance(3, 2, 1))
     w = s.inst.complements[0]
     by, h = special_subgroup(s, N_W, w), special_subgroup(s, FIX_W, w)
     g = by[by != s.table.identity_idx][0]
-    inverse = next(x for x in by.tolist() if unit_products(s, [g], [x])[0, 0] == s.table.identity_idx)
-    bad = with_unit_product(s, g, inverse, g)  # g's row no longer holds the identity
-    assert conjugates_leave(s, h, by)
+    bad = _acting_off_u(s, g)
+    bad.subgroups = s.subgroups
+    assert conjugates_leave(s, h, by) and (s.inverse(by) >= 0).all()
     for fn in (lambda: conjugates_leave(bad, h, by), lambda: _check_nonnormality(bad, CAPS)):
         with pytest.raises(InternalInconsistencyError, match="a conjugating unit has no inverse in the table"):
             fn()
@@ -779,16 +795,18 @@ def test_order_law_fails_when_one_element_moves_u(p, n, r, u_rows):
 
 
 def test_unit_decomposition_fails_on_a_unit_without_inverse(monkeypatch):
-    # g is the last of the 24 units, so its row lies past the first
-    # FILL_ROWS rows of the unit group's block.
+    # The check tests the inverses of the units among the table's
+    # generators.  One of them, in neither Fix(U) nor any Fix(W), now acts
+    # as a map that moves U and fixes no complement's vector
+    # (_acting_off_u): no member is its inverse, and every special
+    # subgroup keeps its members.
     s = enumerate_semigroup(make_instance(2, 3, 2))
-    units, ident = j_class(s, 1), s.table.identity_idx
-    g = next(i for i in units.tolist()[::-1] if i != ident)
-    assert np.searchsorted(units, g) >= semigroup_core.FILL_ROWS
-    g_inv = int(units[(unit_products(s, [g], units)[0] == ident).argmax()])
-    # In the unit group's table, g*g^-1 now reads g, so the identity no
-    # longer appears in g's row.
-    bad = with_unit_product(s, g, g_inv, g)
+    layer = s.subgroups
+    held = set(layer.members[FIX_U].ravel().tolist()) | set(layer.members[FIX_W].ravel().tolist())
+    g = next(a for a in s.table._checked_generators() if s.codims[a] == 1 and a not in held)
+    bad = _acting_off_u(s, g, [w.basis[0] for w in s.inst.complements])
+    assert s.inverse([g])[0] >= 0 and bad.inverse([g])[0] < 0
+    assert _check_unit_decomposition(s, CAPS)[0] == "pass"
     status, _, reason = _check_unit_decomposition(bad, CAPS)
     assert status == "fail"
     assert "a unit has no inverse in the table" in reason
@@ -797,10 +815,11 @@ def test_unit_decomposition_fails_on_a_unit_without_inverse(monkeypatch):
 
 
 def test_unit_decomposition_peaks_below_the_unit_groups_whole_mask():
-    # The inverse test reads the unit group's block FILL_ROWS rows at a
-    # time: at (2,4,3), |G| = 1344, the check peaked at the 1.8 MB of the
-    # |G| x |G| mask of the block's identities.  The first call builds the
-    # subgroups and split grids, so the second one's peak is the check's own.
+    # The inverse test reads the action's columns of the units among the
+    # table's generators only: at (2,4,3), |G| = 1344, a test on the
+    # |G| x |G| mask of the unit group's block of identities peaked at
+    # 1.8 MB.  The first call builds the subgroups and split grids, so the
+    # second one's peak is the check's own.
     s = enumerate_semigroup(make_instance(2, 4, 3), 4096)
     assert _check_unit_decomposition(s, CAPS)[0] == "pass"
     tracemalloc.start()
@@ -809,7 +828,30 @@ def test_unit_decomposition_peaks_below_the_unit_groups_whole_mask():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert status == "pass" and peak < len(s.unit_block) ** 2 / 8
+    assert status == "pass" and peak < len(s.grades[-1]) ** 2 / 8
+
+
+def test_rank_identity_and_the_unit_checks_peak_small_at_order_4096():
+    # At (2,4,1), |G| = 1344, the unit group's whole block of products took
+    # 3.6 MB.  The rank sweep reads products(X, S) for the units it reaches,
+    # and the unit layer reads the products it needs through
+    # Structure.times; the first unit check builds the layer.
+    s = enumerate_semigroup(make_instance(2, 4, 1), 4096)
+    s.grades
+    bounds = {
+        _check_rank_identity: 1.5e6,
+        _check_unit_decomposition: 1e6,
+        _check_subgroup_isomorphisms: 1e6,
+        _check_nonnormality: 1e6,
+    }
+    for check, bound in bounds.items():
+        tracemalloc.start()
+        try:
+            status = check(s, CAPS)[0]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert status != "fail" and peak <= bound, check.__name__
 
 
 def test_verify_fails_the_checks_whose_constructors_build_a_wrong_factor(monkeypatch):
@@ -1027,6 +1069,26 @@ def test_rank_identity_fails_when_the_unit_rank_is_off_by_one(monkeypatch):
     monkeypatch.setattr(cli, "rank_value", lambda s, **kwargs: real(s, **kwargs) + 1)
     check = next(c for c in cmd_verify(cfg, *CAPS).checks if c.name == "rank_identity")
     assert (check.status, check.counts) == ("fail", {"rank_via_units": 3, "rank_exhaustive": 2})
+
+
+def test_rank_identity_skips_at_a_rank_cap_of_one():
+    # A rank cap of 1 is a cap like any other: at (2,2,1) the unit group's
+    # one unit of order 2 generates it, and no single element generates S.
+    check = next(c for c in cmd_verify(InstanceConfig(p=2, n=2, r=1), DEFAULT_ENUM_CAP, 1).checks if c.name == "rank_identity")
+    assert (check.status, check.counts, check.reason) == ("skip", {"rank_via_units": 2}, "no generating set within the rank cap")
+
+
+def test_rank_identity_passes_on_a_budget_of_exactly_the_subsets_it_tries(monkeypatch):
+    # At (2,2,1) the exhaustive sweep counts the 4 singletons untried (S does
+    # not commute) and finds the pair (0, 3) at its 7th subset; the unit
+    # sweep finds its singleton at the first.  One subset fewer is a skip.
+    cfg = InstanceConfig(p=2, n=2, r=1)
+    monkeypatch.setattr(cli, "RANK_BUDGET", 7)
+    check = next(c for c in cmd_verify(cfg, *CAPS).checks if c.name == "rank_identity")
+    assert (check.status, check.counts) == ("pass", {"rank_via_units": 2, "rank_exhaustive": 2})
+    monkeypatch.setattr(cli, "RANK_BUDGET", 6)
+    check = next(c for c in cmd_verify(cfg, *CAPS).checks if c.name == "rank_identity")
+    assert (check.status, check.reason) == ("skip", "rank search exceeded budget of 6 subsets")
 
 
 def test_minimal_idempotents_fails_on_one_extra_characterized_idempotent(monkeypatch):
@@ -1269,9 +1331,9 @@ def test_factorizations_peaks_below_one_and_a_half_megabytes_at_order_4096():
 def test_verify_and_report_read_no_block_near_a_whole_table(monkeypatch):
     # No claim needs the whole table: every block of products that verify
     # and report ask of a table of order 1536 (the instance's, and the
-    # isomorphism partner's) holds under a quarter of its cells.  The
-    # largest, the unit group's block Structure.unit_block, holds about
-    # 14 % of them.
+    # isomorphism partner's) holds under a twentieth of its cells.  The
+    # largest, the rank sweep's rows of 32 units, holds about 2 % of them;
+    # the unit group's block of products, read whole, held about 14 %.
     cfg, order, asked = InstanceConfig(p=2, n=4, r=2), 1536, []
     real = semigroup_core.SemigroupTable.products
 
@@ -1284,7 +1346,7 @@ def test_verify_and_report_read_no_block_near_a_whole_table(monkeypatch):
     monkeypatch.setattr(semigroup_core.SemigroupTable, "products", products)
     assert not cmd_verify(cfg, *CAPS).failed
     assert cmd_report(cfg, *CAPS)["order"] == order
-    assert asked and max(asked) < order**2 / 4
+    assert asked and max(asked) < order**2 / 20
 
 
 def test_isomorphism_theorem_holds_no_whole_partner_table():
@@ -1686,19 +1748,17 @@ def test_report_payload(tmp_path):
 
 
 @pytest.mark.parametrize("pnr", [(2, 3, 1), (2, 2, 0)])
-def test_report_builds_the_unit_group_table_once(monkeypatch, pnr):
-    # The unit group's order is the size of J(n-r), read off the grades;
-    # only the rank search needs the group's table, its block of products
-    # in the member table, read once, and the member table is the only
-    # table built.
-    certified, read = _builds(monkeypatch), []
-    real = Structure.unit_block.func
-    unit_block = cached_property(lambda s: read.append(s) or real(s))
-    unit_block.__set_name__(Structure, "unit_block")
-    monkeypatch.setattr(Structure, "unit_block", unit_block)
+def test_report_builds_one_table_and_no_unit_group_block(monkeypatch, pnr):
+    # The unit group's order is the size of J(n-r), read off the grades,
+    # and the rank search reads products(X, S) for the units it reaches:
+    # the member table is the only table built, and no block of products
+    # pairs the whole unit group with itself.
+    certified, asked = _builds(monkeypatch), []
+    real = semigroup_core.SemigroupTable.products
+    monkeypatch.setattr(semigroup_core.SemigroupTable, "products", lambda t, xs, ys: asked.append((len(xs), len(ys))) or real(t, xs, ys))
     payload = cmd_report(InstanceConfig(*pnr), DEFAULT_ENUM_CAP, DEFAULT_RANK_CAP)
-    assert len(certified) == len(read) == 1
-    assert read[0].unit_block.shape == (payload["unit_group"]["order"],) * 2
+    order = payload["unit_group"]["order"]
+    assert len(certified) == 1 and asked and (order, order) not in asked
 
 
 def test_eggbox_builds_one_table(monkeypatch):

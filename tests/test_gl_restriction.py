@@ -586,7 +586,7 @@ def test_generating_set():
 
 def test_rank_value():
     assert rank_value(S221) == 2
-    exhaustive = rank_search(full_table(S221.table), range(len(S221.table)), 3)
+    exhaustive = rank_search(S221.table, range(len(S221.table)), 3)
     assert exhaustive[0] == 2
     # By descending order the unit of order 2 comes first and generates
     # (2,2,1)'s unit group at the first attempt.  (2,3,1)'s unit group is
@@ -1072,7 +1072,10 @@ def test_membership_closure_and_codim_monotonicity():
 
 
 def test_unit_group_subtable_is_group():
-    units = regular_table(S321.unit_block)
+    # The units' products read through Structure.times, renumbered by the
+    # units' positions, make a group: one H-class.
+    group = S321.grades[-1]
+    units = regular_table(np.searchsorted(group, unit_products(S321, group, group)))
     assert len(units) == 12 and units.identity_idx is not None
     green = units.green()
     assert green.h.tolist() == [0] * 12
@@ -1080,42 +1083,30 @@ def test_unit_group_subtable_is_group():
 
 @pytest.mark.parametrize("spec", SHIPPED + [pytest.param(pnr, id="p{}n{}r{}".format(*pnr)) for pnr in EXTRA[:2]])
 def test_unit_block_is_the_member_table_restricted_to_the_units(spec):
-    # The member table's block of units x units, renumbered by the units'
-    # positions, is the unit group's whole table: every product of two
-    # units is a unit, and the identity matrix's position is its identity.
+    # The unit group's block of products, read through Structure.times
+    # (128 rows at a time here), is the member table's block units x
+    # units, and holds only units.  Each unit's inverse (Structure.inverse,
+    # off the action) multiplies it to the identity from both sides.
     s = enumerate_semigroup(_instance(spec), 4096)
-    group = s.grades[s.inst.n - s.inst.r]
-    assert np.array_equal(s.unit_block, restricted_mul(s.table, group))
-    assert s.unit_block.dtype == np.uint16 and not s.unit_block.flags.writeable
-    e = np.searchsorted(group, s.table.identity_idx)
-    assert np.array_equal(s.unit_block[e], np.arange(len(group))) and np.array_equal(s.unit_block[:, e], np.arange(len(group)))
+    group, e = s.grades[s.inst.n - s.inst.r], s.table.identity_idx
+    for lo in range(0, len(group), 128):
+        block = unit_products(s, group[lo : lo + 128], group)
+        assert np.array_equal(block, s.table.products(group[lo : lo + 128], group)) and np.isin(block, group).all()
+    inverse = s.inverse(group)
+    assert (s.times(group, inverse) == e).all() and (s.times(inverse, group) == e).all()
 
 
-def test_unit_block_peaks_below_five_megabytes_at_order_4096():
-    # The block itself is 1344^2 uint16 cells, 3.6 MB; it is renumbered in
-    # place FILL_ROWS rows at a time.  Renumbering it whole, a second
-    # block beside the first, peaked at 7.1 MB.
-    s = enumerate_semigroup(make_instance(2, 4, 1), 4096)
-    s.grades
-    tracemalloc.start()
-    try:
-        block = s.unit_block
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert block.shape == (1344, 1344) and peak <= 5e6
-
-
-def test_rank_value_peaks_below_half_a_megabyte_at_order_2688():
-    # The unit block is read first, as verify's rank_identity reads it.
-    # The commutativity test compares FILL_ROWS columns at a time: the
-    # whole mul == mul.T compare took 1.8 MB of a 1.87 MB peak.
+def test_rank_value_peaks_below_one_megabyte_at_order_2688():
+    # No block of the unit group is read: the sweep reads products(X, S)
+    # for the candidates it reaches, the first FILL_ROWS of them here, and
+    # products' own step temporaries of FILL_ROWS rows make most of the peak.
+    # Reading the unit group's whole block first peaked at 4.2 MB.
     s = enumerate_semigroup(make_instance(2, 4, 3), 4096)
-    s.unit_block
+    s.grades
     tracemalloc.start()
     try:
         rank = rank_value(s)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert rank == 3 and peak <= 5e5
+    assert rank == 3 and peak <= 1e6

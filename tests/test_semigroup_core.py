@@ -1024,11 +1024,11 @@ def test_is_homomorphism_refuses_a_target_that_is_not_associative():
 
 
 def test_rank_search_basics():
-    assert rank_search(full_table(regular_table([[0]])), [0], 1) == (1, (0,))
+    assert rank_search(regular_table([[0]]), [0], 1) == (1, (0,))
     pair_group = cyclic_table(2)
-    assert rank_search(full_table(pair_group), [0, 1], 2) == (1, (1,))
+    assert rank_search(pair_group, [0, 1], 2) == (1, (1,))
     table = TABLE_221
-    size, witness = rank_search(full_table(table), range(4), 3)
+    size, witness = rank_search(table, range(4), 3)
     assert size == 2
     for single in range(4):
         assert len(closure_indices(table, [single])) < 4
@@ -1037,36 +1037,57 @@ def test_rank_search_basics():
 
 def test_rank_search_not_found_and_budget():
     table = TABLE_221
-    assert rank_search(full_table(table), range(4), 1) is None
+    assert rank_search(table, range(4), 1) is None
     with pytest.raises(CapacityError):
-        rank_search(full_table(table), range(4), 3, budget=2)
+        rank_search(table, range(4), 3, budget=2)
 
 
 @pytest.mark.parametrize("cap", [0, -1])
 def test_rank_search_refuses_a_cap_below_one(cap):
     with pytest.raises(PreconditionError, match="cap must be at least 1"):
-        rank_search(full_table(TABLE_221), range(4), cap)
+        rank_search(TABLE_221, range(4), cap)
 
 
 def test_rank_search_still_tries_singletons_on_a_commutative_table():
-    assert rank_search(full_table(cyclic_table(6)), range(6), 2) == (1, (1,))
-    assert rank_search(full_table(cyclic_table(6)), range(6), 2, budget=2) == (1, (1,))
+    assert rank_search(cyclic_table(6), range(6), 2) == (1, (1,))
+    assert rank_search(cyclic_table(6), range(6), 2, budget=2) == (1, (1,))
+
+
+def test_rank_search_tries_the_singletons_on_candidates_the_generators_miss():
+    # The candidates are the powers of a unit of (2,3,1) of order 4: the
+    # build's generators among them are none, or one, which misses the
+    # rest.  The table's generators do not commute, but no two candidates
+    # are seen not to, so the singletons are tried, and the first
+    # candidate generates every one.
+    table = S231.table
+    gens = table._checked_generators()
+    pairs = table.products(gens, gens)
+    assert not np.array_equal(pairs, pairs.T)
+    shared = set()
+    for c in table.units.tolist():
+        powers = [c]
+        while powers[-1] != table.identity_idx:
+            powers.append(int(table.products([powers[-1]], [c])[0, 0]))
+        if len(powers) == 4 and len(set(powers) & set(gens)) <= 1:
+            assert rank_search(table, powers, 2) == (1, (c,))
+            shared.add(len(set(powers) & set(gens)))
+    assert shared == {0, 1}
 
 
 @pytest.mark.parametrize("which", ["p2n2r1", "p2n3r1_units"])
 def test_rank_search_skips_singletons_on_a_non_commutative_table(monkeypatch, which):
-    table = TABLE_221 if which == "p2n2r1" else regular_table(S231.unit_block)
+    table = TABLE_221 if which == "p2n2r1" else regular_table(restricted_mul(S231.table, S231.grades[-1]))
     n = len(table)
     for budget in [None, *range(n + 40)]:
         try:
-            found = rank_search(full_table(table), range(n), 3, budget=budget)
+            found = rank_search(table, range(n), 3, budget=budget)
         except CapacityError:
             found = "budget"
         assert found == lexicographic_rank_search(table, range(n), 3, budget), budget
     tried = []
     real = semigroup_core._closure
     monkeypatch.setattr(semigroup_core, "_closure", lambda mul, gens: tried.append(len(gens)) or real(mul, gens))
-    assert rank_search(full_table(table), range(n), 3)[0] == 2
+    assert rank_search(table, range(n), 3)[0] == 2
     assert tried and 1 not in tried
 
 
@@ -1076,26 +1097,26 @@ def test_rank_search_by_element_order_finds_the_lexicographic_rank(name):
     # them; every smaller size is still swept whole, so the size found is
     # the lexicographic sweep's.
     s = enumerate_semigroup(build_instance(load_config(str(CONFIGS / f"{name}.cfg"))))
-    units = np.searchsorted(s.grades[-1], s.table.units)
-    found = rank_search(s.unit_block, units, 4)
-    assert found[0] == lexicographic_rank_search(regular_table(s.unit_block), range(len(units)), 4)[0]
+    found = rank_search(s.table, s.table.units, 4)
+    group = regular_table(restricted_mul(s.table, s.grades[-1]))
+    assert found[0] == lexicographic_rank_search(group, range(len(group)), 4)[0]
 
 
 def test_a_search_by_order_that_skips_a_smaller_subset_misses_the_lexicographic_rank(monkeypatch):
     # (2,2,1)'s units are the identity and one unit of order 2, which alone
     # generates them.  A sweep that skips that singleton still finds a
     # generating pair, and only the lexicographic sweep's rank shows it.
-    units = np.searchsorted(S221.grades[-1], S221.table.units)
-    oracle = lexicographic_rank_search(regular_table(S221.unit_block), range(len(units)), 3)
-    assert rank_search(S221.unit_block, units, 3) == (1, (units[0],)) and oracle[0] == 1
+    units = S221.table.units
+    oracle = lexicographic_rank_search(regular_table(restricted_mul(S221.table, units)), range(len(units)), 3)
+    assert rank_search(S221.table, units, 3) == (1, (units[0],)) and oracle[0] == 1
     real = semigroup_core.combinations
     monkeypatch.setattr(semigroup_core, "combinations", lambda items, k: (c for c in real(items, k) if c != (items[0],)))
-    assert rank_search(S221.unit_block, units, 3)[0] == 2 != oracle[0]
+    assert rank_search(S221.table, units, 3)[0] == 2 != oracle[0]
 
 
 def test_rank_search_witness_is_lex_least():
     table = TABLE_221
-    _, witness = rank_search(full_table(table), range(4), 2)
+    _, witness = rank_search(table, range(4), 2)
     pairs = [
         (a, b)
         for a in range(4)
