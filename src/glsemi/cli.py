@@ -281,7 +281,7 @@ def _check_ideal_structure(s: Structure, caps):
     for k in range(1, top + 1):
         if not verify_ideal(table, q_ideal(s, k)):
             failures.append(f"Q({k}) is not an ideal")
-    if top >= 1 and verify_ideal(table, j_class(s, top)):
+    if verify_ideal(table, j_class(s, top)):
         failures.append("unit grade wrongly closed as an ideal")
     # The J-classes of the table's Green oracle are the classes of equal
     # S^1 a S^1, numbered by least element, so one principal ideal per
@@ -325,41 +325,44 @@ def _check_regularity(s: Structure, caps):
 
 def _check_factorizations(s: Structure, caps):
     # Matrices act on rows.  For x of kernel class c and codim k, y of class
-    # d with k <= codim y: K_c = kernel[c] = [basis of ker c; transversal;
-    # U], A = K_c*x (applied[x]), Dinv = domain_inv[y, k] as stored, lam =
-    # kernel_inv[c]*S with S = [0; first k transversal rows of K_d; U]
-    # spliced as D(y, k) is, and mu = Dinv*A.  Facts: (i) K_c's head rows
-    # lie in ker c and its last r rows are U's; (ii) D(y, k)'s rows from
-    # n-r-k on, which are S*y's, times Dinv are the matching unit rows;
-    # (iii) dom(y)*element_inv[y] = I: every dom(y) is invertible.
-    # Lemma: S*y*Dinv = Z, the identity with its first n-r-k rows zeroed,
-    # by (ii), and Z*A = A by (i), so lam*y*mu = kernel_inv[c]*K_c*x for
-    # every y.  One recomposition x0 = lam*y0*mu puts the rows of
-    # kernel_inv[c]*K_c - I in ker c, so every x of c recomposes.  mu is a
-    # member: D(y, k)'s last r rows are U*y = U, by (i), and (ii) sends them
-    # onto the last r unit rows, so U*mu spans A's last r rows: U*x = U.
+    # d with k <= codim y = m: K_c = kernel[c] = [basis of ker c; transversal;
+    # U], A = K_c*x (applied[x]), D = D(y, k) = P*dom(y) for P the
+    # permutation matrix of sigma(m, k) (row j of D is row sigma(j) of
+    # dom(y)), Dinv = element_inv[y]*P^T, lam = kernel_inv[c]*S with S = [0;
+    # K_d's row sigma(j) at each row j from n-r-k on], and mu = Dinv*A.
+    # Facts: (i) K_c's head rows lie in ker c and its last r rows are U's;
+    # (ii) each sigma(m, k) is a permutation that fixes U's rows and sends
+    # rows n-r-k.. into dom's rows n-r-m.., which are K_d*y's; (iii)
+    # dom(y)*element_inv[y] = I: every dom(y) is invertible, so D*Dinv =
+    # P*P^T = I by (ii).  Lemma: S*y and D agree from row n-r-k on, by (ii),
+    # so S*y*Dinv = Z, the identity with its first n-r-k rows zeroed, and
+    # Z*A = A by (i), so lam*y*mu = kernel_inv[c]*K_c*x for every y.  One
+    # recomposition x0 = lam*y0*mu puts the rows of kernel_inv[c]*K_c - I
+    # in ker c, so every x of c recomposes.  mu is a member: D's last r rows
+    # are U*y = U, by (i) and (ii), and D*Dinv = I sends them onto the last
+    # r unit rows, so U*mu spans A's last r rows: U*x = U.
     # Witness: gamma = K_d^-1*(a's images) has a's image and b's kernel, d =
     # ker b, so one witness serves every pair drawn from those two classes.
     # Sandwich: for t of class c and a of class d, lam = kernel_inv[c]*K_d,
     # mu = element_inv[a]*dom(t) and K_d*a = Z*dom(a) by (i), so lam*a*mu =
     # kernel_inv[c]*K_c*t by (iii): one t per c proves every t of c, as
     # above.  lam is one per pair of classes, mu a unit by (iii), and U*mu =
-    # U as above, by (iii) for (ii).  So every grid takes the least element
-    # of each class: kernel classes on both sides of factor-through and
-    # sandwiches, image by kernel classes for witnesses.
+    # U as above, by (iii).  So every grid takes the least element of each
+    # class: kernel classes on both sides of factor-through and sandwiches,
+    # image by kernel classes for witnesses.
     p, n, top, bt = s.inst.p, s.inst.n, s.inst.n - s.inst.r, s.batch
     u, j = codes(p, s.inst.u.basis), np.arange(n)
     in_ker = s.act[bt.kernel, s.kernel_classes[1][:, None]] == 0
     ok = np.where(j < (top - bt.ker_codims)[:, None], in_ker, (j < top) | (bt.kernel == np.pad(u, (top, 0))))
     if not ok.all():
         return ("fail", {}, f"kernel class {(~ok).any(axis=1).argmax()} is no [basis of its kernel; transversal; U]")
-    for k in range(top + 1):
-        ys = np.flatnonzero(k <= bt.codims)  # the y with k <= codim y
-        times = action_table(p, bt.domain_inv[ys, k])  # times[v, i]: code of v * Dinv at (ys[i], k)
-        # D(y, k)'s row j, from n-r-k on: row j - (codim y - k) of K_d*y, or j among U's rows.
-        rows = bt.applied[ys[:, None], j - np.where(j < top, (bt.codims[ys] - k)[:, None], 0)]
-        if (bad := ((times[rows, np.arange(len(ys))[:, None]] != p ** (n - 1 - j)) & (j >= top - k)).any(axis=1)).any():
-            return ("fail", {}, f"D({ys[bad][0]}, {k}) times its stored inverse is no unit row")
+    m, k = np.tril_indices(top + 1)
+    sigma = bt.sigma_at(m, k)
+    kept = (sigma >= (top - m)[:, None]) | (j < (top - k)[:, None])  # rows n-r-k.. off dom's head
+    ok = (np.sort(sigma, axis=1) == j).all(axis=1) & (sigma[:, top:] == j[top:]).all(axis=1) & kept.all(axis=1)
+    if not ok.all():
+        m, k = m[~ok][0], k[~ok][0]
+        return ("fail", {}, f"sigma({m}, {k}) is no permutation that fixes U's rows and keeps rows {top - k}.. off dom's {top - m} head rows")
     times = action_table(p, bt.element_inv)  # times[v, y]: code of v * element_inv[y]
     if (bad := (times[bt.domain, np.arange(len(bt.domain))[:, None]] != p ** (n - 1 - j)).any(axis=1)).any():
         return ("fail", {}, f"dom({bad.argmax()}) times its stored inverse is not the identity")
@@ -404,14 +407,14 @@ def _check_generation(s: Structure, caps):
             failures.append(f"grade {k} did not generate the ideal below {k + 1}: Q({k + 1}) is not an ideal")
     if top > 1 and not failures:
         raise_factors(s, s.below[top - 1])  # refuses a factor that fails to recompose or to land one grade up
-    counts = {"generators": len(gens), "closure": len(full), "grades_checked": max(0, top - 1)}
+    counts = {"generators": len(gens), "closure": len(full), "grades_checked": top - 1}
     return ("pass" if not failures else "fail", counts, "; ".join(failures) or None)
 
 
 def _check_rank_identity(s: Structure, caps):
     _, rank_cap = caps
     table = s.table
-    via_units = rank_value(s, rank_cap=rank_cap, budget=RANK_BUDGET)
+    via_units = rank_value(s, rank_cap=rank_cap)
     if via_units is None:
         return ("skip", {}, "unit-group rank search exceeded its cap or budget")
     if len(table) > 20:
@@ -669,7 +672,7 @@ def cmd_report(cfg: InstanceConfig, enum_cap: int, rank_cap: int) -> dict:
     else:
         payload["unit_group"] = {"order": len(j_class(s, top))}
         payload["skipped"].append("subgroup structure (r = 0)")
-    value = rank_value(s, rank_cap=rank_cap, budget=RANK_BUDGET)
+    value = rank_value(s, rank_cap=rank_cap)
     if value is None:
         payload["skipped"].append("rank (search cap or budget exceeded)")
     payload["rank"] = value

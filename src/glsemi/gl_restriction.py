@@ -245,7 +245,7 @@ class Structure:
 
     @cached_property
     def batch(self) -> "_Batch":
-        """Domain inverses and image tables of the batched constructors."""
+        """Kernel and domain inverses, row maps and image tables of the batched constructors."""
         return _Batch(self)
 
     @cached_property
@@ -337,21 +337,6 @@ def green_char_partitions(s: Structure) -> GreenPartitions:
 _BLOCK = 2**14
 
 
-def _spliced(head: np.ndarray, rows: np.ndarray, shift: np.ndarray, n_r: int) -> np.ndarray:
-    # Row codes: zeros on the head rows; below them and above row n_r,
-    # rows[j - shift] (the first rows of a transversal, moved down by
-    # shift, row 0 where that is negative); from row n_r on, rows[j] (U's
-    # rows).  One masked copy per (shift, row), so the temporaries are a
-    # boolean per matrix, not an index per entry.
-    out = rows.copy()
-    for d in range(1, int(shift.max(initial=0)) + 1):
-        at = shift == d
-        for j in range(n_r):
-            np.copyto(out[:, j], rows[:, max(j - d, 0)], where=at)
-    np.copyto(out, 0, where=head)
-    return out
-
-
 def _require(ok: np.ndarray, message: str, name) -> None:
     # Raise InternalInconsistencyError naming the first output where ok fails.
     if not ok.all():
@@ -376,8 +361,9 @@ class _Batch:
     kernel[ker a] * a, that is [zeros; transversal * a; U * a], and
     domain[a] is applied[a] with the image's extension on the head.
     kernel_inv and element_inv invert the kernel bases and the domains,
-    one solve per distinct one (1344 domains at (2,4,1)); domain_inv[a, k]
-    inverts factor_through_grid's D(a, k) (see _domain_inverses).
+    one solve per distinct one (1344 domains at (2,4,1)).  sigma gives
+    the rows of dom(a) that make factor_through_grid's domain D(a, k),
+    and domain_inverse reads D(a, k)^-1 off element_inv[a] through it.
     images holds each constructor's per-element images as action tables.
     """
 
@@ -404,27 +390,28 @@ class _Batch:
         self.head = np.arange(n) < (n - r - self.codims)[:, None]
         self.domain = np.where(self.head, self.image[self.img_ids], self.applied)
         self.kernel_inv = solve_codes(p, self.kernel)
-        self.domain_inv = self._domain_inverses()
-        self.element_inv = self.domain_inv[np.arange(count), self.codims]
-
-    def _domain_inverses(self) -> np.ndarray:
-        # inv[b, k], for k <= codim b: the inverse of factor_through_grid's
-        # domain D(b, k) = [image extension; transversal rows k.. * b; first
-        # k transversal rows * b; U * b] (zeros for k > codim b), dom(b) with
-        # its rows permuted, P * dom(b), whose inverse is dom(b)^-1 * P^T.  So
-        # each distinct dom(b) is solved once, and each row read through the
-        # action table of the P^T of (m, k), held at m*(m+1)/2 + k, m = codim b.
-        p, n, top = self.s.inst.p, self.s.inst.n, self.s.inst.n - self.s.inst.r
         _, first, ids = np.unique(codes(p**n, self.domain), return_index=True, return_inverse=True)
-        own = solve_codes(p, self.domain[first])[ids]
-        perms = np.zeros(((top + 1) * (top + 2) // 2, n), dtype=np.int64)
-        for i, (m, k) in enumerate(zip(*np.tril_indices(top + 1))):
-            lo = top - m  # row j of P^T is the unit row of j's place in D
-            perms[i, np.r_[:lo, lo + k : top, lo : lo + k, top:n]] = p ** np.arange(n - 1, -1, -1)
-        bs, ks = np.nonzero(np.arange(top + 1) <= self.codims[:, None])
-        inv = np.zeros((len(self.codims), top + 1, n), dtype=own.dtype)
-        inv[bs, ks] = action_table(p, perms)[own[bs], (self.codims[bs] * (self.codims[bs] + 1) // 2 + ks)[:, None]]
-        return inv
+        self.element_inv = solve_codes(p, self.domain[first])[ids]
+
+    @cached_property
+    def sigma(self) -> np.ndarray:
+        """sigma[m*(m+1)/2 + k, j], k <= m <= n-r: the row of dom(b) that is
+        row j of factor_through_grid's domain D(b, k), m = codim b.  D(b, k)
+        = [image extension; transversal rows k.. * b; first k transversal
+        rows * b; U * b] is dom(b) with its rows permuted."""
+        n, top = self.s.inst.n, self.s.inst.n - self.s.inst.r
+        return np.array([np.r_[: top - m, top - m + k : top, top - m : top - m + k, top:n] for m, k in zip(*np.tril_indices(top + 1))])
+
+    def sigma_at(self, m, k) -> np.ndarray:
+        """sigma(m, k) for m and k broadcast, k <= m."""
+        return self.sigma[m * (m + 1) // 2 + k]
+
+    def domain_inverse(self, b, k) -> np.ndarray:
+        """Row codes of D(b, k)^-1 for b and k broadcast, k <= codim b.  D(b, k)
+        = P * dom(b), so its inverse is element_inv[b] * P^T: digit j of each
+        row code is digit sigma(j) of element_inv[b]'s."""
+        p, n, m = self.s.inst.p, self.s.inst.n, self.codims[b]
+        return codes(p, code_vectors(p, n)[self.element_inv[b][..., None], self.sigma_at(m, k)[..., None, :]])
 
     @cached_property
     def images(self) -> dict[str, np.ndarray]:
@@ -438,7 +425,7 @@ class _Batch:
         raise_mu[:, 1:2] = img[:, 1:2]  # the second fresh line stays alive
         rows = {
             "regular": np.where(self.head, 0, self.kernel[self.ker_ids]),  # on domain
-            "factor": self.applied,  # on domain_inv[b, codim a]
+            "factor": self.applied,  # on domain_inverse(b, codim a)
             "dclass": np.where(self.head, 0, np.where(np.arange(n) < n - r, img, self.applied)),  # on kernel
             "raise_lam": raise_lam,  # on kernel
             "raise_mu": raise_mu,  # on domain
@@ -459,10 +446,12 @@ class _Batch:
     def factor_lams(self) -> np.ndarray:
         """lam[c, d]: factor_through_grid's lam from kernel class c to kernel
         class d (-1 where codim c > codim d): c's kernel to zero, c's
-        transversal onto the first rows of d's, U fixed."""
+        transversal onto the first rows of d's, U fixed.  That is K_c^-1 * S,
+        S zero on the head rows j < n-r-codim c and K_d's row sigma(j) below."""
         n, top, kc = self.s.inst.n, self.s.inst.n - self.s.inst.r, self.ker_codims
         c1, c2 = np.nonzero(kc[:, None] <= kc)
-        images = _spliced(np.arange(n) < (top - kc[c1])[:, None], self.kernel[c2], kc[c2] - kc[c1], top)
+        rows = np.take_along_axis(self.kernel[c2], self.sigma_at(kc[c2], kc[c1]), axis=1)
+        images = np.where(np.arange(n) < (top - kc[c1])[:, None], 0, rows)
         return self._class_lams(c1, c2, images, "factor-through lam")
 
     @cached_property
@@ -552,7 +541,7 @@ def factor_through_grid(s: Structure, left, right) -> tuple[np.ndarray, np.ndarr
     b = right[j]; possible iff codim(a) <= codim(b) for every pair.
 
     lam depends only on the kernel classes (see _Batch.factor_lams).
-    mu = D^-1 * K_c * a for D = D(b, codim a) (see _Batch._domain_inverses),
+    mu = D^-1 * K_c * a for D = D(b, codim a) (see _Batch.sigma),
     K_c = kernel[c], c = ker a: it kills D's head rows and sends the rest,
     (first codim(a) transversal rows, U) * b, to (a's transversal, U) * a.
     The lemma in cli's factorizations check makes one pair per pair of
@@ -562,7 +551,7 @@ def factor_through_grid(s: Structure, left, right) -> tuple[np.ndarray, np.ndarr
     if every.size and b.size and bt.codims[every].max() > bt.codims[b].min():
         ka, kb = bt.codims[every].max(), bt.codims[b].min()
         raise InfeasibleError(f"codim {ka} cannot factor through codim {kb}: products only lower codimension")
-    inverse = lambda x: bt.domain_inv[b, bt.codims[x][:, None]]
+    inverse = lambda x: bt.domain_inverse(b, bt.codims[x][:, None])
     return _recomposed_grid(s, every, b, bt.factor_lams, inverse, bt.images["factor"], "factor-through")
 
 
@@ -625,15 +614,15 @@ def generating_set(s: Structure) -> np.ndarray:
     return np.flatnonzero(chosen)
 
 
-def rank_value(s: Structure, rank_cap: int = DEFAULT_RANK_CAP, budget: int | None = RANK_BUDGET) -> int | None:
+def rank_value(s: Structure, rank_cap: int = DEFAULT_RANK_CAP) -> int | None:
     """Minimal generating-set size, computed as (rank of the unit group) + 1.
 
     The sweep tries the units by descending order, as the table's build
-    does (s.table.units), and returns None when it would exceed the budget
-    or finds nothing within rank_cap.
+    does (s.table.units), and returns None when it would exceed
+    RANK_BUDGET subsets or finds nothing within rank_cap.
     """
     try:
-        found = rank_search(s.table, s.table.units, rank_cap, budget=budget)
+        found = rank_search(s.table, s.table.units, rank_cap, budget=RANK_BUDGET)
     except CapacityError:
         return None
     return None if found is None else found[0] + 1

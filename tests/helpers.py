@@ -704,10 +704,10 @@ def members_by_solve(inst):
 
 
 def domain_inverses_by_pair(s):
-    """s.batch.domain_inv from its definition, one (b, k) at a time: for
-    k <= codim b, the row codes of the inverse of the domain [image
-    extension; transversal rows after the first k * b; first k
-    transversal rows * b; U * b], the transversal that of b's kernel
+    """inv[b, k]: factor_through_grid's D(b, k)^-1 from its definition,
+    one (b, k) at a time: for k <= codim b, the row codes of the inverse
+    of the domain [image extension; transversal rows after the first k *
+    b; first k transversal rows * b; U * b], the transversal that of b's kernel
     class in s.batch.kernel and the image extension the
     lexicographically least extension of b's image to a basis of V, each
     domain solved on its own by Gauss-Jordan on tuples; zeros for k >
@@ -715,7 +715,7 @@ def domain_inverses_by_pair(s):
     p, n, bt = s.inst.p, s.inst.n, s.batch
     top, eye = n - s.inst.r, identity_mat(n)
     vectors = [tuple(v) for v in code_vectors(p, n).tolist()]
-    inv = np.zeros_like(bt.domain_inv)
+    inv = np.zeros((len(s.table), top + 1, n), dtype=bt.element_inv.dtype)
     for b, m in enumerate(matrices(s)):
         c = int(bt.codims[b])
         transversal = [vectors[x] for x in bt.kernel[bt.ker_ids[b], top - c : top].tolist()]

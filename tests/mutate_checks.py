@@ -3,7 +3,7 @@
 Run from the repository root:
 
     python tests/mutate_checks.py
-    python tests/mutate_checks.py --functions _check_factorizations gl_restriction._Batch._domain_inverses
+    python tests/mutate_checks.py --functions _check_factorizations gl_restriction._Batch.sigma
 
 It copies src/, tests/ and configs/ into a fresh temporary directory.
 Then, one mutant at a time, it changes one operator inside the named
@@ -12,8 +12,11 @@ at most TIMEOUT_S seconds.  A bare name is a top-level function of
 src/glsemi/cli.py; module.function and module.Class.method name one in
 any module of src/glsemi.  A comparison moves to its neighbour (== and
 !=, is and is not, in and not in, < and <=, > and >=), a boolean `and`
-becomes `or` and back, and so does an array one, `&` and `|`.  A mutant
-that no test fails survives.
+becomes `or` and back, and so does an array one, `&` and `|`, and `+`
+becomes `-` and back, `+=` and `-=` too.  An integer constant c becomes
+c + 1 and c - 1, and a slice bound b that is no constant becomes b + 1
+and b - 1 (a constant bound is the constant's).  A mutant that no test
+fails survives.
 The number of mutants is printed first, each mutant's verdict as it
 finishes, then the counts and the survivors.
 
@@ -51,37 +54,54 @@ SWAPS = {
     ast.Gt: ast.GtE, ast.GtE: ast.Gt,
     ast.And: ast.Or, ast.Or: ast.And,
     ast.BitAnd: ast.BitOr, ast.BitOr: ast.BitAnd,
+    ast.Add: ast.Sub, ast.Sub: ast.Add,
 }
 SYMBOLS = {
     ast.Eq: "==", ast.NotEq: "!=", ast.Is: "is", ast.IsNot: "is not", ast.In: "in",
     ast.NotIn: "not in", ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=",
-    ast.And: "and", ast.Or: "or", ast.BitAnd: "&", ast.BitOr: "|",
+    ast.And: "and", ast.Or: "or", ast.BitAnd: "&", ast.BitOr: "|", ast.Add: "+", ast.Sub: "-",
 }
+STEPS = (1, -1)
 
 
 def sites(func: ast.FunctionDef):
-    """(walk position, op index, node) for every operator of func that
-    SWAPS moves, in source order; the op index is None for a BoolOp or
-    a BinOp."""
+    """(walk position, change, node) for every site of func that a mutant
+    moves, in source order.  change is the op index of a Compare, None
+    for the op of a BoolOp, BinOp or AugAssign, a step of STEPS for an
+    integer constant, and (bound, step) for a Slice's bound that is no
+    constant."""
     found = []
     for pos, node in enumerate(ast.walk(func)):
         if isinstance(node, ast.Compare):
             found += [(pos, i, node) for i, op in enumerate(node.ops) if type(op) in SWAPS]
-        elif isinstance(node, (ast.BoolOp, ast.BinOp)) and type(node.op) in SWAPS:
+        elif isinstance(node, (ast.BoolOp, ast.BinOp, ast.AugAssign)) and type(node.op) in SWAPS:
             found.append((pos, None, node))
-    return sorted(found, key=lambda site: (site[2].lineno, site[2].col_offset, site[1] or 0))
+        elif isinstance(node, ast.Constant) and type(node.value) is int:
+            found += [(pos, step, node) for step in STEPS]
+        elif isinstance(node, ast.Slice):
+            bounds = [b for b in ("lower", "upper") if not isinstance(getattr(node, b), (ast.Constant, type(None)))]
+            found += [(pos, (b, step), node) for b in bounds for step in STEPS]
+    return sorted(found, key=lambda site: (site[2].lineno, site[2].col_offset))
 
 
-def mutated(func: ast.FunctionDef, pos: int, i: int | None) -> tuple[str, str]:
+def mutated(func: ast.FunctionDef, pos: int, change) -> tuple[str, str]:
     """(source of func with the site at walk position pos changed, what changed)."""
     twin = copy.deepcopy(func)
     node = list(ast.walk(twin))[pos]
-    old = node.op if i is None else node.ops[i]
+    if isinstance(node, ast.Constant):
+        old, node.value = node.value, node.value + change
+        return ast.unparse(twin), f"{old} -> {node.value}"
+    if isinstance(node, ast.Slice):
+        bound, step = change
+        old = getattr(node, bound)
+        setattr(node, bound, ast.BinOp(old, ast.Add() if step > 0 else ast.Sub(), ast.Constant(1)))
+        return ast.unparse(twin), f"{ast.unparse(old)} -> {ast.unparse(getattr(node, bound))}"
+    old = node.op if change is None else node.ops[change]
     new = SWAPS[type(old)]()
-    if i is None:
+    if change is None:
         node.op = new
     else:
-        node.ops[i] = new
+        node.ops[change] = new
     return ast.unparse(twin), f"{SYMBOLS[type(old)]} -> {SYMBOLS[type(new)]}"
 
 
@@ -142,10 +162,10 @@ def main(argv=None) -> int:
 
     mutants, seen = [], {}  # (label, module path, module source); seen: sites per line
     for name, (path, func) in found.items():
-        for pos, i, node in sites(func):
-            body, change = mutated(func, pos, i)
+        for pos, change, node in sites(func):
+            body, label = mutated(func, pos, change)
             seen[path, node.lineno] = nth = seen.get((path, node.lineno), 0) + 1
-            mutants.append((f"{name}:{node.lineno}.{nth} {change}", path, module(path, {**unparsed, name: body})))
+            mutants.append((f"{name}:{node.lineno}.{nth} {label}", path, module(path, {**unparsed, name: body})))
     print(f"{len(mutants)} mutants", flush=True)
 
     work = pathlib.Path(tempfile.mkdtemp(prefix="mutate-"))

@@ -324,15 +324,15 @@ def test_factorizations_and_regularity_cover_every_pair_and_element(monkeypatch)
     # which stands for its class (the lemmas in the check's comment): every
     # pair must lie in exactly one checked cell, (kernel class of x, kernel
     # class of y) for factor-through and sandwiches and (image class of x,
-    # kernel class of y) for D-class witnesses.  Fact (ii) reads the domain
-    # inverse of every y at every k <= codim y, and fact (iii) every y's
-    # own inverse.
+    # kernel class of y) for D-class witnesses.  Fact (ii) reads the row map
+    # sigma(m, k) of every k <= m <= n-r, and fact (iii) every y's own
+    # inverse.
     s = enumerate_semigroup(make_instance(2, 4, 2))
     n, grades = len(s.table), s.grades
     every = np.arange(n)
     covered = {name: np.zeros((n, n), dtype=np.int8) for name in ("factor", "dclass", "sandwich")}
     singles = {"raise": [], "regular": []}
-    inverses_read = []
+    inverses_read, sigmas_read = [], []
 
     def classes(idxs, partition):
         ids, least = partition
@@ -354,6 +354,11 @@ def test_factorizations_and_regularity_cover_every_pair_and_element(monkeypatch)
         inverses_read.append(np.asarray(rows))
         return gf_linalg.action_table(p, rows)
 
+    def sigma_at(bt, m, k):
+        if sys._getframe(1).f_code.co_name == "_check_factorizations":
+            sigmas_read.append(list(zip(np.ravel(m).tolist(), np.ravel(k).tolist())))
+        return real_sigma_at(bt, m, k)
+
     def single(name, real):
         def recording(s, idxs):
             singles[name].extend(idxs)
@@ -364,6 +369,8 @@ def test_factorizations_and_regularity_cover_every_pair_and_element(monkeypatch)
     ker, img = s.kernel_classes, s.image_classes
     monkeypatch.setattr(cli, "factor_through_grid", grid("factor", cli.factor_through_grid, ker, ker))
     monkeypatch.setattr(cli, "action_table", action_table)
+    real_sigma_at = gl_restriction._Batch.sigma_at
+    monkeypatch.setattr(gl_restriction._Batch, "sigma_at", sigma_at)
     monkeypatch.setattr(cli, "dclass_witness_grid", grid("dclass", cli.dclass_witness_grid, img, ker))
     monkeypatch.setattr(cli, "sandwich_factor_grid", grid("sandwich", cli.sandwich_factor_grid, ker, ker))
     monkeypatch.setattr(cli, "raise_factors", single("raise", cli.raise_factors))
@@ -376,15 +383,14 @@ def test_factorizations_and_regularity_cover_every_pair_and_element(monkeypatch)
     assert counts["raised"] == len(s.below[1])
     status, counts, _ = _check_regularity(s, CAPS)
     assert status == "pass" and counts["verified"] == n
-    # Every pair in one factor-through cell, every (y, k) inverse read, k
-    # by k, then every element's own; D-class witnesses and sandwiches on
+    # Every pair in one factor-through cell, every row map read once, and
+    # every element's own inverse; D-class witnesses and sandwiches on
     # every pair of their grades, once; every element raised below grade 1
     # and given an inner inverse.
     codims = s.codims
     assert (covered["factor"] == 1).all()
-    ks, ys = np.nonzero(np.arange(3)[:, None] <= codims)
-    *per_k, own = inverses_read
-    assert np.array_equal(np.concatenate(per_k), s.batch.domain_inv[ys, ks])
+    assert sigmas_read == [[(m, k) for m in range(3) for k in range(m + 1)]]
+    (own,) = inverses_read
     assert np.array_equal(own, s.batch.element_inv)
     assert np.array_equal(covered["dclass"], (codims[:, None] == codims).astype(np.int8))
     mid = codims == 1
@@ -566,58 +572,59 @@ def test_factorizations_fails_on_a_sandwich_lam_that_recomposes_but_is_no_unit(m
     assert "sandwich factors are not units" in failed["factorizations"]
 
 
-def _with_domain_columns_swapped(monkeypatch, i, j, unit=0):
-    """Swap columns i and j of domain_inv[y, 1] for y the unit-th unit
-    of (2,3,1), by index, an inverse only factor-through reads (k = 1 <
-    codim y = 2); return y.  Every unit has kernel 0, so the least is the
-    one the check offers the grids for every unit."""
-    s = enumerate_semigroup(make_instance(2, 3, 1))
-    y = int(s.grades[2][unit])
-    real = gl_restriction._Batch._domain_inverses
+def test_factorizations_fails_on_a_wrong_domain_inverse(monkeypatch):
+    # Columns 0 and 1 of D(y, 1)^-1 swapped for y the least unit of (2,3,1),
+    # an inverse only factor-through reads (k = 1 < codim y = 2).  Both
+    # columns are off U's, so mu stays a member, but no pair (x, y) with x
+    # of codim 1 recomposes.
+    real = gl_restriction._Batch.domain_inverse
 
-    def swapped(bt):
-        inv = real(bt)
-        rows = code_vectors(2, 3)[inv[y, 1]]
-        rows[:, [i, j]] = rows[:, [j, i]]
-        inv[y, 1] = codes(2, rows)
+    def swapped(bt, b, k):
+        inv = real(bt, b, k)
+        at = np.broadcast_to((b == bt.s.grades[2][0]) & (k == 1), inv.shape[:-1])
+        inv[at] = codes(2, code_vectors(2, 3)[inv[at]][..., [1, 0, 2]])
         return inv
 
-    monkeypatch.setattr(gl_restriction._Batch, "_domain_inverses", swapped)
-    return y
-
-
-def test_factorizations_fails_on_a_wrong_domain_inverse(monkeypatch):
-    # Columns 0 and 1 are both off U's coordinates, so U * D^-1 still spans
-    # the last unit row; D(y, 1)'s row 1 times it is now e_0 (ii).
-    y = _with_domain_columns_swapped(monkeypatch, 0, 1)
-    failed = _failing()
-    assert failed == {"factorizations": f"D({y}, 1) times its stored inverse is no unit row"}
-
-
-def test_factorizations_fails_on_a_wrong_domain_inverse_of_a_unit_no_grid_sees(monkeypatch):
-    # The same fault at the second unit: no grid is offered it, since the
-    # least unit stands for its kernel class, so only fact (ii) sees it.
-    y = _with_domain_columns_swapped(monkeypatch, 0, 1, unit=1)
-    failed = _failing()
-    assert failed == {"factorizations": f"D({y}, 1) times its stored inverse is no unit row"}
-
-
-def test_factorizations_fails_when_u_times_a_domain_inverse_leaves_the_last_unit_rows(monkeypatch):
-    # Column 0 swapped with U's column 2 sends U * D(y, 1)^-1 off the last
-    # unit row: D(y, 1)'s last row, U * y = U, times it is now e_0 (ii).
-    y = _with_domain_columns_swapped(monkeypatch, 0, 2)
+    monkeypatch.setattr(gl_restriction._Batch, "domain_inverse", swapped)
     failed = _failing()
     assert set(failed) == {"factorizations"}
-    assert failed["factorizations"] == f"D({y}, 1) times its stored inverse is no unit row"
+    assert "factor-through factors failed to recompose" in failed["factorizations"]
 
 
-def test_factorizations_fails_when_u_times_a_domain_inverse_has_a_row_code_of_exactly_p_to_the_r(monkeypatch):
-    # Columns 1 and 2 swapped send U * D(y, 1)^-1 from e_2, code 1, to
-    # e_1, code 2 = p^r: the least code outside the last unit row's span,
-    # and D(y, 1)'s last row times it is no longer e_2 (ii).
-    y = _with_domain_columns_swapped(monkeypatch, 1, 2)
-    failed = _failing()
-    assert failed == {"factorizations": f"D({y}, 1) times its stored inverse is no unit row"}
+def _with_row_maps(monkeypatch, rows):
+    """Give every _Batch's sigma(m, k) as rows[m, k]."""
+    real = gl_restriction._Batch.__dict__["sigma"].func
+
+    def sigma(bt):
+        table = real(bt).copy()
+        for (m, k), row in rows.items():
+            table[m * (m + 1) // 2 + k] = row
+        return table
+
+    monkeypatch.setattr(gl_restriction._Batch, "sigma", property(sigma))
+
+
+def _row_map_failure(top, m, k):
+    return f"sigma({m}, {k}) is no permutation that fixes U's rows and keeps rows {top - k}.. off dom's {top - m} head rows"
+
+
+def test_factorizations_fails_on_row_maps_one_row_into_dom_s_head(monkeypatch):
+    # At (2,4,1), n - r = 3, sigma(m, m) is the identity.  Swapping its rows
+    # n-r-m-1 and n-r-m sends row n-r-m of D(y, m), which S * y must match,
+    # to dom's head row just above the transversal.  Both maps stay
+    # permutations that fix U's row; the first is named.
+    _with_row_maps(monkeypatch, {(1, 1): [0, 2, 1, 3], (2, 2): [1, 0, 2, 3]})
+    checks = cmd_verify(InstanceConfig(p=2, n=4, r=1), 4096, DEFAULT_RANK_CAP).checks
+    assert {c.name: c.reason for c in checks if c.status == "fail"} == {"factorizations": _row_map_failure(3, 1, 1)}
+
+
+@pytest.mark.parametrize("row", [[1, 2, 0], [1, 1, 2]], ids=["moves_u_row", "no_permutation"])
+def test_factorizations_fails_on_a_row_map_that_moves_u_or_is_no_permutation(monkeypatch, row):
+    # At (2,3,1), sigma(2, 1) is [1, 0, 2]: rows 1.. already lie off dom's
+    # head, which is empty at codim 2, so only the permutation and U's row
+    # are tested.
+    _with_row_maps(monkeypatch, {(2, 1): row})
+    assert _failing() == {"factorizations": _row_map_failure(2, 2, 1)}
 
 
 def _with_batch_changed(monkeypatch, change):
@@ -634,22 +641,6 @@ def _with_batch_changed(monkeypatch, change):
 
     monkeypatch.setattr(gl_restriction._Batch, "__init__", init)
     return made
-
-
-def test_factorizations_fails_on_a_domain_inverse_at_k_equal_to_codim_y(monkeypatch):
-    # Columns 0 and 2 of domain_inv[y, 2] swapped for the least unit y of
-    # (2,3,1), codim 2: (ii) at k = codim y, the one k a unit's own
-    # inverse (element_inv, kept true here) shares with factor-through;
-    # U * D(y, 2)^-1 leaves the last unit row too.
-    def swap(bt):
-        y = int(bt.s.grades[2][0])
-        rows = code_vectors(2, 3)[bt.domain_inv[y, 2]]
-        bt.domain_inv[y, 2] = codes(2, rows[:, [2, 1, 0]])
-        return y
-
-    made = _with_batch_changed(monkeypatch, swap)
-    failed = _failing()
-    assert failed == {"factorizations": f"D({made[0]}, 2) times its stored inverse is no unit row"}
 
 
 def test_factorizations_fails_on_an_element_inverse_only_fact_iii_reads(monkeypatch):
@@ -685,22 +676,22 @@ def test_factorizations_fails_when_a_kernel_basis_loses_the_first_of_us_rows(mon
 
 def test_a_misspread_domain_inverse_fails_the_recompositions(monkeypatch):
     # Each distinct domain is solved once and its inverse spread to every
-    # (b, k) that shares it.  Rolled by one before the spread, each (b, k)
-    # gets another distinct domain's inverse: a true inverse, of the wrong
-    # domain, which the inner inverses' recomposition and factor-through's
-    # fact (ii) notice.
-    real, solve = gl_restriction._Batch._domain_inverses, gl_restriction.solve_codes
+    # element that shares it.  Rolled by one before the spread, each
+    # element gets another distinct domain's inverse: a true inverse, of the
+    # wrong domain, which the inner inverses' recomposition and fact (iii)
+    # notice.  The kernel bases' inverses stay true.
+    real, solve = gl_restriction._Batch.__init__, gl_restriction.solve_codes
 
-    def rolled(bt):
+    def init(bt, s):
         with monkeypatch.context() as m:
-            m.setattr(gl_restriction, "solve_codes", lambda p, doms: np.roll(solve(p, doms), 1, axis=0))
-            return real(bt)
+            m.setattr(gl_restriction, "solve_codes", lambda p, doms: solve(p, doms) if doms is bt.kernel else np.roll(solve(p, doms), 1, axis=0))
+            real(bt, s)
 
-    monkeypatch.setattr(gl_restriction._Batch, "_domain_inverses", rolled)
+    monkeypatch.setattr(gl_restriction._Batch, "__init__", init)
     failed = _failing()
     assert {"regularity", "factorizations"} <= set(failed) <= {"regularity", "factorizations", "generation"}
     assert "inner inverse construction failed at element" in failed["regularity"]
-    assert failed["factorizations"].endswith(" times its stored inverse is no unit row")
+    assert failed["factorizations"].endswith(" times its stored inverse is not the identity")
 
 
 def test_factorizations_fails_when_a_kernel_head_row_leaves_the_kernel(monkeypatch):

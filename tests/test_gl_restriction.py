@@ -309,36 +309,14 @@ def test_domain_inverses_match_each_domain_solved_on_its_own(spec, monkeypatch):
     solved = []
     real = gl_restriction.solve_codes
     monkeypatch.setattr(gl_restriction, "solve_codes", lambda p, doms: solved.append(doms) or real(p, doms))
-    inv, q = s.batch.domain_inv, s.inst.p**s.inst.n
-    assert inv.shape == (len(s.table), s.inst.n - s.inst.r + 1, s.inst.n)
+    bt, q, top = s.batch, s.inst.p**s.inst.n, s.inst.n - s.inst.r
+    bs, ks = np.nonzero(np.arange(top + 1) <= bt.codims[:, None])
     oracle = domain_inverses_by_pair(s)
-    assert inv.dtype == oracle.dtype and np.array_equal(inv, oracle)
+    assert np.array_equal(bt.domain_inverse(bs, ks), oracle[bs, ks])
+    assert np.array_equal(bt.domain_inverse(bs, bt.codims[bs]), bt.element_inv[bs])
     _, doms = solved  # the kernel classes' bases, then the element domains
     keys = np.unique(codes(q, doms))
     assert len(keys) == len(doms) <= 1600 and np.array_equal(keys, np.unique(codes(q, s.batch.domain)))
-
-
-def test_spliced_peaks_below_a_third_of_a_megabyte_at_order_4096():
-    # 13 224 splices at (2,4,1), each element's applied rows once per k <=
-    # its codim, 53 KB of uint8: far more rows than factor_lams splices, one
-    # per pair of kernel classes.  One int64 index per entry for the
-    # gather, j - shift and its clip, peaked at 1.08 MB.  The gather by
-    # index stays as the reference.
-    s = enumerate_semigroup(make_instance(2, 4, 1), 4096)
-    bt, top = s.batch, 3
-    bs, ks = np.nonzero(np.arange(top + 1) <= bt.codims[:, None])
-    head, rows, shift = np.arange(4) < (top - ks)[:, None], bt.applied[bs], bt.codims[bs] - ks
-    assert len(bs) == 13_224 and rows.nbytes == 52_896
-    tracemalloc.start()
-    try:
-        out = gl_restriction._spliced(head, rows, shift, top)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    j = np.arange(4)
-    src = np.where(j < top, j - shift[:, None], j).clip(0)
-    assert np.array_equal(out, np.where(head, 0, np.take_along_axis(rows, src, axis=1))) and out.dtype == rows.dtype
-    assert peak <= 0.3e6
 
 
 def test_j_class_and_q_ideal():
@@ -584,15 +562,15 @@ def test_generating_set():
         assert len(closure_indices(s.table, generating_set(s))) == total
 
 
-def test_rank_value():
-    assert rank_value(S221) == 2
+def test_rank_value(monkeypatch):
+    assert rank_value(S221) == 2 and rank_value(S231) == 3
     exhaustive = rank_search(S221.table, range(len(S221.table)), 3)
     assert exhaustive[0] == 2
     # By descending order the unit of order 2 comes first and generates
     # (2,2,1)'s unit group at the first attempt.  (2,3,1)'s unit group is
     # not commutative, so its singletons count against the budget untried.
-    assert rank_value(S221, budget=1) == 2
-    assert rank_value(S231) == 3 and rank_value(S231, budget=1) is None
+    monkeypatch.setattr(gl_restriction, "RANK_BUDGET", 1)
+    assert rank_value(S221) == 2 and rank_value(S231) is None
 
 
 def test_minimal_idempotents():
