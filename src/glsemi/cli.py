@@ -29,11 +29,11 @@ from .errors import (
     InfeasibleError,
 )
 from .gf_linalg import (
-    action_table,
     anchors,
     codes,
     complements_among,
     span_mask,
+    times_held,
 )
 from .gl_restriction import (
     DEFAULT_ENUM_CAP,
@@ -363,8 +363,7 @@ def _check_factorizations(s: Structure, caps):
     if not ok.all():
         m, k = m[~ok][0], k[~ok][0]
         return ("fail", {}, f"sigma({m}, {k}) is no permutation that fixes U's rows and keeps rows {top - k}.. off dom's {top - m} head rows")
-    times = action_table(p, bt.element_inv)  # times[v, y]: code of v * element_inv[y]
-    if (bad := (times[bt.domain, np.arange(len(bt.domain))[:, None]] != p ** (n - 1 - j)).any(axis=1)).any():
+    if (bad := (times_held(p, bt.domain, bt.element_inv) != p ** (n - 1 - j)).any(axis=1)).any():
         return ("fail", {}, f"dom({bad.argmax()}) times its stored inverse is not the identity")
     kers = [g[np.unique(bt.ker_ids[g], return_index=True)[1]] for g in s.grades]  # least of each kernel class
     imgs = [g[np.unique(bt.img_ids[g], return_index=True)[1]] for g in s.grades]  # least of each image class

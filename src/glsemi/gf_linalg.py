@@ -15,7 +15,8 @@ through it; none costs more than polynomially in n.  Where a subspace
 is a mask already, rref_codes reads the same basis off the mask.  There
 is one action-table kernel, action_table, filled by code addition over
 whole codes; it serves every space small enough to enumerate and
-refuses larger ones.
+refuses larger ones.  A product of row-coded matrices, inv * held, is
+one gather from it (times_held).
 
 The canonical basis is the reduced-row-echelon basis.  RREF is unique
 per subspace, so structural equality of the basis equals equality of
@@ -233,6 +234,14 @@ def action_table(p: int, rows) -> np.ndarray:
         for d in range(1, p):
             sums.take(out[(d - 1) * size : d * size] + row, out=out[d * size : (d + 1) * size])
     return np.ascontiguousarray(out.T).T
+
+
+def times_held(p: int, inv, held) -> np.ndarray:
+    """Row codes of inv[i] * held[i] for each matrix of the (m, n) held:
+    row j is inv[i]'s row j times held[i], read off action_table(p, held).
+    inv's leading axis runs with held's and broadcasts against it, so inv
+    of shape (m or 1, ..., n) gives (m, ..., n)."""
+    return action_table(p, held)[inv, np.arange(len(held)).reshape(-1, *[1] * (np.ndim(inv) - 1))]
 
 
 @functools.cache

@@ -47,6 +47,7 @@ from .gf_linalg import (
     solve_codes,
     span_mask,
     subspace,
+    times_held,
 )
 from .semigroup_core import (
     GreenPartitions,
@@ -183,8 +184,8 @@ class Structure:
     Green's L-, R- and D-classes are the classes of equal image, kernel
     and codimension; the class ids and the codimensions are read off
     the action array, and every per-element question is answered on
-    it.  `batch` holds each class's bases as row codes, with the domain
-    inverses and image tables of the batched constructors.
+    it.  `batch` holds each class's bases and each element's domain as
+    row codes, with their inverses, for the batched constructors.
     """
 
     def __init__(self, inst: Instance, table: SemigroupTable, act: np.ndarray, index: np.ndarray):
@@ -245,7 +246,7 @@ class Structure:
 
     @cached_property
     def batch(self) -> "_Batch":
-        """Kernel and domain inverses, row maps and image tables of the batched constructors."""
+        """Kernel and domain bases, their inverses and the row maps of the batched constructors."""
         return _Batch(self)
 
     @cached_property
@@ -324,14 +325,12 @@ def green_char_partitions(s: Structure) -> GreenPartitions:
 
 
 # The constructors run in batches.  Every matrix is held as its n row
-# codes (gf_linalg.codes), and a matrix m is held by its action
-# table t, t[v, j] coding v*m_j in the layout of act.  Each output is
-# inverse(domain) times images: the domain inverses come from one
-# batched Gauss-Jordan per Structure, and the images are columns of an
-# action table, so row i of an output is the images column read at the
-# inverse's row i.  Every output's row codes are looked up by _made
-# through Structure.find; it is multiplied back out through s.act, never
-# through the Cayley table.
+# codes (gf_linalg.codes).  Each output is inverse * held: the inverse
+# is a kernel or domain inverse, from one batched Gauss-Jordan per
+# Structure, and held holds the images of that basis, built per block of
+# outputs; gf_linalg.times_held multiplies them.  Every output's row
+# codes are looked up by _made through Structure.find; it is multiplied
+# back out through s.act, never through the Cayley table.
 
 #: Most pairs (or elements) one block of a batch holds.
 _BLOCK = 2**14
@@ -364,7 +363,6 @@ class _Batch:
     one solve per distinct one (1344 domains at (2,4,1)).  sigma gives
     the rows of dom(a) that make factor_through_grid's domain D(a, k),
     and domain_inverse reads D(a, k)^-1 off element_inv[a] through it.
-    images holds each constructor's per-element images as action tables.
     """
 
     def __init__(self, s: Structure):
@@ -413,30 +411,10 @@ class _Batch:
         p, n, m = self.s.inst.p, self.s.inst.n, self.codims[b]
         return codes(p, code_vectors(p, n)[self.element_inv[b][..., None], self.sigma_at(m, k)[..., None, :]])
 
-    @cached_property
-    def images(self) -> dict[str, np.ndarray]:
-        """Action table of each constructor's per-element images, rows
-        in the order of its domain (kernel or domain, as named)."""
-        p, n, r = self.s.inst.p, self.s.inst.n, self.s.inst.r
-        img = self.image[self.img_ids]
-        raise_lam, raise_mu = self.applied.copy(), self.applied.copy()
-        # Slices, so at n = 1, where no element is raised, a missing row is skipped.
-        raise_lam[:, :1] = img[:, :1]  # one kernel line onto the first fresh vector
-        raise_mu[:, 1:2] = img[:, 1:2]  # the second fresh line stays alive
-        rows = {
-            "regular": np.where(self.head, 0, self.kernel[self.ker_ids]),  # on domain
-            "factor": self.applied,  # on domain_inverse(b, codim a)
-            "dclass": np.where(self.head, 0, np.where(np.arange(n) < n - r, img, self.applied)),  # on kernel
-            "raise_lam": raise_lam,  # on kernel
-            "raise_mu": raise_mu,  # on domain
-            "sandwich": self.domain,  # on domain
-        }
-        return {name: action_table(p, held) for name, held in rows.items()}
-
     def _class_lams(self, c1: np.ndarray, c2: np.ndarray, images: np.ndarray, what: str) -> np.ndarray:
         # lam[c1[i], c2[i]]: the member kernel_inv[c1[i]] * images[i] (-1 on
         # every other pair of kernel classes).
-        rows = action_table(self.s.inst.p, images)[self.kernel_inv[c1], np.arange(len(c1))[:, None]]
+        rows = times_held(self.s.inst.p, self.kernel_inv[c1], images)
         lam = np.full((len(self.ker_codims),) * 2, -1, dtype=np.int64)
         name = lambda i: f"kernel classes ({c1[i]}, {c2[i]})"
         lam[c1, c2] = _made(self.s, rows, what, name)
@@ -482,7 +460,8 @@ def regular_witnesses(s: Structure, idxs) -> np.ndarray:
     out = np.empty(len(every), dtype=table_dtype(len(s.table)))
     for lo, a in _row_blocks(every, 1):
         name = lambda i: f"element {a[i]}"
-        b = _made(s, bt.images["regular"][bt.element_inv[a], a[:, None]], "inner inverse", name)
+        held = np.where(bt.head[a], 0, bt.kernel[bt.ker_ids[a]])
+        b = _made(s, times_held(s.inst.p, bt.element_inv[a], held), "inner inverse", name)
         aba = s.act[s.act[s.rows[a], b[:, None]], a[:, None]]
         bab = s.act[s.act[s.rows[b], a[:, None]], b[:, None]]
         ok = (aba == s.rows[a]).all(axis=1) & (bab == s.rows[b]).all(axis=1)
@@ -508,8 +487,12 @@ def raise_factors(s: Structure, idxs) -> tuple[np.ndarray, np.ndarray]:
     mu = np.empty_like(lam)
     for lo, a in _row_blocks(every, 1):
         name = lambda i: f"element {a[i]}"
-        li = _made(s, bt.images["raise_lam"][bt.kernel_inv[bt.ker_ids[a]], a[:, None]], "raise lam", name)
-        mi = _made(s, bt.images["raise_mu"][bt.element_inv[a], a[:, None]], "raise mu", name)
+        img, held_lam, held_mu = bt.image[bt.img_ids[a]], bt.applied[a], bt.applied[a]
+        # Slices, so at n = 1, where no element is raised, a missing row is skipped.
+        held_lam[:, :1] = img[:, :1]  # one kernel line onto the first fresh vector
+        held_mu[:, 1:2] = img[:, 1:2]  # the second fresh line stays alive
+        li = _made(s, times_held(s.inst.p, bt.kernel_inv[bt.ker_ids[a]], held_lam), "raise lam", name)
+        mi = _made(s, times_held(s.inst.p, bt.element_inv[a], held_mu), "raise mu", name)
         back = s.act[s.rows[li], mi[:, None]]
         _require((back == s.rows[a]).all(axis=1), "raise factorization failed to recompose", name)
         up = bt.codims[a] + 1
@@ -518,18 +501,19 @@ def raise_factors(s: Structure, idxs) -> tuple[np.ndarray, np.ndarray]:
     return lam, mu
 
 
-def _recomposed_grid(s: Structure, xs, ys, lams, inverse, images, what: str):
+def _recomposed_grid(s: Structure, xs, ys, lams, inverse, held, what: str):
     # (lam, mu) with x = lam * y * mu for x = xs[i], y = ys[j]: lam is
-    # lams[ker x, ker y] and mu is inverse(x)[i, j] * (x's images),
-    # inverse(x) giving the domain inverses of x's pairs; lam * y * mu is
-    # multiplied out through s.act and held against x.
+    # lams[ker x, ker y] and mu is inverse(x)[i, j] * held[x], inverse(x)
+    # giving the domain inverses of x's pairs (a leading axis of 1 where
+    # they do not depend on x); lam * y * mu is multiplied out through
+    # s.act and held against x.
     bt = s.batch
     lam = np.empty((len(xs), len(ys)), dtype=table_dtype(len(s.table)))
     mu = np.empty_like(lam)
     for lo, x in _row_blocks(xs, len(ys)):
         name = lambda i, j: f"pair ({x[i]}, {ys[j]})"
         li = lams[bt.ker_ids[x][:, None], bt.ker_ids[ys]]
-        mi = _made(s, images[inverse(x), x[:, None, None]], f"{what} mu", name)
+        mi = _made(s, times_held(s.inst.p, inverse(x), held[x]), f"{what} mu", name)
         back = s.act[s.act[s.rows[li], ys[:, None]], mi[..., None]]
         _require((back == s.rows[x][:, None]).all(axis=-1), f"{what} factors failed to recompose", name)
         lam[lo : lo + len(x)], mu[lo : lo + len(x)] = li, mi
@@ -552,7 +536,7 @@ def factor_through_grid(s: Structure, left, right) -> tuple[np.ndarray, np.ndarr
         ka, kb = bt.codims[every].max(), bt.codims[b].min()
         raise InfeasibleError(f"codim {ka} cannot factor through codim {kb}: products only lower codimension")
     inverse = lambda x: bt.domain_inverse(b, bt.codims[x][:, None])
-    return _recomposed_grid(s, every, b, bt.factor_lams, inverse, bt.images["factor"], "factor-through")
+    return _recomposed_grid(s, every, b, bt.factor_lams, inverse, bt.applied, "factor-through")
 
 
 def dclass_witness_grid(s: Structure, left, right) -> np.ndarray:
@@ -570,10 +554,11 @@ def dclass_witness_grid(s: Structure, left, right) -> np.ndarray:
     if codims.size and codims.min() != codims.max():
         raise PreconditionError("witness requires equal codimension")
     out = np.empty((len(every), len(b)), dtype=table_dtype(len(s.table)))
-    inverse = bt.kernel_inv[bt.ker_ids[b]]
+    inverse, fresh = bt.kernel_inv[bt.ker_ids[b]][None], np.arange(s.inst.n) < s.inst.n - s.inst.r
     for lo, a in _row_blocks(every, len(b)):
         name = lambda i, j: f"pair ({a[i]}, {b[j]})"
-        g = _made(s, bt.images["dclass"][inverse, a[:, None, None]], "D-class witness", name)
+        held = np.where(bt.head[a], 0, np.where(fresh, bt.image[bt.img_ids[a]], bt.applied[a]))
+        g = _made(s, times_held(s.inst.p, inverse, held), "D-class witness", name)
         ok = (bt.img_ids[g] == bt.img_ids[a][:, None]) & (bt.ker_ids[g] == bt.ker_ids[b])
         _require(ok, "constructed witness has the wrong image or kernel", name)
         out[lo : lo + len(a)] = g
@@ -594,8 +579,8 @@ def sandwich_factor_grid(s: Structure, targets, sources) -> tuple[np.ndarray, np
     top = s.inst.n - s.inst.r
     if (bt.codims[np.concatenate([every, a])] != top - 1).any():
         raise PreconditionError(f"sandwich factorization requires codimension {top - 1}")
-    inverse = lambda x: bt.element_inv[a]
-    lam, mu = _recomposed_grid(s, every, a, bt.sandwich_lams, inverse, bt.images["sandwich"], "sandwich")
+    inverse = lambda x: bt.element_inv[a][None]
+    lam, mu = _recomposed_grid(s, every, a, bt.sandwich_lams, inverse, bt.domain, "sandwich")
     name = lambda i, j: f"pair ({every[i]}, {a[j]})"
     unit = bt.codims == top
     _require(unit[lam] & unit[mu], "sandwich factors are not units", name)

@@ -56,6 +56,7 @@ from glsemi.gl_restriction import (
     conjugates_leave,
     enumerate_semigroup,
     generating_set,
+    green_char_partitions,
     j_class,
     make_instance,
     predicted_order,
@@ -350,9 +351,9 @@ def test_factorizations_and_regularity_cover_every_pair_and_element(monkeypatch)
 
         return recording
 
-    def action_table(p, rows):
-        inverses_read.append(np.asarray(rows))
-        return gf_linalg.action_table(p, rows)
+    def times_held(p, inv, held):
+        inverses_read.append((np.asarray(inv), np.asarray(held)))
+        return gf_linalg.times_held(p, inv, held)
 
     def sigma_at(bt, m, k):
         if sys._getframe(1).f_code.co_name == "_check_factorizations":
@@ -368,7 +369,7 @@ def test_factorizations_and_regularity_cover_every_pair_and_element(monkeypatch)
 
     ker, img = s.kernel_classes, s.image_classes
     monkeypatch.setattr(cli, "factor_through_grid", grid("factor", cli.factor_through_grid, ker, ker))
-    monkeypatch.setattr(cli, "action_table", action_table)
+    monkeypatch.setattr(cli, "times_held", times_held)
     real_sigma_at = gl_restriction._Batch.sigma_at
     monkeypatch.setattr(gl_restriction._Batch, "sigma_at", sigma_at)
     monkeypatch.setattr(cli, "dclass_witness_grid", grid("dclass", cli.dclass_witness_grid, img, ker))
@@ -390,8 +391,8 @@ def test_factorizations_and_regularity_cover_every_pair_and_element(monkeypatch)
     codims = s.codims
     assert (covered["factor"] == 1).all()
     assert sigmas_read == [[(m, k) for m in range(3) for k in range(m + 1)]]
-    (own,) = inverses_read
-    assert np.array_equal(own, s.batch.element_inv)
+    ((doms, own),) = inverses_read
+    assert np.array_equal(doms, s.batch.domain) and np.array_equal(own, s.batch.element_inv)
     assert np.array_equal(covered["dclass"], (codims[:, None] == codims).astype(np.int8))
     mid = codims == 1
     assert np.array_equal(covered["sandwich"], (mid[:, None] & mid).astype(np.int8))
@@ -465,9 +466,9 @@ def test_factorizations_peaks_below_a_few_megabytes_on_the_stretch_instances(r, 
     # Each grid block gathers its outputs' row codes and looks them up
     # through find, with no key tables per grade, and fact (ii) reads the
     # domain inverses' action table one k at a time.
-    # The batch is built first, as for the test below.
+    # The batch is built first, as verify builds it for regularity.
     s = enumerate_semigroup(make_instance(2, 4, r), 4096)
-    s.batch.images
+    s.batch
     tracemalloc.start()
     try:
         status, _, _ = _check_factorizations(s, CAPS)
@@ -477,21 +478,23 @@ def test_factorizations_peaks_below_a_few_megabytes_on_the_stretch_instances(r, 
     assert status == "pass" and peak <= limit
 
 
-@pytest.mark.parametrize("r, limit", [(1, 4e6), (2, 2e6)])
-def test_batch_peaks_below_a_few_megabytes_on_the_largest_instances(r, limit):
-    # Only the distinct domains are solved, 1344 of the 13 224 (element, k)
-    # pairs at (2,4,1) and 576 of the 3552 at (2,4,2), in parts of
-    # BATCH_CELLS entries in int8, and the image tables are multiplied in
-    # uint8: 1.8 and 0.7 MB.  One int64 solve over every pair peaked at
-    # 19.9 and 5.4 MB.
-    s = enumerate_semigroup(make_instance(2, 4, r), 4096)
+@pytest.mark.parametrize("p, n, r, limit", [(2, 4, 1, 1.3e6), (13, 2, 1, 1.2e6)])
+def test_regularity_peaks_below_a_megabyte_and_a_third_with_its_batch_build(p, n, r, limit):
+    # The check builds the batch, as verify does, after the class
+    # partitions green_agreement reads: only the distinct domains are
+    # solved, 1344 at (2,4,1), in parts of BATCH_CELLS entries in int8.
+    # Each constructor then multiplies its held rows per block through
+    # times_held: 1.09 and 0.82 MB.  Six action tables over every element,
+    # built at once and kept on the batch, peaked at 1.58 and 2.61 MB.
+    s = enumerate_semigroup(make_instance(p, n, r), 4096)
+    green_char_partitions(s)
     tracemalloc.start()
     try:
-        s.batch.images
+        status, _, _ = _check_regularity(s, CAPS)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= limit
+    assert status == "pass" and peak <= limit
 
 
 def test_enumeration_peaks_below_two_and_a_half_megabytes_at_order_4096():
@@ -512,7 +515,7 @@ def test_factorizations_peaks_below_a_byte_per_table_cell():
     # builds it for regularity, the check before this one; the lam tables
     # the check builds on its first call count.
     s = enumerate_semigroup(make_instance(2, 4, 3), 4096)
-    s.batch.images
+    s.batch
     tracemalloc.start()
     try:
         status, _, _ = _check_factorizations(s, CAPS)
@@ -586,9 +589,10 @@ def test_factorizations_fails_on_a_wrong_domain_inverse(monkeypatch):
         return inv
 
     monkeypatch.setattr(gl_restriction._Batch, "domain_inverse", swapped)
+    # The first pair named is the first x the check offers at grade 1, 13
+    # (the least element of the grade's first kernel class), with y = 10.
     failed = _failing()
-    assert set(failed) == {"factorizations"}
-    assert "factor-through factors failed to recompose" in failed["factorizations"]
+    assert failed == {"factorizations": "InternalInconsistencyError: factor-through factors failed to recompose at pair (13, 10)"}
 
 
 def _with_row_maps(monkeypatch, rows):
@@ -628,15 +632,13 @@ def test_factorizations_fails_on_a_row_map_that_moves_u_or_is_no_permutation(mon
 
 
 def _with_batch_changed(monkeypatch, change):
-    """Run change(bt) on each _Batch once it is built and its image
-    tables are made, so the elements' own inverses (element_inv) and the
-    constructors' images keep the true values; return the list change's
-    results are appended to."""
+    """Run change(bt) on each _Batch once it is built, so the inverses
+    it solved (kernel_inv, element_inv) keep the true values; return the
+    list change's results are appended to."""
     real, made = gl_restriction._Batch.__init__, []
 
     def init(bt, s):
         real(bt, s)
-        bt.images
         made.append(change(bt))
 
     monkeypatch.setattr(gl_restriction._Batch, "__init__", init)
@@ -663,15 +665,22 @@ def test_factorizations_fails_on_an_element_inverse_only_fact_iii_reads(monkeypa
 
 def test_factorizations_fails_when_a_kernel_basis_loses_the_first_of_us_rows(monkeypatch):
     # The first of U's rows in a K_c, row n - r, becomes U's row plus e_2:
-    # K_c stays a basis, but its last r rows are no longer U's (i).
+    # K_c stays a basis, but its last r rows are no longer U's (i).  The
+    # inner inverses read K_c's rows below the head as their images, so
+    # the class's least element, the first offered, gets an inverse that
+    # moves U: no member.
     def move(bt):
         top = bt.s.inst.n - bt.s.inst.r
         bt.kernel[0, top] = bt.kernel[0, top] ^ 1
-        return 0
+        return 0, int(bt.s.kernel_classes[1][0])
 
     made = _with_batch_changed(monkeypatch, move)
     failed = _failing()
-    assert failed == {"factorizations": f"kernel class {made[0]} is no [basis of its kernel; transversal; U]"}
+    (c, least), = made
+    assert failed == {
+        "regularity": f"InternalInconsistencyError: a constructed inner inverse is not a member at element {least}",
+        "factorizations": f"kernel class {c} is no [basis of its kernel; transversal; U]",
+    }
 
 
 def test_a_misspread_domain_inverse_fails_the_recompositions(monkeypatch):
@@ -1543,6 +1552,64 @@ def test_regularity_fails_on_a_wrong_unit_inverse(monkeypatch):
             assert "InternalInconsistencyError" in check.reason
         else:
             assert check.status in ("pass", "skip"), check.name
+
+
+def _held_changed(monkeypatch, batch, change):
+    """Replace the held rows that the named batch function hands to
+    times_held by change(frame locals, held)."""
+    real = gl_restriction.times_held
+
+    def times_held(p, inv, held):
+        frame = sys._getframe(1)
+        if frame.f_code.co_name == batch:
+            held = change(frame.f_locals, held)
+        return real(p, inv, held)
+
+    monkeypatch.setattr(gl_restriction, "times_held", times_held)
+
+
+def test_regularity_fails_on_an_inner_inverse_that_is_not_reflexive(monkeypatch):
+    # Each inner inverse b sends the image's extension, its domain's head
+    # rows, to K_c's first row, a vector of ker a, in place of zero.  b
+    # still fixes U, and a*b*a = a, which reads b on a's image only, but
+    # b*a*b sends those rows to zero: only the b*a*b compare fails, first
+    # at element 0, of codimension 0.
+    def kernel_row(f, held):
+        bt, a = f["bt"], f["a"]
+        return np.where(bt.head[a], bt.kernel[bt.ker_ids[a], :1], held)
+
+    _held_changed(monkeypatch, "regular_witnesses", kernel_row)
+    assert _failing() == {"regularity": "InternalInconsistencyError: inner inverse construction failed at element 0"}
+
+
+def test_raise_fails_when_only_mu_lands_in_the_wrong_grade(monkeypatch):
+    # mu keeps every fresh head row alive but the first, which lam's image
+    # holds, so lam * mu still recomposes and lam lands one grade up, but
+    # at (2,3,0) the zero map's mu keeps two fresh rows, codimension 2,
+    # not 1.  Both checks that raise name the zero map, element 0.
+    def alive(f, held):
+        if held is not f["held_mu"]:
+            return held
+        bt, a = f["bt"], f["a"]
+        return np.where(bt.head[a] & (np.arange(held.shape[1]) > 0), f["img"], held)
+
+    _held_changed(monkeypatch, "raise_factors", alive)
+    reason = "InternalInconsistencyError: raise factors landed in the wrong grade at element 0"
+    assert _failing(InstanceConfig(p=2, n=3, r=0)) == {"factorizations": reason, "generation": reason}
+
+
+def test_factorizations_fails_on_a_d_class_witness_with_the_right_image_only(monkeypatch):
+    # The witness's first head row, zero, becomes its first of U's rows:
+    # gamma keeps a's image, but its kernel is no longer b's.  The first
+    # pair offered is named: the least elements of grade 0's first image
+    # class and first kernel class.
+    def moved(f, held):
+        top = f["s"].inst.n - f["s"].inst.r
+        return np.where(f["bt"].head[f["a"]] & (np.arange(held.shape[1]) == 0), held[:, top : top + 1], held)
+
+    _held_changed(monkeypatch, "dclass_witness_grid", moved)
+    reason = "InternalInconsistencyError: constructed witness has the wrong image or kernel at pair (0, 36)"
+    assert _failing() == {"factorizations": reason}
 
 
 def test_verify_builds_the_stacked_unit_layer_once_per_structure(monkeypatch):
