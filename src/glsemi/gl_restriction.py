@@ -16,6 +16,7 @@ a machine-checked certificate.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -100,7 +101,12 @@ class Instance:
 
 
 def make_instance(p: int, n: int, r: int, u_rows=None) -> Instance:
-    """Build an Instance; U defaults to the span of the first r standard vectors."""
+    """Build an Instance, p, n and r taken through operator.index as ints;
+    U defaults to the span of the first r standard vectors."""
+    try:
+        p, n, r = map(operator.index, (p, n, r))
+    except TypeError:
+        raise ConfigurationError(f"p, n and r must be integers, got {p!r}, {n!r}, {r!r}") from None
     check_modulus(p)
     if n < 1:
         raise ConfigurationError("ambient dimension must be at least 1")
@@ -170,7 +176,7 @@ class Structure:
     enumerate_semigroup(inst, cap).  `subgroups`, the special subgroups
     of every complement of U (inst.complements) stacked with their
     proofs, split grids and isomorphism verdicts (see _UnitLayer), is
-    held once; it reads its products through `times`, off the action.
+    held once, in member indices; it reads its products through `times`.
 
     Element indices are table indices; the elements are sorted, so
     index order is matrix order.  `act[v, b]` is the code of the row
@@ -633,9 +639,9 @@ def special_subgroup(s: Structure, kind: str, w: Subspace | None = None) -> np.n
     n_w:   fix_u elements translating each W-vector by an element of U.
 
     Read off s.subgroups, which builds and proves every kind for every
-    complement at once (see _UnitLayer), at W's position in
-    s.inst.complements, found by RREF equality; a kind or W the layer
-    does not hold is refused.
+    complement at once (see _UnitLayer), at the position in
+    s.inst.complements of W's canonical form, so any basis of W finds
+    it; a kind or W the layer does not hold is refused.
     """
     layer = s.subgroups
     if kind not in SUBGROUP_KINDS:
@@ -645,21 +651,22 @@ def special_subgroup(s: Structure, kind: str, w: Subspace | None = None) -> np.n
     if w is None:
         raise PreconditionError(f"subgroup kind {kind!r} needs a complement W")
     try:
-        return layer.members[kind][s.inst.complements.index(w)]
+        return layer.members[kind][s.inst.complements.index(subspace(w.p, w.n, w.basis))]
     except ValueError:
         raise PreconditionError("W is not a complement of U") from None
 
 
-def _local(held: np.ndarray, count: int) -> np.ndarray:
-    # local[i, x]: the place of unit position x in row i of held, -1 off it (and at x = -1).
-    local = np.full((len(held), count + 1), -1, dtype=np.intp)
-    local[np.arange(len(held))[:, None], held] = np.arange(held.shape[1])
+def _local(members: np.ndarray, count: int) -> np.ndarray:
+    # local[i, x]: x's place in row i of members, -1 off it and at x = -1, in the narrowest signed type.
+    local = np.full((len(members), count + 1), -1, dtype=np.min_scalar_type(-members.shape[1]))
+    local[np.arange(len(members))[:, None], members] = np.arange(members.shape[1])
     return local
 
 
-def _generated(times, held: np.ndarray, count: int, ident: int, kind: str) -> np.ndarray:
-    """Generators of each row's subgroup H, one column per round, as unit
-    positions, proved on times(xs, ys), the products' positions (-1 off G).
+def _generated(times, members: np.ndarray, count: int, ident: int, kind: str) -> np.ndarray:
+    """Generators of each row's subgroup H, one column per round, as member
+    indices, proved on times(xs, ys), the products' member indices (-1 for
+    a non-member); count is the table's order and ident its identity.
 
     H is a subgroup of the finite group G iff H*B lies in H for some B in
     H whose words reach all of H from the identity: x*y, for y a word
@@ -672,9 +679,9 @@ def _generated(times, held: np.ndarray, count: int, ident: int, kind: str) -> np
     Each closure of a correct H is a subgroup at least twice the last, so
     a row not reached whole within log2 |H| rounds is refused.
     """
-    m, h = held.shape
+    m, h = members.shape
     rows = np.arange(m)[:, None]
-    local = _local(held, count)
+    local = _local(members, count)
     start = local[:, ident]
     if (start < 0).any():
         raise InternalInconsistencyError(f"subgroup {kind} is missing the identity")
@@ -685,8 +692,8 @@ def _generated(times, held: np.ndarray, count: int, ident: int, kind: str) -> np
     while not reached.all():
         if len(gens) == edges.shape[1]:
             raise InternalInconsistencyError(f"subgroup {kind} is not reached from the identity by its generators")
-        g = held[rows[:, 0], np.where(reached.all(axis=1), start, (~reached).argmax(axis=1))]
-        step = local[rows, times(held, g[:, None])]
+        g = members[rows[:, 0], np.where(reached.all(axis=1), start, (~reached).argmax(axis=1))]
+        step = local[rows, times(members, g[:, None])]
         if (step < 0).any():
             raise InternalInconsistencyError(f"subgroup {kind} is not closed under products")
         edges[:, len(gens)] = (step + rows * h).ravel()
@@ -699,6 +706,12 @@ def _generated(times, held: np.ndarray, count: int, ident: int, kind: str) -> np
     return np.array(gens, dtype=np.intp).reshape(-1, m).T
 
 
+def _moved(p: int, n: int, ws: np.ndarray, on_w: np.ndarray) -> np.ndarray:
+    # [i, j, x]: the code of w_j*x - w_j, that is w_j*x plus -w_j, given on_w[i, j, x], that of w_j*x.
+    negated = codes(p, -code_vectors(p, n) % p)
+    return code_sums(p, n)[negated[ws][..., None] * p**n + on_w]
+
+
 # Left factor: (right factor, what the split covers; None for all units).
 _SPLITS = {FIX_W: (FIX_U, None), G_W: (N_W, FIX_U)}
 
@@ -707,74 +720,60 @@ class _UnitLayer:
     """The special subgroups of the unit group G for every complement W
     of U at once (Structure.subgroups), with their proofs; r = 0, where
     U has no complement to split by, is refused.  Every per-W result is
-    read by W's position i in s.inst.complements.
+    read by W's position i in s.inst.complements, as member indices.
 
-    held[kind] is an (m, h) array whose row i holds the positions among
-    the units (s.grades[n-r]) of the subgroup for W = s.inst.complements[i],
-    sorted; every W gives one order h, and fix_u has one row.
-    members[kind] holds the same as member indices.  Membership is read
-    off one gather of the units' columns of s.act, at the codes of U's
-    and of every W's basis: fix_u and fix_w keep U's or W's basis codes,
-    g_w fixes U and sends W's basis into W's span mask, and n_w fixes U
-    and sends each w_j into w_j + U, the code of w_j*g - w_j read off
-    gf_linalg.code_sums.  Each row is proved a subgroup on the
-    generators gens[kind] (see _generated), its products read through
-    s.times.  grids and isomorphic, the split grids and the isomorphism
-    verdicts, are stacked over W too and built on first use: W's split of
-    a unit is its cell of grids[kind][i], and its verdict isomorphic[kind][i].
+    members[kind] is an (m, h) array whose row i holds the subgroup for
+    W = s.inst.complements[i], sorted; every W gives one order h, and
+    fix_u has one row.  Membership is read off one gather of the units'
+    columns of s.act, at the codes of U's and every W's basis (u, ws):
+    fix_u and fix_w keep U's or W's basis codes, g_w fixes U and sends
+    W's basis into W's span mask, and n_w fixes U and sends each w_j
+    into w_j + U, the code of w_j*g - w_j (_moved).  Each row is proved a
+    subgroup on the generators gens[kind] (see _generated), its products
+    read through s.times.  grids and isomorphic, the split grids and the
+    isomorphism verdicts, are stacked over W too and built on first use:
+    W's split of a unit is its cell of grids[kind][i], and its verdict
+    isomorphic[kind][i].
     """
 
     def __init__(self, s: Structure):
         p, n, r = s.inst.p, s.inst.n, s.inst.r
         if r < 1:
             raise PreconditionError("unit-group subgroup structure requires r >= 1")
-        self.s, self.units = s, s.grades[n - r]
-        u, self.ws = codes(p, s.inst.u.basis), codes(p, [w.basis for w in s.inst.complements])
-        m = len(self.ws)
-        img = s.act[:, self.units][np.concatenate([u, self.ws.ravel()])]
-        self.on_u, self.on_w = img[:r], img[r:].reshape(m, n - r, -1)
-        # moved[i, j, x]: the code of w_j*x - w_j, that is w_j*x plus -w_j.
-        negated = codes(p, -code_vectors(p, n) % p)
-        self.moved = code_sums(p, n)[negated[self.ws][..., None] * p**n + self.on_w]
-        fix_u = (self.on_u == u[:, None]).all(axis=0)
+        self.s, self.u, self.ws = s, codes(p, s.inst.u.basis), codes(p, [w.basis for w in s.inst.complements])
+        units, m = s.grades[n - r], len(self.ws)
+        on_u, on_w = s.act[self.u[:, None], units], s.act[self.ws[..., None], units]
+        fix_u = (on_u == self.u[:, None]).all(axis=0)
         masks = {
             FIX_U: fix_u[None],
-            FIX_W: (self.on_w == self.ws[..., None]).all(axis=1),
-            G_W: fix_u & span_mask(p, n, self.ws).take(np.arange(m)[:, None, None] * p**n + self.on_w).all(axis=1),
-            N_W: fix_u & span_mask(p, n, u).take(self.moved).all(axis=1),
+            FIX_W: (on_w == self.ws[..., None]).all(axis=1),
+            G_W: fix_u & span_mask(p, n, self.ws).take(np.arange(m)[:, None, None] * p**n + on_w).all(axis=1),
+            N_W: fix_u & span_mask(p, n, self.u).take(_moved(p, n, self.ws, on_w)).all(axis=1),
         }
-        self.ident = int(np.searchsorted(self.units, s.table.identity_idx))
-        self.at = np.full(len(s.table) + 1, -1, dtype=np.intp)  # at[x]: x's unit position, -1 off them and at -1
-        self.at[self.units] = np.arange(len(self.units))
-        self.held, self.members, self.gens = {}, {}, {}
+        self.members, self.gens = {}, {}
         for kind, mask in masks.items():
             sizes = mask.sum(axis=1)
             if (sizes != sizes[0]).any():
                 raise InternalInconsistencyError(f"subgroup {kind} has different orders for different complements")
-            held = _frozen(np.nonzero(mask)[1].reshape(len(mask), -1))
-            self.gens[kind] = _generated(self._times, held, len(self.units), self.ident, kind)
-            self.held[kind], self.members[kind] = held, _frozen(self.units[held])
-
-    def _times(self, xs, ys) -> np.ndarray:
-        # The unit positions of x*y for units at positions xs and ys, -1 off the units.
-        return self.at[self.s.times(self.units[xs], self.units[ys])]
+            self.members[kind] = members = _frozen(units[np.nonzero(mask)[1].reshape(len(mask), -1)])
+            self.gens[kind] = _generated(s.times, members, len(s.table), s.table.identity_idx, kind)
 
     @cached_property
     def grids(self) -> dict[str, np.ndarray]:
-        """grids[left_kind][i]: the unit positions of the product grid
-        left x right (_SPLITS: fix_w x fix_u, g_w x n_w) for W =
-        inst.complements[i], flat and row-major.  Each W's splits are unique
-        exactly when its grid, one times call per split, is a bijection
-        onto the units (onto fix_u for g_w); at the first W, then split,
-        where one is not, InternalInconsistencyError is raised."""
-        count, m = len(self.units), len(self.ws)
-        fix_u = np.zeros(count, dtype=bool)
-        fix_u[self.held[FIX_U]] = True
+        """grids[left_kind][i]: the product grid left x right (_SPLITS:
+        fix_w x fix_u, g_w x n_w) for W = inst.complements[i], flat and
+        row-major.  Each W's splits are unique exactly when its grid, one
+        times call per split, is a bijection onto the units (codimension
+        n-r; onto fix_u for g_w); at the first W, then split, where one is
+        not, InternalInconsistencyError is raised."""
+        s, m = self.s, len(self.ws)
+        fix_u = np.zeros(len(s.table), dtype=bool)
+        fix_u[self.members[FIX_U]] = True
         grids, ok = {}, []
         for left_kind, (right_kind, whole_kind) in _SPLITS.items():
-            cells = self._times(self.held[left_kind][:, :, None], self.held[right_kind][:, None]).reshape(m, -1)
-            whole = fix_u if whole_kind else np.ones(count, dtype=bool)
-            hit = np.zeros((m, count), dtype=bool)
+            cells = s.times(self.members[left_kind][:, :, None], self.members[right_kind][:, None]).reshape(m, -1)
+            whole = fix_u if whole_kind else s.codims == s.inst.n - s.inst.r
+            hit = np.zeros((m, len(s.table)), dtype=bool)
             hit[np.arange(m)[:, None], cells] = True
             ok.append((cells.shape[1] == whole.sum()) & (cells >= 0).all(axis=1) & (hit == whole).all(axis=1))
             grids[left_kind] = _frozen(cells)
@@ -806,17 +805,17 @@ class _UnitLayer:
         holds for every word over gens, which is all of H (_generated; the
         identity is a power of a generator, or H's one member).
         """
-        p, n, r = self.s.inst.p, self.s.inst.n, self.s.inst.r
-        held, m = self.held, len(self.ws)
-        rows, vectors, u_coords = np.arange(m)[:, None], code_vectors(p, n), coordinate_table(self.s.inst.u)
-        on = lambda table, kind: np.take_along_axis(table, held[kind][:, None], axis=2)  # kind's members' columns
+        s, members, m = self.s, self.members, len(self.ws)
+        p, n, r = s.inst.p, s.inst.n, s.inst.r
+        rows, vectors, u_coords = np.arange(m)[:, None], code_vectors(p, n), coordinate_table(s.inst.u)
+        on_w = lambda kind: s.act[self.ws[..., None], members[kind][:, None]]  # [i, j, x]: the code of w_j*x
         # Over W's RREF basis, a vector of W has its entries at the basis's
         # pivot columns as coordinates.
         pivots = (vectors[self.ws] != 0).argmax(axis=-1)
         coords = {  # coords[kind][i, x, j]: coordinates of basis row j's image under member x
-            FIX_W: u_coords[self.on_u[:, held[FIX_W]]].transpose(1, 2, 0, 3),
-            G_W: np.take_along_axis(vectors[on(self.on_w, G_W)], pivots[:, None, None], axis=3).transpose(0, 2, 1, 3),
-            N_W: u_coords[on(self.moved, N_W)].transpose(0, 2, 1, 3),
+            FIX_W: u_coords[s.act[self.u[:, None, None], members[FIX_W]]].transpose(1, 2, 0, 3),
+            G_W: np.take_along_axis(vectors[on_w(G_W)], pivots[:, None, None], axis=3).transpose(0, 2, 1, 3),
+            N_W: u_coords[_moved(p, n, self.ws, on_w(N_W))].transpose(0, 2, 1, 3),
         }
         # Each comparison group's order and identity.
         groups = {
@@ -826,15 +825,15 @@ class _UnitLayer:
         }
         verdicts = {}
         for kind, (order, one) in groups.items():
-            h = held[kind].shape[1]
+            h = members[kind].shape[1]
             # images[i, x]: x's coordinate rows, in the narrowest type that holds
-            # a row times a matrix, n (p-1)^2, or a sum of two rows, 2 (p-1).
-            images = coords[kind].astype(np.min_scalar_type(max(n * (p - 1) ** 2, 2 * (p - 1))))
-            local = _local(held[kind], len(self.units))
+            # a row times a matrix, n (p-1)^2, which (n >= 2) holds a sum of two rows too.
+            images = coords[kind].astype(np.min_scalar_type(n * (p - 1) ** 2))
+            local = _local(members[kind], len(s.table))
             keys = np.sort(codes(p, images.reshape(m, h, -1)), axis=1)
-            onto = (h == order) & (np.diff(keys, axis=1) > 0).all(axis=1) & (images[rows[:, 0], local[:, self.ident]] == one).all(axis=(1, 2))
+            onto = (h == order) & (np.diff(keys, axis=1) > 0).all(axis=1) & (images[rows[:, 0], local[:, s.table.identity_idx]] == one).all(axis=(1, 2))
             gens = self.gens[kind]
-            products = local[rows[..., None], self._times(gens[..., None], held[kind][:, None])]  # g*x, (m, |B|, h)
+            products = local[rows[..., None], s.times(gens[..., None], members[kind][:, None])]  # g*x, (m, |B|, h)
             at = images[rows, local[rows, gens]]
             if kind == N_W:
                 expected = (at[:, :, None] + images[:, None]) % p

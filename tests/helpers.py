@@ -64,8 +64,7 @@ def split_factors(s, left_kind, w):
     g = gl_restriction
     right_kind = {g.FIX_W: g.FIX_U, g.G_W: g.N_W}[left_kind]
     left, right = g.special_subgroup(s, left_kind, w), g.special_subgroup(s, right_kind, w)
-    layer = s.subgroups
-    return left, right, layer.units[layer.grids[left_kind][s.inst.complements.index(w)]]
+    return left, right, s.subgroups.grids[left_kind][s.inst.complements.index(w)]
 
 
 def split_cell(s, left_kind, w, a):
@@ -305,10 +304,11 @@ def normal_in_its_whole(s, kind, w):
     return conjugation_closed(s, g.special_subgroup(s, kind, w), whole)
 
 
-def with_wrong_split(s, left_kind, w):
-    """A with_unit_product copy of s in which one cell of the left_kind
-    split's product grid (fix_w x fix_u onto the units, or g_w x n_w onto
-    fix_u) holds another element of the whole, so the grid is no bijection.
+def with_wrong_split(s, left_kind, w, into=None):
+    """A with_unit_product copy of s (of into, when given, so that faults
+    stack) in which one cell of the left_kind split's product grid (fix_w
+    x fix_u onto the units, or g_w x n_w onto fix_u) holds another element
+    of the whole, so the grid is no bijection.
 
     Every special subgroup, for every complement, that holds both
     factors of the cell also holds the element put there, so each one
@@ -327,7 +327,41 @@ def with_wrong_split(s, left_kind, w):
         for c in np.sort(whole).tolist()
         if c != cells[i, j] and all(c in h for h, _ in proved if a in h and b in h)
     )
-    return with_unit_product(s, a, b, c)
+    return with_unit_product(s if into is None else into, a, b, c)
+
+
+def identity_acting_outside_fix_u(s):
+    """A with_column copy of s in which the identity acts as the first unit
+    outside Fix(U), so no special subgroup holds it."""
+    fix_u = gl_restriction.special_subgroup(s, gl_restriction.FIX_U).tolist()
+    return with_column(s, s.table.identity_idx, matrices(s)[next(a for a in s.grades[-1].tolist() if a not in fix_u)])
+
+
+def fix_w_grown_at_the_first_complement(s):
+    """A with_column copy of s in which a unit in no Fix(W) acts as a
+    member of the first Fix(W) only, so that Fix(W) outgrows the others."""
+    fix_w = [set(row.tolist()) for row in s.subgroups.members[gl_restriction.FIX_W]]
+    only = next(y for y in sorted(fix_w[0]) if not any(y in other for other in fix_w[1:]))
+    x = next(a for a in s.grades[-1].tolist() if not any(a in h for h in fix_w))
+    return with_column(s, x, matrices(s)[only])
+
+
+def identity_row_missing_a_generator(s):
+    """A with_unit_product copy of s in which e*g, for g Fix(U)'s first
+    generator, reads another member of Fix(U): every product stays
+    inside, but no word from e reaches g."""
+    g, ident = int(s.subgroups.gens[gl_restriction.FIX_U][0, 0]), s.table.identity_idx
+    fix_u = gl_restriction.special_subgroup(s, gl_restriction.FIX_U).tolist()
+    return with_unit_product(s, ident, g, next(a for a in fix_u if a not in (ident, g)))
+
+
+def n_w_reached_one_round_late(s):
+    """A with_unit_product copy of s for a first N(W) = {e, g1, g2, g1*g2}
+    with generators g1, g2: g1*g2 reads g2 and g2*g1 reads g1, so the
+    closure misses g1*g2 after the log2 |H| = 2 rounds that a subgroup
+    needs, and would take it in a third."""
+    g1, g2 = s.subgroups.gens[gl_restriction.N_W][0].tolist()
+    return with_unit_product(with_unit_product(s, g1, g2, g2), g2, g1, g1)
 
 
 def proved_subgroups(s):
@@ -336,7 +370,7 @@ def proved_subgroups(s):
     stacked unit layer (s.subgroups) proved them."""
     layer = s.subgroups
     return [
-        (set(members.tolist()), set(layer.units[gens].tolist()))
+        (set(members.tolist()), set(gens.tolist()))
         for kind in gl_restriction.SUBGROUP_KINDS
         for members, gens in zip(layer.members[kind], layer.gens[kind])
     ]

@@ -74,10 +74,14 @@ from helpers import (
     every_pair_factorizations,
     every_pair_isomorphic,
     every_unit_conjugation_closed,
+    fix_w_grown_at_the_first_complement,
     full_table,
     grade_generates,
+    identity_acting_outside_fix_u,
+    identity_row_missing_a_generator,
     is_member,
     matrices,
+    n_w_reached_one_round_late,
     naive_vec_mat,
     normal_in_its_whole,
     one,
@@ -86,6 +90,7 @@ from helpers import (
     regular_table,
     restricted_mul,
     split_cell,
+    split_factors,
     unit_products,
     whole_closure,
     with_codim,
@@ -304,6 +309,47 @@ def test_conjugates_leave_refuses_a_conjugator_without_an_inverse():
             fn()
 
 
+def test_conjugates_leave_reads_a_conjugator_whose_inverse_is_the_least_member():
+    # A unit of N(W) made to act as the least member (element 0): its
+    # inverse, read off its column, is element 0 too.  That is a member, so
+    # the conjugation runs, and g*x*g^-1 leaves Fix(W); only an inverse
+    # that is no member (-1) is refused.
+    s = enumerate_semigroup(make_instance(3, 2, 1))
+    w = s.inst.complements[0]
+    by, h = special_subgroup(s, N_W, w), special_subgroup(s, FIX_W, w)
+    g = by[by != s.table.identity_idx][0]
+    bad = with_column(s, g, matrices(s)[0])
+    bad.subgroups = s.subgroups
+    assert bad.inverse([g]).tolist() == [0]
+    assert conjugates_leave(bad, h, by)
+    assert _check_nonnormality(bad, CAPS)[0] == "pass"
+
+
+def test_conjugates_leave_counts_a_product_that_is_no_member_as_leaving():
+    # At (3,2,1) the last member is a unit, and the units are closed under
+    # conjugation, save where g*x now reads -1 (no member): that conjugate
+    # leaves them, though index -1 or -2 would read the last member.
+    s = enumerate_semigroup(make_instance(3, 2, 1))
+    units = j_class(s, 1)
+    g, x = int(units[1]), int(units[2])
+    assert units[-1] == len(s.table) - 1 and not conjugates_leave(s, units, [g])
+    assert conjugates_leave(with_unit_product(s, g, x, -1), units, [g])
+
+
+def test_unit_decomposition_fails_on_a_conjugate_that_is_no_member(monkeypatch):
+    # At (3,2,1) g*x, for g a unit among the table's generators and x in
+    # Fix(U), now reads -1, a cell no subgroup proof or split grid reads.
+    # The conjugate g*x*g^-1 is then no member, so it leaves Fix(U), though
+    # the last member (which index -1 would read) times g^-1 lies in Fix(U).
+    s = enumerate_semigroup(make_instance(3, 2, 1))
+    fix_u, last, proved = special_subgroup(s, FIX_U).tolist(), len(s.table) - 1, proved_subgroups(s)
+    g = next(a for a in s.table._checked_generators() if s.codims[a] == 1 and s.times(last, s.inverse([a])[0]) in fix_u)
+    x = next(x for x in fix_u if not proof_reads(proved, g, x))
+    failed = _failed(_verify_with(monkeypatch, s, with_unit_product(s, g, x, -1)))
+    assert set(failed) == {"unit_decomposition"}
+    assert failed["unit_decomposition"].reason == "conjugate left the U-fixing subgroup"
+
+
 @pytest.mark.parametrize("left_kind", [FIX_W, G_W])
 def test_unit_decomposition_fails_on_a_wrong_cell_in_a_split_grid(monkeypatch, left_kind):
     s = enumerate_semigroup(make_instance(2, 3, 1))
@@ -318,6 +364,32 @@ def test_unit_decomposition_fails_on_a_wrong_cell_in_a_split_grid(monkeypatch, l
     if left_kind == FIX_W:
         with pytest.raises(InternalInconsistencyError, match="not a bijection onto the units"):
             split_cell(bad, FIX_W, w, j_class(bad, 2)[0])
+
+
+@pytest.mark.parametrize("at", [0, -1], ids=["same", "last"])
+def test_unit_decomposition_names_the_first_complement_and_split_with_a_wrong_cell(monkeypatch, at):
+    # A wrong cell in the first W's grid Fix(W) x Fix(U), and one in the
+    # grid G(W) x N(W) of the same W or of the last: the check names the
+    # split it meets first, W by W and then split by split.
+    s = enumerate_semigroup(make_instance(2, 3, 1))
+    ws = s.inst.complements
+    bad = with_wrong_split(s, G_W, ws[at], into=with_wrong_split(s, FIX_W, ws[0]))
+    failed = _failed(_verify_with(monkeypatch, s, bad))
+    assert set(failed) == {"unit_decomposition"}
+    assert failed["unit_decomposition"].reason == "InternalInconsistencyError: fix_w x fix_u products are not a bijection onto the units"
+
+
+def test_unit_decomposition_fails_on_a_split_cell_that_is_no_member(monkeypatch):
+    # At (3,2,1) the last member is a unit.  Its cell in the first W's grid
+    # Fix(W) x Fix(U) now reads -1, which marks the last member in the
+    # grid's hit mask: only the test that every cell is a member sees it.
+    s = enumerate_semigroup(make_instance(3, 2, 1))
+    left, right, cells = split_factors(s, FIX_W, s.inst.complements[0])
+    k = int(np.flatnonzero(cells == len(s.table) - 1)[0])
+    bad = with_unit_product(s, int(left[k // len(right)]), int(right[k % len(right)]), -1)
+    failed = _failed(_verify_with(monkeypatch, s, bad))
+    assert set(failed) == {"unit_decomposition"}
+    assert failed["unit_decomposition"].reason == "InternalInconsistencyError: fix_w x fix_u products are not a bijection onto the units"
 
 
 def test_factorizations_and_regularity_cover_every_pair_and_element(monkeypatch):
@@ -1209,7 +1281,7 @@ def test_nonnormality_reports_a_trivial_subgroup_moved(monkeypatch):
     # first W on.
     s = enumerate_semigroup(make_instance(2, 3, 1))
     layer, ident = s.subgroups, s.table.identity_idx
-    n_w, gens = special_subgroup(s, N_W, s.inst.complements[0]).tolist(), layer.units[layer.gens[N_W][0]].tolist()
+    n_w, gens = special_subgroup(s, N_W, s.inst.complements[0]).tolist(), layer.gens[N_W][0].tolist()
     g = next(x for x in n_w if x != ident and x not in gens)
     bad = with_unit_product(s, g, ident, next(y for y in n_w if y not in (ident, g)))
     assert normal_in_its_whole(s, FIX_W, s.inst.complements[0]) and not normal_in_its_whole(bad, FIX_W, s.inst.complements[0])
@@ -1227,7 +1299,7 @@ def _wrong_image_at(s, kind, i):
     the identity, so every unit keeps an inverse."""
     layer, ident = s.subgroups, s.table.identity_idx
     h = layer.members[kind][i].tolist()
-    g = int(layer.units[layer.gens[kind][i, 0]])
+    g = int(layer.gens[kind][i, 0])
     order = [(k, j) for j in range(len(s.inst.complements)) for k in (FIX_W, G_W, N_W)]
     earlier = [set(layer.members[k][j].tolist()) for k, j in order[: order.index((kind, i))]]
     others = [(m, gens) for m, gens in proved_subgroups(s) if m != set(h)]
@@ -1238,6 +1310,27 @@ def _wrong_image_at(s, kind, i):
         if x != ident and gx(x) != ident and not proof_reads(others, g, x) and not any(g in m and x in m for m in earlier)
     )
     return g, x, next(c for c in h if c not in (ident, gx(x)))
+
+
+def test_subgroup_isomorphisms_fails_on_a_product_leaving_the_subgroup(monkeypatch):
+    # g*x, for g a generator of the first W's Fix(W) and x in it, now reads a
+    # unit outside Fix(W).  The closure proof reads x*g only; the
+    # isomorphism check reads g*x and refuses it as no member of H, here
+    # where the true g*x is H's last member, whose place a -1 would read.
+    s = enumerate_semigroup(make_instance(2, 3, 2))
+    layer, ident = s.subgroups, s.table.identity_idx
+    h, gens = layer.members[FIX_W][0].tolist(), layer.gens[FIX_W][0].tolist()
+    others = [(m, b) for m, b in proved_subgroups(s) if m != set(h)]
+    g, x = next(
+        (g, x)
+        for g in gens
+        for x in h
+        if x not in gens and x != ident and not proof_reads(others, g, x) and unit_products(s, [g], [x])[0, 0] == h[-1]
+    )
+    failed = _failed(_verify_with(monkeypatch, s, with_unit_product(s, g, x, min(set(j_class(s, 1).tolist()) - set(h)))))
+    assert set(failed) == {"subgroup_isomorphisms"}
+    assert failed["subgroup_isomorphisms"].reason == "fix_w comparison failed"
+    assert failed["subgroup_isomorphisms"].counts == _complement_counts(s, 0)
 
 
 @pytest.mark.parametrize("kinds", [(G_W,), (FIX_W, G_W)])
@@ -1281,6 +1374,28 @@ def test_nonnormality_reports_the_first_failing_complement_and_kind(monkeypatch)
     assert failed["nonnormality"].counts == _complement_counts(s, 1)
 
 
+@pytest.mark.parametrize(
+    "pnr, bad, reason, others",
+    [
+        ((2, 3, 2), identity_acting_outside_fix_u, "subgroup fix_u is missing the identity", {"factorizations", "isomorphism_theorem"}),
+        ((2, 3, 2), fix_w_grown_at_the_first_complement, "subgroup fix_w has different orders for different complements", {"regularity", "isomorphism_theorem"}),
+        ((2, 3, 1), identity_row_missing_a_generator, "subgroup fix_u is not reached from the identity by its generators", set()),
+        ((2, 3, 1), n_w_reached_one_round_late, "subgroup n_w is not reached from the identity by its generators", set()),
+    ],
+    ids=["identity", "orders", "reach", "late"],
+)
+def test_the_unit_checks_fail_on_a_subgroup_the_layer_cannot_prove(monkeypatch, pnr, bad, reason, others):
+    # Each refusal of the layer's build, met through cmd_verify: every check
+    # that reads the layer fails with it, the other checks as they read
+    # the changed column.
+    s = enumerate_semigroup(make_instance(*pnr))
+    failed = _failed(_verify_with(monkeypatch, s, bad(s)))
+    units = {"unit_decomposition", "subgroup_isomorphisms", "nonnormality"}
+    assert set(failed) == units | others
+    for name in units:
+        assert failed[name].reason == f"InternalInconsistencyError: {reason}"
+
+
 def test_verify_fails_on_a_product_leaving_a_subgroup_at_a_generator(monkeypatch):
     # x*g, for g one of G(W)'s generators, now reads a unit outside G(W):
     # the cell the closure proof reads for x.  The layer refuses it, so each
@@ -1288,7 +1403,7 @@ def test_verify_fails_on_a_product_leaving_a_subgroup_at_a_generator(monkeypatch
     s = enumerate_semigroup(make_instance(2, 3, 1))
     layer, w = s.subgroups, s.inst.complements[1]
     h = special_subgroup(s, G_W, w)
-    g = int(layer.units[layer.gens[G_W][1, -1]])
+    g = int(layer.gens[G_W][1, -1])
     outside = min(set(j_class(s, 2).tolist()) - set(h.tolist()))
     bad = with_unit_product(s, h[-1], g, outside)
     assert whole_closure(s, h) and not whole_closure(bad, h)

@@ -62,7 +62,10 @@ from helpers import (
     brute_members,
     domain_inverses_by_pair,
     every_pair_isomorphic,
+    fix_w_grown_at_the_first_complement,
     full_table,
+    identity_acting_outside_fix_u,
+    identity_row_missing_a_generator,
     index_of,
     is_idempotent_by_image,
     is_member,
@@ -159,6 +162,24 @@ def test_instance_refuses_an_r_out_of_range_and_a_subspace_of_another_shape():
 def test_make_instance_refuses_an_ambient_dimension_below_one(n):
     with pytest.raises(ConfigurationError, match="ambient dimension must be at least 1"):
         make_instance(2, n, 0)
+
+
+def test_make_instance_holds_numpy_integer_parameters_as_ints():
+    # p**(n*(n-r)) in int64 wraps to 0 at n = 40: the predicted order must
+    # stay exact, so the cap refuses the instance before any allocation.
+    inst = make_instance(2, np.int64(40), np.int64(1))
+    assert predicted_order(inst) == 2 ** (40 * 39)
+    with pytest.raises(CapacityError, match="exceeds enumeration cap 2000"):
+        enumerate_semigroup(inst, 2000)
+    # A numpy modulus is a modulus, not one "outside the supported range".
+    inst = make_instance(np.int64(2), np.uint8(3), np.int32(1))
+    assert inst == INST231 and all(type(x) is int for x in (inst.p, inst.n, inst.r))
+
+
+@pytest.mark.parametrize("pnr", [(2.0, 3, 1), (2, "3", 1), (2, 3, 1.0)], ids=str)
+def test_make_instance_refuses_non_integer_parameters(pnr):
+    with pytest.raises(ConfigurationError, match="p, n and r must be integers"):
+        make_instance(*pnr)
 
 
 def test_is_member():
@@ -604,6 +625,16 @@ def test_special_subgroups_smallest_instance():
         special_subgroup(enumerate_semigroup(make_instance(2, 2, 0)), FIX_U)
 
 
+def test_special_subgroup_finds_a_complement_given_by_any_basis():
+    # A basis out of RREF names the same W: it is looked up by its canonical form.
+    w = Subspace(2, 3, ((1, 1, 0), (0, 1, 1)))
+    assert w != S231.inst.complements[3] and subspace(2, 3, w.basis) == S231.inst.complements[3]
+    for kind in (FIX_W, G_W, N_W):
+        assert special_subgroup(S231, kind, w).tolist() == special_subgroup(S231, kind, S231.inst.complements[3]).tolist()
+    with pytest.raises(PreconditionError, match="W is not a complement of U"):
+        special_subgroup(S231, FIX_W, Subspace(2, 3, ((1, 0, 0),)))  # U itself, in canonical form already
+
+
 @pytest.mark.parametrize("kind", [FIX_W, G_W, N_W])
 def test_special_subgroup_of_a_complement_kind_needs_a_w(kind):
     with pytest.raises(PreconditionError, match="needs a complement W"):
@@ -782,7 +813,7 @@ def test_special_subgroup_rejects_a_product_leaving_it():
     # generator (the last member times the last generator here); the
     # whole-group oracle reads every product, the last two members' too.
     fix_u = special_subgroup(S232, FIX_U).tolist()
-    gens = S232.subgroups.units[S232.subgroups.gens[FIX_U][0]].tolist()
+    gens = S232.subgroups.gens[FIX_U][0].tolist()
     outside = min(set(j_class(S232, 1).tolist()) - set(fix_u))
     for a, b in ((fix_u[-1], gens[-1]), (fix_u[-1], fix_u[-2])):
         assert not whole_closure(with_unit_product(S232, a, b, outside), fix_u)
@@ -802,42 +833,18 @@ def test_generator_certificates_agree_with_the_whole_group_oracles(spec):
             assert bool(s.subgroups.isomorphic[kind][i]) is every_pair_isomorphic(s, kind, w) is True
 
 
-def _identity_moving_u():
-    # The identity made to act as a unit that moves U: no subgroup holds it.
-    fix_u = special_subgroup(S232, FIX_U).tolist()
-    moving = next(a for a in j_class(S232, 1).tolist() if a not in fix_u)
-    return with_column(S232, S232.table.identity_idx, matrices(S232)[moving])
-
-
-def _fix_w_grown_at_the_first_complement():
-    # A unit in no Fix(W) made to act as a member of the first Fix(W) only.
-    fix_w = [set(row.tolist()) for row in S232.subgroups.members[FIX_W]]
-    only = next(y for y in sorted(fix_w[0]) if not any(y in other for other in fix_w[1:]))
-    x = next(a for a in j_class(S232, 1).tolist() if not any(a in h for h in fix_w))
-    return with_column(S232, x, matrices(S232)[only])
-
-
-def _identity_row_missing_a_generator():
-    # e*g, for g Fix(U)'s first generator, reads another member of Fix(U):
-    # every product stays inside, but no word from e reaches g.
-    layer, ident = S231.subgroups, S231.table.identity_idx
-    g = int(layer.units[layer.gens[FIX_U][0, 0]])
-    c = next(a for a in special_subgroup(S231, FIX_U).tolist() if a not in (ident, g))
-    return with_unit_product(S231, ident, g, c)
-
-
 @pytest.mark.parametrize(
-    "bad, message",
+    "base, bad, message",
     [
-        (_identity_moving_u, "subgroup fix_u is missing the identity"),
-        (_fix_w_grown_at_the_first_complement, "subgroup fix_w has different orders for different complements"),
-        (_identity_row_missing_a_generator, "subgroup fix_u is not reached from the identity by its generators"),
+        (S232, identity_acting_outside_fix_u, "subgroup fix_u is missing the identity"),
+        (S232, fix_w_grown_at_the_first_complement, "subgroup fix_w has different orders for different complements"),
+        (S231, identity_row_missing_a_generator, "subgroup fix_u is not reached from the identity by its generators"),
     ],
     ids=["identity", "orders", "reach"],
 )
-def test_the_unit_layer_refuses_what_it_cannot_prove(bad, message):
-    s = bad()
-    assert np.array_equal(s.codims, S232.codims if s.inst == INST232 else S231.codims)
+def test_the_unit_layer_refuses_what_it_cannot_prove(base, bad, message):
+    s = bad(base)
+    assert np.array_equal(s.codims, base.codims)
     with pytest.raises(InternalInconsistencyError, match=message):
         special_subgroup(s, FIX_U)
 
@@ -851,11 +858,26 @@ def test_subgroup_iso_check_rejects_a_wrong_product_inside_the_subgroup(kind):
     ident = S232.table.identity_idx
     a, b = [i for i in members if i != ident][:2]
     layer = S232.subgroups
-    assert a == layer.units[layer.gens[kind][W232_ROW, 0]]
+    assert a == layer.gens[kind][W232_ROW, 0]
     wrong = next(c for c in members if c != unit_products(S232, [a], [b])[0, 0])
     bad = with_unit_product(S232, a, b, wrong)
     assert special_subgroup(bad, kind, W232).tolist() == members  # still closed
     assert not bad.subgroups.isomorphic[kind][W232_ROW] and not every_pair_isomorphic(bad, kind, W232)
+
+
+@pytest.mark.parametrize("pnr", [(2, 3, 1), (2, 4, 2)], ids=["p2n3r1", "p2n4r2"])
+def test_the_unit_layer_answers_in_member_indices(pnr):
+    # Each row's generators lie in its subgroup, and each split grid is the
+    # product grid of special_subgroup's factors, read through s.times.
+    s = enumerate_semigroup(make_instance(*pnr))
+    layer = s.subgroups
+    for kind in (FIX_U, FIX_W, G_W, N_W):
+        for members, gens in zip(layer.members[kind], layer.gens[kind]):
+            assert np.isin(gens, members).all()
+    for i, w in enumerate(s.inst.complements):
+        for left_kind, right_kind in ((FIX_W, FIX_U), (G_W, N_W)):
+            left, right = special_subgroup(s, left_kind, w), special_subgroup(s, right_kind, w)
+            assert np.array_equal(layer.grids[left_kind][i], s.times(left[:, None], right[None]).ravel())
 
 
 def test_split_grid_holds_each_element_in_one_cell():
